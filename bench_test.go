@@ -7,6 +7,7 @@ package safe_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -125,11 +126,7 @@ func BenchmarkSAFEFit(b *testing.B) {
 	ds := benchDataset(b, 2000, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := safe.New(safe.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := eng.Fit(ds.Train); err != nil {
+		if _, err := safe.Fit(context.Background(), safe.FromFrame(ds.Train), safe.WithConfig(safe.DefaultConfig())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,14 +180,11 @@ func BenchmarkSelectionAblation(b *testing.B) {
 
 func BenchmarkPipelineTransformRow(b *testing.B) {
 	ds := benchDataset(b, 2000, 12)
-	eng, err := safe.New(safe.DefaultConfig())
+	res, err := safe.Fit(context.Background(), safe.FromFrame(ds.Train), safe.WithConfig(safe.DefaultConfig()))
 	if err != nil {
 		b.Fatal(err)
 	}
-	pipeline, _, err := eng.Fit(ds.Train)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pipeline := res.Pipeline
 	row := ds.Test.Row(0, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -202,14 +196,11 @@ func BenchmarkPipelineTransformRow(b *testing.B) {
 
 func BenchmarkPipelineTransformBatch(b *testing.B) {
 	ds := benchDataset(b, 2000, 12)
-	eng, err := safe.New(safe.DefaultConfig())
+	res, err := safe.Fit(context.Background(), safe.FromFrame(ds.Train), safe.WithConfig(safe.DefaultConfig()))
 	if err != nil {
 		b.Fatal(err)
 	}
-	pipeline, _, err := eng.Fit(ds.Train)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pipeline := res.Pipeline
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pipeline.Transform(ds.Test); err != nil {
@@ -223,14 +214,11 @@ func BenchmarkPipelineTransformBatch(b *testing.B) {
 // TransformRow loop. Both report rows/sec.
 func BenchmarkPipelineTransformRowsBatchedVsLoop(b *testing.B) {
 	ds := benchDataset(b, 2000, 12)
-	eng, err := safe.New(safe.DefaultConfig())
+	res, err := safe.Fit(context.Background(), safe.FromFrame(ds.Train), safe.WithConfig(safe.DefaultConfig()))
 	if err != nil {
 		b.Fatal(err)
 	}
-	pipeline, _, err := eng.Fit(ds.Train)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pipeline := res.Pipeline
 	const batch = 256
 	rows := make([][]float64, batch)
 	for i := range rows {
@@ -261,14 +249,11 @@ func BenchmarkPipelineTransformRowsBatchedVsLoop(b *testing.B) {
 // the columnar transform, and GBDT scoring. Reported in rows/sec.
 func BenchmarkServeBatchedPredict(b *testing.B) {
 	ds := benchDataset(b, 2000, 12)
-	eng, err := safe.New(safe.DefaultConfig())
+	res, err := safe.Fit(context.Background(), safe.FromFrame(ds.Train), safe.WithConfig(safe.DefaultConfig()))
 	if err != nil {
 		b.Fatal(err)
 	}
-	pipeline, _, err := eng.Fit(ds.Train)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pipeline := res.Pipeline
 	tr, err := pipeline.Transform(ds.Train)
 	if err != nil {
 		b.Fatal(err)
@@ -340,11 +325,7 @@ func BenchmarkFitWorkload(b *testing.B) {
 			cfg := benchkit.FitConfig(cell.Iterations, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng, err := safe.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := eng.Fit(ds.Train); err != nil {
+				if _, err := safe.Fit(context.Background(), safe.FromFrame(ds.Train), safe.WithConfig(cfg)); err != nil {
 					b.Fatal(err)
 				}
 			}

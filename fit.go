@@ -15,7 +15,7 @@ import (
 // This file is the composable fit entrypoint: one Fit(ctx, source, opts...)
 // call built from a Source (in-memory frame, chunked source, or CSV file)
 // and functional options, validated into an immutable Plan that picks the
-// engine — the in-memory Engineer or the sharded out-of-core coordinator —
+// engine — the in-memory loop or the sharded out-of-core coordinator —
 // from the source and options. Both engines select identical features for
 // identical effective configurations, honour context cancellation, and
 // emit the same FitEvent progress stream.
@@ -170,8 +170,7 @@ type Option func(*planOpts) error
 
 // WithConfig replaces the plan's entire base configuration (the default is
 // DefaultConfig()). Options after it still apply on top — it is the escape
-// hatch for settings without a dedicated option, and what the deprecated
-// Engineer/FitSharded shims route through.
+// hatch for settings without a dedicated option.
 func WithConfig(cfg Config) Option {
 	return func(o *planOpts) error {
 		if cfg.Events == nil {
@@ -380,7 +379,7 @@ type Plan struct {
 	cfg       Config // normalised effective configuration
 	sharded   bool
 	chunkRows int
-	shardCfg  ShardConfig
+	shardCfg  shard.Config
 	valid     *Frame
 	distAddrs []string
 }
@@ -441,7 +440,7 @@ func NewPlan(source Source, opts ...Option) (*Plan, error) {
 		distAddrs: o.distAddrs,
 	}
 	if o.sharded {
-		p.shardCfg = ShardConfig{Core: cfg, SketchSize: o.sketchSize, ApproxCuts: o.approxCuts}
+		p.shardCfg = shard.Config{Core: cfg, SketchSize: o.sketchSize, ApproxCuts: o.approxCuts}
 		if o.retry != nil {
 			p.shardCfg.Retry = *o.retry
 		}

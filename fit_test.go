@@ -38,10 +38,10 @@ func sameSelection(t *testing.T, label string, want, got *safe.Pipeline) {
 	}
 }
 
-// TestFitEquivalenceAcrossEntryPoints is the API-redesign pin: the
-// composable safe.Fit — in memory and sharded — selects identical features
-// in identical order to the deprecated Engineer.Fit and FitSharded shims,
-// for all three task families.
+// TestFitEquivalenceAcrossEntryPoints is the API pin: however safe.Fit is
+// composed — a whole Config or individual options, a resident frame or a
+// chunked source, in memory or sharded — it selects identical features in
+// identical order, for all three task families.
 func TestFitEquivalenceAcrossEntryPoints(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -55,20 +55,17 @@ func TestFitEquivalenceAcrossEntryPoints(t *testing.T) {
 		t.Run(tc.task.String(), func(t *testing.T) {
 			train := workload(t, tc.rows, tc.dim, tc.task)
 
-			// Reference: the deprecated Engineer path.
+			// Reference: the in-memory engine from a whole Config.
 			cfg := safe.DefaultConfig()
 			cfg.Task = tc.task
 			cfg.Seed = 1
-			eng, err := safe.New(cfg)
+			ref, err := safe.Fit(ctx, safe.FromFrame(train), safe.WithConfig(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := eng.Fit(train)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := ref.Pipeline
 
-			// New API, in-memory engine.
+			// Individual options, in-memory engine.
 			res, err := safe.Fit(ctx, safe.FromFrame(train),
 				safe.WithTask(tc.task), safe.WithSeed(1))
 			if err != nil {
@@ -79,7 +76,7 @@ func TestFitEquivalenceAcrossEntryPoints(t *testing.T) {
 				t.Error("in-memory fit reported shard stats")
 			}
 
-			// New API, sharded engine over 4 partitions.
+			// Sharded engine over 4 partitions.
 			shRes, err := safe.Fit(ctx, safe.FromFrame(train),
 				safe.WithTask(tc.task), safe.WithSeed(1),
 				safe.WithSharding(tc.rows/4))
@@ -91,21 +88,19 @@ func TestFitEquivalenceAcrossEntryPoints(t *testing.T) {
 				t.Fatalf("shard stats: %+v, want 4 partitions", shRes.Shard)
 			}
 
-			// Deprecated FitSharded shim.
-			shardCfg := safe.DefaultShardConfig()
-			shardCfg.Core = cfg
-			shimP, _, _, err := safe.FitSharded(safe.NewFrameChunks(train, tc.rows/4), shardCfg)
+			// A chunked source routes to the sharded engine by itself.
+			chRes, err := safe.Fit(ctx, safe.FromChunks(safe.NewFrameChunks(train, tc.rows/4)), safe.WithConfig(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameSelection(t, "FitSharded", want, shimP)
+			sameSelection(t, "Fit(FromChunks)", want, chRes.Pipeline)
 		})
 	}
 }
 
 // TestFitEquivalence100k pins the acceptance workload: on the 100k×50
-// benchmark distribution the composable path matches the deprecated one
-// exactly for the binary task. Skipped under -short and -race like the
+// benchmark distribution the in-memory and sharded engines select exactly
+// the same features for the binary task. Skipped under -short and -race like the
 // sharded engine's own 100k pin (the smaller always-on variant above covers
 // the same code).
 func TestFitEquivalence100k(t *testing.T) {
@@ -118,14 +113,11 @@ func TestFitEquivalence100k(t *testing.T) {
 	train := workload(t, 100000, 50, safe.BinaryTask())
 	cfg := safe.DefaultConfig()
 	cfg.Seed = 1
-	eng, err := safe.New(cfg)
+	ref, err := safe.Fit(context.Background(), safe.FromFrame(train), safe.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := eng.Fit(train)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := ref.Pipeline
 	res, err := safe.Fit(context.Background(), safe.FromFrame(train), safe.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
@@ -488,5 +480,35 @@ func TestFitValidationEarlyStopping(t *testing.T) {
 		if ir.ValidAUC == 0 {
 			t.Errorf("round %d has no validation score", ir.Round)
 		}
+	}
+}
+
+// TestFitOptionPatienceWithoutValidation: a Config with Patience > 0 but no
+// validation frame has always fitted (the engines ignore Patience without
+// one), so a stray Patience passed through WithConfig must fit on both
+// engines; only the explicit WithEarlyStopping option demands
+// WithValidation.
+func TestFitOptionPatienceWithoutValidation(t *testing.T) {
+	ds, err := safe.GenerateDataset(safe.DatasetSpec{
+		Name: "pat-opt", Train: 800, Test: 100, Dim: 6, Interactions: 2, SignalScale: 2.5, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := safe.DefaultConfig()
+	cfg.Patience = 2
+
+	ctx := context.Background()
+	if _, err := safe.Fit(ctx, safe.FromFrame(ds.Train), safe.WithConfig(cfg)); err != nil {
+		t.Fatalf("Fit (in-memory) with Patience>0 via WithConfig failed: %v", err)
+	}
+	// The sharded engine ignores Patience without a validation frame too —
+	// chunked sources route to it implicitly.
+	if _, err := safe.Fit(ctx, safe.FromChunks(safe.NewFrameChunks(ds.Train, 200)), safe.WithConfig(cfg)); err != nil {
+		t.Fatalf("Fit (sharded) with Patience>0 via WithConfig failed: %v", err)
+	}
+	// The explicit early-stopping option still demands a validation frame.
+	if _, err := safe.Fit(ctx, safe.FromFrame(ds.Train), safe.WithEarlyStopping(2, 0)); err == nil {
+		t.Fatal("WithEarlyStopping without WithValidation accepted")
 	}
 }

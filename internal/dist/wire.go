@@ -1,11 +1,12 @@
 // Package dist splits the sharded fit across processes: a coordinator runs
-// the multi-pass selection loop (internal/shard with Config.Exec set) and
-// delegates per-partition pass compute to workers over a versioned,
-// length-prefixed, CRC-guarded binary protocol. Partition partials fold at
-// the coordinator in partition-index order — the exact accumulation
-// sequence of the local engine — so the selected features are bit-identical
-// to shard.Fit and core.Fit for every worker count, transport, and
-// recovered transient fault.
+// the multi-pass selection loop (internal/shard with Config.Exec set to a
+// Coordinator) and its workers run the same shard.WorkerState.ComputePartial
+// kernels the in-process executor runs, over a versioned, length-prefixed,
+// CRC-guarded binary protocol. Partition partials fold at the coordinator
+// through the same folds, in partition-index order — the exact accumulation
+// sequence of a local fit, from which a distributed one differs in transport
+// only — so the selected features are bit-identical to shard.Fit and core.Fit
+// for every worker count, transport, and recovered transient fault.
 package dist
 
 import (
@@ -629,7 +630,11 @@ type partialMsg struct {
 	Partial shard.Partial
 }
 
-func encodePartial(passID int, p *shard.Partial) []byte {
+// EncodePartial frames one partial — in its wire form, after
+// shard.Partial.Encode — as a partial message. Exported, with DecodePartial,
+// so the seam tests in internal/shard can put a partial through the same
+// bytes a worker sends.
+func EncodePartial(passID int, p *shard.Partial) []byte {
 	b := appendU8(nil, msgPartial)
 	b = appendI64(b, int64(passID))
 	b = appendI64(b, int64(p.Chunk))
@@ -646,6 +651,18 @@ func encodePartial(passID int, p *shard.Partial) []byte {
 		b = appendBytes(b, codes)
 	}
 	return b
+}
+
+// DecodePartial is EncodePartial's inverse.
+func DecodePartial(msg []byte) (passID int, p *shard.Partial, err error) {
+	if msgType(msg) != msgPartial {
+		return 0, nil, protoErr("message type %d is not a partial", msgType(msg))
+	}
+	m, err := decodePartial(msg)
+	if err != nil {
+		return 0, nil, err
+	}
+	return m.PassID, &m.Partial, nil
 }
 
 func decodePartial(p []byte) (*partialMsg, error) {

@@ -175,7 +175,7 @@ func TestPartialRoundTrip(t *testing.T) {
 			Codes:  [][]uint8{{0, 1, 2}, {3}},
 		},
 	}
-	out, err := decodePartial(encodePartial(in.PassID, &in.Partial))
+	out, err := decodePartial(EncodePartial(in.PassID, &in.Partial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
 		"ack":      encodeAck(&ack{Re: msgSetLive, Epoch: 1, OK: true, Msg: "m"}),
 		"setLive":  encodeSetLive(&setLive{Epoch: 1, Nodes: []shard.NodeSpec{{Name: "n", Op: "o", Inputs: []string{"a"}}}, Live: []string{"a"}}),
 		"runPass":  encodeRunPass(&runPass{PassID: 1, Assign: assignment{Mod: 2}, Spec: fullPassSpec()}),
-		"partial":  encodePartial(1, p),
+		"partial":  EncodePartial(1, p),
 		"passDone": encodePassDone(&passDone{PassID: 1, Chunks: 2, Rows: 10}),
 		"passErr":  encodePassErr(&passErr{PassID: 1, Chunk: 0, Attempts: 1, Msg: "m"}),
 	}

@@ -195,11 +195,16 @@ func (s *session) handleRunPass(msg []byte) error {
 		if err != nil {
 			return s.conn.Send(encodePassErr(&passErr{PassID: m.PassID, Chunk: c.Index, Attempts: 1, Msg: err.Error()}))
 		}
-		if err := s.conn.Send(encodePartial(m.PassID, p)); err != nil {
-			return err
-		}
+		// The typed payload takes its wire form only here, at the process
+		// edge; once the frame is sent the partial's pooled buffers go back.
+		p.Encode(m.Spec.Kind)
+		err = s.conn.Send(EncodePartial(m.PassID, p))
 		done.Chunks++
 		done.Rows += int64(p.Rows)
+		s.ws.Release(p)
+		if err != nil {
+			return err
+		}
 	}
 	total := atomic.LoadInt64(&s.retries)
 	done.Retries = total - s.sentRetries

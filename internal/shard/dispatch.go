@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/frame"
@@ -11,20 +12,19 @@ import (
 	"repro/internal/stats"
 )
 
-// This file is the pass-execution seam the distributed fit dispatches
-// through. The multi-pass coordinator loop in shard.go/passes.go stays the
-// single source of truth for WHAT each streaming pass computes; when
-// Config.Exec is set, each pass is reified into a serializable PassSpec,
-// executed remotely chunk by chunk, and folded from Partial results in
-// partition-index order — the same fold sequence the local engine runs, so
-// selection stays bit-identical for any worker count or placement.
+// This file is the compute half of the one pass formulation:
 //
-// WorkerState + ComputePartial are the worker half: given the schema, the
-// current live set (synced by SetLive epochs) and a PassSpec, they compute
-// one chunk's partial with the same kernels the local pass closures use —
-// evaluator node replay, SortNonNaN sketch ingestion, pre-encoded label
-// fast paths, and the regression bin-id protocol that keeps float sums in
-// global row order at the coordinator.
+//	PassSpec → WorkerState.ComputePartial(spec, chunk) → fold(*Partial)
+//
+// The fit loop (shard.go, passes.go) reifies every streaming pass into a
+// PassSpec and hands it to an Executor; the executor pushes each chunk of
+// the source through ComputePartial — the only kernel a pass kind has — and
+// delivers the resulting Partials to the fitter's fold in partition-index
+// order. Executors differ in transport only: the in-process one (runner.go)
+// hands each *Partial to the fold by pointer, dist.Coordinator ships it
+// between processes in its wire form (Partial.Encode on the worker, decoded
+// by the fitter's fold wrapper). The fold sequence is the same either way,
+// so selection is bit-identical for any worker count or placement.
 
 // PassKind identifies which streaming pass a PassSpec describes.
 type PassKind uint8
@@ -44,9 +44,9 @@ const (
 )
 
 // NodeSpec is one generated feature's definition, serializable by name: the
-// applier is reconstructed on the worker by resolving Op in the built-in
-// operator registry (valid because the sharded engine only admits
-// data-independent operators).
+// applier is reconstructed on the worker by resolving Op in its operator
+// registry (valid because the sharded engine only admits data-independent
+// operators).
 type NodeSpec struct {
 	Name   string
 	Inputs []string
@@ -62,7 +62,7 @@ type GenSpec struct {
 
 // ComboSpec is one mined combination to score: live feature indices plus the
 // per-feature split-value sets (pre-thinning, exactly as MineCombos emits
-// them — the worker rebuilds the identical ComboCells).
+// them — the kernel rebuilds the identical ComboCells).
 type ComboSpec struct {
 	Features []int
 	Values   [][]float64
@@ -79,7 +79,7 @@ type EntrySpec struct {
 }
 
 // RefineSpec is one open exact-cut refinement: the bracket arrays from the
-// coordinator's Refiner plus the column to gather from — a raw source column
+// fitter's Refiner plus the column to gather from — a raw source column
 // (Col >= 0, the pre-generation live pass) or a generated candidate (Gen).
 type RefineSpec struct {
 	Col      int // source column index, or -1 for generated
@@ -89,8 +89,8 @@ type RefineSpec struct {
 	Resolved []bool
 }
 
-// PassSpec describes one streaming pass for remote execution. Exactly the
-// fields its Kind needs are set.
+// PassSpec describes one streaming pass. Exactly the fields its Kind needs
+// are set. A PassSpec must not be copied once a pass has started.
 type PassSpec struct {
 	Pass    int // 1-based pass ordinal within the fit, for error positioning
 	Kind    PassKind
@@ -102,27 +102,109 @@ type PassSpec struct {
 	Gens     []GenSpec    // PassSketchGen
 	Entries  []EntrySpec  // PassHistCounts, PassHistIDs, PassGramCodes
 	Refines  []RefineSpec // PassRefine
+
+	prepOnce sync.Once
+	prep     *passPrep
 }
 
-// Partial is one chunk's computed contribution to a pass. The layout of
-// Blobs/Ints/Codes depends on the pass kind:
+// passPrep is what every chunk of one pass shares, derived once from the
+// spec: cell grids and slab offsets (score passes), gather templates
+// (refine) and histogram templates (criterion passes). All of it is
+// read-only to the kernels, which Shadow the templates per chunk, so
+// concurrent workers share one passPrep.
+type passPrep struct {
+	cells   []*core.ComboCells
+	off     []int // flat slab offset per combo; a degenerate combo has zero width
+	nActive int   // combos with non-zero width
+	refs    []*sketch.Refiner
+	hists   []sketch.CriterionHist
+}
+
+// prepared returns the spec's shared per-pass state, building it on first
+// use. The fitter reads the same object to size its accumulators, so the
+// kernels' slab layouts and the folds' always agree.
+func (s *PassSpec) prepared(task core.Task) *passPrep {
+	s.prepOnce.Do(func() {
+		pp := &passPrep{}
+		switch s.Kind {
+		case PassScoreBinary, PassScoreMomentIDs:
+			pp.comboLayout(s.Combos, 1)
+		case PassScoreClasses:
+			pp.comboLayout(s.Combos, s.Classes)
+		case PassRefine:
+			pp.refs = make([]*sketch.Refiner, len(s.Refines))
+			for i, rf := range s.Refines {
+				pp.refs[i] = sketch.NewShadowRefiner(rf.Ranks, rf.Lo, rf.Hi, rf.Resolved)
+			}
+		case PassHistCounts, PassHistIDs:
+			pp.hists = make([]sketch.CriterionHist, len(s.Entries))
+			for i := range s.Entries {
+				pp.hists[i] = newCriterionHist(task, s.Entries[i].Cuts)
+			}
+		}
+		s.prep = pp
+	})
+	return s.prep
+}
+
+// comboLayout builds the cell grids and flat slab offsets of a score pass;
+// mult is the per-cell width multiplier (1 for binary totals, K for class
+// counts).
+func (pp *passPrep) comboLayout(combos []ComboSpec, mult int) {
+	pp.cells = make([]*core.ComboCells, len(combos))
+	pp.off = make([]int, len(combos)+1)
+	for i := range combos {
+		pp.cells[i] = core.NewComboCells(&core.Combo{Features: combos[i].Features, Values: combos[i].Values})
+		width := 0
+		if nc := pp.cells[i].NumCells(); nc > 1 {
+			width = nc * mult
+			pp.nActive++
+		}
+		pp.off[i+1] = pp.off[i] + width
+	}
+}
+
+// newCriterionHist builds the task's mergeable relevance accumulator over
+// the given cut points: binary label counts, K-class counts, or target
+// moments.
+func newCriterionHist(task core.Task, cuts []float64) sketch.CriterionHist {
+	switch task.Kind {
+	case core.TaskMulticlass:
+		return sketch.NewClassHist(cuts, task.Classes)
+	case core.TaskRegression:
+		return sketch.NewMomentHist(cuts)
+	default:
+		return sketch.NewLabelHist(cuts)
+	}
+}
+
+// Partial is one chunk's computed contribution to a pass. Which payload
+// fields are set depends on the pass kind:
 //
-//	BaseSketch:     Labels = chunk labels; Blobs[2j], Blobs[2j+1] = quantile,
-//	                moments partial of source column j.
+//	BaseSketch:     Labels = chunk labels; Quantiles[j], Moments[j] of source
+//	                column j.
 //	Codes:          Codes[i] = chunk codes of live feature i.
 //	ScoreBinary:    Ints = pos counts then total counts (off-layout slab).
 //	ScoreClasses:   Ints = K-class cell counts (off-layout slab).
 //	ScoreMomentIDs: Ints = cell id per (active combo, row).
-//	SketchGen:      Blobs[2i], Blobs[2i+1] = quantile, moments of Gens[i].
-//	Refine:         Blobs[i] = gather partial of Refines[i].
-//	HistCounts:     Blobs[i] = criterion histogram partial of Entries[i].
+//	SketchGen:      Quantiles[i], Moments[i] of Gens[i].
+//	Refine:         Refiners[i] = gather partial of Refines[i].
+//	HistCounts:     Hists[i] = criterion histogram partial of Entries[i].
 //	HistIDs:        Ints = bin id per (entry, row).
-//	GramCodes:      Blobs[0] = Gram partial; Codes[i] = chunk ranker codes of
-//	                Entries[i] when its NeedCodes is set (nil otherwise).
+//	GramCodes:      Gram = co-moment partial; Codes[i] = chunk ranker codes
+//	                of Entries[i] when its NeedCodes is set (nil otherwise).
 //
-// All payloads are plain labels/bytes/int32s/codes, so the transport codec
-// is kind-agnostic; the coordinator-side folds decode Blobs through the
-// sketch wire codecs and validate counts before indexing.
+// Kernels fill the typed fields only. Blobs is their wire form — Encode
+// renders it just before a partial leaves the process, and the fitter's fold
+// wrapper decodes it back, validating every count before a fold indexes by
+// it:
+//
+//	BaseSketch, SketchGen: Blobs[2i], Blobs[2i+1] = quantile, moments i.
+//	Refine, HistCounts:    Blobs[i] = gather / histogram partial i.
+//	GramCodes:             Blobs[0] = Gram partial.
+//
+// Labels, Ints and Codes are plain and travel as they are, so the transport
+// codec stays kind-agnostic.
 type Partial struct {
 	Chunk  int
 	Start  int
@@ -131,21 +213,125 @@ type Partial struct {
 	Blobs  [][]byte
 	Ints   []int32
 	Codes  [][]uint8
+
+	Quantiles []*sketch.Quantile
+	Moments   []sketch.Moments
+	Refiners  []*sketch.Refiner
+	Hists     []sketch.CriterionHist
+	Gram      *sketch.Gram
+
+	codeSlab []uint8 // arena backing of Codes
 }
 
-// PassResult summarises one remotely executed pass.
+// Encode renders the typed payload into Blobs. The distributed worker calls
+// it right before the transport codec; an in-process executor never does.
+func (p *Partial) Encode(kind PassKind) {
+	switch kind {
+	case PassBaseSketch, PassSketchGen:
+		p.Blobs = make([][]byte, 2*len(p.Quantiles))
+		for i, q := range p.Quantiles {
+			p.Blobs[2*i] = sketch.AppendQuantile(nil, q)
+			p.Blobs[2*i+1] = sketch.AppendMoments(nil, &p.Moments[i])
+		}
+	case PassRefine:
+		p.Blobs = make([][]byte, len(p.Refiners))
+		for i, r := range p.Refiners {
+			p.Blobs[i] = sketch.AppendRefinerGather(nil, r)
+		}
+	case PassHistCounts:
+		p.Blobs = make([][]byte, len(p.Hists))
+		for i, h := range p.Hists {
+			switch h := h.(type) {
+			case *sketch.LabelHist:
+				p.Blobs[i] = sketch.AppendLabelHist(nil, h)
+			case *sketch.ClassHist:
+				p.Blobs[i] = sketch.AppendClassHist(nil, h)
+			}
+		}
+	case PassGramCodes:
+		p.Blobs = [][]byte{sketch.AppendGram(nil, p.Gram)}
+	}
+}
+
+// decode is Encode's inverse for a partial that arrived in wire form (Blobs
+// set, no typed payload); a partial handed over by pointer passes through
+// untouched. Blobs stays in place. Counts are not checked here — every fold
+// validates the typed payload's shape, whichever way it arrived.
+func (p *Partial) decode(kind PassKind) error {
+	if len(p.Blobs) == 0 || p.Quantiles != nil || p.Refiners != nil || p.Hists != nil || p.Gram != nil {
+		return nil
+	}
+	fail := func(i int, err error) error {
+		return fmt.Errorf("shard: pass kind %d partial %d payload %d: %w", kind, p.Chunk, i, err)
+	}
+	switch kind {
+	case PassBaseSketch, PassSketchGen:
+		n := len(p.Blobs) / 2
+		if len(p.Blobs) != 2*n {
+			return fmt.Errorf("shard: pass kind %d partial %d has %d sketch blobs, want quantile/moments pairs", kind, p.Chunk, len(p.Blobs))
+		}
+		p.Quantiles = make([]*sketch.Quantile, n)
+		p.Moments = make([]sketch.Moments, n)
+		for i := 0; i < n; i++ {
+			q, _, err := sketch.DecodeQuantile(p.Blobs[2*i])
+			if err != nil {
+				return fail(2*i, err)
+			}
+			mom, _, err := sketch.DecodeMoments(p.Blobs[2*i+1])
+			if err != nil {
+				return fail(2*i+1, err)
+			}
+			p.Quantiles[i], p.Moments[i] = q, *mom
+		}
+	case PassRefine:
+		p.Refiners = make([]*sketch.Refiner, len(p.Blobs))
+		for i, b := range p.Blobs {
+			r, _, err := sketch.DecodeRefinerGather(b)
+			if err != nil {
+				return fail(i, err)
+			}
+			p.Refiners[i] = r
+		}
+	case PassHistCounts:
+		p.Hists = make([]sketch.CriterionHist, len(p.Blobs))
+		for i, b := range p.Blobs {
+			v, _, err := sketch.DecodeAny(b)
+			if err != nil {
+				return fail(i, err)
+			}
+			h, ok := v.(sketch.CriterionHist)
+			if !ok {
+				return fail(i, fmt.Errorf("decoded %T, want a criterion histogram", v))
+			}
+			p.Hists[i] = h
+		}
+	case PassGramCodes:
+		if len(p.Blobs) != 1 {
+			return fmt.Errorf("shard: gram partial %d has %d blobs, want 1", p.Chunk, len(p.Blobs))
+		}
+		g, _, err := sketch.DecodeGram(p.Blobs[0])
+		if err != nil {
+			return fail(0, err)
+		}
+		p.Gram = g
+	}
+	return nil
+}
+
+// PassResult summarises one executed pass.
 type PassResult struct {
 	Rows    int
 	Parts   int
 	Retries int64 // transient faults absorbed below the fold during the pass
 }
 
-// Executor runs streaming passes somewhere else — the seam between the fit
-// coordinator and the distributed transport. RunPass must invoke fold with
-// every partition's Partial exactly once, in ascending Chunk order, and must
-// not call fold concurrently. Implementations retry transient faults and
+// Executor runs streaming passes — the seam between the fit loop and where
+// chunks are read and computed. RunPass must invoke fold with every
+// partition's Partial exactly once, in ascending Chunk order, and must not
+// call fold concurrently. Implementations retry transient faults and
 // reassign partitions below the fold, so a recovered pass folds the same
-// sequence a fault-free one would.
+// sequence a fault-free one would. Fit installs the in-process executor when
+// Config.Exec is nil.
 type Executor interface {
 	// Open announces the fit's schema and constants. Called once, before any
 	// pass.
@@ -158,15 +344,81 @@ type Executor interface {
 	RunPass(ctx context.Context, spec *PassSpec, fold func(*Partial) error) (PassResult, error)
 }
 
-// WorkerState is the worker half of the seam: per-fit state a pass executor
-// keeps between passes. It reuses the local engine's chunk kernels, so a
-// partial computed here is value-identical to what the local pass closure
-// would have produced for the same chunk.
+// evaluator materialises the current live feature columns for one chunk:
+// originals are zero-copy views of the chunk; derived features replay their
+// pipeline nodes (in dependency order) with the same post-generation
+// sanitisation the in-memory fit applies to candidate columns. Its scratch
+// (the name map, derived-column buffers) recycles across chunks through the
+// worker state's arena.
+type evaluator struct {
+	names []string
+	nodes []core.FeatureNode
+	live  []string // live feature names, original or node
+	arena *sketch.Arena
+
+	vals  map[string][]float64
+	out   [][]float64
+	owned [][]float64 // arena buffers to return on release
+}
+
+// liveCols returns the live columns for a chunk, in live order. The result
+// (and any derived columns behind it) is valid until release.
+func (e *evaluator) liveCols(c *frame.Chunk) [][]float64 {
+	if e.vals == nil {
+		e.vals = make(map[string][]float64, len(e.names)+len(e.nodes))
+	}
+	for j, name := range e.names {
+		e.vals[name] = c.Cols[j]
+	}
+	rows := c.NumRows()
+	for i := range e.nodes {
+		nd := &e.nodes[i]
+		in := make([][]float64, len(nd.Inputs))
+		for k, dep := range nd.Inputs {
+			in[k] = e.vals[dep]
+		}
+		out := e.arena.Floats(rows)
+		e.owned = append(e.owned, out)
+		operators.TransformColumn(nd.Applier, in, out)
+		core.Sanitize(out)
+		e.vals[nd.Name] = out
+	}
+	if cap(e.out) < len(e.live) {
+		e.out = make([][]float64, len(e.live))
+	}
+	out := e.out[:len(e.live)]
+	for i, name := range e.live {
+		out[i] = e.vals[name]
+	}
+	return out
+}
+
+// release returns the evaluator's derived-column buffers to the arena and
+// drops references into the chunk, which may be recycled right after.
+func (e *evaluator) release() {
+	for i, b := range e.owned {
+		e.arena.PutFloats(b)
+		e.owned[i] = nil
+	}
+	e.owned = e.owned[:0]
+	for k := range e.vals {
+		delete(e.vals, k)
+	}
+}
+
+// WorkerState is the per-fit state one pass worker keeps between passes:
+// the schema, the installed live-set epoch with its evaluator, appliers
+// resolved by operator name, and per-worker scratch. Every per-chunk buffer
+// a kernel hands out inside a Partial (sketch partials, int32 slabs, code
+// columns, the Gram partial) comes from the arena; whoever finishes with the
+// partial — the in-process executor after the fold, the distributed worker
+// after the send — returns them with Release.
 type WorkerState struct {
 	names      []string
 	task       core.Task
 	sketchSize int
 	reg        *operators.Registry
+	arena      *sketch.Arena
 
 	epoch int
 	ev    *evaluator
@@ -174,22 +426,29 @@ type WorkerState struct {
 	appliers map[string]operators.Applier
 	ix       stats.CutIndexer
 	srt      sketch.SortScratch
-	arena    *sketch.Arena
 	bits     []uint8
 	cls      []int32
-	buf      []float64
 }
 
-// NewWorkerState prepares worker-side fit state for the given schema.
+// NewWorkerState prepares worker-side fit state for the given schema, with
+// the built-in operator registry and its own arena.
 func NewWorkerState(names []string, task core.Task, sketchSize int) *WorkerState {
+	return newWorkerState(names, task, sketchSize, operators.NewRegistry(), sketch.NewArena())
+}
+
+// newWorkerState is NewWorkerState over a given registry and a (possibly
+// shared) arena: the in-process executor's workers resolve operators in the
+// fit's own registry and pool through one arena, because a partial computed
+// by one worker is released by whichever worker folds it.
+func newWorkerState(names []string, task core.Task, sketchSize int, reg *operators.Registry, arena *sketch.Arena) *WorkerState {
 	return &WorkerState{
 		names:      names,
 		task:       task,
 		sketchSize: sketchSize,
-		reg:        operators.NewRegistry(),
+		reg:        reg,
+		arena:      arena,
 		appliers:   map[string]operators.Applier{},
-		arena:      sketch.NewArena(),
-		ev:         &evaluator{names: names, arena: sketch.NewArena()},
+		ev:         &evaluator{names: names, arena: arena},
 	}
 }
 
@@ -227,13 +486,25 @@ func (ws *WorkerState) SetLive(epoch int, nodes []NodeSpec, live []string) error
 		}
 		prog[i] = core.FeatureNode{Name: nd.Name, Inputs: nd.Inputs, Applier: ap}
 	}
-	ws.ev = &evaluator{names: ws.names, nodes: prog, live: live, arena: ws.ev.arena}
+	ws.ev = &evaluator{names: ws.names, nodes: prog, live: live, arena: ws.arena}
 	ws.epoch = epoch
 	return nil
 }
 
 // Epoch returns the installed live-set epoch.
 func (ws *WorkerState) Epoch() int { return ws.epoch }
+
+// Release returns a partial's pooled buffers to the arena. The partial (and
+// anything aliasing its payload) must not be used afterwards.
+func (ws *WorkerState) Release(p *Partial) {
+	for _, q := range p.Quantiles {
+		ws.arena.PutQuantile(q)
+	}
+	ws.arena.PutInt32s(p.Ints)
+	ws.arena.PutBytes(p.codeSlab)
+	ws.arena.PutGram(p.Gram)
+	*p = Partial{}
+}
 
 // genCol computes one generated candidate column into dst (len rows),
 // applying the same post-generation sanitisation as every engine.
@@ -255,8 +526,25 @@ func (ws *WorkerState) genCol(g GenSpec, cols [][]float64, dst []float64) error 
 	return nil
 }
 
-// labelBits returns the chunk's labels thresholded to 0/1 bits — the same
-// pre-encoding the coordinator derives once from its gathered labels.
+// entryCol resolves one histogram/Gram entry's column for the chunk: a live
+// column as it is, a generated one computed into buf.
+func (ws *WorkerState) entryCol(e *EntrySpec, cols [][]float64, buf []float64) ([]float64, error) {
+	if e.Base >= 0 {
+		if e.Base >= len(cols) {
+			return nil, fmt.Errorf("shard: entry base %d outside live set of %d", e.Base, len(cols))
+		}
+		return cols[e.Base], nil
+	}
+	if err := ws.genCol(e.Gen, cols, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// labelBits returns the chunk's labels thresholded to 0/1 bits. Thresholding
+// is a per-row cost the count passes would otherwise repeat for every
+// candidate column, and random binary labels make the branch mispredict
+// constantly.
 func (ws *WorkerState) labelBits(labels []float64) []uint8 {
 	if cap(ws.bits) < len(labels) {
 		ws.bits = make([]uint8, len(labels))
@@ -288,38 +576,31 @@ func (ws *WorkerState) labelCls(labels []float64, k int) []int32 {
 	return cls
 }
 
-// chunkBuf returns reusable scratch of the given length.
-func (ws *WorkerState) chunkBuf(rows int) []float64 {
-	if cap(ws.buf) < rows {
-		ws.buf = make([]float64, rows)
-	}
-	return ws.buf[:rows]
-}
-
-// comboLayout rebuilds the cell grids and flat slab offsets of a score pass;
-// mult is the per-cell width multiplier (1 for binary totals, K for class
-// counts). Identical arithmetic on coordinator and worker keeps the slab
-// layouts aligned.
-func comboLayout(combos []ComboSpec, mult int) ([]*core.ComboCells, []int) {
-	cells := make([]*core.ComboCells, len(combos))
-	off := make([]int, len(combos)+1)
-	for i := range combos {
-		cells[i] = core.NewComboCells(&core.Combo{Features: combos[i].Features, Values: combos[i].Values})
-		width := 0
-		if nc := cells[i].NumCells(); nc > 1 {
-			width = nc * mult
+// fillCodes bins one column slice into GBDT codes: 0 for NaN, 1+bin
+// otherwise — the binner encoding gbdt.TrainBinned expects.
+func fillCodes(dst []uint8, vals, cuts []float64, ix *stats.CutIndexer) {
+	ix.Reset(cuts)
+	for i, v := range vals {
+		if v != v { // NaN
+			dst[i] = 0
+			continue
 		}
-		off[i+1] = off[i] + width
+		dst[i] = uint8(1 + ix.Find(v))
 	}
-	return cells, off
 }
 
-// ComputePartial computes one chunk's contribution to the given pass. The
-// chunk must satisfy the fit schema; the caller streams its assigned chunks
-// through here and ships the partials back for the ordered fold.
+// ComputePartial computes one chunk's contribution to the given pass — the
+// single kernel behind every executor. The partial references no chunk
+// memory, so the chunk may be recycled as soon as this returns.
 func (ws *WorkerState) ComputePartial(spec *PassSpec, c *frame.Chunk) (*Partial, error) {
 	if len(c.Cols) != len(ws.names) {
 		return nil, fmt.Errorf("shard: chunk %d has %d columns, want %d", c.Index, len(c.Cols), len(ws.names))
+	}
+	if c.Label == nil {
+		return nil, fmt.Errorf("shard: source has no label column")
+	}
+	if len(c.Label) != c.NumRows() {
+		return nil, fmt.Errorf("shard: chunk %d label covers %d of %d rows", c.Index, len(c.Label), c.NumRows())
 	}
 	if spec.Epoch != ws.epoch {
 		return nil, fmt.Errorf("shard: pass wants live epoch %d, worker has %d", spec.Epoch, ws.epoch)
@@ -328,52 +609,66 @@ func (ws *WorkerState) ComputePartial(spec *PassSpec, c *frame.Chunk) (*Partial,
 	var err error
 	switch spec.Kind {
 	case PassBaseSketch:
-		err = ws.computeBaseSketch(c, p)
+		p.Labels = append([]float64(nil), c.Label...)
+		err = ws.sketchCols(p, len(c.Cols), func(j int) ([]float64, error) { return c.Cols[j], nil })
 	case PassCodes:
 		err = ws.computeCodes(spec, c, p)
-	case PassScoreBinary:
-		err = ws.computeScoreBinary(spec, c, p)
-	case PassScoreClasses:
-		err = ws.computeScoreClasses(spec, c, p)
-	case PassScoreMomentIDs:
-		err = ws.computeScoreMomentIDs(spec, c, p)
+	case PassScoreBinary, PassScoreClasses, PassScoreMomentIDs:
+		ws.computeScore(spec, c, p)
 	case PassSketchGen:
-		err = ws.computeSketchGen(spec, c, p)
+		cols := ws.ev.liveCols(c)
+		buf := ws.arena.Floats(p.Rows)
+		err = ws.sketchCols(p, len(spec.Gens), func(i int) ([]float64, error) {
+			return buf, ws.genCol(spec.Gens[i], cols, buf)
+		})
+		ws.arena.PutFloats(buf)
 	case PassRefine:
 		err = ws.computeRefine(spec, c, p)
-	case PassHistCounts:
-		err = ws.computeHistCounts(spec, c, p)
-	case PassHistIDs:
-		err = ws.computeHistIDs(spec, c, p)
+	case PassHistCounts, PassHistIDs:
+		err = ws.computeHist(spec, c, p)
 	case PassGramCodes:
 		err = ws.computeGramCodes(spec, c, p)
 	default:
 		err = fmt.Errorf("shard: unknown pass kind %d", spec.Kind)
 	}
+	ws.ev.release()
 	if err != nil {
+		ws.Release(p)
 		return nil, err
 	}
 	return p, nil
 }
 
-func (ws *WorkerState) computeBaseSketch(c *frame.Chunk, p *Partial) error {
-	if c.Label == nil {
-		return fmt.Errorf("shard: source has no label column")
-	}
-	p.Labels = append([]float64(nil), c.Label...)
-	m := len(ws.names)
-	p.Blobs = make([][]byte, 2*m)
-	for j := 0; j < m; j++ {
-		sorted, nan := sketch.SortNonNaN(c.Cols[j], &ws.srt)
+// sketchCols summarises n columns of one chunk — quantile partial through
+// the SortNonNaN ingestion path plus moments — into p.
+func (ws *WorkerState) sketchCols(p *Partial, n int, col func(i int) ([]float64, error)) error {
+	p.Quantiles = make([]*sketch.Quantile, 0, n)
+	p.Moments = make([]sketch.Moments, n)
+	for i := 0; i < n; i++ {
+		vals, err := col(i)
+		if err != nil {
+			return err
+		}
+		sorted, nan := sketch.SortNonNaN(vals, &ws.srt)
 		part := ws.arena.Quantile(ws.sketchSize)
 		part.AddSortedScratch(sorted, nan, &ws.srt)
-		p.Blobs[2*j] = sketch.AppendQuantile(nil, part)
-		ws.arena.PutQuantile(part)
-		var mom sketch.Moments
-		mom.AddAll(c.Cols[j])
-		p.Blobs[2*j+1] = sketch.AppendMoments(nil, &mom)
+		p.Quantiles = append(p.Quantiles, part)
+		p.Moments[i].AddAll(vals)
 	}
 	return nil
+}
+
+// codeCols hands out p.Codes columns of p.Rows codes each from one pooled
+// slab sized for n of them.
+func (ws *WorkerState) codeCols(p *Partial, slots, n int) func(i int) []uint8 {
+	p.Codes = make([][]uint8, slots)
+	p.codeSlab = ws.arena.Bytes(n * p.Rows)
+	used := 0
+	return func(i int) []uint8 {
+		p.Codes[i] = p.codeSlab[used : used+p.Rows : used+p.Rows]
+		used += p.Rows
+		return p.Codes[i]
+	}
 }
 
 func (ws *WorkerState) computeCodes(spec *PassSpec, c *frame.Chunk, p *Partial) error {
@@ -381,137 +676,85 @@ func (ws *WorkerState) computeCodes(spec *PassSpec, c *frame.Chunk, p *Partial) 
 		return fmt.Errorf("shard: codes pass has %d cut sets for %d live", len(spec.LiveCuts), len(ws.ev.live))
 	}
 	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	p.Codes = make([][]uint8, len(spec.LiveCuts))
+	codes := ws.codeCols(p, len(cols), len(cols))
 	for i, cuts := range spec.LiveCuts {
-		p.Codes[i] = make([]uint8, rows)
-		fillCodes(p.Codes[i], cols[i], cuts, &ws.ix)
+		fillCodes(codes(i), cols[i], cuts, &ws.ix)
 	}
-	ws.ev.release()
 	return nil
 }
 
-func (ws *WorkerState) computeScoreBinary(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	cells, off := comboLayout(spec.Combos, 1)
-	total := off[len(spec.Combos)]
+// computeScore fills the combo-cell slab of a score pass. The count-valued
+// kinds accumulate per-cell label counts (exact integer sums, foldable in
+// any grouping); the regression kind emits only each row's cell id, so the
+// fold can replay the targets in global row order — float moment sums are
+// order-sensitive.
+func (ws *WorkerState) computeScore(spec *PassSpec, c *frame.Chunk, p *Partial) {
+	pp := spec.prepared(ws.task)
+	total := pp.off[len(spec.Combos)]
 	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	bits := ws.labelBits(c.Label)
-	slab := make([]int32, 2*total)
-	var vals [3]float64
-	for ci := range spec.Combos {
-		if off[ci+1] == off[ci] {
-			continue
-		}
-		cc := cells[ci]
-		feats := cc.Features()
-		ppos := slab[off[ci]:off[ci+1]]
-		ptot := slab[total+off[ci] : total+off[ci+1]]
-		for r := 0; r < rows; r++ {
-			for k, fi := range feats {
-				vals[k] = cols[fi][r]
-			}
-			id := cc.CellOf(vals[:len(feats)])
-			ptot[id]++
-			ppos[id] += int32(bits[r])
-		}
-	}
-	ws.ev.release()
-	p.Ints = slab
-	return nil
-}
-
-func (ws *WorkerState) computeScoreClasses(spec *PassSpec, c *frame.Chunk, p *Partial) error {
+	rows := p.Rows
+	var bits []uint8
+	var cls []int32
 	k := spec.Classes
-	cells, off := comboLayout(spec.Combos, k)
-	total := off[len(spec.Combos)]
-	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	cls := ws.labelCls(c.Label, k)
-	slab := make([]int32, total)
+	switch spec.Kind {
+	case PassScoreBinary:
+		bits = ws.labelBits(c.Label)
+		p.Ints = ws.arena.Int32sZeroed(2 * total)
+	case PassScoreClasses:
+		cls = ws.labelCls(c.Label, k)
+		p.Ints = ws.arena.Int32sZeroed(total)
+	default:
+		p.Ints = ws.arena.Int32s(pp.nActive * rows)
+	}
 	var vals [3]float64
+	next := 0 // PassScoreMomentIDs: offset of the next active combo's id row
 	for ci := range spec.Combos {
-		if off[ci+1] == off[ci] {
+		lo, hi := pp.off[ci], pp.off[ci+1]
+		if lo == hi {
 			continue
 		}
-		cc := cells[ci]
+		cc := pp.cells[ci]
 		feats := cc.Features()
-		pcnt := slab[off[ci]:off[ci+1]]
-		for r := 0; r < rows; r++ {
-			for j, fi := range feats {
-				vals[j] = cols[fi][r]
+		switch spec.Kind {
+		case PassScoreBinary:
+			ppos, ptot := p.Ints[lo:hi], p.Ints[total+lo:total+hi]
+			for r := 0; r < rows; r++ {
+				for j, fi := range feats {
+					vals[j] = cols[fi][r]
+				}
+				id := cc.CellOf(vals[:len(feats)])
+				ptot[id]++
+				ppos[id] += int32(bits[r]) // branchless: bit = label > 0.5
 			}
-			id := cc.CellOf(vals[:len(feats)])
-			if cl := cls[r]; cl >= 0 {
-				pcnt[id*k+int(cl)]++
+		case PassScoreClasses:
+			pcnt := p.Ints[lo:hi]
+			for r := 0; r < rows; r++ {
+				for j, fi := range feats {
+					vals[j] = cols[fi][r]
+				}
+				id := cc.CellOf(vals[:len(feats)])
+				if cl := cls[r]; cl >= 0 {
+					pcnt[id*k+int(cl)]++
+				}
+			}
+		default:
+			ids := p.Ints[next : next+rows]
+			next += rows
+			for r := 0; r < rows; r++ {
+				for j, fi := range feats {
+					vals[j] = cols[fi][r]
+				}
+				ids[r] = int32(cc.CellOf(vals[:len(feats)]))
 			}
 		}
 	}
-	ws.ev.release()
-	p.Ints = slab
-	return nil
-}
-
-func (ws *WorkerState) computeScoreMomentIDs(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	cells, off := comboLayout(spec.Combos, 1)
-	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	nActive := 0
-	for ci := range spec.Combos {
-		if off[ci+1] > off[ci] {
-			nActive++
-		}
-	}
-	slab := make([]int32, nActive*rows)
-	var vals [3]float64
-	pos := 0
-	for ci := range spec.Combos {
-		if off[ci+1] == off[ci] {
-			continue
-		}
-		cc := cells[ci]
-		feats := cc.Features()
-		ids := slab[pos : pos+rows]
-		pos += rows
-		for r := 0; r < rows; r++ {
-			for j, fi := range feats {
-				vals[j] = cols[fi][r]
-			}
-			ids[r] = int32(cc.CellOf(vals[:len(feats)]))
-		}
-	}
-	ws.ev.release()
-	p.Ints = slab
-	return nil
-}
-
-func (ws *WorkerState) computeSketchGen(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	buf := ws.chunkBuf(rows)
-	p.Blobs = make([][]byte, 2*len(spec.Gens))
-	for i, g := range spec.Gens {
-		if err := ws.genCol(g, cols, buf); err != nil {
-			return err
-		}
-		sorted, nan := sketch.SortNonNaN(buf, &ws.srt)
-		part := ws.arena.Quantile(ws.sketchSize)
-		part.AddSortedScratch(sorted, nan, &ws.srt)
-		p.Blobs[2*i] = sketch.AppendQuantile(nil, part)
-		ws.arena.PutQuantile(part)
-		var mom sketch.Moments
-		mom.AddAll(buf)
-		p.Blobs[2*i+1] = sketch.AppendMoments(nil, &mom)
-	}
-	ws.ev.release()
-	return nil
 }
 
 func (ws *WorkerState) computeRefine(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	rows := c.NumRows()
+	pp := spec.prepared(ws.task)
 	var cols [][]float64
 	var buf []float64
-	p.Blobs = make([][]byte, len(spec.Refines))
+	p.Refiners = make([]*sketch.Refiner, len(spec.Refines))
 	for i, rf := range spec.Refines {
 		var vals []float64
 		if rf.Col >= 0 {
@@ -522,116 +765,107 @@ func (ws *WorkerState) computeRefine(spec *PassSpec, c *frame.Chunk, p *Partial)
 		} else {
 			if cols == nil {
 				cols = ws.ev.liveCols(c)
-				buf = ws.chunkBuf(rows)
+				buf = ws.arena.Floats(p.Rows)
+				defer ws.arena.PutFloats(buf)
 			}
 			if err := ws.genCol(rf.Gen, cols, buf); err != nil {
 				return err
 			}
 			vals = buf
 		}
-		sh := sketch.NewShadowRefiner(rf.Ranks, rf.Lo, rf.Hi, rf.Resolved)
+		// Per-value streaming beats sort+AddSorted here: the shared edge index
+		// classifies each value in O(1), and finalize sorts the few gathered
+		// in-bracket values, so the result is bit-identical.
+		sh := pp.refs[i].Shadow()
 		sh.AddChunk(vals)
-		p.Blobs[i] = sketch.AppendRefinerGather(nil, sh)
-	}
-	if cols != nil {
-		ws.ev.release()
+		p.Refiners[i] = sh
 	}
 	return nil
 }
 
-// entryCol resolves one histogram/Gram entry's column for the chunk.
-func (ws *WorkerState) entryCol(e *EntrySpec, cols [][]float64, buf []float64) ([]float64, error) {
-	if e.Base >= 0 {
-		if e.Base >= len(cols) {
-			return nil, fmt.Errorf("shard: entry base %d outside live set of %d", e.Base, len(cols))
-		}
-		return cols[e.Base], nil
+// computeHist bins every entry against the chunk's labels. The count-valued
+// tasks accumulate shadow histograms (PassHistCounts); the regression task
+// emits only bin ids (PassHistIDs) so the fold keeps the float target sums in
+// global row order.
+func (ws *WorkerState) computeHist(spec *PassSpec, c *frame.Chunk, p *Partial) error {
+	if (spec.Kind == PassHistIDs) != (ws.task.Kind == core.TaskRegression) {
+		return fmt.Errorf("shard: pass kind %d does not fit a %s task", spec.Kind, ws.task)
 	}
-	if err := ws.genCol(e.Gen, cols, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func (ws *WorkerState) computeHistCounts(spec *PassSpec, c *frame.Chunk, p *Partial) error {
+	pp := spec.prepared(ws.task)
 	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	buf := ws.chunkBuf(rows)
-	multi := ws.task.Kind == core.TaskMulticlass
+	rows := p.Rows
+	buf := ws.arena.Floats(rows)
+	defer ws.arena.PutFloats(buf)
 	var bits []uint8
 	var cls []int32
-	if multi {
+	switch ws.task.Kind {
+	case core.TaskRegression:
+		p.Ints = ws.arena.Int32s(len(spec.Entries) * rows)
+	case core.TaskMulticlass:
 		cls = ws.labelCls(c.Label, ws.task.Classes)
-	} else {
+		p.Hists = make([]sketch.CriterionHist, len(spec.Entries))
+	default:
 		bits = ws.labelBits(c.Label)
+		p.Hists = make([]sketch.CriterionHist, len(spec.Entries))
 	}
-	p.Blobs = make([][]byte, len(spec.Entries))
 	for i := range spec.Entries {
 		col, err := ws.entryCol(&spec.Entries[i], cols, buf)
 		if err != nil {
 			return err
 		}
-		if multi {
-			h := sketch.NewClassHist(spec.Entries[i].Cuts, ws.task.Classes)
-			h.AddColCls(col, cls)
-			p.Blobs[i] = sketch.AppendClassHist(nil, h)
-		} else {
-			h := sketch.NewLabelHist(spec.Entries[i].Cuts)
-			h.AddColBits(col, bits)
-			p.Blobs[i] = sketch.AppendLabelHist(nil, h)
+		// The pre-encoded label paths fold the same integer counts as AddCol
+		// without re-deriving the label per value per candidate.
+		switch h := pp.hists[i].(type) {
+		case *sketch.MomentHist:
+			h.BinIDs(col, p.Ints[i*rows:(i+1)*rows])
+		case *sketch.ClassHist:
+			sh := h.Shadow()
+			sh.AddColCls(col, cls)
+			p.Hists[i] = sh
+		case *sketch.LabelHist:
+			sh := h.Shadow()
+			sh.AddColBits(col, bits)
+			p.Hists[i] = sh
 		}
 	}
-	ws.ev.release()
-	return nil
-}
-
-func (ws *WorkerState) computeHistIDs(spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
-	buf := ws.chunkBuf(rows)
-	slab := make([]int32, len(spec.Entries)*rows)
-	for i := range spec.Entries {
-		col, err := ws.entryCol(&spec.Entries[i], cols, buf)
-		if err != nil {
-			return err
-		}
-		h := sketch.NewMomentHist(spec.Entries[i].Cuts)
-		h.BinIDs(col, slab[i*rows:(i+1)*rows])
-	}
-	ws.ev.release()
-	p.Ints = slab
 	return nil
 }
 
 func (ws *WorkerState) computeGramCodes(spec *PassSpec, c *frame.Chunk, p *Partial) error {
 	cols := ws.ev.liveCols(c)
-	rows := c.NumRows()
+	rows := p.Rows
+	need := 0
+	for i := range spec.Entries {
+		if spec.Entries[i].NeedCodes {
+			need++
+		}
+	}
+	codes := ws.codeCols(p, len(spec.Entries), need)
 	mat := make([][]float64, len(spec.Entries))
-	p.Codes = make([][]uint8, len(spec.Entries))
+	var owned [][]float64
+	defer func() {
+		for _, b := range owned {
+			ws.arena.PutFloats(b)
+		}
+	}()
 	for i := range spec.Entries {
 		e := &spec.Entries[i]
-		var col []float64
-		if e.Base >= 0 {
-			if e.Base >= len(cols) {
-				return fmt.Errorf("shard: entry base %d outside live set of %d", e.Base, len(cols))
-			}
-			col = cols[e.Base]
-		} else {
-			col = make([]float64, rows)
-			if err := ws.genCol(e.Gen, cols, col); err != nil {
-				return err
-			}
+		var buf []float64
+		if e.Base < 0 {
+			buf = ws.arena.Floats(rows)
+			owned = append(owned, buf)
+		}
+		col, err := ws.entryCol(e, cols, buf)
+		if err != nil {
+			return err
 		}
 		mat[i] = col
 		if e.NeedCodes {
-			p.Codes[i] = make([]uint8, rows)
-			fillCodes(p.Codes[i], col, e.Cuts, &ws.ix)
+			fillCodes(codes(i), col, e.Cuts, &ws.ix)
 		}
 	}
-	g := sketch.NewGram(len(spec.Entries))
-	g.AddRows(rows)
-	g.AddPrepared(mat, sketch.PrepChunk(mat), 0, len(spec.Entries))
-	ws.ev.release()
-	p.Blobs = [][]byte{sketch.AppendGram(nil, g)}
+	p.Gram = ws.arena.Gram(len(spec.Entries))
+	p.Gram.AddRows(rows)
+	p.Gram.AddPrepared(mat, sketch.PrepChunk(mat), 0, len(spec.Entries))
 	return nil
 }

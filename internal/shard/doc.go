@@ -2,7 +2,19 @@
 // algorithm over a frame.ChunkSource whose partitions never coexist in
 // memory, by replacing every full-column statistic of the in-memory path
 // with a mergeable sketch (internal/sketch) accumulated per partition and
-// merged by the coordinator.
+// merged by the fit loop.
+//
+// Every streaming pass is stated once, in three steps:
+//
+//	PassSpec → WorkerState.ComputePartial(spec, chunk) → fold(*Partial)
+//
+// The fit loop reifies the pass into a PassSpec (passes.go), an Executor
+// pushes each chunk through the pass kind's one kernel (dispatch.go), and
+// the fit loop folds the resulting Partials in partition-index order. Fit
+// installs the in-process executor (runner.go), which hands partials to the
+// fold by pointer; internal/dist's Coordinator is the same seam with a wire
+// in the middle. The two differ in transport only, which is why selection
+// is bit-identical across them and across worker counts.
 //
 // The engine makes a small number of streaming passes per iteration:
 //
@@ -12,6 +24,9 @@
 //  4. candidate sketches — quantile sketches + moments of generated columns
 //  5. candidate counts   — binned label histograms → Information Values
 //  6. redundancy    — pairwise co-moments (Gram) of IV survivors + codes
+//
+// plus an exact-cut refinement gather after each sketch pass (skipped by
+// Config.ApproxCuts).
 //
 // Everything the XGBoost miner and ranker consume is the resident binned
 // matrix (1 byte per value, ~8× smaller than raw float64 columns) plus the

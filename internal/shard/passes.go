@@ -1,35 +1,70 @@
 package shard
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/frame"
 	"repro/internal/operators"
 	"repro/internal/sketch"
 	"repro/internal/stats"
 )
 
-// evaluator materialises the current live feature columns for one chunk:
-// originals are zero-copy views of the chunk; derived features replay their
-// pipeline nodes (in dependency order) with the same post-generation
-// sanitisation the in-memory fit applies to candidate columns. Each pass
-// worker owns one evaluator; its scratch (the name map, derived-column
-// buffers) recycles across chunks through the fitter's arena.
-type evaluator struct {
-	names []string
-	nodes []core.FeatureNode
-	live  []string // live feature names, original or node
-	arena *sketch.Arena
+// This file is the fitter's half of every streaming pass: reify the pass
+// into a PassSpec, hand it to the executor, and fold the Partials it
+// delivers. RunPass delivers partials in ascending partition order and never
+// concurrently, so every merged statistic accumulates in the sequence the
+// single-worker in-process pass produces — selection stays bit-identical
+// across worker counts, executors and transports.
+//
+// Every fold bounds-checks the partial's payload before indexing: a kernel
+// (or a peer speaking the right protocol) that computed the wrong shape
+// aborts the fit with a typed error instead of corrupting statistics.
 
-	vals  map[string][]float64
-	out   [][]float64
-	owned [][]float64 // arena buffers to return on release
+// runPass executes one reified pass through the executor, threading the
+// pass ordinal, the live epoch, and the shared pass bookkeeping. The fold
+// sees every partial shape-checked against the gathered row span and with
+// its typed payload in place, however it travelled.
+func (f *fitter) runPass(spec *PassSpec, fold func(*Partial) error) error {
+	f.stats.Passes++
+	spec.Pass = f.stats.Passes
+	spec.Epoch = f.liveEpoch
+	res, err := f.exec.RunPass(f.ctx, spec, func(p *Partial) error {
+		if p.Rows < 0 || p.Start < 0 {
+			return fmt.Errorf("shard: pass %d partial %d has negative shape", spec.Kind, p.Chunk)
+		}
+		if f.n > 0 && p.Start+p.Rows > f.n {
+			return fmt.Errorf("shard: pass %d partial %d spans rows [%d,%d) of %d", spec.Kind, p.Chunk, p.Start, p.Start+p.Rows, f.n)
+		}
+		if err := p.decode(spec.Kind); err != nil {
+			return err
+		}
+		return fold(p)
+	})
+	if err != nil {
+		return err
+	}
+	f.stats.Retries += res.Retries
+	f.stats.RowsStreamed += int64(res.Rows)
+	if f.n == 0 {
+		f.n, f.stats.Rows, f.stats.Partitions = res.Rows, res.Rows, res.Parts
+		return nil
+	}
+	// A planned partial pass (block-stat skipping) announces its expected row
+	// count through f.passExpect; any other shortfall is an unstable source.
+	expect := f.n
+	if f.passExpect > 0 {
+		expect = f.passExpect
+	}
+	if res.Rows != expect {
+		return fmt.Errorf("shard: source yielded %d rows on a later pass, want %d (unstable source)", res.Rows, expect)
+	}
+	return nil
 }
 
 // neededNodes selects, from every node generated so far, the dependency-
-// ordered subset the current live set needs — the node program an evaluator
-// (local or on a distributed worker) replays per chunk.
+// ordered subset the current live set needs — the node program a worker's
+// evaluator replays per chunk.
 func (f *fitter) neededNodes() []core.FeatureNode {
 	needed := make(map[string]bool, len(f.live))
 	for _, lf := range f.live {
@@ -55,404 +90,246 @@ func (f *fitter) neededNodes() []core.FeatureNode {
 	return out
 }
 
-// newEvaluator builds a pass worker's evaluator over the current live set.
-func (f *fitter) newEvaluator() *evaluator {
-	ev := &evaluator{names: f.names, nodes: f.neededNodes(), arena: f.arena}
-	ev.live = make([]string, len(f.live))
+// syncLive pushes the current live set to the executor as a new epoch: the
+// dependency-ordered node program (by operator registry name) plus the live
+// feature names.
+func (f *fitter) syncLive() error {
+	nodes := f.neededNodes()
+	specs := make([]NodeSpec, len(nodes))
+	for i := range nodes {
+		op, ok := operators.ApplierOp(nodes[i].Applier)
+		if !ok {
+			return fmt.Errorf("shard: node %q has a non-registry applier", nodes[i].Name)
+		}
+		specs[i] = NodeSpec{Name: nodes[i].Name, Inputs: nodes[i].Inputs, Op: op}
+	}
+	live := make([]string, len(f.live))
 	for i, lf := range f.live {
-		ev.live[i] = lf.name
+		live[i] = lf.name
 	}
-	return ev
+	f.liveEpoch++
+	return f.exec.SetLive(f.ctx, f.liveEpoch, specs, live)
 }
 
-// liveCols returns the live columns for a chunk, in live order. The result
-// (and any derived columns behind it) is valid until release.
-func (e *evaluator) liveCols(c *frame.Chunk) [][]float64 {
-	if e.vals == nil {
-		e.vals = make(map[string][]float64, len(e.names)+len(e.nodes))
+// genSpec reifies one generated candidate for kernel-side recomputation.
+func genSpec(en *candidate) (GenSpec, error) {
+	op, ok := operators.ApplierOp(en.applier)
+	if !ok {
+		return GenSpec{}, fmt.Errorf("shard: candidate %q has a non-registry applier", en.name)
 	}
-	for j, name := range e.names {
-		e.vals[name] = c.Cols[j]
+	return GenSpec{Op: op, Feats: en.feats}, nil
+}
+
+// foldSketches merges one partial's quantile/moments summaries into their
+// running targets, index by index. Each merged quantile partial goes back to
+// the arena at once rather than with the rest of the partial after the fold:
+// merging hundreds of sketches takes long enough that a worker computing the
+// next partition meanwhile would otherwise allocate a fresh set.
+func (f *fitter) foldSketches(p *Partial, what string, sks []*sketch.Quantile, moms []*sketch.Moments) error {
+	if len(p.Quantiles) != len(sks) || len(p.Moments) != len(sks) {
+		return fmt.Errorf("shard: %s partial %d has %d sketches and %d moments, want %d",
+			what, p.Chunk, len(p.Quantiles), len(p.Moments), len(sks))
 	}
-	rows := c.NumRows()
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		in := make([][]float64, len(nd.Inputs))
-		for k, dep := range nd.Inputs {
-			in[k] = e.vals[dep]
+	for i := range sks {
+		sks[i].Merge(p.Quantiles[i])
+		f.arena.PutQuantile(p.Quantiles[i])
+		p.Quantiles[i] = nil
+		moms[i].Merge(&p.Moments[i])
+	}
+	return nil
+}
+
+// passBaseSketch is pass 1: labels plus per-original quantile sketches and
+// moments. Each partition summarises independently; the fold merges the
+// partition summaries in partition order.
+func (f *fitter) passBaseSketch() error {
+	sks := make([]*sketch.Quantile, len(f.live))
+	moms := make([]*sketch.Moments, len(f.live))
+	for j, lf := range f.live {
+		sks[j], moms[j] = lf.sk, lf.mom
+	}
+	return f.runPass(&PassSpec{Kind: PassBaseSketch}, func(p *Partial) error {
+		if len(p.Labels) != p.Rows {
+			return fmt.Errorf("shard: base-sketch partial %d carries %d labels for %d rows", p.Chunk, len(p.Labels), p.Rows)
 		}
-		out := e.arena.Floats(rows)
-		e.owned = append(e.owned, out)
-		operators.TransformColumn(nd.Applier, in, out)
-		core.Sanitize(out)
-		e.vals[nd.Name] = out
-	}
-	if cap(e.out) < len(e.live) {
-		e.out = make([][]float64, len(e.live))
-	}
-	out := e.out[:len(e.live)]
-	for i, name := range e.live {
-		out[i] = e.vals[name]
-	}
-	return out
+		f.labels = append(f.labels, p.Labels...)
+		return f.foldSketches(p, "base-sketch", sks, moms)
+	})
 }
 
-// release returns the evaluator's derived-column buffers to the arena and
-// drops references into the chunk, which may be recycled right after.
-func (e *evaluator) release() {
-	for i, b := range e.owned {
-		e.arena.PutFloats(b)
-		e.owned[i] = nil
+// placeCodes copies one partial's chunk codes into a resident column. Codes
+// land in disjoint global row ranges, so placement alone (not fold order)
+// determines the result.
+func placeCodes(dst []uint8, p *Partial, i int) error {
+	if len(p.Codes[i]) != p.Rows {
+		return fmt.Errorf("shard: codes partial %d col %d has %d rows, want %d", p.Chunk, i, len(p.Codes[i]), p.Rows)
 	}
-	e.owned = e.owned[:0]
-	for k := range e.vals {
-		delete(e.vals, k)
-	}
-}
-
-// fillCodes bins one column slice into GBDT codes: 0 for NaN, 1+bin
-// otherwise — the binner encoding gbdt.TrainBinned expects.
-func fillCodes(dst []uint8, vals, cuts []float64, ix *stats.CutIndexer) {
-	ix.Reset(cuts)
-	for i, v := range vals {
-		if v != v { // NaN
-			dst[i] = 0
-			continue
-		}
-		dst[i] = uint8(1 + ix.Find(v))
-	}
+	copy(dst[p.Start:p.Start+p.Rows], p.Codes[i])
+	return nil
 }
 
 // passLiveCodes streams one pass building the resident miner codes of the
-// given live features from their miner cuts. Codes land in disjoint global
-// row ranges, so partitions proceed fully in parallel with nothing to fold.
+// given live features from their miner cuts.
 func (f *fitter) passLiveCodes(live []*liveFeat) error {
-	if f.exec != nil {
-		return f.distPassLiveCodes(live)
+	spec := &PassSpec{Kind: PassCodes, LiveCuts: make([][]float64, len(live))}
+	for i := range live {
+		spec.LiveCuts[i] = live[i].minerCuts
 	}
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		for i := range live {
-			fillCodes(live[i].codes[c.Start:c.Start+rows], cols[i], live[i].minerCuts, &w.ix)
+	return f.runPass(spec, func(p *Partial) error {
+		if len(p.Codes) != len(live) {
+			return fmt.Errorf("shard: codes partial %d has %d columns, want %d", p.Chunk, len(p.Codes), len(live))
 		}
-		w.ev.release()
-		return nil, nil
+		for i := range live {
+			if err := placeCodes(live[i].codes, p, i); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 
 // scoreCombos fills every combination's gain ratio from contingency
 // statistics accumulated over one streaming pass, dispatching on the task:
 // binary positive/total counts, K-class cell counts, or per-cell target
-// moments. Partitions accumulate partial statistics concurrently and fold
-// in partition order; for the count-valued families the fold is exact
-// integer addition, so the scores match the in-memory scorer bit-for-bit
-// given the same mined combinations.
+// moments. For the count-valued families the fold is exact integer
+// addition, so the scores match the in-memory scorer bit-for-bit given the
+// same mined combinations. Combos whose cell grids degenerate (a single
+// cell) get zero width and score 0, as in-memory.
 func (f *fitter) scoreCombos(combos []core.Combo) error {
 	if len(combos) == 0 {
 		return nil
 	}
+	spec := &PassSpec{Kind: PassScoreBinary, Combos: make([]ComboSpec, len(combos))}
+	for i := range combos {
+		spec.Combos[i] = ComboSpec{Features: combos[i].Features, Values: combos[i].Values}
+	}
+	k := f.cfg.Task.Classes
 	switch f.cfg.Task.Kind {
-	case core.TaskMulticlass:
-		return f.scoreCombosClasses(combos, f.cfg.Task.Classes)
 	case core.TaskRegression:
-		return f.scoreCombosMoments(combos)
+		spec.Kind = PassScoreMomentIDs
+		return f.scoreCombosMoments(spec, combos)
+	case core.TaskMulticlass:
+		spec.Kind, spec.Classes = PassScoreClasses, k
 	}
-	cells := make([]*core.ComboCells, len(combos))
-	// One flat accumulator block per statistic; combos whose cell grids
-	// degenerate (a single cell) get zero width and score 0, as in-memory.
-	off := make([]int, len(combos)+1)
-	for i := range combos {
-		cells[i] = core.NewComboCells(&combos[i])
-		width := 0
-		if nc := cells[i].NumCells(); nc > 1 {
-			width = nc
-		}
-		off[i+1] = off[i] + width
+	pp := spec.prepared(f.cfg.Task)
+	off, total := pp.off, pp.off[len(combos)]
+	width := total // class counts per cell — or, binary, positives then totals
+	if spec.Kind == PassScoreBinary {
+		width = 2 * total
 	}
-	total := off[len(combos)]
-	pos := make([]int, total)
-	tot := make([]int, total)
-	var err error
-	if f.exec != nil {
-		err = f.distScoreBinary(combos, total, pos, tot)
-		if err != nil {
-			return err
+	acc := make([]int, width)
+	err := f.runPass(spec, func(p *Partial) error {
+		if len(p.Ints) != len(acc) {
+			return fmt.Errorf("shard: score partial %d has %d counts, want %d", p.Chunk, len(p.Ints), len(acc))
 		}
-		for i := range combos {
-			if off[i+1] == off[i] {
-				combos[i].GainRatio = 0
-				continue
-			}
-			combos[i].GainRatio = stats.GainRatioFromCounts(pos[off[i]:off[i+1]], tot[off[i]:off[i+1]])
+		for g, v := range p.Ints {
+			acc[g] += int(v)
 		}
 		return nil
-	}
-	err = f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		bits := f.labelBits[c.Start : c.Start+rows]
-		slab := f.arena.Int32sZeroed(2 * total)
-		var vals [3]float64
-		for ci := range combos {
-			if off[ci+1] == off[ci] {
-				continue
-			}
-			cc := cells[ci]
-			feats := cc.Features()
-			ppos := slab[off[ci]:off[ci+1]]
-			ptot := slab[total+off[ci] : total+off[ci+1]]
-			for r := 0; r < rows; r++ {
-				for k, fi := range feats {
-					vals[k] = cols[fi][r]
-				}
-				id := cc.CellOf(vals[:len(feats)])
-				ptot[id]++
-				ppos[id] += int32(bits[r]) // branchless: bit = label > 0.5
-			}
-		}
-		w.ev.release()
-		return func() error {
-			for g := 0; g < total; g++ {
-				pos[g] += int(slab[g])
-				tot[g] += int(slab[total+g])
-			}
-			f.arena.PutInt32s(slab)
-			return nil
-		}, nil
 	})
 	if err != nil {
 		return err
 	}
+	var cnt []float64
+	if spec.Kind == PassScoreClasses {
+		cnt = make([]float64, total)
+		for g, v := range acc {
+			cnt[g] = float64(v)
+		}
+	}
 	for i := range combos {
-		if off[i+1] == off[i] {
+		lo, hi := off[i], off[i+1]
+		switch {
+		case lo == hi:
 			combos[i].GainRatio = 0
-			continue
+		case cnt != nil:
+			combos[i].GainRatio = stats.GainRatioFromClassCounts(cnt[lo:hi], pp.cells[i].NumCells(), k)
+		default:
+			combos[i].GainRatio = stats.GainRatioFromCounts(acc[lo:hi], acc[total+lo:total+hi])
 		}
-		combos[i].GainRatio = stats.GainRatioFromCounts(pos[off[i]:off[i+1]], tot[off[i]:off[i+1]])
-	}
-	return nil
-}
-
-// scoreCombosClasses is scoreCombos for the multiclass task: per-cell
-// K-class counts folded through stats.GainRatioFromClassCounts. Counts are
-// integral, so the partition-ordered fold reproduces the in-memory
-// stats.GainRatioClasses accumulation exactly.
-func (f *fitter) scoreCombosClasses(combos []core.Combo, k int) error {
-	cells := make([]*core.ComboCells, len(combos))
-	off := make([]int, len(combos)+1)
-	for i := range combos {
-		cells[i] = core.NewComboCells(&combos[i])
-		width := 0
-		if nc := cells[i].NumCells(); nc > 1 {
-			width = nc * k
-		}
-		off[i+1] = off[i] + width
-	}
-	total := off[len(combos)]
-	cnt := make([]float64, total)
-	var err error
-	if f.exec != nil {
-		err = f.distScoreClasses(combos, k, total, cnt)
-		if err != nil {
-			return err
-		}
-		for i := range combos {
-			if off[i+1] == off[i] {
-				combos[i].GainRatio = 0
-				continue
-			}
-			combos[i].GainRatio = stats.GainRatioFromClassCounts(cnt[off[i]:off[i+1]], cells[i].NumCells(), k)
-		}
-		return nil
-	}
-	err = f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		cls := f.labelCls[c.Start : c.Start+rows]
-		slab := f.arena.Int32sZeroed(total)
-		var vals [3]float64
-		for ci := range combos {
-			if off[ci+1] == off[ci] {
-				continue
-			}
-			cc := cells[ci]
-			feats := cc.Features()
-			pcnt := slab[off[ci]:off[ci+1]]
-			for r := 0; r < rows; r++ {
-				for j, fi := range feats {
-					vals[j] = cols[fi][r]
-				}
-				id := cc.CellOf(vals[:len(feats)])
-				if cl := cls[r]; cl >= 0 {
-					pcnt[id*k+int(cl)]++
-				}
-			}
-		}
-		w.ev.release()
-		return func() error {
-			for g := 0; g < total; g++ {
-				cnt[g] += float64(slab[g])
-			}
-			f.arena.PutInt32s(slab)
-			return nil
-		}, nil
-	})
-	if err != nil {
-		return err
-	}
-	for i := range combos {
-		if off[i+1] == off[i] {
-			combos[i].GainRatio = 0
-			continue
-		}
-		combos[i].GainRatio = stats.GainRatioFromClassCounts(cnt[off[i]:off[i+1]], cells[i].NumCells(), k)
 	}
 	return nil
 }
 
 // scoreCombosMoments is scoreCombos for the regression task. Float moment
-// sums are order-sensitive, so partitions compute only each row's cell id
-// in parallel; the fold then accumulates targets into the per-cell moments
-// in global row order — the exact float addition sequence of the in-memory
-// stats.VarGainRatio, bit-identical for any worker count.
-func (f *fitter) scoreCombosMoments(combos []core.Combo) error {
-	cells := make([]*core.ComboCells, len(combos))
+// sums are order-sensitive, so partitions compute only each row's cell id;
+// the fold then accumulates targets into the per-cell moments in global row
+// order — the exact float addition sequence of the in-memory
+// stats.VarGainRatio, independent of which worker computed the ids.
+func (f *fitter) scoreCombosMoments(spec *PassSpec, combos []core.Combo) error {
+	pp := spec.prepared(f.cfg.Task)
 	cnt := make([][]float64, len(combos))
 	sum := make([][]float64, len(combos))
 	sumsq := make([][]float64, len(combos))
-	active := 0
 	for i := range combos {
-		cells[i] = core.NewComboCells(&combos[i])
-		if nc := cells[i].NumCells(); nc > 1 {
+		if nc := pp.cells[i].NumCells(); nc > 1 {
 			cnt[i] = make([]float64, nc)
 			sum[i] = make([]float64, nc)
 			sumsq[i] = make([]float64, nc)
-			active++
 		}
 	}
-	nActive := active
-	var err error
-	if f.exec != nil {
-		err = f.distScoreMoments(combos, nActive, cnt, sum, sumsq)
-		if err != nil {
-			return err
+	err := f.runPass(spec, func(p *Partial) error {
+		if len(p.Ints) != pp.nActive*p.Rows {
+			return fmt.Errorf("shard: moment-score partial %d has %d ids, want %d", p.Chunk, len(p.Ints), pp.nActive*p.Rows)
 		}
-		for i := range combos {
-			if cnt[i] == nil {
-				combos[i].GainRatio = 0
-				continue
-			}
-			combos[i].GainRatio = stats.VarGainRatioFromMoments(cnt[i], sum[i], sumsq[i])
-		}
-		return nil
-	}
-	err = f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		start := c.Start
-		slab := f.arena.Int32s(nActive * rows)
-		var vals [3]float64
+		labels := f.labels[p.Start : p.Start+p.Rows]
 		pos := 0
 		for ci := range combos {
 			if cnt[ci] == nil {
 				continue
 			}
-			cc := cells[ci]
-			feats := cc.Features()
-			ids := slab[pos : pos+rows]
-			pos += rows
-			for r := 0; r < rows; r++ {
-				for j, fi := range feats {
-					vals[j] = cols[fi][r]
+			ids := p.Ints[pos : pos+p.Rows]
+			pos += p.Rows
+			ccnt, csum, csumsq := cnt[ci], sum[ci], sumsq[ci]
+			nc := int32(len(ccnt))
+			for r, id := range ids {
+				if id < 0 || id >= nc {
+					return fmt.Errorf("shard: moment-score partial %d cell id %d outside %d cells", p.Chunk, id, nc)
 				}
-				ids[r] = int32(cc.CellOf(vals[:len(feats)]))
+				y := labels[r]
+				ccnt[id]++
+				csum[id] += y
+				csumsq[id] += y * y
 			}
 		}
-		w.ev.release()
-		return func() error {
-			labels := f.labels[start : start+rows]
-			pos := 0
-			for ci := range combos {
-				if cnt[ci] == nil {
-					continue
-				}
-				ids := slab[pos : pos+rows]
-				pos += rows
-				ccnt, csum, csumsq := cnt[ci], sum[ci], sumsq[ci]
-				for r := 0; r < rows; r++ {
-					id := ids[r]
-					y := labels[r]
-					ccnt[id]++
-					csum[id] += y
-					csumsq[id] += y * y
-				}
-			}
-			f.arena.PutInt32s(slab)
-			return nil
-		}, nil
+		return nil
 	})
 	if err != nil {
 		return err
 	}
 	for i := range combos {
-		if cnt[i] == nil {
-			combos[i].GainRatio = 0
-			continue
+		combos[i].GainRatio = 0
+		if cnt[i] != nil {
+			combos[i].GainRatio = stats.VarGainRatioFromMoments(cnt[i], sum[i], sumsq[i])
 		}
-		combos[i].GainRatio = stats.VarGainRatioFromMoments(cnt[i], sum[i], sumsq[i])
 	}
 	return nil
 }
 
 // passCandidateSketches streams one pass sketching every generated
-// candidate column (quantile summary + moments): partitions summarise
-// concurrently with arena-recycled partials, and the fold merges them into
-// each candidate's running sketch in partition order — the same merge
-// sequence the sequential pass performed.
+// candidate column (quantile summary + moments); the fold merges the
+// partition partials into each candidate's running sketch in partition
+// order.
 func (f *fitter) passCandidateSketches(entries []*candidate) error {
-	var gen []*candidate
+	spec := &PassSpec{Kind: PassSketchGen}
+	var sks []*sketch.Quantile
+	var moms []*sketch.Moments
 	for _, en := range entries {
-		if !en.isBase {
-			gen = append(gen, en)
+		if en.isBase {
+			continue
 		}
+		g, err := genSpec(en)
+		if err != nil {
+			return err
+		}
+		spec.Gens = append(spec.Gens, g)
+		sks, moms = append(sks, en.sk), append(moms, en.mom)
 	}
-	if len(gen) == 0 {
+	if len(sks) == 0 {
 		return nil
 	}
-	if f.exec != nil {
-		return f.distPassCandidateSketches(gen)
-	}
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		buf := f.arena.Floats(rows)
-		parts := make([]*sketch.Quantile, len(gen))
-		moms := make([]sketch.Moments, len(gen))
-		var in [3][]float64
-		for i, en := range gen {
-			iv := in[:len(en.feats)]
-			for k, fi := range en.feats {
-				iv[k] = cols[fi]
-			}
-			operators.TransformColumn(en.applier, iv, buf)
-			core.Sanitize(buf)
-			sorted, nan := sketch.SortNonNaN(buf, &w.srt)
-			part := f.arena.Quantile(f.sketchSize)
-			part.AddSortedScratch(sorted, nan, &w.srt)
-			parts[i] = part
-			moms[i].AddAll(buf)
-		}
-		f.arena.PutFloats(buf)
-		w.ev.release()
-		return func() error {
-			for i, en := range gen {
-				en.sk.Merge(parts[i])
-				f.arena.PutQuantile(parts[i])
-				en.mom.Merge(&moms[i])
-			}
-			return nil
-		}, nil
+	return f.runPass(spec, func(p *Partial) error {
+		return f.foldSketches(p, "gen-sketch", sks, moms)
 	})
 }
 
@@ -492,268 +369,213 @@ func cutRankUnion(n int64, cfg *core.Config) []int64 {
 	return merged
 }
 
+// openRefiner brackets a merged sketch's cut targets; the merge phase is
+// over, so the sketch's scratch is trimmed — the refiner carries the pass.
+func (f *fitter) openRefiner(sk *sketch.Quantile) *sketch.Refiner {
+	ref := sketch.NewRefiner(sk, cutRankUnion(sk.Count(), &f.cfg))
+	sk.TrimScratch()
+	return ref
+}
+
 // refineLive brackets the live sketches' cut targets and, when any bracket
-// is still open, streams one gather pass to resolve them exactly: each
-// partition gathers into shadow refiners, folded back in partition order
-// (order-invariant counts; gathered values are sorted at finalize). Approx
+// is still open, streams one gather pass to resolve them exactly. Approx
 // mode skips refinement entirely (cuts then come straight off the
-// sketches). refineLive runs before any feature generation, so columns are
-// read straight off the chunk.
+// sketches). refineLive runs before any feature generation, so the gather
+// addresses raw source columns by schema index.
 func (f *fitter) refineLive() error {
 	if f.approxCuts {
 		return nil
 	}
 	var open []openRef
 	for j, lf := range f.live {
-		lf.ref = sketch.NewRefiner(lf.sk, cutRankUnion(lf.sk.Count(), &f.cfg))
-		lf.sk.TrimScratch() // merge phase over; the refiner carries the pass
+		lf.ref = f.openRefiner(lf.sk)
 		if lf.ref.NeedsPass() {
 			open = append(open, openRef{ref: lf.ref, col: j})
 		}
 	}
-	if len(open) == 0 {
-		return nil
-	}
-	if f.exec != nil {
-		// Block-stat skip planning needs local source access; the distributed
-		// gather always runs the full pass.
-		return f.distRefineLive(open)
-	}
-	// The refinement pass reads original columns straight off the chunks, so
-	// a source with per-block statistics can prove blocks irrelevant up
-	// front: those chunks are never read, their exact contribution folded
-	// from the stats instead.
-	cleanup, done := f.planRefineSkip(open)
-	if cleanup != nil {
-		defer cleanup()
-	}
-	if done {
-		return nil
-	}
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		shs := make([]*sketch.Refiner, len(open))
-		for i, o := range open {
-			// Per-value streaming beats sort+AddSorted here: the shared edge
-			// index classifies each value in O(1), and finalize sorts the few
-			// gathered in-bracket values, so the result is bit-identical.
-			sh := o.ref.Shadow()
-			sh.AddChunk(c.Cols[o.col])
-			shs[i] = sh
+	// The in-process executor streams a source the fitter can plan against: a
+	// source with per-block statistics can prove blocks irrelevant up front,
+	// so those chunks are never read and their exact contribution is folded
+	// from the stats instead. A pure optimisation — any other executor gathers
+	// the full pass.
+	if le, ok := f.exec.(*localExec); ok && len(open) > 0 {
+		cleanup, done := f.planRefineSkip(le, open)
+		if cleanup != nil {
+			defer cleanup()
 		}
-		return func() error {
-			for i, o := range open {
-				o.ref.Merge(shs[i])
-			}
+		if done {
 			return nil
-		}, nil
-	})
+		}
+	}
+	refines := make([]RefineSpec, len(open))
+	refs := make([]*sketch.Refiner, len(open))
+	for i, o := range open {
+		refines[i], refs[i] = RefineSpec{Col: o.col}, o.ref
+	}
+	return f.refine(refines, refs)
 }
 
 // refineCandidates is refineLive for the round's generated candidates,
-// recomputing each candidate column per chunk to gather its open brackets.
+// whose columns the kernel recomputes per chunk to gather their open
+// brackets. Base refiners carry over from the live set.
 func (f *fitter) refineCandidates(entries []*candidate) error {
 	if f.approxCuts {
 		return nil
 	}
-	var open []*candidate
+	var refines []RefineSpec
+	var refs []*sketch.Refiner
 	for _, en := range entries {
 		if en.isBase {
-			continue // base refiners carry over from the live set
+			continue
 		}
-		en.ref = sketch.NewRefiner(en.sk, cutRankUnion(en.sk.Count(), &f.cfg))
-		en.sk.TrimScratch() // merge phase over; the refiner carries the pass
-		if en.ref.NeedsPass() {
-			open = append(open, en)
+		en.ref = f.openRefiner(en.sk)
+		if !en.ref.NeedsPass() {
+			continue
 		}
+		g, err := genSpec(en)
+		if err != nil {
+			return err
+		}
+		refines, refs = append(refines, RefineSpec{Col: -1, Gen: g}), append(refs, en.ref)
 	}
-	if len(open) == 0 {
+	return f.refine(refines, refs)
+}
+
+// refine runs one gather pass for the open refiners: each partition gathers
+// into shadow refiners, folded back in partition order (order-invariant
+// counts; gathered values are sorted at finalize). refs[i] receives the
+// gather of refines[i].
+func (f *fitter) refine(refines []RefineSpec, refs []*sketch.Refiner) error {
+	if len(refs) == 0 {
 		return nil
 	}
-	if f.exec != nil {
-		return f.distRefineCandidates(open)
+	for i, ref := range refs {
+		rf := &refines[i]
+		rf.Ranks, rf.Lo, rf.Hi, rf.Resolved = ref.Brackets()
 	}
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		buf := f.arena.Floats(rows)
-		shs := make([]*sketch.Refiner, len(open))
-		var in [3][]float64
-		for i, en := range open {
-			iv := in[:len(en.feats)]
-			for k, fi := range en.feats {
-				iv[k] = cols[fi]
-			}
-			operators.TransformColumn(en.applier, iv, buf)
-			core.Sanitize(buf)
-			sh := en.ref.Shadow()
-			sh.AddChunk(buf)
-			shs[i] = sh
+	return f.runPass(&PassSpec{Kind: PassRefine, Refines: refines}, func(p *Partial) error {
+		if len(p.Refiners) != len(refs) {
+			return fmt.Errorf("shard: refine partial %d has %d gathers, want %d", p.Chunk, len(p.Refiners), len(refs))
 		}
-		f.arena.PutFloats(buf)
-		w.ev.release()
-		return func() error {
-			for i, en := range open {
-				en.ref.Merge(shs[i])
+		for i, ref := range refs {
+			if err := ref.MergeWire(p.Refiners[i]); err != nil {
+				return fmt.Errorf("shard: refine partial %d target %d: %w", p.Chunk, i, err)
 			}
-			return nil
-		}, nil
+		}
+		return nil
 	})
 }
 
-// newCriterionHist builds the task's mergeable relevance accumulator over
-// the given cut points: binary label counts, K-class counts, or target
-// moments.
-func (f *fitter) newCriterionHist(cuts []float64) sketch.CriterionHist {
-	switch f.cfg.Task.Kind {
-	case core.TaskMulticlass:
-		return sketch.NewClassHist(cuts, f.cfg.Task.Classes)
-	case core.TaskRegression:
-		return sketch.NewMomentHist(cuts)
-	default:
-		return sketch.NewLabelHist(cuts)
+// entrySpecs reifies a candidate set for the histogram/Gram passes; cuts
+// selects the per-entry bin edges to ship.
+func entrySpecs(entries []*candidate, cuts func(*candidate) []float64) ([]EntrySpec, error) {
+	out := make([]EntrySpec, len(entries))
+	for i, en := range entries {
+		out[i] = EntrySpec{Base: en.baseIdx, Cuts: cuts(en)}
+		if en.isBase {
+			continue
+		}
+		g, err := genSpec(en)
+		if err != nil {
+			return nil, err
+		}
+		out[i].Base, out[i].Gen = -1, g
 	}
+	return out, nil
 }
 
 // passCandidateCounts streams one pass accumulating every candidate's
 // binned criterion histogram, from which the task's relevance criterion
 // (IV, multiclass IV, or η²) follows. The count-valued families (binary,
-// multiclass) accumulate per-partition shadow histograms folded exactly in
-// partition order; the regression moment histogram computes bin ids in
-// parallel and replays the target sums in global row order, keeping the
-// float arithmetic bit-identical to the in-memory single-pass accumulation.
+// multiclass) merge per-partition shadow histograms exactly, in partition
+// order; the regression moment histogram replays the partitions' bin ids
+// against the gathered targets in global row order, keeping the float
+// arithmetic bit-identical to the in-memory single-pass accumulation.
 func (f *fitter) passCandidateCounts(entries []*candidate) error {
-	for _, en := range entries {
-		en.hist = f.newCriterionHist(en.ivCuts)
+	specs, err := entrySpecs(entries, func(en *candidate) []float64 { return en.ivCuts })
+	if err != nil {
+		return err
 	}
-	if f.exec != nil {
-		return f.distPassCandidateCounts(entries)
+	spec := &PassSpec{Kind: PassHistCounts, Entries: specs}
+	if f.cfg.Task.Kind == core.TaskRegression {
+		spec.Kind = PassHistIDs
 	}
-	regression := f.cfg.Task.Kind == core.TaskRegression
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		start := c.Start
-		labels := f.labels[start : start+rows]
-		var buf []float64
-		colFor := func(en *candidate) []float64 {
-			if en.isBase {
-				return cols[en.baseIdx]
+	// The prepared histograms are the merge targets; the in-process kernels
+	// shadow these same objects, reading only their cuts and bucket index.
+	for i, h := range spec.prepared(f.cfg.Task).hists {
+		entries[i].hist = h
+	}
+	if spec.Kind == PassHistIDs {
+		return f.runPass(spec, func(p *Partial) error {
+			if len(p.Ints) != len(entries)*p.Rows {
+				return fmt.Errorf("shard: hist-id partial %d has %d ids, want %d", p.Chunk, len(p.Ints), len(entries)*p.Rows)
 			}
-			if buf == nil {
-				buf = f.arena.Floats(rows)
-			}
-			var in [3][]float64
-			iv := in[:len(en.feats)]
-			for k, fi := range en.feats {
-				iv[k] = cols[fi]
-			}
-			operators.TransformColumn(en.applier, iv, buf)
-			core.Sanitize(buf)
-			return buf
-		}
-		if regression {
-			slab := f.arena.Int32s(len(entries) * rows)
+			targets := f.labels[p.Start : p.Start+p.Rows]
 			for i, en := range entries {
-				en.hist.(*sketch.MomentHist).BinIDs(colFor(en), slab[i*rows:(i+1)*rows])
-			}
-			if buf != nil {
-				f.arena.PutFloats(buf)
-			}
-			w.ev.release()
-			return func() error {
-				targets := f.labels[start : start+rows]
-				for i, en := range entries {
-					en.hist.(*sketch.MomentHist).AddBinned(slab[i*rows:(i+1)*rows], targets)
+				ids := p.Ints[i*p.Rows : (i+1)*p.Rows]
+				bins := int32(len(en.ivCuts) + 1)
+				for _, id := range ids {
+					if id < -1 || id >= bins {
+						return fmt.Errorf("shard: hist-id partial %d cand %d bin id %d outside %d bins", p.Chunk, i, id, bins)
+					}
 				}
-				f.arena.PutInt32s(slab)
-				return nil
-			}, nil
-		}
-		shadows := make([]sketch.CriterionHist, len(entries))
-		for i, en := range entries {
-			sh := shadowHist(en.hist)
-			// The pre-encoded label paths fold the same integer counts as
-			// AddCol without re-deriving the label per value per candidate.
-			switch h := sh.(type) {
-			case *sketch.LabelHist:
-				h.AddColBits(colFor(en), f.labelBits[start:start+rows])
-			case *sketch.ClassHist:
-				h.AddColCls(colFor(en), f.labelCls[start:start+rows])
-			default:
-				sh.AddCol(colFor(en), labels)
-			}
-			shadows[i] = sh
-		}
-		if buf != nil {
-			f.arena.PutFloats(buf)
-		}
-		w.ev.release()
-		return func() error {
-			for i, en := range entries {
-				if err := en.hist.MergeHist(shadows[i]); err != nil {
-					return err
-				}
+				en.hist.(*sketch.MomentHist).AddBinned(ids, targets)
 			}
 			return nil
-		}, nil
+		})
+	}
+	return f.runPass(spec, func(p *Partial) error {
+		if len(p.Hists) != len(entries) {
+			return fmt.Errorf("shard: hist partial %d has %d histograms, want %d", p.Chunk, len(p.Hists), len(entries))
+		}
+		for i, en := range entries {
+			// MergeHist's cut-equality check doubles as an integrity check on
+			// the partition's histogram.
+			if err := en.hist.MergeHist(p.Hists[i]); err != nil {
+				return fmt.Errorf("shard: hist partial %d cand %d: %w", p.Chunk, i, err)
+			}
+		}
+		return nil
 	})
 }
 
 // passGramAndCodes streams one pass over the IV survivors, accumulating the
 // pairwise co-moment Gram matrix (per-partition partials merged by addition
-// in partition order — the identical float sums of the sequential pass,
-// since each chunk's dot products add once either way) and materialising
-// resident ranker codes for survivors that do not already alias live codes.
+// in partition order — the identical float sums of a sequential pass, since
+// each chunk's dot products add once either way) and materialising resident
+// ranker codes for survivors that do not already alias live codes.
 func (f *fitter) passGramAndCodes(entries []*candidate, keptA []int) error {
-	needCodes := make([]bool, len(keptA))
+	kept := make([]*candidate, len(keptA))
 	for gi, idx := range keptA {
-		if entries[idx].codes == nil {
-			entries[idx].codes = make([]uint8, f.n)
-			needCodes[gi] = true
+		kept[gi] = entries[idx]
+	}
+	specs, err := entrySpecs(kept, func(en *candidate) []float64 { return en.rgCuts })
+	if err != nil {
+		return err
+	}
+	for gi, en := range kept {
+		if en.codes == nil {
+			en.codes = make([]uint8, f.n)
+			specs[gi].NeedCodes = true
 		}
 	}
-	f.gram = sketch.NewGram(len(keptA))
-	if f.exec != nil {
-		return f.distPassGramAndCodes(entries, keptA, needCodes)
-	}
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		cols := w.ev.liveCols(c)
-		rows := c.NumRows()
-		mat := make([][]float64, len(keptA))
-		var owned [][]float64
-		var in [3][]float64
-		for gi, idx := range keptA {
-			en := entries[idx]
-			var col []float64
-			if en.isBase {
-				col = cols[en.baseIdx]
-			} else {
-				col = f.arena.Floats(rows)
-				owned = append(owned, col)
-				iv := in[:len(en.feats)]
-				for k, fi := range en.feats {
-					iv[k] = cols[fi]
+	f.gram = sketch.NewGram(len(kept))
+	return f.runPass(&PassSpec{Kind: PassGramCodes, Entries: specs}, func(p *Partial) error {
+		if len(p.Codes) != len(kept) {
+			return fmt.Errorf("shard: gram partial %d has %d code columns, want %d", p.Chunk, len(p.Codes), len(kept))
+		}
+		if p.Gram == nil || p.Gram.K() != len(kept) {
+			return fmt.Errorf("shard: gram partial %d does not cover the %d surviving columns", p.Chunk, len(kept))
+		}
+		f.gram.Merge(p.Gram)
+		for gi, en := range kept {
+			if specs[gi].NeedCodes {
+				if err := placeCodes(en.codes, p, gi); err != nil {
+					return err
 				}
-				operators.TransformColumn(en.applier, iv, col)
-				core.Sanitize(col)
-			}
-			mat[gi] = col
-			if needCodes[gi] {
-				fillCodes(en.codes[c.Start:c.Start+rows], col, en.rgCuts, &w.ix)
 			}
 		}
-		pg := f.arena.Gram(len(keptA))
-		pg.AddRows(rows)
-		pg.AddPrepared(mat, sketch.PrepChunk(mat), 0, len(keptA))
-		for _, b := range owned {
-			f.arena.PutFloats(b)
-		}
-		w.ev.release()
-		return func() error {
-			f.gram.Merge(pg)
-			f.arena.PutGram(pg)
-			return nil
-		}, nil
+		return nil
 	})
 }
 

@@ -121,7 +121,7 @@ type retrySource struct {
 	src     frame.ChunkSource
 	ctx     context.Context
 	pol     RetryPolicy
-	retries *int64 // &Stats.Retries; atomic — the prefetch reader goroutine writes it
+	retries *int64 // atomic — the prefetch reader goroutine writes it
 	chunk   int    // delivered count within the current pass
 }
 
@@ -193,10 +193,10 @@ func (r *retrySource) sleep(d time.Duration) error {
 // passReadError positions a chunk-read failure for the caller: context
 // errors pass through bare (cancellation is the caller's signal, not a
 // source fault), an existing *PassError from the retry layer gets the
-// pass ordinal stamped onto a copy (never mutated in place — the
+// given pass ordinal stamped onto a copy (never mutated in place — the
 // prefetcher delivers one sticky error object to every worker), and
 // anything else is wrapped fresh at the given chunk ordinal.
-func (f *fitter) passReadError(err error, chunk int) error {
+func passReadError(err error, pass, chunk int) error {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
@@ -205,9 +205,9 @@ func (f *fitter) passReadError(err error, chunk int) error {
 		if pe.Pass != 0 {
 			return err
 		}
-		return &PassError{Pass: f.stats.Passes, Chunk: pe.Chunk, Attempts: pe.Attempts, Err: pe.Err}
+		return &PassError{Pass: pass, Chunk: pe.Chunk, Attempts: pe.Attempts, Err: pe.Err}
 	}
-	return &PassError{Pass: f.stats.Passes, Chunk: chunk, Attempts: 1, Err: err}
+	return &PassError{Pass: pass, Chunk: chunk, Attempts: 1, Err: err}
 }
 
 var _ frame.ChunkSource = (*retrySource)(nil)

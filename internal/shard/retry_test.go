@@ -49,16 +49,13 @@ func TestChaosRetryPolicyDelay(t *testing.T) {
 // object across workers, so mutating it would race), and foreign errors
 // are wrapped fresh.
 func TestChaosPassErrorPositioning(t *testing.T) {
-	f := &fitter{}
-	f.stats.Passes = 3
-
-	if err := f.passReadError(context.Canceled, 7); err != context.Canceled {
+	if err := passReadError(context.Canceled, 3, 7); err != context.Canceled {
 		t.Fatalf("context error wrapped: %v", err)
 	}
 
 	cause := errors.New("flaky read")
 	inner := &PassError{Chunk: 5, Attempts: 4, Err: cause}
-	out := f.passReadError(inner, 9)
+	out := passReadError(inner, 3, 9)
 	var pe *PassError
 	if !errors.As(out, &pe) {
 		t.Fatalf("got %T, want *PassError", out)
@@ -73,11 +70,11 @@ func TestChaosPassErrorPositioning(t *testing.T) {
 		t.Fatalf("stamped copy wrong: %+v", pe)
 	}
 	// Already-stamped errors pass through unchanged.
-	if again := f.passReadError(out, 11); again != out {
+	if again := passReadError(out, 3, 11); again != out {
 		t.Fatalf("re-stamped an already-positioned error: %v", again)
 	}
 
-	wrapped := f.passReadError(cause, 2)
+	wrapped := passReadError(cause, 3, 2)
 	if !errors.As(wrapped, &pe) || pe.Pass != 3 || pe.Chunk != 2 || pe.Attempts != 1 {
 		t.Fatalf("foreign error wrapped wrong: %v", wrapped)
 	}

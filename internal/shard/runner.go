@@ -1,119 +1,138 @@
 package shard
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/frame"
+	"repro/internal/operators"
+	"repro/internal/parallel"
 	"repro/internal/sketch"
-	"repro/internal/stats"
 )
 
-// passWorker is one worker's scratch for a streaming pass: a dependency-
-// ordered evaluator over the current live set and a reusable cut indexer.
-// The heavyweight recycling (sketch partials, scratch columns, Gram
-// partials) lives in the fitter's shared arena, because deltas built by one
-// worker are returned to the pool by whichever worker folds them.
-type passWorker struct {
-	ev  *evaluator
-	ix  stats.CutIndexer
-	srt sketch.SortScratch
+// localExec is the in-process Executor, the one Fit installs when
+// Config.Exec is nil. It streams the fit's own source — behind the
+// transient-read retry wrapper and the prefetcher's chunk leases — through
+// the same ComputePartial kernels a distributed worker runs, one
+// WorkerState per pool slot, and hands every *Partial to the fold by
+// pointer in partition-index order. Nothing is serialised; the partial's
+// pooled buffers return to the shared arena right after its fold.
+type localExec struct {
+	src   frame.ChunkSource // the stream passes read: base, retry- and prefetch-wrapped
+	base  frame.ChunkSource // unwrapped source, for SkippableSource planning
+	pf    *frame.Prefetch   // non-nil when chunks are leased (parallel/read-ahead)
+	pool  *parallel.Pool
+	reg   *operators.Registry
+	arena *sketch.Arena
+
+	states []*WorkerState // one per pool slot
+
+	retries  int64 // absorbed transient reads; written atomically by the retry source
+	reported int64 // retries already returned in a PassResult
 }
 
-// passDelta is one partition's deposited result awaiting its ordered fold.
-type passDelta struct {
-	fold func() error
-	rows int
+// newLocalExec wraps src for in-process passes on the shared worker pool the
+// normalised core config asks for. The caller closes it.
+func newLocalExec(ctx context.Context, src frame.ChunkSource, cfg Config, norm *core.Config, arena *sketch.Arena) *localExec {
+	pool := parallel.Get(1)
+	if norm.Parallel {
+		pool = parallel.Get(norm.Workers)
+	}
+	l := &localExec{base: src, pool: pool, reg: norm.Registry, arena: arena}
+	// Transient-read retries wrap the raw source BELOW the prefetcher: a
+	// retried read resolves inside one Next call, so it never becomes a
+	// sticky stream error and the fold order is untouched.
+	l.src = NewRetrySource(ctx, src, cfg.Retry, &l.retries)
+	// Parallel passes need the prefetcher's lease semantics (each worker owns
+	// its chunk until its partial is computed); a single-worker fit uses it
+	// only when read-ahead is requested, keeping the sequential path
+	// zero-copy by default.
+	if depth := prefetchDepth(cfg.Prefetch, pool.Workers()); depth > 0 {
+		l.pf = frame.NewPrefetch(l.src, depth, pool.Workers())
+		l.src = l.pf
+	}
+	return l
 }
 
-// runPass makes one full streaming pass over the source. compute runs once
-// per chunk — concurrently on the worker pool when it has more than one
-// worker — and returns a fold closure (nil when the chunk's effect is
-// written in place, e.g. resident codes). Folds execute serially in
-// partition index order regardless of completion order, so every merged
-// statistic accumulates exactly as in the single-worker pass: the fit's
-// selected features are bit-identical across worker counts.
-//
-// Contract for compute: it may read the chunk and write per-chunk or
-// disjoint per-row state; the fold closure must not reference chunk memory
-// (the chunk's lease is recycled before the fold can run). The context is
-// checked before every chunk, and pass/row statistics are validated exactly
-// as the sequential engine always did.
-func (f *fitter) runPass(compute func(c *frame.Chunk, w *passWorker) (func() error, error)) error {
-	if err := f.src.Reset(); err != nil {
-		return err
+// close stops the prefetcher's reader, if any.
+func (l *localExec) close() {
+	if l.pf != nil {
+		l.pf.Close()
 	}
-	f.stats.Passes++
-	if f.pool.Workers() <= 1 {
-		return f.runPassSeq(compute)
+}
+
+// Open implements Executor: one worker state per pool slot. They share the
+// fit's arena, because a partial computed on one slot is released by
+// whichever slot folds it, and resolve operators in the fit's own registry.
+func (l *localExec) Open(_ context.Context, names []string, task core.Task, sketchSize int) error {
+	l.states = make([]*WorkerState, l.pool.Workers())
+	for i := range l.states {
+		l.states[i] = newWorkerState(names, task, sketchSize, l.reg, l.arena)
 	}
-	r := &passRun{f: f, compute: compute, pending: make(map[int]passDelta)}
-	// Each pool slot runs one worker loop; the pool's caller participation
-	// guarantees progress even when every helper is busy elsewhere.
-	cerr := f.pool.ForChunksCtx(f.ctx, f.pool.Workers(), 1, func(lo, hi int) {
+	return nil
+}
+
+// SetLive implements Executor.
+func (l *localExec) SetLive(_ context.Context, epoch int, nodes []NodeSpec, live []string) error {
+	for _, ws := range l.states {
+		if err := ws.SetLive(epoch, nodes, live); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunPass implements Executor with one full streaming pass over the source.
+// Each pool slot runs one worker loop (the pool's caller participation
+// guarantees progress even when every helper is busy elsewhere); a
+// single-worker pool runs the one loop inline on the calling goroutine.
+// Partials compute concurrently but fold serially in partition index order
+// regardless of completion order, so every merged statistic accumulates
+// exactly as in the single-worker pass.
+func (l *localExec) RunPass(ctx context.Context, spec *PassSpec, fold func(*Partial) error) (PassResult, error) {
+	// Checked before Reset, which starts the prefetcher reading ahead: a fit
+	// whose context is already done must not consume a single chunk.
+	if err := ctx.Err(); err != nil {
+		return PassResult{}, err
+	}
+	if err := l.src.Reset(); err != nil {
+		return PassResult{}, err
+	}
+	r := &passRun{l: l, ctx: ctx, spec: spec, fold: fold, pending: make(map[int]*Partial)}
+	cerr := l.pool.ForChunksCtx(ctx, len(l.states), 1, func(lo, hi int) {
 		for slot := lo; slot < hi; slot++ {
-			r.worker(&passWorker{ev: f.newEvaluator()})
+			r.worker(l.states[slot])
 		}
 	})
 	if r.err != nil {
-		return r.err
+		return PassResult{}, r.err
 	}
 	if cerr != nil {
-		return cerr
+		return PassResult{}, cerr
 	}
-	return f.finishPass(r.rows, r.parts)
+	total := atomic.LoadInt64(&l.retries)
+	res := PassResult{Rows: r.rows, Parts: r.nextFold, Retries: total - l.reported}
+	l.reported = total
+	return res, nil
 }
 
-// runPassSeq is the single-worker pass loop: compute and fold inline, chunk
-// by chunk, with no copies and no extra goroutines.
-func (f *fitter) runPassSeq(compute func(c *frame.Chunk, w *passWorker) (func() error, error)) error {
-	w := &passWorker{ev: f.newEvaluator()}
-	rows, parts := 0, 0
-	for {
-		if err := f.ctx.Err(); err != nil {
-			return err
-		}
-		c, err := f.src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return f.passReadError(err, parts)
-		}
-		if err := f.checkShape(c); err != nil {
-			return err
-		}
-		nr := c.NumRows()
-		fold, err := compute(c, w)
-		f.recycle(c)
-		if err != nil {
-			return err
-		}
-		if fold != nil {
-			if err := fold(); err != nil {
-				return err
-			}
-		}
-		rows += nr
-		parts++
-	}
-	return f.finishPass(rows, parts)
-}
-
-// passRun coordinates one parallel pass: chunk handout order defines the
-// partition sequence, and deposits drain the pending map in that sequence.
+// passRun coordinates one pass: chunk handout order defines the partition
+// sequence, and deposits drain the pending map in that sequence.
 type passRun struct {
-	f       *fitter
-	compute func(c *frame.Chunk, w *passWorker) (func() error, error)
+	l    *localExec
+	ctx  context.Context
+	spec *PassSpec
+	fold func(*Partial) error
 
 	mu       sync.Mutex
 	nextSeq  int // next partition index to hand out
 	nextFold int // next partition index to fold
-	pending  map[int]passDelta
+	pending  map[int]*Partial
 	rows     int
-	parts    int
 	eof      bool
 	err      error
 }
@@ -129,24 +148,25 @@ func (r *passRun) fail(err error) {
 }
 
 // worker pulls chunks until the stream ends: read (serialized, which pins
-// seq to source order), compute concurrently, then deposit and fold every
-// consecutively available partition. Each worker holds at most one chunk
-// lease and one undeposited delta, so pending stays bounded by the worker
+// seq to source order, with the context checked before every chunk), compute
+// concurrently, then deposit and fold every consecutively available
+// partition. The chunk's lease is recycled before its partial can fold — a
+// partial references no chunk memory. Each worker holds at most one chunk
+// lease and one undeposited partial, so pending stays bounded by the worker
 // count with no extra back-pressure machinery.
-func (r *passRun) worker(w *passWorker) {
-	f := r.f
+func (r *passRun) worker(ws *WorkerState) {
 	for {
 		r.mu.Lock()
 		if r.err != nil || r.eof {
 			r.mu.Unlock()
 			return
 		}
-		if err := f.ctx.Err(); err != nil {
+		if err := r.ctx.Err(); err != nil {
 			r.mu.Unlock()
 			r.fail(err)
 			return
 		}
-		c, err := f.src.Next()
+		c, err := r.l.src.Next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				r.eof = true
@@ -155,98 +175,39 @@ func (r *passRun) worker(w *passWorker) {
 			}
 			chunk := r.nextSeq
 			r.mu.Unlock()
-			r.fail(f.passReadError(err, chunk))
+			r.fail(passReadError(err, r.spec.Pass, chunk))
 			return
 		}
 		seq := r.nextSeq
 		r.nextSeq++
 		r.mu.Unlock()
 
-		if err := f.checkShape(c); err != nil {
-			f.recycle(c)
-			r.fail(err)
-			return
+		p, err := ws.ComputePartial(r.spec, c)
+		if r.l.pf != nil {
+			r.l.pf.Recycle(c)
 		}
-		nr := c.NumRows()
-		fold, err := r.compute(c, w)
-		f.recycle(c)
 		if err != nil {
 			r.fail(err)
 			return
 		}
 
 		r.mu.Lock()
-		r.pending[seq] = passDelta{fold: fold, rows: nr}
+		r.pending[seq] = p
 		for r.err == nil {
-			d, ok := r.pending[r.nextFold]
+			q, ok := r.pending[r.nextFold]
 			if !ok {
 				break
 			}
 			delete(r.pending, r.nextFold)
 			r.nextFold++
-			if d.fold != nil {
-				if err := d.fold(); err != nil {
-					r.err = err
-					r.eof = true
-					break
-				}
+			if err := r.fold(q); err != nil {
+				r.err = err
+				r.eof = true
+				break
 			}
-			r.rows += d.rows
-			r.parts++
+			r.rows += q.Rows
+			ws.Release(q)
 		}
 		r.mu.Unlock()
-	}
-}
-
-// checkShape validates one chunk against the source schema.
-func (f *fitter) checkShape(c *frame.Chunk) error {
-	if len(c.Cols) != len(f.names) {
-		return fmt.Errorf("shard: chunk %d has %d columns, want %d", c.Index, len(c.Cols), len(f.names))
-	}
-	if c.Label != nil && len(c.Label) != c.NumRows() {
-		return fmt.Errorf("shard: chunk %d label covers %d of %d rows", c.Index, len(c.Label), c.NumRows())
-	}
-	return nil
-}
-
-// finishPass folds one completed pass into the fit statistics, validating
-// that the source yields a stable shape across passes. A planned partial
-// pass (block-stat skipping) announces its expected row count through
-// f.passExpect; any other shortfall is an unstable source.
-func (f *fitter) finishPass(rows, parts int) error {
-	f.stats.RowsStreamed += int64(rows)
-	if f.n == 0 {
-		f.n, f.stats.Rows, f.stats.Partitions = rows, rows, parts
-		return nil
-	}
-	expect := f.n
-	if f.passExpect > 0 {
-		expect = f.passExpect
-	}
-	if rows != expect {
-		return fmt.Errorf("shard: source yielded %d rows on a later pass, want %d (unstable source)", rows, expect)
-	}
-	return nil
-}
-
-// recycle returns a chunk lease to the prefetcher, when one is active.
-func (f *fitter) recycle(c *frame.Chunk) {
-	if f.pf != nil {
-		f.pf.Recycle(c)
-	}
-}
-
-// shadowHist returns a fresh concurrent-accumulation shadow of a criterion
-// histogram for the integral-count families; the regression MomentHist
-// returns nil (its float sums are order-sensitive, so the pass uses
-// BinIDs/AddBinned instead of a mergeable shadow).
-func shadowHist(h sketch.CriterionHist) sketch.CriterionHist {
-	switch t := h.(type) {
-	case *sketch.LabelHist:
-		return t.Shadow()
-	case *sketch.ClassHist:
-		return t.Shadow()
-	default:
-		return nil
 	}
 }

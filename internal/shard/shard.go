@@ -10,7 +10,6 @@ import (
 	"repro/internal/frame"
 	"repro/internal/gbdt"
 	"repro/internal/operators"
-	"repro/internal/parallel"
 	"repro/internal/sketch"
 )
 
@@ -43,13 +42,13 @@ type Config struct {
 	// Retried reads re-run before the chunk is folded, so a recovered fit
 	// selects features bit-identical to a fault-free run.
 	Retry RetryPolicy
-	// Exec, when set, runs every streaming pass through an external executor
-	// (see Executor) instead of reading src locally: the coordinator reads
-	// only the source schema, reifies each pass into a PassSpec, and folds
-	// the returned partials in partition order — so selection stays
-	// bit-identical to the local engine for any executor worker count.
-	// Retry and Prefetch are ignored (fault handling moves below the
-	// executor's fold); the caller owns the executor's lifecycle.
+	// Exec, when set, replaces the in-process executor (see Executor): the
+	// fit reads only the source schema from src and every streaming pass runs
+	// wherever the executor runs it. The fit loop is the same either way — it
+	// reifies each pass into a PassSpec and folds the returned partials in
+	// partition order — so selection stays bit-identical for any executor
+	// worker count. Retry and Prefetch are ignored (fault handling moves below
+	// the executor's fold); the caller owns the executor's lifecycle.
 	Exec Executor
 }
 
@@ -109,40 +108,21 @@ func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline
 	if norm.IVEqualWidth {
 		return nil, nil, nil, errors.New("shard: IVEqualWidth is not supported by the sharded engine")
 	}
-	pool := parallel.Get(1)
-	if norm.Parallel {
-		pool = parallel.Get(norm.Workers)
-	}
 	f := &fitter{
 		ctx:        ctx,
 		cfg:        norm,
 		sketchSize: cfg.SketchSize,
 		approxCuts: cfg.ApproxCuts,
-		src:        src,
-		base:       src,
-		pool:       pool,
+		names:      src.Names(),
 		ops:        ops,
 		arities:    core.DistinctArities(ops),
 		arena:      sketch.NewArena(),
 		exec:       cfg.Exec,
 	}
 	if f.exec == nil {
-		// Transient-read retries wrap the raw source BELOW the prefetcher: a
-		// retried read resolves inside one Next call, so it never becomes a
-		// sticky stream error and the fold order is untouched. f.base stays the
-		// raw source for SkippableSource pass planning.
-		if cfg.Retry.enabled() {
-			f.src = &retrySource{src: src, ctx: ctx, pol: cfg.Retry, retries: &f.stats.Retries}
-		}
-		// Parallel passes need the prefetcher's lease semantics (each worker owns
-		// its chunk until folded); a single-worker fit uses it only when read-
-		// ahead is requested, keeping the sequential path zero-copy by default.
-		if depth := prefetchDepth(cfg.Prefetch, pool.Workers()); depth > 0 {
-			pf := frame.NewPrefetch(f.src, depth, pool.Workers())
-			defer pf.Close()
-			f.pf = pf
-			f.src = pf
-		}
+		le := newLocalExec(ctx, src, cfg, &norm, f.arena)
+		defer le.close()
+		f.exec = le
 	}
 	p, rep, err := f.fit()
 	if err != nil {
@@ -191,25 +171,19 @@ type fitter struct {
 	cfg        core.Config
 	sketchSize int
 	approxCuts bool
-	src        frame.ChunkSource
-	base       frame.ChunkSource // unwrapped source, for SkippableSource planning
-	pf         *frame.Prefetch   // non-nil when chunks are leased (parallel/read-ahead)
-	pool       *parallel.Pool
 	ops        []operators.Operator
 	arities    []int
-	arena      *sketch.Arena // recycles pass-transient sketches and scratch
+	arena      *sketch.Arena // recycles candidate sketches (and the in-process executor's partials)
 
 	names      []string
 	labels     []float64
-	labelBits  []uint8 // binary task: labels thresholded to 0/1 bits
-	labelCls   []int32 // multiclass task: labels as class ids, -1 invalid
 	n          int
 	passExpect int // expected rows of the current (possibly partial) pass; 0 = full
 	live       []*liveFeat
 	nodes      []core.FeatureNode // all generated nodes, for pipeline assembly
 	gram       *sketch.Gram       // transient: current round's pairwise co-moments
 
-	exec      Executor // non-nil: passes run remotely (see distpass.go)
+	exec      Executor // runs every pass: Config.Exec, or the in-process executor
 	liveEpoch int      // live-set epoch last pushed through exec.SetLive
 
 	stats Stats
@@ -240,7 +214,6 @@ func (f *fitter) trackSketch(sk *sketch.Quantile) {
 
 func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 	cfg := f.cfg
-	f.names = f.src.Names()
 	m := len(f.names)
 	if m == 0 {
 		return nil, nil, errors.New("shard: source has no feature columns")
@@ -259,27 +232,16 @@ func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 	// sees the fit open before the first (possibly long) pass over the
 	// source; Rows on later events reflects cumulative source consumption.
 	cfg.Emit(core.FitEvent{Kind: core.EventFitStart, Candidates: m})
-	if f.exec != nil {
-		if err := f.exec.Open(f.ctx, f.names, cfg.Task, f.sketchSize); err != nil {
-			return nil, nil, err
-		}
+	if err := f.exec.Open(f.ctx, f.names, cfg.Task, f.sketchSize); err != nil {
+		return nil, nil, err
 	}
 
-	// Pass 1: labels plus per-feature quantile sketches and moments. Each
-	// partition summarises independently (arena-recycled partials); the fold
-	// merges partition summaries in partition order, exactly the sequence the
-	// sequential engine accumulated in.
+	// Pass 1: labels plus per-feature quantile sketches and moments.
 	f.live = make([]*liveFeat, m)
 	for j, name := range f.names {
 		f.live[j] = &liveFeat{name: name, sk: sketch.NewQuantile(f.sketchSize), mom: &sketch.Moments{}}
 	}
-	var err error
-	if f.exec != nil {
-		err = f.distPassBaseSketch()
-	} else {
-		err = f.passBaseSketchLocal(m)
-	}
-	if err != nil {
+	if err := f.passBaseSketch(); err != nil {
 		return nil, nil, err
 	}
 	if f.n == 0 {
@@ -288,30 +250,6 @@ func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 	if err := cfg.Task.ValidateLabels(f.labels); err != nil {
 		return nil, nil, err
 	}
-	// Pre-encode the labels once for the count-valued passes: thresholding
-	// (binary) and float→class conversion (multiclass) are per-row costs
-	// those passes would otherwise repeat for every candidate column, and
-	// random binary labels make the threshold branch mispredict constantly.
-	switch cfg.Task.Kind {
-	case core.TaskMulticlass:
-		f.labelCls = make([]int32, len(f.labels))
-		for i, y := range f.labels {
-			if c := int(y); c >= 0 && c < cfg.Task.Classes {
-				f.labelCls[i] = int32(c)
-			} else {
-				f.labelCls[i] = -1
-			}
-		}
-	case core.TaskRegression:
-	default:
-		f.labelBits = make([]uint8, len(f.labels))
-		for i, y := range f.labels {
-			if y > 0.5 {
-				f.labelBits[i] = 1
-			}
-		}
-	}
-
 	budget := cfg.MaxFeatures
 	if budget <= 0 {
 		budget = 2 * m
@@ -351,7 +289,7 @@ func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 		}
 		iterStart := time.Now()
 		ir := core.IterationReport{Round: round + 1}
-		// The clock shares the streamed-rows counter forEachChunk maintains,
+		// The clock shares the streamed-rows counter runPass maintains,
 		// so event Rows reflect actual source consumption per stage.
 		sc := core.NewStageClock(&cfg, &ir, &f.stats.RowsStreamed)
 		cfg.Emit(core.FitEvent{
@@ -546,38 +484,6 @@ func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 		Rows: f.stats.RowsStreamed, Elapsed: report.Total,
 	})
 	return p, report, nil
-}
-
-// passBaseSketchLocal is pass 1 on the local source: labels plus per-feature
-// quantile sketches and moments. Each partition summarises independently
-// (arena-recycled partials); the fold merges partition summaries in
-// partition order, exactly the sequence the sequential engine accumulated
-// in.
-func (f *fitter) passBaseSketchLocal(m int) error {
-	return f.runPass(func(c *frame.Chunk, w *passWorker) (func() error, error) {
-		if c.Label == nil {
-			return nil, errors.New("shard: source has no label column")
-		}
-		labels := append([]float64(nil), c.Label...)
-		parts := make([]*sketch.Quantile, m)
-		moms := make([]sketch.Moments, m)
-		for j := 0; j < m; j++ {
-			sorted, nan := sketch.SortNonNaN(c.Cols[j], &w.srt)
-			part := f.arena.Quantile(f.sketchSize)
-			part.AddSortedScratch(sorted, nan, &w.srt)
-			parts[j] = part
-			moms[j].AddAll(c.Cols[j])
-		}
-		return func() error {
-			f.labels = append(f.labels, labels...)
-			for j := 0; j < m; j++ {
-				f.live[j].sk.Merge(parts[j])
-				f.arena.PutQuantile(parts[j])
-				f.live[j].mom.Merge(&moms[j])
-			}
-			return nil
-		}, nil
-	})
 }
 
 // enumerate builds the round's candidate entries: every live feature, then

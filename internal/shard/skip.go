@@ -20,13 +20,15 @@ type openRef struct {
 // AddOutside(bucket, rows−NaNs), so the partial pass resolves the same
 // order statistics bit-for-bit as a full one.
 //
-// When any chunk is skippable the plan is installed on the source (SetSkip)
+// The plan needs the source the in-process executor streams, so only a fit
+// running on that executor plans one. When any chunk is skippable the plan is
+// installed on the source (SetSkip)
 // and accounted for (Stats.BlocksSkipped/RowsSkipped, f.passExpect for the
 // pass row validation); the returned cleanup restores full passes and must
 // run once the pass is done. done reports that every chunk was skippable —
 // the refiners are fully resolved from statistics and no pass need run.
-func (f *fitter) planRefineSkip(open []openRef) (cleanup func(), done bool) {
-	ss, ok := f.base.(frame.SkippableSource)
+func (f *fitter) planRefineSkip(le *localExec, open []openRef) (cleanup func(), done bool) {
+	ss, ok := le.base.(frame.SkippableSource)
 	if !ok || f.n == 0 || len(open) == 0 {
 		return nil, false
 	}
@@ -94,9 +96,7 @@ func (f *fitter) planRefineSkip(open []openRef) (cleanup func(), done bool) {
 		// An aborted pass can leave the prefetcher's reader mid-stream on the
 		// base source; stop it (restartable via Reset) before changing the
 		// plan under it.
-		if f.pf != nil {
-			f.pf.Close()
-		}
+		le.close()
 		ss.SetSkip(nil)
 		f.passExpect = 0
 	}, false

@@ -3,7 +3,7 @@ package sketch
 import "sync"
 
 // Arena recycles the transient objects the sharded fit's streaming passes
-// churn through: per-partition quantile sketch partials, float/int scratch
+// churn through: per-partition quantile sketch partials, float/int/code scratch
 // columns, and Gram partials. Everything handed out is logically fresh —
 // sketches are Reset, accumulators zeroed, overwrite-only buffers handed
 // out as-is — so reuse never changes any computed statistic; it only
@@ -19,6 +19,7 @@ type Arena struct {
 	quants map[int][]*Quantile
 	floats [][]float64
 	int32s [][]int32
+	bytes  [][]uint8
 	grams  []*Gram
 }
 
@@ -69,54 +70,47 @@ func (a *Arena) PutQuantile(q *Quantile) {
 	a.mu.Unlock()
 }
 
-// Floats returns a []float64 of length n with unspecified contents — for
-// buffers the caller fully overwrites (transform outputs). Zeroing the big
-// per-chunk scratch columns showed up as measurable memclr time.
-func (a *Arena) Floats(n int) []float64 {
+// takeSlice pops a pooled slice with capacity for n elements, or allocates
+// one; the contents are unspecified.
+func takeSlice[T any](a *Arena, pool *[][]T, n int) []T {
 	a.mu.Lock()
-	for i, s := range a.floats {
+	for i, s := range *pool {
 		if cap(s) >= n {
-			last := len(a.floats) - 1
-			a.floats[i] = a.floats[last]
-			a.floats[last] = nil
-			a.floats = a.floats[:last]
+			last := len(*pool) - 1
+			(*pool)[i] = (*pool)[last]
+			(*pool)[last] = nil
+			*pool = (*pool)[:last]
 			a.mu.Unlock()
 			return s[:n]
 		}
 	}
 	a.mu.Unlock()
-	return make([]float64, n)
+	return make([]T, n)
 }
 
-// PutFloats returns a slice taken with Floats.
-func (a *Arena) PutFloats(s []float64) {
+// putSlice returns a slice to its pool, up to maxArenaSlices retained.
+func putSlice[T any](a *Arena, pool *[][]T, s []T) {
 	if cap(s) == 0 {
 		return
 	}
 	a.mu.Lock()
-	if len(a.floats) < maxArenaSlices {
-		a.floats = append(a.floats, s[:0])
+	if len(*pool) < maxArenaSlices {
+		*pool = append(*pool, s[:0])
 	}
 	a.mu.Unlock()
 }
 
+// Floats returns a []float64 of length n with unspecified contents — for
+// buffers the caller fully overwrites (transform outputs). Zeroing the big
+// per-chunk scratch columns showed up as measurable memclr time.
+func (a *Arena) Floats(n int) []float64 { return takeSlice(a, &a.floats, n) }
+
+// PutFloats returns a slice taken with Floats.
+func (a *Arena) PutFloats(s []float64) { putSlice(a, &a.floats, s) }
+
 // Int32s returns a []int32 of length n with unspecified contents — for id
 // slabs the caller fully overwrites. Use Int32sZeroed for counters.
-func (a *Arena) Int32s(n int) []int32 {
-	a.mu.Lock()
-	for i, s := range a.int32s {
-		if cap(s) >= n {
-			last := len(a.int32s) - 1
-			a.int32s[i] = a.int32s[last]
-			a.int32s[last] = nil
-			a.int32s = a.int32s[:last]
-			a.mu.Unlock()
-			return s[:n]
-		}
-	}
-	a.mu.Unlock()
-	return make([]int32, n)
-}
+func (a *Arena) Int32s(n int) []int32 { return takeSlice(a, &a.int32s, n) }
 
 // Int32sZeroed returns a zeroed []int32 of length n — for accumulators.
 func (a *Arena) Int32sZeroed(n int) []int32 {
@@ -128,16 +122,14 @@ func (a *Arena) Int32sZeroed(n int) []int32 {
 }
 
 // PutInt32s returns a slice taken with Int32s.
-func (a *Arena) PutInt32s(s []int32) {
-	if cap(s) == 0 {
-		return
-	}
-	a.mu.Lock()
-	if len(a.int32s) < maxArenaSlices {
-		a.int32s = append(a.int32s, s[:0])
-	}
-	a.mu.Unlock()
-}
+func (a *Arena) PutInt32s(s []int32) { putSlice(a, &a.int32s, s) }
+
+// Bytes returns a []uint8 of length n with unspecified contents — for the
+// per-chunk code columns a pass fully overwrites.
+func (a *Arena) Bytes(n int) []uint8 { return takeSlice(a, &a.bytes, n) }
+
+// PutBytes returns a slice taken with Bytes.
+func (a *Arena) PutBytes(s []uint8) { putSlice(a, &a.bytes, s) }
 
 // Gram returns a zeroed co-moment accumulator over k columns.
 func (a *Arena) Gram(k int) *Gram {

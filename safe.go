@@ -27,12 +27,10 @@
 //
 // Every generated feature carries an interpretable formula (e.g.
 // "(x3 * x7)"), and new operators can be plugged in through a Registry.
-// See docs/api.md for the full Plan/options model and the migration table
-// from the deprecated Engineer/FitSharded entry points.
+// See docs/api.md for the full Plan/options model.
 package safe
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/clf"
@@ -44,7 +42,7 @@ import (
 	"repro/internal/shard"
 )
 
-// Config configures the SAFE engineer; see core.Config for field docs.
+// Config configures a SAFE fit; see core.Config for field docs.
 type Config = core.Config
 
 // Pipeline is the learned feature generation function Ψ.
@@ -116,46 +114,12 @@ func RegressionTask() Task { return core.RegressionTask() }
 // the CLI -task flags accept and Task.String produces.
 func ParseTask(s string) (Task, error) { return core.ParseTask(s) }
 
-// Engineer runs the SAFE algorithm.
-//
-// Deprecated: Engineer is the pre-Plan entry point, kept as a thin shim
-// over the composable path — New + Engineer.Fit behaves exactly like
-// Fit(ctx, FromFrame(train), WithConfig(cfg)) and selects identical
-// features. New code should call Fit (or NewPlan) directly, which adds
-// context cancellation, engine selection, and the progress-event stream.
-type Engineer struct {
-	cfg Config
-}
-
 // DefaultConfig returns the paper's experimental configuration: operators
 // {+,−,×,÷}, α=0.1, β=10, θ=0.8, one iteration, 2M output budget.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // DefaultSelectionConfig returns the paper's selection thresholds.
 func DefaultSelectionConfig() SelectionConfig { return core.DefaultSelectionConfig() }
-
-// New validates the configuration and constructs an Engineer.
-//
-// Deprecated: see Engineer; call Fit with options instead.
-func New(cfg Config) (*Engineer, error) {
-	norm, err := core.NormalizeConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Engineer{cfg: norm}, nil
-}
-
-// Fit learns Ψ from a labelled training frame.
-//
-// Deprecated: see Engineer; this shim routes through the composable Fit
-// path with a background context.
-func (e *Engineer) Fit(train *Frame) (*Pipeline, *Report, error) {
-	res, err := Fit(context.Background(), FromFrame(train), WithConfig(e.cfg))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Pipeline, res.Report, nil
-}
 
 // NewRegistry returns an operator registry pre-populated with the paper's
 // catalogue (arithmetic, logical, transforms, normalisation, discretisation,
@@ -182,9 +146,6 @@ type ChunkSource = frame.ChunkSource
 
 // Chunk is one row-range of a chunked dataset, as yielded by a ChunkSource.
 type Chunk = frame.Chunk
-
-// ShardConfig configures FitSharded; see shard.Config.
-type ShardConfig = shard.Config
 
 // ShardStats reports how a sharded fit consumed its source.
 type ShardStats = shard.Stats
@@ -219,32 +180,7 @@ type ColumnFormatError = colstore.FormatError
 // the typed error a torn or bit-flipped column file surfaces as.
 type ColumnChecksumError = colstore.ChecksumError
 
-// DefaultShardConfig returns the paper's configuration for the sharded
-// engine with default sketch settings.
-func DefaultShardConfig() ShardConfig { return shard.DefaultConfig() }
-
-// FitSharded learns Ψ out-of-core from a chunked source whose partitions
-// never coexist in memory: statistics are computed as mergeable sketches
-// per partition and merged, and the XGBoost stages train on a resident
-// binned (1 byte/value) matrix. With default settings the selected features
-// are identical to the in-memory engine on the same rows; see
-// docs/sharding.md.
-//
-// Deprecated: FitSharded is kept as a thin shim over the composable path —
-// it behaves exactly like Fit(ctx, FromChunks(src), WithConfig(cfg.Core),
-// WithSketch(cfg.SketchSize, cfg.ApproxCuts)) and selects identical
-// features. New code should call Fit, which adds context cancellation and
-// the progress-event stream.
-func FitSharded(src ChunkSource, cfg ShardConfig) (*Pipeline, *Report, *ShardStats, error) {
-	res, err := Fit(context.Background(), FromChunks(src),
-		WithConfig(cfg.Core), WithSketch(cfg.SketchSize, cfg.ApproxCuts))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res.Pipeline, res.Report, res.Shard, nil
-}
-
-// OpenCSVChunks opens a CSV file as a streaming chunk source for FitSharded:
+// OpenCSVChunks opens a CSV file as a streaming chunk source for FromChunks:
 // files far larger than memory fit out-of-core. labelCol may be "";
 // chunkRows <= 0 picks a default. Close it when done.
 func OpenCSVChunks(path, labelCol string, chunkRows int) (*frame.CSVChunks, error) {

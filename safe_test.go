@@ -1,6 +1,7 @@
 package safe_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,14 +22,11 @@ func quickDataset(t *testing.T) *safe.Dataset {
 
 func TestPublicAPIEndToEnd(t *testing.T) {
 	ds := quickDataset(t)
-	eng, err := safe.New(safe.DefaultConfig())
+	res, err := safe.Fit(context.Background(), safe.FromFrame(ds.Train), safe.WithConfig(safe.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipeline, report, err := eng.Fit(ds.Train)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipeline, report := res.Pipeline, res.Report
 	if report.Total <= 0 {
 		t.Error("report has no elapsed time")
 	}
@@ -133,14 +131,11 @@ func TestCustomOperatorThroughPublicAPI(t *testing.T) {
 	cfg := safe.DefaultConfig()
 	cfg.Registry = reg
 	cfg.Operators = []string{"mul", "div", "groupby_avg", "log"}
-	eng, err := safe.New(cfg)
+	res, err := safe.Fit(context.Background(), safe.FromFrame(ds.Train), safe.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipeline, _, err := eng.Fit(ds.Train)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipeline := res.Pipeline
 	if pipeline.NumFeatures() == 0 {
 		t.Error("empty pipeline")
 	}
