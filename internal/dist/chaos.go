@@ -128,6 +128,8 @@ func (c *chaosConn) Recv() ([]byte, error) {
 	roll := c.rng.Float64()
 	switch {
 	case roll < c.plan.DropRate:
+		// Not copied: the retry delivers it before the inner Recv runs again,
+		// which is as long as the inner connection keeps it valid.
 		c.held = msg
 		frames := c.frames
 		c.mu.Unlock()

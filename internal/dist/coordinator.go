@@ -42,6 +42,7 @@ type Coordinator struct {
 	opened    bool
 	chunks    int          // partitions per pass; 0 until the first pass completes
 	transient atomic.Int64 // transport retries absorbed, all readers
+	partials  partialPool  // containers the readers decode partials into
 
 	closeOnce sync.Once
 }
@@ -219,7 +220,8 @@ func (c *Coordinator) reader(w *workerConn) {
 		case msgAck:
 			decoded, err = decodeAck(msg)
 		case msgPartial:
-			decoded, err = decodePartial(msg)
+			m := c.partials.take()
+			decoded, err = m, decodePartial(msg, m)
 		case msgPassDone:
 			decoded, err = decodePassDone(msg)
 		case msgPassErr:
@@ -346,7 +348,7 @@ func (c *Coordinator) SetLive(ctx context.Context, epoch int, nodes []shard.Node
 
 // passState tracks one pass's fold frontier.
 type passState struct {
-	pending  map[int]*shard.Partial
+	pending  map[int]*partialMsg
 	nextFold int
 	rows     int
 	retries  int64
@@ -378,7 +380,10 @@ func (c *Coordinator) RunPass(ctx context.Context, spec *shard.PassSpec, fold fu
 		c.sendAsync(w, encodeRunPass(&runPass{PassID: passID, Assign: a, Spec: spec}))
 	}
 
-	st := &passState{pending: make(map[int]*shard.Partial)}
+	// The containers were sized by this pass's partials; the next pass grows
+	// its own rather than inherit, say, the candidate-sketch pass's ~48 MB each.
+	defer c.partials.drop()
+	st := &passState{pending: make(map[int]*partialMsg)}
 	for c.passActive() {
 		ev, err := c.next(ctx)
 		if err != nil {
@@ -393,9 +398,10 @@ func (c *Coordinator) RunPass(ctx context.Context, spec *shard.PassSpec, fold fu
 		switch m := ev.msg.(type) {
 		case *partialMsg:
 			if m.PassID != passID {
-				continue // stale partial from an aborted pass
+				c.partials.put(m) // stale partial from an aborted pass
+				continue
 			}
-			if err := c.foldPartial(spec, &m.Partial, st, fold); err != nil {
+			if err := c.foldPartial(spec, m, st, fold); err != nil {
 				return res, err
 			}
 		case *passDone:
@@ -457,30 +463,73 @@ func (c *Coordinator) liveWorkers() []*workerConn {
 
 // foldPartial advances the fold frontier with one arrived partial:
 // duplicates (below the frontier or already pending) drop, then every
-// consecutively available partition folds in index order.
-func (c *Coordinator) foldPartial(spec *shard.PassSpec, p *shard.Partial, st *passState, fold func(*shard.Partial) error) error {
-	if p.Chunk < 0 || (c.chunks > 0 && p.Chunk >= c.chunks) {
-		return protoErr("pass %d partial for partition %d outside [0,%d)", spec.Pass, p.Chunk, c.chunks)
+// consecutively available partition folds in index order. A container goes
+// back to the pool only once fold has returned — a decorated fold still reads
+// the partial's plain fields after the fit's own fold is done with it.
+func (c *Coordinator) foldPartial(spec *shard.PassSpec, m *partialMsg, st *passState, fold func(*shard.Partial) error) error {
+	idx := m.Partial.Chunk
+	if idx < 0 || (c.chunks > 0 && idx >= c.chunks) {
+		return protoErr("pass %d partial for partition %d outside [0,%d)", spec.Pass, idx, c.chunks)
 	}
-	if p.Chunk < st.nextFold {
-		return nil // duplicate of an already-folded partition
-	}
-	if _, dup := st.pending[p.Chunk]; dup {
+	if _, dup := st.pending[idx]; dup || idx < st.nextFold {
+		c.partials.put(m) // duplicate of a pending or already-folded partition
 		return nil
 	}
-	st.pending[p.Chunk] = p
+	st.pending[idx] = m
 	for {
 		q, ok := st.pending[st.nextFold]
 		if !ok {
 			return nil
 		}
 		delete(st.pending, st.nextFold)
-		if err := fold(q); err != nil {
+		if err := fold(&q.Partial); err != nil {
 			return err
 		}
-		st.rows += q.Rows
+		st.rows += q.Partial.Rows
 		st.nextFold++
+		c.partials.put(q)
 	}
+}
+
+// partialPool recycles partial containers between the reader goroutines,
+// which take one per received partial, and the pass loop, which puts it back
+// after the fold. The cap is soft — take allocates when the pool is empty,
+// put drops beyond maxPooledPartials: a quota that made readers wait would
+// deadlock under reassignment, where a survivor is handed a dead worker's
+// partition below ones of its own that are already pending.
+type partialPool struct {
+	mu   sync.Mutex
+	free []*partialMsg
+}
+
+// maxPooledPartials bounds the idle containers kept during a pass.
+const maxPooledPartials = 4
+
+func (p *partialPool) take() *partialMsg {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		m := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return m
+	}
+	return &partialMsg{}
+}
+
+func (p *partialPool) put(m *partialMsg) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < maxPooledPartials {
+		p.free = append(p.free, m)
+	}
+}
+
+// drop releases every idle container.
+func (p *partialPool) drop() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free = nil
 }
 
 // workerLost handles a worker's permanent failure mid-pass: partitions the

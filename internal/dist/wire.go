@@ -193,11 +193,14 @@ func (r *reader) i32() int32    { return int32(r.u32()) }
 func (r *reader) i64() int64    { return int64(r.u64()) }
 func (r *reader) f64() float64  { return math.Float64frombits(r.u64()) }
 func (r *reader) boolean() bool { return r.u8() != 0 }
-func (r *reader) length() int {
+
+// length reads an element count. Every element of the sequence it announces
+// occupies at least elem bytes of payload, so a count the remaining bytes
+// cannot back is rejected before anything is allocated for it: a corrupted
+// count costs at most a small multiple of the frame it arrived in.
+func (r *reader) length(elem int) int {
 	n := r.u32()
-	// A length can never exceed the remaining payload's element capacity;
-	// reject early so a corrupted count cannot drive a giant allocation.
-	if r.fail || uint64(n) > uint64(len(r.b)) {
+	if r.fail || uint64(n)*uint64(elem) > uint64(len(r.b)) {
 		r.bad()
 		return 0
 	}
@@ -205,7 +208,7 @@ func (r *reader) length() int {
 }
 
 func (r *reader) str() string {
-	n := r.length()
+	n := r.length(1)
 	if r.fail {
 		return ""
 	}
@@ -215,7 +218,7 @@ func (r *reader) str() string {
 }
 
 func (r *reader) strs() []string {
-	n := r.length()
+	n := r.length(4) // each string: a u32 length
 	if r.fail {
 		return nil
 	}
@@ -226,13 +229,20 @@ func (r *reader) strs() []string {
 	return out
 }
 
-func (r *reader) f64s() []float64 {
-	n := r.u32()
-	if r.fail || uint64(n)*8 > uint64(len(r.b)) {
-		r.bad()
-		return nil
+// resize returns s with length n, reusing its backing when it is large
+// enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	out := make([]float64, n)
+	return s[:n]
+}
+
+func (r *reader) f64s() []float64 { return r.f64sInto(nil) }
+
+// f64sInto is f64s into dst's backing when it is large enough.
+func (r *reader) f64sInto(dst []float64) []float64 {
+	out := resize(dst, r.length(8))
 	for i := range out {
 		out[i] = r.f64()
 	}
@@ -240,25 +250,16 @@ func (r *reader) f64s() []float64 {
 }
 
 func (r *reader) i64s() []int64 {
-	n := r.u32()
-	if r.fail || uint64(n)*8 > uint64(len(r.b)) {
-		r.bad()
-		return nil
-	}
-	out := make([]int64, n)
+	out := make([]int64, r.length(8))
 	for i := range out {
 		out[i] = r.i64()
 	}
 	return out
 }
 
-func (r *reader) i32s() []int32 {
-	n := r.u32()
-	if r.fail || uint64(n)*4 > uint64(len(r.b)) {
-		r.bad()
-		return nil
-	}
-	out := make([]int32, n)
+// i32sInto reads an int32 slice into dst's backing when it is large enough.
+func (r *reader) i32sInto(dst []int32) []int32 {
+	out := resize(dst, r.length(4))
 	for i := range out {
 		out[i] = r.i32()
 	}
@@ -266,34 +267,26 @@ func (r *reader) i32s() []int32 {
 }
 
 func (r *reader) ints() []int {
-	n := r.u32()
-	if r.fail || uint64(n)*8 > uint64(len(r.b)) {
-		r.bad()
-		return nil
-	}
-	out := make([]int, n)
+	out := make([]int, r.length(8))
 	for i := range out {
 		out[i] = int(r.i64())
 	}
 	return out
 }
 
-func (r *reader) bytes() []byte {
-	n := r.length()
-	if r.fail {
-		return nil
-	}
-	out := append([]byte(nil), r.b[:n]...)
+// bytesInto copies a byte string to the end of slab, which must have room
+// for it, and returns the copy (capacity-clipped, so appending to it cannot
+// run into its neighbour).
+func (r *reader) bytesInto(slab *[]byte) []byte {
+	n := r.length(1)
+	start := len(*slab)
+	*slab = append(*slab, r.b[:n]...)
 	r.b = r.b[n:]
-	return out
+	return (*slab)[start:len(*slab):len(*slab)]
 }
 
 func (r *reader) bools() []bool {
-	n := r.length()
-	if r.fail {
-		return nil
-	}
-	out := make([]bool, n)
+	out := make([]bool, r.length(1))
 	for i := range out {
 		out[i] = r.boolean()
 	}
@@ -454,7 +447,7 @@ func encodeSetLive(m *setLive) []byte {
 func decodeSetLive(p []byte) (*setLive, error) {
 	r := &reader{b: p[1:]}
 	m := &setLive{Epoch: int(r.i64())}
-	n := r.length()
+	n := r.length(12) // a node: two strings and a string list, a u32 length each
 	if !r.fail {
 		m.Nodes = make([]shard.NodeSpec, n)
 		for i := range m.Nodes {
@@ -560,11 +553,8 @@ func decodeRunPass(p []byte) (*runPass, error) {
 	m.Assign.Mod = int(r.i64())
 	m.Assign.Residue = int(r.i64())
 	hasExplicit := r.bools()
-	explicit := r.ints()
+	explicit := r.ints() // never nil: an empty list is still a list
 	if len(hasExplicit) == 1 && hasExplicit[0] {
-		if explicit == nil {
-			explicit = []int{}
-		}
 		m.Assign.Explicit = explicit
 	}
 	s := &shard.PassSpec{
@@ -573,17 +563,17 @@ func decodeRunPass(p []byte) (*runPass, error) {
 		Epoch:   int(r.i64()),
 		Classes: int(r.i64()),
 	}
-	if n := r.length(); !r.fail {
+	if n := r.length(4); !r.fail {
 		s.LiveCuts = make([][]float64, n)
 		for i := range s.LiveCuts {
 			s.LiveCuts[i] = r.f64s()
 		}
 	}
-	if n := r.length(); !r.fail {
+	if n := r.length(8); !r.fail {
 		s.Combos = make([]shard.ComboSpec, n)
 		for i := range s.Combos {
 			s.Combos[i].Features = r.ints()
-			if nv := r.length(); !r.fail {
+			if nv := r.length(4); !r.fail {
 				s.Combos[i].Values = make([][]float64, nv)
 				for j := range s.Combos[i].Values {
 					s.Combos[i].Values[j] = r.f64s()
@@ -591,13 +581,13 @@ func decodeRunPass(p []byte) (*runPass, error) {
 			}
 		}
 	}
-	if n := r.length(); !r.fail {
+	if n := r.length(8); !r.fail {
 		s.Gens = make([]shard.GenSpec, n)
 		for i := range s.Gens {
 			s.Gens[i] = readGenSpec(r)
 		}
 	}
-	if n := r.length(); !r.fail {
+	if n := r.length(24); !r.fail {
 		s.Entries = make([]shard.EntrySpec, n)
 		for i := range s.Entries {
 			s.Entries[i].Base = int(r.i64())
@@ -608,7 +598,7 @@ func decodeRunPass(p []byte) (*runPass, error) {
 			}
 		}
 	}
-	if n := r.length(); !r.fail {
+	if n := r.length(32); !r.fail {
 		s.Refines = make([]shard.RefineSpec, n)
 		for i := range s.Refines {
 			s.Refines[i].Col = int(r.i64())
@@ -625,25 +615,53 @@ func decodeRunPass(p []byte) (*runPass, error) {
 
 // --- partial ---
 
+// partialMsg is one received partial and the memory it lives in: a container
+// the coordinator recycles (partialPool) so that a steady stream of partials
+// decodes into the same backings instead of fresh ones.
 type partialMsg struct {
 	PassID  int
 	Partial shard.Partial
+	slab    []byte // backing of Partial.Blobs[i] and Partial.Codes[i]
 }
 
-// EncodePartial frames one partial — in its wire form, after
-// shard.Partial.Encode — as a partial message. Exported, with DecodePartial,
-// so the seam tests in internal/shard can put a partial through the same
-// bytes a worker sends.
-func EncodePartial(passID int, p *shard.Partial) []byte {
-	b := appendU8(nil, msgPartial)
+// partialSize is the exact length of the partial message AppendPartial
+// writes for p.
+func partialSize(kind shard.PassKind, p *shard.Partial) int {
+	n := 1 + 4*8 + (4 + 8*len(p.Labels)) + 4 + (4 + 4*len(p.Ints)) + 4
+	for i, nb := 0, p.BlobCount(kind); i < nb; i++ {
+		n += 4 + p.BlobSize(kind, i)
+	}
+	for _, codes := range p.Codes {
+		n += 4 + len(codes)
+	}
+	return n
+}
+
+// AppendPartial appends one computed partial of a pass of the given kind to
+// dst as a partial message. The message's exact size is known up front, so
+// dst grows at most once, and each blob of the typed payload is rendered
+// straight into place behind its length (filled in from what was written):
+// no byte of a partial is written twice on its way out. A worker passes the previous frame's buffer, so a
+// pass of like-sized partials is framed in one allocation. Exported, with
+// DecodePartial, so the seam tests in internal/shard can put a partial
+// through the same bytes a worker sends.
+func AppendPartial(dst []byte, passID int, kind shard.PassKind, p *shard.Partial) []byte {
+	b := dst
+	if need := len(dst) + partialSize(kind, p); cap(dst) < need {
+		b = append(make([]byte, 0, need), dst...)
+	}
+	b = appendU8(b, msgPartial)
 	b = appendI64(b, int64(passID))
 	b = appendI64(b, int64(p.Chunk))
 	b = appendI64(b, int64(p.Start))
 	b = appendI64(b, int64(p.Rows))
 	b = appendF64s(b, p.Labels)
-	b = appendU32(b, uint32(len(p.Blobs)))
-	for _, blob := range p.Blobs {
-		b = appendBytes(b, blob)
+	nb := p.BlobCount(kind)
+	b = appendU32(b, uint32(nb))
+	for i := 0; i < nb; i++ {
+		at := len(b)
+		b = p.AppendBlob(appendU32(b, 0), kind, i)
+		binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	}
 	b = appendI32s(b, p.Ints)
 	b = appendU32(b, uint32(len(p.Codes)))
@@ -653,39 +671,45 @@ func EncodePartial(passID int, p *shard.Partial) []byte {
 	return b
 }
 
-// DecodePartial is EncodePartial's inverse.
+// DecodePartial is AppendPartial's inverse, into fresh memory.
 func DecodePartial(msg []byte) (passID int, p *shard.Partial, err error) {
 	if msgType(msg) != msgPartial {
 		return 0, nil, protoErr("message type %d is not a partial", msgType(msg))
 	}
-	m, err := decodePartial(msg)
-	if err != nil {
+	m := &partialMsg{}
+	if err := decodePartial(msg, m); err != nil {
 		return 0, nil, err
 	}
 	return m.PassID, &m.Partial, nil
 }
 
-func decodePartial(p []byte) (*partialMsg, error) {
+// decodePartial fills m from a partial message, reusing the backings m kept
+// from the partial it held before. Everything is copied out of p, which is
+// typically a connection's receive buffer and is overwritten by the next
+// frame.
+func decodePartial(p []byte, m *partialMsg) error {
 	r := &reader{b: p[1:]}
-	m := &partialMsg{PassID: int(r.i64())}
-	m.Partial.Chunk = int(r.i64())
-	m.Partial.Start = int(r.i64())
-	m.Partial.Rows = int(r.i64())
-	m.Partial.Labels = r.f64s()
-	if n := r.length(); !r.fail {
-		m.Partial.Blobs = make([][]byte, n)
-		for i := range m.Partial.Blobs {
-			m.Partial.Blobs[i] = r.bytes()
-		}
+	m.PassID = int(r.i64())
+	// Only the plain backings carry over; the typed payload a fold decoded
+	// into the previous tenant is dropped with the rest of it.
+	old := m.Partial
+	m.Partial = shard.Partial{Chunk: int(r.i64()), Start: int(r.i64()), Rows: int(r.i64())}
+	m.Partial.Labels = r.f64sInto(old.Labels)
+	// Blob and code bytes are a subset of the message, so one slab of its
+	// length holds them all.
+	if m.slab = m.slab[:0]; cap(m.slab) < len(p) {
+		m.slab = make([]byte, 0, len(p))
 	}
-	m.Partial.Ints = r.i32s()
-	if n := r.length(); !r.fail {
-		m.Partial.Codes = make([][]uint8, n)
-		for i := range m.Partial.Codes {
-			m.Partial.Codes[i] = r.bytes()
-		}
+	m.Partial.Blobs = resize(old.Blobs, r.length(4))
+	for i := range m.Partial.Blobs {
+		m.Partial.Blobs[i] = r.bytesInto(&m.slab)
 	}
-	return m, r.done("partial")
+	m.Partial.Ints = r.i32sInto(old.Ints)
+	m.Partial.Codes = resize(old.Codes, r.length(4))
+	for i := range m.Partial.Codes {
+		m.Partial.Codes[i] = r.bytesInto(&m.slab)
+	}
+	return r.done("partial")
 }
 
 // --- passDone / passErr ---

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/internal/sketch"
 )
 
 // --- message codec round trips ---
@@ -164,23 +165,53 @@ func TestAssignmentHas(t *testing.T) {
 	}
 }
 
+// sketchPartial builds a base-sketch partial over cols (Ints and Codes set as
+// well, so one partial covers every field of the message) and the blobs it
+// must decode to.
+func sketchPartial(chunk int, cols ...[]float64) (*shard.Partial, [][]byte) {
+	p := &shard.Partial{
+		Chunk: chunk, Start: 1000 * chunk, Rows: len(cols[0]),
+		Labels:  []float64{0, 1, 1, 0},
+		Ints:    []int32{7, -1, int32(chunk)},
+		Codes:   [][]uint8{{0, 1, 2}, {uint8(chunk)}},
+		Moments: make([]sketch.Moments, len(cols)),
+	}
+	var blobs [][]byte
+	for i, col := range cols {
+		q := sketch.NewQuantile(64)
+		q.AddAll(col)
+		p.Quantiles = append(p.Quantiles, q)
+		p.Moments[i].AddAll(col)
+		blobs = append(blobs, sketch.AppendQuantile(nil, q), sketch.AppendMoments(nil, &p.Moments[i]))
+	}
+	return p, blobs
+}
+
+// samePlain compares what a partial carries on the wire outside its blobs.
+func samePlain(a, b *shard.Partial) bool {
+	return a.Chunk == b.Chunk && a.Start == b.Start && a.Rows == b.Rows &&
+		reflect.DeepEqual(a.Labels, b.Labels) && reflect.DeepEqual(a.Ints, b.Ints) && reflect.DeepEqual(a.Codes, b.Codes)
+}
+
 func TestPartialRoundTrip(t *testing.T) {
-	in := &partialMsg{
-		PassID: 3,
-		Partial: shard.Partial{
-			Chunk: 2, Start: 1000, Rows: 500,
-			Labels: []float64{0, 1, 1, 0},
-			Blobs:  [][]byte{{1, 2, 3}, {0xFF}},
-			Ints:   []int32{7, -1, 42},
-			Codes:  [][]uint8{{0, 1, 2}, {3}},
-		},
-	}
-	out, err := decodePartial(EncodePartial(in.PassID, &in.Partial))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("partial round trip:\n got %+v\nwant %+v", out, in)
+	in, blobs := sketchPartial(2, []float64{3, 1, 4, 1, 5}, []float64{9, 2, 6})
+	// Into a fresh container, then into the same one again: the second decode
+	// reuses the first's backings and must not be able to tell.
+	out := &partialMsg{}
+	for round := 0; round < 2; round++ {
+		if err := decodePartial(AppendPartial(nil, 3, shard.PassBaseSketch, in), out); err != nil {
+			t.Fatal(err)
+		}
+		if out.PassID != 3 || !samePlain(in, &out.Partial) || !reflect.DeepEqual(out.Partial.Blobs, blobs) {
+			t.Fatalf("partial round trip %d:\n got %+v\nwant %+v with blobs %v", round, out.Partial, in, blobs)
+		}
+		if out.Partial.Quantiles != nil || out.Partial.Moments != nil {
+			t.Fatalf("round %d: a decoded partial carries a typed payload before the fold decodes one", round)
+		}
+		// What the fold does to a container before it is recycled.
+		if err := out.Partial.Decode(shard.PassBaseSketch, sketch.NewArena()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -223,7 +254,7 @@ func decodeAny(p []byte) error {
 	case msgRunPass:
 		_, err = decodeRunPass(p)
 	case msgPartial:
-		_, err = decodePartial(p)
+		err = decodePartial(p, &partialMsg{})
 	case msgPassDone:
 		_, err = decodePassDone(p)
 	case msgPassErr:
@@ -239,8 +270,7 @@ func decodeAny(p []byte) error {
 // ProtocolError (never panic, never half-parse), and trailing garbage must
 // be rejected too.
 func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
-	p := &shard.Partial{Chunk: 1, Start: 0, Rows: 4, Labels: []float64{1, 0},
-		Blobs: [][]byte{{9}}, Ints: []int32{3}, Codes: [][]uint8{{1}}}
+	p, _ := sketchPartial(1, []float64{1, 2})
 	msgs := map[string][]byte{
 		"hello":    encodeHello(),
 		"helloAck": encodeHelloAck(),
@@ -251,7 +281,7 @@ func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
 		"ack":      encodeAck(&ack{Re: msgSetLive, Epoch: 1, OK: true, Msg: "m"}),
 		"setLive":  encodeSetLive(&setLive{Epoch: 1, Nodes: []shard.NodeSpec{{Name: "n", Op: "o", Inputs: []string{"a"}}}, Live: []string{"a"}}),
 		"runPass":  encodeRunPass(&runPass{PassID: 1, Assign: assignment{Mod: 2}, Spec: fullPassSpec()}),
-		"partial":  EncodePartial(1, p),
+		"partial":  AppendPartial(nil, 1, shard.PassBaseSketch, p),
 		"passDone": encodePassDone(&passDone{PassID: 1, Chunks: 2, Rows: 10}),
 		"passErr":  encodePassErr(&passErr{PassID: 1, Chunk: 0, Attempts: 1, Msg: "m"}),
 	}

@@ -1,0 +1,477 @@
+package dist
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
+	"net"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/frame"
+	"repro/internal/shard"
+	"repro/internal/sketch"
+)
+
+// totalAlloc returns the bytes allocated so far by this process.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// --- byte identity with the v1 encoder ---
+
+// referenceFrame is the partial message as protocol version 1 first encoded
+// it, kept here as the layout's reference: every blob appended from nil by
+// the sketch codec, the message appended from nil field by field. It shares
+// no code with AppendPartial or the Blob* methods it checks.
+func referenceFrame(passID int, kind shard.PassKind, p *shard.Partial) []byte {
+	var blobs [][]byte
+	switch kind {
+	case shard.PassBaseSketch, shard.PassSketchGen:
+		for i, q := range p.Quantiles {
+			blobs = append(blobs, sketch.AppendQuantile(nil, q), sketch.AppendMoments(nil, &p.Moments[i]))
+		}
+	case shard.PassRefine:
+		for _, r := range p.Refiners {
+			blobs = append(blobs, sketch.AppendRefinerGather(nil, r))
+		}
+	case shard.PassHistCounts:
+		for _, h := range p.Hists {
+			switch h := h.(type) {
+			case *sketch.LabelHist:
+				blobs = append(blobs, sketch.AppendLabelHist(nil, h))
+			case *sketch.ClassHist:
+				blobs = append(blobs, sketch.AppendClassHist(nil, h))
+			}
+		}
+	case shard.PassGramCodes:
+		blobs = [][]byte{sketch.AppendGram(nil, p.Gram)}
+	}
+	le := binary.LittleEndian
+	b := []byte{msgPartial}
+	for _, v := range []int{passID, p.Chunk, p.Start, p.Rows} {
+		b = le.AppendUint64(b, uint64(v))
+	}
+	b = le.AppendUint32(b, uint32(len(p.Labels)))
+	for _, v := range p.Labels {
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	b = le.AppendUint32(b, uint32(len(blobs)))
+	for _, blob := range blobs {
+		b = le.AppendUint32(b, uint32(len(blob)))
+		b = append(b, blob...)
+	}
+	b = le.AppendUint32(b, uint32(len(p.Ints)))
+	for _, v := range p.Ints {
+		b = le.AppendUint32(b, uint32(v))
+	}
+	b = le.AppendUint32(b, uint32(len(p.Codes)))
+	for _, codes := range p.Codes {
+		b = le.AppendUint32(b, uint32(len(codes)))
+		b = append(b, codes...)
+	}
+	return b
+}
+
+// identityExec is an Executor that puts every partial of a fit through the
+// worker's encoder and holds the frame to referenceFrame before folding what
+// the coordinator's decoder makes of it. One frame buffer and one container
+// serve the whole fit, the way a session and the pool reuse theirs.
+type identityExec struct {
+	t   *testing.T
+	src frame.ChunkSource
+	ws  *shard.WorkerState
+
+	frame []byte
+	m     partialMsg
+	kinds map[shard.PassKind]int
+}
+
+func (e *identityExec) Open(_ context.Context, names []string, task core.Task, sketchSize int) error {
+	e.ws = shard.NewWorkerState(names, task, sketchSize)
+	e.kinds = map[shard.PassKind]int{}
+	return nil
+}
+
+func (e *identityExec) SetLive(_ context.Context, epoch int, nodes []shard.NodeSpec, live []string) error {
+	return e.ws.SetLive(epoch, nodes, live)
+}
+
+func (e *identityExec) RunPass(_ context.Context, spec *shard.PassSpec, fold func(*shard.Partial) error) (shard.PassResult, error) {
+	var res shard.PassResult
+	if err := e.src.Reset(); err != nil {
+		return res, err
+	}
+	for {
+		c, err := e.src.Next()
+		if errors.Is(err, io.EOF) {
+			return res, nil
+		}
+		if err != nil {
+			return res, err
+		}
+		p, err := e.ws.ComputePartial(spec, c)
+		if err != nil {
+			return res, err
+		}
+		e.frame = AppendPartial(e.frame[:0], spec.Pass, spec.Kind, p)
+		if want := referenceFrame(spec.Pass, spec.Kind, p); !bytes.Equal(e.frame, want) {
+			e.t.Errorf("pass kind %d partial %d: frame of %d bytes differs from the v1 reference of %d", spec.Kind, p.Chunk, len(e.frame), len(want))
+		}
+		if len(e.frame) != partialSize(spec.Kind, p) {
+			e.t.Errorf("pass kind %d partial %d: partialSize says %d, frame has %d bytes", spec.Kind, p.Chunk, partialSize(spec.Kind, p), len(e.frame))
+		}
+		e.kinds[spec.Kind]++
+		e.ws.Release(p)
+		if err := decodePartial(e.frame, &e.m); err != nil {
+			return res, err
+		}
+		if err := fold(&e.m.Partial); err != nil {
+			return res, err
+		}
+		res.Rows += e.m.Partial.Rows
+		res.Parts++
+	}
+}
+
+// TestByteIdentityWithV1 pins that the pre-sized encoder changed where bytes
+// are held and not one of the bytes: for every task family, every partial of
+// every pass kind of a real fit frames exactly as the v1 reference encoder
+// frames it — so Version stays 1 — and the fit over those frames still
+// selects what the local fit selects.
+func TestByteIdentityWithV1(t *testing.T) {
+	want := map[string][]shard.PassKind{
+		"binary": {shard.PassBaseSketch, shard.PassCodes, shard.PassScoreBinary, shard.PassSketchGen,
+			shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes},
+		"multiclass3": {shard.PassBaseSketch, shard.PassCodes, shard.PassScoreClasses, shard.PassSketchGen,
+			shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes},
+		"regression": {shard.PassBaseSketch, shard.PassCodes, shard.PassScoreMomentIDs, shard.PassSketchGen,
+			shard.PassRefine, shard.PassHistIDs, shard.PassGramCodes},
+	}
+	for _, tc := range taskCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			ds, err := datagen.Generate(datagen.Spec{
+				Name: "identity", Train: 1200, Test: 16, Dim: 6, Interactions: 2, SignalScale: 2.5, Seed: 11,
+				Target: tc.target, Classes: tc.classes,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := core.DefaultConfig()
+			cfg.Task = tc.task
+			cfg.Seed = 1
+			cfg.Workers = 1
+			cfg.Miner.NumTrees, cfg.Ranker.NumTrees = 12, 12
+			// A sketch far smaller than the partitions makes the summaries lossy,
+			// so the refine passes really run and ship gathers.
+			fit := func(exec shard.Executor) *core.Pipeline {
+				p, _, _, err := shard.Fit(context.Background(), frame.NewFrameChunks(ds.Train, 300),
+					shard.Config{Core: cfg, SketchSize: 128, Exec: exec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			exec := &identityExec{t: t, src: frame.NewFrameChunks(ds.Train, 300)}
+			if got, local := fingerprint(fit(exec)), fingerprint(fit(nil)); got != local {
+				t.Fatalf("fit over the frames diverged from the local fit:\n got: %s\nwant: %s", got, local)
+			}
+			for _, kind := range want[tc.name] {
+				if exec.kinds[kind] == 0 {
+					t.Errorf("pass kind %d never framed", kind)
+				}
+			}
+		})
+	}
+}
+
+// --- steady-state allocation ---
+
+// sketchGenPartial builds a partial shaped like the candidate-sketch pass's:
+// n quantile summaries of 4,096 distinct values each, plus moments.
+func sketchGenPartial(n int) *shard.Partial {
+	const distinct = 4096
+	p := &shard.Partial{Chunk: 0, Rows: distinct, Moments: make([]sketch.Moments, n)}
+	col := make([]float64, distinct)
+	for i := 0; i < n; i++ {
+		for r := range col {
+			col[r] = float64(r*n + i)
+		}
+		q := sketch.NewQuantile(0)
+		q.AddAll(col)
+		p.Quantiles = append(p.Quantiles, q)
+		p.Moments[i].AddAll(col)
+	}
+	return p
+}
+
+// TestSteadyStateAlloc is the guard on the whole path a partial takes: frame
+// (worker) → Send → Recv → decodePartial into a pooled container → Decode
+// from the arena → sketches back to the arena, container back to the pool.
+// Once every buffer on that path has been sized by two warm-up rounds, a round
+// may allocate only bookkeeping — under 5% of the bytes it moves.
+func TestSteadyStateAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations inflate TotalAlloc")
+	}
+	const kind = shard.PassSketchGen
+	p := sketchGenPartial(64)
+	coord, worker := Pipe()
+	defer coord.Close()
+	defer worker.Close()
+	var (
+		buf   []byte
+		pool  partialPool
+		arena = sketch.NewArena()
+		sent  = make(chan error, 1)
+	)
+	round := func() {
+		buf = AppendPartial(buf[:0], 1, kind, p)
+		go func() { sent <- worker.Send(buf) }()
+		msg, err := coord.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+		m := pool.take()
+		if err := decodePartial(msg, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Partial.Decode(kind, arena); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(m.Partial.Quantiles); got != len(p.Quantiles) {
+			t.Fatalf("decoded %d sketches, want %d", got, len(p.Quantiles))
+		}
+		for _, q := range m.Partial.Quantiles { // what foldSketches does after each merge
+			arena.PutQuantile(q)
+		}
+		pool.put(m)
+	}
+	round()
+	round()
+	const rounds = 5
+	before := totalAlloc()
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	perRound := (totalAlloc() - before) / rounds
+	if len(buf) < 64*4096*16 {
+		t.Fatalf("frame of %d bytes is not sketch-gen sized", len(buf))
+	}
+	if limit := uint64(len(buf)) / 20; perRound >= limit {
+		t.Fatalf("a steady-state round allocates %d bytes for a %d-byte frame (limit %d)", perRound, len(buf), limit)
+	}
+}
+
+// --- the receive buffer ---
+
+// TestRecvLyingPrefixAllocatesLittle is the trust-boundary pin on the length
+// prefix: a peer that announces a 1 GiB frame and hangs up has sent four
+// bytes, and gets a truncation error for them — not a gigabyte of this
+// process's memory.
+func TestRecvLyingPrefixAllocatesLittle(t *testing.T) {
+	a, b := net.Pipe()
+	conn := NewConn(a)
+	defer conn.Close()
+	go func() {
+		_, _ = b.Write(binary.LittleEndian.AppendUint32(nil, maxFramePayload))
+		b.Close()
+	}()
+	before := totalAlloc()
+	_, err := conn.Recv()
+	spent := totalAlloc() - before
+	var fe *FrameError
+	if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.As(err, &fe) {
+		t.Fatalf("1 GiB prefix then EOF: %v, want io.ErrUnexpectedEOF or a FrameError", err)
+	}
+	if spent >= 4<<20 {
+		t.Fatalf("a lying length prefix made Recv allocate %d bytes", spent)
+	}
+}
+
+// TestRecvBufferLifecycle pins the three things the kept buffer does: a frame
+// far beyond one growth step arrives intact through the bounded steps,
+// like-sized frames after it land in the same memory, and a small frame
+// after a big one lets the big buffer go instead of pinning it per connection.
+func TestRecvBufferLifecycle(t *testing.T) {
+	coord, worker := Pipe()
+	defer coord.Close()
+	defer worker.Close()
+	big := make([]byte, 20*recvStep+17)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	big[0] = msgPartial
+	small := encodePassDone(&passDone{PassID: 1})
+	go func() {
+		for _, msg := range [][]byte{big, big, small} {
+			if err := worker.Send(msg); err != nil {
+				return
+			}
+		}
+	}()
+	sc := coord.(*streamConn)
+	first, err := coord.Recv()
+	if err != nil || !bytes.Equal(first, big) {
+		t.Fatalf("big frame: err %v, intact %v", err, bytes.Equal(first, big))
+	}
+	second, err := coord.Recv()
+	if err != nil || !bytes.Equal(second, big) {
+		t.Fatalf("second big frame: err %v, intact %v", err, bytes.Equal(second, big))
+	}
+	if &first[0] != &second[0] {
+		t.Fatal("a like-sized frame did not reuse the receive buffer")
+	}
+	got, err := coord.Recv()
+	if err != nil || !bytes.Equal(got, small) {
+		t.Fatalf("small frame: err %v, intact %v", err, bytes.Equal(got, small))
+	}
+	if cap(sc.rbuf) > recvStep {
+		t.Fatalf("receive buffer still holds %d bytes after a %d-byte frame", cap(sc.rbuf), len(small))
+	}
+}
+
+// --- reuse safety under chaos ---
+
+// TestChaosFramesSurviveBufferReuse drives distinct partials through a
+// connection whose buffer every Recv overwrites, with drops (the frame is held
+// back and redelivered by the retry) and duplicates (redelivered after the
+// original) injected, decoding each arrival into a pooled container the way
+// the coordinator's reader does and keeping it the way the pending map does.
+// Every delivery — first, retried or duplicate — must still read as the
+// partial that was sent once all later frames have gone through the buffer.
+func TestChaosFramesSurviveBufferReuse(t *testing.T) {
+	const n = 40
+	type sent struct {
+		p     *shard.Partial
+		blobs [][]byte
+	}
+	var all []sent
+	for i := 0; i < n; i++ {
+		// Sizes differ, so a later frame overwrites an earlier one only in part.
+		col := make([]float64, 20+37*(i%7))
+		for r := range col {
+			col[r] = float64(i*1000 + r)
+		}
+		p, blobs := sketchPartial(i, col)
+		all = append(all, sent{p, blobs})
+	}
+	coordEnd, worker := Pipe()
+	coord := Chaos(coordEnd, ChaosPlan{Seed: 5, DropRate: 0.25, DupRate: 0.25})
+	defer coord.Close()
+	defer worker.Close()
+	go func() {
+		var buf []byte
+		for _, s := range all {
+			buf = AppendPartial(buf[:0], 1, shard.PassBaseSketch, s.p)
+			if err := worker.Send(buf); err != nil {
+				return
+			}
+		}
+		_ = worker.Send(encodePassDone(&passDone{PassID: 1, Chunks: n}))
+	}()
+	var (
+		pool       partialPool
+		held       []*partialMsg
+		deliveries = map[int]int{}
+		drops      int
+	)
+	for {
+		msg, err := coord.Recv()
+		if err != nil {
+			if !frame.IsTransient(err) {
+				t.Fatal(err)
+			}
+			drops++
+			continue
+		}
+		if msgType(msg) == msgPassDone {
+			break
+		}
+		m := pool.take()
+		if err := decodePartial(msg, m); err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, m)
+		deliveries[m.Partial.Chunk]++
+	}
+	dups := 0
+	for _, m := range held {
+		want := all[m.Partial.Chunk]
+		if !samePlain(want.p, &m.Partial) || !reflect.DeepEqual(m.Partial.Blobs, want.blobs) {
+			t.Fatalf("partial %d no longer reads as sent after later frames reused the buffer", m.Partial.Chunk)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if deliveries[i] == 0 {
+			t.Fatalf("partial %d never arrived", i)
+		}
+		dups += deliveries[i] - 1
+	}
+	if drops == 0 || dups == 0 {
+		t.Fatalf("chaos plan injected %d drops and %d duplicates; both paths must run", drops, dups)
+	}
+}
+
+// --- the container pool ---
+
+// TestPartialPoolIsASoftCap pins the two properties the coordinator leans
+// on: take never waits (a reader that could block on a quota deadlocks the
+// fold under reassignment), and what put keeps is bounded.
+func TestPartialPoolIsASoftCap(t *testing.T) {
+	var pool partialPool
+	var taken []*partialMsg
+	for i := 0; i < 3*maxPooledPartials; i++ {
+		taken = append(taken, pool.take())
+	}
+	for _, m := range taken {
+		pool.put(m)
+	}
+	if len(pool.free) != maxPooledPartials {
+		t.Fatalf("pool keeps %d idle containers, want %d", len(pool.free), maxPooledPartials)
+	}
+	if m := pool.take(); m != taken[maxPooledPartials-1] {
+		t.Fatal("take did not hand back a pooled container")
+	}
+	pool.drop()
+	if len(pool.free) != 0 {
+		t.Fatalf("drop left %d containers", len(pool.free))
+	}
+}
+
+// TestDecodeCountGuard pins the count bound: an element count is checked
+// against the remaining bytes divided by the smallest encoding of one
+// element, so a count the payload cannot back is refused before the slice of
+// headers it would size — 24 bytes a blob, 16 a string — is allocated.
+func TestDecodeCountGuard(t *testing.T) {
+	const n = 1 << 20
+	hdr := appendU8(nil, msgPartial)
+	for i := 0; i < 4; i++ {
+		hdr = appendI64(hdr, 0)
+	}
+	hdr = appendU32(hdr, 0) // no labels
+	hdr = appendU32(hdr, n) // n blobs, backed by n bytes: a quarter of what n lengths need
+	msg := append(hdr, make([]byte, n)...)
+	before := totalAlloc()
+	err := decodePartial(msg, &partialMsg{})
+	spent := totalAlloc() - before
+	var pe *ProtocolError
+	if !errors.As(err, &pe) {
+		t.Fatalf("blob count beyond the payload: %v", err)
+	}
+	if spent > 4*uint64(len(msg)) {
+		t.Fatalf("a %d-byte frame made decodePartial allocate %d bytes", len(msg), spent)
+	}
+}

@@ -176,6 +176,11 @@ func (s *session) handleRunPass(msg []byte) error {
 	}
 	done := passDone{PassID: m.PassID}
 	idx := 0
+	// One frame buffer serves every partial of the pass, reallocated only for
+	// a partial larger than all before it; it ends with the pass, so the
+	// candidate-sketch pass's tens of megabytes are not held for the rest of
+	// the fit.
+	var frame []byte
 	for {
 		if err := s.ctx.Err(); err != nil {
 			return err
@@ -197,8 +202,8 @@ func (s *session) handleRunPass(msg []byte) error {
 		}
 		// The typed payload takes its wire form only here, at the process
 		// edge; once the frame is sent the partial's pooled buffers go back.
-		p.Encode(m.Spec.Kind)
-		err = s.conn.Send(EncodePartial(m.PassID, p))
+		frame = AppendPartial(frame[:0], m.PassID, m.Spec.Kind, p)
+		err = s.conn.Send(frame)
 		done.Chunks++
 		done.Rows += int64(p.Rows)
 		s.ws.Release(p)

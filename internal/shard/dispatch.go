@@ -22,8 +22,8 @@ import (
 // delivers the resulting Partials to the fitter's fold in partition-index
 // order. Executors differ in transport only: the in-process one (runner.go)
 // hands each *Partial to the fold by pointer, dist.Coordinator ships it
-// between processes in its wire form (Partial.Encode on the worker, decoded
-// by the fitter's fold wrapper). The fold sequence is the same either way,
+// between processes in its wire form (Partial.AppendBlob into the worker's
+// frame, Partial.Decode in the fitter's fold wrapper). The fold sequence is the same either way,
 // so selection is bit-identical for any worker count or placement.
 
 // PassKind identifies which streaming pass a PassSpec describes.
@@ -194,17 +194,18 @@ func newCriterionHist(task core.Task, cuts []float64) sketch.CriterionHist {
 //	GramCodes:      Gram = co-moment partial; Codes[i] = chunk ranker codes
 //	                of Entries[i] when its NeedCodes is set (nil otherwise).
 //
-// Kernels fill the typed fields only. Blobs is their wire form — Encode
-// renders it just before a partial leaves the process, and the fitter's fold
-// wrapper decodes it back, validating every count before a fold indexes by
-// it:
+// Kernels fill the typed fields only. Blobs is their wire form on the
+// receiving side: a distributed worker renders blob i straight into its frame
+// (BlobCount, BlobSize, AppendBlob), the transport delivers the blobs as
+// Blobs, and the fitter's fold wrapper decodes them back (Decode), validating
+// every count before a fold indexes by it:
 //
 //	BaseSketch, SketchGen: Blobs[2i], Blobs[2i+1] = quantile, moments i.
 //	Refine, HistCounts:    Blobs[i] = gather / histogram partial i.
 //	GramCodes:             Blobs[0] = Gram partial.
 //
 // Labels, Ints and Codes are plain and travel as they are, so the transport
-// codec stays kind-agnostic.
+// codec never looks inside a payload.
 type Partial struct {
 	Chunk  int
 	Start  int
@@ -223,41 +224,81 @@ type Partial struct {
 	codeSlab []uint8 // arena backing of Codes
 }
 
-// Encode renders the typed payload into Blobs. The distributed worker calls
-// it right before the transport codec; an in-process executor never does.
-func (p *Partial) Encode(kind PassKind) {
+// BlobCount is how many blobs the kind's typed payload renders to on the
+// wire. With BlobSize and AppendBlob it is the encoding half of the seam: the
+// transport codec sizes its frame exactly from the first two and has the
+// third render each blob straight into it, so a partial's bytes are written
+// once, into memory that was sized once. An in-process executor calls none of
+// them.
+func (p *Partial) BlobCount(kind PassKind) int {
 	switch kind {
 	case PassBaseSketch, PassSketchGen:
-		p.Blobs = make([][]byte, 2*len(p.Quantiles))
-		for i, q := range p.Quantiles {
-			p.Blobs[2*i] = sketch.AppendQuantile(nil, q)
-			p.Blobs[2*i+1] = sketch.AppendMoments(nil, &p.Moments[i])
-		}
+		return 2 * len(p.Quantiles)
 	case PassRefine:
-		p.Blobs = make([][]byte, len(p.Refiners))
-		for i, r := range p.Refiners {
-			p.Blobs[i] = sketch.AppendRefinerGather(nil, r)
-		}
+		return len(p.Refiners)
 	case PassHistCounts:
-		p.Blobs = make([][]byte, len(p.Hists))
-		for i, h := range p.Hists {
-			switch h := h.(type) {
-			case *sketch.LabelHist:
-				p.Blobs[i] = sketch.AppendLabelHist(nil, h)
-			case *sketch.ClassHist:
-				p.Blobs[i] = sketch.AppendClassHist(nil, h)
-			}
-		}
+		return len(p.Hists)
 	case PassGramCodes:
-		p.Blobs = [][]byte{sketch.AppendGram(nil, p.Gram)}
+		return 1
 	}
+	return 0
 }
 
-// decode is Encode's inverse for a partial that arrived in wire form (Blobs
-// set, no typed payload); a partial handed over by pointer passes through
-// untouched. Blobs stays in place. Counts are not checked here — every fold
-// validates the typed payload's shape, whichever way it arrived.
-func (p *Partial) decode(kind PassKind) error {
+// BlobSize is the exact encoded size of blob i — every family's size is a
+// closed formula of its lengths.
+func (p *Partial) BlobSize(kind PassKind, i int) int {
+	switch kind {
+	case PassBaseSketch, PassSketchGen:
+		if i%2 == 1 {
+			return sketch.MomentsWireSize
+		}
+		return sketch.QuantileWireSize(p.Quantiles[i/2])
+	case PassRefine:
+		return sketch.RefinerGatherWireSize(p.Refiners[i])
+	case PassHistCounts:
+		switch h := p.Hists[i].(type) {
+		case *sketch.LabelHist:
+			return sketch.LabelHistWireSize(h)
+		case *sketch.ClassHist:
+			return sketch.ClassHistWireSize(h)
+		}
+	case PassGramCodes:
+		return sketch.GramWireSize(p.Gram)
+	}
+	return 0
+}
+
+// AppendBlob appends blob i's wire form — BlobSize(kind, i) bytes — to b.
+func (p *Partial) AppendBlob(b []byte, kind PassKind, i int) []byte {
+	switch kind {
+	case PassBaseSketch, PassSketchGen:
+		if i%2 == 1 {
+			return sketch.AppendMoments(b, &p.Moments[i/2])
+		}
+		return sketch.AppendQuantile(b, p.Quantiles[i/2])
+	case PassRefine:
+		return sketch.AppendRefinerGather(b, p.Refiners[i])
+	case PassHistCounts:
+		switch h := p.Hists[i].(type) {
+		case *sketch.LabelHist:
+			return sketch.AppendLabelHist(b, h)
+		case *sketch.ClassHist:
+			return sketch.AppendClassHist(b, h)
+		}
+	case PassGramCodes:
+		return sketch.AppendGram(b, p.Gram)
+	}
+	return b
+}
+
+// Decode rebuilds the typed payload of a partial that arrived in wire form
+// (Blobs set, no typed payload); a partial handed over by pointer passes
+// through untouched. Blobs stays in place and is not referenced by the typed payload.
+// Quantile and Gram partials are drawn from the arena: the fold returns them
+// there once merged, so the next partial decodes into the same memory. Counts
+// are not checked here — every fold validates the typed payload's shape,
+// whichever way it arrived.
+func (p *Partial) Decode(kind PassKind, arena *sketch.Arena) error {
 	if len(p.Blobs) == 0 || p.Quantiles != nil || p.Refiners != nil || p.Hists != nil || p.Gram != nil {
 		return nil
 	}
@@ -273,15 +314,16 @@ func (p *Partial) decode(kind PassKind) error {
 		p.Quantiles = make([]*sketch.Quantile, n)
 		p.Moments = make([]sketch.Moments, n)
 		for i := 0; i < n; i++ {
-			q, _, err := sketch.DecodeQuantile(p.Blobs[2*i])
+			q, _, err := arena.DecodeQuantile(p.Blobs[2*i])
 			if err != nil {
 				return fail(2*i, err)
 			}
+			p.Quantiles[i] = q
 			mom, _, err := sketch.DecodeMoments(p.Blobs[2*i+1])
 			if err != nil {
 				return fail(2*i+1, err)
 			}
-			p.Quantiles[i], p.Moments[i] = q, *mom
+			p.Moments[i] = *mom
 		}
 	case PassRefine:
 		p.Refiners = make([]*sketch.Refiner, len(p.Blobs))
@@ -309,7 +351,7 @@ func (p *Partial) decode(kind PassKind) error {
 		if len(p.Blobs) != 1 {
 			return fmt.Errorf("shard: gram partial %d has %d blobs, want 1", p.Chunk, len(p.Blobs))
 		}
-		g, _, err := sketch.DecodeGram(p.Blobs[0])
+		g, _, err := arena.DecodeGram(p.Blobs[0])
 		if err != nil {
 			return fail(0, err)
 		}

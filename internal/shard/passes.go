@@ -36,7 +36,7 @@ func (f *fitter) runPass(spec *PassSpec, fold func(*Partial) error) error {
 		if f.n > 0 && p.Start+p.Rows > f.n {
 			return fmt.Errorf("shard: pass %d partial %d spans rows [%d,%d) of %d", spec.Kind, p.Chunk, p.Start, p.Start+p.Rows, f.n)
 		}
-		if err := p.decode(spec.Kind); err != nil {
+		if err := p.Decode(spec.Kind, f.arena); err != nil {
 			return err
 		}
 		return fold(p)
@@ -567,7 +567,12 @@ func (f *fitter) passGramAndCodes(entries []*candidate, keptA []int) error {
 		if p.Gram == nil || p.Gram.K() != len(kept) {
 			return fmt.Errorf("shard: gram partial %d does not cover the %d surviving columns", p.Chunk, len(kept))
 		}
+		// Back to the arena at once, like a merged quantile partial: a partial
+		// that came over the wire was decoded from it, and no executor takes
+		// those back.
 		f.gram.Merge(p.Gram)
+		f.arena.PutGram(p.Gram)
+		p.Gram = nil
 		for gi, en := range kept {
 			if specs[gi].NeedCodes {
 				if err := placeCodes(en.codes, p, gi); err != nil {

@@ -21,8 +21,9 @@ import (
 // seamExec is a fake Executor standing exactly on the seam: it streams a
 // source through WorkerState.ComputePartial one chunk at a time and hands
 // each partial to the fold either by pointer or after the full wire hop
-// (Partial.Encode → dist's partial frame → decode inside the fold). One
-// partial of one pass kind can be corrupted on the way.
+// (dist's partial frame with its blobs rendered by Partial.AppendBlob, then
+// Partial.Decode inside the fold). One partial of one pass kind can be
+// corrupted on the way.
 type seamExec struct {
 	src  frame.ChunkSource
 	wire bool
@@ -35,6 +36,8 @@ type seamExec struct {
 	ws    *shard.WorkerState
 	kinds map[shard.PassKind]int
 	specs []uint64 // digest of every pass spec, in issue order
+
+	frame []byte // reused across partials, as a dist worker reuses its own
 }
 
 func (e *seamExec) Open(_ context.Context, names []string, task core.Task, sketchSize int) error {
@@ -78,8 +81,8 @@ func (e *seamExec) RunPass(_ context.Context, spec *shard.PassSpec, fold func(*s
 		}
 		p := computed
 		if e.wire {
-			computed.Encode(spec.Kind)
-			if _, p, err = dist.DecodePartial(dist.EncodePartial(spec.Pass, computed)); err != nil {
+			e.frame = dist.AppendPartial(e.frame[:0], spec.Pass, spec.Kind, computed)
+			if _, p, err = dist.DecodePartial(e.frame); err != nil {
 				return res, err
 			}
 		}

@@ -4,7 +4,9 @@ import "sync"
 
 // Arena recycles the transient objects the sharded fit's streaming passes
 // churn through: per-partition quantile sketch partials, float/int/code scratch
-// columns, and Gram partials. Everything handed out is logically fresh —
+// columns, and Gram partials — computed by a local kernel or, on a
+// distributed fit's coordinator, decoded off the wire (DecodeQuantile and
+// DecodeGram in wire.go). Everything handed out is logically fresh —
 // sketches are Reset, accumulators zeroed, overwrite-only buffers handed
 // out as-is — so reuse never changes any computed statistic; it only
 // removes the allocation churn that dominated the sharded engine's profile

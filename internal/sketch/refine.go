@@ -404,15 +404,17 @@ func (r *Refiner) AddOutside(bucket int, n int64) {
 }
 
 // Merge folds a refiner built over another partition (with identical
-// targets and brackets) into r.
+// targets and brackets) into r. Only o's gather accumulators are read, so o
+// may be a decoded wire partial, which has nothing else.
 func (r *Refiner) Merge(o *Refiner) {
-	for t := range r.ranks {
+	nt := len(r.ranks)
+	for t := 0; t < nt; t++ {
 		r.lowDelta[t] += o.lowDelta[t]
 		r.loEq[t] += o.loEq[t]
 		r.hiEq[t] += o.hiEq[t]
 		r.mid[t] = append(r.mid[t], o.mid[t]...)
 	}
-	r.lowDelta[len(r.ranks)] += o.lowDelta[len(o.ranks)]
+	r.lowDelta[nt] += o.lowDelta[nt]
 }
 
 func (r *Refiner) finalize() {

@@ -17,6 +17,12 @@ import (
 // so merging a decoded partial is arithmetically identical to merging the
 // original, which is what keeps a distributed fit's selections bit-identical
 // to the single-process engine's.
+//
+// Every family a partial ships has a *WireSize next to its Append*: the
+// encoded size is a closed formula of the sketch's lengths, so the sender
+// sizes its frame once and the appends never grow it. On the receiving side
+// the two families a fold recycles, Quantile and Gram, also decode out of an
+// Arena (Arena.DecodeQuantile, Arena.DecodeGram).
 
 // Wire family tags. Values are part of the format and must never be reused.
 const (
@@ -136,19 +142,45 @@ func appendI64s(b []byte, vs []int64) []byte {
 	return b
 }
 
-func readI64s(b []byte, family string) ([]int64, []byte, error) {
+// readCount consumes the u32 length of a slice of 8-byte values that must
+// hold exactly want of them, all present in the remaining input.
+func readCount(b []byte, want int, family string) ([]byte, error) {
 	n, b, ok := readU32(b)
 	if !ok {
-		return nil, b, decErr(family, "truncated slice length")
+		return b, decErr(family, "truncated slice length")
+	}
+	if int64(n) != int64(want) {
+		return b, decErr(family, "slice of %d values, want %d", n, want)
 	}
 	if uint64(n)*8 > uint64(len(b)) {
-		return nil, b, decErr(family, "slice length %d exceeds remaining %d bytes", n, len(b))
+		return b, decErr(family, "slice length %d exceeds remaining %d bytes", n, len(b))
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i], b, _ = readI64(b)
+	return b, nil
+}
+
+// readF64sInto reads a u32-length-prefixed float64 slice straight into dst,
+// whose length is the count the input must carry.
+func readF64sInto(dst []float64, b []byte, family string) ([]byte, error) {
+	b, err := readCount(b, len(dst), family)
+	if err != nil {
+		return b, err
 	}
-	return out, b, nil
+	for i := range dst {
+		dst[i], b, _ = readF64(b)
+	}
+	return b, nil
+}
+
+// readI64sInto is readF64sInto for int64 slices.
+func readI64sInto(dst []int64, b []byte, family string) ([]byte, error) {
+	b, err := readCount(b, len(dst), family)
+	if err != nil {
+		return b, err
+	}
+	for i := range dst {
+		dst[i], b, _ = readI64(b)
+	}
+	return b, nil
 }
 
 // readTag consumes and verifies the family tag byte.
@@ -203,9 +235,33 @@ func AppendQuantile(b []byte, q *Quantile) []byte {
 	return b
 }
 
+// QuantileWireSize returns the exact number of bytes AppendQuantile appends
+// for q (normalising its pending buffer first, as AppendQuantile does), so an
+// encoder can size its buffer once instead of growing it.
+func QuantileWireSize(q *Quantile) int {
+	q.flush()
+	n := 1 + 4 + 8 + 8 + 8 + 8 + 4
+	for _, pts := range q.levels {
+		n += 4 + 8 + 16*len(pts)
+	}
+	return n
+}
+
 // DecodeQuantile decodes a sketch serialized by AppendQuantile, returning the
 // sketch and the unconsumed remainder of the buffer.
 func DecodeQuantile(b []byte) (*Quantile, []byte, error) {
+	return decodeQuantile(b, nil)
+}
+
+// DecodeQuantile is the package-level DecodeQuantile drawing the sketch from
+// the arena: a recycled sketch's retired level backings take the decoded
+// points, so a fold that returns each partial with PutQuantile after merging
+// it decodes the next one without allocating.
+func (a *Arena) DecodeQuantile(b []byte) (*Quantile, []byte, error) {
+	return decodeQuantile(b, a)
+}
+
+func decodeQuantile(b []byte, a *Arena) (*Quantile, []byte, error) {
 	const fam = "quantile"
 	b, err := readTag(b, wireQuantile, fam)
 	if err != nil {
@@ -215,62 +271,82 @@ func DecodeQuantile(b []byte) (*Quantile, []byte, error) {
 	if !ok || size == 0 || size > maxWireSketchSize {
 		return nil, b, decErr(fam, "bad size %d", size)
 	}
-	q := NewQuantile(int(size))
+	var q *Quantile
+	if a != nil {
+		q = a.Quantile(int(size))
+	} else {
+		q = NewQuantile(int(size))
+	}
+	if b, err = q.decodeBody(b); err != nil {
+		if a != nil {
+			a.PutQuantile(q)
+		}
+		return nil, b, err
+	}
+	return q, b, nil
+}
+
+// decodeBody fills a fresh or reset sketch from everything after the size
+// field, drawing level backings from the sketch's own free list.
+func (q *Quantile) decodeBody(b []byte) ([]byte, error) {
+	const fam = "quantile"
+	var ok bool
 	if q.count, b, ok = readI64(b); !ok || q.count < 0 {
-		return nil, b, decErr(fam, "bad count")
+		return b, decErr(fam, "bad count")
 	}
 	if q.nan, b, ok = readI64(b); !ok || q.nan < 0 {
-		return nil, b, decErr(fam, "bad nan count")
+		return b, decErr(fam, "bad nan count")
 	}
 	if q.min, b, ok = readF64(b); !ok {
-		return nil, b, decErr(fam, "truncated min")
+		return b, decErr(fam, "truncated min")
 	}
 	if q.max, b, ok = readF64(b); !ok {
-		return nil, b, decErr(fam, "truncated max")
+		return b, decErr(fam, "truncated max")
 	}
 	if math.IsNaN(q.min) || math.IsNaN(q.max) {
-		return nil, b, decErr(fam, "NaN extremum")
+		return b, decErr(fam, "NaN extremum")
 	}
 	nlevels, b, ok := readU32(b)
 	if !ok || nlevels > maxWireLevels {
-		return nil, b, decErr(fam, "bad level count %d", nlevels)
+		return b, decErr(fam, "bad level count %d", nlevels)
 	}
 	var total int64
-	q.levels = make([][]wpoint, nlevels)
-	q.errs = make([]int64, nlevels)
-	for level := range q.levels {
+	for level := 0; level < int(nlevels); level++ {
 		npts, rest, ok := readU32(b)
 		b = rest
 		if !ok {
-			return nil, b, decErr(fam, "truncated level %d", level)
+			return b, decErr(fam, "truncated level %d", level)
 		}
-		if q.errs[level], b, ok = readI64(b); !ok || q.errs[level] < 0 {
-			return nil, b, decErr(fam, "bad level %d error", level)
+		var lerr int64
+		if lerr, b, ok = readI64(b); !ok || lerr < 0 {
+			return b, decErr(fam, "bad level %d error", level)
 		}
 		if uint64(npts)*16 > uint64(len(b)) {
-			return nil, b, decErr(fam, "level %d point count %d exceeds input", level, npts)
+			return b, decErr(fam, "level %d point count %d exceeds input", level, npts)
 		}
-		if npts == 0 {
-			continue // an emptied level slot is nil, matching push's bookkeeping
+		// An emptied level slot is nil, matching push's bookkeeping.
+		var pts []wpoint
+		if npts > 0 {
+			pts = q.takeFree(int(npts))[:npts]
 		}
-		pts := make([]wpoint, npts)
+		q.levels = append(q.levels, pts)
+		q.errs = append(q.errs, lerr)
 		for i := range pts {
 			pts[i].v, b, _ = readF64(b)
 			pts[i].w, b, _ = readI64(b)
 			if math.IsNaN(pts[i].v) || pts[i].w <= 0 {
-				return nil, b, decErr(fam, "level %d point %d invalid", level, i)
+				return b, decErr(fam, "level %d point %d invalid", level, i)
 			}
 			if i > 0 && pts[i].v < pts[i-1].v {
-				return nil, b, decErr(fam, "level %d points not sorted at %d", level, i)
+				return b, decErr(fam, "level %d points not sorted at %d", level, i)
 			}
 			total += pts[i].w
 		}
-		q.levels[level] = pts
 	}
 	if total != q.count {
-		return nil, b, decErr(fam, "level weights sum to %d, count says %d", total, q.count)
+		return b, decErr(fam, "level weights sum to %d, count says %d", total, q.count)
 	}
-	return q, b, nil
+	return b, nil
 }
 
 // --- Moments ---
@@ -285,6 +361,9 @@ func AppendMoments(b []byte, m *Moments) []byte {
 	b = appendI64(b, m.NaNs)
 	return b
 }
+
+// MomentsWireSize is the number of bytes AppendMoments appends.
+const MomentsWireSize = 1 + 5*8
 
 // DecodeMoments decodes an accumulator serialized by AppendMoments.
 func DecodeMoments(b []byte) (*Moments, []byte, error) {
@@ -328,6 +407,12 @@ func AppendLabelHist(b []byte, h *LabelHist) []byte {
 	b = appendF64(b, h.nanPos)
 	b = appendF64(b, h.nanNeg)
 	return b
+}
+
+// LabelHistWireSize returns the exact number of bytes AppendLabelHist appends
+// for h.
+func LabelHistWireSize(h *LabelHist) int {
+	return 1 + 3*4 + 8*(len(h.cuts)+len(h.pos)+len(h.neg)) + 2*8
 }
 
 // DecodeLabelHist decodes a histogram serialized by AppendLabelHist.
@@ -378,6 +463,12 @@ func AppendClassHist(b []byte, h *ClassHist) []byte {
 	b = appendF64s(b, h.flat)
 	b = appendF64s(b, h.nan)
 	return b
+}
+
+// ClassHistWireSize returns the exact number of bytes AppendClassHist appends
+// for h.
+func ClassHistWireSize(h *ClassHist) int {
+	return 1 + 4 + 3*4 + 8*(len(h.cuts)+len(h.flat)+len(h.nan))
 }
 
 // DecodeClassHist decodes a histogram serialized by AppendClassHist.
@@ -487,8 +578,23 @@ func AppendGram(b []byte, g *Gram) []byte {
 	return b
 }
 
+// GramWireSize returns the exact number of bytes AppendGram appends for g.
+func GramWireSize(g *Gram) int {
+	return 1 + 4 + 8 + 4*(4+8*len(g.sxy))
+}
+
 // DecodeGram decodes an accumulator serialized by AppendGram.
 func DecodeGram(b []byte) (*Gram, []byte, error) {
+	return decodeGram(b, nil)
+}
+
+// DecodeGram is the package-level DecodeGram drawing the accumulator from the
+// arena; the caller returns it with PutGram once it is merged.
+func (a *Arena) DecodeGram(b []byte) (*Gram, []byte, error) {
+	return decodeGram(b, a)
+}
+
+func decodeGram(b []byte, a *Arena) (*Gram, []byte, error) {
 	const fam = "gram"
 	b, err := readTag(b, wireGram, fam)
 	if err != nil {
@@ -502,33 +608,33 @@ func DecodeGram(b []byte) (*Gram, []byte, error) {
 	if !ok || rows < 0 {
 		return nil, b, decErr(fam, "bad row count")
 	}
-	sxy, b, err := readF64s(b, fam)
-	if err != nil {
-		return nil, b, err
+	// The width fixes the size of everything that follows; checked before the
+	// accumulator it sizes is allocated.
+	pairs := uint64(k) * (uint64(k) - 1) / 2 // k = 0: 0 × anything
+	if 4*(4+8*pairs) > uint64(len(b)) {
+		return nil, b, decErr(fam, "width %d wants %d pairs, %d bytes remain", k, pairs, len(b))
 	}
-	sx, b, err := readF64s(b, fam)
-	if err != nil {
-		return nil, b, err
+	var g *Gram
+	if a != nil {
+		g = a.Gram(int(k))
+	} else {
+		g = NewGram(int(k))
 	}
-	sy, b, err := readF64s(b, fam)
-	if err != nil {
-		return nil, b, err
-	}
-	cnt, b, err := readI64s(b, fam)
-	if err != nil {
-		return nil, b, err
-	}
-	pairs := int(k) * (int(k) - 1) / 2
-	if len(sxy) != pairs || len(sx) != pairs || len(sy) != pairs || len(cnt) != pairs {
-		return nil, b, decErr(fam, "width %d wants %d pairs, got %d/%d/%d/%d",
-			k, pairs, len(sxy), len(sx), len(sy), len(cnt))
-	}
-	g := NewGram(int(k))
 	g.rows = rows
-	copy(g.sxy, sxy)
-	copy(g.sx, sx)
-	copy(g.sy, sy)
-	copy(g.cnt, cnt)
+	for _, dst := range [][]float64{g.sxy, g.sx, g.sy} {
+		if b, err = readF64sInto(dst, b, fam); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		b, err = readI64sInto(g.cnt, b, fam)
+	}
+	if err != nil {
+		if a != nil {
+			a.PutGram(g)
+		}
+		return nil, b, err
+	}
 	return g, b, nil
 }
 
@@ -578,9 +684,20 @@ func AppendRefinerGather(b []byte, r *Refiner) []byte {
 	return b
 }
 
+// RefinerGatherWireSize returns the exact number of bytes AppendRefinerGather
+// appends for r.
+func RefinerGatherWireSize(r *Refiner) int {
+	nt := len(r.ranks)
+	n := 1 + 4 + 8*(nt+1) + nt*(8+8+4)
+	for _, m := range r.mid[:nt] {
+		n += 8 * len(m)
+	}
+	return n
+}
+
 // DecodeRefinerGather decodes a partial serialized by AppendRefinerGather
-// into a refiner suitable only as a Merge argument (its brackets are empty;
-// only the accumulators and target count carry over).
+// into a refiner suitable only as a Merge argument: it has accumulators and
+// through them a target count, but no ranks and no brackets.
 func DecodeRefinerGather(b []byte) (*Refiner, []byte, error) {
 	const fam = "refgather"
 	b, err := readTag(b, wireRefGather, fam)
@@ -591,25 +708,22 @@ func DecodeRefinerGather(b []byte) (*Refiner, []byte, error) {
 	if !ok || nt > maxWireSketchSize {
 		return nil, b, decErr(fam, "bad target count %d", nt)
 	}
-	if uint64(nt+1)*8 > uint64(len(b)) {
+	// Every target carries at least its lowDelta, loEq, hiEq and a gather length.
+	if 8+uint64(nt)*(8+8+8+4) > uint64(len(b)) {
 		return nil, b, decErr(fam, "target count %d exceeds input", nt)
 	}
 	r := &Refiner{
-		ranks:    make([]int64, nt),
-		lo:       make([]float64, nt),
-		hi:       make([]float64, nt),
-		resolved: make([]bool, nt),
 		lowDelta: make([]int64, nt+1),
 		loEq:     make([]int64, nt),
 		hiEq:     make([]int64, nt),
 		mid:      make([][]float64, nt),
 	}
-	for t := 0; t <= int(nt); t++ {
+	for t := range r.lowDelta {
 		if r.lowDelta[t], b, ok = readI64(b); !ok || r.lowDelta[t] < 0 {
 			return nil, b, decErr(fam, "bad lowDelta %d", t)
 		}
 	}
-	for t := 0; t < int(nt); t++ {
+	for t := range r.mid {
 		if r.loEq[t], b, ok = readI64(b); !ok || r.loEq[t] < 0 {
 			return nil, b, decErr(fam, "bad loEq %d", t)
 		}
@@ -627,8 +741,8 @@ func DecodeRefinerGather(b []byte) (*Refiner, []byte, error) {
 // count first — a merge from the wire must not trust the peer's shape (a
 // bare Merge indexes the argument's accumulators by r's target count).
 func (r *Refiner) MergeWire(o *Refiner) error {
-	if len(o.ranks) != len(r.ranks) {
-		return decErr("refgather", "gather partial covers %d targets, want %d", len(o.ranks), len(r.ranks))
+	if len(o.loEq) != len(r.ranks) {
+		return decErr("refgather", "gather partial covers %d targets, want %d", len(o.loEq), len(r.ranks))
 	}
 	r.Merge(o)
 	return nil

@@ -111,12 +111,15 @@ func FuzzSketchDecode(f *testing.F) {
 				s.Dot(0, 1, 0, 1, 0, 1)
 			}
 		case *Refiner:
+			nt := len(s.loEq) // a decoded gather carries accumulators only
 			master := NewShadowRefiner(
-				make([]int64, len(s.ranks)),
-				make([]float64, len(s.ranks)),
-				make([]float64, len(s.ranks)),
-				make([]bool, len(s.ranks)))
-			master.Merge(s)
+				make([]int64, nt),
+				make([]float64, nt),
+				make([]float64, nt),
+				make([]bool, nt))
+			if err := master.MergeWire(s); err != nil {
+				t.Fatalf("merge into a same-width master: %v", err)
+			}
 		default:
 			t.Fatalf("unexpected decode type %T", v)
 		}

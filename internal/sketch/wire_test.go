@@ -228,3 +228,107 @@ func TestDecodeCorruptedTyped(t *testing.T) {
 		}
 	}
 }
+
+// TestWireSizesExact pins every *WireSize against the encoder it sizes: an
+// encoder that reserves by these writes each byte once, into room that was
+// there.
+func TestWireSizesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 40, 700, 5000} {
+		q := randomQuantile(rng, 64, n)
+		if got, want := QuantileWireSize(q), len(AppendQuantile(nil, q)); got != want {
+			t.Fatalf("quantile over %d values: size %d, encodes to %d", n, got, want)
+		}
+	}
+	m := &Moments{}
+	m.AddAll([]float64{1, 2, math.NaN()})
+	if got := len(AppendMoments(nil, m)); got != MomentsWireSize {
+		t.Fatalf("moments: size %d, encodes to %d", MomentsWireSize, got)
+	}
+	lh := NewLabelHist([]float64{-1, 0, 1})
+	lh.AddCol([]float64{-2, 0.5, math.NaN()}, []float64{1, 0, 1})
+	if got, want := LabelHistWireSize(lh), len(AppendLabelHist(nil, lh)); got != want {
+		t.Fatalf("labelhist: size %d, encodes to %d", got, want)
+	}
+	ch := NewClassHist([]float64{0, 2}, 3)
+	ch.AddCol([]float64{-1, 1, 3}, []float64{0, 1, 2})
+	if got, want := ClassHistWireSize(ch), len(AppendClassHist(nil, ch)); got != want {
+		t.Fatalf("classhist: size %d, encodes to %d", got, want)
+	}
+	for _, k := range []int{0, 1, 2, 5} {
+		g := NewGram(k)
+		if got, want := GramWireSize(g), len(AppendGram(nil, g)); got != want {
+			t.Fatalf("gram k=%d: size %d, encodes to %d", k, got, want)
+		}
+	}
+	q := randomQuantile(rng, 32, 3000)
+	sh := NewRefiner(q, CutRanks(q.Count(), 10)).Shadow()
+	sh.AddChunk([]float64{0.5, -3, 12, 12, 7})
+	if got, want := RefinerGatherWireSize(sh), len(AppendRefinerGather(nil, sh)); got != want {
+		t.Fatalf("refgather: size %d, encodes to %d", got, want)
+	}
+}
+
+// TestArenaDecodeRecycles pins the coordinator's decode path: a quantile or
+// Gram partial decoded from the arena equals one decoded into fresh memory,
+// comes back out of the arena once returned to it, and a rejected input
+// leaves nothing behind that the next decode could trip over.
+func TestArenaDecodeRecycles(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	a := NewArena()
+	encA := AppendQuantile(nil, randomQuantile(rng, 64, 3000))
+	encB := AppendQuantile(nil, randomQuantile(rng, 64, 900))
+	var prev *Quantile
+	for round, enc := range [][]byte{encA, encB, encA[:len(encA)/2], encB} {
+		want, _, werr := DecodeQuantile(enc)
+		got, rest, err := a.DecodeQuantile(enc)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("round %d: arena decode err %v, fresh decode err %v", round, err, werr)
+		}
+		if err != nil {
+			var de *DecodeError
+			if !errors.As(err, &de) || got != nil {
+				t.Fatalf("round %d: rejected input returned %v, %v", round, got, err)
+			}
+			continue
+		}
+		if len(rest) != 0 || got.count != want.count || got.nan != want.nan || got.min != want.min || got.max != want.max ||
+			!reflect.DeepEqual(got.levels, want.levels) || !reflect.DeepEqual(got.errs, want.errs) {
+			t.Fatalf("round %d: arena decode differs from fresh decode", round)
+		}
+		if prev != nil && got != prev {
+			t.Fatalf("round %d: decode did not draw the sketch returned to the arena", round)
+		}
+		a.PutQuantile(got)
+		prev = got
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		q, _, _ := a.DecodeQuantile(encA)
+		a.PutQuantile(q)
+	}); allocs > 0 {
+		t.Fatalf("steady-state arena decode allocates %v times", allocs)
+	}
+
+	g := NewGram(4)
+	g.AddChunk([][]float64{{1, 2, 3}, {2, 1, math.NaN()}, {0, 5, 1}, {4, 4, 2}})
+	enc := AppendGram(nil, g)
+	first, _, err := a.DecodeGram(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.PutGram(first)
+	second, _, err := a.DecodeGram(enc)
+	if err != nil || second != first {
+		t.Fatalf("gram decode did not recycle: %v, same=%v", err, second == first)
+	}
+	if second.rows != g.rows || !reflect.DeepEqual(second.sxy, g.sxy) || !reflect.DeepEqual(second.cnt, g.cnt) {
+		t.Fatal("recycled gram decode differs from the source")
+	}
+	// A width the input cannot back is refused before it sizes anything.
+	wide := append([]byte(nil), enc...)
+	wide[1], wide[2] = 0xFF, 0xFF // k = 65535
+	var de *DecodeError
+	if _, _, err := a.DecodeGram(wide); !errors.As(err, &de) {
+		t.Fatalf("gram with an unbacked width: %v", err)
+	}
+}
