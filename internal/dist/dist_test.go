@@ -189,6 +189,13 @@ func localFingerprints(t *testing.T, train *frame.Frame, cfg core.Config, chunkR
 // every task family, transport, and worker count, a distributed fit selects
 // features bit-identical to both the local sharded engine and the in-memory
 // engine on the same rows. Runs under -race in CI.
+//
+// It is also the shared-pool pin: the in-process fleets put every worker
+// session's column loops and the coordinator's fold on the one
+// parallel.Default() pool, where each finds the helpers taken by the others
+// most of the time and must carry on inline. CI runs it by name with
+// -cpu 1,4 and a short -timeout, so a caller queueing behind another shows as
+// a hang there rather than as a slow fit.
 func TestDistributedFitMatchesLocal(t *testing.T) {
 	const rows, dim, parts = 2000, 8, 4
 	chunkRows := (rows + parts - 1) / parts

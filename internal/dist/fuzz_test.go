@@ -1,14 +1,17 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/shard"
 )
 
@@ -17,9 +20,16 @@ import (
 // mutates from.
 func distSeedFrames() map[string][]byte {
 	p, _ := sketchPartial(1, []float64{3, 1, 4, 1, 5}, []float64{2, 7})
+	// A score spec whose combination names a live feature no worker has: it
+	// decodes, and the kernel it is then driven through must refuse it.
+	score := &shard.PassSpec{Pass: 4, Kind: shard.PassScoreBinary, Epoch: 1, Combos: []shard.ComboSpec{
+		{Features: []int{0, 2}, Values: [][]float64{{0.5}, {-1, 1}}},
+		{Features: []int{1, 1 << 20}, Values: [][]float64{{0}, {0}}},
+	}}
 	return map[string][]byte{
-		"partial": AppendPartial(nil, 3, shard.PassBaseSketch, p),
-		"runPass": encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
+		"runPass-score": encodeRunPass(&runPass{PassID: 6, Assign: assignment{Mod: 2, Residue: 1}, Spec: score}),
+		"partial":       AppendPartial(nil, 3, shard.PassBaseSketch, p),
+		"runPass":       encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
 		"fitOpen": encodeFitOpen(&fitOpen{
 			Source: SourceSpec{Kind: SourceCSV, Path: "/data/train.csv", Label: "label", ChunkRows: 512},
 			Names:  []string{"f0", "f1", "f2"}, Task: core.MulticlassTask(3), SketchSize: 256,
@@ -30,23 +40,44 @@ func distSeedFrames() map[string][]byte {
 	}
 }
 
+// driveSpec hands a decoded pass spec to the kernel over one small chunk, as
+// handleRunPass does with whatever a coordinator sent. The spec's epoch is
+// installed first so the kernel gets as far as the spec's contents.
+func driveSpec(spec *shard.PassSpec) {
+	names := []string{"f0", "f1", "f2"}
+	ws := shard.NewWorkerState(names, core.BinaryTask(), 16)
+	if err := ws.SetLive(spec.Epoch, nil, names); err != nil {
+		return
+	}
+	c := &frame.Chunk{Label: []float64{0, 1, 1, 0, 1, 0}, Cols: [][]float64{
+		{1, 2, 3, 4, 5, 6}, {-1, 0, 1, 0, -1, math.NaN()}, {0.5, 0.5, 2, 2, 8, 8}}}
+	if p, err := ws.ComputePartial(context.Background(), spec, c); err == nil {
+		ws.Release(p)
+	}
+}
+
 // decodeSized routes a message to the decoder for its type byte and reports
-// whether it has one among the four under fuzz.
-func decodeSized(data []byte) (known bool, err error) {
+// whether it has one among the four under fuzz. A runPass that decodes also
+// returns its spec: that is what a worker then computes with, so callers
+// drive it through the kernel (outside any allocation measurement).
+func decodeSized(data []byte) (known bool, spec *shard.PassSpec, err error) {
 	switch msgType(data) {
 	case msgPartial:
-		return true, decodePartial(data, &partialMsg{})
+		return true, nil, decodePartial(data, &partialMsg{})
 	case msgRunPass:
-		_, err = decodeRunPass(data)
-		return true, err
+		m, err := decodeRunPass(data)
+		if err != nil {
+			return true, nil, err
+		}
+		return true, m.Spec, nil
 	case msgFitOpen:
 		_, err = decodeFitOpen(data)
-		return true, err
+		return true, nil, err
 	case msgSetLive:
 		_, err = decodeSetLive(data)
-		return true, err
+		return true, nil, err
 	}
-	return false, nil
+	return false, nil, nil
 }
 
 // FuzzDistDecode feeds arbitrary bytes to the message decoders that allocate
@@ -54,7 +85,8 @@ func decodeSized(data []byte) (known bool, err error) {
 // with a *ProtocolError — never a panic — and either way costs at most a
 // small multiple of its own length in allocation, because every count is
 // bounded by the bytes that remain divided by the smallest encoding of one
-// element. Corpus seeds live in testdata/fuzz/FuzzDistDecode (regenerate with
+// element; and a pass spec that decodes goes through ComputePartial without a
+// panic, whatever indices and arities it carries. Corpus seeds live in testdata/fuzz/FuzzDistDecode (regenerate with
 // DIST_WRITE_CORPUS=1 go test ./internal/dist -run TestWriteDistDecodeSeedCorpus).
 func FuzzDistDecode(f *testing.F) {
 	for _, msg := range distSeedFrames() {
@@ -66,7 +98,7 @@ func FuzzDistDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := totalAlloc()
-		known, err := decodeSized(data)
+		known, spec, err := decodeSized(data)
 		spent := totalAlloc() - before
 		if !known {
 			return
@@ -80,6 +112,9 @@ func FuzzDistDecode(f *testing.F) {
 		// decoded struct and the error.
 		if limit := 16*uint64(len(data)) + 8<<10; spent > limit {
 			t.Fatalf("a %d-byte message made its decoder allocate %d bytes (limit %d)", len(data), spent, limit)
+		}
+		if spec != nil {
+			driveSpec(spec) // a partial or an error; a panic fails the target
 		}
 	})
 }
@@ -112,8 +147,12 @@ func TestWriteDistDecodeSeedCorpus(t *testing.T) {
 		if _, err := fmt.Sscanf(string(body), "go test fuzz v1\n[]byte(%q)\n", &quoted); err != nil {
 			t.Fatalf("seed corpus %s not in go fuzz v1 format: %v", p, err)
 		}
-		if known, err := decodeSized([]byte(quoted)); !known || err != nil {
+		known, spec, err := decodeSized([]byte(quoted))
+		if !known || err != nil {
 			t.Fatalf("seed corpus %s no longer decodes: known=%v err=%v", p, known, err)
+		}
+		if spec != nil {
+			driveSpec(spec)
 		}
 	}
 }

@@ -105,7 +105,7 @@ func (e *identityExec) SetLive(_ context.Context, epoch int, nodes []shard.NodeS
 	return e.ws.SetLive(epoch, nodes, live)
 }
 
-func (e *identityExec) RunPass(_ context.Context, spec *shard.PassSpec, fold func(*shard.Partial) error) (shard.PassResult, error) {
+func (e *identityExec) RunPass(ctx context.Context, spec *shard.PassSpec, fold func(*shard.Partial) error) (shard.PassResult, error) {
 	var res shard.PassResult
 	if err := e.src.Reset(); err != nil {
 		return res, err
@@ -118,7 +118,7 @@ func (e *identityExec) RunPass(_ context.Context, spec *shard.PassSpec, fold fun
 		if err != nil {
 			return res, err
 		}
-		p, err := e.ws.ComputePartial(spec, c)
+		p, err := e.ws.ComputePartial(ctx, spec, c)
 		if err != nil {
 			return res, err
 		}

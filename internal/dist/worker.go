@@ -196,7 +196,7 @@ func (s *session) handleRunPass(msg []byte) error {
 		if !m.Assign.has(c.Index) {
 			continue
 		}
-		p, err := s.ws.ComputePartial(m.Spec, c)
+		p, err := s.ws.ComputePartial(s.ctx, m.Spec, c)
 		if err != nil {
 			return s.conn.Send(encodePassErr(&passErr{PassID: m.PassID, Chunk: c.Index, Attempts: 1, Msg: err.Error()}))
 		}

@@ -17,9 +17,9 @@ type StableSource interface {
 // Prefetch wraps a ChunkSource with a bounded background reader: while the
 // consumer processes one chunk, the next depth chunks are already being read
 // and decoded. Each chunk Next returns is an independent lease — valid until
-// Recycle, regardless of later Next or Reset calls — which also makes
-// Prefetch the substrate for partition-parallel consumers that hold several
-// chunks in flight at once (the sharded fit's worker pool).
+// Recycle, regardless of later Next or Reset calls — so the reader can refill
+// a buffer-reusing source while the consumer still computes on the previous
+// chunk, and a consumer may hold several chunks at once.
 //
 // For unstable sources values are copied into recycled lease buffers; for
 // StableSource sources only the chunk header is copied. Reset restarts the

@@ -70,6 +70,32 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 	}
 }
 
+// TestSaturatedPoolRunsInline pins what several independent callers of one
+// pool rely on (two worker sessions and a coordinator's fold on Default()): a
+// ForChunks issued while another caller holds the helpers completes on its
+// own goroutine instead of queueing behind them.
+func TestSaturatedPoolRunsInline(t *testing.T) {
+	p := New(3)
+	p.ForChunks(3, 1, func(lo, hi int) {}) // helpers started and back at their receive
+	held := make(chan struct{}, 3)         // one slot per chunk: no sender waits on the test
+	release, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		p.ForChunks(3, 1, func(lo, hi int) {
+			held <- struct{}{}
+			<-release
+		})
+	}()
+	<-held // the first caller is inside fn, with every helper it enlisted
+	var count atomic.Int64
+	p.ForChunks(100, 1, func(lo, hi int) { count.Add(int64(hi - lo)) })
+	if count.Load() != 100 {
+		t.Fatalf("second caller covered %d of 100 indices beside a blocked one", count.Load())
+	}
+	close(release)
+	<-done
+}
+
 func TestForPanicPropagates(t *testing.T) {
 	p := New(4)
 	defer func() {

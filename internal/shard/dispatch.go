@@ -8,13 +8,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/operators"
+	"repro/internal/parallel"
 	"repro/internal/sketch"
 	"repro/internal/stats"
 )
 
 // This file is the compute half of the one pass formulation:
 //
-//	PassSpec → WorkerState.ComputePartial(spec, chunk) → fold(*Partial)
+//	PassSpec → WorkerState.ComputePartial(ctx, spec, chunk) → fold(*Partial)
 //
 // The fit loop (shard.go, passes.go) reifies every streaming pass into a
 // PassSpec and hands it to an Executor; the executor pushes each chunk of
@@ -110,11 +111,12 @@ type PassSpec struct {
 // passPrep is what every chunk of one pass shares, derived once from the
 // spec: cell grids and slab offsets (score passes), gather templates
 // (refine) and histogram templates (criterion passes). All of it is
-// read-only to the kernels, which Shadow the templates per chunk, so
-// concurrent workers share one passPrep.
+// read-only to the kernels, which Shadow the templates per chunk, so the
+// goroutines of one kernel's column loop share one passPrep.
 type passPrep struct {
 	cells   []*core.ComboCells
 	off     []int // flat slab offset per combo; a degenerate combo has zero width
+	idRow   []int // ordinal among the non-zero-width combos (its id row in PassScoreMomentIDs)
 	nActive int   // combos with non-zero width
 	refs    []*sketch.Refiner
 	hists   []sketch.CriterionHist
@@ -153,11 +155,13 @@ func (s *PassSpec) prepared(task core.Task) *passPrep {
 func (pp *passPrep) comboLayout(combos []ComboSpec, mult int) {
 	pp.cells = make([]*core.ComboCells, len(combos))
 	pp.off = make([]int, len(combos)+1)
+	pp.idRow = make([]int, len(combos))
 	for i := range combos {
 		pp.cells[i] = core.NewComboCells(&core.Combo{Features: combos[i].Features, Values: combos[i].Values})
 		width := 0
 		if nc := pp.cells[i].NumCells(); nc > 1 {
 			width = nc * mult
+			pp.idRow[i] = pp.nActive
 			pp.nActive++
 		}
 		pp.off[i+1] = pp.off[i] + width
@@ -448,66 +452,149 @@ func (e *evaluator) release() {
 	}
 }
 
-// WorkerState is the per-fit state one pass worker keeps between passes:
-// the schema, the installed live-set epoch with its evaluator, appliers
-// resolved by operator name, and per-worker scratch. Every per-chunk buffer
-// a kernel hands out inside a Partial (sketch partials, int32 slabs, code
+// WorkerState is the per-fit state a pass worker keeps between passes: the
+// schema, the installed live-set epoch with its evaluator, appliers resolved
+// by operator name, the pool its kernels spread each chunk's columns over,
+// and the per-goroutine scratch of those loops. Every per-chunk buffer a
+// kernel hands out inside a Partial (sketch partials, int32 slabs, code
 // columns, the Gram partial) comes from the arena; whoever finishes with the
 // partial — the in-process executor after the fold, the distributed worker
-// after the send — returns them with Release.
+// after the send — returns them with Release. One WorkerState computes one
+// chunk at a time: ComputePartial is not safe for concurrent calls.
 type WorkerState struct {
 	names      []string
 	task       core.Task
 	sketchSize int
 	reg        *operators.Registry
 	arena      *sketch.Arena
+	pool       *parallel.Pool
 
 	epoch int
 	ev    *evaluator
 
+	// appliers is written only between column loops (SetLive, resolveOps), so
+	// the loops read it without a lock.
 	appliers map[string]operators.Applier
-	ix       stats.CutIndexer
-	srt      sketch.SortScratch
-	bits     []uint8
+	opsFor   *PassSpec // the pass whose operators were last resolved
+	bits     []uint8   // the chunk's label bits/classes, shared read-only by a loop
 	cls      []int32
+
+	mu   sync.Mutex
+	free []*scratch // idle per-goroutine scratch, kept across chunks and passes
+}
+
+// scratch is what one goroutine of a column loop needs to itself.
+type scratch struct {
+	srt sketch.SortScratch
+	ix  stats.CutIndexer
+	buf []float64 // generated-column buffer
+}
+
+// floats returns the scratch's generated-column buffer at length n, contents
+// unspecified.
+func (s *scratch) floats(n int) []float64 {
+	if cap(s.buf) < n {
+		s.buf = make([]float64, n)
+	}
+	return s.buf[:n]
 }
 
 // NewWorkerState prepares worker-side fit state for the given schema, with
-// the built-in operator registry and its own arena.
+// the built-in operator registry, its own arena and the process-wide pool, so
+// a worker session spreads each partition over its host's cores.
 func NewWorkerState(names []string, task core.Task, sketchSize int) *WorkerState {
-	return newWorkerState(names, task, sketchSize, operators.NewRegistry(), sketch.NewArena())
+	return newWorkerState(names, task, sketchSize, operators.NewRegistry(), sketch.NewArena(), parallel.Default())
 }
 
-// newWorkerState is NewWorkerState over a given registry and a (possibly
-// shared) arena: the in-process executor's workers resolve operators in the
-// fit's own registry and pool through one arena, because a partial computed
-// by one worker is released by whichever worker folds it.
-func newWorkerState(names []string, task core.Task, sketchSize int, reg *operators.Registry, arena *sketch.Arena) *WorkerState {
+// newWorkerState is NewWorkerState over a given registry, arena and pool: the
+// in-process executor resolves operators in the fit's own registry, pools
+// through the fitter's arena (the fold hands merged sketches straight back)
+// and runs on the pool the fit was configured with.
+func newWorkerState(names []string, task core.Task, sketchSize int, reg *operators.Registry, arena *sketch.Arena, pool *parallel.Pool) *WorkerState {
 	return &WorkerState{
 		names:      names,
 		task:       task,
 		sketchSize: sketchSize,
 		reg:        reg,
 		arena:      arena,
+		pool:       pool,
 		appliers:   map[string]operators.Applier{},
 		ev:         &evaluator{names: names, arena: arena},
 	}
 }
 
-// applier resolves (and caches) the stateless applier for an operator name.
-func (ws *WorkerState) applier(op string, arity int) (operators.Applier, error) {
-	if ap, ok := ws.appliers[op]; ok {
-		return ap, nil
+// forRange runs fn over [0,n) in index ranges of grain on the pool (inline on
+// a one-worker or saturated pool) and returns the error of the lowest failing
+// range, else ctx.Err(). Each index belongs to one range, so a loop that
+// writes per-index results computes the same bytes for any pool size.
+func forRange(ctx context.Context, pool *parallel.Pool, n, grain int, fn func(lo, hi int) error) error {
+	var (
+		mu    sync.Mutex
+		first error
+		at    = n
+	)
+	cerr := pool.ForChunksCtx(ctx, n, grain, func(lo, hi int) {
+		if err := fn(lo, hi); err != nil {
+			mu.Lock()
+			if lo < at {
+				first, at = err, lo
+			}
+			mu.Unlock()
+		}
+	})
+	if first != nil {
+		return first
 	}
+	return cerr
+}
+
+// forCols is the column loop of every kernel: fn(s, i) for each i in [0,n),
+// every range on one goroutine with a scratch of its own.
+func (ws *WorkerState) forCols(ctx context.Context, n int, fn func(s *scratch, i int) error) error {
+	return forRange(ctx, ws.pool, n, ws.pool.Grain(n), func(lo, hi int) error {
+		s := ws.takeScratch()
+		defer ws.putScratch(s)
+		for i := lo; i < hi; i++ {
+			if err := fn(s, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+func (ws *WorkerState) takeScratch() *scratch {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if n := len(ws.free); n > 0 {
+		s := ws.free[n-1]
+		ws.free = ws.free[:n-1]
+		return s
+	}
+	return &scratch{}
+}
+
+func (ws *WorkerState) putScratch(s *scratch) {
+	ws.mu.Lock()
+	ws.free = append(ws.free, s)
+	ws.mu.Unlock()
+}
+
+// applier resolves (and caches) the stateless applier for an operator name,
+// holding every use — cached or not — to the operator's arity.
+func (ws *WorkerState) applier(op string, arity int) (operators.Applier, error) {
 	o, err := ws.reg.Get(op)
 	if err != nil {
 		return nil, fmt.Errorf("shard: worker operator %q: %w", op, err)
 	}
-	if !operators.DataIndependent(o) {
-		return nil, fmt.Errorf("shard: worker operator %q is not data-independent", op)
-	}
 	if int(o.Arity()) != arity {
 		return nil, fmt.Errorf("shard: worker operator %q wants arity %d, got %d", op, o.Arity(), arity)
+	}
+	if ap, ok := ws.appliers[op]; ok {
+		return ap, nil
+	}
+	if !operators.DataIndependent(o) {
+		return nil, fmt.Errorf("shard: worker operator %q is not data-independent", op)
 	}
 	ap, err := o.Fit(make([][]float64, arity))
 	if err != nil {
@@ -515,6 +602,35 @@ func (ws *WorkerState) applier(op string, arity int) (operators.Applier, error) 
 	}
 	ws.appliers[op] = ap
 	return ap, nil
+}
+
+// resolveOps resolves every operator a pass's generated columns name, so the
+// column loops only read the applier cache.
+func (ws *WorkerState) resolveOps(spec *PassSpec) error {
+	resolve := func(g *GenSpec) error {
+		_, err := ws.applier(g.Op, len(g.Feats))
+		return err
+	}
+	for i := range spec.Gens {
+		if err := resolve(&spec.Gens[i]); err != nil {
+			return err
+		}
+	}
+	for i := range spec.Entries {
+		if e := &spec.Entries[i]; e.Base < 0 {
+			if err := resolve(&e.Gen); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range spec.Refines {
+		if rf := &spec.Refines[i]; rf.Col < 0 {
+			if err := resolve(&rf.Gen); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // SetLive installs a live-set epoch: the node program is rebuilt from the
@@ -549,12 +665,9 @@ func (ws *WorkerState) Release(p *Partial) {
 }
 
 // genCol computes one generated candidate column into dst (len rows),
-// applying the same post-generation sanitisation as every engine.
+// applying the same post-generation sanitisation as every engine. The pass's
+// operators are resolved (resolveOps) before any loop calls it.
 func (ws *WorkerState) genCol(g GenSpec, cols [][]float64, dst []float64) error {
-	ap, err := ws.applier(g.Op, len(g.Feats))
-	if err != nil {
-		return err
-	}
 	var in [3][]float64
 	iv := in[:len(g.Feats)]
 	for k, fi := range g.Feats {
@@ -563,7 +676,7 @@ func (ws *WorkerState) genCol(g GenSpec, cols [][]float64, dst []float64) error 
 		}
 		iv[k] = cols[fi]
 	}
-	operators.TransformColumn(ap, iv, dst)
+	operators.TransformColumn(ws.appliers[g.Op], iv, dst)
 	core.Sanitize(dst)
 	return nil
 }
@@ -632,9 +745,13 @@ func fillCodes(dst []uint8, vals, cuts []float64, ix *stats.CutIndexer) {
 }
 
 // ComputePartial computes one chunk's contribution to the given pass — the
-// single kernel behind every executor. The partial references no chunk
+// single kernel behind every executor. The chunk's columns (combos, entries,
+// gathers) are spread over the worker's pool: each is computed by exactly one
+// goroutine in the same arithmetic order as a serial loop and lands in its
+// own slot, so the partial is the same bytes for any pool size. A cancelled
+// ctx stops the loop between index ranges. The partial references no chunk
 // memory, so the chunk may be recycled as soon as this returns.
-func (ws *WorkerState) ComputePartial(spec *PassSpec, c *frame.Chunk) (*Partial, error) {
+func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *frame.Chunk) (*Partial, error) {
 	if len(c.Cols) != len(ws.names) {
 		return nil, fmt.Errorf("shard: chunk %d has %d columns, want %d", c.Index, len(c.Cols), len(ws.names))
 	}
@@ -647,29 +764,34 @@ func (ws *WorkerState) ComputePartial(spec *PassSpec, c *frame.Chunk) (*Partial,
 	if spec.Epoch != ws.epoch {
 		return nil, fmt.Errorf("shard: pass wants live epoch %d, worker has %d", spec.Epoch, ws.epoch)
 	}
+	if ws.opsFor != spec {
+		if err := ws.resolveOps(spec); err != nil {
+			return nil, err
+		}
+		ws.opsFor = spec
+	}
 	p := &Partial{Chunk: c.Index, Start: c.Start, Rows: c.NumRows()}
 	var err error
 	switch spec.Kind {
 	case PassBaseSketch:
 		p.Labels = append([]float64(nil), c.Label...)
-		err = ws.sketchCols(p, len(c.Cols), func(j int) ([]float64, error) { return c.Cols[j], nil })
+		err = ws.sketchCols(ctx, p, len(c.Cols), func(_ *scratch, j int) ([]float64, error) { return c.Cols[j], nil })
 	case PassCodes:
-		err = ws.computeCodes(spec, c, p)
+		err = ws.computeCodes(ctx, spec, c, p)
 	case PassScoreBinary, PassScoreClasses, PassScoreMomentIDs:
-		ws.computeScore(spec, c, p)
+		err = ws.computeScore(ctx, spec, c, p)
 	case PassSketchGen:
 		cols := ws.ev.liveCols(c)
-		buf := ws.arena.Floats(p.Rows)
-		err = ws.sketchCols(p, len(spec.Gens), func(i int) ([]float64, error) {
+		err = ws.sketchCols(ctx, p, len(spec.Gens), func(s *scratch, i int) ([]float64, error) {
+			buf := s.floats(p.Rows)
 			return buf, ws.genCol(spec.Gens[i], cols, buf)
 		})
-		ws.arena.PutFloats(buf)
 	case PassRefine:
-		err = ws.computeRefine(spec, c, p)
+		err = ws.computeRefine(ctx, spec, c, p)
 	case PassHistCounts, PassHistIDs:
-		err = ws.computeHist(spec, c, p)
+		err = ws.computeHist(ctx, spec, c, p)
 	case PassGramCodes:
-		err = ws.computeGramCodes(spec, c, p)
+		err = ws.computeGramCodes(ctx, spec, c, p)
 	default:
 		err = fmt.Errorf("shard: unknown pass kind %d", spec.Kind)
 	}
@@ -683,46 +805,56 @@ func (ws *WorkerState) ComputePartial(spec *PassSpec, c *frame.Chunk) (*Partial,
 
 // sketchCols summarises n columns of one chunk — quantile partial through
 // the SortNonNaN ingestion path plus moments — into p.
-func (ws *WorkerState) sketchCols(p *Partial, n int, col func(i int) ([]float64, error)) error {
-	p.Quantiles = make([]*sketch.Quantile, 0, n)
+func (ws *WorkerState) sketchCols(ctx context.Context, p *Partial, n int, col func(s *scratch, i int) ([]float64, error)) error {
+	p.Quantiles = make([]*sketch.Quantile, n)
 	p.Moments = make([]sketch.Moments, n)
-	for i := 0; i < n; i++ {
-		vals, err := col(i)
+	return ws.forCols(ctx, n, func(s *scratch, i int) error {
+		vals, err := col(s, i)
 		if err != nil {
 			return err
 		}
-		sorted, nan := sketch.SortNonNaN(vals, &ws.srt)
+		sorted, nan := sketch.SortNonNaN(vals, &s.srt)
 		part := ws.arena.Quantile(ws.sketchSize)
-		part.AddSortedScratch(sorted, nan, &ws.srt)
-		p.Quantiles = append(p.Quantiles, part)
+		part.AddSortedScratch(sorted, nan, &s.srt)
+		p.Quantiles[i] = part
 		p.Moments[i].AddAll(vals)
-	}
-	return nil
+		return nil
+	})
 }
 
-// codeCols hands out p.Codes columns of p.Rows codes each from one pooled
-// slab sized for n of them.
-func (ws *WorkerState) codeCols(p *Partial, slots, n int) func(i int) []uint8 {
+// codeCols carves p.Codes[i], p.Rows codes each, out of one pooled slab for
+// every one of the slots columns that want(i) names (all of them when nil).
+func (ws *WorkerState) codeCols(p *Partial, slots int, want func(i int) bool) {
 	p.Codes = make([][]uint8, slots)
+	n := slots
+	if want != nil {
+		n = 0
+		for i := 0; i < slots; i++ {
+			if want(i) {
+				n++
+			}
+		}
+	}
 	p.codeSlab = ws.arena.Bytes(n * p.Rows)
 	used := 0
-	return func(i int) []uint8 {
-		p.Codes[i] = p.codeSlab[used : used+p.Rows : used+p.Rows]
-		used += p.Rows
-		return p.Codes[i]
+	for i := range p.Codes {
+		if want == nil || want(i) {
+			p.Codes[i] = p.codeSlab[used : used+p.Rows : used+p.Rows]
+			used += p.Rows
+		}
 	}
 }
 
-func (ws *WorkerState) computeCodes(spec *PassSpec, c *frame.Chunk, p *Partial) error {
+func (ws *WorkerState) computeCodes(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
 	if len(spec.LiveCuts) != len(ws.ev.live) {
 		return fmt.Errorf("shard: codes pass has %d cut sets for %d live", len(spec.LiveCuts), len(ws.ev.live))
 	}
 	cols := ws.ev.liveCols(c)
-	codes := ws.codeCols(p, len(cols), len(cols))
-	for i, cuts := range spec.LiveCuts {
-		fillCodes(codes(i), cols[i], cuts, &ws.ix)
-	}
-	return nil
+	ws.codeCols(p, len(cols), nil)
+	return ws.forCols(ctx, len(cols), func(s *scratch, i int) error {
+		fillCodes(p.Codes[i], cols[i], spec.LiveCuts[i], &s.ix)
+		return nil
+	})
 }
 
 // computeScore fills the combo-cell slab of a score pass. The count-valued
@@ -730,10 +862,24 @@ func (ws *WorkerState) computeCodes(spec *PassSpec, c *frame.Chunk, p *Partial) 
 // any grouping); the regression kind emits only each row's cell id, so the
 // fold can replay the targets in global row order — float moment sums are
 // order-sensitive.
-func (ws *WorkerState) computeScore(spec *PassSpec, c *frame.Chunk, p *Partial) {
+func (ws *WorkerState) computeScore(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
+	if spec.Kind == PassScoreClasses && (ws.task.Kind != core.TaskMulticlass || spec.Classes != ws.task.Classes) {
+		return fmt.Errorf("shard: class-score pass over %d classes does not fit a %s task", spec.Classes, ws.task)
+	}
+	cols := ws.ev.liveCols(c)
+	for ci := range spec.Combos {
+		cb := &spec.Combos[ci]
+		if len(cb.Features) > 3 || len(cb.Values) != len(cb.Features) {
+			return fmt.Errorf("shard: combo %d has %d features and %d split sets, want equal and at most 3", ci, len(cb.Features), len(cb.Values))
+		}
+		for _, fi := range cb.Features {
+			if fi < 0 || fi >= len(cols) {
+				return fmt.Errorf("shard: combo %d feature %d outside live set of %d", ci, fi, len(cols))
+			}
+		}
+	}
 	pp := spec.prepared(ws.task)
 	total := pp.off[len(spec.Combos)]
-	cols := ws.ev.liveCols(c)
 	rows := p.Rows
 	var bits []uint8
 	var cls []int32
@@ -748,15 +894,14 @@ func (ws *WorkerState) computeScore(spec *PassSpec, c *frame.Chunk, p *Partial) 
 	default:
 		p.Ints = ws.arena.Int32s(pp.nActive * rows)
 	}
-	var vals [3]float64
-	next := 0 // PassScoreMomentIDs: offset of the next active combo's id row
-	for ci := range spec.Combos {
+	return ws.forCols(ctx, len(spec.Combos), func(_ *scratch, ci int) error {
 		lo, hi := pp.off[ci], pp.off[ci+1]
 		if lo == hi {
-			continue
+			return nil
 		}
 		cc := pp.cells[ci]
 		feats := cc.Features()
+		var vals [3]float64
 		switch spec.Kind {
 		case PassScoreBinary:
 			ppos, ptot := p.Ints[lo:hi], p.Ints[total+lo:total+hi]
@@ -780,8 +925,7 @@ func (ws *WorkerState) computeScore(spec *PassSpec, c *frame.Chunk, p *Partial) 
 				}
 			}
 		default:
-			ids := p.Ints[next : next+rows]
-			next += rows
+			ids := p.Ints[pp.idRow[ci]*rows:][:rows]
 			for r := 0; r < rows; r++ {
 				for j, fi := range feats {
 					vals[j] = cols[fi][r]
@@ -789,15 +933,21 @@ func (ws *WorkerState) computeScore(spec *PassSpec, c *frame.Chunk, p *Partial) 
 				ids[r] = int32(cc.CellOf(vals[:len(feats)]))
 			}
 		}
-	}
+		return nil
+	})
 }
 
-func (ws *WorkerState) computeRefine(spec *PassSpec, c *frame.Chunk, p *Partial) error {
+func (ws *WorkerState) computeRefine(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
+	for i := range spec.Refines {
+		if rf := &spec.Refines[i]; len(rf.Lo) != len(rf.Ranks) || len(rf.Hi) != len(rf.Ranks) || len(rf.Resolved) != len(rf.Ranks) {
+			return fmt.Errorf("shard: refine %d has %d ranks but %d/%d/%d bracket entries", i, len(rf.Ranks), len(rf.Lo), len(rf.Hi), len(rf.Resolved))
+		}
+	}
 	pp := spec.prepared(ws.task)
-	var cols [][]float64
-	var buf []float64
+	cols := ws.ev.liveCols(c)
 	p.Refiners = make([]*sketch.Refiner, len(spec.Refines))
-	for i, rf := range spec.Refines {
+	return ws.forCols(ctx, len(spec.Refines), func(s *scratch, i int) error {
+		rf := &spec.Refines[i]
 		var vals []float64
 		if rf.Col >= 0 {
 			if rf.Col >= len(c.Cols) {
@@ -805,15 +955,10 @@ func (ws *WorkerState) computeRefine(spec *PassSpec, c *frame.Chunk, p *Partial)
 			}
 			vals = c.Cols[rf.Col]
 		} else {
-			if cols == nil {
-				cols = ws.ev.liveCols(c)
-				buf = ws.arena.Floats(p.Rows)
-				defer ws.arena.PutFloats(buf)
-			}
-			if err := ws.genCol(rf.Gen, cols, buf); err != nil {
+			vals = s.floats(p.Rows)
+			if err := ws.genCol(rf.Gen, cols, vals); err != nil {
 				return err
 			}
-			vals = buf
 		}
 		// Per-value streaming beats sort+AddSorted here: the shared edge index
 		// classifies each value in O(1), and finalize sorts the few gathered
@@ -821,23 +966,21 @@ func (ws *WorkerState) computeRefine(spec *PassSpec, c *frame.Chunk, p *Partial)
 		sh := pp.refs[i].Shadow()
 		sh.AddChunk(vals)
 		p.Refiners[i] = sh
-	}
-	return nil
+		return nil
+	})
 }
 
 // computeHist bins every entry against the chunk's labels. The count-valued
 // tasks accumulate shadow histograms (PassHistCounts); the regression task
 // emits only bin ids (PassHistIDs) so the fold keeps the float target sums in
 // global row order.
-func (ws *WorkerState) computeHist(spec *PassSpec, c *frame.Chunk, p *Partial) error {
+func (ws *WorkerState) computeHist(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
 	if (spec.Kind == PassHistIDs) != (ws.task.Kind == core.TaskRegression) {
 		return fmt.Errorf("shard: pass kind %d does not fit a %s task", spec.Kind, ws.task)
 	}
 	pp := spec.prepared(ws.task)
 	cols := ws.ev.liveCols(c)
 	rows := p.Rows
-	buf := ws.arena.Floats(rows)
-	defer ws.arena.PutFloats(buf)
 	var bits []uint8
 	var cls []int32
 	switch ws.task.Kind {
@@ -850,8 +993,13 @@ func (ws *WorkerState) computeHist(spec *PassSpec, c *frame.Chunk, p *Partial) e
 		bits = ws.labelBits(c.Label)
 		p.Hists = make([]sketch.CriterionHist, len(spec.Entries))
 	}
-	for i := range spec.Entries {
-		col, err := ws.entryCol(&spec.Entries[i], cols, buf)
+	return ws.forCols(ctx, len(spec.Entries), func(s *scratch, i int) error {
+		e := &spec.Entries[i]
+		var buf []float64
+		if e.Base < 0 {
+			buf = s.floats(rows)
+		}
+		col, err := ws.entryCol(e, cols, buf)
 		if err != nil {
 			return err
 		}
@@ -869,45 +1017,49 @@ func (ws *WorkerState) computeHist(spec *PassSpec, c *frame.Chunk, p *Partial) e
 			sh.AddColBits(col, bits)
 			p.Hists[i] = sh
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
-func (ws *WorkerState) computeGramCodes(spec *PassSpec, c *frame.Chunk, p *Partial) error {
+func (ws *WorkerState) computeGramCodes(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
 	cols := ws.ev.liveCols(c)
 	rows := p.Rows
-	need := 0
-	for i := range spec.Entries {
-		if spec.Entries[i].NeedCodes {
-			need++
-		}
-	}
-	codes := ws.codeCols(p, len(spec.Entries), need)
-	mat := make([][]float64, len(spec.Entries))
-	var owned [][]float64
+	k := len(spec.Entries)
+	ws.codeCols(p, k, func(i int) bool { return spec.Entries[i].NeedCodes })
+	// Every generated column stays alive until the last pair is added, so
+	// these come from the arena rather than a goroutine's one scratch buffer.
+	mat := make([][]float64, k)
+	owned := make([][]float64, k)
 	defer func() {
 		for _, b := range owned {
 			ws.arena.PutFloats(b)
 		}
 	}()
-	for i := range spec.Entries {
+	err := ws.forCols(ctx, k, func(s *scratch, i int) error {
 		e := &spec.Entries[i]
-		var buf []float64
 		if e.Base < 0 {
-			buf = ws.arena.Floats(rows)
-			owned = append(owned, buf)
+			owned[i] = ws.arena.Floats(rows)
 		}
-		col, err := ws.entryCol(e, cols, buf)
+		col, err := ws.entryCol(e, cols, owned[i])
 		if err != nil {
 			return err
 		}
 		mat[i] = col
 		if e.NeedCodes {
-			fillCodes(codes(i), col, e.Cuts, &ws.ix)
+			fillCodes(p.Codes[i], col, e.Cuts, &s.ix)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	p.Gram = ws.arena.Gram(len(spec.Entries))
+	p.Gram = ws.arena.Gram(k)
 	p.Gram.AddRows(rows)
-	p.Gram.AddPrepared(mat, sketch.PrepChunk(mat), 0, len(spec.Entries))
-	return nil
+	prep := sketch.PrepChunk(mat)
+	// Row j of the pair triangle costs j dot products: single-row ranges keep
+	// the goroutines level where a few wide ones would not.
+	return forRange(ctx, ws.pool, k, 1, func(lo, hi int) error {
+		p.Gram.AddPrepared(mat, prep, lo, hi)
+		return nil
+	})
 }

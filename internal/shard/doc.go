@@ -6,7 +6,7 @@
 //
 // Every streaming pass is stated once, in three steps:
 //
-//	PassSpec → WorkerState.ComputePartial(spec, chunk) → fold(*Partial)
+//	PassSpec → WorkerState.ComputePartial(ctx, spec, chunk) → fold(*Partial)
 //
 // The fit loop reifies the pass into a PassSpec (passes.go), an Executor
 // pushes each chunk through the pass kind's one kernel (dispatch.go), and
@@ -14,7 +14,13 @@
 // installs the in-process executor (runner.go), which hands partials to the
 // fold by pointer; internal/dist's Coordinator is the same seam with a wire
 // in the middle. The two differ in transport only, which is why selection
-// is bit-identical across them and across worker counts.
+// is bit-identical across them.
+//
+// Passes run partition-serial and column-parallel: one chunk at a time, with
+// the kernel's per-column loop and the fold's per-candidate loop spread over
+// the internal/parallel pool. Every column is computed, and every candidate
+// folded, by exactly one goroutine in the serial loop's arithmetic order, so
+// selection is bit-identical across worker counts too.
 //
 // The engine makes a small number of streaming passes per iteration:
 //

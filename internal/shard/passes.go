@@ -13,9 +13,10 @@ import (
 // This file is the fitter's half of every streaming pass: reify the pass
 // into a PassSpec, hand it to the executor, and fold the Partials it
 // delivers. RunPass delivers partials in ascending partition order and never
-// concurrently, so every merged statistic accumulates in the sequence the
-// single-worker in-process pass produces — selection stays bit-identical
-// across worker counts, executors and transports.
+// concurrently, and a fold that spreads its candidates over the pool (each)
+// gives every candidate to one goroutine, so every merged statistic
+// accumulates in the sequence a serial fold produces — selection stays
+// bit-identical across worker counts, executors and transports.
 //
 // Every fold bounds-checks the partial's payload before indexing: a kernel
 // (or a peer speaking the right protocol) that computed the wrong shape
@@ -122,21 +123,20 @@ func genSpec(en *candidate) (GenSpec, error) {
 
 // foldSketches merges one partial's quantile/moments summaries into their
 // running targets, index by index. Each merged quantile partial goes back to
-// the arena at once rather than with the rest of the partial after the fold:
-// merging hundreds of sketches takes long enough that a worker computing the
-// next partition meanwhile would otherwise allocate a fresh set.
+// the arena at once: a partial that came over the wire was decoded from it,
+// and no executor takes those back.
 func (f *fitter) foldSketches(p *Partial, what string, sks []*sketch.Quantile, moms []*sketch.Moments) error {
 	if len(p.Quantiles) != len(sks) || len(p.Moments) != len(sks) {
 		return fmt.Errorf("shard: %s partial %d has %d sketches and %d moments, want %d",
 			what, p.Chunk, len(p.Quantiles), len(p.Moments), len(sks))
 	}
-	for i := range sks {
+	return f.each(len(sks), func(i int) error {
 		sks[i].Merge(p.Quantiles[i])
 		f.arena.PutQuantile(p.Quantiles[i])
 		p.Quantiles[i] = nil
 		moms[i].Merge(&p.Moments[i])
-	}
-	return nil
+		return nil
+	})
 }
 
 // passBaseSketch is pass 1: labels plus per-original quantile sketches and
@@ -386,9 +386,14 @@ func (f *fitter) refineLive() error {
 	if f.approxCuts {
 		return nil
 	}
+	if err := f.each(len(f.live), func(j int) error {
+		f.live[j].ref = f.openRefiner(f.live[j].sk)
+		return nil
+	}); err != nil {
+		return err
+	}
 	var open []openRef
 	for j, lf := range f.live {
-		lf.ref = f.openRefiner(lf.sk)
 		if lf.ref.NeedsPass() {
 			open = append(open, openRef{ref: lf.ref, col: j})
 		}
@@ -422,14 +427,18 @@ func (f *fitter) refineCandidates(entries []*candidate) error {
 	if f.approxCuts {
 		return nil
 	}
+	if err := f.each(len(entries), func(i int) error {
+		if en := entries[i]; !en.isBase {
+			en.ref = f.openRefiner(en.sk)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
 	var refines []RefineSpec
 	var refs []*sketch.Refiner
 	for _, en := range entries {
-		if en.isBase {
-			continue
-		}
-		en.ref = f.openRefiner(en.sk)
-		if !en.ref.NeedsPass() {
+		if en.isBase || !en.ref.NeedsPass() {
 			continue
 		}
 		g, err := genSpec(en)
@@ -457,12 +466,12 @@ func (f *fitter) refine(refines []RefineSpec, refs []*sketch.Refiner) error {
 		if len(p.Refiners) != len(refs) {
 			return fmt.Errorf("shard: refine partial %d has %d gathers, want %d", p.Chunk, len(p.Refiners), len(refs))
 		}
-		for i, ref := range refs {
-			if err := ref.MergeWire(p.Refiners[i]); err != nil {
+		return f.each(len(refs), func(i int) error {
+			if err := refs[i].MergeWire(p.Refiners[i]); err != nil {
 				return fmt.Errorf("shard: refine partial %d target %d: %w", p.Chunk, i, err)
 			}
-		}
-		return nil
+			return nil
+		})
 	})
 }
 
@@ -511,7 +520,8 @@ func (f *fitter) passCandidateCounts(entries []*candidate) error {
 				return fmt.Errorf("shard: hist-id partial %d has %d ids, want %d", p.Chunk, len(p.Ints), len(entries)*p.Rows)
 			}
 			targets := f.labels[p.Start : p.Start+p.Rows]
-			for i, en := range entries {
+			return f.each(len(entries), func(i int) error {
+				en := entries[i]
 				ids := p.Ints[i*p.Rows : (i+1)*p.Rows]
 				bins := int32(len(en.ivCuts) + 1)
 				for _, id := range ids {
@@ -520,22 +530,22 @@ func (f *fitter) passCandidateCounts(entries []*candidate) error {
 					}
 				}
 				en.hist.(*sketch.MomentHist).AddBinned(ids, targets)
-			}
-			return nil
+				return nil
+			})
 		})
 	}
 	return f.runPass(spec, func(p *Partial) error {
 		if len(p.Hists) != len(entries) {
 			return fmt.Errorf("shard: hist partial %d has %d histograms, want %d", p.Chunk, len(p.Hists), len(entries))
 		}
-		for i, en := range entries {
+		return f.each(len(entries), func(i int) error {
 			// MergeHist's cut-equality check doubles as an integrity check on
 			// the partition's histogram.
-			if err := en.hist.MergeHist(p.Hists[i]); err != nil {
+			if err := entries[i].hist.MergeHist(p.Hists[i]); err != nil {
 				return fmt.Errorf("shard: hist partial %d cand %d: %w", p.Chunk, i, err)
 			}
-		}
-		return nil
+			return nil
+		})
 	})
 }
 

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -23,15 +24,24 @@ import (
 // each partial to the fold either by pointer or after the full wire hop
 // (dist's partial frame with its blobs rendered by Partial.AppendBlob, then
 // Partial.Decode inside the fold). One partial of one pass kind can be
-// corrupted on the way.
+// corrupted on the way, or the pass's spec before the kernel sees it.
 type seamExec struct {
 	src  frame.ChunkSource
 	wire bool
 
 	// corrupt, when set, is applied to the first partial of pass kind bad just
-	// before it reaches the fold.
-	bad     shard.PassKind
-	corrupt func(p *shard.Partial, wire bool)
+	// before it reaches the fold; corruptSpec to the first combination of what
+	// the kernel is handed as that (score) pass's spec, as a malformed runPass
+	// from a peer would decode.
+	bad         shard.PassKind
+	corrupt     func(p *shard.Partial, wire bool)
+	corruptSpec func(c *shard.ComboSpec)
+
+	// pools, when set, has every chunk computed once more on a shared pool of
+	// each size; each result must render to the bytes the first did.
+	pools  []int
+	others []*shard.WorkerState
+	t      *testing.T
 
 	ws    *shard.WorkerState
 	kinds map[shard.PassKind]int
@@ -43,10 +53,19 @@ type seamExec struct {
 func (e *seamExec) Open(_ context.Context, names []string, task core.Task, sketchSize int) error {
 	e.ws = shard.NewWorkerState(names, task, sketchSize)
 	e.kinds = map[shard.PassKind]int{}
+	e.others = nil
+	for _, workers := range e.pools {
+		e.others = append(e.others, shard.NewWorkerStateOn(names, task, sketchSize, workers))
+	}
 	return nil
 }
 
 func (e *seamExec) SetLive(_ context.Context, epoch int, nodes []shard.NodeSpec, live []string) error {
+	for _, ws := range e.others {
+		if err := ws.SetLive(epoch, nodes, live); err != nil {
+			return err
+		}
+	}
 	return e.ws.SetLive(epoch, nodes, live)
 }
 
@@ -60,7 +79,7 @@ func specDigest(s *shard.PassSpec) uint64 {
 	return h.Sum64()
 }
 
-func (e *seamExec) RunPass(_ context.Context, spec *shard.PassSpec, fold func(*shard.Partial) error) (shard.PassResult, error) {
+func (e *seamExec) RunPass(ctx context.Context, spec *shard.PassSpec, fold func(*shard.Partial) error) (shard.PassResult, error) {
 	e.kinds[spec.Kind]++
 	e.specs = append(e.specs, specDigest(spec))
 	var res shard.PassResult
@@ -75,11 +94,35 @@ func (e *seamExec) RunPass(_ context.Context, spec *shard.PassSpec, fold func(*s
 		if err != nil {
 			return res, err
 		}
-		computed, err := e.ws.ComputePartial(spec, c)
+		kernelSpec := spec
+		if e.corruptSpec != nil && spec.Kind == e.bad {
+			// A copy, as the wire would make one: the original (and the slices
+			// its combos alias) belongs to the fitter.
+			kernelSpec = &shard.PassSpec{Pass: spec.Pass, Kind: spec.Kind, Epoch: spec.Epoch, Classes: spec.Classes,
+				Combos: append([]shard.ComboSpec(nil), spec.Combos...)}
+			e.corruptSpec(&kernelSpec.Combos[0])
+		}
+		computed, err := e.ws.ComputePartial(ctx, kernelSpec, c)
 		if err != nil {
 			return res, err
 		}
 		p := computed
+		if len(e.others) > 0 {
+			// The whole wire form: every blob through BlobCount/AppendBlob plus
+			// the plain Labels, Ints and Codes.
+			e.frame = dist.AppendPartial(e.frame[:0], spec.Pass, spec.Kind, computed)
+			for i, ws := range e.others {
+				q, err := ws.ComputePartial(ctx, spec, c)
+				if err != nil {
+					return res, err
+				}
+				if got := dist.AppendPartial(nil, spec.Pass, spec.Kind, q); !bytes.Equal(got, e.frame) {
+					e.t.Errorf("pass kind %d chunk %d: a pool of %d renders %d bytes that differ from the default pool's %d",
+						spec.Kind, c.Index, e.pools[i], len(got), len(e.frame))
+				}
+				ws.Release(q)
+			}
+		}
 		if e.wire {
 			e.frame = dist.AppendPartial(e.frame[:0], spec.Pass, spec.Kind, computed)
 			if _, p, err = dist.DecodePartial(e.frame); err != nil {
@@ -121,14 +164,15 @@ var seamTasks = []struct {
 // executor). The sketch size is far below the row count, so the quantile
 // summaries are lossy and the refine passes really run; a second iteration
 // makes round 2 replay round 1's node program. Short boosting runs keep the
-// table fast — the GBDT stages are not what it tests.
-func seamFit(t *testing.T, task core.Task, train *frame.Frame, iterations int, exec shard.Executor) (*core.Pipeline, *core.Report, *shard.Stats, error) {
+// table fast — the GBDT stages are not what it tests. workers sizes the
+// fitter's pool, the one its folds and cut derivations run on.
+func seamFit(t *testing.T, task core.Task, train *frame.Frame, iterations, workers int, exec shard.Executor) (*core.Pipeline, *core.Report, *shard.Stats, error) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Task = task
 	cfg.Seed = 1
 	cfg.Iterations = iterations
-	cfg.Workers = 1
+	cfg.Workers, cfg.Parallel = workers, workers != 1
 	cfg.Miner.NumTrees, cfg.Ranker.NumTrees = 12, 12
 	return shard.Fit(context.Background(), frame.NewFrameChunks(train, 300),
 		shard.Config{Core: cfg, SketchSize: 128, Exec: exec})
@@ -185,13 +229,48 @@ var corruptions = []struct {
 		}},
 }
 
+// specCorruptions are the malformed score specs a peer could send: the kernel
+// indexes live columns and a fixed three-value buffer by them, so each must
+// come back as a typed error from ComputePartial, not an index panic that
+// takes the worker process down. Each rewrites the first combination of a
+// copied combo list, replacing (never writing through) the slices it changes.
+var specCorruptions = []struct {
+	name  string
+	apply func(c *shard.ComboSpec)
+}{
+	{"feature outside the live set", func(c *shard.ComboSpec) {
+		c.Features = append(append([]int(nil), c.Features[1:]...), 1<<20)
+	}},
+	{"negative feature", func(c *shard.ComboSpec) {
+		c.Features = append(append([]int(nil), c.Features[1:]...), -1)
+	}},
+	{"arity above 3", func(c *shard.ComboSpec) {
+		c.Features, c.Values = []int{0, 1, 2, 3}, [][]float64{{0}, {0}, {0}, {0}}
+	}},
+	{"fewer split sets than features", func(c *shard.ComboSpec) {
+		c.Values = c.Values[:len(c.Values)-1]
+	}},
+}
+
+// seamPools are the pool sizes a partial's bytes and the fitter's state are
+// held equal across: inline, the pair, an odd size and more than the table's
+// columns.
+var seamPools = []int{1, 2, 3, 8}
+
 // TestSeam is the one table over the pass seam. For every task family it
 // fits through the fake executor by pointer and over the wire hop, and holds
 // both to the in-process executor's result: same pass-spec digests pass by
 // pass (so the same fitter state after every fold of every pass kind), same
 // pipeline, report and stats. Then every pass kind of the task is fed each
 // applicable wrong-shape partial, by pointer and in wire form, and the fit
-// must fail with a positioned "shard: … partial N …" error.
+// must fail with a positioned "shard: … partial N …" error, and every score
+// kind each malformed spec, which the kernel must reject with a typed error.
+//
+// Pool-size invariance rides the same table: one fit has every chunk of every
+// pass computed on pools of 1, 2, 3 and 8 workers besides the default and
+// holds the wire renderings byte-equal, and fits whose fitter pool is each of
+// those sizes must issue the same pass-spec digests — the same fitter state
+// after every parallel fold and cut derivation.
 func TestSeam(t *testing.T) {
 	for _, tc := range seamTasks {
 		tc := tc
@@ -204,14 +283,14 @@ func TestSeam(t *testing.T) {
 				t.Fatal(err)
 			}
 			train := ds.Train
-			wantP, wantRep, wantSt, err := seamFit(t, tc.task, train, 2, nil)
+			wantP, wantRep, wantSt, err := seamFit(t, tc.task, train, 2, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var digests [][]uint64
 			for _, wire := range []bool{false, true} {
 				exec := &seamExec{src: frame.NewFrameChunks(train, 300), wire: wire}
-				p, rep, st, err := seamFit(t, tc.task, train, 2, exec)
+				p, rep, st, err := seamFit(t, tc.task, train, 2, 1, exec)
 				if err != nil {
 					t.Fatalf("wire=%v: %v", wire, err)
 				}
@@ -243,6 +322,23 @@ func TestSeam(t *testing.T) {
 				t.Fatalf("pass specs diverge between the by-pointer and the wire fold:\n%v\n%v", digests[0], digests[1])
 			}
 
+			for _, workers := range seamPools {
+				exec := &seamExec{src: frame.NewFrameChunks(train, 300)}
+				if workers == 1 {
+					exec.pools, exec.t = seamPools, t
+				}
+				p, _, _, err := seamFit(t, tc.task, train, 2, workers, exec)
+				if err != nil {
+					t.Fatalf("fold pool %d: %v", workers, err)
+				}
+				if !reflect.DeepEqual(exec.specs, digests[0]) {
+					t.Fatalf("fold pool %d: pass specs diverge from the one-worker fold:\n%v\n%v", workers, exec.specs, digests[0])
+				}
+				if !reflect.DeepEqual(p.Formulas(), wantP.Formulas()) {
+					t.Fatalf("fold pool %d: selection %v, want %v", workers, p.Output, wantP.Output)
+				}
+			}
+
 			for _, co := range corruptions {
 				for _, kind := range co.kinds {
 					if !containsKind(tc.kinds, kind) {
@@ -250,7 +346,7 @@ func TestSeam(t *testing.T) {
 					}
 					for _, wire := range []bool{false, true} {
 						exec := &seamExec{src: frame.NewFrameChunks(train, 300), wire: wire, bad: kind, corrupt: co.apply}
-						_, _, _, err := seamFit(t, tc.task, train, 1, exec)
+						_, _, _, err := seamFit(t, tc.task, train, 1, 1, exec)
 						if err == nil {
 							t.Errorf("%s, kind %d, wire=%v: the fold accepted it", co.name, kind, wire)
 							continue
@@ -258,6 +354,22 @@ func TestSeam(t *testing.T) {
 						if msg := err.Error(); !strings.HasPrefix(msg, "shard: ") || !strings.Contains(msg, "partial") {
 							t.Errorf("%s, kind %d, wire=%v: untyped error %q", co.name, kind, wire, msg)
 						}
+					}
+				}
+			}
+			for _, co := range specCorruptions {
+				for _, kind := range []shard.PassKind{shard.PassScoreBinary, shard.PassScoreClasses, shard.PassScoreMomentIDs} {
+					if !containsKind(tc.kinds, kind) {
+						continue
+					}
+					exec := &seamExec{src: frame.NewFrameChunks(train, 300), bad: kind, corruptSpec: co.apply}
+					_, _, _, err := seamFit(t, tc.task, train, 1, 1, exec)
+					if err == nil {
+						t.Errorf("spec with %s, kind %d: the kernel accepted it", co.name, kind)
+						continue
+					}
+					if msg := err.Error(); !strings.HasPrefix(msg, "shard: combo ") {
+						t.Errorf("spec with %s, kind %d: untyped error %q", co.name, kind, msg)
 					}
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/gbdt"
 	"repro/internal/operators"
+	"repro/internal/parallel"
 	"repro/internal/sketch"
 )
 
@@ -32,10 +33,9 @@ type Config struct {
 	ApproxCuts bool
 	// Prefetch bounds the chunk read-ahead of every streaming pass: the next
 	// Prefetch chunks are read and decoded in the background while the
-	// current ones are processed and folded. 0 picks the default (2 when the
+	// current one is processed and folded. 0 picks the default (2 when the
 	// fit runs parallel workers, off for a single worker); < 0 disables
-	// read-ahead. Parallel fits always route chunks through the prefetcher's
-	// lease pool regardless, so each worker owns its chunk independently.
+	// read-ahead.
 	Prefetch int
 	// Retry bounds transient chunk-read retries (see RetryPolicy). The zero
 	// value disables retrying: every read error aborts the fit immediately.
@@ -108,9 +108,14 @@ func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline
 	if norm.IVEqualWidth {
 		return nil, nil, nil, errors.New("shard: IVEqualWidth is not supported by the sharded engine")
 	}
+	pool := parallel.Get(1)
+	if norm.Parallel {
+		pool = parallel.Get(norm.Workers)
+	}
 	f := &fitter{
 		ctx:        ctx,
 		cfg:        norm,
+		pool:       pool,
 		sketchSize: cfg.SketchSize,
 		approxCuts: cfg.ApproxCuts,
 		names:      src.Names(),
@@ -120,7 +125,7 @@ func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline
 		exec:       cfg.Exec,
 	}
 	if f.exec == nil {
-		le := newLocalExec(ctx, src, cfg, &norm, f.arena)
+		le := newLocalExec(ctx, src, cfg, pool, norm.Registry, f.arena)
 		defer le.close()
 		f.exec = le
 	}
@@ -173,7 +178,8 @@ type fitter struct {
 	approxCuts bool
 	ops        []operators.Operator
 	arities    []int
-	arena      *sketch.Arena // recycles candidate sketches (and the in-process executor's partials)
+	arena      *sketch.Arena  // recycles candidate sketches (and the in-process executor's partials)
+	pool       *parallel.Pool // the folds' and cut derivations' per-candidate loops run on it
 
 	names      []string
 	labels     []float64
@@ -190,19 +196,30 @@ type fitter struct {
 }
 
 // prefetchDepth resolves the Config.Prefetch knob: explicit depth wins, 0 is
-// auto (read-ahead 2 for parallel fits), negative disables read-ahead but a
-// parallel fit still gets a depth-1 lease stream for chunk ownership.
+// auto (read-ahead 2 for parallel fits), negative means no prefetcher.
 func prefetchDepth(pref, workers int) int {
 	switch {
 	case pref > 0:
 		return pref
 	case pref == 0 && workers > 1:
 		return 2
-	case pref < 0 && workers > 1:
-		return 1
 	default:
 		return 0
 	}
+}
+
+// each runs fn(i) for every i in [0,n) on the fit's pool — the per-candidate
+// loop of a fold or a cut derivation. fn must touch only candidate i's state;
+// the candidates are then each folded in partition order, whatever the pool.
+func (f *fitter) each(n int, fn func(i int) error) error {
+	return forRange(f.ctx, f.pool, n, f.pool.Grain(n), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // trackSketch folds a sketch's error bound into the fit statistics.
@@ -266,9 +283,15 @@ func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 	if err := f.refineLive(); err != nil {
 		return nil, nil, err
 	}
-	for _, lf := range f.live {
+	if err := f.each(len(f.live), func(j int) error {
+		lf := f.live[j]
 		lf.minerCuts = sketch.ExactBinnerCuts(lf.sk, lf.ref, cfg.Miner.MaxBins)
 		lf.codes = make([]uint8, f.n)
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
+	for _, lf := range f.live {
 		f.trackSketch(lf.sk)
 	}
 	if err := f.syncLive(); err != nil {
@@ -353,7 +376,8 @@ func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 		sc.End(len(entries))
 
 		sc.Begin(core.StageIVFilter, len(entries))
-		for _, en := range entries {
+		if err := f.each(len(entries), func(i int) error {
+			en := entries[i]
 			en.ivCuts = sketch.ExactCuts(en.sk, en.ref, cfg.IVBins)
 			if en.isBase && cfg.Ranker.MaxBins == cfg.Miner.MaxBins {
 				en.rgCuts = f.live[en.baseIdx].minerCuts
@@ -361,6 +385,11 @@ func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 			} else {
 				en.rgCuts = sketch.ExactBinnerCuts(en.sk, en.ref, cfg.Ranker.MaxBins)
 			}
+			return nil
+		}); err != nil {
+			return nil, nil, err
+		}
+		for _, en := range entries {
 			f.trackSketch(en.sk)
 		}
 		if err := f.passCandidateCounts(entries); err != nil {
