@@ -110,8 +110,13 @@ type csvSource struct{ path, label string }
 // is read into memory and fitted by the in-memory engine; with
 // WithSharding(chunkRows) it streams through the out-of-core engine in
 // chunkRows-row partitions (chunkRows <= 0 picks the reader default), so
-// files far larger than memory fit. labelCol may be "" for an unlabelled
-// file (which a fit will then reject — useful only with transforms).
+// files far larger than memory fit. The sharded fit parses the text once:
+// its first pass also writes the decoded columns to a scratch file in
+// os.TempDir() (8 bytes per value, removed when the fit ends) and every
+// later pass reads that file's mapping; if the scratch file cannot be
+// written the fit re-parses on every pass instead. labelCol may be "" for
+// an unlabelled file (which a fit will then reject — useful only with
+// transforms).
 func FromCSVFile(path, labelCol string) Source { return csvSource{path: path, label: labelCol} }
 
 func (s csvSource) open(p *Plan) (*openedSource, error) {
@@ -122,7 +127,11 @@ func (s csvSource) open(p *Plan) (*openedSource, error) {
 		}
 		return &openedSource{frame: f}, nil
 	}
-	cs, err := frame.OpenCSVChunks(s.path, s.label, p.chunkRows)
+	// A CSV named by path is parsed once: the first pass tees into a temp
+	// column file and the rest read its mapping. A caller's own ChunkSource
+	// (FromChunks) is read on every pass, because it may be a decorator that
+	// has to see every read.
+	cs, err := colstore.OpenCSV(s.path, s.label, p.chunkRows)
 	if err != nil {
 		return nil, err
 	}

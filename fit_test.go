@@ -3,6 +3,7 @@ package safe_test
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -94,7 +95,58 @@ func TestFitEquivalenceAcrossEntryPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameSelection(t, "Fit(FromChunks)", want, chRes.Pipeline)
+
+			// The same rows as a CSV, named (parsed once, then read from the
+			// spill's mapping) and handed in as chunks (parsed on every pass):
+			// one selection, and the engine cannot tell the two apart.
+			empty := emptyTempDir(t)
+			path := filepath.Join(t.TempDir(), "train.csv")
+			if err := train.WriteCSVFile(path); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2} {
+				opts := []safe.Option{safe.WithTask(tc.task), safe.WithSeed(1), safe.WithWorkers(workers)}
+				spilled, err := safe.Fit(ctx, safe.FromCSVFile(path, "label"),
+					append(opts, safe.WithSharding(tc.rows/4))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chunks, err := safe.OpenCSVChunks(path, "label", tc.rows/4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reparsed, err := safe.Fit(ctx, safe.FromChunks(chunks), opts...)
+				chunks.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameSelection(t, "Fit(FromCSVFile, WithSharding)", want, spilled.Pipeline)
+				sameSelection(t, "Fit(FromChunks(OpenCSVChunks))", want, reparsed.Pipeline)
+				if *spilled.Shard != *reparsed.Shard || spilled.Shard.BlocksSkipped != 0 {
+					t.Fatalf("workers=%d: shard stats differ between the spilled and the re-parsed CSV:\nspilled:   %+v\nre-parsed: %+v",
+						workers, *spilled.Shard, *reparsed.Shard)
+				}
+			}
+			empty()
 		})
+	}
+}
+
+// emptyTempDir points TMPDIR — where a named CSV's sharded fit spills — at
+// an empty directory for the test and returns a check that it is empty again.
+func emptyTempDir(t *testing.T) (empty func()) {
+	t.Helper()
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	return func() {
+		t.Helper()
+		left, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range left {
+			t.Errorf("temp directory still holds %s", e.Name())
+		}
 	}
 }
 
@@ -429,6 +481,92 @@ func TestFitCancelMidShardPass(t *testing.T) {
 		}
 	}
 	check()
+}
+
+// TestFitCSVSpillLifecycle pins that the temp column file behind a named
+// CSV's sharded fit never outlives the fit, however it ends: completed,
+// cancelled between passes, cancelled in the middle of the first pass (the
+// tee) or of the third (the mapping), failed on a malformed row — which
+// still reports frame's line position — and that a temp directory that
+// cannot be written costs only the re-parse, not the selection.
+func TestFitCSVSpillLifecycle(t *testing.T) {
+	train := workload(t, 4000, 8, safe.BinaryTask())
+	path := filepath.Join(t.TempDir(), "train.csv")
+	if err := train.WriteCSVFile(path); err != nil {
+		t.Fatal(err)
+	}
+	warmup(t, train)
+	named := func(ctx context.Context, extra ...safe.Option) (*safe.Result, error) {
+		return safe.Fit(ctx, safe.FromCSVFile(path, "label"),
+			append([]safe.Option{safe.WithSeed(2), safe.WithSharding(1000)}, extra...)...)
+	}
+
+	empty := emptyTempDir(t)
+	leaks := leakCheck(t)
+	ref, err := named(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err = named(ctx, safe.WithEvents(func(ev safe.FitEvent) {
+		if ev.Kind == safe.EventStageStart && ev.Stage == safe.StageScore {
+			cancel()
+		}
+	}))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("fit cancelled between passes returned %v, want context.Canceled", err)
+	}
+	empty()
+
+	// A pass over 4 chunks is 5 Next calls; the counter sits above the spill,
+	// so it keeps counting once the CSV below is no longer read.
+	for _, after := range []int{2, 2*5 + 2} {
+		csv, err := safe.OpenCSVChunks(path, "label", 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spill := colstore.NewSpill(csv)
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancellingChunks{ChunkSource: spill, cancel: cancel, after: after}
+		_, err = safe.Fit(ctx, safe.FromChunks(src), safe.WithSeed(2))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("fit cancelled at read %d returned %v, want context.Canceled", after, err)
+		}
+		if err := spill.Close(); err != nil {
+			t.Fatal(err)
+		}
+		empty()
+	}
+	leaks()
+
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(text), "\n")
+	lines[2500] = "1,2,3\n" // line 2501, inside the third chunk
+	bad := filepath.Join(t.TempDir(), "bad.csv")
+	if err := os.WriteFile(bad, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = safe.Fit(context.Background(), safe.FromCSVFile(bad, "label"), safe.WithSeed(2), safe.WithSharding(1000))
+	if err == nil || !strings.Contains(err.Error(), "line 2501: row has 3 fields, want 9") {
+		t.Fatalf("malformed row: got %v, want frame's positioned error", err)
+	}
+	empty()
+
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	reparsed, err := named(context.Background())
+	if err != nil {
+		t.Fatalf("fit without a writable temp directory: %v", err)
+	}
+	sameSelection(t, "unwritable TMPDIR", ref.Pipeline, reparsed.Pipeline)
+	if *reparsed.Shard != *ref.Shard {
+		t.Fatalf("shard stats moved without the spill:\nwith:    %+v\nwithout: %+v", *ref.Shard, *reparsed.Shard)
+	}
 }
 
 // TestFitDeadline: an already-expired deadline aborts before any real work.

@@ -11,5 +11,8 @@
 // columns zero-copy as []float64 views (stable chunks, little-endian hosts).
 // Both implement frame.SkippableSource — the footer's block statistics let
 // the multi-pass fit engine skip row groups a pass provably does not need.
+// Spill composes the writer and the readers into a decode-once wrapper for
+// any other chunk source (OpenCSV for a CSV file): the first pass is teed to
+// a scratch file, later passes read its mapping.
 // See docs/storage.md for the byte-level layout and compatibility policy.
 package colstore

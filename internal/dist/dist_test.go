@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -92,6 +93,25 @@ func openLocal(t *testing.T, spec SourceSpec) frame.ChunkSource {
 	}
 	t.Cleanup(func() { src.Close() })
 	return src
+}
+
+// emptyTempDir points TMPDIR — where a worker's CSV session spills — at an
+// empty directory for the test and returns a check that nothing is left in
+// it once the sessions are closed.
+func emptyTempDir(t *testing.T) (empty func()) {
+	t.Helper()
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	return func() {
+		t.Helper()
+		left, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range left {
+			t.Errorf("temp directory still holds %s", e.Name())
+		}
+	}
 }
 
 // fleet is a test worker fleet: the coordinator-side connections plus a
@@ -238,6 +258,36 @@ func TestDistributedFitMatchesLocal(t *testing.T) {
 							transport, workers, st.Partitions, parts)
 					}
 				}
+			}
+
+			// Every family also fits the CSV: a worker session parses it once
+			// and spills, a local fit over frame.CSVChunks parses it on every
+			// pass, and the engine must not be able to tell — same selection,
+			// the same stats field for field, no temp file after the sessions.
+			empty := emptyTempDir(t)
+			if kind != SourceCSV {
+				spec = writeSource(t, train, SourceCSV, chunkRows)
+			}
+			rp, _, reparsed, err := shard.Fit(context.Background(), openLocal(t, spec), shard.Config{Core: cfg})
+			if err != nil {
+				t.Fatalf("local fit over the re-parsed csv: %v", err)
+			}
+			if fp := fingerprint(rp); fp != coreFP {
+				t.Fatalf("re-parsed csv diverged from the in-memory fit:\n got: %s\nwant: %s", fp, coreFP)
+			}
+			for _, workers := range []int{1, 2} {
+				ctx, cancel := context.WithCancel(context.Background())
+				fl := pipeFleet(t, ctx, workers)
+				p, st := distFit(t, ctx, spec, fl.conns, cfg)
+				cancel()
+				fl.wait()
+				if fp := fingerprint(p); fp != coreFP {
+					t.Fatalf("spilled csv workers=%d diverged from the in-memory fit:\n got: %s\nwant: %s", workers, fp, coreFP)
+				}
+				if *st != *reparsed || st.BlocksSkipped != 0 {
+					t.Fatalf("spilled csv workers=%d: stats differ from the re-parsed fit:\nspilled:   %+v\nre-parsed: %+v", workers, *st, *reparsed)
+				}
+				empty()
 			}
 		})
 	}

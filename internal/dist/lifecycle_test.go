@@ -99,7 +99,10 @@ func (h *hookConn) Recv() ([]byte, error) {
 // cancelled mid-pass (several partials already folded, workers still
 // streaming), shard.Fit must return the context error, and closing the
 // coordinator must drain its readers and senders without leaking a
-// goroutine — even though the workers are still alive and mid-send.
+// goroutine — even though the workers are still alive and mid-send. Over a
+// CSV the workers are spilling (frame 4 lands in the first pass, the tee) or
+// reading their spill's mapping (frame 10), and either way the drained
+// sessions leave nothing in the temp directory.
 func TestDistributedFitCancelMidFit(t *testing.T) {
 	const rows, dim, parts = 2000, 8, 4
 	chunkRows := (rows + parts - 1) / parts
@@ -108,33 +111,46 @@ func TestDistributedFitCancelMidFit(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Task = tc.task
 	cfg.Seed = 1
-	spec := writeSource(t, train, SourceColstore, chunkRows)
+	for _, c := range []struct {
+		name  string
+		kind  int
+		after int // a clean fit delivers ~22 frames per worker
+	}{
+		{"colstore", SourceColstore, 10},
+		{"csv/tee", SourceCSV, 4},
+		{"csv/mapped", SourceCSV, 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			empty := emptyTempDir(t)
+			spec := writeSource(t, train, c.kind, chunkRows)
 
-	runDistOnce(t, spec, cfg, "pipe")
-	check := distLeakCheck(t)
+			runDistOnce(t, spec, cfg, "pipe")
+			check := distLeakCheck(t)
 
-	// The fleet outlives the fit on purpose: only the fit's context is
-	// cancelled, so the abort is the coordinator's to handle.
-	fleetCtx, fleetCancel := context.WithCancel(context.Background())
-	fl := pipeFleet(t, fleetCtx, 2)
-	fitCtx, fitCancel := context.WithCancel(context.Background())
-	defer fitCancel()
-	// A clean fit delivers ~22 frames per worker; frame 10 lands mid-pass.
-	fl.conns[0] = &hookConn{Conn: fl.conns[0], after: 10, hook: fitCancel}
+			// The fleet outlives the fit on purpose: only the fit's context is
+			// cancelled, so the abort is the coordinator's to handle.
+			fleetCtx, fleetCancel := context.WithCancel(context.Background())
+			fl := pipeFleet(t, fleetCtx, 2)
+			fitCtx, fitCancel := context.WithCancel(context.Background())
+			defer fitCancel()
+			fl.conns[0] = &hookConn{Conn: fl.conns[0], after: c.after, hook: fitCancel}
 
-	coord := NewCoordinator(spec, fl.conns...)
-	src := openLocal(t, spec)
-	_, _, _, err := shard.Fit(fitCtx, src, shard.Config{Core: cfg, Exec: coord})
-	if err == nil {
-		t.Fatal("fit completed despite mid-pass cancellation")
+			coord := NewCoordinator(spec, fl.conns...)
+			src := openLocal(t, spec)
+			_, _, _, err := shard.Fit(fitCtx, src, shard.Config{Core: cfg, Exec: coord})
+			if err == nil {
+				t.Fatal("fit completed despite mid-pass cancellation")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled fit returned %v, want context.Canceled", err)
+			}
+			coord.Close()
+			fleetCancel()
+			fl.wait()
+			check()
+			empty()
+		})
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled fit returned %v, want context.Canceled", err)
-	}
-	coord.Close()
-	fleetCancel()
-	fl.wait()
-	check()
 }
 
 // TestServerDrainOnCancel pins the worker server's lifecycle: cancelling the

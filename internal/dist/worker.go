@@ -94,7 +94,10 @@ func (s *session) closeSource() {
 func (s *session) openSource(spec *SourceSpec) (frame.ChunkSource, io.Closer, error) {
 	switch spec.Kind {
 	case SourceCSV:
-		src, err := frame.OpenCSVChunks(spec.Path, spec.Label, spec.ChunkRows)
+		// Parsed once per session: after the first pass the file's chunks come
+		// from a local temp column file, so a partition this worker is not
+		// assigned costs a pointer step instead of a parse.
+		src, err := colstore.OpenCSV(spec.Path, spec.Label, spec.ChunkRows)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -9,7 +9,9 @@ import (
 // across Next and Reset calls — only the Chunk struct and its Cols header
 // slice may be reused. FrameChunks is stable (its chunks are views of a
 // resident frame); CSVChunks is not (it reuses column buffers). Prefetch
-// skips copying values for stable sources.
+// skips copying values for stable sources. A source may turn stable in a
+// Reset (colstore.Spill does, when it swaps to its mapped file) but never
+// the reverse: a lease holding stable views must not become a copy buffer.
 type StableSource interface {
 	StableChunks() bool
 }
@@ -22,8 +24,9 @@ type StableSource interface {
 // chunk, and a consumer may hold several chunks at once.
 //
 // For unstable sources values are copied into recycled lease buffers; for
-// StableSource sources only the chunk header is copied. Reset restarts the
-// stream; Close stops the background reader and must be called when done
+// StableSource sources only the chunk header is copied, from the first Reset
+// at which the source reports itself stable. Reset restarts the stream;
+// Close stops the background reader and must be called when done
 // (Reset and Close both return only after the reader goroutine has exited,
 // so Prefetch never leaks goroutines). Errors from the wrapped source,
 // including io.EOF, are delivered in stream order through Next and stick
@@ -61,15 +64,10 @@ func NewPrefetch(src ChunkSource, depth, leases int) *Prefetch {
 	if leases < 1 {
 		leases = 1
 	}
-	stable := false
-	if ss, ok := src.(StableSource); ok {
-		stable = ss.StableChunks()
-	}
 	return &Prefetch{
-		src:    src,
-		depth:  depth,
-		stable: stable,
-		free:   make(chan *Chunk, depth+leases+2),
+		src:   src,
+		depth: depth,
+		free:  make(chan *Chunk, depth+leases+2),
 	}
 }
 
@@ -86,6 +84,11 @@ func (p *Prefetch) Reset() error {
 	if err := p.src.Reset(); err != nil {
 		p.sticky = err
 		return err
+	}
+	// Read here, with the reader stopped and the source just rewound: a
+	// source that became stable in its Reset stops being copied.
+	if ss, ok := p.src.(StableSource); ok && !p.stable {
+		p.stable = ss.StableChunks()
 	}
 	p.start()
 	return nil
@@ -203,7 +206,8 @@ func (p *Prefetch) lease(c *Chunk) *Chunk {
 	}
 	if p.stable {
 		// Values are stable; only the header slices need copying. A lease
-		// never switches modes, so l's slots hold no copy buffers to keep.
+		// only ever goes from copies to views, so overwriting its slots drops
+		// copy buffers that are no longer needed and nothing else.
 		copy(l.Cols, c.Cols)
 		l.Label = c.Label
 		return l

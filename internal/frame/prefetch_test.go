@@ -206,6 +206,86 @@ func TestPrefetchLeaseRecycling(t *testing.T) {
 	}
 }
 
+// turningStable reads through buffer-reusing chunks for its first pass and
+// serves views of the resident frame from the first Reset after it — the
+// shape of a source that spills its first pass and maps the result.
+type turningStable struct {
+	*unstableChunks
+	views  *FrameChunks
+	passes int
+}
+
+func (s *turningStable) Reset() error {
+	s.passes++
+	if s.passes > 1 {
+		return s.views.Reset()
+	}
+	return s.unstableChunks.Reset()
+}
+
+func (s *turningStable) Next() (*Chunk, error) {
+	if s.passes > 1 {
+		return s.views.Next()
+	}
+	return s.unstableChunks.Next()
+}
+
+func (s *turningStable) StableChunks() bool { return s.passes > 1 }
+
+// TestPrefetchSourceTurnsStable pins that stability is read at every Reset,
+// not once at construction: the first pass over an unstable source is copied
+// into leases, and once the source reports itself stable the same recycled
+// leases carry views — no value is copied, and none is written through a
+// view when a lease is reused.
+func TestPrefetchSourceTurnsStable(t *testing.T) {
+	f := prefetchFrame(60, 3)
+	want := prefetchFrame(60, 3)
+	src := &turningStable{unstableChunks: newUnstableChunks(f, 10), views: NewFrameChunks(f, 10)}
+	p := NewPrefetch(src, 2, 1)
+	defer p.Close()
+	isView := func(c *Chunk) bool {
+		return &c.Cols[0][0] == &f.Columns[0].Values[c.Start] && &c.Label[0] == &f.Label[c.Start]
+	}
+	for pass := 0; pass < 4; pass++ {
+		if err := p.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for {
+			c, err := p.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := isView(c); got != (pass > 0) {
+				t.Fatalf("pass %d chunk %d: lease is a view = %v, want %v", pass, c.Index, got, pass > 0)
+			}
+			for j, col := range c.Cols {
+				for i, v := range col {
+					if exp := want.Columns[j].Values[c.Start+i]; v != exp {
+						t.Fatalf("pass %d chunk %d col %d row %d: got %v want %v", pass, c.Index, j, i, v, exp)
+					}
+				}
+			}
+			p.Recycle(c)
+			n++
+		}
+		if n != 6 {
+			t.Fatalf("pass %d delivered %d chunks, want 6", pass, n)
+		}
+	}
+	// Reusing a lease must never have copied one chunk's rows over another's.
+	for j := range want.Columns {
+		for i, exp := range want.Columns[j].Values {
+			if f.Columns[j].Values[i] != exp {
+				t.Fatalf("resident col %d row %d overwritten through a recycled view: got %v want %v", j, i, f.Columns[j].Values[i], exp)
+			}
+		}
+	}
+}
+
 // TestPrefetchStickyError pins error delivery: a mid-stream read error
 // arrives in stream order (after the preceding good chunks), sticks across
 // subsequent Next calls, and clears on Reset.

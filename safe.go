@@ -182,7 +182,9 @@ type ColumnChecksumError = colstore.ChecksumError
 
 // OpenCSVChunks opens a CSV file as a streaming chunk source for FromChunks:
 // files far larger than memory fit out-of-core. labelCol may be "";
-// chunkRows <= 0 picks a default. Close it when done.
+// chunkRows <= 0 picks a default. Close it when done. The source is the
+// caller's, so the fit parses it on every pass; FromCSVFile with
+// WithSharding parses the same file once.
 func OpenCSVChunks(path, labelCol string, chunkRows int) (*frame.CSVChunks, error) {
 	return frame.OpenCSVChunks(path, labelCol, chunkRows)
 }
