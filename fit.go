@@ -316,7 +316,9 @@ func WithSharding(chunkRows int) Option {
 }
 
 // WithSketch tunes the sharded engine's quantile sketches: size is the
-// per-level summary size (0 keeps the default), approxCuts skips the
+// per-level summary size of the fit's running sketches (0 keeps the default;
+// a size below the 1,024-point budget of a partition's partial caps the
+// partials too), approxCuts skips the
 // exact-cut refinement pass, trading bit-exact equivalence with the
 // in-memory engine for one fewer streaming pass per stage. Only valid for
 // plans that fit sharded.

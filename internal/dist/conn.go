@@ -10,8 +10,9 @@ import (
 )
 
 // maxFramePayload bounds one frame's payload: far above any real partial (the
-// candidate-sketch pass over 20k×50 rows ships ~48 MB per partition), and the
-// point past which a length prefix is rejected unread.
+// widest, a candidate-sketch partial, is about 16 KB per candidate whatever
+// the partition's rows — ~10 MB for 650 candidates), and the point past which
+// a length prefix is rejected unread.
 const maxFramePayload = 1 << 30
 
 // recvStep is how far the receive buffer may grow on a length prefix's word

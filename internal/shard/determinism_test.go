@@ -2,12 +2,15 @@ package shard
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/frame"
+	"repro/internal/parallel"
+	"repro/internal/sketch"
 )
 
 // fingerprint reduces a fitted pipeline to the string the determinism matrix
@@ -15,14 +18,48 @@ import (
 // merge order, worker scheduling or partition folding shows up here.
 func fingerprint(p *core.Pipeline) string { return strings.Join(p.Output, "|") }
 
+// cutRecorder is the in-process executor with an ear on the pass specs: it
+// keeps the cut sets of the first codes pass, which are the original columns'
+// miner cuts exactly as the fit derived them.
+type cutRecorder struct {
+	*localExec
+	liveCuts [][]float64
+}
+
+func (r *cutRecorder) RunPass(ctx context.Context, spec *PassSpec, fold func(*Partial) error) (PassResult, error) {
+	if spec.Kind == PassCodes && r.liveCuts == nil {
+		r.liveCuts = spec.LiveCuts
+	}
+	return r.localExec.RunPass(ctx, spec, fold)
+}
+
 // TestShardedFitDeterminismMatrix is the tentpole's determinism pin: for
-// every task family, every worker count in {1,2,4,8} and every partitioning
-// in {1,3,4} produces a fingerprint identical to the in-memory core.Fit on
-// the same rows. The parallel coordinator folds partition deltas in index
+// every task family, every listed partitioning under every listed worker
+// count produces a fingerprint identical to the in-memory core.Fit on the
+// same rows. The parallel coordinator folds partition deltas in index
 // order regardless of completion order, so this must hold exactly — also
 // under the race detector, where scheduling is deliberately perturbed.
+//
+// Each row also states how many passes the fit takes. Both refinement passes
+// are skipped (6 passes instead of 8) only while every sketch stays lossless:
+// every chunk within the partial budget, so no partial compacts, and no more
+// rows than the sketch size, so no merge does.
 func TestShardedFitDeterminismMatrix(t *testing.T) {
-	const rows = 3000
+	all, one := []int{1, 2, 4, 8}, []int{2}
+	shapes := []struct {
+		rows, chunkRows, partitions, passes int
+		workers                             []int
+	}{
+		// One, three and four partitions of 3,000 rows.
+		{3000, 3000, 1, 8, all}, // one chunk, but of more rows than a partial holds
+		{3000, 1000, 3, 6, all},
+		{3000, 750, 4, 6, all},
+		// Chunks straddling the partial budget, under and over the sketch size.
+		{3000, partialSize, 3, 6, one},
+		{3000, partialSize + 1, 3, 8, one},   // the first row past the budget compacts the partial
+		{16400, partialSize, 17, 8, one},     // lossless partials, but the 16th merge outgrows a level
+		{16400, partialSize + 1, 16, 8, one}, // both
+	}
 	families := []struct {
 		name    string
 		task    core.Task
@@ -36,32 +73,85 @@ func TestShardedFitDeterminismMatrix(t *testing.T) {
 	for _, fam := range families {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
-			train := taskWorkload(t, rows, 9, fam.target, fam.classes)
 			cfg := core.DefaultConfig()
 			cfg.Task = fam.task
 			cfg.Seed = 1
-			want := fingerprint(fitInMemory(t, train, cfg))
-
-			for _, partitions := range []int{1, 3, 4} {
-				chunkRows := (rows + partitions - 1) / partitions
-				for _, workers := range []int{1, 2, 4, 8} {
+			trains, wants := map[int]*frame.Frame{}, map[int]string{}
+			for _, sh := range shapes {
+				train := trains[sh.rows]
+				if train == nil {
+					train = taskWorkload(t, sh.rows, 9, fam.target, fam.classes)
+					trains[sh.rows], wants[sh.rows] = train, fingerprint(fitInMemory(t, train, cfg))
+				}
+				for _, workers := range sh.workers {
 					wcfg := cfg
 					wcfg.Workers = workers
 					got, _, st, err := Fit(context.Background(),
-						frame.NewFrameChunks(train, chunkRows), Config{Core: wcfg})
+						frame.NewFrameChunks(train, sh.chunkRows), Config{Core: wcfg})
 					if err != nil {
-						t.Fatalf("partitions=%d workers=%d: %v", partitions, workers, err)
+						t.Fatalf("rows=%d chunk=%d workers=%d: %v", sh.rows, sh.chunkRows, workers, err)
 					}
-					if st.Partitions != partitions {
-						t.Fatalf("partitions=%d workers=%d: source split into %d partitions",
-							partitions, workers, st.Partitions)
+					if st.Partitions != sh.partitions || st.Passes != sh.passes {
+						t.Fatalf("rows=%d chunk=%d workers=%d: %d partitions in %d passes, want %d in %d",
+							sh.rows, sh.chunkRows, workers, st.Partitions, st.Passes, sh.partitions, sh.passes)
 					}
-					if fp := fingerprint(got); fp != want {
-						t.Fatalf("partitions=%d workers=%d diverged from core.Fit:\n got: %s\nwant: %s",
-							partitions, workers, fp, want)
+					if lossless := st.MaxQuantileRankError == 0; lossless != (sh.passes == 6) {
+						t.Fatalf("rows=%d chunk=%d workers=%d: rank error %d with %d passes",
+							sh.rows, sh.chunkRows, workers, st.MaxQuantileRankError, sh.passes)
+					}
+					if fp := fingerprint(got); fp != wants[sh.rows] {
+						t.Fatalf("rows=%d chunk=%d workers=%d diverged from core.Fit:\n got: %s\nwant: %s",
+							sh.rows, sh.chunkRows, workers, fp, wants[sh.rows])
 					}
 				}
 			}
 		})
 	}
+
+	// The approximate row: no refinement, so the cuts come straight off the
+	// merged sketches, and what the fit promises instead of equality is that
+	// each one sits within Stats.MaxQuantileRankError ranks of its target.
+	t.Run("approx-cuts", func(t *testing.T) {
+		const rows, chunkRows = 16400, partialSize + 1
+		train := taskWorkload(t, rows, 9, datagen.TargetBinary, 0)
+		cfg := core.DefaultConfig()
+		cfg.Seed = 1
+		norm, err := core.NormalizeConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg := Config{Core: cfg, ApproxCuts: true}
+		le := newLocalExec(context.Background(), frame.NewFrameChunks(train, chunkRows), scfg, parallel.Get(1), norm.Registry, sketch.NewArena())
+		defer le.close()
+		rec := &cutRecorder{localExec: le}
+		scfg.Exec = rec
+		_, _, st, err := Fit(context.Background(), frame.NewFrameChunks(train, chunkRows), scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Passes != 6 || st.MaxQuantileRankError == 0 {
+			t.Fatalf("approx fit took %d passes with rank error %d, want 6 passes over lossy sketches", st.Passes, st.MaxQuantileRankError)
+		}
+		if len(rec.liveCuts) != train.NumCols() {
+			t.Fatalf("recorded %d cut sets for %d columns", len(rec.liveCuts), train.NumCols())
+		}
+		for j, cuts := range rec.liveCuts {
+			sorted := append([]float64(nil), train.Columns[j].Values...)
+			sort.Float64s(sorted)
+			ranks := sketch.CutRanks(int64(len(sorted)), norm.Miner.MaxBins)
+			// Continuous columns: no two targets share a value, so cut i answers
+			// target i (the binner drops at most a trailing cut at the maximum).
+			if len(cuts) < len(ranks)-1 {
+				t.Fatalf("column %d: %d cuts for %d targets", j, len(cuts), len(ranks))
+			}
+			for i, c := range cuts {
+				lo := int64(sort.SearchFloat64s(sorted, c))
+				hi := int64(sort.Search(len(sorted), func(k int) bool { return sorted[k] > c }))
+				if hi == lo || ranks[i] < lo-st.MaxQuantileRankError || ranks[i] >= hi+st.MaxQuantileRankError {
+					t.Fatalf("column %d cut %d = %v holds ranks [%d,%d), target %d, reported bound %d",
+						j, i, c, lo, hi, ranks[i], st.MaxQuantileRankError)
+				}
+			}
+		}
+	})
 }

@@ -462,12 +462,12 @@ func (e *evaluator) release() {
 // after the send — returns them with Release. One WorkerState computes one
 // chunk at a time: ComputePartial is not safe for concurrent calls.
 type WorkerState struct {
-	names      []string
-	task       core.Task
-	sketchSize int
-	reg        *operators.Registry
-	arena      *sketch.Arena
-	pool       *parallel.Pool
+	names    []string
+	task     core.Task
+	partSize int // size every quantile partial is built at: see partialSize
+	reg      *operators.Registry
+	arena    *sketch.Arena
+	pool     *parallel.Pool
 
 	epoch int
 	ev    *evaluator
@@ -482,6 +482,20 @@ type WorkerState struct {
 	mu   sync.Mutex
 	free []*scratch // idle per-goroutine scratch, kept across chunks and passes
 }
+
+// partialSize is the budget of one quantile partial, in points: a kernel
+// summarises its chunk's column at min(sketch size, partialSize), so a partial
+// is 16 B × partialSize however many rows the chunk has (short of twice that
+// in the worst case: a compaction cannot pair duplicate runs heavier than half
+// its run weight) — what a worker holds per candidate, ships per candidate and
+// the fold copies per candidate. The fitter's running sketches stay at the full sketch size and
+// take the partials in by exact concatenation, so the budget costs a rank
+// error of ceil(chunk rows / partialSize) per partition and nothing per
+// merge; the refinement gather, ±that bound wide, is what pays for it. The
+// two costs cross near √(cut targets × chunk rows) points — about 600 for a
+// 5,000-row chunk, 2,200 for a 65,536-row row group — and 1024 is the measured
+// minimum of bytes allocated per row in between (docs/performance.md).
+const partialSize = 1024
 
 // scratch is what one goroutine of a column loop needs to itself.
 type scratch struct {
@@ -511,15 +525,19 @@ func NewWorkerState(names []string, task core.Task, sketchSize int) *WorkerState
 // through the fitter's arena (the fold hands merged sketches straight back)
 // and runs on the pool the fit was configured with.
 func newWorkerState(names []string, task core.Task, sketchSize int, reg *operators.Registry, arena *sketch.Arena, pool *parallel.Pool) *WorkerState {
+	partSize := partialSize
+	if sketchSize > 0 && sketchSize < partSize {
+		partSize = sketchSize
+	}
 	return &WorkerState{
-		names:      names,
-		task:       task,
-		sketchSize: sketchSize,
-		reg:        reg,
-		arena:      arena,
-		pool:       pool,
-		appliers:   map[string]operators.Applier{},
-		ev:         &evaluator{names: names, arena: arena},
+		names:    names,
+		task:     task,
+		partSize: partSize,
+		reg:      reg,
+		arena:    arena,
+		pool:     pool,
+		appliers: map[string]operators.Applier{},
+		ev:       &evaluator{names: names, arena: arena},
 	}
 }
 
@@ -804,7 +822,9 @@ func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *fr
 }
 
 // sketchCols summarises n columns of one chunk — quantile partial through
-// the SortNonNaN ingestion path plus moments — into p.
+// the SortNonNaN ingestion path plus moments — into p. The partial is built
+// at the partial budget, so AddSortedScratch's one compaction happens here,
+// at the worker, and what leaves is the budget's size at most.
 func (ws *WorkerState) sketchCols(ctx context.Context, p *Partial, n int, col func(s *scratch, i int) ([]float64, error)) error {
 	p.Quantiles = make([]*sketch.Quantile, n)
 	p.Moments = make([]sketch.Moments, n)
@@ -814,7 +834,7 @@ func (ws *WorkerState) sketchCols(ctx context.Context, p *Partial, n int, col fu
 			return err
 		}
 		sorted, nan := sketch.SortNonNaN(vals, &s.srt)
-		part := ws.arena.Quantile(ws.sketchSize)
+		part := ws.arena.Quantile(ws.partSize)
 		part.AddSortedScratch(sorted, nan, &s.srt)
 		p.Quantiles[i] = part
 		p.Moments[i].AddAll(vals)

@@ -12,3 +12,7 @@ import (
 func NewWorkerStateOn(names []string, task core.Task, sketchSize, workers int) *WorkerState {
 	return newWorkerState(names, task, sketchSize, operators.NewRegistry(), sketch.NewArena(), parallel.Get(workers))
 }
+
+// PartialSize is the quantile partial budget, for the test that pins a
+// partial's wire size to it.
+const PartialSize = partialSize

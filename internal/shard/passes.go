@@ -369,11 +369,22 @@ func cutRankUnion(n int64, cfg *core.Config) []int64 {
 	return merged
 }
 
-// openRefiner brackets a merged sketch's cut targets; the merge phase is
-// over, so the sketch's scratch is trimmed — the refiner carries the pass.
+// openRef is one column whose cut refiner still needs gathered values: a raw
+// source column (col >= 0, the pre-generation live pass) or a generated
+// candidate the kernel recomputes (col < 0, gen).
+type openRef struct {
+	ref  *sketch.Refiner
+	name string
+	col  int
+	gen  GenSpec
+}
+
+// openRefiner brackets a merged sketch's cut targets. The refiner carries
+// every rank query from here on, and all the fit still reads off the sketch
+// is Count, Min, Max and ErrorBound — so the summary's point lists go.
 func (f *fitter) openRefiner(sk *sketch.Quantile) *sketch.Refiner {
 	ref := sketch.NewRefiner(sk, cutRankUnion(sk.Count(), &f.cfg))
-	sk.TrimScratch()
+	sk.ReleasePoints()
 	return ref
 }
 
@@ -395,7 +406,7 @@ func (f *fitter) refineLive() error {
 	var open []openRef
 	for j, lf := range f.live {
 		if lf.ref.NeedsPass() {
-			open = append(open, openRef{ref: lf.ref, col: j})
+			open = append(open, openRef{ref: lf.ref, name: lf.name, col: j})
 		}
 	}
 	// The in-process executor streams a source the fitter can plan against: a
@@ -409,15 +420,10 @@ func (f *fitter) refineLive() error {
 			defer cleanup()
 		}
 		if done {
-			return nil
+			return f.checkBrackets(open)
 		}
 	}
-	refines := make([]RefineSpec, len(open))
-	refs := make([]*sketch.Refiner, len(open))
-	for i, o := range open {
-		refines[i], refs[i] = RefineSpec{Col: o.col}, o.ref
-	}
-	return f.refine(refines, refs)
+	return f.refine(open)
 }
 
 // refineCandidates is refineLive for the round's generated candidates,
@@ -435,8 +441,7 @@ func (f *fitter) refineCandidates(entries []*candidate) error {
 	}); err != nil {
 		return err
 	}
-	var refines []RefineSpec
-	var refs []*sketch.Refiner
+	var open []openRef
 	for _, en := range entries {
 		if en.isBase || !en.ref.NeedsPass() {
 			continue
@@ -445,33 +450,51 @@ func (f *fitter) refineCandidates(entries []*candidate) error {
 		if err != nil {
 			return err
 		}
-		refines, refs = append(refines, RefineSpec{Col: -1, Gen: g}), append(refs, en.ref)
+		open = append(open, openRef{ref: en.ref, name: en.name, col: -1, gen: g})
 	}
-	return f.refine(refines, refs)
+	return f.refine(open)
 }
 
 // refine runs one gather pass for the open refiners: each partition gathers
 // into shadow refiners, folded back in partition order (order-invariant
-// counts; gathered values are sorted at finalize). refs[i] receives the
-// gather of refines[i].
-func (f *fitter) refine(refines []RefineSpec, refs []*sketch.Refiner) error {
-	if len(refs) == 0 {
+// counts; gathered values are sorted at finalize). Every bracket is then
+// held to its order statistic before any cut is read off it.
+func (f *fitter) refine(open []openRef) error {
+	if len(open) == 0 {
 		return nil
 	}
-	for i, ref := range refs {
+	refines := make([]RefineSpec, len(open))
+	for i, o := range open {
 		rf := &refines[i]
-		rf.Ranks, rf.Lo, rf.Hi, rf.Resolved = ref.Brackets()
+		rf.Col, rf.Gen = o.col, o.gen
+		rf.Ranks, rf.Lo, rf.Hi, rf.Resolved = o.ref.Brackets()
 	}
-	return f.runPass(&PassSpec{Kind: PassRefine, Refines: refines}, func(p *Partial) error {
-		if len(p.Refiners) != len(refs) {
-			return fmt.Errorf("shard: refine partial %d has %d gathers, want %d", p.Chunk, len(p.Refiners), len(refs))
+	err := f.runPass(&PassSpec{Kind: PassRefine, Refines: refines}, func(p *Partial) error {
+		if len(p.Refiners) != len(open) {
+			return fmt.Errorf("shard: refine partial %d has %d gathers, want %d", p.Chunk, len(p.Refiners), len(open))
 		}
-		return f.each(len(refs), func(i int) error {
-			if err := refs[i].MergeWire(p.Refiners[i]); err != nil {
+		return f.each(len(open), func(i int) error {
+			if err := open[i].ref.MergeWire(p.Refiners[i]); err != nil {
 				return fmt.Errorf("shard: refine partial %d target %d: %w", p.Chunk, i, err)
 			}
 			return nil
 		})
+	})
+	if err != nil {
+		return err
+	}
+	return f.checkBrackets(open)
+}
+
+// checkBrackets fails the fit when a completed gather left any target outside
+// its bracket: the cut there would be a bracket edge, not the order statistic,
+// and every stage downstream of it silently different.
+func (f *fitter) checkBrackets(open []openRef) error {
+	return f.each(len(open), func(i int) error {
+		if err := open[i].ref.Err(); err != nil {
+			return fmt.Errorf("shard: refine %q: %w", open[i].name, err)
+		}
+		return nil
 	})
 }
 

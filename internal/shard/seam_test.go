@@ -3,6 +3,7 @@ package shard_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -229,6 +230,23 @@ var corruptions = []struct {
 		}},
 }
 
+// emptyGathers replaces every gather of a refine partial with the gather of
+// an empty chunk over the same targets.
+func emptyGathers(p *shard.Partial, wire bool) {
+	if wire {
+		for i, b := range p.Blobs {
+			// Tag and u32 target count, then nt+1 below-bracket counters and, per
+			// target, two edge counters and a gather length — all zero.
+			nt := int(binary.LittleEndian.Uint32(b[1:5]))
+			p.Blobs[i] = append(append([]byte(nil), b[:5]...), make([]byte, 8*(nt+1)+20*nt)...)
+		}
+		return
+	}
+	for i, r := range p.Refiners {
+		p.Refiners[i] = sketch.NewShadowRefiner(r.Brackets())
+	}
+}
+
 // specCorruptions are the malformed score specs a peer could send: the kernel
 // indexes live columns and a fixed three-value buffer by them, so each must
 // come back as a typed error from ComputePartial, not an index panic that
@@ -357,6 +375,18 @@ func TestSeam(t *testing.T) {
 					}
 				}
 			}
+			// A well-formed gather that is not the partition's — here, of no rows
+			// at all — passes every shape check and leaves the first pass's
+			// targets outside their brackets. The fit must stop on the typed
+			// bracket error rather than cut at a bracket edge.
+			for _, wire := range []bool{false, true} {
+				exec := &seamExec{src: frame.NewFrameChunks(train, 300), wire: wire, bad: shard.PassRefine, corrupt: emptyGathers}
+				_, _, _, err := seamFit(t, tc.task, train, 1, 1, exec)
+				var be *sketch.BracketError
+				if !errors.As(err, &be) || !strings.HasPrefix(err.Error(), "shard: refine ") || !strings.Contains(err.Error(), "outside its bracket") {
+					t.Errorf("empty gather, wire=%v: fit returned %v, want a shard: refine … outside its bracket error", wire, err)
+				}
+			}
 			for _, co := range specCorruptions {
 				for _, kind := range []shard.PassKind{shard.PassScoreBinary, shard.PassScoreClasses, shard.PassScoreMomentIDs} {
 					if !containsKind(tc.kinds, kind) {
@@ -384,4 +414,86 @@ func containsKind(kinds []shard.PassKind, k shard.PassKind) bool {
 		}
 	}
 	return false
+}
+
+// TestSeamPartialSizedByBudget pins what a sketch partial costs to the budget
+// instead of the chunk: for chunks from half the budget to a 65,536-row row
+// group, every quantile blob of a base-sketch and of a candidate-sketch
+// partial — one rule, both kinds — declares min(sketch size, PartialSize) and
+// renders to at most its header plus 16 B per budgeted point, while Count
+// still says every row went in. The partials are computed under pools of 1, 2,
+// 3 and 8 and must render to the same bytes, as everywhere on the seam.
+func TestSeamPartialSizedByBudget(t *testing.T) {
+	const maxRows = 65536
+	ds, err := datagen.Generate(datagen.Spec{
+		Name: "seam-budget", Train: maxRows, Test: 16, Dim: 6, Interactions: 2, SignalScale: 2.5, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := ds.Train.Names()
+	gens := []shard.GenSpec{
+		{Op: "add", Feats: []int{0, 1}}, {Op: "sub", Feats: []int{2, 3}},
+		{Op: "mul", Feats: []int{4, 5}}, {Op: "div", Feats: []int{1, 4}},
+	}
+	// An empty one-level sketch's encoding: tag, size, count, NaN count, min,
+	// max, level count, then the level's point count and error.
+	header := sketch.QuantileWireSize(sketch.NewQuantile(1)) + 4 + 8
+	for _, sketchSize := range []int{0, 128} { // the default, and a user's size below the budget
+		budget := shard.PartialSize
+		if sketchSize > 0 && sketchSize < budget {
+			budget = sketchSize
+		}
+		states := make([]*shard.WorkerState, len(seamPools))
+		for i, workers := range seamPools {
+			states[i] = shard.NewWorkerStateOn(names, core.BinaryTask(), sketchSize, workers)
+			if err := states[i].SetLive(1, nil, names); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, rows := range []int{512, 1024, 1025, 5000, 20000, maxRows} {
+			src := frame.NewFrameChunks(ds.Train, rows)
+			c, err := src.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range []*shard.PassSpec{
+				{Pass: 1, Kind: shard.PassBaseSketch, Epoch: 1},
+				{Pass: 2, Kind: shard.PassSketchGen, Epoch: 1, Gens: gens},
+			} {
+				var first []byte
+				for i, ws := range states {
+					p, err := ws.ComputePartial(context.Background(), spec, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						for b := 0; b < p.BlobCount(spec.Kind); b += 2 {
+							if got, max := p.BlobSize(spec.Kind, b), header+16*budget; got > max {
+								t.Errorf("sketch size %d, kind %d, %d rows: quantile blob %d is %d bytes, budget allows %d",
+									sketchSize, spec.Kind, rows, b/2, got, max)
+							}
+							q := p.Quantiles[b/2]
+							if q.Size() != budget || q.Count()+q.NaNCount() != int64(rows) {
+								t.Errorf("sketch size %d, kind %d, %d rows: partial %d declares size %d over %d values, want %d over %d",
+									sketchSize, spec.Kind, rows, b/2, q.Size(), q.Count()+q.NaNCount(), budget, rows)
+							}
+							if lossless := q.ErrorBound() == 0; lossless != (rows <= budget) {
+								t.Errorf("sketch size %d, kind %d, %d rows: partial %d lossless=%v, want %v",
+									sketchSize, spec.Kind, rows, b/2, lossless, rows <= budget)
+							}
+						}
+					}
+					got := dist.AppendPartial(nil, spec.Pass, spec.Kind, p)
+					ws.Release(p)
+					if i == 0 {
+						first = got
+					} else if !bytes.Equal(got, first) {
+						t.Errorf("sketch size %d, kind %d, %d rows: a pool of %d renders %d bytes that differ from a pool of %d's %d",
+							sketchSize, spec.Kind, rows, seamPools[i], len(got), seamPools[0], len(first))
+					}
+				}
+			}
+		}
+	}
 }

@@ -20,10 +20,13 @@ type Config struct {
 	// normalised through core.NormalizeConfig, so both engines run from
 	// identical effective settings.
 	Core core.Config
-	// SketchSize is the per-level quantile summary size (sketch.DefaultSize
-	// when <= 0). Larger sizes tighten the sketches' bracketing error
-	// linearly at linearly more transient memory per sketched column,
-	// shrinking the refinement pass's gather buffers.
+	// SketchSize is the per-level summary size of the fit's running quantile
+	// sketches (sketch.DefaultSize when <= 0): how many points a level holds
+	// before merging partitions into it compacts it, so larger sizes defer the
+	// error that merging adds at linearly more memory per sketched column. A
+	// partition's partial is built at min(SketchSize, partialSize) points and
+	// carries its own compaction error of ceil(chunk rows / that) ranks; the
+	// refinement pass's gather buffers are as wide as the two errors' sum.
 	SketchSize int
 	// ApproxCuts skips the exact cut-refinement pass and bins directly at
 	// the sketches' approximate cut points. This trades the bit-exact

@@ -1,15 +1,6 @@
 package shard
 
-import (
-	"repro/internal/frame"
-	"repro/internal/sketch"
-)
-
-// openRef is one live column whose cut refiner still needs gathered values.
-type openRef struct {
-	ref *sketch.Refiner
-	col int
-}
+import "repro/internal/frame"
 
 // planRefineSkip plans a partial refinement pass from the source's per-block
 // statistics, when it has any (frame.SkippableSource — the colstore

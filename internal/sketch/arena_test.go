@@ -3,8 +3,11 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // TestArenaRecycling pins the arena's reuse contract for every pooled kind:
@@ -196,6 +199,54 @@ func TestQuantileTrimScratch(t *testing.T) {
 	}
 	if q.ErrorBound() < 0 {
 		t.Fatal("negative error bound")
+	}
+}
+
+// TestQuantileReleasePoints: releasing the summary keeps exactly what the fit
+// reads once a refiner has the brackets — Count, NaNCount, Min, Max,
+// ErrorBound — the refiner opened beforehand still resolves exact cuts, a rank
+// query on the emptied sketch is a loud bug rather than a wrong answer, and
+// Reset hands back a fresh sketch.
+func TestQuantileReleasePoints(t *testing.T) {
+	xs := refTestColumn(20000, 29, "nan")
+	q := NewQuantile(256)
+	q.AddAll(xs)
+	count, nan, min, max, bound := q.Count(), q.NaNCount(), q.Min(), q.Max(), q.ErrorBound()
+	if bound == 0 {
+		t.Fatal("sketch unexpectedly lossless; shrink the size")
+	}
+	ref := NewRefiner(q, CutRanks(count, 10))
+	q.ReleasePoints()
+	if q.Count() != count || q.NaNCount() != nan || q.Min() != min || q.Max() != max || q.ErrorBound() != bound {
+		t.Fatalf("ReleasePoints changed the exact statistics: %d/%d/%v/%v/%d, want %d/%d/%v/%v/%d",
+			q.Count(), q.NaNCount(), q.Min(), q.Max(), q.ErrorBound(), count, nan, min, max, bound)
+	}
+	ref.AddChunk(xs)
+	if err := ref.Err(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := ExactCuts(q, ref, 10), stats.Quantiles(xs, 10)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cuts off a released sketch's refiner: %v, want %v", got, want)
+	}
+	for name, use := range map[string]func(){
+		"RankValue": func() { q.RankValue(count / 2) },
+		"Merge":     func() { NewQuantile(256).Merge(q) },
+		"encode":    func() { AppendQuantile(nil, q) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released sketch did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+	q.Reset()
+	q.AddAll(xs[:100])
+	if q.Count() == 0 || math.IsNaN(q.RankValue(0)) {
+		t.Fatal("a Reset sketch is not usable again")
 	}
 }
 

@@ -10,10 +10,13 @@
 //   - Quantile: a deterministic weighted-coreset quantile summary (in the
 //     GK/KLL family). Count, Min, Max and NaNCount are exact and exactly
 //     order-invariant. Rank queries carry a tracked worst-case rank error
-//     (ErrorBound); with the default size S and P partition pushes the bound
-//     is O(P·n_chunk/S) ranks, i.e. a vanishing fraction of n for chunk
-//     sizes near S. A partition whose row count is at most S summarises
-//     losslessly, so few-partition merges are near-exact.
+//     (ErrorBound). A summary of n values at size B costs ceil(n/B) ranks
+//     (none while the distinct values fit in B); Merge concatenates levels
+//     exactly, adding the operands' bounds, and compacts only a level that
+//     outgrows the receiving sketch's size S. So P partials of budget B < S
+//     merge with no error beyond their own — P·ceil(n_chunk/B) ranks — until
+//     about S/B of them meet in one level. A Refiner turns the bound into
+//     exact order statistics with one more pass.
 //   - LabelHist: per-bin positive/negative label counts over fixed cut
 //     points. Counts are integers, so Merge is exact and exactly
 //     order-invariant; IV reproduces stats.InformationValue's Laplace

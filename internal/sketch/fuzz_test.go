@@ -300,3 +300,28 @@ func closeEnough(a, b float64) bool {
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= 1e-9*math.Max(scale, 1)
 }
+
+// FuzzRefinerBracket drives the exact-cut path the sharded engine runs —
+// budgeted per-partition partials merged into a larger sketch, ±ErrorBound
+// brackets, per-partition gathers — over arbitrary bit patterns, sketch sizes
+// from 2 up, partial budgets from the full size down to a single point, one
+// to 64 partitions, and (asc) the column sorted first, so that contiguous
+// partitions hold disjoint value ranges. Every bracket must contain its order
+// statistic, Err must stay nil, and the cuts must equal stats.Quantiles: the
+// containment property the ±ErrorBound bracket rests on.
+func FuzzRefinerBracket(f *testing.F) {
+	f.Add([]byte("brackets hold their order statistics, every one"), uint8(6), uint8(7), uint8(2), uint8(9), false)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint8(0), uint8(0), uint8(0), true)
+	f.Fuzz(func(t *testing.T, data []byte, sz, div, pn, bn uint8, asc bool) {
+		vs := fuzzFloats(data)
+		if asc {
+			sort.Float64s(vs) // NaNs first, then ascending
+		}
+		size := 2 + int(sz)
+		budget := size / (1 + int(div%8))
+		if budget < 1 {
+			budget = 1
+		}
+		checkRefinedCuts(t, vs, 1+int(pn%64), size, budget, 2+int(bn%63))
+	})
+}

@@ -7,7 +7,9 @@ import (
 
 // DefaultSize is the default per-level summary size of a Quantile sketch.
 // Larger sizes buy tighter rank bounds linearly at linearly more memory; a
-// partition of at most DefaultSize rows is summarised losslessly.
+// sketch that is fed at most its own size in distinct values summarises them
+// losslessly. (The sharded engine's per-partition partials are built at a
+// smaller size of their own and merged into sketches of this one.)
 const DefaultSize = 8192
 
 // wpoint is one weighted coreset point: a representative value standing in
@@ -52,6 +54,8 @@ type Quantile struct {
 	mcache      []wpoint // memoised merged(); may alias a level slice
 	mcacheOwned bool     // mcache backing is scratch (not a level alias)
 	mvalid      bool
+
+	released bool // ReleasePoints ran: the summary is gone until Reset
 }
 
 // maxFree bounds the retained free-list backings per sketch.
@@ -76,6 +80,7 @@ func (q *Quantile) Reset() {
 	q.count, q.nan = 0, 0
 	q.min, q.max = math.Inf(1), math.Inf(-1)
 	q.buf = q.buf[:0]
+	q.released = false
 	q.dirty()
 	for i := range q.levels {
 		q.putFree(q.levels[i])
@@ -96,6 +101,29 @@ func (q *Quantile) TrimScratch() {
 	q.mcache, q.mcacheOwned, q.mvalid = nil, false, false
 	q.free = nil
 	q.bulk = nil
+}
+
+// ReleasePoints drops the summary itself — every level's point list, the
+// pending buffer and all scratch — and keeps what is exact or already
+// settled: Count, NaNCount, Min, Max and ErrorBound. For a sketch whose rank
+// queries have been handed to a Refiner: the refiner holds the brackets, and
+// the point lists of hundreds of candidate sketches are the rest of their
+// resident size. Rank queries, Merge and encoding panic afterwards, until
+// Reset makes the sketch fresh again.
+func (q *Quantile) ReleasePoints() {
+	q.TrimScratch()
+	q.buf = nil
+	for i := range q.levels {
+		q.levels[i] = nil
+	}
+	q.released = true
+}
+
+// mustHavePoints guards every path that reads or extends the summary.
+func (q *Quantile) mustHavePoints() {
+	if q.released {
+		panic("sketch: Quantile used after ReleasePoints")
+	}
 }
 
 // dirty invalidates the memoised merged summary, retiring an owned backing.
@@ -290,9 +318,12 @@ func (q *Quantile) ErrorBound() int64 {
 	return e
 }
 
-// Merge folds another sketch into q. Both sketches should be built with the
-// same size (the merged summary is compacted to q's). o is normalised (its
-// buffer flushed) but keeps its logical content and remains usable.
+// Merge folds another sketch into q. The sizes need not agree: o's levels are
+// concatenated into q's exactly, carrying their own error bounds, and only a
+// level that outgrows q's size is compacted, to q's size. A small o therefore
+// merges into a larger q with no recompaction and no error beyond its own —
+// how the sharded engine folds budgeted partition partials. o is normalised
+// (its buffer flushed) but keeps its logical content and remains usable.
 func (q *Quantile) Merge(o *Quantile) {
 	if o == nil {
 		return
@@ -321,6 +352,7 @@ func (q *Quantile) Merge(o *Quantile) {
 
 // flush turns the pending buffer into a lossless level-0 summary.
 func (q *Quantile) flush() {
+	q.mustHavePoints()
 	if len(q.buf) == 0 {
 		return
 	}
@@ -454,6 +486,7 @@ func compactPoints(pts []wpoint, size int) ([]wpoint, int64) {
 // content. The result is memoised until the next mutation and must not be
 // retained across one.
 func (q *Quantile) merged() []wpoint {
+	q.mustHavePoints()
 	if q.mvalid {
 		return q.mcache
 	}

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -8,11 +9,17 @@ import (
 // Refiner turns a merged (approximate) Quantile sketch into exact order
 // statistics with one more streaming pass over the data. The sketch brackets
 // every requested rank r inside a value interval [lo, hi] guaranteed to
-// contain the true rank-r value (brackets span ±2·ErrorBound ranks); the
+// contain the true rank-r value: lo is the summary's value at rank
+// r − ErrorBound, hi its value at r + ErrorBound, and the exact Min or Max
+// where that rank falls off either end. The bound licenses exactly this — a
+// value the summary places at rank ρ has an occurrence whose true rank is
+// within ErrorBound of ρ, so the one at r − ErrorBound sits at or below the
+// rank-r order statistic and the one at r + ErrorBound at or above it. The
 // refinement pass then gathers only the values that fall inside a bracket —
 // O(targets · ErrorBound) values in total, independent of n — plus an exact
 // count of values below each bracket. Value() afterwards returns exact
-// nearest-rank order statistics, bit-identical to sorting the full column.
+// nearest-rank order statistics, bit-identical to sorting the full column,
+// and Err() confirms that every bracket did hold its order statistic.
 //
 // Brackets that collapse to a single value (duplicate-heavy regions,
 // constant columns) resolve without gathering, so heavy duplication cannot
@@ -32,6 +39,7 @@ type Refiner struct {
 
 	finalized bool
 	lowCount  []int64
+	err       error // set by finalize: the first target outside its bracket
 	below     []int // AddSorted scratch: per-target below-bracket counts
 
 	idx *edgeIndex // shared bucket table over lo (nil: binary search)
@@ -135,13 +143,22 @@ func NewRefiner(q *Quantile, ranks []int64) *Refiner {
 		hiEq:     make([]int64, len(ranks)),
 		mid:      make([][]float64, len(ranks)),
 	}
-	e := 2 * q.ErrorBound()
+	e := q.ErrorBound()
 	pts := q.merged()
 	// Both bracket edges are values at ascending ranks, so each fills in one
 	// cumulative walk of the merged list instead of one walk per target.
 	fillValuesAtRanks(pts, r.ranks, -e, r.lo)
 	fillValuesAtRanks(pts, r.ranks, +e, r.hi)
-	for t := range r.ranks {
+	for t, rank := range r.ranks {
+		// Within e ranks of either end the summary's end point vouches for
+		// nothing beyond itself (a compacted run is represented by its median,
+		// not its extreme); the exact extremum is the edge that always holds.
+		if rank-e < 0 {
+			r.lo[t] = q.min
+		}
+		if rank+e >= q.count {
+			r.hi[t] = q.max
+		}
 		if r.lo[t] == r.hi[t] {
 			// The bracket pinches to one value, which must be the answer.
 			r.resolved[t] = true
@@ -431,6 +448,44 @@ func (r *Refiner) finalize() {
 	for t := range r.mid {
 		sort.Float64s(r.mid[t])
 	}
+	for t, rank := range r.ranks {
+		if r.resolved[t] {
+			continue
+		}
+		gathered := r.loEq[t] + int64(len(r.mid[t])) + r.hiEq[t]
+		if local := rank - r.lowCount[t]; local < 0 || local >= gathered {
+			r.err = &BracketError{Target: t, Rank: rank, Lo: r.lo[t], Hi: r.hi[t], Below: r.lowCount[t], Gathered: gathered}
+			return
+		}
+	}
+}
+
+// BracketError reports a refinement target whose bracket did not hold its
+// order statistic: after the gather pass, the target rank lies outside the
+// ranks the bracket's values occupy. The sketch the refiner was opened on
+// understated its error bound, or the gathered data is not the data it
+// summarised; either way the target has no exact value.
+type BracketError struct {
+	Target   int     // index of the target among the refiner's ranks
+	Rank     int64   // the requested 0-based rank
+	Lo, Hi   float64 // the bracket
+	Below    int64   // values counted below Lo
+	Gathered int64   // values counted inside [Lo, Hi]
+}
+
+func (e *BracketError) Error() string {
+	return fmt.Sprintf("sketch: target %d (rank %d) outside its bracket [%v, %v]: %d values below, %d inside",
+		e.Target, e.Rank, e.Lo, e.Hi, e.Below, e.Gathered)
+}
+
+// Err reports, once the gather pass has completed, whether every unresolved
+// target's rank falls inside the values its bracket gathered — nil when all
+// do, else a *BracketError naming the first that does not. Value on such a
+// target can only answer with the nearer bracket edge, so callers that need
+// exact order statistics check Err before reading any.
+func (r *Refiner) Err() error {
+	r.finalize()
+	return r.err
 }
 
 // Value returns the exact value at the target rank (which must be one of
@@ -444,21 +499,15 @@ func (r *Refiner) Value(rank int64) float64 {
 		return r.lo[t]
 	}
 	r.finalize()
+	// A rank outside the gathered range — a bracket that missed its order
+	// statistic, which Err reports — answers with the nearer edge.
 	local := rank - r.lowCount[t]
 	switch {
 	case local < r.loEq[t]:
 		return r.lo[t]
 	case local < r.loEq[t]+int64(len(r.mid[t])):
 		return r.mid[t][local-r.loEq[t]]
-	case local < r.loEq[t]+int64(len(r.mid[t]))+r.hiEq[t]:
-		return r.hi[t]
 	default:
-		// Out of the gathered range: the bracket guarantee was violated,
-		// which cannot happen for a correctly merged sketch; fall back to
-		// the nearest bracket edge rather than panicking.
-		if local < 0 {
-			return r.lo[t]
-		}
 		return r.hi[t]
 	}
 }

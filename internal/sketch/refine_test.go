@@ -1,15 +1,20 @@
 package sketch
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/stats"
 )
 
 // refTestColumn builds columns that stress the refiner: continuous spread,
-// heavy duplicate runs, and NaNs.
+// heavy duplicate runs, NaNs, and a globally ascending column — split into
+// contiguous partitions its partials cover disjoint value ranges, the most a
+// merged summary's ranks can drift from any one partition's.
 func refTestColumn(n int, seed int64, kind string) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]float64, n)
@@ -29,40 +34,121 @@ func refTestColumn(n int, seed int64, kind string) []float64 {
 			out[i] = rng.NormFloat64() * 50
 		}
 	}
+	if kind == "sorted" {
+		sort.Float64s(out)
+	}
 	return out
 }
 
-// TestRefinerExactCuts: a lossy sketch plus one refinement pass reproduces
-// stats.Quantiles bit-for-bit, for every column shape.
-func TestRefinerExactCuts(t *testing.T) {
-	for _, kind := range []string{"normal", "duplicates", "constant", "nan"} {
-		xs := refTestColumn(60000, 11, kind)
-		parts := splitParts(xs, 5)
-		q := NewQuantile(512) // deliberately lossy: forces real refinement
-		for _, p := range parts {
-			s := NewQuantile(512)
-			s.AddAll(p)
-			q.Merge(s)
+// checkRefinedCuts runs one column through the sharded engine's cut path —
+// per-partition partials of size budget (SortNonNaN + AddSortedScratch) merged
+// into a sketch of size size, a refiner over the bins-quantile targets,
+// per-partition shadow gathers merged back — and holds it to the three things
+// exact cuts rest on: every target's true order statistic lies inside its
+// bracket, Err is nil once the gather is in, and ExactCuts equals
+// stats.Quantiles.
+func checkRefinedCuts(t *testing.T, xs []float64, nparts, size, budget, bins int) {
+	t.Helper()
+	parts := splitParts(xs, nparts)
+	var srt SortScratch
+	q := NewQuantile(size)
+	for _, p := range parts {
+		sorted, nan := SortNonNaN(p, &srt)
+		part := NewQuantile(budget)
+		part.AddSortedScratch(sorted, nan, &srt)
+		q.Merge(part)
+	}
+	ranks := CutRanks(q.Count(), bins)
+	ref := NewRefiner(q, ranks)
+	bound := q.ErrorBound()
+
+	clean := sortedClean(xs)
+	_, lo, hi, _ := ref.Brackets()
+	for i, rank := range ranks {
+		if v := clean[rank]; v < lo[i] || v > hi[i] {
+			t.Fatalf("target %d: order statistic %v at rank %d outside its bracket [%v, %v] (bound %d)",
+				i, v, rank, lo[i], hi[i], bound)
 		}
-		for _, bins := range []int{10, 64} {
-			ranks := CutRanks(q.Count(), bins)
-			ref := NewRefiner(q, ranks)
-			if ref.NeedsPass() {
-				for _, p := range parts {
-					ref.AddChunk(p)
+	}
+	if ref.NeedsPass() {
+		for _, p := range parts {
+			sh := ref.Shadow()
+			sh.AddChunk(p)
+			ref.Merge(sh)
+		}
+	}
+	if err := ref.Err(); err != nil {
+		t.Fatalf("bound %d: %v", bound, err)
+	}
+	got, want := ExactCuts(q, ref, bins), stats.Quantiles(xs, bins)
+	if len(got) != len(want) {
+		t.Fatalf("%d cuts, want %d (bound %d)", len(got), len(want), bound)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cut %d: got %v want %v (bound %d)", i, got[i], want[i], bound)
+		}
+	}
+}
+
+// TestRefinerExactCuts: a lossy sketch plus one refinement pass reproduces
+// stats.Quantiles bit-for-bit, for every column shape, at every pairing of
+// the fitter's sketch size with a partial budget equal to it or an eighth of
+// it, from one partition to more partitions than a level holds partials.
+func TestRefinerExactCuts(t *testing.T) {
+	for _, kind := range []string{"normal", "duplicates", "constant", "nan", "sorted"} {
+		xs := refTestColumn(20000, 11, kind)
+		for _, size := range []int{64, 256, 1024, 8192} {
+			for _, budget := range []int{size, size / 8} {
+				for _, nparts := range []int{1, 3, 7, 64} {
+					for _, bins := range []int{10, 64} {
+						name := fmt.Sprintf("%s/size=%d/budget=%d/parts=%d/bins=%d", kind, size, budget, nparts, bins)
+						t.Run(name, func(t *testing.T) { checkRefinedCuts(t, xs, nparts, size, budget, bins) })
+					}
 				}
 			}
-			got := ExactCuts(q, ref, bins)
-			want := stats.Quantiles(xs, bins)
-			if len(got) != len(want) {
-				t.Fatalf("%s bins=%d: %d cuts vs %d (sketch bound %d)",
-					kind, bins, len(got), len(want), q.ErrorBound())
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s bins=%d cut %d: got %v want %v", kind, bins, i, got[i], want[i])
-				}
-			}
+		}
+	}
+}
+
+// TestRefinerErrOnNarrowBracket forges what a sketch understating its error
+// bound would produce — brackets too narrow to hold their order statistics —
+// and requires the typed error instead of a silently shifted cut.
+func TestRefinerErrOnNarrowBracket(t *testing.T) {
+	xs := refTestColumn(5000, 23, "normal")
+	clean := sortedClean(xs)
+	ranks := CutRanks(int64(len(clean)), 10)
+	lo, hi := make([]float64, len(ranks)), make([]float64, len(ranks))
+	for i, rank := range ranks {
+		lo[i], hi[i] = clean[rank-20], clean[rank+20]
+	}
+	good := NewShadowRefiner(ranks, lo, hi, make([]bool, len(ranks)))
+	good.AddChunk(xs)
+	if err := good.Err(); err != nil {
+		t.Fatalf("brackets that hold their order statistics: %v", err)
+	}
+
+	const bad = 3
+	for _, forge := range []struct {
+		name   string
+		lo, hi float64
+	}{
+		{"bracket above the order statistic", clean[ranks[bad]+5], clean[ranks[bad]+40]},
+		{"bracket below the order statistic", clean[ranks[bad]-40], clean[ranks[bad]-5]},
+	} {
+		flo, fhi := append([]float64(nil), lo...), append([]float64(nil), hi...)
+		flo[bad], fhi[bad] = forge.lo, forge.hi
+		r := NewShadowRefiner(ranks, flo, fhi, make([]bool, len(ranks)))
+		r.AddChunk(xs)
+		var be *BracketError
+		if err := r.Err(); !errors.As(err, &be) {
+			t.Fatalf("%s: Err = %v, want a *BracketError", forge.name, err)
+		}
+		if be.Target != bad || be.Rank != ranks[bad] {
+			t.Fatalf("%s: error names target %d rank %d, want %d rank %d", forge.name, be.Target, be.Rank, bad, ranks[bad])
+		}
+		if v := r.Value(ranks[bad]); v != flo[bad] && v != fhi[bad] {
+			t.Fatalf("%s: Value = %v, want a bracket edge", forge.name, v)
 		}
 	}
 }

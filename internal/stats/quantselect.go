@@ -199,8 +199,8 @@ func (s *QuantileScratch) Quantiles(xs []float64, q int) []float64 {
 // pass over equal-width buckets followed by exact selection inside only the
 // buckets a rank lands in. It reads xs twice and writes almost nothing, so
 // it is ~3× faster than in-place quickselect on the IV hot path. Returns
-// ok=false when the value range is unusable (non-finite or zero-width) and
-// the caller must fall back to rankValuesSelect.
+// ok=false when the value range is unusable (non-finite, or too narrow to
+// scale into buckets) and the caller must fall back to rankValuesSelect.
 func (s *QuantileScratch) rankValuesBucketed(xs []float64, ranks []int, lo, hi float64) ([]float64, bool) {
 	if len(ranks) == 0 {
 		return nil, false
@@ -225,6 +225,10 @@ func (s *QuantileScratch) rankValuesBucketed(xs []float64, ranks []int, lo, hi f
 		counts[i] = 0
 	}
 	scale := float64(numBuckets) / width
+	if math.IsInf(scale, 0) {
+		// A subnormal width: lo's own bucket would be 0 × Inf = NaN.
+		return nil, false
+	}
 	// Pass 2: bucket counts.
 	for _, v := range xs {
 		if v != v {

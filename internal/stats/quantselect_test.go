@@ -90,6 +90,14 @@ func TestQuantilesMatchesSortedReference(t *testing.T) {
 			}
 			return xs
 		},
+		// A value range so narrow that buckets-per-unit overflows to +Inf.
+		"subnormal-span": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(rng.Intn(7)) * math.SmallestNonzeroFloat64
+			}
+			return xs
+		},
 	}
 	var scratch QuantileScratch
 	for name, gen := range gens {
