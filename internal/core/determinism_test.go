@@ -1,16 +1,116 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/frame"
+	"repro/internal/operators"
+	"repro/internal/parallel"
 )
+
+// streamedCandidate is what the candidate stream decided about one candidate.
+type streamedCandidate struct {
+	name    string
+	ivBits  uint64
+	dropped bool
+}
+
+// pairStream opens a candidate stream over train's columns on a pool of the
+// given size and returns it with every pair of the first eight columns as
+// combinations: with the four arithmetic operators that is some 170
+// candidates, several flushes' worth.
+func pairStream(t *testing.T, ctx context.Context, train *frame.Frame, task Task, workers int) (*candidateStream, []Combo, []operators.Operator) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Task = task
+	cfg, err := NormalizeConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := cfg.Registry.GetAll(cfg.Operators)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make([]*liveFeature, train.NumCols())
+	for j := range live {
+		live[j] = &liveFeature{name: train.Columns[j].Name, train: train.Columns[j].Values}
+	}
+	var combos []Combo
+	for a := 0; a < 8; a++ {
+		for b := a + 1; b < 8; b++ {
+			combos = append(combos, Combo{Features: []int{a, b}})
+		}
+	}
+	arena := operators.NewArena(train.NumRows())
+	return newCandidateStream(ctx, &cfg, parallel.Get(workers), arena, live, train.Label), combos, ops
+}
+
+// streamCandidates runs one round's stream and lists its decisions in order.
+func streamCandidates(t *testing.T, train *frame.Frame, task Task, workers int) []streamedCandidate {
+	t.Helper()
+	stream, combos, ops := pairStream(t, context.Background(), train, task, workers)
+	stream.addBase()
+	if err := (&Engineer{}).enumerate(stream, combos, ops); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := stream.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]streamedCandidate, len(entries))
+	for i, en := range entries {
+		out[i] = streamedCandidate{en.lf.name, math.Float64bits(en.iv), en.dropped}
+		if en.dropped != (en.lf.train == nil) {
+			t.Fatalf("%s: dropped=%v but column nil=%v", en.lf.name, en.dropped, en.lf.train == nil)
+		}
+	}
+	return out
+}
 
 // TestFitDeterministicAcrossWorkerCounts is the contract the parallel rebuild
 // must keep: Fit selects the same features, with the same formulas in the
 // same order, no matter how many workers the shared pool uses — including the
-// fully serial path. CI runs this under -race.
+// fully serial path — and, one level down, the candidate stream gives every
+// candidate the same IV, bit for bit, and drops the same candidates in the
+// same order, for all three tasks. CI runs this under -race.
 func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 	ds := testDataset(t)
+
+	for _, tc := range []struct {
+		task  Task
+		train *frame.Frame
+	}{
+		{BinaryTask(), ds.Train},
+		{MulticlassTask(3), taskFrame(t, datagen.TargetMulticlass, 3, 3000, 10)},
+		{RegressionTask(), taskFrame(t, datagen.TargetRegression, 0, 3000, 10)},
+	} {
+		ref := streamCandidates(t, tc.train, tc.task, 1)
+		dropped := 0
+		for _, c := range ref {
+			if c.dropped {
+				dropped++
+			}
+		}
+		if len(ref) < 3*streamChunk || dropped == 0 || dropped == len(ref) {
+			t.Fatalf("%s: %d candidates, %d dropped: the stream test needs several flushes and both outcomes", tc.task, len(ref), dropped)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			got := streamCandidates(t, tc.train, tc.task, workers)
+			if len(got) != len(ref) {
+				t.Fatalf("%s: %d workers streamed %d candidates, one worker %d", tc.task, workers, len(got), len(ref))
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Errorf("%s: %d workers: candidate %d = %+v, one worker %+v", tc.task, workers, i, got[i], ref[i])
+				}
+			}
+		}
+	}
 
 	type outcome struct {
 		output   []string
@@ -61,5 +161,65 @@ func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Errorf("%s: formula[%d] = %q, serial %q", tc.name, i, got.formulas[i], ref.formulas[i])
 			}
 		}
+	}
+}
+
+// cancelApplier computes a sum and cancels the fit's context on the way: the
+// cancellation lands while the flush's pool loop is running.
+type cancelApplier struct {
+	operators.Applier
+	cancel context.CancelFunc
+}
+
+func (a cancelApplier) Transform(cols [][]float64) []float64 {
+	a.cancel()
+	return a.Applier.Transform(cols)
+}
+
+// TestStreamCancelDuringFlush: a context cancelled while a flush is applying
+// and scoring its candidates makes the flush return ctx.Err(), with every
+// pending column back in the arena and nothing admitted to the entries.
+func TestStreamCancelDuringFlush(t *testing.T) {
+	ds := testDataset(t)
+	for _, workers := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		stream, combos, ops := pairStream(t, ctx, ds.Train, BinaryTask(), workers)
+		for _, c := range combos {
+			for _, op := range ops {
+				if len(stream.pending) == streamChunk-1 {
+					break
+				}
+				if err := stream.generate(op, c.Features); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		held := map[*float64]bool{}
+		for _, en := range stream.pending {
+			held[&en.lf.train[0]] = true
+		}
+		if len(held) != streamChunk-1 {
+			t.Fatalf("%d distinct pending columns, want %d", len(held), streamChunk-1)
+		}
+		mid := stream.pending[len(stream.pending)/2]
+		mid.applier = cancelApplier{mid.applier, cancel}
+
+		if err := stream.flush(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: flush returned %v, want context.Canceled", workers, err)
+		}
+		if len(stream.pending) != 0 || len(stream.entries) != 0 {
+			t.Fatalf("workers=%d: %d pending, %d entries after a cancelled flush", workers, len(stream.pending), len(stream.entries))
+		}
+		for i := 0; i < streamChunk-1; i++ {
+			if buf := stream.arena.Get(); !held[&buf[0]] {
+				t.Fatalf("workers=%d: arena buffer %d is not one of the pending columns", workers, i)
+			} else {
+				delete(held, &buf[0])
+			}
+		}
+		if err := stream.generate(ops[0], combos[0].Features); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: generate after cancellation returned %v", workers, err)
+		}
+		cancel()
 	}
 }

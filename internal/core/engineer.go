@@ -410,7 +410,10 @@ func (e *Engineer) fit(ctx context.Context, train, valid *frame.Frame) (*Pipelin
 		if err := e.enumerate(stream, combos, ops); err != nil {
 			return nil, nil, err
 		}
-		entries := stream.finish()
+		entries, err := stream.finish()
+		if err != nil {
+			return nil, nil, err
+		}
 		ir.Generated = stream.generated
 		ir.Candidates = len(entries)
 		sc.AddRows(rows)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/frame"
 	"repro/internal/operators"
@@ -228,10 +227,11 @@ func (p *Pipeline) prune() {
 
 // sanitize replaces NaN/Inf outputs with 0 in place; classifiers downstream
 // assume finite matrices. Division and reciprocal operators produce NaN on
-// zero denominators by design.
+// zero denominators by design. One comparison finds all three: v-v is 0 for
+// every finite v and NaN for NaN and ±Inf.
 func sanitize(col []float64) {
 	for i, v := range col {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if v-v != 0 {
 			col[i] = 0
 		}
 	}

@@ -288,3 +288,54 @@ func TestFitExtremeValues(t *testing.T) {
 		}
 	}
 }
+
+// TestFitInfiniteValuesEqualWidth: frame.Validate admits ±Inf, and an
+// infinite value used to turn the equal-width IV's bin width infinite and
+// its bin index into int(NaN) — an index out of range inside the pool. Such
+// a column now scores 0 like a constant one and the fit completes.
+func TestFitInfiniteValuesEqualWidth(t *testing.T) {
+	n := 600
+	rng := rand.New(rand.NewSource(18))
+	a, b, c := randCol(n, 1), randCol(n, 2), randCol(n, 3)
+	labels := make([]float64, n)
+	for i := range labels {
+		if a[i]*b[i]+0.3*rng.NormFloat64() > 0 {
+			labels[i] = 1
+		}
+	}
+	a[7], b[11], c[13], c[17] = math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)
+	f := makeFrame(map[string][]float64{"a": a, "b": b, "c": c}, labels)
+	cfg := DefaultConfig()
+	cfg.IVEqualWidth = true
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := eng.Fit(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Output) == 0 {
+		t.Fatal("fit over ±Inf columns produced an empty pipeline")
+	}
+}
+
+// TestSanitizeTable: sanitize zeroes exactly NaN and ±Inf and leaves every
+// finite value — both zeros, the extremes, subnormals — as it was.
+func TestSanitizeTable(t *testing.T) {
+	keep := []float64{0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1, -2.5}
+	zero := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Float64frombits(0xfff8000000000001)}
+	col := append(append([]float64(nil), keep...), zero...)
+	sanitize(col)
+	for i, v := range keep {
+		if math.Float64bits(col[i]) != math.Float64bits(v) {
+			t.Errorf("sanitize changed %v to %v", v, col[i])
+		}
+	}
+	for i, v := range zero {
+		if got := col[len(keep)+i]; math.Float64bits(got) != 0 {
+			t.Errorf("sanitize left %v as %v, want +0", v, got)
+		}
+	}
+}

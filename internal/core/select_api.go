@@ -91,7 +91,7 @@ func Select(cols [][]float64, labels []float64, cfg SelectionConfig) ([]int, err
 		pool = parallel.Get(cfg.Workers)
 	}
 
-	ivs := computeCriteria(cols, labels, cfg.Task, cfg.IVBins, cfg.IVEqualWidth, pool)
+	ivs := computeCriteria(cols, labels, cfg.Task, cfg.IVBins, cfg.IVEqualWidth, pool, new(scratchList))
 
 	var keptA []int
 	if cfg.SkipIV {
@@ -128,5 +128,5 @@ func IVs(cols [][]float64, labels []float64, bins int, par bool) []float64 {
 	if par {
 		pool = parallel.Get(0)
 	}
-	return computeCriteria(cols, labels, BinaryTask(), bins, false, pool)
+	return computeCriteria(cols, labels, BinaryTask(), bins, false, pool, new(scratchList))
 }

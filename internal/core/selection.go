@@ -11,46 +11,43 @@ import (
 	"repro/internal/stats"
 )
 
-// computeCriteria calculates the task-appropriate relevance criterion of
-// every column against the labels using equal-frequency binning — the
-// Information Value of Algorithm 3 for the binary task, its per-class
-// generalisation for multiclass, the correlation ratio η² for regression —
-// column-parallel on the shared pool. Each chunk amortises one scratch
-// across its columns.
-func computeCriteria(cols [][]float64, labels []float64, task Task, bins int, equalWidth bool, pool *parallel.Pool) []float64 {
-	out := make([]float64, len(cols))
-	computeCriteriaInto(out, cols, labels, task, bins, equalWidth, pool)
-	return out
+// criterionScratch is the working state of one goroutine computing
+// relevance criteria: the buffers of whichever criterion the task selects.
+type criterionScratch struct {
+	iv   stats.IVScratch
+	crit stats.CritScratch
 }
 
-func computeCriteriaInto(out []float64, cols [][]float64, labels []float64, task Task, bins int, equalWidth bool, pool *parallel.Pool) {
+// criterion calculates the task-appropriate relevance criterion of a column
+// against the labels using equal-frequency binning — the Information Value
+// of Algorithm 3 for the binary task, its per-class generalisation for
+// multiclass, the correlation ratio η² for regression.
+func (s *criterionScratch) criterion(col, labels []float64, task Task, bins int, equalWidth bool) float64 {
 	switch task.Kind {
 	case TaskMulticlass:
-		pool.ForChunks(len(cols), pool.Grain(len(cols)), func(lo, hi int) {
-			var s stats.CritScratch
-			for j := lo; j < hi; j++ {
-				out[j] = s.MulticlassIV(cols[j], labels, task.Classes, bins)
-			}
-		})
+		return s.crit.MulticlassIV(col, labels, task.Classes, bins)
 	case TaskRegression:
-		pool.ForChunks(len(cols), pool.Grain(len(cols)), func(lo, hi int) {
-			var s stats.CritScratch
-			for j := lo; j < hi; j++ {
-				out[j] = s.CorrelationRatio(cols[j], labels, bins)
-			}
-		})
-	default:
-		pool.ForChunks(len(cols), pool.Grain(len(cols)), func(lo, hi int) {
-			var s stats.IVScratch
-			for j := lo; j < hi; j++ {
-				if equalWidth {
-					out[j] = s.InformationValueWidth(cols[j], labels, bins)
-				} else {
-					out[j] = s.InformationValue(cols[j], labels, bins)
-				}
-			}
-		})
+		return s.crit.CorrelationRatio(col, labels, bins)
 	}
+	if equalWidth {
+		return s.iv.InformationValueWidth(col, labels, bins)
+	}
+	return s.iv.InformationValue(col, labels, bins)
+}
+
+// computeCriteria calculates the criterion of every column, column-parallel
+// on the shared pool. Each chunk amortises one scratch from the list across
+// its columns.
+func computeCriteria(cols [][]float64, labels []float64, task Task, bins int, equalWidth bool, pool *parallel.Pool, scratches *scratchList) []float64 {
+	out := make([]float64, len(cols))
+	pool.ForChunks(len(cols), pool.Grain(len(cols)), func(lo, hi int) {
+		sc := scratches.get()
+		defer scratches.put(sc)
+		for j := lo; j < hi; j++ {
+			out[j] = sc.criterion(cols[j], labels, task, bins, equalWidth)
+		}
+	})
+	return out
 }
 
 // ivFilter implements Algorithm 3: drop features whose IV is at or below the

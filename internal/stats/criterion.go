@@ -222,11 +222,10 @@ func VarGainRatio(target []float64, parts []int, numParts int) float64 {
 
 // CritScratch computes task-aware relevance criteria with reusable buffers,
 // the multiclass/regression counterpart of IVScratch: one instance amortises
-// the quantile working copy and the count/moment arrays across a column
+// the quantile working buffers and the count/moment arrays across a column
 // sweep. The zero value is ready to use; not safe for concurrent use.
 type CritScratch struct {
 	q      QuantileScratch
-	ix     CutIndexer
 	counts [][]float64 // class-major class counts
 	flat   []float64   // backing storage for counts
 	cnt    []float64
@@ -238,44 +237,44 @@ type CritScratch struct {
 // against class-index labels (0..k-1) using equal-frequency binning into at
 // most bins bins — the same cuts InformationValue uses, so the binary and
 // multiclass criteria see identical partitions. NaN feature values and
-// out-of-range classes are excluded.
+// out-of-range classes are excluded. Like the binary criterion it takes its
+// (integer) counts from the quantile kernel's two scans.
 func (s *CritScratch) MulticlassIV(feature, labels []float64, k, bins int) float64 {
-	cuts := s.q.Quantiles(feature, bins)
-	numBins := len(cuts) + 1
-	if numBins <= 1 || k < 2 {
+	if k < 2 {
 		return 0
 	}
-	s.ix.Reset(cuts)
+	cuts, binned := s.q.cutsAndCounts(feature, labels, k, false, bins)
+	numBins := len(cuts) + 1
+	if numBins <= 1 {
+		return 0
+	}
 	counts := s.classCounts(k, numBins)
-	for i, v := range feature {
-		if math.IsNaN(v) {
-			continue
+	for b := 0; b < numBins; b++ {
+		for c, v := range binned[b*(k+1):][:k] {
+			counts[c][b] = float64(v)
 		}
-		c := int(labels[i])
-		if c < 0 || c >= k {
-			continue
-		}
-		counts[c][s.ix.Find(v)]++
 	}
 	return MulticlassIVFromCounts(counts)
 }
 
 // CorrelationRatio computes η² of a continuous target against a feature
 // binned equal-frequency into at most bins bins. NaN feature values are
-// excluded; the target is assumed finite (validated at fit entry).
+// excluded; the target is assumed finite (validated at fit entry). The
+// moments are float sums, so they are accumulated in row order (the order
+// the sharded engine's moment histograms reproduce), each row binned through
+// the bucket table the Quantiles call leaves behind.
 func (s *CritScratch) CorrelationRatio(feature, target []float64, bins int) float64 {
 	cuts := s.q.Quantiles(feature, bins)
 	numBins := len(cuts) + 1
 	if numBins <= 1 {
 		return 0
 	}
-	s.ix.Reset(cuts)
 	cnt, sum, sumsq := s.moments(numBins)
 	for i, v := range feature {
-		if math.IsNaN(v) {
+		if v != v {
 			continue
 		}
-		b := s.ix.Find(v)
+		b := s.q.Bin(v)
 		y := target[i]
 		cnt[b]++
 		sum[b] += y

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,5 +178,172 @@ func TestVarGainRatioDegenerate(t *testing.T) {
 	parts := []int{0, 0, 0, 1, 1, 1}
 	if got := VarGainRatio(target, parts, 2); got < 1.0 {
 		t.Fatalf("perfect split: %g, want >= 1/ln2", got)
+	}
+}
+
+// The reference criteria: sorted-copy cuts, a binary search per row, and
+// counts and moments accumulated in row order — what the criteria computed
+// before the class counts rode the quantile kernel's scans. The kernels must
+// return these values exactly, not approximately.
+
+func referenceBinaryIV(feature, labels []float64, bins int) float64 {
+	cuts := sortedQuantiles(feature, bins)
+	if len(cuts) == 0 {
+		return 0
+	}
+	pos, neg := make([]float64, len(cuts)+1), make([]float64, len(cuts)+1)
+	var np, nn float64
+	for i, v := range feature {
+		if math.IsNaN(v) {
+			continue
+		}
+		b := SearchCuts(cuts, v)
+		if labels[i] > 0.5 {
+			pos[b]++
+			np++
+		} else {
+			neg[b]++
+			nn++
+		}
+	}
+	return IVFromCounts(pos, neg, np, nn)
+}
+
+func referenceMulticlassIV(feature, labels []float64, k, bins int) float64 {
+	cuts := sortedQuantiles(feature, bins)
+	if len(cuts) == 0 || k < 2 {
+		return 0
+	}
+	counts := make([][]float64, k)
+	for c := range counts {
+		counts[c] = make([]float64, len(cuts)+1)
+	}
+	for i, v := range feature {
+		l := labels[i]
+		if math.IsNaN(v) || math.IsNaN(l) || l <= -1 || l >= float64(k) {
+			continue
+		}
+		counts[int(l)][SearchCuts(cuts, v)]++
+	}
+	return MulticlassIVFromCounts(counts)
+}
+
+func referenceCorrelationRatio(feature, target []float64, bins int) float64 {
+	cuts := sortedQuantiles(feature, bins)
+	if len(cuts) == 0 {
+		return 0
+	}
+	cnt, sum, sumsq := make([]float64, len(cuts)+1), make([]float64, len(cuts)+1), make([]float64, len(cuts)+1)
+	for i, v := range feature {
+		if math.IsNaN(v) {
+			continue
+		}
+		b := SearchCuts(cuts, v)
+		cnt[b]++
+		sum[b] += target[i]
+		sumsq[b] += target[i] * target[i]
+	}
+	return CorrelationRatioFromMoments(cnt, sum, sumsq)
+}
+
+// criteriaScratch holds the scratches one exactness check reuses across
+// columns, as a worker does.
+type criteriaScratch struct {
+	iv   IVScratch
+	crit CritScratch
+	q    QuantileScratch
+}
+
+// checkCriteriaExact compares every criterion kernel with its reference on
+// one column, bit for bit (NaN compares equal to NaN: fuzzed targets can
+// overflow a moment), and Bin with SearchCuts on every value of the column.
+// labels serves the binary criterion as is (> 0.5), the multiclass ones as
+// class indices with whatever falls outside [0,k), and η² as the target.
+func checkCriteriaExact(t *testing.T, tag string, s *criteriaScratch, feature, labels []float64, bins int) {
+	t.Helper()
+	same := func(a, b float64) bool { return a == b || (a != a && b != b) }
+	if got, want := s.iv.InformationValue(feature, labels, bins), referenceBinaryIV(feature, labels, bins); !same(got, want) {
+		t.Fatalf("%s: binary IV %v, reference %v", tag, got, want)
+	}
+	for _, k := range []int{2, 3, 7} {
+		if got, want := s.crit.MulticlassIV(feature, labels, k, bins), referenceMulticlassIV(feature, labels, k, bins); !same(got, want) {
+			t.Fatalf("%s: multiclass:%d IV %v, reference %v", tag, k, got, want)
+		}
+	}
+	if got, want := s.crit.CorrelationRatio(feature, labels, bins), referenceCorrelationRatio(feature, labels, bins); !same(got, want) {
+		t.Fatalf("%s: correlation ratio %v, reference %v", tag, got, want)
+	}
+	cuts := s.q.Quantiles(feature, bins)
+	for i, v := range feature {
+		if v != v {
+			continue
+		}
+		if got, want := s.q.Bin(v), SearchCuts(cuts, v); got != want {
+			t.Fatalf("%s: Bin(feature[%d]=%v) = %d, SearchCuts %d", tag, i, v, got, want)
+		}
+	}
+}
+
+// TestCriteriaMatchReference: on every distribution of the quantile table,
+// at sizes below, at and far above the sample size, the three criteria equal
+// their row-order references exactly. The labels mix valid classes with
+// negative, fractional, too-large and NaN ones, whose rows the multiclass
+// criterion drops from the counts but not from the ranks.
+func TestCriteriaMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	odd := []float64{-1, -0.5, 0.5, 1.5, 7, 8, 1e300, math.NaN(), math.Inf(1)}
+	var s criteriaScratch
+	for _, g := range columnGens(rng) {
+		for _, n := range []int{7, 100, 5000, 20000} {
+			feature := g.gen(n)
+			labels := make([]float64, n)
+			for i := range labels {
+				labels[i] = float64(rng.Intn(7))
+				if rng.Intn(9) == 0 {
+					labels[i] = odd[rng.Intn(len(odd))]
+				}
+			}
+			for _, bins := range []int{2, 10, 64, 255} {
+				checkCriteriaExact(t, fmt.Sprintf("%s n=%d bins=%d", g.name, n, bins), &s, feature, labels, bins)
+			}
+		}
+	}
+}
+
+// infiniteRangeColumns are columns whose equal-width bin width is not finite:
+// an infinite value makes it infinite and (v-lo)/w NaN, whose integer
+// conversion indexed out of range. Such a column is binned like a constant
+// one.
+var infiniteRangeColumns = [][]float64{
+	{1, 2, math.Inf(1), 3, math.NaN()},
+	{1, 2, math.Inf(-1), 3, math.NaN()},
+	{math.Inf(-1), 2, math.Inf(1), 3, 4},
+	{-math.MaxFloat64, 2, math.MaxFloat64, 3, 4}, // finite ends, infinite width
+}
+
+func TestInformationValueWidthInfiniteRange(t *testing.T) {
+	labels := []float64{0, 1, 0, 1, 1}
+	for _, col := range infiniteRangeColumns {
+		if iv := InformationValueWidth(col, labels, 10); iv != 0 {
+			t.Errorf("InformationValueWidth(%v) = %v, want 0", col, iv)
+		}
+	}
+}
+
+func TestEqualWidthBinsInfiniteRange(t *testing.T) {
+	for _, col := range infiniteRangeColumns {
+		assign, nb := EqualWidthBins(col, 10)
+		if nb != 1 {
+			t.Errorf("EqualWidthBins(%v): %d bins, want 1", col, nb)
+		}
+		for i, b := range assign {
+			want := 0
+			if math.IsNaN(col[i]) {
+				want = -1
+			}
+			if b != want {
+				t.Errorf("EqualWidthBins(%v)[%d] = %d, want %d", col, i, b, want)
+			}
+		}
 	}
 }

@@ -11,6 +11,13 @@ import "math"
 // that would make the scan long (many cuts per bucket) fall back to binary
 // search at Reset time.
 //
+// Its callers bin values against cuts that came from somewhere else: the
+// sharded engine's label/moment histograms and bin codes (internal/sketch,
+// shard.fillCodes), the GBDT binner's code fill (gbdt.newBinner) and core's
+// combination cells (core.ComboCells). The criteria that cut a column at its
+// own quantiles do not use it: the quantile kernel's bucket grid already
+// knows each row's bin (QuantileScratch, quantselect.go).
+//
 // The zero value is ready for Reset. Not safe for concurrent use; hot paths
 // keep one per worker next to their other scratch.
 type CutIndexer struct {

@@ -28,10 +28,34 @@
 // what keeps the sharded selection feature-for-feature identical to the
 // in-memory one.
 //
+// # The quantile kernel
+//
+// Every equal-frequency criterion, the GBDT binner and the discretising
+// operators cut a resident column at exact nearest-rank quantiles through
+// QuantileScratch (quantselect.go). It reads the column twice, whatever the
+// distribution: a counting scan over a grid of 1,024 equal-width buckets
+// whose range comes from a 256-value strided sample (the end buckets catch
+// the tails), then a gather of the few buckets a target rank falls into,
+// which multi-rank quickselect resolves exactly. The bucket index is
+// monotone in the value, so the cuts are the ones a full sort would give for
+// any sample; a column without a usable sampled range (constant, dominated
+// by one value, non-finite) falls back to selection over the whole column.
+// The binary and multiclass criteria add the row's class to the counting
+// scan's index and read their per-bin label counts off the bucket counts —
+// integers, so the values equal a row-order count bit for bit; the
+// regression criterion keeps a row-order pass (its moments are float sums)
+// and bins each row with QuantileScratch.Bin, a bucket-table lookup.
+// TestCriteriaMatchReference and FuzzCriterionExact hold all of them to a
+// sort-and-binary-search reference with exact comparison.
+//
+// CutIndexer (cutindex.go) is the other lookup: SearchCuts against a fixed
+// cut array that did not come from the caller's own column — the sharded
+// engine's histograms and bin codes (internal/sketch, internal/shard), the
+// GBDT binner's code fill, and core's combination cells.
+//
 // The package also provides Pearson correlation (Algorithm 4, Eq. 7),
-// equal-frequency/equal-width binning and multi-rank quantile selection
-// (QuantileScratch, CutIndexer), ChiMerge discretisation, and the KL/JS
-// divergences of Eqs. 14-15. Scratch types (IVScratch, CritScratch,
+// equal-frequency/equal-width binning, ChiMerge discretisation, and the
+// KL/JS divergences of Eqs. 14-15. Scratch types (IVScratch, CritScratch,
 // QuantileScratch) amortise working buffers across column sweeps; each
 // instance is single-goroutine, hot paths keep one per worker.
 package stats

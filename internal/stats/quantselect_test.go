@@ -41,77 +41,94 @@ func sortedQuantiles(xs []float64, q int) []float64 {
 	return out
 }
 
-func TestQuantilesMatchesSortedReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	gens := map[string]func(n int) []float64{
-		"uniform": func(n int) []float64 {
+// columnGen names one column distribution of the exactness tables.
+type columnGen struct {
+	name string
+	gen  func(n int) []float64
+}
+
+// columnGens lists the distributions the quantile kernel must be exact on:
+// the well-behaved ones, and one for every way a sampled bucket grid can be
+// given a bad range — heavy tails, a lone outlier, one dominant value,
+// infinities, a sample that sees a single value, monotone input.
+func columnGens(rng *rand.Rand) []columnGen {
+	fill := func(f func(i, n int) float64) func(n int) []float64 {
+		return func(n int) []float64 {
 			xs := make([]float64, n)
 			for i := range xs {
-				xs[i] = rng.NormFloat64()
+				xs[i] = f(i, n)
 			}
 			return xs
-		},
-		"duplicates": func(n int) []float64 {
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = float64(rng.Intn(5))
-			}
-			return xs
-		},
-		"sorted": func(n int) []float64 {
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = float64(i)
-			}
-			return xs
-		},
-		"reversed": func(n int) []float64 {
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = float64(n - i)
-			}
-			return xs
-		},
-		"with-nans": func(n int) []float64 {
-			xs := make([]float64, n)
-			for i := range xs {
-				if rng.Intn(4) == 0 {
-					xs[i] = math.NaN()
-				} else {
-					xs[i] = rng.Float64() * 100
-				}
-			}
-			return xs
-		},
-		"constant": func(n int) []float64 {
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = 3.25
-			}
-			return xs
-		},
-		// A value range so narrow that buckets-per-unit overflows to +Inf.
-		"subnormal-span": func(n int) []float64 {
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = float64(rng.Intn(7)) * math.SmallestNonzeroFloat64
-			}
-			return xs
-		},
+		}
 	}
+	return []columnGen{
+		{"uniform", fill(func(i, n int) float64 { return rng.NormFloat64() })},
+		{"duplicates", fill(func(i, n int) float64 { return float64(rng.Intn(5)) })},
+		{"sorted", fill(func(i, n int) float64 { return float64(i) })},
+		{"reversed", fill(func(i, n int) float64 { return float64(n - i) })},
+		{"with-nans", fill(func(i, n int) float64 {
+			if rng.Intn(4) == 0 {
+				return math.NaN()
+			}
+			return rng.Float64() * 100
+		})},
+		{"constant", fill(func(i, n int) float64 { return 3.25 })},
+		// A value range so narrow that buckets-per-unit overflows to +Inf.
+		{"subnormal-span", fill(func(i, n int) float64 {
+			return float64(rng.Intn(7)) * math.SmallestNonzeroFloat64
+		})},
+		// A ratio of two normals: tails that stretch [min, max] until a grid
+		// over it holds the whole column in one or two buckets.
+		{"cauchy-ratio", fill(func(i, n int) float64 { return rng.NormFloat64() / rng.NormFloat64() })},
+		{"one-outlier", fill(func(i, n int) float64 {
+			if i == n/3 {
+				return 1e300
+			}
+			return rng.NormFloat64()
+		})},
+		{"mostly-one-value", fill(func(i, n int) float64 {
+			if rng.Intn(10) == 0 {
+				return rng.NormFloat64()
+			}
+			return 0
+		})},
+		{"inf-laced", fill(func(i, n int) float64 {
+			switch rng.Intn(12) {
+			case 0:
+				return math.Inf(1)
+			case 1:
+				return math.Inf(-1)
+			}
+			return rng.NormFloat64()
+		})},
+		// Period equal to the sample stride: the sample sees one value.
+		{"stride-periodic", fill(func(i, n int) float64 {
+			stride := n / sampleSize
+			if stride < 1 {
+				stride = 1
+			}
+			if i%stride == 0 {
+				return 5
+			}
+			return rng.NormFloat64()
+		})},
+	}
+}
+
+func TestQuantilesMatchesSortedReference(t *testing.T) {
 	var scratch QuantileScratch
-	for name, gen := range gens {
-		for _, n := range []int{0, 1, 2, 5, 23, 100, 1000, 4096} {
-			for _, q := range []int{2, 10, 64} {
-				xs := gen(n)
+	for _, g := range columnGens(rand.New(rand.NewSource(7))) {
+		for _, n := range []int{0, 1, 2, 5, 23, 100, 1000, 4096, 20000} {
+			for _, q := range []int{2, 10, 64, 255} {
+				xs := g.gen(n)
 				want := sortedQuantiles(xs, q)
 				got := scratch.Quantiles(append([]float64(nil), xs...), q)
 				if len(got) != len(want) {
-					t.Fatalf("%s n=%d q=%d: %d cuts, want %d", name, n, q, len(got), len(want))
+					t.Fatalf("%s n=%d q=%d: %d cuts, want %d", g.name, n, q, len(got), len(want))
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("%s n=%d q=%d: cut[%d]=%v want %v", name, n, q, i, got[i], want[i])
+						t.Fatalf("%s n=%d q=%d: cut[%d]=%v want %v", g.name, n, q, i, got[i], want[i])
 					}
 				}
 			}

@@ -276,7 +276,7 @@ func EqualWidthBins(xs []float64, bins int) ([]int, int) {
 		}
 	}
 	out := make([]int, len(xs))
-	if !(hi > lo) {
+	if !finiteRange(lo, hi) {
 		for i, v := range xs {
 			if math.IsNaN(v) {
 				out[i] = -1
@@ -299,6 +299,15 @@ func EqualWidthBins(xs []float64, bins int) ([]int, int) {
 	return out, bins
 }
 
+// finiteRange reports whether [lo, hi] can be cut into equal-width bins: a
+// positive, finite width. An infinite end or a width that overflows would
+// turn (v-lo)/w into NaN and the bin index into garbage, so such a column is
+// treated like a constant one.
+func finiteRange(lo, hi float64) bool {
+	w := hi - lo
+	return w > 0 && !math.IsInf(w, 0)
+}
+
 // InformationValue computes the IV of a feature against binary labels
 // (Eq. 6) using equal-frequency binning into at most bins bins. Counts are
 // Laplace-smoothed by 0.5 to keep the WoE finite on empty cells. Hot paths
@@ -316,37 +325,30 @@ func InformationValueWidth(feature, labels []float64, bins int) float64 {
 }
 
 // IVScratch computes Information Values with reusable buffers: one instance
-// amortises the quantile working copy and the bin-count arrays across an
+// amortises the quantile working buffers and the bin-count arrays across an
 // entire column sweep. The zero value is ready to use; not safe for
 // concurrent use (hot paths keep one per worker).
 type IVScratch struct {
 	q        QuantileScratch
-	ix       CutIndexer
 	pos, neg []float64
 }
 
-// InformationValue is InformationValue with buffer reuse.
+// InformationValue is InformationValue with buffer reuse. The per-bin label
+// counts come out of the quantile kernel's own two scans (cutsAndCounts);
+// they are integers, so the value is the one a row-order count would give.
 func (s *IVScratch) InformationValue(feature, labels []float64, bins int) float64 {
-	cuts := s.q.Quantiles(feature, bins)
+	cuts, counts := s.q.cutsAndCounts(feature, labels, binaryClasses, true, bins)
 	numBins := len(cuts) + 1
 	if numBins <= 1 {
 		return 0
 	}
-	s.ix.Reset(cuts)
 	pos, neg := s.counts(numBins)
 	var np, nn float64
-	for i, v := range feature {
-		if math.IsNaN(v) {
-			continue
-		}
-		b := s.ix.Find(v)
-		if labels[i] > 0.5 {
-			pos[b]++
-			np++
-		} else {
-			neg[b]++
-			nn++
-		}
+	for b := range pos {
+		row := counts[b*(binaryClasses+1):]
+		neg[b], pos[b] = float64(row[0]), float64(row[1])
+		np += pos[b]
+		nn += neg[b]
 	}
 	return ivFromCounts(pos, neg, np, nn)
 }
@@ -368,7 +370,7 @@ func (s *IVScratch) InformationValueWidth(feature, labels []float64, bins int) f
 			hi = v
 		}
 	}
-	if !(hi > lo) {
+	if !finiteRange(lo, hi) {
 		return 0
 	}
 	w := (hi - lo) / float64(bins)
