@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"repro/internal/gbdt"
@@ -143,54 +144,193 @@ func mergeSorted(a, b []float64) []float64 {
 // computation O(N) with a small constant.
 const maxPartitionCells = 1024
 
-// scoreCombos computes the gain ratio of every combination over the
-// training data (Algorithm 2): the combo's split values partition the rows
-// into prod_i (|V_i|+1) cells, scored with the task's criterion — binary
+// ScoreCombos computes the gain ratio of every combination over the training
+// rows (Algorithm 2): the combo's split values partition the rows into
+// prod_i (|V_i|+1) cells, scored with the task's criterion — binary
 // information gain ratio, its K-class generalisation, or the regression
-// variance-reduction ratio. Scoring is combo-parallel on the shared pool;
-// each chunk reuses one row-partition buffer across its combos. A cancelled
-// context stops further combos from being scored and returns ctx.Err() —
-// partially filled GainRatios must then be discarded by the caller.
-func scoreCombos(ctx context.Context, combos []Combo, cols [][]float64, labels []float64, task Task, pool *parallel.Pool) error {
-	ratio := func(parts []int, cells int) float64 {
-		switch task.Kind {
-		case TaskMulticlass:
-			return stats.GainRatioClasses(labels, parts, cells, task.Classes)
-		case TaskRegression:
-			return stats.VarGainRatio(labels, parts, cells)
-		default:
-			return stats.GainRatio(labels, parts, cells)
+// variance-reduction ratio. It is the one scorer of both fit engines, and it
+// never looks at a raw value: pb is the bin-code matrix the miner that
+// produced the combinations was trained on, every split value is a node
+// threshold and every threshold one of pb.Cuts, so the cell a row falls into
+// is a function of its codes alone (fillCellTable). One scan of the combo's
+// code columns fills the cell × label count table, and the count-space
+// criteria of internal/stats finish — the same arithmetic, in the same order,
+// as binning each raw value against the split values and calling
+// stats.GainRatio / GainRatioClasses / VarGainRatio, bit for bit
+// (TestScoreCombosMatchesRowSpace).
+//
+// Scoring is combo-parallel on the pool, each combination by one goroutine in
+// row order, so the ratios are the same for any pool size. A combination that
+// names a feature outside pb, has more than three features, or carries a
+// split value that is not a cut of its feature is an error, as is a code
+// outside its feature's bins. A cancelled context stops further combos from
+// being scored and returns ctx.Err() — partially filled GainRatios must then
+// be discarded by the caller.
+func ScoreCombos(ctx context.Context, combos []Combo, pb *gbdt.Prebinned, labels []float64, task Task, pool *parallel.Pool) error {
+	if len(combos) == 0 {
+		return nil
+	}
+	if err := pb.Validate(len(labels)); err != nil {
+		return fmt.Errorf("core: score combinations: %w", err)
+	}
+	for i := range combos {
+		if err := checkCombo(&combos[i], pb.Cuts); err != nil {
+			return fmt.Errorf("core: combination %d: %w", i, err)
 		}
 	}
-	score := func(c *Combo, parts []int) {
-		cc := NewComboCells(c)
-		if cc.cells <= 1 {
-			c.GainRatio = 0
-			return
-		}
-		for r := range parts {
-			// Inline CellOf over the row's combo features (avoids a
-			// per-row gather). NaN maps to index 0, as the binary search did.
-			id := 0
-			for i, f := range c.Features {
-				v := cols[f][r]
-				j := 0
-				if v == v {
-					j = cc.ix[i].Find(v)
-				}
-				id = id*cc.radix[i] + j
+	// The labels are encoded once for all combinations: thresholding (or
+	// converting) per row per combination costs as much as the scan itself.
+	proto := comboScorer{pb: pb, task: task, targets: labels, width: 1}
+	switch task.Kind {
+	case TaskMulticlass:
+		proto.width = task.Classes
+		proto.cls = make([]int32, len(labels))
+		for i, y := range labels {
+			proto.cls[i] = -1
+			if c := int(y); c >= 0 && c < task.Classes {
+				proto.cls[i] = int32(c)
 			}
-			parts[r] = id
 		}
-		c.GainRatio = ratio(parts, cc.cells)
+	case TaskRegression: // the targets as they are, one slot a cell
+	default:
+		proto.width = 2
+		proto.bits = make([]uint8, len(labels))
+		for i, y := range labels {
+			if y > 0.5 {
+				proto.bits[i] = 1
+			}
+		}
 	}
-
 	return pool.ForChunksCtx(ctx, len(combos), pool.Grain(len(combos)), func(lo, hi int) {
-		parts := make([]int, len(labels))
+		s := proto // each chunk its own tables and counts
 		for i := lo; i < hi; i++ {
-			score(&combos[i], parts)
+			combos[i].GainRatio = s.score(&combos[i])
 		}
 	})
+}
+
+// checkCombo holds one combination to what the scorer indexes by.
+func checkCombo(c *Combo, cuts [][]float64) error {
+	if len(c.Features) > 3 || len(c.Values) != len(c.Features) {
+		return fmt.Errorf("%d features and %d split sets, want equal and at most 3", len(c.Features), len(c.Values))
+	}
+	for i, f := range c.Features {
+		if f < 0 || f >= len(cuts) {
+			return fmt.Errorf("feature %d outside the %d binned columns", f, len(cuts))
+		}
+		for _, v := range c.Values[i] {
+			if j := stats.SearchCuts(cuts[f], v); j == len(cuts[f]) || cuts[f][j] != v {
+				return fmt.Errorf("split value %v is not a cut of feature %d", v, f)
+			}
+		}
+	}
+	return nil
+}
+
+// fillCellTable maps one feature's bin codes to its coordinate in a
+// combination's cell grid, pre-multiplied by stride: code 0 (NaN) sorts below
+// every split value, code b+1 lands where its bin's upper cut does, the top
+// bin above them all. Exact because values ⊂ cuts: a value v of bin b has
+// cuts[b-1] < v <= cuts[b], so values[j] >= v ⇔ values[j] >= cuts[b], and
+// tab[code(v)] == stride × SearchCuts(values, v) — ±Inf included
+// (FuzzComboCellTable). Entries past the top bin's code are left as they were;
+// no validated code reaches them.
+func fillCellTable(tab *[256]uint32, values, cuts []float64, stride int) {
+	tab[0] = 0
+	for b, cut := range cuts {
+		tab[b+1] = uint32(stats.SearchCuts(values, cut) * stride)
+	}
+	tab[len(cuts)+1] = uint32(len(values) * stride)
+}
+
+// comboScorer is one goroutine's scoring state: the shared, read-only label
+// encodings and matrix, and its own cell tables and count buffers.
+type comboScorer struct {
+	pb      *gbdt.Prebinned
+	task    Task
+	width   int       // count slots per cell: 2 (binary), K (multiclass), 1 (regression)
+	bits    []uint8   // binary: label > 0.5
+	cls     []int32   // multiclass: class id, -1 outside [0, K)
+	targets []float64 // the labels as given (the regression targets)
+
+	tab  [3][256]uint32
+	zero [256]uint32 // the table of a feature slot the combination does not use
+	ints []int
+	flts []float64
+}
+
+// score returns one combination's gain ratio. Whatever the arity, the scan
+// reads three (code column, table) pairs — unused slots reread the first
+// column through the all-zero table — so each task has one loop.
+func (s *comboScorer) score(c *Combo) float64 {
+	values := thinValues(c.Values)
+	cells := 1
+	for _, vs := range values {
+		cells *= len(vs) + 1
+	}
+	if cells <= 1 {
+		return 0
+	}
+	// Mixed-radix cell ids, first feature most significant, scaled by the slots
+	// a cell holds.
+	var col [3][]uint8
+	var tab [3]*[256]uint32
+	stride := cells * s.width
+	for i := range col {
+		if i >= len(c.Features) {
+			col[i], tab[i] = col[0], &s.zero
+			continue
+		}
+		f := c.Features[i]
+		stride /= len(values[i]) + 1
+		fillCellTable(&s.tab[i], values[i], s.pb.Cuts[f], stride)
+		col[i], tab[i] = s.pb.Codes[f], &s.tab[i]
+	}
+	n := len(s.targets)
+	c0, c1, c2 := col[0][:n], col[1][:n], col[2][:n]
+	t0, t1, t2 := tab[0], tab[1], tab[2]
+	switch s.task.Kind {
+	case TaskMulticlass:
+		k := s.task.Classes
+		s.flts = zeroed(s.flts, cells*k)
+		cnt := s.flts
+		for r, cl := range s.cls {
+			if cl >= 0 {
+				cnt[t0[c0[r]]+t1[c1[r]]+t2[c2[r]]+uint32(cl)]++
+			}
+		}
+		return stats.GainRatioFromClassCounts(cnt, cells, k)
+	case TaskRegression:
+		s.flts = zeroed(s.flts, 3*cells)
+		cnt, sum, sumsq := s.flts[:cells], s.flts[cells:2*cells], s.flts[2*cells:]
+		for r, y := range s.targets {
+			id := t0[c0[r]] + t1[c1[r]] + t2[c2[r]]
+			cnt[id]++
+			sum[id] += y
+			sumsq[id] += y * y
+		}
+		return stats.VarGainRatioFromMoments(cnt, sum, sumsq)
+	default:
+		s.ints = zeroed(s.ints, 4*cells)
+		cnt, pos, tot := s.ints[:2*cells], s.ints[2*cells:3*cells], s.ints[3*cells:]
+		for r, bit := range s.bits {
+			cnt[t0[c0[r]]+t1[c1[r]]+t2[c2[r]]+uint32(bit)]++
+		}
+		for p := range tot {
+			pos[p], tot[p] = cnt[2*p+1], cnt[2*p]+cnt[2*p+1]
+		}
+		return stats.GainRatioFromCounts(pos, tot)
+	}
+}
+
+// zeroed returns buf at length n, all zero, reallocating only to grow.
+func zeroed[T int | float64](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // thinValues reduces split-value sets so the partition stays under

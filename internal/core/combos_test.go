@@ -10,7 +10,9 @@ import (
 	"repro/internal/parallel"
 )
 
-func trainTinyModel(t *testing.T) *gbdt.Model {
+// tinyMatrix is 1,500 rows of five normal columns, binned as the model's
+// trainer bins them, with an interaction between columns 0 and 1 as the label.
+func tinyMatrix(t *testing.T) (*gbdt.Prebinned, []float64, gbdt.Config) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(71))
 	n := 1500
@@ -29,7 +31,17 @@ func trainTinyModel(t *testing.T) *gbdt.Model {
 	}
 	cfg := gbdt.DefaultConfig()
 	cfg.NumTrees = 15
-	model, err := gbdt.Train(cols, labels, nil, cfg)
+	pb, err := gbdt.BinColumns(cols, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pb, labels, cfg
+}
+
+func trainTinyModel(t *testing.T) *gbdt.Model {
+	t.Helper()
+	pb, labels, cfg := tinyMatrix(t)
+	model, err := gbdt.TrainBinned(pb, labels, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,23 +152,11 @@ func TestThinValuesNoopWhenSmall(t *testing.T) {
 func TestScoreCombosXORPairWins(t *testing.T) {
 	// The XOR pair (0,1) must outscore pairs involving noise features.
 	model := trainTinyModel(t)
-	rng := rand.New(rand.NewSource(72))
-	n := 1500
-	cols := make([][]float64, 5)
-	for j := range cols {
-		cols[j] = make([]float64, n)
-		for i := range cols[j] {
-			cols[j][i] = rng.NormFloat64()
-		}
-	}
-	labels := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if cols[0][i]*cols[1][i] > 0 {
-			labels[i] = 1
-		}
-	}
+	pb, labels, _ := tinyMatrix(t)
 	combos := mineCombos(model, []int{2})
-	_ = scoreCombos(context.Background(), combos, cols, labels, BinaryTask(), parallel.Get(1))
+	if err := ScoreCombos(context.Background(), combos, pb, labels, BinaryTask(), parallel.Get(1)); err != nil {
+		t.Fatal(err)
+	}
 	combos = topCombos(combos, 0)
 	if len(combos) == 0 {
 		t.Fatal("no combos")
@@ -169,23 +169,18 @@ func TestScoreCombosXORPairWins(t *testing.T) {
 
 func TestScoreCombosParallelMatchesSerial(t *testing.T) {
 	model := trainTinyModel(t)
+	pb, labels, _ := tinyMatrix(t)
 	rng := rand.New(rand.NewSource(73))
-	n := 800
-	cols := make([][]float64, 5)
-	for j := range cols {
-		cols[j] = make([]float64, n)
-		for i := range cols[j] {
-			cols[j][i] = rng.NormFloat64()
-		}
-	}
-	labels := make([]float64, n)
 	for i := range labels {
 		labels[i] = float64(rng.Intn(2))
 	}
 	a := mineCombos(model, []int{1, 2})
 	b := mineCombos(model, []int{1, 2})
-	_ = scoreCombos(context.Background(), a, cols, labels, BinaryTask(), parallel.Get(1))
-	_ = scoreCombos(context.Background(), b, cols, labels, BinaryTask(), parallel.Get(4))
+	for workers, combos := range map[int][]Combo{1: a, 4: b} {
+		if err := ScoreCombos(context.Background(), combos, pb, labels, BinaryTask(), parallel.Get(workers)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := range a {
 		if a[i].GainRatio != b[i].GainRatio {
 			t.Fatalf("combo %v: serial %v != parallel %v", a[i].Features, a[i].GainRatio, b[i].GainRatio)

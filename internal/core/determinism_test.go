@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/frame"
+	"repro/internal/gbdt"
 	"repro/internal/operators"
 	"repro/internal/parallel"
 )
@@ -72,12 +74,55 @@ func streamCandidates(t *testing.T, train *frame.Frame, task Task, workers int) 
 	return out
 }
 
+// keptCombo is one combination that survived Algorithm 2's cut, with its gain
+// ratio's bits.
+type keptCombo struct {
+	key   comboKey
+	ratio uint64
+}
+
+// keptCombos runs a round's first two stages as Fit does on a pool of the
+// given size — bin the live set, train the miner on the codes, mine, score on
+// the same codes, keep the top 2M — and lists what was kept, in order.
+func keptCombos(t *testing.T, train *frame.Frame, task Task, workers int) []keptCombo {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Task = task
+	cfg.Workers = workers
+	cfg, err := NormalizeConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make([]*liveFeature, train.NumCols())
+	for j := range live {
+		live[j] = &liveFeature{name: train.Columns[j].Name, train: train.Columns[j].Values}
+	}
+	pb, err := binned(live, cfg.Miner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := gbdt.TrainBinnedCtx(context.Background(), pb, train.Label, nil, cfg.Miner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combos := mineCombos(model, []int{2})
+	if err := ScoreCombos(context.Background(), combos, pb, train.Label, task, parallel.Get(workers)); err != nil {
+		t.Fatal(err)
+	}
+	var out []keptCombo
+	for _, c := range topCombos(combos, 2*len(live)) {
+		out = append(out, keptCombo{keyOf(c.Features), math.Float64bits(c.GainRatio)})
+	}
+	return out
+}
+
 // TestFitDeterministicAcrossWorkerCounts is the contract the parallel rebuild
 // must keep: Fit selects the same features, with the same formulas in the
 // same order, no matter how many workers the shared pool uses — including the
-// fully serial path — and, one level down, the candidate stream gives every
-// candidate the same IV, bit for bit, and drops the same candidates in the
-// same order, for all three tasks. CI runs this under -race.
+// fully serial path — and, one level down, every kept combination has the
+// same gain ratio and the candidate stream gives every candidate the same IV,
+// bit for bit, and drops the same candidates in the same order, for all three
+// tasks. CI runs this under -race.
 func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 	ds := testDataset(t)
 
@@ -89,6 +134,16 @@ func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 		{MulticlassTask(3), taskFrame(t, datagen.TargetMulticlass, 3, 3000, 10)},
 		{RegressionTask(), taskFrame(t, datagen.TargetRegression, 0, 3000, 10)},
 	} {
+		refKept := keptCombos(t, tc.train, tc.task, 1)
+		if len(refKept) < 8 || refKept[0].ratio == 0 {
+			t.Fatalf("%s: %d kept combinations, best ratio bits %x: the scorer test needs a ranked list", tc.task, len(refKept), refKept[0].ratio)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			if got := keptCombos(t, tc.train, tc.task, workers); !reflect.DeepEqual(got, refKept) {
+				t.Errorf("%s: %d workers kept %v, one worker %v", tc.task, workers, got, refKept)
+			}
+		}
+
 		ref := streamCandidates(t, tc.train, tc.task, 1)
 		dropped := 0
 		for _, c := range ref {

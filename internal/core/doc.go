@@ -10,6 +10,16 @@
 //     expands them through the operator registry (operators package) into
 //     candidate features, and keeps the survivors of selection.
 //
+//   - A live feature is binned once for as long as it lives (engineer.go,
+//     binned): the miner trains on its bin codes, the mined combinations are
+//     ranked by gain ratio on those same codes (combos.go, ScoreCombos — a
+//     split value is a cut, so a row's cell is a function of its codes and
+//     no raw value is searched), the ranker takes them as they are and bins
+//     only the generated survivors of selection, and what it selects carries
+//     its codes into the next iteration and the validation evaluator. The
+//     sharded engine (internal/shard) keeps the same representation resident
+//     and calls the same scorer.
+//
 //   - Selection (selection.go, select_api.go) is the three-stage filter of
 //     Section IV-C: an Information Value screen (stats.ChiMerge binning),
 //     a Pearson-correlation dedup, and a model-importance ranking.

@@ -237,6 +237,13 @@ func NormalizeConfig(cfg Config) (Config, error) {
 // (and optionally validation) values plus the pipeline node that derives it
 // (nil for originals). pooled marks columns owned by the fit arena, which
 // may be recycled once the feature provably leaves the working set.
+//
+// codes and cuts are the feature's GBDT bin codes, made the first time a
+// booster needs the column (binned) and kept while the feature lives: the
+// miner's codes are what the combination scorer reads, a base candidate takes
+// them into the ranker as they are, and a selected feature carries its ranker
+// codes into the next round's miner and the validation evaluator. bins is the
+// MaxBins they were cut at; a stage configured with another count rebins.
 type liveFeature struct {
 	name   string
 	train  []float64
@@ -244,6 +251,47 @@ type liveFeature struct {
 	node   *FeatureNode
 	iv     float64
 	pooled bool
+
+	codes []uint8
+	cuts  []float64
+	bins  int
+}
+
+// binned returns the features' bin-code matrix at cfg.MaxBins — what
+// gbdt.TrainCtx would quantise their columns to — binning only those that do
+// not carry codes at that bin count yet.
+func binned(feats []*liveFeature, cfg gbdt.Config) (*gbdt.Prebinned, error) {
+	var fresh []*liveFeature
+	var cols [][]float64
+	for _, lf := range feats {
+		if lf.codes == nil || lf.bins != cfg.MaxBins {
+			fresh, cols = append(fresh, lf), append(cols, lf.train)
+		}
+	}
+	if len(fresh) > 0 {
+		pb, err := gbdt.BinColumns(cols, cfg)
+		if err != nil {
+			return nil, err
+		}
+		for i, lf := range fresh {
+			lf.codes, lf.cuts, lf.bins = pb.Codes[i], pb.Cuts[i], cfg.MaxBins
+		}
+	}
+	pb := &gbdt.Prebinned{Codes: make([][]uint8, len(feats)), Cuts: make([][]float64, len(feats))}
+	for i, lf := range feats {
+		pb.Codes[i], pb.Cuts[i] = lf.codes, lf.cuts
+	}
+	return pb, nil
+}
+
+// trainBinned is gbdt.TrainCtx over the features' columns, by way of the codes
+// they carry.
+func trainBinned(ctx context.Context, feats []*liveFeature, labels []float64, names []string, cfg gbdt.Config) (*gbdt.Model, error) {
+	pb, err := binned(feats, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return gbdt.TrainBinnedCtx(ctx, pb, labels, names, cfg)
 }
 
 // Fit learns the feature generation function Ψ from a labelled training
@@ -366,10 +414,8 @@ func (e *Engineer) fit(ctx context.Context, train, valid *frame.Frame) (*Pipelin
 		sc := NewStageClock(&cfg, &ir, &rowsProcessed)
 		cfg.Emit(FitEvent{Kind: EventIterationStart, Round: ir.Round, Candidates: len(live), Rows: rowsProcessed})
 
-		cols := make([][]float64, len(live))
 		names := make([]string, len(live))
 		for i, lf := range live {
-			cols[i] = lf.train
 			names[i] = lf.name
 		}
 
@@ -377,7 +423,11 @@ func (e *Engineer) fit(ctx context.Context, train, valid *frame.Frame) (*Pipelin
 		sc.Begin(StageMine, len(live))
 		minerCfg := cfg.Miner
 		minerCfg.Seed = cfg.Seed + int64(round)*131
-		model, err := gbdt.TrainCtx(ctx, cols, labels, names, minerCfg)
+		minerBins, err := binned(live, minerCfg)
+		if err != nil {
+			return nil, nil, WrapUnlessCancelled(ctx, err, "core: miner")
+		}
+		model, err := gbdt.TrainBinnedCtx(ctx, minerBins, labels, names, minerCfg)
 		if err != nil {
 			return nil, nil, WrapUnlessCancelled(ctx, err, "core: miner")
 		}
@@ -389,7 +439,7 @@ func (e *Engineer) fit(ctx context.Context, train, valid *frame.Frame) (*Pipelin
 
 		// (2) Sort and filter combinations by gain ratio (Algorithm 2).
 		sc.Begin(StageScore, len(combos))
-		if err := scoreCombos(ctx, combos, cols, labels, cfg.Task, pool); err != nil {
+		if err := ScoreCombos(ctx, combos, minerBins, labels, cfg.Task, pool); err != nil {
 			return nil, nil, err
 		}
 		combos = topCombos(combos, gamma)
@@ -449,7 +499,11 @@ func (e *Engineer) fit(ctx context.Context, train, valid *frame.Frame) (*Pipelin
 		sc.Begin(StageRank, len(keptB))
 		rankerCfg := cfg.Ranker
 		rankerCfg.Seed = cfg.Seed + 7919 + int64(round)*131
-		ranked, err := rankByGain(ctx, candCols, labels, ivs, keptB, rankerCfg)
+		survivors := make([]*liveFeature, len(keptB))
+		for i, idx := range keptB {
+			survivors[i] = entries[idx].lf
+		}
+		ranked, err := rankByGain(ctx, survivors, labels, ivs, keptB, rankerCfg)
 		if err != nil {
 			return nil, nil, WrapUnlessCancelled(ctx, err, "core: ranker")
 		}
@@ -598,15 +652,13 @@ func (e *Engineer) enumerate(stream *candidateStream, combos []Combo, ops []oper
 // multiclass, negative RMSE for regression (all higher-is-better, so the
 // early-stopping comparison is task-agnostic).
 func (e *Engineer) validationScore(ctx context.Context, live []*liveFeature, trainLabels, validLabels []float64, cfg Config, round int) (float64, error) {
-	cols := make([][]float64, len(live))
 	vcols := make([][]float64, len(live))
 	for i, lf := range live {
-		cols[i] = lf.train
 		vcols[i] = lf.valid
 	}
 	evalCfg := cfg.Ranker
 	evalCfg.Seed = cfg.Seed + 40009 + int64(round)
-	model, err := gbdt.TrainCtx(ctx, cols, trainLabels, nil, evalCfg)
+	model, err := trainBinned(ctx, live, trainLabels, nil, evalCfg) // on the selection's ranker codes
 	if err != nil {
 		return 0, WrapUnlessCancelled(ctx, err, "core: validation evaluator")
 	}

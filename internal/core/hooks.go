@@ -5,14 +5,15 @@ import (
 
 	"repro/internal/gbdt"
 	"repro/internal/operators"
-	"repro/internal/stats"
 )
 
 // This file is the exported surface the sharded fit engine (internal/shard)
 // shares with the in-memory fit path. Every hook wraps or re-exposes the
 // exact logic Fit uses, so the two paths cannot drift: a sharded fit that
 // feeds these hooks the same intermediate statistics reaches the same
-// decisions.
+// decisions. The combination scorer needs no wrapper: ScoreCombos (combos.go)
+// works on the miner's bin codes and the labels, which both engines hold
+// resident, so both call it as it is.
 
 // MineCombos enumerates feature combinations from a miner model's
 // root-to-leaf paths (Algorithm 2's input), exactly as Fit does.
@@ -77,56 +78,3 @@ func Sanitize(col []float64) { sanitize(col) }
 // does before returning Ψ. Callers assembling pipelines from externally
 // selected features (the sharded fit engine) finish through here.
 func (p *Pipeline) Prune() { p.prune() }
-
-// ComboCells maps rows to the partition cells of one combination, using the
-// same split-value thinning and mixed-radix cell ids as Fit's gain-ratio
-// scoring. A sharded scorer accumulates per-cell label counts with CellOf
-// and folds them through stats.GainRatioFromCounts.
-type ComboCells struct {
-	feats  []int
-	values [][]float64
-	radix  []int
-	cells  int
-	ix     []stats.CutIndexer // per-feature bucket index over values[i]
-}
-
-// NewComboCells prepares the cell mapping for one combination. The prepared
-// mapping is read-only, so concurrent CellOf calls are safe.
-func NewComboCells(c *Combo) *ComboCells {
-	values := thinValues(c.Values)
-	radix := make([]int, len(values))
-	cells := 1
-	for i, vs := range values {
-		radix[i] = len(vs) + 1
-		cells *= radix[i]
-	}
-	cc := &ComboCells{feats: c.Features, values: values, radix: radix, cells: cells}
-	cc.ix = make([]stats.CutIndexer, len(values))
-	for i, vs := range values {
-		cc.ix[i].Reset(vs)
-	}
-	return cc
-}
-
-// NumCells returns the partition size (1 for a degenerate combination).
-func (cc *ComboCells) NumCells() int { return cc.cells }
-
-// Features returns the combination's feature indices (not a copy).
-func (cc *ComboCells) Features() []int { return cc.feats }
-
-// CellOf returns the mixed-radix cell id for one row's combo-feature values
-// (vals[i] is the value of feature cc.Features()[i]). The bucket index
-// reproduces the binary search exactly; NaN sorts below every split value
-// (index 0), matching the binary search's comparison behaviour.
-func (cc *ComboCells) CellOf(vals []float64) int {
-	id := 0
-	for i := range cc.feats {
-		v := vals[i]
-		j := 0
-		if v == v { // non-NaN
-			j = cc.ix[i].Find(v)
-		}
-		id = id*cc.radix[i] + j
-	}
-	return id
-}

@@ -112,7 +112,11 @@ func Select(cols [][]float64, labels []float64, cfg SelectionConfig) ([]int, err
 		}
 	}
 
-	ranked, err := rankByGain(context.Background(), cols, labels, ivs, keptB, cfg.Ranker)
+	feats := make([]*liveFeature, len(keptB))
+	for i, j := range keptB {
+		feats[i] = &liveFeature{train: cols[j]}
+	}
+	ranked, err := rankByGain(context.Background(), feats, labels, ivs, keptB, cfg.Ranker)
 	if err != nil {
 		return nil, err
 	}

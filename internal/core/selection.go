@@ -106,8 +106,7 @@ func pearsonDedup(ctx context.Context, cols [][]float64, ivs []float64, candidat
 
 	// Standardise candidates (NaN -> 0 == the mean after standardisation).
 	stdByPos := make([][]float64, len(order))
-	grain := len(order) / (4 * pool.Workers())
-	err := pool.ForChunksCtx(ctx, len(order), grain, func(lo, hi int) {
+	err := pool.ForChunksCtx(ctx, len(order), pool.Grain(len(order)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			stdByPos[i] = standardizeCol(cols[order[i]])
 		}
@@ -213,16 +212,15 @@ func corrAny(std map[int][]float64, j int, kept []int, theta float64, pool *para
 	return found.Load()
 }
 
-// rankByGain trains the ranking XGBoost on the candidate columns and orders
-// them by average split gain (Section IV-C3), returning candidate indices in
-// descending importance. Features the model never splits on rank last, tie
-// broken by IV then index for determinism.
-func rankByGain(ctx context.Context, cols [][]float64, labels []float64, ivs []float64, candidates []int, cfg gbdt.Config) ([]int, error) {
-	sub := make([][]float64, len(candidates))
-	for i, j := range candidates {
-		sub[i] = cols[j]
-	}
-	model, err := gbdt.TrainCtx(ctx, sub, labels, nil, cfg)
+// rankByGain trains the ranking XGBoost on the candidates' bin codes
+// (feats[i] is candidate candidates[i]) and orders them by average split gain
+// (Section IV-C3), returning candidate indices in descending importance. A
+// feature that comes with codes at the ranker's bin count — a base candidate,
+// binned for the miner — is taken as it is; the rest are binned here.
+// Features the model never splits on rank last, tie broken by IV then index
+// for determinism.
+func rankByGain(ctx context.Context, feats []*liveFeature, labels []float64, ivs []float64, candidates []int, cfg gbdt.Config) ([]int, error) {
+	model, err := trainBinned(ctx, feats, labels, nil, cfg)
 	if err != nil {
 		return nil, err
 	}

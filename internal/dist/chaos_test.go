@@ -82,8 +82,10 @@ func TestDistributedFitWorkerKill(t *testing.T) {
 	// Kill at several depths: right after the first pass's results (frame 8
 	// is past handshake + setLive + pass-1 partials) and deeper into the
 	// candidate passes. Every depth must recover to the same selection.
-	// (A full clean fit at this scale delivers ~22 frames per worker.)
-	for _, killAfter := range []int{8, 15, 20} {
+	// (A full clean fit at this scale delivers 19 frames per worker: three
+	// acks of set-up, five passes of two partials and a passDone, and the ack
+	// of the round's live set.)
+	for _, killAfter := range []int{8, 15, 17} {
 		ctx, cancel := context.WithCancel(context.Background())
 		fl := pipeFleet(t, ctx, 2)
 		fl.conns[1] = Chaos(fl.conns[1], ChaosPlan{Seed: 3, KillAfter: killAfter})

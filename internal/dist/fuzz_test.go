@@ -20,16 +20,9 @@ import (
 // mutates from.
 func distSeedFrames() map[string][]byte {
 	p, _ := sketchPartial(1, []float64{3, 1, 4, 1, 5}, []float64{2, 7})
-	// A score spec whose combination names a live feature no worker has: it
-	// decodes, and the kernel it is then driven through must refuse it.
-	score := &shard.PassSpec{Pass: 4, Kind: shard.PassScoreBinary, Epoch: 1, Combos: []shard.ComboSpec{
-		{Features: []int{0, 2}, Values: [][]float64{{0.5}, {-1, 1}}},
-		{Features: []int{1, 1 << 20}, Values: [][]float64{{0}, {0}}},
-	}}
 	return map[string][]byte{
-		"runPass-score": encodeRunPass(&runPass{PassID: 6, Assign: assignment{Mod: 2, Residue: 1}, Spec: score}),
-		"partial":       AppendPartial(nil, 3, shard.PassBaseSketch, p),
-		"runPass":       encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
+		"partial": AppendPartial(nil, 3, shard.PassBaseSketch, p),
+		"runPass": encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
 		"fitOpen": encodeFitOpen(&fitOpen{
 			Source: SourceSpec{Kind: SourceCSV, Path: "/data/train.csv", Label: "label", ChunkRows: 512},
 			Names:  []string{"f0", "f1", "f2"}, Task: core.MulticlassTask(3), SketchSize: 256,
@@ -38,6 +31,27 @@ func distSeedFrames() map[string][]byte {
 			Nodes: []shard.NodeSpec{{Name: "f0*f1", Op: "mul", Inputs: []string{"f0", "f1"}}},
 			Live:  []string{"f0", "f0*f1"}}),
 	}
+}
+
+// retiredScoreSeed is the corpus entry no encoder here can write any more: a
+// binary score pass's runPass as a protocol-version-1 coordinator framed it,
+// two combinations in its combination list. It stays checked in as the
+// decoder's rejection case.
+const retiredScoreSeed = "runPass-score"
+
+// readSeed returns the message inside a checked-in FuzzDistDecode seed.
+func readSeed(t testing.TB, name string) []byte {
+	t.Helper()
+	p := filepath.Join("testdata", "fuzz", "FuzzDistDecode", "seed-"+name)
+	body, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatalf("missing seed corpus %s (regenerate with DIST_WRITE_CORPUS=1): %v", p, err)
+	}
+	var quoted string
+	if _, err := fmt.Sscanf(string(body), "go test fuzz v1\n[]byte(%q)\n", &quoted); err != nil {
+		t.Fatalf("seed corpus %s not in go fuzz v1 format: %v", p, err)
+	}
+	return []byte(quoted)
 }
 
 // driveSpec hands a decoded pass spec to the kernel over one small chunk, as
@@ -89,7 +103,9 @@ func decodeSized(data []byte) (known bool, spec *shard.PassSpec, err error) {
 // panic, whatever indices and arities it carries. Corpus seeds live in testdata/fuzz/FuzzDistDecode (regenerate with
 // DIST_WRITE_CORPUS=1 go test ./internal/dist -run TestWriteDistDecodeSeedCorpus).
 func FuzzDistDecode(f *testing.F) {
-	for _, msg := range distSeedFrames() {
+	frames := distSeedFrames()
+	frames[retiredScoreSeed] = readSeed(f, retiredScoreSeed) // mutate around the rejection case too
+	for _, msg := range frames {
 		f.Add(msg)
 		f.Add(append([]byte(nil), msg[:len(msg)/2]...))
 		flip := append([]byte(nil), msg...)
@@ -121,7 +137,8 @@ func FuzzDistDecode(f *testing.F) {
 
 // TestWriteDistDecodeSeedCorpus regenerates the checked-in seed corpus for
 // FuzzDistDecode when DIST_WRITE_CORPUS=1 is set; otherwise it verifies the
-// corpus files exist and still decode, so corpus rot fails the build.
+// corpus files exist and still decode — and that the retired score frame is
+// still refused — so corpus rot fails the build.
 func TestWriteDistDecodeSeedCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDistDecode")
 	frames := distSeedFrames()
@@ -138,21 +155,16 @@ func TestWriteDistDecodeSeedCorpus(t *testing.T) {
 		return
 	}
 	for name := range frames {
-		p := filepath.Join(dir, "seed-"+name)
-		body, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatalf("missing seed corpus %s (regenerate with DIST_WRITE_CORPUS=1): %v", p, err)
-		}
-		var quoted string
-		if _, err := fmt.Sscanf(string(body), "go test fuzz v1\n[]byte(%q)\n", &quoted); err != nil {
-			t.Fatalf("seed corpus %s not in go fuzz v1 format: %v", p, err)
-		}
-		known, spec, err := decodeSized([]byte(quoted))
+		known, spec, err := decodeSized(readSeed(t, name))
 		if !known || err != nil {
-			t.Fatalf("seed corpus %s no longer decodes: known=%v err=%v", p, known, err)
+			t.Fatalf("seed corpus %s no longer decodes: known=%v err=%v", name, known, err)
 		}
 		if spec != nil {
 			driveSpec(spec)
 		}
+	}
+	var pe *ProtocolError
+	if known, _, err := decodeSized(readSeed(t, retiredScoreSeed)); !known || !errors.As(err, &pe) {
+		t.Fatalf("the retired score frame decoded: known=%v err=%v, want a *ProtocolError", known, err)
 	}
 }

@@ -114,7 +114,7 @@ func TestDistributedFitCancelMidFit(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		kind  int
-		after int // a clean fit delivers ~22 frames per worker
+		after int // a clean fit delivers 19 frames per worker
 	}{
 		{"colstore", SourceColstore, 10},
 		{"csv/tee", SourceCSV, 4},

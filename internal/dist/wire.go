@@ -509,19 +509,12 @@ func encodeRunPass(m *runPass) []byte {
 	b = appendI64(b, int64(s.Pass))
 	b = appendU8(b, uint8(s.Kind))
 	b = appendI64(b, int64(s.Epoch))
-	b = appendI64(b, int64(s.Classes))
+	b = appendI64(b, 0) // the class count of the retired score passes
 	b = appendU32(b, uint32(len(s.LiveCuts)))
 	for _, cuts := range s.LiveCuts {
 		b = appendF64s(b, cuts)
 	}
-	b = appendU32(b, uint32(len(s.Combos)))
-	for i := range s.Combos {
-		b = appendInts(b, s.Combos[i].Features)
-		b = appendU32(b, uint32(len(s.Combos[i].Values)))
-		for _, vs := range s.Combos[i].Values {
-			b = appendF64s(b, vs)
-		}
-	}
+	b = appendU32(b, 0) // their combination list
 	b = appendU32(b, uint32(len(s.Gens)))
 	for i := range s.Gens {
 		b = appendGenSpec(b, &s.Gens[i])
@@ -558,28 +551,22 @@ func decodeRunPass(p []byte) (*runPass, error) {
 		m.Assign.Explicit = explicit
 	}
 	s := &shard.PassSpec{
-		Pass:    int(r.i64()),
-		Kind:    shard.PassKind(r.u8()),
-		Epoch:   int(r.i64()),
-		Classes: int(r.i64()),
+		Pass:  int(r.i64()),
+		Kind:  shard.PassKind(r.u8()),
+		Epoch: int(r.i64()),
 	}
+	// Two words of the v1 layout belonged to the score passes (shard's retired
+	// kinds 3–5): a class count, which nothing reads any more, and a
+	// combination list, which no pass that still runs can carry.
+	r.i64()
 	if n := r.length(4); !r.fail {
 		s.LiveCuts = make([][]float64, n)
 		for i := range s.LiveCuts {
 			s.LiveCuts[i] = r.f64s()
 		}
 	}
-	if n := r.length(8); !r.fail {
-		s.Combos = make([]shard.ComboSpec, n)
-		for i := range s.Combos {
-			s.Combos[i].Features = r.ints()
-			if nv := r.length(4); !r.fail {
-				s.Combos[i].Values = make([][]float64, nv)
-				for j := range s.Combos[i].Values {
-					s.Combos[i].Values[j] = r.f64s()
-				}
-			}
-		}
+	if n := r.u32(); n != 0 && !r.fail {
+		return nil, protoErr("runPass carries %d combinations to score: the score passes are retired", n)
 	}
 	if n := r.length(8); !r.fail {
 		s.Gens = make([]shard.GenSpec, n)

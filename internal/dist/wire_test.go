@@ -105,12 +105,9 @@ func TestSetLiveRoundTrip(t *testing.T) {
 // whole reified surface of the pass family.
 func fullPassSpec() *shard.PassSpec {
 	return &shard.PassSpec{
-		Pass: 5, Kind: shard.PassHistCounts, Epoch: 2, Classes: 3,
+		Pass: 5, Kind: shard.PassHistCounts, Epoch: 2,
 		LiveCuts: [][]float64{{0.5, 1.5, 2.5}, {-1, 1}},
-		Combos: []shard.ComboSpec{
-			{Features: []int{0, 2}, Values: [][]float64{{1, 2, 3}, {4, 5}}},
-		},
-		Gens: []shard.GenSpec{{Op: "mul", Feats: []int{1, 3}}},
+		Gens:     []shard.GenSpec{{Op: "mul", Feats: []int{1, 3}}},
 		Entries: []shard.EntrySpec{
 			{Base: 1, Gen: shard.GenSpec{Op: "add", Feats: []int{0, 2}}, Cuts: []float64{0.25, 0.75}, NeedCodes: true},
 		},

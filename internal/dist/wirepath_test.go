@@ -10,6 +10,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -148,12 +149,14 @@ func (e *identityExec) RunPass(ctx context.Context, spec *shard.PassSpec, fold f
 // frames it — so Version stays 1 — and the fit over those frames still
 // selects what the local fit selects.
 func TestByteIdentityWithV1(t *testing.T) {
+	// Every kind a fit still streams; the score kinds are retired, so none of
+	// their frames is sent any more.
 	want := map[string][]shard.PassKind{
-		"binary": {shard.PassBaseSketch, shard.PassCodes, shard.PassScoreBinary, shard.PassSketchGen,
+		"binary": {shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
 			shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes},
-		"multiclass3": {shard.PassBaseSketch, shard.PassCodes, shard.PassScoreClasses, shard.PassSketchGen,
+		"multiclass3": {shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
 			shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes},
-		"regression": {shard.PassBaseSketch, shard.PassCodes, shard.PassScoreMomentIDs, shard.PassSketchGen,
+		"regression": {shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
 			shard.PassRefine, shard.PassHistIDs, shard.PassGramCodes},
 	}
 	for _, tc := range taskCases() {
@@ -190,7 +193,61 @@ func TestByteIdentityWithV1(t *testing.T) {
 					t.Errorf("pass kind %d never framed", kind)
 				}
 			}
+			if len(exec.kinds) != len(want[tc.name]) {
+				t.Errorf("framed pass kinds %v, want exactly %v", exec.kinds, want[tc.name])
+			}
 		})
+	}
+}
+
+// TestRetiredScorePasses is what a worker does with the two things a
+// protocol-version-1 coordinator from before the score passes were retired
+// could still send it. A runPass naming one of their kinds parses — the kind
+// is a byte like any other — and is answered with a passErr, the session
+// staying up; a runPass carrying a combination list is a frame this version
+// has no reader for, a *ProtocolError, and ends the session.
+func TestRetiredScorePasses(t *testing.T) {
+	tc := taskCases()[0]
+	train := taskWorkload(t, 600, 6, tc)
+	coord, worker := Pipe()
+	defer coord.Close()
+	served := make(chan error, 1)
+	go func() { served <- ServeConn(context.Background(), worker) }()
+	roundTrip := func(msg []byte) []byte {
+		t.Helper()
+		if err := coord.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := coord.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	for _, msg := range [][]byte{
+		encodeFitOpen(&fitOpen{Source: writeSource(t, train, SourceColstore, 300), Names: train.Names(), Task: tc.task}),
+		encodeSetLive(&setLive{Epoch: 1, Live: train.Names()}),
+	} {
+		if a, err := decodeAck(roundTrip(msg)); err != nil || !a.OK {
+			t.Fatalf("session set-up refused: %+v, %v", a, err)
+		}
+	}
+	for _, kind := range []shard.PassKind{shard.PassScoreBinary, shard.PassScoreClasses, shard.PassScoreMomentIDs} {
+		reply := roundTrip(encodeRunPass(&runPass{PassID: int(kind), Assign: assignment{Mod: 1},
+			Spec: &shard.PassSpec{Pass: 3, Kind: kind, Epoch: 1}}))
+		if msgType(reply) != msgPassErr {
+			t.Fatalf("retired kind %d answered with message type %d, want a passErr", kind, msgType(reply))
+		}
+		if pe, err := decodePassErr(reply); err != nil || pe.PassID != int(kind) || pe.Transient || !strings.Contains(pe.Msg, "unknown pass kind") {
+			t.Fatalf("retired kind %d: passErr %+v, %v", kind, pe, err)
+		}
+	}
+	if err := coord.Send(readSeed(t, retiredScoreSeed)); err != nil {
+		t.Fatal(err)
+	}
+	var pe *ProtocolError
+	if err := <-served; !errors.As(err, &pe) {
+		t.Fatalf("a runPass with a combination list ended the session with %v, want a *ProtocolError", err)
 	}
 }
 

@@ -3,9 +3,8 @@ package gbdt
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // TestTrainBinnedMatchesTrain pins the contract the sharded fit engine
@@ -45,8 +44,11 @@ func TestTrainBinnedMatchesTrain(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		b := newBinner(cols, cfg.MaxBins, parallel.Get(1))
-		got, err := TrainBinned(&Prebinned{Codes: b.codes, Cuts: b.cuts}, labels, nil, cfg)
+		pb, err := BinColumns(cols, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := TrainBinned(pb, labels, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,5 +91,20 @@ func TestTrainBinnedValidation(t *testing.T) {
 	}
 	if _, err := TrainBinned(&Prebinned{Codes: [][]uint8{{1}}, Cuts: nil}, []float64{1}, nil, cfg); err == nil {
 		t.Error("accepted cuts/codes width mismatch")
+	}
+	// One cut makes two bins, codes 0 (missing), 1 and 2. A 3 would index past
+	// the feature's histogram slot, on a pool goroutine: it must stop here.
+	pb = &Prebinned{Codes: [][]uint8{{0, 1, 2, 3}}, Cuts: [][]float64{{0.5}}}
+	if _, err := TrainBinned(pb, []float64{0, 1, 0, 1}, nil, cfg); err == nil || !strings.Contains(err.Error(), "code 3 outside its 2 bins") {
+		t.Errorf("code beyond the top bin: error %v", err)
+	}
+	pb.Codes[0][3] = 2
+	if _, err := TrainBinned(pb, []float64{0, 1, 0, 1}, nil, cfg); err != nil {
+		t.Errorf("every code within its bins: %v", err)
+	}
+	bad := cfg
+	bad.MaxBins = 1000
+	if _, err := BinColumns([][]float64{{1, 2, 3}}, bad); err == nil {
+		t.Error("BinColumns accepted a bin count its codes cannot hold")
 	}
 }

@@ -21,8 +21,13 @@
 //
 // Training accepts either raw float64 columns (Train, which quantises them
 // internally) or a prebinned uint8 matrix (TrainBinned, the entry point of
-// the sharded out-of-core engine). Both paths share the same boosting loop,
-// so given equal bins they produce bit-identical models for every objective.
+// both SAFE fit engines). Both paths share the same boosting loop, so given
+// equal bins they produce bit-identical models for every objective.
+// BinColumns is the step between them — Train's quantisation on its own — for
+// a caller that trains several models over overlapping columns and wants each
+// column binned once; the bin codes are also what core.ScoreCombos ranks the
+// mined combinations on. Prebinned.Validate bounds every code by its
+// feature's bin count before anything indexes by it.
 //
 // A typical round trip:
 //

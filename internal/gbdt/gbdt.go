@@ -233,14 +233,58 @@ type Prebinned struct {
 	Cuts  [][]float64
 }
 
+// BinColumns quantises raw columns exactly as Train does before its first
+// boosting round (cfg.MaxBins equal-frequency bins per column, on the pool
+// cfg selects): TrainBinned on the result is bit-identical to Train on cols.
+// It is how a caller that trains several models over overlapping column sets
+// — the SAFE miner, ranker and evaluator — bins each column once.
+func BinColumns(cols [][]float64, cfg Config) (*Prebinned, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	b := newBinner(cols, cfg.MaxBins, cfg.pool())
+	return &Prebinned{Codes: b.codes, Cuts: b.cuts}, nil
+}
+
+// Validate checks the matrix's shape against n rows and bounds every code by
+// its feature's bin count, so that whoever indexes by a code — a histogram
+// slot here, a cell table in core.ScoreCombos — may do so unchecked. Codes can
+// be bytes a peer process sent, so this is a boundary check, not an assertion:
+// one max scan per column.
+func (pb *Prebinned) Validate(n int) error {
+	if len(pb.Cuts) != len(pb.Codes) {
+		return fmt.Errorf("gbdt: %d code columns but %d cut arrays", len(pb.Codes), len(pb.Cuts))
+	}
+	for j, codes := range pb.Codes {
+		if len(codes) != n {
+			return fmt.Errorf("gbdt: code column %d has %d rows, want %d", j, len(codes), n)
+		}
+		bins := len(pb.Cuts[j]) + 1
+		if bins > 255 {
+			return fmt.Errorf("gbdt: feature %d has %d bins, max 255", j, bins)
+		}
+		var top uint8
+		for _, c := range codes {
+			if c > top {
+				top = c
+			}
+		}
+		if int(top) > bins {
+			return fmt.Errorf("gbdt: code column %d holds code %d outside its %d bins", j, top, bins)
+		}
+	}
+	return nil
+}
+
 // TrainBinned fits a boosted model directly on a prebinned matrix, skipping
 // the internal quantile binning. Histogram training only ever consumes bin
 // codes, so given codes and cuts equal to what the internal binner would
 // produce from the raw columns, TrainBinned returns a bit-identical model to
-// Train — this is the entry point of the sharded fit engine, whose binned
-// matrices are built out-of-core from merged quantile sketches and are ~8×
-// smaller than the raw float64 columns. The model's split thresholds are
-// real cut values, so Predict works on raw rows as usual.
+// Train — this is the entry point of both SAFE fit engines: the in-memory one
+// bins each live column once (BinColumns), the sharded one builds its binned
+// matrices out-of-core from merged quantile sketches, ~8× smaller than the raw
+// float64 columns. The model's split thresholds are real cut values, so
+// Predict works on raw rows as usual.
 func TrainBinned(pb *Prebinned, labels []float64, names []string, cfg Config) (*Model, error) {
 	return TrainBinnedCtx(context.Background(), pb, labels, names, cfg)
 }
@@ -255,27 +299,20 @@ func TrainBinnedCtx(ctx context.Context, pb *Prebinned, labels []float64, names 
 	if m == 0 {
 		return nil, errors.New("gbdt: no features")
 	}
-	if len(pb.Cuts) != m {
-		return nil, fmt.Errorf("gbdt: %d code columns but %d cut arrays", m, len(pb.Cuts))
-	}
 	n := len(labels)
 	if n == 0 {
 		return nil, errors.New("gbdt: no rows")
+	}
+	if err := pb.Validate(n); err != nil {
+		return nil, err
 	}
 	b := &binner{
 		codes:   pb.Codes,
 		cuts:    pb.Cuts,
 		numBins: make([]int, m),
 	}
-	for j := range pb.Codes {
-		if len(pb.Codes[j]) != n {
-			return nil, fmt.Errorf("gbdt: code column %d has %d rows, want %d", j, len(pb.Codes[j]), n)
-		}
-		nb := len(pb.Cuts[j]) + 1
-		if nb+1 > 256 {
-			return nil, fmt.Errorf("gbdt: feature %d has %d bins, max 255", j, nb)
-		}
-		b.numBins[j] = nb
+	for j := range pb.Cuts {
+		b.numBins[j] = len(pb.Cuts[j]) + 1
 	}
 	return trainWithBinner(ctx, b, labels, names, cfg, nil)
 }

@@ -28,8 +28,8 @@
 //		}
 //	})
 //
-// Accumulators that are NOT per-index (e.g. the sharded engine's combo
-// counters) follow the one-worker-per-accumulator pattern instead: chunk
+// Accumulators that are NOT per-index (e.g. the combination scorer's cell
+// counts) follow the one-worker-per-accumulator pattern instead: chunk
 // the accumulator axis with grain 1 so each accumulator is only ever
 // touched by one worker, keeping accumulation order deterministic.
 package parallel

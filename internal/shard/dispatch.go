@@ -31,12 +31,16 @@ import (
 type PassKind uint8
 
 // The streaming pass kinds of one fit, in the order the fit first runs them.
+// Kinds 3–5 are retired: they streamed the rows once more to score the mined
+// combinations, which core.ScoreCombos now does on the resident miner codes.
+// The numbers stay taken (a protocol-version-1 peer may still name them) and
+// ComputePartial answers them as unknown kinds.
 const (
 	PassBaseSketch     PassKind = 1  // labels + per-original quantile/moments partials
 	PassCodes          PassKind = 2  // resident miner codes per live feature
-	PassScoreBinary    PassKind = 3  // combo cells: pos/total counts
-	PassScoreClasses   PassKind = 4  // combo cells: K-class counts
-	PassScoreMomentIDs PassKind = 5  // combo cells: per-row cell ids (regression)
+	PassScoreBinary    PassKind = 3  // retired
+	PassScoreClasses   PassKind = 4  // retired
+	PassScoreMomentIDs PassKind = 5  // retired
 	PassSketchGen      PassKind = 6  // quantile/moments partials per generated candidate
 	PassRefine         PassKind = 7  // exact-cut gather partials
 	PassHistCounts     PassKind = 8  // criterion histogram partials (binary/multiclass)
@@ -59,14 +63,6 @@ type NodeSpec struct {
 type GenSpec struct {
 	Op    string
 	Feats []int
-}
-
-// ComboSpec is one mined combination to score: live feature indices plus the
-// per-feature split-value sets (pre-thinning, exactly as MineCombos emits
-// them — the kernel rebuilds the identical ComboCells).
-type ComboSpec struct {
-	Features []int
-	Values   [][]float64
 }
 
 // EntrySpec is one candidate of the histogram/Gram passes: a base entry
@@ -93,13 +89,11 @@ type RefineSpec struct {
 // PassSpec describes one streaming pass. Exactly the fields its Kind needs
 // are set. A PassSpec must not be copied once a pass has started.
 type PassSpec struct {
-	Pass    int // 1-based pass ordinal within the fit, for error positioning
-	Kind    PassKind
-	Epoch   int // live-set epoch this pass must run against
-	Classes int // PassScoreClasses: K
+	Pass  int // 1-based pass ordinal within the fit, for error positioning
+	Kind  PassKind
+	Epoch int // live-set epoch this pass must run against
 
 	LiveCuts [][]float64  // PassCodes: miner cuts per live feature
-	Combos   []ComboSpec  // PassScore*
 	Gens     []GenSpec    // PassSketchGen
 	Entries  []EntrySpec  // PassHistCounts, PassHistIDs, PassGramCodes
 	Refines  []RefineSpec // PassRefine
@@ -109,30 +103,21 @@ type PassSpec struct {
 }
 
 // passPrep is what every chunk of one pass shares, derived once from the
-// spec: cell grids and slab offsets (score passes), gather templates
-// (refine) and histogram templates (criterion passes). All of it is
-// read-only to the kernels, which Shadow the templates per chunk, so the
-// goroutines of one kernel's column loop share one passPrep.
+// spec: gather templates (refine) and histogram templates (criterion passes).
+// All of it is read-only to the kernels, which Shadow the templates per chunk,
+// so the goroutines of one kernel's column loop share one passPrep.
 type passPrep struct {
-	cells   []*core.ComboCells
-	off     []int // flat slab offset per combo; a degenerate combo has zero width
-	idRow   []int // ordinal among the non-zero-width combos (its id row in PassScoreMomentIDs)
-	nActive int   // combos with non-zero width
-	refs    []*sketch.Refiner
-	hists   []sketch.CriterionHist
+	refs  []*sketch.Refiner
+	hists []sketch.CriterionHist
 }
 
 // prepared returns the spec's shared per-pass state, building it on first
-// use. The fitter reads the same object to size its accumulators, so the
-// kernels' slab layouts and the folds' always agree.
+// use. The fitter reads the same object for its merge targets, so the
+// kernels' templates and the folds' always agree.
 func (s *PassSpec) prepared(task core.Task) *passPrep {
 	s.prepOnce.Do(func() {
 		pp := &passPrep{}
 		switch s.Kind {
-		case PassScoreBinary, PassScoreMomentIDs:
-			pp.comboLayout(s.Combos, 1)
-		case PassScoreClasses:
-			pp.comboLayout(s.Combos, s.Classes)
 		case PassRefine:
 			pp.refs = make([]*sketch.Refiner, len(s.Refines))
 			for i, rf := range s.Refines {
@@ -147,25 +132,6 @@ func (s *PassSpec) prepared(task core.Task) *passPrep {
 		s.prep = pp
 	})
 	return s.prep
-}
-
-// comboLayout builds the cell grids and flat slab offsets of a score pass;
-// mult is the per-cell width multiplier (1 for binary totals, K for class
-// counts).
-func (pp *passPrep) comboLayout(combos []ComboSpec, mult int) {
-	pp.cells = make([]*core.ComboCells, len(combos))
-	pp.off = make([]int, len(combos)+1)
-	pp.idRow = make([]int, len(combos))
-	for i := range combos {
-		pp.cells[i] = core.NewComboCells(&core.Combo{Features: combos[i].Features, Values: combos[i].Values})
-		width := 0
-		if nc := pp.cells[i].NumCells(); nc > 1 {
-			width = nc * mult
-			pp.idRow[i] = pp.nActive
-			pp.nActive++
-		}
-		pp.off[i+1] = pp.off[i] + width
-	}
 }
 
 // newCriterionHist builds the task's mergeable relevance accumulator over
@@ -188,9 +154,6 @@ func newCriterionHist(task core.Task, cuts []float64) sketch.CriterionHist {
 //	BaseSketch:     Labels = chunk labels; Quantiles[j], Moments[j] of source
 //	                column j.
 //	Codes:          Codes[i] = chunk codes of live feature i.
-//	ScoreBinary:    Ints = pos counts then total counts (off-layout slab).
-//	ScoreClasses:   Ints = K-class cell counts (off-layout slab).
-//	ScoreMomentIDs: Ints = cell id per (active combo, row).
 //	SketchGen:      Quantiles[i], Moments[i] of Gens[i].
 //	Refine:         Refiners[i] = gather partial of Refines[i].
 //	HistCounts:     Hists[i] = criterion histogram partial of Entries[i].
@@ -763,10 +726,10 @@ func fillCodes(dst []uint8, vals, cuts []float64, ix *stats.CutIndexer) {
 }
 
 // ComputePartial computes one chunk's contribution to the given pass — the
-// single kernel behind every executor. The chunk's columns (combos, entries,
-// gathers) are spread over the worker's pool: each is computed by exactly one
-// goroutine in the same arithmetic order as a serial loop and lands in its
-// own slot, so the partial is the same bytes for any pool size. A cancelled
+// single kernel behind every executor. The chunk's columns (live features,
+// entries, gathers) are spread over the worker's pool: each is computed by
+// exactly one goroutine in the same arithmetic order as a serial loop and
+// lands in its own slot, so the partial is the same bytes for any pool size. A cancelled
 // ctx stops the loop between index ranges. The partial references no chunk
 // memory, so the chunk may be recycled as soon as this returns.
 func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *frame.Chunk) (*Partial, error) {
@@ -796,8 +759,6 @@ func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *fr
 		err = ws.sketchCols(ctx, p, len(c.Cols), func(_ *scratch, j int) ([]float64, error) { return c.Cols[j], nil })
 	case PassCodes:
 		err = ws.computeCodes(ctx, spec, c, p)
-	case PassScoreBinary, PassScoreClasses, PassScoreMomentIDs:
-		err = ws.computeScore(ctx, spec, c, p)
 	case PassSketchGen:
 		cols := ws.ev.liveCols(c)
 		err = ws.sketchCols(ctx, p, len(spec.Gens), func(s *scratch, i int) ([]float64, error) {
@@ -873,86 +834,6 @@ func (ws *WorkerState) computeCodes(ctx context.Context, spec *PassSpec, c *fram
 	ws.codeCols(p, len(cols), nil)
 	return ws.forCols(ctx, len(cols), func(s *scratch, i int) error {
 		fillCodes(p.Codes[i], cols[i], spec.LiveCuts[i], &s.ix)
-		return nil
-	})
-}
-
-// computeScore fills the combo-cell slab of a score pass. The count-valued
-// kinds accumulate per-cell label counts (exact integer sums, foldable in
-// any grouping); the regression kind emits only each row's cell id, so the
-// fold can replay the targets in global row order — float moment sums are
-// order-sensitive.
-func (ws *WorkerState) computeScore(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	if spec.Kind == PassScoreClasses && (ws.task.Kind != core.TaskMulticlass || spec.Classes != ws.task.Classes) {
-		return fmt.Errorf("shard: class-score pass over %d classes does not fit a %s task", spec.Classes, ws.task)
-	}
-	cols := ws.ev.liveCols(c)
-	for ci := range spec.Combos {
-		cb := &spec.Combos[ci]
-		if len(cb.Features) > 3 || len(cb.Values) != len(cb.Features) {
-			return fmt.Errorf("shard: combo %d has %d features and %d split sets, want equal and at most 3", ci, len(cb.Features), len(cb.Values))
-		}
-		for _, fi := range cb.Features {
-			if fi < 0 || fi >= len(cols) {
-				return fmt.Errorf("shard: combo %d feature %d outside live set of %d", ci, fi, len(cols))
-			}
-		}
-	}
-	pp := spec.prepared(ws.task)
-	total := pp.off[len(spec.Combos)]
-	rows := p.Rows
-	var bits []uint8
-	var cls []int32
-	k := spec.Classes
-	switch spec.Kind {
-	case PassScoreBinary:
-		bits = ws.labelBits(c.Label)
-		p.Ints = ws.arena.Int32sZeroed(2 * total)
-	case PassScoreClasses:
-		cls = ws.labelCls(c.Label, k)
-		p.Ints = ws.arena.Int32sZeroed(total)
-	default:
-		p.Ints = ws.arena.Int32s(pp.nActive * rows)
-	}
-	return ws.forCols(ctx, len(spec.Combos), func(_ *scratch, ci int) error {
-		lo, hi := pp.off[ci], pp.off[ci+1]
-		if lo == hi {
-			return nil
-		}
-		cc := pp.cells[ci]
-		feats := cc.Features()
-		var vals [3]float64
-		switch spec.Kind {
-		case PassScoreBinary:
-			ppos, ptot := p.Ints[lo:hi], p.Ints[total+lo:total+hi]
-			for r := 0; r < rows; r++ {
-				for j, fi := range feats {
-					vals[j] = cols[fi][r]
-				}
-				id := cc.CellOf(vals[:len(feats)])
-				ptot[id]++
-				ppos[id] += int32(bits[r]) // branchless: bit = label > 0.5
-			}
-		case PassScoreClasses:
-			pcnt := p.Ints[lo:hi]
-			for r := 0; r < rows; r++ {
-				for j, fi := range feats {
-					vals[j] = cols[fi][r]
-				}
-				id := cc.CellOf(vals[:len(feats)])
-				if cl := cls[r]; cl >= 0 {
-					pcnt[id*k+int(cl)]++
-				}
-			}
-		default:
-			ids := p.Ints[pp.idRow[ci]*rows:][:rows]
-			for r := 0; r < rows; r++ {
-				for j, fi := range feats {
-					vals[j] = cols[fi][r]
-				}
-				ids[r] = int32(cc.CellOf(vals[:len(feats)]))
-			}
-		}
 		return nil
 	})
 }

@@ -22,25 +22,31 @@
 // folded, by exactly one goroutine in the serial loop's arithmetic order, so
 // selection is bit-identical across worker counts too.
 //
-// The engine makes a small number of streaming passes per iteration:
+// The engine makes a small number of streaming passes: two before the first
+// iteration,
 //
-//  1. live stats    — per-feature quantile sketches + moments (first round)
-//  2. live codes    — bin the live features into resident uint8 codes
-//  3. combo scoring — per-combination label-count contingency tables
-//  4. candidate sketches — quantile sketches + moments of generated columns
-//  5. candidate counts   — binned label histograms → Information Values
-//  6. redundancy    — pairwise co-moments (Gram) of IV survivors + codes
+//  1. live stats — per-feature quantile sketches + moments, and the labels
+//  2. live codes — bin the live features into resident uint8 codes
+//
+// and three per iteration,
+//
+//  3. candidate sketches — quantile sketches + moments of generated columns
+//  4. candidate counts   — binned label histograms → Information Values
+//  5. redundancy    — pairwise co-moments (Gram) of IV survivors + codes
 //
 // plus an exact-cut refinement gather after each sketch pass (skipped by
-// Config.ApproxCuts).
+// Config.ApproxCuts): seven passes for a one-iteration fit.
 //
 // Everything the XGBoost miner and ranker consume is the resident binned
 // matrix (1 byte per value, ~8× smaller than raw float64 columns) plus the
 // labels — histogram GBDT training never touches raw values, and
-// gbdt.TrainBinned is bit-identical to gbdt.Train given equal bins. Combo
-// gain ratios, IV and Pearson decisions are reproduced from merged counts
-// and co-moments through the same exported core logic the in-memory path
-// runs, so the only divergence from core.Fit is quantile-sketch cut
-// placement, bounded by sketch.Quantile.ErrorBound. See docs/sharding.md
-// for the error model and when to prefer each path.
+// gbdt.TrainBinned is bit-identical to gbdt.Train given equal bins. Scoring
+// the mined combinations needs no rows either: their split values are cuts of
+// that matrix, so core.ScoreCombos — the scorer the in-memory engine runs —
+// reads the cell of every row off the resident codes. IV and Pearson
+// decisions are reproduced from merged counts and co-moments through the same
+// exported core logic the in-memory path runs, so the only divergence from
+// core.Fit is quantile-sketch cut placement, bounded by
+// sketch.Quantile.ErrorBound. See docs/sharding.md for the error model and
+// when to prefer each path.
 package shard

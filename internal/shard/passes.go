@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/operators"
 	"repro/internal/sketch"
-	"repro/internal/stats"
 )
 
 // This file is the fitter's half of every streaming pass: reify the pass
@@ -157,12 +156,21 @@ func (f *fitter) passBaseSketch() error {
 	})
 }
 
-// placeCodes copies one partial's chunk codes into a resident column. Codes
-// land in disjoint global row ranges, so placement alone (not fold order)
-// determines the result.
-func placeCodes(dst []uint8, p *Partial, i int) error {
+// placeCodes copies one partial's chunk codes — of a column cut at the given
+// cuts — into its resident column. Codes land in disjoint global row ranges,
+// so placement alone (not fold order) determines the result. Every code is
+// held to the column's bins first: the resident matrix is indexed by them (the
+// GBDT histograms, the combination scorer's cell tables), and these bytes may
+// be a peer's.
+func placeCodes(dst []uint8, cuts []float64, p *Partial, i int) error {
 	if len(p.Codes[i]) != p.Rows {
 		return fmt.Errorf("shard: codes partial %d col %d has %d rows, want %d", p.Chunk, i, len(p.Codes[i]), p.Rows)
+	}
+	bins := len(cuts) + 1
+	for _, c := range p.Codes[i] {
+		if int(c) > bins {
+			return fmt.Errorf("shard: codes partial %d col %d code %d outside %d bins", p.Chunk, i, c, bins)
+		}
 	}
 	copy(dst[p.Start:p.Start+p.Rows], p.Codes[i])
 	return nil
@@ -180,130 +188,12 @@ func (f *fitter) passLiveCodes(live []*liveFeat) error {
 			return fmt.Errorf("shard: codes partial %d has %d columns, want %d", p.Chunk, len(p.Codes), len(live))
 		}
 		for i := range live {
-			if err := placeCodes(live[i].codes, p, i); err != nil {
+			if err := placeCodes(live[i].codes, live[i].minerCuts, p, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-}
-
-// scoreCombos fills every combination's gain ratio from contingency
-// statistics accumulated over one streaming pass, dispatching on the task:
-// binary positive/total counts, K-class cell counts, or per-cell target
-// moments. For the count-valued families the fold is exact integer
-// addition, so the scores match the in-memory scorer bit-for-bit given the
-// same mined combinations. Combos whose cell grids degenerate (a single
-// cell) get zero width and score 0, as in-memory.
-func (f *fitter) scoreCombos(combos []core.Combo) error {
-	if len(combos) == 0 {
-		return nil
-	}
-	spec := &PassSpec{Kind: PassScoreBinary, Combos: make([]ComboSpec, len(combos))}
-	for i := range combos {
-		spec.Combos[i] = ComboSpec{Features: combos[i].Features, Values: combos[i].Values}
-	}
-	k := f.cfg.Task.Classes
-	switch f.cfg.Task.Kind {
-	case core.TaskRegression:
-		spec.Kind = PassScoreMomentIDs
-		return f.scoreCombosMoments(spec, combos)
-	case core.TaskMulticlass:
-		spec.Kind, spec.Classes = PassScoreClasses, k
-	}
-	pp := spec.prepared(f.cfg.Task)
-	off, total := pp.off, pp.off[len(combos)]
-	width := total // class counts per cell — or, binary, positives then totals
-	if spec.Kind == PassScoreBinary {
-		width = 2 * total
-	}
-	acc := make([]int, width)
-	err := f.runPass(spec, func(p *Partial) error {
-		if len(p.Ints) != len(acc) {
-			return fmt.Errorf("shard: score partial %d has %d counts, want %d", p.Chunk, len(p.Ints), len(acc))
-		}
-		for g, v := range p.Ints {
-			acc[g] += int(v)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	var cnt []float64
-	if spec.Kind == PassScoreClasses {
-		cnt = make([]float64, total)
-		for g, v := range acc {
-			cnt[g] = float64(v)
-		}
-	}
-	for i := range combos {
-		lo, hi := off[i], off[i+1]
-		switch {
-		case lo == hi:
-			combos[i].GainRatio = 0
-		case cnt != nil:
-			combos[i].GainRatio = stats.GainRatioFromClassCounts(cnt[lo:hi], pp.cells[i].NumCells(), k)
-		default:
-			combos[i].GainRatio = stats.GainRatioFromCounts(acc[lo:hi], acc[total+lo:total+hi])
-		}
-	}
-	return nil
-}
-
-// scoreCombosMoments is scoreCombos for the regression task. Float moment
-// sums are order-sensitive, so partitions compute only each row's cell id;
-// the fold then accumulates targets into the per-cell moments in global row
-// order — the exact float addition sequence of the in-memory
-// stats.VarGainRatio, independent of which worker computed the ids.
-func (f *fitter) scoreCombosMoments(spec *PassSpec, combos []core.Combo) error {
-	pp := spec.prepared(f.cfg.Task)
-	cnt := make([][]float64, len(combos))
-	sum := make([][]float64, len(combos))
-	sumsq := make([][]float64, len(combos))
-	for i := range combos {
-		if nc := pp.cells[i].NumCells(); nc > 1 {
-			cnt[i] = make([]float64, nc)
-			sum[i] = make([]float64, nc)
-			sumsq[i] = make([]float64, nc)
-		}
-	}
-	err := f.runPass(spec, func(p *Partial) error {
-		if len(p.Ints) != pp.nActive*p.Rows {
-			return fmt.Errorf("shard: moment-score partial %d has %d ids, want %d", p.Chunk, len(p.Ints), pp.nActive*p.Rows)
-		}
-		labels := f.labels[p.Start : p.Start+p.Rows]
-		pos := 0
-		for ci := range combos {
-			if cnt[ci] == nil {
-				continue
-			}
-			ids := p.Ints[pos : pos+p.Rows]
-			pos += p.Rows
-			ccnt, csum, csumsq := cnt[ci], sum[ci], sumsq[ci]
-			nc := int32(len(ccnt))
-			for r, id := range ids {
-				if id < 0 || id >= nc {
-					return fmt.Errorf("shard: moment-score partial %d cell id %d outside %d cells", p.Chunk, id, nc)
-				}
-				y := labels[r]
-				ccnt[id]++
-				csum[id] += y
-				csumsq[id] += y * y
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i := range combos {
-		combos[i].GainRatio = 0
-		if cnt[i] != nil {
-			combos[i].GainRatio = stats.VarGainRatioFromMoments(cnt[i], sum[i], sumsq[i])
-		}
-	}
-	return nil
 }
 
 // passCandidateSketches streams one pass sketching every generated
@@ -608,7 +498,7 @@ func (f *fitter) passGramAndCodes(entries []*candidate, keptA []int) error {
 		p.Gram = nil
 		for gi, en := range kept {
 			if specs[gi].NeedCodes {
-				if err := placeCodes(en.codes, p, gi); err != nil {
+				if err := placeCodes(en.codes, en.rgCuts, p, gi); err != nil {
 					return err
 				}
 			}

@@ -25,18 +25,15 @@ import (
 // each partial to the fold either by pointer or after the full wire hop
 // (dist's partial frame with its blobs rendered by Partial.AppendBlob, then
 // Partial.Decode inside the fold). One partial of one pass kind can be
-// corrupted on the way, or the pass's spec before the kernel sees it.
+// corrupted on the way.
 type seamExec struct {
 	src  frame.ChunkSource
 	wire bool
 
 	// corrupt, when set, is applied to the first partial of pass kind bad just
-	// before it reaches the fold; corruptSpec to the first combination of what
-	// the kernel is handed as that (score) pass's spec, as a malformed runPass
-	// from a peer would decode.
-	bad         shard.PassKind
-	corrupt     func(p *shard.Partial, wire bool)
-	corruptSpec func(c *shard.ComboSpec)
+	// before it reaches the fold.
+	bad     shard.PassKind
+	corrupt func(p *shard.Partial, wire bool)
 
 	// pools, when set, has every chunk computed once more on a shared pool of
 	// each size; each result must render to the bytes the first did.
@@ -75,8 +72,8 @@ func (e *seamExec) SetLive(_ context.Context, epoch int, nodes []shard.NodeSpec,
 // equal digest sequences mean equal fitter state after every pass.
 func specDigest(s *shard.PassSpec) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d %d %d %d|%v|%v|%v|%v|%v", s.Pass, s.Kind, s.Epoch, s.Classes,
-		s.LiveCuts, s.Combos, s.Gens, s.Entries, s.Refines)
+	fmt.Fprintf(h, "%d %d %d|%v|%v|%v|%v", s.Pass, s.Kind, s.Epoch,
+		s.LiveCuts, s.Gens, s.Entries, s.Refines)
 	return h.Sum64()
 }
 
@@ -95,15 +92,7 @@ func (e *seamExec) RunPass(ctx context.Context, spec *shard.PassSpec, fold func(
 		if err != nil {
 			return res, err
 		}
-		kernelSpec := spec
-		if e.corruptSpec != nil && spec.Kind == e.bad {
-			// A copy, as the wire would make one: the original (and the slices
-			// its combos alias) belongs to the fitter.
-			kernelSpec = &shard.PassSpec{Pass: spec.Pass, Kind: spec.Kind, Epoch: spec.Epoch, Classes: spec.Classes,
-				Combos: append([]shard.ComboSpec(nil), spec.Combos...)}
-			e.corruptSpec(&kernelSpec.Combos[0])
-		}
-		computed, err := e.ws.ComputePartial(ctx, kernelSpec, c)
+		computed, err := e.ws.ComputePartial(ctx, spec, c)
 		if err != nil {
 			return res, err
 		}
@@ -150,14 +139,16 @@ var seamTasks = []struct {
 	classes int
 	kinds   []shard.PassKind
 }{
+	// No score kind: the mined combinations are scored on the resident miner
+	// codes (core.ScoreCombos), so no task streams a pass for them.
 	{core.BinaryTask(), datagen.TargetBinary, 0, []shard.PassKind{
-		shard.PassBaseSketch, shard.PassCodes, shard.PassScoreBinary, shard.PassSketchGen,
+		shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
 		shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes}},
 	{core.MulticlassTask(3), datagen.TargetMulticlass, 3, []shard.PassKind{
-		shard.PassBaseSketch, shard.PassCodes, shard.PassScoreClasses, shard.PassSketchGen,
+		shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
 		shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes}},
 	{core.RegressionTask(), datagen.TargetRegression, 0, []shard.PassKind{
-		shard.PassBaseSketch, shard.PassCodes, shard.PassScoreMomentIDs, shard.PassSketchGen,
+		shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
 		shard.PassRefine, shard.PassHistIDs, shard.PassGramCodes}},
 }
 
@@ -188,7 +179,7 @@ var corruptions = []struct {
 	apply func(p *shard.Partial, wire bool)
 }{
 	{"short Ints",
-		[]shard.PassKind{shard.PassScoreBinary, shard.PassScoreClasses, shard.PassScoreMomentIDs, shard.PassHistIDs},
+		[]shard.PassKind{shard.PassHistIDs},
 		func(p *shard.Partial, _ bool) { p.Ints = p.Ints[:len(p.Ints)-1] }},
 	{"missing payload",
 		[]shard.PassKind{shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes},
@@ -197,8 +188,8 @@ var corruptions = []struct {
 			p.Quantiles, p.Moments, p.Refiners, p.Hists, p.Gram = nil, nil, nil, nil, nil
 		}},
 	{"rows past n",
-		[]shard.PassKind{shard.PassCodes, shard.PassScoreBinary, shard.PassScoreClasses, shard.PassScoreMomentIDs,
-			shard.PassSketchGen, shard.PassRefine, shard.PassHistCounts, shard.PassHistIDs, shard.PassGramCodes},
+		[]shard.PassKind{shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassHistCounts,
+			shard.PassHistIDs, shard.PassGramCodes},
 		func(p *shard.Partial, _ bool) { p.Start = 1 << 30 }},
 	{"short code column",
 		[]shard.PassKind{shard.PassCodes},
@@ -213,8 +204,21 @@ var corruptions = []struct {
 			}
 			p.Gram = sketch.NewGram(p.Gram.K() + 1)
 		}},
+	// The resident codes index the GBDT histograms and the combination
+	// scorer's cell tables: a code beyond its column's bins must stop at the
+	// fold that would place it, not panic a pool worker of the trainer.
+	{"code outside its bins",
+		[]shard.PassKind{shard.PassCodes, shard.PassGramCodes},
+		func(p *shard.Partial, _ bool) {
+			for _, codes := range p.Codes {
+				if len(codes) > 0 { // a gram partial leaves aliased columns nil
+					codes[0] = 255
+					return
+				}
+			}
+		}},
 	{"id out of range",
-		[]shard.PassKind{shard.PassScoreMomentIDs, shard.PassHistIDs},
+		[]shard.PassKind{shard.PassHistIDs},
 		func(p *shard.Partial, _ bool) { p.Ints[0] = 1 << 20 }},
 	{"id below NaN marker",
 		[]shard.PassKind{shard.PassHistIDs},
@@ -247,29 +251,6 @@ func emptyGathers(p *shard.Partial, wire bool) {
 	}
 }
 
-// specCorruptions are the malformed score specs a peer could send: the kernel
-// indexes live columns and a fixed three-value buffer by them, so each must
-// come back as a typed error from ComputePartial, not an index panic that
-// takes the worker process down. Each rewrites the first combination of a
-// copied combo list, replacing (never writing through) the slices it changes.
-var specCorruptions = []struct {
-	name  string
-	apply func(c *shard.ComboSpec)
-}{
-	{"feature outside the live set", func(c *shard.ComboSpec) {
-		c.Features = append(append([]int(nil), c.Features[1:]...), 1<<20)
-	}},
-	{"negative feature", func(c *shard.ComboSpec) {
-		c.Features = append(append([]int(nil), c.Features[1:]...), -1)
-	}},
-	{"arity above 3", func(c *shard.ComboSpec) {
-		c.Features, c.Values = []int{0, 1, 2, 3}, [][]float64{{0}, {0}, {0}, {0}}
-	}},
-	{"fewer split sets than features", func(c *shard.ComboSpec) {
-		c.Values = c.Values[:len(c.Values)-1]
-	}},
-}
-
 // seamPools are the pool sizes a partial's bytes and the fitter's state are
 // held equal across: inline, the pair, an odd size and more than the table's
 // columns.
@@ -281,8 +262,9 @@ var seamPools = []int{1, 2, 3, 8}
 // pass (so the same fitter state after every fold of every pass kind), same
 // pipeline, report and stats. Then every pass kind of the task is fed each
 // applicable wrong-shape partial, by pointer and in wire form, and the fit
-// must fail with a positioned "shard: … partial N …" error, and every score
-// kind each malformed spec, which the kernel must reject with a typed error.
+// must fail with a positioned "shard: … partial N …" error; a spec of a
+// retired score kind, which a protocol-version-1 peer could still send, must
+// come back from the kernel as an unknown-kind error.
 //
 // Pool-size invariance rides the same table: one fit has every chunk of every
 // pass computed on pools of 1, 2, 3 and 8 workers besides the default and
@@ -387,20 +369,15 @@ func TestSeam(t *testing.T) {
 					t.Errorf("empty gather, wire=%v: fit returned %v, want a shard: refine … outside its bracket error", wire, err)
 				}
 			}
-			for _, co := range specCorruptions {
-				for _, kind := range []shard.PassKind{shard.PassScoreBinary, shard.PassScoreClasses, shard.PassScoreMomentIDs} {
-					if !containsKind(tc.kinds, kind) {
-						continue
-					}
-					exec := &seamExec{src: frame.NewFrameChunks(train, 300), bad: kind, corruptSpec: co.apply}
-					_, _, _, err := seamFit(t, tc.task, train, 1, 1, exec)
-					if err == nil {
-						t.Errorf("spec with %s, kind %d: the kernel accepted it", co.name, kind)
-						continue
-					}
-					if msg := err.Error(); !strings.HasPrefix(msg, "shard: combo ") {
-						t.Errorf("spec with %s, kind %d: untyped error %q", co.name, kind, msg)
-					}
+			ws := shard.NewWorkerState(train.Names(), tc.task, 128)
+			c, err := frame.NewFrameChunks(train, 300).Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range []shard.PassKind{shard.PassScoreBinary, shard.PassScoreClasses, shard.PassScoreMomentIDs} {
+				_, err := ws.ComputePartial(context.Background(), &shard.PassSpec{Pass: 3, Kind: kind}, c)
+				if err == nil || !strings.HasPrefix(err.Error(), "shard: unknown pass kind") {
+					t.Errorf("retired kind %d: the kernel answered %v, want an unknown-kind error", kind, err)
 				}
 			}
 		})

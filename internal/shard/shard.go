@@ -343,9 +343,11 @@ func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
 		ir.SearchSpaceAll = core.ExhaustiveCandidateCount(len(f.live), f.ops)
 		sc.End(len(combos))
 
-		// (2) Score combinations from merged contingency tables.
+		// (2) Score combinations. A combination's cells are a function of the
+		// miner's bin codes, and those and the labels are resident: the scorer
+		// the in-memory engine runs, on the fit's pool, with no rows streamed.
 		sc.Begin(core.StageScore, len(combos))
-		if err := f.scoreCombos(combos); err != nil {
+		if err := core.ScoreCombos(f.ctx, combos, pb, f.labels, cfg.Task, f.pool); err != nil {
 			return nil, nil, err
 		}
 		combos = core.SortCombos(combos, gamma)

@@ -111,17 +111,8 @@ func (a *Arena) Floats(n int) []float64 { return takeSlice(a, &a.floats, n) }
 func (a *Arena) PutFloats(s []float64) { putSlice(a, &a.floats, s) }
 
 // Int32s returns a []int32 of length n with unspecified contents — for id
-// slabs the caller fully overwrites. Use Int32sZeroed for counters.
+// slabs the caller fully overwrites.
 func (a *Arena) Int32s(n int) []int32 { return takeSlice(a, &a.int32s, n) }
-
-// Int32sZeroed returns a zeroed []int32 of length n — for accumulators.
-func (a *Arena) Int32sZeroed(n int) []int32 {
-	s := a.Int32s(n)
-	for j := range s {
-		s[j] = 0
-	}
-	return s
-}
 
 // PutInt32s returns a slice taken with Int32s.
 func (a *Arena) PutInt32s(s []int32) { putSlice(a, &a.int32s, s) }

@@ -36,8 +36,7 @@ func TestArenaRecycling(t *testing.T) {
 	}
 	a.PutQuantile(nil) // no-op, must not panic
 
-	// Floats / Int32s: first-fit by capacity, contents unspecified except
-	// Int32sZeroed.
+	// Floats / Int32s: first-fit by capacity, contents unspecified.
 	f := a.Floats(100)
 	if len(f) != 100 {
 		t.Fatalf("Floats length %d", len(f))
@@ -50,18 +49,9 @@ func TestArenaRecycling(t *testing.T) {
 	a.PutFloats(nil) // cap 0: dropped, must not panic
 
 	is := a.Int32s(80)
-	for i := range is {
-		is[i] = 7
-	}
 	a.PutInt32s(is)
-	iz := a.Int32sZeroed(80)
-	if &iz[0] != &is[0] {
+	if is2 := a.Int32s(80); &is2[0] != &is[0] {
 		t.Error("int32 slice not reused")
-	}
-	for i, v := range iz {
-		if v != 0 {
-			t.Fatalf("Int32sZeroed[%d] = %d", i, v)
-		}
 	}
 	a.PutInt32s(nil)
 

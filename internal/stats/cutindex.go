@@ -13,10 +13,11 @@ import "math"
 //
 // Its callers bin values against cuts that came from somewhere else: the
 // sharded engine's label/moment histograms and bin codes (internal/sketch,
-// shard.fillCodes), the GBDT binner's code fill (gbdt.newBinner) and core's
-// combination cells (core.ComboCells). The criteria that cut a column at its
-// own quantiles do not use it: the quantile kernel's bucket grid already
-// knows each row's bin (QuantileScratch, quantselect.go).
+// shard.fillCodes) and the GBDT binner's code fill (gbdt.newBinner). The
+// criteria that cut a column at its own quantiles do not use it — the quantile
+// kernel's bucket grid already knows each row's bin (QuantileScratch,
+// quantselect.go) — and neither does the combination scorer, which reads the
+// binner's codes and searches nothing per row (core.ScoreCombos).
 //
 // The zero value is ready for Reset. Not safe for concurrent use; hot paths
 // keep one per worker next to their other scratch.
