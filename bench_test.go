@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/benchkit"
 	"repro/internal/experiments"
 	"repro/internal/gbdt"
 	"repro/internal/serve"
@@ -308,28 +307,5 @@ func BenchmarkClassifierXGB(b *testing.B) {
 		if _, err := safe.TrainClassifier("XGB", ds.Train, 1); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFitWorkload runs the quick cells of the benchkit workload matrix
-// as standard Go benchmarks, so `go test -bench FitWorkload` measures exactly
-// what `safe-bench -experiment fit -quick` (and the CI bench-smoke gate)
-// measures. Throughput is reported as rows/s to match BENCH_fit.json.
-func BenchmarkFitWorkload(b *testing.B) {
-	for _, cell := range benchkit.QuickFitMatrix() {
-		b.Run(cell.Name, func(b *testing.B) {
-			ds, err := benchkit.Dataset(cell)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := benchkit.FitConfig(cell.Iterations, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := safe.Fit(context.Background(), safe.FromFrame(ds.Train), safe.WithConfig(cfg)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(cell.Rows*cell.Iterations*b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
 	}
 }

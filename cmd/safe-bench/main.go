@@ -10,32 +10,24 @@
 //	safe-bench -experiment fig3,fig4,searchspace,assumptions
 //	safe-bench -datasets banknote,magic -clfs LR,XGB -repeats 5
 //	safe-bench -experiment serving -serve-clients 8 -serve-batch 128
-//	safe-bench -experiment fit                  # full fit workload matrix
-//	safe-bench -experiment fit -task regression # one task's cells only
-//	safe-bench -experiment shardfit -source colstore   # one chunk source's cells only
-//	safe-bench -experiment distfit              # distributed fit over pipe + loopback TCP workers
-//	safe-bench -experiment fit -quick -bench-compare   # the CI smoke gate
 //
 // Experiments: table3, table5, table6, table8, fig3, fig4, searchspace,
-// assumptions, ablation, serving, fit, all.
+// assumptions, ablation, serving, all. An id outside that list is an error.
 //
 // The serving experiment trains a pipeline + GBDT model, stands up the
 // internal/serve HTTP server in-process, and drives concurrent batched
 // /predict load against it, reporting sustained rows/sec and latency
 // quantiles.
 //
-// The fit experiment is the repository's perf harness (internal/benchkit):
-// it runs the fixed synthetic fit workload matrix, reports rows/sec and
-// allocation behaviour per cell, and maintains the BENCH_fit.json
-// trajectory. With -bench-compare it exits non-zero when throughput
-// regresses more than -bench-tolerance against the latest recorded run —
-// the check CI's bench-smoke job gates on. See docs/performance.md.
+// Fit performance is not measured here: the repository benchmark is
+// `go run ./bench` (bench/README.md, docs/performance.md).
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,284 +40,146 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/benchkit"
 	"repro/internal/buildinfo"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/gbdt"
 	"repro/internal/serve"
 )
 
+// params is what the flags configure, as the experiments take it.
+type params struct {
+	opts    experiments.Options
+	trials  int
+	rounds  int
+	serving servingOptions
+}
+
+// experimentTable lists the experiments -experiment accepts, in the order
+// "all" runs them. Each prints its table to w and returns its structured
+// result.
+var experimentTable = []struct {
+	id  string
+	run func(p *params, w io.Writer) (any, error)
+}{
+	{"table3", func(p *params, w io.Writer) (any, error) { return experiments.RunTable3(p.opts, w) }},
+	{"table5", func(p *params, w io.Writer) (any, error) { return experiments.RunTable5(p.opts, w) }},
+	{"table6", func(p *params, w io.Writer) (any, error) { return experiments.RunTable6(p.opts, p.trials, w) }},
+	{"table8", func(p *params, w io.Writer) (any, error) { return experiments.RunTable8(p.opts, w) }},
+	{"fig3", func(p *params, w io.Writer) (any, error) { return experiments.RunFig3(p.opts, w) }},
+	{"fig4", func(p *params, w io.Writer) (any, error) { return experiments.RunFig4(p.opts, p.rounds, w) }},
+	{"searchspace", func(p *params, w io.Writer) (any, error) { return experiments.RunSearchSpace(p.opts, w) }},
+	{"assumptions", func(p *params, w io.Writer) (any, error) { return experiments.RunAssumptions(p.opts, 20, w) }},
+	{"ablation", func(p *params, w io.Writer) (any, error) { return experiments.RunAblation(p.opts, w) }},
+	{"serving", func(p *params, w io.Writer) (any, error) { return runServing(p.serving, w) }},
+}
+
+// parseExperiments resolves a comma-separated -experiment value to the set of
+// experiment ids to run. An unknown id is an error, not an experiment that ran
+// nothing: a script naming a removed experiment must fail loudly.
+func parseExperiments(list string) (map[string]bool, error) {
+	valid := map[string]bool{}
+	var ids []string
+	for _, e := range experimentTable {
+		valid[e.id] = true
+		ids = append(ids, e.id)
+	}
+	selected := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		e = strings.TrimSpace(e)
+		if e != "all" && !valid[e] {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", e, strings.Join(ids, ", "))
+		}
+		selected[e] = true
+	}
+	if selected["all"] {
+		return valid, nil
+	}
+	return selected, nil
+}
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "safe-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: flags from args, tables to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("safe-bench", flag.ContinueOnError)
 	var (
-		expFlag       = flag.String("experiment", "all", "comma-separated experiment ids")
-		scale         = flag.Float64("scale", 0.1, "benchmark dataset row scale (0,1]; 1 = paper sizes")
-		businessScale = flag.Float64("business-scale", 0.005, "business dataset row scale; 1 = paper's 2.5M-8M rows")
-		repeats       = flag.Int("repeats", 3, "seeds averaged per cell (paper: 100/10)")
-		trials        = flag.Int("stability-trials", 20, "repeated runs for Table VI (paper: 100)")
-		rounds        = flag.Int("rounds", 5, "iteration rounds for Fig. 4")
-		datasets      = flag.String("datasets", "", "comma-separated dataset subset (default: all 12)")
-		clfs          = flag.String("clfs", "", "comma-separated classifier subset (default: all 9)")
-		seed          = flag.Int64("seed", 0, "base random seed")
-		jsonDir       = flag.String("json", "", "also write structured results as JSON into this directory")
-		serveClients  = flag.Int("serve-clients", 4, "concurrent clients for the serving experiment")
-		serveBatch    = flag.Int("serve-batch", 128, "rows per request for the serving experiment")
-		serveRequests = flag.Int("serve-requests", 100, "requests per client for the serving experiment")
-		serveCache    = flag.Int("serve-cache", 0, "feature cache capacity for the serving experiment (0 disables)")
-		quick         = flag.Bool("quick", false, "fit experiment: run only the quick (CI smoke) workload subset")
-		benchFile     = flag.String("bench-file", "BENCH_fit.json", "fit experiment: trajectory file to load and compare against")
-		benchLabel    = flag.String("bench-label", "", "fit experiment: label for this run (default: quick/full)")
-		benchAppend   = flag.Bool("bench-append", false, "fit experiment: append this run to -bench-file")
-		benchOut      = flag.String("bench-out", "", "fit experiment: also write this run (as a one-run trajectory) to this path")
-		benchCompare  = flag.Bool("bench-compare", false, "fit experiment: exit non-zero when throughput regresses beyond -bench-tolerance vs the latest run in -bench-file")
-		benchTol      = flag.Float64("bench-tolerance", 0.20, "fit experiment: allowed fractional throughput regression")
-		benchRepeats  = flag.Int("bench-repeats", 3, "fit experiment: measurements per cell; the fastest is kept")
-		benchTask     = flag.String("task", "", "fit experiment: run only cells of this task (binary, multiclass:K, regression; default all)")
-		benchSource   = flag.String("source", "", "fit experiment: run only cells of this chunk source (frame, csv, colstore; default all)")
-		version       = flag.Bool("version", false, "print the build version and exit")
+		expFlag       = fs.String("experiment", "all", "comma-separated experiment ids")
+		scale         = fs.Float64("scale", 0.1, "benchmark dataset row scale (0,1]; 1 = paper sizes")
+		businessScale = fs.Float64("business-scale", 0.005, "business dataset row scale; 1 = paper's 2.5M-8M rows")
+		repeats       = fs.Int("repeats", 3, "seeds averaged per cell (paper: 100/10)")
+		trials        = fs.Int("stability-trials", 20, "repeated runs for Table VI (paper: 100)")
+		rounds        = fs.Int("rounds", 5, "iteration rounds for Fig. 4")
+		datasets      = fs.String("datasets", "", "comma-separated dataset subset (default: all 12)")
+		clfs          = fs.String("clfs", "", "comma-separated classifier subset (default: all 9)")
+		seed          = fs.Int64("seed", 0, "base random seed")
+		jsonDir       = fs.String("json", "", "also write structured results as JSON into this directory")
+		serveClients  = fs.Int("serve-clients", 4, "concurrent clients for the serving experiment")
+		serveBatch    = fs.Int("serve-batch", 128, "rows per request for the serving experiment")
+		serveRequests = fs.Int("serve-requests", 100, "requests per client for the serving experiment")
+		serveCache    = fs.Int("serve-cache", 0, "feature cache capacity for the serving experiment (0 disables)")
+		version       = fs.Bool("version", false, "print the build version and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	if *version {
-		fmt.Println(buildinfo.String())
-		return
+		fmt.Fprintln(w, buildinfo.String())
+		return nil
+	}
+	selected, err := parseExperiments(*expFlag)
+	if err != nil {
+		return err
 	}
 
-	opts := experiments.Options{
-		Scale:         *scale,
-		BusinessScale: *businessScale,
-		Repeats:       *repeats,
-		Seed:          *seed,
-	}
-	if *datasets != "" {
-		opts.Datasets = strings.Split(*datasets, ",")
-	}
-	if *clfs != "" {
-		opts.Classifiers = strings.Split(*clfs, ",")
-	}
-
-	run := map[string]bool{}
-	for _, e := range strings.Split(*expFlag, ",") {
-		run[strings.TrimSpace(e)] = true
-	}
-	if run["all"] {
-		for _, e := range []string{"table3", "table5", "table6", "table8", "fig3", "fig4", "searchspace", "assumptions", "ablation", "serving", "fit", "shardfit", "distfit"} {
-			run[e] = true
-		}
-	}
-	fmt.Printf("safe-bench %s seed=%d\n", buildinfo.String(), *seed)
-
-	w := os.Stdout
-	export := func(name string, v interface{}, err error) {
-		check(err)
-		if *jsonDir != "" {
-			check(experiments.ExportJSON(*jsonDir, name, v))
-		}
-	}
-	if run["table3"] {
-		res, err := experiments.RunTable3(opts, w)
-		export("table3", res, err)
-	}
-	if run["table5"] {
-		res, err := experiments.RunTable5(opts, w)
-		export("table5", res, err)
-	}
-	if run["table6"] {
-		res, err := experiments.RunTable6(opts, *trials, w)
-		export("table6", res, err)
-	}
-	if run["table8"] {
-		res, err := experiments.RunTable8(opts, w)
-		export("table8", res, err)
-	}
-	if run["fig3"] {
-		res, err := experiments.RunFig3(opts, w)
-		export("fig3", res, err)
-	}
-	if run["fig4"] {
-		res, err := experiments.RunFig4(opts, *rounds, w)
-		export("fig4", res, err)
-	}
-	if run["searchspace"] {
-		res, err := experiments.RunSearchSpace(opts, w)
-		export("searchspace", res, err)
-	}
-	if run["assumptions"] {
-		res, err := experiments.RunAssumptions(opts, 20, w)
-		export("assumptions", res, err)
-	}
-	if run["ablation"] {
-		res, err := experiments.RunAblation(opts, w)
-		export("ablation", res, err)
-	}
-	if run["serving"] {
-		res, err := runServing(servingOptions{
+	p := &params{
+		opts: experiments.Options{
+			Scale:         *scale,
+			BusinessScale: *businessScale,
+			Repeats:       *repeats,
+			Seed:          *seed,
+		},
+		trials: *trials,
+		rounds: *rounds,
+		serving: servingOptions{
 			Clients:   *serveClients,
 			Batch:     *serveBatch,
 			Requests:  *serveRequests,
 			CacheSize: *serveCache,
 			Seed:      *seed,
-		}, w)
-		export("serving", res, err)
+		},
 	}
-	if run["fit"] || run["shardfit"] || run["distfit"] {
-		res, err := runFitBench(fitBenchOptions{
-			Fit:       run["fit"],
-			ShardFit:  run["shardfit"],
-			DistFit:   run["distfit"],
-			Quick:     *quick,
-			Task:      *benchTask,
-			Source:    *benchSource,
-			File:      *benchFile,
-			Label:     *benchLabel,
-			Append:    *benchAppend,
-			Out:       *benchOut,
-			Compare:   *benchCompare,
-			Tolerance: *benchTol,
-			Repeats:   *benchRepeats,
-			Seed:      *seed,
-		}, w)
-		export("fit", res, err)
+	if *datasets != "" {
+		p.opts.Datasets = strings.Split(*datasets, ",")
 	}
-}
+	if *clfs != "" {
+		p.opts.Classifiers = strings.Split(*clfs, ",")
+	}
+	fmt.Fprintf(w, "safe-bench %s seed=%d\n", buildinfo.String(), *seed)
 
-type fitBenchOptions struct {
-	Fit       bool // include the in-memory fit matrix
-	ShardFit  bool // include the sharded out-of-core fit matrix
-	DistFit   bool // include the distributed (wire-protocol) fit matrix
-	Quick     bool
-	Task      string // restrict to cells of one task ("" = all)
-	Source    string // restrict to cells of one chunk source ("" = all; "frame" = in-memory chunks)
-	File      string
-	Label     string
-	Append    bool
-	Out       string
-	Compare   bool
-	Tolerance float64
-	Repeats   int
-	Seed      int64
-}
-
-// runFitBench runs the fit (and/or sharded fit) workload matrix, prints
-// per-cell throughput, maintains the BENCH_fit.json trajectory, and
-// enforces the regression gate.
-func runFitBench(opts fitBenchOptions, w io.Writer) (*benchkit.Run, error) {
-	var matrix []benchkit.FitWorkload
-	if opts.Fit {
-		if opts.Quick {
-			matrix = append(matrix, benchkit.QuickFitMatrix()...)
-		} else {
-			matrix = append(matrix, benchkit.FitMatrix()...)
+	for _, e := range experimentTable {
+		if !selected[e.id] {
+			continue
 		}
-	}
-	if opts.ShardFit {
-		if opts.Quick {
-			matrix = append(matrix, benchkit.QuickShardFitMatrix()...)
-		} else {
-			matrix = append(matrix, benchkit.ShardFitMatrix()...)
-		}
-	}
-	if opts.DistFit {
-		if opts.Quick {
-			matrix = append(matrix, benchkit.QuickDistFitMatrix()...)
-		} else {
-			matrix = append(matrix, benchkit.DistFitMatrix()...)
-		}
-	}
-	if opts.Task != "" {
-		want, err := core.ParseTask(opts.Task)
+		res, err := e.run(p, w)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var filtered []benchkit.FitWorkload
-		for _, cell := range matrix {
-			have, err := core.ParseTask(cell.Task)
-			if err != nil {
-				return nil, err
-			}
-			if have == want {
-				filtered = append(filtered, cell)
+		if *jsonDir != "" {
+			if err := experiments.ExportJSON(*jsonDir, e.id, res); err != nil {
+				return err
 			}
 		}
-		if len(filtered) == 0 {
-			return nil, fmt.Errorf("no workload cells match -task %s; measuring nothing would pass the gate vacuously", want)
-		}
-		matrix = filtered
 	}
-	if opts.Source != "" {
-		want := opts.Source
-		if want == "frame" { // the in-memory chunk source is the empty Source
-			want = ""
-		} else if want != "csv" && want != "colstore" {
-			return nil, fmt.Errorf("unknown -source %q (want frame, csv, or colstore)", opts.Source)
-		}
-		var filtered []benchkit.FitWorkload
-		for _, cell := range matrix {
-			if cell.Source == want {
-				filtered = append(filtered, cell)
-			}
-		}
-		if len(filtered) == 0 {
-			return nil, fmt.Errorf("no workload cells match -source %s; measuring nothing would pass the gate vacuously", opts.Source)
-		}
-		matrix = filtered
-	}
-	label := opts.Label
-	if label == "" {
-		label = "full"
-		if opts.Quick {
-			label = "quick"
-		}
-	}
-
-	hist, err := benchkit.Load(opts.File)
-	if err != nil {
-		return nil, err
-	}
-	prev := hist.Latest()
-	base := hist.Baseline()
-
-	cur := benchkit.NewRun(label, opts.Seed)
-	fmt.Fprintf(w, "\nFit throughput (synthetic workload matrix, GOMAXPROCS=%d)\n", cur.GOMAXPROCS)
-	for _, cell := range matrix {
-		res, err := benchkit.RunFitBest(cell, opts.Repeats)
-		if err != nil {
-			return nil, err
-		}
-		cur.Results = append(cur.Results, res)
-		fmt.Fprintf(w, "  %-12s %8.0f rows/sec  %6.2fs  alloc=%7.1fMB  peak=%6.1fMB  selected=%d",
-			res.Workload, res.RowsPerSec, res.Seconds, res.AllocMB, res.PeakHeapMB, res.Selected)
-		if ref := base.Find(res.Workload); ref != nil && ref.RowsPerSec > 0 && base != prev {
-			fmt.Fprintf(w, "  (%.2fx vs baseline %q)", res.RowsPerSec/ref.RowsPerSec, base.Label)
-		}
-		if ref := prev.Find(res.Workload); ref != nil && ref.RowsPerSec > 0 {
-			fmt.Fprintf(w, "  (%.2fx vs latest %q)", res.RowsPerSec/ref.RowsPerSec, prev.Label)
-		}
-		fmt.Fprintln(w)
-	}
-
-	regressions := benchkit.Compare(prev, &cur, opts.Tolerance)
-	for _, r := range regressions {
-		fmt.Fprintf(w, "  REGRESSION %s (tolerance %.0f%%)\n", r, opts.Tolerance*100)
-	}
-
-	if opts.Out != "" {
-		out := &benchkit.File{Runs: []benchkit.Run{cur}}
-		if err := out.Write(opts.Out); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Append {
-		hist.Runs = append(hist.Runs, cur)
-		if err := hist.Write(opts.File); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "  recorded run %q in %s (%d runs)\n", cur.Label, opts.File, len(hist.Runs))
-	}
-	if opts.Compare && len(regressions) > 0 {
-		return &cur, fmt.Errorf("fit throughput regressed on %d workload(s) vs run %q", len(regressions), prev.Label)
-	}
-	return &cur, nil
+	return nil
 }
 
 type servingOptions struct {
@@ -449,11 +303,4 @@ func runServing(opts servingOptions, w io.Writer) (*servingResult, error) {
 	fmt.Fprintf(w, "  %.0f rows/sec over %.2fs, latency p50=%.0fus p99=%.0fus\n",
 		res.RowsPerSec, res.Seconds, res.P50us, res.P99us)
 	return res, nil
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "safe-bench:", err)
-		os.Exit(1)
-	}
 }

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // Format constants of colstore version 1. All multi-byte integers and float
@@ -236,69 +238,6 @@ func bitmapLen(rows int) int { return (rows + 7) / 8 }
 func floatBlockLen(rows int) uint64  { return uint64(rows) * 8 }
 func stringBlockLen(rows int) uint64 { return uint64(bitmapLen(rows)) + uint64(rows)*4 }
 
-// cursor decodes the footer with bounds checking: every read past the end
-// sets err instead of panicking, which is what makes the footer parser safe
-// to fuzz against arbitrary bytes.
-type cursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *cursor) fail() {
-	if c.err == nil {
-		c.err = ErrTruncated
-	}
-	c.off = len(c.b)
-}
-
-func (c *cursor) bytes(n int) []byte {
-	if c.err != nil || n < 0 || c.off+n > len(c.b) || c.off+n < c.off {
-		c.fail()
-		return nil
-	}
-	b := c.b[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
-func (c *cursor) u8() uint8 {
-	b := c.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *cursor) u16() uint16 {
-	b := c.bytes(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (c *cursor) u32() uint32 {
-	b := c.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (c *cursor) u64() uint64 {
-	b := c.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
-
-// remaining returns the undecoded byte count, for allocation sanity caps.
-func (c *cursor) remaining() int { return len(c.b) - c.off }
-
 // encodeFooter serialises the footer (schema, dictionaries, block index).
 func encodeFooter(m *fileMeta) []byte {
 	var b []byte
@@ -317,12 +256,7 @@ func encodeFooter(m *fileMeta) []byte {
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(col.Name)))
 		b = append(b, col.Name...)
 		if col.Type == String {
-			dict := m.dicts[j]
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(dict)))
-			for _, s := range dict {
-				b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-				b = append(b, s...)
-			}
+			b = wire.AppendStrings(b, m.dicts[j])
 		}
 	}
 	for _, g := range m.groups {
@@ -348,22 +282,25 @@ func decodeFooter(path string, b []byte, dataEnd uint64) (*fileMeta, error) {
 	ferr := func(block int, column string, err error) error {
 		return &FormatError{Path: path, Section: "footer", Block: block, Column: column, Err: err}
 	}
-	c := &cursor{b: b}
-	nCols := int(c.u32())
-	nGroups := int(c.u32())
-	rows := c.u64()
-	groupRows := c.u32()
-	c.u32() // reserved
-	if c.err != nil {
-		return nil, ferr(-1, "", c.err)
+	// A read past the end fails the reader instead of panicking, which is what
+	// makes this parser safe to fuzz against arbitrary bytes; each section asks
+	// Failed once.
+	c := wire.NewReader(b)
+	nCols := int(c.U32())
+	nGroups := int(c.U32())
+	rows := c.U64()
+	groupRows := c.U32()
+	c.U32() // reserved
+	if c.Failed() {
+		return nil, ferr(-1, "", ErrTruncated)
 	}
 	// Each column costs at least 4 bytes, each group at least 12: anything
 	// declaring more than the remaining bytes could hold is corrupt, and the
 	// caps keep allocations proportional to the actual footer size.
-	if nCols <= 0 || nCols > c.remaining()/4 {
+	if nCols <= 0 || nCols > len(c.Rest())/4 {
 		return nil, ferr(-1, "", fmt.Errorf("implausible column count %d", nCols))
 	}
-	if nGroups < 0 || nGroups > (c.remaining()+11)/12 {
+	if nGroups < 0 || nGroups > (len(c.Rest())+11)/12 {
 		return nil, ferr(-1, "", fmt.Errorf("implausible group count %d", nGroups))
 	}
 	m := &fileMeta{
@@ -374,27 +311,19 @@ func decodeFooter(path string, b []byte, dataEnd uint64) (*fileMeta, error) {
 		dataEnd:   dataEnd,
 	}
 	for j := 0; j < nCols; j++ {
-		typ := Type(c.u8())
-		flags := c.u8()
-		nameLen := int(c.u16())
-		name := string(c.bytes(nameLen))
-		if c.err != nil {
-			return nil, ferr(-1, "", c.err)
+		typ := Type(c.U8())
+		flags := c.U8()
+		name := string(c.Take(int(c.U16())))
+		if c.Failed() {
+			return nil, ferr(-1, "", ErrTruncated)
 		}
 		m.schema[j] = ColumnSpec{Name: name, Type: typ, Label: flags&colFlagLabel != 0}
 		if typ == String {
-			dictLen := int(c.u32())
-			if dictLen < 0 || dictLen > c.remaining()/4 {
-				return nil, ferr(-1, name, fmt.Errorf("implausible dictionary size %d", dictLen))
+			// A dictionary size the remaining bytes cannot back, at 4 bytes a
+			// string, fails the reader before anything is allocated for it.
+			if m.dicts[j] = c.Strs(); c.Failed() {
+				return nil, ferr(-1, name, ErrTruncated)
 			}
-			dict := make([]string, dictLen)
-			for k := range dict {
-				dict[k] = string(c.bytes(int(c.u32())))
-			}
-			if c.err != nil {
-				return nil, ferr(-1, name, c.err)
-			}
-			m.dicts[j] = dict
 		}
 	}
 	if err := m.schema.Validate(); err != nil {
@@ -404,11 +333,11 @@ func decodeFooter(path string, b []byte, dataEnd uint64) (*fileMeta, error) {
 	var total uint64
 	for gi := range m.groups {
 		g := &m.groups[gi]
-		g.start = c.u64()
-		g.rows = c.u32()
-		c.u32() // reserved
-		if c.err != nil {
-			return nil, ferr(gi, "", c.err)
+		g.start = c.U64()
+		g.rows = c.U32()
+		c.U32() // reserved
+		if c.Failed() {
+			return nil, ferr(gi, "", ErrTruncated)
 		}
 		if g.start != total {
 			return nil, ferr(gi, "", fmt.Errorf("group starts at row %d, want %d", g.start, total))
@@ -417,25 +346,22 @@ func decodeFooter(path string, b []byte, dataEnd uint64) (*fileMeta, error) {
 		g.blocks = make([]blockMeta, nCols)
 		for j := range g.blocks {
 			blk := &g.blocks[j]
-			blk.off = c.u64()
-			blk.length = c.u64()
-			blk.min = c.f64()
-			blk.max = c.f64()
-			blk.nan = c.u32()
-			blk.crc = c.u32()
-			if c.err != nil {
-				return nil, ferr(gi, m.schema[j].Name, c.err)
+			blk.off = c.U64()
+			blk.length = c.U64()
+			blk.min = c.F64()
+			blk.max = c.F64()
+			blk.nan = c.U32()
+			blk.crc = c.U32()
+			if c.Failed() {
+				return nil, ferr(gi, m.schema[j].Name, ErrTruncated)
 			}
 			if err := validateBlock(m, gi, j); err != nil {
 				return nil, ferr(gi, m.schema[j].Name, err)
 			}
 		}
 	}
-	if c.err != nil {
-		return nil, ferr(-1, "", c.err)
-	}
-	if c.remaining() != 0 {
-		return nil, ferr(-1, "", fmt.Errorf("%d trailing footer bytes", c.remaining()))
+	if n := len(c.Rest()); n != 0 {
+		return nil, ferr(-1, "", fmt.Errorf("%d trailing footer bytes", n))
 	}
 	if total != rows {
 		return nil, ferr(-1, "", fmt.Errorf("groups cover %d rows, footer declares %d", total, rows))

@@ -3,11 +3,14 @@ package colstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden fixtures")
@@ -138,4 +141,26 @@ func TestGoldenV1(t *testing.T) {
 			t.Fatalf("fixture label row %d: %v want %v", i, tab.Floats[2][i], v)
 		}
 	}
+}
+
+// TestFooterRejectsTruncationAndTrailing sweeps every prefix of the golden
+// fixture's footer through the footer decoder: cut anywhere it must fail as a
+// positioned *FormatError (never panic, never half-parse), and so must a
+// footer with a byte to spare — the decoder owns the whole extent the trailer
+// declares.
+func TestFooterRejectsTruncationAndTrailing(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v1.col"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailer := raw[len(raw)-trailerSize:]
+	footerOff := binary.LittleEndian.Uint64(trailer[0:8])
+	footer := raw[footerOff : footerOff+binary.LittleEndian.Uint64(trailer[8:16])]
+	wiretest.Sweep(t, map[string][]byte{"golden_v1": footer}, true, func(b []byte) ([]byte, error) {
+		_, err := decodeFooter("golden_v1.col", b, footerOff)
+		return nil, err
+	}, func(err error) bool {
+		var fe *FormatError
+		return errors.As(err, &fe) && fe.Section == "footer"
+	})
 }

@@ -258,7 +258,7 @@ type liveFeature struct {
 }
 
 // binned returns the features' bin-code matrix at cfg.MaxBins — what
-// gbdt.TrainCtx would quantise their columns to — binning only those that do
+// gbdt.Train would quantise their columns to — binning only those that do
 // not carry codes at that bin count yet.
 func binned(feats []*liveFeature, cfg gbdt.Config) (*gbdt.Prebinned, error) {
 	var fresh []*liveFeature
@@ -284,8 +284,8 @@ func binned(feats []*liveFeature, cfg gbdt.Config) (*gbdt.Prebinned, error) {
 	return pb, nil
 }
 
-// trainBinned is gbdt.TrainCtx over the features' columns, by way of the codes
-// they carry.
+// trainBinned is gbdt.Train over the features' columns, cancellable through
+// ctx, by way of the codes they carry.
 func trainBinned(ctx context.Context, feats []*liveFeature, labels []float64, names []string, cfg gbdt.Config) (*gbdt.Model, error) {
 	pb, err := binned(feats, cfg)
 	if err != nil {

@@ -125,12 +125,3 @@ func Select(cols [][]float64, labels []float64, cfg SelectionConfig) ([]int, err
 	}
 	return ranked, nil
 }
-
-// IVs exposes the parallel Information Value computation for harness code.
-func IVs(cols [][]float64, labels []float64, bins int, par bool) []float64 {
-	pool := parallel.Get(1)
-	if par {
-		pool = parallel.Get(0)
-	}
-	return computeCriteria(cols, labels, BinaryTask(), bins, false, pool, new(scratchList))
-}

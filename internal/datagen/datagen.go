@@ -384,13 +384,6 @@ func findIntercept(logit []float64, target float64) float64 {
 	return (lo + hi) / 2
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func clampInt(v, lo, hi int) int {
 	if v < lo {
 		return lo

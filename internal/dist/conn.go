@@ -146,12 +146,3 @@ func midFrame(err error) error {
 
 // Close implements Conn.
 func (s *streamConn) Close() error { return s.c.Close() }
-
-// Pipe returns an in-process connection pair: the coordinator end and the
-// worker end of a net.Pipe, framed like any network transport — the
-// serialization path is identical to TCP, only the bytes never leave the
-// process.
-func Pipe() (coord, worker Conn) {
-	a, b := net.Pipe()
-	return NewConn(a), NewConn(b)
-}

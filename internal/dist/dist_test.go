@@ -36,8 +36,18 @@ func taskCases() []taskCase {
 	}
 }
 
-// taskWorkload generates the benchkit-shaped synthetic dataset for a task
-// family — the same planted signal the shard determinism pins fit.
+// Pipe returns an in-process connection pair: the coordinator end and the
+// worker end of a net.Pipe, framed like any network transport — the
+// serialization path is identical to TCP, only the bytes never leave the
+// process.
+func Pipe() (coord, worker Conn) {
+	a, b := net.Pipe()
+	return NewConn(a), NewConn(b)
+}
+
+// taskWorkload generates the benchmark-shaped synthetic dataset (Interactions =
+// Dim/3, signal scale 2.5) for a task family — the same planted signal the
+// shard determinism pins fit.
 func taskWorkload(t *testing.T, rows, dim int, tc taskCase) *frame.Frame {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.Spec{

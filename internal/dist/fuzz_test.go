@@ -1,28 +1,33 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/shard"
+	"repro/internal/wire/wiretest"
 )
 
-// distSeedFrames builds one real message of every kind whose decoder sizes
-// allocations from counts a peer chose — the seed corpus FuzzDistDecode
-// mutates from.
+// distSeedFrames builds one real message of every kind: the seed corpus
+// FuzzDistDecode mutates from, and — checked in — the golden bytes of
+// protocol version 1.
 func distSeedFrames() map[string][]byte {
 	p, _ := sketchPartial(1, []float64{3, 1, 4, 1, 5}, []float64{2, 7})
 	return map[string][]byte{
-		"partial": AppendPartial(nil, 3, shard.PassBaseSketch, p),
-		"runPass": encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
+		"hello":    encodeHello(),
+		"helloAck": encodeHelloAck(),
+		"ack":      encodeAck(&ack{Re: msgSetLive, Epoch: 7, OK: true, Msg: "installed"}),
+		"passDone": encodePassDone(&passDone{PassID: 9, Chunks: 4, Rows: 2000, Retries: 3}),
+		"passErr":  encodePassErr(&passErr{PassID: 2, Chunk: 3, Attempts: 4, Transient: true, Msg: "read chunk: i/o timeout"}),
+		"partial":  AppendPartial(nil, 3, shard.PassBaseSketch, p),
+		"runPass":  encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
 		"fitOpen": encodeFitOpen(&fitOpen{
 			Source: SourceSpec{Kind: SourceCSV, Path: "/data/train.csv", Label: "label", ChunkRows: 512},
 			Names:  []string{"f0", "f1", "f2"}, Task: core.MulticlassTask(3), SketchSize: 256,
@@ -39,19 +44,14 @@ func distSeedFrames() map[string][]byte {
 // decoder's rejection case.
 const retiredScoreSeed = "runPass-score"
 
+func seedPath(name string) string {
+	return filepath.Join("testdata", "fuzz", "FuzzDistDecode", "seed-"+name)
+}
+
 // readSeed returns the message inside a checked-in FuzzDistDecode seed.
 func readSeed(t testing.TB, name string) []byte {
 	t.Helper()
-	p := filepath.Join("testdata", "fuzz", "FuzzDistDecode", "seed-"+name)
-	body, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatalf("missing seed corpus %s (regenerate with DIST_WRITE_CORPUS=1): %v", p, err)
-	}
-	var quoted string
-	if _, err := fmt.Sscanf(string(body), "go test fuzz v1\n[]byte(%q)\n", &quoted); err != nil {
-		t.Fatalf("seed corpus %s not in go fuzz v1 format: %v", p, err)
-	}
-	return []byte(quoted)
+	return wiretest.ReadSeed(t, seedPath(name))
 }
 
 // driveSpec hands a decoded pass spec to the kernel over one small chunk, as
@@ -70,37 +70,51 @@ func driveSpec(spec *shard.PassSpec) {
 	}
 }
 
-// decodeSized routes a message to the decoder for its type byte and reports
-// whether it has one among the four under fuzz. A runPass that decodes also
-// returns its spec: that is what a worker then computes with, so callers
+// decodeMsg routes a message to the decoder for its type byte, as the
+// dispatch loops of the coordinator and the worker do. A runPass that decodes
+// also returns its spec: that is what a worker then computes with, so callers
 // drive it through the kernel (outside any allocation measurement).
-func decodeSized(data []byte) (known bool, spec *shard.PassSpec, err error) {
-	switch msgType(data) {
-	case msgPartial:
-		return true, nil, decodePartial(data, &partialMsg{})
-	case msgRunPass:
-		m, err := decodeRunPass(data)
-		if err != nil {
-			return true, nil, err
-		}
-		return true, m.Spec, nil
+func decodeMsg(p []byte) (spec *shard.PassSpec, err error) {
+	switch msgType(p) {
+	case msgHello:
+		err = decodeHello(p)
+	case msgHelloAck:
+		err = decodeHelloAck(p)
 	case msgFitOpen:
-		_, err = decodeFitOpen(data)
-		return true, nil, err
+		_, err = decodeFitOpen(p)
+	case msgAck:
+		_, err = decodeAck(p)
 	case msgSetLive:
-		_, err = decodeSetLive(data)
-		return true, nil, err
+		_, err = decodeSetLive(p)
+	case msgRunPass:
+		var m *runPass
+		if m, err = decodeRunPass(p); err == nil {
+			spec = m.Spec
+		}
+	case msgPartial:
+		err = decodePartial(p, &partialMsg{})
+	case msgPassDone:
+		_, err = decodePassDone(p)
+	case msgPassErr:
+		_, err = decodePassErr(p)
+	default:
+		err = protoErr("unknown type %d", msgType(p))
 	}
-	return false, nil, nil
+	return spec, err
 }
 
-// FuzzDistDecode feeds arbitrary bytes to the message decoders that allocate
-// by peer-chosen counts. The contract under fuzz: a message decodes or fails
-// with a *ProtocolError — never a panic — and either way costs at most a
-// small multiple of its own length in allocation, because every count is
-// bounded by the bytes that remain divided by the smallest encoding of one
-// element; and a pass spec that decodes goes through ComputePartial without a
-// panic, whatever indices and arities it carries. Corpus seeds live in testdata/fuzz/FuzzDistDecode (regenerate with
+func isProtocolError(err error) bool {
+	var pe *ProtocolError
+	return errors.As(err, &pe)
+}
+
+// FuzzDistDecode feeds arbitrary bytes to the message decoders. The contract
+// under fuzz: a message decodes or fails with a *ProtocolError — never a
+// panic — and either way costs at most a small multiple of its own length in
+// allocation, because every count is bounded by the bytes that remain divided
+// by the smallest encoding of one element; and a pass spec that decodes goes
+// through ComputePartial without a panic, whatever indices and arities it
+// carries. Corpus seeds live in testdata/fuzz/FuzzDistDecode (regenerate with
 // DIST_WRITE_CORPUS=1 go test ./internal/dist -run TestWriteDistDecodeSeedCorpus).
 func FuzzDistDecode(f *testing.F) {
 	frames := distSeedFrames()
@@ -114,13 +128,9 @@ func FuzzDistDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := totalAlloc()
-		known, spec, err := decodeSized(data)
+		spec, err := decodeMsg(data)
 		spent := totalAlloc() - before
-		if !known {
-			return
-		}
-		var pe *ProtocolError
-		if err != nil && !errors.As(err, &pe) {
+		if err != nil && !isProtocolError(err) {
 			t.Fatalf("decode error %v (%T), want *ProtocolError", err, err)
 		}
 		// The widest header is 24 bytes for an element of at least 4; the rest
@@ -136,35 +146,33 @@ func FuzzDistDecode(f *testing.F) {
 }
 
 // TestWriteDistDecodeSeedCorpus regenerates the checked-in seed corpus for
-// FuzzDistDecode when DIST_WRITE_CORPUS=1 is set; otherwise it verifies the
-// corpus files exist and still decode — and that the retired score frame is
-// still refused — so corpus rot fails the build.
+// FuzzDistDecode when DIST_WRITE_CORPUS=1 is set. Otherwise the corpus is the
+// golden record of protocol version 1: every message's encoder must write its
+// checked-in seed byte for byte — control messages included, which no
+// fingerprint would notice — the seed must decode, and the retired score frame
+// must still be refused.
 func TestWriteDistDecodeSeedCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzDistDecode")
 	frames := distSeedFrames()
 	if os.Getenv("DIST_WRITE_CORPUS") == "1" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
 		for name, msg := range frames {
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(msg)))
-			if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			wiretest.WriteSeed(t, seedPath(name), msg)
 		}
 		return
 	}
-	for name := range frames {
-		known, spec, err := decodeSized(readSeed(t, name))
-		if !known || err != nil {
-			t.Fatalf("seed corpus %s no longer decodes: known=%v err=%v", name, known, err)
+	for name, msg := range frames {
+		seed := readSeed(t, name)
+		if !bytes.Equal(seed, msg) {
+			t.Fatalf("%s: the encoder writes %d bytes that differ from the %d checked in: the v1 layout moved", name, len(msg), len(seed))
+		}
+		spec, err := decodeMsg(seed)
+		if err != nil {
+			t.Fatalf("seed corpus %s no longer decodes: %v", name, err)
 		}
 		if spec != nil {
 			driveSpec(spec)
 		}
 	}
-	var pe *ProtocolError
-	if known, _, err := decodeSized(readSeed(t, retiredScoreSeed)); !known || !errors.As(err, &pe) {
-		t.Fatalf("the retired score frame decoded: known=%v err=%v, want a *ProtocolError", known, err)
+	if _, err := decodeMsg(readSeed(t, retiredScoreSeed)); !isProtocolError(err) {
+		t.Fatalf("the retired score frame decoded: %v, want a *ProtocolError", err)
 	}
 }

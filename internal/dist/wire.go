@@ -10,13 +10,12 @@
 package dist
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // Version is the protocol version exchanged in the hello handshake. Bump on
@@ -76,231 +75,19 @@ func protoErr(format string, args ...any) error {
 	return &ProtocolError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// --- primitive append/read helpers (little-endian) ---
+// The messages are laid out with internal/wire's appends and parsed with its
+// Reader: every decoder below reads its payload linearly — a count the
+// remaining bytes cannot back fails the reader before anything is allocated
+// for it, so a corrupted count costs at most a small multiple of the frame it
+// arrived in — and asks done once.
 
-func appendU8(b []byte, v uint8) []byte   { return append(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func appendI32(b []byte, v int32) []byte  { return appendU32(b, uint32(v)) }
-func appendI64(b []byte, v int64) []byte  { return appendU64(b, uint64(v)) }
-func appendF64(b []byte, v float64) []byte {
-	return appendU64(b, math.Float64bits(v))
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendStrings(b []byte, ss []string) []byte {
-	b = appendU32(b, uint32(len(ss)))
-	for _, s := range ss {
-		b = appendString(b, s)
+// done returns a protocol error unless the payload parsed fully and exactly.
+func done(r *wire.Reader, what string) error {
+	if r.Failed() {
+		return protoErr("truncated or malformed %s", what)
 	}
-	return b
-}
-
-func appendF64s(b []byte, vs []float64) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendF64(b, v)
-	}
-	return b
-}
-
-func appendI64s(b []byte, vs []int64) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendI64(b, v)
-	}
-	return b
-}
-
-func appendI32s(b []byte, vs []int32) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendI32(b, v)
-	}
-	return b
-}
-
-func appendInts(b []byte, vs []int) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendI64(b, int64(v))
-	}
-	return b
-}
-
-func appendBytes(b []byte, v []byte) []byte {
-	b = appendU32(b, uint32(len(v)))
-	return append(b, v...)
-}
-
-func appendBools(b []byte, vs []bool) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		if v {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return b
-}
-
-// reader consumes a payload with sticky error state: every read reports
-// success through ok(); the first failure poisons the rest, so decode code
-// reads linearly and checks once.
-type reader struct {
-	b    []byte
-	fail bool
-}
-
-func (r *reader) bad() { r.fail = true }
-
-func (r *reader) u8() uint8 {
-	if r.fail || len(r.b) < 1 {
-		r.bad()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.fail || len(r.b) < 4 {
-		r.bad()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.fail || len(r.b) < 8 {
-		r.bad()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reader) i32() int32    { return int32(r.u32()) }
-func (r *reader) i64() int64    { return int64(r.u64()) }
-func (r *reader) f64() float64  { return math.Float64frombits(r.u64()) }
-func (r *reader) boolean() bool { return r.u8() != 0 }
-
-// length reads an element count. Every element of the sequence it announces
-// occupies at least elem bytes of payload, so a count the remaining bytes
-// cannot back is rejected before anything is allocated for it: a corrupted
-// count costs at most a small multiple of the frame it arrived in.
-func (r *reader) length(elem int) int {
-	n := r.u32()
-	if r.fail || uint64(n)*uint64(elem) > uint64(len(r.b)) {
-		r.bad()
-		return 0
-	}
-	return int(n)
-}
-
-func (r *reader) str() string {
-	n := r.length(1)
-	if r.fail {
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *reader) strs() []string {
-	n := r.length(4) // each string: a u32 length
-	if r.fail {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.str()
-	}
-	return out
-}
-
-// resize returns s with length n, reusing its backing when it is large
-// enough; the contents are unspecified.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-func (r *reader) f64s() []float64 { return r.f64sInto(nil) }
-
-// f64sInto is f64s into dst's backing when it is large enough.
-func (r *reader) f64sInto(dst []float64) []float64 {
-	out := resize(dst, r.length(8))
-	for i := range out {
-		out[i] = r.f64()
-	}
-	return out
-}
-
-func (r *reader) i64s() []int64 {
-	out := make([]int64, r.length(8))
-	for i := range out {
-		out[i] = r.i64()
-	}
-	return out
-}
-
-// i32sInto reads an int32 slice into dst's backing when it is large enough.
-func (r *reader) i32sInto(dst []int32) []int32 {
-	out := resize(dst, r.length(4))
-	for i := range out {
-		out[i] = r.i32()
-	}
-	return out
-}
-
-func (r *reader) ints() []int {
-	out := make([]int, r.length(8))
-	for i := range out {
-		out[i] = int(r.i64())
-	}
-	return out
-}
-
-// bytesInto copies a byte string to the end of slab, which must have room
-// for it, and returns the copy (capacity-clipped, so appending to it cannot
-// run into its neighbour).
-func (r *reader) bytesInto(slab *[]byte) []byte {
-	n := r.length(1)
-	start := len(*slab)
-	*slab = append(*slab, r.b[:n]...)
-	r.b = r.b[n:]
-	return (*slab)[start:len(*slab):len(*slab)]
-}
-
-func (r *reader) bools() []bool {
-	out := make([]bool, r.length(1))
-	for i := range out {
-		out[i] = r.boolean()
-	}
-	return out
-}
-
-// done returns a protocol error unless the payload parsed fully and
-// exactly.
-func (r *reader) done(what string) error {
-	if r.fail {
-		return protoErr("truncated %s", what)
-	}
-	if len(r.b) != 0 {
-		return protoErr("%s has %d trailing bytes", what, len(r.b))
+	if n := len(r.Rest()); n != 0 {
+		return protoErr("%s has %d trailing bytes", what, n)
 	}
 	return nil
 }
@@ -308,39 +95,33 @@ func (r *reader) done(what string) error {
 // --- handshake ---
 
 func encodeHello() []byte {
-	b := appendU8(nil, msgHello)
+	b := wire.AppendU8(nil, msgHello)
 	b = append(b, magic...)
-	return appendU32(b, Version)
+	return wire.AppendU32(b, Version)
 }
 
 func decodeHello(p []byte) error {
-	r := &reader{b: p[1:]}
-	if r.fail || len(r.b) < len(magic) {
-		return protoErr("short hello")
-	}
-	got := string(r.b[:len(magic)])
-	r.b = r.b[len(magic):]
-	if got != magic {
+	r := wire.NewReader(p[1:])
+	if got := r.Take(len(magic)); string(got) != magic { // a short hello: no bytes at all
 		return protoErr("bad magic %q", got)
 	}
-	v := r.u32()
-	if err := r.done("hello"); err != nil {
-		return err
-	}
-	if v != Version {
-		return protoErr("version mismatch: peer %d, local %d", v, Version)
-	}
-	return nil
+	return readVersion(&r, "hello")
 }
 
 func encodeHelloAck() []byte {
-	return appendU32(appendU8(nil, msgHelloAck), Version)
+	return wire.AppendU32(wire.AppendU8(nil, msgHelloAck), Version)
 }
 
 func decodeHelloAck(p []byte) error {
-	r := &reader{b: p[1:]}
-	v := r.u32()
-	if err := r.done("helloAck"); err != nil {
+	r := wire.NewReader(p[1:])
+	return readVersion(&r, "helloAck")
+}
+
+// readVersion reads what both handshake messages end with: the peer's
+// protocol version, which must be this one, and nothing after it.
+func readVersion(r *wire.Reader, what string) error {
+	v := r.U32()
+	if err := done(r, what); err != nil {
 		return err
 	}
 	if v != Version {
@@ -360,36 +141,36 @@ type fitOpen struct {
 }
 
 func encodeFitOpen(o *fitOpen) []byte {
-	b := appendU8(nil, msgFitOpen)
-	b = appendU8(b, uint8(o.Source.Kind))
-	b = appendString(b, o.Source.Path)
-	b = appendString(b, o.Source.Label)
-	b = appendI64(b, int64(o.Source.ChunkRows))
-	b = appendStrings(b, o.Names)
-	b = appendU8(b, uint8(o.Task.Kind))
-	b = appendI64(b, int64(o.Task.Classes))
-	b = appendI64(b, int64(o.SketchSize))
-	b = appendI64(b, int64(o.Retry.MaxAttempts))
-	b = appendI64(b, int64(o.Retry.BaseDelay))
-	b = appendI64(b, int64(o.Retry.MaxDelay))
+	b := wire.AppendU8(nil, msgFitOpen)
+	b = wire.AppendU8(b, uint8(o.Source.Kind))
+	b = wire.AppendString(b, o.Source.Path)
+	b = wire.AppendString(b, o.Source.Label)
+	b = wire.AppendI64(b, int64(o.Source.ChunkRows))
+	b = wire.AppendStrings(b, o.Names)
+	b = wire.AppendU8(b, uint8(o.Task.Kind))
+	b = wire.AppendI64(b, int64(o.Task.Classes))
+	b = wire.AppendI64(b, int64(o.SketchSize))
+	b = wire.AppendI64(b, int64(o.Retry.MaxAttempts))
+	b = wire.AppendI64(b, int64(o.Retry.BaseDelay))
+	b = wire.AppendI64(b, int64(o.Retry.MaxDelay))
 	return b
 }
 
 func decodeFitOpen(p []byte) (*fitOpen, error) {
-	r := &reader{b: p[1:]}
+	r := wire.NewReader(p[1:])
 	o := &fitOpen{}
-	o.Source.Kind = int(r.u8())
-	o.Source.Path = r.str()
-	o.Source.Label = r.str()
-	o.Source.ChunkRows = int(r.i64())
-	o.Names = r.strs()
-	o.Task.Kind = core.TaskKind(r.u8())
-	o.Task.Classes = int(r.i64())
-	o.SketchSize = int(r.i64())
-	o.Retry.MaxAttempts = int(r.i64())
-	o.Retry.BaseDelay = time.Duration(r.i64())
-	o.Retry.MaxDelay = time.Duration(r.i64())
-	return o, r.done("fitOpen")
+	o.Source.Kind = int(r.U8())
+	o.Source.Path = r.Str()
+	o.Source.Label = r.Str()
+	o.Source.ChunkRows = int(r.I64())
+	o.Names = r.Strs()
+	o.Task.Kind = core.TaskKind(r.U8())
+	o.Task.Classes = int(r.I64())
+	o.SketchSize = int(r.I64())
+	o.Retry.MaxAttempts = int(r.I64())
+	o.Retry.BaseDelay = time.Duration(r.I64())
+	o.Retry.MaxDelay = time.Duration(r.I64())
+	return o, done(&r, "fitOpen")
 }
 
 // --- ack ---
@@ -402,26 +183,17 @@ type ack struct {
 }
 
 func encodeAck(a *ack) []byte {
-	b := appendU8(nil, msgAck)
-	b = appendU8(b, a.Re)
-	b = appendI64(b, int64(a.Epoch))
-	b = appendBools(b, []bool{a.OK})
-	return appendString(b, a.Msg)
+	b := wire.AppendU8(nil, msgAck)
+	b = wire.AppendU8(b, a.Re)
+	b = wire.AppendI64(b, int64(a.Epoch))
+	b = wire.AppendBools(b, []bool{a.OK})
+	return wire.AppendString(b, a.Msg)
 }
 
 func decodeAck(p []byte) (*ack, error) {
-	r := &reader{b: p[1:]}
-	a := &ack{Re: r.u8(), Epoch: int(r.i64())}
-	oks := r.bools()
-	a.Msg = r.str()
-	if err := r.done("ack"); err != nil {
-		return nil, err
-	}
-	if len(oks) != 1 {
-		return nil, protoErr("ack has %d ok flags", len(oks))
-	}
-	a.OK = oks[0]
-	return a, nil
+	r := wire.NewReader(p[1:])
+	a := &ack{Re: r.U8(), Epoch: int(r.I64()), OK: r.Flag(), Msg: r.Str()}
+	return a, done(&r, "ack")
 }
 
 // --- setLive ---
@@ -433,31 +205,28 @@ type setLive struct {
 }
 
 func encodeSetLive(m *setLive) []byte {
-	b := appendU8(nil, msgSetLive)
-	b = appendI64(b, int64(m.Epoch))
-	b = appendU32(b, uint32(len(m.Nodes)))
+	b := wire.AppendU8(nil, msgSetLive)
+	b = wire.AppendI64(b, int64(m.Epoch))
+	b = wire.AppendU32(b, uint32(len(m.Nodes)))
 	for _, nd := range m.Nodes {
-		b = appendString(b, nd.Name)
-		b = appendString(b, nd.Op)
-		b = appendStrings(b, nd.Inputs)
+		b = wire.AppendString(b, nd.Name)
+		b = wire.AppendString(b, nd.Op)
+		b = wire.AppendStrings(b, nd.Inputs)
 	}
-	return appendStrings(b, m.Live)
+	return wire.AppendStrings(b, m.Live)
 }
 
 func decodeSetLive(p []byte) (*setLive, error) {
-	r := &reader{b: p[1:]}
-	m := &setLive{Epoch: int(r.i64())}
-	n := r.length(12) // a node: two strings and a string list, a u32 length each
-	if !r.fail {
-		m.Nodes = make([]shard.NodeSpec, n)
-		for i := range m.Nodes {
-			m.Nodes[i].Name = r.str()
-			m.Nodes[i].Op = r.str()
-			m.Nodes[i].Inputs = r.strs()
-		}
+	r := wire.NewReader(p[1:])
+	m := &setLive{Epoch: int(r.I64())}
+	m.Nodes = make([]shard.NodeSpec, r.Len(12)) // a node: two strings and a string list, a u32 length each
+	for i := range m.Nodes {
+		m.Nodes[i].Name = r.Str()
+		m.Nodes[i].Op = r.Str()
+		m.Nodes[i].Inputs = r.Strs()
 	}
-	m.Live = r.strs()
-	return m, r.done("setLive")
+	m.Live = r.Strs()
+	return m, done(&r, "setLive")
 }
 
 // --- runPass ---
@@ -490,114 +259,104 @@ type runPass struct {
 }
 
 func appendGenSpec(b []byte, g *shard.GenSpec) []byte {
-	b = appendString(b, g.Op)
-	return appendInts(b, g.Feats)
+	b = wire.AppendString(b, g.Op)
+	return wire.AppendInts(b, g.Feats)
 }
 
-func readGenSpec(r *reader) shard.GenSpec {
-	return shard.GenSpec{Op: r.str(), Feats: r.ints()}
+func readGenSpec(r *wire.Reader) shard.GenSpec {
+	return shard.GenSpec{Op: r.Str(), Feats: r.Ints()}
 }
 
 func encodeRunPass(m *runPass) []byte {
-	b := appendU8(nil, msgRunPass)
-	b = appendI64(b, int64(m.PassID))
-	b = appendI64(b, int64(m.Assign.Mod))
-	b = appendI64(b, int64(m.Assign.Residue))
-	b = appendBools(b, []bool{m.Assign.Explicit != nil})
-	b = appendInts(b, m.Assign.Explicit)
+	b := wire.AppendU8(nil, msgRunPass)
+	b = wire.AppendI64(b, int64(m.PassID))
+	b = wire.AppendI64(b, int64(m.Assign.Mod))
+	b = wire.AppendI64(b, int64(m.Assign.Residue))
+	b = wire.AppendBools(b, []bool{m.Assign.Explicit != nil})
+	b = wire.AppendInts(b, m.Assign.Explicit)
 	s := m.Spec
-	b = appendI64(b, int64(s.Pass))
-	b = appendU8(b, uint8(s.Kind))
-	b = appendI64(b, int64(s.Epoch))
-	b = appendI64(b, 0) // the class count of the retired score passes
-	b = appendU32(b, uint32(len(s.LiveCuts)))
+	b = wire.AppendI64(b, int64(s.Pass))
+	b = wire.AppendU8(b, uint8(s.Kind))
+	b = wire.AppendI64(b, int64(s.Epoch))
+	b = wire.AppendI64(b, 0) // the class count of the retired score passes
+	b = wire.AppendU32(b, uint32(len(s.LiveCuts)))
 	for _, cuts := range s.LiveCuts {
-		b = appendF64s(b, cuts)
+		b = wire.AppendF64s(b, cuts)
 	}
-	b = appendU32(b, 0) // their combination list
-	b = appendU32(b, uint32(len(s.Gens)))
+	b = wire.AppendU32(b, 0) // their combination list
+	b = wire.AppendU32(b, uint32(len(s.Gens)))
 	for i := range s.Gens {
 		b = appendGenSpec(b, &s.Gens[i])
 	}
-	b = appendU32(b, uint32(len(s.Entries)))
+	b = wire.AppendU32(b, uint32(len(s.Entries)))
 	for i := range s.Entries {
 		e := &s.Entries[i]
-		b = appendI64(b, int64(e.Base))
+		b = wire.AppendI64(b, int64(e.Base))
 		b = appendGenSpec(b, &e.Gen)
-		b = appendF64s(b, e.Cuts)
-		b = appendBools(b, []bool{e.NeedCodes})
+		b = wire.AppendF64s(b, e.Cuts)
+		b = wire.AppendBools(b, []bool{e.NeedCodes})
 	}
-	b = appendU32(b, uint32(len(s.Refines)))
+	b = wire.AppendU32(b, uint32(len(s.Refines)))
 	for i := range s.Refines {
 		rf := &s.Refines[i]
-		b = appendI64(b, int64(rf.Col))
+		b = wire.AppendI64(b, int64(rf.Col))
 		b = appendGenSpec(b, &rf.Gen)
-		b = appendI64s(b, rf.Ranks)
-		b = appendF64s(b, rf.Lo)
-		b = appendF64s(b, rf.Hi)
-		b = appendBools(b, rf.Resolved)
+		b = wire.AppendI64s(b, rf.Ranks)
+		b = wire.AppendF64s(b, rf.Lo)
+		b = wire.AppendF64s(b, rf.Hi)
+		b = wire.AppendBools(b, rf.Resolved)
 	}
 	return b
 }
 
 func decodeRunPass(p []byte) (*runPass, error) {
-	r := &reader{b: p[1:]}
-	m := &runPass{PassID: int(r.i64())}
-	m.Assign.Mod = int(r.i64())
-	m.Assign.Residue = int(r.i64())
-	hasExplicit := r.bools()
-	explicit := r.ints() // never nil: an empty list is still a list
-	if len(hasExplicit) == 1 && hasExplicit[0] {
+	r := wire.NewReader(p[1:])
+	m := &runPass{PassID: int(r.I64())}
+	m.Assign.Mod = int(r.I64())
+	m.Assign.Residue = int(r.I64())
+	hasExplicit := r.Flag()
+	explicit := r.Ints() // never nil: an empty list is still a list
+	if hasExplicit {
 		m.Assign.Explicit = explicit
 	}
 	s := &shard.PassSpec{
-		Pass:  int(r.i64()),
-		Kind:  shard.PassKind(r.u8()),
-		Epoch: int(r.i64()),
+		Pass:  int(r.I64()),
+		Kind:  shard.PassKind(r.U8()),
+		Epoch: int(r.I64()),
 	}
 	// Two words of the v1 layout belonged to the score passes (shard's retired
 	// kinds 3–5): a class count, which nothing reads any more, and a
 	// combination list, which no pass that still runs can carry.
-	r.i64()
-	if n := r.length(4); !r.fail {
-		s.LiveCuts = make([][]float64, n)
-		for i := range s.LiveCuts {
-			s.LiveCuts[i] = r.f64s()
-		}
+	r.I64()
+	s.LiveCuts = make([][]float64, r.Len(4))
+	for i := range s.LiveCuts {
+		s.LiveCuts[i] = r.F64s(nil)
 	}
-	if n := r.u32(); n != 0 && !r.fail {
+	if n := r.U32(); n != 0 {
 		return nil, protoErr("runPass carries %d combinations to score: the score passes are retired", n)
 	}
-	if n := r.length(8); !r.fail {
-		s.Gens = make([]shard.GenSpec, n)
-		for i := range s.Gens {
-			s.Gens[i] = readGenSpec(r)
-		}
+	s.Gens = make([]shard.GenSpec, r.Len(8))
+	for i := range s.Gens {
+		s.Gens[i] = readGenSpec(&r)
 	}
-	if n := r.length(24); !r.fail {
-		s.Entries = make([]shard.EntrySpec, n)
-		for i := range s.Entries {
-			s.Entries[i].Base = int(r.i64())
-			s.Entries[i].Gen = readGenSpec(r)
-			s.Entries[i].Cuts = r.f64s()
-			if flags := r.bools(); len(flags) == 1 {
-				s.Entries[i].NeedCodes = flags[0]
-			}
-		}
+	s.Entries = make([]shard.EntrySpec, r.Len(24))
+	for i := range s.Entries {
+		s.Entries[i].Base = int(r.I64())
+		s.Entries[i].Gen = readGenSpec(&r)
+		s.Entries[i].Cuts = r.F64s(nil)
+		s.Entries[i].NeedCodes = r.Flag()
 	}
-	if n := r.length(32); !r.fail {
-		s.Refines = make([]shard.RefineSpec, n)
-		for i := range s.Refines {
-			s.Refines[i].Col = int(r.i64())
-			s.Refines[i].Gen = readGenSpec(r)
-			s.Refines[i].Ranks = r.i64s()
-			s.Refines[i].Lo = r.f64s()
-			s.Refines[i].Hi = r.f64s()
-			s.Refines[i].Resolved = r.bools()
-		}
+	s.Refines = make([]shard.RefineSpec, r.Len(32))
+	for i := range s.Refines {
+		s.Refines[i].Col = int(r.I64())
+		s.Refines[i].Gen = readGenSpec(&r)
+		s.Refines[i].Ranks = r.I64s()
+		s.Refines[i].Lo = r.F64s(nil)
+		s.Refines[i].Hi = r.F64s(nil)
+		s.Refines[i].Resolved = r.Bools()
 	}
 	m.Spec = s
-	return m, r.done("runPass")
+	return m, done(&r, "runPass")
 }
 
 // --- partial ---
@@ -609,6 +368,15 @@ type partialMsg struct {
 	PassID  int
 	Partial shard.Partial
 	slab    []byte // backing of Partial.Blobs[i] and Partial.Codes[i]
+}
+
+// keep copies a byte string to the end of the slab, which has room for it, and
+// returns the copy (capacity-clipped, so appending to it cannot run into its
+// neighbour).
+func (m *partialMsg) keep(v []byte) []byte {
+	start := len(m.slab)
+	m.slab = append(m.slab, v...)
+	return m.slab[start:len(m.slab):len(m.slab)]
 }
 
 // partialSize is the exact length of the partial message AppendPartial
@@ -637,23 +405,23 @@ func AppendPartial(dst []byte, passID int, kind shard.PassKind, p *shard.Partial
 	if need := len(dst) + partialSize(kind, p); cap(dst) < need {
 		b = append(make([]byte, 0, need), dst...)
 	}
-	b = appendU8(b, msgPartial)
-	b = appendI64(b, int64(passID))
-	b = appendI64(b, int64(p.Chunk))
-	b = appendI64(b, int64(p.Start))
-	b = appendI64(b, int64(p.Rows))
-	b = appendF64s(b, p.Labels)
+	b = wire.AppendU8(b, msgPartial)
+	b = wire.AppendI64(b, int64(passID))
+	b = wire.AppendI64(b, int64(p.Chunk))
+	b = wire.AppendI64(b, int64(p.Start))
+	b = wire.AppendI64(b, int64(p.Rows))
+	b = wire.AppendF64s(b, p.Labels)
 	nb := p.BlobCount(kind)
-	b = appendU32(b, uint32(nb))
+	b = wire.AppendU32(b, uint32(nb))
 	for i := 0; i < nb; i++ {
 		at := len(b)
-		b = p.AppendBlob(appendU32(b, 0), kind, i)
-		binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+		b = p.AppendBlob(wire.AppendU32(b, 0), kind, i)
+		wire.PutU32(b[at:], uint32(len(b)-at-4))
 	}
-	b = appendI32s(b, p.Ints)
-	b = appendU32(b, uint32(len(p.Codes)))
+	b = wire.AppendI32s(b, p.Ints)
+	b = wire.AppendU32(b, uint32(len(p.Codes)))
 	for _, codes := range p.Codes {
-		b = appendBytes(b, codes)
+		b = wire.AppendBytes(b, codes)
 	}
 	return b
 }
@@ -675,28 +443,28 @@ func DecodePartial(msg []byte) (passID int, p *shard.Partial, err error) {
 // typically a connection's receive buffer and is overwritten by the next
 // frame.
 func decodePartial(p []byte, m *partialMsg) error {
-	r := &reader{b: p[1:]}
-	m.PassID = int(r.i64())
+	r := wire.NewReader(p[1:])
+	m.PassID = int(r.I64())
 	// Only the plain backings carry over; the typed payload a fold decoded
 	// into the previous tenant is dropped with the rest of it.
 	old := m.Partial
-	m.Partial = shard.Partial{Chunk: int(r.i64()), Start: int(r.i64()), Rows: int(r.i64())}
-	m.Partial.Labels = r.f64sInto(old.Labels)
+	m.Partial = shard.Partial{Chunk: int(r.I64()), Start: int(r.I64()), Rows: int(r.I64())}
+	m.Partial.Labels = r.F64s(old.Labels)
 	// Blob and code bytes are a subset of the message, so one slab of its
 	// length holds them all.
 	if m.slab = m.slab[:0]; cap(m.slab) < len(p) {
 		m.slab = make([]byte, 0, len(p))
 	}
-	m.Partial.Blobs = resize(old.Blobs, r.length(4))
+	m.Partial.Blobs = wire.Resize(old.Blobs, r.Len(4))
 	for i := range m.Partial.Blobs {
-		m.Partial.Blobs[i] = r.bytesInto(&m.slab)
+		m.Partial.Blobs[i] = m.keep(r.Bytes())
 	}
-	m.Partial.Ints = r.i32sInto(old.Ints)
-	m.Partial.Codes = resize(old.Codes, r.length(4))
+	m.Partial.Ints = r.I32s(old.Ints)
+	m.Partial.Codes = wire.Resize(old.Codes, r.Len(4))
 	for i := range m.Partial.Codes {
-		m.Partial.Codes[i] = r.bytesInto(&m.slab)
+		m.Partial.Codes[i] = m.keep(r.Bytes())
 	}
-	return r.done("partial")
+	return done(&r, "partial")
 }
 
 // --- passDone / passErr ---
@@ -709,23 +477,23 @@ type passDone struct {
 }
 
 func encodePassDone(m *passDone) []byte {
-	b := appendU8(nil, msgPassDone)
-	b = appendI64(b, int64(m.PassID))
-	b = appendI64(b, int64(m.Chunks))
-	b = appendI64(b, m.Rows)
-	b = appendI64(b, m.Retries)
+	b := wire.AppendU8(nil, msgPassDone)
+	b = wire.AppendI64(b, int64(m.PassID))
+	b = wire.AppendI64(b, int64(m.Chunks))
+	b = wire.AppendI64(b, m.Rows)
+	b = wire.AppendI64(b, m.Retries)
 	return b
 }
 
 func decodePassDone(p []byte) (*passDone, error) {
-	r := &reader{b: p[1:]}
+	r := wire.NewReader(p[1:])
 	m := &passDone{
-		PassID:  int(r.i64()),
-		Chunks:  int(r.i64()),
-		Rows:    r.i64(),
-		Retries: r.i64(),
+		PassID:  int(r.I64()),
+		Chunks:  int(r.I64()),
+		Rows:    r.I64(),
+		Retries: r.I64(),
 	}
-	return m, r.done("passDone")
+	return m, done(&r, "passDone")
 }
 
 type passErr struct {
@@ -737,22 +505,18 @@ type passErr struct {
 }
 
 func encodePassErr(m *passErr) []byte {
-	b := appendU8(nil, msgPassErr)
-	b = appendI64(b, int64(m.PassID))
-	b = appendI64(b, int64(m.Chunk))
-	b = appendI64(b, int64(m.Attempts))
-	b = appendBools(b, []bool{m.Transient})
-	return appendString(b, m.Msg)
+	b := wire.AppendU8(nil, msgPassErr)
+	b = wire.AppendI64(b, int64(m.PassID))
+	b = wire.AppendI64(b, int64(m.Chunk))
+	b = wire.AppendI64(b, int64(m.Attempts))
+	b = wire.AppendBools(b, []bool{m.Transient})
+	return wire.AppendString(b, m.Msg)
 }
 
 func decodePassErr(p []byte) (*passErr, error) {
-	r := &reader{b: p[1:]}
-	m := &passErr{PassID: int(r.i64()), Chunk: int(r.i64()), Attempts: int(r.i64())}
-	if flags := r.bools(); len(flags) == 1 {
-		m.Transient = flags[0]
-	}
-	m.Msg = r.str()
-	return m, r.done("passErr")
+	r := wire.NewReader(p[1:])
+	m := &passErr{PassID: int(r.I64()), Chunk: int(r.I64()), Attempts: int(r.I64())}
+	m.Transient = r.Flag()
+	m.Msg = r.Str()
+	return m, done(&r, "passErr")
 }
-
-func encodeShutdown() []byte { return appendU8(nil, msgShutdown) }

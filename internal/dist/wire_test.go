@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/shard"
 	"repro/internal/sketch"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // --- message codec round trips ---
@@ -179,7 +182,7 @@ func sketchPartial(chunk int, cols ...[]float64) (*shard.Partial, [][]byte) {
 		q.AddAll(col)
 		p.Quantiles = append(p.Quantiles, q)
 		p.Moments[i].AddAll(col)
-		blobs = append(blobs, sketch.AppendQuantile(nil, q), sketch.AppendMoments(nil, &p.Moments[i]))
+		blobs = append(blobs, sketch.AppendQuantile(nil, q), p.Moments[i].AppendWire(nil))
 	}
 	return p, blobs
 }
@@ -234,65 +237,72 @@ func TestPassErrRoundTrip(t *testing.T) {
 	}
 }
 
-// decodeAny routes a raw message through the codec the dispatch loops use.
-func decodeAny(p []byte) error {
-	var err error
-	switch msgType(p) {
-	case msgHello:
-		err = decodeHello(p)
-	case msgHelloAck:
-		err = decodeHelloAck(p)
-	case msgFitOpen:
-		_, err = decodeFitOpen(p)
-	case msgAck:
-		_, err = decodeAck(p)
-	case msgSetLive:
-		_, err = decodeSetLive(p)
-	case msgRunPass:
-		_, err = decodeRunPass(p)
-	case msgPartial:
-		err = decodePartial(p, &partialMsg{})
-	case msgPassDone:
-		_, err = decodePassDone(p)
-	case msgPassErr:
-		_, err = decodePassErr(p)
-	default:
-		err = protoErr("unknown type %d", msgType(p))
+// TestDecodeRejectsTruncationAndTrailing sweeps every prefix of every
+// message's golden seed through its decoder: a payload cut anywhere must fail
+// as a ProtocolError (never panic, never half-parse), and so must trailing
+// garbage — a message decoder owns its whole frame.
+func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
+	seeds := map[string][]byte{}
+	for name := range distSeedFrames() {
+		seeds[name] = readSeed(t, name)
 	}
-	return err
+	wiretest.Sweep(t, seeds, true, func(b []byte) ([]byte, error) {
+		_, err := decodeMsg(b)
+		return nil, err
+	}, isProtocolError)
 }
 
-// TestDecodeRejectsTruncationAndTrailing sweeps every prefix of every
-// message through its decoder: a payload cut anywhere must fail as a
-// ProtocolError (never panic, never half-parse), and trailing garbage must
-// be rejected too.
-func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
-	p, _ := sketchPartial(1, []float64{1, 2})
-	msgs := map[string][]byte{
-		"hello":    encodeHello(),
-		"helloAck": encodeHelloAck(),
-		"fitOpen": encodeFitOpen(&fitOpen{
-			Source: SourceSpec{Kind: SourceColstore, Path: "x.col"},
-			Names:  []string{"a", "b"}, Task: core.BinaryTask(), SketchSize: 64,
-		}),
-		"ack":      encodeAck(&ack{Re: msgSetLive, Epoch: 1, OK: true, Msg: "m"}),
-		"setLive":  encodeSetLive(&setLive{Epoch: 1, Nodes: []shard.NodeSpec{{Name: "n", Op: "o", Inputs: []string{"a"}}}, Live: []string{"a"}}),
-		"runPass":  encodeRunPass(&runPass{PassID: 1, Assign: assignment{Mod: 2}, Spec: fullPassSpec()}),
-		"partial":  AppendPartial(nil, 1, shard.PassBaseSketch, p),
-		"passDone": encodePassDone(&passDone{PassID: 1, Chunks: 2, Rows: 10}),
-		"passErr":  encodePassErr(&passErr{PassID: 1, Chunk: 0, Attempts: 1, Msg: "m"}),
+// patchFlagCount returns msg with the single-flag list at offset at — count 1,
+// then the flag's byte — rewritten to hold count flags: no byte for 0, the
+// byte and count-1 more for 2 and up. The rest of the message is left as it
+// was, so nothing but the flag's count is wrong with the result.
+func patchFlagCount(t *testing.T, msg []byte, at int, count uint32) []byte {
+	t.Helper()
+	out := append([]byte(nil), msg...)
+	if binary.LittleEndian.Uint32(out[at:]) != 1 || out[at+4] > 1 {
+		t.Fatalf("no flag at offset %d of % x", at, msg)
 	}
-	for name, msg := range msgs {
-		if err := decodeAny(msg); err != nil {
-			t.Fatalf("%s: intact message rejected: %v", name, err)
+	binary.LittleEndian.PutUint32(out[at:], count)
+	if count == 0 {
+		out = append(out[:at+4], out[at+5:]...) // an empty list carries no byte
+	} else {
+		out = append(out[:at+5], append(bytes.Repeat([]byte{1}, int(count)-1), out[at+5:]...)...)
+	}
+	return out
+}
+
+// TestFlagListsMustHoldOneFlag pins the strict flag decode: every boolean of
+// the protocol travels as a list of one, and a frame whose list is empty or
+// longer — well-formed in every other respect, so nothing else rejects it —
+// is a *ProtocolError, not a false. Before, only ack checked; a runPass with a
+// two-element hasExplicit list silently became a residue assignment.
+func TestFlagListsMustHoldOneFlag(t *testing.T) {
+	spec := fullPassSpec()
+	runPassMsg := encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: spec})
+	// runPass: type, pass id, mod, residue — then hasExplicit.
+	hasExplicitAt := 1 + 3*8
+	// The entry's NeedCodes is the last field of the last entry, right before
+	// the refine list's count.
+	refines := wire.AppendU32(nil, uint32(len(spec.Refines)))
+	refines = wire.AppendI64(refines, int64(spec.Refines[0].Col))
+	needCodesAt := bytes.LastIndex(runPassMsg, refines) - 5
+	for _, tc := range []struct {
+		name string
+		msg  []byte
+		at   int
+	}{
+		{"ack.OK", encodeAck(&ack{Re: msgSetLive, Epoch: 1, OK: true, Msg: "m"}), 1 + 1 + 8},
+		{"runPass.hasExplicit", runPassMsg, hasExplicitAt},
+		{"runPass.NeedCodes", runPassMsg, needCodesAt},
+		{"passErr.Transient", encodePassErr(&passErr{PassID: 1, Chunk: 2, Attempts: 3, Transient: true, Msg: "m"}), 1 + 3*8},
+	} {
+		if _, err := decodeMsg(tc.msg); err != nil {
+			t.Fatalf("%s: intact message rejected: %v", tc.name, err)
 		}
-		for cut := 1; cut < len(msg); cut++ {
-			if err := decodeAny(msg[:cut]); err == nil {
-				t.Fatalf("%s truncated to %d/%d bytes decoded without error", name, cut, len(msg))
+		for _, count := range []uint32{0, 2} {
+			if _, err := decodeMsg(patchFlagCount(t, tc.msg, tc.at, count)); !isProtocolError(err) {
+				t.Fatalf("%s with %d flags: error %v (%T), want a *ProtocolError", tc.name, count, err, err)
 			}
-		}
-		if err := decodeAny(append(append([]byte(nil), msg...), 0)); err == nil {
-			t.Fatalf("%s with a trailing byte decoded without error", name)
 		}
 	}
 }
@@ -301,14 +311,13 @@ func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
 // far beyond the remaining payload must fail fast instead of driving a giant
 // make().
 func TestDecodeLengthGuard(t *testing.T) {
-	b := appendU8(nil, msgPartial)
-	b = appendI64(b, 1) // pass id
-	b = appendI64(b, 0) // chunk
-	b = appendI64(b, 0) // start
-	b = appendI64(b, 8) // rows
-	b = appendU32(b, 0xFFFFFFFF)
-	var pe *ProtocolError
-	if err := decodeAny(b); !errors.As(err, &pe) {
+	b := wire.AppendU8(nil, msgPartial)
+	b = wire.AppendI64(b, 1) // pass id
+	b = wire.AppendI64(b, 0) // chunk
+	b = wire.AppendI64(b, 0) // start
+	b = wire.AppendI64(b, 8) // rows
+	b = wire.AppendU32(b, 0xFFFFFFFF)
+	if _, err := decodeMsg(b); !isProtocolError(err) {
 		t.Fatalf("bogus 4G label count: %v", err)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/shard"
 	"repro/internal/sketch"
+	"repro/internal/wire"
 )
 
 // totalAlloc returns the bytes allocated so far by this process.
@@ -38,19 +39,19 @@ func referenceFrame(passID int, kind shard.PassKind, p *shard.Partial) []byte {
 	switch kind {
 	case shard.PassBaseSketch, shard.PassSketchGen:
 		for i, q := range p.Quantiles {
-			blobs = append(blobs, sketch.AppendQuantile(nil, q), sketch.AppendMoments(nil, &p.Moments[i]))
+			blobs = append(blobs, sketch.AppendQuantile(nil, q), p.Moments[i].AppendWire(nil))
 		}
 	case shard.PassRefine:
 		for _, r := range p.Refiners {
-			blobs = append(blobs, sketch.AppendRefinerGather(nil, r))
+			blobs = append(blobs, r.AppendWire(nil))
 		}
 	case shard.PassHistCounts:
 		for _, h := range p.Hists {
 			switch h := h.(type) {
 			case *sketch.LabelHist:
-				blobs = append(blobs, sketch.AppendLabelHist(nil, h))
+				blobs = append(blobs, h.AppendWire(nil))
 			case *sketch.ClassHist:
-				blobs = append(blobs, sketch.AppendClassHist(nil, h))
+				blobs = append(blobs, h.AppendWire(nil))
 			}
 		}
 	case shard.PassGramCodes:
@@ -514,12 +515,12 @@ func TestPartialPoolIsASoftCap(t *testing.T) {
 // headers it would size — 24 bytes a blob, 16 a string — is allocated.
 func TestDecodeCountGuard(t *testing.T) {
 	const n = 1 << 20
-	hdr := appendU8(nil, msgPartial)
+	hdr := wire.AppendU8(nil, msgPartial)
 	for i := 0; i < 4; i++ {
-		hdr = appendI64(hdr, 0)
+		hdr = wire.AppendI64(hdr, 0)
 	}
-	hdr = appendU32(hdr, 0) // no labels
-	hdr = appendU32(hdr, n) // n blobs, backed by n bytes: a quarter of what n lengths need
+	hdr = wire.AppendU32(hdr, 0) // no labels
+	hdr = wire.AppendU32(hdr, n) // n blobs, backed by n bytes: a quarter of what n lengths need
 	msg := append(hdr, make([]byte, n)...)
 	before := totalAlloc()
 	err := decodePartial(msg, &partialMsg{})

@@ -17,10 +17,6 @@ func newTable(header ...string) *table { return &table{header: header} }
 
 func (t *table) addRow(cells ...string) { t.rows = append(t.rows, cells) }
 
-func (t *table) addRowf(format string, args ...interface{}) {
-	t.addRow(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
 func (t *table) render(w io.Writer, title string) {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {

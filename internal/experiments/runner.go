@@ -58,12 +58,6 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions returns a configuration that regenerates all tables at
-// reduced scale in minutes rather than hours.
-func DefaultOptions() Options {
-	return Options{Scale: 0.1, BusinessScale: 0.005, Repeats: 3}
-}
-
 func (o Options) normalise() Options {
 	if o.Scale <= 0 || o.Scale > 1 {
 		o.Scale = 0.1

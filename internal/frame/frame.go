@@ -27,11 +27,6 @@ type Frame struct {
 	Label   []float64
 }
 
-// New creates an empty frame with capacity for the given number of columns.
-func New(numCols int) *Frame {
-	return &Frame{Columns: make([]Column, 0, numCols)}
-}
-
 // NewWithShape creates a frame with cols zero-filled columns of rows rows,
 // named x0..x{cols-1}, and a zero label vector.
 func NewWithShape(rows, cols int) *Frame {
@@ -178,16 +173,6 @@ func (f *Frame) Select(names []string) (*Frame, error) {
 		out.Columns = append(out.Columns, f.Columns[idx])
 	}
 	return out, nil
-}
-
-// SelectIndices returns a new frame with the columns at the given indices,
-// sharing storage.
-func (f *Frame) SelectIndices(idx []int) *Frame {
-	out := &Frame{Columns: make([]Column, 0, len(idx)), Label: f.Label}
-	for _, j := range idx {
-		out.Columns = append(out.Columns, f.Columns[j])
-	}
-	return out
 }
 
 // Subset returns a new frame containing only the given rows (copied).

@@ -216,14 +216,6 @@ func Train(cols [][]float64, labels []float64, names []string, cfg Config) (*Mod
 	return trainInternal(context.Background(), cols, labels, names, cfg, nil)
 }
 
-// TrainCtx is Train with cooperative cancellation: the boosting loop checks
-// ctx between rounds and returns ctx.Err() once it is cancelled or past its
-// deadline, abandoning the partial model. A completed training run is never
-// failed retroactively.
-func TrainCtx(ctx context.Context, cols [][]float64, labels []float64, names []string, cfg Config) (*Model, error) {
-	return trainInternal(ctx, cols, labels, names, cfg, nil)
-}
-
 // Prebinned is a feature matrix already quantised to per-feature bin codes:
 // Codes[j][i] is 0 for a missing value and 1+b for a value in bin b, where
 // bin b spans (Cuts[j][b-1], Cuts[j][b]] — exactly the encoding the internal
@@ -289,8 +281,10 @@ func TrainBinned(pb *Prebinned, labels []float64, names []string, cfg Config) (*
 	return TrainBinnedCtx(context.Background(), pb, labels, names, cfg)
 }
 
-// TrainBinnedCtx is TrainBinned with the per-round cancellation contract of
-// TrainCtx.
+// TrainBinnedCtx is TrainBinned with cooperative cancellation: the boosting
+// loop checks ctx between rounds and returns ctx.Err() once it is cancelled or
+// past its deadline, abandoning the partial model. A completed training run is
+// never failed retroactively.
 func TrainBinnedCtx(ctx context.Context, pb *Prebinned, labels []float64, names []string, cfg Config) (*Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -1056,24 +1050,6 @@ func (m *Model) PredictRowVector(row []float64) []float64 {
 	s := m.rawScores(row)
 	softmaxInPlace(s)
 	return s
-}
-
-// PredictVector scores column-major data, returning one PredictRowVector
-// per row.
-func (m *Model) PredictVector(cols [][]float64) [][]float64 {
-	if len(cols) == 0 {
-		return nil
-	}
-	n := len(cols[0])
-	out := make([][]float64, n)
-	row := make([]float64, len(cols))
-	for i := 0; i < n; i++ {
-		for j := range cols {
-			row[j] = cols[j][i]
-		}
-		out[i] = m.PredictRowVector(row)
-	}
-	return out
 }
 
 // Argmax returns the index of the largest value (first on ties) — the rule

@@ -131,13 +131,3 @@ func (m *Model) TotalGainImportance() []float64 {
 	}
 	return total
 }
-
-// NumNodes returns the total node count across all trees (used by tests and
-// complexity reporting).
-func (m *Model) NumNodes() int {
-	n := 0
-	for _, t := range m.Trees {
-		n += len(t.Nodes)
-	}
-	return n
-}

@@ -211,51 +211,39 @@ func (p *Partial) BlobCount(kind PassKind) int {
 	return 0
 }
 
-// BlobSize is the exact encoded size of blob i — every family's size is a
-// closed formula of its lengths.
-func (p *Partial) BlobSize(kind PassKind, i int) int {
+// wireForm is what every sketch family a partial ships implements: an exact
+// encoded size and the append that writes that many bytes.
+type wireForm interface {
+	WireSize() int
+	AppendWire(b []byte) []byte
+}
+
+// blob returns the sketch behind blob i of the kind's typed payload, in the
+// order Decode reads them back. A count-valued criterion histogram is one of
+// the two families with a wire form; a kernel puts no other in a partial.
+func (p *Partial) blob(kind PassKind, i int) wireForm {
 	switch kind {
 	case PassBaseSketch, PassSketchGen:
 		if i%2 == 1 {
-			return sketch.MomentsWireSize
+			return &p.Moments[i/2]
 		}
-		return sketch.QuantileWireSize(p.Quantiles[i/2])
+		return p.Quantiles[i/2]
 	case PassRefine:
-		return sketch.RefinerGatherWireSize(p.Refiners[i])
+		return p.Refiners[i]
 	case PassHistCounts:
-		switch h := p.Hists[i].(type) {
-		case *sketch.LabelHist:
-			return sketch.LabelHistWireSize(h)
-		case *sketch.ClassHist:
-			return sketch.ClassHistWireSize(h)
-		}
-	case PassGramCodes:
-		return sketch.GramWireSize(p.Gram)
+		return p.Hists[i].(wireForm)
+	default: // PassGramCodes: BlobCount is 0 for every other kind
+		return p.Gram
 	}
-	return 0
 }
+
+// BlobSize is the exact encoded size of blob i — every family's size is a
+// closed formula of its lengths.
+func (p *Partial) BlobSize(kind PassKind, i int) int { return p.blob(kind, i).WireSize() }
 
 // AppendBlob appends blob i's wire form — BlobSize(kind, i) bytes — to b.
 func (p *Partial) AppendBlob(b []byte, kind PassKind, i int) []byte {
-	switch kind {
-	case PassBaseSketch, PassSketchGen:
-		if i%2 == 1 {
-			return sketch.AppendMoments(b, &p.Moments[i/2])
-		}
-		return sketch.AppendQuantile(b, p.Quantiles[i/2])
-	case PassRefine:
-		return sketch.AppendRefinerGather(b, p.Refiners[i])
-	case PassHistCounts:
-		switch h := p.Hists[i].(type) {
-		case *sketch.LabelHist:
-			return sketch.AppendLabelHist(b, h)
-		case *sketch.ClassHist:
-			return sketch.AppendClassHist(b, h)
-		}
-	case PassGramCodes:
-		return sketch.AppendGram(b, p.Gram)
-	}
-	return b
+	return p.blob(kind, i).AppendWire(b)
 }
 
 // Decode rebuilds the typed payload of a partial that arrived in wire form
@@ -304,13 +292,9 @@ func (p *Partial) Decode(kind PassKind, arena *sketch.Arena) error {
 	case PassHistCounts:
 		p.Hists = make([]sketch.CriterionHist, len(p.Blobs))
 		for i, b := range p.Blobs {
-			v, _, err := sketch.DecodeAny(b)
+			h, _, err := sketch.DecodeCountHist(b)
 			if err != nil {
 				return fail(i, err)
-			}
-			h, ok := v.(sketch.CriterionHist)
-			if !ok {
-				return fail(i, fmt.Errorf("decoded %T, want a criterion histogram", v))
 			}
 			p.Hists[i] = h
 		}
@@ -629,9 +613,6 @@ func (ws *WorkerState) SetLive(epoch int, nodes []NodeSpec, live []string) error
 	ws.epoch = epoch
 	return nil
 }
-
-// Epoch returns the installed live-set epoch.
-func (ws *WorkerState) Epoch() int { return ws.epoch }
 
 // Release returns a partial's pooled buffers to the arena. The partial (and
 // anything aliasing its payload) must not be used afterwards.

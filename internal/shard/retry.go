@@ -40,9 +40,6 @@ func DefaultRetryPolicy() RetryPolicy {
 // off, so Config.Retry costs nothing unless asked for.
 func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
 
-// Enabled reports whether the policy retries at all.
-func (p RetryPolicy) Enabled() bool { return p.enabled() }
-
 // Delay returns the deterministic backoff before retry attempt n (1-based):
 // BaseDelay doubled per prior retry, capped at MaxDelay. Exported for the
 // distributed transport, which retries transient frame faults on the same

@@ -45,11 +45,12 @@ func newLocalExec(ctx context.Context, src frame.ChunkSource, cfg Config, pool *
 	// retried read resolves inside one Next call, so it never becomes a
 	// sticky stream error.
 	l.src = NewRetrySource(ctx, src, cfg.Retry, &l.retries)
-	// One consumer holds one chunk at a time, so the lease pool is the
-	// read-ahead plus that one; without read-ahead the source's own chunk is
-	// used as it is (zero-copy).
-	if depth := prefetchDepth(cfg.Prefetch, pool.Workers()); depth > 0 {
-		l.pf = frame.NewPrefetch(l.src, depth, 1)
+	// A pool with a worker to spare reads two chunks ahead: decode of the next
+	// overlaps compute of this one. One consumer holds one chunk at a time, so
+	// the lease pool is the read-ahead plus that one; on a one-worker pool the
+	// source's own chunk is used as it is (zero-copy).
+	if pool.Workers() > 1 {
+		l.pf = frame.NewPrefetch(l.src, 2, 1)
 		l.src = l.pf
 	}
 	return l

@@ -223,6 +223,17 @@ var corruptions = []struct {
 	{"id below NaN marker",
 		[]shard.PassKind{shard.PassHistIDs},
 		func(p *shard.Partial, _ bool) { p.Ints[0] = -2 }},
+	// Wire tag 5 was a MomentHist codec no fit used; a hist-counts partial must
+	// not take one in, by either road.
+	{"MomentHist as a count histogram",
+		[]shard.PassKind{shard.PassHistCounts},
+		func(p *shard.Partial, wire bool) {
+			if wire {
+				p.Blobs[0] = append([]byte{5}, p.Blobs[0][1:]...)
+				return
+			}
+			p.Hists[0] = sketch.NewMomentHist(nil)
+		}},
 	{"truncated blob",
 		[]shard.PassKind{shard.PassBaseSketch, shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes},
 		func(p *shard.Partial, wire bool) {
@@ -415,7 +426,7 @@ func TestSeamPartialSizedByBudget(t *testing.T) {
 	}
 	// An empty one-level sketch's encoding: tag, size, count, NaN count, min,
 	// max, level count, then the level's point count and error.
-	header := sketch.QuantileWireSize(sketch.NewQuantile(1)) + 4 + 8
+	header := sketch.NewQuantile(1).WireSize() + 4 + 8
 	for _, sketchSize := range []int{0, 128} { // the default, and a user's size below the budget
 		budget := shard.PartialSize
 		if sketchSize > 0 && sketchSize < budget {

@@ -34,12 +34,6 @@ type Config struct {
 	// stage; cut placement is then off by at most the sketches' rank error
 	// bound (Stats.MaxQuantileRankError).
 	ApproxCuts bool
-	// Prefetch bounds the chunk read-ahead of every streaming pass: the next
-	// Prefetch chunks are read and decoded in the background while the
-	// current one is processed and folded. 0 picks the default (2 when the
-	// fit runs parallel workers, off for a single worker); < 0 disables
-	// read-ahead.
-	Prefetch int
 	// Retry bounds transient chunk-read retries (see RetryPolicy). The zero
 	// value disables retrying: every read error aborts the fit immediately.
 	// Retried reads re-run before the chunk is folded, so a recovered fit
@@ -50,8 +44,8 @@ type Config struct {
 	// wherever the executor runs it. The fit loop is the same either way — it
 	// reifies each pass into a PassSpec and folds the returned partials in
 	// partition order — so selection stays bit-identical for any executor
-	// worker count. Retry and Prefetch are ignored (fault handling moves below
-	// the executor's fold); the caller owns the executor's lifecycle.
+	// worker count. Retry is ignored (fault handling moves below the executor's
+	// fold); the caller owns the executor's lifecycle.
 	Exec Executor
 }
 
@@ -196,19 +190,6 @@ type fitter struct {
 	liveEpoch int      // live-set epoch last pushed through exec.SetLive
 
 	stats Stats
-}
-
-// prefetchDepth resolves the Config.Prefetch knob: explicit depth wins, 0 is
-// auto (read-ahead 2 for parallel fits), negative means no prefetcher.
-func prefetchDepth(pref, workers int) int {
-	switch {
-	case pref > 0:
-		return pref
-	case pref == 0 && workers > 1:
-		return 2
-	default:
-		return 0
-	}
 }
 
 // each runs fn(i) for every i in [0,n) on the fit's pool — the per-candidate

@@ -12,9 +12,9 @@ import (
 	"repro/internal/frame"
 )
 
-// workload generates the same deterministic synthetic datasets the perf
-// harness fits (internal/benchkit's shapes: Interactions = Dim/3, dataset
-// seed 11), so equality tests pin the benchmarked distribution.
+// workload generates a deterministic synthetic dataset in the shape the
+// repository benchmark fits (bench/workload.go: Interactions = Dim/3, signal
+// scale 2.5), so equality tests pin the benchmarked distribution.
 func workload(t *testing.T, rows, dim int) *frame.Frame {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.Spec{

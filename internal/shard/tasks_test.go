@@ -9,9 +9,9 @@ import (
 	"repro/internal/frame"
 )
 
-// taskWorkload generates the benchkit-shaped synthetic dataset with the
-// given target kind, so the per-task equality pins cover the same planted
-// signal the benchmark harness fits.
+// taskWorkload generates the benchmark-shaped synthetic dataset (see workload)
+// with the given target kind, so the per-task equality pins cover the same
+// planted signal the benchmark harness fits.
 func taskWorkload(t *testing.T, rows, dim int, target datagen.TargetKind, classes int) *frame.Frame {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.Spec{

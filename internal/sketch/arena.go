@@ -12,6 +12,9 @@ import "sync"
 // removes the allocation churn that dominated the sharded engine's profile
 // (partial sketches alone were ~80% of allocs).
 //
+// A nil *Arena pools nothing — Quantile and Gram allocate, PutQuantile and
+// PutGram drop — which is how the wire decoders serve a caller that has none.
+//
 // An Arena is safe for concurrent use: partition workers take objects while
 // the ordered fold returns them from a different goroutine. Operations are
 // O(free-list length) under one mutex, which is uncontended next to the
@@ -46,6 +49,9 @@ func (a *Arena) Quantile(size int) *Quantile {
 	if size <= 0 {
 		size = DefaultSize
 	}
+	if a == nil {
+		return NewQuantile(size)
+	}
 	a.mu.Lock()
 	pool := a.quants[size]
 	if n := len(pool); n > 0 {
@@ -61,7 +67,7 @@ func (a *Arena) Quantile(size int) *Quantile {
 
 // PutQuantile resets a sketch and returns it to the pool.
 func (a *Arena) PutQuantile(q *Quantile) {
-	if q == nil {
+	if a == nil || q == nil {
 		return
 	}
 	q.Reset()
@@ -126,6 +132,9 @@ func (a *Arena) PutBytes(s []uint8) { putSlice(a, &a.bytes, s) }
 
 // Gram returns a zeroed co-moment accumulator over k columns.
 func (a *Arena) Gram(k int) *Gram {
+	if a == nil {
+		return NewGram(k)
+	}
 	a.mu.Lock()
 	for i, g := range a.grams {
 		if g.k == k {
@@ -143,7 +152,7 @@ func (a *Arena) Gram(k int) *Gram {
 
 // PutGram zeroes an accumulator and returns it to the pool.
 func (a *Arena) PutGram(g *Gram) {
-	if g == nil {
+	if a == nil || g == nil {
 		return
 	}
 	g.Reset()

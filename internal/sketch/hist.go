@@ -35,9 +35,6 @@ func NewLabelHist(cuts []float64) *LabelHist {
 	return h
 }
 
-// Cuts returns the histogram's cut points (not a copy).
-func (h *LabelHist) Cuts() []float64 { return h.cuts }
-
 // Shadow returns a histogram sharing h's cut points and bucket index
 // (read-only) with fresh counts, so partitions can accumulate concurrently
 // and fold back with Merge — counts are integral, so the fold is exact. A

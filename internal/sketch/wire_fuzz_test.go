@@ -1,18 +1,28 @@
 package sketch
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
-// wireSeedFrames builds one valid encoding per wire family, the seed corpus
-// FuzzSketchDecode mutates from.
+// retiredMomentHistSeed is the corpus entry no encoder here can write any
+// more: a MomentHist under family tag 5, as the removed codec wrote it (no fit
+// ever sent one). It stays checked in as the decoders' rejection case.
+const retiredMomentHistSeed = "momenthist"
+
+func seedPath(name string) string {
+	return filepath.Join("testdata", "fuzz", "FuzzSketchDecode", "seed-"+name)
+}
+
+// wireSeedFrames builds one valid encoding per wire family: the seed corpus
+// FuzzSketchDecode mutates from, and — checked in — the v1 golden bytes.
 func wireSeedFrames() map[string][]byte {
 	rng := rand.New(rand.NewSource(7))
 	q := NewQuantile(16)
@@ -30,9 +40,6 @@ func wireSeedFrames() map[string][]byte {
 	ch := NewClassHist([]float64{0, 1}, 3)
 	ch.AddCol([]float64{-1, 0.5, 2, math.NaN()}, []float64{0, 1, 2, 1})
 
-	mh := NewMomentHist([]float64{0})
-	mh.AddCol([]float64{-1, 1, math.NaN()}, []float64{2, 3, 4})
-
 	g := NewGram(3)
 	g.AddChunk([][]float64{{1, 2}, {3, math.NaN()}, {5, 6}})
 
@@ -41,13 +48,12 @@ func wireSeedFrames() map[string][]byte {
 	sh.AddChunk([]float64{0.1, -0.3, 2.5})
 
 	return map[string][]byte{
-		"quantile":   AppendQuantile(nil, q),
-		"moments":    AppendMoments(nil, m),
-		"labelhist":  AppendLabelHist(nil, lh),
-		"classhist":  AppendClassHist(nil, ch),
-		"momenthist": AppendMomentHist(nil, mh),
-		"gram":       AppendGram(nil, g),
-		"refgather":  AppendRefinerGather(nil, sh),
+		"quantile":  q.AppendWire(nil),
+		"moments":   m.AppendWire(nil),
+		"labelhist": lh.AppendWire(nil),
+		"classhist": ch.AppendWire(nil),
+		"gram":      g.AppendWire(nil),
+		"refgather": sh.AppendWire(nil),
 	}
 }
 
@@ -58,7 +64,9 @@ func wireSeedFrames() map[string][]byte {
 // live in testdata/fuzz/FuzzSketchDecode (regenerate with
 // SKETCH_WRITE_CORPUS=1 go test ./internal/sketch -run TestWriteSketchDecodeSeedCorpus).
 func FuzzSketchDecode(f *testing.F) {
-	for _, frame := range wireSeedFrames() {
+	frames := wireSeedFrames()
+	frames[retiredMomentHistSeed] = wiretest.ReadSeed(f, seedPath(retiredMomentHistSeed)) // mutate around the rejection case too
+	for _, frame := range frames {
 		f.Add(frame)
 		if len(frame) > 8 {
 			trunc := frame[:len(frame)/2]
@@ -102,8 +110,6 @@ func FuzzSketchDecode(f *testing.F) {
 			if err := s.Merge(s.Shadow()); err != nil {
 				t.Fatalf("merge own shadow: %v", err)
 			}
-		case *MomentHist:
-			s.Criterion()
 		case *Gram:
 			fresh := NewGram(s.K())
 			fresh.Merge(s)
@@ -127,35 +133,52 @@ func FuzzSketchDecode(f *testing.F) {
 }
 
 // TestWriteSketchDecodeSeedCorpus regenerates the checked-in seed corpus for
-// FuzzSketchDecode when SKETCH_WRITE_CORPUS=1 is set; otherwise it verifies
-// the corpus files exist and are valid frames, so corpus rot fails the build.
+// FuzzSketchDecode when SKETCH_WRITE_CORPUS=1 is set. Otherwise the corpus is
+// the golden record of wire format v1: every family's encoder must write its
+// checked-in seed byte for byte, the seed must decode, and the retired
+// MomentHist frame must be refused typed — by the self-describing decoder and
+// by the one a hist-counts partial goes through.
 func TestWriteSketchDecodeSeedCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzSketchDecode")
 	frames := wireSeedFrames()
 	if os.Getenv("SKETCH_WRITE_CORPUS") == "1" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
 		for name, frame := range frames {
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(frame)))
-			if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			wiretest.WriteSeed(t, seedPath(name), frame)
 		}
 		return
 	}
-	for name := range frames {
-		p := filepath.Join(dir, "seed-"+name)
-		body, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatalf("missing seed corpus %s (regenerate with SKETCH_WRITE_CORPUS=1): %v", p, err)
+	for name, frame := range frames {
+		seed := wiretest.ReadSeed(t, seedPath(name))
+		if !bytes.Equal(seed, frame) {
+			t.Fatalf("%s: the encoder writes %d bytes that differ from the %d checked in: the v1 layout moved", name, len(frame), len(seed))
 		}
-		var quoted string
-		if _, err := fmt.Sscanf(string(body), "go test fuzz v1\n[]byte(%q)\n", &quoted); err != nil {
-			t.Fatalf("seed corpus %s not in go fuzz v1 format: %v", p, err)
-		}
-		if _, _, err := DecodeAny([]byte(quoted)); err != nil {
-			t.Fatalf("seed corpus %s no longer decodes: %v", p, err)
+		if _, rest, err := DecodeAny(seed); err != nil || len(rest) != 0 {
+			t.Fatalf("seed corpus %s no longer decodes: %v (%d bytes left)", name, err, len(rest))
 		}
 	}
+	retired := wiretest.ReadSeed(t, seedPath(retiredMomentHistSeed))
+	var de *DecodeError
+	if _, _, err := DecodeAny(retired); !errors.As(err, &de) {
+		t.Fatalf("the retired MomentHist frame decoded: %v, want a *DecodeError", err)
+	}
+	if h, _, err := DecodeCountHist(retired); !errors.As(err, &de) || h != nil {
+		t.Fatalf("the retired MomentHist frame decoded as a count histogram: %v, %v", h, err)
+	}
+}
+
+// TestDecodeRejectsTruncationAndTrailing sweeps every prefix of every family's
+// golden seed through its decoder, and hands each decoder its seed with a byte
+// to spare: the family decoders do not own their buffer, so the byte comes
+// back as the remainder.
+func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
+	seeds := map[string][]byte{}
+	for name := range wireSeedFrames() {
+		seeds[name] = wiretest.ReadSeed(t, seedPath(name))
+	}
+	wiretest.Sweep(t, seeds, false, func(b []byte) ([]byte, error) {
+		_, rest, err := DecodeAny(b)
+		return rest, err
+	}, func(err error) bool {
+		var de *DecodeError
+		return errors.As(err, &de)
+	})
 }

@@ -71,7 +71,7 @@ func levelsEmpty(levels [][]wpoint) bool {
 func TestMomentsWireRoundTrip(t *testing.T) {
 	m := &Moments{}
 	m.AddAll([]float64{1, 2, math.NaN(), 4, 8, -3})
-	dec, rest, err := DecodeMoments(AppendMoments(nil, m))
+	dec, rest, err := DecodeMoments(m.AppendWire(nil))
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: %v (rest %d)", err, len(rest))
 	}
@@ -86,7 +86,7 @@ func TestLabelHistWireRoundTrip(t *testing.T) {
 		[]float64{-2, -1, 0.5, 3, math.NaN(), 0},
 		[]float64{1, 0, 1, 1, 1, 0},
 	)
-	dec, rest, err := DecodeLabelHist(AppendLabelHist(nil, h))
+	dec, rest, err := DecodeLabelHist(h.AppendWire(nil))
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: %v (rest %d)", err, len(rest))
 	}
@@ -105,7 +105,7 @@ func TestClassHistWireRoundTrip(t *testing.T) {
 		[]float64{-1, 1, 3, math.NaN(), 2},
 		[]float64{0, 1, 2, 1, 0},
 	)
-	dec, rest, err := DecodeClassHist(AppendClassHist(nil, h))
+	dec, rest, err := DecodeClassHist(h.AppendWire(nil))
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: %v (rest %d)", err, len(rest))
 	}
@@ -114,19 +114,6 @@ func TestClassHistWireRoundTrip(t *testing.T) {
 	}
 	if err := h.Merge(dec); err != nil {
 		t.Fatalf("merge decoded: %v", err)
-	}
-}
-
-func TestMomentHistWireRoundTrip(t *testing.T) {
-	h := NewMomentHist([]float64{0, 1})
-	h.AddCol([]float64{-1, 0.5, 2, math.NaN()}, []float64{1, 2, 3, 4})
-	dec, rest, err := DecodeMomentHist(AppendMomentHist(nil, h))
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("decode: %v (rest %d)", err, len(rest))
-	}
-	if !reflect.DeepEqual(dec.cnt, h.cnt) || !reflect.DeepEqual(dec.sum, h.sum) ||
-		!reflect.DeepEqual(dec.sumsq, h.sumsq) || dec.nanN != h.nanN {
-		t.Fatalf("round trip changed moments")
 	}
 }
 
@@ -172,7 +159,7 @@ func TestRefinerGatherWireRoundTrip(t *testing.T) {
 
 		rsh := NewShadowRefiner(rks, lo, hi, resolved)
 		rsh.AddChunk(chunk)
-		dec, rest, err := DecodeRefinerGather(AppendRefinerGather(nil, rsh))
+		dec, rest, err := DecodeRefinerGather(rsh.AppendWire(nil))
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode gather: %v (rest %d)", err, len(rest))
 		}
@@ -188,7 +175,7 @@ func TestRefinerGatherWireRoundTrip(t *testing.T) {
 func TestDecodeAnyDispatch(t *testing.T) {
 	m := &Moments{}
 	m.Add(3)
-	v, _, err := DecodeAny(AppendMoments(nil, m))
+	v, _, err := DecodeAny(m.AppendWire(nil))
 	if err != nil {
 		t.Fatalf("DecodeAny: %v", err)
 	}
@@ -204,23 +191,19 @@ func TestDecodeAnyDispatch(t *testing.T) {
 	}
 }
 
-// TestDecodeCorruptedTyped pins the failure mode for structurally corrupted
-// frames: a typed *DecodeError, never a panic and never silent success when
-// an invariant is broken.
+// TestDecodeCorruptedTyped pins the failure mode for frames that are whole but
+// wrong: a typed *DecodeError, never a panic and never silent success when
+// an invariant is broken. (Truncation is TestDecodeRejectsTruncationAndTrailing.)
 func TestDecodeCorruptedTyped(t *testing.T) {
 	q := randomQuantile(rand.New(rand.NewSource(5)), 32, 500)
 	enc := AppendQuantile(nil, q)
-	corruptions := map[string][]byte{
-		"empty":     {},
-		"truncated": enc[:len(enc)/2],
-		"wrong tag": append([]byte{wireGram}, enc[1:]...),
-	}
 	// Flip the count so level weights no longer sum to it.
 	bad := append([]byte(nil), enc...)
 	bad[5] ^= 0xff
-	corruptions["count flip"] = bad
-
-	for name, b := range corruptions {
+	for name, b := range map[string][]byte{
+		"wrong tag":  append([]byte{wireGram}, enc[1:]...),
+		"count flip": bad,
+	} {
 		_, _, err := DecodeQuantile(b)
 		var de *DecodeError
 		if !errors.As(err, &de) {
@@ -236,35 +219,35 @@ func TestWireSizesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 40, 700, 5000} {
 		q := randomQuantile(rng, 64, n)
-		if got, want := QuantileWireSize(q), len(AppendQuantile(nil, q)); got != want {
+		if got, want := q.WireSize(), len(q.AppendWire(nil)); got != want {
 			t.Fatalf("quantile over %d values: size %d, encodes to %d", n, got, want)
 		}
 	}
 	m := &Moments{}
 	m.AddAll([]float64{1, 2, math.NaN()})
-	if got := len(AppendMoments(nil, m)); got != MomentsWireSize {
-		t.Fatalf("moments: size %d, encodes to %d", MomentsWireSize, got)
+	if got, want := m.WireSize(), len(m.AppendWire(nil)); got != want {
+		t.Fatalf("moments: size %d, encodes to %d", got, want)
 	}
 	lh := NewLabelHist([]float64{-1, 0, 1})
 	lh.AddCol([]float64{-2, 0.5, math.NaN()}, []float64{1, 0, 1})
-	if got, want := LabelHistWireSize(lh), len(AppendLabelHist(nil, lh)); got != want {
+	if got, want := lh.WireSize(), len(lh.AppendWire(nil)); got != want {
 		t.Fatalf("labelhist: size %d, encodes to %d", got, want)
 	}
 	ch := NewClassHist([]float64{0, 2}, 3)
 	ch.AddCol([]float64{-1, 1, 3}, []float64{0, 1, 2})
-	if got, want := ClassHistWireSize(ch), len(AppendClassHist(nil, ch)); got != want {
+	if got, want := ch.WireSize(), len(ch.AppendWire(nil)); got != want {
 		t.Fatalf("classhist: size %d, encodes to %d", got, want)
 	}
 	for _, k := range []int{0, 1, 2, 5} {
 		g := NewGram(k)
-		if got, want := GramWireSize(g), len(AppendGram(nil, g)); got != want {
+		if got, want := g.WireSize(), len(g.AppendWire(nil)); got != want {
 			t.Fatalf("gram k=%d: size %d, encodes to %d", k, got, want)
 		}
 	}
 	q := randomQuantile(rng, 32, 3000)
 	sh := NewRefiner(q, CutRanks(q.Count(), 10)).Shadow()
 	sh.AddChunk([]float64{0.5, -3, 12, 12, 7})
-	if got, want := RefinerGatherWireSize(sh), len(AppendRefinerGather(nil, sh)); got != want {
+	if got, want := sh.WireSize(), len(sh.AppendWire(nil)); got != want {
 		t.Fatalf("refgather: size %d, encodes to %d", got, want)
 	}
 }
