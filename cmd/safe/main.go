@@ -101,6 +101,7 @@ func main() {
 		pipeline *safe.Pipeline
 		report   *safe.Report
 		train    *safe.Frame // in-memory fits keep the frame for -out
+		sharded  bool        // the fit streams its source: there is no frame to keep
 		err      error
 	)
 	switch {
@@ -130,7 +131,7 @@ func main() {
 		// a shard count is given, a cheap row-count pre-pass sizes the
 		// chunks.
 		source := safe.FromCSVFile(*trainPath, *labelCol)
-		sharded := isColstorePath(*trainPath) || *chunkRows > 0 || *shards > 0 || *distribute != ""
+		sharded = isColstorePath(*trainPath) || *chunkRows > 0 || *shards > 0 || *distribute != ""
 		switch {
 		case *retry > 1 && !sharded:
 			fmt.Fprintln(os.Stderr, "safe: note: -retry applies to sharded fits only (combine with -chunk-rows/-shards or a .col file); ignoring")
@@ -231,7 +232,7 @@ func main() {
 		target = train
 	}
 	if target == nil {
-		if *outPath != "" && (*chunkRows > 0 || *shards > 0) {
+		if *outPath != "" && sharded {
 			fmt.Println("note: out-of-core fit does not keep the training data in memory; pass -test to transform a dataset")
 		}
 		return // nothing in memory to transform

@@ -275,36 +275,60 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
+// slowChunks delays every chunk read, so that the streaming passes before the
+// first round take far longer than any timing slack.
+type slowChunks struct {
+	safe.ChunkSource
+	delay time.Duration
+}
+
+func (c slowChunks) Next() (*safe.Chunk, error) {
+	time.Sleep(c.delay)
+	return c.ChunkSource.Next()
+}
+
 // TestFitEvents pins the event-stream protocol: balanced spans in order,
-// monotone rows, and report stage timings fed by the same instrumentation.
+// monotone rows, report stage timings fed by the same instrumentation, one
+// clock — started at fit-start — behind fit-end's Elapsed and Report.Total,
+// and one protocol: the in-memory and the sharded fit of the same frame emit
+// the same events with the same counts, Rows and Elapsed apart.
 func TestFitEvents(t *testing.T) {
+	train := workload(t, 3000, 8, safe.BinaryTask())
+	type stamped struct {
+		safe.FitEvent
+		at time.Time
+	}
+	streams := map[string][]stamped{}
+	reports := map[string]*safe.Report{}
 	for _, sharded := range []bool{false, true} {
 		name := "in-memory"
 		if sharded {
 			name = "sharded"
 		}
 		t.Run(name, func(t *testing.T) {
-			train := workload(t, 3000, 8, safe.BinaryTask())
-			var events []safe.FitEvent
+			var events []stamped
 			opts := []safe.Option{
 				safe.WithSeed(3),
 				safe.WithIterations(2),
-				safe.WithEvents(func(ev safe.FitEvent) { events = append(events, ev) }),
+				safe.WithEvents(func(ev safe.FitEvent) { events = append(events, stamped{ev, time.Now()}) }),
 			}
+			src := safe.FromFrame(train)
 			if sharded {
-				opts = append(opts, safe.WithSharding(1000))
+				// What FromFrame + WithSharding(1000) opens, read slowly.
+				src = safe.FromChunks(slowChunks{safe.NewFrameChunks(train, 1000), 20 * time.Millisecond})
 			}
-			res, err := safe.Fit(context.Background(), safe.FromFrame(train), opts...)
+			res, err := safe.Fit(context.Background(), src, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
+			streams[name], reports[name] = events, res.Report
 			if len(events) == 0 {
 				t.Fatal("no events emitted")
 			}
-			if events[0].Kind != safe.EventFitStart {
-				t.Errorf("first event %v, want fit-start", events[0].Kind)
+			first, last := events[0], events[len(events)-1]
+			if first.Kind != safe.EventFitStart {
+				t.Errorf("first event %v, want fit-start", first.Kind)
 			}
-			last := events[len(events)-1]
 			if last.Kind != safe.EventFitEnd {
 				t.Errorf("last event %v, want fit-end", last.Kind)
 			}
@@ -314,6 +338,7 @@ func TestFitEvents(t *testing.T) {
 
 			var openStages, iterations int
 			var rows int64
+			var firstRound time.Time
 			stageEnds := map[safe.FitStage]int{}
 			for _, ev := range events {
 				if ev.Rows < rows {
@@ -321,6 +346,10 @@ func TestFitEvents(t *testing.T) {
 				}
 				rows = ev.Rows
 				switch ev.Kind {
+				case safe.EventIterationStart:
+					if firstRound.IsZero() {
+						firstRound = ev.at
+					}
 				case safe.EventStageStart:
 					openStages++
 				case safe.EventStageEnd:
@@ -344,7 +373,9 @@ func TestFitEvents(t *testing.T) {
 			if rows == 0 {
 				t.Error("no rows-processed accounting in the event stream")
 			}
+			var rounds time.Duration
 			for _, ir := range res.Report.Iterations {
+				rounds += ir.Elapsed
 				total := ir.MineTime + ir.ScoreTime + ir.GenerateTime + ir.IVTime + ir.PearsonTime + ir.RankTime
 				if total <= 0 {
 					t.Errorf("round %d has no stage timings: %+v", ir.Round, ir)
@@ -353,7 +384,50 @@ func TestFitEvents(t *testing.T) {
 					t.Errorf("round %d stage timings %v exceed elapsed %v", ir.Round, total, ir.Elapsed)
 				}
 			}
+
+			// The clock runs from fit-start: whatever streams before the first
+			// round is inside Elapsed and Total.
+			const slack = 5 * time.Millisecond
+			if wall := last.at.Sub(first.at); wall > last.Elapsed+slack {
+				t.Errorf("fit-end reports %v elapsed, but %v passed between the fit-start and fit-end events", last.Elapsed, wall)
+			}
+			pre := firstRound.Sub(first.at)
+			if sharded && pre < 100*time.Millisecond {
+				t.Fatalf("only %v before the first round: the slow source did not make the stretch visible", pre)
+			}
+			if res.Report.Total < rounds+pre-slack {
+				t.Errorf("Report.Total %v is less than the rounds' %v plus the %v before the first", res.Report.Total, rounds, pre)
+			}
 		})
+	}
+
+	mem, sh := streams["in-memory"], streams["sharded"]
+	if len(mem) == 0 || len(mem) != len(sh) {
+		t.Fatalf("in-memory fit emitted %d events, sharded %d", len(mem), len(sh))
+	}
+	for i := range mem {
+		a, b := mem[i].FitEvent, sh[i].FitEvent
+		a.Rows, a.Elapsed, b.Rows, b.Elapsed = 0, 0, 0, 0
+		if a != b {
+			t.Errorf("event %d: in-memory %+v, sharded %+v", i, a, b)
+		}
+	}
+	sameRounds(t, "sharded", reports["in-memory"], reports["sharded"])
+}
+
+// sameRounds requires two reports to agree on every count of every round.
+func sameRounds(t *testing.T, label string, want, got *safe.Report) {
+	t.Helper()
+	if len(want.Iterations) != len(got.Iterations) {
+		t.Fatalf("%s fit ran %d rounds, want %d", label, len(got.Iterations), len(want.Iterations))
+	}
+	for i, w := range want.Iterations {
+		g := got.Iterations[i]
+		w.Elapsed, w.MineTime, w.ScoreTime, w.GenerateTime, w.IVTime, w.PearsonTime, w.RankTime = 0, 0, 0, 0, 0, 0, 0
+		g.Elapsed, g.MineTime, g.ScoreTime, g.GenerateTime, g.IVTime, g.PearsonTime, g.RankTime = 0, 0, 0, 0, 0, 0, 0
+		if w != g {
+			t.Errorf("round %d: %s fit counted %+v, want %+v", i+1, label, g, w)
+		}
 	}
 }
 

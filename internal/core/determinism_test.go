@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -22,11 +21,30 @@ type streamedCandidate struct {
 	dropped bool
 }
 
+// testStream is the in-memory working set with the loop's per-candidate step
+// in front of its queue: generate is what enumerate and Generate do to one
+// operator application.
+type testStream struct {
+	*memorySet
+	enum *enumerator
+}
+
+func (s testStream) generate(op operators.Operator, feats []int) error {
+	n := len(s.enum.cands)
+	if err := s.enum.add(op, feats); err != nil {
+		return err
+	}
+	if len(s.enum.cands) == n {
+		return nil // a duplicate formula
+	}
+	return s.queue(s.enum.cands[n])
+}
+
 // pairStream opens a candidate stream over train's columns on a pool of the
 // given size and returns it with every pair of the first eight columns as
 // combinations: with the four arithmetic operators that is some 170
 // candidates, several flushes' worth.
-func pairStream(t *testing.T, ctx context.Context, train *frame.Frame, task Task, workers int) (*candidateStream, []Combo, []operators.Operator) {
+func pairStream(t *testing.T, ctx context.Context, train *frame.Frame, task Task, workers int) (testStream, []Combo, []operators.Operator) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Task = task
@@ -38,37 +56,42 @@ func pairStream(t *testing.T, ctx context.Context, train *frame.Frame, task Task
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := make([]*liveFeature, train.NumCols())
-	for j := range live {
-		live[j] = &liveFeature{name: train.Columns[j].Name, train: train.Columns[j].Values}
+	m, err := newMemorySet(ctx, &cfg, parallel.Get(workers), train, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	o, _ := m.Open()
 	var combos []Combo
 	for a := 0; a < 8; a++ {
 		for b := a + 1; b < 8; b++ {
 			combos = append(combos, Combo{Features: []int{a, b}})
 		}
 	}
-	arena := operators.NewArena(train.NumRows())
-	return newCandidateStream(ctx, &cfg, parallel.Get(workers), arena, live, train.Label), combos, ops
+	return testStream{m, newEnumerator(ctx, m, o.Live, featureNames(o.Live), o.Labels)}, combos, ops
 }
 
-// streamCandidates runs one round's stream and lists its decisions in order.
+// streamCandidates runs one round's generate stage as the loop does and lists
+// the stream's decisions in order.
 func streamCandidates(t *testing.T, train *frame.Frame, task Task, workers int) []streamedCandidate {
 	t.Helper()
 	stream, combos, ops := pairStream(t, context.Background(), train, task, workers)
-	stream.addBase()
-	if err := (&Engineer{}).enumerate(stream, combos, ops); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := stream.finish()
+	m := stream.memorySet
+	o, _ := m.Open()
+	cands, err := enumerate(context.Background(), m, o.Live, featureNames(o.Live), o.Labels, combos, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]streamedCandidate, len(entries))
-	for i, en := range entries {
-		out[i] = streamedCandidate{en.lf.name, math.Float64bits(en.iv), en.dropped}
+	if _, err := m.Generate(cands); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]streamedCandidate, len(m.entries))
+	for i, en := range m.entries {
+		out[i] = streamedCandidate{en.lf.Name, math.Float64bits(en.iv), en.dropped}
 		if en.dropped != (en.lf.train == nil) {
-			t.Fatalf("%s: dropped=%v but column nil=%v", en.lf.name, en.dropped, en.lf.train == nil)
+			t.Fatalf("%s: dropped=%v but column nil=%v", en.lf.Name, en.dropped, en.lf.train == nil)
+		}
+		if cands[i].Column != Column(en.lf) {
+			t.Fatalf("%s: candidate %d is not the stream's entry %d", en.lf.Name, i, i)
 		}
 	}
 	return out
@@ -93,11 +116,13 @@ func keptCombos(t *testing.T, train *frame.Frame, task Task, workers int) []kept
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := make([]*liveFeature, train.NumCols())
-	for j := range live {
-		live[j] = &liveFeature{name: train.Columns[j].Name, train: train.Columns[j].Values}
+	m, err := newMemorySet(context.Background(), &cfg, parallel.Get(workers), train, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pb, err := binned(live, cfg.Miner)
+	o, _ := m.Open()
+	live := o.Live
+	pb, err := binned(m, live, cfg.Miner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +142,14 @@ func keptCombos(t *testing.T, train *frame.Frame, task Task, workers int) []kept
 }
 
 // TestFitDeterministicAcrossWorkerCounts is the contract the parallel rebuild
-// must keep: Fit selects the same features, with the same formulas in the
-// same order, no matter how many workers the shared pool uses — including the
-// fully serial path — and, one level down, every kept combination has the
-// same gain ratio and the candidate stream gives every candidate the same IV,
-// bit for bit, and drops the same candidates in the same order, for all three
-// tasks. CI runs this under -race.
+// must keep, one level below the selection: no matter how many workers the
+// shared pool uses, every kept combination has the same gain ratio and the
+// candidate stream gives every candidate the same IV, bit for bit, and drops
+// the same candidates in the same order, for all three tasks. (That whole
+// fits then select the same features, with the same formulas in the same
+// order — including the fully serial path — is a row of the one determinism
+// table of both engines, internal/shard's TestShardedFitDeterminismMatrix.)
+// CI runs this under -race.
 func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 	ds := testDataset(t)
 
@@ -163,57 +190,6 @@ func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 				if got[i] != ref[i] {
 					t.Errorf("%s: %d workers: candidate %d = %+v, one worker %+v", tc.task, workers, i, got[i], ref[i])
 				}
-			}
-		}
-	}
-
-	type outcome struct {
-		output   []string
-		formulas []string
-		selected int
-	}
-	run := func(parallel bool, workers int) outcome {
-		cfg := DefaultConfig()
-		cfg.Parallel = parallel
-		cfg.Workers = workers
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, report, err := eng.Fit(ds.Train)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel := 0
-		if n := len(report.Iterations); n > 0 {
-			sel = report.Iterations[n-1].Selected
-		}
-		return outcome{output: p.Output, formulas: p.Formulas(), selected: sel}
-	}
-
-	ref := run(false, 0) // fully serial reference
-	cases := []struct {
-		name    string
-		workers int
-	}{
-		{"workers-1", 1},
-		{"workers-2", 2},
-		{"workers-numcpu", runtime.NumCPU()},
-	}
-	for _, tc := range cases {
-		got := run(true, tc.workers)
-		if got.selected != ref.selected {
-			t.Errorf("%s: selected %d features, serial selected %d", tc.name, got.selected, ref.selected)
-		}
-		if len(got.output) != len(ref.output) {
-			t.Fatalf("%s: output width %d, serial %d", tc.name, len(got.output), len(ref.output))
-		}
-		for i := range ref.output {
-			if got.output[i] != ref.output[i] {
-				t.Errorf("%s: output[%d] = %q, serial %q", tc.name, i, got.output[i], ref.output[i])
-			}
-			if got.formulas[i] != ref.formulas[i] {
-				t.Errorf("%s: formula[%d] = %q, serial %q", tc.name, i, got.formulas[i], ref.formulas[i])
 			}
 		}
 	}

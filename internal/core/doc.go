@@ -2,29 +2,40 @@
 // feature generation guided by XGBoost path mining (Section IV-B) followed
 // by the three-stage selection pipeline (Section IV-C).
 //
-// The flow is:
+// The package is two things: Algorithm 1, written once, and the in-memory
+// columns it runs over.
 //
-//   - Engineer.Fit runs the offline loop. Each iteration trains a gradient
-//     boosting model on the current representation, mines frequently
-//     co-occurring feature pairs from its tree paths (base generation),
-//     expands them through the operator registry (operators package) into
-//     candidate features, and keeps the survivors of selection.
+//   - RunRounds (rounds.go) is the loop, for every engine. Each iteration
+//     trains a gradient boosting model on the current representation's bin
+//     codes, mines frequently co-occurring feature combinations from its
+//     tree paths and ranks them by gain ratio on those same codes
+//     (combos.go, ScoreCombos — a split value is a cut, so a row's cell is
+//     a function of its codes and no raw value is searched), expands the
+//     kept ones through the operator registry (operators package) into
+//     candidate features, filters them by Information Value, removes the
+//     redundant ones in one greedy descending-IV scan, ranks the rest by
+//     ranker gain and keeps the budget. The loop also owns the clock, the
+//     FitEvent stream (events.go), early stopping and the reports. A
+//     feature is binned once for as long as it lives (Feature, binned): a
+//     stage whose booster wants another bin count is the only thing that
+//     bins again, and the loop is the only place that says so.
 //
-//   - A live feature is binned once for as long as it lives (engineer.go,
-//     binned): the miner trains on its bin codes, the mined combinations are
-//     ranked by gain ratio on those same codes (combos.go, ScoreCombos — a
-//     split value is a cut, so a row's cell is a function of its codes and
-//     no raw value is searched), the ranker takes them as they are and bins
-//     only the generated survivors of selection, and what it selects carries
-//     its codes into the next iteration and the validation evaluator. The
-//     sharded engine (internal/shard) keeps the same representation resident
-//     and calls the same scorer.
+//   - WorkingSet (rounds.go) is the seam: what the loop asks of a column
+//     representation — open the data, fit inputs, bin, materialise
+//     candidates, their criteria, the redundancy test, carry the selection.
+//     It has two implementations. This package's (stream.go; Engineer.Fit
+//     and its variants construct it) keeps raw []float64 columns resident
+//     and streams candidate generation through a recycling arena;
+//     internal/shard's answers the same questions with streaming passes
+//     over a chunked source, and contains no loop of its own.
 //
-//   - Selection (selection.go, select_api.go) is the three-stage filter of
-//     Section IV-C: an Information Value screen (stats.ChiMerge binning),
-//     a Pearson-correlation dedup, and a model-importance ranking.
+//   - Selection outside a fit (selection.go, select_api.go) is the
+//     three-stage filter of Section IV-C over resident columns — an
+//     Information Value screen, the Pearson-correlation dedup (the loop's
+//     scan under a standardised-dot-product test), and a model-importance
+//     ranking — which the RAND and IMP baselines share.
 //
-//   - The result of Fit is a Pipeline — the learned feature generation
+//   - The result of a fit is a Pipeline — the learned feature generation
 //     function Ψ. A Pipeline is a DAG of FeatureNodes over the original
 //     columns; it transforms whole frames (Transform), dense row batches in
 //     one columnar pass (TransformBatch, the serving hot path), or single

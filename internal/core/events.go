@@ -2,12 +2,11 @@ package core
 
 import "time"
 
-// This file defines the structured progress-event stream a fit emits.
-// Both engines — the in-memory Engineer and the sharded coordinator in
-// internal/shard — report through the same FitEvent type, so a consumer
-// (CLI progress output, an embedder's metrics hook) observes one protocol
-// regardless of which engine the plan selected. The same instrumentation
-// populates the per-stage wall-clock fields of IterationReport.
+// This file defines the structured progress-event stream a fit emits. Every
+// event comes from the one round loop (rounds.go), so a consumer (CLI
+// progress output, an embedder's metrics hook) observes one protocol
+// whichever engine the plan selected. The same instrumentation populates the
+// per-stage wall-clock fields of IterationReport.
 
 // EventKind discriminates FitEvent payloads.
 type EventKind int
@@ -127,25 +126,25 @@ func (c *Config) Emit(ev FitEvent) {
 	}
 }
 
-// StageClock instruments one iteration's stages: it emits the paired
+// stageClock instruments one iteration's stages: it emits the paired
 // start/end events and accumulates per-stage wall times into the
 // IterationReport — one instrument feeding both the event stream and the
 // report, so they cannot disagree.
-type StageClock struct {
+type stageClock struct {
 	cfg   *Config
 	ir    *IterationReport
-	rows  *int64 // cumulative rows-processed counter shared with the engine
+	rows  *int64 // the fit's cumulative rows-processed counter (Opened.Rows)
 	stage Stage
 	in    int
 	start time.Time
 }
 
-func NewStageClock(cfg *Config, ir *IterationReport, rows *int64) *StageClock {
-	return &StageClock{cfg: cfg, ir: ir, rows: rows}
+func newStageClock(cfg *Config, ir *IterationReport, rows *int64) *stageClock {
+	return &stageClock{cfg: cfg, ir: ir, rows: rows}
 }
 
-// Begin opens a stage with the given input size.
-func (sc *StageClock) Begin(stage Stage, candidates int) {
+// begin opens a stage with the given input size.
+func (sc *stageClock) begin(stage Stage, candidates int) {
 	sc.stage, sc.in = stage, candidates
 	sc.start = time.Now()
 	sc.cfg.Emit(FitEvent{
@@ -154,12 +153,11 @@ func (sc *StageClock) Begin(stage Stage, candidates int) {
 	})
 }
 
-// AddRows credits n processed rows to the running total.
-func (sc *StageClock) AddRows(n int64) { *sc.rows += n }
-
-// End closes the open stage with its output size and records its wall time
-// in the IterationReport.
-func (sc *StageClock) End(survivors int) {
+// end closes the open stage with its output size, credits the rows it
+// scanned to the running total, and records its wall time in the
+// IterationReport.
+func (sc *stageClock) end(survivors int, scanned int64) {
+	*sc.rows += scanned
 	elapsed := time.Since(sc.start)
 	switch sc.stage {
 	case StageMine:

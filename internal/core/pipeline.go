@@ -201,28 +201,34 @@ func (p *Pipeline) Formulas() []string {
 
 // prune drops nodes whose outputs are unreachable from Output, keeping the
 // pipeline minimal for inference.
-func (p *Pipeline) prune() {
-	needed := make(map[string]bool, len(p.Output))
-	for _, name := range p.Output {
+func (p *Pipeline) prune() { p.Nodes = ReachableNodes(p.Nodes, p.Output) }
+
+// ReachableNodes returns, in their (dependency) order, the nodes the named
+// outputs need: the program that derives them from the original columns.
+func ReachableNodes(nodes []FeatureNode, outputs []string) []FeatureNode {
+	needed := make(map[string]bool, len(outputs))
+	for _, name := range outputs {
 		needed[name] = true
 	}
 	// Walk nodes backwards marking dependencies.
-	keep := make([]bool, len(p.Nodes))
-	for i := len(p.Nodes) - 1; i >= 0; i-- {
-		if needed[p.Nodes[i].Name] {
+	keep := make([]bool, len(nodes))
+	kept := 0
+	for i := len(nodes) - 1; i >= 0; i-- {
+		if needed[nodes[i].Name] {
 			keep[i] = true
-			for _, dep := range p.Nodes[i].Inputs {
+			kept++
+			for _, dep := range nodes[i].Inputs {
 				needed[dep] = true
 			}
 		}
 	}
-	pruned := p.Nodes[:0]
-	for i := range p.Nodes {
+	out := make([]FeatureNode, 0, kept)
+	for i := range nodes {
 		if keep[i] {
-			pruned = append(pruned, p.Nodes[i])
+			out = append(out, nodes[i])
 		}
 	}
-	p.Nodes = pruned
+	return out
 }
 
 // sanitize replaces NaN/Inf outputs with 0 in place; classifiers downstream

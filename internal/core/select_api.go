@@ -112,14 +112,19 @@ func Select(cols [][]float64, labels []float64, cfg SelectionConfig) ([]int, err
 		}
 	}
 
-	feats := make([]*liveFeature, len(keptB))
+	keptCols := make([][]float64, len(keptB))
 	for i, j := range keptB {
-		feats[i] = &liveFeature{train: cols[j]}
+		keptCols[i] = cols[j]
 	}
-	ranked, err := rankByGain(context.Background(), feats, labels, ivs, keptB, cfg.Ranker)
+	pb, err := gbdt.BinColumns(keptCols, cfg.Ranker)
 	if err != nil {
 		return nil, err
 	}
+	ranker, err := gbdt.TrainBinned(pb, labels, nil, cfg.Ranker)
+	if err != nil {
+		return nil, err
+	}
+	ranked := orderByGain(ranker.GainImportance(), ivs, keptB)
 	if cfg.MaxFeatures > 0 && len(ranked) > cfg.MaxFeatures {
 		ranked = ranked[:cfg.MaxFeatures]
 	}

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
 	"sync/atomic"
 
-	"repro/internal/gbdt"
 	"repro/internal/parallel"
 	"repro/internal/stats"
 )
@@ -50,93 +48,36 @@ func computeCriteria(cols [][]float64, labels []float64, task Task, bins int, eq
 	return out
 }
 
-// ivFilter implements Algorithm 3: drop features whose IV is at or below the
-// threshold alpha. To keep the pipeline robust on datasets where every
-// feature is weak (possible with synthetic noise-heavy data), it falls back
-// to the minKeep highest-IV features when fewer survive.
-func ivFilter(ivs []float64, alpha float64, minKeep int) []int {
-	kept := make([]int, 0, len(ivs))
-	for j, iv := range ivs {
-		if iv > alpha {
-			kept = append(kept, j)
-		}
+// pearsonDedup is Algorithm 4 over resident columns: greedyDedup under the
+// test pearsonTest builds.
+func pearsonDedup(ctx context.Context, cols [][]float64, ivs []float64, candidates []int, theta float64, pool *parallel.Pool) ([]int, error) {
+	correlated, err := pearsonTest(ctx, append([][]float64(nil), cols...), candidates, theta, pool)
+	if err != nil {
+		return nil, err
 	}
-	if minKeep > len(ivs) {
-		minKeep = len(ivs)
-	}
-	if len(kept) >= minKeep {
-		return kept
-	}
-	// Fallback: top-minKeep by IV.
-	idx := make([]int, len(ivs))
-	for j := range idx {
-		idx[j] = j
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if ivs[idx[a]] != ivs[idx[b]] {
-			return ivs[idx[a]] > ivs[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	out := append([]int(nil), idx[:minKeep]...)
-	sort.Ints(out)
-	return out
+	return greedyDedup(ctx, ivs, candidates, correlated)
 }
 
-// pearsonDedup implements the intent of Algorithm 4: among features whose
-// absolute Pearson correlation exceeds theta, keep the one with the higher
-// IV. (The paper's pseudo-code as printed only *adds* the winner of each
-// correlated pair and never admits uncorrelated features; the standard — and
-// clearly intended — semantics implemented here is a greedy scan in
-// descending-IV order that keeps a feature unless it correlates above theta
-// with an already-kept feature.)
-//
-// Candidate columns are standardised once up front (column-parallel) so
-// each pairwise correlation is a single dot product (Pearson(x,y) = x̃·ỹ/n),
-// and the scans against the kept set run on the shared pool. The context is
-// checked per candidate scan; a cancelled context returns ctx.Err().
-func pearsonDedup(ctx context.Context, cols [][]float64, ivs []float64, candidates []int, theta float64, pool *parallel.Pool) ([]int, error) {
-	order := append([]int(nil), candidates...)
-	sort.Slice(order, func(a, b int) bool {
-		if ivs[order[a]] != ivs[order[b]] {
-			return ivs[order[a]] > ivs[order[b]]
-		}
-		return order[a] < order[b]
-	})
-
-	// Standardise candidates (NaN -> 0 == the mean after standardisation).
-	stdByPos := make([][]float64, len(order))
-	err := pool.ForChunksCtx(ctx, len(order), pool.Grain(len(order)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			stdByPos[i] = standardizeCol(cols[order[i]])
+// pearsonTest standardises the candidates' columns once up front
+// (column-parallel), so each pairwise correlation is a single dot product
+// (Pearson(x,y) = x̃·ỹ/n), and returns greedyDedup's test over them: the
+// scan of one candidate against the kept set, on the shared pool. It takes
+// cols over: a candidate's entry becomes its standardised column.
+func pearsonTest(ctx context.Context, cols [][]float64, candidates []int, theta float64, pool *parallel.Pool) (func(j int, among []int) bool, error) {
+	std := cols // NaN -> 0 == the mean after standardisation
+	err := pool.ForChunksCtx(ctx, len(candidates), pool.Grain(len(candidates)), func(lo, hi int) {
+		for _, j := range candidates[lo:hi] {
+			std[j] = standardizeCol(cols[j])
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	std := make(map[int][]float64, len(order))
-	for i, j := range order {
-		std[j] = stdByPos[i]
-	}
-
-	kept := make([]int, 0, len(order))
-	for _, j := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if std[j] == nil {
-			// Constant column: correlates with nothing by convention
-			// (stats.Pearson returns 0); keep it — the ranker will bury it.
-			kept = append(kept, j)
-			continue
-		}
-		if corrAny(std, j, kept, theta, pool) {
-			continue
-		}
-		kept = append(kept, j)
-	}
-	sort.Ints(kept)
-	return kept, nil
+	return func(j int, among []int) bool {
+		// A constant column (std[j] == nil) correlates with nothing by
+		// convention (stats.Pearson returns 0); kept, the ranker buries it.
+		return std[j] != nil && corrAny(std, j, among, theta, pool)
+	}, nil
 }
 
 // standardizeCol returns (x - mean)/std with NaNs mapped to 0, or nil for a
@@ -180,7 +121,7 @@ func standardizeCol(col []float64) []float64 {
 // (absolute) with any column in kept. The scan is chunk-parallel with a
 // shared early-exit flag; the answer (a pure any-of) is independent of
 // which chunk finds a correlate first.
-func corrAny(std map[int][]float64, j int, kept []int, theta float64, pool *parallel.Pool) bool {
+func corrAny(std [][]float64, j int, kept []int, theta float64, pool *parallel.Pool) bool {
 	if len(kept) == 0 {
 		return false
 	}
@@ -210,19 +151,4 @@ func corrAny(std map[int][]float64, j int, kept []int, theta float64, pool *para
 		}
 	})
 	return found.Load()
-}
-
-// rankByGain trains the ranking XGBoost on the candidates' bin codes
-// (feats[i] is candidate candidates[i]) and orders them by average split gain
-// (Section IV-C3), returning candidate indices in descending importance. A
-// feature that comes with codes at the ranker's bin count — a base candidate,
-// binned for the miner — is taken as it is; the rest are binned here.
-// Features the model never splits on rank last, tie broken by IV then index
-// for determinism.
-func rankByGain(ctx context.Context, feats []*liveFeature, labels []float64, ivs []float64, candidates []int, cfg gbdt.Config) ([]int, error) {
-	model, err := trainBinned(ctx, feats, labels, nil, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return OrderByGain(model.GainImportance(), ivs, candidates), nil
 }

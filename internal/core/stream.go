@@ -7,34 +7,41 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
+	"repro/internal/gbdt"
+	"repro/internal/metrics"
 	"repro/internal/operators"
 	"repro/internal/parallel"
 )
 
-// This file implements the streaming generate-and-filter stage of Fit:
-// candidate features are generated chunk by chunk and IV-filtered as soon
-// as a chunk completes, so the candidate set X̂ of Algorithm 1 never fully
-// materialises. Columns of candidates the IV filter rejects go straight
-// back to the arena, turning per-round allocation from O(candidates) into
-// O(selected). The observable results (candidate counts, surviving set,
-// selection) are identical to the materialise-then-filter formulation.
+// This file is the in-memory WorkingSet: every column is a resident
+// []float64. Its generate stage streams: candidate features are computed
+// chunk by chunk and IV-scored as soon as a chunk completes, so the
+// candidate set X̂ of Algorithm 1 never fully materialises. Columns of
+// candidates the IV filter rejects go straight back to the arena, turning
+// per-round allocation from O(candidates) into O(selected). The observable
+// results (candidate counts, surviving set, selection) are identical to the
+// materialise-then-filter formulation.
 
-// genSpec records how a generated candidate is computed: the operator and
-// the indices of its inputs in the round's live set.
-type genSpec struct {
-	op    operators.Operator
-	feats []int
+// liveFeature is the in-memory Column: the loop's record beside the
+// feature's training (and optionally validation) values. A generated
+// feature's train column is owned by the fit arena, which takes it back
+// once the feature provably leaves the working set (train == nil from then).
+type liveFeature struct {
+	Feature
+	train []float64
+	valid []float64 // nil when fitting without a validation frame
 }
 
-// candEntry is one candidate of a round: a base (live) feature or a
-// generated one. Generated entries whose IV fails the filter have their
-// column recycled (lf.train == nil, dropped == true) but keep their fitted
-// applier and inputs so the rare min-keep fallback can regenerate them.
+// candEntry is the stream's view of one candidate of a round: a base (live)
+// feature or a generated one. Generated entries whose IV fails the filter
+// have their column recycled (lf.train == nil, dropped == true) but keep
+// their fitted applier and inputs so the rare min-keep fallback can
+// regenerate them.
 type candEntry struct {
 	lf      *liveFeature
-	spec    genSpec // zero op for base features
-	applier operators.Applier
-	in      [][]float64 // the input columns spec.feats names
+	applier operators.Applier // nil for base features
+	cand    *Candidate        // whose In are the applier's input columns
 	iv      float64
 	dropped bool
 }
@@ -44,111 +51,134 @@ type candEntry struct {
 // column memory stays modest (streamChunk × rows × 8 bytes).
 const streamChunk = 32
 
-// candidateStream owns the per-round streaming state. generate does what
-// must be serial — fitting the operator, the formula de-dup, taking a column
-// from the arena — and queues the candidate; flush computes and scores the
-// queued columns on the pool, one worker per candidate.
-type candidateStream struct {
-	ctx      context.Context
-	cfg      *Config
-	pool     *parallel.Pool
-	arena    *operators.Arena
-	live     []*liveFeature
-	labels   []float64
-	existing map[string]bool
+// memorySet is the in-memory working set of one fit. queue takes a
+// candidate's column from the arena and flush computes and scores the queued
+// columns on the pool, one worker per candidate.
+type memorySet struct {
+	ctx    context.Context
+	cfg    *Config
+	pool   *parallel.Pool
+	arena  *operators.Arena
+	labels []float64
+	// validLabels is non-nil when the fit tracks a validation frame: every
+	// live feature then carries its validation column.
+	validLabels []float64
+	live        []*liveFeature
+	rows        int64 // Opened.Rows
 
-	entries   []*candEntry // all candidates in deterministic order
-	pending   []*candEntry // fitted, awaiting their column and IV
+	entries   []*candEntry // the round's candidates, in the loop's order
+	pending   []*candEntry // queued, awaiting their column and IV
 	scratches scratchList
-	generated int // total generated (post formula-dedup), including dropped
-	// ivTime accumulates the share of the stream's wall time spent inside
-	// the criterion computations it interleaves with generation, so the fit
-	// can attribute it to the IV stage rather than generation.
+	// ivTime accumulates the share of Generate's wall time spent inside the
+	// criterion computations it interleaves with generation.
 	ivTime time.Duration
 }
 
-func newCandidateStream(ctx context.Context, cfg *Config, pool *parallel.Pool, arena *operators.Arena, live []*liveFeature, labels []float64) *candidateStream {
-	st := &candidateStream{
-		ctx:      ctx,
-		cfg:      cfg,
-		pool:     pool,
-		arena:    arena,
-		live:     live,
-		labels:   labels,
-		existing: make(map[string]bool, 2*len(live)),
-		entries:  make([]*candEntry, 0, 2*len(live)),
-		pending:  make([]*candEntry, 0, streamChunk),
+// newMemorySet opens the working set over train's columns; valid, when
+// non-nil, must name every one of them.
+func newMemorySet(ctx context.Context, cfg *Config, pool *parallel.Pool, train, valid *frame.Frame) (*memorySet, error) {
+	m := &memorySet{
+		ctx:     ctx,
+		cfg:     cfg,
+		pool:    pool,
+		arena:   operators.NewArena(train.NumRows()),
+		labels:  train.Label,
+		live:    make([]*liveFeature, train.NumCols()),
+		pending: make([]*candEntry, 0, streamChunk),
 	}
-	for _, lf := range live {
-		st.existing[lf.name] = true
+	for j := range m.live {
+		lf := &liveFeature{Feature: Feature{Name: train.Columns[j].Name}, train: train.Columns[j].Values}
+		if valid != nil {
+			vcol, ok := valid.ColByName(lf.Name)
+			if !ok {
+				return nil, fmt.Errorf("core: validation frame lacks column %q", lf.Name)
+			}
+			lf.valid = vcol
+		}
+		m.live[j] = lf
 	}
-	return st
+	if valid != nil {
+		m.validLabels = valid.Label
+	}
+	return m, nil
+}
+
+// Open implements WorkingSet: the frame is resident already.
+func (m *memorySet) Open() (Opened, error) {
+	live := make([]Column, len(m.live))
+	for i, lf := range m.live {
+		live[i] = lf
+	}
+	return Opened{Live: live, Labels: m.labels, Rows: &m.rows, ScanRows: int64(len(m.labels))}, nil
+}
+
+// Inputs implements WorkingSet with the live features' raw columns.
+func (m *memorySet) Inputs(feats []int) [][]float64 {
+	in := make([][]float64, len(feats))
+	for i, f := range feats {
+		in[i] = m.live[f].train
+	}
+	return in
+}
+
+// Bin implements WorkingSet with the binner gbdt.Train runs.
+func (m *memorySet) Bin(cols []Column, cfg gbdt.Config) error {
+	raw := make([][]float64, len(cols))
+	for i, c := range cols {
+		raw[i] = c.(*liveFeature).train
+	}
+	pb, err := gbdt.BinColumns(raw, cfg)
+	if err != nil {
+		return err
+	}
+	for i, c := range cols {
+		f := c.Record()
+		f.Codes, f.Cuts, f.Bins = pb.Codes[i], pb.Cuts[i], cfg.MaxBins
+	}
+	return nil
+}
+
+// Generate implements WorkingSet: the base features' criteria in one
+// parallel sweep, then the generated candidates through the stream.
+func (m *memorySet) Generate(cands []*Candidate) (time.Duration, error) {
+	m.entries = make([]*candEntry, 0, len(cands))
+	m.ivTime = 0
+	m.addBase()
+	for _, c := range cands[len(m.live):] {
+		if err := m.queue(c); err != nil {
+			return 0, err
+		}
+	}
+	if err := m.flush(); err != nil {
+		return 0, err
+	}
+	return m.ivTime, nil
 }
 
 // addBase registers the round's live features as candidates and computes
-// their IVs in one parallel sweep (they are filtered like any candidate but
-// their columns are frame- or prior-round-owned, so never recycled here).
-func (st *candidateStream) addBase() {
-	cols := make([][]float64, len(st.live))
-	for i, lf := range st.live {
+// their IVs (they are filtered like any candidate but their columns are
+// frame- or prior-round-owned, so never recycled here).
+func (m *memorySet) addBase() {
+	cols := make([][]float64, len(m.live))
+	for i, lf := range m.live {
 		cols[i] = lf.train
 	}
 	t0 := time.Now()
-	ivs := computeCriteria(cols, st.labels, st.cfg.Task, st.cfg.IVBins, st.cfg.IVEqualWidth, st.pool, &st.scratches)
-	st.ivTime += time.Since(t0)
-	for i, lf := range st.live {
-		lf.iv = ivs[i]
-		st.entries = append(st.entries, &candEntry{lf: lf, iv: ivs[i]})
+	ivs := computeCriteria(cols, m.labels, m.cfg.Task, m.cfg.IVBins, m.cfg.IVEqualWidth, m.pool, &m.scratches)
+	m.ivTime += time.Since(t0)
+	for i, lf := range m.live {
+		m.entries = append(m.entries, &candEntry{lf: lf, iv: ivs[i]})
 	}
 }
 
-// generate fits op to the live features at feats and queues the new
-// candidate for the next flush. Duplicate formulas are skipped. The context
-// is checked per candidate, making generation the most finely cancellable
-// stage of a fit.
-func (st *candidateStream) generate(op operators.Operator, feats []int) error {
-	if err := st.ctx.Err(); err != nil {
-		return st.abort(err)
-	}
-	in := make([][]float64, len(feats))
-	names := make([]string, len(feats))
-	for i, f := range feats {
-		in[i] = st.live[f].train
-		names[i] = st.live[f].name
-	}
-	// Fit stays on this goroutine: SetLabels mutates the shared operator.
-	if d, ok := op.(*operators.DiscretizeOp); ok {
-		d.SetLabels(st.labels)
-	}
-	applier, err := op.Fit(in)
-	if err != nil {
-		return st.abort(fmt.Errorf("core: generate %s: %w", op.Name(), err))
-	}
-	name := applier.Formula(names)
-	if st.existing[name] {
-		return nil
-	}
-	st.existing[name] = true
-	st.generated++
-
-	lf := &liveFeature{
-		name:   name,
-		train:  st.arena.Get(),
-		pooled: true,
-		node: &FeatureNode{
-			Name:    name,
-			Inputs:  names,
-			Applier: applier,
-		},
-	}
-	st.pending = append(st.pending, &candEntry{
-		lf:      lf,
-		spec:    genSpec{op: op, feats: append([]int(nil), feats...)},
-		applier: applier,
-		in:      in,
-	})
-	if len(st.pending) >= streamChunk {
-		return st.flush()
+// queue gives a generated candidate its column and holds it for the next
+// flush.
+func (m *memorySet) queue(c *Candidate) error {
+	lf := &liveFeature{Feature: Feature{Name: c.Node.Name, Node: c.Node}, train: m.arena.Get()}
+	c.Column = lf
+	m.pending = append(m.pending, &candEntry{lf: lf, applier: c.Node.Applier, cand: c})
+	if len(m.pending) >= streamChunk {
+		return m.flush()
 	}
 	return nil
 }
@@ -159,23 +189,23 @@ func (st *candidateStream) generate(op operators.Operator, feats []int) error {
 // their column back to the arena immediately. A candidate's IV depends on
 // its column alone, so the entries are the same for any pool size. A
 // cancelled context returns ctx.Err() with the pending columns released.
-func (st *candidateStream) flush() error {
-	pending := st.pending
+func (m *memorySet) flush() error {
+	pending := m.pending
 	if len(pending) == 0 {
 		return nil
 	}
-	cfg := st.cfg
+	cfg := m.cfg
 	var applyNs, critNs atomic.Int64
 	t0 := time.Now()
-	err := st.pool.ForChunksCtx(st.ctx, len(pending), st.pool.Grain(len(pending)), func(lo, hi int) {
-		sc := st.scratches.get()
-		defer st.scratches.put(sc)
+	err := m.pool.ForChunksCtx(m.ctx, len(pending), m.pool.Grain(len(pending)), func(lo, hi int) {
+		sc := m.scratches.get()
+		defer m.scratches.put(sc)
 		var apply, crit time.Duration
 		for _, en := range pending[lo:hi] {
 			t1 := time.Now()
 			applyColumn(en)
 			t2 := time.Now()
-			en.iv = sc.criterion(en.lf.train, st.labels, cfg.Task, cfg.IVBins, cfg.IVEqualWidth)
+			en.iv = sc.criterion(en.lf.train, m.labels, cfg.Task, cfg.IVBins, cfg.IVEqualWidth)
 			apply += t2.Sub(t1)
 			crit += time.Since(t2)
 		}
@@ -183,75 +213,119 @@ func (st *candidateStream) flush() error {
 		critNs.Add(int64(crit))
 	})
 	if err != nil {
-		return st.abort(err)
+		return m.abort(err)
 	}
 	// The workers' summed criterion and apply times divide the flush's wall
 	// time between the IV and the generate stage.
 	if busy := applyNs.Load() + critNs.Load(); busy > 0 {
-		st.ivTime += time.Duration(float64(time.Since(t0)) * float64(critNs.Load()) / float64(busy))
+		m.ivTime += time.Duration(float64(time.Since(t0)) * float64(critNs.Load()) / float64(busy))
 	}
 	for _, en := range pending {
-		en.lf.iv = en.iv
 		if en.iv <= cfg.IVThreshold {
 			en.dropped = true
-			st.arena.Put(en.lf.train)
+			m.arena.Put(en.lf.train)
 			en.lf.train = nil
 		}
-		st.entries = append(st.entries, en)
+		m.entries = append(m.entries, en)
 	}
-	st.pending = st.pending[:0]
+	m.pending = m.pending[:0]
 	return nil
 }
 
 // abort hands the pending candidates' columns back to the arena and returns
 // err: the stream stops at its first error.
-func (st *candidateStream) abort(err error) error {
-	for _, en := range st.pending {
-		st.arena.Put(en.lf.train)
+func (m *memorySet) abort(err error) error {
+	for _, en := range m.pending {
+		m.arena.Put(en.lf.train)
 		en.lf.train = nil
 	}
-	st.pending = st.pending[:0]
+	m.pending = m.pending[:0]
 	return err
 }
 
 // applyColumn computes a generated candidate's column into its buffer and
 // replaces NaN/Inf with 0.
 func applyColumn(en *candEntry) {
-	operators.TransformColumn(en.applier, en.in, en.lf.train)
+	operators.TransformColumn(en.applier, en.cand.In, en.lf.train)
 	sanitize(en.lf.train)
 }
 
-// finish flushes the tail chunk and returns every candidate entry.
-func (st *candidateStream) finish() ([]*candEntry, error) {
-	if err := st.flush(); err != nil {
-		return nil, err
-	}
-	return st.entries, nil
-}
-
-// keptAfterIV returns the indices (into entries) surviving Algorithm 3:
-// IV strictly above the threshold, with the same top-minKeep fallback the
-// ivFilter helper applies. Fallback winners whose columns were recycled are
-// regenerated from their specs.
-func (st *candidateStream) keptAfterIV(entries []*candEntry, minKeep int) []int {
-	ivs := make([]float64, len(entries))
-	for i, en := range entries {
+// Criteria implements WorkingSet: Generate scored every candidate already.
+func (m *memorySet) Criteria([]*Candidate) ([]float64, error) {
+	ivs := make([]float64, len(m.entries))
+	for i, en := range m.entries {
 		ivs[i] = en.iv
 	}
-	kept := ivFilter(ivs, st.cfg.IVThreshold, minKeep)
-	for _, idx := range kept {
-		if en := entries[idx]; en.dropped {
-			st.regenerate(en)
-		}
-	}
-	return kept
+	return ivs, nil
 }
 
-// regenerate rebuilds a recycled candidate column from its fitted applier.
-func (st *candidateStream) regenerate(en *candEntry) {
-	en.lf.train = st.arena.Get()
-	applyColumn(en)
-	en.dropped = false
+// Correlated implements WorkingSet on the kept candidates' standardised
+// columns. Winners of the IV filter's min-keep fallback whose columns the
+// stream recycled are rebuilt from their fitted appliers first.
+func (m *memorySet) Correlated(_ []*Candidate, kept []int) (func(j int, among []int) bool, error) {
+	cols := make([][]float64, len(m.entries))
+	for _, idx := range kept {
+		en := m.entries[idx]
+		if en.dropped {
+			en.lf.train = m.arena.Get()
+			applyColumn(en)
+			en.dropped = false
+		}
+		cols[idx] = en.lf.train
+	}
+	return pearsonTest(m.ctx, cols, kept, m.cfg.PearsonThreshold, m.pool)
+}
+
+// Carry implements WorkingSet: the selection's generated features get their
+// validation columns (computed here, for the selected few, instead of for
+// every candidate at generation time), and every arena column that is not
+// selected — this round's rejects, and prior rounds' features that just left
+// the working set — is recycled.
+func (m *memorySet) Carry(_ []*Candidate, selected []int, _ []FeatureNode) error {
+	next := make([]*liveFeature, len(selected))
+	carried := make(map[*liveFeature]bool, len(selected))
+	for i, idx := range selected {
+		en := m.entries[idx]
+		next[i], carried[en.lf] = en.lf, true
+		if m.validLabels == nil || en.applier == nil {
+			continue
+		}
+		vin := make([][]float64, len(en.cand.Feats))
+		for k, f := range en.cand.Feats {
+			vin[k] = m.live[f].valid
+		}
+		en.lf.valid = en.applier.Transform(vin)
+		sanitize(en.lf.valid)
+	}
+	for _, en := range m.entries {
+		if lf := en.lf; !carried[lf] && lf.Node != nil && lf.train != nil {
+			m.arena.Put(lf.train)
+			lf.train = nil
+		}
+	}
+	m.live, m.entries = next, nil
+	return nil
+}
+
+// validationScore scores the live set's validation columns under the
+// evaluator the loop trained on its training codes, with the task's
+// validation metric: AUC for binary, exact-match accuracy for multiclass,
+// negative RMSE for regression (all higher-is-better, so the early-stopping
+// comparison is task-agnostic).
+func (m *memorySet) validationScore(evaluator *gbdt.Model) float64 {
+	vcols := make([][]float64, len(m.live))
+	for i, lf := range m.live {
+		vcols[i] = lf.valid
+	}
+	preds := evaluator.Predict(vcols)
+	switch m.cfg.Task.Kind {
+	case TaskMulticlass:
+		return metrics.ClassAccuracy(preds, m.validLabels)
+	case TaskRegression:
+		return -metrics.RMSE(preds, m.validLabels)
+	default:
+		return metrics.AUC(preds, m.validLabels)
+	}
 }
 
 // scratchList is the stream's free list of criterion scratches: a pool chunk

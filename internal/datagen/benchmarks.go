@@ -1,7 +1,5 @@
 package datagen
 
-import "fmt"
-
 // BenchmarkSpecs returns the 12 dataset specs of Table IV with the paper's
 // exact #train/#valid/#test/#dim shapes. scale in (0,1] shrinks the row
 // counts proportionally (floored at 200 training rows) so the full table can
@@ -31,16 +29,6 @@ func BenchmarkSpecs(scale float64) []Spec {
 		base[i].Test = scaleRows(base[i].Test, scale, 100)
 	}
 	return base
-}
-
-// BenchmarkSpec returns the named Table IV spec, or an error.
-func BenchmarkSpec(name string, scale float64) (Spec, error) {
-	for _, s := range BenchmarkSpecs(scale) {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("datagen: unknown benchmark %q", name)
 }
 
 // BusinessSpecs returns the three fraud-detection dataset specs of

@@ -177,12 +177,6 @@ func TestBenchmarkSpecScaling(t *testing.T) {
 			t.Errorf("%s scaled train = %d, below floor", s.Name, s.Train)
 		}
 	}
-	if _, err := BenchmarkSpec("magic", 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := BenchmarkSpec("nope", 1); err == nil {
-		t.Error("unknown benchmark resolved")
-	}
 }
 
 func TestBusinessSpecsImbalanced(t *testing.T) {

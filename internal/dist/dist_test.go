@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -184,14 +185,43 @@ func tcpFleet(t *testing.T, ctx context.Context, n int) *fleet {
 // and returns the pipeline and stats.
 func distFit(t *testing.T, ctx context.Context, spec SourceSpec, conns []Conn, cfg core.Config) (*core.Pipeline, *shard.Stats) {
 	t.Helper()
+	p, _, st := distFitReport(t, ctx, spec, conns, cfg)
+	return p, st
+}
+
+func distFitReport(t *testing.T, ctx context.Context, spec SourceSpec, conns []Conn, cfg core.Config) (*core.Pipeline, *core.Report, *shard.Stats) {
+	t.Helper()
 	coord := NewCoordinator(spec, conns...)
 	defer coord.Close()
 	src := openLocal(t, spec)
-	p, _, st, err := shard.Fit(ctx, src, shard.Config{Core: cfg, Exec: coord})
+	p, rep, st, err := shard.Fit(ctx, src, shard.Config{Core: cfg, Exec: coord})
 	if err != nil {
 		t.Fatalf("distributed fit: %v", err)
 	}
-	return p, st
+	return p, rep, st
+}
+
+// protocol is what a fit tells its observers, wall times apart: every event
+// and every count of every round's report.
+type protocol struct {
+	events []core.FitEvent
+	rounds []core.IterationReport
+}
+
+// observe hooks the recorder into cfg's event stream.
+func (p *protocol) observe(cfg core.Config) core.Config {
+	cfg.Events = func(ev core.FitEvent) {
+		ev.Elapsed = 0
+		p.events = append(p.events, ev)
+	}
+	return cfg
+}
+
+func (p *protocol) report(rep *core.Report) {
+	for _, ir := range rep.Iterations {
+		ir.Elapsed, ir.MineTime, ir.ScoreTime, ir.GenerateTime, ir.IVTime, ir.PearsonTime, ir.RankTime = 0, 0, 0, 0, 0, 0, 0
+		p.rounds = append(p.rounds, ir)
+	}
 }
 
 // localFingerprints returns the shard.Fit and core.Fit fingerprints for a
@@ -273,26 +303,35 @@ func TestDistributedFitMatchesLocal(t *testing.T) {
 			// Every family also fits the CSV: a worker session parses it once
 			// and spills, a local fit over frame.CSVChunks parses it on every
 			// pass, and the engine must not be able to tell — same selection,
-			// the same stats field for field, no temp file after the sessions.
+			// the same stats field for field, the same events and rounds, no temp
+			// file after the sessions.
 			empty := emptyTempDir(t)
 			if kind != SourceCSV {
 				spec = writeSource(t, train, SourceCSV, chunkRows)
 			}
-			rp, _, reparsed, err := shard.Fit(context.Background(), openLocal(t, spec), shard.Config{Core: cfg})
+			var local protocol
+			rp, rrep, reparsed, err := shard.Fit(context.Background(), openLocal(t, spec), shard.Config{Core: local.observe(cfg)})
 			if err != nil {
 				t.Fatalf("local fit over the re-parsed csv: %v", err)
 			}
+			local.report(rrep)
 			if fp := fingerprint(rp); fp != coreFP {
 				t.Fatalf("re-parsed csv diverged from the in-memory fit:\n got: %s\nwant: %s", fp, coreFP)
 			}
 			for _, workers := range []int{1, 2} {
 				ctx, cancel := context.WithCancel(context.Background())
 				fl := pipeFleet(t, ctx, workers)
-				p, st := distFit(t, ctx, spec, fl.conns, cfg)
+				var dist protocol
+				p, rep, st := distFitReport(t, ctx, spec, fl.conns, dist.observe(cfg))
 				cancel()
 				fl.wait()
 				if fp := fingerprint(p); fp != coreFP {
 					t.Fatalf("spilled csv workers=%d diverged from the in-memory fit:\n got: %s\nwant: %s", workers, fp, coreFP)
+				}
+				// One loop drives both: the distributed fit reports the local
+				// fit's events, Rows included, and the local fit's counts.
+				if dist.report(rep); !reflect.DeepEqual(dist, local) {
+					t.Fatalf("spilled csv workers=%d: the distributed fit's events and rounds differ from the local fit's:\ndist:  %+v\nlocal: %+v", workers, dist, local)
 				}
 				if *st != *reparsed || st.BlocksSkipped != 0 {
 					t.Fatalf("spilled csv workers=%d: stats differ from the re-parsed fit:\nspilled:   %+v\nre-parsed: %+v", workers, *st, *reparsed)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/parallel"
 	"repro/internal/stats"
@@ -174,46 +173,11 @@ func (m *Model) NumGroups() int {
 	return 1
 }
 
-// TrainWithValidation fits a boosted model with early stopping: after each
-// round the model is scored on the validation set (AUC for Logistic,
-// negative MSE for Squared) and training stops once earlyStopRounds
-// consecutive rounds bring no improvement, truncating the model to its best
-// round. This mirrors Algorithm 1 line 3, which hands XGBoost both D_train
-// and D_valid. earlyStopRounds <= 0 disables early stopping.
-func TrainWithValidation(cols [][]float64, labels []float64, vcols [][]float64, vlabels []float64, names []string, cfg Config, earlyStopRounds int) (*Model, error) {
-	if len(vcols) != len(cols) {
-		return nil, fmt.Errorf("gbdt: validation has %d columns, want %d", len(vcols), len(cols))
-	}
-	if len(vlabels) == 0 {
-		return nil, errors.New("gbdt: empty validation labels")
-	}
-	model, err := trainInternal(context.Background(), cols, labels, names, cfg, &validation{
-		cols: vcols, labels: vlabels, patience: earlyStopRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return model, nil
-}
-
-// validation tracks early-stopping state during training.
-type validation struct {
-	cols     [][]float64
-	labels   []float64
-	patience int
-
-	raw      []float64 // running raw validation scores
-	bestEval float64
-	bestSize int
-	badRuns  int
-	rounds   int
-}
-
 // Train fits a boosted model on column-major data: cols[j][i] is feature j of
 // row i. labels are {0,1} for Logistic, arbitrary for Squared. names may be
 // nil. Train does not retain cols or labels.
 func Train(cols [][]float64, labels []float64, names []string, cfg Config) (*Model, error) {
-	return trainInternal(context.Background(), cols, labels, names, cfg, nil)
+	return trainInternal(context.Background(), cols, labels, names, cfg)
 }
 
 // Prebinned is a feature matrix already quantised to per-feature bin codes:
@@ -308,10 +272,10 @@ func TrainBinnedCtx(ctx context.Context, pb *Prebinned, labels []float64, names 
 	for j := range pb.Cuts {
 		b.numBins[j] = len(pb.Cuts[j]) + 1
 	}
-	return trainWithBinner(ctx, b, labels, names, cfg, nil)
+	return trainWithBinner(ctx, b, labels, names, cfg)
 }
 
-func trainInternal(ctx context.Context, cols [][]float64, labels []float64, names []string, cfg Config, val *validation) (*Model, error) {
+func trainInternal(ctx context.Context, cols [][]float64, labels []float64, names []string, cfg Config) (*Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -329,16 +293,16 @@ func trainInternal(ctx context.Context, cols [][]float64, labels []float64, name
 		}
 	}
 	b := newBinner(cols, cfg.MaxBins, cfg.pool())
-	return trainWithBinner(ctx, b, labels, names, cfg, val)
+	return trainWithBinner(ctx, b, labels, names, cfg)
 }
 
 // trainWithBinner is the boosting loop proper, shared by the raw-column and
 // prebinned entry points. ctx is checked once per boosting round — the
 // granularity at which abandoning work stays cheap relative to the work
 // itself.
-func trainWithBinner(ctx context.Context, b *binner, labels []float64, names []string, cfg Config, val *validation) (*Model, error) {
+func trainWithBinner(ctx context.Context, b *binner, labels []float64, names []string, cfg Config) (*Model, error) {
 	if cfg.Objective == Softmax {
-		return trainSoftmaxWithBinner(ctx, b, labels, names, cfg, val)
+		return trainSoftmaxWithBinner(ctx, b, labels, names, cfg)
 	}
 	m := len(b.codes)
 	n := len(labels)
@@ -372,14 +336,6 @@ func trainWithBinner(ctx context.Context, b *binner, labels []float64, names []s
 
 	tr := newTrainer(b, cfg, pool, n, m)
 
-	if val != nil {
-		val.raw = make([]float64, len(val.labels))
-		for i := range val.raw {
-			val.raw[i] = base
-		}
-		val.bestEval = math.Inf(-1)
-	}
-
 	for t := 0; t < cfg.NumTrees; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -411,88 +367,8 @@ func trainWithBinner(ctx context.Context, b *binner, labels []float64, names []s
 
 		// Update raw scores on all rows (not only the subsample).
 		updatePredictions(tree, b, raw, pool)
-
-		if val != nil && val.patience > 0 {
-			if stop := val.update(tree, cfg.Objective); stop {
-				model.Trees = model.Trees[:val.bestSize]
-				break
-			}
-		}
 	}
 	return model, nil
-}
-
-// update adds the new tree's contribution to the validation scores,
-// evaluates, and reports whether training should stop.
-func (val *validation) update(tree *Tree, obj Objective) bool {
-	val.rounds++
-	row := make([]float64, len(val.cols))
-	for i := range val.raw {
-		for j := range val.cols {
-			row[j] = val.cols[j][i]
-		}
-		val.raw[i] += tree.PredictRow(row)
-	}
-	eval := val.evaluate(obj)
-	if eval > val.bestEval+1e-12 {
-		val.bestEval = eval
-		val.bestSize = val.rounds
-		val.badRuns = 0
-		return false
-	}
-	val.badRuns++
-	return val.badRuns >= val.patience
-}
-
-// evaluate scores the running validation predictions: AUC for Logistic,
-// negated MSE for Squared (higher is better for both).
-func (val *validation) evaluate(obj Objective) float64 {
-	if obj == Logistic {
-		return rankAUC(val.raw, val.labels)
-	}
-	mse := 0.0
-	for i, r := range val.raw {
-		d := r - val.labels[i]
-		mse += d * d
-	}
-	return -mse / float64(len(val.raw))
-}
-
-// rankAUC is a local AUC on raw scores (monotone-invariant, so raw scores
-// work as well as probabilities). Kept here to avoid a dependency cycle
-// with the metrics package's consumers.
-func rankAUC(scores, labels []float64) float64 {
-	n := len(scores)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j < n && scores[idx[j]] == scores[idx[i]] {
-			j++
-		}
-		mid := float64(i+j+1) / 2
-		for k := i; k < j; k++ {
-			ranks[idx[k]] = mid
-		}
-		i = j
-	}
-	var pos, neg, sumPos float64
-	for i := 0; i < n; i++ {
-		if labels[i] > 0.5 {
-			pos++
-			sumPos += ranks[i]
-		} else {
-			neg++
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return 0.5
-	}
-	return (sumPos - pos*(pos+1)/2) / (pos * neg)
 }
 
 func computeGradients(obj Objective, raw, labels, grad, hess []float64) {

@@ -190,9 +190,8 @@ func TestGainImportanceConcentrates(t *testing.T) {
 			t.Errorf("noise feature %d importance %v exceeds signal features (%v)", j, imp[j], signal)
 		}
 	}
-	total := model.TotalGainImportance()
-	if total[0] <= 0 || total[1] <= 0 {
-		t.Error("signal features have zero total gain")
+	if imp[0] <= 0 || imp[1] <= 0 {
+		t.Error("signal features have zero gain")
 	}
 }
 

@@ -117,17 +117,3 @@ func (m *Model) GainImportance() []float64 {
 	}
 	return out
 }
-
-// TotalGainImportance returns summed (not averaged) split gain per feature.
-func (m *Model) TotalGainImportance() []float64 {
-	total := make([]float64, m.NumFeat)
-	for _, t := range m.Trees {
-		for i := range t.Nodes {
-			n := &t.Nodes[i]
-			if !n.IsLeaf() {
-				total[n.Feature] += n.Gain
-			}
-		}
-	}
-	return total
-}

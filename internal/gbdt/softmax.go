@@ -2,7 +2,6 @@ package gbdt
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,10 +16,7 @@ import (
 // for Softmax exactly as they are for Logistic and Squared. The row and
 // column subsamples are drawn once per round and shared by every class tree
 // (XGBoost's behaviour), keeping the per-round trees comparable.
-func trainSoftmaxWithBinner(ctx context.Context, b *binner, labels []float64, names []string, cfg Config, val *validation) (*Model, error) {
-	if val != nil {
-		return nil, errors.New("gbdt: validation-based early stopping is not supported for the Softmax objective")
-	}
+func trainSoftmaxWithBinner(ctx context.Context, b *binner, labels []float64, names []string, cfg Config) (*Model, error) {
 	k := cfg.NumClass
 	m := len(b.codes)
 	n := len(labels)

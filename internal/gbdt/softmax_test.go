@@ -145,10 +145,6 @@ func TestSoftmaxValidation(t *testing.T) {
 	cfg.Objective = Softmax
 	cfg.NumClass = 3
 	cfg.NumTrees = 3
-	// Early stopping is unsupported for Softmax and must error cleanly.
-	if _, err := TrainWithValidation(cols, labels, cols, labels, nil, cfg, 2); err == nil {
-		t.Error("softmax early stopping accepted")
-	}
 	// Bad class labels must be rejected.
 	bad := append([]float64(nil), labels...)
 	bad[10] = 7

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -16,9 +17,69 @@ import (
 )
 
 // fingerprint reduces a fitted pipeline to the string the determinism matrix
-// compares: the selected feature names in selection order. Any divergence in
-// merge order, worker scheduling or partition folding shows up here.
-func fingerprint(p *core.Pipeline) string { return strings.Join(p.Output, "|") }
+// compares: the selected feature names in selection order, and their formulas
+// over the original columns. Any divergence in merge order, worker scheduling
+// or partition folding shows up here.
+func fingerprint(p *core.Pipeline) string {
+	return strings.Join(p.Output, "|") + "\n" + strings.Join(p.Formulas(), "|")
+}
+
+// fitEngine is one way of running the one round loop: a column
+// representation, and what goes with it — a partitioning, a pool size. fit
+// fails the test unless the fit went through as the cell expects.
+type fitEngine struct {
+	name string
+	fit  func(t *testing.T, train *frame.Frame, cfg core.Config) *core.Pipeline
+}
+
+// inMemoryEngine fits the resident frame on a pool of the given size;
+// serial runs everything inline.
+func inMemoryEngine(serial bool, workers int) fitEngine {
+	return fitEngine{fmt.Sprintf("in-memory serial=%v workers=%d", serial, workers),
+		func(t *testing.T, train *frame.Frame, cfg core.Config) *core.Pipeline {
+			cfg.Parallel, cfg.Workers = !serial, workers
+			return fitInMemory(t, train, cfg)
+		}}
+}
+
+// shardedEngine fits the frame out of core in chunkRows-row partitions, and
+// holds the fit to the partition and pass counts the shape implies. Both
+// refinement passes are skipped (5 passes instead of 7) only while every
+// sketch stays lossless: every chunk within the partial budget, so no partial
+// compacts, and no more rows than the sketch size, so no merge does.
+func shardedEngine(chunkRows, partitions, passes, workers int) fitEngine {
+	return fitEngine{fmt.Sprintf("sharded chunk=%d workers=%d", chunkRows, workers),
+		func(t *testing.T, train *frame.Frame, cfg core.Config) *core.Pipeline {
+			cfg.Workers = workers
+			got, _, st, err := Fit(context.Background(), frame.NewFrameChunks(train, chunkRows), Config{Core: cfg})
+			if err != nil {
+				t.Fatalf("chunk=%d workers=%d: %v", chunkRows, workers, err)
+			}
+			if st.Partitions != partitions || st.Passes != passes {
+				t.Fatalf("chunk=%d workers=%d: %d partitions in %d passes, want %d in %d",
+					chunkRows, workers, st.Partitions, st.Passes, partitions, passes)
+			}
+			if lossless := st.MaxQuantileRankError == 0; lossless != (passes == 5) {
+				t.Fatalf("chunk=%d workers=%d: rank error %d with %d passes",
+					chunkRows, workers, st.MaxQuantileRankError, passes)
+			}
+			return got
+		}}
+}
+
+// assertDeterministic is the determinism table of both engines: every listed
+// engine must select, on train under cfg, exactly what the fully serial
+// in-memory fit selects — the same features, with the same formulas, in the
+// same order.
+func assertDeterministic(t *testing.T, train *frame.Frame, cfg core.Config, engines []fitEngine) {
+	t.Helper()
+	want := fingerprint(inMemoryEngine(true, 0).fit(t, train, cfg))
+	for _, e := range engines {
+		if got := fingerprint(e.fit(t, train, cfg)); got != want {
+			t.Fatalf("%d rows, %s diverged from the serial in-memory fit:\n got: %s\nwant: %s", train.NumRows(), e.name, got, want)
+		}
+	}
+}
 
 // cutRecorder is the in-process executor with an ear on the pass specs: it
 // keeps the cut sets of the first codes pass, which are the original columns'
@@ -35,19 +96,17 @@ func (r *cutRecorder) RunPass(ctx context.Context, spec *PassSpec, fold func(*Pa
 	return r.localExec.RunPass(ctx, spec, fold)
 }
 
-// TestShardedFitDeterminismMatrix is the tentpole's determinism pin: for
-// every task family, every listed partitioning under every listed worker
-// count produces a fingerprint identical to the in-memory core.Fit on the
-// same rows. The parallel coordinator folds partition deltas in index
-// order regardless of completion order, so this must hold exactly — also
-// under the race detector, where scheduling is deliberately perturbed.
+// TestShardedFitDeterminismMatrix is the determinism pin of the one loop under
+// both column representations: for every task family, the in-memory engine
+// under every listed worker count — including the fully serial path — and
+// the sharded engine under every listed partitioning and worker count
+// produce one fingerprint. The pools give every column and every candidate to
+// one goroutine and the folds run in partition order regardless of completion
+// order, so this must hold exactly — also under the race detector, where
+// scheduling is deliberately perturbed.
 //
-// Each row also states how many passes the fit takes. Both refinement passes
-// are skipped (5 passes instead of 7) only while every sketch stays lossless:
-// every chunk within the partial budget, so no partial compacts, and no more
-// rows than the sketch size, so no merge does. (One fewer than these rows said
-// while combinations were scored by a streaming pass of their own: they are
-// scored on the resident miner codes now, and no row streams for it.)
+// Each sharded row also states how many passes the fit takes (see
+// shardedEngine).
 func TestShardedFitDeterminismMatrix(t *testing.T) {
 	all, one := []int{1, 2, 4, 8}, []int{2}
 	shapes := []struct {
@@ -80,34 +139,21 @@ func TestShardedFitDeterminismMatrix(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.Task = fam.task
 			cfg.Seed = 1
-			trains, wants := map[int]*frame.Frame{}, map[int]string{}
-			for _, sh := range shapes {
-				train := trains[sh.rows]
-				if train == nil {
-					train = taskWorkload(t, sh.rows, 9, fam.target, fam.classes)
-					trains[sh.rows], wants[sh.rows] = train, fingerprint(fitInMemory(t, train, cfg))
-				}
-				for _, workers := range sh.workers {
-					wcfg := cfg
-					wcfg.Workers = workers
-					got, _, st, err := Fit(context.Background(),
-						frame.NewFrameChunks(train, sh.chunkRows), Config{Core: wcfg})
-					if err != nil {
-						t.Fatalf("rows=%d chunk=%d workers=%d: %v", sh.rows, sh.chunkRows, workers, err)
-					}
-					if st.Partitions != sh.partitions || st.Passes != sh.passes {
-						t.Fatalf("rows=%d chunk=%d workers=%d: %d partitions in %d passes, want %d in %d",
-							sh.rows, sh.chunkRows, workers, st.Partitions, st.Passes, sh.partitions, sh.passes)
-					}
-					if lossless := st.MaxQuantileRankError == 0; lossless != (sh.passes == 5) {
-						t.Fatalf("rows=%d chunk=%d workers=%d: rank error %d with %d passes",
-							sh.rows, sh.chunkRows, workers, st.MaxQuantileRankError, sh.passes)
-					}
-					if fp := fingerprint(got); fp != wants[sh.rows] {
-						t.Fatalf("rows=%d chunk=%d workers=%d diverged from core.Fit:\n got: %s\nwant: %s",
-							sh.rows, sh.chunkRows, workers, fp, wants[sh.rows])
+			for _, rows := range []int{3000, 16400} {
+				var engines []fitEngine
+				if rows == 3000 {
+					for _, workers := range []int{1, 2, runtime.NumCPU()} {
+						engines = append(engines, inMemoryEngine(false, workers))
 					}
 				}
+				for _, sh := range shapes {
+					for _, workers := range sh.workers {
+						if sh.rows == rows {
+							engines = append(engines, shardedEngine(sh.chunkRows, sh.partitions, sh.passes, workers))
+						}
+					}
+				}
+				assertDeterministic(t, taskWorkload(t, rows, 9, fam.target, fam.classes), cfg, engines)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/operators"
@@ -62,62 +61,35 @@ func (f *fitter) runPass(spec *PassSpec, fold func(*Partial) error) error {
 	return nil
 }
 
-// neededNodes selects, from every node generated so far, the dependency-
-// ordered subset the current live set needs — the node program a worker's
+// syncLive pushes the current live set to the executor as a new epoch: from
+// every node generated so far, the dependency-ordered program that derives it
+// (by operator registry name), plus the live feature names — what a worker's
 // evaluator replays per chunk.
-func (f *fitter) neededNodes() []core.FeatureNode {
-	needed := make(map[string]bool, len(f.live))
-	for _, lf := range f.live {
-		if lf.node != nil {
-			needed[lf.name] = true
-		}
-	}
-	keep := make([]bool, len(f.nodes))
-	for i := len(f.nodes) - 1; i >= 0; i-- {
-		if needed[f.nodes[i].Name] {
-			keep[i] = true
-			for _, dep := range f.nodes[i].Inputs {
-				needed[dep] = true
-			}
-		}
-	}
-	var out []core.FeatureNode
-	for i := range f.nodes {
-		if keep[i] {
-			out = append(out, f.nodes[i])
-		}
-	}
-	return out
-}
-
-// syncLive pushes the current live set to the executor as a new epoch: the
-// dependency-ordered node program (by operator registry name) plus the live
-// feature names.
-func (f *fitter) syncLive() error {
-	nodes := f.neededNodes()
-	specs := make([]NodeSpec, len(nodes))
-	for i := range nodes {
-		op, ok := operators.ApplierOp(nodes[i].Applier)
-		if !ok {
-			return fmt.Errorf("shard: node %q has a non-registry applier", nodes[i].Name)
-		}
-		specs[i] = NodeSpec{Name: nodes[i].Name, Inputs: nodes[i].Inputs, Op: op}
-	}
+func (f *fitter) syncLive(nodes []core.FeatureNode) error {
 	live := make([]string, len(f.live))
 	for i, lf := range f.live {
-		live[i] = lf.name
+		live[i] = lf.Name
+	}
+	program := core.ReachableNodes(nodes, live)
+	specs := make([]NodeSpec, len(program))
+	for i := range program {
+		op, ok := operators.ApplierOp(program[i].Applier)
+		if !ok {
+			return fmt.Errorf("shard: node %q has a non-registry applier", program[i].Name)
+		}
+		specs[i] = NodeSpec{Name: program[i].Name, Inputs: program[i].Inputs, Op: op}
 	}
 	f.liveEpoch++
 	return f.exec.SetLive(f.ctx, f.liveEpoch, specs, live)
 }
 
 // genSpec reifies one generated candidate for kernel-side recomputation.
-func genSpec(en *candidate) (GenSpec, error) {
-	op, ok := operators.ApplierOp(en.applier)
+func genSpec(c *core.Candidate) (GenSpec, error) {
+	op, ok := operators.ApplierOp(c.Node.Applier)
 	if !ok {
-		return GenSpec{}, fmt.Errorf("shard: candidate %q has a non-registry applier", en.name)
+		return GenSpec{}, fmt.Errorf("shard: candidate %q has a non-registry applier", c.Node.Name)
 	}
-	return GenSpec{Op: op, Feats: en.feats}, nil
+	return GenSpec{Op: op, Feats: c.Feats}, nil
 }
 
 // foldSketches merges one partial's quantile/moments summaries into their
@@ -176,19 +148,20 @@ func placeCodes(dst []uint8, cuts []float64, p *Partial, i int) error {
 	return nil
 }
 
-// passLiveCodes streams one pass building the resident miner codes of the
-// given live features from their miner cuts.
-func (f *fitter) passLiveCodes(live []*liveFeat) error {
+// passLiveCodes streams one pass building the resident codes of the live
+// features from their cuts.
+func (f *fitter) passLiveCodes() error {
+	live := f.live
 	spec := &PassSpec{Kind: PassCodes, LiveCuts: make([][]float64, len(live))}
 	for i := range live {
-		spec.LiveCuts[i] = live[i].minerCuts
+		spec.LiveCuts[i] = live[i].Cuts
 	}
 	return f.runPass(spec, func(p *Partial) error {
 		if len(p.Codes) != len(live) {
 			return fmt.Errorf("shard: codes partial %d has %d columns, want %d", p.Chunk, len(p.Codes), len(live))
 		}
 		for i := range live {
-			if err := placeCodes(live[i].codes, live[i].minerCuts, p, i); err != nil {
+			if err := placeCodes(live[i].Codes, live[i].Cuts, p, i); err != nil {
 				return err
 			}
 		}
@@ -200,23 +173,19 @@ func (f *fitter) passLiveCodes(live []*liveFeat) error {
 // candidate column (quantile summary + moments); the fold merges the
 // partition partials into each candidate's running sketch in partition
 // order.
-func (f *fitter) passCandidateSketches(entries []*candidate) error {
-	spec := &PassSpec{Kind: PassSketchGen}
-	var sks []*sketch.Quantile
-	var moms []*sketch.Moments
-	for _, en := range entries {
-		if en.isBase {
-			continue
-		}
-		g, err := genSpec(en)
+func (f *fitter) passCandidateSketches(gens []*core.Candidate) error {
+	if len(gens) == 0 {
+		return nil
+	}
+	spec := &PassSpec{Kind: PassSketchGen, Gens: make([]GenSpec, len(gens))}
+	sks := make([]*sketch.Quantile, len(gens))
+	moms := make([]*sketch.Moments, len(gens))
+	for i, c := range gens {
+		g, err := genSpec(c)
 		if err != nil {
 			return err
 		}
-		spec.Gens = append(spec.Gens, g)
-		sks, moms = append(sks, en.sk), append(moms, en.mom)
-	}
-	if len(sks) == 0 {
-		return nil
+		spec.Gens[i], sks[i], moms[i] = g, col(c).sk, col(c).mom
 	}
 	return f.runPass(spec, func(p *Partial) error {
 		return f.foldSketches(p, "gen-sketch", sks, moms)
@@ -296,7 +265,7 @@ func (f *fitter) refineLive() error {
 	var open []openRef
 	for j, lf := range f.live {
 		if lf.ref.NeedsPass() {
-			open = append(open, openRef{ref: lf.ref, name: lf.name, col: j})
+			open = append(open, openRef{ref: lf.ref, name: lf.Name, col: j})
 		}
 	}
 	// The in-process executor streams a source the fitter can plan against: a
@@ -319,28 +288,28 @@ func (f *fitter) refineLive() error {
 // refineCandidates is refineLive for the round's generated candidates,
 // whose columns the kernel recomputes per chunk to gather their open
 // brackets. Base refiners carry over from the live set.
-func (f *fitter) refineCandidates(entries []*candidate) error {
+func (f *fitter) refineCandidates(gens []*core.Candidate) error {
 	if f.approxCuts {
 		return nil
 	}
-	if err := f.each(len(entries), func(i int) error {
-		if en := entries[i]; !en.isBase {
-			en.ref = f.openRefiner(en.sk)
-		}
+	if err := f.each(len(gens), func(i int) error {
+		c := col(gens[i])
+		c.ref = f.openRefiner(c.sk)
 		return nil
 	}); err != nil {
 		return err
 	}
 	var open []openRef
-	for _, en := range entries {
-		if en.isBase || !en.ref.NeedsPass() {
+	for _, cand := range gens {
+		c := col(cand)
+		if !c.ref.NeedsPass() {
 			continue
 		}
-		g, err := genSpec(en)
+		g, err := genSpec(cand)
 		if err != nil {
 			return err
 		}
-		open = append(open, openRef{ref: en.ref, name: en.name, col: -1, gen: g})
+		open = append(open, openRef{ref: c.ref, name: c.Name, col: -1, gen: g})
 	}
 	return f.refine(open)
 }
@@ -388,22 +357,15 @@ func (f *fitter) checkBrackets(open []openRef) error {
 	})
 }
 
-// entrySpecs reifies a candidate set for the histogram/Gram passes; cuts
-// selects the per-entry bin edges to ship.
-func entrySpecs(entries []*candidate, cuts func(*candidate) []float64) ([]EntrySpec, error) {
-	out := make([]EntrySpec, len(entries))
-	for i, en := range entries {
-		out[i] = EntrySpec{Base: en.baseIdx, Cuts: cuts(en)}
-		if en.isBase {
-			continue
-		}
-		g, err := genSpec(en)
-		if err != nil {
-			return nil, err
-		}
-		out[i].Base, out[i].Gen = -1, g
+// entrySpec reifies candidate i of the round for the histogram/Gram passes,
+// to be binned at cuts: a live feature by its index, a generated candidate by
+// its recipe.
+func (f *fitter) entrySpec(i int, c *core.Candidate, cuts []float64) (EntrySpec, error) {
+	if i < len(f.live) {
+		return EntrySpec{Base: i, Cuts: cuts}, nil
 	}
-	return out, nil
+	g, err := genSpec(c)
+	return EntrySpec{Base: -1, Gen: g, Cuts: cuts}, err
 }
 
 // passCandidateCounts streams one pass accumulating every candidate's
@@ -413,48 +375,51 @@ func entrySpecs(entries []*candidate, cuts func(*candidate) []float64) ([]EntryS
 // order; the regression moment histogram replays the partitions' bin ids
 // against the gathered targets in global row order, keeping the float
 // arithmetic bit-identical to the in-memory single-pass accumulation.
-func (f *fitter) passCandidateCounts(entries []*candidate) error {
-	specs, err := entrySpecs(entries, func(en *candidate) []float64 { return en.ivCuts })
-	if err != nil {
-		return err
-	}
-	spec := &PassSpec{Kind: PassHistCounts, Entries: specs}
+func (f *fitter) passCandidateCounts(cands []*core.Candidate) error {
+	spec := &PassSpec{Kind: PassHistCounts, Entries: make([]EntrySpec, len(cands))}
 	if f.cfg.Task.Kind == core.TaskRegression {
 		spec.Kind = PassHistIDs
+	}
+	cols := make([]*column, len(cands))
+	for i, c := range cands {
+		cols[i] = col(c)
+		var err error
+		if spec.Entries[i], err = f.entrySpec(i, c, cols[i].ivCuts); err != nil {
+			return err
+		}
 	}
 	// The prepared histograms are the merge targets; the in-process kernels
 	// shadow these same objects, reading only their cuts and bucket index.
 	for i, h := range spec.prepared(f.cfg.Task).hists {
-		entries[i].hist = h
+		cols[i].hist = h
 	}
 	if spec.Kind == PassHistIDs {
 		return f.runPass(spec, func(p *Partial) error {
-			if len(p.Ints) != len(entries)*p.Rows {
-				return fmt.Errorf("shard: hist-id partial %d has %d ids, want %d", p.Chunk, len(p.Ints), len(entries)*p.Rows)
+			if len(p.Ints) != len(cols)*p.Rows {
+				return fmt.Errorf("shard: hist-id partial %d has %d ids, want %d", p.Chunk, len(p.Ints), len(cols)*p.Rows)
 			}
 			targets := f.labels[p.Start : p.Start+p.Rows]
-			return f.each(len(entries), func(i int) error {
-				en := entries[i]
+			return f.each(len(cols), func(i int) error {
 				ids := p.Ints[i*p.Rows : (i+1)*p.Rows]
-				bins := int32(len(en.ivCuts) + 1)
+				bins := int32(len(cols[i].ivCuts) + 1)
 				for _, id := range ids {
 					if id < -1 || id >= bins {
 						return fmt.Errorf("shard: hist-id partial %d cand %d bin id %d outside %d bins", p.Chunk, i, id, bins)
 					}
 				}
-				en.hist.(*sketch.MomentHist).AddBinned(ids, targets)
+				cols[i].hist.(*sketch.MomentHist).AddBinned(ids, targets)
 				return nil
 			})
 		})
 	}
 	return f.runPass(spec, func(p *Partial) error {
-		if len(p.Hists) != len(entries) {
-			return fmt.Errorf("shard: hist partial %d has %d histograms, want %d", p.Chunk, len(p.Hists), len(entries))
+		if len(p.Hists) != len(cols) {
+			return fmt.Errorf("shard: hist partial %d has %d histograms, want %d", p.Chunk, len(p.Hists), len(cols))
 		}
-		return f.each(len(entries), func(i int) error {
+		return f.each(len(cols), func(i int) error {
 			// MergeHist's cut-equality check doubles as an integrity check on
 			// the partition's histogram.
-			if err := entries[i].hist.MergeHist(p.Hists[i]); err != nil {
+			if err := cols[i].hist.MergeHist(p.Hists[i]); err != nil {
 				return fmt.Errorf("shard: hist partial %d cand %d: %w", p.Chunk, i, err)
 			}
 			return nil
@@ -466,24 +431,30 @@ func (f *fitter) passCandidateCounts(entries []*candidate) error {
 // pairwise co-moment Gram matrix (per-partition partials merged by addition
 // in partition order — the identical float sums of a sequential pass, since
 // each chunk's dot products add once either way) and materialising resident
-// ranker codes for survivors that do not already alias live codes.
-func (f *fitter) passGramAndCodes(entries []*candidate, keptA []int) error {
-	kept := make([]*candidate, len(keptA))
-	for gi, idx := range keptA {
-		kept[gi] = entries[idx]
-	}
-	specs, err := entrySpecs(kept, func(en *candidate) []float64 { return en.rgCuts })
-	if err != nil {
-		return err
-	}
-	for gi, en := range kept {
-		if en.codes == nil {
-			en.codes = make([]uint8, f.n)
-			specs[gi].NeedCodes = true
+// ranker codes for the survivors that carry none at the ranker's bin count
+// (a live feature binned for a miner of the same count does).
+func (f *fitter) passGramAndCodes(cands []*core.Candidate, keptA []int) (*sketch.Gram, error) {
+	bins := f.cfg.Ranker.MaxBins
+	kept := make([]*column, len(keptA))
+	specs := make([]EntrySpec, len(keptA))
+	if err := f.each(len(keptA), func(gi int) error {
+		idx := keptA[gi]
+		c := col(cands[idx])
+		kept[gi] = c
+		need := !c.BinnedAt(bins)
+		if need {
+			c.Cuts = sketch.ExactBinnerCuts(c.sk, c.ref, bins)
+			c.Codes, c.Bins = make([]uint8, f.n), bins
 		}
+		spec, err := f.entrySpec(idx, cands[idx], c.Cuts)
+		spec.NeedCodes = need
+		specs[gi] = spec
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	f.gram = sketch.NewGram(len(kept))
-	return f.runPass(&PassSpec{Kind: PassGramCodes, Entries: specs}, func(p *Partial) error {
+	gram := sketch.NewGram(len(kept))
+	err := f.runPass(&PassSpec{Kind: PassGramCodes, Entries: specs}, func(p *Partial) error {
 		if len(p.Codes) != len(kept) {
 			return fmt.Errorf("shard: gram partial %d has %d code columns, want %d", p.Chunk, len(p.Codes), len(kept))
 		}
@@ -493,29 +464,17 @@ func (f *fitter) passGramAndCodes(entries []*candidate, keptA []int) error {
 		// Back to the arena at once, like a merged quantile partial: a partial
 		// that came over the wire was decoded from it, and no executor takes
 		// those back.
-		f.gram.Merge(p.Gram)
+		gram.Merge(p.Gram)
 		f.arena.PutGram(p.Gram)
 		p.Gram = nil
-		for gi, en := range kept {
+		for gi, c := range kept {
 			if specs[gi].NeedCodes {
-				if err := placeCodes(en.codes, en.rgCuts, p, gi); err != nil {
+				if err := placeCodes(c.Codes, c.Cuts, p, gi); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
 	})
+	return gram, err
 }
-
-// sortByIVDesc orders candidate indices by IV descending, ties by index
-// ascending — the scan order of core's pearsonDedup.
-func sortByIVDesc(order []int, ivs []float64) {
-	sort.Slice(order, func(a, b int) bool {
-		if ivs[order[a]] != ivs[order[b]] {
-			return ivs[order[a]] > ivs[order[b]]
-		}
-		return order[a] < order[b]
-	})
-}
-
-func sortInts(xs []int) { sort.Ints(xs) }

@@ -41,7 +41,7 @@ type Config struct {
 	Retry RetryPolicy
 	// Exec, when set, replaces the in-process executor (see Executor): the
 	// fit reads only the source schema from src and every streaming pass runs
-	// wherever the executor runs it. The fit loop is the same either way — it
+	// wherever the executor runs it. The fitter is the same either way — it
 	// reifies each pass into a PassSpec and folds the returned partials in
 	// partition order — so selection stays bit-identical for any executor
 	// worker count. Retry is ignored (fault handling moves below the executor's
@@ -78,14 +78,14 @@ type Stats struct {
 
 // Fit learns the SAFE feature generation function Ψ from a labelled chunked
 // source (Algorithm 1), never holding more than one chunk of raw values per
-// pass plus the resident binned matrices. The selected features and
-// formulas match core.Fit on the same rows up to quantile-sketch tolerance
-// (see package doc); the returned report mirrors core's per-iteration
-// stage sizes, including the per-stage wall-clock timings, and
-// cfg.Core.Events receives the same FitEvent protocol the in-memory engine
-// emits. ctx is checked before every source chunk and every boosting
-// round: a cancelled or expired context aborts the multi-pass coordinator
-// promptly with ctx.Err() and leaks no goroutines.
+// pass plus the resident binned matrices. The loop is core.RunRounds — the
+// one the in-memory engine runs, so the report, the per-stage timings and
+// the FitEvent protocol on cfg.Core.Events are its own — over the
+// out-of-core working set below; the selected features and formulas match
+// core.Fit on the same rows up to quantile-sketch tolerance (see package
+// doc). ctx is checked before every source chunk and every boosting round: a
+// cancelled or expired context aborts the multi-pass coordinator promptly
+// with ctx.Err() and leaks no goroutines.
 func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline, *core.Report, *Stats, error) {
 	norm, err := core.NormalizeConfig(cfg.Core)
 	if err != nil {
@@ -105,19 +105,28 @@ func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline
 	if norm.IVEqualWidth {
 		return nil, nil, nil, errors.New("shard: IVEqualWidth is not supported by the sharded engine")
 	}
-	pool := parallel.Get(1)
-	if norm.Parallel {
-		pool = parallel.Get(norm.Workers)
+	names := src.Names()
+	if len(names) == 0 {
+		return nil, nil, nil, errors.New("shard: source has no feature columns")
 	}
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
+		if name == "" {
+			return nil, nil, nil, errors.New("shard: source has an empty column name")
+		}
+		if seen[name] {
+			return nil, nil, nil, fmt.Errorf("shard: duplicate column name %q", name)
+		}
+		seen[name] = true
+	}
+	pool := norm.Pool()
 	f := &fitter{
 		ctx:        ctx,
 		cfg:        norm,
 		pool:       pool,
 		sketchSize: cfg.SketchSize,
 		approxCuts: cfg.ApproxCuts,
-		names:      src.Names(),
-		ops:        ops,
-		arities:    core.DistinctArities(ops),
+		names:      names,
 		arena:      sketch.NewArena(),
 		exec:       cfg.Exec,
 	}
@@ -126,55 +135,43 @@ func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline
 		defer le.close()
 		f.exec = le
 	}
-	p, rep, err := f.fit()
+	p, rep, err := core.RunRounds(ctx, norm, names, f, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return p, rep, &f.stats, nil
 }
 
-// liveFeat is one feature of the working set: its identity plus the merged
-// sketches and resident codes standing in for the raw column.
-type liveFeat struct {
-	name string
-	node *core.FeatureNode // nil for originals
-	sk   *sketch.Quantile
-	ref  *sketch.Refiner // exact-cut refinement (nil in approx mode)
-	mom  *sketch.Moments
-	iv   float64
+// column is the out-of-core core.Column: the loop's record — whose resident
+// codes are all the boosters and the combination scorer read — beside the
+// merged sketches standing in for the raw values.
+type column struct {
+	core.Feature
+	sk  *sketch.Quantile
+	ref *sketch.Refiner // exact-cut refinement (nil in approx mode)
+	mom *sketch.Moments
 
-	minerCuts []float64 // cuts behind codes (Miner.MaxBins binner cuts)
-	codes     []uint8   // resident binned column for GBDT training
+	// While the column is a candidate of the current round: its criterion
+	// histogram and the cuts it was counted at.
+	hist   sketch.CriterionHist
+	ivCuts []float64
 }
 
-// candidate is one entry of a round's candidate set X̂, ordered exactly as
-// the in-memory stream orders them: the live (base) features first, then
-// generated features in enumeration order.
-type candidate struct {
-	name    string
-	isBase  bool
-	baseIdx int               // index into live for base entries
-	applier operators.Applier // generated entries
-	feats   []int             // applier inputs, as live indices
-	node    *core.FeatureNode // generated entries
-	sk      *sketch.Quantile
-	ref     *sketch.Refiner
-	mom     *sketch.Moments
-	hist    sketch.CriterionHist
-	iv      float64
-	ivCuts  []float64
-	rgCuts  []float64 // ranker binner cuts
-	codes   []uint8   // ranker codes (aliases live codes for base entries)
-	kept    bool      // survived ranking into the next live set
-}
+// constant reports a column Pearson's correlation is undefined for.
+func (c *column) constant() bool { return c.mom.N == 0 || c.mom.Std() < 1e-12 }
 
+// col is the candidate's column in this engine's representation.
+func col(c *core.Candidate) *column { return c.Column.(*column) }
+
+// fitter is the out-of-core core.WorkingSet of one fit: each of its methods
+// is the streaming passes that stand in for a scan of resident columns. A
+// round's candidates list the live features first, so candidate i < len(live)
+// is live feature i.
 type fitter struct {
 	ctx        context.Context
 	cfg        core.Config
 	sketchSize int
 	approxCuts bool
-	ops        []operators.Operator
-	arities    []int
 	arena      *sketch.Arena  // recycles candidate sketches (and the in-process executor's partials)
 	pool       *parallel.Pool // the folds' and cut derivations' per-candidate loops run on it
 
@@ -182,9 +179,7 @@ type fitter struct {
 	labels     []float64
 	n          int
 	passExpect int // expected rows of the current (possibly partial) pass; 0 = full
-	live       []*liveFeat
-	nodes      []core.FeatureNode // all generated nodes, for pipeline assembly
-	gram       *sketch.Gram       // transient: current round's pairwise co-moments
+	live       []*column
 
 	exec      Executor // runs every pass: Config.Exec, or the in-process executor
 	liveEpoch int      // live-set epoch last pushed through exec.SetLive
@@ -213,412 +208,174 @@ func (f *fitter) trackSketch(sk *sketch.Quantile) {
 	}
 }
 
-func (f *fitter) fit() (*core.Pipeline, *core.Report, error) {
-	cfg := f.cfg
-	m := len(f.names)
-	if m == 0 {
-		return nil, nil, errors.New("shard: source has no feature columns")
+// Open implements core.WorkingSet with the three pre-iteration passes: labels
+// plus per-feature quantile sketches and moments; the refinement of the live
+// sketches' cut brackets to exact order statistics (skipped in approx mode,
+// and no pass at all when the sketches are lossless); the resident miner
+// codes of the original live set. Events' Rows are the rows runPass streams.
+func (f *fitter) Open() (core.Opened, error) {
+	if err := f.exec.Open(f.ctx, f.names, f.cfg.Task, f.sketchSize); err != nil {
+		return core.Opened{}, err
 	}
-	seen := make(map[string]bool, m)
-	for _, name := range f.names {
-		if name == "" {
-			return nil, nil, errors.New("shard: source has an empty column name")
-		}
-		if seen[name] {
-			return nil, nil, fmt.Errorf("shard: duplicate column name %q", name)
-		}
-		seen[name] = true
-	}
-	// FitStart precedes the pre-iteration streaming passes, so a consumer
-	// sees the fit open before the first (possibly long) pass over the
-	// source; Rows on later events reflects cumulative source consumption.
-	cfg.Emit(core.FitEvent{Kind: core.EventFitStart, Candidates: m})
-	if err := f.exec.Open(f.ctx, f.names, cfg.Task, f.sketchSize); err != nil {
-		return nil, nil, err
-	}
-
-	// Pass 1: labels plus per-feature quantile sketches and moments.
-	f.live = make([]*liveFeat, m)
+	f.live = make([]*column, len(f.names))
+	live := make([]core.Column, len(f.names))
 	for j, name := range f.names {
-		f.live[j] = &liveFeat{name: name, sk: sketch.NewQuantile(f.sketchSize), mom: &sketch.Moments{}}
+		f.live[j] = &column{Feature: core.Feature{Name: name}, sk: sketch.NewQuantile(f.sketchSize), mom: &sketch.Moments{}}
+		live[j] = f.live[j]
 	}
 	if err := f.passBaseSketch(); err != nil {
-		return nil, nil, err
+		return core.Opened{}, err
 	}
 	if f.n == 0 {
-		return nil, nil, errors.New("shard: source has no rows")
+		return core.Opened{}, errors.New("shard: source has no rows")
 	}
-	if err := cfg.Task.ValidateLabels(f.labels); err != nil {
-		return nil, nil, err
+	if err := f.cfg.Task.ValidateLabels(f.labels); err != nil {
+		return core.Opened{}, err
 	}
-	budget := cfg.MaxFeatures
-	if budget <= 0 {
-		budget = 2 * m
-	}
-	gamma := cfg.Gamma
-	if gamma <= 0 {
-		gamma = 2 * m
-	}
-
-	// Refine the live sketches' cut brackets to exact order statistics
-	// (skipped in approx mode, and a no-op pass-wise when the sketches are
-	// lossless), then build the resident miner codes for the original live
-	// set.
 	if err := f.refineLive(); err != nil {
-		return nil, nil, err
-	}
-	if err := f.each(len(f.live), func(j int) error {
-		lf := f.live[j]
-		lf.minerCuts = sketch.ExactBinnerCuts(lf.sk, lf.ref, cfg.Miner.MaxBins)
-		lf.codes = make([]uint8, f.n)
-		return nil
-	}); err != nil {
-		return nil, nil, err
+		return core.Opened{}, err
 	}
 	for _, lf := range f.live {
 		f.trackSketch(lf.sk)
 	}
-	if err := f.syncLive(); err != nil {
-		return nil, nil, err
+	if err := f.syncLive(nil); err != nil {
+		return core.Opened{}, err
 	}
-	if err := f.passLiveCodes(f.live); err != nil {
-		return nil, nil, err
+	if err := f.Bin(live, f.cfg.Miner); err != nil {
+		return core.Opened{}, err
 	}
-
-	report := &core.Report{}
-	start := time.Now()
-	for round := 0; round < cfg.Iterations; round++ {
-		if err := f.ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if cfg.TimeBudget > 0 && time.Since(start) > cfg.TimeBudget {
-			break
-		}
-		iterStart := time.Now()
-		ir := core.IterationReport{Round: round + 1}
-		// The clock shares the streamed-rows counter runPass maintains,
-		// so event Rows reflect actual source consumption per stage.
-		sc := core.NewStageClock(&cfg, &ir, &f.stats.RowsStreamed)
-		cfg.Emit(core.FitEvent{
-			Kind: core.EventIterationStart, Round: ir.Round,
-			Candidates: len(f.live), Rows: f.stats.RowsStreamed,
-		})
-
-		// (1) Mine combination relations from the binned miner model.
-		sc.Begin(core.StageMine, len(f.live))
-		minerCfg := cfg.Miner
-		minerCfg.Seed = cfg.Seed + int64(round)*131
-		pb := &gbdt.Prebinned{Codes: make([][]uint8, len(f.live)), Cuts: make([][]float64, len(f.live))}
-		liveNames := make([]string, len(f.live))
-		for i, lf := range f.live {
-			pb.Codes[i] = lf.codes
-			pb.Cuts[i] = lf.minerCuts
-			liveNames[i] = lf.name
-		}
-		model, err := gbdt.TrainBinnedCtx(f.ctx, pb, f.labels, liveNames, minerCfg)
-		if err != nil {
-			return nil, nil, core.WrapUnlessCancelled(f.ctx, err, "shard: miner")
-		}
-		combos := core.MineCombos(model, f.arities)
-		ir.CombosMined = len(combos)
-		ir.SearchSpaceAll = core.ExhaustiveCandidateCount(len(f.live), f.ops)
-		sc.End(len(combos))
-
-		// (2) Score combinations. A combination's cells are a function of the
-		// miner's bin codes, and those and the labels are resident: the scorer
-		// the in-memory engine runs, on the fit's pool, with no rows streamed.
-		sc.Begin(core.StageScore, len(combos))
-		if err := core.ScoreCombos(f.ctx, combos, pb, f.labels, cfg.Task, f.pool); err != nil {
-			return nil, nil, err
-		}
-		combos = core.SortCombos(combos, gamma)
-		ir.CombosKept = len(combos)
-		if len(combos) > 0 {
-			ir.BestGainRatio = combos[0].GainRatio
-		}
-		sc.End(len(combos))
-
-		// (3) Enumerate candidates: base features first, then generated, in
-		// the in-memory stream's order with the same formula dedup; then
-		// sketch and refine the generated columns — the sharded equivalent
-		// of materialising them.
-		sc.Begin(core.StageGenerate, len(combos))
-		entries, generated, err := f.enumerate(combos)
-		if err != nil {
-			return nil, nil, err
-		}
-		ir.Generated = generated
-		ir.Candidates = len(entries)
-
-		// (4)+(5) Sketch the generated candidates, refine their cuts to
-		// exact order statistics, then bin and count labels for every
-		// candidate; Information Values follow from the merged histograms.
-		if err := f.passCandidateSketches(entries); err != nil {
-			return nil, nil, err
-		}
-		if err := f.refineCandidates(entries); err != nil {
-			return nil, nil, err
-		}
-		sc.End(len(entries))
-
-		sc.Begin(core.StageIVFilter, len(entries))
-		if err := f.each(len(entries), func(i int) error {
-			en := entries[i]
-			en.ivCuts = sketch.ExactCuts(en.sk, en.ref, cfg.IVBins)
-			if en.isBase && cfg.Ranker.MaxBins == cfg.Miner.MaxBins {
-				en.rgCuts = f.live[en.baseIdx].minerCuts
-				en.codes = f.live[en.baseIdx].codes
-			} else {
-				en.rgCuts = sketch.ExactBinnerCuts(en.sk, en.ref, cfg.Ranker.MaxBins)
-			}
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
-		for _, en := range entries {
-			f.trackSketch(en.sk)
-		}
-		if err := f.passCandidateCounts(entries); err != nil {
-			return nil, nil, err
-		}
-		ivs := make([]float64, len(entries))
-		for i, en := range entries {
-			en.iv = en.hist.Criterion()
-			ivs[i] = en.iv
-		}
-
-		keptA := core.IVFilter(ivs, cfg.IVThreshold, cfg.MinKeepIV)
-		ir.AfterIV = len(keptA)
-		sc.End(len(keptA))
-
-		// (6) Redundancy removal from pairwise co-moments; the same pass
-		// builds resident ranker codes for the surviving candidates.
-		sc.Begin(core.StagePearson, len(keptA))
-		keptB, err := f.pearsonDedup(entries, keptA, cfg.PearsonThreshold)
-		if err != nil {
-			return nil, nil, err
-		}
-		ir.AfterPearson = len(keptB)
-		sc.End(len(keptB))
-
-		// (7) Rank by binned-XGBoost gain, keep the budget.
-		sc.Begin(core.StageRank, len(keptB))
-		rankerCfg := cfg.Ranker
-		rankerCfg.Seed = cfg.Seed + 7919 + int64(round)*131
-		rpb := &gbdt.Prebinned{Codes: make([][]uint8, len(keptB)), Cuts: make([][]float64, len(keptB))}
-		for i, idx := range keptB {
-			rpb.Codes[i] = entries[idx].codes
-			rpb.Cuts[i] = entries[idx].rgCuts
-		}
-		ranker, err := gbdt.TrainBinnedCtx(f.ctx, rpb, f.labels, nil, rankerCfg)
-		if err != nil {
-			return nil, nil, core.WrapUnlessCancelled(f.ctx, err, "shard: ranker")
-		}
-		ranked := core.OrderByGain(ranker.GainImportance(), ivs, keptB)
-		if len(ranked) > budget {
-			ranked = ranked[:budget]
-		}
-		ir.Selected = len(ranked)
-		sc.End(len(ranked))
-
-		// Record every generated node (pipeline pruning trims the unused
-		// ones, as in the in-memory path) and carry the selection forward.
-		for _, en := range entries {
-			if !en.isBase {
-				f.nodes = append(f.nodes, *en.node)
-			}
-		}
-		next := make([]*liveFeat, 0, len(ranked))
-		for _, idx := range ranked {
-			en := entries[idx]
-			en.kept = true
-			lf := &liveFeat{
-				name: en.name,
-				sk:   en.sk,
-				ref:  en.ref,
-				mom:  en.mom,
-				iv:   en.iv,
-			}
-			if en.isBase {
-				lf.node = f.live[en.baseIdx].node
-			} else {
-				lf.node = en.node
-			}
-			// The selected candidates' ranker codes become the next round's
-			// miner matrix when the bin counts agree; otherwise rebin.
-			if cfg.Miner.MaxBins == cfg.Ranker.MaxBins {
-				lf.minerCuts = en.rgCuts
-				lf.codes = en.codes
-			} else {
-				lf.minerCuts = sketch.ExactBinnerCuts(en.sk, en.ref, cfg.Miner.MaxBins)
-			}
-			next = append(next, lf)
-		}
-		f.live = next
-		if err := f.syncLive(); err != nil {
-			return nil, nil, err
-		}
-		// Sketches of candidates that did not survive ranking recycle into
-		// the arena — the next round's enumerate draws warm sketches instead
-		// of allocating hundreds of fresh ones. Trim first: pooled sketches
-		// should not pin their old cascade backings for the whole fit.
-		for _, en := range entries {
-			if !en.isBase && !en.kept {
-				// Reset retires the levels into the free list; trim after so
-				// the pooled sketch carries no backings at all.
-				en.sk.Reset()
-				en.sk.TrimScratch()
-				f.arena.PutQuantile(en.sk)
-			}
-		}
-		if cfg.Miner.MaxBins != cfg.Ranker.MaxBins && round+1 < cfg.Iterations {
-			for _, lf := range f.live {
-				lf.codes = make([]uint8, f.n)
-			}
-			if err := f.passLiveCodes(f.live); err != nil {
-				return nil, nil, err
-			}
-		}
-
-		ir.Elapsed = time.Since(iterStart)
-		report.Iterations = append(report.Iterations, ir)
-		cfg.Emit(core.FitEvent{
-			Kind: core.EventIterationEnd, Round: ir.Round, Candidates: ir.Candidates,
-			Survivors: ir.Selected, Rows: f.stats.RowsStreamed, Elapsed: ir.Elapsed,
-		})
-	}
-
-	p := &core.Pipeline{OriginalNames: append([]string(nil), f.names...), Nodes: f.nodes, Task: cfg.Task}
-	for _, lf := range f.live {
-		p.Output = append(p.Output, lf.name)
-	}
-	p.Prune()
-	report.Total = time.Since(start)
-	cfg.Emit(core.FitEvent{
-		Kind: core.EventFitEnd, Survivors: len(p.Output),
-		Rows: f.stats.RowsStreamed, Elapsed: report.Total,
-	})
-	return p, report, nil
+	return core.Opened{Live: live, Labels: f.labels, Rows: &f.stats.RowsStreamed}, nil
 }
 
-// enumerate builds the round's candidate entries: every live feature, then
-// every operator application to the kept combinations (both argument orders
-// for non-commutative binary operators), deduplicated by formula — the
-// exact order and dedup of the in-memory candidate stream.
-func (f *fitter) enumerate(combos []core.Combo) ([]*candidate, int, error) {
-	existing := make(map[string]bool, 2*len(f.live))
-	entries := make([]*candidate, 0, 2*len(f.live))
-	for i, lf := range f.live {
-		existing[lf.name] = true
-		entries = append(entries, &candidate{
-			name: lf.name, isBase: true, baseIdx: i, sk: lf.sk, ref: lf.ref, mom: lf.mom,
-		})
+// Inputs implements core.WorkingSet: no raw column is resident, and the
+// operators Fit admitted need none.
+func (f *fitter) Inputs(feats []int) [][]float64 { return make([][]float64, len(feats)) }
+
+// Bin implements core.WorkingSet: exact cuts off the refined sketches, then
+// one codes pass. The pass addresses columns by live index, so what it bins
+// is the live set, whole — which is what the loop asks for: the generated
+// candidates are coded by the redundancy pass (Correlated).
+func (f *fitter) Bin(cols []core.Column, cfg gbdt.Config) error {
+	if len(cols) != len(f.live) {
+		return fmt.Errorf("shard: asked to bin %d columns; the codes pass bins the %d live features", len(cols), len(f.live))
 	}
-	generated := 0
-	liveNames := make([]string, len(f.live))
-	for i, lf := range f.live {
-		liveNames[i] = lf.name
+	if err := f.each(len(cols), func(j int) error {
+		lf := f.live[j]
+		if cols[j] != core.Column(lf) {
+			return fmt.Errorf("shard: asked to bin %q, which is not live feature %d", cols[j].Record().Name, j)
+		}
+		lf.Cuts = sketch.ExactBinnerCuts(lf.sk, lf.ref, cfg.MaxBins)
+		lf.Codes, lf.Bins = make([]uint8, f.n), cfg.MaxBins
+		return nil
+	}); err != nil {
+		return err
 	}
-	add := func(op operators.Operator, feats []int) error {
-		in := make([][]float64, len(feats))
-		names := make([]string, len(feats))
-		for i, fi := range feats {
-			names[i] = liveNames[fi]
-		}
-		applier, err := op.Fit(in)
-		if err != nil {
-			return fmt.Errorf("shard: generate %s: %w", op.Name(), err)
-		}
-		name := applier.Formula(names)
-		if existing[name] {
-			return nil
-		}
-		existing[name] = true
-		generated++
-		entries = append(entries, &candidate{
-			name:    name,
-			applier: applier,
-			feats:   append([]int(nil), feats...),
-			node:    &core.FeatureNode{Name: name, Inputs: names, Applier: applier},
+	return f.passLiveCodes()
+}
+
+// Generate implements core.WorkingSet: sketch the generated columns and
+// refine their cuts to exact order statistics — the out-of-core equivalent of
+// materialising them.
+func (f *fitter) Generate(cands []*core.Candidate) (time.Duration, error) {
+	gens := cands[len(f.live):]
+	for _, c := range gens {
+		c.Column = &column{
+			Feature: core.Feature{Name: c.Node.Name, Node: c.Node},
 			sk:      f.arena.Quantile(f.sketchSize),
 			mom:     &sketch.Moments{},
-		})
-		return nil
-	}
-	for _, c := range combos {
-		for _, op := range f.ops {
-			if int(op.Arity()) != len(c.Features) {
-				continue
-			}
-			if err := add(op, c.Features); err != nil {
-				return nil, 0, err
-			}
-			if op.Arity() == operators.Binary && !operators.Commutative(op.Name()) {
-				rev := []int{c.Features[1], c.Features[0]}
-				if err := add(op, rev); err != nil {
-					return nil, 0, err
-				}
-			}
 		}
 	}
-	return entries, generated, nil
+	if err := f.passCandidateSketches(gens); err != nil {
+		return 0, err
+	}
+	return 0, f.refineCandidates(gens)
 }
 
-// pearsonDedup replicates core's greedy Pearson filter from one Gram pass:
-// candidates scan in descending-IV order and survive unless their
-// standardised dot product with an already-kept candidate exceeds theta.
-// The same pass materialises ranker codes for the IV survivors.
-func (f *fitter) pearsonDedup(entries []*candidate, keptA []int, theta float64) ([]int, error) {
-	if err := f.passGramAndCodes(entries, keptA); err != nil {
+// Criteria implements core.WorkingSet: bin every candidate at its exact IV
+// cuts and count labels per bin in one pass; the criteria follow from the
+// merged histograms.
+func (f *fitter) Criteria(cands []*core.Candidate) ([]float64, error) {
+	if err := f.each(len(cands), func(i int) error {
+		c := col(cands[i])
+		c.ivCuts = sketch.ExactCuts(c.sk, c.ref, f.cfg.IVBins)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	g := f.gram
-	f.gram = nil
-
-	order := append([]int(nil), keptA...)
-	ivs := make([]float64, len(entries))
-	for i, en := range entries {
-		ivs[i] = en.iv
+	for _, c := range cands {
+		f.trackSketch(col(c).sk)
 	}
-	sortByIVDesc(order, ivs)
+	if err := f.passCandidateCounts(cands); err != nil {
+		return nil, err
+	}
+	ivs := make([]float64, len(cands))
+	for i, c := range cands {
+		ivs[i] = col(c).hist.Criterion()
+	}
+	return ivs, nil
+}
 
-	pos := make(map[int]int, len(keptA)) // entry index -> gram column
-	for gi, idx := range keptA {
+// Correlated implements core.WorkingSet from one Gram pass over the kept
+// candidates: two of them correlate above θ when their standardised dot
+// product exceeds θ·n. The same pass codes, at the ranker's bin count, every
+// kept candidate that does not carry such codes yet, so the loop's ranking
+// stage finds nothing left to bin.
+func (f *fitter) Correlated(cands []*core.Candidate, kept []int) (func(j int, among []int) bool, error) {
+	g, err := f.passGramAndCodes(cands, kept)
+	if err != nil {
+		return nil, err
+	}
+	pos := make(map[int]int, len(kept)) // candidate index -> gram column
+	for gi, idx := range kept {
 		pos[idx] = gi
 	}
-	isConst := func(en *candidate) bool {
-		return en.mom.N == 0 || en.mom.Std() < 1e-12
-	}
-	limit := theta * float64(f.n)
-	kept := make([]int, 0, len(order))
-	for _, j := range order {
-		en := entries[j]
-		if isConst(en) {
+	limit := f.cfg.PearsonThreshold * float64(f.n)
+	return func(j int, among []int) bool {
+		cj := col(cands[j])
+		if cj.constant() {
 			// Constant columns correlate with nothing by convention; the
-			// ranker buries them, exactly as in-memory.
-			kept = append(kept, j)
-			continue
+			// ranker buries them, exactly as in memory.
+			return false
 		}
-		redundant := false
-		for _, k := range kept {
-			ek := entries[k]
-			if isConst(ek) {
+		for _, k := range among {
+			ck := col(cands[k])
+			if ck.constant() {
 				continue
 			}
-			dot := g.Dot(pos[j], pos[k],
-				en.mom.Mean, en.mom.Std(), ek.mom.Mean, ek.mom.Std())
+			dot := g.Dot(pos[j], pos[k], cj.mom.Mean, cj.mom.Std(), ck.mom.Mean, ck.mom.Std())
 			if dot < 0 {
 				dot = -dot
 			}
 			if dot > limit {
-				redundant = true
-				break
+				return true
 			}
 		}
-		if !redundant {
-			kept = append(kept, j)
+		return false
+	}, nil
+}
+
+// Carry implements core.WorkingSet: the executor learns the new live set and
+// the node program that derives it, and the sketches of generated candidates
+// that did not survive ranking recycle into the arena — the next round's
+// Generate draws warm sketches instead of allocating hundreds of fresh ones.
+func (f *fitter) Carry(cands []*core.Candidate, selected []int, nodes []core.FeatureNode) error {
+	gens := cands[len(f.live):]
+	f.live = make([]*column, len(selected))
+	carried := make(map[*column]bool, len(selected))
+	for i, idx := range selected {
+		c := col(cands[idx])
+		c.hist, c.ivCuts = nil, nil
+		f.live[i], carried[c] = c, true
+	}
+	for _, cand := range gens {
+		if c := col(cand); !carried[c] {
+			// Reset retires the levels into the free list; trim after so the
+			// pooled sketch does not pin its old cascade backings for the
+			// whole fit.
+			c.sk.Reset()
+			c.sk.TrimScratch()
+			f.arena.PutQuantile(c.sk)
 		}
 	}
-	sortInts(kept)
-	return kept, nil
+	return f.syncLive(nodes)
 }

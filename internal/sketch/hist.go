@@ -156,21 +156,3 @@ func (h *LabelHist) IV() float64 {
 	}
 	return stats.IVFromCounts(h.pos, h.neg, np, nn)
 }
-
-// ChiMergeCuts runs bottom-up chi-squared interval merging over the
-// histogram's bins (the sharded counterpart of stats.ChiMerge, which needs
-// the raw column): adjacent bins merge while the pair's chi-squared
-// statistic is lowest, down to at most maxBins intervals, then further while
-// below threshold. max is the exact column maximum (the last interval's
-// upper bound). It returns interior cut points usable with stats.Digitize.
-func (h *LabelHist) ChiMergeCuts(maxBins int, threshold, max float64) []float64 {
-	uppers := make([]float64, len(h.pos))
-	for b := range uppers {
-		if b < len(h.cuts) {
-			uppers[b] = h.cuts[b]
-		} else {
-			uppers[b] = max
-		}
-	}
-	return stats.ChiMergeCounts(uppers, h.pos, h.neg, maxBins, threshold)
-}

@@ -310,41 +310,6 @@ func TestLabelHistShardedIVWithinSketchTolerance(t *testing.T) {
 	}
 }
 
-func TestLabelHistChiMergeCuts(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 5000
-	xs := make([]float64, n)
-	labels := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.Float64() * 10
-		if xs[i] > 5 && rng.Float64() < 0.8 {
-			labels[i] = 1
-		}
-	}
-	cuts := stats.Quantiles(xs, 64)
-	h := NewLabelHist(cuts)
-	h.AddCol(xs, labels)
-	merged := h.ChiMergeCuts(4, 4.6, 10)
-	if len(merged) == 0 || len(merged) > 3 {
-		t.Fatalf("chi-merge cuts: got %v", merged)
-	}
-	for i := 1; i < len(merged); i++ {
-		if merged[i] <= merged[i-1] {
-			t.Fatalf("chi-merge cuts not ascending: %v", merged)
-		}
-	}
-	// The label flip at 5 should dominate the learned split.
-	found := false
-	for _, c := range merged {
-		if c > 4 && c < 6 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("chi-merge missed the label boundary near 5: %v", merged)
-	}
-}
-
 // ---------- Moments ----------
 
 func TestMomentsMergeMatchesSinglePass(t *testing.T) {

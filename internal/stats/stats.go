@@ -76,39 +76,6 @@ func entropyFromCounts(pos, neg int) float64 {
 	return -p*math.Log(p) - q*math.Log(q)
 }
 
-// PartitionEntropy computes the label entropy conditioned on a partition:
-// sum over parts of |part|/n * H(part). parts maps each row to a part id in
-// [0, numParts); rows with part id < 0 are ignored.
-func PartitionEntropy(labels []float64, parts []int, numParts int) float64 {
-	if numParts <= 0 {
-		return BinaryEntropy(labels)
-	}
-	pos := make([]int, numParts)
-	tot := make([]int, numParts)
-	n := 0
-	for i, p := range parts {
-		if p < 0 || p >= numParts {
-			continue
-		}
-		tot[p]++
-		n++
-		if labels[i] > 0.5 {
-			pos[p]++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	h := 0.0
-	for p := 0; p < numParts; p++ {
-		if tot[p] == 0 {
-			continue
-		}
-		h += float64(tot[p]) / float64(n) * entropyFromCounts(pos[p], tot[p]-pos[p])
-	}
-	return h
-}
-
 // SplitEntropy is the intrinsic information of the partition itself
 // (denominator of the gain ratio): -sum |part|/n log |part|/n.
 func SplitEntropy(parts []int, numParts int) float64 {

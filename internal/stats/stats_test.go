@@ -37,19 +37,6 @@ func TestBinaryEntropy(t *testing.T) {
 	}
 }
 
-func TestPartitionEntropyPerfectSplit(t *testing.T) {
-	labels := []float64{0, 0, 1, 1}
-	parts := []int{0, 0, 1, 1}
-	if got := PartitionEntropy(labels, parts, 2); got != 0 {
-		t.Errorf("perfect split conditional entropy = %v, want 0", got)
-	}
-	// Uninformative partition keeps full entropy.
-	parts = []int{0, 1, 0, 1}
-	if got := PartitionEntropy(labels, parts, 2); !almostEqual(got, math.Ln2, 1e-12) {
-		t.Errorf("uninformative split = %v, want ln 2", got)
-	}
-}
-
 func TestGainRatio(t *testing.T) {
 	labels := []float64{0, 0, 1, 1}
 	perfect := []int{0, 0, 1, 1}
