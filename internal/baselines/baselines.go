@@ -112,7 +112,7 @@ func selectAndAssemble(train *frame.Frame, gens []*generated, sel core.Selection
 		return nil, err
 	}
 	pl := assemblePipeline(train, gens, selected)
-	prunePipeline(pl)
+	pl.Nodes = core.ReachableNodes(pl.Nodes, pl.Output)
 	return pl, nil
 }
 
@@ -285,27 +285,4 @@ func sanitizeCol(col []float64) {
 			col[i] = 0
 		}
 	}
-}
-
-// prunePipeline drops unused nodes (mirrors core.Pipeline pruning, which is
-// unexported; duplicated here to keep the baseline pipelines lean).
-func prunePipeline(p *core.Pipeline) {
-	needed := make(map[string]bool, len(p.Output))
-	for _, n := range p.Output {
-		needed[n] = true
-	}
-	keep := make([]core.FeatureNode, 0, len(p.Nodes))
-	for i := len(p.Nodes) - 1; i >= 0; i-- {
-		if needed[p.Nodes[i].Name] {
-			keep = append(keep, p.Nodes[i])
-			for _, dep := range p.Nodes[i].Inputs {
-				needed[dep] = true
-			}
-		}
-	}
-	// Reverse back to evaluation order.
-	for i, j := 0, len(keep)-1; i < j; i, j = i+1, j-1 {
-		keep[i], keep[j] = keep[j], keep[i]
-	}
-	p.Nodes = keep
 }

@@ -233,7 +233,7 @@ func TestStreamCancelDuringFlush(t *testing.T) {
 			t.Fatalf("%d distinct pending columns, want %d", len(held), streamChunk-1)
 		}
 		mid := stream.pending[len(stream.pending)/2]
-		mid.applier = cancelApplier{mid.applier, cancel}
+		mid.cand.Node.Applier = cancelApplier{mid.cand.Node.Applier, cancel}
 
 		if err := stream.flush(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: flush returned %v, want context.Canceled", workers, err)

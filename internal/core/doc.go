@@ -36,14 +36,17 @@
 //     ranking — which the RAND and IMP baselines share.
 //
 //   - The result of a fit is a Pipeline — the learned feature generation
-//     function Ψ. A Pipeline is a DAG of FeatureNodes over the original
-//     columns; it transforms whole frames (Transform), dense row batches in
-//     one columnar pass (TransformBatch, the serving hot path), or single
-//     rows (TransformRow, minimal-latency inference).
+//     function Ψ, a DAG of FeatureNodes over the original columns. It runs
+//     as a Program (program.go): names resolved to slots and the node list
+//     validated once, walked by one evaluator whose apply-a-node step
+//     (Apply: the operator, then NaN/±Inf → 0) is also how both working
+//     sets compute a candidate — so Transform, TransformBatch and
+//     TransformRow return what the fit saw.
 //
 //   - persist.go serialises a Pipeline, including every fitted operator's
-//     learned parameters, so Ψ trains offline and loads in a serving
-//     process (internal/serve) with no access to training data.
+//     learned parameters, so Ψ trains offline and loads — compiled, or
+//     refused with the bad node named — in a serving process
+//     (internal/serve) with no access to training data.
 //
 // Every generated feature carries an interpretable formula over the
 // original columns (Pipeline.Formulas), per the paper's interpretability

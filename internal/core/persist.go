@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/operators"
 )
@@ -50,7 +52,9 @@ func (p *Pipeline) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON reconstructs a pipeline saved by MarshalJSON.
+// UnmarshalJSON reconstructs a pipeline saved by MarshalJSON and compiles it:
+// a file whose nodes do not form a valid program is an error here, not a
+// failure at the first request.
 func (p *Pipeline) UnmarshalJSON(data []byte) error {
 	var in pipelineJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -67,38 +71,24 @@ func (p *Pipeline) UnmarshalJSON(data []byte) error {
 	p.OriginalNames = in.OriginalNames
 	p.Output = in.Output
 	p.Nodes = p.Nodes[:0]
+	first := make(map[string]nodeJSON, len(in.Nodes))
 	for _, n := range in.Nodes {
+		// Fits used to write a formula once per round that enumerated it,
+		// every copy the same: such a copy is read past. Any other repeated
+		// name fails the compile below.
+		if f, ok := first[n.Name]; ok && slices.Equal(f.Inputs, n.Inputs) && f.Kind == n.Kind && bytes.Equal(f.Data, n.Data) {
+			continue
+		}
+		first[n.Name] = n
 		applier, err := operators.DecodeApplier(n.Kind, n.Data)
 		if err != nil {
 			return fmt.Errorf("core: unmarshal node %q: %w", n.Name, err)
 		}
 		p.Nodes = append(p.Nodes, FeatureNode{Name: n.Name, Inputs: n.Inputs, Applier: applier})
 	}
-	return p.validateTopology()
-}
-
-// validateTopology confirms every node input and every output resolves to an
-// original column or an earlier node — the invariant Transform relies on.
-func (p *Pipeline) validateTopology() error {
-	known := make(map[string]bool, len(p.OriginalNames)+len(p.Nodes))
-	for _, n := range p.OriginalNames {
-		known[n] = true
-	}
-	for i := range p.Nodes {
-		for _, dep := range p.Nodes[i].Inputs {
-			if !known[dep] {
-				return fmt.Errorf("core: pipeline node %q depends on unknown column %q",
-					p.Nodes[i].Name, dep)
-			}
-		}
-		known[p.Nodes[i].Name] = true
-	}
-	for _, out := range p.Output {
-		if !known[out] {
-			return fmt.Errorf("core: pipeline output %q is not produced by any node", out)
-		}
-	}
-	return nil
+	p.prog.Store(nil)
+	_, err = p.program()
+	return err
 }
 
 // Save writes the pipeline as JSON to w.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/frame"
 	"repro/internal/operators"
@@ -22,7 +23,9 @@ type FeatureNode struct {
 
 // Pipeline is the learned feature generation function Ψ : X -> Z. It
 // evaluates derived features in dependency order and emits the selected
-// output columns.
+// output columns. A Pipeline is used through a pointer and is frozen by its
+// first Transform*, which compiles the fields below into the Program every
+// later call runs: build a changed Ψ as a new Pipeline.
 type Pipeline struct {
 	// OriginalNames are the training frame's column names, in order; rows
 	// fed to TransformRow must follow this order.
@@ -37,6 +40,8 @@ type Pipeline struct {
 	// (scalar vs class-probability vector). Round-trips through Save/Load;
 	// pipelines saved before the field existed load as the binary task.
 	Task Task
+
+	prog atomic.Pointer[Program] // see program
 }
 
 // NumFeatures returns the width of the transformed representation.
@@ -60,134 +65,105 @@ func (p *Pipeline) NumDerived() int {
 // Transform applies Ψ to a frame whose columns include every original
 // column (by name). The result carries the input frame's label slice.
 func (p *Pipeline) Transform(f *frame.Frame) (*frame.Frame, error) {
+	g, err := p.program()
+	if err != nil {
+		return nil, err
+	}
 	n := f.NumRows()
-	cols := make(map[string][]float64, len(p.OriginalNames)+len(p.Nodes))
-	for _, name := range p.OriginalNames {
+	cols := make([][]float64, len(p.OriginalNames))
+	for j, name := range p.OriginalNames {
 		c, ok := f.ColByName(name)
 		if !ok {
 			return nil, fmt.Errorf("core: transform: input frame lacks column %q", name)
 		}
-		cols[name] = c
-	}
-	for i := range p.Nodes {
-		node := &p.Nodes[i]
-		in := make([][]float64, len(node.Inputs))
-		for k, dep := range node.Inputs {
-			c, ok := cols[dep]
-			if !ok {
-				return nil, fmt.Errorf("core: transform: node %q needs unknown column %q", node.Name, dep)
-			}
-			in[k] = c
-		}
-		cols[node.Name] = node.Applier.Transform(in)
-	}
-	out := &frame.Frame{Label: f.Label}
-	for _, name := range p.Output {
-		c, ok := cols[name]
-		if !ok {
-			return nil, fmt.Errorf("core: transform: unknown output column %q", name)
-		}
 		if len(c) != n {
 			return nil, fmt.Errorf("core: transform: column %q has %d rows, want %d", name, len(c), n)
 		}
-		out.AddColumn(name, c)
+		cols[j] = c
+	}
+	out := &frame.Frame{Label: f.Label}
+	for i, c := range g.Eval(cols, func() []float64 { return make([]float64, n) }) {
+		out.AddColumn(p.Output[i], c)
 	}
 	return out, nil
 }
 
 // TransformRow applies Ψ to one raw row (ordered as OriginalNames),
-// returning the output feature vector. This is the real-time inference path
-// of Section IV-E3: no allocation beyond the result and a scratch map.
+// returning the output feature vector: the real-time inference path of
+// Section IV-E3, and a one-row TransformBatch.
 func (p *Pipeline) TransformRow(row []float64) ([]float64, error) {
-	if len(row) != len(p.OriginalNames) {
-		return nil, fmt.Errorf("core: transform row: got %d values, want %d", len(row), len(p.OriginalNames))
+	out, err := p.TransformBatch([][]float64{row})
+	if err != nil {
+		return nil, err
 	}
-	vals := make(map[string]float64, len(p.OriginalNames)+len(p.Nodes))
-	for i, name := range p.OriginalNames {
-		vals[name] = row[i]
-	}
-	scratch := make([]float64, 3)
-	for i := range p.Nodes {
-		node := &p.Nodes[i]
-		in := scratch[:len(node.Inputs)]
-		for k, dep := range node.Inputs {
-			v, ok := vals[dep]
-			if !ok {
-				return nil, fmt.Errorf("core: transform row: node %q needs unknown column %q", node.Name, dep)
-			}
-			in[k] = v
-		}
-		vals[node.Name] = node.Applier.TransformRow(in)
-	}
-	out := make([]float64, len(p.Output))
-	for i, name := range p.Output {
-		v, ok := vals[name]
-		if !ok {
-			return nil, fmt.Errorf("core: transform row: unknown output column %q", name)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return out[0], nil
 }
 
 // TransformBatch applies Ψ to a batch of raw rows (each ordered as
 // OriginalNames) in one columnar pass and returns the output feature matrix,
-// row-major. Unlike calling TransformRow per row, each operator is applied
-// once to whole columns, so the per-node dispatch and map lookups are
-// amortised over the batch — this is the serving-side entry point for
-// batched /transform and /predict traffic.
+// row-major, rows as views into one flat allocation. Each operator is applied
+// once to whole columns, so the per-node dispatch is amortised over the batch
+// — this is the serving-side entry point for batched /transform and /predict
+// traffic.
 func (p *Pipeline) TransformBatch(rows [][]float64) ([][]float64, error) {
 	n := len(rows)
 	if n == 0 {
 		return nil, nil
 	}
+	g, err := p.program()
+	if err != nil {
+		return nil, err
+	}
 	// Scatter the row-major input into original columns.
-	cols := make(map[string][]float64, len(p.OriginalNames)+len(p.Nodes))
-	flat := make([]float64, n*len(p.OriginalNames))
-	for j, name := range p.OriginalNames {
-		col := flat[j*n : (j+1)*n]
-		cols[name] = col
+	m := len(p.OriginalNames)
+	flat := make([]float64, n*m)
+	cols := make([][]float64, m)
+	for j := range cols {
+		cols[j] = flat[j*n : (j+1)*n]
 	}
 	for i, row := range rows {
-		if len(row) != len(p.OriginalNames) {
-			return nil, fmt.Errorf("core: transform batch: row %d has %d values, want %d",
-				i, len(row), len(p.OriginalNames))
+		if len(row) != m {
+			return nil, fmt.Errorf("core: transform batch: row %d has %d values, want %d", i, len(row), m)
 		}
-		for j, name := range p.OriginalNames {
-			cols[name][i] = row[j]
+		for j, v := range row {
+			cols[j][i] = v
 		}
 	}
-	for i := range p.Nodes {
-		node := &p.Nodes[i]
-		in := make([][]float64, len(node.Inputs))
-		for k, dep := range node.Inputs {
-			c, ok := cols[dep]
-			if !ok {
-				return nil, fmt.Errorf("core: transform batch: node %q needs unknown column %q", node.Name, dep)
-			}
-			in[k] = c
-		}
-		cols[node.Name] = node.Applier.Transform(in)
-	}
+	// The derived columns of a batch are one flat block, not a slice per node.
+	block := make([]float64, n*len(g.appliers))
+	outCols := g.Eval(cols, func() []float64 {
+		col := block[:n:n]
+		block = block[n:]
+		return col
+	})
 	// Gather the selected outputs back into row-major form.
-	outFlat := make([]float64, n*len(p.Output))
+	k := len(p.Output)
+	outFlat := make([]float64, n*k)
 	out := make([][]float64, n)
 	for i := range out {
-		out[i] = outFlat[i*len(p.Output) : (i+1)*len(p.Output)]
+		out[i] = outFlat[i*k : (i+1)*k]
 	}
-	for j, name := range p.Output {
-		c, ok := cols[name]
-		if !ok {
-			return nil, fmt.Errorf("core: transform batch: unknown output column %q", name)
-		}
-		if len(c) != n {
-			return nil, fmt.Errorf("core: transform batch: column %q has %d rows, want %d", name, len(c), n)
-		}
-		for i := 0; i < n; i++ {
-			out[i][j] = c[i]
+	for j, c := range outCols {
+		for i, v := range c {
+			out[i][j] = v
 		}
 	}
 	return out, nil
+}
+
+// program returns Ψ's compiled form, compiling it on first use — a fitted or
+// loaded pipeline arrives compiled; one assembled field by field compiles
+// here, and must not change afterwards (a change of size is noticed and
+// recompiled, an edit in place is not).
+func (p *Pipeline) program() (*Program, error) {
+	if g := p.prog.Load(); g != nil && g.originals == len(p.OriginalNames) && len(g.appliers) == len(p.Nodes) && len(g.out) == len(p.Output) {
+		return g, nil
+	}
+	g, err := Compile(p.OriginalNames, p.Nodes, p.Output)
+	if err == nil {
+		p.prog.Store(g)
+	}
+	return g, err
 }
 
 // Formulas returns a human-readable formula per output feature, satisfying
@@ -198,10 +174,6 @@ func (p *Pipeline) Formulas() []string {
 	copy(out, p.Output) // derived names are already formulas
 	return out
 }
-
-// prune drops nodes whose outputs are unreachable from Output, keeping the
-// pipeline minimal for inference.
-func (p *Pipeline) prune() { p.Nodes = ReachableNodes(p.Nodes, p.Output) }
 
 // ReachableNodes returns, in their (dependency) order, the nodes the named
 // outputs need: the program that derives them from the original columns.
@@ -229,16 +201,4 @@ func ReachableNodes(nodes []FeatureNode, outputs []string) []FeatureNode {
 		}
 	}
 	return out
-}
-
-// sanitize replaces NaN/Inf outputs with 0 in place; classifiers downstream
-// assume finite matrices. Division and reciprocal operators produce NaN on
-// zero denominators by design. One comparison finds all three: v-v is 0 for
-// every finite v and NaN for NaN and ±Inf.
-func sanitize(col []float64) {
-	for i, v := range col {
-		if v-v != 0 {
-			col[i] = 0
-		}
-	}
 }

@@ -67,9 +67,27 @@ func TestPipelineEvaluatesDAG(t *testing.T) {
 	}
 }
 
+// TestPipelineResizedAfterTransformRecompiles: a literal-built pipeline is
+// compiled by its first transform; one that grows afterwards is noticed.
+func TestPipelineResizedAfterTransformRecompiles(t *testing.T) {
+	p := buildManualPipeline(t)
+	if _, err := p.TransformRow([]float64{2, 10}); err != nil {
+		t.Fatal(err)
+	}
+	p.Nodes = append(p.Nodes, FeatureNode{Name: "e", Inputs: []string{"d", "b"}, Applier: p.Nodes[0].Applier})
+	p.Output = append(p.Output, "e")
+	row, err := p.TransformRow([]float64{2, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(row) != 3 || row[2] != 34 {
+		t.Errorf("TransformRow after appending e = d+b: %v, want [2 24 34]", row)
+	}
+}
+
 func TestPipelinePruneKeepsTransitiveDeps(t *testing.T) {
 	p := buildManualPipeline(t)
-	p.prune()
+	p.Nodes = ReachableNodes(p.Nodes, p.Output)
 	// Node c must survive: d depends on it even though c is not an output.
 	if len(p.Nodes) != 2 {
 		t.Fatalf("prune removed a needed intermediate: %d nodes", len(p.Nodes))
@@ -79,7 +97,7 @@ func TestPipelinePruneKeepsTransitiveDeps(t *testing.T) {
 func TestPipelinePruneDropsUnused(t *testing.T) {
 	p := buildManualPipeline(t)
 	p.Output = []string{"a"} // d (and hence c) now unused
-	p.prune()
+	p.Nodes = ReachableNodes(p.Nodes, p.Output)
 	if len(p.Nodes) != 0 {
 		t.Errorf("prune kept %d unused nodes", len(p.Nodes))
 	}
@@ -124,7 +142,7 @@ func TestValidateTopologyCatchesCycles(t *testing.T) {
 	p := buildManualPipeline(t)
 	// Make node c depend on d (defined later): forward reference.
 	p.Nodes[0].Inputs = []string{"a", "d"}
-	if err := p.validateTopology(); err == nil {
+	if _, err := p.program(); err == nil {
 		t.Error("topology validation accepted a forward reference")
 	}
 }

@@ -143,6 +143,7 @@ func RunRounds(ctx context.Context, cfg Config, names []string, ws WorkingSet, v
 
 	report := &Report{}
 	var nodes []FeatureNode
+	recorded := map[string]bool{} // the names in nodes
 	// Validation scores are only comparable within a task; regression's
 	// (negative RMSE) is always <= 0, so the best-so-far must start at -Inf
 	// or no round could ever be accepted.
@@ -244,10 +245,14 @@ func RunRounds(ctx context.Context, cfg Config, names []string, ws WorkingSet, v
 		ir.Selected = len(ranked)
 		sc.end(len(ranked), o.ScanRows)
 
-		// Record every generated node (pruning trims the unused ones) and
-		// carry the selection to the next round.
+		// Record every generated node (pruning trims the unused ones), once
+		// per formula: one dropped in a round is enumerated again in the
+		// next, from the same inputs. Carry the selection to the next round.
 		for _, c := range cands[len(live):] {
-			nodes = append(nodes, *c.Node)
+			if !recorded[c.Node.Name] {
+				recorded[c.Node.Name] = true
+				nodes = append(nodes, *c.Node)
+			}
 		}
 		live = candidateColumns(cands, ranked)
 		liveNames = featureNames(live)
@@ -288,15 +293,17 @@ func RunRounds(ctx context.Context, cfg Config, names []string, ws WorkingSet, v
 		}
 	}
 
-	// Assemble Ψ from the final (or best-validated) selection
-	// (Algorithm 1 line 14).
+	// Assemble Ψ from the final (or best-validated) selection and the nodes it
+	// needs (Algorithm 1 line 14).
 	p := &Pipeline{
 		OriginalNames: append([]string(nil), names...),
-		Nodes:         nodes,
+		Nodes:         ReachableNodes(nodes, best),
 		Output:        best,
 		Task:          cfg.Task,
 	}
-	p.prune()
+	if _, err := p.program(); err != nil {
+		return nil, nil, err
+	}
 	report.Total = time.Since(start)
 	cfg.Emit(FitEvent{
 		Kind: EventFitEnd, Survivors: len(p.Output),

@@ -36,12 +36,11 @@ type liveFeature struct {
 // candEntry is the stream's view of one candidate of a round: a base (live)
 // feature or a generated one. Generated entries whose IV fails the filter
 // have their column recycled (lf.train == nil, dropped == true) but keep
-// their fitted applier and inputs so the rare min-keep fallback can
-// regenerate them.
+// their candidate — its fitted applier and inputs — so the rare min-keep
+// fallback can regenerate them.
 type candEntry struct {
 	lf      *liveFeature
-	applier operators.Applier // nil for base features
-	cand    *Candidate        // whose In are the applier's input columns
+	cand    *Candidate // nil for base features
 	iv      float64
 	dropped bool
 }
@@ -176,7 +175,7 @@ func (m *memorySet) addBase() {
 func (m *memorySet) queue(c *Candidate) error {
 	lf := &liveFeature{Feature: Feature{Name: c.Node.Name, Node: c.Node}, train: m.arena.Get()}
 	c.Column = lf
-	m.pending = append(m.pending, &candEntry{lf: lf, applier: c.Node.Applier, cand: c})
+	m.pending = append(m.pending, &candEntry{lf: lf, cand: c})
 	if len(m.pending) >= streamChunk {
 		return m.flush()
 	}
@@ -203,7 +202,7 @@ func (m *memorySet) flush() error {
 		var apply, crit time.Duration
 		for _, en := range pending[lo:hi] {
 			t1 := time.Now()
-			applyColumn(en)
+			Apply(en.cand.Node.Applier, en.cand.In, en.lf.train)
 			t2 := time.Now()
 			en.iv = sc.criterion(en.lf.train, m.labels, cfg.Task, cfg.IVBins, cfg.IVEqualWidth)
 			apply += t2.Sub(t1)
@@ -243,13 +242,6 @@ func (m *memorySet) abort(err error) error {
 	return err
 }
 
-// applyColumn computes a generated candidate's column into its buffer and
-// replaces NaN/Inf with 0.
-func applyColumn(en *candEntry) {
-	operators.TransformColumn(en.applier, en.cand.In, en.lf.train)
-	sanitize(en.lf.train)
-}
-
 // Criteria implements WorkingSet: Generate scored every candidate already.
 func (m *memorySet) Criteria([]*Candidate) ([]float64, error) {
 	ivs := make([]float64, len(m.entries))
@@ -268,7 +260,7 @@ func (m *memorySet) Correlated(_ []*Candidate, kept []int) (func(j int, among []
 		en := m.entries[idx]
 		if en.dropped {
 			en.lf.train = m.arena.Get()
-			applyColumn(en)
+			Apply(en.cand.Node.Applier, en.cand.In, en.lf.train)
 			en.dropped = false
 		}
 		cols[idx] = en.lf.train
@@ -287,15 +279,15 @@ func (m *memorySet) Carry(_ []*Candidate, selected []int, _ []FeatureNode) error
 	for i, idx := range selected {
 		en := m.entries[idx]
 		next[i], carried[en.lf] = en.lf, true
-		if m.validLabels == nil || en.applier == nil {
+		if m.validLabels == nil || en.cand == nil {
 			continue
 		}
 		vin := make([][]float64, len(en.cand.Feats))
 		for k, f := range en.cand.Feats {
 			vin[k] = m.live[f].valid
 		}
-		en.lf.valid = en.applier.Transform(vin)
-		sanitize(en.lf.valid)
+		en.lf.valid = make([]float64, len(m.validLabels))
+		Apply(en.cand.Node.Applier, vin, en.lf.valid)
 	}
 	for _, en := range m.entries {
 		if lf := en.lf; !carried[lf] && lf.Node != nil && lf.train != nil {

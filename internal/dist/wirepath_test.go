@@ -252,6 +252,83 @@ func TestRetiredScorePasses(t *testing.T) {
 	}
 }
 
+// TestMalformedSetLiveIsRefused: a live set that is not a program — an input
+// nothing provides, a live name nothing produces, a node defined twice — is
+// refused when it arrives, with the reason, and the session carries on under
+// the epoch it had: the next, well-formed epoch installs and computes. (Acked,
+// such a frame used to take the worker down inside its next pass.)
+func TestMalformedSetLiveIsRefused(t *testing.T) {
+	tc := taskCases()[0]
+	train := taskWorkload(t, 600, 6, tc)
+	names := train.Names()
+	coord, worker := Pipe()
+	served := make(chan error, 1)
+	go func() { served <- ServeConn(context.Background(), worker) }()
+	roundTrip := func(msg []byte) []byte {
+		t.Helper()
+		if err := coord.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := coord.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	sum := shard.NodeSpec{Name: "s", Inputs: names[:2], Op: "add"}
+	withSum := append(append([]string(nil), names...), "s")
+	for _, msg := range [][]byte{
+		encodeFitOpen(&fitOpen{Source: writeSource(t, train, SourceColstore, 300), Names: names, Task: tc.task}),
+		encodeSetLive(&setLive{Epoch: 1, Live: names}),
+	} {
+		if a, err := decodeAck(roundTrip(msg)); err != nil || !a.OK {
+			t.Fatalf("session set-up refused: %+v, %v", a, err)
+		}
+	}
+	for what, m := range map[string]*setLive{
+		`"ghost"`:   {Epoch: 2, Nodes: []shard.NodeSpec{{Name: "s", Inputs: []string{names[0], "ghost"}, Op: "add"}}, Live: withSum},
+		`"phantom"`: {Epoch: 2, Nodes: []shard.NodeSpec{sum}, Live: []string{"phantom"}},
+		`"s" (node`: {Epoch: 2, Nodes: []shard.NodeSpec{sum, sum}, Live: withSum},
+	} {
+		a, err := decodeAck(roundTrip(encodeSetLive(m)))
+		if err != nil || a.Re != msgSetLive || a.Epoch != 2 {
+			t.Fatalf("%s: reply %+v, %v; want the ack of setLive epoch 2", what, a, err)
+		}
+		if a.OK || !strings.Contains(a.Msg, what) {
+			t.Fatalf("%s: ack %+v, want a refusal naming it", what, a)
+		}
+	}
+	if a, err := decodeAck(roundTrip(encodeSetLive(&setLive{Epoch: 2, Nodes: []shard.NodeSpec{sum}, Live: withSum}))); err != nil || !a.OK {
+		t.Fatalf("the well-formed epoch was refused after the malformed ones: %+v, %v", a, err)
+	}
+	cuts := make([][]float64, len(withSum))
+	for i := range cuts {
+		cuts[i] = []float64{0}
+	}
+	reply := roundTrip(encodeRunPass(&runPass{PassID: 9, Assign: assignment{Mod: 1},
+		Spec: &shard.PassSpec{Pass: 2, Kind: shard.PassCodes, Epoch: 2, LiveCuts: cuts}}))
+	rows := 0
+	for msgType(reply) == msgPartial {
+		var pm partialMsg
+		if err := decodePartial(reply, &pm); err != nil {
+			t.Fatal(err)
+		}
+		if len(pm.Partial.Codes) != len(withSum) {
+			t.Fatalf("partial %d codes %d columns, want %d", pm.Partial.Chunk, len(pm.Partial.Codes), len(withSum))
+		}
+		rows += pm.Partial.Rows
+		var err error
+		if reply, err = coord.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if done, err := decodePassDone(reply); err != nil || done.PassID != 9 || rows != train.NumRows() {
+		t.Fatalf("pass ended with message type %d (%+v, %v) after %d of %d rows", msgType(reply), done, err, rows, train.NumRows())
+	}
+	coord.Close()
+	<-served
+}
+
 // --- steady-state allocation ---
 
 // sketchGenPartial builds a partial shaped like the candidate-sketch pass's:

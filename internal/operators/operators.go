@@ -75,6 +75,21 @@ func ApplierOp(ap Applier) (name string, ok bool) {
 	return "", false
 }
 
+// ApplierArity returns how many input columns a built-in applier consumes —
+// what whoever assembles a node program holds each node's input list to.
+// known is false for a custom applier, whose arity only its author knows.
+func ApplierArity(ap Applier) (arity int, known bool) {
+	switch a := ap.(type) {
+	case *funcApplier:
+		return int(a.op.arity), true
+	case *minMaxApplier, *zScoreApplier, *binApplier:
+		return 1, true
+	case *groupByApplier, *ridgeApplier:
+		return 2, true
+	}
+	return 0, false
+}
+
 // TransformColumn applies ap into dst, using the ColumnApplier fast path
 // when available and falling back to Transform+copy otherwise. It returns
 // dst.

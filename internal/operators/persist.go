@@ -148,11 +148,17 @@ func DecodeApplier(kind string, data json.RawMessage) (Applier, error) {
 		if err := json.Unmarshal(data, &p); err != nil {
 			return nil, fmt.Errorf("operators: decode groupby: %w", err)
 		}
+		if len(p.Table) != len(p.Cuts)+1 {
+			return nil, fmt.Errorf("operators: decode groupby: %d table entries for %d cuts", len(p.Table), len(p.Cuts))
+		}
 		return &groupByApplier{cuts: p.Cuts, table: p.Table, fallback: p.Fallback, name: p.Name}, nil
 	case "ridge":
 		var p ridgePayload
 		if err := json.Unmarshal(data, &p); err != nil {
 			return nil, fmt.Errorf("operators: decode ridge: %w", err)
+		}
+		if len(p.W) != 1 {
+			return nil, fmt.Errorf("operators: decode ridge: %d weights, want 1", len(p.W))
 		}
 		return newRidgeApplier(p.W, p.B), nil
 	default:

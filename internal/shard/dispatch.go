@@ -337,70 +337,8 @@ type Executor interface {
 	RunPass(ctx context.Context, spec *PassSpec, fold func(*Partial) error) (PassResult, error)
 }
 
-// evaluator materialises the current live feature columns for one chunk:
-// originals are zero-copy views of the chunk; derived features replay their
-// pipeline nodes (in dependency order) with the same post-generation
-// sanitisation the in-memory fit applies to candidate columns. Its scratch
-// (the name map, derived-column buffers) recycles across chunks through the
-// worker state's arena.
-type evaluator struct {
-	names []string
-	nodes []core.FeatureNode
-	live  []string // live feature names, original or node
-	arena *sketch.Arena
-
-	vals  map[string][]float64
-	out   [][]float64
-	owned [][]float64 // arena buffers to return on release
-}
-
-// liveCols returns the live columns for a chunk, in live order. The result
-// (and any derived columns behind it) is valid until release.
-func (e *evaluator) liveCols(c *frame.Chunk) [][]float64 {
-	if e.vals == nil {
-		e.vals = make(map[string][]float64, len(e.names)+len(e.nodes))
-	}
-	for j, name := range e.names {
-		e.vals[name] = c.Cols[j]
-	}
-	rows := c.NumRows()
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		in := make([][]float64, len(nd.Inputs))
-		for k, dep := range nd.Inputs {
-			in[k] = e.vals[dep]
-		}
-		out := e.arena.Floats(rows)
-		e.owned = append(e.owned, out)
-		operators.TransformColumn(nd.Applier, in, out)
-		core.Sanitize(out)
-		e.vals[nd.Name] = out
-	}
-	if cap(e.out) < len(e.live) {
-		e.out = make([][]float64, len(e.live))
-	}
-	out := e.out[:len(e.live)]
-	for i, name := range e.live {
-		out[i] = e.vals[name]
-	}
-	return out
-}
-
-// release returns the evaluator's derived-column buffers to the arena and
-// drops references into the chunk, which may be recycled right after.
-func (e *evaluator) release() {
-	for i, b := range e.owned {
-		e.arena.PutFloats(b)
-		e.owned[i] = nil
-	}
-	e.owned = e.owned[:0]
-	for k := range e.vals {
-		delete(e.vals, k)
-	}
-}
-
 // WorkerState is the per-fit state a pass worker keeps between passes: the
-// schema, the installed live-set epoch with its evaluator, appliers resolved
+// schema, the installed live-set epoch with its program, appliers resolved
 // by operator name, the pool its kernels spread each chunk's columns over,
 // and the per-goroutine scratch of those loops. Every per-chunk buffer a
 // kernel hands out inside a Partial (sketch partials, int32 slabs, code
@@ -417,7 +355,8 @@ type WorkerState struct {
 	pool     *parallel.Pool
 
 	epoch int
-	ev    *evaluator
+	live  *core.Program // derives the live features, its outputs, from a chunk; nil before SetLive
+	owned [][]float64   // arena buffers behind the current chunk's derived columns
 
 	// appliers is written only between column loops (SetLive, resolveOps), so
 	// the loops read it without a lock.
@@ -484,7 +423,6 @@ func newWorkerState(names []string, task core.Task, sketchSize int, reg *operato
 		arena:    arena,
 		pool:     pool,
 		appliers: map[string]operators.Applier{},
-		ev:       &evaluator{names: names, arena: arena},
 	}
 }
 
@@ -599,7 +537,9 @@ func (ws *WorkerState) resolveOps(spec *PassSpec) error {
 }
 
 // SetLive installs a live-set epoch: the node program is rebuilt from the
-// specs (appliers by registry name) and the evaluator retargeted.
+// specs (appliers by registry name) and compiled with the live features as
+// its outputs. Specs that do not compile are an error and leave the installed
+// epoch as it was.
 func (ws *WorkerState) SetLive(epoch int, nodes []NodeSpec, live []string) error {
 	prog := make([]core.FeatureNode, len(nodes))
 	for i, nd := range nodes {
@@ -609,9 +549,36 @@ func (ws *WorkerState) SetLive(epoch int, nodes []NodeSpec, live []string) error
 		}
 		prog[i] = core.FeatureNode{Name: nd.Name, Inputs: nd.Inputs, Applier: ap}
 	}
-	ws.ev = &evaluator{names: ws.names, nodes: prog, live: live, arena: ws.arena}
-	ws.epoch = epoch
+	g, err := core.Compile(ws.names, prog, live)
+	if err != nil {
+		return fmt.Errorf("shard: live epoch %d: %w", epoch, err)
+	}
+	ws.live, ws.epoch = g, epoch
 	return nil
+}
+
+// liveCols returns the chunk's live columns, in live order: originals are
+// zero-copy views of the chunk, derived features are computed into arena
+// buffers. Both are valid until releaseLive.
+func (ws *WorkerState) liveCols(c *frame.Chunk) [][]float64 {
+	if ws.live == nil {
+		return nil
+	}
+	return ws.live.Eval(c.Cols, func() []float64 {
+		buf := ws.arena.Floats(c.NumRows())
+		ws.owned = append(ws.owned, buf)
+		return buf
+	})
+}
+
+// releaseLive returns the derived columns' buffers to the arena; the chunk
+// may be recycled right after.
+func (ws *WorkerState) releaseLive() {
+	for i, b := range ws.owned {
+		ws.arena.PutFloats(b)
+		ws.owned[i] = nil
+	}
+	ws.owned = ws.owned[:0]
 }
 
 // Release returns a partial's pooled buffers to the arena. The partial (and
@@ -626,9 +593,9 @@ func (ws *WorkerState) Release(p *Partial) {
 	*p = Partial{}
 }
 
-// genCol computes one generated candidate column into dst (len rows),
-// applying the same post-generation sanitisation as every engine. The pass's
-// operators are resolved (resolveOps) before any loop calls it.
+// genCol computes one generated candidate column into dst (len rows) as the
+// program would compute the node. The pass's operators are resolved
+// (resolveOps) before any loop calls it.
 func (ws *WorkerState) genCol(g GenSpec, cols [][]float64, dst []float64) error {
 	var in [3][]float64
 	iv := in[:len(g.Feats)]
@@ -638,8 +605,7 @@ func (ws *WorkerState) genCol(g GenSpec, cols [][]float64, dst []float64) error 
 		}
 		iv[k] = cols[fi]
 	}
-	operators.TransformColumn(ws.appliers[g.Op], iv, dst)
-	core.Sanitize(dst)
+	core.Apply(ws.appliers[g.Op], iv, dst)
 	return nil
 }
 
@@ -741,7 +707,7 @@ func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *fr
 	case PassCodes:
 		err = ws.computeCodes(ctx, spec, c, p)
 	case PassSketchGen:
-		cols := ws.ev.liveCols(c)
+		cols := ws.liveCols(c)
 		err = ws.sketchCols(ctx, p, len(spec.Gens), func(s *scratch, i int) ([]float64, error) {
 			buf := s.floats(p.Rows)
 			return buf, ws.genCol(spec.Gens[i], cols, buf)
@@ -755,7 +721,7 @@ func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *fr
 	default:
 		err = fmt.Errorf("shard: unknown pass kind %d", spec.Kind)
 	}
-	ws.ev.release()
+	ws.releaseLive()
 	if err != nil {
 		ws.Release(p)
 		return nil, err
@@ -808,10 +774,10 @@ func (ws *WorkerState) codeCols(p *Partial, slots int, want func(i int) bool) {
 }
 
 func (ws *WorkerState) computeCodes(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	if len(spec.LiveCuts) != len(ws.ev.live) {
-		return fmt.Errorf("shard: codes pass has %d cut sets for %d live", len(spec.LiveCuts), len(ws.ev.live))
+	cols := ws.liveCols(c)
+	if len(spec.LiveCuts) != len(cols) {
+		return fmt.Errorf("shard: codes pass has %d cut sets for %d live", len(spec.LiveCuts), len(cols))
 	}
-	cols := ws.ev.liveCols(c)
 	ws.codeCols(p, len(cols), nil)
 	return ws.forCols(ctx, len(cols), func(s *scratch, i int) error {
 		fillCodes(p.Codes[i], cols[i], spec.LiveCuts[i], &s.ix)
@@ -826,7 +792,7 @@ func (ws *WorkerState) computeRefine(ctx context.Context, spec *PassSpec, c *fra
 		}
 	}
 	pp := spec.prepared(ws.task)
-	cols := ws.ev.liveCols(c)
+	cols := ws.liveCols(c)
 	p.Refiners = make([]*sketch.Refiner, len(spec.Refines))
 	return ws.forCols(ctx, len(spec.Refines), func(s *scratch, i int) error {
 		rf := &spec.Refines[i]
@@ -861,7 +827,7 @@ func (ws *WorkerState) computeHist(ctx context.Context, spec *PassSpec, c *frame
 		return fmt.Errorf("shard: pass kind %d does not fit a %s task", spec.Kind, ws.task)
 	}
 	pp := spec.prepared(ws.task)
-	cols := ws.ev.liveCols(c)
+	cols := ws.liveCols(c)
 	rows := p.Rows
 	var bits []uint8
 	var cls []int32
@@ -904,7 +870,7 @@ func (ws *WorkerState) computeHist(ctx context.Context, spec *PassSpec, c *frame
 }
 
 func (ws *WorkerState) computeGramCodes(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	cols := ws.ev.liveCols(c)
+	cols := ws.liveCols(c)
 	rows := p.Rows
 	k := len(spec.Entries)
 	ws.codeCols(p, k, func(i int) bool { return spec.Entries[i].NeedCodes })
