@@ -15,7 +15,11 @@
 //   - Server exposes the registry over HTTP. POST /transform and
 //     POST /predict are batched: the whole request batch is evaluated in one
 //     columnar pass via core.Pipeline.TransformBatch, amortising per-row
-//     dispatch. POST /score keeps the original single-row contract.
+//     dispatch. Those two endpoints read and write their bytes through the
+//     batch codec (codec.go): the body is scanned straight into one flat row
+//     block, the reply appended to one buffer byte for byte as encoding/json
+//     would render it, both in pooled memory. POST /score keeps the original
+//     single-row contract.
 //     Predictions follow the pipeline's task (core.Task): scalar scores for
 //     binary probabilities and regression values, plus per-row
 //     class-probability vectors for multiclass pipelines; registration

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,8 +16,8 @@ import (
 const DefaultMaxBatch = 4096
 
 // DefaultMaxBodyBytes bounds a request body when Options.MaxBodyBytes is
-// unset. The row-count limit alone cannot protect memory — the body is
-// decoded before rows can be counted — so the byte cap is enforced first.
+// unset. The row-count limit alone cannot protect memory — a batch body is
+// read whole before its rows are scanned — so the byte cap is enforced first.
 const DefaultMaxBodyBytes = 32 << 20
 
 // Options configures a Server.
@@ -68,14 +69,20 @@ func NewServer(reg *Registry, opts Options) *Server {
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) (int, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", s.maxBody)), false
-		}
-		return writeError(w, http.StatusBadRequest, "bad request: "+err.Error()), false
+		return s.writeBodyError(w, err), false
 	}
 	return http.StatusOK, true
+}
+
+// writeBodyError answers a body that could not be read or parsed: 413 when it
+// ran into the byte cap, 400 otherwise.
+func (s *Server) writeBodyError(w http.ResponseWriter, err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", s.maxBody))
+	}
+	return writeError(w, http.StatusBadRequest, "bad request: "+err.Error())
 }
 
 // Registry returns the server's registry, for in-process administration
@@ -217,18 +224,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, predict boo
 }
 
 // serveBatch decodes, validates and executes one batched request, returning
-// the row count and response status for metrics.
+// the row count and response status for metrics. The body, the rows parsed
+// from it and the rendered reply live in one pooled batchBuf, handed back
+// once the reply is written.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, predict bool) (int, int) {
-	var req BatchRequest
-	if status, ok := s.decodeBody(w, r, &req); !ok {
-		return 0, status
+	buf := batchBufs.Get().(*batchBuf)
+	defer batchBufs.Put(buf)
+	if err := buf.readBody(http.MaxBytesReader(w, r.Body, s.maxBody), min(r.ContentLength, s.maxBody)); err != nil {
+		return 0, s.writeBodyError(w, err)
+	}
+	req, err := decodeBatch(buf.body.Bytes(), s.maxBatch, buf)
+	if err == errTooManyRows {
+		return 0, writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch exceeds the limit of %d rows", s.maxBatch))
+	}
+	if err != nil {
+		return 0, writeError(w, http.StatusBadRequest, "bad request: "+err.Error())
 	}
 	if len(req.Rows) == 0 {
 		return 0, writeError(w, http.StatusBadRequest, `bad request: "rows" must be a non-empty array`)
-	}
-	if len(req.Rows) > s.maxBatch {
-		return 0, writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d rows exceeds limit %d", len(req.Rows), s.maxBatch))
 	}
 	e, err := s.registry.Get(req.Pipeline, req.Version)
 	if err != nil {
@@ -260,8 +274,10 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, predict bool
 	} else {
 		resp.Names, resp.Features = e.Pipeline.Output, features
 	}
-	writeJSON(w, http.StatusOK, resp)
-	return len(req.Rows), http.StatusOK
+	if buf.out, err = appendBatchResponse(buf.out[:0], &resp); err != nil {
+		return 0, writeUnrenderable(w, err)
+	}
+	return len(req.Rows), writeBody(w, http.StatusOK, buf.out)
 }
 
 // runBatch evaluates rows through e, consulting the feature cache per row
@@ -388,8 +404,7 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request) int {
 			resp.Probs = probs[0]
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK
+	return writeJSON(w, http.StatusOK, resp)
 }
 
 // errorResponse is the JSON error body used by every endpoint.
@@ -398,15 +413,29 @@ type errorResponse struct {
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) int {
-	writeJSON(w, status, errorResponse{Error: msg})
-	return status
+	return writeJSON(w, status, errorResponse{Error: msg})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// writeUnrenderable answers a reply that does not encode as JSON (a NaN or
+// ±Inf score): a 500, which the caller counts as a failure.
+func writeUnrenderable(w http.ResponseWriter, err error) int {
+	return writeError(w, http.StatusInternalServerError, "reply cannot be rendered: "+err.Error())
+}
+
+// writeJSON renders v, then writes it under status; a v that does not render
+// is a 500 instead. Returns the status written.
+func writeJSON(w http.ResponseWriter, status int, v interface{}) int {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		return writeUnrenderable(w, err)
+	}
+	return writeBody(w, status, body.Bytes())
+}
+
+// writeBody writes a rendered JSON body under status.
+func writeBody(w http.ResponseWriter, status int, body []byte) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are already out; nothing more to do.
-		_ = err
-	}
+	_, _ = w.Write(body) // a client that has gone away is not the server's failure
+	return status
 }
