@@ -27,23 +27,20 @@ func (pctChange) Fit(cols [][]float64) (safe.Applier, error) {
 	return pctApplier{}, nil
 }
 
+// pctApplier is the fitted form. An applier has one evaluation method: it
+// writes the output column for its input columns into dst. Training, batch
+// transforms and one-row inference all call it the same way.
 type pctApplier struct{}
 
-func (pctApplier) TransformRow(v []float64) float64 {
-	a, b := v[0], v[1]
-	if b == 0 {
-		return 0
+func (pctApplier) TransformInto(cols [][]float64, dst []float64) {
+	a, b := cols[0], cols[1]
+	for i := range dst {
+		if b[i] == 0 {
+			dst[i] = 0
+			continue
+		}
+		dst[i] = math.Max(-10, math.Min(10, (a[i]-b[i])/math.Abs(b[i])))
 	}
-	out := (a - b) / math.Abs(b)
-	return math.Max(-10, math.Min(10, out))
-}
-
-func (p pctApplier) Transform(cols [][]float64) []float64 {
-	out := make([]float64, len(cols[0]))
-	for i := range out {
-		out[i] = p.TransformRow([]float64{cols[0][i], cols[1][i]})
-	}
-	return out
 }
 
 func (pctApplier) Formula(names []string) string {

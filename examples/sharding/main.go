@@ -84,31 +84,4 @@ func main() {
 		}
 		fmt.Printf("  %s\n", f)
 	}
-
-	// 5. Approx mode (WithSketch): skip the exact cut-refinement passes and
-	//    bin at the sketches' approximate cuts — fewer passes,
-	//    near-identical output, for when pass count over a slow medium
-	//    dominates.
-	t2 := time.Now()
-	apRes, err := safe.Fit(ctx, safe.FromCSVFile(path, "label"),
-		safe.WithSeed(1),
-		safe.WithSharding(5000),
-		safe.WithSketch(2048, true))
-	if err != nil {
-		log.Fatal(err)
-	}
-	apPipeline, apStats := apRes.Pipeline, apRes.Shard
-	overlap := 0
-	memSet := map[string]bool{}
-	for _, name := range memPipeline.Output {
-		memSet[name] = true
-	}
-	for _, name := range apPipeline.Output {
-		if memSet[name] {
-			overlap++
-		}
-	}
-	fmt.Printf("\napprox-cut fit: %7v  -> %d features (%d passes, rank error <= %d of %d rows, %d/%d overlap with exact)\n",
-		time.Since(t2).Round(time.Millisecond), apPipeline.NumFeatures(), apStats.Passes,
-		apStats.MaxQuantileRankError, apStats.Rows, overlap, len(memPipeline.Output))
 }

@@ -165,7 +165,6 @@ type planOpts struct {
 	sharded    bool
 	chunkRows  int
 	sketchSize int
-	approxCuts bool
 	hasSketch  bool
 	retry      *RetryPolicy
 	earlyStop  bool // Patience set via WithEarlyStopping, not WithConfig
@@ -318,14 +317,11 @@ func WithSharding(chunkRows int) Option {
 // WithSketch tunes the sharded engine's quantile sketches: size is the
 // per-level summary size of the fit's running sketches (0 keeps the default;
 // a size below the 1,024-point budget of a partition's partial caps the
-// partials too), approxCuts skips the
-// exact-cut refinement pass, trading bit-exact equivalence with the
-// in-memory engine for one fewer streaming pass per stage. Only valid for
-// plans that fit sharded.
-func WithSketch(size int, approxCuts bool) Option {
+// partials too). Cuts stay exact at any size: the refinement passes resolve
+// them to the in-memory engine's. Only valid for plans that fit sharded.
+func WithSketch(size int) Option {
 	return func(o *planOpts) error {
 		o.sketchSize = size
-		o.approxCuts = approxCuts
 		o.hasSketch = true
 		return nil
 	}
@@ -451,7 +447,7 @@ func NewPlan(source Source, opts ...Option) (*Plan, error) {
 		distAddrs: o.distAddrs,
 	}
 	if o.sharded {
-		p.shardCfg = shard.Config{Core: cfg, SketchSize: o.sketchSize, ApproxCuts: o.approxCuts}
+		p.shardCfg = shard.Config{Core: cfg, SketchSize: o.sketchSize}
 		if o.retry != nil {
 			p.shardCfg.Retry = *o.retry
 		}

@@ -36,6 +36,21 @@ type generated struct {
 	values  []float64
 }
 
+// construct fits op on columns a and b and computes the candidate's column
+// with core.Apply: the column its Pipeline node emits for the same rows, so a
+// baseline scores what it will serve.
+func construct(op operators.Operator, cols [][]float64, names []string, a, b int) (*generated, error) {
+	in := [][]float64{cols[a], cols[b]}
+	nm := []string{names[a], names[b]}
+	applier, err := op.Fit(in)
+	if err != nil {
+		return nil, fmt.Errorf("baselines: %s: %w", op.Name(), err)
+	}
+	g := &generated{name: applier.Formula(nm), inputs: nm, applier: applier, values: make([]float64, len(cols[a]))}
+	core.Apply(applier, in, g.values)
+	return g, nil
+}
+
 // generatePairs applies every operator to every pair, fitting on train
 // columns; non-commutative operators are applied in both orders. Duplicate
 // formulas are skipped.
@@ -43,20 +58,14 @@ func generatePairs(pairs []combo, cols [][]float64, names []string, ops []operat
 	seen := make(map[string]bool)
 	var out []*generated
 	apply := func(op operators.Operator, a, b int) error {
-		in := [][]float64{cols[a], cols[b]}
-		nm := []string{names[a], names[b]}
-		applier, err := op.Fit(in)
+		g, err := construct(op, cols, names, a, b)
 		if err != nil {
-			return fmt.Errorf("baselines: %s: %w", op.Name(), err)
+			return err
 		}
-		formula := applier.Formula(nm)
-		if seen[formula] {
-			return nil
+		if !seen[g.name] {
+			seen[g.name] = true
+			out = append(out, g)
 		}
-		seen[formula] = true
-		vals := applier.Transform(in)
-		sanitizeCol(vals)
-		out = append(out, &generated{name: formula, inputs: nm, applier: applier, values: vals})
 		return nil
 	}
 	for _, p := range pairs {
@@ -277,12 +286,4 @@ func randomPairs(m, count int, rng *rand.Rand, eligible func(int) bool) []combo 
 		out = append(out, c)
 	}
 	return out
-}
-
-func sanitizeCol(col []float64) {
-	for i, v := range col {
-		if v != v || v > 1e300 || v < -1e300 {
-			col[i] = 0
-		}
-	}
 }

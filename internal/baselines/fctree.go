@@ -28,14 +28,6 @@ type FCTreeConfig struct {
 	Seed        int64
 }
 
-// fcCandidate is a constructed feature competing at tree nodes.
-type fcCandidate struct {
-	name    string
-	inputs  []string
-	applier operators.Applier
-	values  []float64
-}
-
 // FCTree trains a decision tree in which, at every internal node, Ne
 // randomly constructed features (binary operators over random original
 // pairs) compete with the original features for the split by information
@@ -93,7 +85,7 @@ func FCTree(train *frame.Frame, cfg FCTreeConfig) (*core.Pipeline, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	chosen := make(map[string]*fcCandidate)
+	chosen := make(map[string]*generated)
 
 	// Recursive tree build; we only need the side effect (chosen features).
 	var build func(rows []int, depth int)
@@ -104,7 +96,7 @@ func FCTree(train *frame.Frame, cfg FCTreeConfig) (*core.Pipeline, error) {
 		// Candidates: all originals plus Ne fresh constructions.
 		type cand struct {
 			col []float64
-			gen *fcCandidate
+			gen *generated
 		}
 		cands := make([]cand, 0, m+cfg.Ne)
 		for j := 0; j < m; j++ {
@@ -116,23 +108,14 @@ func FCTree(train *frame.Frame, cfg FCTreeConfig) (*core.Pipeline, error) {
 			for b == a {
 				b = rng.Intn(m)
 			}
-			op := binOps[rng.Intn(len(binOps))]
-			in := [][]float64{cols[a], cols[b]}
-			nm := []string{names[a], names[b]}
-			applier, ferr := op.Fit(in)
+			g, ferr := construct(binOps[rng.Intn(len(binOps))], cols, names, a, b)
 			if ferr != nil {
 				continue
 			}
-			formula := applier.Formula(nm)
-			if g, ok := chosen[formula]; ok {
-				cands = append(cands, cand{col: g.values, gen: g})
-				continue
+			if kept, ok := chosen[g.name]; ok {
+				g = kept
 			}
-			vals := applier.Transform(in)
-			sanitizeCol(vals)
-			cands = append(cands, cand{col: vals, gen: &fcCandidate{
-				name: formula, inputs: nm, applier: applier, values: vals,
-			}})
+			cands = append(cands, cand{col: g.values, gen: g})
 		}
 
 		bestGain := 1e-12
@@ -179,7 +162,7 @@ func FCTree(train *frame.Frame, cfg FCTreeConfig) (*core.Pipeline, error) {
 	type rankedFeature struct {
 		name string
 		ig   float64
-		gen  *fcCandidate
+		gen  *generated
 	}
 	var ranked []rankedFeature
 	igOf := func(col []float64) float64 {

@@ -118,16 +118,42 @@ func TestRandomPairsEligibilityFilter(t *testing.T) {
 	}
 }
 
-func TestSanitizeCol(t *testing.T) {
-	col := []float64{1, math.NaN(), math.Inf(1), -math.Inf(1), 1e301, 2}
-	sanitizeCol(col)
-	for i, v := range col {
-		if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e300 {
-			t.Errorf("col[%d] = %v after sanitise", i, v)
-		}
+// TestBaselinesScoreWhatTheirPipelineEmits: the column a baseline scores is
+// the column its Pipeline emits for the same rows, bit for bit — through
+// generatePairs (RAND and IMP) and construct (which FCTree builds its
+// candidates with too) as through TFC's evalPair. The product of a and b lies
+// in (1e300, MaxFloat64] on every row but the last, where it overflows.
+func TestBaselinesScoreWhatTheirPipelineEmits(t *testing.T) {
+	a := []float64{1e151, 2e152, -3e152, 1e154, 1e200}
+	b := []float64{1e151, 5e152, -4e152, 1.7e154, 1e200}
+	names := []string{"a", "b"}
+	mul := operators.Mul()
+	gens, err := generatePairs([]combo{{0, 1}}, [][]float64{a, b}, names, []operators.Operator{mul})
+	if err != nil || len(gens) != 1 {
+		t.Fatalf("generatePairs: %d candidates, %v", len(gens), err)
 	}
-	if col[0] != 1 || col[5] != 2 {
-		t.Error("sanitise damaged finite values")
+	tfc := make([]float64, len(a))
+	evalPair(mul, a, b, tfc)
+
+	g := gens[0]
+	p := &core.Pipeline{OriginalNames: names, Nodes: []core.FeatureNode{{Name: g.name, Inputs: g.inputs, Applier: g.applier}}, Output: []string{g.name}}
+	rows := make([][]float64, len(a))
+	for i := range rows {
+		rows[i] = []float64{a[i], b[i]}
+	}
+	out, err := p.TransformBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0][0] <= 1e300 {
+		t.Fatalf("the pipeline emits %v for 1e151 * 1e151", out[0][0])
+	}
+	for i, row := range out {
+		for name, scored := range map[string][]float64{"generatePairs": g.values, "TFC": tfc} {
+			if math.Float64bits(scored[i]) != math.Float64bits(row[0]) {
+				t.Errorf("row %d: %s scored %v, the pipeline emits %v", i, name, scored[i], row[0])
+			}
+		}
 	}
 }
 

@@ -175,23 +175,15 @@ func TFC(train *frame.Frame, cfg TFCConfig) (*core.Pipeline, error) {
 	return p, nil
 }
 
-// evalPair computes op(a,b) into buf without allocating (stateless binary
-// operators only — TFC's experimental set is {+,−,×,÷}).
+// evalPair computes op(a,b) into buf through core.Apply — the column the
+// winner's Pipeline node emits for the same rows — or zeroes buf when the
+// operator does not fit.
 func evalPair(op operators.Operator, a, b []float64, buf []float64) {
-	applier, err := op.Fit([][]float64{a, b})
+	in := [][]float64{a, b}
+	applier, err := op.Fit(in)
 	if err != nil {
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		return
 	}
-	vals := make([]float64, 2)
-	for i := range buf {
-		vals[0], vals[1] = a[i], b[i]
-		v := applier.TransformRow(vals)
-		if v != v || v > 1e300 || v < -1e300 {
-			v = 0
-		}
-		buf[i] = v
-	}
+	core.Apply(applier, in, buf)
 }

@@ -202,9 +202,9 @@ type cancelApplier struct {
 	cancel context.CancelFunc
 }
 
-func (a cancelApplier) Transform(cols [][]float64) []float64 {
+func (a cancelApplier) TransformInto(cols [][]float64, dst []float64) {
 	a.cancel()
-	return a.Applier.Transform(cols)
+	a.Applier.TransformInto(cols, dst)
 }
 
 // TestStreamCancelDuringFlush: a context cancelled while a flush is applying

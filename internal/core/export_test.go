@@ -69,7 +69,8 @@ func RawOutputs(p *Pipeline, f *frame.Frame) [][]float64 {
 		for k, dep := range nd.Inputs {
 			in[k] = cols[dep]
 		}
-		cols[nd.Name] = nd.Applier.Transform(in)
+		cols[nd.Name] = make([]float64, f.NumRows())
+		nd.Applier.TransformInto(in, cols[nd.Name])
 	}
 	out := make([][]float64, len(p.Output))
 	for i, name := range p.Output {

@@ -91,9 +91,10 @@ func (g *Program) Eval(cols [][]float64, alloc func() []float64) [][]float64 {
 
 // Apply computes one node: the applier over in into dst, then the clamp. A
 // fit scores, ranks and builds on exactly this column, so nothing else in the
-// engines applies an operator.
+// repository applies an operator — not the engines, not the baselines, not
+// the experiments.
 func Apply(ap operators.Applier, in [][]float64, dst []float64) {
-	operators.TransformColumn(ap, in, dst)
+	ap.TransformInto(in, dst)
 	sanitize(dst)
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/operators"
 	"repro/internal/wire/wiretest"
 )
 
@@ -25,6 +26,10 @@ var malformedPipelines = []struct{ name, json, names string }{
 	{"unknown-output", `{"version":1,"original_names":["a","b"],"nodes":[{"name":"s","inputs":["a","b"],"kind":"stateless","data":{"op":"add"}}],"output":["s","ghost"]}`, `"ghost"`},
 	{"short-groupby-table", `{"version":1,"original_names":["a","b"],"nodes":[{"name":"g","inputs":["a","b"],"kind":"groupby","data":{"cuts":[0,1],"table":[5],"fallback":0,"name":"groupby_avg"}}],"output":["g"]}`, `"g"`},
 	{"ridge-without-weights", `{"version":1,"original_names":["a","b"],"nodes":[{"name":"r","inputs":["a","b"],"kind":"ridge","data":{"w":[],"b":1}}],"output":["r"]}`, `"r"`},
+	{"bin-descending-cuts", `{"version":1,"original_names":["a"],"nodes":[{"name":"q","inputs":["a"],"kind":"bin","data":{"cuts":[3,1,2],"name":"bin_freq"}}],"output":["q"]}`, `"q"`},
+	{"groupby-descending-cuts", `{"version":1,"original_names":["a","b"],"nodes":[{"name":"g","inputs":["a","b"],"kind":"groupby","data":{"cuts":[2,0],"table":[10,20,30],"fallback":0,"name":"groupby_avg"}}],"output":["g"]}`, `"g"`},
+	// JSON has no NaN: the file fails as JSON before any node is read.
+	{"bin-nan-cut", `{"version":1,"original_names":["a"],"nodes":[{"name":"q","inputs":["a"],"kind":"bin","data":{"cuts":[0,NaN],"name":"bin_freq"}}],"output":["q"]}`, `invalid character 'N'`},
 }
 
 func TestLoadPipelineRejectsMalformedPrograms(t *testing.T) {
@@ -36,6 +41,37 @@ func TestLoadPipelineRejectsMalformedPrograms(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.names) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.names)
+		}
+	}
+}
+
+// TestApplyAllocatesNothing: every built-in fitted applier, and the
+// stateless ones with a column loop, evaluates through Apply into the
+// caller's column without allocating.
+func TestApplyAllocatesNothing(t *testing.T) {
+	const n = 256
+	cols := make([][]float64, 2)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+		for i := range cols[j] {
+			cols[j][i] = math.Sin(float64(i*(j+3))) * 10
+		}
+	}
+	cols[0][7] = math.NaN()
+	dst := make([]float64, n)
+	reg := operators.NewRegistry()
+	for _, name := range []string{"minmax", "zscore", "bin_freq", "bin_width", "bin_chimerge", "groupby_avg", "groupby_std", "ridge", "add", "div", "log", "xor"} {
+		op, err := reg.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := cols[:op.Arity()]
+		ap, err := op.Fit(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { Apply(ap, in, dst) }); allocs != 0 {
+			t.Errorf("%s: %v allocations per Apply", name, allocs)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/gbdt"
 	"repro/internal/metrics"
@@ -209,12 +210,8 @@ func meanGeneratedAUC(pairs [][2]int, ops []operators.Operator, trainCols, testC
 			if err != nil {
 				continue
 			}
-			vals := applier.Transform([][]float64{testCols[pr[0]], testCols[pr[1]]})
-			for i, v := range vals {
-				if v != v {
-					vals[i] = 0
-				}
-			}
+			vals := make([]float64, len(testCols[pr[0]]))
+			core.Apply(applier, [][]float64{testCols[pr[0]], testCols[pr[1]]}, vals)
 			auc := metrics.AUC(vals, ds.Test.Label)
 			if auc < 0.5 {
 				auc = 1 - auc

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Column is a single named feature column. Values are dense float64; NaN
@@ -282,26 +281,6 @@ func (f *Frame) Stats(j int) ColumnStats {
 	}
 	st.Std = math.Sqrt(ss / float64(n))
 	return st
-}
-
-// SortedUnique returns the sorted distinct non-NaN values of column j. It is
-// used by discretisation operators and tests.
-func (f *Frame) SortedUnique(j int) []float64 {
-	vals := f.Columns[j].Values
-	tmp := make([]float64, 0, len(vals))
-	for _, v := range vals {
-		if !math.IsNaN(v) {
-			tmp = append(tmp, v)
-		}
-	}
-	sort.Float64s(tmp)
-	out := tmp[:0]
-	for i, v := range tmp {
-		if i == 0 || v != tmp[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Append concatenates other's rows onto f. Column sets must match by name

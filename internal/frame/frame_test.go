@@ -158,20 +158,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestSortedUnique(t *testing.T) {
-	f := &Frame{Columns: []Column{{Name: "a", Values: []float64{3, 1, 2, 2, math.NaN(), 1}}}}
-	got := f.SortedUnique(0)
-	want := []float64{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("SortedUnique = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("SortedUnique[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestAppend(t *testing.T) {
 	f := sample()
 	g := sample()

@@ -53,26 +53,8 @@ func HashUint64(h, v uint64) uint64 {
 	return h
 }
 
-// HashRow hashes one dense row: a general-purpose row identity for
-// deduplication and cache keying. Identical raw rows always collide and the
-// 64-bit space makes accidental collisions negligible, but callers that
-// cannot tolerate them should still compare rows on hit (RowsEqual). The
-// serving feature cache builds its keys from the same primitives, prefixed
-// with the pipeline identity (see internal/serve).
-func HashRow(row []float64) uint64 { return HashFloats(fnvOffset64, row) }
-
-// RowHash hashes row i of the frame without materialising it; it equals
-// HashRow of the materialised row.
-func (f *Frame) RowHash(i int) uint64 {
-	h := uint64(fnvOffset64)
-	for j := range f.Columns {
-		h = hashFloat64(h, f.Columns[j].Values[i])
-	}
-	return h
-}
-
 // RowsEqual reports whether two rows are bitwise identical, treating NaN as
-// equal to NaN. It is the collision check paired with HashRow.
+// equal to NaN: the collision check for a key hashed with HashFloats.
 func RowsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

@@ -22,7 +22,7 @@ func NewArena(rows int) *Arena {
 func (a *Arena) Rows() int { return a.rows }
 
 // Get returns a buffer of length Rows. Contents are unspecified — every
-// element is about to be overwritten by a TransformColumn call.
+// element is about to be overwritten by an Applier's TransformInto.
 func (a *Arena) Get() []float64 {
 	if n := len(a.free); n > 0 {
 		buf := a.free[n-1]

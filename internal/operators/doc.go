@@ -12,9 +12,11 @@
 //   - Operator is the unfitted form: a name, an arity, and Fit. Fitting
 //     binds it to training columns and yields an Applier.
 //
-//   - Applier is the fitted form: it evaluates whole columns (Transform)
-//     or a single row (TransformRow) using only the parameters captured at
-//     fit time, so it is safe to apply to unseen data.
+//   - Applier is the fitted form, with one evaluation method: TransformInto
+//     writes the output column for its input columns into the caller's dst,
+//     using only the parameters captured at fit time, so it is safe to apply
+//     to unseen data. A one-row batch is real-time inference. Formula names
+//     the result.
 //
 //   - Registry maps operator names to constructors. core.Engineer consults
 //     it when expanding candidate features, and custom operators added to a
@@ -24,7 +26,22 @@
 //     DecodeApplier) so a saved core.Pipeline carries every learned
 //     parameter. Custom appliers opt in via PersistableApplier.
 //
-// A fitted operator application is a Generated feature: it carries an
-// interpretable formula string and can be evaluated row-by-row for
-// real-time inference.
+// Nothing outside this package calls TransformInto but core.Apply, which
+// clamps NaN and ±Inf to 0 after it: the fit, the transforms, a pass worker,
+// the baselines and the experiments all compute a feature through that one
+// door, so a feature is the same number wherever it is computed (CI's lint
+// job holds the rest of the repository to it). A custom applier therefore
+// needs no clamp and no row method:
+//
+//	type scale struct{ k float64 }
+//
+//	func (s scale) TransformInto(cols [][]float64, dst []float64) {
+//		for i := range dst {
+//			dst[i] = s.k * cols[0][i]
+//		}
+//	}
+//
+//	func (s scale) Formula(names []string) string {
+//		return fmt.Sprintf("%g*%s", s.k, names[0])
+//	}
 package operators

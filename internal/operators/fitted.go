@@ -44,11 +44,10 @@ func (*minMaxOp) Fit(cols [][]float64) (Applier, error) {
 
 type minMaxApplier struct{ lo, span float64 }
 
-func (a *minMaxApplier) TransformRow(vals []float64) float64 {
-	return (vals[0] - a.lo) / a.span
-}
-func (a *minMaxApplier) Transform(cols [][]float64) []float64 {
-	return mapCol(cols[0], func(v float64) float64 { return (v - a.lo) / a.span })
+func (a *minMaxApplier) TransformInto(cols [][]float64, dst []float64) {
+	for i, v := range cols[0][:len(dst)] {
+		dst[i] = (v - a.lo) / a.span // NaN stays NaN
+	}
 }
 func (a *minMaxApplier) Formula(names []string) string {
 	return fmt.Sprintf("minmax(%s; lo=%.4g, span=%.4g)", names[0], a.lo, a.span)
@@ -82,9 +81,10 @@ func (*zScoreOp) Fit(cols [][]float64) (Applier, error) {
 
 type zScoreApplier struct{ mean, std float64 }
 
-func (a *zScoreApplier) TransformRow(vals []float64) float64 { return (vals[0] - a.mean) / a.std }
-func (a *zScoreApplier) Transform(cols [][]float64) []float64 {
-	return mapCol(cols[0], func(v float64) float64 { return (v - a.mean) / a.std })
+func (a *zScoreApplier) TransformInto(cols [][]float64, dst []float64) {
+	for i, v := range cols[0][:len(dst)] {
+		dst[i] = (v - a.mean) / a.std // NaN stays NaN
+	}
 }
 func (a *zScoreApplier) Formula(names []string) string {
 	return fmt.Sprintf("zscore(%s; mean=%.4g, std=%.4g)", names[0], a.mean, a.std)
@@ -184,23 +184,14 @@ type binApplier struct {
 	name string
 }
 
-func (a *binApplier) TransformRow(vals []float64) float64 {
-	v := vals[0]
-	if math.IsNaN(v) {
-		return -1
-	}
-	return float64(sort.SearchFloat64s(a.cuts, v))
-}
-func (a *binApplier) Transform(cols [][]float64) []float64 {
-	out := make([]float64, len(cols[0]))
-	for i, v := range cols[0] {
+func (a *binApplier) TransformInto(cols [][]float64, dst []float64) {
+	for i, v := range cols[0][:len(dst)] {
 		if math.IsNaN(v) {
-			out[i] = -1
+			dst[i] = -1
 			continue
 		}
-		out[i] = float64(sort.SearchFloat64s(a.cuts, v))
+		dst[i] = float64(sort.SearchFloat64s(a.cuts, v))
 	}
-	return out
 }
 func (a *binApplier) Formula(names []string) string {
 	return fmt.Sprintf("%s(%s; %d cuts)", a.name, names[0], len(a.cuts))
@@ -338,23 +329,14 @@ type groupByApplier struct {
 	name     string
 }
 
-func (a *groupByApplier) TransformRow(vals []float64) float64 {
-	k := vals[0]
-	if math.IsNaN(k) {
-		return a.fallback
-	}
-	return a.table[sort.SearchFloat64s(a.cuts, k)]
-}
-func (a *groupByApplier) Transform(cols [][]float64) []float64 {
-	out := make([]float64, len(cols[0]))
-	for i, k := range cols[0] {
+func (a *groupByApplier) TransformInto(cols [][]float64, dst []float64) {
+	for i, k := range cols[0][:len(dst)] {
 		if math.IsNaN(k) {
-			out[i] = a.fallback
+			dst[i] = a.fallback
 			continue
 		}
-		out[i] = a.table[sort.SearchFloat64s(a.cuts, k)]
+		dst[i] = a.table[sort.SearchFloat64s(a.cuts, k)]
 	}
-	return out
 }
 func (a *groupByApplier) Formula(names []string) string {
 	return fmt.Sprintf("%s(key=%s, val=%s)", a.name, names[0], names[1])
@@ -390,17 +372,12 @@ func newRidgeApplier(w []float64, b float64) Applier {
 	return &ridgeApplier{model: &linear.Ridge{W: w, B: b}}
 }
 
-func (a *ridgeApplier) TransformRow(vals []float64) float64 {
-	return vals[1] - a.model.PredictRow(vals[:1])
-}
-func (a *ridgeApplier) Transform(cols [][]float64) []float64 {
-	out := make([]float64, len(cols[0]))
-	row := make([]float64, 1)
-	for i := range out {
+func (a *ridgeApplier) TransformInto(cols [][]float64, dst []float64) {
+	var row [1]float64
+	for i := range dst {
 		row[0] = cols[0][i]
-		out[i] = cols[1][i] - a.model.PredictRow(row)
+		dst[i] = cols[1][i] - a.model.PredictRow(row[:])
 	}
-	return out
 }
 func (a *ridgeApplier) Formula(names []string) string {
 	return fmt.Sprintf("ridge_resid(%s ~ %s; w=%.4g, b=%.4g)",
@@ -438,16 +415,4 @@ func groupCuts(key []float64, maxGroups int) []float64 {
 		}
 	}
 	return cuts
-}
-
-func mapCol(col []float64, f func(float64) float64) []float64 {
-	out := make([]float64, len(col))
-	for i, v := range col {
-		if math.IsNaN(v) {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = f(v)
-	}
-	return out
 }

@@ -19,7 +19,7 @@ const (
 // Operator generates one output column from Arity() input columns. Fit
 // learns any parameters from training columns and returns an Applier bound
 // to those parameters; the Applier is then usable on any data (train, test,
-// or a single row at inference time).
+// or a one-row batch at inference time).
 type Operator interface {
 	// Name is the operator's registry key, e.g. "add", "log", "groupby_avg".
 	Name() string
@@ -32,22 +32,12 @@ type Operator interface {
 
 // Applier is a fitted operator application.
 type Applier interface {
-	// Transform computes the output column for the given input columns
-	// (len(cols) == arity, equal lengths).
-	Transform(cols [][]float64) []float64
-	// TransformRow computes the output for a single row of inputs.
-	TransformRow(vals []float64) float64
+	// TransformInto writes the output column for the given input columns
+	// (len(cols) == arity, each at least len(dst) long) into dst, overwriting
+	// every element. It must not retain cols or dst.
+	TransformInto(cols [][]float64, dst []float64)
 	// Formula renders an interpretable expression given input names.
 	Formula(names []string) string
-}
-
-// ColumnApplier is the optional allocation-free fast path of an Applier:
-// TransformInto writes the output column into dst (len(dst) == rows)
-// instead of allocating. The built-in arithmetic operators additionally
-// dispatch to tight column loops here, skipping the per-row closure of the
-// generic path.
-type ColumnApplier interface {
-	TransformInto(cols [][]float64, dst []float64)
 }
 
 // DataIndependent reports whether the operator's Fit ignores its input
@@ -90,23 +80,18 @@ func ApplierArity(ap Applier) (arity int, known bool) {
 	return 0, false
 }
 
-// TransformColumn applies ap into dst, using the ColumnApplier fast path
-// when available and falling back to Transform+copy otherwise. It returns
-// dst.
+// TransformColumn is ap.TransformInto(cols, dst), returning dst. It stays
+// because bench/probes.go, the fixed benchmark, times operators through it.
 func TransformColumn(ap Applier, cols [][]float64, dst []float64) []float64 {
-	if ca, ok := ap.(ColumnApplier); ok {
-		ca.TransformInto(cols, dst)
-		return dst
-	}
-	copy(dst, ap.Transform(cols))
+	ap.TransformInto(cols, dst)
 	return dst
 }
 
 // ---------- stateless helpers ----------
 
-// funcOp is a stateless operator defined by a row function, an optional
-// vectorised column function (the hot-path variant generation uses), and a
-// formula template.
+// funcOp is a stateless operator defined by a column function (vec) or, for
+// the operators without one, a row function (f) the generic column loop
+// calls; and a formula template.
 type funcOp struct {
 	name    string
 	arity   Arity
@@ -126,17 +111,10 @@ func (o *funcOp) Fit(cols [][]float64) (Applier, error) {
 
 type funcApplier struct{ op *funcOp }
 
-func (a *funcApplier) TransformRow(vals []float64) float64 { return a.op.f(vals) }
-func (a *funcApplier) Formula(names []string) string       { return a.op.formula(names) }
-func (a *funcApplier) Transform(cols [][]float64) []float64 {
-	out := make([]float64, len(cols[0]))
-	a.TransformInto(cols, out)
-	return out
-}
+func (a *funcApplier) Formula(names []string) string { return a.op.formula(names) }
 
-// TransformInto implements ColumnApplier: the vectorised column function
-// when the operator has one, otherwise a generic row loop that still avoids
-// allocating the output.
+// TransformInto runs the column function when the operator has one,
+// otherwise the row function over each row, gathered on the stack.
 func (a *funcApplier) TransformInto(cols [][]float64, dst []float64) {
 	if a.op.vec != nil {
 		a.op.vec(cols, dst)
@@ -160,7 +138,6 @@ func unary(name string, f func(float64) float64, tmpl string) Operator {
 	return &funcOp{
 		name:  name,
 		arity: Unary,
-		f:     func(v []float64) float64 { return f(v[0]) },
 		vec: func(cols [][]float64, dst []float64) {
 			x := cols[0][:len(dst)]
 			for i := range dst {
@@ -174,16 +151,22 @@ func unary(name string, f func(float64) float64, tmpl string) Operator {
 }
 
 func binary(name string, f func(a, b float64) float64, tmpl string) Operator {
+	return binaryVec(name, func(x, y, dst []float64) {
+		for i := range dst {
+			dst[i] = f(x[i], y[i])
+		}
+	}, tmpl)
+}
+
+// binaryVec is a binary operator defined by its column loop. The arithmetic
+// operators of the paper's experimental set write theirs out: they run hot
+// enough that binary's closure call per row shows up in profiles.
+func binaryVec(name string, vec func(x, y, dst []float64), tmpl string) Operator {
 	return &funcOp{
 		name:  name,
 		arity: Binary,
-		f:     func(v []float64) float64 { return f(v[0], v[1]) },
 		vec: func(cols [][]float64, dst []float64) {
-			x := cols[0][:len(dst)]
-			y := cols[1][:len(dst)]
-			for i := range dst {
-				dst[i] = f(x[i], y[i])
-			}
+			vec(cols[0][:len(dst)], cols[1][:len(dst)], dst)
 		},
 		formula: func(names []string) string {
 			return fmt.Sprintf(tmpl, names[0], names[1])
@@ -191,59 +174,40 @@ func binary(name string, f func(a, b float64) float64, tmpl string) Operator {
 	}
 }
 
-// binaryVec is binary with a hand-specialised column loop: the arithmetic
-// operators of the paper's experimental set run hot enough that even the
-// two-argument closure call per row shows up in profiles.
-func binaryVec(name string, f func(a, b float64) float64, vec func(x, y, dst []float64), tmpl string) Operator {
-	op := binary(name, f, tmpl).(*funcOp)
-	op.vec = func(cols [][]float64, dst []float64) {
-		vec(cols[0][:len(dst)], cols[1][:len(dst)], dst)
-	}
-	return op
-}
-
 // ---------- arithmetic binary operators (the paper's experimental set) ----------
 
 // Add returns the + operator.
 func Add() Operator {
-	return binaryVec("add", func(a, b float64) float64 { return a + b },
-		func(x, y, dst []float64) {
-			for i := range dst {
-				dst[i] = x[i] + y[i]
-			}
-		}, "(%s + %s)")
+	return binaryVec("add", func(x, y, dst []float64) {
+		for i := range dst {
+			dst[i] = x[i] + y[i]
+		}
+	}, "(%s + %s)")
 }
 
 // Sub returns the - operator. Subtraction is not commutative; the paper
 // treats such operators as distinct per argument order, which feature
 // generation honours by trying both orders.
 func Sub() Operator {
-	return binaryVec("sub", func(a, b float64) float64 { return a - b },
-		func(x, y, dst []float64) {
-			for i := range dst {
-				dst[i] = x[i] - y[i]
-			}
-		}, "(%s - %s)")
+	return binaryVec("sub", func(x, y, dst []float64) {
+		for i := range dst {
+			dst[i] = x[i] - y[i]
+		}
+	}, "(%s - %s)")
 }
 
 // Mul returns the × operator.
 func Mul() Operator {
-	return binaryVec("mul", func(a, b float64) float64 { return a * b },
-		func(x, y, dst []float64) {
-			for i := range dst {
-				dst[i] = x[i] * y[i]
-			}
-		}, "(%s * %s)")
+	return binaryVec("mul", func(x, y, dst []float64) {
+		for i := range dst {
+			dst[i] = x[i] * y[i]
+		}
+	}, "(%s * %s)")
 }
 
 // Div returns the ÷ operator; division by zero yields NaN (missing).
 func Div() Operator {
-	return binaryVec("div", func(a, b float64) float64 {
-		if b == 0 {
-			return math.NaN()
-		}
-		return a / b
-	}, func(x, y, dst []float64) {
+	return binaryVec("div", func(x, y, dst []float64) {
 		for i := range dst {
 			if y[i] == 0 {
 				dst[i] = math.NaN()

@@ -8,13 +8,24 @@ import (
 	"testing/quick"
 )
 
+// evalRow evaluates a on one row: a one-row column per input.
+func evalRow(a Applier, row []float64) float64 {
+	cols := make([][]float64, len(row))
+	for j := range row {
+		cols[j] = row[j : j+1]
+	}
+	var out [1]float64
+	a.TransformInto(cols, out[:])
+	return out[0]
+}
+
 func fitAndRow(t *testing.T, op Operator, cols [][]float64, row []float64) float64 {
 	t.Helper()
 	a, err := op.Fit(cols)
 	if err != nil {
 		t.Fatalf("%s.Fit: %v", op.Name(), err)
 	}
-	return a.TransformRow(row)
+	return evalRow(a, row)
 }
 
 func TestArithmetic(t *testing.T) {
@@ -126,11 +137,11 @@ func TestMinMaxNormalisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.TransformRow([]float64{5}); got != 0.5 {
+	if got := evalRow(a, []float64{5}); got != 0.5 {
 		t.Errorf("minmax(5) = %v, want 0.5", got)
 	}
 	// Out-of-range values extrapolate using *training* parameters.
-	if got := a.TransformRow([]float64{20}); got != 2 {
+	if got := evalRow(a, []float64{20}); got != 2 {
 		t.Errorf("minmax(20) = %v, want 2", got)
 	}
 	// Constant column does not divide by zero.
@@ -138,7 +149,7 @@ func TestMinMaxNormalisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := konst.TransformRow([]float64{3}); math.IsNaN(got) || math.IsInf(got, 0) {
+	if got := evalRow(konst, []float64{3}); math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Errorf("minmax on constant column = %v", got)
 	}
 }
@@ -149,7 +160,7 @@ func TestZScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.TransformRow([]float64{4}); math.Abs(got) > 1e-12 {
+	if got := evalRow(a, []float64{4}); math.Abs(got) > 1e-12 {
 		t.Errorf("zscore(mean) = %v, want 0", got)
 	}
 }
@@ -164,7 +175,8 @@ func TestDiscretizeEqualFrequency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := a.Transform([][]float64{vals})
+	out := make([]float64, len(vals))
+	a.TransformInto([][]float64{vals}, out)
 	counts := map[float64]int{}
 	for _, b := range out {
 		counts[b]++
@@ -172,7 +184,7 @@ func TestDiscretizeEqualFrequency(t *testing.T) {
 	if len(counts) != 4 {
 		t.Fatalf("got %d bins, want 4: %v", len(counts), counts)
 	}
-	if got := a.TransformRow([]float64{math.NaN()}); got != -1 {
+	if got := evalRow(a, []float64{math.NaN()}); got != -1 {
 		t.Errorf("NaN bin = %v, want -1", got)
 	}
 }
@@ -195,8 +207,8 @@ func TestDiscretizeChiMergeUsesLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bin of -0.5 must differ from bin of +0.5.
-	lo := a.TransformRow([]float64{-0.5})
-	hi := a.TransformRow([]float64{0.5})
+	lo := evalRow(a, []float64{-0.5})
+	hi := evalRow(a, []float64{0.5})
 	if lo == hi {
 		t.Errorf("ChiMerge failed to separate the label boundary (bins %v and %v)", lo, hi)
 	}
@@ -221,7 +233,7 @@ func TestGroupByAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := a.TransformRow([]float64{10, 0}); got != c.want {
+		if got := evalRow(a, []float64{10, 0}); got != c.want {
 			t.Errorf("%v(group 10) = %v, want %v", groupAggNames[c.agg], got, c.want)
 		}
 	}
@@ -230,7 +242,7 @@ func TestGroupByAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.TransformRow([]float64{10, 0}); math.Abs(got-math.Sqrt(2.0/3)) > 1e-9 {
+	if got := evalRow(a, []float64{10, 0}); math.Abs(got-math.Sqrt(2.0/3)) > 1e-9 {
 		t.Errorf("groupby_std = %v, want sqrt(2/3)", got)
 	}
 }
@@ -242,7 +254,7 @@ func TestGroupByNaNKeyFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.TransformRow([]float64{math.NaN(), 0}); got != 4 {
+	if got := evalRow(a, []float64{math.NaN(), 0}); got != 4 {
 		t.Errorf("NaN-key fallback = %v, want global mean 4", got)
 	}
 }
@@ -261,10 +273,10 @@ func TestRidgeOperatorResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ap.TransformRow([]float64{10, 20}); math.Abs(got) > 1e-3 {
+	if got := evalRow(ap, []float64{10, 20}); math.Abs(got) > 1e-3 {
 		t.Errorf("residual of exact linear relation = %v, want ~0", got)
 	}
-	if got := ap.TransformRow([]float64{10, 25}); math.Abs(got-5) > 1e-3 {
+	if got := evalRow(ap, []float64{10, 25}); math.Abs(got-5) > 1e-3 {
 		t.Errorf("residual of off-line point = %v, want ~5", got)
 	}
 }
@@ -280,8 +292,11 @@ func TestFormulaInterpretability(t *testing.T) {
 	}
 }
 
+// TestTransformMatchesTransformRowProperty: an applier evaluated over a whole
+// column and one row at a time — the one-row batch Pipeline.TransformRow
+// runs — writes the same values, overwriting whatever dst held.
 func TestTransformMatchesTransformRowProperty(t *testing.T) {
-	ops := []Operator{Add(), Sub(), Mul(), Div()}
+	ops := []Operator{Add(), Sub(), Mul(), Div(), MinMax(), ZScore(), Discretize(EqualWidth, 5), GroupBy(GroupAvg, 4), RidgeOp(1)}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(20)
@@ -292,13 +307,18 @@ func TestTransformMatchesTransformRowProperty(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		for _, op := range ops {
-			ap, err := op.Fit([][]float64{a, b})
+			cols := [][]float64{a, b}[:op.Arity()]
+			ap, err := op.Fit(cols)
 			if err != nil {
 				return false
 			}
-			batch := ap.Transform([][]float64{a, b})
+			batch := make([]float64, n)
+			for i := range batch {
+				batch[i] = math.Inf(1)
+			}
+			ap.TransformInto(cols, batch)
 			for i := range a {
-				got := ap.TransformRow([]float64{a[i], b[i]})
+				got := evalRow(ap, []float64{a[i], b[i]}[:op.Arity()])
 				if math.IsNaN(got) && math.IsNaN(batch[i]) {
 					continue
 				}

@@ -3,6 +3,7 @@ package operators
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // Serialisation of fitted appliers, so a learned pipeline Ψ can be saved at
@@ -142,6 +143,9 @@ func DecodeApplier(kind string, data json.RawMessage) (Applier, error) {
 		if err := json.Unmarshal(data, &p); err != nil {
 			return nil, fmt.Errorf("operators: decode bin: %w", err)
 		}
+		if err := checkCuts("bin", p.Cuts); err != nil {
+			return nil, err
+		}
 		return &binApplier{cuts: p.Cuts, name: p.Name}, nil
 	case "groupby":
 		var p groupByPayload
@@ -150,6 +154,9 @@ func DecodeApplier(kind string, data json.RawMessage) (Applier, error) {
 		}
 		if len(p.Table) != len(p.Cuts)+1 {
 			return nil, fmt.Errorf("operators: decode groupby: %d table entries for %d cuts", len(p.Table), len(p.Cuts))
+		}
+		if err := checkCuts("groupby", p.Cuts); err != nil {
+			return nil, err
 		}
 		return &groupByApplier{cuts: p.Cuts, table: p.Table, fallback: p.Fallback, name: p.Name}, nil
 	case "ridge":
@@ -168,4 +175,16 @@ func DecodeApplier(kind string, data json.RawMessage) (Applier, error) {
 		}
 		return dec(data)
 	}
+}
+
+// checkCuts refuses cut points no fit writes: a NaN, or one below its
+// predecessor. Bin and group lookups binary-search the cuts, so out of order
+// they answer a wrong bin for every row instead of failing.
+func checkCuts(kind string, cuts []float64) error {
+	for i, c := range cuts {
+		if math.IsNaN(c) || (i > 0 && c < cuts[i-1]) {
+			return fmt.Errorf("operators: decode %s: cuts must ascend with no NaN, cut %d is %v", kind, i, c)
+		}
+	}
+	return nil
 }

@@ -56,7 +56,7 @@ func TestStatelessRoundTripAllBuiltins(t *testing.T) {
 		for i := range row {
 			row[i] = cols[i][1]
 		}
-		got, want := b.TransformRow(row), a.TransformRow(row)
+		got, want := evalRow(b, row), evalRow(a, row)
 		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Errorf("%s: round-trip changed output %v -> %v", name, want, got)
 		}
@@ -105,7 +105,7 @@ func TestFittedRoundTripPreservesParametersProperty(t *testing.T) {
 			for trial := 0; trial < 10; trial++ {
 				row := []float64{rng.NormFloat64() * 30, rng.NormFloat64() * 30}
 				row = row[:int(op.Arity())]
-				x, y := ap.TransformRow(row), ap2.TransformRow(row)
+				x, y := evalRow(ap, row), evalRow(ap2, row)
 				if x != y && !(math.IsNaN(x) && math.IsNaN(y)) {
 					return false
 				}
@@ -133,13 +133,10 @@ func TestDecodeApplierUnknownKind(t *testing.T) {
 // customApplier exercises the PersistableApplier extension point.
 type customApplier struct{ Scale float64 }
 
-func (c customApplier) TransformRow(v []float64) float64 { return v[0] * c.Scale }
-func (c customApplier) Transform(cols [][]float64) []float64 {
-	out := make([]float64, len(cols[0]))
-	for i, v := range cols[0] {
-		out[i] = v * c.Scale
+func (c customApplier) TransformInto(cols [][]float64, dst []float64) {
+	for i := range dst {
+		dst[i] = cols[0][i] * c.Scale
 	}
-	return out
 }
 func (c customApplier) Formula(names []string) string {
 	return fmt.Sprintf("%g*%s", c.Scale, names[0])
@@ -159,7 +156,7 @@ func TestCustomApplierCodec(t *testing.T) {
 	})
 	a := customApplier{Scale: 2.5}
 	b := roundTrip(t, a)
-	if got := b.TransformRow([]float64{4}); got != 10 {
+	if got := evalRow(b, []float64{4}); got != 10 {
 		t.Errorf("custom round-trip = %v, want 10", got)
 	}
 	// Duplicate registration panics.
@@ -175,5 +172,28 @@ func TestEncodeApplierRejectsUnknownType(t *testing.T) {
 	type anonApplier struct{ Applier }
 	if _, _, err := EncodeApplier(anonApplier{}); err == nil {
 		t.Error("encoded a non-persistable applier")
+	}
+}
+
+// TestDecodeApplierRejectsBadCuts: bin and group-by cuts are binary-searched,
+// so a payload whose cuts are out of order or NaN would load and answer a
+// wrong feature for every row — [3,1,2] put 0.5/1.5/2.5/3.5 in bins 0/2/3/3,
+// and a groupby over [2,0] answered its last table entry for every key. Both
+// kinds refuse them. (JSON has no NaN, so a NaN cut reaches checkCuts only
+// from code; it is held to it directly.)
+func TestDecodeApplierRejectsBadCuts(t *testing.T) {
+	for kind, data := range map[string]string{
+		"bin":     `{"cuts":[3,1,2],"name":"bin_freq"}`,
+		"groupby": `{"cuts":[2,0],"table":[10,20,30],"fallback":0,"name":"groupby_avg"}`,
+	} {
+		if ap, err := DecodeApplier(kind, json.RawMessage(data)); err == nil {
+			t.Errorf("%s: decoded %#v from descending cuts", kind, ap)
+		}
+	}
+	if err := checkCuts("bin", []float64{0, math.NaN(), 1}); err == nil {
+		t.Error("a NaN cut passed")
+	}
+	if err := checkCuts("bin", []float64{math.Inf(-1), 0, 0, math.Inf(1)}); err != nil {
+		t.Errorf("ascending cuts with a repeat refused: %v", err)
 	}
 }

@@ -6,15 +6,15 @@
 //
 // Design constraints, in order:
 //
-//  1. Determinism: results must be identical for any worker count. Both For
-//     and ForChunks therefore hand callers disjoint index ranges and expect
+//  1. Determinism: results must be identical for any worker count.
+//     ForChunks therefore hands callers disjoint index ranges and expects
 //     outputs to be written to per-index (or per-chunk) slots; chunk
 //     boundaries depend only on n, never on the worker count or on
 //     scheduling.
 //  2. Bounded concurrency: a pool owns a fixed set of long-lived worker
 //     goroutines. Submitting work never spawns; a saturated pool simply
 //     leaves the caller to chew through the chunks itself, which also makes
-//     nested For calls deadlock-free.
+//     nested ForChunks calls deadlock-free.
 //  3. Reuse: pools are cached per size (Get), so repeated Fit calls do not
 //     churn goroutines.
 //

@@ -48,7 +48,7 @@ func New(workers int) *Pool {
 	// an idle worker is actively receiving, so queued work can never wait on
 	// a worker that is itself blocked in a nested ForChunks.
 	p := &Pool{workers: workers, tasks: make(chan func())}
-	// The caller of For/ForChunks always participates, so workers-1 helpers
+	// The caller of ForChunks always participates, so workers-1 helpers
 	// saturate the target concurrency.
 	for i := 0; i < workers-1; i++ {
 		go func() {
@@ -176,18 +176,3 @@ submit:
 }
 
 type panicValue struct{ v any }
-
-// For runs fn for every i in [0,n), sharded over the pool in chunks sized
-// so each worker sees a few chunks. The same determinism contract as
-// ForChunks applies: fn must write to per-index locations.
-func (p *Pool) For(n int, fn func(i int)) {
-	grain := n / (4 * p.workers)
-	if grain < 1 {
-		grain = 1
-	}
-	p.ForChunks(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}

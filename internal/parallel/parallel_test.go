@@ -6,12 +6,22 @@ import (
 	"testing"
 )
 
+// each runs fn for every i in [0,n) on p in chunks of p.Grain(n): the
+// per-index loop the sharded fitter runs on ForChunks.
+func each(p *Pool, n int, fn func(i int)) {
+	p.ForChunks(n, p.Grain(n), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i)
+		}
+	})
+}
+
 func TestForCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		p := New(workers)
 		for _, n := range []int{0, 1, 7, 64, 1000} {
 			seen := make([]int32, n)
-			p.For(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
+			each(p, n, func(i int) { atomic.AddInt32(&seen[i], 1) })
 			for i, c := range seen {
 				if c != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
@@ -45,10 +55,10 @@ func TestForChunksDisjointCover(t *testing.T) {
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	const n = 517
 	want := make([]float64, n)
-	New(1).For(n, func(i int) { want[i] = float64(i) * 1.5 })
+	each(New(1), n, func(i int) { want[i] = float64(i) * 1.5 })
 	for _, workers := range []int{2, 3, 7} {
 		got := make([]float64, n)
-		New(workers).For(n, func(i int) { got[i] = float64(i) * 1.5 })
+		each(New(workers), n, func(i int) { got[i] = float64(i) * 1.5 })
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: got[%d]=%v want %v", workers, i, got[i], want[i])
@@ -57,16 +67,16 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestNestedForDoesNotDeadlock exercises a For issued from inside a worker:
+// TestNestedForDoesNotDeadlock exercises a loop issued from inside a worker:
 // the pool must fall back to caller execution rather than waiting on itself.
 func TestNestedForDoesNotDeadlock(t *testing.T) {
 	p := New(2)
 	var total atomic.Int64
-	p.For(8, func(i int) {
-		p.For(8, func(j int) { total.Add(1) })
+	each(p, 8, func(i int) {
+		each(p, 8, func(j int) { total.Add(1) })
 	})
 	if got := total.Load(); got != 64 {
-		t.Fatalf("nested For ran %d inner iterations, want 64", got)
+		t.Fatalf("nested loop ran %d inner iterations, want 64", got)
 	}
 }
 
@@ -103,7 +113,7 @@ func TestForPanicPropagates(t *testing.T) {
 			t.Fatal("panic did not propagate")
 		}
 	}()
-	p.For(1000, func(i int) {
+	each(p, 1000, func(i int) {
 		if i == 517 {
 			panic("boom")
 		}

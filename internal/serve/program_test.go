@@ -109,27 +109,32 @@ func TestZeroDenominatorRowServes(t *testing.T) {
 }
 
 // TestLoadDirRejectsMalformedProgram: a pipeline file whose nodes are not a
-// program fails the warm load, named, instead of registering a version that
-// fails every request.
+// program — or whose bin cuts are out of order, which would load and answer a
+// wrong feature on every request — fails the warm load, named, instead of
+// registering a version.
 func TestLoadDirRejectsMalformedProgram(t *testing.T) {
-	dir := t.TempDir()
-	vdir := filepath.Join(dir, "bad", "v1")
-	if err := os.MkdirAll(vdir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	unaryAdd := `{"version":1,"original_names":["a","b"],"nodes":[{"name":"s","inputs":["a"],"kind":"stateless","data":{"op":"add"}}],"output":["s"]}`
-	if err := os.WriteFile(filepath.Join(vdir, "pipeline.json"), []byte(unaryAdd), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	n, err := reg.LoadDir(dir)
-	if err == nil || n != 0 {
-		t.Fatalf("LoadDir registered %d entries, error %v", n, err)
-	}
-	if !strings.HasPrefix(err.Error(), "serve: load bad@v1: ") || !strings.Contains(err.Error(), `node "s"`) {
-		t.Errorf("error %q does not place the failure at bad@v1, node \"s\"", err)
-	}
-	if _, err := reg.Get("bad", ""); err == nil {
-		t.Error("the malformed pipeline is registered")
+	for _, body := range []string{
+		`{"version":1,"original_names":["a","b"],"nodes":[{"name":"s","inputs":["a"],"kind":"stateless","data":{"op":"add"}}],"output":["s"]}`,
+		`{"version":1,"original_names":["a","b"],"nodes":[{"name":"s","inputs":["a"],"kind":"bin","data":{"cuts":[3,1,2],"name":"bin_freq"}}],"output":["s"]}`,
+	} {
+		dir := t.TempDir()
+		vdir := filepath.Join(dir, "bad", "v1")
+		if err := os.MkdirAll(vdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(vdir, "pipeline.json"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistry()
+		n, err := reg.LoadDir(dir)
+		if err == nil || n != 0 {
+			t.Fatalf("LoadDir registered %d entries, error %v", n, err)
+		}
+		if !strings.HasPrefix(err.Error(), "serve: load bad@v1: ") || !strings.Contains(err.Error(), `node "s"`) {
+			t.Errorf("error %q does not place the failure at bad@v1, node \"s\"", err)
+		}
+		if _, err := reg.Get("bad", ""); err == nil {
+			t.Error("the malformed pipeline is registered")
+		}
 	}
 }

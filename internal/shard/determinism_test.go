@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/frame"
-	"repro/internal/parallel"
-	"repro/internal/sketch"
 )
 
 // fingerprint reduces a fitted pipeline to the string the determinism matrix
@@ -81,21 +78,6 @@ func assertDeterministic(t *testing.T, train *frame.Frame, cfg core.Config, engi
 	}
 }
 
-// cutRecorder is the in-process executor with an ear on the pass specs: it
-// keeps the cut sets of the first codes pass, which are the original columns'
-// miner cuts exactly as the fit derived them.
-type cutRecorder struct {
-	*localExec
-	liveCuts [][]float64
-}
-
-func (r *cutRecorder) RunPass(ctx context.Context, spec *PassSpec, fold func(*Partial) error) (PassResult, error) {
-	if spec.Kind == PassCodes && r.liveCuts == nil {
-		r.liveCuts = spec.LiveCuts
-	}
-	return r.localExec.RunPass(ctx, spec, fold)
-}
-
 // TestShardedFitDeterminismMatrix is the determinism pin of the one loop under
 // both column representations: for every task family, the in-memory engine
 // under every listed worker count — including the fully serial path — and
@@ -157,53 +139,6 @@ func TestShardedFitDeterminismMatrix(t *testing.T) {
 			}
 		})
 	}
-
-	// The approximate row: no refinement, so the cuts come straight off the
-	// merged sketches, and what the fit promises instead of equality is that
-	// each one sits within Stats.MaxQuantileRankError ranks of its target.
-	t.Run("approx-cuts", func(t *testing.T) {
-		const rows, chunkRows = 16400, partialSize + 1
-		train := taskWorkload(t, rows, 9, datagen.TargetBinary, 0)
-		cfg := core.DefaultConfig()
-		cfg.Seed = 1
-		norm, err := core.NormalizeConfig(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scfg := Config{Core: cfg, ApproxCuts: true}
-		le := newLocalExec(context.Background(), frame.NewFrameChunks(train, chunkRows), scfg, parallel.Get(1), norm.Registry, sketch.NewArena())
-		defer le.close()
-		rec := &cutRecorder{localExec: le}
-		scfg.Exec = rec
-		_, _, st, err := Fit(context.Background(), frame.NewFrameChunks(train, chunkRows), scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Passes != 5 || st.MaxQuantileRankError == 0 { // 6 before the score pass went
-			t.Fatalf("approx fit took %d passes with rank error %d, want 5 passes over lossy sketches", st.Passes, st.MaxQuantileRankError)
-		}
-		if len(rec.liveCuts) != train.NumCols() {
-			t.Fatalf("recorded %d cut sets for %d columns", len(rec.liveCuts), train.NumCols())
-		}
-		for j, cuts := range rec.liveCuts {
-			sorted := append([]float64(nil), train.Columns[j].Values...)
-			sort.Float64s(sorted)
-			ranks := sketch.CutRanks(int64(len(sorted)), norm.Miner.MaxBins)
-			// Continuous columns: no two targets share a value, so cut i answers
-			// target i (the binner drops at most a trailing cut at the maximum).
-			if len(cuts) < len(ranks)-1 {
-				t.Fatalf("column %d: %d cuts for %d targets", j, len(cuts), len(ranks))
-			}
-			for i, c := range cuts {
-				lo := int64(sort.SearchFloat64s(sorted, c))
-				hi := int64(sort.Search(len(sorted), func(k int) bool { return sorted[k] > c }))
-				if hi == lo || ranks[i] < lo-st.MaxQuantileRankError || ranks[i] >= hi+st.MaxQuantileRankError {
-					t.Fatalf("column %d cut %d = %v holds ranks [%d,%d), target %d, reported bound %d",
-						j, i, c, lo, hi, ranks[i], st.MaxQuantileRankError)
-				}
-			}
-		}
-	})
 }
 
 // TestRebinBranchMatchesAcrossEngines covers the branch the default

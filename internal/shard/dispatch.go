@@ -808,9 +808,6 @@ func (ws *WorkerState) computeRefine(ctx context.Context, spec *PassSpec, c *fra
 				return err
 			}
 		}
-		// Per-value streaming beats sort+AddSorted here: the shared edge index
-		// classifies each value in O(1), and finalize sorts the few gathered
-		// in-bracket values, so the result is bit-identical.
 		sh := pp.refs[i].Shadow()
 		sh.AddChunk(vals)
 		p.Refiners[i] = sh

@@ -40,8 +40,8 @@
 //  5. redundancy    — pairwise co-moments (Gram) of IV survivors + codes
 //     (Correlated)
 //
-// plus an exact-cut refinement gather after each sketch pass (skipped by
-// Config.ApproxCuts): seven passes for a one-iteration fit.
+// plus an exact-cut refinement gather after each sketch pass: seven passes
+// for a one-iteration fit.
 //
 // Everything the XGBoost miner and ranker consume is the resident binned
 // matrix (1 byte per value, ~8× smaller than raw float64 columns) plus the

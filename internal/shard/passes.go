@@ -248,14 +248,10 @@ func (f *fitter) openRefiner(sk *sketch.Quantile) *sketch.Refiner {
 }
 
 // refineLive brackets the live sketches' cut targets and, when any bracket
-// is still open, streams one gather pass to resolve them exactly. Approx
-// mode skips refinement entirely (cuts then come straight off the
-// sketches). refineLive runs before any feature generation, so the gather
-// addresses raw source columns by schema index.
+// is still open, streams one gather pass to resolve them exactly.
+// refineLive runs before any feature generation, so the gather addresses raw
+// source columns by schema index.
 func (f *fitter) refineLive() error {
-	if f.approxCuts {
-		return nil
-	}
 	if err := f.each(len(f.live), func(j int) error {
 		f.live[j].ref = f.openRefiner(f.live[j].sk)
 		return nil
@@ -289,9 +285,6 @@ func (f *fitter) refineLive() error {
 // whose columns the kernel recomputes per chunk to gather their open
 // brackets. Base refiners carry over from the live set.
 func (f *fitter) refineCandidates(gens []*core.Candidate) error {
-	if f.approxCuts {
-		return nil
-	}
 	if err := f.each(len(gens), func(i int) error {
 		c := col(gens[i])
 		c.ref = f.openRefiner(c.sk)

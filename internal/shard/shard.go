@@ -28,12 +28,6 @@ type Config struct {
 	// carries its own compaction error of ceil(chunk rows / that) ranks; the
 	// refinement pass's gather buffers are as wide as the two errors' sum.
 	SketchSize int
-	// ApproxCuts skips the exact cut-refinement pass and bins directly at
-	// the sketches' approximate cut points. This trades the bit-exact
-	// equivalence with the in-memory path for one fewer streaming pass per
-	// stage; cut placement is then off by at most the sketches' rank error
-	// bound (Stats.MaxQuantileRankError).
-	ApproxCuts bool
 	// Retry bounds transient chunk-read retries (see RetryPolicy). The zero
 	// value disables retrying: every read error aborts the fit immediately.
 	// Retried reads re-run before the chunk is folded, so a recovered fit
@@ -125,7 +119,6 @@ func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline
 		cfg:        norm,
 		pool:       pool,
 		sketchSize: cfg.SketchSize,
-		approxCuts: cfg.ApproxCuts,
 		names:      names,
 		arena:      sketch.NewArena(),
 		exec:       cfg.Exec,
@@ -148,7 +141,7 @@ func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline
 type column struct {
 	core.Feature
 	sk  *sketch.Quantile
-	ref *sketch.Refiner // exact-cut refinement (nil in approx mode)
+	ref *sketch.Refiner // exact-cut refinement
 	mom *sketch.Moments
 
 	// While the column is a candidate of the current round: its criterion
@@ -171,7 +164,6 @@ type fitter struct {
 	ctx        context.Context
 	cfg        core.Config
 	sketchSize int
-	approxCuts bool
 	arena      *sketch.Arena  // recycles candidate sketches (and the in-process executor's partials)
 	pool       *parallel.Pool // the folds' and cut derivations' per-candidate loops run on it
 
@@ -210,8 +202,8 @@ func (f *fitter) trackSketch(sk *sketch.Quantile) {
 
 // Open implements core.WorkingSet with the three pre-iteration passes: labels
 // plus per-feature quantile sketches and moments; the refinement of the live
-// sketches' cut brackets to exact order statistics (skipped in approx mode,
-// and no pass at all when the sketches are lossless); the resident miner
+// sketches' cut brackets to exact order statistics (no pass at all when the
+// sketches are lossless); the resident miner
 // codes of the original live set. Events' Rows are the rows runPass streams.
 func (f *fitter) Open() (core.Opened, error) {
 	if err := f.exec.Open(f.ctx, f.names, f.cfg.Task, f.sketchSize); err != nil {

@@ -216,31 +216,6 @@ func TestShardedFitWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedFitApproxCuts: approx mode trades the refinement passes for
-// sketch-tolerance cuts and still produces a full-sized selection.
-func TestShardedFitApproxCuts(t *testing.T) {
-	train := workload(t, 20000, 10)
-	cfg := core.DefaultConfig()
-	cfg.Seed = 1
-	exactP, _, exactSt, err := Fit(context.Background(), frame.NewFrameChunks(train, 5000), Config{Core: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approxP, _, approxSt, err := Fit(context.Background(), frame.NewFrameChunks(train, 5000), Config{Core: cfg, ApproxCuts: true, SketchSize: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if approxSt.Passes >= exactSt.Passes {
-		t.Fatalf("approx mode should use fewer passes: %d vs %d", approxSt.Passes, exactSt.Passes)
-	}
-	if approxSt.MaxQuantileRankError == 0 {
-		t.Fatal("approx mode with a lossy sketch should report a nonzero rank-error bound")
-	}
-	if len(approxP.Output) != len(exactP.Output) {
-		t.Fatalf("approx selected %d features, exact %d", len(approxP.Output), len(exactP.Output))
-	}
-}
-
 func TestShardedFitRejectsUnsupportedConfigs(t *testing.T) {
 	train := workload(t, 500, 4)
 	src := frame.NewFrameChunks(train, 100)

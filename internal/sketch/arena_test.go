@@ -239,44 +239,3 @@ func TestQuantileReleasePoints(t *testing.T) {
 		t.Fatal("a Reset sketch is not usable again")
 	}
 }
-
-// TestRefinerAddSortedMatchesAddChunk: the sorted-gather fast path must
-// accumulate exactly what the per-value streaming path does, including
-// through partition shadows merged back in order.
-func TestRefinerAddSortedMatchesAddChunk(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	n := 30000
-	vals := make([]float64, n)
-	for i := range vals {
-		// Coarse quantisation forces duplicate-heavy brackets too.
-		vals[i] = math.Round(rng.NormFloat64()*100) / 10
-	}
-	q := NewQuantile(128) // lossy at this n: brackets stay open
-	q.AddAll(vals)
-	ranks := CutRanks(q.Count(), 10)
-
-	chunked := NewRefiner(q, ranks)
-	if !chunked.NeedsPass() {
-		t.Fatal("sketch unexpectedly lossless; shrink the size")
-	}
-	sorted := NewRefiner(q, ranks)
-
-	var s SortScratch
-	for lo := 0; lo < n; lo += 7000 { // uneven chunking
-		hi := lo + 7000
-		if hi > n {
-			hi = n
-		}
-		chunked.AddChunk(vals[lo:hi])
-
-		sh := sorted.Shadow()
-		sv, _ := SortNonNaN(vals[lo:hi], &s)
-		sh.AddSorted(sv)
-		sorted.Merge(sh)
-	}
-	for _, rk := range ranks {
-		if a, b := chunked.Value(rk), sorted.Value(rk); a != b {
-			t.Fatalf("rank %d: AddChunk %v vs AddSorted %v", rk, a, b)
-		}
-	}
-}

@@ -75,9 +75,9 @@ func checkQuantile(t *testing.T, tag string, q *Quantile, sorted []float64, nan 
 	}
 }
 
-// FuzzQuantileMergeOrderInvariance drives the quantile sketch through every
-// ingestion path the engines use — streamed Add, bulk AddAll, and the sharded
-// SortNonNaN + AddSortedScratch pipeline — and through partition merges in
+// FuzzQuantileMergeOrderInvariance drives the quantile sketch through both
+// ingestion paths — AddAll, and the sharded SortNonNaN + AddSortedScratch
+// pipeline — and through partition merges in
 // opposite orders, asserting that each result preserves the exact metadata
 // (count, NaN count, min, max) and honours its tracked rank-error bound.
 // It also pins SortNonNaN against sort.Float64s on the same data.
@@ -112,12 +112,6 @@ func FuzzQuantileMergeOrderInvariance(f *testing.F) {
 			}
 		}
 
-		// Per-value streaming vs bulk load.
-		qAdd := NewQuantile(size)
-		for _, v := range vs {
-			qAdd.Add(v)
-		}
-		checkQuantile(t, "Add", qAdd, sorted, nan)
 		qBulk := NewQuantile(size)
 		qBulk.AddAll(vs)
 		checkQuantile(t, "AddAll", qBulk, sorted, nan)

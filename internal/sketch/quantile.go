@@ -19,20 +19,21 @@ type wpoint struct {
 	w int64
 }
 
-// Quantile is a deterministic mergeable quantile summary. Values stream in
-// through Add (or AddAll); partitions summarised independently combine with
-// Merge. Count, Min, Max and NaNCount are exact; rank queries (RankValue,
-// Cuts) are exact while the data fits one level and carry a tracked
-// worst-case rank error (ErrorBound) beyond that.
+// Quantile is a deterministic mergeable quantile summary. Values arrive as
+// sorted runs — AddSortedScratch, the sharded passes' path, or AddAll, which
+// sorts a column into one — and partitions summarised independently combine
+// with Merge. Count, Min, Max and NaNCount are exact; rank queries
+// (RankValue, Cuts) are exact while the data fits one level and carry a
+// tracked worst-case rank error (ErrorBound) beyond that.
 //
-// Internally the sketch is an LSM over weighted coresets: incoming values
-// buffer until size is reached, flush as a lossless level-0 summary, and
-// equal-level summaries merge like a binary counter. Merging two levels
-// concatenates their sorted point lists exactly; only when the result
-// exceeds size is it compacted to at most size points, each new point
-// absorbing a run of at most W = ceil(weight/size) original values — the
-// single source of rank error, accumulated per summary in errs. No step is
-// randomised.
+// Internally the sketch is an LSM over weighted coresets: each run becomes a
+// level-0 summary — lossless, or compacted once to size points when it has
+// more distinct values — and equal-level summaries merge like a binary
+// counter. Merging two levels concatenates their sorted point lists exactly;
+// only when the result exceeds size is it compacted to at most size points,
+// each new point absorbing a run of at most W = ceil(weight/size) original
+// values — the single source of rank error, accumulated per summary in errs.
+// No step is randomised.
 //
 // Retired point-slice backings recycle through an internal free list and the
 // full merged summary is memoised between mutations, so a sketch that is
@@ -44,12 +45,11 @@ type Quantile struct {
 	count    int64 // non-NaN values observed
 	nan      int64
 	min, max float64
-	buf      []float64
 	levels   [][]wpoint
 	errs     []int64
 
-	free [][]wpoint // retired level backings, reused by mergeInto/flush
-	bulk []float64  // AddAll bulk-load sort scratch
+	free [][]wpoint // retired level backings, reused for new point lists
+	bulk []float64  // AddAll sort scratch
 
 	mcache      []wpoint // memoised merged(); may alias a level slice
 	mcacheOwned bool     // mcache backing is scratch (not a level alias)
@@ -79,7 +79,6 @@ func (q *Quantile) Size() int { return q.size }
 func (q *Quantile) Reset() {
 	q.count, q.nan = 0, 0
 	q.min, q.max = math.Inf(1), math.Inf(-1)
-	q.buf = q.buf[:0]
 	q.released = false
 	q.dirty()
 	for i := range q.levels {
@@ -92,7 +91,7 @@ func (q *Quantile) Reset() {
 }
 
 // TrimScratch releases the sketch's reusable scratch — retired free-list
-// backings, the bulk-load buffer, and the memoised merged summary — keeping
+// backings, the AddAll sort buffer, and the memoised merged summary — keeping
 // the logical content intact. Call it on a sketch that has finished its
 // merge phase: hundreds of candidate sketches each holding cascade scratch
 // is what dominated the sharded fit's resident heap, and queries after a
@@ -103,16 +102,15 @@ func (q *Quantile) TrimScratch() {
 	q.bulk = nil
 }
 
-// ReleasePoints drops the summary itself — every level's point list, the
-// pending buffer and all scratch — and keeps what is exact or already
-// settled: Count, NaNCount, Min, Max and ErrorBound. For a sketch whose rank
-// queries have been handed to a Refiner: the refiner holds the brackets, and
-// the point lists of hundreds of candidate sketches are the rest of their
-// resident size. Rank queries, Merge and encoding panic afterwards, until
-// Reset makes the sketch fresh again.
+// ReleasePoints drops the summary itself — every level's point list and all
+// scratch — and keeps what is exact or already settled: Count, NaNCount,
+// Min, Max and ErrorBound. For a sketch whose rank queries have been handed
+// to a Refiner: the refiner holds the brackets, and the point lists of
+// hundreds of candidate sketches are the rest of their resident size. Rank
+// queries, Merge and encoding panic afterwards, until Reset makes the sketch
+// fresh again.
 func (q *Quantile) ReleasePoints() {
 	q.TrimScratch()
-	q.buf = nil
 	for i := range q.levels {
 		q.levels[i] = nil
 	}
@@ -179,85 +177,44 @@ func (q *Quantile) putFree(s []wpoint) {
 	}
 }
 
-// Add observes one value. NaNs are counted separately and never contribute
-// to ranks, matching stats.Quantiles' NaN handling.
-func (q *Quantile) Add(v float64) {
-	if math.IsNaN(v) {
-		q.nan++
-		return
-	}
-	q.dirty()
-	q.count++
-	if v < q.min {
-		q.min = v
-	}
-	if v > q.max {
-		q.max = v
-	}
-	if q.buf == nil {
-		q.buf = make([]float64, 0, q.size)
-	}
-	q.buf = append(q.buf, v)
-	if len(q.buf) >= q.size {
-		q.flush()
-	}
-}
-
-// bulkMin is the AddAll input length above which the bulk load path runs.
-const bulkMin = 512
-
-// AddAll observes a column of values. Large inputs take a bulk path — sort
-// once, build the weighted summary run directly, compact once — instead of
-// streaming through the flush buffer. The resulting summary satisfies the
-// same invariants and (being a single lossless run compacted at most once)
-// a rank-error bound at least as tight as the streamed equivalent.
+// AddAll observes a column of values: NaNs are counted separately and never
+// contribute to ranks, matching stats.Quantiles' NaN handling; the rest are
+// sorted in the sketch's scratch and taken in as one run.
 func (q *Quantile) AddAll(vs []float64) {
-	if len(vs) < bulkMin {
-		for _, v := range vs {
-			q.Add(v)
-		}
-		return
-	}
 	if cap(q.bulk) < len(vs) {
 		q.bulk = make([]float64, 0, len(vs))
 	}
 	b := q.bulk[:0]
-	nan := 0
 	for _, v := range vs {
-		if math.IsNaN(v) {
-			nan++
-			continue
+		if !math.IsNaN(v) {
+			b = append(b, v)
 		}
-		b = append(b, v)
 	}
 	q.bulk = b
 	sort.Float64s(b)
-	q.AddSorted(b, nan)
+	q.addSorted(b, len(vs)-len(b), nil)
 }
 
-// AddSorted observes a pre-sorted ascending NaN-free run of values plus the
-// NaN count stripped from it (the shape SortNonNaN produces), building the
-// summary run directly: dedup in one linear walk, at most one compaction,
-// one push. The fast path of the sharded engine's sketch passes.
-func (q *Quantile) AddSorted(sorted []float64, nan int) {
-	q.addSorted(sorted, nan, nil)
-}
-
-// AddSortedScratch is AddSorted with the dedup walk run in caller-owned
-// scratch: only the final summary run — at most size+1 points after the
-// compaction — is copied into sketch-owned memory. Recycled partials
-// therefore retain compact backings instead of chunk-length ones, which is
-// what keeps a pool of hundreds of candidate partials cheap to hold.
+// AddSortedScratch observes a pre-sorted ascending NaN-free run of values plus
+// the NaN count stripped from it (the shape SortNonNaN produces), building the
+// summary run directly: dedup in one linear walk, at most one compaction, one
+// push. The dedup walk runs in caller-owned scratch: only the final summary
+// run — at most size+1 points after the compaction — is copied into
+// sketch-owned memory. Recycled partials therefore retain compact backings
+// instead of chunk-length ones, which is what keeps a pool of hundreds of
+// candidate partials cheap to hold.
 func (q *Quantile) AddSortedScratch(sorted []float64, nan int, s *SortScratch) {
 	q.addSorted(sorted, nan, s)
 }
 
+// addSorted is AddSortedScratch; a nil s runs the dedup walk in a sketch-owned
+// backing that becomes the run itself.
 func (q *Quantile) addSorted(sorted []float64, nan int, s *SortScratch) {
 	q.nan += int64(nan)
 	if len(sorted) == 0 {
 		return
 	}
-	q.flush() // pending buffered values become their own summary first
+	q.mustHavePoints()
 	q.dirty()
 	q.count += int64(len(sorted))
 	if sorted[0] < q.min {
@@ -322,14 +279,13 @@ func (q *Quantile) ErrorBound() int64 {
 // concatenated into q's exactly, carrying their own error bounds, and only a
 // level that outgrows q's size is compacted, to q's size. A small o therefore
 // merges into a larger q with no recompaction and no error beyond its own —
-// how the sharded engine folds budgeted partition partials. o is normalised
-// (its buffer flushed) but keeps its logical content and remains usable.
+// how the sharded engine folds budgeted partition partials. o is unchanged.
 func (q *Quantile) Merge(o *Quantile) {
 	if o == nil {
 		return
 	}
-	o.flush()
-	q.flush()
+	o.mustHavePoints()
+	q.mustHavePoints()
 	q.dirty()
 	q.count += o.count
 	q.nan += o.nan
@@ -348,26 +304,6 @@ func (q *Quantile) Merge(o *Quantile) {
 		copy(cp, pts)
 		q.push(level, cp, o.errs[level])
 	}
-}
-
-// flush turns the pending buffer into a lossless level-0 summary.
-func (q *Quantile) flush() {
-	q.mustHavePoints()
-	if len(q.buf) == 0 {
-		return
-	}
-	q.dirty()
-	sort.Float64s(q.buf)
-	pts := q.takeFree(len(q.buf))
-	for _, v := range q.buf {
-		if n := len(pts); n > 0 && pts[n-1].v == v {
-			pts[n-1].w++
-			continue
-		}
-		pts = append(pts, wpoint{v: v, w: 1})
-	}
-	q.buf = q.buf[:0]
-	q.push(0, pts, 0)
 }
 
 // push installs a summary at the given level, carrying binary-counter style
@@ -482,8 +418,7 @@ func compactPoints(pts []wpoint, size int) ([]wpoint, int64) {
 }
 
 // merged returns the sketch's full summary as one sorted weighted list,
-// including pending buffered values, without mutating the sketch's logical
-// content. The result is memoised until the next mutation and must not be
+// without mutating the sketch's logical content. The result is memoised until the next mutation and must not be
 // retained across one.
 func (q *Quantile) merged() []wpoint {
 	q.mustHavePoints()
@@ -505,28 +440,6 @@ func (q *Quantile) merged() []wpoint {
 			q.putFree(all)
 		}
 		all, owned = m, true
-	}
-	if len(q.buf) > 0 {
-		tmp := append([]float64(nil), q.buf...)
-		sort.Float64s(tmp)
-		pts := q.takeFree(len(tmp))
-		for _, v := range tmp {
-			if n := len(pts); n > 0 && pts[n-1].v == v {
-				pts[n-1].w++
-				continue
-			}
-			pts = append(pts, wpoint{v: v, w: 1})
-		}
-		if all == nil {
-			all, owned = pts, true
-		} else {
-			m := q.mergeInto(all, pts)
-			if owned {
-				q.putFree(all)
-			}
-			q.putFree(pts)
-			all, owned = m, true
-		}
 	}
 	q.mcache, q.mcacheOwned, q.mvalid = all, owned, true
 	return all

@@ -40,7 +40,6 @@ type Refiner struct {
 	finalized bool
 	lowCount  []int64
 	err       error // set by finalize: the first target outside its bracket
-	below     []int // AddSorted scratch: per-target below-bracket counts
 
 	idx *edgeIndex // shared bucket table over lo (nil: binary search)
 }
@@ -291,88 +290,6 @@ func (r *Refiner) AddChunk(vals []float64) {
 	}
 }
 
-// AddSorted ingests one chunk of the column as an ascending NaN-free run
-// (the shape SortNonNaN produces) — the same accumulation as AddChunk but
-// by binary searches over the values: O(targets · log n) plus wholesale
-// copies of the in-bracket runs, instead of per-value searches.
-func (r *Refiner) AddSorted(sorted []float64) {
-	nt := len(r.ranks)
-	n := len(sorted)
-	if nt == 0 || n == 0 {
-		return
-	}
-	if cap(r.below) < nt {
-		r.below = make([]int, nt)
-	}
-	below := r.below[:nt]
-	// below[t] = #values < lo[t]; lo ascending lets each search resume
-	// where the previous one ended.
-	prev := 0
-	for t, edge := range r.lo {
-		a, b := prev, n
-		for a < b {
-			m := int(uint(a+b) >> 1)
-			if sorted[m] < edge {
-				a = m + 1
-			} else {
-				b = m
-			}
-		}
-		below[t] = a
-		prev = a
-	}
-	// A value v lands in lowDelta bucket a when a edges satisfy lo <= v,
-	// i.e. values in [lo[a-1], lo[a]) — consecutive differences of below.
-	r.lowDelta[0] += int64(below[0])
-	for t := 1; t < nt; t++ {
-		r.lowDelta[t] += int64(below[t] - below[t-1])
-	}
-	r.lowDelta[nt] += int64(n - below[nt-1])
-	for t := 0; t < nt; t++ {
-		if r.resolved[t] {
-			continue
-		}
-		lo, hi := r.lo[t], r.hi[t]
-		if below[t] >= n || sorted[n-1] < lo {
-			continue
-		}
-		// The bracket [lo, hi] covers the contiguous run starting at
-		// below[t]; split it into ==lo, strictly-inside, and ==hi spans.
-		a, b := below[t], n
-		for a < b { // first value > lo
-			m := int(uint(a+b) >> 1)
-			if sorted[m] <= lo {
-				a = m + 1
-			} else {
-				b = m
-			}
-		}
-		loEnd := a
-		a, b = loEnd, n
-		for a < b { // first value >= hi
-			m := int(uint(a+b) >> 1)
-			if sorted[m] < hi {
-				a = m + 1
-			} else {
-				b = m
-			}
-		}
-		midEnd := a
-		a, b = midEnd, n
-		for a < b { // first value > hi
-			m := int(uint(a+b) >> 1)
-			if sorted[m] <= hi {
-				a = m + 1
-			} else {
-				b = m
-			}
-		}
-		r.loEq[t] += int64(loEnd - below[t])
-		r.mid[t] = append(r.mid[t], sorted[loEnd:midEnd]...)
-		r.hiEq[t] += int64(a - midEnd)
-	}
-}
-
 // SkipBucket reports whether a block of the column whose non-NaN values all
 // lie in [min, max] provably contributes nothing to any gather bracket, and
 // if so which single lowDelta bucket all of those values count into. The
@@ -532,12 +449,9 @@ func CutRanks(n int64, bins int) []int64 {
 }
 
 // ExactCuts reproduces stats.Quantiles(column, bins) exactly from a sketch
-// plus its completed refiner (refiner may be nil when the sketch is
-// lossless): rank targets and value deduplication match bit-for-bit.
+// plus its completed refiner: rank targets and value deduplication match
+// bit-for-bit.
 func ExactCuts(q *Quantile, r *Refiner, bins int) []float64 {
-	if r == nil {
-		return q.Cuts(bins)
-	}
 	ranks := CutRanks(q.Count(), bins)
 	out := make([]float64, 0, len(ranks))
 	for _, rank := range ranks {

@@ -196,9 +196,12 @@ func TestQuantileMergeOrderInvariantWithinBound(t *testing.T) {
 
 func TestQuantileConstantColumn(t *testing.T) {
 	q := NewQuantile(64)
-	for i := 0; i < 1000; i++ {
-		q.Add(7.5)
+	vs := make([]float64, 1000)
+	for i := range vs {
+		vs[i] = 7.5
 	}
+	q.AddAll(vs[:500])
+	q.AddAll(vs[500:])
 	cuts := q.Cuts(10)
 	if len(cuts) != 1 || cuts[0] != 7.5 {
 		t.Fatalf("constant column cuts: got %v want [7.5]", cuts)
@@ -213,7 +216,7 @@ func TestQuantileEmptyAndAllNaN(t *testing.T) {
 	if got := q.Cuts(10); got != nil {
 		t.Fatalf("empty sketch cuts: got %v", got)
 	}
-	q.Add(math.NaN())
+	q.AddAll([]float64{math.NaN()})
 	if q.Count() != 0 || q.NaNCount() != 1 {
 		t.Fatalf("NaN handling: count=%d nan=%d", q.Count(), q.NaNCount())
 	}

@@ -27,7 +27,7 @@ func blockStats(vals []float64) (mn, mx float64, nonNaN int64) {
 // TestRefinerSkipBucketEquivalence pins the block-skipping contract: for
 // any block whose min/max SkipBucket accepts, folding the block in as a
 // single AddOutside count yields bit-identical refined values to streaming
-// the block through AddSorted. Sorted data makes block ranges tight, so a
+// the block through AddChunk. Sorted data makes block ranges tight, so a
 // real fraction of blocks must skip for the test to mean anything.
 func TestRefinerSkipBucketEquivalence(t *testing.T) {
 	for _, kind := range []string{"normal", "duplicates", "nan"} {
@@ -57,7 +57,6 @@ func TestRefinerSkipBucketEquivalence(t *testing.T) {
 
 		skipping := NewRefiner(q, ranks)
 		skipped := 0
-		var srt SortScratch
 		for _, b := range blocks {
 			mn, mx, nonNaN := blockStats(b)
 			if nonNaN == 0 {
@@ -69,8 +68,7 @@ func TestRefinerSkipBucketEquivalence(t *testing.T) {
 				skipped++
 				continue
 			}
-			s, _ := SortNonNaN(b, &srt)
-			skipping.AddSorted(s)
+			skipping.AddChunk(b)
 		}
 		// Duplicate-heavy data can legitimately refuse everything (the few
 		// distinct values sit on bracket edges); the smooth distribution

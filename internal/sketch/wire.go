@@ -109,12 +109,11 @@ func readCuts(r *wire.Reader, family string) ([]float64, error) {
 
 // --- Quantile ---
 
-// AppendWire serializes q (normalising its pending buffer first, exactly as
-// Merge does) and returns the extended buffer. The encoded levels and
-// per-level error bounds reproduce q's summary exactly, so Merge on the
+// AppendWire serializes q and returns the extended buffer. The encoded levels
+// and per-level error bounds reproduce q's summary exactly, so Merge on the
 // decoded sketch performs the same point-list pushes as Merge on q.
 func (q *Quantile) AppendWire(b []byte) []byte {
-	q.flush()
+	q.mustHavePoints()
 	b = wire.AppendU8(b, wireQuantile)
 	b = wire.AppendU32(b, uint32(q.size))
 	b = wire.AppendI64(b, q.count)
@@ -133,10 +132,9 @@ func (q *Quantile) AppendWire(b []byte) []byte {
 	return b
 }
 
-// WireSize returns the exact number of bytes AppendWire appends for q
-// (normalising its pending buffer first, as AppendWire does).
+// WireSize returns the exact number of bytes AppendWire appends for q.
 func (q *Quantile) WireSize() int {
-	q.flush()
+	q.mustHavePoints()
 	n := 1 + 4 + 8 + 8 + 8 + 8 + 4
 	for _, pts := range q.levels {
 		n += 4 + 8 + 16*len(pts)
@@ -433,7 +431,7 @@ func (r *Refiner) Brackets() (ranks []int64, lo, hi []float64, resolved []bool) 
 }
 
 // NewShadowRefiner builds a gather-only refiner from transported brackets —
-// the remote equivalent of Refiner.Shadow. AddChunk/AddSorted accumulate
+// the remote equivalent of Refiner.Shadow. AddChunk accumulates
 // exactly as a local shadow would (the bucket index is rebuilt from the same
 // lo edges, and its answers are defined identically to the binary search),
 // so partials folded with Merge in partition order reproduce the local fold

@@ -24,12 +24,18 @@ func seedPath(name string) string {
 // wireSeedFrames builds one valid encoding per wire family: the seed corpus
 // FuzzSketchDecode mutates from, and — checked in — the v1 golden bytes.
 func wireSeedFrames() map[string][]byte {
+	// 25 runs of 16 values and a NaN: the v1 seed was written by a per-value
+	// path that summarised every 16 values as one lossless run, as AddAll does.
 	rng := rand.New(rand.NewSource(7))
 	q := NewQuantile(16)
-	for i := 0; i < 400; i++ {
-		q.Add(rng.NormFloat64())
+	run := make([]float64, 16)
+	for r := 0; r < 25; r++ {
+		for i := range run {
+			run[i] = rng.NormFloat64()
+		}
+		q.AddAll(run)
 	}
-	q.Add(math.NaN())
+	q.AddAll([]float64{math.NaN()})
 
 	m := &Moments{}
 	m.AddAll([]float64{1, 2, math.NaN(), -4, 9})
@@ -92,7 +98,7 @@ func FuzzSketchDecode(f *testing.F) {
 			s.Cuts(10)
 			s.RankValue(0)
 			fresh := NewQuantile(s.Size())
-			fresh.Add(1)
+			fresh.AddAll([]float64{1})
 			fresh.Merge(s)
 			fresh.Cuts(4)
 		case *Moments:

@@ -8,16 +8,20 @@ import (
 	"testing"
 )
 
-// randomQuantile builds a sketch over n random values (some NaN) so levels,
-// errors and extrema are all populated.
+// randomQuantile builds a sketch over n random values (some NaN), taken in
+// runs of size values, so levels, errors and extrema are all populated.
 func randomQuantile(rng *rand.Rand, size, n int) *Quantile {
 	q := NewQuantile(size)
-	for i := 0; i < n; i++ {
+	vs := make([]float64, n)
+	for i := range vs {
 		if rng.Intn(17) == 0 {
-			q.Add(math.NaN())
+			vs[i] = math.NaN()
 			continue
 		}
-		q.Add(rng.NormFloat64() * 10)
+		vs[i] = rng.NormFloat64() * 10
+	}
+	for lo := 0; lo < n; lo += size {
+		q.AddAll(vs[lo:min(lo+size, n)])
 	}
 	return q
 }

@@ -51,21 +51,8 @@ func Variance(xs []float64) float64 {
 // Std returns the population standard deviation of xs.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// BinaryEntropy returns the Shannon entropy (nats) of a binary label vector.
-func BinaryEntropy(labels []float64) float64 {
-	n := len(labels)
-	if n == 0 {
-		return 0
-	}
-	pos := 0
-	for _, y := range labels {
-		if y > 0.5 {
-			pos++
-		}
-	}
-	return entropyFromCounts(pos, n-pos)
-}
-
+// entropyFromCounts is the Shannon entropy (nats) of a binary split of
+// pos + neg labels.
 func entropyFromCounts(pos, neg int) float64 {
 	n := pos + neg
 	if n == 0 || pos == 0 || neg == 0 {

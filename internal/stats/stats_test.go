@@ -26,13 +26,13 @@ func TestMeanVarianceStd(t *testing.T) {
 }
 
 func TestBinaryEntropy(t *testing.T) {
-	if got := BinaryEntropy([]float64{0, 0, 1, 1}); !almostEqual(got, math.Ln2, 1e-12) {
+	if got := entropyFromCounts(2, 2); !almostEqual(got, math.Ln2, 1e-12) {
 		t.Errorf("balanced entropy = %v, want ln 2", got)
 	}
-	if got := BinaryEntropy([]float64{1, 1, 1}); got != 0 {
+	if got := entropyFromCounts(3, 0); got != 0 {
 		t.Errorf("pure entropy = %v, want 0", got)
 	}
-	if got := BinaryEntropy(nil); got != 0 {
+	if got := entropyFromCounts(0, 0); got != 0 {
 		t.Errorf("empty entropy = %v, want 0", got)
 	}
 }
