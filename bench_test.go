@@ -145,38 +145,6 @@ func BenchmarkSAFESelectionOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectionAblation quantifies the design choices of the selection
-// pipeline (DESIGN.md §5): full pipeline vs skipping the IV filter vs
-// skipping the Pearson dedup.
-func BenchmarkSelectionAblation(b *testing.B) {
-	ds := benchDataset(b, 2000, 20)
-	cols := make([][]float64, ds.Train.NumCols())
-	for j := range cols {
-		cols[j] = ds.Train.Columns[j].Values
-	}
-	cases := []struct {
-		name                string
-		skipIV, skipPearson bool
-	}{
-		{"full", false, false},
-		{"no-iv", true, false},
-		{"no-pearson", false, true},
-		{"rank-only", true, true},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			cfg := safe.DefaultSelectionConfig()
-			cfg.SkipIV = c.skipIV
-			cfg.SkipPearson = c.skipPearson
-			for i := 0; i < b.N; i++ {
-				if _, err := safe.Select(cols, ds.Train.Label, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkPipelineTransformRow(b *testing.B) {
 	ds := benchDataset(b, 2000, 12)
 	res, err := safe.Fit(context.Background(), safe.FromFrame(ds.Train), safe.WithConfig(safe.DefaultConfig()))

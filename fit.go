@@ -284,7 +284,6 @@ func WithSeed(seed int64) Option {
 func WithWorkers(n int) Option {
 	return func(o *planOpts) error {
 		o.cfg.Workers = n
-		o.cfg.Parallel = n != 1
 		return nil
 	}
 }

@@ -214,9 +214,7 @@ func Imp(train *frame.Frame, cfg ImpConfig) (*core.Pipeline, error) {
 	}
 	miner := cfg.Miner
 	if miner.NumTrees == 0 {
-		miner = gbdt.DefaultConfig()
-		miner.NumTrees = 20
-		miner.MaxDepth = 4
+		miner = core.PaperBooster()
 	}
 	miner.Seed = cfg.Seed
 

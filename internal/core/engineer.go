@@ -78,24 +78,25 @@ type Config struct {
 	// see FitEvent for the delivery contract. The callback runs on the
 	// fitting goroutine and must return quickly.
 	Events EventFunc
-	// Parallel enables worker-pool parallelism in mining, generation, IV
-	// and Pearson computations.
-	Parallel bool
-	// Workers bounds the shared worker pool when Parallel is set; <= 0
-	// selects GOMAXPROCS. Fit results are identical for any worker count.
+	// Workers bounds the shared worker pool that mining, generation, IV,
+	// Pearson and both boosters run on: 1 runs serial, <= 0 selects
+	// GOMAXPROCS. Fit results are identical for any worker count.
 	Workers int
 	// Seed drives all stochastic components.
 	Seed int64
 }
 
+// PaperBooster returns the booster shape the paper runs its miner and ranker
+// with (Section V): gbdt.DefaultConfig with 20 trees of depth 4.
+func PaperBooster() gbdt.Config {
+	cfg := gbdt.DefaultConfig()
+	cfg.NumTrees = 20
+	cfg.MaxDepth = 4
+	return cfg
+}
+
 // DefaultConfig returns the paper's experimental configuration.
 func DefaultConfig() Config {
-	miner := gbdt.DefaultConfig()
-	miner.NumTrees = 20
-	miner.MaxDepth = 4
-	ranker := gbdt.DefaultConfig()
-	ranker.NumTrees = 20
-	ranker.MaxDepth = 4
 	return Config{
 		Operators:        operators.DefaultExperimentOperators(),
 		Gamma:            0, // resolved to 2M at fit time
@@ -104,10 +105,9 @@ func DefaultConfig() Config {
 		PearsonThreshold: stats.DefaultPearsonCutoff,
 		MaxFeatures:      0, // resolved to 2M at fit time
 		Iterations:       1,
-		Miner:            miner,
-		Ranker:           ranker,
+		Miner:            PaperBooster(),
+		Ranker:           PaperBooster(),
 		MinKeepIV:        8,
-		Parallel:         true,
 	}
 }
 
@@ -163,14 +163,9 @@ func New(cfg Config) (*Engineer, error) {
 	return &Engineer{cfg: cfg, pool: cfg.Pool()}, nil
 }
 
-// Pool returns the shared worker pool the configuration selects: Workers wide
-// when Parallel is set, otherwise the inline one.
-func (c *Config) Pool() *parallel.Pool {
-	if c.Parallel {
-		return parallel.Get(c.Workers)
-	}
-	return parallel.Get(1)
-}
+// Pool returns the shared worker pool the configuration selects: Workers
+// wide, inline when Workers is 1.
+func (c *Config) Pool() *parallel.Pool { return parallel.Get(c.Workers) }
 
 // NormalizeConfig applies New's defaulting and validation and returns the
 // effective configuration — including the derived miner/ranker seeds and
@@ -212,19 +207,13 @@ func NormalizeConfig(cfg Config) (Config, error) {
 		cfg.MinKeepIV = 8
 	}
 	if cfg.Miner.NumTrees == 0 {
-		cfg.Miner = gbdt.DefaultConfig()
-		cfg.Miner.NumTrees = 20
-		cfg.Miner.MaxDepth = 4
+		cfg.Miner = PaperBooster()
 	}
 	if cfg.Ranker.NumTrees == 0 {
-		cfg.Ranker = gbdt.DefaultConfig()
-		cfg.Ranker.NumTrees = 20
-		cfg.Ranker.MaxDepth = 4
+		cfg.Ranker = PaperBooster()
 	}
 	cfg.Task.applyObjective(&cfg.Miner)
 	cfg.Task.applyObjective(&cfg.Ranker)
-	cfg.Miner.Parallel = cfg.Parallel
-	cfg.Ranker.Parallel = cfg.Parallel
 	cfg.Miner.Workers = cfg.Workers
 	cfg.Ranker.Workers = cfg.Workers
 	cfg.Miner.Seed = cfg.Seed

@@ -364,24 +364,6 @@ func TestSelectStandalone(t *testing.T) {
 	}
 }
 
-func TestSelectAblationFlags(t *testing.T) {
-	ds := testDataset(t)
-	cols := make([][]float64, ds.Train.NumCols())
-	for j := range cols {
-		cols[j] = ds.Train.Columns[j].Values
-	}
-	cfg := DefaultSelectionConfig()
-	cfg.SkipIV = true
-	cfg.SkipPearson = true
-	sel, err := Select(cols, ds.Train.Label, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != len(cols) {
-		t.Errorf("with both stages skipped, got %d of %d features", len(sel), len(cols))
-	}
-}
-
 func TestSelectErrors(t *testing.T) {
 	if _, err := Select(nil, []float64{1}, DefaultSelectionConfig()); err == nil {
 		t.Error("accepted no columns")

@@ -9,9 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
+	"repro/internal/parallel"
 	"repro/internal/tree"
 )
 
@@ -24,7 +23,10 @@ type ForestConfig struct {
 	Bootstrap   bool // sample rows with replacement per tree
 	ExtraTrees  bool // random thresholds instead of exact scan
 	Seed        int64
-	Parallel    bool
+	// Workers bounds the shared worker pool the trees grow on: 1 runs
+	// serial, <= 0 selects GOMAXPROCS. Each tree is pre-seeded, so the
+	// forest is identical for any worker count.
+	Workers int
 }
 
 // DefaultForestConfig mirrors scikit-learn's RandomForestClassifier defaults
@@ -35,7 +37,6 @@ func DefaultForestConfig() ForestConfig {
 		MaxDepth:  12,
 		MinLeaf:   1,
 		Bootstrap: true,
-		Parallel:  true,
 	}
 }
 
@@ -114,34 +115,12 @@ func TrainForest(cols [][]float64, labels []float64, cfg ForestConfig) (*Forest,
 		return nil
 	}
 
-	if !cfg.Parallel {
-		for t := 0; t < cfg.NumTrees; t++ {
-			if err := buildOne(t); err != nil {
-				return nil, err
-			}
+	errs := make([]error, cfg.NumTrees)
+	parallel.Get(cfg.Workers).ForChunks(cfg.NumTrees, 1, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			errs[t] = buildOne(t)
 		}
-		return f, nil
-	}
-
-	workers := runtime.NumCPU()
-	if workers > cfg.NumTrees {
-		workers = cfg.NumTrees
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for t := w; t < cfg.NumTrees; t += workers {
-				if err := buildOne(t); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("ensemble: %w", err)

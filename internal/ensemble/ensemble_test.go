@@ -102,26 +102,29 @@ func TestForestDeterminism(t *testing.T) {
 	}
 }
 
+// TestForestSerialMatchesParallel: the forest one worker grows is the forest
+// two workers and GOMAXPROCS workers grow.
 func TestForestSerialMatchesParallel(t *testing.T) {
 	cols, labels := blobs(400, 6)
 	cfg := DefaultForestConfig()
 	cfg.NumTrees = 8
 	cfg.Seed = 4
-	cfg.Parallel = true
-	fp, err := TrainForest(cols, labels, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallel = false
+	cfg.Workers = 1
 	fs, err := TrainForest(cols, labels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp := fp.Predict(cols)
 	ps := fs.Predict(cols)
-	for i := range pp {
-		if pp[i] != ps[i] {
-			t.Fatalf("parallel/serial mismatch at row %d: %v vs %v", i, pp[i], ps[i])
+	for _, workers := range []int{2, 0} {
+		cfg.Workers = workers
+		fp, err := TrainForest(cols, labels, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range fp.Predict(cols) {
+			if p != ps[i] {
+				t.Fatalf("workers=%d: row %d scores %v, one worker %v", workers, i, p, ps[i])
+			}
 		}
 	}
 }

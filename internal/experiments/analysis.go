@@ -38,9 +38,7 @@ func RunSearchSpace(opts Options, w io.Writer) ([]SearchSpaceRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := gbdt.DefaultConfig()
-		cfg.NumTrees = 20
-		cfg.MaxDepth = 4
+		cfg := core.PaperBooster()
 		cfg.Seed = opts.Seed
 		model, err := gbdt.Train(colsOf(ds.Train), ds.Train.Label, nil, cfg)
 		if err != nil {
@@ -117,9 +115,7 @@ func RunAssumptions(opts Options, pairsPerClass int, w io.Writer) ([]AssumptionR
 		}
 		cols := colsOf(ds.Train)
 		testCols := colsOf(ds.Test)
-		cfg := gbdt.DefaultConfig()
-		cfg.NumTrees = 20
-		cfg.MaxDepth = 4
+		cfg := core.PaperBooster()
 		cfg.Seed = opts.Seed
 		model, err := gbdt.Train(cols, ds.Train.Label, nil, cfg)
 		if err != nil {

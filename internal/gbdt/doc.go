@@ -19,14 +19,15 @@
 //   - Squared — squared error on arbitrary real labels; predictions are raw
 //     values.
 //
-// Training accepts either raw float64 columns (Train, which quantises them
-// internally) or a prebinned uint8 matrix (TrainBinned, the entry point of
-// both SAFE fit engines). Both paths share the same boosting loop, so given
-// equal bins they produce bit-identical models for every objective.
-// BinColumns is the step between them — Train's quantisation on its own — for
-// a caller that trains several models over overlapping columns and wants each
-// column binned once; the bin codes are also what core.ScoreCombos ranks the
-// mined combinations on. Prebinned.Validate bounds every code by its
+// The booster trains one way. Train on raw float64 columns is BinColumns —
+// equal-frequency quantisation to a uint8 code matrix — then TrainBinned on
+// the codes, the entry point of both SAFE fit engines; a caller that trains
+// several models over overlapping columns bins each column once and calls
+// TrainBinned itself. One boosting loop serves every objective: each round
+// draws its row and column subsamples once and grows one tree per output
+// group (NumClass for Softmax, one otherwise), histograms, splits and score
+// updates all on bin codes. The codes are also what core.ScoreCombos ranks
+// the mined combinations on. Prebinned.Validate bounds every code by its
 // feature's bin count before anything indexes by it.
 //
 // A typical round trip:
@@ -38,7 +39,8 @@
 //	probs := model.PredictRowVector(row)               // length-3 probabilities
 //	class := model.PredictRow(row)                     // argmax class index
 //
-// The implementation is single-node but feature-parallel, mirroring the
-// paper's "distributed computing" requirement at laptop scale; results are
-// identical for any worker count.
+// The implementation is single-node but feature-parallel on the shared
+// internal/parallel pool Config.Workers selects (1 serial, <= 0 GOMAXPROCS),
+// mirroring the paper's "distributed computing" requirement at laptop scale;
+// results are identical for any worker count.
 package gbdt

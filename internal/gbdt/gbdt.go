@@ -43,19 +43,14 @@ type Config struct {
 	Objective      Objective // training loss
 	NumClass       int       // number of classes (Softmax only; >= 2)
 	Seed           int64     // RNG seed for subsampling
-	Parallel       bool      // parallelise histogram building across features
-	// Workers bounds the worker-pool size when Parallel is set; <= 0 selects
-	// GOMAXPROCS. Results are identical for any worker count.
+	// Workers bounds the shared worker pool binning, histogram building and
+	// score updates run on: 1 runs serial, <= 0 selects GOMAXPROCS. Results
+	// are identical for any worker count.
 	Workers int
 }
 
 // pool returns the shared worker pool the configuration selects.
-func (c *Config) pool() *parallel.Pool {
-	if !c.Parallel {
-		return parallel.Get(1)
-	}
-	return parallel.Get(c.Workers)
-}
+func (c *Config) pool() *parallel.Pool { return parallel.Get(c.Workers) }
 
 // DefaultConfig returns settings close to XGBoost's defaults, scaled to the
 // benchmark sizes used in this repository.
@@ -72,8 +67,15 @@ func DefaultConfig() Config {
 		ColSample:      1.0,
 		MaxBins:        64,
 		Objective:      Logistic,
-		Parallel:       true,
 	}
+}
+
+// check rejects an objective outside {Logistic, Squared, Softmax}, naming it.
+func (o Objective) check() error {
+	if o < Logistic || o > Softmax {
+		return fmt.Errorf("gbdt: unknown objective %d (want 0 logistic, 1 squared or 2 softmax)", int(o))
+	}
+	return nil
 }
 
 func (c *Config) validate() error {
@@ -94,6 +96,9 @@ func (c *Config) validate() error {
 	}
 	if c.ColSample <= 0 || c.ColSample > 1 {
 		return fmt.Errorf("gbdt: ColSample must be in (0,1], got %g", c.ColSample)
+	}
+	if err := c.Objective.check(); err != nil {
+		return err
 	}
 	if c.Objective == Softmax && c.NumClass < 2 {
 		return fmt.Errorf("gbdt: Softmax needs NumClass >= 2, got %d", c.NumClass)
@@ -174,10 +179,20 @@ func (m *Model) NumGroups() int {
 }
 
 // Train fits a boosted model on column-major data: cols[j][i] is feature j of
-// row i. labels are {0,1} for Logistic, arbitrary for Squared. names may be
-// nil. Train does not retain cols or labels.
+// row i. labels are {0,1} for Logistic, arbitrary for Squared and class
+// indices for Softmax. names may be nil. Train is BinColumns then
+// TrainBinned, and does not retain cols or labels.
 func Train(cols [][]float64, labels []float64, names []string, cfg Config) (*Model, error) {
-	return trainInternal(context.Background(), cols, labels, names, cfg)
+	for j := range cols {
+		if len(cols[j]) != len(labels) {
+			return nil, fmt.Errorf("gbdt: column %d has %d rows, want %d", j, len(cols[j]), len(labels))
+		}
+	}
+	pb, err := BinColumns(cols, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return TrainBinned(pb, labels, names, cfg)
 }
 
 // Prebinned is a feature matrix already quantised to per-feature bin codes:
@@ -189,11 +204,10 @@ type Prebinned struct {
 	Cuts  [][]float64
 }
 
-// BinColumns quantises raw columns exactly as Train does before its first
-// boosting round (cfg.MaxBins equal-frequency bins per column, on the pool
-// cfg selects): TrainBinned on the result is bit-identical to Train on cols.
-// It is how a caller that trains several models over overlapping column sets
-// — the SAFE miner, ranker and evaluator — bins each column once.
+// BinColumns quantises raw columns as Train does before its first boosting
+// round (cfg.MaxBins equal-frequency bins per column, on the pool cfg
+// selects). It is how a caller that trains several models over overlapping
+// column sets — the SAFE miner, ranker and evaluator — bins each column once.
 func BinColumns(cols [][]float64, cfg Config) (*Prebinned, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -232,15 +246,13 @@ func (pb *Prebinned) Validate(n int) error {
 	return nil
 }
 
-// TrainBinned fits a boosted model directly on a prebinned matrix, skipping
-// the internal quantile binning. Histogram training only ever consumes bin
-// codes, so given codes and cuts equal to what the internal binner would
-// produce from the raw columns, TrainBinned returns a bit-identical model to
-// Train — this is the entry point of both SAFE fit engines: the in-memory one
-// bins each live column once (BinColumns), the sharded one builds its binned
-// matrices out-of-core from merged quantile sketches, ~8× smaller than the raw
-// float64 columns. The model's split thresholds are real cut values, so
-// Predict works on raw rows as usual.
+// TrainBinned fits a boosted model on a prebinned matrix; the booster reads
+// only bin codes, and Train is BinColumns followed by TrainBinned. It is the
+// entry point of both SAFE fit engines: the in-memory one bins each live
+// column once (BinColumns), the sharded one builds its binned matrices
+// out-of-core from merged quantile sketches, ~8× smaller than the raw float64
+// columns. The model's split thresholds are real cut values, so Predict works
+// on raw rows as usual.
 func TrainBinned(pb *Prebinned, labels []float64, names []string, cfg Config) (*Model, error) {
 	return TrainBinnedCtx(context.Background(), pb, labels, names, cfg)
 }
@@ -272,133 +284,194 @@ func TrainBinnedCtx(ctx context.Context, pb *Prebinned, labels []float64, names 
 	for j := range pb.Cuts {
 		b.numBins[j] = len(pb.Cuts[j]) + 1
 	}
-	return trainWithBinner(ctx, b, labels, names, cfg)
+	return boost(ctx, b, labels, names, cfg)
 }
 
-func trainInternal(ctx context.Context, cols [][]float64, labels []float64, names []string, cfg Config) (*Model, error) {
-	if err := cfg.validate(); err != nil {
+// boost is the boosting loop of every objective. Each round draws its row and
+// column subsamples once, then grows one tree per output group on that
+// group's gradients — NumClass trees for Softmax, whose class trees share the
+// round's subsamples as in XGBoost, and one for Logistic and Squared — and
+// adds each tree's outputs to its group's raw scores on all rows, not only the
+// sampled ones. ctx is checked once per round, the granularity at which
+// abandoning work stays cheap relative to the work itself.
+func boost(ctx context.Context, b *binner, labels []float64, names []string, cfg Config) (*Model, error) {
+	bases, err := baseScores(cfg, labels)
+	if err != nil {
 		return nil, err
 	}
-	m := len(cols)
-	if m == 0 {
-		return nil, errors.New("gbdt: no features")
+	m, n := len(b.codes), len(labels)
+	model := &Model{Config: cfg, NumFeat: m, Names: names}
+	if cfg.Objective == Softmax {
+		model.BaseScores = bases
+	} else {
+		model.BaseScore = bases[0]
 	}
-	n := len(labels)
-	if n == 0 {
-		return nil, errors.New("gbdt: no rows")
-	}
-	for j := range cols {
-		if len(cols[j]) != n {
-			return nil, fmt.Errorf("gbdt: column %d has %d rows, want %d", j, len(cols[j]), n)
+	raw := make([][]float64, len(bases)) // raw[c][i]: group-c raw score of row i
+	for c := range raw {
+		raw[c] = make([]float64, n)
+		for i := range raw[c] {
+			raw[c][i] = bases[c]
 		}
 	}
-	b := newBinner(cols, cfg.MaxBins, cfg.pool())
-	return trainWithBinner(ctx, b, labels, names, cfg)
-}
-
-// trainWithBinner is the boosting loop proper, shared by the raw-column and
-// prebinned entry points. ctx is checked once per boosting round — the
-// granularity at which abandoning work stays cheap relative to the work
-// itself.
-func trainWithBinner(ctx context.Context, b *binner, labels []float64, names []string, cfg Config) (*Model, error) {
+	var prob [][]float64 // Softmax class probabilities, refreshed every round
 	if cfg.Objective == Softmax {
-		return trainSoftmaxWithBinner(ctx, b, labels, names, cfg)
+		prob = make([][]float64, len(bases))
+		for c := range prob {
+			prob[c] = make([]float64, n)
+		}
 	}
-	m := len(b.codes)
-	n := len(labels)
+	grad, hess := make([]float64, n), make([]float64, n)
 	pool := cfg.pool()
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	tr := newTrainer(b, cfg, pool, n, m)
+	all := appendIota(make([]int, 0, m), m)
+	// sample is the round's row sample; without row subsampling it is every
+	// row and is not stored.
+	var sample []int
+	if cfg.Subsample < 1 {
+		sample = make([]int, 0, n)
+	}
 
-	base := 0.0
-	if cfg.Objective == Logistic {
+	for t := 0; t < cfg.NumTrees; t++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if prob != nil {
+			softmaxProbs(raw, prob, pool)
+		}
+		if sample != nil {
+			sample = sampleRowsInto(sample[:0], n, cfg.Subsample, rng)
+		}
+		feats := all
+		if cfg.ColSample < 1 {
+			feats = sampleRowsInto(nil, m, cfg.ColSample, rng)
+		}
+		for c := range raw {
+			gradients(cfg.Objective, c, raw, prob, labels, grad, hess)
+			// Each tree partitions its own copy of the round's rows in place,
+			// in a per-trainer buffer refilled instead of reallocated.
+			rows := tr.rowBuf[:0]
+			if sample != nil {
+				rows = append(rows, sample...)
+			} else {
+				rows = appendIota(rows, n)
+			}
+			tr.rowBuf = rows[:0]
+			tree := tr.buildTree(rows, feats, grad, hess)
+			model.Trees = append(model.Trees, tree)
+			updatePredictions(tree, b, raw[c], pool)
+		}
+	}
+	return model, nil
+}
+
+// baseScores returns each output group's initial raw score: the smoothed
+// log-odds of the positive rate for Logistic, the label mean for Squared, and
+// the smoothed log class priors for Softmax, whose labels it checks.
+func baseScores(cfg Config, labels []float64) ([]float64, error) {
+	n := float64(len(labels))
+	switch cfg.Objective {
+	case Logistic:
 		pos := 0.0
 		for _, y := range labels {
 			if y > 0.5 {
 				pos++
 			}
 		}
-		p := (pos + 1) / (float64(n) + 2) // smoothed prior
-		base = math.Log(p / (1 - p))
-	} else {
+		p := (pos + 1) / (n + 2)
+		return []float64{math.Log(p / (1 - p))}, nil
+	case Squared:
+		sum := 0.0
 		for _, y := range labels {
-			base += y
+			sum += y
 		}
-		base /= float64(n)
+		return []float64{sum / n}, nil
 	}
-
-	model := &Model{Config: cfg, BaseScore: base, NumFeat: m, Names: names}
-	raw := make([]float64, n)
-	for i := range raw {
-		raw[i] = base
+	k := cfg.NumClass
+	bases := make([]float64, k)
+	for i, y := range labels {
+		c := int(y)
+		if c < 0 || c >= k || float64(c) != y {
+			return nil, fmt.Errorf("gbdt: row %d: label %g is not a class index in [0,%d)", i, y, k)
+		}
+		bases[c]++
 	}
-	grad := make([]float64, n)
-	hess := make([]float64, n)
-
-	tr := newTrainer(b, cfg, pool, n, m)
-
-	for t := 0; t < cfg.NumTrees; t++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		computeGradients(cfg.Objective, raw, labels, grad, hess)
-
-		// The row set is partitioned in place while the tree grows, so it
-		// lives in a per-trainer buffer refilled each round instead of a
-		// fresh allocation.
-		rows := tr.rowBuf[:0]
-		if cfg.Subsample < 1 {
-			rows = sampleRowsInto(rows, n, cfg.Subsample, rng)
-		} else {
-			for i := 0; i < n; i++ {
-				rows = append(rows, i)
-			}
-		}
-		tr.rowBuf = rows[:0]
-		feats := allRows(m)
-		if cfg.ColSample < 1 {
-			feats = sampleRowsInto(nil, m, cfg.ColSample, rng)
-			if len(feats) == 0 {
-				feats = []int{rng.Intn(m)}
-			}
-		}
-
-		tree := tr.buildTree(rows, feats, grad, hess)
-		model.Trees = append(model.Trees, tree)
-
-		// Update raw scores on all rows (not only the subsample).
-		updatePredictions(tree, b, raw, pool)
+	for c := range bases {
+		bases[c] = math.Log((bases[c] + 1) / (n + float64(k)))
 	}
-	return model, nil
+	return bases, nil
 }
 
-func computeGradients(obj Objective, raw, labels, grad, hess []float64) {
+// gradients fills grad and hess with the loss derivatives of output group c:
+// squared error on raw[0], cross-entropy on sigmoid(raw[0]) for Logistic, and
+// class c's one-vs-rest cross-entropy on prob[c] for Softmax.
+func gradients(obj Objective, c int, raw, prob [][]float64, labels, grad, hess []float64) {
 	switch obj {
-	case Logistic:
-		for i := range raw {
-			p := sigmoid(raw[i])
-			grad[i] = p - labels[i]
-			h := p * (1 - p)
-			if h < 1e-16 {
-				h = 1e-16
-			}
-			hess[i] = h
-		}
-	default:
-		for i := range raw {
-			grad[i] = raw[i] - labels[i]
+	case Squared:
+		for i, r := range raw[0] {
+			grad[i] = r - labels[i]
 			hess[i] = 1
 		}
+	case Logistic:
+		for i, r := range raw[0] {
+			crossEntropy(grad, hess, i, sigmoid(r), labels[i])
+		}
+	default:
+		for i, p := range prob[c] {
+			y := 0.0
+			if int(labels[i]) == c {
+				y = 1
+			}
+			crossEntropy(grad, hess, i, p, y)
+		}
 	}
+}
+
+// crossEntropy sets row i's gradient and hessian for probability p against
+// target y, flooring the hessian so a saturated row cannot zero a leaf's
+// denominator.
+func crossEntropy(grad, hess []float64, i int, p, y float64) {
+	grad[i] = p - y
+	h := p * (1 - p)
+	if h < 1e-16 {
+		h = 1e-16
+	}
+	hess[i] = h
+}
+
+// softmaxProbs fills prob with the row-wise softmax of the per-class raw
+// scores, row-parallel (each row's slots written by exactly one chunk).
+func softmaxProbs(raw, prob [][]float64, pool *parallel.Pool) {
+	k := len(raw)
+	pool.ForChunks(len(raw[0]), 2048, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			mx := raw[0][i]
+			for c := 1; c < k; c++ {
+				if raw[c][i] > mx {
+					mx = raw[c][i]
+				}
+			}
+			var sum float64
+			for c := 0; c < k; c++ {
+				e := math.Exp(raw[c][i] - mx)
+				prob[c][i] = e
+				sum += e
+			}
+			for c := 0; c < k; c++ {
+				prob[c][i] /= sum
+			}
+		}
+	})
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-func allRows(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// appendIota appends 0, 1, …, n-1 to dst.
+func appendIota(dst []int, n int) []int {
+	for i := 0; i < n; i++ {
+		dst = append(dst, i)
 	}
-	return out
+	return dst
 }
 
 // sampleRowsInto appends a Bernoulli sample of [0,n) to dst (never empty).
@@ -422,7 +495,6 @@ type binner struct {
 	codes   [][]uint8
 	cuts    [][]float64
 	numBins []int
-	cols    [][]float64 // retained for prediction updates during training
 }
 
 func newBinner(cols [][]float64, maxBins int, pool *parallel.Pool) *binner {
@@ -431,7 +503,6 @@ func newBinner(cols [][]float64, maxBins int, pool *parallel.Pool) *binner {
 		codes:   make([][]uint8, m),
 		cuts:    make([][]float64, m),
 		numBins: make([]int, m),
-		cols:    cols,
 	}
 	// Columns bin independently; chunks amortise one quantile scratch each.
 	pool.ForChunks(m, pool.Grain(m), func(lo, hi int) {
@@ -805,20 +876,35 @@ func (tr *trainer) bestSplit(h *histSet, feats []int, nRows int, sumG, sumH floa
 }
 
 // updatePredictions adds the new tree's outputs to the raw scores of all
-// rows, row-parallel on the shared pool (each index written exactly once).
-// Binners without retained raw columns (prebinned training) traverse by bin
-// code, which is exactly equivalent: a value in bin c satisfies
-// v <= Threshold == cuts[bc-1] iff c <= bc.
+// rows, walking bin codes row-parallel on the shared pool (each index written
+// exactly once). A value in bin c satisfies v <= Threshold == cuts[bc-1] iff
+// c <= bc, so every row lands in the leaf PredictRow reaches on its raw values.
 func updatePredictions(t *Tree, b *binner, raw []float64, pool *parallel.Pool) {
-	if b.cols == nil {
-		lc := leftCodes(t, b)
-		pool.ForChunks(len(raw), 2048, func(lo, hi int) {
-			updatePredictionsBinnedRange(t, b, lc, raw, lo, hi)
-		})
-		return
-	}
+	lc := leftCodes(t, b)
 	pool.ForChunks(len(raw), 2048, func(lo, hi int) {
-		updatePredictionsRange(t, b, raw, lo, hi)
+		for i := lo; i < hi; i++ {
+			idx := 0
+			for {
+				n := &t.Nodes[idx]
+				if n.IsLeaf() {
+					raw[i] += n.Value
+					break
+				}
+				c := b.codes[n.Feature][i]
+				switch {
+				case c == 0:
+					if n.DefaultRight {
+						idx = n.Right
+					} else {
+						idx = n.Left
+					}
+				case c <= lc[idx]:
+					idx = n.Left
+				default:
+					idx = n.Right
+				}
+			}
+		}
 	})
 }
 
@@ -835,58 +921,6 @@ func leftCodes(t *Tree, b *binner) []uint8 {
 		out[i] = uint8(1 + stats.SearchCuts(b.cuts[n.Feature], n.Threshold))
 	}
 	return out
-}
-
-func updatePredictionsBinnedRange(t *Tree, b *binner, lc []uint8, raw []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		idx := 0
-		for {
-			n := &t.Nodes[idx]
-			if n.IsLeaf() {
-				raw[i] += n.Value
-				break
-			}
-			c := b.codes[n.Feature][i]
-			switch {
-			case c == 0:
-				if n.DefaultRight {
-					idx = n.Right
-				} else {
-					idx = n.Left
-				}
-			case c <= lc[idx]:
-				idx = n.Left
-			default:
-				idx = n.Right
-			}
-		}
-	}
-}
-
-func updatePredictionsRange(t *Tree, b *binner, raw []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		idx := 0
-		for {
-			n := &t.Nodes[idx]
-			if n.IsLeaf() {
-				raw[i] += n.Value
-				break
-			}
-			v := b.cols[n.Feature][i]
-			switch {
-			case math.IsNaN(v):
-				if n.DefaultRight {
-					idx = n.Right
-				} else {
-					idx = n.Left
-				}
-			case v <= n.Threshold:
-				idx = n.Left
-			default:
-				idx = n.Right
-			}
-		}
-	}
 }
 
 // PredictRow returns the model output for one row of raw feature values:

@@ -53,6 +53,9 @@ func TestTrainValidatesConfig(t *testing.T) {
 		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 1, Subsample: 1, ColSample: 1},
 		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Subsample: 0, ColSample: 1},
 		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Subsample: 1, ColSample: 2},
+		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Subsample: 1, ColSample: 1, Objective: 9},
+		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Subsample: 1, ColSample: 1, Objective: -1},
+		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Subsample: 1, ColSample: 1, Objective: 3},
 	}
 	for i, cfg := range bad {
 		if _, err := Train(cols, labels, nil, cfg); err == nil {
@@ -288,7 +291,7 @@ func TestDeterminism(t *testing.T) {
 	cols, labels := linearData(500, 2, 13)
 	cfg := DefaultConfig()
 	cfg.NumTrees = 10
-	cfg.Parallel = true
+	cfg.Workers = 4
 	m1, err := Train(cols, labels, nil, cfg)
 	if err != nil {
 		t.Fatal(err)

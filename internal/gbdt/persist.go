@@ -53,6 +53,9 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	if in.NumFeat <= 0 {
 		return fmt.Errorf("gbdt: model has invalid feature count %d", in.NumFeat)
 	}
+	if err := in.Objective.check(); err != nil {
+		return err
+	}
 	if in.Objective == Softmax {
 		if in.NumClass < 2 {
 			return fmt.Errorf("gbdt: softmax model has invalid class count %d", in.NumClass)

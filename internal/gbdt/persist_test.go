@@ -112,6 +112,11 @@ func TestLoadRejectsCorruptModels(t *testing.T) {
 		`{"version":1,"num_feat":2,"trees":[[{"Feature":0,"Left":0,"Right":0}]]}`,
 		// Empty tree.
 		`{"version":1,"num_feat":2,"trees":[[]]}`,
+		// Objectives outside {Logistic, Squared, Softmax}: loaded, they would
+		// predict a raw sum with no link function.
+		`{"version":1,"objective":9,"base_score":0.5,"num_feat":1,"trees":[[{"Feature":-1,"Value":2}]]}`,
+		`{"version":1,"objective":-1,"base_score":0.5,"num_feat":1,"trees":[[{"Feature":-1,"Value":2}]]}`,
+		`{"version":1,"objective":3,"base_score":0.5,"num_feat":1,"trees":[[{"Feature":-1,"Value":2}]]}`,
 	}
 	for i, c := range cases {
 		if _, err := Load(bytes.NewReader([]byte(c))); err == nil {

@@ -71,7 +71,8 @@ func validateEntry(name, version string, p *core.Pipeline, m *gbdt.Model) error 
 	}
 	// The model's objective must fit the pipeline's task, or /predict would
 	// emit the wrong prediction shape. A binary pipeline accepts Logistic
-	// and Squared models (raw-score scoring predates the task field).
+	// and Squared models (raw-score scoring predates the task field), and
+	// nothing else: an unknown objective would answer its raw sum.
 	switch p.Task.Kind {
 	case core.TaskMulticlass:
 		if m.Config.Objective != gbdt.Softmax || m.Config.NumClass != p.Task.Classes {
@@ -83,8 +84,9 @@ func validateEntry(name, version string, p *core.Pipeline, m *gbdt.Model) error 
 			return fmt.Errorf("serve: %s@%s: %s pipeline needs a squared-error model", name, version, p.Task)
 		}
 	default:
-		if m.Config.Objective == gbdt.Softmax {
-			return fmt.Errorf("serve: %s@%s: softmax model attached to a %s pipeline", name, version, p.Task)
+		if o := m.Config.Objective; o != gbdt.Logistic && o != gbdt.Squared {
+			return fmt.Errorf("serve: %s@%s: %s pipeline needs a logistic or squared-error model, got objective %d",
+				name, version, p.Task, int(o))
 		}
 	}
 	return nil

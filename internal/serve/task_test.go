@@ -202,17 +202,25 @@ func TestLoadDirTaskRoundTrip(t *testing.T) {
 func TestRegisterTaskModelMismatch(t *testing.T) {
 	pMC, mMC, _ := taskArtifacts(t, core.MulticlassTask(3), datagen.TargetMulticlass, 3)
 	pReg, mReg, _ := taskArtifacts(t, core.RegressionTask(), datagen.TargetRegression, 0)
+	binary := &core.Pipeline{OriginalNames: pMC.OriginalNames, Nodes: pMC.Nodes, Output: pMC.Output}
+	// A model whose objective no trainer produces: scored, it would answer its
+	// raw sum with no link function.
+	unknown := &gbdt.Model{Config: gbdt.Config{Objective: 9}, NumFeat: mMC.NumFeat, Trees: mMC.Trees[:1]}
 
 	reg := NewRegistry()
-	if err := reg.Register("x", "v1", pMC, mReg); err == nil {
-		t.Error("multiclass pipeline accepted a squared-error model")
-	}
-	if err := reg.Register("x", "v1", pReg, mMC); err == nil {
-		t.Error("regression pipeline accepted a softmax model")
-	}
-	binary := &core.Pipeline{OriginalNames: pMC.OriginalNames, Nodes: pMC.Nodes, Output: pMC.Output}
-	if err := reg.Register("x", "v1", binary, mMC); err == nil {
-		t.Error("binary pipeline accepted a softmax model")
+	for _, c := range []struct {
+		name string
+		p    *core.Pipeline
+		m    *gbdt.Model
+	}{
+		{"multiclass pipeline, squared-error model", pMC, mReg},
+		{"regression pipeline, softmax model", pReg, mMC},
+		{"binary pipeline, softmax model", binary, mMC},
+		{"binary pipeline, objective 9", binary, unknown},
+	} {
+		if err := reg.Register("x", "v1", c.p, c.m); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 	// Matching pairs register fine.
 	if err := reg.Register("mc", "v1", pMC, mMC); err != nil {

@@ -29,12 +29,12 @@ type fitEngine struct {
 	fit  func(t *testing.T, train *frame.Frame, cfg core.Config) *core.Pipeline
 }
 
-// inMemoryEngine fits the resident frame on a pool of the given size;
-// serial runs everything inline.
-func inMemoryEngine(serial bool, workers int) fitEngine {
-	return fitEngine{fmt.Sprintf("in-memory serial=%v workers=%d", serial, workers),
+// inMemoryEngine fits the resident frame on a pool of the given size; one
+// worker runs everything inline.
+func inMemoryEngine(workers int) fitEngine {
+	return fitEngine{fmt.Sprintf("in-memory workers=%d", workers),
 		func(t *testing.T, train *frame.Frame, cfg core.Config) *core.Pipeline {
-			cfg.Parallel, cfg.Workers = !serial, workers
+			cfg.Workers = workers
 			return fitInMemory(t, train, cfg)
 		}}
 }
@@ -65,12 +65,12 @@ func shardedEngine(chunkRows, partitions, passes, workers int) fitEngine {
 }
 
 // assertDeterministic is the determinism table of both engines: every listed
-// engine must select, on train under cfg, exactly what the fully serial
+// engine must select, on train under cfg, exactly what the one-worker
 // in-memory fit selects — the same features, with the same formulas, in the
 // same order.
 func assertDeterministic(t *testing.T, train *frame.Frame, cfg core.Config, engines []fitEngine) {
 	t.Helper()
-	want := fingerprint(inMemoryEngine(true, 0).fit(t, train, cfg))
+	want := fingerprint(inMemoryEngine(1).fit(t, train, cfg))
 	for _, e := range engines {
 		if got := fingerprint(e.fit(t, train, cfg)); got != want {
 			t.Fatalf("%d rows, %s diverged from the serial in-memory fit:\n got: %s\nwant: %s", train.NumRows(), e.name, got, want)
@@ -80,7 +80,7 @@ func assertDeterministic(t *testing.T, train *frame.Frame, cfg core.Config, engi
 
 // TestShardedFitDeterminismMatrix is the determinism pin of the one loop under
 // both column representations: for every task family, the in-memory engine
-// under every listed worker count — including the fully serial path — and
+// under one worker (the reference every cell is held to), two and NumCPU, and
 // the sharded engine under every listed partitioning and worker count
 // produce one fingerprint. The pools give every column and every candidate to
 // one goroutine and the folds run in partition order regardless of completion
@@ -124,8 +124,8 @@ func TestShardedFitDeterminismMatrix(t *testing.T) {
 			for _, rows := range []int{3000, 16400} {
 				var engines []fitEngine
 				if rows == 3000 {
-					for _, workers := range []int{1, 2, runtime.NumCPU()} {
-						engines = append(engines, inMemoryEngine(false, workers))
+					for _, workers := range []int{2, runtime.NumCPU()} {
+						engines = append(engines, inMemoryEngine(workers))
 					}
 				}
 				for _, sh := range shapes {

@@ -45,8 +45,8 @@
 //
 // Everything the XGBoost miner and ranker consume is the resident binned
 // matrix (1 byte per value, ~8× smaller than raw float64 columns) plus the
-// labels — histogram GBDT training never touches raw values, and
-// gbdt.TrainBinned is bit-identical to gbdt.Train given equal bins. Scoring
+// labels — GBDT training never touches raw values: gbdt.Train is BinColumns
+// then TrainBinned, the one boosting loop, which reads only codes. Scoring
 // the mined combinations needs no rows either: their split values are cuts of
 // that matrix, so the loop's scorer reads the cell of every row off the
 // resident codes. IV and Pearson decisions are the loop's, made on merged

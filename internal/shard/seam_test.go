@@ -164,7 +164,7 @@ func seamFit(t *testing.T, task core.Task, train *frame.Frame, iterations, worke
 	cfg.Task = task
 	cfg.Seed = 1
 	cfg.Iterations = iterations
-	cfg.Workers, cfg.Parallel = workers, workers != 1
+	cfg.Workers = workers
 	cfg.Miner.NumTrees, cfg.Ranker.NumTrees = 12, 12
 	return shard.Fit(context.Background(), frame.NewFrameChunks(train, 300),
 		shard.Config{Core: cfg, SketchSize: 128, Exec: exec})
