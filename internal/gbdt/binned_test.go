@@ -82,25 +82,36 @@ func TestTrainBinnedMatchesTrain(t *testing.T) {
 
 func TestTrainBinnedValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := TrainBinned(&Prebinned{}, []float64{1}, nil, cfg); err == nil {
-		t.Error("accepted empty prebinned matrix")
-	}
-	pb := &Prebinned{Codes: [][]uint8{{1, 2}}, Cuts: [][]float64{{0.5}}}
-	if _, err := TrainBinned(pb, []float64{1}, nil, cfg); err == nil {
-		t.Error("accepted row-count mismatch")
-	}
-	if _, err := TrainBinned(&Prebinned{Codes: [][]uint8{{1}}, Cuts: nil}, []float64{1}, nil, cfg); err == nil {
-		t.Error("accepted cuts/codes width mismatch")
-	}
-	// One cut makes two bins, codes 0 (missing), 1 and 2. A 3 would index past
-	// the feature's histogram slot, on a pool goroutine: it must stop here.
-	pb = &Prebinned{Codes: [][]uint8{{0, 1, 2, 3}}, Cuts: [][]float64{{0.5}}}
-	if _, err := TrainBinned(pb, []float64{0, 1, 0, 1}, nil, cfg); err == nil || !strings.Contains(err.Error(), "code 3 outside its 2 bins") {
-		t.Errorf("code beyond the top bin: error %v", err)
-	}
-	pb.Codes[0][3] = 2
-	if _, err := TrainBinned(pb, []float64{0, 1, 0, 1}, nil, cfg); err != nil {
-		t.Errorf("every code within its bins: %v", err)
+	labels := []float64{0, 1, 0, 1, 1, 0}
+	for _, tc := range []struct {
+		name    string
+		pb      *Prebinned
+		labels  []float64
+		wantErr string // "" when the matrix must train
+	}{
+		{"empty matrix", &Prebinned{}, []float64{1}, "no features"},
+		{"row-count mismatch", &Prebinned{Codes: [][]uint8{{1, 2}}, Cuts: [][]float64{{0.5}}}, []float64{1}, "has 2 rows, want 1"},
+		{"cuts/codes width mismatch", &Prebinned{Codes: [][]uint8{{1}}, Cuts: nil}, []float64{1}, "1 code columns but 0 cut arrays"},
+		// One cut makes two bins, codes 0 (missing), 1 and 2. A 3 would index
+		// past the feature's histogram slot, on a pool goroutine: it must stop
+		// here.
+		{"code beyond the top bin", &Prebinned{Codes: [][]uint8{{0, 1, 2, 3, 1, 2}}, Cuts: [][]float64{{0.5}}}, labels, "code 3 outside its 2 bins"},
+		{"every code within its bins", &Prebinned{Codes: [][]uint8{{0, 1, 2, 2, 1, 2}}, Cuts: [][]float64{{0.5}}}, labels, ""},
+		{"-Inf first cut", &Prebinned{Codes: [][]uint8{{1, 2, 3, 3, 1, 2}}, Cuts: [][]float64{{math.Inf(-1), 2}}}, labels, ""},
+		// Unordered cuts give a split at a code a threshold that sends other
+		// rows left than the partition did, so the booster's own scores would
+		// disagree with its trees: each trained 50 trees before.
+		{"descending cuts", &Prebinned{Codes: [][]uint8{{1, 2, 3, 3, 1, 2}}, Cuts: [][]float64{{5, 1}}}, labels, "cut 1 (1) is not above cut 0 (5)"},
+		{"NaN cut", &Prebinned{Codes: [][]uint8{{1, 2, 3, 3, 1, 2}}, Cuts: [][]float64{{math.NaN(), 2}}}, labels, "cut 0 is NaN"},
+		{"repeated cut", &Prebinned{Codes: [][]uint8{{1, 2, 3, 3, 1, 2}}, Cuts: [][]float64{{1, 1}}}, labels, "cut 1 (1) is not above cut 0 (1)"},
+	} {
+		_, err := TrainBinned(tc.pb, tc.labels, nil, cfg)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 	bad := cfg
 	bad.MaxBins = 1000

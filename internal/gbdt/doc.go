@@ -28,7 +28,22 @@
 // group (NumClass for Softmax, one otherwise), histograms, splits and score
 // updates all on bin codes. The codes are also what core.ScoreCombos ranks
 // the mined combinations on. Prebinned.Validate bounds every code by its
-// feature's bin count before anything indexes by it.
+// feature's bin count and holds every feature's cuts strictly ascending
+// before anything indexes by them.
+//
+// The histogram kernel is laid out the way XGBoost and LightGBM pair with
+// histogram splitting. A histogram bin is one record (gradient sum, hessian
+// sum, row count), so adding a row to it touches one cache line. A node's
+// rows are int32 indices kept in a stable in-place partition, and before its
+// histograms are built the node's (gradient, hessian) pairs are gathered once
+// into a buffer in that row order: every feature's loop then reads the pairs
+// in sequence and only its codes at random, and every bin adds the same
+// values in the same order as a per-feature gather would. The partition also
+// updates the training scores: each leaf adds its value to the raw scores of
+// the rows it holds, and only the rows outside a round's row sample walk the
+// new tree, by bin code against the split codes recorded as it grew. Each
+// row still gets one addition of the same value per tree, so the scores, and
+// every later gradient, are the ones a walk over all rows gives.
 //
 // A typical round trip:
 //
@@ -39,8 +54,11 @@
 //	probs := model.PredictRowVector(row)               // length-3 probabilities
 //	class := model.PredictRow(row)                     // argmax class index
 //
-// The implementation is single-node but feature-parallel on the shared
-// internal/parallel pool Config.Workers selects (1 serial, <= 0 GOMAXPROCS),
+// The implementation is single-node but parallel on the shared
+// internal/parallel pool Config.Workers selects (1 serial, <= 0 GOMAXPROCS):
+// feature-parallel in the histogram loop, row-parallel in the gather, the
+// score updates and the softmax over any node or round of more than 2,048
+// rows,
 // mirroring the paper's "distributed computing" requirement at laptop scale;
 // results are identical for any worker count.
 package gbdt

@@ -198,7 +198,8 @@ func Train(cols [][]float64, labels []float64, names []string, cfg Config) (*Mod
 // Prebinned is a feature matrix already quantised to per-feature bin codes:
 // Codes[j][i] is 0 for a missing value and 1+b for a value in bin b, where
 // bin b spans (Cuts[j][b-1], Cuts[j][b]] — exactly the encoding the internal
-// binner produces. Cuts must be strictly ascending per feature.
+// binner produces. Cuts must be strictly ascending per feature; Validate
+// checks that they are.
 type Prebinned struct {
 	Codes [][]uint8
 	Cuts  [][]float64
@@ -216,11 +217,13 @@ func BinColumns(cols [][]float64, cfg Config) (*Prebinned, error) {
 	return &Prebinned{Codes: b.codes, Cuts: b.cuts}, nil
 }
 
-// Validate checks the matrix's shape against n rows and bounds every code by
-// its feature's bin count, so that whoever indexes by a code — a histogram
-// slot here, a cell table in core.ScoreCombos — may do so unchecked. Codes can
-// be bytes a peer process sent, so this is a boundary check, not an assertion:
-// one max scan per column.
+// Validate checks the matrix's shape against n rows, that every feature's
+// cuts are strictly ascending (so none is NaN), and bounds every code by its
+// feature's bin count. Whoever indexes by a code — a histogram slot here, a
+// cell table in core.ScoreCombos — may then do so unchecked, and a split after
+// a code has the one threshold that sends the same rows left. Codes and cuts
+// can be bytes a peer process sent, so this is a boundary check, not an
+// assertion: one max scan per column.
 func (pb *Prebinned) Validate(n int) error {
 	if len(pb.Cuts) != len(pb.Codes) {
 		return fmt.Errorf("gbdt: %d code columns but %d cut arrays", len(pb.Codes), len(pb.Cuts))
@@ -229,9 +232,18 @@ func (pb *Prebinned) Validate(n int) error {
 		if len(codes) != n {
 			return fmt.Errorf("gbdt: code column %d has %d rows, want %d", j, len(codes), n)
 		}
-		bins := len(pb.Cuts[j]) + 1
+		cuts := pb.Cuts[j]
+		bins := len(cuts) + 1
 		if bins > 255 {
 			return fmt.Errorf("gbdt: feature %d has %d bins, max 255", j, bins)
+		}
+		for b, c := range cuts {
+			if math.IsNaN(c) {
+				return fmt.Errorf("gbdt: feature %d cut %d is NaN", j, b)
+			}
+			if b > 0 && c <= cuts[b-1] {
+				return fmt.Errorf("gbdt: feature %d cut %d (%g) is not above cut %d (%g)", j, b, c, b-1, cuts[b-1])
+			}
 		}
 		var top uint8
 		for _, c := range codes {
@@ -262,19 +274,29 @@ func TrainBinned(pb *Prebinned, labels []float64, names []string, cfg Config) (*
 // past its deadline, abandoning the partial model. A completed training run is
 // never failed retroactively.
 func TrainBinnedCtx(ctx context.Context, pb *Prebinned, labels []float64, names []string, cfg Config) (*Model, error) {
+	model, _, err := trainBinned(ctx, pb, labels, names, cfg)
+	return model, err
+}
+
+// trainBinned is TrainBinnedCtx that also returns the booster's final raw
+// scores: raw[g][i] is output group g's score of row i.
+func trainBinned(ctx context.Context, pb *Prebinned, labels []float64, names []string, cfg Config) (*Model, [][]float64, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m := len(pb.Codes)
 	if m == 0 {
-		return nil, errors.New("gbdt: no features")
+		return nil, nil, errors.New("gbdt: no features")
 	}
 	n := len(labels)
 	if n == 0 {
-		return nil, errors.New("gbdt: no rows")
+		return nil, nil, errors.New("gbdt: no rows")
+	}
+	if n > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("gbdt: %d rows, max %d", n, math.MaxInt32)
 	}
 	if err := pb.Validate(n); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	b := &binner{
 		codes:   pb.Codes,
@@ -294,10 +316,10 @@ func TrainBinnedCtx(ctx context.Context, pb *Prebinned, labels []float64, names 
 // adds each tree's outputs to its group's raw scores on all rows, not only the
 // sampled ones. ctx is checked once per round, the granularity at which
 // abandoning work stays cheap relative to the work itself.
-func boost(ctx context.Context, b *binner, labels []float64, names []string, cfg Config) (*Model, error) {
+func boost(ctx context.Context, b *binner, labels []float64, names []string, cfg Config) (*Model, [][]float64, error) {
 	bases, err := baseScores(cfg, labels)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m, n := len(b.codes), len(labels)
 	model := &Model{Config: cfg, NumFeat: m, Names: names}
@@ -320,34 +342,36 @@ func boost(ctx context.Context, b *binner, labels []float64, names []string, cfg
 			prob[c] = make([]float64, n)
 		}
 	}
-	grad, hess := make([]float64, n), make([]float64, n)
+	gh := make([]gpair, n)
 	pool := cfg.pool()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := newTrainer(b, cfg, pool, n, m)
 	all := appendIota(make([]int, 0, m), m)
-	// sample is the round's row sample; without row subsampling it is every
-	// row and is not stored.
-	var sample []int
+	// sample is the round's row sample and rest the rows it leaves out;
+	// without row subsampling sample is every row and is not stored, and rest
+	// is empty.
+	var sample, rest []int32
 	if cfg.Subsample < 1 {
-		sample = make([]int, 0, n)
+		sample, rest = make([]int32, 0, n), make([]int32, 0, n)
 	}
 
 	for t := 0; t < cfg.NumTrees; t++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if prob != nil {
 			softmaxProbs(raw, prob, pool)
 		}
 		if sample != nil {
-			sample = sampleRowsInto(sample[:0], n, cfg.Subsample, rng)
+			sample = sampleInto(sample[:0], n, cfg.Subsample, rng)
+			rest = appendComplement(rest[:0], sample, n)
 		}
 		feats := all
 		if cfg.ColSample < 1 {
-			feats = sampleRowsInto(nil, m, cfg.ColSample, rng)
+			feats = sampleInto[int](nil, m, cfg.ColSample, rng)
 		}
 		for c := range raw {
-			gradients(cfg.Objective, c, raw, prob, labels, grad, hess)
+			gradients(cfg.Objective, c, raw, prob, labels, gh)
 			// Each tree partitions its own copy of the round's rows in place,
 			// in a per-trainer buffer refilled instead of reallocated.
 			rows := tr.rowBuf[:0]
@@ -356,13 +380,10 @@ func boost(ctx context.Context, b *binner, labels []float64, names []string, cfg
 			} else {
 				rows = appendIota(rows, n)
 			}
-			tr.rowBuf = rows[:0]
-			tree := tr.buildTree(rows, feats, grad, hess)
-			model.Trees = append(model.Trees, tree)
-			updatePredictions(tree, b, raw[c], pool)
+			model.Trees = append(model.Trees, tr.buildTree(rows, rest, feats, gh, raw[c]))
 		}
 	}
-	return model, nil
+	return model, raw, nil
 }
 
 // baseScores returns each output group's initial raw score: the smoothed
@@ -402,19 +423,22 @@ func baseScores(cfg Config, labels []float64) ([]float64, error) {
 	return bases, nil
 }
 
-// gradients fills grad and hess with the loss derivatives of output group c:
-// squared error on raw[0], cross-entropy on sigmoid(raw[0]) for Logistic, and
-// class c's one-vs-rest cross-entropy on prob[c] for Softmax.
-func gradients(obj Objective, c int, raw, prob [][]float64, labels, grad, hess []float64) {
+// gpair is one row's gradient and hessian, side by side so one load brings
+// both.
+type gpair struct{ g, h float64 }
+
+// gradients fills gh with the loss derivatives of output group c: squared
+// error on raw[0], cross-entropy on sigmoid(raw[0]) for Logistic, and class
+// c's one-vs-rest cross-entropy on prob[c] for Softmax.
+func gradients(obj Objective, c int, raw, prob [][]float64, labels []float64, gh []gpair) {
 	switch obj {
 	case Squared:
 		for i, r := range raw[0] {
-			grad[i] = r - labels[i]
-			hess[i] = 1
+			gh[i] = gpair{r - labels[i], 1}
 		}
 	case Logistic:
 		for i, r := range raw[0] {
-			crossEntropy(grad, hess, i, sigmoid(r), labels[i])
+			gh[i] = crossEntropy(sigmoid(r), labels[i])
 		}
 	default:
 		for i, p := range prob[c] {
@@ -422,28 +446,31 @@ func gradients(obj Objective, c int, raw, prob [][]float64, labels, grad, hess [
 			if int(labels[i]) == c {
 				y = 1
 			}
-			crossEntropy(grad, hess, i, p, y)
+			gh[i] = crossEntropy(p, y)
 		}
 	}
 }
 
-// crossEntropy sets row i's gradient and hessian for probability p against
+// crossEntropy returns the gradient and hessian of probability p against
 // target y, flooring the hessian so a saturated row cannot zero a leaf's
 // denominator.
-func crossEntropy(grad, hess []float64, i int, p, y float64) {
-	grad[i] = p - y
+func crossEntropy(p, y float64) gpair {
 	h := p * (1 - p)
 	if h < 1e-16 {
 		h = 1e-16
 	}
-	hess[i] = h
+	return gpair{p - y, h}
 }
+
+// rowGrain is the chunk size of the booster's row-parallel loops: a loop over
+// fewer rows runs inline on the caller, a longer one is shared with the pool.
+const rowGrain = 2048
 
 // softmaxProbs fills prob with the row-wise softmax of the per-class raw
 // scores, row-parallel (each row's slots written by exactly one chunk).
 func softmaxProbs(raw, prob [][]float64, pool *parallel.Pool) {
 	k := len(raw)
-	pool.ForChunks(len(raw[0]), 2048, func(lo, hi int) {
+	pool.ForChunks(len(raw[0]), rowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mx := raw[0][i]
 			for c := 1; c < k; c++ {
@@ -467,23 +494,36 @@ func softmaxProbs(raw, prob [][]float64, pool *parallel.Pool) {
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // appendIota appends 0, 1, …, n-1 to dst.
-func appendIota(dst []int, n int) []int {
+func appendIota[T int | int32](dst []T, n int) []T {
 	for i := 0; i < n; i++ {
-		dst = append(dst, i)
+		dst = append(dst, T(i))
 	}
 	return dst
 }
 
-// sampleRowsInto appends a Bernoulli sample of [0,n) to dst (never empty).
-func sampleRowsInto(dst []int, n int, frac float64, rng *rand.Rand) []int {
+// sampleInto appends a Bernoulli sample of [0,n) to dst (never empty).
+func sampleInto[T int | int32](dst []T, n int, frac float64, rng *rand.Rand) []T {
 	base := len(dst)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < frac {
-			dst = append(dst, i)
+			dst = append(dst, T(i))
 		}
 	}
 	if len(dst) == base {
-		dst = append(dst, rng.Intn(n))
+		dst = append(dst, T(rng.Intn(n)))
+	}
+	return dst
+}
+
+// appendComplement appends the rows of [0,n) that the ascending sample leaves
+// out to dst.
+func appendComplement(dst, sample []int32, n int) []int32 {
+	for i := int32(0); i < int32(n); i++ {
+		if len(sample) > 0 && sample[0] == i {
+			sample = sample[1:]
+			continue
+		}
+		dst = append(dst, i)
 	}
 	return dst
 }
@@ -576,9 +616,20 @@ type trainer struct {
 	free []*histSet
 	// rowBuf backs the per-tree row set (partitioned in place as the tree
 	// grows); partScratch is the right-side spill buffer that keeps the
-	// partition stable.
-	rowBuf      []int
-	partScratch []int
+	// partition stable. Rows are int32: trainBinned bounds n.
+	rowBuf      []int32
+	partScratch []int32
+	// ordered holds the gradient pairs of the rows computeHists is
+	// accumulating, in the order of those rows.
+	ordered []gpair
+
+	// The tree being grown: its candidate features, the round's gradient
+	// pairs and its output group's raw scores, both indexed by row, and each
+	// node's split code (go left when 1 <= code <= splitCodes[node]).
+	feats      []int
+	gh         []gpair
+	score      []float64
+	splitCodes []uint8
 }
 
 func newTrainer(b *binner, cfg Config, pool *parallel.Pool, n, m int) *trainer {
@@ -595,17 +646,24 @@ func newTrainer(b *binner, cfg Config, pool *parallel.Pool, n, m int) *trainer {
 		n:           n,
 		m:           m,
 		stride:      stride,
-		rowBuf:      make([]int, 0, n),
-		partScratch: make([]int, 0, n),
+		rowBuf:      make([]int32, 0, n),
+		partScratch: make([]int32, 0, n),
+		ordered:     make([]gpair, n),
 	}
+}
+
+// bin is one histogram bin: the gradient sum, hessian sum and row count of
+// the rows whose code falls in it, in one record so that adding a row touches
+// one cache line.
+type bin struct {
+	g, h float64
+	n    int
 }
 
 // histSet holds the gradient histograms of every candidate feature for one
 // node, flattened with a fixed stride so one allocation serves all features.
 type histSet struct {
-	grad  []float64
-	hess  []float64
-	count []int
+	bins []bin
 }
 
 func (tr *trainer) getHistSet() *histSet {
@@ -614,12 +672,7 @@ func (tr *trainer) getHistSet() *histSet {
 		tr.free = tr.free[:n-1]
 		return h
 	}
-	size := tr.m * tr.stride
-	return &histSet{
-		grad:  make([]float64, size),
-		hess:  make([]float64, size),
-		count: make([]int, size),
-	}
+	return &histSet{bins: make([]bin, tr.m*tr.stride)}
 }
 
 func (tr *trainer) putHistSet(h *histSet) {
@@ -637,22 +690,90 @@ type splitResult struct {
 }
 
 // buildTree grows one tree depth-first over the given row and feature
-// subsets. rows is partitioned in place as the tree grows.
-func (tr *trainer) buildTree(rows, feats []int, grad, hess []float64) *Tree {
+// subsets on the round's gradient pairs gh, and adds its outputs to score on
+// every row: on rows as each leaf is made, the partition having already put
+// them there, and on rest, the rows outside the round's sample, by a walk.
+// rows is partitioned in place as the tree grows.
+func (tr *trainer) buildTree(rows, rest []int32, feats []int, gh []gpair, score []float64) *Tree {
+	tr.feats, tr.gh, tr.score = feats, gh, score
+	tr.splitCodes = append(tr.splitCodes[:0], 0)
 	t := &Tree{}
 	var sumG, sumH float64
 	for _, r := range rows {
-		sumG += grad[r]
-		sumH += hess[r]
+		sumG += gh[r].g
+		sumH += gh[r].h
 	}
 	t.Nodes = append(t.Nodes, Node{Feature: -1, Count: len(rows)})
 	var h *histSet
 	if tr.needsSplitEval(len(rows), sumH, 0) {
 		h = tr.getHistSet()
-		tr.computeHists(rows, feats, grad, hess, h)
+		tr.computeHists(rows, h)
 	}
-	tr.grow(t, 0, rows, feats, grad, hess, sumG, sumH, 0, h)
+	tr.grow(t, 0, rows, sumG, sumH, 0, h)
+	tr.walk(t, rest)
 	return t
+}
+
+// leaf makes node idx a leaf of value v and adds v to the scores of its rows,
+// row-parallel on the shared pool (each score written by exactly one chunk).
+// A leaf of one chunk is updated here, without building a closure for the
+// pool: most leaves are, and the closure would be an allocation per leaf.
+func (tr *trainer) leaf(t *Tree, idx int, rows []int32, v float64) {
+	t.Nodes[idx].Value = v
+	score := tr.score
+	if len(rows) <= rowGrain {
+		addTo(score, rows, v)
+		return
+	}
+	tr.pool.ForChunks(len(rows), rowGrain, func(lo, hi int) { addTo(score, rows[lo:hi], v) })
+}
+
+// addTo adds v to score[r] for every r in rows.
+func addTo(score []float64, rows []int32, v float64) {
+	for _, r := range rows {
+		score[r] += v
+	}
+}
+
+// gather fills dst[i] with gh[rows[i]].
+func gather(dst, gh []gpair, rows []int32) {
+	for i, r := range rows {
+		dst[i] = gh[r]
+	}
+}
+
+// walk adds the tree's outputs to the scores of rows, routing each by its bin
+// codes against the split codes the tree was grown with — the comparison the
+// partition made, so a row walked lands where the partition would have put
+// it, and where PredictRow sends its raw values. Row-parallel on the shared
+// pool, each score written once.
+func (tr *trainer) walk(t *Tree, rows []int32) {
+	codes, split, score := tr.binner.codes, tr.splitCodes, tr.score
+	tr.pool.ForChunks(len(rows), rowGrain, func(lo, hi int) {
+		for _, r := range rows[lo:hi] {
+			idx := 0
+			for {
+				n := &t.Nodes[idx]
+				if n.IsLeaf() {
+					score[r] += n.Value
+					break
+				}
+				c := codes[n.Feature][r]
+				switch {
+				case c == 0:
+					if n.DefaultRight {
+						idx = n.Right
+					} else {
+						idx = n.Left
+					}
+				case c <= split[idx]:
+					idx = n.Left
+				default:
+					idx = n.Right
+				}
+			}
+		}
+	})
 }
 
 // needsSplitEval reports whether a node with the given population can be
@@ -667,18 +788,18 @@ func (tr *trainer) needsSplitEval(nRows int, sumH float64, depth int) bool {
 // to the free list. Children histograms are built for the smaller side only
 // and derived for the larger by subtraction from the parent — the classic
 // histogram trick that nearly halves split-finding work.
-func (tr *trainer) grow(t *Tree, nodeIdx int, rows, feats []int, grad, hess []float64, sumG, sumH float64, depth int, h *histSet) {
+func (tr *trainer) grow(t *Tree, nodeIdx int, rows []int32, sumG, sumH float64, depth int, h *histSet) {
 	cfg := tr.cfg
 	leafValue := -cfg.LearningRate * sumG / (sumH + cfg.Lambda)
 
 	if h == nil {
-		t.Nodes[nodeIdx].Value = leafValue
+		tr.leaf(t, nodeIdx, rows, leafValue)
 		return
 	}
 
-	best := tr.bestSplit(h, feats, len(rows), sumG, sumH)
+	best := tr.bestSplit(h, len(rows), sumG, sumH)
 	if best.feature < 0 || best.gain <= cfg.Gamma {
-		t.Nodes[nodeIdx].Value = leafValue
+		tr.leaf(t, nodeIdx, rows, leafValue)
 		tr.putHistSet(h)
 		return
 	}
@@ -688,6 +809,7 @@ func (tr *trainer) grow(t *Tree, nodeIdx int, rows, feats []int, grad, hess []fl
 	// on both sides (so directly-built child histograms accumulate in the
 	// same order an append-based partition produced).
 	codes := tr.binner.codes[best.feature]
+	gh := tr.gh
 	scratch := tr.partScratch[:0]
 	nl := 0
 	var lG, lH float64
@@ -702,8 +824,8 @@ func (tr *trainer) grow(t *Tree, nodeIdx int, rows, feats []int, grad, hess []fl
 		if goLeft {
 			rows[nl] = r
 			nl++
-			lG += grad[r]
-			lH += hess[r]
+			lG += gh[r].g
+			lH += gh[r].h
 		} else {
 			scratch = append(scratch, r)
 		}
@@ -712,7 +834,7 @@ func (tr *trainer) grow(t *Tree, nodeIdx int, rows, feats []int, grad, hess []fl
 	tr.partScratch = scratch[:0]
 	left, right := rows[:nl], rows[nl:]
 	if len(left) == 0 || len(right) == 0 {
-		t.Nodes[nodeIdx].Value = leafValue
+		tr.leaf(t, nodeIdx, rows, leafValue)
 		tr.putHistSet(h)
 		return
 	}
@@ -722,6 +844,8 @@ func (tr *trainer) grow(t *Tree, nodeIdx int, rows, feats []int, grad, hess []fl
 	t.Nodes = append(t.Nodes, Node{Feature: -1, Count: len(left)})
 	ri := len(t.Nodes)
 	t.Nodes = append(t.Nodes, Node{Feature: -1, Count: len(right)})
+	tr.splitCodes[nodeIdx] = best.binCode
+	tr.splitCodes = append(tr.splitCodes, 0, 0)
 
 	nd := &t.Nodes[nodeIdx]
 	nd.Feature = best.feature
@@ -738,80 +862,82 @@ func (tr *trainer) grow(t *Tree, nodeIdx int, rows, feats []int, grad, hess []fl
 	case needL && needR:
 		if len(left) <= len(right) {
 			hL = tr.getHistSet()
-			tr.computeHists(left, feats, grad, hess, hL)
+			tr.computeHists(left, hL)
 			hR = tr.getHistSet()
-			tr.subtractHists(hR, h, hL, feats)
+			tr.subtractHists(hR, h, hL)
 		} else {
 			hR = tr.getHistSet()
-			tr.computeHists(right, feats, grad, hess, hR)
+			tr.computeHists(right, hR)
 			hL = tr.getHistSet()
-			tr.subtractHists(hL, h, hR, feats)
+			tr.subtractHists(hL, h, hR)
 		}
 	case needL:
-		hL = tr.childHist(h, left, right, feats, grad, hess)
+		hL = tr.childHist(h, left, right)
 	case needR:
-		hR = tr.childHist(h, right, left, feats, grad, hess)
+		hR = tr.childHist(h, right, left)
 	}
 	tr.putHistSet(h)
 
-	tr.grow(t, li, left, feats, grad, hess, lG, lH, depth+1, hL)
-	tr.grow(t, ri, right, feats, grad, hess, rG, rH, depth+1, hR)
+	tr.grow(t, li, left, lG, lH, depth+1, hL)
+	tr.grow(t, ri, right, rG, rH, depth+1, hR)
 }
 
 // childHist builds the histogram set of child (sibling being the other
 // side) by whichever route is cheaper: direct accumulation over child's
 // rows, or accumulating the sibling and subtracting from the parent.
-func (tr *trainer) childHist(parent *histSet, child, sibling, feats []int, grad, hess []float64) *histSet {
+func (tr *trainer) childHist(parent *histSet, child, sibling []int32) *histSet {
 	if len(child) <= len(sibling) {
 		h := tr.getHistSet()
-		tr.computeHists(child, feats, grad, hess, h)
+		tr.computeHists(child, h)
 		return h
 	}
 	hs := tr.getHistSet()
-	tr.computeHists(sibling, feats, grad, hess, hs)
+	tr.computeHists(sibling, hs)
 	h := tr.getHistSet()
-	tr.subtractHists(h, parent, hs, feats)
+	tr.subtractHists(h, parent, hs)
 	tr.putHistSet(hs)
 	return h
 }
 
-// computeHists accumulates per-feature gradient histograms over rows,
-// feature-parallel on the shared pool. Each feature slot is written by
+// computeHists accumulates per-feature gradient histograms over rows. It
+// gathers the rows' gradient pairs into tr.ordered once, so each feature's
+// loop reads its codes at random but the pairs in sequence; every bin still
+// adds the same values in the same order. The gather runs row-parallel and
+// the features feature-parallel on the shared pool, each slot written by
 // exactly one chunk, so results are deterministic for any worker count.
-func (tr *trainer) computeHists(rows, feats []int, grad, hess []float64, h *histSet) {
+func (tr *trainer) computeHists(rows []int32, h *histSet) {
+	ordered, gh := tr.ordered[:len(rows)], tr.gh
+	if len(rows) <= rowGrain { // one chunk, as in leaf
+		gather(ordered, gh, rows)
+	} else {
+		tr.pool.ForChunks(len(rows), rowGrain, func(lo, hi int) { gather(ordered[lo:hi], gh, rows[lo:hi]) })
+	}
+	feats := tr.feats
 	tr.pool.ForChunks(len(feats), tr.pool.Grain(len(feats)), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			j := feats[k]
-			nb := tr.binner.numBins[j] + 1 // +1 for the missing bin 0
 			base := k * tr.stride
-			g := h.grad[base : base+nb]
-			hh := h.hess[base : base+nb]
-			cnt := h.count[base : base+nb]
-			for b := range g {
-				g[b] = 0
-				hh[b] = 0
-				cnt[b] = 0
-			}
+			hist := h.bins[base : base+tr.binner.numBins[j]+1] // +1 for the missing bin 0
+			clear(hist)
 			codes := tr.binner.codes[j]
-			for _, r := range rows {
-				c := codes[r]
-				g[c] += grad[r]
-				hh[c] += hess[r]
-				cnt[c]++
+			for i, p := range ordered {
+				b := &hist[codes[rows[i]]]
+				b.g += p.g
+				b.h += p.h
+				b.n++
 			}
 		}
 	})
 }
 
 // subtractHists derives dst = parent - child per feature slot.
-func (tr *trainer) subtractHists(dst, parent, child *histSet, feats []int) {
-	for k := range feats {
-		nb := tr.binner.numBins[feats[k]] + 1
+func (tr *trainer) subtractHists(dst, parent, child *histSet) {
+	for k, j := range tr.feats {
 		base := k * tr.stride
-		for b := base; b < base+nb; b++ {
-			dst.grad[b] = parent.grad[b] - child.grad[b]
-			dst.hess[b] = parent.hess[b] - child.hess[b]
-			dst.count[b] = parent.count[b] - child.count[b]
+		end := base + tr.binner.numBins[j] + 1
+		d, p, c := dst.bins[base:end], parent.bins[base:end], child.bins[base:end]
+		for b := range d {
+			d[b] = bin{p[b].g - c[b].g, p[b].h - c[b].h, p[b].n - c[b].n}
 		}
 	}
 }
@@ -820,19 +946,16 @@ func (tr *trainer) subtractHists(dst, parent, child *histSet, feats []int) {
 // scan is serial in feats order (it is cheap relative to histogram
 // accumulation), which fixes the tie-break deterministically: on equal gain
 // the earliest feature in feats wins, for any worker count.
-func (tr *trainer) bestSplit(h *histSet, feats []int, nRows int, sumG, sumH float64) splitResult {
+func (tr *trainer) bestSplit(h *histSet, nRows int, sumG, sumH float64) splitResult {
 	cfg := tr.cfg
 	parentScore := sumG * sumG / (sumH + cfg.Lambda)
 	best := splitResult{feature: -1, gain: 0}
 
-	for k, j := range feats {
+	for k, j := range tr.feats {
 		nb := tr.binner.numBins[j] + 1
 		base := k * tr.stride
-		g := h.grad[base : base+nb]
-		hh := h.hess[base : base+nb]
-		cnt := h.count[base : base+nb]
-		mG, mH := g[0], hh[0]
-		mC := cnt[0]
+		hist := h.bins[base : base+nb]
+		miss := hist[0]
 
 		// Sparsity-aware split (XGBoost Alg. 3): scan real-bin boundaries
 		// with the missing bin assigned first to the left child, then to
@@ -841,12 +964,12 @@ func (tr *trainer) bestSplit(h *histSet, feats []int, nRows int, sumG, sumH floa
 			var lG, lH float64
 			lC := 0
 			if missLeft {
-				lG, lH, lC = mG, mH, mC
+				lG, lH, lC = miss.g, miss.h, miss.n
 			}
 			for b := 1; b < nb-1; b++ { // split after real bin b
-				lG += g[b]
-				lH += hh[b]
-				lC += cnt[b]
+				lG += hist[b].g
+				lH += hist[b].h
+				lC += hist[b].n
 				rG := sumG - lG
 				rH := sumH - lH
 				rC := nRows - lC
@@ -867,7 +990,7 @@ func (tr *trainer) bestSplit(h *histSet, feats []int, nRows int, sumG, sumH floa
 					}
 				}
 			}
-			if mC == 0 {
+			if miss.n == 0 {
 				break // no missing values: both directions are identical
 			}
 		}
@@ -875,74 +998,42 @@ func (tr *trainer) bestSplit(h *histSet, feats []int, nRows int, sumG, sumH floa
 	return best
 }
 
-// updatePredictions adds the new tree's outputs to the raw scores of all
-// rows, walking bin codes row-parallel on the shared pool (each index written
-// exactly once). A value in bin c satisfies v <= Threshold == cuts[bc-1] iff
-// c <= bc, so every row lands in the leaf PredictRow reaches on its raw values.
-func updatePredictions(t *Tree, b *binner, raw []float64, pool *parallel.Pool) {
-	lc := leftCodes(t, b)
-	pool.ForChunks(len(raw), 2048, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			idx := 0
-			for {
-				n := &t.Nodes[idx]
-				if n.IsLeaf() {
-					raw[i] += n.Value
-					break
-				}
-				c := b.codes[n.Feature][i]
-				switch {
-				case c == 0:
-					if n.DefaultRight {
-						idx = n.Right
-					} else {
-						idx = n.Left
-					}
-				case c <= lc[idx]:
-					idx = n.Left
-				default:
-					idx = n.Right
-				}
-			}
-		}
-	})
-}
-
-// leftCodes maps every internal node's threshold back to its bin code: go
-// left when 1 <= code <= leftCodes[node]. Thresholds are cut values, so the
-// lookup is an exact inverse of binner.threshold.
-func leftCodes(t *Tree, b *binner) []uint8 {
-	out := make([]uint8, len(t.Nodes))
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		if n.IsLeaf() {
-			continue
-		}
-		out[i] = uint8(1 + stats.SearchCuts(b.cuts[n.Feature], n.Threshold))
-	}
-	return out
-}
-
 // PredictRow returns the model output for one row of raw feature values:
 // a probability for Logistic, a raw value for Squared, and the argmax class
 // index (as a float64) for Softmax.
 func (m *Model) PredictRow(row []float64) float64 {
-	if m.Config.Objective == Softmax {
-		return float64(argmax(m.rawScores(row)))
-	}
-	s := m.BaseScore
-	for _, t := range m.Trees {
-		s += t.PredictRow(row)
-	}
-	if m.Config.Objective == Logistic {
-		return sigmoid(s)
-	}
-	return s
+	return m.predictRow(row, m.classScores())
 }
 
-// rawScores sums the per-class raw scores of a Softmax model for one row.
-func (m *Model) rawScores(row []float64) []float64 {
-	s := append([]float64(nil), m.BaseScores...)
+// classScores returns a buffer for a Softmax model's per-class raw scores,
+// nil for the other objectives.
+func (m *Model) classScores() []float64 {
+	if m.Config.Objective != Softmax {
+		return nil
+	}
+	return make([]float64, m.Config.NumClass)
+}
+
+// predictRow is PredictRow with a Softmax model's class scores summed in s,
+// from classScores, so that a batch reuses one buffer.
+func (m *Model) predictRow(row, s []float64) float64 {
+	if m.Config.Objective == Softmax {
+		return float64(argmax(m.rawScores(row, s)))
+	}
+	sum := m.BaseScore
+	for _, t := range m.Trees {
+		sum += t.PredictRow(row)
+	}
+	if m.Config.Objective == Logistic {
+		return sigmoid(sum)
+	}
+	return sum
+}
+
+// rawScores sums the per-class raw scores of a Softmax model for one row
+// into s and returns it.
+func (m *Model) rawScores(row, s []float64) []float64 {
+	copy(s, m.BaseScores)
 	for ti, t := range m.Trees {
 		s[ti%m.Config.NumClass] += t.PredictRow(row)
 	}
@@ -957,7 +1048,7 @@ func (m *Model) PredictRowVector(row []float64) []float64 {
 	if m.Config.Objective != Softmax {
 		return []float64{m.PredictRow(row)}
 	}
-	s := m.rawScores(row)
+	s := m.rawScores(row, m.classScores())
 	softmaxInPlace(s)
 	return s
 }
@@ -1006,11 +1097,12 @@ func (m *Model) Predict(cols [][]float64) []float64 {
 	n := len(cols[0])
 	out := make([]float64, n)
 	row := make([]float64, len(cols))
+	s := m.classScores()
 	for i := 0; i < n; i++ {
 		for j := range cols {
 			row[j] = cols[j][i]
 		}
-		out[i] = m.PredictRow(row)
+		out[i] = m.predictRow(row, s)
 	}
 	return out
 }

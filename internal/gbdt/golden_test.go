@@ -56,17 +56,16 @@ func goldenData() (cols [][]float64, labels func(Objective) []float64) {
 	return cols, labels
 }
 
-// goldenModels trains every objective with and without row and column
-// subsampling on goldenData and renders each model's MarshalJSON bytes, one
-// line per case.
-func goldenModels(t *testing.T) string {
+// goldenModels trains every objective on goldenData under each (row, column)
+// subsample pair in subs, with shape applied to the default configuration,
+// and renders each model's MarshalJSON bytes, one line per case.
+func goldenModels(t *testing.T, subs [][2]float64, shape func(*Config)) string {
 	cols, labels := goldenData()
 	var b strings.Builder
 	for _, obj := range []Objective{Logistic, Squared, Softmax} {
-		for _, sub := range [][2]float64{{1, 1}, {0.7, 0.6}} {
+		for _, sub := range subs {
 			cfg := DefaultConfig()
-			cfg.NumTrees = 8
-			cfg.MaxDepth = 4
+			shape(&cfg)
 			cfg.Seed = 3
 			cfg.Objective = obj
 			if obj == Softmax {
@@ -96,17 +95,43 @@ func goldenModels(t *testing.T) string {
 // Train is BinColumns then TrainBinned, and that one boosting loop serves
 // every objective.
 func TestTrainMatchesRecordedModels(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_models.txt"))
+	got := goldenModels(t, [][2]float64{{1, 1}, {0.7, 0.6}}, func(cfg *Config) {
+		cfg.NumTrees, cfg.MaxDepth = 8, 4
+	})
+	checkRecorded(t, "golden_models.txt", got)
+}
+
+// TestTrainMatchesRecordedDeepModels: the same on deeper trees over finer
+// bins — MaxDepth 6, MinChildCount 5 and MaxBins 255, with row subsampling
+// off and at 0.3 — so that the recorded bytes hold leaves MinChildCount
+// forces, splits between bins of a few rows, and rounds where most rows are
+// outside the sample and reach their leaves by a walk.
+// testdata/golden_models_deep.txt was written by this test, run once with a
+// write in place of the comparison on a clone of the commit whose rows still
+// walked every new tree for their scores (before the partition updated them);
+// it is never regenerated from the code it checks.
+func TestTrainMatchesRecordedDeepModels(t *testing.T) {
+	got := goldenModels(t, [][2]float64{{1, 1}, {0.3, 1}}, func(cfg *Config) {
+		cfg.NumTrees, cfg.MaxDepth, cfg.MinChildCount, cfg.MaxBins = 8, 6, 5, 255
+	})
+	checkRecorded(t, "golden_models_deep.txt", got)
+}
+
+// checkRecorded compares got with testdata/name line by line.
+func checkRecorded(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := goldenModels(t); got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("model line %d differs from the recorded bytes:\n got %.300s\nwant %.300s", i, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("%d model lines, %d recorded", len(gl), len(wl))
+	if got == string(want) {
+		return
 	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: model line %d differs from the recorded bytes:\n got %.300s\nwant %.300s", name, i, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d model lines, %d recorded", name, len(gl), len(wl))
 }

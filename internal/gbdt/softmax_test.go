@@ -139,6 +139,24 @@ func TestSoftmaxPersistRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSoftmaxPredictAllocatesPerCall: a Softmax Predict — the validation
+// evaluator's call — allocates its output, one row and one class-score
+// buffer, whatever the row count; it allocated a score slice per row before.
+func TestSoftmaxPredictAllocatesPerCall(t *testing.T) {
+	cols, labels := threeClassData(300, 9)
+	cfg := DefaultConfig()
+	cfg.Objective = Softmax
+	cfg.NumClass = 3
+	cfg.NumTrees = 4
+	model, err := Train(cols, labels, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { model.Predict(cols) }); allocs > 3 {
+		t.Fatalf("Predict over %d rows: %v allocations, want 3", len(labels), allocs)
+	}
+}
+
 func TestSoftmaxValidation(t *testing.T) {
 	cols, labels := threeClassData(200, 7)
 	cfg := DefaultConfig()
