@@ -1,25 +1,40 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/shard"
+	"repro/internal/sketch"
+	"repro/internal/stats"
 	"repro/internal/wire/wiretest"
 )
 
-// distSeedFrames builds one real message of every kind: the seed corpus
+// distSeedFrames builds one real message of every kind — a partial of each
+// pass kind whose blobs version 2 changed among them: the seed corpus
 // FuzzDistDecode mutates from, and — checked in — the golden bytes of
-// protocol version 1.
+// protocol version 2.
 func distSeedFrames() map[string][]byte {
 	p, _ := sketchPartial(1, []float64{3, 1, 4, 1, 5}, []float64{2, 7})
+	counts := make([]int32, stats.NumBuckets)
+	counts[3], counts[700] = 2, 1
+	countP := &shard.Partial{Chunk: 2, Start: 600, Rows: 4, Moments: make([]sketch.Moments, 2),
+		Counts: []shard.GridCounts{{Min: -1, Max: 9, Counts: counts}, {Min: 0, Max: 0}}}
+	countP.Moments[0].AddAll([]float64{-1, 0.5, 9})
+	countP.Moments[1].AddAll([]float64{0, 0, 0, 0})
+	lh := sketch.NewLabelHist([]float64{0, 1})
+	lh.AddCol([]float64{-1, 0.5, 2}, []float64{1, 0, 1})
+	gatherP := &shard.Partial{Chunk: 3, Start: 900, Rows: 3,
+		Gathers: []*shard.Gather{
+			{Sizes: []int32{1, 0, 2}, Vals: []float64{-1, 8.5, 9}, Class: []int32{1, 0, 1}, Spans: []int32{0, 0, 1, 2, 0, 0}},
+			{Sizes: []int32{3}, Vals: []float64{0, 0, 0}, Class: []int32{0, 1, 1}, Spans: []int32{0, 0, 0, 0}},
+		},
+		Hists: []sketch.CriterionHist{lh}}
 	return map[string][]byte{
 		"hello":    encodeHello(),
 		"helloAck": encodeHelloAck(),
@@ -27,7 +42,10 @@ func distSeedFrames() map[string][]byte {
 		"passDone": encodePassDone(&passDone{PassID: 9, Chunks: 4, Rows: 2000, Retries: 3}),
 		"passErr":  encodePassErr(&passErr{PassID: 2, Chunk: 3, Attempts: 4, Transient: true, Msg: "read chunk: i/o timeout"}),
 		"partial":  AppendPartial(nil, 3, shard.PassBaseSketch, p),
-		"runPass":  encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
+		// The two grid passes' partials, as v2 frames them.
+		"partial-counts": AppendPartial(nil, 4, shard.PassSketchGen, countP),
+		"partial-gather": AppendPartial(nil, 5, shard.PassRefine, gatherP),
+		"runPass":        encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
 		"fitOpen": encodeFitOpen(&fitOpen{
 			Source: SourceSpec{Kind: SourceCSV, Path: "/data/train.csv", Label: "label", ChunkRows: 512},
 			Names:  []string{"f0", "f1", "f2"}, Task: core.MulticlassTask(3), SketchSize: 256,
@@ -38,20 +56,24 @@ func distSeedFrames() map[string][]byte {
 	}
 }
 
-// retiredScoreSeed is the corpus entry no encoder here can write any more: a
-// binary score pass's runPass as a protocol-version-1 coordinator framed it,
-// two combinations in its combination list. It stays checked in as the
-// decoder's rejection case.
-const retiredScoreSeed = "runPass-score"
+// The corpus entries no encoder here can write any more, checked in as the
+// decoders' rejection cases: a binary score pass's runPass as a
+// protocol-version-1 coordinator framed it, two combinations in its
+// combination list; and a version-1 hello.
+const (
+	retiredScoreSeed = "runPass-score"
+	helloV1Seed      = "hello-v1"
+)
 
-func seedPath(name string) string {
-	return filepath.Join("testdata", "fuzz", "FuzzDistDecode", "seed-"+name)
-}
+// corpus is FuzzDistDecode's checked-in seed corpus, the golden bytes of the
+// protocol (regenerate with DIST_WRITE_CORPUS=1 go test ./internal/dist -run
+// TestWriteDistDecodeSeedCorpus, and only alongside a Version bump).
+var corpus = wiretest.Corpus{Target: "FuzzDistDecode", Env: "DIST_WRITE_CORPUS"}
 
 // readSeed returns the message inside a checked-in FuzzDistDecode seed.
 func readSeed(t testing.TB, name string) []byte {
 	t.Helper()
-	return wiretest.ReadSeed(t, seedPath(name))
+	return corpus.Read(t, name)
 }
 
 // driveSpec hands a decoded pass spec to the kernel over one small chunk, as
@@ -92,7 +114,10 @@ func decodeMsg(p []byte) (spec *shard.PassSpec, err error) {
 			spec = m.Spec
 		}
 	case msgPartial:
-		err = decodePartial(p, &partialMsg{})
+		m := &partialMsg{}
+		if err = decodePartial(p, m); err == nil {
+			decodeBlobs(&m.Partial)
+		}
 	case msgPassDone:
 		_, err = decodePassDone(p)
 	case msgPassErr:
@@ -101,6 +126,24 @@ func decodeMsg(p []byte) (spec *shard.PassSpec, err error) {
 		err = protoErr("unknown type %d", msgType(p))
 	}
 	return spec, err
+}
+
+// decodeBlobs puts a partial's blobs through Partial.Decode as each pass kind
+// that ships blobs would, with a spec the blob count fits: the fold's typed
+// decoders under fuzz too. Their errors are the fold's to report; only a
+// panic fails the target.
+func decodeBlobs(p *shard.Partial) {
+	n := len(p.Blobs)
+	for _, spec := range []*shard.PassSpec{
+		{Kind: shard.PassBaseSketch},
+		{Kind: shard.PassSketchGen},
+		{Kind: shard.PassRefine, Grids: make([]shard.GridSpec, n/2), Entries: make([]shard.EntrySpec, n-n/2)},
+		{Kind: shard.PassRefine, Refines: make([]shard.RefineSpec, n)},
+		{Kind: shard.PassGramCodes},
+	} {
+		q := *p
+		q.Decode(spec, sketch.NewArena())
+	}
 }
 
 func isProtocolError(err error) bool {
@@ -112,20 +155,16 @@ func isProtocolError(err error) bool {
 // under fuzz: a message decodes or fails with a *ProtocolError — never a
 // panic — and either way costs at most a small multiple of its own length in
 // allocation, because every count is bounded by the bytes that remain divided
-// by the smallest encoding of one element; and a pass spec that decodes goes
-// through ComputePartial without a panic, whatever indices and arities it
-// carries. Corpus seeds live in testdata/fuzz/FuzzDistDecode (regenerate with
-// DIST_WRITE_CORPUS=1 go test ./internal/dist -run TestWriteDistDecodeSeedCorpus).
+// by the smallest encoding of one element; a partial's blobs go through the
+// fold's typed decoders under the same bound; and a pass spec that decodes
+// goes through ComputePartial without a panic, whatever indices and arities
+// it carries. It starts from the checked-in corpus (see corpus).
 func FuzzDistDecode(f *testing.F) {
 	frames := distSeedFrames()
-	frames[retiredScoreSeed] = readSeed(f, retiredScoreSeed) // mutate around the rejection case too
-	for _, msg := range frames {
-		f.Add(msg)
-		f.Add(append([]byte(nil), msg[:len(msg)/2]...))
-		flip := append([]byte(nil), msg...)
-		flip[len(flip)/3] ^= 0x40
-		f.Add(flip)
+	for _, name := range []string{retiredScoreSeed, helloV1Seed} {
+		frames[name] = readSeed(f, name) // mutate around the rejection cases too
 	}
+	corpus.Seed(f, frames)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := totalAlloc()
 		spec, err := decodeMsg(data)
@@ -145,34 +184,25 @@ func FuzzDistDecode(f *testing.F) {
 	})
 }
 
-// TestWriteDistDecodeSeedCorpus regenerates the checked-in seed corpus for
-// FuzzDistDecode when DIST_WRITE_CORPUS=1 is set. Otherwise the corpus is the
-// golden record of protocol version 1: every message's encoder must write its
-// checked-in seed byte for byte — control messages included, which no
-// fingerprint would notice — the seed must decode, and the retired score frame
-// must still be refused.
+// TestWriteDistDecodeSeedCorpus is the corpus's golden test (see
+// wiretest.Corpus.Check): the corpus is the record of protocol version 2, so
+// every message's encoder must write its checked-in seed byte for byte —
+// control messages included, which no fingerprint would notice — and the seed
+// must decode, a partial's blobs through the fold's decoders too. The retired
+// score frame must still be refused, and so must a version-1 hello, by the
+// version check.
 func TestWriteDistDecodeSeedCorpus(t *testing.T) {
-	frames := distSeedFrames()
-	if os.Getenv("DIST_WRITE_CORPUS") == "1" {
-		for name, msg := range frames {
-			wiretest.WriteSeed(t, seedPath(name), msg)
-		}
-		return
-	}
-	for name, msg := range frames {
-		seed := readSeed(t, name)
-		if !bytes.Equal(seed, msg) {
-			t.Fatalf("%s: the encoder writes %d bytes that differ from the %d checked in: the v1 layout moved", name, len(msg), len(seed))
-		}
+	corpus.Check(t, distSeedFrames(), func(seed []byte) error {
 		spec, err := decodeMsg(seed)
-		if err != nil {
-			t.Fatalf("seed corpus %s no longer decodes: %v", name, err)
-		}
 		if spec != nil {
 			driveSpec(spec)
 		}
-	}
+		return err
+	})
 	if _, err := decodeMsg(readSeed(t, retiredScoreSeed)); !isProtocolError(err) {
 		t.Fatalf("the retired score frame decoded: %v, want a *ProtocolError", err)
+	}
+	if _, err := decodeMsg(readSeed(t, helloV1Seed)); !isProtocolError(err) || !strings.Contains(err.Error(), "version mismatch: peer 1, local 2") {
+		t.Fatalf("a version-1 hello: %v, want a version-mismatch *ProtocolError", err)
 	}
 }

@@ -21,7 +21,9 @@ import (
 // Version is the protocol version exchanged in the hello handshake. Bump on
 // any frame-layout or message change; coordinator and worker must match
 // exactly (the fleet upgrades atomically — no cross-version support).
-const Version = 1
+// Version 2 carries the grid passes: a row sample in the base partial, grid
+// specs in runPass, grid counts and cut-bucket gathers in partials.
+const Version = 2
 
 // magic opens every hello frame, so a worker rejects a stray client that
 // happens to speak length-prefixed frames before interpreting anything.
@@ -284,9 +286,14 @@ func encodeRunPass(m *runPass) []byte {
 		b = wire.AppendF64s(b, cuts)
 	}
 	b = wire.AppendU32(b, 0) // their combination list
-	b = wire.AppendU32(b, uint32(len(s.Gens)))
-	for i := range s.Gens {
-		b = appendGenSpec(b, &s.Gens[i])
+	b = wire.AppendU32(b, uint32(len(s.Grids)))
+	for i := range s.Grids {
+		g := &s.Grids[i]
+		b = appendGenSpec(b, &g.Gen)
+		b = wire.AppendF64(b, g.Grid.Lo)
+		b = wire.AppendF64(b, g.Grid.Scale)
+		b = wire.AppendInts(b, g.Buckets)
+		b = wire.AppendBools(b, g.IV)
 	}
 	b = wire.AppendU32(b, uint32(len(s.Entries)))
 	for i := range s.Entries {
@@ -300,7 +307,6 @@ func encodeRunPass(m *runPass) []byte {
 	for i := range s.Refines {
 		rf := &s.Refines[i]
 		b = wire.AppendI64(b, int64(rf.Col))
-		b = appendGenSpec(b, &rf.Gen)
 		b = wire.AppendI64s(b, rf.Ranks)
 		b = wire.AppendF64s(b, rf.Lo)
 		b = wire.AppendF64s(b, rf.Hi)
@@ -335,9 +341,13 @@ func decodeRunPass(p []byte) (*runPass, error) {
 	if n := r.U32(); n != 0 {
 		return nil, protoErr("runPass carries %d combinations to score: the score passes are retired", n)
 	}
-	s.Gens = make([]shard.GenSpec, r.Len(8))
-	for i := range s.Gens {
-		s.Gens[i] = readGenSpec(&r)
+	s.Grids = make([]shard.GridSpec, r.Len(32)) // a recipe (two lists), two floats, two lists
+	for i := range s.Grids {
+		g := &s.Grids[i]
+		g.Gen = readGenSpec(&r)
+		g.Grid.Lo, g.Grid.Scale = r.F64(), r.F64()
+		g.Buckets = r.Ints()
+		g.IV = r.Bools()
 	}
 	s.Entries = make([]shard.EntrySpec, r.Len(24))
 	for i := range s.Entries {
@@ -346,10 +356,9 @@ func decodeRunPass(p []byte) (*runPass, error) {
 		s.Entries[i].Cuts = r.F64s(nil)
 		s.Entries[i].NeedCodes = r.Flag()
 	}
-	s.Refines = make([]shard.RefineSpec, r.Len(32))
+	s.Refines = make([]shard.RefineSpec, r.Len(24))
 	for i := range s.Refines {
 		s.Refines[i].Col = int(r.I64())
-		s.Refines[i].Gen = readGenSpec(&r)
 		s.Refines[i].Ranks = r.I64s()
 		s.Refines[i].Lo = r.F64s(nil)
 		s.Refines[i].Hi = r.F64s(nil)
@@ -445,10 +454,12 @@ func DecodePartial(msg []byte) (passID int, p *shard.Partial, err error) {
 func decodePartial(p []byte, m *partialMsg) error {
 	r := wire.NewReader(p[1:])
 	m.PassID = int(r.I64())
-	// Only the plain backings carry over; the typed payload a fold decoded
-	// into the previous tenant is dropped with the rest of it.
+	// Only the plain backings and the count pass's typed slices (emptied,
+	// for Partial.Decode to refill) carry over; the rest of the typed payload
+	// a fold decoded into the previous tenant is dropped.
 	old := m.Partial
-	m.Partial = shard.Partial{Chunk: int(r.I64()), Start: int(r.I64()), Rows: int(r.I64())}
+	m.Partial = shard.Partial{Chunk: int(r.I64()), Start: int(r.I64()), Rows: int(r.I64()),
+		Counts: old.Counts[:0], Moments: old.Moments[:0]}
 	m.Partial.Labels = r.F64s(old.Labels)
 	// Blob and code bytes are a subset of the message, so one slab of its
 	// length holds them all.

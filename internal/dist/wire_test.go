@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/shard"
 	"repro/internal/sketch"
+	"repro/internal/stats"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
@@ -108,15 +109,18 @@ func TestSetLiveRoundTrip(t *testing.T) {
 // whole reified surface of the pass family.
 func fullPassSpec() *shard.PassSpec {
 	return &shard.PassSpec{
-		Pass: 5, Kind: shard.PassHistCounts, Epoch: 2,
+		Pass: 5, Kind: shard.PassRefine, Epoch: 2,
 		LiveCuts: [][]float64{{0.5, 1.5, 2.5}, {-1, 1}},
-		Gens:     []shard.GenSpec{{Op: "mul", Feats: []int{1, 3}}},
+		Grids: []shard.GridSpec{
+			{Gen: shard.GenSpec{Op: "mul", Feats: []int{1, 3}}, Grid: stats.Grid{Lo: -2, Scale: 256},
+				Buckets: []int{3, 700, 1023}, IV: []bool{true, false, true}},
+			{Gen: shard.GenSpec{Op: "sub", Feats: []int{0, 2}}, Buckets: []int{0}, IV: []bool{true}},
+		},
 		Entries: []shard.EntrySpec{
 			{Base: 1, Gen: shard.GenSpec{Op: "add", Feats: []int{0, 2}}, Cuts: []float64{0.25, 0.75}, NeedCodes: true},
 		},
 		Refines: []shard.RefineSpec{
-			{Col: 2, Gen: shard.GenSpec{Op: "div", Feats: []int{4, 1}}, Ranks: []int64{10, 200},
-				Lo: []float64{0, 0.5}, Hi: []float64{1, 1.5}, Resolved: []bool{false, true}},
+			{Col: 2, Ranks: []int64{10, 200}, Lo: []float64{0, 0.5}, Hi: []float64{1, 1.5}, Resolved: []bool{false, true}},
 		},
 	}
 }
@@ -175,6 +179,7 @@ func sketchPartial(chunk int, cols ...[]float64) (*shard.Partial, [][]byte) {
 		Ints:    []int32{7, -1, int32(chunk)},
 		Codes:   [][]uint8{{0, 1, 2}, {uint8(chunk)}},
 		Moments: make([]sketch.Moments, len(cols)),
+		Sample:  &shard.RowSample{Rows: []int{1000*chunk + 1}, Vals: make([][]float64, len(cols))},
 	}
 	var blobs [][]byte
 	for i, col := range cols {
@@ -182,9 +187,10 @@ func sketchPartial(chunk int, cols ...[]float64) (*shard.Partial, [][]byte) {
 		q.AddAll(col)
 		p.Quantiles = append(p.Quantiles, q)
 		p.Moments[i].AddAll(col)
+		p.Sample.Vals[i] = []float64{col[1]}
 		blobs = append(blobs, sketch.AppendQuantile(nil, q), p.Moments[i].AppendWire(nil))
 	}
-	return p, blobs
+	return p, append(blobs, p.Sample.AppendWire(nil))
 }
 
 // samePlain compares what a partial carries on the wire outside its blobs.
@@ -205,11 +211,11 @@ func TestPartialRoundTrip(t *testing.T) {
 		if out.PassID != 3 || !samePlain(in, &out.Partial) || !reflect.DeepEqual(out.Partial.Blobs, blobs) {
 			t.Fatalf("partial round trip %d:\n got %+v\nwant %+v with blobs %v", round, out.Partial, in, blobs)
 		}
-		if out.Partial.Quantiles != nil || out.Partial.Moments != nil {
+		if len(out.Partial.Quantiles) != 0 || len(out.Partial.Moments) != 0 {
 			t.Fatalf("round %d: a decoded partial carries a typed payload before the fold decodes one", round)
 		}
 		// What the fold does to a container before it is recycled.
-		if err := out.Partial.Decode(shard.PassBaseSketch, sketch.NewArena()); err != nil {
+		if err := out.Partial.Decode(&shard.PassSpec{Kind: shard.PassBaseSketch}, sketch.NewArena()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/shard"
 	"repro/internal/sketch"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -31,21 +32,29 @@ func totalAlloc() uint64 {
 // --- byte identity with the v1 encoder ---
 
 // referenceFrame is the partial message as protocol version 1 first encoded
-// it, kept here as the layout's reference: every blob appended from nil by
-// the sketch codec, the message appended from nil field by field. It shares
-// no code with AppendPartial or the Blob* methods it checks.
+// it — with version 2's blobs — kept here as the layout's reference: every
+// blob appended from nil by its family's codec, the message appended from nil
+// field by field. It shares no code with AppendPartial or the Blob* methods
+// it checks.
 func referenceFrame(passID int, kind shard.PassKind, p *shard.Partial) []byte {
 	var blobs [][]byte
 	switch kind {
-	case shard.PassBaseSketch, shard.PassSketchGen:
+	case shard.PassBaseSketch:
 		for i, q := range p.Quantiles {
 			blobs = append(blobs, sketch.AppendQuantile(nil, q), p.Moments[i].AppendWire(nil))
+		}
+		blobs = append(blobs, p.Sample.AppendWire(nil))
+	case shard.PassSketchGen:
+		for i := range p.Counts {
+			blobs = append(blobs, p.Counts[i].AppendWire(nil), p.Moments[i].AppendWire(nil))
 		}
 	case shard.PassRefine:
 		for _, r := range p.Refiners {
 			blobs = append(blobs, r.AppendWire(nil))
 		}
-	case shard.PassHistCounts:
+		for _, g := range p.Gathers {
+			blobs = append(blobs, g.AppendWire(nil))
+		}
 		for _, h := range p.Hists {
 			switch h := h.(type) {
 			case *sketch.LabelHist:
@@ -146,17 +155,17 @@ func (e *identityExec) RunPass(ctx context.Context, spec *shard.PassSpec, fold f
 
 // TestByteIdentityWithV1 pins that the pre-sized encoder changed where bytes
 // are held and not one of the bytes: for every task family, every partial of
-// every pass kind of a real fit frames exactly as the v1 reference encoder
-// frames it — so Version stays 1 — and the fit over those frames still
-// selects what the local fit selects.
+// every pass kind of a real fit frames exactly as the reference encoder
+// frames it — v1's message around version 2's blobs — and the fit over those
+// frames still selects what the local fit selects.
 func TestByteIdentityWithV1(t *testing.T) {
-	// Every kind a fit still streams; the score kinds are retired, so none of
-	// their frames is sent any more.
+	// Every kind a fit still streams; the score kinds and the count-task
+	// histogram kind are retired, so none of their frames is sent any more.
 	want := map[string][]shard.PassKind{
 		"binary": {shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
-			shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes},
+			shard.PassRefine, shard.PassGramCodes},
 		"multiclass3": {shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
-			shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes},
+			shard.PassRefine, shard.PassGramCodes},
 		"regression": {shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
 			shard.PassRefine, shard.PassHistIDs, shard.PassGramCodes},
 	}
@@ -331,35 +340,38 @@ func TestMalformedSetLiveIsRefused(t *testing.T) {
 
 // --- steady-state allocation ---
 
-// sketchGenPartial builds a partial shaped like the candidate-sketch pass's:
-// n quantile summaries of 4,096 distinct values each, plus moments.
-func sketchGenPartial(n int) *shard.Partial {
-	const distinct = 4096
-	p := &shard.Partial{Chunk: 0, Rows: distinct, Moments: make([]sketch.Moments, n)}
-	col := make([]float64, distinct)
+// countPartial builds a partial shaped like the count pass's: n candidates'
+// grid counts over a 65,536-row row group (64 rows a bucket) plus moments.
+func countPartial(n int) *shard.Partial {
+	const rows = 65536
+	p := &shard.Partial{Chunk: 0, Rows: rows, Moments: make([]sketch.Moments, n), Counts: make([]shard.GridCounts, n)}
+	col := make([]float64, rows)
 	for i := 0; i < n; i++ {
 		for r := range col {
 			col[r] = float64(r*n + i)
 		}
-		q := sketch.NewQuantile(0)
-		q.AddAll(col)
-		p.Quantiles = append(p.Quantiles, q)
 		p.Moments[i].AddAll(col)
+		counts := make([]int32, stats.NumBuckets)
+		for b := range counts {
+			counts[b] = rows / stats.NumBuckets
+		}
+		p.Counts[i] = shard.GridCounts{Min: col[0], Max: col[rows-1], Counts: counts}
 	}
 	return p
 }
 
 // TestSteadyStateAlloc is the guard on the whole path a partial takes: frame
 // (worker) → Send → Recv → decodePartial into a pooled container → Decode
-// from the arena → sketches back to the arena, container back to the pool.
-// Once every buffer on that path has been sized by two warm-up rounds, a round
-// may allocate only bookkeeping — under 5% of the bytes it moves.
+// into the container's typed slices and a slab from the arena → the slab back
+// to the arena, the container back to the pool. Once every buffer on that path
+// has been sized by two warm-up rounds, a round may allocate only bookkeeping
+// — under 5% of the bytes it moves.
 func TestSteadyStateAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations inflate TotalAlloc")
 	}
-	const kind = shard.PassSketchGen
-	p := sketchGenPartial(64)
+	spec := &shard.PassSpec{Kind: shard.PassSketchGen}
+	p := countPartial(64)
 	coord, worker := Pipe()
 	defer coord.Close()
 	defer worker.Close()
@@ -370,7 +382,7 @@ func TestSteadyStateAlloc(t *testing.T) {
 		sent  = make(chan error, 1)
 	)
 	round := func() {
-		buf = AppendPartial(buf[:0], 1, kind, p)
+		buf = AppendPartial(buf[:0], 1, spec.Kind, p)
 		go func() { sent <- worker.Send(buf) }()
 		msg, err := coord.Recv()
 		if err != nil {
@@ -383,15 +395,16 @@ func TestSteadyStateAlloc(t *testing.T) {
 		if err := decodePartial(msg, m); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Partial.Decode(kind, arena); err != nil {
+		if err := m.Partial.Decode(spec, arena); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(m.Partial.Quantiles); got != len(p.Quantiles) {
-			t.Fatalf("decoded %d sketches, want %d", got, len(p.Quantiles))
+		if got := len(m.Partial.Counts); got != len(p.Counts) {
+			t.Fatalf("decoded %d grid counts, want %d", got, len(p.Counts))
 		}
-		for _, q := range m.Partial.Quantiles { // what foldSketches does after each merge
-			arena.PutQuantile(q)
+		if !reflect.DeepEqual(m.Partial.Counts[63], p.Counts[63]) {
+			t.Fatal("the grid counts did not survive the wire")
 		}
+		m.Partial.ReleaseCounts(arena) // what the count fold does once it has added them up
 		pool.put(m)
 	}
 	round()
@@ -402,8 +415,8 @@ func TestSteadyStateAlloc(t *testing.T) {
 		round()
 	}
 	perRound := (totalAlloc() - before) / rounds
-	if len(buf) < 64*4096*16 {
-		t.Fatalf("frame of %d bytes is not sketch-gen sized", len(buf))
+	if len(buf) < 64*stats.NumBuckets {
+		t.Fatalf("frame of %d bytes is not count-pass sized", len(buf))
 	}
 	if limit := uint64(len(buf)) / 20; perRound >= limit {
 		t.Fatalf("a steady-state round allocates %d bytes for a %d-byte frame (limit %d)", perRound, len(buf), limit)

@@ -40,8 +40,9 @@ func inMemoryEngine(workers int) fitEngine {
 }
 
 // shardedEngine fits the frame out of core in chunkRows-row partitions, and
-// holds the fit to the partition and pass counts the shape implies. Both
-// refinement passes are skipped (5 passes instead of 7) only while every
+// holds the fit to the partition and pass counts the shape implies — passes
+// is a count task's; the regression criterion streams one pass more. The live
+// refinement pass is skipped (5 passes instead of 6) only while every base
 // sketch stays lossless: every chunk within the partial budget, so no partial
 // compacts, and no more rows than the sketch size, so no merge does.
 func shardedEngine(chunkRows, partitions, passes, workers int) fitEngine {
@@ -52,9 +53,13 @@ func shardedEngine(chunkRows, partitions, passes, workers int) fitEngine {
 			if err != nil {
 				t.Fatalf("chunk=%d workers=%d: %v", chunkRows, workers, err)
 			}
-			if st.Partitions != partitions || st.Passes != passes {
+			want := passes
+			if cfg.Task.Kind == core.TaskRegression {
+				want++
+			}
+			if st.Partitions != partitions || st.Passes != want {
 				t.Fatalf("chunk=%d workers=%d: %d partitions in %d passes, want %d in %d",
-					chunkRows, workers, st.Partitions, st.Passes, partitions, passes)
+					chunkRows, workers, st.Partitions, st.Passes, partitions, want)
 			}
 			if lossless := st.MaxQuantileRankError == 0; lossless != (passes == 5) {
 				t.Fatalf("chunk=%d workers=%d: rank error %d with %d passes",
@@ -96,14 +101,14 @@ func TestShardedFitDeterminismMatrix(t *testing.T) {
 		workers                             []int
 	}{
 		// One, three and four partitions of 3,000 rows.
-		{3000, 3000, 1, 7, all}, // one chunk, but of more rows than a partial holds
+		{3000, 3000, 1, 6, all}, // one chunk, but of more rows than a partial holds
 		{3000, 1000, 3, 5, all},
 		{3000, 750, 4, 5, all},
 		// Chunks straddling the partial budget, under and over the sketch size.
 		{3000, partialSize, 3, 5, one},
-		{3000, partialSize + 1, 3, 7, one},   // the first row past the budget compacts the partial
-		{16400, partialSize, 17, 7, one},     // lossless partials, but the 16th merge outgrows a level
-		{16400, partialSize + 1, 16, 7, one}, // both
+		{3000, partialSize + 1, 3, 6, one},   // the first row past the budget compacts the partial
+		{16400, partialSize, 17, 6, one},     // lossless partials, but the 16th merge outgrows a level
+		{16400, partialSize + 1, 16, 6, one}, // both
 	}
 	families := []struct {
 		name    string

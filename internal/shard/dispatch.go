@@ -11,6 +11,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/sketch"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // This file is the compute half of the one pass formulation:
@@ -33,17 +34,20 @@ type PassKind uint8
 // The streaming pass kinds of one fit, in the order the fit first runs them.
 // Kinds 3–5 are retired: they streamed the rows once more to score the mined
 // combinations, which core.ScoreCombos now does on the resident miner codes.
-// The numbers stay taken (a protocol-version-1 peer may still name them) and
-// ComputePartial answers them as unknown kinds.
+// Kind 8 is retired too: the binary and multiclass criterion counts ride the
+// gather pass (grid.go). The numbers stay taken (an older peer may still name
+// them) and ComputePartial answers them as unknown kinds. PassSketchGen and
+// PassRefine keep their numbers for the two grid passes that replaced the
+// candidate sketch and its refinement.
 const (
-	PassBaseSketch     PassKind = 1  // labels + per-original quantile/moments partials
+	PassBaseSketch     PassKind = 1  // labels + per-original quantile/moments partials + row sample
 	PassCodes          PassKind = 2  // resident miner codes per live feature
 	PassScoreBinary    PassKind = 3  // retired
 	PassScoreClasses   PassKind = 4  // retired
 	PassScoreMomentIDs PassKind = 5  // retired
-	PassSketchGen      PassKind = 6  // quantile/moments partials per generated candidate
-	PassRefine         PassKind = 7  // exact-cut gather partials
-	PassHistCounts     PassKind = 8  // criterion histogram partials (binary/multiclass)
+	PassSketchGen      PassKind = 6  // grid counts/moments partials per generated candidate
+	PassRefine         PassKind = 7  // exact-cut gathers: live refiners, or candidate cut buckets + live criterion histograms
+	PassHistCounts     PassKind = 8  // retired
 	PassHistIDs        PassKind = 9  // criterion bin ids (regression)
 	PassGramCodes      PassKind = 10 // pairwise co-moments + ranker codes
 )
@@ -65,7 +69,8 @@ type GenSpec struct {
 	Feats []int
 }
 
-// EntrySpec is one candidate of the histogram/Gram passes: a base entry
+// EntrySpec is one candidate of the histogram/Gram passes (and a live
+// feature's criterion histogram in the gather pass): a base entry
 // reads live column Base; a generated entry recomputes Gen. Cuts are the
 // pass's bin edges (criterion cuts or ranker cuts, per kind).
 type EntrySpec struct {
@@ -75,12 +80,11 @@ type EntrySpec struct {
 	NeedCodes bool // PassGramCodes: materialise ranker codes for this entry
 }
 
-// RefineSpec is one open exact-cut refinement: the bracket arrays from the
-// fitter's Refiner plus the column to gather from — a raw source column
-// (Col >= 0, the pre-generation live pass) or a generated candidate (Gen).
+// RefineSpec is one open exact-cut refinement of a source column before the
+// first round: the bracket arrays from the fitter's Refiner plus the column to
+// gather from.
 type RefineSpec struct {
-	Col      int // source column index, or -1 for generated
-	Gen      GenSpec
+	Col      int // source column index
 	Ranks    []int64
 	Lo, Hi   []float64
 	Resolved []bool
@@ -94,21 +98,23 @@ type PassSpec struct {
 	Epoch int // live-set epoch this pass must run against
 
 	LiveCuts [][]float64  // PassCodes: miner cuts per live feature
-	Gens     []GenSpec    // PassSketchGen
-	Entries  []EntrySpec  // PassHistCounts, PassHistIDs, PassGramCodes
-	Refines  []RefineSpec // PassRefine
+	Grids    []GridSpec   // PassSketchGen, PassRefine: generated candidates
+	Entries  []EntrySpec  // PassRefine (count tasks), PassHistIDs, PassGramCodes
+	Refines  []RefineSpec // PassRefine: live refiners
 
 	prepOnce sync.Once
 	prep     *passPrep
 }
 
 // passPrep is what every chunk of one pass shares, derived once from the
-// spec: gather templates (refine) and histogram templates (criterion passes).
-// All of it is read-only to the kernels, which Shadow the templates per chunk,
-// so the goroutines of one kernel's column loop share one passPrep.
+// spec: gather templates (refine), bucket tables (grid gathers) and histogram
+// templates (criterion entries). All of it is read-only to the kernels, which
+// Shadow the templates per chunk, so the goroutines of one kernel's column
+// loop share one passPrep.
 type passPrep struct {
-	refs  []*sketch.Refiner
-	hists []sketch.CriterionHist
+	refs   []*sketch.Refiner
+	tables []*gridTables
+	hists  []sketch.CriterionHist
 }
 
 // prepared returns the spec's shared per-pass state, building it on first
@@ -123,15 +129,26 @@ func (s *PassSpec) prepared(task core.Task) *passPrep {
 			for i, rf := range s.Refines {
 				pp.refs[i] = sketch.NewShadowRefiner(rf.Ranks, rf.Lo, rf.Hi, rf.Resolved)
 			}
-		case PassHistCounts, PassHistIDs:
-			pp.hists = make([]sketch.CriterionHist, len(s.Entries))
-			for i := range s.Entries {
-				pp.hists[i] = newCriterionHist(task, s.Entries[i].Cuts)
+			pp.tables = make([]*gridTables, len(s.Grids))
+			for i := range s.Grids {
+				pp.tables[i] = newGridTables(&s.Grids[i])
 			}
+			pp.hists = s.entryHists(task)
+		case PassHistIDs:
+			pp.hists = s.entryHists(task)
 		}
 		s.prep = pp
 	})
 	return s.prep
+}
+
+// entryHists builds the task's criterion histogram of every entry.
+func (s *PassSpec) entryHists(task core.Task) []sketch.CriterionHist {
+	hists := make([]sketch.CriterionHist, len(s.Entries))
+	for i := range s.Entries {
+		hists[i] = newCriterionHist(task, s.Entries[i].Cuts)
+	}
+	return hists
 }
 
 // newCriterionHist builds the task's mergeable relevance accumulator over
@@ -152,11 +169,12 @@ func newCriterionHist(task core.Task, cuts []float64) sketch.CriterionHist {
 // fields are set depends on the pass kind:
 //
 //	BaseSketch:     Labels = chunk labels; Quantiles[j], Moments[j] of source
-//	                column j.
+//	                column j; Sample = the chunk's row sample.
 //	Codes:          Codes[i] = chunk codes of live feature i.
-//	SketchGen:      Quantiles[i], Moments[i] of Gens[i].
-//	Refine:         Refiners[i] = gather partial of Refines[i].
-//	HistCounts:     Hists[i] = criterion histogram partial of Entries[i].
+//	SketchGen:      Counts[i], Moments[i] of Grids[i].
+//	Refine:         Refiners[i] = gather partial of Refines[i]; Gathers[i] =
+//	                cut-bucket gather of Grids[i]; Hists[i] = criterion
+//	                histogram partial of Entries[i].
 //	HistIDs:        Ints = bin id per (entry, row).
 //	GramCodes:      Gram = co-moment partial; Codes[i] = chunk ranker codes
 //	                of Entries[i] when its NeedCodes is set (nil otherwise).
@@ -167,9 +185,13 @@ func newCriterionHist(task core.Task, cuts []float64) sketch.CriterionHist {
 // Blobs, and the fitter's fold wrapper decodes them back (Decode), validating
 // every count before a fold indexes by it:
 //
-//	BaseSketch, SketchGen: Blobs[2i], Blobs[2i+1] = quantile, moments i.
-//	Refine, HistCounts:    Blobs[i] = gather / histogram partial i.
-//	GramCodes:             Blobs[0] = Gram partial.
+//	BaseSketch: Blobs[2i], Blobs[2i+1] = quantile, moments i; the last blob
+//	            the row sample.
+//	SketchGen:  Blobs[2i], Blobs[2i+1] = grid counts, moments i.
+//	Refine:     the refiner gathers, then the grid gathers, then the
+//	            histograms, as many of each as the spec has Refines, Grids
+//	            and Entries.
+//	GramCodes:  Blobs[0] = Gram partial.
 //
 // Labels, Ints and Codes are plain and travel as they are, so the transport
 // codec never looks inside a payload.
@@ -184,11 +206,15 @@ type Partial struct {
 
 	Quantiles []*sketch.Quantile
 	Moments   []sketch.Moments
+	Sample    *RowSample
+	Counts    []GridCounts
 	Refiners  []*sketch.Refiner
+	Gathers   []*Gather
 	Hists     []sketch.CriterionHist
 	Gram      *sketch.Gram
 
-	codeSlab []uint8 // arena backing of Codes
+	codeSlab  []uint8 // arena backing of Codes
+	countSlab []int32 // arena backing of Counts
 }
 
 // BlobCount is how many blobs the kind's typed payload renders to on the
@@ -199,12 +225,12 @@ type Partial struct {
 // them.
 func (p *Partial) BlobCount(kind PassKind) int {
 	switch kind {
-	case PassBaseSketch, PassSketchGen:
-		return 2 * len(p.Quantiles)
+	case PassBaseSketch:
+		return 2*len(p.Quantiles) + 1
+	case PassSketchGen:
+		return 2 * len(p.Counts)
 	case PassRefine:
-		return len(p.Refiners)
-	case PassHistCounts:
-		return len(p.Hists)
+		return len(p.Refiners) + len(p.Gathers) + len(p.Hists)
 	case PassGramCodes:
 		return 1
 	}
@@ -218,20 +244,32 @@ type wireForm interface {
 	AppendWire(b []byte) []byte
 }
 
-// blob returns the sketch behind blob i of the kind's typed payload, in the
+// blob returns the payload behind blob i of the kind's typed payload, in the
 // order Decode reads them back. A count-valued criterion histogram is one of
 // the two families with a wire form; a kernel puts no other in a partial.
 func (p *Partial) blob(kind PassKind, i int) wireForm {
 	switch kind {
-	case PassBaseSketch, PassSketchGen:
-		if i%2 == 1 {
+	case PassBaseSketch:
+		switch {
+		case i == 2*len(p.Quantiles):
+			return p.Sample
+		case i%2 == 1:
 			return &p.Moments[i/2]
 		}
 		return p.Quantiles[i/2]
+	case PassSketchGen:
+		if i%2 == 1 {
+			return &p.Moments[i/2]
+		}
+		return &p.Counts[i/2]
 	case PassRefine:
-		return p.Refiners[i]
-	case PassHistCounts:
-		return p.Hists[i].(wireForm)
+		if i < len(p.Refiners) {
+			return p.Refiners[i]
+		}
+		if i -= len(p.Refiners); i < len(p.Gathers) {
+			return p.Gathers[i]
+		}
+		return p.Hists[i-len(p.Gathers)].(wireForm)
 	default: // PassGramCodes: BlobCount is 0 for every other kind
 		return p.Gram
 	}
@@ -247,24 +285,26 @@ func (p *Partial) AppendBlob(b []byte, kind PassKind, i int) []byte {
 }
 
 // Decode rebuilds the typed payload of a partial that arrived in wire form
-// (Blobs set, no typed payload); a partial handed over by pointer passes
-// through untouched. Blobs stays in place and is not referenced by the typed payload.
-// Quantile and Gram partials are drawn from the arena: the fold returns them
-// there once merged, so the next partial decodes into the same memory. Counts
-// are not checked here — every fold validates the typed payload's shape,
-// whichever way it arrived.
-func (p *Partial) Decode(kind PassKind, arena *sketch.Arena) error {
-	if len(p.Blobs) == 0 || p.Quantiles != nil || p.Refiners != nil || p.Hists != nil || p.Gram != nil {
+// (Blobs set, an empty typed payload) for the pass spec it answers; a partial handed
+// over by pointer passes through untouched. Blobs stays in place and is not
+// referenced by the typed payload. Quantile and Gram partials and the grid
+// counts are drawn from the arena: the fold returns them there once merged,
+// so the next partial decodes into the same memory. Counts are not checked
+// here beyond what laying the blobs out needs — every fold validates the
+// typed payload's shape, whichever way it arrived.
+func (p *Partial) Decode(spec *PassSpec, arena *sketch.Arena) error {
+	if len(p.Blobs) == 0 || len(p.Quantiles)+len(p.Counts)+len(p.Refiners)+len(p.Gathers)+len(p.Hists) > 0 || p.Gram != nil {
 		return nil
 	}
+	kind := spec.Kind
 	fail := func(i int, err error) error {
 		return fmt.Errorf("shard: pass kind %d partial %d payload %d: %w", kind, p.Chunk, i, err)
 	}
 	switch kind {
-	case PassBaseSketch, PassSketchGen:
-		n := len(p.Blobs) / 2
-		if len(p.Blobs) != 2*n {
-			return fmt.Errorf("shard: pass kind %d partial %d has %d sketch blobs, want quantile/moments pairs", kind, p.Chunk, len(p.Blobs))
+	case PassBaseSketch:
+		n := (len(p.Blobs) - 1) / 2
+		if len(p.Blobs) != 2*n+1 {
+			return fmt.Errorf("shard: pass kind %d partial %d has %d blobs, want quantile/moments pairs and a sample", kind, p.Chunk, len(p.Blobs))
 		}
 		p.Quantiles = make([]*sketch.Quantile, n)
 		p.Moments = make([]sketch.Moments, n)
@@ -274,29 +314,67 @@ func (p *Partial) Decode(kind PassKind, arena *sketch.Arena) error {
 				return fail(2*i, err)
 			}
 			p.Quantiles[i] = q
-			mom, _, err := sketch.DecodeMoments(p.Blobs[2*i+1])
-			if err != nil {
+			if err := p.decodeMoments(i); err != nil {
 				return fail(2*i+1, err)
 			}
-			p.Moments[i] = *mom
+		}
+		s, err := decodeRowSample(p.Blobs[2*n])
+		if err != nil {
+			return fail(2*n, err)
+		}
+		p.Sample = s
+	case PassSketchGen:
+		n := len(p.Blobs) / 2
+		if len(p.Blobs) != 2*n {
+			return fmt.Errorf("shard: pass kind %d partial %d has %d blobs, want counts/moments pairs", kind, p.Chunk, len(p.Blobs))
+		}
+		// A recycled container hands back its typed slices: a steady stream of
+		// count partials decodes into the same ones.
+		p.Counts = wire.Resize(p.Counts, n)
+		p.Moments = wire.Resize(p.Moments, n)
+		// The slab is sized by the blobs long enough to hold a grid's counts,
+		// so what a partial makes this allocate is bounded by its own bytes.
+		gridded := 0
+		for i := 0; i < n; i++ {
+			if len(p.Blobs[2*i]) >= minGridBlob {
+				gridded++
+			}
+		}
+		p.countSlab = arena.Int32s(gridded * stats.NumBuckets)
+		used := 0
+		for i := 0; i < n; i++ {
+			gc, err := decodeGridCounts(p.Blobs[2*i], p.countSlab[used:])
+			if err != nil {
+				return fail(2*i, err)
+			}
+			used += len(gc.Counts)
+			p.Counts[i] = gc
+			if err := p.decodeMoments(i); err != nil {
+				return fail(2*i+1, err)
+			}
 		}
 	case PassRefine:
-		p.Refiners = make([]*sketch.Refiner, len(p.Blobs))
-		for i, b := range p.Blobs {
-			r, _, err := sketch.DecodeRefinerGather(b)
-			if err != nil {
-				return fail(i, err)
-			}
-			p.Refiners[i] = r
+		nr, ng := len(spec.Refines), len(spec.Grids)
+		if len(p.Blobs) != nr+ng+len(spec.Entries) {
+			return fmt.Errorf("shard: pass kind %d partial %d has %d blobs, want %d gathers and %d histograms",
+				kind, p.Chunk, len(p.Blobs), nr+ng, len(spec.Entries))
 		}
-	case PassHistCounts:
-		p.Hists = make([]sketch.CriterionHist, len(p.Blobs))
+		p.Refiners = make([]*sketch.Refiner, nr)
+		p.Gathers = make([]*Gather, ng)
+		p.Hists = make([]sketch.CriterionHist, len(spec.Entries))
 		for i, b := range p.Blobs {
-			h, _, err := sketch.DecodeCountHist(b)
+			var err error
+			switch {
+			case i < nr:
+				p.Refiners[i], _, err = sketch.DecodeRefinerGather(b)
+			case i < nr+ng:
+				p.Gathers[i-nr], err = decodeGather(b)
+			default:
+				p.Hists[i-nr-ng], _, err = sketch.DecodeCountHist(b)
+			}
 			if err != nil {
 				return fail(i, err)
 			}
-			p.Hists[i] = h
 		}
 	case PassGramCodes:
 		if len(p.Blobs) != 1 {
@@ -309,6 +387,15 @@ func (p *Partial) Decode(kind PassKind, arena *sketch.Arena) error {
 		p.Gram = g
 	}
 	return nil
+}
+
+// decodeMoments decodes blob 2i+1, the moments of column i.
+func (p *Partial) decodeMoments(i int) error {
+	mom, _, err := sketch.DecodeMoments(p.Blobs[2*i+1])
+	if err == nil {
+		p.Moments[i] = *mom
+	}
+	return err
 }
 
 // PassResult summarises one executed pass.
@@ -385,9 +472,37 @@ const partialSize = 1024
 
 // scratch is what one goroutine of a column loop needs to itself.
 type scratch struct {
-	srt sketch.SortScratch
-	ix  stats.CutIndexer
-	buf []float64 // generated-column buffer
+	srt  sketch.SortScratch
+	ix   stats.CutIndexer
+	buf  []float64 // generated-column buffer
+	rowB []int16   // a gather's bucket per row
+	cnt  []int32   // a gather's per-bucket (× class) counts
+	pos  []int     // a gather's write cursors
+}
+
+// rowBuckets returns the scratch's per-row bucket buffer at length n.
+func (s *scratch) rowBuckets(n int) []int16 {
+	if cap(s.rowB) < n {
+		s.rowB = make([]int16, n)
+	}
+	return s.rowB[:n]
+}
+
+// counts returns the scratch's count table at length n, zeroed.
+func (s *scratch) counts(n int) []int32 {
+	if cap(s.cnt) < n {
+		s.cnt = make([]int32, n)
+	}
+	clear(s.cnt[:n])
+	return s.cnt[:n]
+}
+
+// cursor returns the scratch's cursor buffer at length n.
+func (s *scratch) cursor(n int) []int {
+	if cap(s.pos) < n {
+		s.pos = make([]int, n)
+	}
+	return s.pos[:n]
 }
 
 // floats returns the scratch's generated-column buffer at length n, contents
@@ -514,21 +629,14 @@ func (ws *WorkerState) resolveOps(spec *PassSpec) error {
 		_, err := ws.applier(g.Op, len(g.Feats))
 		return err
 	}
-	for i := range spec.Gens {
-		if err := resolve(&spec.Gens[i]); err != nil {
+	for i := range spec.Grids {
+		if err := resolve(&spec.Grids[i].Gen); err != nil {
 			return err
 		}
 	}
 	for i := range spec.Entries {
 		if e := &spec.Entries[i]; e.Base < 0 {
 			if err := resolve(&e.Gen); err != nil {
-				return err
-			}
-		}
-	}
-	for i := range spec.Refines {
-		if rf := &spec.Refines[i]; rf.Col < 0 {
-			if err := resolve(&rf.Gen); err != nil {
 				return err
 			}
 		}
@@ -588,6 +696,7 @@ func (ws *WorkerState) Release(p *Partial) {
 		ws.arena.PutQuantile(q)
 	}
 	ws.arena.PutInt32s(p.Ints)
+	ws.arena.PutInt32s(p.countSlab)
 	ws.arena.PutBytes(p.codeSlab)
 	ws.arena.PutGram(p.Gram)
 	*p = Partial{}
@@ -683,7 +792,7 @@ func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *fr
 	if len(c.Cols) != len(ws.names) {
 		return nil, fmt.Errorf("shard: chunk %d has %d columns, want %d", c.Index, len(c.Cols), len(ws.names))
 	}
-	if c.Label == nil {
+	if c.Label == nil && c.NumRows() > 0 {
 		return nil, fmt.Errorf("shard: source has no label column")
 	}
 	if len(c.Label) != c.NumRows() {
@@ -703,18 +812,15 @@ func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *fr
 	switch spec.Kind {
 	case PassBaseSketch:
 		p.Labels = append([]float64(nil), c.Label...)
-		err = ws.sketchCols(ctx, p, len(c.Cols), func(_ *scratch, j int) ([]float64, error) { return c.Cols[j], nil })
+		p.Sample = chunkSample(c.Cols, c.Start, p.Rows)
+		err = ws.sketchCols(ctx, p, c.Cols)
 	case PassCodes:
 		err = ws.computeCodes(ctx, spec, c, p)
 	case PassSketchGen:
-		cols := ws.liveCols(c)
-		err = ws.sketchCols(ctx, p, len(spec.Gens), func(s *scratch, i int) ([]float64, error) {
-			buf := s.floats(p.Rows)
-			return buf, ws.genCol(spec.Gens[i], cols, buf)
-		})
+		err = ws.computeGridCounts(ctx, spec, c, p)
 	case PassRefine:
 		err = ws.computeRefine(ctx, spec, c, p)
-	case PassHistCounts, PassHistIDs:
+	case PassHistIDs:
 		err = ws.computeHist(ctx, spec, c, p)
 	case PassGramCodes:
 		err = ws.computeGramCodes(ctx, spec, c, p)
@@ -729,18 +835,15 @@ func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *fr
 	return p, nil
 }
 
-// sketchCols summarises n columns of one chunk — quantile partial through
-// the SortNonNaN ingestion path plus moments — into p. The partial is built
-// at the partial budget, so AddSortedScratch's one compaction happens here,
-// at the worker, and what leaves is the budget's size at most.
-func (ws *WorkerState) sketchCols(ctx context.Context, p *Partial, n int, col func(s *scratch, i int) ([]float64, error)) error {
-	p.Quantiles = make([]*sketch.Quantile, n)
-	p.Moments = make([]sketch.Moments, n)
-	return ws.forCols(ctx, n, func(s *scratch, i int) error {
-		vals, err := col(s, i)
-		if err != nil {
-			return err
-		}
+// sketchCols summarises the chunk's source columns — quantile partial
+// through the SortNonNaN ingestion path plus moments — into p. The partial is
+// built at the partial budget, so AddSortedScratch's one compaction happens
+// here, at the worker, and what leaves is the budget's size at most.
+func (ws *WorkerState) sketchCols(ctx context.Context, p *Partial, cols [][]float64) error {
+	p.Quantiles = make([]*sketch.Quantile, len(cols))
+	p.Moments = make([]sketch.Moments, len(cols))
+	return ws.forCols(ctx, len(cols), func(s *scratch, i int) error {
+		vals := cols[i]
 		sorted, nan := sketch.SortNonNaN(vals, &s.srt)
 		part := ws.arena.Quantile(ws.partSize)
 		part.AddSortedScratch(sorted, nan, &s.srt)
@@ -785,59 +888,93 @@ func (ws *WorkerState) computeCodes(ctx context.Context, spec *PassSpec, c *fram
 	})
 }
 
+// computeRefine is the gather pass's kernel: the live refiners' gathers
+// before the first round, or in a round the generated candidates' cut-bucket
+// gathers and, for a count task, the live features' criterion histograms at
+// their known cuts.
 func (ws *WorkerState) computeRefine(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
 	for i := range spec.Refines {
-		if rf := &spec.Refines[i]; len(rf.Lo) != len(rf.Ranks) || len(rf.Hi) != len(rf.Ranks) || len(rf.Resolved) != len(rf.Ranks) {
+		rf := &spec.Refines[i]
+		if len(rf.Lo) != len(rf.Ranks) || len(rf.Hi) != len(rf.Ranks) || len(rf.Resolved) != len(rf.Ranks) {
 			return fmt.Errorf("shard: refine %d has %d ranks but %d/%d/%d bracket entries", i, len(rf.Ranks), len(rf.Lo), len(rf.Hi), len(rf.Resolved))
+		}
+		if rf.Col < 0 || rf.Col >= len(c.Cols) {
+			return fmt.Errorf("shard: refine column %d outside schema of %d", rf.Col, len(c.Cols))
+		}
+	}
+	counts := ws.task.Kind != core.TaskRegression
+	if !counts && len(spec.Entries) > 0 {
+		return fmt.Errorf("shard: a %s gather pass carries %d criterion histograms", ws.task, len(spec.Entries))
+	}
+	for i := range spec.Grids {
+		if err := spec.Grids[i].check(true, counts); err != nil {
+			return err
 		}
 	}
 	pp := spec.prepared(ws.task)
 	cols := ws.liveCols(c)
-	p.Refiners = make([]*sketch.Refiner, len(spec.Refines))
-	return ws.forCols(ctx, len(spec.Refines), func(s *scratch, i int) error {
-		rf := &spec.Refines[i]
-		var vals []float64
-		if rf.Col >= 0 {
-			if rf.Col >= len(c.Cols) {
-				return fmt.Errorf("shard: refine column %d outside schema of %d", rf.Col, len(c.Cols))
-			}
-			vals = c.Cols[rf.Col]
-		} else {
-			vals = s.floats(p.Rows)
-			if err := ws.genCol(rf.Gen, cols, vals); err != nil {
+	var cls []int32
+	var bits []uint8
+	if counts && len(spec.Grids)+len(spec.Entries) > 0 {
+		var err error
+		if cls, err = ws.classIDs(c.Label); err != nil {
+			return err
+		}
+		if ws.task.Kind != core.TaskMulticlass {
+			bits = ws.labelBits(c.Label)
+		}
+	}
+	nr, ng := len(spec.Refines), len(spec.Grids)
+	p.Refiners = make([]*sketch.Refiner, nr)
+	p.Gathers = make([]*Gather, ng)
+	p.Hists = make([]sketch.CriterionHist, len(spec.Entries))
+	return ws.forCols(ctx, nr+ng+len(spec.Entries), func(s *scratch, i int) error {
+		switch {
+		case i < nr:
+			sh := pp.refs[i].Shadow()
+			sh.AddChunk(c.Cols[spec.Refines[i].Col])
+			p.Refiners[i] = sh
+		case i < nr+ng:
+			g := &spec.Grids[i-nr]
+			vals := s.floats(p.Rows)
+			if err := ws.genCol(g.Gen, cols, vals); err != nil {
 				return err
 			}
+			p.Gathers[i-nr] = gatherCol(g, pp.tables[i-nr], vals, cls, taskClasses(ws.task), s)
+		default:
+			e := &spec.Entries[i-nr-ng]
+			col, err := ws.entryCol(e, cols, s.floats(p.Rows))
+			if err != nil {
+				return err
+			}
+			// The pre-encoded label paths fold the same integer counts as AddCol
+			// without re-deriving the label per value per candidate.
+			switch h := pp.hists[i-nr-ng].(type) {
+			case *sketch.ClassHist:
+				sh := h.Shadow()
+				sh.AddColCls(col, cls)
+				p.Hists[i-nr-ng] = sh
+			case *sketch.LabelHist:
+				sh := h.Shadow()
+				sh.AddColBits(col, bits)
+				p.Hists[i-nr-ng] = sh
+			}
 		}
-		sh := pp.refs[i].Shadow()
-		sh.AddChunk(vals)
-		p.Refiners[i] = sh
 		return nil
 	})
 }
 
-// computeHist bins every entry against the chunk's labels. The count-valued
-// tasks accumulate shadow histograms (PassHistCounts); the regression task
-// emits only bin ids (PassHistIDs) so the fold keeps the float target sums in
-// global row order.
+// computeHist bins every entry for the regression criterion: it emits only
+// bin ids (PassHistIDs), so the fold keeps the float target sums in global row
+// order.
 func (ws *WorkerState) computeHist(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	if (spec.Kind == PassHistIDs) != (ws.task.Kind == core.TaskRegression) {
+	if ws.task.Kind != core.TaskRegression {
 		return fmt.Errorf("shard: pass kind %d does not fit a %s task", spec.Kind, ws.task)
 	}
 	pp := spec.prepared(ws.task)
 	cols := ws.liveCols(c)
 	rows := p.Rows
-	var bits []uint8
-	var cls []int32
-	switch ws.task.Kind {
-	case core.TaskRegression:
-		p.Ints = ws.arena.Int32s(len(spec.Entries) * rows)
-	case core.TaskMulticlass:
-		cls = ws.labelCls(c.Label, ws.task.Classes)
-		p.Hists = make([]sketch.CriterionHist, len(spec.Entries))
-	default:
-		bits = ws.labelBits(c.Label)
-		p.Hists = make([]sketch.CriterionHist, len(spec.Entries))
-	}
+	p.Ints = ws.arena.Int32s(len(spec.Entries) * rows)
 	return ws.forCols(ctx, len(spec.Entries), func(s *scratch, i int) error {
 		e := &spec.Entries[i]
 		var buf []float64
@@ -848,20 +985,7 @@ func (ws *WorkerState) computeHist(ctx context.Context, spec *PassSpec, c *frame
 		if err != nil {
 			return err
 		}
-		// The pre-encoded label paths fold the same integer counts as AddCol
-		// without re-deriving the label per value per candidate.
-		switch h := pp.hists[i].(type) {
-		case *sketch.MomentHist:
-			h.BinIDs(col, p.Ints[i*rows:(i+1)*rows])
-		case *sketch.ClassHist:
-			sh := h.Shadow()
-			sh.AddColCls(col, cls)
-			p.Hists[i] = sh
-		case *sketch.LabelHist:
-			sh := h.Shadow()
-			sh.AddColBits(col, bits)
-			p.Hists[i] = sh
-		}
+		pp.hists[i].(*sketch.MomentHist).BinIDs(col, p.Ints[i*rows:(i+1)*rows])
 		return nil
 	})
 }

@@ -3,8 +3,9 @@
 // itself is not here — Fit hands core.RunRounds, the one round loop, an
 // implementation of core.WorkingSet (the fitter, shard.go) over a
 // frame.ChunkSource whose partitions never coexist in memory, which answers
-// every question the loop asks about a column with a mergeable sketch
-// (internal/sketch) accumulated per partition and merged in partition order.
+// every question the loop asks about a column with mergeable statistics
+// (internal/sketch, stats.Grid counts) accumulated per partition and merged
+// in partition order.
 // This package trains no booster, opens no stage and emits no event.
 //
 // Every streaming pass is stated once, in three steps:
@@ -25,23 +26,31 @@
 // folded, by exactly one goroutine in the serial loop's arithmetic order, so
 // selection is bit-identical across worker counts too.
 //
-// The engine makes a small number of streaming passes: two before the first
-// iteration (WorkingSet.Open),
+// The engine makes a small number of streaming passes: three before the
+// first iteration (WorkingSet.Open),
 //
-//  1. live stats — per-feature quantile sketches + moments, and the labels
-//  2. live codes — bin the live features into resident uint8 codes (Bin)
+//  1. live stats  — per-feature quantile sketches + moments, the labels and
+//     the row sample
+//  2. live refine — the exact-cut gather of the sketches' brackets (skipped
+//     while the sketches are lossless)
+//  3. live codes  — bin the live features into resident uint8 codes (Bin)
 //
-// and three per iteration,
+// and three per iteration for a binary or multiclass task, four for
+// regression,
 //
-//  3. candidate sketches — quantile sketches + moments of generated columns
-//     (Generate)
-//  4. candidate counts   — binned label histograms → Information Values
-//     (Criteria)
-//  5. redundancy    — pairwise co-moments (Gram) of IV survivors + codes
+//  4. candidate counts — each generated column's counts on the in-memory
+//     kernel's grid, laid over the row sample, + moments (Generate)
+//  5. candidate gather — the cut buckets' values (and, for a count task,
+//     classes), which resolve exact cuts and the criterion counts, beside the
+//     live features' criterion histograms (Criteria)
+//  6. regression criterion — bin ids replayed in row order (Criteria;
+//     regression only)
+//  7. redundancy — pairwise co-moments (Gram) of IV survivors + codes
 //     (Correlated)
 //
-// plus an exact-cut refinement gather after each sketch pass: seven passes
-// for a one-iteration fit.
+// so six passes for a one-iteration binary or multiclass fit and seven for
+// regression. grid.go is passes 4 and 5: the two scans of
+// stats.QuantileScratch with the pass seam between them.
 //
 // Everything the XGBoost miner and ranker consume is the resident binned
 // matrix (1 byte per value, ~8× smaller than raw float64 columns) plus the
@@ -50,7 +59,7 @@
 // the mined combinations needs no rows either: their split values are cuts of
 // that matrix, so the loop's scorer reads the cell of every row off the
 // resident codes. IV and Pearson decisions are the loop's, made on merged
-// counts and co-moments, so the only divergence from core.Fit is
-// quantile-sketch cut placement, bounded by sketch.Quantile.ErrorBound. See docs/sharding.md for the error model and
-// when to prefer each path.
+// counts and co-moments, and every cut is an exact order statistic, so the
+// selection is core.Fit's. See docs/sharding.md for the cut model and when
+// to prefer each path.
 package shard

@@ -35,7 +35,7 @@ func (f *fitter) runPass(spec *PassSpec, fold func(*Partial) error) error {
 		if f.n > 0 && p.Start+p.Rows > f.n {
 			return fmt.Errorf("shard: pass %d partial %d spans rows [%d,%d) of %d", spec.Kind, p.Chunk, p.Start, p.Start+p.Rows, f.n)
 		}
-		if err := p.Decode(spec.Kind, f.arena); err != nil {
+		if err := p.Decode(spec, f.arena); err != nil {
 			return err
 		}
 		return fold(p)
@@ -71,6 +71,12 @@ func (f *fitter) syncLive(nodes []core.FeatureNode) error {
 		live[i] = lf.Name
 	}
 	program := core.ReachableNodes(nodes, live)
+	prog, err := core.Compile(f.names, program, live)
+	if err != nil {
+		return fmt.Errorf("shard: live set: %w", err)
+	}
+	rows := len(f.sample.Rows)
+	f.sampleLive = prog.Eval(f.sample.Vals, func() []float64 { return make([]float64, rows) })
 	specs := make([]NodeSpec, len(program))
 	for i := range program {
 		op, ok := operators.ApplierOp(program[i].Applier)
@@ -110,20 +116,24 @@ func (f *fitter) foldSketches(p *Partial, what string, sks []*sketch.Quantile, m
 	})
 }
 
-// passBaseSketch is pass 1: labels plus per-original quantile sketches and
-// moments. Each partition summarises independently; the fold merges the
-// partition summaries in partition order.
-func (f *fitter) passBaseSketch() error {
-	sks := make([]*sketch.Quantile, len(f.live))
+// passBaseSketch is pass 1: labels, the row sample, and per-original
+// quantile sketches and moments. Each partition summarises independently; the
+// fold merges the partition summaries in partition order, and the samples as
+// a bottom-k, which is the same rows in any order.
+func (f *fitter) passBaseSketch(sks []*sketch.Quantile) error {
 	moms := make([]*sketch.Moments, len(f.live))
 	for j, lf := range f.live {
-		sks[j], moms[j] = lf.sk, lf.mom
+		moms[j] = lf.mom
 	}
 	return f.runPass(&PassSpec{Kind: PassBaseSketch}, func(p *Partial) error {
 		if len(p.Labels) != p.Rows {
 			return fmt.Errorf("shard: base-sketch partial %d carries %d labels for %d rows", p.Chunk, len(p.Labels), p.Rows)
 		}
+		if err := checkSample(p, len(f.names)); err != nil {
+			return err
+		}
 		f.labels = append(f.labels, p.Labels...)
+		f.sample = f.sample.merge(p.Sample)
 		return f.foldSketches(p, "base-sketch", sks, moms)
 	})
 }
@@ -169,29 +179,6 @@ func (f *fitter) passLiveCodes() error {
 	})
 }
 
-// passCandidateSketches streams one pass sketching every generated
-// candidate column (quantile summary + moments); the fold merges the
-// partition partials into each candidate's running sketch in partition
-// order.
-func (f *fitter) passCandidateSketches(gens []*core.Candidate) error {
-	if len(gens) == 0 {
-		return nil
-	}
-	spec := &PassSpec{Kind: PassSketchGen, Gens: make([]GenSpec, len(gens))}
-	sks := make([]*sketch.Quantile, len(gens))
-	moms := make([]*sketch.Moments, len(gens))
-	for i, c := range gens {
-		g, err := genSpec(c)
-		if err != nil {
-			return err
-		}
-		spec.Gens[i], sks[i], moms[i] = g, col(c).sk, col(c).mom
-	}
-	return f.runPass(spec, func(p *Partial) error {
-		return f.foldSketches(p, "gen-sketch", sks, moms)
-	})
-}
-
 // cutRankUnion merges the nearest-rank targets of every bin count the fit
 // will cut a column at (miner bins, IV bins, ranker bins), so one refiner
 // per column serves all cut consumers. n is the column's own non-NaN count
@@ -228,42 +215,55 @@ func cutRankUnion(n int64, cfg *core.Config) []int64 {
 	return merged
 }
 
-// openRef is one column whose cut refiner still needs gathered values: a raw
-// source column (col >= 0, the pre-generation live pass) or a generated
-// candidate the kernel recomputes (col < 0, gen).
+// openRef is one source column whose cut refiner still needs gathered
+// values, before the first round.
 type openRef struct {
 	ref  *sketch.Refiner
 	name string
 	col  int
-	gen  GenSpec
 }
 
-// openRefiner brackets a merged sketch's cut targets. The refiner carries
-// every rank query from here on, and all the fit still reads off the sketch
-// is Count, Min, Max and ErrorBound — so the summary's point lists go.
-func (f *fitter) openRefiner(sk *sketch.Quantile) *sketch.Refiner {
-	ref := sketch.NewRefiner(sk, cutRankUnion(sk.Count(), &f.cfg))
-	sk.ReleasePoints()
-	return ref
-}
-
-// refineLive brackets the live sketches' cut targets and, when any bracket
-// is still open, streams one gather pass to resolve them exactly.
-// refineLive runs before any feature generation, so the gather addresses raw
-// source columns by schema index.
-func (f *fitter) refineLive() error {
-	if err := f.each(len(f.live), func(j int) error {
-		f.live[j].ref = f.openRefiner(f.live[j].sk)
+// refineLive brackets the base sketches' cut targets and, when any bracket
+// is still open, streams one gather pass to resolve them exactly; then fills
+// every source column's cut table from its sketch and refiner. refineLive
+// runs before any feature generation, so the gather addresses raw source
+// columns by schema index.
+func (f *fitter) refineLive(sks []*sketch.Quantile) error {
+	refs := make([]*sketch.Refiner, len(sks))
+	if err := f.each(len(sks), func(j int) error {
+		// The refiner carries every rank query from here on, and all the fit
+		// still reads off the sketch is Count, Max and ErrorBound — so the
+		// summary's point lists go.
+		refs[j] = sketch.NewRefiner(sks[j], cutRankUnion(sks[j].Count(), &f.cfg))
+		sks[j].ReleasePoints()
 		return nil
 	}); err != nil {
 		return err
 	}
 	var open []openRef
 	for j, lf := range f.live {
-		if lf.ref.NeedsPass() {
-			open = append(open, openRef{ref: lf.ref, name: lf.Name, col: j})
+		if refs[j].NeedsPass() {
+			open = append(open, openRef{ref: refs[j], name: lf.Name, col: j})
 		}
 	}
+	if err := f.refineOpen(open); err != nil {
+		return err
+	}
+	return f.each(len(sks), func(j int) error {
+		lf := f.live[j]
+		lf.n, lf.max = sks[j].Count(), sks[j].Max()
+		lf.ranks = cutRankUnion(lf.n, &f.cfg)
+		lf.at = make([]float64, len(lf.ranks))
+		for i, r := range lf.ranks {
+			lf.at[i] = refs[j].Value(r)
+		}
+		return nil
+	})
+}
+
+// refineOpen resolves the open refiners: with a skip plan when the source
+// allows one, else with one full gather pass.
+func (f *fitter) refineOpen(open []openRef) error {
 	// The in-process executor streams a source the fitter can plan against: a
 	// source with per-block statistics can prove blocks irrelevant up front,
 	// so those chunks are never read and their exact contribution is folded
@@ -281,32 +281,6 @@ func (f *fitter) refineLive() error {
 	return f.refine(open)
 }
 
-// refineCandidates is refineLive for the round's generated candidates,
-// whose columns the kernel recomputes per chunk to gather their open
-// brackets. Base refiners carry over from the live set.
-func (f *fitter) refineCandidates(gens []*core.Candidate) error {
-	if err := f.each(len(gens), func(i int) error {
-		c := col(gens[i])
-		c.ref = f.openRefiner(c.sk)
-		return nil
-	}); err != nil {
-		return err
-	}
-	var open []openRef
-	for _, cand := range gens {
-		c := col(cand)
-		if !c.ref.NeedsPass() {
-			continue
-		}
-		g, err := genSpec(cand)
-		if err != nil {
-			return err
-		}
-		open = append(open, openRef{ref: c.ref, name: c.Name, col: -1, gen: g})
-	}
-	return f.refine(open)
-}
-
 // refine runs one gather pass for the open refiners: each partition gathers
 // into shadow refiners, folded back in partition order (order-invariant
 // counts; gathered values are sorted at finalize). Every bracket is then
@@ -318,12 +292,12 @@ func (f *fitter) refine(open []openRef) error {
 	refines := make([]RefineSpec, len(open))
 	for i, o := range open {
 		rf := &refines[i]
-		rf.Col, rf.Gen = o.col, o.gen
+		rf.Col = o.col
 		rf.Ranks, rf.Lo, rf.Hi, rf.Resolved = o.ref.Brackets()
 	}
 	err := f.runPass(&PassSpec{Kind: PassRefine, Refines: refines}, func(p *Partial) error {
-		if len(p.Refiners) != len(open) {
-			return fmt.Errorf("shard: refine partial %d has %d gathers, want %d", p.Chunk, len(p.Refiners), len(open))
+		if len(p.Refiners) != len(open) || len(p.Gathers) != 0 || len(p.Hists) != 0 {
+			return fmt.Errorf("shard: refine partial %d has %d gathers, want %d", p.Chunk, len(p.Refiners)+len(p.Gathers)+len(p.Hists), len(open))
 		}
 		return f.each(len(open), func(i int) error {
 			if err := open[i].ref.MergeWire(p.Refiners[i]); err != nil {
@@ -361,63 +335,50 @@ func (f *fitter) entrySpec(i int, c *core.Candidate, cuts []float64) (EntrySpec,
 	return EntrySpec{Base: -1, Gen: g, Cuts: cuts}, err
 }
 
-// passCandidateCounts streams one pass accumulating every candidate's
-// binned criterion histogram, from which the task's relevance criterion
-// (IV, multiclass IV, or η²) follows. The count-valued families (binary,
-// multiclass) merge per-partition shadow histograms exactly, in partition
-// order; the regression moment histogram replays the partitions' bin ids
-// against the gathered targets in global row order, keeping the float
-// arithmetic bit-identical to the in-memory single-pass accumulation.
+// passCandidateCounts streams the regression criterion's pass: every
+// candidate's bin ids at its criterion cuts, replayed against the gathered
+// targets in global row order, which keeps the float arithmetic of the moment
+// histograms bit-identical to the in-memory single-pass accumulation.
 func (f *fitter) passCandidateCounts(cands []*core.Candidate) error {
-	spec := &PassSpec{Kind: PassHistCounts, Entries: make([]EntrySpec, len(cands))}
-	if f.cfg.Task.Kind == core.TaskRegression {
-		spec.Kind = PassHistIDs
-	}
+	spec := &PassSpec{Kind: PassHistIDs, Entries: make([]EntrySpec, len(cands))}
 	cols := make([]*column, len(cands))
 	for i, c := range cands {
 		cols[i] = col(c)
+		if i >= len(f.live) {
+			cols[i].ivCuts = cols[i].cuts(f.cfg.IVBins)
+		}
 		var err error
 		if spec.Entries[i], err = f.entrySpec(i, c, cols[i].ivCuts); err != nil {
 			return err
 		}
 	}
 	// The prepared histograms are the merge targets; the in-process kernels
-	// shadow these same objects, reading only their cuts and bucket index.
-	for i, h := range spec.prepared(f.cfg.Task).hists {
-		cols[i].hist = h
-	}
-	if spec.Kind == PassHistIDs {
-		return f.runPass(spec, func(p *Partial) error {
-			if len(p.Ints) != len(cols)*p.Rows {
-				return fmt.Errorf("shard: hist-id partial %d has %d ids, want %d", p.Chunk, len(p.Ints), len(cols)*p.Rows)
-			}
-			targets := f.labels[p.Start : p.Start+p.Rows]
-			return f.each(len(cols), func(i int) error {
-				ids := p.Ints[i*p.Rows : (i+1)*p.Rows]
-				bins := int32(len(cols[i].ivCuts) + 1)
-				for _, id := range ids {
-					if id < -1 || id >= bins {
-						return fmt.Errorf("shard: hist-id partial %d cand %d bin id %d outside %d bins", p.Chunk, i, id, bins)
-					}
-				}
-				cols[i].hist.(*sketch.MomentHist).AddBinned(ids, targets)
-				return nil
-			})
-		})
-	}
-	return f.runPass(spec, func(p *Partial) error {
-		if len(p.Hists) != len(cols) {
-			return fmt.Errorf("shard: hist partial %d has %d histograms, want %d", p.Chunk, len(p.Hists), len(cols))
+	// read these same objects' cuts and bucket index.
+	hists := spec.prepared(f.cfg.Task).hists
+	err := f.runPass(spec, func(p *Partial) error {
+		if len(p.Ints) != len(cols)*p.Rows {
+			return fmt.Errorf("shard: hist-id partial %d has %d ids, want %d", p.Chunk, len(p.Ints), len(cols)*p.Rows)
 		}
+		targets := f.labels[p.Start : p.Start+p.Rows]
 		return f.each(len(cols), func(i int) error {
-			// MergeHist's cut-equality check doubles as an integrity check on
-			// the partition's histogram.
-			if err := cols[i].hist.MergeHist(p.Hists[i]); err != nil {
-				return fmt.Errorf("shard: hist partial %d cand %d: %w", p.Chunk, i, err)
+			ids := p.Ints[i*p.Rows : (i+1)*p.Rows]
+			bins := int32(len(cols[i].ivCuts) + 1)
+			for _, id := range ids {
+				if id < -1 || id >= bins {
+					return fmt.Errorf("shard: hist-id partial %d cand %d bin id %d outside %d bins", p.Chunk, i, id, bins)
+				}
 			}
+			hists[i].(*sketch.MomentHist).AddBinned(ids, targets)
 			return nil
 		})
 	})
+	if err != nil {
+		return err
+	}
+	for i, h := range hists {
+		cols[i].crit = h.Criterion()
+	}
+	return nil
 }
 
 // passGramAndCodes streams one pass over the IV survivors, accumulating the
@@ -436,7 +397,7 @@ func (f *fitter) passGramAndCodes(cands []*core.Candidate, keptA []int) (*sketch
 		kept[gi] = c
 		need := !c.BinnedAt(bins)
 		if need {
-			c.Cuts = sketch.ExactBinnerCuts(c.sk, c.ref, bins)
+			c.Cuts = c.binnerCuts(bins)
 			c.Codes, c.Bins = make([]uint8, f.n), bins
 		}
 		spec, err := f.entrySpec(idx, cands[idx], c.Cuts)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/shard"
 	"repro/internal/sketch"
+	"repro/internal/stats"
 )
 
 // seamExec is a fake Executor standing exactly on the seam: it streams a
@@ -33,6 +34,7 @@ type seamExec struct {
 	// corrupt, when set, is applied to the first partial of pass kind bad just
 	// before it reaches the fold.
 	bad     shard.PassKind
+	nth     int // which pass of kind bad, from 1 (0: the first)
 	corrupt func(p *shard.Partial, wire bool)
 
 	// pools, when set, has every chunk computed once more on a shared pool of
@@ -73,7 +75,7 @@ func (e *seamExec) SetLive(_ context.Context, epoch int, nodes []shard.NodeSpec,
 func specDigest(s *shard.PassSpec) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d %d %d|%v|%v|%v|%v", s.Pass, s.Kind, s.Epoch,
-		s.LiveCuts, s.Gens, s.Entries, s.Refines)
+		s.LiveCuts, s.Grids, s.Entries, s.Refines)
 	return h.Sum64()
 }
 
@@ -119,7 +121,7 @@ func (e *seamExec) RunPass(ctx context.Context, spec *shard.PassSpec, fold func(
 				return res, err
 			}
 		}
-		if e.corrupt != nil && spec.Kind == e.bad && e.kinds[spec.Kind] == 1 && res.Parts == 0 {
+		if e.corrupt != nil && spec.Kind == e.bad && e.kinds[spec.Kind] == max(e.nth, 1) && res.Parts == 0 {
 			e.corrupt(p, e.wire)
 		}
 		rows := p.Rows
@@ -143,10 +145,10 @@ var seamTasks = []struct {
 	// codes (core.ScoreCombos), so no task streams a pass for them.
 	{core.BinaryTask(), datagen.TargetBinary, 0, []shard.PassKind{
 		shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
-		shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes}},
+		shard.PassRefine, shard.PassGramCodes}},
 	{core.MulticlassTask(3), datagen.TargetMulticlass, 3, []shard.PassKind{
 		shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
-		shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes}},
+		shard.PassRefine, shard.PassGramCodes}},
 	{core.RegressionTask(), datagen.TargetRegression, 0, []shard.PassKind{
 		shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
 		shard.PassRefine, shard.PassHistIDs, shard.PassGramCodes}},
@@ -174,28 +176,35 @@ func seamFit(t *testing.T, task core.Task, train *frame.Frame, iterations, worke
 // lists the pass kinds it applies to; every fold must answer with a typed
 // error — never a panic, never silently wrong statistics.
 var corruptions = []struct {
-	name  string
-	kinds []shard.PassKind
-	apply func(p *shard.Partial, wire bool)
+	name   string
+	kinds  []shard.PassKind
+	nth    int  // which pass of the kind, from 1 (0: the first)
+	counts bool // a count task's only
+	apply  func(p *shard.Partial, wire bool)
 }{
 	{"short Ints",
-		[]shard.PassKind{shard.PassHistIDs},
+		[]shard.PassKind{shard.PassHistIDs}, 0, false,
 		func(p *shard.Partial, _ bool) { p.Ints = p.Ints[:len(p.Ints)-1] }},
 	{"missing payload",
-		[]shard.PassKind{shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes},
+		[]shard.PassKind{shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassGramCodes}, 0, false,
 		func(p *shard.Partial, _ bool) {
 			p.Blobs, p.Codes = nil, nil
 			p.Quantiles, p.Moments, p.Refiners, p.Hists, p.Gram = nil, nil, nil, nil, nil
+			p.Sample, p.Counts, p.Gathers = nil, nil, nil
+		}},
+	{"missing gathers",
+		[]shard.PassKind{shard.PassRefine}, 2, false,
+		func(p *shard.Partial, _ bool) {
+			p.Blobs, p.Gathers, p.Hists = nil, nil, nil
 		}},
 	{"rows past n",
-		[]shard.PassKind{shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassHistCounts,
-			shard.PassHistIDs, shard.PassGramCodes},
+		[]shard.PassKind{shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassHistIDs, shard.PassGramCodes}, 0, false,
 		func(p *shard.Partial, _ bool) { p.Start = 1 << 30 }},
 	{"short code column",
-		[]shard.PassKind{shard.PassCodes},
+		[]shard.PassKind{shard.PassCodes}, 0, false,
 		func(p *shard.Partial, _ bool) { p.Codes[0] = p.Codes[0][:len(p.Codes[0])-1] }},
 	{"wrong Gram K",
-		[]shard.PassKind{shard.PassGramCodes},
+		[]shard.PassKind{shard.PassGramCodes}, 0, false,
 		func(p *shard.Partial, wire bool) {
 			if wire {
 				k := len(p.Codes) + 1
@@ -208,7 +217,7 @@ var corruptions = []struct {
 	// scorer's cell tables: a code beyond its column's bins must stop at the
 	// fold that would place it, not panic a pool worker of the trainer.
 	{"code outside its bins",
-		[]shard.PassKind{shard.PassCodes, shard.PassGramCodes},
+		[]shard.PassKind{shard.PassCodes, shard.PassGramCodes}, 0, false,
 		func(p *shard.Partial, _ bool) {
 			for _, codes := range p.Codes {
 				if len(codes) > 0 { // a gram partial leaves aliased columns nil
@@ -218,24 +227,25 @@ var corruptions = []struct {
 			}
 		}},
 	{"id out of range",
-		[]shard.PassKind{shard.PassHistIDs},
+		[]shard.PassKind{shard.PassHistIDs}, 0, false,
 		func(p *shard.Partial, _ bool) { p.Ints[0] = 1 << 20 }},
 	{"id below NaN marker",
-		[]shard.PassKind{shard.PassHistIDs},
+		[]shard.PassKind{shard.PassHistIDs}, 0, false,
 		func(p *shard.Partial, _ bool) { p.Ints[0] = -2 }},
-	// Wire tag 5 was a MomentHist codec no fit used; a hist-counts partial must
-	// not take one in, by either road.
+	// Wire tag 5 was a MomentHist codec no fit used; the live criterion
+	// histograms of a gather partial must not take one in, by either road.
 	{"MomentHist as a count histogram",
-		[]shard.PassKind{shard.PassHistCounts},
+		[]shard.PassKind{shard.PassRefine}, 2, true,
 		func(p *shard.Partial, wire bool) {
 			if wire {
-				p.Blobs[0] = append([]byte{5}, p.Blobs[0][1:]...)
+				last := len(p.Blobs) - 1
+				p.Blobs[last] = append([]byte{5}, p.Blobs[last][1:]...)
 				return
 			}
-			p.Hists[0] = sketch.NewMomentHist(nil)
+			p.Hists[len(p.Hists)-1] = sketch.NewMomentHist(nil)
 		}},
 	{"truncated blob",
-		[]shard.PassKind{shard.PassBaseSketch, shard.PassRefine, shard.PassHistCounts, shard.PassGramCodes},
+		[]shard.PassKind{shard.PassBaseSketch, shard.PassSketchGen, shard.PassRefine, shard.PassGramCodes}, 0, false,
 		func(p *shard.Partial, wire bool) {
 			if wire {
 				p.Blobs[0] = p.Blobs[0][:len(p.Blobs[0])/2]
@@ -352,11 +362,11 @@ func TestSeam(t *testing.T) {
 
 			for _, co := range corruptions {
 				for _, kind := range co.kinds {
-					if !containsKind(tc.kinds, kind) {
+					if !containsKind(tc.kinds, kind) || (co.counts && tc.task.Kind == core.TaskRegression) {
 						continue
 					}
 					for _, wire := range []bool{false, true} {
-						exec := &seamExec{src: frame.NewFrameChunks(train, 300), wire: wire, bad: kind, corrupt: co.apply}
+						exec := &seamExec{src: frame.NewFrameChunks(train, 300), wire: wire, bad: kind, nth: co.nth, corrupt: co.apply}
 						_, _, _, err := seamFit(t, tc.task, train, 1, 1, exec)
 						if err == nil {
 							t.Errorf("%s, kind %d, wire=%v: the fold accepted it", co.name, kind, wire)
@@ -385,7 +395,7 @@ func TestSeam(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, kind := range []shard.PassKind{shard.PassScoreBinary, shard.PassScoreClasses, shard.PassScoreMomentIDs} {
+			for _, kind := range []shard.PassKind{shard.PassScoreBinary, shard.PassScoreClasses, shard.PassScoreMomentIDs, shard.PassHistCounts} {
 				_, err := ws.ComputePartial(context.Background(), &shard.PassSpec{Pass: 3, Kind: kind}, c)
 				if err == nil || !strings.HasPrefix(err.Error(), "shard: unknown pass kind") {
 					t.Errorf("retired kind %d: the kernel answered %v, want an unknown-kind error", kind, err)
@@ -404,12 +414,13 @@ func containsKind(kinds []shard.PassKind, k shard.PassKind) bool {
 	return false
 }
 
-// TestSeamPartialSizedByBudget pins what a sketch partial costs to the budget
+// TestSeamPartialSizedByBudget pins what a partial costs to its budget
 // instead of the chunk: for chunks from half the budget to a 65,536-row row
-// group, every quantile blob of a base-sketch and of a candidate-sketch
-// partial — one rule, both kinds — declares min(sketch size, PartialSize) and
-// renders to at most its header plus 16 B per budgeted point, while Count
-// still says every row went in. The partials are computed under pools of 1, 2,
+// group, every quantile blob of a base-sketch partial declares min(sketch
+// size, PartialSize) and renders to at most its header plus 16 B per budgeted
+// point, while Count still says every row went in; and every grid-count blob
+// of a count partial is one grid's varints — at most 3 bytes a bucket below
+// 2^21 rows — beside its range. The partials are computed under pools of 1, 2,
 // 3 and 8 and must render to the same bytes, as everywhere on the seam.
 func TestSeamPartialSizedByBudget(t *testing.T) {
 	const maxRows = 65536
@@ -420,9 +431,10 @@ func TestSeamPartialSizedByBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := ds.Train.Names()
-	gens := []shard.GenSpec{
-		{Op: "add", Feats: []int{0, 1}}, {Op: "sub", Feats: []int{2, 3}},
-		{Op: "mul", Feats: []int{4, 5}}, {Op: "div", Feats: []int{1, 4}},
+	grid := stats.Grid{Lo: -4, Scale: stats.NumBuckets / 8.0}
+	gens := []shard.GridSpec{
+		{Gen: shard.GenSpec{Op: "add", Feats: []int{0, 1}}, Grid: grid}, {Gen: shard.GenSpec{Op: "sub", Feats: []int{2, 3}}, Grid: grid},
+		{Gen: shard.GenSpec{Op: "mul", Feats: []int{4, 5}}, Grid: grid}, {Gen: shard.GenSpec{Op: "div", Feats: []int{1, 4}}},
 	}
 	// An empty one-level sketch's encoding: tag, size, count, NaN count, min,
 	// max, level count, then the level's point count and error.
@@ -447,7 +459,7 @@ func TestSeamPartialSizedByBudget(t *testing.T) {
 			}
 			for _, spec := range []*shard.PassSpec{
 				{Pass: 1, Kind: shard.PassBaseSketch, Epoch: 1},
-				{Pass: 2, Kind: shard.PassSketchGen, Epoch: 1, Gens: gens},
+				{Pass: 2, Kind: shard.PassSketchGen, Epoch: 1, Grids: gens},
 			} {
 				var first []byte
 				for i, ws := range states {
@@ -455,8 +467,18 @@ func TestSeamPartialSizedByBudget(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if i == 0 {
+					if i == 0 && spec.Kind == shard.PassSketchGen {
 						for b := 0; b < p.BlobCount(spec.Kind); b += 2 {
+							if got, max := p.BlobSize(spec.Kind, b), 16+2+3*stats.NumBuckets; got > max {
+								t.Errorf("sketch size %d, %d rows: count blob %d is %d bytes, a grid allows %d", sketchSize, rows, b/2, got, max)
+							}
+							if n := p.Moments[b/2].Rows; n != int64(rows) {
+								t.Errorf("sketch size %d, %d rows: count partial %d covers %d rows", sketchSize, rows, b/2, n)
+							}
+						}
+					}
+					if i == 0 && spec.Kind == shard.PassBaseSketch {
+						for b := 0; b < 2*len(p.Quantiles); b += 2 {
 							if got, max := p.BlobSize(spec.Kind, b), header+16*budget; got > max {
 								t.Errorf("sketch size %d, kind %d, %d rows: quantile blob %d is %d bytes, budget allows %d",
 									sketchSize, spec.Kind, rows, b/2, got, max)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -55,9 +56,10 @@ type Stats struct {
 	Passes int
 	// RowsStreamed totals rows decoded across all passes.
 	RowsStreamed int64
-	// MaxQuantileRankError is the worst tracked rank-error bound across all
-	// quantile sketches — the "within quantile-sketch tolerance" of the
-	// fit's equivalence to the in-memory path, in ranks of Rows.
+	// MaxQuantileRankError is the worst tracked rank-error bound across the
+	// source columns' quantile sketches, in ranks of Rows: how wide the
+	// refinement gather had to bracket each cut (every cut is exact
+	// regardless). Generated columns are not sketched.
 	MaxQuantileRankError int64
 	// BlocksSkipped and RowsSkipped count source chunks (and their rows) the
 	// refinement pass proved irrelevant from block statistics and never read
@@ -75,9 +77,9 @@ type Stats struct {
 // pass plus the resident binned matrices. The loop is core.RunRounds — the
 // one the in-memory engine runs, so the report, the per-stage timings and
 // the FitEvent protocol on cfg.Core.Events are its own — over the
-// out-of-core working set below; the selected features and formulas match
-// core.Fit on the same rows up to quantile-sketch tolerance (see package
-// doc). ctx is checked before every source chunk and every boosting round: a
+// out-of-core working set below; every cut is an exact order statistic, so
+// the selected features and formulas match core.Fit on the same rows (see
+// package doc). ctx is checked before every source chunk and every boosting round: a
 // cancelled or expired context aborts the multi-pass coordinator promptly
 // with ctx.Err() and leaks no goroutines.
 func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline, *core.Report, *Stats, error) {
@@ -137,17 +139,56 @@ func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline
 
 // column is the out-of-core core.Column: the loop's record — whose resident
 // codes are all the boosters and the combination scorer read — beside the
-// merged sketches standing in for the raw values.
+// merged statistics standing in for the raw values: its moments, and its cut
+// table, from which every cut of it is read.
 type column struct {
 	core.Feature
-	sk  *sketch.Quantile
-	ref *sketch.Refiner // exact-cut refinement
 	mom *sketch.Moments
 
-	// While the column is a candidate of the current round: its criterion
-	// histogram and the cuts it was counted at.
-	hist   sketch.CriterionHist
-	ivCuts []float64
+	// The cut table: the non-NaN count, the maximum, and the exact value at
+	// every rank of cutRankUnion(n) — filled from the base sketch and its
+	// refiner for a source column, from the grid passes for a generated one.
+	n     int64
+	max   float64
+	ranks []int64
+	at    []float64
+
+	// While the column is a candidate of the current round: its criterion,
+	// the cuts it was counted at, a generated count-task column's per-bin
+	// class counts (bin·k + class), and a generated column's grid passes'
+	// state.
+	crit     float64
+	ivCuts   []float64
+	ivCounts []int32
+	grid     *gridState
+}
+
+// cuts reproduces stats.Quantiles(column, bins) exactly off the cut table:
+// the same rank targets, the same deduplication. bins must be one of the bin
+// counts cutRankUnion merged.
+func (c *column) cuts(bins int) []float64 {
+	ranks := sketch.CutRanks(c.n, bins)
+	out := make([]float64, 0, len(ranks))
+	t := 0
+	for _, r := range ranks {
+		for c.ranks[t] != r {
+			t++
+		}
+		if v := c.at[t]; len(out) == 0 || out[len(out)-1] != v {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// binnerCuts is cuts with the trailing cut >= max dropped, mirroring the
+// in-memory GBDT binner.
+func (c *column) binnerCuts(maxBins int) []float64 {
+	cuts := c.cuts(maxBins)
+	if len(cuts) > 0 && cuts[len(cuts)-1] >= c.max {
+		cuts = cuts[:len(cuts)-1]
+	}
+	return cuts
 }
 
 // constant reports a column Pearson's correlation is undefined for.
@@ -164,11 +205,13 @@ type fitter struct {
 	ctx        context.Context
 	cfg        core.Config
 	sketchSize int
-	arena      *sketch.Arena  // recycles candidate sketches (and the in-process executor's partials)
+	arena      *sketch.Arena  // recycles the partials' sketches and slabs
 	pool       *parallel.Pool // the folds' and cut derivations' per-candidate loops run on it
 
 	names      []string
 	labels     []float64
+	sample     *RowSample  // the base pass's row sample
+	sampleLive [][]float64 // the live features at the sample's rows
 	n          int
 	passExpect int // expected rows of the current (possibly partial) pass; 0 = full
 	live       []*column
@@ -200,22 +243,25 @@ func (f *fitter) trackSketch(sk *sketch.Quantile) {
 	}
 }
 
-// Open implements core.WorkingSet with the three pre-iteration passes: labels
-// plus per-feature quantile sketches and moments; the refinement of the live
-// sketches' cut brackets to exact order statistics (no pass at all when the
-// sketches are lossless); the resident miner
-// codes of the original live set. Events' Rows are the rows runPass streams.
+// Open implements core.WorkingSet with the three pre-iteration passes: labels,
+// the row sample, and per-feature quantile sketches and moments; the
+// refinement of the sketches' cut brackets to exact order statistics (no pass
+// at all when the sketches are lossless), which fills the cut tables; the
+// resident miner codes of the original live set. Events' Rows are the rows
+// runPass streams.
 func (f *fitter) Open() (core.Opened, error) {
 	if err := f.exec.Open(f.ctx, f.names, f.cfg.Task, f.sketchSize); err != nil {
 		return core.Opened{}, err
 	}
 	f.live = make([]*column, len(f.names))
 	live := make([]core.Column, len(f.names))
+	sks := make([]*sketch.Quantile, len(f.names))
 	for j, name := range f.names {
-		f.live[j] = &column{Feature: core.Feature{Name: name}, sk: sketch.NewQuantile(f.sketchSize), mom: &sketch.Moments{}}
+		f.live[j] = &column{Feature: core.Feature{Name: name}, mom: &sketch.Moments{}}
+		sks[j] = sketch.NewQuantile(f.sketchSize)
 		live[j] = f.live[j]
 	}
-	if err := f.passBaseSketch(); err != nil {
+	if err := f.passBaseSketch(sks); err != nil {
 		return core.Opened{}, err
 	}
 	if f.n == 0 {
@@ -224,11 +270,11 @@ func (f *fitter) Open() (core.Opened, error) {
 	if err := f.cfg.Task.ValidateLabels(f.labels); err != nil {
 		return core.Opened{}, err
 	}
-	if err := f.refineLive(); err != nil {
+	if err := f.refineLive(sks); err != nil {
 		return core.Opened{}, err
 	}
-	for _, lf := range f.live {
-		f.trackSketch(lf.sk)
+	for _, sk := range sks {
+		f.trackSketch(sk)
 	}
 	if err := f.syncLive(nil); err != nil {
 		return core.Opened{}, err
@@ -256,7 +302,7 @@ func (f *fitter) Bin(cols []core.Column, cfg gbdt.Config) error {
 		if cols[j] != core.Column(lf) {
 			return fmt.Errorf("shard: asked to bin %q, which is not live feature %d", cols[j].Record().Name, j)
 		}
-		lf.Cuts = sketch.ExactBinnerCuts(lf.sk, lf.ref, cfg.MaxBins)
+		lf.Cuts = lf.binnerCuts(cfg.MaxBins)
 		lf.Codes, lf.Bins = make([]uint8, f.n), cfg.MaxBins
 		return nil
 	}); err != nil {
@@ -265,44 +311,53 @@ func (f *fitter) Bin(cols []core.Column, cfg gbdt.Config) error {
 	return f.passLiveCodes()
 }
 
-// Generate implements core.WorkingSet: sketch the generated columns and
-// refine their cuts to exact order statistics — the out-of-core equivalent of
-// materialising them.
+// Generate implements core.WorkingSet: lay each generated column's grid over
+// its values at the row sample and count it on that grid in one pass — the
+// first half of the in-memory kernel's two scans (grid.go); Criteria's gather
+// pass is the second.
 func (f *fitter) Generate(cands []*core.Candidate) (time.Duration, error) {
 	gens := cands[len(f.live):]
-	for _, c := range gens {
+	if err := f.each(len(gens), func(i int) error {
+		c := gens[i]
+		g, err := genSpec(c)
+		if err != nil {
+			return err
+		}
 		c.Column = &column{
 			Feature: core.Feature{Name: c.Node.Name, Node: c.Node},
-			sk:      f.arena.Quantile(f.sketchSize),
 			mom:     &sketch.Moments{},
+			max:     math.Inf(-1),
+			grid:    newGridState(g, c.Node.Applier, f.sampleLive, &f.cfg),
 		}
-	}
-	if err := f.passCandidateSketches(gens); err != nil {
-		return 0, err
-	}
-	return 0, f.refineCandidates(gens)
-}
-
-// Criteria implements core.WorkingSet: bin every candidate at its exact IV
-// cuts and count labels per bin in one pass; the criteria follow from the
-// merged histograms.
-func (f *fitter) Criteria(cands []*core.Candidate) ([]float64, error) {
-	if err := f.each(len(cands), func(i int) error {
-		c := col(cands[i])
-		c.ivCuts = sketch.ExactCuts(c.sk, c.ref, f.cfg.IVBins)
 		return nil
 	}); err != nil {
+		return 0, err
+	}
+	if len(gens) == 0 {
+		return 0, nil
+	}
+	return 0, f.passGridCounts(gens)
+}
+
+// Criteria implements core.WorkingSet: one gather pass resolves every
+// generated column's cut table exactly and, for a count task, its criterion
+// counts, beside the live features' criterion histograms at their known
+// cuts; the regression criterion then bins every candidate in one more pass.
+func (f *fitter) Criteria(cands []*core.Candidate) ([]float64, error) {
+	for _, lf := range f.live {
+		lf.ivCuts = lf.cuts(f.cfg.IVBins)
+	}
+	if err := f.passGather(cands); err != nil {
 		return nil, err
 	}
-	for _, c := range cands {
-		f.trackSketch(col(c).sk)
-	}
-	if err := f.passCandidateCounts(cands); err != nil {
-		return nil, err
+	if f.cfg.Task.Kind == core.TaskRegression {
+		if err := f.passCandidateCounts(cands); err != nil {
+			return nil, err
+		}
 	}
 	ivs := make([]float64, len(cands))
 	for i, c := range cands {
-		ivs[i] = col(c).hist.Criterion()
+		ivs[i] = col(c).crit
 	}
 	return ivs, nil
 }
@@ -347,27 +402,14 @@ func (f *fitter) Correlated(cands []*core.Candidate, kept []int) (func(j int, am
 }
 
 // Carry implements core.WorkingSet: the executor learns the new live set and
-// the node program that derives it, and the sketches of generated candidates
-// that did not survive ranking recycle into the arena — the next round's
-// Generate draws warm sketches instead of allocating hundreds of fresh ones.
+// the node program that derives it; the candidates that did not survive
+// ranking are let go.
 func (f *fitter) Carry(cands []*core.Candidate, selected []int, nodes []core.FeatureNode) error {
-	gens := cands[len(f.live):]
 	f.live = make([]*column, len(selected))
-	carried := make(map[*column]bool, len(selected))
 	for i, idx := range selected {
 		c := col(cands[idx])
-		c.hist, c.ivCuts = nil, nil
-		f.live[i], carried[c] = c, true
-	}
-	for _, cand := range gens {
-		if c := col(cand); !carried[c] {
-			// Reset retires the levels into the free list; trim after so the
-			// pooled sketch does not pin its old cascade backings for the
-			// whole fit.
-			c.sk.Reset()
-			c.sk.TrimScratch()
-			f.arena.PutQuantile(c.sk)
-		}
+		c.ivCuts, c.ivCounts, c.grid = nil, nil, nil
+		f.live[i] = c
 	}
 	return f.syncLive(nodes)
 }

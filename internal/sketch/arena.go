@@ -31,12 +31,11 @@ type Arena struct {
 // maxArenaSlices bounds each retained slice pool.
 const maxArenaSlices = 64
 
-// maxArenaQuants bounds the retained quantile pool per size. The candidate
-// sketch pass holds one partial per candidate transform simultaneously —
-// hundreds for wide inputs — so this is far above maxArenaSlices: a pooled
-// partial retains only compacted backings (see AddSortedScratch), and
-// letting the pool cover the whole candidate set is what makes the pass
-// allocation-free in steady state.
+// maxArenaQuants bounds the retained quantile pool per size. A sketch pass
+// holds one partial per sketched column simultaneously — hundreds for wide
+// inputs — so this is far above maxArenaSlices: a pooled partial retains only
+// compacted backings (see AddSortedScratch), and letting the pool cover every
+// column is what makes the pass allocation-free in steady state.
 const maxArenaQuants = 1024
 
 // NewArena creates an empty arena.

@@ -93,9 +93,9 @@ func (q *Quantile) Reset() {
 // TrimScratch releases the sketch's reusable scratch — retired free-list
 // backings, the AddAll sort buffer, and the memoised merged summary — keeping
 // the logical content intact. Call it on a sketch that has finished its
-// merge phase: hundreds of candidate sketches each holding cascade scratch
-// is what dominated the sharded fit's resident heap, and queries after a
-// trim simply rebuild what they need.
+// merge phase: hundreds of sketches each holding cascade scratch is what
+// dominated the sharded fit's resident heap, and queries after a trim simply
+// rebuild what they need.
 func (q *Quantile) TrimScratch() {
 	q.mcache, q.mcacheOwned, q.mvalid = nil, false, false
 	q.free = nil
@@ -106,7 +106,7 @@ func (q *Quantile) TrimScratch() {
 // scratch — and keeps what is exact or already settled: Count, NaNCount,
 // Min, Max and ErrorBound. For a sketch whose rank queries have been handed
 // to a Refiner: the refiner holds the brackets, and the point lists of
-// hundreds of candidate sketches are the rest of their resident size. Rank
+// hundreds of sketches are the rest of their resident size. Rank
 // queries, Merge and encoding panic afterwards, until Reset makes the sketch
 // fresh again.
 func (q *Quantile) ReleasePoints() {
@@ -202,7 +202,7 @@ func (q *Quantile) AddAll(vs []float64) {
 // run — at most size+1 points after the compaction — is copied into
 // sketch-owned memory. Recycled partials therefore retain compact backings
 // instead of chunk-length ones, which is what keeps a pool of hundreds of
-// candidate partials cheap to hold.
+// partials cheap to hold.
 func (q *Quantile) AddSortedScratch(sorted []float64, nan int, s *SortScratch) {
 	q.addSorted(sorted, nan, s)
 }

@@ -447,31 +447,3 @@ func CutRanks(n int64, bins int) []int64 {
 	}
 	return out
 }
-
-// ExactCuts reproduces stats.Quantiles(column, bins) exactly from a sketch
-// plus its completed refiner: rank targets and value deduplication match
-// bit-for-bit.
-func ExactCuts(q *Quantile, r *Refiner, bins int) []float64 {
-	ranks := CutRanks(q.Count(), bins)
-	out := make([]float64, 0, len(ranks))
-	for _, rank := range ranks {
-		v := r.Value(rank)
-		if m := len(out); m == 0 || out[m-1] != v {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// ExactBinnerCuts is ExactCuts with the trailing cut >= max dropped,
-// mirroring Quantile.BinnerCuts and the in-memory GBDT binner.
-func ExactBinnerCuts(q *Quantile, r *Refiner, maxBins int) []float64 {
-	cuts := ExactCuts(q, r, maxBins)
-	if len(cuts) == 0 {
-		return nil
-	}
-	if cuts[len(cuts)-1] >= q.Max() {
-		cuts = cuts[:len(cuts)-1]
-	}
-	return cuts
-}

@@ -240,3 +240,31 @@ func TestCutRanks(t *testing.T) {
 		t.Fatalf("expected deduplicated ranks for n=3, got %v", got)
 	}
 }
+
+// ExactCuts reads stats.Quantiles(column, bins) off a sketch plus its
+// completed refiner: rank targets and value deduplication as a sorted column
+// gives them — the exactness contract the refiner's tests hold it to.
+func ExactCuts(q *Quantile, r *Refiner, bins int) []float64 {
+	ranks := CutRanks(q.Count(), bins)
+	out := make([]float64, 0, len(ranks))
+	for _, rank := range ranks {
+		v := r.Value(rank)
+		if m := len(out); m == 0 || out[m-1] != v {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// ExactBinnerCuts is ExactCuts with the trailing cut >= max dropped,
+// mirroring the in-memory GBDT binner.
+func ExactBinnerCuts(q *Quantile, r *Refiner, maxBins int) []float64 {
+	cuts := ExactCuts(q, r, maxBins)
+	if len(cuts) == 0 {
+		return nil
+	}
+	if cuts[len(cuts)-1] >= q.Max() {
+		cuts = cuts[:len(cuts)-1]
+	}
+	return cuts
+}

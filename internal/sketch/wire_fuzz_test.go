@@ -1,12 +1,10 @@
 package sketch
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/wire/wiretest"
@@ -17,9 +15,10 @@ import (
 // ever sent one). It stays checked in as the decoders' rejection case.
 const retiredMomentHistSeed = "momenthist"
 
-func seedPath(name string) string {
-	return filepath.Join("testdata", "fuzz", "FuzzSketchDecode", "seed-"+name)
-}
+// corpus is FuzzSketchDecode's checked-in seed corpus, the golden bytes of
+// the wire format (regenerate with SKETCH_WRITE_CORPUS=1 go test
+// ./internal/sketch -run TestWriteSketchDecodeSeedCorpus).
+var corpus = wiretest.Corpus{Target: "FuzzSketchDecode", Env: "SKETCH_WRITE_CORPUS"}
 
 // wireSeedFrames builds one valid encoding per wire family: the seed corpus
 // FuzzSketchDecode mutates from, and — checked in — the v1 golden bytes.
@@ -66,22 +65,12 @@ func wireSeedFrames() map[string][]byte {
 // FuzzSketchDecode feeds arbitrary bytes to the wire decoders. The contract
 // under fuzz: a corrupted frame either decodes to a structurally valid value
 // (which must then survive being queried and merged) or fails with a typed
-// *DecodeError — never a panic, never an unbounded allocation. Corpus seeds
-// live in testdata/fuzz/FuzzSketchDecode (regenerate with
-// SKETCH_WRITE_CORPUS=1 go test ./internal/sketch -run TestWriteSketchDecodeSeedCorpus).
+// *DecodeError — never a panic, never an unbounded allocation. It starts from
+// the checked-in corpus (see corpus).
 func FuzzSketchDecode(f *testing.F) {
 	frames := wireSeedFrames()
-	frames[retiredMomentHistSeed] = wiretest.ReadSeed(f, seedPath(retiredMomentHistSeed)) // mutate around the rejection case too
-	for _, frame := range frames {
-		f.Add(frame)
-		if len(frame) > 8 {
-			trunc := frame[:len(frame)/2]
-			f.Add(append([]byte(nil), trunc...))
-			flip := append([]byte(nil), frame...)
-			flip[len(flip)/3] ^= 0x40
-			f.Add(flip)
-		}
-	}
+	frames[retiredMomentHistSeed] = corpus.Read(f, retiredMomentHistSeed) // mutate around the rejection case too
+	corpus.Seed(f, frames)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, _, err := DecodeAny(data)
 		if err != nil {
@@ -145,23 +134,13 @@ func FuzzSketchDecode(f *testing.F) {
 // MomentHist frame must be refused typed — by the self-describing decoder and
 // by the one a hist-counts partial goes through.
 func TestWriteSketchDecodeSeedCorpus(t *testing.T) {
-	frames := wireSeedFrames()
-	if os.Getenv("SKETCH_WRITE_CORPUS") == "1" {
-		for name, frame := range frames {
-			wiretest.WriteSeed(t, seedPath(name), frame)
-		}
-		return
-	}
-	for name, frame := range frames {
-		seed := wiretest.ReadSeed(t, seedPath(name))
-		if !bytes.Equal(seed, frame) {
-			t.Fatalf("%s: the encoder writes %d bytes that differ from the %d checked in: the v1 layout moved", name, len(frame), len(seed))
-		}
+	corpus.Check(t, wireSeedFrames(), func(seed []byte) error {
 		if _, rest, err := DecodeAny(seed); err != nil || len(rest) != 0 {
-			t.Fatalf("seed corpus %s no longer decodes: %v (%d bytes left)", name, err, len(rest))
+			return fmt.Errorf("%v (%d bytes left)", err, len(rest))
 		}
-	}
-	retired := wiretest.ReadSeed(t, seedPath(retiredMomentHistSeed))
+		return nil
+	})
+	retired := corpus.Read(t, retiredMomentHistSeed)
 	var de *DecodeError
 	if _, _, err := DecodeAny(retired); !errors.As(err, &de) {
 		t.Fatalf("the retired MomentHist frame decoded: %v, want a *DecodeError", err)
@@ -178,7 +157,7 @@ func TestWriteSketchDecodeSeedCorpus(t *testing.T) {
 func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
 	seeds := map[string][]byte{}
 	for name := range wireSeedFrames() {
-		seeds[name] = wiretest.ReadSeed(t, seedPath(name))
+		seeds[name] = corpus.Read(t, name)
 	}
 	wiretest.Sweep(t, seeds, false, func(b []byte) ([]byte, error) {
 		_, rest, err := DecodeAny(b)

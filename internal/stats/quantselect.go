@@ -141,7 +141,7 @@ func SearchCuts(cuts []float64, v float64) int {
 	return lo
 }
 
-// numBuckets is the grid size and sampleSize the number of values the grid's
+// NumBuckets is the grid size and SampleSize the number of values the grid's
 // range is read from. Measured on 20k-row columns (BenchmarkCriterion and
 // docs/performance.md, PR 18): 1,024 buckets put ~20 rows in a bucket, so the
 // gathered set of a 10-bin criterion is ~1% of the column, while the binary
@@ -150,34 +150,46 @@ func SearchCuts(cuts []float64, v float64) int {
 // sampled range well below a bin's at every q in use (10, 64, 255), so the
 // catch-all end buckets rarely hold a cut. With both, sum, product and ratio
 // columns read the same ns/row; a grid over [min, max] read the ratio at 4×.
+// The out-of-core engine (internal/shard) cuts its generated columns on the
+// same grid, laid over its resident row sample of the same size.
 const (
-	numBuckets = 1024
-	sampleSize = 256
+	NumBuckets = 1024
+	SampleSize = 256
 )
 
-// bucketGrid maps values to numBuckets equal-width buckets over [lo, lo +
-// numBuckets/scale), clamping what lies outside into the end buckets.
-type bucketGrid struct {
-	lo, scale float64
+// Grid maps values to NumBuckets equal-width buckets over [Lo, Lo +
+// NumBuckets/Scale), clamping what lies outside into the end buckets.
+// SampleGrid lays one; the zero Grid is no grid (Valid is false).
+type Grid struct {
+	Lo, Scale float64
 }
 
-// bucket returns the bucket of a non-NaN value. The clamp happens in the
+// Valid reports whether Bucket is defined for g: a finite Lo and a finite,
+// positive Scale, as SampleGrid returns. A grid that arrived from elsewhere
+// is held to it before any value is bucketed on it.
+func (g Grid) Valid() bool {
+	return g.Scale > 0 && !math.IsInf(g.Scale, 1) && g.Lo-g.Lo == 0
+}
+
+// Bucket returns the bucket of a non-NaN value. The clamp happens in the
 // float domain: Go leaves an out-of-range float→int conversion to the
 // implementation, and ±Inf (legal in a raw base column) must land in an end
 // bucket. Subtraction, multiplication by a positive scale, clamping and
-// truncation are each monotone, so v ≤ w implies bucket(v) ≤ bucket(w).
-func (g bucketGrid) bucket(v float64) int {
-	return int(max(0, min((v-g.lo)*g.scale, numBuckets-1)))
+// truncation are each monotone, so v ≤ w implies Bucket(v) ≤ Bucket(w).
+func (g Grid) Bucket(v float64) int {
+	return int(max(0, min((v-g.Lo)*g.Scale, NumBuckets-1)))
 }
 
-// count adds the non-NaN values of xs to cnt[bucket], returning how many.
-func (g bucketGrid) count(cnt []int32, xs []float64) (n int) {
+// Count adds the non-NaN values of xs to cnt[bucket] (NumBuckets counters),
+// returning how many — the counting scan of both engines.
+func (g Grid) Count(cnt []int32, xs []float64) (n int) {
+	cnt = cnt[:NumBuckets]
 	for _, v := range xs {
 		if v != v {
 			continue
 		}
 		n++
-		cnt[g.bucket(v)]++
+		cnt[g.Bucket(v)]++
 	}
 	return n
 }
@@ -186,9 +198,9 @@ func (g bucketGrid) count(cnt []int32, xs []float64) (n int) {
 // positive, and — as for any k — an out-of-range column, here never used.
 const binaryClasses = 2
 
-// countBinary is count into cnt[(binaryClasses+1)*bucket + class], the class
+// countBinary is Count into cnt[(binaryClasses+1)*bucket + class], the class
 // a branch-free 0/1 (labels are as good as random to a branch predictor).
-func (g bucketGrid) countBinary(cnt []int32, xs, labels []float64) (n int) {
+func (g Grid) countBinary(cnt []int32, xs, labels []float64) (n int) {
 	labels = labels[:len(xs)]
 	for i, v := range xs {
 		if v != v {
@@ -199,32 +211,32 @@ func (g bucketGrid) countBinary(cnt []int32, xs, labels []float64) (n int) {
 		if labels[i] > 0.5 {
 			c = 1
 		}
-		cnt[g.bucket(v)*(binaryClasses+1)+c]++
+		cnt[g.Bucket(v)*(binaryClasses+1)+c]++
 	}
 	return n
 }
 
-// countClasses is count into cnt[(k+1)*bucket + class].
-func (g bucketGrid) countClasses(cnt []int32, xs, labels []float64, k int) (n int) {
+// countClasses is Count into cnt[(k+1)*bucket + class].
+func (g Grid) countClasses(cnt []int32, xs, labels []float64, k int) (n int) {
 	labels = labels[:len(xs)]
 	for i, v := range xs {
 		if v != v {
 			continue
 		}
 		n++
-		cnt[g.bucket(v)*(k+1)+classIndex(labels[i], k)]++
+		cnt[g.Bucket(v)*(k+1)+classIndex(labels[i], k)]++
 	}
 	return n
 }
 
 // gather copies the members of the cut buckets (slot[bucket] >= 0) to their
 // bucket's segment of dst, pos[slot] being the segment's write cursor.
-func (g bucketGrid) gather(dst []float64, pos []int, slot []int16, xs []float64) {
+func (g Grid) gather(dst []float64, pos []int, slot []int16, xs []float64) {
 	for _, v := range xs {
 		if v != v {
 			continue
 		}
-		if sl := slot[g.bucket(v)]; sl >= 0 {
+		if sl := slot[g.Bucket(v)]; sl >= 0 {
 			dst[pos[sl]] = v
 			pos[sl]++
 		}
@@ -232,12 +244,12 @@ func (g bucketGrid) gather(dst []float64, pos []int, slot []int16, xs []float64)
 }
 
 // gatherLabelled is gather with each member's class alongside its value.
-func (g bucketGrid) gatherLabelled(dst []float64, class []int32, pos []int, slot []int16, xs, labels []float64, k int, binary bool) {
+func (g Grid) gatherLabelled(dst []float64, class []int32, pos []int, slot []int16, xs, labels []float64, k int, binary bool) {
 	for i, v := range xs {
 		if v != v {
 			continue
 		}
-		if sl := slot[g.bucket(v)]; sl >= 0 {
+		if sl := slot[g.Bucket(v)]; sl >= 0 {
 			p := pos[sl]
 			dst[p] = v
 			class[p] = int32(labelClass(labels[i], k, binary))
@@ -246,14 +258,108 @@ func (g bucketGrid) gatherLabelled(dst []float64, class []int32, pos []int, slot
 	}
 }
 
-// cutBucket is one bucket that holds at least one target rank (and so at
+// CutBucket is one bucket that holds at least one target rank (and so at
 // least one cut): its members are gathered and selected exactly.
-type cutBucket struct {
-	bucket int
-	first  int // index into ranks of the first rank in this bucket
-	count  int // how many ranks land in this bucket
-	start  int // segment start in the gather buffer
-	size   int // bucket population
+type CutBucket struct {
+	Bucket int // the grid bucket
+	First  int // index into ranks of the first rank in this bucket
+	Count  int // how many ranks land in this bucket
+	Start  int // segment start in the gather buffer
+	Size   int // bucket population
+}
+
+// LocateRanks is the step between the two scans: from per-bucket counts
+// (stride counters per bucket, summed), it finds the bucket that holds each
+// of the ascending, deduplicated ranks, rewrites the rank as an offset into
+// that bucket (local[i], len(ranks) entries), and appends one CutBucket per
+// bucket holding a rank to needs[:0], each given the next segment of a gather
+// buffer; total is the segments' length. Ranks are ascending, so one
+// cumulative scan serves all of them. A rank at or past the counted rows is
+// left unplaced.
+func LocateRanks(needs []CutBucket, local []int, cnt []int32, stride int, ranks []int) (_ []CutBucket, total int) {
+	needs = needs[:0]
+	cum, ri := 0, 0
+	for b := 0; b*stride < len(cnt) && ri < len(ranks); b++ {
+		c := 0
+		for _, v := range cnt[b*stride : (b+1)*stride] {
+			c += int(v)
+		}
+		first := ri
+		for ri < len(ranks) && ranks[ri] < cum+c {
+			local[ri] = ranks[ri] - cum
+			ri++
+		}
+		if ri > first {
+			needs = append(needs, CutBucket{Bucket: b, First: first, Count: ri - first, Start: total, Size: c})
+			total += c
+		}
+		cum += c
+	}
+	return needs, total
+}
+
+// SelectInBuckets resolves every located rank exactly: multi-rank selection
+// over each cut bucket's segment of gather (its members, in any order) leaves
+// at[i] the value of rank i. Selection permutes: the segments are permuted in
+// place, or, when scratch is non-nil, a copy of each in turn in *scratch,
+// which leaves gather as it was.
+func SelectInBuckets(at []float64, needs []CutBucket, local []int, gather []float64, scratch *[]float64) {
+	for _, nd := range needs {
+		seg := gather[nd.Start : nd.Start+nd.Size]
+		if scratch != nil {
+			*scratch = append((*scratch)[:0], seg...)
+			seg = *scratch
+		}
+		loc := local[nd.First : nd.First+nd.Count]
+		selectRanks(seg, loc)
+		for i, r := range loc {
+			at[nd.First+i] = seg[r]
+		}
+	}
+}
+
+// AppendCuts appends the values of ranks, bucket by bucket (at[i] the value
+// of rank i, as SelectInBuckets leaves them), to cuts with repeats dropped,
+// and sets ends[j] to how many cuts the first j+1 cut buckets hold. Equal
+// values share a bucket, so deduplicating against the last cut is the global
+// deduplication.
+func AppendCuts(cuts []float64, ends []int, at []float64, needs []CutBucket) []float64 {
+	for j, nd := range needs {
+		for _, c := range at[nd.First : nd.First+nd.Count] {
+			if len(cuts) == 0 || c != cuts[len(cuts)-1] {
+				cuts = append(cuts, c)
+			}
+		}
+		ends[j] = len(cuts)
+	}
+	return cuts
+}
+
+// BinClassCounts fills bins ((len(cuts)+1)·stride counters, zeroed) with the
+// class counts of the bins the cuts delimit. Span s is the rows of the
+// buckets strictly between cut buckets s−1 and s (spans[s·stride+c] of class
+// c, len(needs)+1 spans): it lies in one bin, the one above every cut of the
+// first s cut buckets. A member of cut bucket j (gather and class at its
+// segment) is placed by comparison with that bucket's own cuts,
+// cuts[ends[j−1]:ends[j]] — a cut in another bucket is below or above every
+// member by monotonicity.
+func BinClassCounts(bins []int32, stride int, cuts []float64, ends []int, spans []int32, needs []CutBucket, gather []float64, class []int32) {
+	lo := 0
+	for s := 0; ; s++ {
+		dst := bins[lo*stride:][:stride]
+		for c, v := range spans[s*stride:][:stride] {
+			dst[c] += v
+		}
+		if s == len(needs) {
+			return
+		}
+		nd, hi := needs[s], ends[s]
+		for p := nd.Start; p < nd.Start+nd.Size; p++ {
+			j := lo + SearchCuts(cuts[lo:hi], gather[p])
+			bins[j*stride+int(class[p])]++
+		}
+		lo = hi
+	}
 }
 
 // QuantileScratch reuses working buffers across Quantiles computations so a
@@ -265,20 +371,21 @@ type QuantileScratch struct {
 	ranks  []int
 	cuts   []float64
 	sample []float64
-	counts []int32 // numBuckets × stride counting table
-	needs  []cutBucket
+	counts []int32 // NumBuckets × stride counting table
+	needs  []CutBucket
 	slot   []int16 // bucket → index into needs, -1 for a bucket without a cut
 	local  []int   // ranks rewritten as offsets into their bucket
 	pos    []int
 	gather []float64 // members of the cut buckets, bucket by bucket
 	class  []int32   // their class indices, in the same order
 	sel    []float64 // selection permutes: it runs on a copy when class pairs with gather
+	spans  []int32   // class counts of the runs of buckets between cut buckets
 	bins   []int32   // per-bin class counts handed to the criteria
 
 	// Left behind by the last call for Bin: binLo[b] is the number of cuts in
-	// buckets below b (numBuckets+1 entries). gridded is false after a call
+	// buckets below b (NumBuckets+1 entries). gridded is false after a call
 	// answered by the fallback, whose Bin is SearchCuts.
-	grid    bucketGrid
+	grid    Grid
 	gridded bool
 	binLo   []int32
 }
@@ -297,7 +404,7 @@ func (s *QuantileScratch) Bin(v float64) int {
 	if !s.gridded {
 		return SearchCuts(s.cuts, v)
 	}
-	b := s.grid.bucket(v)
+	b := s.grid.Bucket(v)
 	j, hi := int(s.binLo[b]), int(s.binLo[b+1])
 	for j < hi && s.cuts[j] < v {
 		j++
@@ -337,8 +444,11 @@ func classIndex(l float64, k int) int {
 // of class c (labelClass) among the non-NaN rows, c = k collecting the
 // out-of-range labels; binary selects the binary criterion's thresholding
 // and requires k = binaryClasses. The counts ride the counting scan — per
-// bucket, then prefix-summed into bins — so a labelled call reads xs twice,
-// like an unlabelled one. Both results alias the scratch.
+// bucket, then summed into the spans between cut buckets — so a labelled
+// call reads xs twice, like an unlabelled one. Between the scans and after
+// them it runs the steps the out-of-core engine runs across its two passes:
+// LocateRanks, SelectInBuckets, AppendCuts, BinClassCounts. Both results
+// alias the scratch.
 func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool, q int) ([]float64, []int32) {
 	s.cuts = s.cuts[:0]
 	s.gridded = false
@@ -355,12 +465,12 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 	}
 
 	// Scan 1: bucket (× class) counts, and the non-NaN count the ranks need.
-	s.counts = zeroed(s.counts, numBuckets*stride)
+	s.counts = zeroed(s.counts, NumBuckets*stride)
 	cnt := s.counts
 	var n int
 	switch {
 	case labels == nil:
-		n = g.count(cnt, xs)
+		n = g.Count(cnt, xs)
 	case binary:
 		n = g.countBinary(cnt, xs, labels)
 	default:
@@ -370,38 +480,17 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 		return nil, nil
 	}
 	ranks := s.nearestRanks(n, q)
-
-	// Locate the bucket each rank falls into and rewrite the rank as an
-	// offset local to its bucket. Ranks are ascending, so one cumulative
-	// scan serves all of them; each cut bucket gets a segment of the shared
-	// gather buffer.
-	s.slot = grown(s.slot, numBuckets)
+	s.local = grown(s.local, len(ranks))
+	needs, total := LocateRanks(s.needs, s.local, cnt, stride, ranks)
+	s.needs = needs
+	s.slot = grown(s.slot, NumBuckets)
 	slot := s.slot
 	for i := range slot {
 		slot[i] = -1
 	}
-	s.local = grown(s.local, len(ranks))
-	localRanks := s.local
-	needs := s.needs[:0]
-	cum, ri, total := 0, 0, 0
-	for b := 0; b < numBuckets && ri < len(ranks); b++ {
-		c := 0
-		for _, v := range cnt[b*stride : (b+1)*stride] {
-			c += int(v)
-		}
-		first := ri
-		for ri < len(ranks) && ranks[ri] < cum+c {
-			localRanks[ri] = ranks[ri] - cum
-			ri++
-		}
-		if ri > first {
-			slot[b] = int16(len(needs))
-			needs = append(needs, cutBucket{bucket: b, first: first, count: ri - first, start: total, size: c})
-			total += c
-		}
-		cum += c
+	for j, nd := range needs {
+		slot[nd.Bucket] = int16(j)
 	}
-	s.needs = needs
 
 	// Scan 2: gather the members of every cut bucket, with their classes.
 	s.gather = grown(s.gather, total)
@@ -409,7 +498,7 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 	s.pos = grown(s.pos, len(needs))
 	pos := s.pos
 	for i, nd := range needs {
-		pos[i] = nd.start
+		pos[i] = nd.Start
 	}
 	if labels == nil {
 		g.gather(gather, pos, slot, xs)
@@ -418,86 +507,85 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 		g.gatherLabelled(gather, s.class, pos, slot, xs, labels, k, binary)
 	}
 
-	// Exact selection inside each cut bucket (typically ~n/numBuckets values
-	// each). Equal values share a bucket, so deduplicating against the last
-	// cut is the global deduplication; binLo counts the cuts below a bucket.
-	s.binLo = grown(s.binLo, numBuckets+1)
-	binLo := s.binLo
-	nb := 0
-	for _, nd := range needs {
-		for ; nb <= nd.bucket; nb++ {
-			binLo[nb] = int32(len(s.cuts))
-		}
-		seg := gather[nd.start : nd.start+nd.size]
-		if labels != nil {
-			s.sel = append(s.sel[:0], seg...)
-			seg = s.sel
-		}
-		local := localRanks[nd.first : nd.first+nd.count]
-		selectRanks(seg, local)
-		for _, r := range local {
-			if c := seg[r]; len(s.cuts) == 0 || c != s.cuts[len(s.cuts)-1] {
-				s.cuts = append(s.cuts, c)
-			}
-		}
+	// Exact selection inside each cut bucket (typically ~n/NumBuckets values
+	// each), on a copy when the classes must stay paired with the members.
+	var sel *[]float64
+	if labels != nil {
+		sel = &s.sel
 	}
-	for ; nb <= numBuckets; nb++ {
-		binLo[nb] = int32(len(s.cuts))
+	// The rank values and the per-bucket cut counts take buffers the scans
+	// are done with: the sample's (the grid is laid) and the gather cursors'.
+	s.sample = grown(s.sample, len(ranks))
+	at, ends := s.sample, pos
+	SelectInBuckets(at, needs, s.local, gather, sel)
+	s.cuts = AppendCuts(s.cuts, ends, at, needs)
+	s.binLo = grown(s.binLo, NumBuckets+1)
+	nb, below := 0, 0
+	for j, nd := range needs {
+		for ; nb <= nd.Bucket; nb++ {
+			s.binLo[nb] = int32(below)
+		}
+		below = ends[j]
+	}
+	for ; nb <= NumBuckets; nb++ {
+		s.binLo[nb] = int32(len(s.cuts))
 	}
 	s.grid, s.gridded = g, true
 	if labels == nil {
 		return s.cuts, nil
 	}
 
-	// Per-bin class counts: a bucket without a cut adds its counts to the
-	// one bin it lies in; the gathered rows are resolved one by one.
-	s.bins = zeroed(s.bins, (len(s.cuts)+1)*stride)
-	bins := s.bins
-	for b := 0; b < numBuckets; b++ {
-		if slot[b] >= 0 {
+	// Per-bin class counts: the buckets between two cut buckets add their
+	// counts to the one bin they lie in; the gathered rows are resolved one by
+	// one.
+	s.spans = zeroed(s.spans, (len(needs)+1)*stride)
+	si := 0
+	for b := 0; b < NumBuckets; b++ {
+		if si < len(needs) && needs[si].Bucket == b {
+			si++
 			continue
 		}
-		dst := bins[int(binLo[b])*stride:][:stride]
+		dst := s.spans[si*stride:][:stride]
 		for c, v := range cnt[b*stride:][:stride] {
 			dst[c] += v
 		}
 	}
-	class := s.class
-	for _, nd := range needs {
-		lo, hi := int(binLo[nd.bucket]), int(binLo[nd.bucket+1])
-		for p := nd.start; p < nd.start+nd.size; p++ {
-			v, j := gather[p], lo
-			for j < hi && s.cuts[j] < v {
-				j++
-			}
-			bins[j*stride+int(class[p])]++
-		}
-	}
-	return s.cuts, bins
+	s.bins = zeroed(s.bins, (len(s.cuts)+1)*stride)
+	BinClassCounts(s.bins, stride, s.cuts, ends, s.spans, needs, gather, s.class)
+	return s.cuts, s.bins
 }
 
-// sampleGrid lays the grid over the range of a strided sample of xs: at most
-// sampleSize non-NaN values at a fixed stride (no RNG, so a column always
-// gets the same grid), bracketed at the order statistics half a bin in from
-// each end — beyond the outermost cuts, so the catch-all end buckets stay
-// clean, but inside the tails. ok is false when the range is unusable and
-// the caller must fall back to selection over the whole column: fewer than
-// two samples, a zero width (a constant or one-value-dominated column), a
-// non-finite end or width, or a width so small that the scale overflows.
-func (s *QuantileScratch) sampleGrid(xs []float64, q int) (g bucketGrid, ok bool) {
-	stride := len(xs) / sampleSize
+// sampleGrid lays the grid over a strided sample of xs: at most SampleSize
+// non-NaN values at a fixed stride (no RNG, so a column always gets the same
+// grid). ok is false when the caller must fall back to selection over the
+// whole column (see SampleGrid).
+func (s *QuantileScratch) sampleGrid(xs []float64, q int) (Grid, bool) {
+	stride := len(xs) / SampleSize
 	if stride < 1 {
 		stride = 1
 	}
-	s.sample = grown(s.sample, sampleSize)
+	s.sample = grown(s.sample, SampleSize)
 	sample := s.sample[:0]
-	for i := 0; i < len(xs) && len(sample) < sampleSize; i += stride {
+	for i := 0; i < len(xs) && len(sample) < SampleSize; i += stride {
 		if v := xs[i]; v == v {
 			sample = append(sample, v)
 		}
 	}
+	return SampleGrid(sample, q)
+}
+
+// SampleGrid lays the grid over the range of a sample of a column's non-NaN
+// values for a q-bin cut, bracketed at the sample's order statistics half a
+// bin in from each end — beyond the outermost cuts, so the catch-all end
+// buckets stay clean, but inside the tails. It permutes sample. ok is false
+// when the range is unusable and the caller must select over the whole
+// column: fewer than two samples, a zero width (a constant or
+// one-value-dominated column), a non-finite end or width, or a width so small
+// that the scale overflows. The sample only decides how evenly the buckets
+// fill, never which cuts come out.
+func SampleGrid(sample []float64, q int) (g Grid, ok bool) {
 	m := len(sample)
-	if m < 2 {
+	if m < 2 || q < 1 {
 		return g, false
 	}
 	r := m / q / 2
@@ -507,12 +595,12 @@ func (s *QuantileScratch) sampleGrid(xs []float64, q int) (g bucketGrid, ok bool
 	if !(width > 0) || math.IsInf(width, 0) {
 		return g, false
 	}
-	scale := numBuckets / width
+	scale := NumBuckets / width
 	if math.IsInf(scale, 0) {
 		// A subnormal width: lo's own bucket would be 0 × Inf = NaN.
 		return g, false
 	}
-	return bucketGrid{lo: lo, scale: scale}, true
+	return Grid{Lo: lo, Scale: scale}, true
 }
 
 // cutsAndCountsSelect is the fallback for a column without a usable sampled

@@ -103,7 +103,7 @@ func columnGens(rng *rand.Rand) []columnGen {
 		})},
 		// Period equal to the sample stride: the sample sees one value.
 		{"stride-periodic", fill(func(i, n int) float64 {
-			stride := n / sampleSize
+			stride := n / SampleSize
 			if stride < 1 {
 				stride = 1
 			}

@@ -35,6 +35,19 @@ func AppendI64(b []byte, v int64) []byte { return AppendU64(b, uint64(v)) }
 // AppendF64 appends v's IEEE-754 bits in 8 bytes.
 func AppendF64(b []byte, v float64) []byte { return AppendU64(b, math.Float64bits(v)) }
 
+// AppendUvarint appends v as an unsigned LEB128 varint — 1 byte below 128,
+// at most 10 — for counts that are small far more often than not.
+func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+
+// UvarintSize is the length of AppendUvarint's encoding of v.
+func UvarintSize(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 // PutU32 overwrites the first 4 bytes of b with v: a length written once what
 // it counts has been appended behind it.
 func PutU32(b []byte, v uint32) { le.PutUint32(b, v) }
@@ -182,6 +195,21 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // F64 consumes 8 bytes as IEEE-754 bits.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Uvarint consumes one AppendUvarint varint. A truncated or overlong
+// encoding fails the reader.
+func (r *Reader) Uvarint() uint64 {
+	if r.fail {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
 
 // Flag consumes a single boolean in its list-of-one form (AppendBools): the
 // count must be exactly 1 — an empty or a longer list fails the reader instead

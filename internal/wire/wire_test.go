@@ -363,3 +363,35 @@ func FuzzReader(f *testing.F) {
 		}
 	})
 }
+
+// TestUvarint pins the varint: encoding/binary's LEB128 bytes, UvarintSize
+// equal to what AppendUvarint wrote, and a truncated or overlong encoding
+// failing the reader like any other short read.
+func TestUvarint(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 300, 1 << 32, math.MaxUint64} {
+		b := AppendUvarint([]byte{0xEE}, v)[1:]
+		if len(b) != UvarintSize(v) {
+			t.Fatalf("%d: %d bytes written, UvarintSize says %d", v, len(b), UvarintSize(v))
+		}
+		r := NewReader(b)
+		if got := r.Uvarint(); got != v || r.Failed() || len(r.Rest()) != 0 {
+			t.Fatalf("%d read back as %d (failed=%v, %d left)", v, got, r.Failed(), len(r.Rest()))
+		}
+		if len(b) > 1 {
+			short := NewReader(b[:len(b)-1])
+			if short.Uvarint(); !short.Failed() {
+				t.Fatalf("%d truncated to %d bytes read without failing", v, len(b)-1)
+			}
+		}
+	}
+	if !bytes.Equal(AppendUvarint(nil, 300), []byte{0xAC, 0x02}) {
+		t.Fatal("300 is not laid out as LEB128")
+	}
+	over := NewReader(bytes.Repeat([]byte{0xFF}, 11))
+	if over.Uvarint(); !over.Failed() {
+		t.Fatal("an 11-byte varint read without failing")
+	}
+	if over.Uvarint() != 0 {
+		t.Fatal("a failed reader read a varint")
+	}
+}

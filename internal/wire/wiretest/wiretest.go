@@ -1,16 +1,82 @@
 // Package wiretest is what the decoder tests of the formats built on
-// internal/wire share: reading and writing the checked-in seed corpora, which
-// double as the formats' golden bytes, and the truncation sweep every decoder
-// must survive.
+// internal/wire share: the corpus driver over the checked-in seed corpora,
+// which double as the formats' golden bytes, and the truncation sweep every
+// decoder must survive.
 package wiretest
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"testing"
 )
+
+// Corpus is the checked-in seed corpus of one fuzz target — testdata/fuzz/
+// <target>/seed-<name>, one valid encoding per name — and the golden record
+// of its format. Env names the variable that, set to 1, rewrites it from the
+// encoders.
+type Corpus struct {
+	Target string
+	Env    string
+}
+
+func (c Corpus) path(name string) string {
+	return filepath.Join("testdata", "fuzz", c.Target, "seed-"+name)
+}
+
+// Read returns the bytes of a checked-in seed.
+func (c Corpus) Read(t testing.TB, name string) []byte {
+	t.Helper()
+	return ReadSeed(t, c.path(name))
+}
+
+// Seed adds the frames to the fuzz target's corpus in name order, each whole,
+// and — when longer than 8 bytes — its first half and a copy with one bit
+// flipped a third of the way in, so the fuzzer starts from near-misses too.
+func (c Corpus) Seed(f *testing.F, frames map[string][]byte) {
+	names := make([]string, 0, len(frames))
+	for name := range frames {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		frame := frames[name]
+		f.Add(frame)
+		if len(frame) > 8 {
+			f.Add(append([]byte(nil), frame[:len(frame)/2]...))
+			flip := append([]byte(nil), frame...)
+			flip[len(flip)/3] ^= 0x40
+			f.Add(flip)
+		}
+	}
+}
+
+// Check is the corpus's golden test. With Env set to 1 it writes every frame
+// as its seed and checks nothing. Otherwise every frame — its encoder's
+// output — must equal its checked-in seed byte for byte, and decode must
+// accept the seed: a difference means the layout moved, which is a version
+// bump and a rewrite, never a silent change.
+func (c Corpus) Check(t *testing.T, frames map[string][]byte, decode func([]byte) error) {
+	t.Helper()
+	if os.Getenv(c.Env) == "1" {
+		for name, frame := range frames {
+			WriteSeed(t, c.path(name), frame)
+		}
+		return
+	}
+	for name, frame := range frames {
+		seed := c.Read(t, name)
+		if !bytes.Equal(seed, frame) {
+			t.Fatalf("%s: the encoder writes %d bytes that differ from the %d checked in: the layout moved", name, len(frame), len(seed))
+		}
+		if err := decode(seed); err != nil {
+			t.Fatalf("seed corpus %s no longer decodes: %v", name, err)
+		}
+	}
+}
 
 // ReadSeed returns the bytes inside a checked-in corpus file of one []byte
 // value, in the format `go test -fuzz` reads and writes.
