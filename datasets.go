@@ -4,7 +4,7 @@ import "repro/internal/datagen"
 
 // DatasetSpec describes a synthetic dataset with planted feature
 // interactions (the data substrate standing in for the paper's OpenML and
-// Ant Financial datasets; see DESIGN.md §3).
+// Ant Financial datasets; see internal/datagen in README.md's repository map).
 type DatasetSpec = datagen.Spec
 
 // Dataset is a generated train/valid/test triple with ground truth about

@@ -132,11 +132,7 @@ func corrAny(std [][]float64, j int, kept []int, theta float64, pool *parallel.P
 		if y == nil {
 			return false
 		}
-		var dot float64
-		for i, v := range x {
-			dot += v * y[i]
-		}
-		return math.Abs(dot) > limit
+		return math.Abs(stats.Dot(x, y)) > limit
 	}
 	var found atomic.Bool
 	pool.ForChunks(len(kept), 1, func(lo, hi int) {

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -16,17 +17,21 @@ import (
 )
 
 // distSeedFrames builds one real message of every kind — a partial of each
-// pass kind whose blobs version 2 changed among them: the seed corpus
+// pass kind whose blobs versions 2 and 3 changed among them: the seed corpus
 // FuzzDistDecode mutates from, and — checked in — the golden bytes of
-// protocol version 2.
+// protocol version 3.
 func distSeedFrames() map[string][]byte {
 	p, _ := sketchPartial(1, []float64{3, 1, 4, 1, 5}, []float64{2, 7})
 	counts := make([]int32, stats.NumBuckets)
-	counts[3], counts[700] = 2, 1
-	countP := &shard.Partial{Chunk: 2, Start: 600, Rows: 4, Moments: make([]sketch.Moments, 2),
+	counts[3], counts[700] = 3, 1
+	countP := &shard.Partial{Chunk: 2, Start: 600, Rows: 4,
 		Counts: []shard.GridCounts{{Min: -1, Max: 9, Counts: counts}, {Min: 0, Max: 0}}}
-	countP.Moments[0].AddAll([]float64{-1, 0.5, 9})
-	countP.Moments[1].AddAll([]float64{0, 0, 0, 0})
+	// A Gram partial over a live survivor and a generated one, which carries
+	// its moments.
+	gramP := &shard.Partial{Chunk: 4, Start: 1200, Rows: 3, Codes: [][]uint8{nil, {0, 2, 1}},
+		Gram: sketch.NewGram(2), Moments: make([]sketch.Moments, 1)}
+	gramP.Gram.AddChunk([][]float64{{1, 2, 3}, {0.5, -1, 4}})
+	gramP.Moments[0].AddAll([]float64{0.5, -1, 4})
 	lh := sketch.NewLabelHist([]float64{0, 1})
 	lh.AddCol([]float64{-1, 0.5, 2}, []float64{1, 0, 1})
 	gatherP := &shard.Partial{Chunk: 3, Start: 900, Rows: 3,
@@ -42,9 +47,10 @@ func distSeedFrames() map[string][]byte {
 		"passDone": encodePassDone(&passDone{PassID: 9, Chunks: 4, Rows: 2000, Retries: 3}),
 		"passErr":  encodePassErr(&passErr{PassID: 2, Chunk: 3, Attempts: 4, Transient: true, Msg: "read chunk: i/o timeout"}),
 		"partial":  AppendPartial(nil, 3, shard.PassBaseSketch, p),
-		// The two grid passes' partials, as v2 frames them.
+		// The two grid passes' partials and the Gram pass's, as v3 frames them.
 		"partial-counts": AppendPartial(nil, 4, shard.PassSketchGen, countP),
 		"partial-gather": AppendPartial(nil, 5, shard.PassRefine, gatherP),
+		"partial-gram":   AppendPartial(nil, 6, shard.PassGramCodes, gramP),
 		"runPass":        encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
 		"fitOpen": encodeFitOpen(&fitOpen{
 			Source: SourceSpec{Kind: SourceCSV, Path: "/data/train.csv", Label: "label", ChunkRows: 512},
@@ -59,10 +65,11 @@ func distSeedFrames() map[string][]byte {
 // The corpus entries no encoder here can write any more, checked in as the
 // decoders' rejection cases: a binary score pass's runPass as a
 // protocol-version-1 coordinator framed it, two combinations in its
-// combination list; and a version-1 hello.
+// combination list; and a version-1 and a version-2 hello.
 const (
 	retiredScoreSeed = "runPass-score"
 	helloV1Seed      = "hello-v1"
+	helloV2Seed      = "hello-v2"
 )
 
 // corpus is FuzzDistDecode's checked-in seed corpus, the golden bytes of the
@@ -161,7 +168,7 @@ func isProtocolError(err error) bool {
 // it carries. It starts from the checked-in corpus (see corpus).
 func FuzzDistDecode(f *testing.F) {
 	frames := distSeedFrames()
-	for _, name := range []string{retiredScoreSeed, helloV1Seed} {
+	for _, name := range []string{retiredScoreSeed, helloV1Seed, helloV2Seed} {
 		frames[name] = readSeed(f, name) // mutate around the rejection cases too
 	}
 	corpus.Seed(f, frames)
@@ -185,12 +192,12 @@ func FuzzDistDecode(f *testing.F) {
 }
 
 // TestWriteDistDecodeSeedCorpus is the corpus's golden test (see
-// wiretest.Corpus.Check): the corpus is the record of protocol version 2, so
+// wiretest.Corpus.Check): the corpus is the record of protocol version 3, so
 // every message's encoder must write its checked-in seed byte for byte —
 // control messages included, which no fingerprint would notice — and the seed
 // must decode, a partial's blobs through the fold's decoders too. The retired
-// score frame must still be refused, and so must a version-1 hello, by the
-// version check.
+// score frame must still be refused, and so must a version-1 and a version-2
+// hello, by the version check.
 func TestWriteDistDecodeSeedCorpus(t *testing.T) {
 	corpus.Check(t, distSeedFrames(), func(seed []byte) error {
 		spec, err := decodeMsg(seed)
@@ -202,7 +209,10 @@ func TestWriteDistDecodeSeedCorpus(t *testing.T) {
 	if _, err := decodeMsg(readSeed(t, retiredScoreSeed)); !isProtocolError(err) {
 		t.Fatalf("the retired score frame decoded: %v, want a *ProtocolError", err)
 	}
-	if _, err := decodeMsg(readSeed(t, helloV1Seed)); !isProtocolError(err) || !strings.Contains(err.Error(), "version mismatch: peer 1, local 2") {
-		t.Fatalf("a version-1 hello: %v, want a version-mismatch *ProtocolError", err)
+	for v, name := range map[int]string{1: helloV1Seed, 2: helloV2Seed} {
+		want := fmt.Sprintf("version mismatch: peer %d, local %d", v, Version)
+		if _, err := decodeMsg(readSeed(t, name)); !isProtocolError(err) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("a version-%d hello: %v, want a version-mismatch *ProtocolError", v, err)
+		}
 	}
 }

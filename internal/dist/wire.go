@@ -22,8 +22,10 @@ import (
 // any frame-layout or message change; coordinator and worker must match
 // exactly (the fleet upgrades atomically — no cross-version support).
 // Version 2 carries the grid passes: a row sample in the base partial, grid
-// specs in runPass, grid counts and cut-bucket gathers in partials.
-const Version = 2
+// specs in runPass, grid counts and cut-bucket gathers in partials. Version 3
+// moves a generated candidate's moments from the count partial to the Gram
+// partial, beside the Gram.
+const Version = 3
 
 // magic opens every hello frame, so a worker rejects a stray client that
 // happens to speak length-prefixed frames before interpreting anything.
@@ -454,9 +456,9 @@ func DecodePartial(msg []byte) (passID int, p *shard.Partial, err error) {
 func decodePartial(p []byte, m *partialMsg) error {
 	r := wire.NewReader(p[1:])
 	m.PassID = int(r.I64())
-	// Only the plain backings and the count pass's typed slices (emptied,
-	// for Partial.Decode to refill) carry over; the rest of the typed payload
-	// a fold decoded into the previous tenant is dropped.
+	// Only the plain backings, the count pass's counts and the Gram pass's
+	// moments (emptied, for Partial.Decode to refill) carry over; the rest of
+	// the typed payload a fold decoded into the previous tenant is dropped.
 	old := m.Partial
 	m.Partial = shard.Partial{Chunk: int(r.I64()), Start: int(r.I64()), Rows: int(r.I64()),
 		Counts: old.Counts[:0], Moments: old.Moments[:0]}

@@ -46,7 +46,7 @@ func referenceFrame(passID int, kind shard.PassKind, p *shard.Partial) []byte {
 		blobs = append(blobs, p.Sample.AppendWire(nil))
 	case shard.PassSketchGen:
 		for i := range p.Counts {
-			blobs = append(blobs, p.Counts[i].AppendWire(nil), p.Moments[i].AppendWire(nil))
+			blobs = append(blobs, p.Counts[i].AppendWire(nil))
 		}
 	case shard.PassRefine:
 		for _, r := range p.Refiners {
@@ -65,6 +65,9 @@ func referenceFrame(passID int, kind shard.PassKind, p *shard.Partial) []byte {
 		}
 	case shard.PassGramCodes:
 		blobs = [][]byte{sketch.AppendGram(nil, p.Gram)}
+		for i := range p.Moments {
+			blobs = append(blobs, p.Moments[i].AppendWire(nil))
+		}
 	}
 	le := binary.LittleEndian
 	b := []byte{msgPartial}
@@ -341,16 +344,15 @@ func TestMalformedSetLiveIsRefused(t *testing.T) {
 // --- steady-state allocation ---
 
 // countPartial builds a partial shaped like the count pass's: n candidates'
-// grid counts over a 65,536-row row group (64 rows a bucket) plus moments.
+// grid counts over a 65,536-row row group (64 rows a bucket).
 func countPartial(n int) *shard.Partial {
 	const rows = 65536
-	p := &shard.Partial{Chunk: 0, Rows: rows, Moments: make([]sketch.Moments, n), Counts: make([]shard.GridCounts, n)}
+	p := &shard.Partial{Chunk: 0, Rows: rows, Counts: make([]shard.GridCounts, n)}
 	col := make([]float64, rows)
 	for i := 0; i < n; i++ {
 		for r := range col {
 			col[r] = float64(r*n + i)
 		}
-		p.Moments[i].AddAll(col)
 		counts := make([]int32, stats.NumBuckets)
 		for b := range counts {
 			counts[b] = rows / stats.NumBuckets

@@ -17,8 +17,8 @@ type AblationResult struct {
 	Width   int // output feature count
 }
 
-// RunAblation exercises the design choices DESIGN.md §5 calls out, on each
-// selected dataset:
+// RunAblation exercises the design choices of the selection stages
+// README.md's "What SAFE does" describes, on each selected dataset:
 //
 //   - selection stages: full pipeline vs no-IV vs no-Pearson vs rank-only
 //   - IV binning: equal-frequency (paper) vs equal-width
@@ -99,7 +99,7 @@ func RunAblation(opts Options, w io.Writer) ([]AblationResult, error) {
 		}
 	}
 	if w != nil {
-		tb.render(w, "Ablation (DESIGN.md §5 design choices, XGB test AUC):")
+		tb.render(w, "Ablation (selection design choices, see README.md; XGB test AUC):")
 	}
 	return out, nil
 }

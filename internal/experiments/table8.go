@@ -21,9 +21,9 @@ type Table8Result struct {
 }
 
 // RunTable8 reproduces Table VIII: the three fraud-detection business
-// datasets (Table VII shapes, scaled; see DESIGN.md §3) evaluated with LR,
-// RF and XGB over {ORIG, RAND, IMP, SAFE}. TFC and FCTree are excluded as
-// in the paper (execution time too long at this scale).
+// datasets (Table VII shapes, scaled; see internal/datagen in README.md)
+// evaluated with LR, RF and XGB over {ORIG, RAND, IMP, SAFE}. TFC and FCTree
+// are excluded as in the paper (execution time too long at this scale).
 func RunTable8(opts Options, w io.Writer) (*Table8Result, error) {
 	opts = opts.normalise()
 	methods := FastMethods()

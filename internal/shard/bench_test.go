@@ -69,7 +69,7 @@ func BenchmarkShardPass(b *testing.B) {
 		cands := make([]*column, gens)
 		countSpec := &PassSpec{Kind: PassSketchGen, Epoch: 1, Grids: make([]GridSpec, gens)}
 		for i := range cands {
-			cands[i] = &column{mom: &sketch.Moments{}, grid: newGridState(specs[i], appliers[i], f.sample.Vals, &f.cfg)}
+			cands[i] = &column{grid: newGridState(specs[i], appliers[i], f.sample.Vals, &f.cfg)}
 			countSpec.Grids[i] = cands[i].grid.spec
 		}
 		for _, c := range chunks {
@@ -77,7 +77,7 @@ func BenchmarkShardPass(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := f.each(gens, func(i int) error { return cands[i].foldCounts(&p.Counts[i], &p.Moments[i], p.Rows) }); err != nil {
+			if err := f.each(gens, func(i int) error { return cands[i].foldCounts(&p.Counts[i], p.Rows) }); err != nil {
 				b.Fatal(err)
 			}
 			ws.Release(p)

@@ -171,13 +171,14 @@ func newCriterionHist(task core.Task, cuts []float64) sketch.CriterionHist {
 //	BaseSketch:     Labels = chunk labels; Quantiles[j], Moments[j] of source
 //	                column j; Sample = the chunk's row sample.
 //	Codes:          Codes[i] = chunk codes of live feature i.
-//	SketchGen:      Counts[i], Moments[i] of Grids[i].
+//	SketchGen:      Counts[i] of Grids[i].
 //	Refine:         Refiners[i] = gather partial of Refines[i]; Gathers[i] =
 //	                cut-bucket gather of Grids[i]; Hists[i] = criterion
 //	                histogram partial of Entries[i].
 //	HistIDs:        Ints = bin id per (entry, row).
 //	GramCodes:      Gram = co-moment partial; Codes[i] = chunk ranker codes
-//	                of Entries[i] when its NeedCodes is set (nil otherwise).
+//	                of Entries[i] when its NeedCodes is set (nil otherwise);
+//	                Moments[g] of the g-th generated entry.
 //
 // Kernels fill the typed fields only. Blobs is their wire form on the
 // receiving side: a distributed worker renders blob i straight into its frame
@@ -187,11 +188,11 @@ func newCriterionHist(task core.Task, cuts []float64) sketch.CriterionHist {
 //
 //	BaseSketch: Blobs[2i], Blobs[2i+1] = quantile, moments i; the last blob
 //	            the row sample.
-//	SketchGen:  Blobs[2i], Blobs[2i+1] = grid counts, moments i.
+//	SketchGen:  Blobs[i] = grid counts i.
 //	Refine:     the refiner gathers, then the grid gathers, then the
 //	            histograms, as many of each as the spec has Refines, Grids
 //	            and Entries.
-//	GramCodes:  Blobs[0] = Gram partial.
+//	GramCodes:  Blobs[0] = Gram partial; Blobs[1+g] = moments g.
 //
 // Labels, Ints and Codes are plain and travel as they are, so the transport
 // codec never looks inside a payload.
@@ -228,11 +229,11 @@ func (p *Partial) BlobCount(kind PassKind) int {
 	case PassBaseSketch:
 		return 2*len(p.Quantiles) + 1
 	case PassSketchGen:
-		return 2 * len(p.Counts)
+		return len(p.Counts)
 	case PassRefine:
 		return len(p.Refiners) + len(p.Gathers) + len(p.Hists)
 	case PassGramCodes:
-		return 1
+		return 1 + len(p.Moments)
 	}
 	return 0
 }
@@ -258,10 +259,7 @@ func (p *Partial) blob(kind PassKind, i int) wireForm {
 		}
 		return p.Quantiles[i/2]
 	case PassSketchGen:
-		if i%2 == 1 {
-			return &p.Moments[i/2]
-		}
-		return &p.Counts[i/2]
+		return &p.Counts[i]
 	case PassRefine:
 		if i < len(p.Refiners) {
 			return p.Refiners[i]
@@ -271,6 +269,9 @@ func (p *Partial) blob(kind PassKind, i int) wireForm {
 		}
 		return p.Hists[i-len(p.Gathers)].(wireForm)
 	default: // PassGramCodes: BlobCount is 0 for every other kind
+		if i > 0 {
+			return &p.Moments[i-1]
+		}
 		return p.Gram
 	}
 }
@@ -314,7 +315,7 @@ func (p *Partial) Decode(spec *PassSpec, arena *sketch.Arena) error {
 				return fail(2*i, err)
 			}
 			p.Quantiles[i] = q
-			if err := p.decodeMoments(i); err != nil {
+			if err := p.decodeMoments(i, 2*i+1); err != nil {
 				return fail(2*i+1, err)
 			}
 		}
@@ -324,34 +325,26 @@ func (p *Partial) Decode(spec *PassSpec, arena *sketch.Arena) error {
 		}
 		p.Sample = s
 	case PassSketchGen:
-		n := len(p.Blobs) / 2
-		if len(p.Blobs) != 2*n {
-			return fmt.Errorf("shard: pass kind %d partial %d has %d blobs, want counts/moments pairs", kind, p.Chunk, len(p.Blobs))
-		}
-		// A recycled container hands back its typed slices: a steady stream of
-		// count partials decodes into the same ones.
-		p.Counts = wire.Resize(p.Counts, n)
-		p.Moments = wire.Resize(p.Moments, n)
+		// A recycled container hands back its typed slice: a steady stream of
+		// count partials decodes into the same one.
+		p.Counts = wire.Resize(p.Counts, len(p.Blobs))
 		// The slab is sized by the blobs long enough to hold a grid's counts,
 		// so what a partial makes this allocate is bounded by its own bytes.
 		gridded := 0
-		for i := 0; i < n; i++ {
-			if len(p.Blobs[2*i]) >= minGridBlob {
+		for _, b := range p.Blobs {
+			if len(b) >= minGridBlob {
 				gridded++
 			}
 		}
 		p.countSlab = arena.Int32s(gridded * stats.NumBuckets)
 		used := 0
-		for i := 0; i < n; i++ {
-			gc, err := decodeGridCounts(p.Blobs[2*i], p.countSlab[used:])
+		for i, b := range p.Blobs {
+			gc, err := decodeGridCounts(b, p.countSlab[used:])
 			if err != nil {
-				return fail(2*i, err)
+				return fail(i, err)
 			}
 			used += len(gc.Counts)
 			p.Counts[i] = gc
-			if err := p.decodeMoments(i); err != nil {
-				return fail(2*i+1, err)
-			}
 		}
 	case PassRefine:
 		nr, ng := len(spec.Refines), len(spec.Grids)
@@ -377,21 +370,24 @@ func (p *Partial) Decode(spec *PassSpec, arena *sketch.Arena) error {
 			}
 		}
 	case PassGramCodes:
-		if len(p.Blobs) != 1 {
-			return fmt.Errorf("shard: gram partial %d has %d blobs, want 1", p.Chunk, len(p.Blobs))
-		}
 		g, _, err := arena.DecodeGram(p.Blobs[0])
 		if err != nil {
 			return fail(0, err)
 		}
 		p.Gram = g
+		p.Moments = wire.Resize(p.Moments, len(p.Blobs)-1)
+		for i := range p.Moments {
+			if err := p.decodeMoments(i, 1+i); err != nil {
+				return fail(1+i, err)
+			}
+		}
 	}
 	return nil
 }
 
-// decodeMoments decodes blob 2i+1, the moments of column i.
-func (p *Partial) decodeMoments(i int) error {
-	mom, _, err := sketch.DecodeMoments(p.Blobs[2*i+1])
+// decodeMoments decodes blob b into Moments[i].
+func (p *Partial) decodeMoments(i, b int) error {
+	mom, _, err := sketch.DecodeMoments(p.Blobs[b])
 	if err == nil {
 		p.Moments[i] = *mom
 	}
@@ -995,6 +991,13 @@ func (ws *WorkerState) computeGramCodes(ctx context.Context, spec *PassSpec, c *
 	rows := p.Rows
 	k := len(spec.Entries)
 	ws.codeCols(p, k, func(i int) bool { return spec.Entries[i].NeedCodes })
+	slot, gens := make([]int, k), 0 // a generated entry's place among the generated
+	for i, e := range spec.Entries {
+		if slot[i] = gens; e.Base < 0 {
+			gens++
+		}
+	}
+	p.Moments = make([]sketch.Moments, gens)
 	// Every generated column stays alive until the last pair is added, so
 	// these come from the arena rather than a goroutine's one scratch buffer.
 	mat := make([][]float64, k)
@@ -1014,6 +1017,9 @@ func (ws *WorkerState) computeGramCodes(ctx context.Context, spec *PassSpec, c *
 			return err
 		}
 		mat[i] = col
+		if e.Base < 0 {
+			p.Moments[slot[i]].AddAll(col)
+		}
 		if e.NeedCodes {
 			fillCodes(p.Codes[i], col, e.Cuts, &s.ix)
 		}

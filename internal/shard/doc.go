@@ -39,14 +39,14 @@
 // regression,
 //
 //  4. candidate counts — each generated column's counts on the in-memory
-//     kernel's grid, laid over the row sample, + moments (Generate)
+//     kernel's grid, laid over the row sample, + its range (Generate)
 //  5. candidate gather — the cut buckets' values (and, for a count task,
 //     classes), which resolve exact cuts and the criterion counts, beside the
 //     live features' criterion histograms (Criteria)
 //  6. regression criterion — bin ids replayed in row order (Criteria;
 //     regression only)
-//  7. redundancy — pairwise co-moments (Gram) of IV survivors + codes
-//     (Correlated)
+//  7. redundancy — pairwise co-moments (Gram) of IV survivors + the
+//     generated survivors' moments, the only ones read + codes (Correlated)
 //
 // so six passes for a one-iteration binary or multiclass fit and seven for
 // regression. grid.go is passes 4 and 5: the two scans of

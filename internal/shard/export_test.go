@@ -36,37 +36,38 @@ type GridCut struct {
 	Crit       float64
 }
 
-// CutGenerated opens a fit of src through exec (nil: the in-process executor)
-// and runs one round's grid passes — Generate, then Criteria — over the given
-// generated candidates of the source's columns, returning what they made of
-// each, and the live features' cut tables' cuts likewise.
-func CutGenerated(ctx context.Context, src frame.ChunkSource, exec Executor, cfg Config, gens []GenSpec) (gen, live []GridCut, err error) {
+// openRound opens a fit of src through exec (nil: the in-process executor)
+// and runs one round's grid passes — Generate, then Criteria — over the live
+// features and the given generated candidates of the source's columns. done
+// closes the in-process executor.
+func openRound(ctx context.Context, src frame.ChunkSource, exec Executor, cfg Config, gens []GenSpec) (f *fitter, cands []*core.Candidate, done func(), err error) {
+	done = func() {}
 	norm, err := core.NormalizeConfig(cfg.Core)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, done, err
 	}
 	pool := norm.Pool()
-	f := &fitter{ctx: ctx, cfg: norm, pool: pool, sketchSize: cfg.SketchSize, names: src.Names(), arena: sketch.NewArena(), exec: exec}
+	f = &fitter{ctx: ctx, cfg: norm, pool: pool, sketchSize: cfg.SketchSize, names: src.Names(), arena: sketch.NewArena(), exec: exec}
 	if f.exec == nil {
 		le := newLocalExec(ctx, src, cfg, pool, norm.Registry, f.arena)
-		defer le.close()
+		done = le.close
 		f.exec = le
 	}
 	if _, err := f.Open(); err != nil {
-		return nil, nil, err
+		return nil, nil, done, err
 	}
-	cands := make([]*core.Candidate, len(f.live), len(f.live)+len(gens))
+	cands = make([]*core.Candidate, len(f.live), len(f.live)+len(gens))
 	for i, lf := range f.live {
 		cands[i] = &core.Candidate{Column: lf, Feats: []int{i}}
 	}
 	for i, g := range gens {
 		op, err := norm.Registry.Get(g.Op)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, done, err
 		}
 		ap, err := op.Fit(make([][]float64, len(g.Feats)))
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, done, err
 		}
 		inputs := make([]string, len(g.Feats))
 		for k, fi := range g.Feats {
@@ -75,18 +76,54 @@ func CutGenerated(ctx context.Context, src frame.ChunkSource, exec Executor, cfg
 		cands = append(cands, &core.Candidate{Node: &core.FeatureNode{Name: fmt.Sprintf("g%d", i), Inputs: inputs, Applier: ap}, Feats: g.Feats})
 	}
 	if _, err := f.Generate(cands); err != nil {
-		return nil, nil, err
+		return nil, nil, done, err
 	}
 	if _, err := f.Criteria(cands); err != nil {
+		return nil, nil, done, err
+	}
+	return f, cands, done, nil
+}
+
+// CutGenerated runs one round's grid passes (see openRound) and returns what
+// they made of each generated candidate, and the live features' cut tables'
+// cuts likewise.
+func CutGenerated(ctx context.Context, src frame.ChunkSource, exec Executor, cfg Config, gens []GenSpec) (gen, live []GridCut, err error) {
+	f, cands, done, err := openRound(ctx, src, exec, cfg, gens)
+	defer done()
+	if err != nil {
 		return nil, nil, err
 	}
 	out := make([]GridCut, len(cands))
 	for i, c := range cands {
 		cl := col(c)
-		out[i] = GridCut{Cuts: map[int][]float64{}, BinnerCuts: cl.binnerCuts(norm.Miner.MaxBins), Counts: cl.ivCounts, Crit: cl.crit}
-		for _, bins := range []int{norm.Miner.MaxBins, norm.IVBins, norm.Ranker.MaxBins} {
+		out[i] = GridCut{Cuts: map[int][]float64{}, BinnerCuts: cl.binnerCuts(f.cfg.Miner.MaxBins), Counts: cl.ivCounts, Crit: cl.crit}
+		for _, bins := range []int{f.cfg.Miner.MaxBins, f.cfg.IVBins, f.cfg.Ranker.MaxBins} {
 			out[i].Cuts[bins] = cl.cuts(bins)
 		}
 	}
 	return out[len(f.live):], out[:len(f.live)], nil
+}
+
+// GramMoments runs one round's grid passes (see openRound), then the Gram pass
+// with every candidate kept, and returns each generated candidate's moments —
+// the ones the Pearson stage reads — and whether it counts as constant there.
+func GramMoments(ctx context.Context, src frame.ChunkSource, exec Executor, cfg Config, gens []GenSpec) ([]sketch.Moments, []bool, error) {
+	f, cands, done, err := openRound(ctx, src, exec, cfg, gens)
+	defer done()
+	if err != nil {
+		return nil, nil, err
+	}
+	kept := make([]int, len(cands))
+	for i := range kept {
+		kept[i] = i
+	}
+	if _, err := f.Correlated(cands, kept); err != nil {
+		return nil, nil, err
+	}
+	moms := make([]sketch.Moments, len(gens))
+	constant := make([]bool, len(gens))
+	for i, c := range cands[len(f.live):] {
+		moms[i], constant[i] = *col(c).mom, col(c).constant()
+	}
+	return moms, constant, nil
 }

@@ -25,9 +25,13 @@ import (
 //     partitioning. The fitter evaluates each candidate on it through the
 //     live program and core.Apply, and lays stats.SampleGrid over the result.
 //   - The count pass (PassSketchGen) returns, per candidate and chunk, its
-//     values per bucket of that grid (GridCounts) and their Moments. The
-//     fitter adds the counts up and finds the bucket of every rank a cut of
-//     the column can ask for (stats.LocateRanks over cutRankUnion).
+//     values per bucket of that grid and their range (GridCounts). A
+//     generated column holds no NaN (core.Apply sanitises it), so the counts
+//     add up to the chunk's rows. The fitter adds them up and finds the
+//     bucket of every rank a cut of the column can ask for
+//     (stats.LocateRanks over cutRankUnion). The moments only the Pearson
+//     stage reads are left to the Gram pass, which regenerates just the
+//     survivors.
 //   - The gather pass (PassRefine) returns the values in those cut buckets
 //     (Gather) — for a count task also the class of each value in a bucket
 //     holding a criterion cut, and the class counts of the runs of buckets
@@ -45,7 +49,7 @@ import (
 // stops the pass instead of becoming a wrong cut.
 var (
 	// ErrGridCounts: a candidate's bucket counts do not sum to the
-	// partial's non-NaN rows, or are not one grid's worth.
+	// partial's rows, or are not one grid's worth.
 	ErrGridCounts = errors.New("bucket counts do not add up to the partial's rows")
 	// ErrGatherSize: a gather holds more values for a cut bucket than the
 	// count pass found in it, or — once every partition is in — fewer, or
@@ -502,7 +506,7 @@ func valueRange(xs []float64) (lo, hi float64) {
 }
 
 // computeGridCounts is the count pass's kernel: every candidate regenerated,
-// its moments, its range and its counts on its grid.
+// its range and its counts on its grid.
 func (ws *WorkerState) computeGridCounts(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
 	for i := range spec.Grids {
 		if err := spec.Grids[i].check(false, false); err != nil {
@@ -512,7 +516,6 @@ func (ws *WorkerState) computeGridCounts(ctx context.Context, spec *PassSpec, c 
 	cols := ws.liveCols(c)
 	n := len(spec.Grids)
 	p.Counts = make([]GridCounts, n)
-	p.Moments = make([]sketch.Moments, n)
 	gridded := 0
 	for i := range spec.Grids {
 		if spec.Grids[i].Grid != (stats.Grid{}) {
@@ -533,7 +536,6 @@ func (ws *WorkerState) computeGridCounts(ctx context.Context, spec *PassSpec, c 
 		if err := ws.genCol(g.Gen, cols, vals); err != nil {
 			return err
 		}
-		p.Moments[i].AddAll(vals)
 		gc := &p.Counts[i]
 		gc.Min, gc.Max = valueRange(vals)
 		if gc.Counts != nil {
@@ -653,20 +655,19 @@ func gatherCol(g *GridSpec, t *gridTables, vals []float64, cls []int32, k int, s
 }
 
 // passGridCounts is the count pass over the round's generated candidates: the
-// fold adds each candidate's bucket counts up, merges its moments and range,
-// and then locates the bucket of every rank its cuts can ask for.
+// fold adds each candidate's bucket counts up, merges its range, and then
+// locates the bucket of every rank its cuts can ask for.
 func (f *fitter) passGridCounts(gens []*core.Candidate) error {
 	spec := &PassSpec{Kind: PassSketchGen, Grids: make([]GridSpec, len(gens))}
 	for i, c := range gens {
 		spec.Grids[i] = col(c).grid.spec
 	}
 	err := f.runPass(spec, func(p *Partial) error {
-		if len(p.Counts) != len(gens) || len(p.Moments) != len(gens) {
-			return fmt.Errorf("shard: grid-count partial %d has %d counts and %d moments, want %d",
-				p.Chunk, len(p.Counts), len(p.Moments), len(gens))
+		if len(p.Counts) != len(gens) {
+			return fmt.Errorf("shard: grid-count partial %d has %d counts, want %d", p.Chunk, len(p.Counts), len(gens))
 		}
 		err := f.each(len(gens), func(i int) error {
-			if err := col(gens[i]).foldCounts(&p.Counts[i], &p.Moments[i], p.Rows); err != nil {
+			if err := col(gens[i]).foldCounts(&p.Counts[i], p.Rows); err != nil {
 				return fmt.Errorf("shard: grid-count partial %d cand %d: %w", p.Chunk, i, err)
 			}
 			return nil
@@ -691,17 +692,15 @@ func (p *Partial) ReleaseCounts(arena *sketch.Arena) {
 	p.countSlab = nil
 }
 
-// foldCounts merges one chunk's count-pass partial into the candidate.
-func (c *column) foldCounts(gc *GridCounts, mom *sketch.Moments, rows int) error {
+// foldCounts merges one chunk's count-pass partial of rows rows into the
+// candidate. Its values are the chunk's rows, every one non-NaN.
+func (c *column) foldCounts(gc *GridCounts, rows int) error {
 	st := c.grid
-	if mom.Rows != int64(rows) || mom.N < 0 || mom.N > mom.Rows {
-		return fmt.Errorf("moments of %d rows (%d non-NaN) for %d: %w", mom.Rows, mom.N, rows, ErrGridCounts)
-	}
 	if st.spec.Grid == (stats.Grid{}) {
 		if gc.Counts != nil {
 			return fmt.Errorf("%d bucket counts without a grid: %w", len(gc.Counts), ErrGridCounts)
 		}
-		st.counts[0] += int32(mom.N)
+		st.counts[0] += int32(rows)
 	} else {
 		if len(gc.Counts) != len(st.counts) {
 			return fmt.Errorf("%d bucket counts, want %d: %w", len(gc.Counts), len(st.counts), ErrGridCounts)
@@ -710,27 +709,25 @@ func (c *column) foldCounts(gc *GridCounts, mom *sketch.Moments, rows int) error
 		for _, v := range gc.Counts {
 			sum += int64(v)
 		}
-		if sum != mom.N {
-			return fmt.Errorf("bucket counts sum to %d of %d non-NaN rows: %w", sum, mom.N, ErrGridCounts)
+		if sum != int64(rows) {
+			return fmt.Errorf("bucket counts sum to %d of %d rows: %w", sum, rows, ErrGridCounts)
 		}
 		for b, v := range gc.Counts {
 			st.counts[b] += v
 		}
 	}
-	if mom.N > 0 && !(gc.Min <= gc.Max) {
-		return fmt.Errorf("range [%v, %v] of %d values: %w", gc.Min, gc.Max, mom.N, ErrGridCounts)
+	if rows > 0 && !(gc.Min <= gc.Max) {
+		return fmt.Errorf("range [%v, %v] of %d values: %w", gc.Min, gc.Max, rows, ErrGridCounts)
 	}
-	c.mom.Merge(mom)
+	c.n += int64(rows)
 	c.max = max(c.max, gc.Max)
 	return nil
 }
 
-// locate fills the cut table's shape from the summed counts: the non-NaN
-// count, the union ranks, the cut buckets that hold them, and the gather
-// pass's bucket list.
+// locate fills the cut table's shape from the summed counts: the union
+// ranks, the cut buckets that hold them, and the gather pass's bucket list.
 func (c *column) locate(cfg *core.Config) {
 	st := c.grid
-	c.n = c.mom.N
 	c.ranks = cutRankUnion(c.n, cfg)
 	st.ranks = make([]int, len(c.ranks))
 	for i, r := range c.ranks {

@@ -314,6 +314,67 @@ func TestGridCutsAreExact(t *testing.T) {
 	}
 }
 
+// TestGramMomentsMatchCountPassFormula pins the moments the Pearson stage
+// reads of a generated survivor, which the Gram pass computes: over 1, 3 and
+// 4 partitions, through the in-process executor and the distributed one,
+// every generated candidate's moments equal, bit for bit, Moments.AddAll over
+// each chunk of its materialised column merged in partition order — the
+// count pass's formula before the Gram pass took it over. A constant
+// candidate (one·one) is still the one constant() reports.
+func TestGramMomentsMatchCountPassFormula(t *testing.T) {
+	train := gridFrame(t, core.BinaryTask())
+	cfg := shard.Config{Core: core.DefaultConfig(), SketchSize: 128}
+	reg := operators.NewRegistry()
+	cols := make([][]float64, len(gridGens))
+	for i, g := range gridGens {
+		op, err := reg.Get(g.Op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ap, err := op.Fit(make([][]float64, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[i] = make([]float64, gridRows)
+		core.Apply(ap, [][]float64{train.Col(g.Feats[0]), train.Col(g.Feats[1])}, cols[i])
+	}
+	bits := func(m sketch.Moments) [5]uint64 {
+		return [5]uint64{uint64(m.Rows), uint64(m.N), uint64(m.NaNs), math.Float64bits(m.Mean), math.Float64bits(m.M2)}
+	}
+	for _, parts := range []int{1, 3, 4} {
+		rows := (gridRows + parts - 1) / parts
+		want := make([]sketch.Moments, len(cols))
+		for i, col := range cols {
+			for lo := 0; lo < gridRows; lo += rows {
+				var part sketch.Moments
+				part.AddAll(col[lo:min(lo+rows, gridRows)])
+				want[i].Merge(&part)
+			}
+		}
+		check := func(name string, src frame.ChunkSource, exec shard.Executor) {
+			t.Helper()
+			got, constant, err := shard.GramMoments(context.Background(), src, exec, cfg, gridGens)
+			if err != nil {
+				t.Fatalf("%s, %d partitions: %v", name, parts, err)
+			}
+			for i := range got {
+				if bits(got[i]) != bits(want[i]) {
+					t.Fatalf("%s, %d partitions: candidate %d (%s %v): moments %+v, want %+v",
+						name, parts, i, gridGens[i].Op, gridGens[i].Feats, got[i], want[i])
+				}
+				if wantConst := i == 5; constant[i] != wantConst {
+					t.Fatalf("%s, %d partitions: candidate %d (%s %v) constant=%v, want %v",
+						name, parts, i, gridGens[i].Op, gridGens[i].Feats, constant[i], wantConst)
+				}
+			}
+		}
+		check("local", frame.NewFrameChunks(train, rows), nil)
+		exec, src, stop := distExec(t, train, rows)
+		check("dist", src, exec)
+		stop()
+	}
+}
+
 // gatherWith returns the index of the first gather of the partial that ok
 // accepts.
 func gatherWith(p *shard.Partial, ok func(g *shard.Gather) bool) int {
@@ -325,29 +386,50 @@ func gatherWith(p *shard.Partial, ok func(g *shard.Gather) bool) int {
 	panic("no gather of the shape the corruption needs")
 }
 
-// TestGridFoldsRefusePeerBytes is the table of what the grid folds refuse:
-// every row corrupts one partial of a real fit — on the count pass or a
-// round's gather pass — by pointer and in wire form, and the fit must stop on
-// the named error, positioned on the partial, instead of cutting anywhere.
+// TestGridFoldsRefusePeerBytes is the table of what the grid folds — and the
+// Gram fold, which takes the generated survivors' moments over from the
+// count pass — refuse: every row corrupts one partial of a real fit — on the
+// count pass, a round's gather pass or its Gram pass — by pointer and in wire
+// form, and the fit must stop on the named error, positioned on the partial,
+// instead of cutting or correlating anywhere.
 func TestGridFoldsRefusePeerBytes(t *testing.T) {
 	train := gridFrame(t, core.BinaryTask())
 	gridded := func(g *shard.Gather) bool { return len(g.Sizes) > 1 } // a whole-column gather has one bucket
+	shortCount := func(p *shard.Partial) int {
+		for i, gc := range p.Counts {
+			for b, n := range gc.Counts {
+				if n > 0 {
+					gc.Counts[b]--
+					return i
+				}
+			}
+		}
+		panic("no counts")
+	}
+	moments := func(edit func(m *sketch.Moments)) func(p *shard.Partial) int {
+		return func(p *shard.Partial) int {
+			edit(&p.Moments[0])
+			return 0
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		kind shard.PassKind
 		want error
 		bad  func(p *shard.Partial) int // returns the candidate it corrupted
 	}{
-		{"counts short of the non-NaN rows", shard.PassSketchGen, shard.ErrGridCounts, func(p *shard.Partial) int {
-			for i, gc := range p.Counts {
-				for b, n := range gc.Counts {
-					if n > 0 {
-						gc.Counts[b]--
-						return i
-					}
-				}
+		{"counts short of the partition's rows", shard.PassSketchGen, shard.ErrGridCounts, shortCount},
+		// A generated column holds no NaN, so the rows are what the counts
+		// answer to: moments beside them, as a version-2 count partial carried,
+		// that file the missing row as a NaN excuse nothing.
+		{"counts short of the rows, the row claimed as a NaN", shard.PassSketchGen, shard.ErrGridCounts, func(p *shard.Partial) int {
+			i := shortCount(p)
+			p.Moments = make([]sketch.Moments, len(p.Counts))
+			for j := range p.Moments {
+				p.Moments[j] = sketch.Moments{Rows: int64(p.Rows), N: int64(p.Rows)}
 			}
-			panic("no counts")
+			p.Moments[i].N, p.Moments[i].NaNs = int64(p.Rows-1), 1
+			return i
 		}},
 		// In wire form the blob decoder refuses this one first, with ErrBlob.
 		{"counts without a grid's worth of buckets", shard.PassSketchGen, shard.ErrGridCounts, func(p *shard.Partial) int {
@@ -395,9 +477,18 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 			p.Gathers[i].Class[0] = 2
 			return i
 		}},
+		{"survivor moments over more rows than the partial's", shard.PassGramCodes, shard.ErrGramMoments,
+			moments(func(m *sketch.Moments) { m.Rows++; m.N++ })},
+		{"survivor moments with a NaN", shard.PassGramCodes, shard.ErrGramMoments,
+			moments(func(m *sketch.Moments) { m.N--; m.NaNs++ })},
+		{"survivor moments with a negative M2", shard.PassGramCodes, shard.ErrGramMoments,
+			moments(func(m *sketch.Moments) { m.M2 = -1 })},
+		{"survivor moments with a finite mean and a NaN M2", shard.PassGramCodes, shard.ErrGramMoments,
+			moments(func(m *sketch.Moments) { m.M2 = math.NaN() })},
 	} {
-		// The count pass is the first of its kind; the live refinement is the
-		// first gather pass (the sketches are lossy), the round's the second.
+		// The count and Gram passes are the first of their kinds; the live
+		// refinement is the first gather pass (the sketches are lossy), the
+		// round's the second.
 		nth := 1
 		if tc.kind == shard.PassRefine {
 			nth = 2
@@ -420,8 +511,8 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 						t.Fatal(err)
 					}
 					i := tc.bad(&q)
-					if tc.kind == shard.PassSketchGen {
-						i *= 2
+					if tc.kind == shard.PassGramCodes {
+						i++ // the Gram is blob 0
 					}
 					p.Blobs = append([][]byte(nil), p.Blobs...)
 					p.Blobs[i] = q.AppendBlob(nil, tc.kind, i)

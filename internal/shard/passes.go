@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/operators"
@@ -381,12 +383,20 @@ func (f *fitter) passCandidateCounts(cands []*core.Candidate) error {
 	return nil
 }
 
+// ErrGramMoments: a Gram partial's moments of a generated survivor count other
+// than the partial's rows, or a NaN, or pair a finite mean with an M2 that is
+// not ≥ 0. (Values near ±MaxFloat64 overflow the mean honestly; once it is not
+// finite, neither is anything after it, and Pearson finds the column
+// correlated with nothing, as it always has.)
+var ErrGramMoments = errors.New("survivor moments do not describe the partial's rows")
+
 // passGramAndCodes streams one pass over the IV survivors, accumulating the
 // pairwise co-moment Gram matrix (per-partition partials merged by addition
 // in partition order — the identical float sums of a sequential pass, since
-// each chunk's dot products add once either way) and materialising resident
-// ranker codes for the survivors that carry none at the ranker's bin count
-// (a live feature binned for a miner of the same count does).
+// each chunk's dot products add once either way) and the generated survivors'
+// moments (merged likewise, over the chunks the count pass saw: its bits), and
+// materialising resident ranker codes for the survivors that carry none at the
+// ranker's bin count (a live feature binned for a miner of the same count does).
 func (f *fitter) passGramAndCodes(cands []*core.Candidate, keptA []int) (*sketch.Gram, error) {
 	bins := f.cfg.Ranker.MaxBins
 	kept := make([]*column, len(keptA))
@@ -407,6 +417,12 @@ func (f *fitter) passGramAndCodes(cands []*core.Candidate, keptA []int) (*sketch
 	}); err != nil {
 		return nil, err
 	}
+	var gens []*column // the generated survivors, in entry order
+	for gi, c := range kept {
+		if specs[gi].Base < 0 {
+			gens = append(gens, c)
+		}
+	}
 	gram := sketch.NewGram(len(kept))
 	err := f.runPass(&PassSpec{Kind: PassGramCodes, Entries: specs}, func(p *Partial) error {
 		if len(p.Codes) != len(kept) {
@@ -414,6 +430,18 @@ func (f *fitter) passGramAndCodes(cands []*core.Candidate, keptA []int) (*sketch
 		}
 		if p.Gram == nil || p.Gram.K() != len(kept) {
 			return fmt.Errorf("shard: gram partial %d does not cover the %d surviving columns", p.Chunk, len(kept))
+		}
+		if len(p.Moments) != len(gens) {
+			return fmt.Errorf("shard: gram partial %d has %d moments, want %d", p.Chunk, len(p.Moments), len(gens))
+		}
+		for g, c := range gens {
+			m := &p.Moments[g]
+			finite := !math.IsNaN(m.Mean) && !math.IsInf(m.Mean, 0)
+			if m.Rows != int64(p.Rows) || m.N != m.Rows || finite && !(m.M2 >= 0) {
+				return fmt.Errorf("shard: gram partial %d generated survivor %d: %d of %d rows, mean %v, M2 %v for %d rows: %w",
+					p.Chunk, g, m.N, m.Rows, m.Mean, m.M2, p.Rows, ErrGramMoments)
+			}
+			c.mom.Merge(m)
 		}
 		// Back to the arena at once, like a merged quantile partial: a partial
 		// that came over the wire was decoded from it, and no executor takes

@@ -414,14 +414,23 @@ func containsKind(kinds []shard.PassKind, k shard.PassKind) bool {
 	return false
 }
 
+// sumCounts is how many values a grid's bucket counts hold.
+func sumCounts(counts []int32) (n int64) {
+	for _, c := range counts {
+		n += int64(c)
+	}
+	return n
+}
+
 // TestSeamPartialSizedByBudget pins what a partial costs to its budget
 // instead of the chunk: for chunks from half the budget to a 65,536-row row
 // group, every quantile blob of a base-sketch partial declares min(sketch
 // size, PartialSize) and renders to at most its header plus 16 B per budgeted
 // point, while Count still says every row went in; and every grid-count blob
 // of a count partial is one grid's varints — at most 3 bytes a bucket below
-// 2^21 rows — beside its range. The partials are computed under pools of 1, 2,
-// 3 and 8 and must render to the same bytes, as everywhere on the seam.
+// 2^21 rows — beside its range, and its counts add up to the chunk's rows.
+// The partials are computed under pools of 1, 2, 3 and 8 and must render to
+// the same bytes, as everywhere on the seam.
 func TestSeamPartialSizedByBudget(t *testing.T) {
 	const maxRows = 65536
 	ds, err := datagen.Generate(datagen.Spec{
@@ -468,12 +477,12 @@ func TestSeamPartialSizedByBudget(t *testing.T) {
 						t.Fatal(err)
 					}
 					if i == 0 && spec.Kind == shard.PassSketchGen {
-						for b := 0; b < p.BlobCount(spec.Kind); b += 2 {
+						for b := 0; b < p.BlobCount(spec.Kind); b++ {
 							if got, max := p.BlobSize(spec.Kind, b), 16+2+3*stats.NumBuckets; got > max {
-								t.Errorf("sketch size %d, %d rows: count blob %d is %d bytes, a grid allows %d", sketchSize, rows, b/2, got, max)
+								t.Errorf("sketch size %d, %d rows: count blob %d is %d bytes, a grid allows %d", sketchSize, rows, b, got, max)
 							}
-							if n := p.Moments[b/2].Rows; n != int64(rows) {
-								t.Errorf("sketch size %d, %d rows: count partial %d covers %d rows", sketchSize, rows, b/2, n)
+							if n := sumCounts(p.Counts[b].Counts); p.Counts[b].Counts != nil && n != int64(rows) {
+								t.Errorf("sketch size %d, %d rows: count partial %d covers %d rows", sketchSize, rows, b, n)
 							}
 						}
 					}

@@ -1,6 +1,10 @@
 package sketch
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/stats"
+)
 
 // Gram is a mergeable pairwise co-moment accumulator over a fixed set of k
 // columns, tracking for every unordered pair (i < j) the sums the Pearson
@@ -11,7 +15,9 @@ import "math"
 // Sums are plain additions, so Merge is associative and order-invariant up
 // to floating-point rounding. Dot then reproduces the standardised dot
 // product core's pearsonDedup computes lazily from full columns: with NaNs
-// standardised to 0 (the mean), only jointly valid rows contribute.
+// standardised to 0 (the mean), only jointly valid rows contribute; its means
+// and deviations come from Moments over the same rows. A NaN-free pair's dot
+// product is stats.Dot, the kernel core's Pearson runs on too.
 type Gram struct {
 	k    int
 	rows int64
@@ -125,11 +131,7 @@ func (g *Gram) addColumnPairs(cols [][]float64, sums []float64, hasNaN []bool, j
 		x := cols[i]
 		p := base + i
 		if !hasNaN[i] && !hasNaN[j] {
-			var dot float64
-			for r := 0; r < n; r++ {
-				dot += x[r] * y[r]
-			}
-			g.sxy[p] += dot
+			g.sxy[p] += stats.Dot(x[:n], y)
 			g.sx[p] += sums[i]
 			g.sy[p] += sums[j]
 			g.cnt[p] += int64(n)

@@ -14,22 +14,8 @@ type Moments struct {
 	NaNs int64   // NaN observations
 }
 
-// Add observes one value.
-func (m *Moments) Add(v float64) {
-	m.Rows++
-	if math.IsNaN(v) {
-		m.NaNs++
-		return
-	}
-	m.N++
-	d := v - m.Mean
-	m.Mean += d / float64(m.N)
-	m.M2 += d * (v - m.Mean)
-}
-
-// AddAll observes a column of values. The accumulation is the exact
-// per-value Add sequence with the fields held in locals — same float
-// operations in the same order, without the per-value store/reload.
+// AddAll observes a column of values, one Welford update each, in order,
+// with the fields held in locals.
 func (m *Moments) AddAll(vs []float64) {
 	rows, n, nans := m.Rows, m.N, m.NaNs
 	mean, m2 := m.Mean, m.M2

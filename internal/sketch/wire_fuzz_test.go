@@ -92,7 +92,7 @@ func FuzzSketchDecode(f *testing.F) {
 			fresh.Cuts(4)
 		case *Moments:
 			acc := &Moments{}
-			acc.Add(2)
+			acc.AddAll([]float64{2})
 			acc.Merge(s)
 			acc.Variance()
 		case *LabelHist:

@@ -178,7 +178,7 @@ func TestRefinerGatherWireRoundTrip(t *testing.T) {
 
 func TestDecodeAnyDispatch(t *testing.T) {
 	m := &Moments{}
-	m.Add(3)
+	m.AddAll([]float64{3})
 	v, _, err := DecodeAny(m.AppendWire(nil))
 	if err != nil {
 		t.Fatalf("DecodeAny: %v", err)

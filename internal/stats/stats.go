@@ -172,6 +172,25 @@ func Pearson(x, y []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
+// Dot returns Σ x[i]·y[i] over i < len(x) (y may be longer). Four
+// accumulators take every fourth term, so the adds overlap instead of waiting
+// on one another: x·y reassociated, the same bits for the same inputs.
+func Dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		s0 += x[i] * y[i]
+		s1 += x[i+1] * y[i+1]
+		s2 += x[i+2] * y[i+2]
+		s3 += x[i+3] * y[i+3]
+	}
+	for ; i < len(x); i++ {
+		s0 += x[i] * y[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
 // Quantiles returns the q-quantile cut points of xs (q-1 interior points)
 // using the nearest-rank method. NaNs are skipped. The cut values are the
 // same a sorted copy would yield, but computed by multi-rank selection in

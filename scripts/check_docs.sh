@@ -8,6 +8,9 @@
 #  2. Package comment check: every internal/* package (plus the root
 #     package) must carry a godoc package comment ("// Package <name> ...")
 #     in at least one of its .go files.
+#  3. Markdown names in Go: every *.md a non-test Go file names, in a
+#     comment or a string, must exist — relative to the repository root or
+#     to the naming file's directory.
 #
 # Run from the repository root: bash scripts/check_docs.sh
 set -euo pipefail
@@ -53,8 +56,20 @@ if ! grep -qE '^// Package safe( |$)' ./*.go; then
   fail=1
 fi
 
+# --- 3. markdown names in Go source -----------------------------------------
+refs=$(grep -rnoE --include='*.go' --exclude='*_test.go' '[A-Za-z0-9_./-]+\.md\b' . || true)
+while IFS=: read -r file line name; do
+  [ -z "$file" ] && continue
+  if [ ! -e "$name" ] && [ ! -e "$(dirname "$file")/$name" ]; then
+    echo "dangling markdown name in $file:$line: $name" >&2
+    fail=1
+  fi
+done <<EOF
+$refs
+EOF
+
 if [ "$fail" -ne 0 ]; then
   echo "docs check failed" >&2
   exit 1
 fi
-echo "docs check ok: links resolve, every package is documented"
+echo "docs check ok: links resolve, every package is documented, every markdown name in Go resolves"
