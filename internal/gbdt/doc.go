@@ -33,17 +33,23 @@
 //
 // The histogram kernel is laid out the way XGBoost and LightGBM pair with
 // histogram splitting. A histogram bin is one record (gradient sum, hessian
-// sum, row count), so adding a row to it touches one cache line. A node's
-// rows are int32 indices kept in a stable in-place partition, and before its
-// histograms are built the node's (gradient, hessian) pairs are gathered once
-// into a buffer in that row order: every feature's loop then reads the pairs
-// in sequence and only its codes at random, and every bin adds the same
-// values in the same order as a per-feature gather would. The partition also
-// updates the training scores: each leaf adds its value to the raw scores of
-// the rows it holds, and only the rows outside a round's row sample walk the
-// new tree, by bin code against the split codes recorded as it grew. Each
-// row still gets one addition of the same value per tree, so the scores, and
-// every later gradient, are the ones a walk over all rows gives.
+// sum, row count), so adding a row to it touches one cache line. A tree grows
+// one level at a time, as XGBoost's hist method grows it: every node's rows
+// are one segment of a per-tree int32 row buffer, kept in a stable in-place
+// partition. Of a split's two children only the one whose histograms are
+// accumulated has its (gradient, hessian) pairs gathered, once, into the same
+// segment of a buffer in that row order: every feature's loop then reads the
+// pairs in sequence and only its codes at random, and every bin adds the same
+// values in the same order as a per-feature gather would. That child is the
+// smaller one when both can split; when only one can, it is built directly if
+// it is the smaller, and otherwise derived by subtracting its built sibling
+// from the parent. The partition also updates the training scores: each leaf
+// adds its value to the raw scores of the rows it holds, and only the rows
+// outside a round's row sample walk the new tree, by bin code against the
+// split codes recorded as it grew. Each row still gets one addition of the
+// same value per tree, so the scores, and every later gradient, are the ones
+// a walk over all rows gives. The nodes are numbered depth-first once the
+// tree is grown, so a model's bytes are those of a depth-first grower.
 //
 // A typical round trip:
 //
@@ -55,10 +61,15 @@
 //	class := model.PredictRow(row)                     // argmax class index
 //
 // The implementation is single-node but parallel on the shared
-// internal/parallel pool Config.Workers selects (1 serial, <= 0 GOMAXPROCS):
-// feature-parallel in the histogram loop, row-parallel in the gather, the
-// score updates and the softmax over any node or round of more than 2,048
-// rows,
-// mirroring the paper's "distributed computing" requirement at laptop scale;
-// results are identical for any worker count.
+// internal/parallel pool Config.Workers selects (1 serial, <= 0 GOMAXPROCS),
+// mirroring the paper's "distributed computing" requirement at laptop scale.
+// A level is two pool regions, whatever its width: the level's open nodes
+// run across the pool, each its serial split scan (in feats order, which
+// fixes the tie-breaks), its partition, its leaves and its child's gather on
+// its own segment of the row buffers; then every (child, feature) pair whose
+// histogram the level builds runs across the pool, accumulating the child's
+// bins and subtracting them from the parent's for the derived sibling. The
+// out-of-sample walk and the softmax are row-parallel above 2,048 rows.
+// Every slot is written by one task, in one order, so results are identical
+// for any worker count.
 package gbdt

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/parallel"
 	"repro/internal/stats"
@@ -537,6 +538,11 @@ type binner struct {
 	numBins []int
 }
 
+// quantScratch holds the binner's quantile scratches between chunks and calls:
+// a scratch's buffers, the per-row bucket record among them, grow to the
+// longest column it has cut.
+var quantScratch = sync.Pool{New: func() any { return new(stats.QuantileScratch) }}
+
 func newBinner(cols [][]float64, maxBins int, pool *parallel.Pool) *binner {
 	m := len(cols)
 	b := &binner{
@@ -544,12 +550,14 @@ func newBinner(cols [][]float64, maxBins int, pool *parallel.Pool) *binner {
 		cuts:    make([][]float64, m),
 		numBins: make([]int, m),
 	}
-	// Columns bin independently; chunks amortise one quantile scratch each.
+	// Columns bin independently; a chunk takes a quantile scratch from the
+	// package's pool and hands it on.
 	pool.ForChunks(m, pool.Grain(m), func(lo, hi int) {
-		var qs stats.QuantileScratch
+		qs := quantScratch.Get().(*stats.QuantileScratch)
+		defer quantScratch.Put(qs)
 		var ix stats.CutIndexer
 		for j := lo; j < hi; j++ {
-			cuts := quantileCuts(cols[j], maxBins, &qs)
+			cuts := quantileCuts(cols[j], maxBins, qs)
 			b.cuts[j] = cuts
 			b.numBins[j] = len(cuts) + 1
 			ix.Reset(cuts)
@@ -610,18 +618,18 @@ type trainer struct {
 	// stride is the per-feature slot width in a histSet: the largest
 	// numBins[j]+1 (real bins plus the missing bin 0) across features.
 	stride int
-	// free is the hist-set free list. Depth-first growth holds at most two
-	// sets per level, so the list stays O(MaxDepth) long and every tree
-	// after the first builds histograms without allocating.
+	// free is the hist-set free list. A level holds one set per open node and
+	// one per child being built, so after the first tree every tree builds its
+	// histograms without allocating.
 	free []*histSet
-	// rowBuf backs the per-tree row set (partitioned in place as the tree
-	// grows); partScratch is the right-side spill buffer that keeps the
-	// partition stable. Rows are int32: trainBinned bounds n.
+	// rowBuf backs the per-tree row set, partitioned in place level by level:
+	// every node's rows are one segment of it. partScratch is the right-side
+	// spill buffer that keeps the partition stable, and ordered holds the
+	// gradient pairs of the rows of each child being built, both used segment
+	// for segment alongside rowBuf. Rows are int32: trainBinned bounds n.
 	rowBuf      []int32
 	partScratch []int32
-	// ordered holds the gradient pairs of the rows computeHists is
-	// accumulating, in the order of those rows.
-	ordered []gpair
+	ordered     []gpair
 
 	// The tree being grown: its candidate features, the round's gradient
 	// pairs and its output group's raw scores, both indexed by row, and each
@@ -630,7 +638,19 @@ type trainer struct {
 	gh         []gpair
 	score      []float64
 	splitCodes []uint8
+	// Per-tree buffers reused across trees: the node records in the order the
+	// levels make them, the open nodes of the current and the next level, the
+	// children whose histograms a level builds, and the depth-first walk that
+	// numbers the nodes.
+	nodes       []growNode
+	level, next []int32
+	builds      []buildTask
+	stack       []int32
 }
+
+// buildTask names a child whose histogram set a level accumulates, and the
+// sibling (-1 for none) whose set, the parent's, it is subtracted from.
+type buildTask struct{ child, derive int32 }
 
 func newTrainer(b *binner, cfg Config, pool *parallel.Pool, n, m int) *trainer {
 	stride := 1
@@ -689,43 +709,168 @@ type splitResult struct {
 	defaultRight bool // learned direction for the missing bin (code 0)
 }
 
-// buildTree grows one tree depth-first over the given row and feature
-// subsets on the round's gradient pairs gh, and adds its outputs to score on
-// every row: on rows as each leaf is made, the partition having already put
-// them there, and on rest, the rows outside the round's sample, by a walk.
-// rows is partitioned in place as the tree grows.
+// growNode is one node of the tree being grown. Its rows are rowBuf[lo:hi].
+// open reports that it passed the leaf checks and waits for its level's
+// split scan; hist is its histogram set until that scan, nil otherwise.
+// splitNode fills in the rest: left is -1 for a leaf, a split node's children
+// are records left and left+1, and build and derive name the child whose
+// histograms the level accumulates and the one it derives from the parent's
+// (-1 for none).
+type growNode struct {
+	lo, hi        int
+	sumG, sumH    float64
+	open          bool
+	hist          *histSet
+	split         splitResult
+	value         float64 // a leaf's weight
+	left          int32
+	build, derive int32
+	final         int32 // index in Tree.Nodes
+}
+
+// buildTree grows one tree over the given row and feature subsets on the
+// round's gradient pairs gh, one level at a time, and adds its outputs to
+// score on every row: on rows as each leaf is made, the partition having
+// already put them there, and on rest, the rows outside the round's sample,
+// by a walk. rows is partitioned in place as the tree grows.
+//
+// A level is two pool regions. The first runs splitNode on each open node:
+// its split scan, partition, leaves and the gather of the child it builds,
+// all on its own segment of the row buffers. The second accumulates the built
+// children's histograms, a (child, feature) pair per index, and subtracts
+// each from its parent's in place for the sibling that takes the parent's
+// set. Every value is computed by the same operations in the same order as a
+// depth-first grower would, and the nodes are numbered depth-first at the
+// end, so the tree is the same for any worker count.
 func (tr *trainer) buildTree(rows, rest []int32, feats []int, gh []gpair, score []float64) *Tree {
 	tr.feats, tr.gh, tr.score = feats, gh, score
-	tr.splitCodes = append(tr.splitCodes[:0], 0)
-	t := &Tree{}
 	var sumG, sumH float64
 	for _, r := range rows {
 		sumG += gh[r].g
 		sumH += gh[r].h
 	}
-	t.Nodes = append(t.Nodes, Node{Feature: -1, Count: len(rows)})
-	var h *histSet
+	tr.nodes = append(tr.nodes[:0], growNode{hi: len(rows), sumG: sumG, sumH: sumH, left: -1})
+	tr.level = tr.level[:0]
 	if tr.needsSplitEval(len(rows), sumH, 0) {
-		h = tr.getHistSet()
-		tr.computeHists(rows, h)
+		gather(tr.ordered, gh, rows)
+		tr.nodes[0].hist = tr.getHistSet()
+		tr.nodes[0].open = true
+		tr.level = append(tr.level, 0)
+		tr.builds = append(tr.builds[:0], buildTask{0, -1})
+		tr.buildHists()
+	} else {
+		tr.makeLeaf(&tr.nodes[0])
 	}
-	tr.grow(t, 0, rows, sumG, sumH, 0, h)
+	for depth := 0; len(tr.level) > 0; depth++ {
+		// Each open node may add two children; their records are placed
+		// before the region so that no task appends.
+		base := int32(len(tr.nodes))
+		for range tr.level {
+			tr.nodes = append(tr.nodes, growNode{left: -1}, growNode{left: -1})
+		}
+		level := tr.level
+		tr.pool.ForChunks(len(level), 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				tr.splitNode(level[i], base+2*int32(i), depth)
+			}
+		})
+		tr.nextLevel()
+		tr.buildHists()
+		for _, b := range tr.builds {
+			if nd := &tr.nodes[b.child]; !nd.open {
+				tr.putHistSet(nd.hist)
+				nd.hist = nil
+			}
+		}
+		tr.level, tr.next = tr.next, tr.level
+	}
+	t := tr.number()
 	tr.walk(t, rest)
 	return t
 }
 
-// leaf makes node idx a leaf of value v and adds v to the scores of its rows,
-// row-parallel on the shared pool (each score written by exactly one chunk).
-// A leaf of one chunk is updated here, without building a closure for the
-// pool: most leaves are, and the closure would be an allocation per leaf.
-func (tr *trainer) leaf(t *Tree, idx int, rows []int32, v float64) {
-	t.Nodes[idx].Value = v
-	score := tr.score
-	if len(rows) <= rowGrain {
-		addTo(score, rows, v)
-		return
+// nextLevel hands the histogram sets of the level's nodes on, fills tr.next
+// with the children that are open and tr.builds with the children to build.
+// A parent's set goes to the child derived from it, or back to the free list,
+// before any new set is taken.
+func (tr *trainer) nextLevel() {
+	tr.next, tr.builds = tr.next[:0], tr.builds[:0]
+	for _, i := range tr.level {
+		nd := &tr.nodes[i]
+		if nd.left < 0 || nd.derive < 0 {
+			tr.putHistSet(nd.hist)
+		} else {
+			tr.nodes[nd.derive].hist = nd.hist
+		}
+		nd.hist = nil
 	}
-	tr.pool.ForChunks(len(rows), rowGrain, func(lo, hi int) { addTo(score, rows[lo:hi], v) })
+	for _, i := range tr.level {
+		nd := &tr.nodes[i]
+		if nd.left < 0 {
+			continue
+		}
+		if nd.build >= 0 {
+			tr.nodes[nd.build].hist = tr.getHistSet()
+			tr.builds = append(tr.builds, buildTask{nd.build, nd.derive})
+		}
+		for _, c := range [2]int32{nd.left, nd.left + 1} {
+			if tr.nodes[c].open {
+				tr.next = append(tr.next, c)
+			}
+		}
+	}
+}
+
+// number lays the grown records out as a Tree, numbered depth-first: a split
+// node's children take the next two indices when it is reached, and the left
+// subtree is numbered before the right, which is the order in which a
+// recursive grower appends them. It records each split node's code in
+// tr.splitCodes under the same index.
+func (tr *trainer) number() *Tree {
+	splits := 0
+	for i := range tr.nodes {
+		if tr.nodes[i].left >= 0 {
+			splits++
+		}
+	}
+	t := &Tree{Nodes: make([]Node, 1+2*splits)}
+	if cap(tr.splitCodes) < len(t.Nodes) {
+		tr.splitCodes = make([]uint8, len(t.Nodes))
+	}
+	tr.splitCodes = tr.splitCodes[:len(t.Nodes)]
+	next := int32(1)
+	tr.stack = append(tr.stack[:0], 0) // the root record, final index 0
+	for len(tr.stack) > 0 {
+		nd := &tr.nodes[tr.stack[len(tr.stack)-1]]
+		tr.stack = tr.stack[:len(tr.stack)-1]
+		if nd.left < 0 {
+			t.Nodes[nd.final] = Node{Feature: -1, Value: nd.value, Count: nd.hi - nd.lo}
+			tr.splitCodes[nd.final] = 0
+			continue
+		}
+		l, r := &tr.nodes[nd.left], &tr.nodes[nd.left+1]
+		l.final, r.final = next, next+1
+		next += 2
+		t.Nodes[nd.final] = Node{
+			Feature:      nd.split.feature,
+			Threshold:    nd.split.threshold,
+			Left:         int(l.final),
+			Right:        int(r.final),
+			Gain:         nd.split.gain,
+			Count:        nd.hi - nd.lo,
+			DefaultRight: nd.split.defaultRight,
+		}
+		tr.splitCodes[nd.final] = nd.split.binCode
+		tr.stack = append(tr.stack, nd.left+1, nd.left)
+	}
+	return t
+}
+
+// makeLeaf makes nd a leaf and adds its value to the scores of its rows.
+func (tr *trainer) makeLeaf(nd *growNode) {
+	cfg := tr.cfg
+	nd.value = -cfg.LearningRate * nd.sumG / (nd.sumH + cfg.Lambda)
+	addTo(tr.score, tr.rowBuf[nd.lo:nd.hi], nd.value)
 }
 
 // addTo adds v to score[r] for every r in rows.
@@ -783,24 +928,23 @@ func (tr *trainer) needsSplitEval(nRows int, sumH float64, depth int) bool {
 	return depth < cfg.MaxDepth && nRows >= 2*cfg.MinChildCount && sumH >= 2*cfg.MinChildWeight
 }
 
-// grow turns node nodeIdx into a split or a leaf. h is the node's histogram
-// set (nil when the leaf checks already failed); grow owns h and returns it
-// to the free list. Children histograms are built for the smaller side only
-// and derived for the larger by subtraction from the parent — the classic
-// histogram trick that nearly halves split-finding work.
-func (tr *trainer) grow(t *Tree, nodeIdx int, rows []int32, sumG, sumH float64, depth int, h *histSet) {
-	cfg := tr.cfg
-	leafValue := -cfg.LearningRate * sumG / (sumH + cfg.Lambda)
-
-	if h == nil {
-		tr.leaf(t, nodeIdx, rows, leafValue)
-		return
-	}
-
-	best := tr.bestSplit(h, len(rows), sumG, sumH)
-	if best.feature < 0 || best.gain <= cfg.Gamma {
-		tr.leaf(t, nodeIdx, rows, leafValue)
-		tr.putHistSet(h)
+// splitNode turns open node i at the given depth into a split or a leaf,
+// touching only its own record, the two child records from left on, and its
+// own segment of the row buffers, so a level's nodes run concurrently. A
+// split partitions the segment stably, makes a leaf of each child that cannot
+// split, and picks the children's histogram route: both children open builds
+// the smaller and derives the larger by subtraction from the parent — the
+// classic histogram trick that nearly halves split-finding work — and one
+// open child is built directly when it is the smaller side, else derived from
+// its built sibling. The child to build has its gradient pairs gathered into
+// its segment of tr.ordered.
+func (tr *trainer) splitNode(i, left int32, depth int) {
+	nd := &tr.nodes[i]
+	nd.build, nd.derive = -1, -1
+	rows := tr.rowBuf[nd.lo:nd.hi]
+	best := tr.bestSplit(nd.hist, len(rows), nd.sumG, nd.sumH)
+	if best.feature < 0 || best.gain <= tr.cfg.Gamma {
+		tr.makeLeaf(nd)
 		return
 	}
 
@@ -810,7 +954,7 @@ func (tr *trainer) grow(t *Tree, nodeIdx int, rows []int32, sumG, sumH float64, 
 	// same order an append-based partition produced).
 	codes := tr.binner.codes[best.feature]
 	gh := tr.gh
-	scratch := tr.partScratch[:0]
+	scratch := tr.partScratch[nd.lo:nd.lo]
 	nl := 0
 	var lG, lH float64
 	for _, r := range rows {
@@ -831,115 +975,83 @@ func (tr *trainer) grow(t *Tree, nodeIdx int, rows []int32, sumG, sumH float64, 
 		}
 	}
 	copy(rows[nl:], scratch)
-	tr.partScratch = scratch[:0]
-	left, right := rows[:nl], rows[nl:]
-	if len(left) == 0 || len(right) == 0 {
-		tr.leaf(t, nodeIdx, rows, leafValue)
-		tr.putHistSet(h)
+	if nl == 0 || nl == len(rows) {
+		tr.makeLeaf(nd)
 		return
 	}
-	rG, rH := sumG-lG, sumH-lH
-
-	li := len(t.Nodes)
-	t.Nodes = append(t.Nodes, Node{Feature: -1, Count: len(left)})
-	ri := len(t.Nodes)
-	t.Nodes = append(t.Nodes, Node{Feature: -1, Count: len(right)})
-	tr.splitCodes[nodeIdx] = best.binCode
-	tr.splitCodes = append(tr.splitCodes, 0, 0)
-
-	nd := &t.Nodes[nodeIdx]
-	nd.Feature = best.feature
-	nd.Threshold = best.threshold
-	nd.Gain = best.gain
-	nd.Left = li
-	nd.Right = ri
-	nd.DefaultRight = best.defaultRight
-
-	needL := tr.needsSplitEval(len(left), lH, depth+1)
-	needR := tr.needsSplitEval(len(right), rH, depth+1)
-	var hL, hR *histSet
-	switch {
-	case needL && needR:
-		if len(left) <= len(right) {
-			hL = tr.getHistSet()
-			tr.computeHists(left, hL)
-			hR = tr.getHistSet()
-			tr.subtractHists(hR, h, hL)
-		} else {
-			hR = tr.getHistSet()
-			tr.computeHists(right, hR)
-			hL = tr.getHistSet()
-			tr.subtractHists(hL, h, hR)
+	nd.split, nd.left = best, left
+	mid := nd.lo + nl
+	l, r := &tr.nodes[left], &tr.nodes[left+1]
+	*l = growNode{lo: nd.lo, hi: mid, sumG: lG, sumH: lH, left: -1}
+	*r = growNode{lo: mid, hi: nd.hi, sumG: nd.sumG - lG, sumH: nd.sumH - lH, left: -1}
+	l.open = tr.needsSplitEval(l.hi-l.lo, l.sumH, depth+1)
+	r.open = tr.needsSplitEval(r.hi-r.lo, r.sumH, depth+1)
+	for _, c := range [2]*growNode{l, r} {
+		if !c.open {
+			tr.makeLeaf(c)
 		}
-	case needL:
-		hL = tr.childHist(h, left, right)
-	case needR:
-		hR = tr.childHist(h, right, left)
 	}
-	tr.putHistSet(h)
 
-	tr.grow(t, li, left, lG, lH, depth+1, hL)
-	tr.grow(t, ri, right, rG, rH, depth+1, hR)
+	nr := len(rows) - nl
+	switch {
+	case l.open && r.open:
+		if nl <= nr {
+			nd.build, nd.derive = left, left+1
+		} else {
+			nd.build, nd.derive = left+1, left
+		}
+	case l.open:
+		if nl <= nr {
+			nd.build = left
+		} else {
+			nd.build, nd.derive = left+1, left
+		}
+	case r.open:
+		if nr <= nl {
+			nd.build = left + 1
+		} else {
+			nd.build, nd.derive = left, left+1
+		}
+	default:
+		return
+	}
+	b := &tr.nodes[nd.build]
+	gather(tr.ordered[b.lo:b.hi], gh, tr.rowBuf[b.lo:b.hi])
 }
 
-// childHist builds the histogram set of child (sibling being the other
-// side) by whichever route is cheaper: direct accumulation over child's
-// rows, or accumulating the sibling and subtracting from the parent.
-func (tr *trainer) childHist(parent *histSet, child, sibling []int32) *histSet {
-	if len(child) <= len(sibling) {
-		h := tr.getHistSet()
-		tr.computeHists(child, h)
-		return h
-	}
-	hs := tr.getHistSet()
-	tr.computeHists(sibling, hs)
-	h := tr.getHistSet()
-	tr.subtractHists(h, parent, hs)
-	tr.putHistSet(hs)
-	return h
-}
-
-// computeHists accumulates per-feature gradient histograms over rows. It
-// gathers the rows' gradient pairs into tr.ordered once, so each feature's
-// loop reads its codes at random but the pairs in sequence; every bin still
-// adds the same values in the same order. The gather runs row-parallel and
-// the features feature-parallel on the shared pool, each slot written by
-// exactly one chunk, so results are deterministic for any worker count.
-func (tr *trainer) computeHists(rows []int32, h *histSet) {
-	ordered, gh := tr.ordered[:len(rows)], tr.gh
-	if len(rows) <= rowGrain { // one chunk, as in leaf
-		gather(ordered, gh, rows)
-	} else {
-		tr.pool.ForChunks(len(rows), rowGrain, func(lo, hi int) { gather(ordered[lo:hi], gh, rows[lo:hi]) })
-	}
-	feats := tr.feats
-	tr.pool.ForChunks(len(feats), tr.pool.Grain(len(feats)), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
+// buildHists accumulates the histogram sets of the children in tr.builds over
+// their rows, one (child, feature) pair per index on the shared pool, and
+// subtracts each from its parent's for the sibling derived from it, which
+// holds the parent's set. Every slot is written by exactly one index, and
+// every bin adds the child's gradient pairs in row order, so results are
+// deterministic for any worker count.
+func (tr *trainer) buildHists() {
+	builds, feats, f := tr.builds, tr.feats, len(tr.feats)
+	tr.pool.ForChunks(len(builds)*f, tr.pool.Grain(len(builds)*f), func(lo, hi int) {
+		for x := lo; x < hi; x++ {
+			bt, k := builds[x/f], x%f
+			c := &tr.nodes[bt.child]
 			j := feats[k]
 			base := k * tr.stride
-			hist := h.bins[base : base+tr.binner.numBins[j]+1] // +1 for the missing bin 0
+			end := base + tr.binner.numBins[j] + 1 // +1 for the missing bin 0
+			hist := c.hist.bins[base:end]
 			clear(hist)
-			codes := tr.binner.codes[j]
-			for i, p := range ordered {
+			codes, rows := tr.binner.codes[j], tr.rowBuf[c.lo:c.hi]
+			for i, p := range tr.ordered[c.lo:c.hi] {
 				b := &hist[codes[rows[i]]]
 				b.g += p.g
 				b.h += p.h
 				b.n++
 			}
+			if bt.derive < 0 {
+				continue
+			}
+			d := tr.nodes[bt.derive].hist.bins[base:end]
+			for b := range d {
+				d[b] = bin{d[b].g - hist[b].g, d[b].h - hist[b].h, d[b].n - hist[b].n}
+			}
 		}
 	})
-}
-
-// subtractHists derives dst = parent - child per feature slot.
-func (tr *trainer) subtractHists(dst, parent, child *histSet) {
-	for k, j := range tr.feats {
-		base := k * tr.stride
-		end := base + tr.binner.numBins[j] + 1
-		d, p, c := dst.bins[base:end], parent.bins[base:end], child.bins[base:end]
-		for b := range d {
-			d[b] = bin{p[b].g - c[b].g, p[b].h - c[b].h, p[b].n - c[b].n}
-		}
-	}
 }
 
 // bestSplit scans the prebuilt histograms of every candidate feature. The

@@ -61,6 +61,12 @@ func goldenData() (cols [][]float64, labels func(Objective) []float64) {
 // and renders each model's MarshalJSON bytes, one line per case.
 func goldenModels(t *testing.T, subs [][2]float64, shape func(*Config)) string {
 	cols, labels := goldenData()
+	return renderModels(t, cols, labels, subs, shape)
+}
+
+// renderModels is goldenModels on a given frame.
+func renderModels(t *testing.T, cols [][]float64, labels func(Objective) []float64, subs [][2]float64, shape func(*Config)) string {
+	t.Helper()
 	var b strings.Builder
 	for _, obj := range []Objective{Logistic, Squared, Softmax} {
 		for _, sub := range subs {
@@ -115,6 +121,75 @@ func TestTrainMatchesRecordedDeepModels(t *testing.T) {
 		cfg.NumTrees, cfg.MaxDepth, cfg.MinChildCount, cfg.MaxBins = 8, 6, 5, 255
 	})
 	checkRecorded(t, "golden_models_deep.txt", got)
+}
+
+// wideData is a fixed 6,000×12 frame with NaN and ±Inf cells placed as in
+// goldenData. Its root and depth-1 nodes hold more than rowGrain rows and its
+// deeper levels many nodes, so with more than one worker a level's nodes and
+// its histogram tasks are shared with the pool; the target mixes five of the
+// twelve columns, so the trees use many features.
+func wideData() (cols [][]float64, labels func(Objective) []float64) {
+	const n, m = 6000, 12
+	smooth := func(i, j int) float64 { return math.Sin(float64(7*i+13*j)) * float64(1+(i*j)%5) }
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	cols = make([][]float64, m)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+		for i := range cols[j] {
+			if (7*i+3*j)%53 == 0 {
+				cols[j][i] = odd[(i+j)%len(odd)]
+			} else {
+				cols[j][i] = smooth(i, j)
+			}
+		}
+	}
+	labels = func(obj Objective) []float64 {
+		y := make([]float64, n)
+		for i := range y {
+			s := smooth(i, 0) + smooth(i, 1)*smooth(i, 2) - 0.5*smooth(i, 5) + 0.25*smooth(i, 7)*smooth(i, 9)
+			switch obj {
+			case Logistic:
+				if s > 0 {
+					y[i] = 1
+				}
+			case Squared:
+				y[i] = s
+			case Softmax:
+				switch {
+				case s < -1:
+					y[i] = 0
+				case s < 1:
+					y[i] = 1
+				default:
+					y[i] = 2
+				}
+			}
+		}
+		return y
+	}
+	return cols, labels
+}
+
+// TestTrainMatchesRecordedWideModels: Train on wideData marshals, byte for
+// byte, to the models testdata/golden_models_wide.txt records, on 1, 2, 3 and
+// 8 workers. MaxDepth 5 with MinChildWeight 20 leaves many children too light
+// to split, so the recorded bytes hold every route a child's histogram takes:
+// both children (the smaller built, the larger by subtraction), the smaller
+// alone, and the larger alone by subtracting its built sibling from the
+// parent. Every objective, with row subsampling off and at 0.5. The file was
+// written by this test, run once with a write in place of the comparison on a
+// clone of the commit whose trainer still grew each tree depth-first, one
+// node at a time; it is never regenerated from the code it checks.
+func TestTrainMatchesRecordedWideModels(t *testing.T) {
+	cols, labels := wideData()
+	for _, workers := range []int{1, 2, 3, 8} {
+		got := renderModels(t, cols, labels, [][2]float64{{1, 1}, {0.5, 1}}, func(cfg *Config) {
+			cfg.NumTrees, cfg.MaxDepth, cfg.MinChildWeight, cfg.Workers = 4, 5, 20, workers
+		})
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			checkRecorded(t, "golden_models_wide.txt", got)
+		})
+	}
 }
 
 // checkRecorded compares got with testdata/name line by line.

@@ -13,11 +13,11 @@ import (
 // on bin codes for the rows outside a round's sample — are, bit for bit, the
 // base score plus the sum of every tree's PredictRow on the raw row, for every
 // objective, with and without row subsampling, and equal to the one-worker
-// scores on any worker count. The rows outnumber rowGrain, so the row loops
-// (gather, leaf update, walk) are split into chunks whenever there is more
-// than one worker. The columns
-// carry NaN and ±Inf cells, so missing-value directions and the extreme bins
-// are walked too.
+// scores on any worker count. The rows outnumber rowGrain, so the walk is
+// split into chunks whenever there is more than one worker, and a level's
+// nodes and histogram tasks are shared with the pool. The columns carry NaN
+// and ±Inf cells, so missing-value directions and the extreme bins are walked
+// too.
 func TestTrainingScoresMatchPredict(t *testing.T) {
 	const n, m = 3*rowGrain + 100, 6
 	rng := rand.New(rand.NewSource(29))
@@ -61,8 +61,9 @@ func TestTrainingScoresMatchPredict(t *testing.T) {
 		labels[obj] = y
 	}
 
-	// Depth 1 leaves hold more than rowGrain rows each, so the leaf update is
-	// chunked too; depth 5 gives the out-of-sample walk deep paths.
+	// Depth 1 leaves hold more than rowGrain rows each, and their leaf updates
+	// run side by side on the pool; depth 5 gives the out-of-sample walk deep
+	// paths.
 	type shape struct {
 		sub   float64
 		depth int

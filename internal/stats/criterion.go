@@ -262,7 +262,8 @@ func (s *CritScratch) MulticlassIV(feature, labels []float64, k, bins int) float
 // excluded; the target is assumed finite (validated at fit entry). The
 // moments are float sums, so they are accumulated in row order (the order
 // the sharded engine's moment histograms reproduce), each row binned through
-// the bucket table the Quantiles call leaves behind.
+// the bucket the Quantiles call recorded for it and the bucket table it leaves
+// behind.
 func (s *CritScratch) CorrelationRatio(feature, target []float64, bins int) float64 {
 	cuts := s.q.Quantiles(feature, bins)
 	numBins := len(cuts) + 1
@@ -274,7 +275,7 @@ func (s *CritScratch) CorrelationRatio(feature, target []float64, bins int) floa
 		if v != v {
 			continue
 		}
-		b := s.q.Bin(v)
+		b := s.q.binRow(i, v)
 		y := target[i]
 		cnt[b]++
 		sum[b] += y

@@ -310,6 +310,133 @@ func TestCriteriaMatchReference(t *testing.T) {
 	}
 }
 
+// reuseColumns is a sequence of columns that one scratch must cut as a fresh
+// one does: long, then short, then middling, so that a per-row buffer left by
+// a longer column is read back only if the kernel is at fault; no, some and
+// only missing values; ±Inf cells; and a constant column, whose cuts come from
+// selection without a grid.
+func reuseColumns() [][]float64 {
+	rng := rand.New(rand.NewSource(32))
+	col := func(n int, nanShare float64, fill func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			if rng.Float64() < nanShare {
+				xs[i] = math.NaN()
+			} else {
+				xs[i] = fill(i)
+			}
+		}
+		return xs
+	}
+	normal := func(int) float64 { return rng.NormFloat64() }
+	infinite := func(i int) float64 {
+		switch i % 41 {
+		case 0:
+			return math.Inf(1)
+		case 1:
+			return math.Inf(-1)
+		}
+		return rng.ExpFloat64()
+	}
+	return [][]float64{
+		col(20000, 0, normal),
+		col(37, 0.3, normal),
+		col(5000, 1, normal),
+		col(20000, 0.3, infinite),
+		col(37, 0, infinite),
+		col(5000, 0, func(int) float64 { return 2.5 }),
+		col(5000, 0.3, normal),
+	}
+}
+
+// TestScratchReuseMatchesFresh: one IVScratch, one CritScratch and one
+// QuantileScratch, fed reuseColumns in turn, return every cut, every bin count
+// and every criterion a fresh scratch returns for the same column, bit for
+// bit. The kernel records each row's bucket in the scratch in its first scan
+// and reads it back in its second (and η²'s row loop); a record left by an
+// earlier, longer column must never be read.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	var iv IVScratch
+	var crit CritScratch
+	var q QuantileScratch
+	sameInts := func(a, b []int32) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	sameFloats := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for ci, feature := range reuseColumns() {
+		labels := make([]float64, len(feature))
+		for i := range labels {
+			labels[i] = float64((i * 7) % 3)
+		}
+		for _, bins := range []int{10, 64} {
+			tag := fmt.Sprintf("column %d (n=%d) bins=%d", ci, len(feature), bins)
+			var freshIV IVScratch
+			gotCuts, gotBins := iv.q.cutsAndCounts(feature, labels, binaryClasses, true, bins)
+			wantCuts, wantBins := freshIV.q.cutsAndCounts(feature, labels, binaryClasses, true, bins)
+			if !sameFloats(gotCuts, wantCuts) || !sameInts(gotBins, wantBins) {
+				t.Fatalf("%s: binary cuts %v counts %v, fresh %v %v", tag, gotCuts, gotBins, wantCuts, wantBins)
+			}
+			if got, want := iv.InformationValue(feature, labels, bins), freshIV.InformationValue(feature, labels, bins); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: IV %v, fresh %v", tag, got, want)
+			}
+
+			var freshCrit CritScratch
+			gotCuts, gotBins = crit.q.cutsAndCounts(feature, labels, 3, false, bins)
+			wantCuts, wantBins = freshCrit.q.cutsAndCounts(feature, labels, 3, false, bins)
+			if !sameFloats(gotCuts, wantCuts) || !sameInts(gotBins, wantBins) {
+				t.Fatalf("%s: multiclass cuts %v counts %v, fresh %v %v", tag, gotCuts, gotBins, wantCuts, wantBins)
+			}
+			for _, crits := range [][2]float64{
+				{crit.MulticlassIV(feature, labels, 3, bins), freshCrit.MulticlassIV(feature, labels, 3, bins)},
+				{crit.CorrelationRatio(feature, labels, bins), freshCrit.CorrelationRatio(feature, labels, bins)},
+			} {
+				if math.Float64bits(crits[0]) != math.Float64bits(crits[1]) {
+					t.Fatalf("%s: criterion %v, fresh %v", tag, crits[0], crits[1])
+				}
+			}
+			gotM := [][]float64{crit.cnt, crit.sum, crit.sumsq}
+			wantM := [][]float64{freshCrit.cnt, freshCrit.sum, freshCrit.sumsq}
+			for m := range gotM {
+				if n := len(wantM[m]); n > 0 && !sameFloats(gotM[m][:n], wantM[m]) {
+					t.Fatalf("%s: η² moments %v, fresh %v", tag, gotM[m][:n], wantM[m])
+				}
+			}
+
+			var freshQ QuantileScratch
+			gotCuts = append([]float64(nil), q.Quantiles(feature, bins)...)
+			if wantCuts = freshQ.Quantiles(feature, bins); !sameFloats(gotCuts, wantCuts) {
+				t.Fatalf("%s: quantiles %v, fresh %v", tag, gotCuts, wantCuts)
+			}
+			for i, v := range feature {
+				if v != v {
+					continue
+				}
+				if got, want := q.binRow(i, v), freshQ.Bin(v); got != want {
+					t.Fatalf("%s: row %d (%v) in bin %d, fresh %d", tag, i, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 // infiniteRangeColumns are columns whose equal-width bin width is not finite:
 // an infinite value makes it infinite and (v-lo)/w NaN, whose integer
 // conversion indexed out of range. Such a column is binned like a constant

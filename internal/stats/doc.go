@@ -35,8 +35,9 @@
 // QuantileScratch (quantselect.go). It reads the column twice, whatever the
 // distribution: a counting scan over a grid of 1,024 equal-width buckets
 // whose range comes from a 256-value strided sample (the end buckets catch
-// the tails), then a gather of the few buckets a target rank falls into,
-// which multi-rank quickselect resolves exactly. The bucket index is
+// the tails), which records each row's bucket in the scratch, then a gather,
+// by the recorded buckets, of the few buckets a target rank falls into,
+// which multi-rank quickselect resolves exactly. Each value is bucketed once. The bucket index is
 // monotone in the value, so the cuts are the ones a full sort would give for
 // any sample; a column without a usable sampled range (constant, dominated
 // by one value, non-finite) falls back to selection over the whole column.
@@ -44,7 +45,9 @@
 // scan's index and read their per-bin label counts off the bucket counts —
 // integers, so the values equal a row-order count bit for bit; the
 // regression criterion keeps a row-order pass (its moments are float sums)
-// and bins each row with QuantileScratch.Bin, a bucket-table lookup.
+// and bins each row through its recorded bucket and a bucket-table lookup.
+// TestScratchReuseMatchesFresh holds a reused scratch to a fresh one's cuts
+// and counts, so that no row reads a bucket recorded for an earlier column.
 // TestCriteriaMatchReference and FuzzCriterionExact hold all of them to a
 // sort-and-binary-search reference with exact comparison.
 //

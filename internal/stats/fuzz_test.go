@@ -52,6 +52,16 @@ func FuzzCriterionExact(f *testing.F) {
 	f.Add([]byte("two scans, one grid, the same cuts as a sort gives"), []byte{0, 1, 2, 250}, uint8(8), uint8(3))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{1, 0}, uint8(0), uint8(200))
 	f.Add([]byte{}, []byte{}, uint8(0), uint8(0))
+	// Two of reuseColumns: ±Inf cells among exponential values, and a
+	// constant column.
+	cols := reuseColumns()
+	for _, c := range [][]float64{cols[4], cols[5][:64]} {
+		b := make([]byte, 8*len(c))
+		for i, v := range c {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		f.Add(b, []byte{0, 1, 2, 1}, uint8(8), uint8(6))
+	}
 	f.Fuzz(func(t *testing.T, colBytes, labelBytes []byte, bn, rep uint8) {
 		base := fuzzColumn(colBytes)
 		feature := base

@@ -24,7 +24,8 @@ import (
 // bucket alone, and a row in a cut bucket is compared with the cuts. The
 // sample only decides how evenly the buckets fill; a bad one makes an end
 // bucket's selection larger, never the answer different. A column costs two
-// scans (count, gather) whatever its tails — a grid over [min, max] instead
+// scans (count, gather) whatever its tails, and each value is bucketed once:
+// the counting scan records every row's bucket for the gathering scan — a grid over [min, max] instead
 // collapses a heavy-tailed column (a ratio) into one or two buckets and with
 // it the finder into a quickselect over the whole column.
 
@@ -181,7 +182,9 @@ func (g Grid) Bucket(v float64) int {
 }
 
 // Count adds the non-NaN values of xs to cnt[bucket] (NumBuckets counters),
-// returning how many — the counting scan of both engines.
+// returning how many — the out-of-core count pass's scan. The in-memory
+// kernel's counting scan (cutsAndCounts) counts the same way and also
+// records each row's bucket.
 func (g Grid) Count(cnt []int32, xs []float64) (n int) {
 	cnt = cnt[:NumBuckets]
 	for _, v := range xs {
@@ -197,66 +200,6 @@ func (g Grid) Count(cnt []int32, xs []float64) (n int) {
 // binaryClasses is k of the binary criterion's count table: negative,
 // positive, and — as for any k — an out-of-range column, here never used.
 const binaryClasses = 2
-
-// countBinary is Count into cnt[(binaryClasses+1)*bucket + class], the class
-// a branch-free 0/1 (labels are as good as random to a branch predictor).
-func (g Grid) countBinary(cnt []int32, xs, labels []float64) (n int) {
-	labels = labels[:len(xs)]
-	for i, v := range xs {
-		if v != v {
-			continue
-		}
-		n++
-		c := 0
-		if labels[i] > 0.5 {
-			c = 1
-		}
-		cnt[g.Bucket(v)*(binaryClasses+1)+c]++
-	}
-	return n
-}
-
-// countClasses is Count into cnt[(k+1)*bucket + class].
-func (g Grid) countClasses(cnt []int32, xs, labels []float64, k int) (n int) {
-	labels = labels[:len(xs)]
-	for i, v := range xs {
-		if v != v {
-			continue
-		}
-		n++
-		cnt[g.Bucket(v)*(k+1)+classIndex(labels[i], k)]++
-	}
-	return n
-}
-
-// gather copies the members of the cut buckets (slot[bucket] >= 0) to their
-// bucket's segment of dst, pos[slot] being the segment's write cursor.
-func (g Grid) gather(dst []float64, pos []int, slot []int16, xs []float64) {
-	for _, v := range xs {
-		if v != v {
-			continue
-		}
-		if sl := slot[g.Bucket(v)]; sl >= 0 {
-			dst[pos[sl]] = v
-			pos[sl]++
-		}
-	}
-}
-
-// gatherLabelled is gather with each member's class alongside its value.
-func (g Grid) gatherLabelled(dst []float64, class []int32, pos []int, slot []int16, xs, labels []float64, k int, binary bool) {
-	for i, v := range xs {
-		if v != v {
-			continue
-		}
-		if sl := slot[g.Bucket(v)]; sl >= 0 {
-			p := pos[sl]
-			dst[p] = v
-			class[p] = int32(labelClass(labels[i], k, binary))
-			pos[sl] = p + 1
-		}
-	}
-}
 
 // CutBucket is one bucket that holds at least one target rank (and so at
 // least one cut): its members are gathered and selected exactly.
@@ -367,15 +310,20 @@ func BinClassCounts(bins []int32, stride int, cuts []float64, ends []int, spans 
 // The zero value is ready to use. Not safe for concurrent use; hot paths
 // keep one per worker.
 type QuantileScratch struct {
-	buf    []float64 // rankValuesSelect's working copy
-	ranks  []int
-	cuts   []float64
-	sample []float64
+	buf    []float64 // the fallback's working copy of the non-NaN values
+	ranks  []int     // the nearest-rank targets, ascending
+	cuts   []float64 // the deduplicated cuts the last call returned
+	sample []float64 // the grid's sample; later the rank values
+	// rowB holds each row's bucket, −1 for NaN, for the column the last call
+	// cut: the counting scan writes every entry below len(xs) and only those
+	// are read (by the gathering scan and binRow), so a longer earlier column
+	// leaves nothing that is used.
+	rowB   []int16
 	counts []int32 // NumBuckets × stride counting table
 	needs  []CutBucket
-	slot   []int16 // bucket → index into needs, -1 for a bucket without a cut
-	local  []int   // ranks rewritten as offsets into their bucket
-	pos    []int
+	slot   []int16   // bucket → index into needs, -1 for a bucket without a cut
+	local  []int     // ranks rewritten as offsets into their bucket
+	pos    []int     // the gather cursors; later each cut bucket's cut count
 	gather []float64 // members of the cut buckets, bucket by bucket
 	class  []int32   // their class indices, in the same order
 	sel    []float64 // selection permutes: it runs on a copy when class pairs with gather
@@ -404,7 +352,20 @@ func (s *QuantileScratch) Bin(v float64) int {
 	if !s.gridded {
 		return SearchCuts(s.cuts, v)
 	}
-	b := s.grid.Bucket(v)
+	return s.binIn(s.grid.Bucket(v), v)
+}
+
+// binRow is Bin for xs[i] = v, xs being the column the last call cut: with a
+// grid it reads the bucket that call recorded for the row.
+func (s *QuantileScratch) binRow(i int, v float64) int {
+	if !s.gridded {
+		return SearchCuts(s.cuts, v)
+	}
+	return s.binIn(int(s.rowB[i]), v)
+}
+
+// binIn is the bin of a value v in bucket b.
+func (s *QuantileScratch) binIn(b int, v float64) int {
 	j, hi := int(s.binLo[b]), int(s.binLo[b+1])
 	for j < hi && s.cuts[j] < v {
 		j++
@@ -464,17 +425,26 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 		return s.cutsAndCountsSelect(xs, labels, k, binary, q)
 	}
 
-	// Scan 1: bucket (× class) counts, and the non-NaN count the ranks need.
+	// Scan 1: each row's bucket (−1 for NaN), the bucket (× class) counts,
+	// and the non-NaN count the ranks need.
 	s.counts = zeroed(s.counts, NumBuckets*stride)
 	cnt := s.counts
+	s.rowB = grown(s.rowB, len(xs))
+	rowB := s.rowB
 	var n int
-	switch {
-	case labels == nil:
-		n = g.Count(cnt, xs)
-	case binary:
-		n = g.countBinary(cnt, xs, labels)
-	default:
-		n = g.countClasses(cnt, xs, labels, k)
+	for i, v := range xs {
+		if v != v {
+			rowB[i] = -1
+			continue
+		}
+		b := g.Bucket(v)
+		rowB[i] = int16(b)
+		c := 0
+		if labels != nil {
+			c = labelClass(labels[i], k, binary)
+		}
+		cnt[b*stride+c]++
+		n++
 	}
 	if n == 0 {
 		return nil, nil
@@ -492,7 +462,8 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 		slot[nd.Bucket] = int16(j)
 	}
 
-	// Scan 2: gather the members of every cut bucket, with their classes.
+	// Scan 2: file the members of every cut bucket, with their classes, by
+	// the buckets scan 1 recorded.
 	s.gather = grown(s.gather, total)
 	gather := s.gather
 	s.pos = grown(s.pos, len(needs))
@@ -500,11 +471,22 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 	for i, nd := range needs {
 		pos[i] = nd.Start
 	}
-	if labels == nil {
-		g.gather(gather, pos, slot, xs)
-	} else {
+	if labels != nil {
 		s.class = grown(s.class, total)
-		g.gatherLabelled(gather, s.class, pos, slot, xs, labels, k, binary)
+	}
+	class := s.class
+	for i, b := range rowB {
+		if b < 0 {
+			continue
+		}
+		if sl := slot[b]; sl >= 0 {
+			p := pos[sl]
+			gather[p] = xs[i]
+			if labels != nil {
+				class[p] = int32(labelClass(labels[i], k, binary))
+			}
+			pos[sl] = p + 1
+		}
 	}
 
 	// Exact selection inside each cut bucket (typically ~n/NumBuckets values
