@@ -20,9 +20,8 @@
 //
 // A -train file ending in .col or .colstore (written by safe-convert or
 // safe-datagen -format colstore) is opened as a colstore binary columnar
-// file and always fits sharded: its row groups are the partitions, float
-// columns are served zero-copy via mmap, and per-block statistics let
-// refinement passes skip blocks that cannot matter.
+// file and always fits sharded: its row groups are the partitions, and float
+// columns are served zero-copy via mmap.
 //
 // Distributed fitting: -distribute host:port[,host:port...] delegates the
 // sharded engine's per-partition pass compute to safe-worker processes at
@@ -180,10 +179,6 @@ func main() {
 		if st := res.Shard; st != nil {
 			fmt.Printf("sharded fit: %d rows in %d partitions, %d streaming passes (%d rows streamed)\n",
 				st.Rows, st.Partitions, st.Passes, st.RowsStreamed)
-			if st.BlocksSkipped > 0 {
-				fmt.Printf("  block stats skipped %d blocks (%d rows never read)\n",
-					st.BlocksSkipped, st.RowsSkipped)
-			}
 			if st.Retries > 0 {
 				fmt.Printf("  %d transient chunk reads retried\n", st.Retries)
 			}

@@ -145,9 +145,8 @@ type colFileSource struct{ path string }
 // Source. Column files always fit through the sharded out-of-core engine,
 // with the file's own row groups as the stream's partitions (WithSharding's
 // chunkRows does not apply). Float columns decode bit-exactly — zero-copy
-// via mmap where the platform supports it — string columns stream as their
-// dictionary codes (nulls as NaN), and the engine's refinement passes skip
-// row groups whose footer block statistics prove them irrelevant.
+// via mmap where the platform supports it — and string columns stream as
+// their dictionary codes (nulls as NaN).
 func FromColumnFile(path string) Source { return colFileSource{path: path} }
 
 func (s colFileSource) open(*Plan) (*openedSource, error) {
@@ -161,15 +160,13 @@ func (s colFileSource) open(*Plan) (*openedSource, error) {
 // planOpts is the mutable state the functional options act on; NewPlan
 // freezes it into a Plan.
 type planOpts struct {
-	cfg        Config
-	sharded    bool
-	chunkRows  int
-	sketchSize int
-	hasSketch  bool
-	retry      *RetryPolicy
-	earlyStop  bool // Patience set via WithEarlyStopping, not WithConfig
-	valid      *Frame
-	distAddrs  []string
+	cfg       Config
+	sharded   bool
+	chunkRows int
+	retry     *RetryPolicy
+	earlyStop bool // Patience set via WithEarlyStopping, not WithConfig
+	valid     *Frame
+	distAddrs []string
 }
 
 // Option configures a fit plan; see the With* constructors. Options are
@@ -313,19 +310,6 @@ func WithSharding(chunkRows int) Option {
 	}
 }
 
-// WithSketch tunes the sharded engine's quantile sketches: size is the
-// per-level summary size of the fit's running sketches (0 keeps the default;
-// a size below the 1,024-point budget of a partition's partial caps the
-// partials too). Cuts stay exact at any size: the refinement passes resolve
-// them to the in-memory engine's. Only valid for plans that fit sharded.
-func WithSketch(size int) Option {
-	return func(o *planOpts) error {
-		o.sketchSize = size
-		o.hasSketch = true
-		return nil
-	}
-}
-
 // WithRetry makes the sharded engine retry transient chunk-read errors
 // (frame sources that implement the Transienter contract — flaky disks,
 // brief stalls) with capped exponential backoff instead of aborting; see
@@ -410,9 +394,6 @@ func NewPlan(source Source, opts ...Option) (*Plan, error) {
 	case chunkSource, colFileSource:
 		o.sharded = true
 	}
-	if o.hasSketch && !o.sharded {
-		return nil, errors.New("safe: WithSketch tunes the sharded engine; combine it with WithSharding or a chunked source")
-	}
 	if o.retry != nil && !o.sharded {
 		return nil, errors.New("safe: WithRetry tunes the sharded engine; combine it with WithSharding or a chunked source")
 	}
@@ -446,7 +427,7 @@ func NewPlan(source Source, opts ...Option) (*Plan, error) {
 		distAddrs: o.distAddrs,
 	}
 	if o.sharded {
-		p.shardCfg = shard.Config{Core: cfg, SketchSize: o.sketchSize}
+		p.shardCfg = shard.Config{Core: cfg}
 		if o.retry != nil {
 			p.shardCfg.Retry = *o.retry
 		}

@@ -240,7 +240,6 @@ func TestPlanValidation(t *testing.T) {
 		opts []safe.Option
 	}{
 		{"nil source", nil, nil},
-		{"sketch without sharding", safe.FromFrame(train), []safe.Option{safe.WithSketch(1024)}},
 		{"validation with sharding", safe.FromFrame(train), []safe.Option{safe.WithValidation(train), safe.WithSharding(100)}},
 		{"early stopping without validation", safe.FromFrame(train), []safe.Option{safe.WithEarlyStopping(2, 0.001)}},
 		{"zero iterations", safe.FromFrame(train), []safe.Option{safe.WithIterations(0)}},

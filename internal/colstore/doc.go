@@ -9,8 +9,10 @@
 // frame.ChunkSource streams: Open decodes blocks through buffered reads
 // (portable, unstable chunks), OpenMmap maps the file and serves float
 // columns zero-copy as []float64 views (stable chunks, little-endian hosts).
-// Both implement frame.SkippableSource — the footer's block statistics let
-// the multi-pass fit engine skip row groups a pass provably does not need.
+// Both implement frame.SkippableSource, serving the footer's block
+// statistics; no fit plans a skip from them (every column is cut on passes
+// that read every row group), and the repository benchmark's trace wrapper
+// forwards the interface.
 // Spill composes the writer and the readers into a decode-once wrapper for
 // any other chunk source (OpenCSV for a CSV file): the first pass is teed to
 // a scratch file, later passes read its mapping.

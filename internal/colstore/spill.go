@@ -26,9 +26,8 @@ import (
 // every pass from then on. The file is unlinked as soon as it is mapped where
 // the OS allows, and by Close otherwise.
 //
-// Spill deliberately does not implement frame.SkippableSource: the file's
-// block statistics are not offered to pass planning, so a spilled fit
-// streams exactly the rows a fit over the wrapped source streams.
+// Spill does not implement frame.SkippableSource: a spilled fit streams
+// exactly the rows a fit over the wrapped source streams.
 //
 // Like the sources it wraps, a Spill is used from one goroutine at a time.
 type Spill struct {

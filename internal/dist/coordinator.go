@@ -130,8 +130,8 @@ func (c *Coordinator) recvDirect(ctx context.Context, w *workerConn) ([]byte, er
 // Open implements shard.Executor: handshake and fitOpen on every
 // connection, then the per-worker reader goroutines start. All workers must
 // open successfully — a fit that cannot reach its fleet should fail fast,
-// before any pass.
-func (c *Coordinator) Open(ctx context.Context, names []string, task core.Task, sketchSize int) error {
+// before any pass. The sketch size is ignored (see shard.Executor).
+func (c *Coordinator) Open(ctx context.Context, names []string, task core.Task, _ int) error {
 	if len(c.workers) == 0 {
 		return errors.New("dist: coordinator has no workers")
 	}
@@ -139,11 +139,10 @@ func (c *Coordinator) Open(ctx context.Context, names []string, task core.Task, 
 		return errors.New("dist: coordinator already opened")
 	}
 	open := encodeFitOpen(&fitOpen{
-		Source:     c.src,
-		Names:      names,
-		Task:       task,
-		SketchSize: sketchSize,
-		Retry:      c.SourceRetry,
+		Source: c.src,
+		Names:  names,
+		Task:   task,
+		Retry:  c.SourceRetry,
 	})
 	for _, w := range c.workers {
 		if err := w.conn.Send(encodeHello()); err != nil {

@@ -17,11 +17,11 @@ import (
 )
 
 // distSeedFrames builds one real message of every kind — a partial of each
-// pass kind whose blobs versions 2 and 3 changed among them: the seed corpus
+// pass kind whose blobs versions 2 to 4 changed among them: the seed corpus
 // FuzzDistDecode mutates from, and — checked in — the golden bytes of
-// protocol version 3.
+// protocol version 4.
 func distSeedFrames() map[string][]byte {
-	p, _ := sketchPartial(1, []float64{3, 1, 4, 1, 5}, []float64{2, 7})
+	p, _ := basePartial(1, []float64{3, 1, 4, 1, 5}, []float64{2, 7})
 	counts := make([]int32, stats.NumBuckets)
 	counts[3], counts[700] = 3, 1
 	countP := &shard.Partial{Chunk: 2, Start: 600, Rows: 4,
@@ -32,14 +32,12 @@ func distSeedFrames() map[string][]byte {
 		Gram: sketch.NewGram(2), Moments: make([]sketch.Moments, 1)}
 	gramP.Gram.AddChunk([][]float64{{1, 2, 3}, {0.5, -1, 4}})
 	gramP.Moments[0].AddAll([]float64{0.5, -1, 4})
-	lh := sketch.NewLabelHist([]float64{0, 1})
-	lh.AddCol([]float64{-1, 0.5, 2}, []float64{1, 0, 1})
 	gatherP := &shard.Partial{Chunk: 3, Start: 900, Rows: 3,
 		Gathers: []*shard.Gather{
 			{Sizes: []int32{1, 0, 2}, Vals: []float64{-1, 8.5, 9}, Class: []int32{1, 0, 1}, Spans: []int32{0, 0, 1, 2, 0, 0}},
 			{Sizes: []int32{3}, Vals: []float64{0, 0, 0}, Class: []int32{0, 1, 1}, Spans: []int32{0, 0, 0, 0}},
-		},
-		Hists: []sketch.CriterionHist{lh}}
+			{Spans: []int32{1, 2}}, // a constant column's: no cut bucket, one span
+		}}
 	return map[string][]byte{
 		"hello":    encodeHello(),
 		"helloAck": encodeHelloAck(),
@@ -47,14 +45,14 @@ func distSeedFrames() map[string][]byte {
 		"passDone": encodePassDone(&passDone{PassID: 9, Chunks: 4, Rows: 2000, Retries: 3}),
 		"passErr":  encodePassErr(&passErr{PassID: 2, Chunk: 3, Attempts: 4, Transient: true, Msg: "read chunk: i/o timeout"}),
 		"partial":  AppendPartial(nil, 3, shard.PassBaseSketch, p),
-		// The two grid passes' partials and the Gram pass's, as v3 frames them.
+		// The two grid passes' partials and the Gram pass's, as v4 frames them.
 		"partial-counts": AppendPartial(nil, 4, shard.PassSketchGen, countP),
 		"partial-gather": AppendPartial(nil, 5, shard.PassRefine, gatherP),
 		"partial-gram":   AppendPartial(nil, 6, shard.PassGramCodes, gramP),
 		"runPass":        encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
 		"fitOpen": encodeFitOpen(&fitOpen{
 			Source: SourceSpec{Kind: SourceCSV, Path: "/data/train.csv", Label: "label", ChunkRows: 512},
-			Names:  []string{"f0", "f1", "f2"}, Task: core.MulticlassTask(3), SketchSize: 256,
+			Names:  []string{"f0", "f1", "f2"}, Task: core.MulticlassTask(3),
 		}),
 		"setLive": encodeSetLive(&setLive{Epoch: 4,
 			Nodes: []shard.NodeSpec{{Name: "f0*f1", Op: "mul", Inputs: []string{"f0", "f1"}}},
@@ -65,11 +63,12 @@ func distSeedFrames() map[string][]byte {
 // The corpus entries no encoder here can write any more, checked in as the
 // decoders' rejection cases: a binary score pass's runPass as a
 // protocol-version-1 coordinator framed it, two combinations in its
-// combination list; and a version-1 and a version-2 hello.
+// combination list; and a version-1, a version-2 and a version-3 hello.
 const (
 	retiredScoreSeed = "runPass-score"
 	helloV1Seed      = "hello-v1"
 	helloV2Seed      = "hello-v2"
+	helloV3Seed      = "hello-v3"
 )
 
 // corpus is FuzzDistDecode's checked-in seed corpus, the golden bytes of the
@@ -88,7 +87,7 @@ func readSeed(t testing.TB, name string) []byte {
 // installed first so the kernel gets as far as the spec's contents.
 func driveSpec(spec *shard.PassSpec) {
 	names := []string{"f0", "f1", "f2"}
-	ws := shard.NewWorkerState(names, core.BinaryTask(), 16)
+	ws := shard.NewWorkerState(names, core.BinaryTask())
 	if err := ws.SetLive(spec.Epoch, nil, names); err != nil {
 		return
 	}
@@ -144,8 +143,7 @@ func decodeBlobs(p *shard.Partial) {
 	for _, spec := range []*shard.PassSpec{
 		{Kind: shard.PassBaseSketch},
 		{Kind: shard.PassSketchGen},
-		{Kind: shard.PassRefine, Grids: make([]shard.GridSpec, n/2), Entries: make([]shard.EntrySpec, n-n/2)},
-		{Kind: shard.PassRefine, Refines: make([]shard.RefineSpec, n)},
+		{Kind: shard.PassRefine, Grids: make([]shard.GridSpec, n)},
 		{Kind: shard.PassGramCodes},
 	} {
 		q := *p
@@ -168,7 +166,7 @@ func isProtocolError(err error) bool {
 // it carries. It starts from the checked-in corpus (see corpus).
 func FuzzDistDecode(f *testing.F) {
 	frames := distSeedFrames()
-	for _, name := range []string{retiredScoreSeed, helloV1Seed, helloV2Seed} {
+	for _, name := range []string{retiredScoreSeed, helloV1Seed, helloV2Seed, helloV3Seed} {
 		frames[name] = readSeed(f, name) // mutate around the rejection cases too
 	}
 	corpus.Seed(f, frames)
@@ -192,12 +190,12 @@ func FuzzDistDecode(f *testing.F) {
 }
 
 // TestWriteDistDecodeSeedCorpus is the corpus's golden test (see
-// wiretest.Corpus.Check): the corpus is the record of protocol version 3, so
+// wiretest.Corpus.Check): the corpus is the record of protocol version 4, so
 // every message's encoder must write its checked-in seed byte for byte —
 // control messages included, which no fingerprint would notice — and the seed
 // must decode, a partial's blobs through the fold's decoders too. The retired
-// score frame must still be refused, and so must a version-1 and a version-2
-// hello, by the version check.
+// score frame must still be refused, and so must a version-1, a version-2 and
+// a version-3 hello, by the version check.
 func TestWriteDistDecodeSeedCorpus(t *testing.T) {
 	corpus.Check(t, distSeedFrames(), func(seed []byte) error {
 		spec, err := decodeMsg(seed)
@@ -209,7 +207,7 @@ func TestWriteDistDecodeSeedCorpus(t *testing.T) {
 	if _, err := decodeMsg(readSeed(t, retiredScoreSeed)); !isProtocolError(err) {
 		t.Fatalf("the retired score frame decoded: %v, want a *ProtocolError", err)
 	}
-	for v, name := range map[int]string{1: helloV1Seed, 2: helloV2Seed} {
+	for v, name := range map[int]string{1: helloV1Seed, 2: helloV2Seed, 3: helloV3Seed} {
 		want := fmt.Sprintf("version mismatch: peer %d, local %d", v, Version)
 		if _, err := decodeMsg(readSeed(t, name)); !isProtocolError(err) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("a version-%d hello: %v, want a version-mismatch *ProtocolError", v, err)

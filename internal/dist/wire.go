@@ -24,8 +24,11 @@ import (
 // Version 2 carries the grid passes: a row sample in the base partial, grid
 // specs in runPass, grid counts and cut-bucket gathers in partials. Version 3
 // moves a generated candidate's moments from the count partial to the Gram
-// partial, beside the Gram.
-const Version = 3
+// partial, beside the Gram. Version 4 cuts the source columns on the grid
+// passes too: the base partial carries no quantile sketch, a grid spec names
+// its column (a live index or a recipe), and the sketch size, the refinement
+// specs, and the refiner and criterion-histogram blobs are gone.
+const Version = 4
 
 // magic opens every hello frame, so a worker rejects a stray client that
 // happens to speak length-prefixed frames before interpreting anything.
@@ -137,11 +140,10 @@ func readVersion(r *wire.Reader, what string) error {
 // --- fitOpen ---
 
 type fitOpen struct {
-	Source     SourceSpec
-	Names      []string
-	Task       core.Task
-	SketchSize int
-	Retry      shard.RetryPolicy
+	Source SourceSpec
+	Names  []string
+	Task   core.Task
+	Retry  shard.RetryPolicy
 }
 
 func encodeFitOpen(o *fitOpen) []byte {
@@ -153,7 +155,6 @@ func encodeFitOpen(o *fitOpen) []byte {
 	b = wire.AppendStrings(b, o.Names)
 	b = wire.AppendU8(b, uint8(o.Task.Kind))
 	b = wire.AppendI64(b, int64(o.Task.Classes))
-	b = wire.AppendI64(b, int64(o.SketchSize))
 	b = wire.AppendI64(b, int64(o.Retry.MaxAttempts))
 	b = wire.AppendI64(b, int64(o.Retry.BaseDelay))
 	b = wire.AppendI64(b, int64(o.Retry.MaxDelay))
@@ -170,7 +171,6 @@ func decodeFitOpen(p []byte) (*fitOpen, error) {
 	o.Names = r.Strs()
 	o.Task.Kind = core.TaskKind(r.U8())
 	o.Task.Classes = int(r.I64())
-	o.SketchSize = int(r.I64())
 	o.Retry.MaxAttempts = int(r.I64())
 	o.Retry.BaseDelay = time.Duration(r.I64())
 	o.Retry.MaxDelay = time.Duration(r.I64())
@@ -291,6 +291,7 @@ func encodeRunPass(m *runPass) []byte {
 	b = wire.AppendU32(b, uint32(len(s.Grids)))
 	for i := range s.Grids {
 		g := &s.Grids[i]
+		b = wire.AppendI64(b, int64(g.Base))
 		b = appendGenSpec(b, &g.Gen)
 		b = wire.AppendF64(b, g.Grid.Lo)
 		b = wire.AppendF64(b, g.Grid.Scale)
@@ -304,15 +305,6 @@ func encodeRunPass(m *runPass) []byte {
 		b = appendGenSpec(b, &e.Gen)
 		b = wire.AppendF64s(b, e.Cuts)
 		b = wire.AppendBools(b, []bool{e.NeedCodes})
-	}
-	b = wire.AppendU32(b, uint32(len(s.Refines)))
-	for i := range s.Refines {
-		rf := &s.Refines[i]
-		b = wire.AppendI64(b, int64(rf.Col))
-		b = wire.AppendI64s(b, rf.Ranks)
-		b = wire.AppendF64s(b, rf.Lo)
-		b = wire.AppendF64s(b, rf.Hi)
-		b = wire.AppendBools(b, rf.Resolved)
 	}
 	return b
 }
@@ -343,9 +335,10 @@ func decodeRunPass(p []byte) (*runPass, error) {
 	if n := r.U32(); n != 0 {
 		return nil, protoErr("runPass carries %d combinations to score: the score passes are retired", n)
 	}
-	s.Grids = make([]shard.GridSpec, r.Len(32)) // a recipe (two lists), two floats, two lists
+	s.Grids = make([]shard.GridSpec, r.Len(40)) // a base, a recipe (two lists), two floats, two lists
 	for i := range s.Grids {
 		g := &s.Grids[i]
+		g.Base = int(r.I64())
 		g.Gen = readGenSpec(&r)
 		g.Grid.Lo, g.Grid.Scale = r.F64(), r.F64()
 		g.Buckets = r.Ints()
@@ -357,14 +350,6 @@ func decodeRunPass(p []byte) (*runPass, error) {
 		s.Entries[i].Gen = readGenSpec(&r)
 		s.Entries[i].Cuts = r.F64s(nil)
 		s.Entries[i].NeedCodes = r.Flag()
-	}
-	s.Refines = make([]shard.RefineSpec, r.Len(24))
-	for i := range s.Refines {
-		s.Refines[i].Col = int(r.I64())
-		s.Refines[i].Ranks = r.I64s()
-		s.Refines[i].Lo = r.F64s(nil)
-		s.Refines[i].Hi = r.F64s(nil)
-		s.Refines[i].Resolved = r.Bools()
 	}
 	m.Spec = s
 	return m, done(&r, "runPass")

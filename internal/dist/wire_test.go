@@ -56,11 +56,10 @@ func TestHelloRoundTrip(t *testing.T) {
 
 func TestFitOpenRoundTrip(t *testing.T) {
 	in := &fitOpen{
-		Source:     SourceSpec{Kind: SourceCSV, Path: "/data/train.csv", Label: "label", ChunkRows: 512},
-		Names:      []string{"f0", "f1", "f2"},
-		Task:       core.MulticlassTask(5),
-		SketchSize: 256,
-		Retry:      shard.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond},
+		Source: SourceSpec{Kind: SourceCSV, Path: "/data/train.csv", Label: "label", ChunkRows: 512},
+		Names:  []string{"f0", "f1", "f2"},
+		Task:   core.MulticlassTask(5),
+		Retry:  shard.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond},
 	}
 	out, err := decodeFitOpen(encodeFitOpen(in))
 	if err != nil {
@@ -112,15 +111,14 @@ func fullPassSpec() *shard.PassSpec {
 		Pass: 5, Kind: shard.PassRefine, Epoch: 2,
 		LiveCuts: [][]float64{{0.5, 1.5, 2.5}, {-1, 1}},
 		Grids: []shard.GridSpec{
-			{Gen: shard.GenSpec{Op: "mul", Feats: []int{1, 3}}, Grid: stats.Grid{Lo: -2, Scale: 256},
+			{Base: -1, Gen: shard.GenSpec{Op: "mul", Feats: []int{1, 3}}, Grid: stats.Grid{Lo: -2, Scale: 256},
 				Buckets: []int{3, 700, 1023}, IV: []bool{true, false, true}},
-			{Gen: shard.GenSpec{Op: "sub", Feats: []int{0, 2}}, Buckets: []int{0}, IV: []bool{true}},
+			{Base: -1, Gen: shard.GenSpec{Op: "sub", Feats: []int{0, 2}}, Buckets: []int{0}, IV: []bool{true}},
+			// A live column's: no recipe (an empty list decodes as one).
+			{Base: 2, Gen: shard.GenSpec{Feats: []int{}}, Grid: stats.Grid{Lo: 0.5, Scale: 1024}, Buckets: []int{0, 9}, IV: []bool{false, true}},
 		},
 		Entries: []shard.EntrySpec{
 			{Base: 1, Gen: shard.GenSpec{Op: "add", Feats: []int{0, 2}}, Cuts: []float64{0.25, 0.75}, NeedCodes: true},
-		},
-		Refines: []shard.RefineSpec{
-			{Col: 2, Ranks: []int64{10, 200}, Lo: []float64{0, 0.5}, Hi: []float64{1, 1.5}, Resolved: []bool{false, true}},
 		},
 	}
 }
@@ -169,26 +167,26 @@ func TestAssignmentHas(t *testing.T) {
 	}
 }
 
-// sketchPartial builds a base-sketch partial over cols (Ints and Codes set as
+// basePartial builds a base-sketch partial over cols (Ints and Codes set as
 // well, so one partial covers every field of the message) and the blobs it
 // must decode to.
-func sketchPartial(chunk int, cols ...[]float64) (*shard.Partial, [][]byte) {
+func basePartial(chunk int, cols ...[]float64) (*shard.Partial, [][]byte) {
 	p := &shard.Partial{
 		Chunk: chunk, Start: 1000 * chunk, Rows: len(cols[0]),
-		Labels:  []float64{0, 1, 1, 0},
+		Labels:  make([]float64, len(cols[0])),
 		Ints:    []int32{7, -1, int32(chunk)},
 		Codes:   [][]uint8{{0, 1, 2}, {uint8(chunk)}},
 		Moments: make([]sketch.Moments, len(cols)),
 		Sample:  &shard.RowSample{Rows: []int{1000*chunk + 1}, Vals: make([][]float64, len(cols))},
 	}
+	for r := range p.Labels {
+		p.Labels[r] = float64(r % 2)
+	}
 	var blobs [][]byte
 	for i, col := range cols {
-		q := sketch.NewQuantile(64)
-		q.AddAll(col)
-		p.Quantiles = append(p.Quantiles, q)
 		p.Moments[i].AddAll(col)
 		p.Sample.Vals[i] = []float64{col[1]}
-		blobs = append(blobs, sketch.AppendQuantile(nil, q), p.Moments[i].AppendWire(nil))
+		blobs = append(blobs, p.Moments[i].AppendWire(nil))
 	}
 	return p, append(blobs, p.Sample.AppendWire(nil))
 }
@@ -200,7 +198,7 @@ func samePlain(a, b *shard.Partial) bool {
 }
 
 func TestPartialRoundTrip(t *testing.T) {
-	in, blobs := sketchPartial(2, []float64{3, 1, 4, 1, 5}, []float64{9, 2, 6})
+	in, blobs := basePartial(2, []float64{3, 1, 4, 1, 5}, []float64{9, 2, 6})
 	// Into a fresh container, then into the same one again: the second decode
 	// reuses the first's backings and must not be able to tell.
 	out := &partialMsg{}
@@ -211,7 +209,7 @@ func TestPartialRoundTrip(t *testing.T) {
 		if out.PassID != 3 || !samePlain(in, &out.Partial) || !reflect.DeepEqual(out.Partial.Blobs, blobs) {
 			t.Fatalf("partial round trip %d:\n got %+v\nwant %+v with blobs %v", round, out.Partial, in, blobs)
 		}
-		if len(out.Partial.Quantiles) != 0 || len(out.Partial.Moments) != 0 {
+		if len(out.Partial.Moments) != 0 || out.Partial.Sample != nil {
 			t.Fatalf("round %d: a decoded partial carries a typed payload before the fold decodes one", round)
 		}
 		// What the fold does to a container before it is recycled.
@@ -287,11 +285,9 @@ func TestFlagListsMustHoldOneFlag(t *testing.T) {
 	runPassMsg := encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: spec})
 	// runPass: type, pass id, mod, residue — then hasExplicit.
 	hasExplicitAt := 1 + 3*8
-	// The entry's NeedCodes is the last field of the last entry, right before
-	// the refine list's count.
-	refines := wire.AppendU32(nil, uint32(len(spec.Refines)))
-	refines = wire.AppendI64(refines, int64(spec.Refines[0].Col))
-	needCodesAt := bytes.LastIndex(runPassMsg, refines) - 5
+	// The entry's NeedCodes is the last field of the last entry, and of the
+	// message: a list of one flag, a count and a byte.
+	needCodesAt := len(runPassMsg) - 5
 	for _, tc := range []struct {
 		name string
 		msg  []byte

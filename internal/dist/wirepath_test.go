@@ -32,7 +32,7 @@ func totalAlloc() uint64 {
 // --- byte identity with the v1 encoder ---
 
 // referenceFrame is the partial message as protocol version 1 first encoded
-// it — with version 2's blobs — kept here as the layout's reference: every
+// it — with version 4's blobs — kept here as the layout's reference: every
 // blob appended from nil by its family's codec, the message appended from nil
 // field by field. It shares no code with AppendPartial or the Blob* methods
 // it checks.
@@ -40,8 +40,8 @@ func referenceFrame(passID int, kind shard.PassKind, p *shard.Partial) []byte {
 	var blobs [][]byte
 	switch kind {
 	case shard.PassBaseSketch:
-		for i, q := range p.Quantiles {
-			blobs = append(blobs, sketch.AppendQuantile(nil, q), p.Moments[i].AppendWire(nil))
+		for i := range p.Moments {
+			blobs = append(blobs, p.Moments[i].AppendWire(nil))
 		}
 		blobs = append(blobs, p.Sample.AppendWire(nil))
 	case shard.PassSketchGen:
@@ -49,19 +49,8 @@ func referenceFrame(passID int, kind shard.PassKind, p *shard.Partial) []byte {
 			blobs = append(blobs, p.Counts[i].AppendWire(nil))
 		}
 	case shard.PassRefine:
-		for _, r := range p.Refiners {
-			blobs = append(blobs, r.AppendWire(nil))
-		}
 		for _, g := range p.Gathers {
 			blobs = append(blobs, g.AppendWire(nil))
-		}
-		for _, h := range p.Hists {
-			switch h := h.(type) {
-			case *sketch.LabelHist:
-				blobs = append(blobs, h.AppendWire(nil))
-			case *sketch.ClassHist:
-				blobs = append(blobs, h.AppendWire(nil))
-			}
 		}
 	case shard.PassGramCodes:
 		blobs = [][]byte{sketch.AppendGram(nil, p.Gram)}
@@ -109,8 +98,8 @@ type identityExec struct {
 	kinds map[shard.PassKind]int
 }
 
-func (e *identityExec) Open(_ context.Context, names []string, task core.Task, sketchSize int) error {
-	e.ws = shard.NewWorkerState(names, task, sketchSize)
+func (e *identityExec) Open(_ context.Context, names []string, task core.Task, _ int) error {
+	e.ws = shard.NewWorkerState(names, task)
 	e.kinds = map[shard.PassKind]int{}
 	return nil
 }
@@ -159,7 +148,7 @@ func (e *identityExec) RunPass(ctx context.Context, spec *shard.PassSpec, fold f
 // TestByteIdentityWithV1 pins that the pre-sized encoder changed where bytes
 // are held and not one of the bytes: for every task family, every partial of
 // every pass kind of a real fit frames exactly as the reference encoder
-// frames it — v1's message around version 2's blobs — and the fit over those
+// frames it — v1's message around version 4's blobs — and the fit over those
 // frames still selects what the local fit selects.
 func TestByteIdentityWithV1(t *testing.T) {
 	// Every kind a fit still streams; the score kinds and the count-task
@@ -187,11 +176,9 @@ func TestByteIdentityWithV1(t *testing.T) {
 			cfg.Seed = 1
 			cfg.Workers = 1
 			cfg.Miner.NumTrees, cfg.Ranker.NumTrees = 12, 12
-			// A sketch far smaller than the partitions makes the summaries lossy,
-			// so the refine passes really run and ship gathers.
 			fit := func(exec shard.Executor) *core.Pipeline {
 				p, _, _, err := shard.Fit(context.Background(), frame.NewFrameChunks(ds.Train, 300),
-					shard.Config{Core: cfg, SketchSize: 128, Exec: exec})
+					shard.Config{Core: cfg, Exec: exec})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -515,7 +502,7 @@ func TestChaosFramesSurviveBufferReuse(t *testing.T) {
 		for r := range col {
 			col[r] = float64(i*1000 + r)
 		}
-		p, blobs := sketchPartial(i, col)
+		p, blobs := basePartial(i, col)
 		all = append(all, sent{p, blobs})
 	}
 	coordEnd, worker := Pipe()

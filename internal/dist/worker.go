@@ -139,7 +139,7 @@ func (s *session) handleFitOpen(msg []byte) error {
 				Msg: fmt.Sprintf("source column %d is %q, coordinator expects %q", i, name, o.Names[i])}))
 		}
 	}
-	s.ws = shard.NewWorkerState(o.Names, o.Task, o.SketchSize)
+	s.ws = shard.NewWorkerState(o.Names, o.Task)
 	s.closer = closer
 	s.src = shard.NewRetrySource(s.ctx, src, o.Retry, &s.retries)
 	return s.conn.Send(encodeAck(&ack{Re: msgFitOpen, OK: true}))
@@ -180,9 +180,8 @@ func (s *session) handleRunPass(msg []byte) error {
 	done := passDone{PassID: m.PassID}
 	idx := 0
 	// One frame buffer serves every partial of the pass, reallocated only for
-	// a partial larger than all before it; it ends with the pass, so the
-	// candidate-sketch pass's tens of megabytes are not held for the rest of
-	// the fit.
+	// a partial larger than all before it; it ends with the pass, so a gather
+	// pass's megabytes are not held for the rest of the fit.
 	var frame []byte
 	for {
 		if err := s.ctx.Err(); err != nil {

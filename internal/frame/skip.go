@@ -19,7 +19,9 @@ type ColStats struct {
 // partial passes: chunks proven irrelevant by their stats are skipped — not
 // read, not decoded — on the next pass. The colstore readers implement it
 // (block stats come straight from the file footer); FrameChunks does not,
-// in-memory passes being too cheap to plan.
+// in-memory passes being too cheap to plan. The sharded fit plans no skip
+// (it cuts every column on passes that read every chunk); the repository
+// benchmark's trace wrapper forwards the interface.
 //
 // ChunkStats(i) describes chunk i's feature columns in Names() order; a nil
 // result means no stats are available for that chunk (it can then never be

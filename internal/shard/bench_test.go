@@ -48,7 +48,7 @@ func BenchmarkShardPass(b *testing.B) {
 		b.Fatal(err)
 	}
 	f := &fitter{ctx: context.Background(), cfg: cfg, pool: pool, arena: arena, n: rows * parts}
-	ws := newWorkerState(names, cfg.Task, 0, operators.NewRegistry(), arena, pool)
+	ws := newWorkerState(names, cfg.Task, operators.NewRegistry(), arena, pool)
 	if err := ws.SetLive(1, nil, names); err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +69,8 @@ func BenchmarkShardPass(b *testing.B) {
 		cands := make([]*column, gens)
 		countSpec := &PassSpec{Kind: PassSketchGen, Epoch: 1, Grids: make([]GridSpec, gens)}
 		for i := range cands {
-			cands[i] = &column{grid: newGridState(specs[i], appliers[i], f.sample.Vals, &f.cfg)}
+			spec := GridSpec{Base: -1, Gen: specs[i]}
+			cands[i] = &column{grid: newGridState(spec, sampleGen(specs[i], appliers[i], f.sample.Vals), &f.cfg)}
 			countSpec.Grids[i] = cands[i].grid.spec
 		}
 		for _, c := range chunks {
@@ -77,7 +78,7 @@ func BenchmarkShardPass(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := f.each(gens, func(i int) error { return cands[i].foldCounts(&p.Counts[i], p.Rows) }); err != nil {
+			if err := f.each(gens, func(i int) error { return cands[i].foldCounts(&p.Counts[i], int64(p.Rows)) }); err != nil {
 				b.Fatal(err)
 			}
 			ws.Release(p)

@@ -40,12 +40,11 @@ func inMemoryEngine(workers int) fitEngine {
 }
 
 // shardedEngine fits the frame out of core in chunkRows-row partitions, and
-// holds the fit to the partition and pass counts the shape implies — passes
-// is a count task's; the regression criterion streams one pass more. The live
-// refinement pass is skipped (5 passes instead of 6) only while every base
-// sketch stays lossless: every chunk within the partial budget, so no partial
-// compacts, and no more rows than the sketch size, so no merge does.
-func shardedEngine(chunkRows, partitions, passes, workers int) fitEngine {
+// holds the fit to the partition count the shape implies and to seven passes
+// — four before the first round (base, the source columns' grid counts and
+// gather, codes) and three in it (grid counts, gather, Gram) — whatever the
+// shape; the regression criterion streams one pass more.
+func shardedEngine(chunkRows, partitions, workers int) fitEngine {
 	return fitEngine{fmt.Sprintf("sharded chunk=%d workers=%d", chunkRows, workers),
 		func(t *testing.T, train *frame.Frame, cfg core.Config) *core.Pipeline {
 			cfg.Workers = workers
@@ -53,17 +52,13 @@ func shardedEngine(chunkRows, partitions, passes, workers int) fitEngine {
 			if err != nil {
 				t.Fatalf("chunk=%d workers=%d: %v", chunkRows, workers, err)
 			}
-			want := passes
+			want := 7
 			if cfg.Task.Kind == core.TaskRegression {
 				want++
 			}
 			if st.Partitions != partitions || st.Passes != want {
 				t.Fatalf("chunk=%d workers=%d: %d partitions in %d passes, want %d in %d",
 					chunkRows, workers, st.Partitions, st.Passes, partitions, want)
-			}
-			if lossless := st.MaxQuantileRankError == 0; lossless != (passes == 5) {
-				t.Fatalf("chunk=%d workers=%d: rank error %d with %d passes",
-					chunkRows, workers, st.MaxQuantileRankError, passes)
 			}
 			return got
 		}}
@@ -92,23 +87,20 @@ func assertDeterministic(t *testing.T, train *frame.Frame, cfg core.Config, engi
 // order, so this must hold exactly — also under the race detector, where
 // scheduling is deliberately perturbed.
 //
-// Each sharded row also states how many passes the fit takes (see
+// Each sharded fit is also held to its partition and pass counts (see
 // shardedEngine).
 func TestShardedFitDeterminismMatrix(t *testing.T) {
 	all, one := []int{1, 2, 4, 8}, []int{2}
 	shapes := []struct {
-		rows, chunkRows, partitions, passes int
-		workers                             []int
+		rows, chunkRows, partitions int
+		workers                     []int
 	}{
 		// One, three and four partitions of 3,000 rows.
-		{3000, 3000, 1, 6, all}, // one chunk, but of more rows than a partial holds
-		{3000, 1000, 3, 5, all},
-		{3000, 750, 4, 5, all},
-		// Chunks straddling the partial budget, under and over the sketch size.
-		{3000, partialSize, 3, 5, one},
-		{3000, partialSize + 1, 3, 6, one},   // the first row past the budget compacts the partial
-		{16400, partialSize, 17, 6, one},     // lossless partials, but the 16th merge outgrows a level
-		{16400, partialSize + 1, 16, 6, one}, // both
+		{3000, 3000, 1, all},
+		{3000, 1000, 3, all},
+		{3000, 750, 4, all},
+		// Seventeen of 16,400, the last of them short.
+		{16400, 1000, 17, one},
 	}
 	families := []struct {
 		name    string
@@ -136,7 +128,7 @@ func TestShardedFitDeterminismMatrix(t *testing.T) {
 				for _, sh := range shapes {
 					for _, workers := range sh.workers {
 						if sh.rows == rows {
-							engines = append(engines, shardedEngine(sh.chunkRows, sh.partitions, sh.passes, workers))
+							engines = append(engines, shardedEngine(sh.chunkRows, sh.partitions, workers))
 						}
 					}
 				}
@@ -167,11 +159,11 @@ func TestRebinBranchMatchesAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSelection(t, mem, sharded)
-	// Base sketch and codes, three passes a round, and one more between the
-	// rounds: the selection's ranker codes are not the next miner's, so the
-	// live set is coded again.
-	if st.Passes != 9 {
-		t.Errorf("sharded fit took %d passes, want 9", st.Passes)
+	// Base, the source columns' two grid passes and codes, three passes a
+	// round, and one more between the rounds: the selection's ranker codes are
+	// not the next miner's, so the live set is coded again.
+	if st.Passes != 11 {
+		t.Errorf("sharded fit took %d passes, want 11", st.Passes)
 	}
 	h := fnv.New64a()
 	h.Write([]byte(strings.Join(mem.Formulas(), "|")))

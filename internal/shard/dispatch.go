@@ -36,17 +36,18 @@ type PassKind uint8
 // combinations, which core.ScoreCombos now does on the resident miner codes.
 // Kind 8 is retired too: the binary and multiclass criterion counts ride the
 // gather pass (grid.go). The numbers stay taken (an older peer may still name
-// them) and ComputePartial answers them as unknown kinds. PassSketchGen and
-// PassRefine keep their numbers for the two grid passes that replaced the
-// candidate sketch and its refinement.
+// them) and ComputePartial answers them as unknown kinds. PassBaseSketch,
+// PassSketchGen and PassRefine keep their names and numbers, though no pass
+// sketches or refines any more: they are the base pass and the two grid
+// passes that cut every column.
 const (
-	PassBaseSketch     PassKind = 1  // labels + per-original quantile/moments partials + row sample
+	PassBaseSketch     PassKind = 1  // labels + per-source-column moments + row sample
 	PassCodes          PassKind = 2  // resident miner codes per live feature
 	PassScoreBinary    PassKind = 3  // retired
 	PassScoreClasses   PassKind = 4  // retired
 	PassScoreMomentIDs PassKind = 5  // retired
-	PassSketchGen      PassKind = 6  // grid counts/moments partials per generated candidate
-	PassRefine         PassKind = 7  // exact-cut gathers: live refiners, or candidate cut buckets + live criterion histograms
+	PassSketchGen      PassKind = 6  // grid counts + range per column
+	PassRefine         PassKind = 7  // cut-bucket gathers (+ classes and span counts for a count task) per column
 	PassHistCounts     PassKind = 8  // retired
 	PassHistIDs        PassKind = 9  // criterion bin ids (regression)
 	PassGramCodes      PassKind = 10 // pairwise co-moments + ranker codes
@@ -69,8 +70,7 @@ type GenSpec struct {
 	Feats []int
 }
 
-// EntrySpec is one candidate of the histogram/Gram passes (and a live
-// feature's criterion histogram in the gather pass): a base entry
+// EntrySpec is one candidate of the histogram/Gram passes: a base entry
 // reads live column Base; a generated entry recomputes Gen. Cuts are the
 // pass's bin edges (criterion cuts or ranker cuts, per kind).
 type EntrySpec struct {
@@ -80,16 +80,6 @@ type EntrySpec struct {
 	NeedCodes bool // PassGramCodes: materialise ranker codes for this entry
 }
 
-// RefineSpec is one open exact-cut refinement of a source column before the
-// first round: the bracket arrays from the fitter's Refiner plus the column to
-// gather from.
-type RefineSpec struct {
-	Col      int // source column index
-	Ranks    []int64
-	Lo, Hi   []float64
-	Resolved []bool
-}
-
 // PassSpec describes one streaming pass. Exactly the fields its Kind needs
 // are set. A PassSpec must not be copied once a pass has started.
 type PassSpec struct {
@@ -97,84 +87,54 @@ type PassSpec struct {
 	Kind  PassKind
 	Epoch int // live-set epoch this pass must run against
 
-	LiveCuts [][]float64  // PassCodes: miner cuts per live feature
-	Grids    []GridSpec   // PassSketchGen, PassRefine: generated candidates
-	Entries  []EntrySpec  // PassRefine (count tasks), PassHistIDs, PassGramCodes
-	Refines  []RefineSpec // PassRefine: live refiners
+	LiveCuts [][]float64 // PassCodes: miner cuts per live feature
+	Grids    []GridSpec  // PassSketchGen, PassRefine: the columns being cut
+	Entries  []EntrySpec // PassHistIDs, PassGramCodes
 
 	prepOnce sync.Once
 	prep     *passPrep
 }
 
 // passPrep is what every chunk of one pass shares, derived once from the
-// spec: gather templates (refine), bucket tables (grid gathers) and histogram
-// templates (criterion entries). All of it is read-only to the kernels, which
-// Shadow the templates per chunk, so the goroutines of one kernel's column
-// loop share one passPrep.
+// spec: bucket tables (grid gathers) and the regression criterion's
+// histograms. All of it is read-only to the kernels, so the goroutines of one
+// kernel's column loop share one passPrep.
 type passPrep struct {
-	refs   []*sketch.Refiner
 	tables []*gridTables
-	hists  []sketch.CriterionHist
+	hists  []*sketch.MomentHist
 }
 
 // prepared returns the spec's shared per-pass state, building it on first
 // use. The fitter reads the same object for its merge targets, so the
 // kernels' templates and the folds' always agree.
-func (s *PassSpec) prepared(task core.Task) *passPrep {
+func (s *PassSpec) prepared() *passPrep {
 	s.prepOnce.Do(func() {
 		pp := &passPrep{}
 		switch s.Kind {
 		case PassRefine:
-			pp.refs = make([]*sketch.Refiner, len(s.Refines))
-			for i, rf := range s.Refines {
-				pp.refs[i] = sketch.NewShadowRefiner(rf.Ranks, rf.Lo, rf.Hi, rf.Resolved)
-			}
 			pp.tables = make([]*gridTables, len(s.Grids))
 			for i := range s.Grids {
 				pp.tables[i] = newGridTables(&s.Grids[i])
 			}
-			pp.hists = s.entryHists(task)
 		case PassHistIDs:
-			pp.hists = s.entryHists(task)
+			pp.hists = make([]*sketch.MomentHist, len(s.Entries))
+			for i := range s.Entries {
+				pp.hists[i] = sketch.NewMomentHist(s.Entries[i].Cuts)
+			}
 		}
 		s.prep = pp
 	})
 	return s.prep
 }
 
-// entryHists builds the task's criterion histogram of every entry.
-func (s *PassSpec) entryHists(task core.Task) []sketch.CriterionHist {
-	hists := make([]sketch.CriterionHist, len(s.Entries))
-	for i := range s.Entries {
-		hists[i] = newCriterionHist(task, s.Entries[i].Cuts)
-	}
-	return hists
-}
-
-// newCriterionHist builds the task's mergeable relevance accumulator over
-// the given cut points: binary label counts, K-class counts, or target
-// moments.
-func newCriterionHist(task core.Task, cuts []float64) sketch.CriterionHist {
-	switch task.Kind {
-	case core.TaskMulticlass:
-		return sketch.NewClassHist(cuts, task.Classes)
-	case core.TaskRegression:
-		return sketch.NewMomentHist(cuts)
-	default:
-		return sketch.NewLabelHist(cuts)
-	}
-}
-
 // Partial is one chunk's computed contribution to a pass. Which payload
 // fields are set depends on the pass kind:
 //
-//	BaseSketch:     Labels = chunk labels; Quantiles[j], Moments[j] of source
-//	                column j; Sample = the chunk's row sample.
+//	BaseSketch:     Labels = chunk labels; Moments[j] of source column j;
+//	                Sample = the chunk's row sample.
 //	Codes:          Codes[i] = chunk codes of live feature i.
 //	SketchGen:      Counts[i] of Grids[i].
-//	Refine:         Refiners[i] = gather partial of Refines[i]; Gathers[i] =
-//	                cut-bucket gather of Grids[i]; Hists[i] = criterion
-//	                histogram partial of Entries[i].
+//	Refine:         Gathers[i] = cut-bucket gather of Grids[i].
 //	HistIDs:        Ints = bin id per (entry, row).
 //	GramCodes:      Gram = co-moment partial; Codes[i] = chunk ranker codes
 //	                of Entries[i] when its NeedCodes is set (nil otherwise);
@@ -186,12 +146,9 @@ func newCriterionHist(task core.Task, cuts []float64) sketch.CriterionHist {
 // Blobs, and the fitter's fold wrapper decodes them back (Decode), validating
 // every count before a fold indexes by it:
 //
-//	BaseSketch: Blobs[2i], Blobs[2i+1] = quantile, moments i; the last blob
-//	            the row sample.
+//	BaseSketch: Blobs[j] = moments j; the last blob the row sample.
 //	SketchGen:  Blobs[i] = grid counts i.
-//	Refine:     the refiner gathers, then the grid gathers, then the
-//	            histograms, as many of each as the spec has Refines, Grids
-//	            and Entries.
+//	Refine:     Blobs[i] = gather i.
 //	GramCodes:  Blobs[0] = Gram partial; Blobs[1+g] = moments g.
 //
 // Labels, Ints and Codes are plain and travel as they are, so the transport
@@ -205,14 +162,11 @@ type Partial struct {
 	Ints   []int32
 	Codes  [][]uint8
 
-	Quantiles []*sketch.Quantile
-	Moments   []sketch.Moments
-	Sample    *RowSample
-	Counts    []GridCounts
-	Refiners  []*sketch.Refiner
-	Gathers   []*Gather
-	Hists     []sketch.CriterionHist
-	Gram      *sketch.Gram
+	Moments []sketch.Moments
+	Sample  *RowSample
+	Counts  []GridCounts
+	Gathers []*Gather
+	Gram    *sketch.Gram
 
 	codeSlab  []uint8 // arena backing of Codes
 	countSlab []int32 // arena backing of Counts
@@ -227,11 +181,11 @@ type Partial struct {
 func (p *Partial) BlobCount(kind PassKind) int {
 	switch kind {
 	case PassBaseSketch:
-		return 2*len(p.Quantiles) + 1
+		return len(p.Moments) + 1
 	case PassSketchGen:
 		return len(p.Counts)
 	case PassRefine:
-		return len(p.Refiners) + len(p.Gathers) + len(p.Hists)
+		return len(p.Gathers)
 	case PassGramCodes:
 		return 1 + len(p.Moments)
 	}
@@ -246,28 +200,18 @@ type wireForm interface {
 }
 
 // blob returns the payload behind blob i of the kind's typed payload, in the
-// order Decode reads them back. A count-valued criterion histogram is one of
-// the two families with a wire form; a kernel puts no other in a partial.
+// order Decode reads them back.
 func (p *Partial) blob(kind PassKind, i int) wireForm {
 	switch kind {
 	case PassBaseSketch:
-		switch {
-		case i == 2*len(p.Quantiles):
+		if i == len(p.Moments) {
 			return p.Sample
-		case i%2 == 1:
-			return &p.Moments[i/2]
 		}
-		return p.Quantiles[i/2]
+		return &p.Moments[i]
 	case PassSketchGen:
 		return &p.Counts[i]
 	case PassRefine:
-		if i < len(p.Refiners) {
-			return p.Refiners[i]
-		}
-		if i -= len(p.Refiners); i < len(p.Gathers) {
-			return p.Gathers[i]
-		}
-		return p.Hists[i-len(p.Gathers)].(wireForm)
+		return p.Gathers[i]
 	default: // PassGramCodes: BlobCount is 0 for every other kind
 		if i > 0 {
 			return &p.Moments[i-1]
@@ -288,13 +232,13 @@ func (p *Partial) AppendBlob(b []byte, kind PassKind, i int) []byte {
 // Decode rebuilds the typed payload of a partial that arrived in wire form
 // (Blobs set, an empty typed payload) for the pass spec it answers; a partial handed
 // over by pointer passes through untouched. Blobs stays in place and is not
-// referenced by the typed payload. Quantile and Gram partials and the grid
-// counts are drawn from the arena: the fold returns them there once merged,
+// referenced by the typed payload. Gram partials and the grid counts are
+// drawn from the arena: the fold returns them there once merged,
 // so the next partial decodes into the same memory. Counts are not checked
 // here beyond what laying the blobs out needs — every fold validates the
 // typed payload's shape, whichever way it arrived.
 func (p *Partial) Decode(spec *PassSpec, arena *sketch.Arena) error {
-	if len(p.Blobs) == 0 || len(p.Quantiles)+len(p.Counts)+len(p.Refiners)+len(p.Gathers)+len(p.Hists) > 0 || p.Gram != nil {
+	if len(p.Blobs) == 0 || p.Sample != nil || len(p.Moments)+len(p.Counts)+len(p.Gathers) > 0 || p.Gram != nil {
 		return nil
 	}
 	kind := spec.Kind
@@ -303,25 +247,16 @@ func (p *Partial) Decode(spec *PassSpec, arena *sketch.Arena) error {
 	}
 	switch kind {
 	case PassBaseSketch:
-		n := (len(p.Blobs) - 1) / 2
-		if len(p.Blobs) != 2*n+1 {
-			return fmt.Errorf("shard: pass kind %d partial %d has %d blobs, want quantile/moments pairs and a sample", kind, p.Chunk, len(p.Blobs))
-		}
-		p.Quantiles = make([]*sketch.Quantile, n)
+		n := len(p.Blobs) - 1
 		p.Moments = make([]sketch.Moments, n)
-		for i := 0; i < n; i++ {
-			q, _, err := arena.DecodeQuantile(p.Blobs[2*i])
-			if err != nil {
-				return fail(2*i, err)
-			}
-			p.Quantiles[i] = q
-			if err := p.decodeMoments(i, 2*i+1); err != nil {
-				return fail(2*i+1, err)
+		for i := range p.Moments {
+			if err := p.decodeMoments(i, i); err != nil {
+				return fail(i, err)
 			}
 		}
-		s, err := decodeRowSample(p.Blobs[2*n])
+		s, err := decodeRowSample(p.Blobs[n])
 		if err != nil {
-			return fail(2*n, err)
+			return fail(n, err)
 		}
 		p.Sample = s
 	case PassSketchGen:
@@ -347,27 +282,17 @@ func (p *Partial) Decode(spec *PassSpec, arena *sketch.Arena) error {
 			p.Counts[i] = gc
 		}
 	case PassRefine:
-		nr, ng := len(spec.Refines), len(spec.Grids)
-		if len(p.Blobs) != nr+ng+len(spec.Entries) {
-			return fmt.Errorf("shard: pass kind %d partial %d has %d blobs, want %d gathers and %d histograms",
-				kind, p.Chunk, len(p.Blobs), nr+ng, len(spec.Entries))
+		if len(p.Blobs) != len(spec.Grids) {
+			return fmt.Errorf("shard: pass kind %d partial %d has %d blobs, want %d gathers",
+				kind, p.Chunk, len(p.Blobs), len(spec.Grids))
 		}
-		p.Refiners = make([]*sketch.Refiner, nr)
-		p.Gathers = make([]*Gather, ng)
-		p.Hists = make([]sketch.CriterionHist, len(spec.Entries))
+		p.Gathers = make([]*Gather, len(p.Blobs))
 		for i, b := range p.Blobs {
-			var err error
-			switch {
-			case i < nr:
-				p.Refiners[i], _, err = sketch.DecodeRefinerGather(b)
-			case i < nr+ng:
-				p.Gathers[i-nr], err = decodeGather(b)
-			default:
-				p.Hists[i-nr-ng], _, err = sketch.DecodeCountHist(b)
-			}
+			g, err := decodeGather(b)
 			if err != nil {
 				return fail(i, err)
 			}
+			p.Gathers[i] = g
 		}
 	case PassGramCodes:
 		g, _, err := arena.DecodeGram(p.Blobs[0])
@@ -409,8 +334,9 @@ type PassResult struct {
 // sequence a fault-free one would. Fit installs the in-process executor when
 // Config.Exec is nil.
 type Executor interface {
-	// Open announces the fit's schema and constants. Called once, before any
-	// pass.
+	// Open announces the fit's schema and task. Called once, before any pass.
+	// sketchSize is ignored (the fitter passes 0); the parameter stays so that
+	// existing Executor implementations keep compiling.
 	Open(ctx context.Context, names []string, task core.Task, sketchSize int) error
 	// SetLive syncs the live feature set (and the node program deriving it)
 	// ahead of passes that evaluate live columns. Epochs increase
@@ -430,12 +356,11 @@ type Executor interface {
 // after the send — returns them with Release. One WorkerState computes one
 // chunk at a time: ComputePartial is not safe for concurrent calls.
 type WorkerState struct {
-	names    []string
-	task     core.Task
-	partSize int // size every quantile partial is built at: see partialSize
-	reg      *operators.Registry
-	arena    *sketch.Arena
-	pool     *parallel.Pool
+	names []string
+	task  core.Task
+	reg   *operators.Registry
+	arena *sketch.Arena
+	pool  *parallel.Pool
 
 	epoch int
 	live  *core.Program // derives the live features, its outputs, from a chunk; nil before SetLive
@@ -445,30 +370,14 @@ type WorkerState struct {
 	// the loops read it without a lock.
 	appliers map[string]operators.Applier
 	opsFor   *PassSpec // the pass whose operators were last resolved
-	bits     []uint8   // the chunk's label bits/classes, shared read-only by a loop
-	cls      []int32
+	cls      []int32   // the chunk's class ids, shared read-only by a loop
 
 	mu   sync.Mutex
 	free []*scratch // idle per-goroutine scratch, kept across chunks and passes
 }
 
-// partialSize is the budget of one quantile partial, in points: a kernel
-// summarises its chunk's column at min(sketch size, partialSize), so a partial
-// is 16 B × partialSize however many rows the chunk has (short of twice that
-// in the worst case: a compaction cannot pair duplicate runs heavier than half
-// its run weight) — what a worker holds per candidate, ships per candidate and
-// the fold copies per candidate. The fitter's running sketches stay at the full sketch size and
-// take the partials in by exact concatenation, so the budget costs a rank
-// error of ceil(chunk rows / partialSize) per partition and nothing per
-// merge; the refinement gather, ±that bound wide, is what pays for it. The
-// two costs cross near √(cut targets × chunk rows) points — about 600 for a
-// 5,000-row chunk, 2,200 for a 65,536-row row group — and 1024 is the measured
-// minimum of bytes allocated per row in between (docs/performance.md).
-const partialSize = 1024
-
 // scratch is what one goroutine of a column loop needs to itself.
 type scratch struct {
-	srt  sketch.SortScratch
 	ix   stats.CutIndexer
 	buf  []float64 // generated-column buffer
 	rowB []int16   // a gather's bucket per row
@@ -513,23 +422,18 @@ func (s *scratch) floats(n int) []float64 {
 // NewWorkerState prepares worker-side fit state for the given schema, with
 // the built-in operator registry, its own arena and the process-wide pool, so
 // a worker session spreads each partition over its host's cores.
-func NewWorkerState(names []string, task core.Task, sketchSize int) *WorkerState {
-	return newWorkerState(names, task, sketchSize, operators.NewRegistry(), sketch.NewArena(), parallel.Default())
+func NewWorkerState(names []string, task core.Task) *WorkerState {
+	return newWorkerState(names, task, operators.NewRegistry(), sketch.NewArena(), parallel.Default())
 }
 
 // newWorkerState is NewWorkerState over a given registry, arena and pool: the
 // in-process executor resolves operators in the fit's own registry, pools
-// through the fitter's arena (the fold hands merged sketches straight back)
+// through the fitter's arena (the fold hands merged partials straight back)
 // and runs on the pool the fit was configured with.
-func newWorkerState(names []string, task core.Task, sketchSize int, reg *operators.Registry, arena *sketch.Arena, pool *parallel.Pool) *WorkerState {
-	partSize := partialSize
-	if sketchSize > 0 && sketchSize < partSize {
-		partSize = sketchSize
-	}
+func newWorkerState(names []string, task core.Task, reg *operators.Registry, arena *sketch.Arena, pool *parallel.Pool) *WorkerState {
 	return &WorkerState{
 		names:    names,
 		task:     task,
-		partSize: partSize,
 		reg:      reg,
 		arena:    arena,
 		pool:     pool,
@@ -626,8 +530,10 @@ func (ws *WorkerState) resolveOps(spec *PassSpec) error {
 		return err
 	}
 	for i := range spec.Grids {
-		if err := resolve(&spec.Grids[i].Gen); err != nil {
-			return err
+		if g := &spec.Grids[i]; g.Base < 0 {
+			if err := resolve(&g.Gen); err != nil {
+				return err
+			}
 		}
 	}
 	for i := range spec.Entries {
@@ -688,9 +594,6 @@ func (ws *WorkerState) releaseLive() {
 // Release returns a partial's pooled buffers to the arena. The partial (and
 // anything aliasing its payload) must not be used afterwards.
 func (ws *WorkerState) Release(p *Partial) {
-	for _, q := range p.Quantiles {
-		ws.arena.PutQuantile(q)
-	}
 	ws.arena.PutInt32s(p.Ints)
 	ws.arena.PutInt32s(p.countSlab)
 	ws.arena.PutBytes(p.codeSlab)
@@ -714,38 +617,19 @@ func (ws *WorkerState) genCol(g GenSpec, cols [][]float64, dst []float64) error 
 	return nil
 }
 
-// entryCol resolves one histogram/Gram entry's column for the chunk: a live
-// column as it is, a generated one computed into buf.
-func (ws *WorkerState) entryCol(e *EntrySpec, cols [][]float64, buf []float64) ([]float64, error) {
-	if e.Base >= 0 {
-		if e.Base >= len(cols) {
-			return nil, fmt.Errorf("shard: entry base %d outside live set of %d", e.Base, len(cols))
+// colOf resolves the column an entry or a grid spec names for the chunk: live
+// column base as it is, or, when base is negative, gen computed into buf.
+func (ws *WorkerState) colOf(base int, gen GenSpec, cols [][]float64, buf []float64) ([]float64, error) {
+	if base >= 0 {
+		if base >= len(cols) {
+			return nil, fmt.Errorf("shard: base column %d outside live set of %d", base, len(cols))
 		}
-		return cols[e.Base], nil
+		return cols[base], nil
 	}
-	if err := ws.genCol(e.Gen, cols, buf); err != nil {
+	if err := ws.genCol(gen, cols, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// labelBits returns the chunk's labels thresholded to 0/1 bits. Thresholding
-// is a per-row cost the count passes would otherwise repeat for every
-// candidate column, and random binary labels make the branch mispredict
-// constantly.
-func (ws *WorkerState) labelBits(labels []float64) []uint8 {
-	if cap(ws.bits) < len(labels) {
-		ws.bits = make([]uint8, len(labels))
-	}
-	bits := ws.bits[:len(labels)]
-	for i, y := range labels {
-		if y > 0.5 {
-			bits[i] = 1
-		} else {
-			bits[i] = 0
-		}
-	}
-	return bits
 }
 
 // labelCls returns the chunk's labels as class ids (-1 when out of range).
@@ -809,13 +693,17 @@ func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *fr
 	case PassBaseSketch:
 		p.Labels = append([]float64(nil), c.Label...)
 		p.Sample = chunkSample(c.Cols, c.Start, p.Rows)
-		err = ws.sketchCols(ctx, p, c.Cols)
+		p.Moments = make([]sketch.Moments, len(c.Cols))
+		err = ws.forCols(ctx, len(c.Cols), func(_ *scratch, i int) error {
+			p.Moments[i].AddAll(c.Cols[i])
+			return nil
+		})
 	case PassCodes:
 		err = ws.computeCodes(ctx, spec, c, p)
 	case PassSketchGen:
 		err = ws.computeGridCounts(ctx, spec, c, p)
 	case PassRefine:
-		err = ws.computeRefine(ctx, spec, c, p)
+		err = ws.computeGather(ctx, spec, c, p)
 	case PassHistIDs:
 		err = ws.computeHist(ctx, spec, c, p)
 	case PassGramCodes:
@@ -829,24 +717,6 @@ func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *fr
 		return nil, err
 	}
 	return p, nil
-}
-
-// sketchCols summarises the chunk's source columns — quantile partial
-// through the SortNonNaN ingestion path plus moments — into p. The partial is
-// built at the partial budget, so AddSortedScratch's one compaction happens
-// here, at the worker, and what leaves is the budget's size at most.
-func (ws *WorkerState) sketchCols(ctx context.Context, p *Partial, cols [][]float64) error {
-	p.Quantiles = make([]*sketch.Quantile, len(cols))
-	p.Moments = make([]sketch.Moments, len(cols))
-	return ws.forCols(ctx, len(cols), func(s *scratch, i int) error {
-		vals := cols[i]
-		sorted, nan := sketch.SortNonNaN(vals, &s.srt)
-		part := ws.arena.Quantile(ws.partSize)
-		part.AddSortedScratch(sorted, nan, &s.srt)
-		p.Quantiles[i] = part
-		p.Moments[i].AddAll(vals)
-		return nil
-	})
 }
 
 // codeCols carves p.Codes[i], p.Rows codes each, out of one pooled slab for
@@ -884,78 +754,32 @@ func (ws *WorkerState) computeCodes(ctx context.Context, spec *PassSpec, c *fram
 	})
 }
 
-// computeRefine is the gather pass's kernel: the live refiners' gathers
-// before the first round, or in a round the generated candidates' cut-bucket
-// gathers and, for a count task, the live features' criterion histograms at
-// their known cuts.
-func (ws *WorkerState) computeRefine(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	for i := range spec.Refines {
-		rf := &spec.Refines[i]
-		if len(rf.Lo) != len(rf.Ranks) || len(rf.Hi) != len(rf.Ranks) || len(rf.Resolved) != len(rf.Ranks) {
-			return fmt.Errorf("shard: refine %d has %d ranks but %d/%d/%d bracket entries", i, len(rf.Ranks), len(rf.Lo), len(rf.Hi), len(rf.Resolved))
-		}
-		if rf.Col < 0 || rf.Col >= len(c.Cols) {
-			return fmt.Errorf("shard: refine column %d outside schema of %d", rf.Col, len(c.Cols))
-		}
-	}
+// computeGather is the gather pass's kernel: every column's cut-bucket
+// gather and, for a count task, the classes and span counts beside it.
+func (ws *WorkerState) computeGather(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
 	counts := ws.task.Kind != core.TaskRegression
-	if !counts && len(spec.Entries) > 0 {
-		return fmt.Errorf("shard: a %s gather pass carries %d criterion histograms", ws.task, len(spec.Entries))
-	}
 	for i := range spec.Grids {
 		if err := spec.Grids[i].check(true, counts); err != nil {
 			return err
 		}
 	}
-	pp := spec.prepared(ws.task)
+	pp := spec.prepared()
 	cols := ws.liveCols(c)
 	var cls []int32
-	var bits []uint8
-	if counts && len(spec.Grids)+len(spec.Entries) > 0 {
+	if counts && len(spec.Grids) > 0 {
 		var err error
 		if cls, err = ws.classIDs(c.Label); err != nil {
 			return err
 		}
-		if ws.task.Kind != core.TaskMulticlass {
-			bits = ws.labelBits(c.Label)
-		}
 	}
-	nr, ng := len(spec.Refines), len(spec.Grids)
-	p.Refiners = make([]*sketch.Refiner, nr)
-	p.Gathers = make([]*Gather, ng)
-	p.Hists = make([]sketch.CriterionHist, len(spec.Entries))
-	return ws.forCols(ctx, nr+ng+len(spec.Entries), func(s *scratch, i int) error {
-		switch {
-		case i < nr:
-			sh := pp.refs[i].Shadow()
-			sh.AddChunk(c.Cols[spec.Refines[i].Col])
-			p.Refiners[i] = sh
-		case i < nr+ng:
-			g := &spec.Grids[i-nr]
-			vals := s.floats(p.Rows)
-			if err := ws.genCol(g.Gen, cols, vals); err != nil {
-				return err
-			}
-			p.Gathers[i-nr] = gatherCol(g, pp.tables[i-nr], vals, cls, taskClasses(ws.task), s)
-		default:
-			e := &spec.Entries[i-nr-ng]
-			col, err := ws.entryCol(e, cols, s.floats(p.Rows))
-			if err != nil {
-				return err
-			}
-			// The pre-encoded label paths fold the same integer counts as AddCol
-			// without re-deriving the label per value per candidate.
-			switch h := pp.hists[i-nr-ng].(type) {
-			case *sketch.ClassHist:
-				sh := h.Shadow()
-				sh.AddColCls(col, cls)
-				p.Hists[i-nr-ng] = sh
-			case *sketch.LabelHist:
-				sh := h.Shadow()
-				sh.AddColBits(col, bits)
-				p.Hists[i-nr-ng] = sh
-			}
+	p.Gathers = make([]*Gather, len(spec.Grids))
+	return ws.forCols(ctx, len(spec.Grids), func(s *scratch, i int) error {
+		g := &spec.Grids[i]
+		vals, err := ws.colOf(g.Base, g.Gen, cols, s.floats(p.Rows))
+		if err != nil {
+			return err
 		}
+		p.Gathers[i] = gatherCol(g, pp.tables[i], vals, cls, taskClasses(ws.task), s)
 		return nil
 	})
 }
@@ -967,7 +791,7 @@ func (ws *WorkerState) computeHist(ctx context.Context, spec *PassSpec, c *frame
 	if ws.task.Kind != core.TaskRegression {
 		return fmt.Errorf("shard: pass kind %d does not fit a %s task", spec.Kind, ws.task)
 	}
-	pp := spec.prepared(ws.task)
+	pp := spec.prepared()
 	cols := ws.liveCols(c)
 	rows := p.Rows
 	p.Ints = ws.arena.Int32s(len(spec.Entries) * rows)
@@ -977,11 +801,11 @@ func (ws *WorkerState) computeHist(ctx context.Context, spec *PassSpec, c *frame
 		if e.Base < 0 {
 			buf = s.floats(rows)
 		}
-		col, err := ws.entryCol(e, cols, buf)
+		col, err := ws.colOf(e.Base, e.Gen, cols, buf)
 		if err != nil {
 			return err
 		}
-		pp.hists[i].(*sketch.MomentHist).BinIDs(col, p.Ints[i*rows:(i+1)*rows])
+		pp.hists[i].BinIDs(col, p.Ints[i*rows:(i+1)*rows])
 		return nil
 	})
 }
@@ -1012,7 +836,7 @@ func (ws *WorkerState) computeGramCodes(ctx context.Context, spec *PassSpec, c *
 		if e.Base < 0 {
 			owned[i] = ws.arena.Floats(rows)
 		}
-		col, err := ws.entryCol(e, cols, owned[i])
+		col, err := ws.colOf(e.Base, e.Gen, cols, owned[i])
 		if err != nil {
 			return err
 		}

@@ -4,8 +4,8 @@
 // implementation of core.WorkingSet (the fitter, shard.go) over a
 // frame.ChunkSource whose partitions never coexist in memory, which answers
 // every question the loop asks about a column with mergeable statistics
-// (internal/sketch, stats.Grid counts) accumulated per partition and merged
-// in partition order.
+// (moments and the Gram from internal/sketch, stats.Grid counts, cut-bucket
+// gathers) accumulated per partition and merged in partition order.
 // This package trains no booster, opens no stage and emits no event.
 //
 // Every streaming pass is stated once, in three steps:
@@ -26,31 +26,33 @@
 // folded, by exactly one goroutine in the serial loop's arithmetic order, so
 // selection is bit-identical across worker counts too.
 //
-// The engine makes a small number of streaming passes: three before the
+// The engine makes a small number of streaming passes: four before the
 // first iteration (WorkingSet.Open),
 //
-//  1. live stats  — per-feature quantile sketches + moments, the labels and
-//     the row sample
-//  2. live refine — the exact-cut gather of the sketches' brackets (skipped
-//     while the sketches are lossless)
-//  3. live codes  — bin the live features into resident uint8 codes (Bin)
+//  1. base        — the labels, the row sample and each source column's
+//     moments
+//  2. live counts — each source column's counts on the in-memory kernel's
+//     grid, laid over the row sample, + its range
+//  3. live gather — the cut buckets' values (and, for a count task,
+//     classes), which resolve exact cuts and the criterion counts; a live
+//     feature keeps that criterion for the rest of the fit
+//  4. live codes  — bin the live features into resident uint8 codes (Bin)
 //
 // and three per iteration for a binary or multiclass task, four for
 // regression,
 //
-//  4. candidate counts — each generated column's counts on the in-memory
-//     kernel's grid, laid over the row sample, + its range (Generate)
-//  5. candidate gather — the cut buckets' values (and, for a count task,
-//     classes), which resolve exact cuts and the criterion counts, beside the
-//     live features' criterion histograms (Criteria)
-//  6. regression criterion — bin ids replayed in row order (Criteria;
+//  5. candidate counts — passes 2 and 3 again, over each generated column
+//     (Generate)
+//  6. candidate gather — (Criteria)
+//  7. regression criterion — bin ids replayed in row order (Criteria;
 //     regression only)
-//  7. redundancy — pairwise co-moments (Gram) of IV survivors + the
+//  8. redundancy — pairwise co-moments (Gram) of IV survivors + the
 //     generated survivors' moments, the only ones read + codes (Correlated)
 //
-// so six passes for a one-iteration binary or multiclass fit and seven for
-// regression. grid.go is passes 4 and 5: the two scans of
-// stats.QuantileScratch with the pass seam between them.
+// so seven passes for a one-iteration binary or multiclass fit and eight for
+// regression. grid.go is the count and gather passes: the two scans of
+// stats.QuantileScratch with the pass seam between them, one cut path for
+// every column.
 //
 // Everything the XGBoost miner and ranker consume is the resident binned
 // matrix (1 byte per value, ~8× smaller than raw float64 columns) plus the

@@ -13,19 +13,15 @@ import (
 
 // NewWorkerStateOn is NewWorkerState on the shared pool of the given size,
 // for the tests that pin a partial's bytes across pool sizes.
-func NewWorkerStateOn(names []string, task core.Task, sketchSize, workers int) *WorkerState {
-	return newWorkerState(names, task, sketchSize, operators.NewRegistry(), sketch.NewArena(), parallel.Get(workers))
+func NewWorkerStateOn(names []string, task core.Task, workers int) *WorkerState {
+	return newWorkerState(names, task, operators.NewRegistry(), sketch.NewArena(), parallel.Get(workers))
 }
-
-// PartialSize is the quantile partial budget, for the test that pins a
-// partial's wire size to it.
-const PartialSize = partialSize
 
 // SampleKey is the row sample's order, for tests that place values where the
 // sample cannot see them.
 func SampleKey(row int) uint64 { return sampleKey(row) }
 
-// GridCut is what the grid passes made of one generated candidate: its cuts at
+// GridCut is what the grid passes made of one column: its cuts at
 // every bin count the fit cuts at (Cuts[bins]), its binner cuts at the
 // miner's count, and, for a count task, its criterion's per-bin class counts
 // (bin·k + class) and criterion.
@@ -47,7 +43,7 @@ func openRound(ctx context.Context, src frame.ChunkSource, exec Executor, cfg Co
 		return nil, nil, done, err
 	}
 	pool := norm.Pool()
-	f = &fitter{ctx: ctx, cfg: norm, pool: pool, sketchSize: cfg.SketchSize, names: src.Names(), arena: sketch.NewArena(), exec: exec}
+	f = &fitter{ctx: ctx, cfg: norm, pool: pool, names: src.Names(), arena: sketch.NewArena(), exec: exec}
 	if f.exec == nil {
 		le := newLocalExec(ctx, src, cfg, pool, norm.Registry, f.arena)
 		done = le.close
@@ -85,8 +81,8 @@ func openRound(ctx context.Context, src frame.ChunkSource, exec Executor, cfg Co
 }
 
 // CutGenerated runs one round's grid passes (see openRound) and returns what
-// they made of each generated candidate, and the live features' cut tables'
-// cuts likewise.
+// they made of each generated candidate, and what the pre-iteration grid
+// passes made of each source column likewise.
 func CutGenerated(ctx context.Context, src frame.ChunkSource, exec Executor, cfg Config, gens []GenSpec) (gen, live []GridCut, err error) {
 	f, cands, done, err := openRound(ctx, src, exec, cfg, gens)
 	defer done()

@@ -16,40 +16,51 @@ import (
 	"repro/internal/wire"
 )
 
-// This file cuts the round's generated candidates exactly, out of core, with
-// the in-memory quantile kernel (stats.QuantileScratch) split across the pass
-// seam: its counting scan is one pass and its gather scan another.
+// This file cuts every column exactly, out of core, with the in-memory
+// quantile kernel (stats.QuantileScratch) split across the pass seam: its
+// counting scan is one pass and its gather scan another. The source columns
+// go through the two passes once, before the first round; each round's
+// generated candidates go through them again.
 //
-//   - The base pass also keeps a row sample: the stats.SampleSize rows with
-//     the smallest sampleKey of their global row index, the same rows for any
-//     partitioning. The fitter evaluates each candidate on it through the
-//     live program and core.Apply, and lays stats.SampleGrid over the result.
-//   - The count pass (PassSketchGen) returns, per candidate and chunk, its
-//     values per bucket of that grid and their range (GridCounts). A
-//     generated column holds no NaN (core.Apply sanitises it), so the counts
-//     add up to the chunk's rows. The fitter adds them up and finds the
-//     bucket of every rank a cut of the column can ask for
-//     (stats.LocateRanks over cutRankUnion). The moments only the Pearson
-//     stage reads are left to the Gram pass, which regenerates just the
-//     survivors.
+//   - The base pass keeps a row sample: the stats.SampleSize rows with the
+//     smallest sampleKey of their global row index, the same rows for any
+//     partitioning, and each source column's moments, whose non-NaN count the
+//     count pass is held to. The fitter reads a source column's values at the
+//     sample off it, evaluates a candidate there through the live program and
+//     core.Apply, and lays stats.SampleGrid over the result.
+//   - The count pass (PassSketchGen) returns, per column and chunk, its
+//     non-NaN values per bucket of that grid and their range (GridCounts). A
+//     source column's counts add up to the chunk's non-NaN rows, as the base
+//     pass reported them; a generated column holds no NaN (core.Apply
+//     sanitises it), so its counts add up to the chunk's rows. The fitter adds
+//     them up and finds the bucket of every rank a cut of the column can ask
+//     for (stats.LocateRanks over cutRankUnion). A generated column's moments,
+//     which only the Pearson stage reads, are left to the Gram pass, which
+//     regenerates just the survivors.
 //   - The gather pass (PassRefine) returns the values in those cut buckets
 //     (Gather) — for a count task also the class of each value in a bucket
 //     holding a criterion cut, and the class counts of the runs of buckets
 //     between them. The fitter selects every rank exactly
 //     (stats.SelectInBuckets) and, for a count task, bins the classes
 //     (stats.AppendCuts, stats.BinClassCounts): the cuts and the criterion
-//     counts in-memory fitting gives, bit for bit.
+//     counts in-memory fitting gives, bit for bit. A live column keeps the
+//     criterion it was first counted with: its values, labels and cuts do not
+//     change between rounds.
 //
-// A candidate whose sample has no usable range gets the zero Grid: the whole
-// column is one bucket, which the gather pass then returns whole — the
-// in-memory kernel's fallback to selection over the whole column.
+// A column whose sample has no usable range gets the zero Grid: the whole
+// column is one bucket — the in-memory kernel's fallback to selection over
+// the whole column. A constant column gathers nothing: once the count pass
+// has seen its range close to one value, every rank is that value. A column
+// that is mostly one value but not all of it (a point mass that the sample's
+// trimmed range collapses onto) is gathered whole, so its gather pass ships
+// every non-NaN value of it.
 
 // The errors the two grid folds answer peer bytes with, each wrapped in a
 // positioned "shard: … partial N …" error: a wrong count or a wrong gather
 // stops the pass instead of becoming a wrong cut.
 var (
-	// ErrGridCounts: a candidate's bucket counts do not sum to the
-	// partial's rows, or are not one grid's worth.
+	// ErrGridCounts: a column's bucket counts do not sum to the partial's
+	// rows (a source column's: its non-NaN rows), or are not one grid's worth.
 	ErrGridCounts = errors.New("bucket counts do not add up to the partial's rows")
 	// ErrGatherSize: a gather holds more values for a cut bucket than the
 	// count pass found in it, or — once every partition is in — fewer, or
@@ -199,12 +210,14 @@ func checkSample(p *Partial, cols int) error {
 	return nil
 }
 
-// GridSpec is one generated candidate of the two grid passes: its recipe and
-// the grid its values are bucketed on — the zero Grid when its sample had no
-// usable range, and then the whole column is bucket 0 of one. In the gather
-// pass, Buckets lists the cut buckets (ascending) and, for a count task, IV
-// marks those that hold a criterion cut.
+// GridSpec is one column of the two grid passes, named as an EntrySpec names
+// one — live column Base, or, when Base is negative, the generated recipe Gen
+// — and the grid its values are bucketed on: the zero Grid when its sample had
+// no usable range, and then the whole column is bucket 0 of one. In the
+// gather pass, Buckets lists the cut buckets (ascending) and, for a count
+// task, IV marks those that hold a criterion cut.
 type GridSpec struct {
+	Base    int
 	Gen     GenSpec
 	Grid    stats.Grid
 	Buckets []int
@@ -279,9 +292,9 @@ func newGridTables(g *GridSpec) *gridTables {
 	return t
 }
 
-// GridCounts is one candidate's count-pass partial: its non-NaN values'
-// range, and how many fall in each bucket of its grid (nil for a candidate
-// without one).
+// GridCounts is one column's count-pass partial: its non-NaN values' range,
+// and how many fall in each bucket of its grid (nil for a column without
+// one).
 type GridCounts struct {
 	Min, Max float64
 	Counts   []int32
@@ -334,8 +347,8 @@ func decodeGridCounts(b []byte, slab []int32) (GridCounts, error) {
 	return g, blobDone(&r)
 }
 
-// Gather is one candidate's gather-pass partial: the chunk's values in the
-// candidate's cut buckets, bucket by bucket (Sizes[j] of them in cut bucket
+// Gather is one column's gather-pass partial: the chunk's values in the
+// column's cut buckets, bucket by bucket (Sizes[j] of them in cut bucket
 // j). For a count task also the class of every value in a criterion cut
 // bucket (Class, in the same order) and, k per run, the class counts of the
 // runs of buckets between criterion cut buckets (Spans).
@@ -412,18 +425,22 @@ func decodeGather(b []byte) (*Gather, error) {
 	return g, blobDone(&r)
 }
 
-// gridState is a generated candidate's state between its two passes.
+// gridState is a column's state between its two grid passes.
 type gridState struct {
 	spec GridSpec
 
-	// After the count pass: the summed bucket counts, and where every rank of
-	// cutRankUnion falls — the cut buckets (needs) and each rank's offset in
-	// its bucket (local). ivRanks are the criterion's ranks.
-	counts  []int32
-	ranks   []int // cutRankUnion, as ints
-	needs   []stats.CutBucket
-	local   []int
-	ivRanks []int
+	// After the count pass: the summed bucket counts, the least value, and
+	// where every rank of cutRankUnion falls — the cut buckets (needs) and
+	// each rank's offset in its bucket (local); none when the column is
+	// constant, and every rank is its one value. ivRanks are the criterion's
+	// ranks.
+	counts   []int32
+	min      float64
+	constant bool
+	ranks    []int // cutRankUnion, as ints
+	needs    []stats.CutBucket
+	local    []int
+	ivRanks  []int
 
 	// During the gather pass: the cut buckets' members, segment by segment as
 	// needs lays them out, and for a count task the classes of the criterion
@@ -436,17 +453,11 @@ type gridState struct {
 	spans   []int32
 }
 
-// newGridState evaluates the candidate on the row sample — the one evaluator,
-// core.Apply, over the sample's live columns — and lays the in-memory grid
-// over it. stats.SampleGrid trims the sample for a q-bin cut; the fit cuts at
-// several bin counts, so each of them is tried, and the grid kept is the one
-// whose cut buckets hold the fewest sample values (the first on a tie). A
-// heavy-tailed column, whose trimmed range the tails stretch at the finest
-// count, gathers a fraction of what it would; the cuts are exact on any grid.
-func newGridState(g GenSpec, ap operators.Applier, sampleLive [][]float64, cfg *core.Config) *gridState {
-	st := &gridState{spec: GridSpec{Gen: g}, counts: make([]int32, 1)}
-	if len(sampleLive) == 0 || len(sampleLive[0]) == 0 {
-		return st
+// sampleGen evaluates a generated candidate on the row sample — the one
+// evaluator, core.Apply, over the sample's live columns.
+func sampleGen(g GenSpec, ap operators.Applier, sampleLive [][]float64) []float64 {
+	if len(sampleLive) == 0 {
+		return nil
 	}
 	in := make([][]float64, len(g.Feats))
 	for k, fi := range g.Feats {
@@ -454,7 +465,22 @@ func newGridState(g GenSpec, ap operators.Applier, sampleLive [][]float64, cfg *
 	}
 	vals := make([]float64, len(sampleLive[0]))
 	core.Apply(ap, in, vals)
+	return vals
+}
+
+// newGridState lays the in-memory grid over the column's values at the row
+// sample (vals, which it takes over and permutes). stats.SampleGrid trims the
+// sample for a q-bin cut; the fit cuts at several bin counts, so each of them
+// is tried, and the grid kept is the one whose cut buckets hold the fewest
+// sample values (the first on a tie). A heavy-tailed column, whose trimmed
+// range the tails stretch at the finest count, gathers a fraction of what it
+// would; the cuts are exact on any grid.
+func newGridState(spec GridSpec, vals []float64, cfg *core.Config) *gridState {
+	st := &gridState{spec: spec, counts: make([]int32, 1), min: math.Inf(1)}
 	sorted := slices.DeleteFunc(vals, func(v float64) bool { return v != v })
+	if len(sorted) == 0 {
+		return st
+	}
 	slices.Sort(sorted)
 	ranks := cutRankUnion(int64(len(sorted)), cfg)
 	work := make([]float64, len(sorted))
@@ -491,22 +517,20 @@ func sampleGather(sorted []float64, ranks []int64, g stats.Grid) int {
 }
 
 // valueRange returns the least and greatest non-NaN value of xs (+Inf and
-// -Inf when there is none).
+// -Inf when there is none). The builtins order -0 below +0, so the two ends
+// have the same bits only when every value has them.
 func valueRange(xs []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, v := range xs {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
+		if v == v {
+			lo, hi = min(lo, v), max(hi, v)
 		}
 	}
 	return lo, hi
 }
 
-// computeGridCounts is the count pass's kernel: every candidate regenerated,
-// its range and its counts on its grid.
+// computeGridCounts is the count pass's kernel: every column read or
+// regenerated, its range and its counts on its grid.
 func (ws *WorkerState) computeGridCounts(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
 	for i := range spec.Grids {
 		if err := spec.Grids[i].check(false, false); err != nil {
@@ -532,8 +556,8 @@ func (ws *WorkerState) computeGridCounts(ctx context.Context, spec *PassSpec, c 
 	}
 	return ws.forCols(ctx, n, func(s *scratch, i int) error {
 		g := &spec.Grids[i]
-		vals := s.floats(p.Rows)
-		if err := ws.genCol(g.Gen, cols, vals); err != nil {
+		vals, err := ws.colOf(g.Base, g.Gen, cols, s.floats(p.Rows))
+		if err != nil {
 			return err
 		}
 		gc := &p.Counts[i]
@@ -654,21 +678,31 @@ func gatherCol(g *GridSpec, t *gridTables, vals []float64, cls []int32, k int, s
 	return out
 }
 
-// passGridCounts is the count pass over the round's generated candidates: the
-// fold adds each candidate's bucket counts up, merges its range, and then
-// locates the bucket of every rank its cuts can ask for.
-func (f *fitter) passGridCounts(gens []*core.Candidate) error {
-	spec := &PassSpec{Kind: PassSketchGen, Grids: make([]GridSpec, len(gens))}
-	for i, c := range gens {
-		spec.Grids[i] = col(c).grid.spec
+// passGridCounts is the count pass over the columns being cut: the fold adds
+// each column's bucket counts up, merges its range, and then locates the
+// bucket of every rank its cuts can ask for. A source column's counts answer
+// to the partition's non-NaN rows, which the base pass reported (f.nonNaN); a
+// generated column's to its rows.
+func (f *fitter) passGridCounts(cols []*column) error {
+	spec := &PassSpec{Kind: PassSketchGen, Grids: make([]GridSpec, len(cols))}
+	for i, c := range cols {
+		spec.Grids[i] = c.grid.spec
 	}
 	err := f.runPass(spec, func(p *Partial) error {
-		if len(p.Counts) != len(gens) {
-			return fmt.Errorf("shard: grid-count partial %d has %d counts, want %d", p.Chunk, len(p.Counts), len(gens))
+		if len(p.Counts) != len(cols) {
+			return fmt.Errorf("shard: grid-count partial %d has %d counts, want %d", p.Chunk, len(p.Counts), len(cols))
 		}
-		err := f.each(len(gens), func(i int) error {
-			if err := col(gens[i]).foldCounts(&p.Counts[i], p.Rows); err != nil {
-				return fmt.Errorf("shard: grid-count partial %d cand %d: %w", p.Chunk, i, err)
+		err := f.each(len(cols), func(i int) error {
+			want := int64(p.Rows)
+			if base := spec.Grids[i].Base; base >= 0 {
+				nn, ok := f.nonNaN[p.Chunk]
+				if !ok || base >= len(nn) {
+					return fmt.Errorf("shard: grid-count partial %d col %d: the base pass reported no rows of it: %w", p.Chunk, i, ErrGridCounts)
+				}
+				want = nn[base]
+			}
+			if err := cols[i].foldCounts(&p.Counts[i], want); err != nil {
+				return fmt.Errorf("shard: grid-count partial %d col %d: %w", p.Chunk, i, err)
 			}
 			return nil
 		})
@@ -678,8 +712,8 @@ func (f *fitter) passGridCounts(gens []*core.Candidate) error {
 	if err != nil {
 		return err
 	}
-	return f.each(len(gens), func(i int) error {
-		col(gens[i]).locate(&f.cfg)
+	return f.each(len(cols), func(i int) error {
+		cols[i].locate(&f.cfg)
 		return nil
 	})
 }
@@ -692,15 +726,15 @@ func (p *Partial) ReleaseCounts(arena *sketch.Arena) {
 	p.countSlab = nil
 }
 
-// foldCounts merges one chunk's count-pass partial of rows rows into the
-// candidate. Its values are the chunk's rows, every one non-NaN.
-func (c *column) foldCounts(gc *GridCounts, rows int) error {
+// foldCounts merges one chunk's count-pass partial into the column, whose
+// non-NaN values in the chunk number n.
+func (c *column) foldCounts(gc *GridCounts, n int64) error {
 	st := c.grid
 	if st.spec.Grid == (stats.Grid{}) {
 		if gc.Counts != nil {
 			return fmt.Errorf("%d bucket counts without a grid: %w", len(gc.Counts), ErrGridCounts)
 		}
-		st.counts[0] += int32(rows)
+		st.counts[0] += int32(n)
 	} else {
 		if len(gc.Counts) != len(st.counts) {
 			return fmt.Errorf("%d bucket counts, want %d: %w", len(gc.Counts), len(st.counts), ErrGridCounts)
@@ -709,23 +743,26 @@ func (c *column) foldCounts(gc *GridCounts, rows int) error {
 		for _, v := range gc.Counts {
 			sum += int64(v)
 		}
-		if sum != int64(rows) {
-			return fmt.Errorf("bucket counts sum to %d of %d rows: %w", sum, rows, ErrGridCounts)
+		if sum != n {
+			return fmt.Errorf("bucket counts sum to %d of %d values: %w", sum, n, ErrGridCounts)
 		}
 		for b, v := range gc.Counts {
 			st.counts[b] += v
 		}
 	}
-	if rows > 0 && !(gc.Min <= gc.Max) {
-		return fmt.Errorf("range [%v, %v] of %d values: %w", gc.Min, gc.Max, rows, ErrGridCounts)
+	if n > 0 {
+		if !(gc.Min <= gc.Max) {
+			return fmt.Errorf("range [%v, %v] of %d values: %w", gc.Min, gc.Max, n, ErrGridCounts)
+		}
+		st.min, c.max = min(st.min, gc.Min), max(c.max, gc.Max)
 	}
-	c.n += int64(rows)
-	c.max = max(c.max, gc.Max)
+	c.n += n
 	return nil
 }
 
 // locate fills the cut table's shape from the summed counts: the union
-// ranks, the cut buckets that hold them, and the gather pass's bucket list.
+// ranks, the cut buckets that hold them, and the gather pass's bucket list —
+// empty for a constant column, whose every rank is its one value.
 func (c *column) locate(cfg *core.Config) {
 	st := c.grid
 	c.ranks = cutRankUnion(c.n, cfg)
@@ -736,7 +773,11 @@ func (c *column) locate(cfg *core.Config) {
 	ranks := st.ranks
 	st.local = make([]int, len(ranks))
 	var total int
-	st.needs, total = stats.LocateRanks(nil, st.local, st.counts, 1, ranks)
+	// Equal bits, not just equal values: a column of -0 and +0 is gathered, so
+	// that its cuts carry the signs selection gives them in memory.
+	if st.constant = c.n > 0 && math.Float64bits(st.min) == math.Float64bits(c.max); !st.constant {
+		st.needs, total = stats.LocateRanks(nil, st.local, st.counts, 1, ranks)
+	}
 	st.gather = make([]float64, total)
 	st.fill = make([]int, len(st.needs))
 	st.spec.Buckets = make([]int, len(st.needs))
@@ -778,47 +819,27 @@ func taskClasses(task core.Task) int {
 	return 2
 }
 
-// passGather is the gather pass of a round: the generated candidates' cut
-// buckets and, for a count task, the live features' criterion histograms at
-// their known cuts. The fold files every gathered value into its segment,
-// checking it against the counts; then every generated candidate's cut table
-// is resolved exactly, and for a count task its criterion counts.
-func (f *fitter) passGather(cands []*core.Candidate) error {
-	gens := cands[len(f.live):]
-	spec := &PassSpec{Kind: PassRefine, Grids: make([]GridSpec, len(gens))}
-	for i, c := range gens {
-		spec.Grids[i] = col(c).grid.spec
-	}
-	counts := f.cfg.Task.Kind != core.TaskRegression
-	if counts {
-		spec.Entries = make([]EntrySpec, len(f.live))
-		for i, lf := range f.live {
-			spec.Entries[i] = EntrySpec{Base: i, Cuts: lf.ivCuts}
-		}
-	}
-	if len(spec.Grids)+len(spec.Entries) == 0 {
+// passGather is the gather pass over the columns the count pass located:
+// the fold files every gathered value into its segment, checking it against
+// the counts; then every column's cut table is resolved exactly, and for a
+// count task its criterion counts.
+func (f *fitter) passGather(cols []*column) error {
+	if len(cols) == 0 {
 		return nil
 	}
-	// The prepared histograms are the merge targets; the in-process kernels
-	// shadow these same objects, reading only their cuts and bucket index.
-	hists := spec.prepared(f.cfg.Task).hists
+	spec := &PassSpec{Kind: PassRefine, Grids: make([]GridSpec, len(cols))}
+	for i, c := range cols {
+		spec.Grids[i] = c.grid.spec
+	}
+	counts := f.cfg.Task.Kind != core.TaskRegression
 	k := taskClasses(f.cfg.Task)
 	err := f.runPass(spec, func(p *Partial) error {
-		if len(p.Gathers) != len(gens) || len(p.Hists) != len(hists) || len(p.Refiners) != 0 {
-			return fmt.Errorf("shard: gather partial %d has %d gathers and %d histograms, want %d and %d",
-				p.Chunk, len(p.Gathers), len(p.Hists), len(gens), len(hists))
+		if len(p.Gathers) != len(cols) {
+			return fmt.Errorf("shard: gather partial %d has %d gathers, want %d", p.Chunk, len(p.Gathers), len(cols))
 		}
-		return f.each(len(gens)+len(hists), func(i int) error {
-			if i >= len(gens) {
-				// MergeHist's cut-equality check doubles as an integrity check on
-				// the partition's histogram.
-				if err := hists[i-len(gens)].MergeHist(p.Hists[i-len(gens)]); err != nil {
-					return fmt.Errorf("shard: gather partial %d live %d: %w", p.Chunk, i-len(gens), err)
-				}
-				return nil
-			}
-			if err := col(gens[i]).foldGather(p.Gathers[i], k, counts); err != nil {
-				return fmt.Errorf("shard: gather partial %d cand %d: %w", p.Chunk, i, err)
+		return f.each(len(cols), func(i int) error {
+			if err := cols[i].foldGather(p.Gathers[i], k, counts); err != nil {
+				return fmt.Errorf("shard: gather partial %d col %d: %w", p.Chunk, i, err)
 			}
 			return nil
 		})
@@ -826,12 +847,9 @@ func (f *fitter) passGather(cands []*core.Candidate) error {
 	if err != nil {
 		return err
 	}
-	for i, h := range hists {
-		f.live[i].crit = h.Criterion()
-	}
-	return f.each(len(gens), func(i int) error {
-		if err := col(gens[i]).resolve(f.cfg.Task); err != nil {
-			return fmt.Errorf("shard: gather of %q: %w", gens[i].Node.Name, err)
+	return f.each(len(cols), func(i int) error {
+		if err := cols[i].resolve(f.cfg.Task); err != nil {
+			return fmt.Errorf("shard: gather of %q: %w", cols[i].Name, err)
 		}
 		return nil
 	})
@@ -936,8 +954,19 @@ func (c *column) resolve(task core.Task) error {
 	}
 	c.at = make([]float64, len(st.local))
 	stats.SelectInBuckets(c.at, st.needs, st.local, st.gather, nil)
+	if st.constant {
+		for i := range c.at {
+			c.at[i] = c.max
+		}
+	}
 	if counts {
 		c.ivCuts, c.ivCounts = st.criterion(c.at, ivVals, task)
+		if st.constant && len(st.ivRanks) > 0 {
+			// One cut, the value, with every row in the bin at or below it:
+			// the span counts are the classes of the whole column.
+			c.ivCuts = []float64{c.max}
+			c.ivCounts = append(st.spans, make([]int32, len(st.spans))...)
+		}
 		c.crit = countCriterion(task, c.ivCuts, c.ivCounts)
 	}
 	c.grid = nil
@@ -974,8 +1003,8 @@ func (st *gridState) criterion(at, ivVals []float64, task core.Task) (cuts []flo
 }
 
 // countCriterion is the count task's criterion over per-bin class counts
-// (bins[b·k+c]), in the arithmetic of sketch.LabelHist.IV and
-// sketch.ClassHist.Criterion.
+// (bins[b·k+c]), in the arithmetic of the in-memory criteria:
+// stats.IVFromCounts for binary, stats.MulticlassIVFromCounts for multiclass.
 func countCriterion(task core.Task, cuts []float64, bins []int32) float64 {
 	if len(cuts) == 0 {
 		return 0

@@ -237,21 +237,22 @@ func sameGridCut(got, want shard.GridCut, counts bool) error {
 }
 
 // TestGridCutsAreExact is the differential pin of the grid passes: for every
-// task family, every generated candidate's cuts (at the miner's, the
-// criterion's and the ranker's bin counts, and as binner cuts) and, for a
-// count task, its criterion's per-bin class counts and criterion must equal
-// the in-memory kernel's on the materialised column bit for bit — and the
-// source columns' cut tables (base sketches and their refiners) likewise.
-// The columns are the shapes that stress a grid (see gridFrame); the fits run
-// over 1, 3 and 7 partitions, a single-row partition and an empty one, on
-// pools of 1, 2 and 8 workers, through the in-process executor and the
-// in-process distributed one.
+// task family, every column's cuts (at the miner's, the criterion's and the
+// ranker's bin counts, and as binner cuts) and, for a count task, its
+// criterion's per-bin class counts and criterion must equal the in-memory
+// kernel's on the materialised column bit for bit — the source columns, which
+// the grid passes cut before the first round, as well as the generated
+// candidates. The columns are the shapes that stress a grid (see gridFrame);
+// the fits run over 1, 3 and 7 partitions, a single-row partition and an
+// empty one, on pools of 1, 2 and 8 workers, through the in-process executor
+// and the in-process distributed one. A constant column — the source column
+// "one" and the candidate one·one — gathers no value at all.
 func TestGridCutsAreExact(t *testing.T) {
 	for _, task := range []core.Task{core.BinaryTask(), core.MulticlassTask(3), core.RegressionTask()} {
 		task := task
 		t.Run(task.String(), func(t *testing.T) {
 			train := gridFrame(t, task)
-			cfg := shard.Config{Core: core.DefaultConfig(), SketchSize: 128}
+			cfg := shard.Config{Core: core.DefaultConfig()}
 			cfg.Core.Task = task
 			norm, err := core.NormalizeConfig(cfg.Core)
 			if err != nil {
@@ -291,7 +292,7 @@ func TestGridCutsAreExact(t *testing.T) {
 					}
 				}
 				for j := range live {
-					if err := sameGridCut(live[j], wantLive[j], false); err != nil {
+					if err := sameGridCut(live[j], wantLive[j], counts); err != nil {
 						t.Fatalf("%s, %d workers: source column %q: %v", name, workers, train.Names()[j], err)
 					}
 				}
@@ -310,6 +311,24 @@ func TestGridCutsAreExact(t *testing.T) {
 			check("dist, a single-row partition", src, exec, 2)
 			stop()
 			check("local, an empty partition", &sizedChunks{f: train, sizes: []int{1500, 0, 1500, 1}}, nil, 2)
+
+			const one = 4 // the constant source column
+			seen, gathered := 0, 0
+			watched := &seamExec{src: frame.NewFrameChunks(train, 1000), watch: func(spec *shard.PassSpec, p *shard.Partial) {
+				if spec.Kind != shard.PassRefine {
+					return
+				}
+				for i, g := range spec.Grids {
+					if g.Base == one || g.Base < 0 && g.Gen.Op == "mul" && reflect.DeepEqual(g.Gen.Feats, []int{one, one}) {
+						seen++
+						gathered += len(p.Gathers[i].Vals)
+					}
+				}
+			}}
+			check("local through the seam", watched.src, watched, 1)
+			if seen != 2*4 || gathered != 0 { // two columns, four partitions
+				t.Fatalf("the constant columns' gathers hold %d values over %d partials, want 0 over 8", gathered, seen)
+			}
 		})
 	}
 }
@@ -323,7 +342,7 @@ func TestGridCutsAreExact(t *testing.T) {
 // candidate (one·one) is still the one constant() reports.
 func TestGramMomentsMatchCountPassFormula(t *testing.T) {
 	train := gridFrame(t, core.BinaryTask())
-	cfg := shard.Config{Core: core.DefaultConfig(), SketchSize: 128}
+	cfg := shard.Config{Core: core.DefaultConfig()}
 	reg := operators.NewRegistry()
 	cols := make([][]float64, len(gridGens))
 	for i, g := range gridGens {
@@ -389,9 +408,10 @@ func gatherWith(p *shard.Partial, ok func(g *shard.Gather) bool) int {
 // TestGridFoldsRefusePeerBytes is the table of what the grid folds — and the
 // Gram fold, which takes the generated survivors' moments over from the
 // count pass — refuse: every row corrupts one partial of a real fit — on the
-// count pass, a round's gather pass or its Gram pass — by pointer and in wire
-// form, and the fit must stop on the named error, positioned on the partial,
-// instead of cutting or correlating anywhere.
+// source columns' count pass, a round's count or gather pass, or its Gram
+// pass — by pointer and in wire form, and the fit must stop on the named
+// error, positioned on the partial, instead of cutting or correlating
+// anywhere.
 func TestGridFoldsRefusePeerBytes(t *testing.T) {
 	train := gridFrame(t, core.BinaryTask())
 	gridded := func(g *shard.Gather) bool { return len(g.Sizes) > 1 } // a whole-column gather has one bucket
@@ -412,17 +432,33 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 			return 0
 		}
 	}
+	// Passes of a kind count from 1: the first count and gather passes cut the
+	// source columns, the second ones the round's candidates.
 	for _, tc := range []struct {
 		name string
 		kind shard.PassKind
+		nth  int
 		want error
-		bad  func(p *shard.Partial) int // returns the candidate it corrupted
+		bad  func(p *shard.Partial) int // returns the column it corrupted
 	}{
-		{"counts short of the partition's rows", shard.PassSketchGen, shard.ErrGridCounts, shortCount},
+		// A source column's counts answer to its non-NaN rows, which the base
+		// pass reported: one more value, filed from a NaN row, is refused.
+		{"source counts that count a NaN row", shard.PassSketchGen, 1, shard.ErrGridCounts, func(p *shard.Partial) int {
+			const nanCol = 6
+			for b, n := range p.Counts[nanCol].Counts {
+				if n > 0 {
+					p.Counts[nanCol].Counts[b]++
+					return nanCol
+				}
+			}
+			panic("no counts")
+		}},
+		{"source counts short of the non-NaN rows", shard.PassSketchGen, 1, shard.ErrGridCounts, shortCount},
+		{"counts short of the partition's rows", shard.PassSketchGen, 2, shard.ErrGridCounts, shortCount},
 		// A generated column holds no NaN, so the rows are what the counts
 		// answer to: moments beside them, as a version-2 count partial carried,
 		// that file the missing row as a NaN excuse nothing.
-		{"counts short of the rows, the row claimed as a NaN", shard.PassSketchGen, shard.ErrGridCounts, func(p *shard.Partial) int {
+		{"counts short of the rows, the row claimed as a NaN", shard.PassSketchGen, 2, shard.ErrGridCounts, func(p *shard.Partial) int {
 			i := shortCount(p)
 			p.Moments = make([]sketch.Moments, len(p.Counts))
 			for j := range p.Moments {
@@ -432,7 +468,7 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 			return i
 		}},
 		// In wire form the blob decoder refuses this one first, with ErrBlob.
-		{"counts without a grid's worth of buckets", shard.PassSketchGen, shard.ErrGridCounts, func(p *shard.Partial) int {
+		{"counts without a grid's worth of buckets", shard.PassSketchGen, 2, shard.ErrGridCounts, func(p *shard.Partial) int {
 			for i := range p.Counts {
 				if p.Counts[i].Counts != nil {
 					p.Counts[i].Counts = p.Counts[i].Counts[:10]
@@ -442,7 +478,7 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 			panic("no counts")
 		}},
 		// The first value of a gather is in its first non-empty bucket.
-		{"a gather larger than its bucket", shard.PassRefine, shard.ErrGatherSize, func(p *shard.Partial) int {
+		{"a gather larger than its bucket", shard.PassRefine, 2, shard.ErrGatherSize, func(p *shard.Partial) int {
 			i := gatherWith(p, func(g *shard.Gather) bool { return len(g.Vals) > 0 })
 			g := p.Gathers[i]
 			for j := range g.Sizes {
@@ -455,7 +491,7 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 			return i
 		}},
 		// And its last value in its last non-empty one.
-		{"a gather short of a value", shard.PassRefine, shard.ErrGatherSize, func(p *shard.Partial) int {
+		{"a gather short of a value", shard.PassRefine, 2, shard.ErrGatherSize, func(p *shard.Partial) int {
 			i := gatherWith(p, func(g *shard.Gather) bool { return len(g.Vals) > 0 })
 			g := p.Gathers[i]
 			for j := len(g.Sizes) - 1; j >= 0; j-- {
@@ -467,34 +503,27 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 			g.Vals = g.Vals[:len(g.Vals)-1]
 			return i
 		}},
-		{"a value outside its bucket", shard.PassRefine, shard.ErrGatherBucket, func(p *shard.Partial) int {
+		{"a value outside its bucket", shard.PassRefine, 2, shard.ErrGatherBucket, func(p *shard.Partial) int {
 			i := gatherWith(p, func(g *shard.Gather) bool { return gridded(g) && len(g.Vals) > 0 })
 			p.Gathers[i].Vals[0] += 1e6
 			return i
 		}},
-		{"a class id past the classes", shard.PassRefine, shard.ErrClassID, func(p *shard.Partial) int {
+		{"a class id past the classes", shard.PassRefine, 2, shard.ErrClassID, func(p *shard.Partial) int {
 			i := gatherWith(p, func(g *shard.Gather) bool { return len(g.Class) > 0 })
 			p.Gathers[i].Class[0] = 2
 			return i
 		}},
-		{"survivor moments over more rows than the partial's", shard.PassGramCodes, shard.ErrGramMoments,
+		{"survivor moments over more rows than the partial's", shard.PassGramCodes, 1, shard.ErrGramMoments,
 			moments(func(m *sketch.Moments) { m.Rows++; m.N++ })},
-		{"survivor moments with a NaN", shard.PassGramCodes, shard.ErrGramMoments,
+		{"survivor moments with a NaN", shard.PassGramCodes, 1, shard.ErrGramMoments,
 			moments(func(m *sketch.Moments) { m.N--; m.NaNs++ })},
-		{"survivor moments with a negative M2", shard.PassGramCodes, shard.ErrGramMoments,
+		{"survivor moments with a negative M2", shard.PassGramCodes, 1, shard.ErrGramMoments,
 			moments(func(m *sketch.Moments) { m.M2 = -1 })},
-		{"survivor moments with a finite mean and a NaN M2", shard.PassGramCodes, shard.ErrGramMoments,
+		{"survivor moments with a finite mean and a NaN M2", shard.PassGramCodes, 1, shard.ErrGramMoments,
 			moments(func(m *sketch.Moments) { m.M2 = math.NaN() })},
 	} {
-		// The count and Gram passes are the first of their kinds; the live
-		// refinement is the first gather pass (the sketches are lossy), the
-		// round's the second.
-		nth := 1
-		if tc.kind == shard.PassRefine {
-			nth = 2
-		}
 		for _, wire := range []bool{false, true} {
-			exec := &seamExec{src: frame.NewFrameChunks(train, 1000), wire: wire, bad: tc.kind, nth: nth,
+			exec := &seamExec{src: frame.NewFrameChunks(train, 1000), wire: wire, bad: tc.kind, nth: tc.nth,
 				corrupt: func(p *shard.Partial, wire bool) {
 					if !wire {
 						tc.bad(p)
@@ -503,8 +532,7 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 					// Corrupt the typed form, then put it back on the wire.
 					spec := &shard.PassSpec{Kind: tc.kind}
 					if tc.kind == shard.PassRefine {
-						spec.Grids = make([]shard.GridSpec, len(p.Blobs)-train.NumCols())
-						spec.Entries = make([]shard.EntrySpec, train.NumCols())
+						spec.Grids = make([]shard.GridSpec, len(p.Blobs))
 					}
 					q := *p
 					if err := q.Decode(spec, sketch.NewArena()); err != nil {
@@ -542,5 +570,5 @@ func gridFit(exec *seamExec) (*core.Pipeline, *core.Report, *shard.Stats, error)
 	cfg := core.DefaultConfig()
 	cfg.Seed = 1
 	cfg.Miner.NumTrees, cfg.Ranker.NumTrees = 8, 8
-	return shard.Fit(context.Background(), exec.src, shard.Config{Core: cfg, SketchSize: 128, Exec: exec})
+	return shard.Fit(context.Background(), exec.src, shard.Config{Core: cfg, Exec: exec})
 }

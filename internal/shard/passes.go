@@ -51,14 +51,8 @@ func (f *fitter) runPass(spec *PassSpec, fold func(*Partial) error) error {
 		f.n, f.stats.Rows, f.stats.Partitions = res.Rows, res.Rows, res.Parts
 		return nil
 	}
-	// A planned partial pass (block-stat skipping) announces its expected row
-	// count through f.passExpect; any other shortfall is an unstable source.
-	expect := f.n
-	if f.passExpect > 0 {
-		expect = f.passExpect
-	}
-	if res.Rows != expect {
-		return fmt.Errorf("shard: source yielded %d rows on a later pass, want %d (unstable source)", res.Rows, expect)
+	if res.Rows != f.n {
+		return fmt.Errorf("shard: source yielded %d rows on a later pass, want %d (unstable source)", res.Rows, f.n)
 	}
 	return nil
 }
@@ -100,33 +94,12 @@ func genSpec(c *core.Candidate) (GenSpec, error) {
 	return GenSpec{Op: op, Feats: c.Feats}, nil
 }
 
-// foldSketches merges one partial's quantile/moments summaries into their
-// running targets, index by index. Each merged quantile partial goes back to
-// the arena at once: a partial that came over the wire was decoded from it,
-// and no executor takes those back.
-func (f *fitter) foldSketches(p *Partial, what string, sks []*sketch.Quantile, moms []*sketch.Moments) error {
-	if len(p.Quantiles) != len(sks) || len(p.Moments) != len(sks) {
-		return fmt.Errorf("shard: %s partial %d has %d sketches and %d moments, want %d",
-			what, p.Chunk, len(p.Quantiles), len(p.Moments), len(sks))
-	}
-	return f.each(len(sks), func(i int) error {
-		sks[i].Merge(p.Quantiles[i])
-		f.arena.PutQuantile(p.Quantiles[i])
-		p.Quantiles[i] = nil
-		moms[i].Merge(&p.Moments[i])
-		return nil
-	})
-}
-
-// passBaseSketch is pass 1: labels, the row sample, and per-original
-// quantile sketches and moments. Each partition summarises independently; the
-// fold merges the partition summaries in partition order, and the samples as
-// a bottom-k, which is the same rows in any order.
-func (f *fitter) passBaseSketch(sks []*sketch.Quantile) error {
-	moms := make([]*sketch.Moments, len(f.live))
-	for j, lf := range f.live {
-		moms[j] = lf.mom
-	}
+// passBase is pass 1: labels, the row sample, and each source column's
+// moments, whose non-NaN count the count pass holds the column's bucket counts
+// to. The moments merge in partition order, the samples as a bottom-k, which
+// is the same rows in any order.
+func (f *fitter) passBase() error {
+	f.nonNaN = map[int][]int64{}
 	return f.runPass(&PassSpec{Kind: PassBaseSketch}, func(p *Partial) error {
 		if len(p.Labels) != p.Rows {
 			return fmt.Errorf("shard: base-sketch partial %d carries %d labels for %d rows", p.Chunk, len(p.Labels), p.Rows)
@@ -134,9 +107,23 @@ func (f *fitter) passBaseSketch(sks []*sketch.Quantile) error {
 		if err := checkSample(p, len(f.names)); err != nil {
 			return err
 		}
+		if len(p.Moments) != len(f.live) {
+			return fmt.Errorf("shard: base-sketch partial %d has %d moments, want %d", p.Chunk, len(p.Moments), len(f.live))
+		}
+		nn := make([]int64, len(f.live))
+		for j := range p.Moments {
+			m := &p.Moments[j]
+			if m.Rows != int64(p.Rows) || m.N < 0 || m.NaNs < 0 || m.N+m.NaNs != m.Rows {
+				return fmt.Errorf("shard: base-sketch partial %d col %d: moments of %d values and %d NaNs for %d rows",
+					p.Chunk, j, m.N, m.NaNs, p.Rows)
+			}
+			nn[j] = m.N
+			f.live[j].mom.Merge(m)
+		}
+		f.nonNaN[p.Chunk] = nn
 		f.labels = append(f.labels, p.Labels...)
 		f.sample = f.sample.merge(p.Sample)
-		return f.foldSketches(p, "base-sketch", sks, moms)
+		return nil
 	})
 }
 
@@ -182,8 +169,8 @@ func (f *fitter) passLiveCodes() error {
 }
 
 // cutRankUnion merges the nearest-rank targets of every bin count the fit
-// will cut a column at (miner bins, IV bins, ranker bins), so one refiner
-// per column serves all cut consumers. n is the column's own non-NaN count
+// will cut a column at (miner bins, IV bins, ranker bins), so one gather per
+// column serves all cut consumers. n is the column's own non-NaN count
 // — the population quantile ranks are defined over — which differs per
 // column when values are missing.
 func cutRankUnion(n int64, cfg *core.Config) []int64 {
@@ -217,115 +204,6 @@ func cutRankUnion(n int64, cfg *core.Config) []int64 {
 	return merged
 }
 
-// openRef is one source column whose cut refiner still needs gathered
-// values, before the first round.
-type openRef struct {
-	ref  *sketch.Refiner
-	name string
-	col  int
-}
-
-// refineLive brackets the base sketches' cut targets and, when any bracket
-// is still open, streams one gather pass to resolve them exactly; then fills
-// every source column's cut table from its sketch and refiner. refineLive
-// runs before any feature generation, so the gather addresses raw source
-// columns by schema index.
-func (f *fitter) refineLive(sks []*sketch.Quantile) error {
-	refs := make([]*sketch.Refiner, len(sks))
-	if err := f.each(len(sks), func(j int) error {
-		// The refiner carries every rank query from here on, and all the fit
-		// still reads off the sketch is Count, Max and ErrorBound — so the
-		// summary's point lists go.
-		refs[j] = sketch.NewRefiner(sks[j], cutRankUnion(sks[j].Count(), &f.cfg))
-		sks[j].ReleasePoints()
-		return nil
-	}); err != nil {
-		return err
-	}
-	var open []openRef
-	for j, lf := range f.live {
-		if refs[j].NeedsPass() {
-			open = append(open, openRef{ref: refs[j], name: lf.Name, col: j})
-		}
-	}
-	if err := f.refineOpen(open); err != nil {
-		return err
-	}
-	return f.each(len(sks), func(j int) error {
-		lf := f.live[j]
-		lf.n, lf.max = sks[j].Count(), sks[j].Max()
-		lf.ranks = cutRankUnion(lf.n, &f.cfg)
-		lf.at = make([]float64, len(lf.ranks))
-		for i, r := range lf.ranks {
-			lf.at[i] = refs[j].Value(r)
-		}
-		return nil
-	})
-}
-
-// refineOpen resolves the open refiners: with a skip plan when the source
-// allows one, else with one full gather pass.
-func (f *fitter) refineOpen(open []openRef) error {
-	// The in-process executor streams a source the fitter can plan against: a
-	// source with per-block statistics can prove blocks irrelevant up front,
-	// so those chunks are never read and their exact contribution is folded
-	// from the stats instead. A pure optimisation — any other executor gathers
-	// the full pass.
-	if le, ok := f.exec.(*localExec); ok && len(open) > 0 {
-		cleanup, done := f.planRefineSkip(le, open)
-		if cleanup != nil {
-			defer cleanup()
-		}
-		if done {
-			return f.checkBrackets(open)
-		}
-	}
-	return f.refine(open)
-}
-
-// refine runs one gather pass for the open refiners: each partition gathers
-// into shadow refiners, folded back in partition order (order-invariant
-// counts; gathered values are sorted at finalize). Every bracket is then
-// held to its order statistic before any cut is read off it.
-func (f *fitter) refine(open []openRef) error {
-	if len(open) == 0 {
-		return nil
-	}
-	refines := make([]RefineSpec, len(open))
-	for i, o := range open {
-		rf := &refines[i]
-		rf.Col = o.col
-		rf.Ranks, rf.Lo, rf.Hi, rf.Resolved = o.ref.Brackets()
-	}
-	err := f.runPass(&PassSpec{Kind: PassRefine, Refines: refines}, func(p *Partial) error {
-		if len(p.Refiners) != len(open) || len(p.Gathers) != 0 || len(p.Hists) != 0 {
-			return fmt.Errorf("shard: refine partial %d has %d gathers, want %d", p.Chunk, len(p.Refiners)+len(p.Gathers)+len(p.Hists), len(open))
-		}
-		return f.each(len(open), func(i int) error {
-			if err := open[i].ref.MergeWire(p.Refiners[i]); err != nil {
-				return fmt.Errorf("shard: refine partial %d target %d: %w", p.Chunk, i, err)
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return err
-	}
-	return f.checkBrackets(open)
-}
-
-// checkBrackets fails the fit when a completed gather left any target outside
-// its bracket: the cut there would be a bracket edge, not the order statistic,
-// and every stage downstream of it silently different.
-func (f *fitter) checkBrackets(open []openRef) error {
-	return f.each(len(open), func(i int) error {
-		if err := open[i].ref.Err(); err != nil {
-			return fmt.Errorf("shard: refine %q: %w", open[i].name, err)
-		}
-		return nil
-	})
-}
-
 // entrySpec reifies candidate i of the round for the histogram/Gram passes,
 // to be binned at cuts: a live feature by its index, a generated candidate by
 // its recipe.
@@ -346,9 +224,7 @@ func (f *fitter) passCandidateCounts(cands []*core.Candidate) error {
 	cols := make([]*column, len(cands))
 	for i, c := range cands {
 		cols[i] = col(c)
-		if i >= len(f.live) {
-			cols[i].ivCuts = cols[i].cuts(f.cfg.IVBins)
-		}
+		cols[i].ivCuts = cols[i].cuts(f.cfg.IVBins)
 		var err error
 		if spec.Entries[i], err = f.entrySpec(i, c, cols[i].ivCuts); err != nil {
 			return err
@@ -356,7 +232,7 @@ func (f *fitter) passCandidateCounts(cands []*core.Candidate) error {
 	}
 	// The prepared histograms are the merge targets; the in-process kernels
 	// read these same objects' cuts and bucket index.
-	hists := spec.prepared(f.cfg.Task).hists
+	hists := spec.prepared().hists
 	err := f.runPass(spec, func(p *Partial) error {
 		if len(p.Ints) != len(cols)*p.Rows {
 			return fmt.Errorf("shard: hist-id partial %d has %d ids, want %d", p.Chunk, len(p.Ints), len(cols)*p.Rows)
@@ -370,7 +246,7 @@ func (f *fitter) passCandidateCounts(cands []*core.Candidate) error {
 					return fmt.Errorf("shard: hist-id partial %d cand %d bin id %d outside %d bins", p.Chunk, i, id, bins)
 				}
 			}
-			hists[i].(*sketch.MomentHist).AddBinned(ids, targets)
+			hists[i].AddBinned(ids, targets)
 			return nil
 		})
 	})
@@ -443,9 +319,8 @@ func (f *fitter) passGramAndCodes(cands []*core.Candidate, keptA []int) (*sketch
 			}
 			c.mom.Merge(m)
 		}
-		// Back to the arena at once, like a merged quantile partial: a partial
-		// that came over the wire was decoded from it, and no executor takes
-		// those back.
+		// Back to the arena at once: a partial that came over the wire was
+		// decoded from it, and no executor takes those back.
 		gram.Merge(p.Gram)
 		f.arena.PutGram(p.Gram)
 		p.Gram = nil

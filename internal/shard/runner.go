@@ -24,8 +24,7 @@ import (
 // serialised; the partial's pooled buffers return to the shared arena right
 // after its fold.
 type localExec struct {
-	src   frame.ChunkSource // the stream passes read: base, retry- and prefetch-wrapped
-	base  frame.ChunkSource // unwrapped source, for SkippableSource planning
+	src   frame.ChunkSource // the stream passes read: the fit's source, retry- and prefetch-wrapped
 	pf    *frame.Prefetch   // non-nil when chunks are read ahead
 	pool  *parallel.Pool
 	reg   *operators.Registry
@@ -40,7 +39,7 @@ type localExec struct {
 // newLocalExec wraps src for in-process passes on the fit's pool. The caller
 // closes it.
 func newLocalExec(ctx context.Context, src frame.ChunkSource, cfg Config, pool *parallel.Pool, reg *operators.Registry, arena *sketch.Arena) *localExec {
-	l := &localExec{base: src, pool: pool, reg: reg, arena: arena}
+	l := &localExec{pool: pool, reg: reg, arena: arena}
 	// Transient-read retries wrap the raw source BELOW the prefetcher: a
 	// retried read resolves inside one Next call, so it never becomes a
 	// sticky stream error.
@@ -64,10 +63,10 @@ func (l *localExec) close() {
 }
 
 // Open implements Executor. The worker state shares the fit's arena, because
-// the fold returns merged sketches to it while the kernel draws the next
-// chunk's from it, and resolves operators in the fit's own registry.
-func (l *localExec) Open(_ context.Context, names []string, task core.Task, sketchSize int) error {
-	l.ws = newWorkerState(names, task, sketchSize, l.reg, l.arena, l.pool)
+// the fold returns merged partials' buffers to it while the kernel draws the
+// next chunk's from it, and resolves operators in the fit's own registry.
+func (l *localExec) Open(_ context.Context, names []string, task core.Task, _ int) error {
+	l.ws = newWorkerState(names, task, l.reg, l.arena, l.pool)
 	return nil
 }
 

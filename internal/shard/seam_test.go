@@ -3,7 +3,6 @@ package shard_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -26,10 +25,14 @@ import (
 // each partial to the fold either by pointer or after the full wire hop
 // (dist's partial frame with its blobs rendered by Partial.AppendBlob, then
 // Partial.Decode inside the fold). One partial of one pass kind can be
-// corrupted on the way.
+// corrupted on the way, and every partial watched.
 type seamExec struct {
 	src  frame.ChunkSource
 	wire bool
+
+	// watch, when set, sees every partial as it was computed, before any
+	// wire hop or corruption.
+	watch func(spec *shard.PassSpec, p *shard.Partial)
 
 	// corrupt, when set, is applied to the first partial of pass kind bad just
 	// before it reaches the fold.
@@ -50,12 +53,12 @@ type seamExec struct {
 	frame []byte // reused across partials, as a dist worker reuses its own
 }
 
-func (e *seamExec) Open(_ context.Context, names []string, task core.Task, sketchSize int) error {
-	e.ws = shard.NewWorkerState(names, task, sketchSize)
+func (e *seamExec) Open(_ context.Context, names []string, task core.Task, _ int) error {
+	e.ws = shard.NewWorkerState(names, task)
 	e.kinds = map[shard.PassKind]int{}
 	e.others = nil
 	for _, workers := range e.pools {
-		e.others = append(e.others, shard.NewWorkerStateOn(names, task, sketchSize, workers))
+		e.others = append(e.others, shard.NewWorkerStateOn(names, task, workers))
 	}
 	return nil
 }
@@ -70,12 +73,12 @@ func (e *seamExec) SetLive(_ context.Context, epoch int, nodes []shard.NodeSpec,
 }
 
 // specDigest hashes everything a spec says. Later specs carry what earlier
-// folds produced (cuts, brackets, mined combinations, surviving entries), so
-// equal digest sequences mean equal fitter state after every pass.
+// folds produced (cuts, grids and cut buckets, surviving entries), so equal
+// digest sequences mean equal fitter state after every pass.
 func specDigest(s *shard.PassSpec) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d %d %d|%v|%v|%v|%v", s.Pass, s.Kind, s.Epoch,
-		s.LiveCuts, s.Grids, s.Entries, s.Refines)
+	fmt.Fprintf(h, "%d %d %d|%v|%v|%v", s.Pass, s.Kind, s.Epoch,
+		s.LiveCuts, s.Grids, s.Entries)
 	return h.Sum64()
 }
 
@@ -99,6 +102,9 @@ func (e *seamExec) RunPass(ctx context.Context, spec *shard.PassSpec, fold func(
 			return res, err
 		}
 		p := computed
+		if e.watch != nil {
+			e.watch(spec, computed)
+		}
 		if len(e.others) > 0 {
 			// The whole wire form: every blob through BlobCount/AppendBlob plus
 			// the plain Labels, Ints and Codes.
@@ -155,11 +161,10 @@ var seamTasks = []struct {
 }
 
 // seamFit runs one small sharded fit through exec (nil: the in-process
-// executor). The sketch size is far below the row count, so the quantile
-// summaries are lossy and the refine passes really run; a second iteration
-// makes round 2 replay round 1's node program. Short boosting runs keep the
-// table fast — the GBDT stages are not what it tests. workers sizes the
-// fitter's pool, the one its folds and cut derivations run on.
+// executor). A second iteration makes round 2 replay round 1's node program.
+// Short boosting runs keep the table fast — the GBDT stages are not what it
+// tests. workers sizes the fitter's pool, the one its folds and cut
+// derivations run on.
 func seamFit(t *testing.T, task core.Task, train *frame.Frame, iterations, workers int, exec shard.Executor) (*core.Pipeline, *core.Report, *shard.Stats, error) {
 	t.Helper()
 	cfg := core.DefaultConfig()
@@ -169,7 +174,7 @@ func seamFit(t *testing.T, task core.Task, train *frame.Frame, iterations, worke
 	cfg.Workers = workers
 	cfg.Miner.NumTrees, cfg.Ranker.NumTrees = 12, 12
 	return shard.Fit(context.Background(), frame.NewFrameChunks(train, 300),
-		shard.Config{Core: cfg, SketchSize: 128, Exec: exec})
+		shard.Config{Core: cfg, Exec: exec})
 }
 
 // corruptions are the wrong shapes a kernel or a peer could hand a fold. Each
@@ -189,13 +194,12 @@ var corruptions = []struct {
 		[]shard.PassKind{shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassGramCodes}, 0, false,
 		func(p *shard.Partial, _ bool) {
 			p.Blobs, p.Codes = nil, nil
-			p.Quantiles, p.Moments, p.Refiners, p.Hists, p.Gram = nil, nil, nil, nil, nil
-			p.Sample, p.Counts, p.Gathers = nil, nil, nil
+			p.Moments, p.Gram, p.Sample, p.Counts, p.Gathers = nil, nil, nil, nil, nil
 		}},
 	{"missing gathers",
 		[]shard.PassKind{shard.PassRefine}, 2, false,
 		func(p *shard.Partial, _ bool) {
-			p.Blobs, p.Gathers, p.Hists = nil, nil, nil
+			p.Blobs, p.Gathers = nil, nil
 		}},
 	{"rows past n",
 		[]shard.PassKind{shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassHistIDs, shard.PassGramCodes}, 0, false,
@@ -232,17 +236,16 @@ var corruptions = []struct {
 	{"id below NaN marker",
 		[]shard.PassKind{shard.PassHistIDs}, 0, false,
 		func(p *shard.Partial, _ bool) { p.Ints[0] = -2 }},
-	// Wire tag 5 was a MomentHist codec no fit used; the live criterion
-	// histograms of a gather partial must not take one in, by either road.
-	{"MomentHist as a count histogram",
-		[]shard.PassKind{shard.PassRefine}, 2, true,
+	{"base moments of other rows",
+		[]shard.PassKind{shard.PassBaseSketch}, 0, false,
 		func(p *shard.Partial, wire bool) {
+			m := sketch.Moments{}
+			m.AddAll([]float64{1})
 			if wire {
-				last := len(p.Blobs) - 1
-				p.Blobs[last] = append([]byte{5}, p.Blobs[last][1:]...)
+				p.Blobs[0] = m.AppendWire(nil)
 				return
 			}
-			p.Hists[len(p.Hists)-1] = sketch.NewMomentHist(nil)
+			p.Moments[0] = m
 		}},
 	{"truncated blob",
 		[]shard.PassKind{shard.PassBaseSketch, shard.PassSketchGen, shard.PassRefine, shard.PassGramCodes}, 0, false,
@@ -255,20 +258,23 @@ var corruptions = []struct {
 		}},
 }
 
-// emptyGathers replaces every gather of a refine partial with the gather of
-// an empty chunk over the same targets.
+// emptyGathers replaces every gather of a gather partial with the gather of
+// an empty chunk over the same cut buckets.
 func emptyGathers(p *shard.Partial, wire bool) {
 	if wire {
-		for i, b := range p.Blobs {
-			// Tag and u32 target count, then nt+1 below-bracket counters and, per
-			// target, two edge counters and a gather length — all zero.
-			nt := int(binary.LittleEndian.Uint32(b[1:5]))
-			p.Blobs[i] = append(append([]byte(nil), b[:5]...), make([]byte, 8*(nt+1)+20*nt)...)
+		q := *p
+		if err := q.Decode(&shard.PassSpec{Kind: shard.PassRefine, Grids: make([]shard.GridSpec, len(p.Blobs))}, sketch.NewArena()); err != nil {
+			panic(err)
+		}
+		p.Blobs = make([][]byte, len(q.Gathers))
+		for i, g := range q.Gathers {
+			empty := &shard.Gather{Sizes: make([]int32, len(g.Sizes)), Spans: make([]int32, len(g.Spans))}
+			p.Blobs[i] = empty.AppendWire(nil)
 		}
 		return
 	}
-	for i, r := range p.Refiners {
-		p.Refiners[i] = sketch.NewShadowRefiner(r.Brackets())
+	for i, g := range p.Gathers {
+		p.Gathers[i] = &shard.Gather{Sizes: make([]int32, len(g.Sizes)), Spans: make([]int32, len(g.Spans))}
 	}
 }
 
@@ -379,18 +385,18 @@ func TestSeam(t *testing.T) {
 				}
 			}
 			// A well-formed gather that is not the partition's — here, of no rows
-			// at all — passes every shape check and leaves the first pass's
-			// targets outside their brackets. The fit must stop on the typed
-			// bracket error rather than cut at a bracket edge.
+			// at all — passes every shape check of its fold and leaves the
+			// source columns' cut buckets short of what the count pass counted.
+			// The fit must stop on the typed gather-size error rather than cut
+			// on a partial gather.
 			for _, wire := range []bool{false, true} {
 				exec := &seamExec{src: frame.NewFrameChunks(train, 300), wire: wire, bad: shard.PassRefine, corrupt: emptyGathers}
 				_, _, _, err := seamFit(t, tc.task, train, 1, 1, exec)
-				var be *sketch.BracketError
-				if !errors.As(err, &be) || !strings.HasPrefix(err.Error(), "shard: refine ") || !strings.Contains(err.Error(), "outside its bracket") {
-					t.Errorf("empty gather, wire=%v: fit returned %v, want a shard: refine … outside its bracket error", wire, err)
+				if !errors.Is(err, shard.ErrGatherSize) || !strings.HasPrefix(err.Error(), "shard: gather of ") {
+					t.Errorf("empty gather, wire=%v: fit returned %v, want a shard: gather of … %v error", wire, err, shard.ErrGatherSize)
 				}
 			}
-			ws := shard.NewWorkerState(train.Names(), tc.task, 128)
+			ws := shard.NewWorkerState(train.Names(), tc.task)
 			c, err := frame.NewFrameChunks(train, 300).Next()
 			if err != nil {
 				t.Fatal(err)
@@ -422,19 +428,19 @@ func sumCounts(counts []int32) (n int64) {
 	return n
 }
 
-// TestSeamPartialSizedByBudget pins what a partial costs to its budget
-// instead of the chunk: for chunks from half the budget to a 65,536-row row
-// group, every quantile blob of a base-sketch partial declares min(sketch
-// size, PartialSize) and renders to at most its header plus 16 B per budgeted
-// point, while Count still says every row went in; and every grid-count blob
-// of a count partial is one grid's varints — at most 3 bytes a bucket below
-// 2^21 rows — beside its range, and its counts add up to the chunk's rows.
-// The partials are computed under pools of 1, 2, 3 and 8 and must render to
-// the same bytes, as everywhere on the seam.
-func TestSeamPartialSizedByBudget(t *testing.T) {
+// TestSeamPartialsAreBounded pins what a partial costs to its columns
+// instead of its chunk, for chunks from 512 rows to a 65,536-row row group: a
+// base-sketch partial is the chunk's labels, one moments blob per source
+// column and a sample of at most stats.SampleSize rows, so its blobs do not
+// grow with the chunk; and every grid-count blob of a count partial is one
+// grid's varints — at most 3 bytes a bucket below 2^21 rows — beside its
+// range, and its counts add up to the chunk's rows. The partials are computed
+// under pools of 1, 2, 3 and 8 and must render to the same bytes, as
+// everywhere on the seam.
+func TestSeamPartialsAreBounded(t *testing.T) {
 	const maxRows = 65536
 	ds, err := datagen.Generate(datagen.Spec{
-		Name: "seam-budget", Train: maxRows, Test: 16, Dim: 6, Interactions: 2, SignalScale: 2.5, Seed: 11,
+		Name: "seam-bounded", Train: maxRows, Test: 16, Dim: 6, Interactions: 2, SignalScale: 2.5, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -442,75 +448,66 @@ func TestSeamPartialSizedByBudget(t *testing.T) {
 	names := ds.Train.Names()
 	grid := stats.Grid{Lo: -4, Scale: stats.NumBuckets / 8.0}
 	gens := []shard.GridSpec{
-		{Gen: shard.GenSpec{Op: "add", Feats: []int{0, 1}}, Grid: grid}, {Gen: shard.GenSpec{Op: "sub", Feats: []int{2, 3}}, Grid: grid},
-		{Gen: shard.GenSpec{Op: "mul", Feats: []int{4, 5}}, Grid: grid}, {Gen: shard.GenSpec{Op: "div", Feats: []int{1, 4}}},
+		{Base: -1, Gen: shard.GenSpec{Op: "add", Feats: []int{0, 1}}, Grid: grid}, {Base: -1, Gen: shard.GenSpec{Op: "sub", Feats: []int{2, 3}}, Grid: grid},
+		{Base: -1, Gen: shard.GenSpec{Op: "mul", Feats: []int{4, 5}}, Grid: grid}, {Base: -1, Gen: shard.GenSpec{Op: "div", Feats: []int{1, 4}}},
 	}
-	// An empty one-level sketch's encoding: tag, size, count, NaN count, min,
-	// max, level count, then the level's point count and error.
-	header := sketch.NewQuantile(1).WireSize() + 4 + 8
-	for _, sketchSize := range []int{0, 128} { // the default, and a user's size below the budget
-		budget := shard.PartialSize
-		if sketchSize > 0 && sketchSize < budget {
-			budget = sketchSize
+	momentBlob := (&sketch.Moments{}).WireSize()
+	sampleBlob := (&shard.RowSample{Rows: make([]int, stats.SampleSize), Vals: make([][]float64, len(names))}).WireSize()
+	states := make([]*shard.WorkerState, len(seamPools))
+	for i, workers := range seamPools {
+		states[i] = shard.NewWorkerStateOn(names, core.BinaryTask(), workers)
+		if err := states[i].SetLive(1, nil, names); err != nil {
+			t.Fatal(err)
 		}
-		states := make([]*shard.WorkerState, len(seamPools))
-		for i, workers := range seamPools {
-			states[i] = shard.NewWorkerStateOn(names, core.BinaryTask(), sketchSize, workers)
-			if err := states[i].SetLive(1, nil, names); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for _, rows := range []int{512, 1024, 1025, 5000, 20000, maxRows} {
+		src := frame.NewFrameChunks(ds.Train, rows)
+		c, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, rows := range []int{512, 1024, 1025, 5000, 20000, maxRows} {
-			src := frame.NewFrameChunks(ds.Train, rows)
-			c, err := src.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, spec := range []*shard.PassSpec{
-				{Pass: 1, Kind: shard.PassBaseSketch, Epoch: 1},
-				{Pass: 2, Kind: shard.PassSketchGen, Epoch: 1, Grids: gens},
-			} {
-				var first []byte
-				for i, ws := range states {
-					p, err := ws.ComputePartial(context.Background(), spec, c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if i == 0 && spec.Kind == shard.PassSketchGen {
-						for b := 0; b < p.BlobCount(spec.Kind); b++ {
-							if got, max := p.BlobSize(spec.Kind, b), 16+2+3*stats.NumBuckets; got > max {
-								t.Errorf("sketch size %d, %d rows: count blob %d is %d bytes, a grid allows %d", sketchSize, rows, b, got, max)
-							}
-							if n := sumCounts(p.Counts[b].Counts); p.Counts[b].Counts != nil && n != int64(rows) {
-								t.Errorf("sketch size %d, %d rows: count partial %d covers %d rows", sketchSize, rows, b, n)
-							}
+		for _, spec := range []*shard.PassSpec{
+			{Pass: 1, Kind: shard.PassBaseSketch, Epoch: 1},
+			{Pass: 2, Kind: shard.PassSketchGen, Epoch: 1, Grids: gens},
+		} {
+			var first []byte
+			for i, ws := range states {
+				p, err := ws.ComputePartial(context.Background(), spec, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 && spec.Kind == shard.PassSketchGen {
+					for b := 0; b < p.BlobCount(spec.Kind); b++ {
+						if got, max := p.BlobSize(spec.Kind, b), 16+2+3*stats.NumBuckets; got > max {
+							t.Errorf("%d rows: count blob %d is %d bytes, a grid allows %d", rows, b, got, max)
+						}
+						if n := sumCounts(p.Counts[b].Counts); p.Counts[b].Counts != nil && n != int64(rows) {
+							t.Errorf("%d rows: count partial %d covers %d rows", rows, b, n)
 						}
 					}
-					if i == 0 && spec.Kind == shard.PassBaseSketch {
-						for b := 0; b < 2*len(p.Quantiles); b += 2 {
-							if got, max := p.BlobSize(spec.Kind, b), header+16*budget; got > max {
-								t.Errorf("sketch size %d, kind %d, %d rows: quantile blob %d is %d bytes, budget allows %d",
-									sketchSize, spec.Kind, rows, b/2, got, max)
-							}
-							q := p.Quantiles[b/2]
-							if q.Size() != budget || q.Count()+q.NaNCount() != int64(rows) {
-								t.Errorf("sketch size %d, kind %d, %d rows: partial %d declares size %d over %d values, want %d over %d",
-									sketchSize, spec.Kind, rows, b/2, q.Size(), q.Count()+q.NaNCount(), budget, rows)
-							}
-							if lossless := q.ErrorBound() == 0; lossless != (rows <= budget) {
-								t.Errorf("sketch size %d, kind %d, %d rows: partial %d lossless=%v, want %v",
-									sketchSize, spec.Kind, rows, b/2, lossless, rows <= budget)
-							}
+				}
+				if i == 0 && spec.Kind == shard.PassBaseSketch {
+					if len(p.Labels) != rows || p.BlobCount(spec.Kind) != len(names)+1 {
+						t.Errorf("%d rows: base partial carries %d labels and %d blobs, want %d and %d",
+							rows, len(p.Labels), p.BlobCount(spec.Kind), rows, len(names)+1)
+					}
+					for b := 0; b < len(names); b++ {
+						if got := p.BlobSize(spec.Kind, b); got != momentBlob {
+							t.Errorf("%d rows: moments blob %d is %d bytes, want %d", rows, b, got, momentBlob)
 						}
 					}
-					got := dist.AppendPartial(nil, spec.Pass, spec.Kind, p)
-					ws.Release(p)
-					if i == 0 {
-						first = got
-					} else if !bytes.Equal(got, first) {
-						t.Errorf("sketch size %d, kind %d, %d rows: a pool of %d renders %d bytes that differ from a pool of %d's %d",
-							sketchSize, spec.Kind, rows, seamPools[i], len(got), seamPools[0], len(first))
+					if got := p.BlobSize(spec.Kind, len(names)); got > sampleBlob || len(p.Sample.Rows) != min(rows, stats.SampleSize) {
+						t.Errorf("%d rows: sample blob of %d rows is %d bytes, want %d rows in at most %d",
+							rows, len(p.Sample.Rows), got, min(rows, stats.SampleSize), sampleBlob)
 					}
+				}
+				got := dist.AppendPartial(nil, spec.Pass, spec.Kind, p)
+				ws.Release(p)
+				if i == 0 {
+					first = got
+				} else if !bytes.Equal(got, first) {
+					t.Errorf("kind %d, %d rows: a pool of %d renders %d bytes that differ from a pool of %d's %d",
+						spec.Kind, rows, seamPools[i], len(got), seamPools[0], len(first))
 				}
 			}
 		}

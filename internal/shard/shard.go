@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -21,14 +22,6 @@ type Config struct {
 	// normalised through core.NormalizeConfig, so both engines run from
 	// identical effective settings.
 	Core core.Config
-	// SketchSize is the per-level summary size of the fit's running quantile
-	// sketches (sketch.DefaultSize when <= 0): how many points a level holds
-	// before merging partitions into it compacts it, so larger sizes defer the
-	// error that merging adds at linearly more memory per sketched column. A
-	// partition's partial is built at min(SketchSize, partialSize) points and
-	// carries its own compaction error of ceil(chunk rows / that) ranks; the
-	// refinement pass's gather buffers are as wide as the two errors' sum.
-	SketchSize int
 	// Retry bounds transient chunk-read retries (see RetryPolicy). The zero
 	// value disables retrying: every read error aborts the fit immediately.
 	// Retried reads re-run before the chunk is folded, so a recovered fit
@@ -44,7 +37,7 @@ type Config struct {
 	Exec Executor
 }
 
-// DefaultConfig returns the paper's configuration with default sketches.
+// DefaultConfig returns the paper's configuration.
 func DefaultConfig() Config { return Config{Core: core.DefaultConfig()} }
 
 // Stats reports how a sharded fit consumed its source.
@@ -56,17 +49,11 @@ type Stats struct {
 	Passes int
 	// RowsStreamed totals rows decoded across all passes.
 	RowsStreamed int64
-	// MaxQuantileRankError is the worst tracked rank-error bound across the
-	// source columns' quantile sketches, in ranks of Rows: how wide the
-	// refinement gather had to bracket each cut (every cut is exact
-	// regardless). Generated columns are not sketched.
+	// MaxQuantileRankError and BlocksSkipped are always 0: every column is
+	// cut on the grid passes, which read every chunk and approximate no rank.
+	// They stay because existing readers of Stats name them.
 	MaxQuantileRankError int64
-	// BlocksSkipped and RowsSkipped count source chunks (and their rows) the
-	// refinement pass proved irrelevant from block statistics and never read
-	// — non-zero only for frame.SkippableSource inputs (colstore files).
-	// Skipped rows do not count into RowsStreamed.
-	BlocksSkipped int64
-	RowsSkipped   int64
+	BlocksSkipped        int64
 	// Retries counts transient chunk-read errors absorbed by Config.Retry
 	// across all passes; zero for a fault-free fit or a zero retry policy.
 	Retries int64
@@ -117,13 +104,12 @@ func Fit(ctx context.Context, src frame.ChunkSource, cfg Config) (*core.Pipeline
 	}
 	pool := norm.Pool()
 	f := &fitter{
-		ctx:        ctx,
-		cfg:        norm,
-		pool:       pool,
-		sketchSize: cfg.SketchSize,
-		names:      names,
-		arena:      sketch.NewArena(),
-		exec:       cfg.Exec,
+		ctx:   ctx,
+		cfg:   norm,
+		pool:  pool,
+		names: names,
+		arena: sketch.NewArena(),
+		exec:  cfg.Exec,
 	}
 	if f.exec == nil {
 		le := newLocalExec(ctx, src, cfg, pool, norm.Registry, f.arena)
@@ -146,17 +132,16 @@ type column struct {
 	mom *sketch.Moments
 
 	// The cut table: the non-NaN count, the maximum, and the exact value at
-	// every rank of cutRankUnion(n) — filled from the base sketch and its
-	// refiner for a source column, from the grid passes for a generated one.
+	// every rank of cutRankUnion(n) — filled by the grid passes (grid.go).
 	n     int64
 	max   float64
 	ranks []int64
 	at    []float64
 
-	// While the column is a candidate of the current round: its criterion,
-	// the cuts it was counted at, a generated count-task column's per-bin
-	// class counts (bin·k + class), and a generated column's grid passes'
-	// state.
+	// Its criterion, which a live column keeps; and, while the column is
+	// being cut or is a candidate of the current round, the cuts its
+	// criterion was counted at, a count task's per-bin class counts (bin·k +
+	// class), and the grid passes' state.
 	crit     float64
 	ivCuts   []float64
 	ivCounts []int32
@@ -202,18 +187,17 @@ func col(c *core.Candidate) *column { return c.Column.(*column) }
 // round's candidates list the live features first, so candidate i < len(live)
 // is live feature i.
 type fitter struct {
-	ctx        context.Context
-	cfg        core.Config
-	sketchSize int
-	arena      *sketch.Arena  // recycles the partials' sketches and slabs
-	pool       *parallel.Pool // the folds' and cut derivations' per-candidate loops run on it
+	ctx   context.Context
+	cfg   core.Config
+	arena *sketch.Arena  // recycles the partials' Grams and slabs
+	pool  *parallel.Pool // the folds' and cut derivations' per-candidate loops run on it
 
 	names      []string
 	labels     []float64
-	sample     *RowSample  // the base pass's row sample
-	sampleLive [][]float64 // the live features at the sample's rows
+	sample     *RowSample      // the base pass's row sample
+	sampleLive [][]float64     // the live features at the sample's rows
+	nonNaN     map[int][]int64 // per partition, each source column's non-NaN rows
 	n          int
-	passExpect int // expected rows of the current (possibly partial) pass; 0 = full
 	live       []*column
 
 	exec      Executor // runs every pass: Config.Exec, or the in-process executor
@@ -236,32 +220,22 @@ func (f *fitter) each(n int, fn func(i int) error) error {
 	})
 }
 
-// trackSketch folds a sketch's error bound into the fit statistics.
-func (f *fitter) trackSketch(sk *sketch.Quantile) {
-	if b := sk.ErrorBound(); b > f.stats.MaxQuantileRankError {
-		f.stats.MaxQuantileRankError = b
-	}
-}
-
-// Open implements core.WorkingSet with the three pre-iteration passes: labels,
-// the row sample, and per-feature quantile sketches and moments; the
-// refinement of the sketches' cut brackets to exact order statistics (no pass
-// at all when the sketches are lossless), which fills the cut tables; the
-// resident miner codes of the original live set. Events' Rows are the rows
-// runPass streams.
+// Open implements core.WorkingSet with the four pre-iteration passes: labels,
+// the row sample and the source columns' moments; the source columns' counts
+// on their grids, and their cut buckets' gather, which fill the cut tables
+// exactly and, for a count task, count their criteria; the resident miner
+// codes of the original live set. Events' Rows are the rows runPass streams.
 func (f *fitter) Open() (core.Opened, error) {
-	if err := f.exec.Open(f.ctx, f.names, f.cfg.Task, f.sketchSize); err != nil {
+	if err := f.exec.Open(f.ctx, f.names, f.cfg.Task, 0); err != nil {
 		return core.Opened{}, err
 	}
 	f.live = make([]*column, len(f.names))
 	live := make([]core.Column, len(f.names))
-	sks := make([]*sketch.Quantile, len(f.names))
 	for j, name := range f.names {
-		f.live[j] = &column{Feature: core.Feature{Name: name}, mom: &sketch.Moments{}}
-		sks[j] = sketch.NewQuantile(f.sketchSize)
+		f.live[j] = &column{Feature: core.Feature{Name: name}, mom: &sketch.Moments{}, max: math.Inf(-1)}
 		live[j] = f.live[j]
 	}
-	if err := f.passBaseSketch(sks); err != nil {
+	if err := f.passBase(); err != nil {
 		return core.Opened{}, err
 	}
 	if f.n == 0 {
@@ -270,15 +244,19 @@ func (f *fitter) Open() (core.Opened, error) {
 	if err := f.cfg.Task.ValidateLabels(f.labels); err != nil {
 		return core.Opened{}, err
 	}
-	if err := f.refineLive(sks); err != nil {
-		return core.Opened{}, err
-	}
-	for _, sk := range sks {
-		f.trackSketch(sk)
-	}
 	if err := f.syncLive(nil); err != nil {
 		return core.Opened{}, err
 	}
+	for j, lf := range f.live {
+		lf.grid = newGridState(GridSpec{Base: j}, slices.Clone(f.sampleLive[j]), &f.cfg)
+	}
+	if err := f.passGridCounts(f.live); err != nil {
+		return core.Opened{}, err
+	}
+	if err := f.passGather(f.live); err != nil {
+		return core.Opened{}, err
+	}
+	f.nonNaN = nil
 	if err := f.Bin(live, f.cfg.Miner); err != nil {
 		return core.Opened{}, err
 	}
@@ -289,8 +267,8 @@ func (f *fitter) Open() (core.Opened, error) {
 // operators Fit admitted need none.
 func (f *fitter) Inputs(feats []int) [][]float64 { return make([][]float64, len(feats)) }
 
-// Bin implements core.WorkingSet: exact cuts off the refined sketches, then
-// one codes pass. The pass addresses columns by live index, so what it bins
+// Bin implements core.WorkingSet: exact cuts off the cut tables, then one
+// codes pass. The pass addresses columns by live index, so what it bins
 // is the live set, whole — which is what the loop asks for: the generated
 // candidates are coded by the redundancy pass (Correlated).
 func (f *fitter) Bin(cols []core.Column, cfg gbdt.Config) error {
@@ -316,19 +294,20 @@ func (f *fitter) Bin(cols []core.Column, cfg gbdt.Config) error {
 // first half of the in-memory kernel's two scans (grid.go); Criteria's gather
 // pass is the second.
 func (f *fitter) Generate(cands []*core.Candidate) (time.Duration, error) {
-	gens := cands[len(f.live):]
+	gens := make([]*column, len(cands)-len(f.live))
 	if err := f.each(len(gens), func(i int) error {
-		c := gens[i]
+		c := cands[len(f.live)+i]
 		g, err := genSpec(c)
 		if err != nil {
 			return err
 		}
-		c.Column = &column{
+		gens[i] = &column{
 			Feature: core.Feature{Name: c.Node.Name, Node: c.Node},
 			mom:     &sketch.Moments{},
 			max:     math.Inf(-1),
-			grid:    newGridState(g, c.Node.Applier, f.sampleLive, &f.cfg),
+			grid:    newGridState(GridSpec{Base: -1, Gen: g}, sampleGen(g, c.Node.Applier, f.sampleLive), &f.cfg),
 		}
+		c.Column = gens[i]
 		return nil
 	}); err != nil {
 		return 0, err
@@ -341,13 +320,14 @@ func (f *fitter) Generate(cands []*core.Candidate) (time.Duration, error) {
 
 // Criteria implements core.WorkingSet: one gather pass resolves every
 // generated column's cut table exactly and, for a count task, its criterion
-// counts, beside the live features' criterion histograms at their known
-// cuts; the regression criterion then bins every candidate in one more pass.
+// counts — a live feature keeps the criterion it was first counted with; the
+// regression criterion then bins every candidate in one more pass.
 func (f *fitter) Criteria(cands []*core.Candidate) ([]float64, error) {
-	for _, lf := range f.live {
-		lf.ivCuts = lf.cuts(f.cfg.IVBins)
+	gens := make([]*column, len(cands)-len(f.live))
+	for i, c := range cands[len(f.live):] {
+		gens[i] = col(c)
 	}
-	if err := f.passGather(cands); err != nil {
+	if err := f.passGather(gens); err != nil {
 		return nil, err
 	}
 	if f.cfg.Task.Kind == core.TaskRegression {

@@ -1,9 +1,15 @@
-// Package sketch provides the mergeable statistics summaries the sharded
-// out-of-core fit engine (internal/shard) is built on. Each sketch is built
-// independently per data partition and merged by the coordinator; Merge is
-// associative and — within the documented error bounds — order-invariant, so
-// a fit over partitions that never coexist in memory reaches the same
-// decisions as a single-frame fit.
+// Package sketch provides mergeable statistics summaries. Each sketch is
+// built independently per data partition and merged by the coordinator;
+// Merge is associative and — within the documented error bounds —
+// order-invariant, so a fit over partitions that never coexist in memory
+// reaches the same decisions as a single-frame fit.
+//
+// The sharded out-of-core fit engine (internal/shard) uses Moments, Gram and
+// MomentHist, and the Arena its partials are pooled in. It cuts every column
+// on the in-memory quantile kernel's grid instead of a Quantile summary, so
+// Quantile, Refiner and the count histograms (LabelHist, ClassHist) and their
+// wire forms have no caller in the fit; they stay exported for the
+// repository benchmark's probes (bench/).
 //
 // The four sketches and their guarantees:
 //
