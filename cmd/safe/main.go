@@ -7,7 +7,7 @@
 //	safe -train train.csv -label y [-test test.csv] [-out out.csv]
 //	     [-task binary|multiclass:K|regression]
 //	     [-ops add,sub,mul,div] [-iters 1] [-max-features 0] [-gamma 0]
-//	     [-seed 0] [-progress] [-v]
+//	     [-progress] [-v]
 //
 // Out-of-core fitting: -chunk-rows N streams the training CSV in N-row
 // chunks through the sharded fit engine (internal/shard), so files larger
@@ -63,7 +63,6 @@ func main() {
 		iters        = flag.Int("iters", 1, "number of SAFE iterations (nIter)")
 		maxFeatures  = flag.Int("max-features", 0, "output feature budget (0 = 2x original count)")
 		gamma        = flag.Int("gamma", 0, "top feature combinations per iteration (0 = 2x original count)")
-		seed         = flag.Int64("seed", 0, "random seed")
 		progress     = flag.Bool("progress", false, "print live per-stage progress while fitting")
 		verbose      = flag.Bool("v", false, "print per-iteration details incl. stage wall-clock timings")
 		savePipeline = flag.String("save-pipeline", "", "write the learned pipeline Ψ as JSON")
@@ -119,7 +118,6 @@ func main() {
 			safe.WithIterations(*iters),
 			safe.WithBudget(*maxFeatures),
 			safe.WithGamma(*gamma),
-			safe.WithSeed(*seed),
 		}
 		if *progress {
 			opts = append(opts, safe.WithEvents(printProgress))
@@ -187,8 +185,8 @@ func main() {
 
 	if report != nil {
 		inCols := len(pipeline.OriginalNames)
-		fmt.Printf("SAFE fit complete in %v (task=%s seed=%d): %d input features -> %d output features (%d generated)\n",
-			report.Total.Round(1e6), pipeline.Task, *seed, inCols, pipeline.NumFeatures(), pipeline.NumDerived())
+		fmt.Printf("SAFE fit complete in %v (task=%s): %d input features -> %d output features (%d generated)\n",
+			report.Total.Round(1e6), pipeline.Task, inCols, pipeline.NumFeatures(), pipeline.NumDerived())
 		if *verbose || *progress {
 			for _, ir := range report.Iterations {
 				fmt.Printf("  round %d: mined %d combos (vs %d exhaustive), kept %d, generated %d, "+

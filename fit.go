@@ -267,8 +267,9 @@ func WithSelection(ivThreshold, pearsonThreshold float64) Option {
 	}
 }
 
-// WithSeed drives all stochastic components; fits are fully deterministic
-// given a seed (for any worker count and either engine).
+// WithSeed sets core.Config.Seed, which does not affect a SAFE fit: no
+// stage draws a random number, so a fit is a function of its data and
+// configuration (for any worker count and any engine), whatever the seed.
 func WithSeed(seed int64) Option {
 	return func(o *planOpts) error {
 		o.cfg.Seed = seed

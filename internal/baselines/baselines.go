@@ -216,7 +216,6 @@ func Imp(train *frame.Frame, cfg ImpConfig) (*core.Pipeline, error) {
 	if miner.NumTrees == 0 {
 		miner = core.PaperBooster()
 	}
-	miner.Seed = cfg.Seed
 
 	cols := make([][]float64, m)
 	for j := range cols {

@@ -69,9 +69,7 @@ func Train(name string, cols [][]float64, labels []float64, seed int64) (Model, 
 		cfg.Seed = seed
 		return linear.TrainSVM(cols, labels, cfg)
 	case "XGB":
-		cfg := gbdt.DefaultConfig()
-		cfg.Seed = seed
-		return gbdt.Train(cols, labels, nil, cfg)
+		return gbdt.Train(cols, labels, nil, gbdt.DefaultConfig())
 	default:
 		return nil, fmt.Errorf("clf: unknown classifier %q (want one of %v)", name, Names())
 	}

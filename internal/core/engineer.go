@@ -82,7 +82,9 @@ type Config struct {
 	// Pearson and both boosters run on: 1 runs serial, <= 0 selects
 	// GOMAXPROCS. Fit results are identical for any worker count.
 	Workers int
-	// Seed drives all stochastic components.
+	// Seed does not affect a SAFE fit: no stage draws a random number, so a
+	// fit is a function of its data and configuration. It is accepted, and
+	// ignored, so that configurations which set it keep working.
 	Seed int64
 }
 
@@ -216,8 +218,6 @@ func NormalizeConfig(cfg Config) (Config, error) {
 	cfg.Task.applyObjective(&cfg.Ranker)
 	cfg.Miner.Workers = cfg.Workers
 	cfg.Ranker.Workers = cfg.Workers
-	cfg.Miner.Seed = cfg.Seed
-	cfg.Ranker.Seed = cfg.Seed + 1
 	// Validate that every operator resolves.
 	if _, err := cfg.Registry.GetAll(cfg.Operators); err != nil {
 		return Config{}, err

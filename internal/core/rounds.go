@@ -165,9 +165,7 @@ func RunRounds(ctx context.Context, cfg Config, names []string, ws WorkingSet, v
 
 		// (1) Mine combination relations (Algorithm 1 lines 3-4).
 		sc.begin(StageMine, len(live))
-		minerCfg := cfg.Miner
-		minerCfg.Seed = cfg.Seed + int64(round)*131
-		model, minerBins, err := train(ctx, ws, live, labels, liveNames, minerCfg, "core: miner")
+		model, minerBins, err := train(ctx, ws, live, labels, liveNames, cfg.Miner, "core: miner")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -232,9 +230,7 @@ func RunRounds(ctx context.Context, cfg Config, names []string, ws WorkingSet, v
 		// (7) Rank by XGBoost gain, keep top budget (line 10). Features the
 		// model never splits on rank last, tie broken by IV then index.
 		sc.begin(StageRank, len(keptB))
-		rankerCfg := cfg.Ranker
-		rankerCfg.Seed = cfg.Seed + 7919 + int64(round)*131
-		ranker, _, err := train(ctx, ws, candidateColumns(cands, keptB), labels, nil, rankerCfg, "core: ranker")
+		ranker, _, err := train(ctx, ws, candidateColumns(cands, keptB), labels, nil, cfg.Ranker, "core: ranker")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -265,9 +261,7 @@ func RunRounds(ctx context.Context, cfg Config, names []string, ws WorkingSet, v
 		if validate == nil {
 			best = liveNames
 		} else {
-			evalCfg := cfg.Ranker
-			evalCfg.Seed = cfg.Seed + 40009 + int64(round)
-			evaluator, _, err := train(ctx, ws, live, labels, nil, evalCfg, "core: validation evaluator") // on the selection's ranker codes
+			evaluator, _, err := train(ctx, ws, live, labels, nil, cfg.Ranker, "core: validation evaluator") // on the selection's ranker codes
 			if err != nil {
 				return nil, nil, err
 			}

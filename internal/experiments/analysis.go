@@ -38,9 +38,7 @@ func RunSearchSpace(opts Options, w io.Writer) ([]SearchSpaceRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.PaperBooster()
-		cfg.Seed = opts.Seed
-		model, err := gbdt.Train(colsOf(ds.Train), ds.Train.Label, nil, cfg)
+		model, err := gbdt.Train(colsOf(ds.Train), ds.Train.Label, nil, core.PaperBooster())
 		if err != nil {
 			return nil, err
 		}
@@ -115,9 +113,7 @@ func RunAssumptions(opts Options, pairsPerClass int, w io.Writer) ([]AssumptionR
 		}
 		cols := colsOf(ds.Train)
 		testCols := colsOf(ds.Test)
-		cfg := core.PaperBooster()
-		cfg.Seed = opts.Seed
-		model, err := gbdt.Train(cols, ds.Train.Label, nil, cfg)
+		model, err := gbdt.Train(cols, ds.Train.Label, nil, core.PaperBooster())
 		if err != nil {
 			return nil, err
 		}

@@ -32,50 +32,46 @@ func TestTrainBinnedMatchesTrain(t *testing.T) {
 		}
 	}
 
-	for _, sub := range []float64{1.0, 0.8} {
-		cfg := DefaultConfig()
-		cfg.NumTrees = 12
-		cfg.MaxDepth = 4
-		cfg.Subsample = sub
-		cfg.Seed = 7
+	cfg := DefaultConfig()
+	cfg.NumTrees = 12
+	cfg.MaxDepth = 4
 
-		want, err := Train(cols, labels, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	want, err := Train(cols, labels, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		pb, err := BinColumns(cols, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := TrainBinned(pb, labels, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	pb, err := BinColumns(cols, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := TrainBinned(pb, labels, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		if len(got.Trees) != len(want.Trees) {
-			t.Fatalf("subsample=%v: %d trees vs %d", sub, len(got.Trees), len(want.Trees))
+	if len(got.Trees) != len(want.Trees) {
+		t.Fatalf("%d trees vs %d", len(got.Trees), len(want.Trees))
+	}
+	if got.BaseScore != want.BaseScore {
+		t.Fatalf("base score %v vs %v", got.BaseScore, want.BaseScore)
+	}
+	for ti := range want.Trees {
+		wn, gn := want.Trees[ti].Nodes, got.Trees[ti].Nodes
+		if len(wn) != len(gn) {
+			t.Fatalf("tree %d: %d nodes vs %d", ti, len(gn), len(wn))
 		}
-		if got.BaseScore != want.BaseScore {
-			t.Fatalf("subsample=%v: base score %v vs %v", sub, got.BaseScore, want.BaseScore)
-		}
-		for ti := range want.Trees {
-			wn, gn := want.Trees[ti].Nodes, got.Trees[ti].Nodes
-			if len(wn) != len(gn) {
-				t.Fatalf("subsample=%v tree %d: %d nodes vs %d", sub, ti, len(gn), len(wn))
-			}
-			for ni := range wn {
-				if wn[ni] != gn[ni] {
-					t.Fatalf("subsample=%v tree %d node %d: %+v vs %+v", sub, ti, ni, gn[ni], wn[ni])
-				}
+		for ni := range wn {
+			if wn[ni] != gn[ni] {
+				t.Fatalf("tree %d node %d: %+v vs %+v", ti, ni, gn[ni], wn[ni])
 			}
 		}
-		// Gain importances (the ranker artefact) must agree too.
-		wg, gg := want.GainImportance(), got.GainImportance()
-		for j := range wg {
-			if wg[j] != gg[j] {
-				t.Fatalf("subsample=%v: gain importance %d: %v vs %v", sub, j, gg[j], wg[j])
-			}
+	}
+	// Gain importances (the ranker artefact) must agree too.
+	wg, gg := want.GainImportance(), got.GainImportance()
+	for j := range wg {
+		if wg[j] != gg[j] {
+			t.Fatalf("gain importance %d: %v vs %v", j, gg[j], wg[j])
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package gbdt implements the XGBoost substrate of the SAFE reproduction: a
 // second-order gradient-boosted tree learner with histogram-based exact
-// greedy split finding, shrinkage, L2 regularisation and row/column
-// subsampling. Beyond prediction it exposes the two artefacts SAFE consumes:
+// greedy split finding, shrinkage and L2 regularisation. It draws no random
+// number: a model is a function of its data and configuration. Beyond
+// prediction it exposes the two artefacts SAFE consumes:
 //
 //   - Paths: the distinct split features (and their split values) on every
 //     root-to-leaf path of every tree (Section IV-B of the paper), and
@@ -24,12 +25,12 @@
 // the codes, the entry point of both SAFE fit engines; a caller that trains
 // several models over overlapping columns bins each column once and calls
 // TrainBinned itself. One boosting loop serves every objective: each round
-// draws its row and column subsamples once and grows one tree per output
-// group (NumClass for Softmax, one otherwise), histograms, splits and score
-// updates all on bin codes. The codes are also what core.ScoreCombos ranks
-// the mined combinations on. Prebinned.Validate bounds every code by its
-// feature's bin count and holds every feature's cuts strictly ascending
-// before anything indexes by them.
+// grows one tree per output group (NumClass for Softmax, one otherwise) over
+// every row and every feature, histograms, splits and score updates all on
+// bin codes. The codes are also what core.ScoreCombos ranks the mined
+// combinations on. Prebinned.Validate bounds every code by its feature's bin
+// count and holds every feature's cuts strictly ascending before anything
+// indexes by them.
 //
 // The histogram kernel is laid out the way XGBoost and LightGBM pair with
 // histogram splitting. A histogram bin is one record (gradient sum, hessian
@@ -44,12 +45,10 @@
 // smaller one when both can split; when only one can, it is built directly if
 // it is the smaller, and otherwise derived by subtracting its built sibling
 // from the parent. The partition also updates the training scores: each leaf
-// adds its value to the raw scores of the rows it holds, and only the rows
-// outside a round's row sample walk the new tree, by bin code against the
-// split codes recorded as it grew. Each row still gets one addition of the
-// same value per tree, so the scores, and every later gradient, are the ones
-// a walk over all rows gives. The nodes are numbered depth-first once the
-// tree is grown, so a model's bytes are those of a depth-first grower.
+// adds its value to the raw scores of the rows it holds, so every row gets
+// one addition of its leaf's value per tree, the one a walk of the tree
+// gives. The nodes are numbered depth-first once the tree is grown, so a
+// model's bytes are those of a depth-first grower.
 //
 // A typical round trip:
 //
@@ -64,12 +63,12 @@
 // internal/parallel pool Config.Workers selects (1 serial, <= 0 GOMAXPROCS),
 // mirroring the paper's "distributed computing" requirement at laptop scale.
 // A level is two pool regions, whatever its width: the level's open nodes
-// run across the pool, each its serial split scan (in feats order, which
+// run across the pool, each its serial split scan (in feature order, which
 // fixes the tie-breaks), its partition, its leaves and its child's gather on
 // its own segment of the row buffers; then every (child, feature) pair whose
 // histogram the level builds runs across the pool, accumulating the child's
 // bins and subtracting them from the parent's for the derived sibling. The
-// out-of-sample walk and the softmax are row-parallel above 2,048 rows.
+// softmax is row-parallel above 2,048 rows.
 // Every slot is written by one task, in one order, so results are identical
 // for any worker count.
 package gbdt

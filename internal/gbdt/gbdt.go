@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/parallel"
@@ -38,12 +37,9 @@ type Config struct {
 	Gamma          float64   // minimum gain to split
 	MinChildWeight float64   // minimum sum of hessians per child
 	MinChildCount  int       // minimum rows per child
-	Subsample      float64   // row subsampling per tree, (0,1]
-	ColSample      float64   // column subsampling per tree, (0,1]
 	MaxBins        int       // histogram bins per feature (<= 255)
 	Objective      Objective // training loss
 	NumClass       int       // number of classes (Softmax only; >= 2)
-	Seed           int64     // RNG seed for subsampling
 	// Workers bounds the shared worker pool binning, histogram building and
 	// score updates run on: 1 runs serial, <= 0 selects GOMAXPROCS. Results
 	// are identical for any worker count.
@@ -64,8 +60,6 @@ func DefaultConfig() Config {
 		Gamma:          0.0,
 		MinChildWeight: 1.0,
 		MinChildCount:  1,
-		Subsample:      1.0,
-		ColSample:      1.0,
 		MaxBins:        64,
 		Objective:      Logistic,
 	}
@@ -91,12 +85,6 @@ func (c *Config) validate() error {
 	}
 	if c.MaxBins < 2 || c.MaxBins > 255 {
 		return fmt.Errorf("gbdt: MaxBins must be in [2,255], got %d", c.MaxBins)
-	}
-	if c.Subsample <= 0 || c.Subsample > 1 {
-		return fmt.Errorf("gbdt: Subsample must be in (0,1], got %g", c.Subsample)
-	}
-	if c.ColSample <= 0 || c.ColSample > 1 {
-		return fmt.Errorf("gbdt: ColSample must be in (0,1], got %g", c.ColSample)
 	}
 	if err := c.Objective.check(); err != nil {
 		return err
@@ -310,13 +298,12 @@ func trainBinned(ctx context.Context, pb *Prebinned, labels []float64, names []s
 	return boost(ctx, b, labels, names, cfg)
 }
 
-// boost is the boosting loop of every objective. Each round draws its row and
-// column subsamples once, then grows one tree per output group on that
-// group's gradients — NumClass trees for Softmax, whose class trees share the
-// round's subsamples as in XGBoost, and one for Logistic and Squared — and
-// adds each tree's outputs to its group's raw scores on all rows, not only the
-// sampled ones. ctx is checked once per round, the granularity at which
-// abandoning work stays cheap relative to the work itself.
+// boost is the boosting loop of every objective. Each round grows one tree per
+// output group on that group's gradients — NumClass trees for Softmax, one for
+// Logistic and Squared — over every row and every feature, and adds each
+// tree's outputs to its group's raw scores. ctx is checked once per round, the
+// granularity at which abandoning work stays cheap relative to the work
+// itself.
 func boost(ctx context.Context, b *binner, labels []float64, names []string, cfg Config) (*Model, [][]float64, error) {
 	bases, err := baseScores(cfg, labels)
 	if err != nil {
@@ -345,16 +332,7 @@ func boost(ctx context.Context, b *binner, labels []float64, names []string, cfg
 	}
 	gh := make([]gpair, n)
 	pool := cfg.pool()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := newTrainer(b, cfg, pool, n, m)
-	all := appendIota(make([]int, 0, m), m)
-	// sample is the round's row sample and rest the rows it leaves out;
-	// without row subsampling sample is every row and is not stored, and rest
-	// is empty.
-	var sample, rest []int32
-	if cfg.Subsample < 1 {
-		sample, rest = make([]int32, 0, n), make([]int32, 0, n)
-	}
 
 	for t := 0; t < cfg.NumTrees; t++ {
 		if err := ctx.Err(); err != nil {
@@ -363,25 +341,12 @@ func boost(ctx context.Context, b *binner, labels []float64, names []string, cfg
 		if prob != nil {
 			softmaxProbs(raw, prob, pool)
 		}
-		if sample != nil {
-			sample = sampleInto(sample[:0], n, cfg.Subsample, rng)
-			rest = appendComplement(rest[:0], sample, n)
-		}
-		feats := all
-		if cfg.ColSample < 1 {
-			feats = sampleInto[int](nil, m, cfg.ColSample, rng)
-		}
 		for c := range raw {
 			gradients(cfg.Objective, c, raw, prob, labels, gh)
-			// Each tree partitions its own copy of the round's rows in place,
-			// in a per-trainer buffer refilled instead of reallocated.
-			rows := tr.rowBuf[:0]
-			if sample != nil {
-				rows = append(rows, sample...)
-			} else {
-				rows = appendIota(rows, n)
-			}
-			model.Trees = append(model.Trees, tr.buildTree(rows, rest, feats, gh, raw[c]))
+			// Each tree partitions its own copy of the rows in place, in a
+			// per-trainer buffer refilled instead of reallocated.
+			rows := appendIota(tr.rowBuf[:0], n)
+			model.Trees = append(model.Trees, tr.buildTree(rows, gh, raw[c]))
 		}
 	}
 	return model, raw, nil
@@ -495,36 +460,9 @@ func softmaxProbs(raw, prob [][]float64, pool *parallel.Pool) {
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // appendIota appends 0, 1, …, n-1 to dst.
-func appendIota[T int | int32](dst []T, n int) []T {
+func appendIota(dst []int32, n int) []int32 {
 	for i := 0; i < n; i++ {
-		dst = append(dst, T(i))
-	}
-	return dst
-}
-
-// sampleInto appends a Bernoulli sample of [0,n) to dst (never empty).
-func sampleInto[T int | int32](dst []T, n int, frac float64, rng *rand.Rand) []T {
-	base := len(dst)
-	for i := 0; i < n; i++ {
-		if rng.Float64() < frac {
-			dst = append(dst, T(i))
-		}
-	}
-	if len(dst) == base {
-		dst = append(dst, T(rng.Intn(n)))
-	}
-	return dst
-}
-
-// appendComplement appends the rows of [0,n) that the ascending sample leaves
-// out to dst.
-func appendComplement(dst, sample []int32, n int) []int32 {
-	for i := int32(0); i < int32(n); i++ {
-		if len(sample) > 0 && sample[0] == i {
-			sample = sample[1:]
-			continue
-		}
-		dst = append(dst, i)
+		dst = append(dst, int32(i))
 	}
 	return dst
 }
@@ -631,13 +569,10 @@ type trainer struct {
 	partScratch []int32
 	ordered     []gpair
 
-	// The tree being grown: its candidate features, the round's gradient
-	// pairs and its output group's raw scores, both indexed by row, and each
-	// node's split code (go left when 1 <= code <= splitCodes[node]).
-	feats      []int
-	gh         []gpair
-	score      []float64
-	splitCodes []uint8
+	// The tree being grown: the round's gradient pairs and its output
+	// group's raw scores, both indexed by row.
+	gh    []gpair
+	score []float64
 	// Per-tree buffers reused across trees: the node records in the order the
 	// levels make them, the open nodes of the current and the next level, the
 	// children whose histograms a level builds, and the depth-first walk that
@@ -680,7 +615,7 @@ type bin struct {
 	n    int
 }
 
-// histSet holds the gradient histograms of every candidate feature for one
+// histSet holds the gradient histograms of every feature for one
 // node, flattened with a fixed stride so one allocation serves all features.
 type histSet struct {
 	bins []bin
@@ -728,11 +663,10 @@ type growNode struct {
 	final         int32 // index in Tree.Nodes
 }
 
-// buildTree grows one tree over the given row and feature subsets on the
-// round's gradient pairs gh, one level at a time, and adds its outputs to
-// score on every row: on rows as each leaf is made, the partition having
-// already put them there, and on rest, the rows outside the round's sample,
-// by a walk. rows is partitioned in place as the tree grows.
+// buildTree grows one tree over rows and every feature on the round's
+// gradient pairs gh, one level at a time, and adds its outputs to score as
+// each leaf is made, the partition having already put the leaf's rows there.
+// rows is partitioned in place as the tree grows.
 //
 // A level is two pool regions. The first runs splitNode on each open node:
 // its split scan, partition, leaves and the gather of the child it builds,
@@ -742,8 +676,8 @@ type growNode struct {
 // set. Every value is computed by the same operations in the same order as a
 // depth-first grower would, and the nodes are numbered depth-first at the
 // end, so the tree is the same for any worker count.
-func (tr *trainer) buildTree(rows, rest []int32, feats []int, gh []gpair, score []float64) *Tree {
-	tr.feats, tr.gh, tr.score = feats, gh, score
+func (tr *trainer) buildTree(rows []int32, gh []gpair, score []float64) *Tree {
+	tr.gh, tr.score = gh, score
 	var sumG, sumH float64
 	for _, r := range rows {
 		sumG += gh[r].g
@@ -784,9 +718,7 @@ func (tr *trainer) buildTree(rows, rest []int32, feats []int, gh []gpair, score 
 		}
 		tr.level, tr.next = tr.next, tr.level
 	}
-	t := tr.number()
-	tr.walk(t, rest)
-	return t
+	return tr.number()
 }
 
 // nextLevel hands the histogram sets of the level's nodes on, fills tr.next
@@ -824,8 +756,7 @@ func (tr *trainer) nextLevel() {
 // number lays the grown records out as a Tree, numbered depth-first: a split
 // node's children take the next two indices when it is reached, and the left
 // subtree is numbered before the right, which is the order in which a
-// recursive grower appends them. It records each split node's code in
-// tr.splitCodes under the same index.
+// recursive grower appends them.
 func (tr *trainer) number() *Tree {
 	splits := 0
 	for i := range tr.nodes {
@@ -834,10 +765,6 @@ func (tr *trainer) number() *Tree {
 		}
 	}
 	t := &Tree{Nodes: make([]Node, 1+2*splits)}
-	if cap(tr.splitCodes) < len(t.Nodes) {
-		tr.splitCodes = make([]uint8, len(t.Nodes))
-	}
-	tr.splitCodes = tr.splitCodes[:len(t.Nodes)]
 	next := int32(1)
 	tr.stack = append(tr.stack[:0], 0) // the root record, final index 0
 	for len(tr.stack) > 0 {
@@ -845,7 +772,6 @@ func (tr *trainer) number() *Tree {
 		tr.stack = tr.stack[:len(tr.stack)-1]
 		if nd.left < 0 {
 			t.Nodes[nd.final] = Node{Feature: -1, Value: nd.value, Count: nd.hi - nd.lo}
-			tr.splitCodes[nd.final] = 0
 			continue
 		}
 		l, r := &tr.nodes[nd.left], &tr.nodes[nd.left+1]
@@ -860,7 +786,6 @@ func (tr *trainer) number() *Tree {
 			Count:        nd.hi - nd.lo,
 			DefaultRight: nd.split.defaultRight,
 		}
-		tr.splitCodes[nd.final] = nd.split.binCode
 		tr.stack = append(tr.stack, nd.left+1, nd.left)
 	}
 	return t
@@ -885,40 +810,6 @@ func gather(dst, gh []gpair, rows []int32) {
 	for i, r := range rows {
 		dst[i] = gh[r]
 	}
-}
-
-// walk adds the tree's outputs to the scores of rows, routing each by its bin
-// codes against the split codes the tree was grown with — the comparison the
-// partition made, so a row walked lands where the partition would have put
-// it, and where PredictRow sends its raw values. Row-parallel on the shared
-// pool, each score written once.
-func (tr *trainer) walk(t *Tree, rows []int32) {
-	codes, split, score := tr.binner.codes, tr.splitCodes, tr.score
-	tr.pool.ForChunks(len(rows), rowGrain, func(lo, hi int) {
-		for _, r := range rows[lo:hi] {
-			idx := 0
-			for {
-				n := &t.Nodes[idx]
-				if n.IsLeaf() {
-					score[r] += n.Value
-					break
-				}
-				c := codes[n.Feature][r]
-				switch {
-				case c == 0:
-					if n.DefaultRight {
-						idx = n.Right
-					} else {
-						idx = n.Left
-					}
-				case c <= split[idx]:
-					idx = n.Left
-				default:
-					idx = n.Right
-				}
-			}
-		}
-	})
 }
 
 // needsSplitEval reports whether a node with the given population can be
@@ -1026,13 +917,12 @@ func (tr *trainer) splitNode(i, left int32, depth int) {
 // every bin adds the child's gradient pairs in row order, so results are
 // deterministic for any worker count.
 func (tr *trainer) buildHists() {
-	builds, feats, f := tr.builds, tr.feats, len(tr.feats)
+	builds, f := tr.builds, tr.m
 	tr.pool.ForChunks(len(builds)*f, tr.pool.Grain(len(builds)*f), func(lo, hi int) {
 		for x := lo; x < hi; x++ {
-			bt, k := builds[x/f], x%f
+			bt, j := builds[x/f], x%f
 			c := &tr.nodes[bt.child]
-			j := feats[k]
-			base := k * tr.stride
+			base := j * tr.stride
 			end := base + tr.binner.numBins[j] + 1 // +1 for the missing bin 0
 			hist := c.hist.bins[base:end]
 			clear(hist)
@@ -1054,18 +944,18 @@ func (tr *trainer) buildHists() {
 	})
 }
 
-// bestSplit scans the prebuilt histograms of every candidate feature. The
-// scan is serial in feats order (it is cheap relative to histogram
-// accumulation), which fixes the tie-break deterministically: on equal gain
-// the earliest feature in feats wins, for any worker count.
+// bestSplit scans the prebuilt histograms of every feature. The scan is
+// serial in feature order (it is cheap relative to histogram accumulation),
+// which fixes the tie-break deterministically: on equal gain the earliest
+// feature wins, for any worker count.
 func (tr *trainer) bestSplit(h *histSet, nRows int, sumG, sumH float64) splitResult {
 	cfg := tr.cfg
 	parentScore := sumG * sumG / (sumH + cfg.Lambda)
 	best := splitResult{feature: -1, gain: 0}
 
-	for k, j := range tr.feats {
+	for j := 0; j < tr.m; j++ {
 		nb := tr.binner.numBins[j] + 1
-		base := k * tr.stride
+		base := j * tr.stride
 		hist := h.bins[base : base+nb]
 		miss := hist[0]
 

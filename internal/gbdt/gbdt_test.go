@@ -47,15 +47,13 @@ func TestTrainValidatesConfig(t *testing.T) {
 	cols, labels := linearData(50, 0, 1)
 	bad := []Config{
 		{},
-		{NumTrees: -1, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Subsample: 1, ColSample: 1},
-		{NumTrees: 5, MaxDepth: 0, LearningRate: 0.1, MaxBins: 32, Subsample: 1, ColSample: 1},
-		{NumTrees: 5, MaxDepth: 3, LearningRate: 0, MaxBins: 32, Subsample: 1, ColSample: 1},
-		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 1, Subsample: 1, ColSample: 1},
-		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Subsample: 0, ColSample: 1},
-		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Subsample: 1, ColSample: 2},
-		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Subsample: 1, ColSample: 1, Objective: 9},
-		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Subsample: 1, ColSample: 1, Objective: -1},
-		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Subsample: 1, ColSample: 1, Objective: 3},
+		{NumTrees: -1, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32},
+		{NumTrees: 5, MaxDepth: 0, LearningRate: 0.1, MaxBins: 32},
+		{NumTrees: 5, MaxDepth: 3, LearningRate: 0, MaxBins: 32},
+		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 1},
+		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Objective: 9},
+		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Objective: -1},
+		{NumTrees: 5, MaxDepth: 3, LearningRate: 0.1, MaxBins: 32, Objective: 3},
 	}
 	for i, cfg := range bad {
 		if _, err := Train(cols, labels, nil, cfg); err == nil {
@@ -268,22 +266,6 @@ func TestSquaredObjective(t *testing.T) {
 	mse /= float64(n)
 	if mse > 1.0 {
 		t.Errorf("regression MSE = %v, want <= 1.0 (target range [0,30])", mse)
-	}
-}
-
-func TestSubsamplingStillLearns(t *testing.T) {
-	cols, labels := linearData(2000, 2, 12)
-	cfg := DefaultConfig()
-	cfg.Subsample = 0.7
-	cfg.ColSample = 0.8
-	cfg.Seed = 5
-	model, err := Train(cols, labels, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auc := metrics.AUC(model.Predict(cols), labels)
-	if auc < 0.9 {
-		t.Errorf("AUC with subsampling = %v, want >= 0.9", auc)
 	}
 }
 

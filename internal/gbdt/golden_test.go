@@ -56,68 +56,66 @@ func goldenData() (cols [][]float64, labels func(Objective) []float64) {
 	return cols, labels
 }
 
-// goldenModels trains every objective on goldenData under each (row, column)
-// subsample pair in subs, with shape applied to the default configuration,
-// and renders each model's MarshalJSON bytes, one line per case.
-func goldenModels(t *testing.T, subs [][2]float64, shape func(*Config)) string {
+// goldenModels trains every objective on goldenData, with shape applied to
+// the default configuration, and renders each model's MarshalJSON bytes, one
+// line per objective.
+func goldenModels(t *testing.T, shape func(*Config)) string {
 	cols, labels := goldenData()
-	return renderModels(t, cols, labels, subs, shape)
+	return renderModels(t, cols, labels, shape)
 }
 
-// renderModels is goldenModels on a given frame.
-func renderModels(t *testing.T, cols [][]float64, labels func(Objective) []float64, subs [][2]float64, shape func(*Config)) string {
+// renderModels is goldenModels on a given frame. Each line keeps the
+// "subsample=1 colsample=1" of the recorded files, which were written while
+// the booster still had row and column subsampling; their lines for
+// subsampled models were removed with it.
+func renderModels(t *testing.T, cols [][]float64, labels func(Objective) []float64, shape func(*Config)) string {
 	t.Helper()
 	var b strings.Builder
 	for _, obj := range []Objective{Logistic, Squared, Softmax} {
-		for _, sub := range subs {
-			cfg := DefaultConfig()
-			shape(&cfg)
-			cfg.Seed = 3
-			cfg.Objective = obj
-			if obj == Softmax {
-				cfg.NumClass = 3
-			}
-			cfg.Subsample, cfg.ColSample = sub[0], sub[1]
-			model, err := Train(cols, labels(obj), nil, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := model.MarshalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&b, "objective=%d subsample=%g colsample=%g %s\n", obj, sub[0], sub[1], data)
+		cfg := DefaultConfig()
+		shape(&cfg)
+		cfg.Objective = obj
+		if obj == Softmax {
+			cfg.NumClass = 3
 		}
+		model, err := Train(cols, labels(obj), nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := model.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "objective=%d subsample=1 colsample=1 %s\n", obj, data)
 	}
 	return b.String()
 }
 
 // TestTrainMatchesRecordedModels: Train on goldenData marshals, byte for
 // byte, to the models testdata/golden_models.txt records — Logistic, Squared
-// and Softmax(3), each with and without subsampling. The file was written by
+// and Softmax(3). The file was written by
 // this test, run once with a write in place of the comparison on a clone of
 // the commit whose Train still boosted raw columns in a loop of its own per
 // objective; it is never regenerated from the code it checks. It pins that
 // Train is BinColumns then TrainBinned, and that one boosting loop serves
 // every objective.
 func TestTrainMatchesRecordedModels(t *testing.T) {
-	got := goldenModels(t, [][2]float64{{1, 1}, {0.7, 0.6}}, func(cfg *Config) {
+	got := goldenModels(t, func(cfg *Config) {
 		cfg.NumTrees, cfg.MaxDepth = 8, 4
 	})
 	checkRecorded(t, "golden_models.txt", got)
 }
 
 // TestTrainMatchesRecordedDeepModels: the same on deeper trees over finer
-// bins — MaxDepth 6, MinChildCount 5 and MaxBins 255, with row subsampling
-// off and at 0.3 — so that the recorded bytes hold leaves MinChildCount
-// forces, splits between bins of a few rows, and rounds where most rows are
-// outside the sample and reach their leaves by a walk.
+// bins — MaxDepth 6, MinChildCount 5 and MaxBins 255 — so that the recorded
+// bytes hold leaves MinChildCount forces and splits between bins of a few
+// rows.
 // testdata/golden_models_deep.txt was written by this test, run once with a
 // write in place of the comparison on a clone of the commit whose rows still
 // walked every new tree for their scores (before the partition updated them);
 // it is never regenerated from the code it checks.
 func TestTrainMatchesRecordedDeepModels(t *testing.T) {
-	got := goldenModels(t, [][2]float64{{1, 1}, {0.3, 1}}, func(cfg *Config) {
+	got := goldenModels(t, func(cfg *Config) {
 		cfg.NumTrees, cfg.MaxDepth, cfg.MinChildCount, cfg.MaxBins = 8, 6, 5, 255
 	})
 	checkRecorded(t, "golden_models_deep.txt", got)
@@ -176,14 +174,14 @@ func wideData() (cols [][]float64, labels func(Objective) []float64) {
 // to split, so the recorded bytes hold every route a child's histogram takes:
 // both children (the smaller built, the larger by subtraction), the smaller
 // alone, and the larger alone by subtracting its built sibling from the
-// parent. Every objective, with row subsampling off and at 0.5. The file was
+// parent. Every objective. The file was
 // written by this test, run once with a write in place of the comparison on a
 // clone of the commit whose trainer still grew each tree depth-first, one
 // node at a time; it is never regenerated from the code it checks.
 func TestTrainMatchesRecordedWideModels(t *testing.T) {
 	cols, labels := wideData()
 	for _, workers := range []int{1, 2, 3, 8} {
-		got := renderModels(t, cols, labels, [][2]float64{{1, 1}, {0.5, 1}}, func(cfg *Config) {
+		got := renderModels(t, cols, labels, func(cfg *Config) {
 			cfg.NumTrees, cfg.MaxDepth, cfg.MinChildWeight, cfg.Workers = 4, 5, 20, workers
 		})
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -3,7 +3,6 @@ package gbdt
 import (
 	"bytes"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -122,27 +121,5 @@ func TestLoadRejectsCorruptModels(t *testing.T) {
 		if _, err := Load(bytes.NewReader([]byte(c))); err == nil {
 			t.Errorf("case %d accepted: %s", i, c)
 		}
-	}
-}
-
-func TestDump(t *testing.T) {
-	cols, labels := linearData(400, 0, 25)
-	model, err := Train(cols, labels, []string{"alpha", "beta"}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := model.Dump(&buf, 2); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "tree 0:") || !strings.Contains(out, "alpha") {
-		t.Errorf("dump missing content:\n%s", out)
-	}
-	if strings.Count(out, "tree ") != 2 {
-		t.Errorf("maxTrees ignored: %d trees dumped", strings.Count(out, "tree "))
-	}
-	if !strings.Contains(out, "leaf=") {
-		t.Error("dump missing leaves")
 	}
 }

@@ -9,15 +9,13 @@ import (
 )
 
 // TestTrainingScoresMatchPredict: the raw scores the booster keeps while it
-// trains — added leaf by leaf on the rows the partition placed, and by a walk
-// on bin codes for the rows outside a round's sample — are, bit for bit, the
-// base score plus the sum of every tree's PredictRow on the raw row, for every
-// objective, with and without row subsampling, and equal to the one-worker
-// scores on any worker count. The rows outnumber rowGrain, so the walk is
-// split into chunks whenever there is more than one worker, and a level's
-// nodes and histogram tasks are shared with the pool. The columns carry NaN
-// and ±Inf cells, so missing-value directions and the extreme bins are walked
-// too.
+// trains — added leaf by leaf on the rows the partition placed — are, bit for
+// bit, the base score plus the sum of every tree's PredictRow on the raw row,
+// for every objective, and equal to the one-worker scores on any worker
+// count. The rows outnumber rowGrain, so the softmax is split into chunks
+// whenever there is more than one worker, and a level's nodes and histogram
+// tasks are shared with the pool. The columns carry NaN and ±Inf cells, so
+// missing-value directions and the extreme bins are placed too.
 func TestTrainingScoresMatchPredict(t *testing.T) {
 	const n, m = 3*rowGrain + 100, 6
 	rng := rand.New(rand.NewSource(29))
@@ -62,21 +60,15 @@ func TestTrainingScoresMatchPredict(t *testing.T) {
 	}
 
 	// Depth 1 leaves hold more than rowGrain rows each, and their leaf updates
-	// run side by side on the pool; depth 5 gives the out-of-sample walk deep
-	// paths.
-	type shape struct {
-		sub   float64
-		depth int
-	}
+	// run side by side on the pool; depth 5 gives deep paths.
 	row := make([]float64, m)
 	for _, obj := range []Objective{Logistic, Squared, Softmax} {
-		for _, sh := range []shape{{1, 1}, {1, 5}, {0.5, 1}, {0.5, 5}} {
+		for _, depth := range []int{1, 5} {
 			var serial [][]float64 // the one-worker scores
 			for _, workers := range []int{1, 2, 3, 8} {
-				name := fmt.Sprintf("objective=%d subsample=%g depth=%d workers=%d", obj, sh.sub, sh.depth, workers)
+				name := fmt.Sprintf("objective=%d depth=%d workers=%d", obj, depth, workers)
 				cfg := DefaultConfig()
-				cfg.NumTrees, cfg.MaxDepth, cfg.Seed = 6, sh.depth, 4
-				cfg.Subsample, cfg.ColSample, cfg.Workers = sh.sub, 0.8, workers
+				cfg.NumTrees, cfg.MaxDepth, cfg.Workers = 6, depth, workers
 				if obj == Softmax {
 					cfg.NumClass = 3
 				}

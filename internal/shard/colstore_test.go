@@ -51,12 +51,11 @@ func clusteredFrame(rows, dim int, task string, classes int) *frame.Frame {
 	return f
 }
 
-// TestShardedFitColstoreSkipsBlocks holds a fit from a colstore file of
-// row-clustered data in 100-row groups — the layout block-stat pass skipping
-// once paid off on, before every column was cut on the grid passes, which
-// read every block — to exactly the features the in-memory engine selects,
-// for every task family, through the streaming and the mapped reader.
-func TestShardedFitColstoreSkipsBlocks(t *testing.T) {
+// TestShardedFitColstoreMatchesInMemory holds a fit from a colstore file of
+// row-clustered data in 100-row groups to exactly the features the in-memory
+// engine selects, for every task family, through the streaming and the
+// mapped reader.
+func TestShardedFitColstoreMatchesInMemory(t *testing.T) {
 	cases := []struct {
 		name    string
 		task    core.Task

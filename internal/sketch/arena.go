@@ -3,17 +3,15 @@ package sketch
 import "sync"
 
 // Arena recycles the transient objects the sharded fit's streaming passes
-// churn through: per-partition quantile sketch partials, float/int/code scratch
-// columns, and Gram partials — computed by a local kernel or, on a
-// distributed fit's coordinator, decoded off the wire (DecodeQuantile and
-// DecodeGram in wire.go). Everything handed out is logically fresh —
-// sketches are Reset, accumulators zeroed, overwrite-only buffers handed
-// out as-is — so reuse never changes any computed statistic; it only
-// removes the allocation churn that dominated the sharded engine's profile
-// (partial sketches alone were ~80% of allocs).
+// churn through: float/int/code scratch columns and Gram partials — computed
+// by a local kernel or, on a distributed fit's coordinator, decoded off the
+// wire (Arena.DecodeGram in wire.go). Everything handed out is logically
+// fresh — accumulators zeroed, overwrite-only buffers handed out as-is — so
+// reuse never changes any computed statistic; it only removes the allocation
+// churn of the per-chunk passes.
 //
-// A nil *Arena pools nothing — Quantile and Gram allocate, PutQuantile and
-// PutGram drop — which is how the wire decoders serve a caller that has none.
+// A nil *Arena pools no Gram — Gram allocates, PutGram drops — which is how
+// DecodeGram serves a caller that has none.
 //
 // An Arena is safe for concurrent use: partition workers take objects while
 // the ordered fold returns them from a different goroutine. Operations are
@@ -21,7 +19,6 @@ import "sync"
 // per-chunk work they bracket.
 type Arena struct {
 	mu     sync.Mutex
-	quants map[int][]*Quantile
 	floats [][]float64
 	int32s [][]int32
 	bytes  [][]uint8
@@ -31,51 +28,8 @@ type Arena struct {
 // maxArenaSlices bounds each retained slice pool.
 const maxArenaSlices = 64
 
-// maxArenaQuants bounds the retained quantile pool per size. A sketch pass
-// holds one partial per sketched column simultaneously — hundreds for wide
-// inputs — so this is far above maxArenaSlices: a pooled partial retains only
-// compacted backings (see AddSortedScratch), and letting the pool cover every
-// column is what makes the pass allocation-free in steady state.
-const maxArenaQuants = 1024
-
 // NewArena creates an empty arena.
-func NewArena() *Arena {
-	return &Arena{quants: make(map[int][]*Quantile)}
-}
-
-// Quantile returns a fresh (reset) sketch of the given per-level size.
-func (a *Arena) Quantile(size int) *Quantile {
-	if size <= 0 {
-		size = DefaultSize
-	}
-	if a == nil {
-		return NewQuantile(size)
-	}
-	a.mu.Lock()
-	pool := a.quants[size]
-	if n := len(pool); n > 0 {
-		q := pool[n-1]
-		pool[n-1] = nil
-		a.quants[size] = pool[:n-1]
-		a.mu.Unlock()
-		return q
-	}
-	a.mu.Unlock()
-	return NewQuantile(size)
-}
-
-// PutQuantile resets a sketch and returns it to the pool.
-func (a *Arena) PutQuantile(q *Quantile) {
-	if a == nil || q == nil {
-		return
-	}
-	q.Reset()
-	a.mu.Lock()
-	if len(a.quants[q.size]) < maxArenaQuants {
-		a.quants[q.size] = append(a.quants[q.size], q)
-	}
-	a.mu.Unlock()
-}
+func NewArena() *Arena { return &Arena{} }
 
 // takeSlice pops a pooled slice with capacity for n elements, or allocates
 // one; the contents are unspecified.

@@ -3,38 +3,16 @@ package sketch
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 // TestArenaRecycling pins the arena's reuse contract for every pooled kind:
 // a returned object comes back on the next take of a compatible size, and
-// everything handed out is logically fresh (sketches reset, accumulators
-// zeroed) so reuse can never change a computed statistic.
+// everything handed out is logically fresh (accumulators zeroed) so reuse
+// can never change a computed statistic.
 func TestArenaRecycling(t *testing.T) {
 	a := NewArena()
-
-	// Quantile: pooled per size; handed back reset.
-	q := a.Quantile(128)
-	q.AddAll([]float64{3, 1, 2, math.NaN()})
-	a.PutQuantile(q)
-	q2 := a.Quantile(128)
-	if q2 != q {
-		t.Error("quantile of the pooled size not reused")
-	}
-	if q2.Count() != 0 || q2.NaNCount() != 0 {
-		t.Errorf("pooled quantile not reset: count=%d nan=%d", q2.Count(), q2.NaNCount())
-	}
-	if a.Quantile(256) == q2 {
-		t.Error("quantile reused across sizes")
-	}
-	if got := a.Quantile(0).Size(); got != DefaultSize {
-		t.Errorf("Quantile(0) size = %d, want DefaultSize", got)
-	}
-	a.PutQuantile(nil) // no-op, must not panic
 
 	// Floats / Int32s: first-fit by capacity, contents unspecified.
 	f := a.Floats(100)
@@ -76,12 +54,6 @@ func TestArenaRecycling(t *testing.T) {
 // growing without bound.
 func TestArenaPoolBounds(t *testing.T) {
 	a := NewArena()
-	for i := 0; i < maxArenaQuants+10; i++ {
-		a.PutQuantile(NewQuantile(64))
-	}
-	if n := len(a.quants[64]); n != maxArenaQuants {
-		t.Errorf("quantile pool grew to %d, cap is %d", n, maxArenaQuants)
-	}
 	for i := 0; i < maxArenaSlices+10; i++ {
 		a.PutFloats(make([]float64, 4))
 		a.PutInt32s(make([]int32, 4))
@@ -156,86 +128,5 @@ func TestSortNonNaNMatchesSortFloat64s(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestQuantileTrimScratch: trimming drops the retained merge-phase scratch
-// (free lists, bulk buffer, memoised merged summary) but never the logical
-// content — ranks, counts and cuts answer identically after a trim, and the
-// sketch keeps accepting values.
-func TestQuantileTrimScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	q := NewQuantile(256)
-	vals := make([]float64, 20000)
-	for i := range vals {
-		vals[i] = rng.NormFloat64()
-	}
-	q.AddAll(vals[:15000])
-
-	before := make([]float64, 0, 9)
-	for _, frac := range []int64{0, 1, 2, 3, 4} {
-		before = append(before, q.RankValue(frac*q.Count()/5))
-	}
-	q.TrimScratch()
-	for i, frac := range []int64{0, 1, 2, 3, 4} {
-		if got := q.RankValue(frac * q.Count() / 5); got != before[i] {
-			t.Fatalf("rank %d/5 changed across TrimScratch: %v -> %v", frac, before[i], got)
-		}
-	}
-	// Still usable: counts keep folding and bounds stay sane.
-	q.AddAll(vals[15000:])
-	if q.Count() != 20000 {
-		t.Fatalf("count after trim+add: %d", q.Count())
-	}
-	if q.ErrorBound() < 0 {
-		t.Fatal("negative error bound")
-	}
-}
-
-// TestQuantileReleasePoints: releasing the summary keeps exactly what the fit
-// reads once a refiner has the brackets — Count, NaNCount, Min, Max,
-// ErrorBound — the refiner opened beforehand still resolves exact cuts, a rank
-// query on the emptied sketch is a loud bug rather than a wrong answer, and
-// Reset hands back a fresh sketch.
-func TestQuantileReleasePoints(t *testing.T) {
-	xs := refTestColumn(20000, 29, "nan")
-	q := NewQuantile(256)
-	q.AddAll(xs)
-	count, nan, min, max, bound := q.Count(), q.NaNCount(), q.Min(), q.Max(), q.ErrorBound()
-	if bound == 0 {
-		t.Fatal("sketch unexpectedly lossless; shrink the size")
-	}
-	ref := NewRefiner(q, CutRanks(count, 10))
-	q.ReleasePoints()
-	if q.Count() != count || q.NaNCount() != nan || q.Min() != min || q.Max() != max || q.ErrorBound() != bound {
-		t.Fatalf("ReleasePoints changed the exact statistics: %d/%d/%v/%v/%d, want %d/%d/%v/%v/%d",
-			q.Count(), q.NaNCount(), q.Min(), q.Max(), q.ErrorBound(), count, nan, min, max, bound)
-	}
-	ref.AddChunk(xs)
-	if err := ref.Err(); err != nil {
-		t.Fatal(err)
-	}
-	got, want := ExactCuts(q, ref, 10), stats.Quantiles(xs, 10)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cuts off a released sketch's refiner: %v, want %v", got, want)
-	}
-	for name, use := range map[string]func(){
-		"RankValue": func() { q.RankValue(count / 2) },
-		"Merge":     func() { NewQuantile(256).Merge(q) },
-		"encode":    func() { AppendQuantile(nil, q) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a released sketch did not panic", name)
-				}
-			}()
-			use()
-		}()
-	}
-	q.Reset()
-	q.AddAll(xs[:100])
-	if q.Count() == 0 || math.IsNaN(q.RankValue(0)) {
-		t.Fatal("a Reset sketch is not usable again")
 	}
 }

@@ -64,12 +64,12 @@ func checkQuantile(t *testing.T, tag string, q *Quantile, sorted []float64, nan 
 	}
 	n := int64(len(sorted))
 	for _, r := range []int64{0, n / 4, n / 2, 3 * n / 4, n - 1} {
-		v := q.RankValue(r)
+		v := rankValue(q, r)
 		if math.IsNaN(v) {
-			t.Fatalf("%s: RankValue(%d) = NaN over %d values", tag, r, n)
+			t.Fatalf("%s: rankValue(%d) = NaN over %d values", tag, r, n)
 		}
 		if d := rankDist(sorted, v, r); d > bound {
-			t.Fatalf("%s: RankValue(%d) = %v is %d ranks off (tracked bound %d)",
+			t.Fatalf("%s: rankValue(%d) = %v is %d ranks off (tracked bound %d)",
 				tag, r, v, d, bound)
 		}
 	}
@@ -152,152 +152,10 @@ func FuzzQuantileMergeOrderInvariance(f *testing.F) {
 	})
 }
 
-// FuzzHistMerge drives the mergeable criterion histograms the sharded
-// selection stage folds across partitions: ClassHist counts must merge
-// exactly (they are integral), and MomentHist's partition-parallel
-// BinIDs+AddBinned replay must be bit-identical to the sequential pass,
-// with Merge agreeing up to float regrouping.
-func FuzzHistMerge(f *testing.F) {
-	f.Add([]byte("histogram counts merge exactly, always"), uint8(5), uint8(3), uint8(2))
-	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0xf0, 0x7f, 9, 9, 9, 9, 9, 9, 9, 9}, uint8(1), uint8(2), uint8(4))
-	f.Fuzz(func(t *testing.T, data []byte, nc, kk, pn uint8) {
-		vals := fuzzFloats(data)
-		k := 2 + int(kk%5)
-		parts := 1 + int(pn%4)
-
-		// Cut points: distinct finite values drawn from the data itself,
-		// ascending — the shape ExactCuts produces.
-		uniq := map[float64]bool{}
-		cuts := make([]float64, 0, int(nc%16))
-		for _, v := range vals {
-			if len(cuts) == cap(cuts) {
-				break
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) || uniq[v] {
-				continue
-			}
-			uniq[v] = true
-			cuts = append(cuts, v)
-		}
-		sort.Float64s(cuts)
-
-		// Labels: class indices for ClassHist, reused as continuous targets
-		// for MomentHist. Derived from the same bytes, offset by one.
-		labels := make([]float64, len(vals))
-		for i := range labels {
-			b := byte(0)
-			if i+1 < len(data) {
-				b = data[i+1]
-			}
-			labels[i] = float64(int(b) % (k + 1)) // includes out-of-range k
-		}
-
-		// ClassHist: sequential pass vs per-partition shadows merged in
-		// reverse order — integral counts make the fold exact.
-		seq := NewClassHist(cuts, k)
-		seq.AddCol(vals, labels)
-		merged := NewClassHist(cuts, k)
-		var shadows []*ClassHist
-		lo := 0
-		for _, c := range splitParts(vals, parts) {
-			sh := merged.Shadow()
-			sh.AddCol(c, labels[lo:lo+len(c)])
-			shadows = append(shadows, sh)
-			lo += len(c)
-		}
-		for i := len(shadows) - 1; i >= 0; i-- {
-			if err := merged.Merge(shadows[i]); err != nil {
-				t.Fatalf("ClassHist.Merge: %v", err)
-			}
-		}
-		for i := range seq.flat {
-			if merged.flat[i] != seq.flat[i] {
-				t.Fatalf("ClassHist count[%d] = %v merged, %v sequential", i, merged.flat[i], seq.flat[i])
-			}
-		}
-		for c := range seq.nan {
-			if merged.nan[c] != seq.nan[c] {
-				t.Fatalf("ClassHist nan[%d] = %v merged, %v sequential", c, merged.nan[c], seq.nan[c])
-			}
-		}
-		if mc, sc := merged.Criterion(), seq.Criterion(); mc != sc && !(math.IsNaN(mc) && math.IsNaN(sc)) {
-			t.Fatalf("ClassHist criterion %v merged, %v sequential", mc, sc)
-		}
-
-		// MomentHist: the partition-parallel replay (BinIDs concurrently,
-		// AddBinned folded in partition order) must reproduce the sequential
-		// pass bit for bit — this is the sharded regression pass's exactness
-		// contract.
-		mseq := NewMomentHist(cuts)
-		mseq.AddCol(vals, labels)
-		mrep := NewMomentHist(cuts)
-		lo = 0
-		for _, c := range splitParts(vals, parts) {
-			ids := make([]int32, len(c))
-			mrep.BinIDs(c, ids)
-			mrep.AddBinned(ids, labels[lo:lo+len(c)])
-			lo += len(c)
-		}
-		for b := range mseq.cnt {
-			if mrep.cnt[b] != mseq.cnt[b] {
-				t.Fatalf("MomentHist cnt[%d] = %v replayed, %v sequential", b, mrep.cnt[b], mseq.cnt[b])
-			}
-			if math.Float64bits(mrep.sum[b]) != math.Float64bits(mseq.sum[b]) {
-				t.Fatalf("MomentHist sum[%d] = %x replayed, %x sequential",
-					b, math.Float64bits(mrep.sum[b]), math.Float64bits(mseq.sum[b]))
-			}
-			if math.Float64bits(mrep.sumsq[b]) != math.Float64bits(mseq.sumsq[b]) {
-				t.Fatalf("MomentHist sumsq[%d] = %x replayed, %x sequential",
-					b, math.Float64bits(mrep.sumsq[b]), math.Float64bits(mseq.sumsq[b]))
-			}
-		}
-		if mrep.nanN != mseq.nanN {
-			t.Fatalf("MomentHist nan = %v replayed, %v sequential", mrep.nanN, mseq.nanN)
-		}
-
-		// MomentHist.Merge regroups float sums, so counts stay exact and
-		// sums agree to a relative tolerance.
-		mmrg := NewMomentHist(cuts)
-		lo = 0
-		for _, c := range splitParts(vals, parts) {
-			mp := NewMomentHist(cuts)
-			mp.AddCol(c, labels[lo:lo+len(c)])
-			lo += len(c)
-			if err := mmrg.Merge(mp); err != nil {
-				t.Fatalf("MomentHist.Merge: %v", err)
-			}
-		}
-		for b := range mseq.cnt {
-			if mmrg.cnt[b] != mseq.cnt[b] {
-				t.Fatalf("MomentHist merged cnt[%d] = %v, want %v", b, mmrg.cnt[b], mseq.cnt[b])
-			}
-			if !closeEnough(mmrg.sum[b], mseq.sum[b]) {
-				t.Fatalf("MomentHist merged sum[%d] = %v, want %v", b, mmrg.sum[b], mseq.sum[b])
-			}
-			if !closeEnough(mmrg.sumsq[b], mseq.sumsq[b]) {
-				t.Fatalf("MomentHist merged sumsq[%d] = %v, want %v", b, mmrg.sumsq[b], mseq.sumsq[b])
-			}
-		}
-	})
-}
-
-// closeEnough compares float sums that may have been regrouped: exact for
-// specials, relative 1e-9 otherwise.
-func closeEnough(a, b float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.IsNaN(a) && math.IsNaN(b)
-	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return a == b
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= 1e-9*math.Max(scale, 1)
-}
-
-// FuzzRefinerBracket drives the exact-cut path the sharded engine runs —
-// budgeted per-partition partials merged into a larger sketch, ±ErrorBound
-// brackets, per-partition gathers — over arbitrary bit patterns, sketch sizes
+// FuzzRefinerBracket drives the sketch-and-refine exact-cut path — budgeted
+// per-partition partials merged into a larger sketch, ±ErrorBound brackets,
+// every partition fed to one refiner through AddChunk — over arbitrary bit
+// patterns, sketch sizes
 // from 2 up, partial budgets from the full size down to a single point, one
 // to 64 partitions, and (asc) the column sorted first, so that contiguous
 // partitions hold disjoint value ranges. Every bracket must contain its order

@@ -8,8 +8,7 @@ import (
 // DefaultSize is the default per-level summary size of a Quantile sketch.
 // Larger sizes buy tighter rank bounds linearly at linearly more memory; a
 // sketch that is fed at most its own size in distinct values summarises them
-// losslessly. (The sharded engine's per-partition partials are built at a
-// smaller size of their own and merged into sketches of this one.)
+// losslessly.
 const DefaultSize = 8192
 
 // wpoint is one weighted coreset point: a representative value standing in
@@ -20,10 +19,10 @@ type wpoint struct {
 }
 
 // Quantile is a deterministic mergeable quantile summary. Values arrive as
-// sorted runs — AddSortedScratch, the sharded passes' path, or AddAll, which
-// sorts a column into one — and partitions summarised independently combine
+// sorted runs — AddSortedScratch after SortNonNaN, or AddAll, which sorts a
+// column into one — and partitions summarised independently combine
 // with Merge. Count, Min, Max and NaNCount are exact; rank queries
-// (RankValue, Cuts) are exact while the data fits one level and carry a
+// (Cuts, BinnerCuts) are exact while the data fits one level and carry a
 // tracked worst-case rank error (ErrorBound) beyond that.
 //
 // Internally the sketch is an LSM over weighted coresets: each run becomes a
@@ -37,8 +36,7 @@ type wpoint struct {
 //
 // Retired point-slice backings recycle through an internal free list and the
 // full merged summary is memoised between mutations, so a sketch that is
-// queried repeatedly (or Reset and refilled through an Arena) allocates only
-// during warm-up. None of the reuse changes any computed summary: the
+// queried repeatedly (or Reset and refilled) allocates only during warm-up. None of the reuse changes any computed summary: the
 // arithmetic is identical to a freshly allocated sketch.
 type Quantile struct {
 	size     int
@@ -54,8 +52,6 @@ type Quantile struct {
 	mcache      []wpoint // memoised merged(); may alias a level slice
 	mcacheOwned bool     // mcache backing is scratch (not a level alias)
 	mvalid      bool
-
-	released bool // ReleasePoints ran: the summary is gone until Reset
 }
 
 // maxFree bounds the retained free-list backings per sketch.
@@ -79,7 +75,6 @@ func (q *Quantile) Size() int { return q.size }
 func (q *Quantile) Reset() {
 	q.count, q.nan = 0, 0
 	q.min, q.max = math.Inf(1), math.Inf(-1)
-	q.released = false
 	q.dirty()
 	for i := range q.levels {
 		q.putFree(q.levels[i])
@@ -88,40 +83,6 @@ func (q *Quantile) Reset() {
 	}
 	q.levels = q.levels[:0]
 	q.errs = q.errs[:0]
-}
-
-// TrimScratch releases the sketch's reusable scratch — retired free-list
-// backings, the AddAll sort buffer, and the memoised merged summary — keeping
-// the logical content intact. Call it on a sketch that has finished its
-// merge phase: hundreds of sketches each holding cascade scratch is what
-// dominated the sharded fit's resident heap, and queries after a trim simply
-// rebuild what they need.
-func (q *Quantile) TrimScratch() {
-	q.mcache, q.mcacheOwned, q.mvalid = nil, false, false
-	q.free = nil
-	q.bulk = nil
-}
-
-// ReleasePoints drops the summary itself — every level's point list and all
-// scratch — and keeps what is exact or already settled: Count, NaNCount,
-// Min, Max and ErrorBound. For a sketch whose rank queries have been handed
-// to a Refiner: the refiner holds the brackets, and the point lists of
-// hundreds of sketches are the rest of their resident size. Rank
-// queries, Merge and encoding panic afterwards, until Reset makes the sketch
-// fresh again.
-func (q *Quantile) ReleasePoints() {
-	q.TrimScratch()
-	for i := range q.levels {
-		q.levels[i] = nil
-	}
-	q.released = true
-}
-
-// mustHavePoints guards every path that reads or extends the summary.
-func (q *Quantile) mustHavePoints() {
-	if q.released {
-		panic("sketch: Quantile used after ReleasePoints")
-	}
 }
 
 // dirty invalidates the memoised merged summary, retiring an owned backing.
@@ -214,7 +175,6 @@ func (q *Quantile) addSorted(sorted []float64, nan int, s *SortScratch) {
 	if len(sorted) == 0 {
 		return
 	}
-	q.mustHavePoints()
 	q.dirty()
 	q.count += int64(len(sorted))
 	if sorted[0] < q.min {
@@ -278,14 +238,12 @@ func (q *Quantile) ErrorBound() int64 {
 // Merge folds another sketch into q. The sizes need not agree: o's levels are
 // concatenated into q's exactly, carrying their own error bounds, and only a
 // level that outgrows q's size is compacted, to q's size. A small o therefore
-// merges into a larger q with no recompaction and no error beyond its own —
-// how the sharded engine folds budgeted partition partials. o is unchanged.
+// merges into a larger q with no recompaction and no error beyond its own.
+// o is unchanged.
 func (q *Quantile) Merge(o *Quantile) {
 	if o == nil {
 		return
 	}
-	o.mustHavePoints()
-	q.mustHavePoints()
 	q.dirty()
 	q.count += o.count
 	q.nan += o.nan
@@ -418,10 +376,9 @@ func compactPoints(pts []wpoint, size int) ([]wpoint, int64) {
 }
 
 // merged returns the sketch's full summary as one sorted weighted list,
-// without mutating the sketch's logical content. The result is memoised until the next mutation and must not be
-// retained across one.
+// without mutating the sketch's logical content. The result is memoised
+// until the next mutation and must not be retained across one.
 func (q *Quantile) merged() []wpoint {
-	q.mustHavePoints()
 	if q.mvalid {
 		return q.mcache
 	}
@@ -443,30 +400,6 @@ func (q *Quantile) merged() []wpoint {
 	}
 	q.mcache, q.mcacheOwned, q.mvalid = all, owned, true
 	return all
-}
-
-// RankValue returns the value at the given 0-based rank (nearest-rank
-// definition over the non-NaN values), within ErrorBound ranks. Ranks are
-// clamped to [0, Count-1]. NaN is returned for an empty sketch.
-func (q *Quantile) RankValue(rank int64) float64 {
-	if q.count == 0 {
-		return math.NaN()
-	}
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= q.count {
-		rank = q.count - 1
-	}
-	pts := q.merged()
-	var cum int64
-	for _, p := range pts {
-		cum += p.w
-		if rank < cum {
-			return p.v
-		}
-	}
-	return pts[len(pts)-1].v
 }
 
 // Cuts returns the k interior cut points of a k+1-quantile split — the same

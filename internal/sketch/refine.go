@@ -24,9 +24,8 @@ import (
 // Brackets that collapse to a single value (duplicate-heavy regions,
 // constant columns) resolve without gathering, so heavy duplication cannot
 // inflate the gather buffers; strictly-interior values per target are
-// bounded by the bracket's rank span. AddChunk is one-pass streaming and
-// Merge combines refiners built over disjoint partitions, keeping the whole
-// construction mergeable.
+// bounded by the bracket's rank span. AddChunk is one-pass streaming: a
+// column's chunks go to one refiner in any order.
 type Refiner struct {
 	ranks    []int64 // requested target ranks, ascending, deduplicated
 	lo, hi   []float64
@@ -41,14 +40,14 @@ type Refiner struct {
 	lowCount  []int64
 	err       error // set by finalize: the first target outside its bracket
 
-	idx *edgeIndex // shared bucket table over lo (nil: binary search)
+	idx *edgeIndex // bucket table over lo (nil: binary search)
 }
 
 // edgeIndex is a uniform bucket table over a refiner's ascending lo edges,
 // the CutIndexer trick specialised to AddChunk's upper-bound search: find(v)
 // returns the number of edges <= v with one multiply and a short corrective
 // scan, exact for every finite v regardless of rounding in the bucket
-// mapping. Built once per refiner and shared read-only by its shadows.
+// mapping. Built once per refiner.
 type edgeIndex struct {
 	lo      []float64
 	base    float64
@@ -130,7 +129,7 @@ func (e *edgeIndex) find(v float64) int {
 
 // NewRefiner brackets the given target ranks (ascending, in [0, Count))
 // using the sketch's current summary. A lossless sketch resolves every
-// target immediately — NeedsPass reports whether a gather pass is required.
+// target immediately, and AddChunk then gathers nothing.
 func NewRefiner(q *Quantile, ranks []int64) *Refiner {
 	r := &Refiner{
 		ranks:    append([]int64(nil), ranks...),
@@ -198,33 +197,6 @@ func fillValuesAtRanks(pts []wpoint, ranks []int64, off int64, dst []float64) {
 	}
 }
 
-// Shadow returns a refiner sharing r's targets and brackets (read-only) with
-// fresh accumulators, so partitions can gather concurrently and fold back in
-// order with r.Merge. A shadow must not outlive r.
-func (r *Refiner) Shadow() *Refiner {
-	return &Refiner{
-		ranks:    r.ranks,
-		lo:       r.lo,
-		hi:       r.hi,
-		resolved: r.resolved,
-		lowDelta: make([]int64, len(r.ranks)+1),
-		loEq:     make([]int64, len(r.ranks)),
-		hiEq:     make([]int64, len(r.ranks)),
-		mid:      make([][]float64, len(r.ranks)),
-		idx:      r.idx,
-	}
-}
-
-// NeedsPass reports whether any target still needs gathered values.
-func (r *Refiner) NeedsPass() bool {
-	for t := range r.resolved {
-		if !r.resolved[t] {
-			return true
-		}
-	}
-	return false
-}
-
 // AddChunk streams one chunk of the column (NaNs skipped, as everywhere).
 func (r *Refiner) AddChunk(vals []float64) {
 	nt := len(r.ranks)
@@ -238,7 +210,7 @@ func (r *Refiner) AddChunk(vals []float64) {
 			continue
 		}
 		// Targets with lo > v form a suffix; record one delta at its start.
-		// The shared bucket table answers the upper-bound search in O(1) for
+		// The bucket table answers the upper-bound search in O(1) for
 		// the overwhelmingly common outside-every-bracket case; skewed edge
 		// layouts fall back to the inlined binary search (closure-based
 		// sort.Search showed up in profiles).
@@ -288,67 +260,6 @@ func (r *Refiner) AddChunk(vals []float64) {
 			}
 		}
 	}
-}
-
-// SkipBucket reports whether a block of the column whose non-NaN values all
-// lie in [min, max] provably contributes nothing to any gather bracket, and
-// if so which single lowDelta bucket all of those values count into. The
-// conditions mirror AddChunk's accumulation exactly: every value must land
-// in the same bucket a (no lo edge inside (min, max]), and the run must
-// avoid every bracket (a == 0 means max < lo[0]; otherwise min > hi[a-1],
-// which with hi ascending clears all brackets t < a). When ok, the block's
-// entire effect on the refiner is AddOutside(bucket, nonNaNCount) — the
-// stat-only fold the sharded engine applies for skipped blocks.
-func (r *Refiner) SkipBucket(min, max float64) (bucket int, ok bool) {
-	if math.IsNaN(min) || math.IsNaN(max) {
-		return 0, false
-	}
-	nt := len(r.ranks)
-	if nt == 0 {
-		return 0, true
-	}
-	// a = #{t : lo[t] <= max}, b = #{t : lo[t] <= min}; one bucket iff a == b.
-	a := sort.SearchFloat64s(r.lo, max)
-	for a < nt && r.lo[a] == max {
-		a++
-	}
-	b := sort.SearchFloat64s(r.lo, min)
-	for b < nt && r.lo[b] == min {
-		b++
-	}
-	if a != b {
-		return 0, false
-	}
-	if a == 0 {
-		return 0, true // max < lo[0]: below every bracket
-	}
-	if min > r.hi[a-1] {
-		return a, true // above every bracket the bucket could touch
-	}
-	return 0, false
-}
-
-// AddOutside folds n values known (from block stats, via SkipBucket) to land
-// in the given lowDelta bucket without entering any bracket. It is the exact
-// contribution AddChunk would have accumulated for those values, so a pass
-// over the surviving blocks plus AddOutside for the skipped ones yields
-// bit-identical order statistics to a full pass.
-func (r *Refiner) AddOutside(bucket int, n int64) {
-	r.lowDelta[bucket] += n
-}
-
-// Merge folds a refiner built over another partition (with identical
-// targets and brackets) into r. Only o's gather accumulators are read, so o
-// may be a decoded wire partial, which has nothing else.
-func (r *Refiner) Merge(o *Refiner) {
-	nt := len(r.ranks)
-	for t := 0; t < nt; t++ {
-		r.lowDelta[t] += o.lowDelta[t]
-		r.loEq[t] += o.loEq[t]
-		r.hiEq[t] += o.hiEq[t]
-		r.mid[t] = append(r.mid[t], o.mid[t]...)
-	}
-	r.lowDelta[nt] += o.lowDelta[nt]
 }
 
 func (r *Refiner) finalize() {

@@ -40,13 +40,13 @@ func refTestColumn(n int, seed int64, kind string) []float64 {
 	return out
 }
 
-// checkRefinedCuts runs one column through the sharded engine's cut path —
-// per-partition partials of size budget (SortNonNaN + AddSortedScratch) merged
-// into a sketch of size size, a refiner over the bins-quantile targets,
-// per-partition shadow gathers merged back — and holds it to the three things
-// exact cuts rest on: every target's true order statistic lies inside its
-// bracket, Err is nil once the gather is in, and ExactCuts equals
-// stats.Quantiles.
+// checkRefinedCuts runs one column through the partitioned sketch-and-refine
+// cut path — per-partition partials of size budget (SortNonNaN +
+// AddSortedScratch) merged into a sketch of size size, a refiner over the
+// bins-quantile targets fed every partition through AddChunk — and holds it
+// to the three things exact cuts rest on: every target's true order
+// statistic lies inside its bracket, Err is nil once the gather is in, and
+// ExactCuts equals stats.Quantiles.
 func checkRefinedCuts(t *testing.T, xs []float64, nparts, size, budget, bins int) {
 	t.Helper()
 	parts := splitParts(xs, nparts)
@@ -63,19 +63,15 @@ func checkRefinedCuts(t *testing.T, xs []float64, nparts, size, budget, bins int
 	bound := q.ErrorBound()
 
 	clean := sortedClean(xs)
-	_, lo, hi, _ := ref.Brackets()
+	lo, hi := ref.lo, ref.hi
 	for i, rank := range ranks {
 		if v := clean[rank]; v < lo[i] || v > hi[i] {
 			t.Fatalf("target %d: order statistic %v at rank %d outside its bracket [%v, %v] (bound %d)",
 				i, v, rank, lo[i], hi[i], bound)
 		}
 	}
-	if ref.NeedsPass() {
-		for _, p := range parts {
-			sh := ref.Shadow()
-			sh.AddChunk(p)
-			ref.Merge(sh)
-		}
+	for _, p := range parts {
+		ref.AddChunk(p)
 	}
 	if err := ref.Err(); err != nil {
 		t.Fatalf("bound %d: %v", bound, err)
@@ -111,6 +107,23 @@ func TestRefinerExactCuts(t *testing.T) {
 	}
 }
 
+// forgedRefiner builds a refiner over the given brackets, none resolved,
+// as NewRefiner would from a sketch that placed them there.
+func forgedRefiner(ranks []int64, lo, hi []float64) *Refiner {
+	nt := len(ranks)
+	return &Refiner{
+		ranks:    ranks,
+		lo:       lo,
+		hi:       hi,
+		resolved: make([]bool, nt),
+		lowDelta: make([]int64, nt+1),
+		loEq:     make([]int64, nt),
+		hiEq:     make([]int64, nt),
+		mid:      make([][]float64, nt),
+		idx:      newEdgeIndex(lo),
+	}
+}
+
 // TestRefinerErrOnNarrowBracket forges what a sketch understating its error
 // bound would produce — brackets too narrow to hold their order statistics —
 // and requires the typed error instead of a silently shifted cut.
@@ -122,7 +135,7 @@ func TestRefinerErrOnNarrowBracket(t *testing.T) {
 	for i, rank := range ranks {
 		lo[i], hi[i] = clean[rank-20], clean[rank+20]
 	}
-	good := NewShadowRefiner(ranks, lo, hi, make([]bool, len(ranks)))
+	good := forgedRefiner(ranks, lo, hi)
 	good.AddChunk(xs)
 	if err := good.Err(); err != nil {
 		t.Fatalf("brackets that hold their order statistics: %v", err)
@@ -138,7 +151,7 @@ func TestRefinerErrOnNarrowBracket(t *testing.T) {
 	} {
 		flo, fhi := append([]float64(nil), lo...), append([]float64(nil), hi...)
 		flo[bad], fhi[bad] = forge.lo, forge.hi
-		r := NewShadowRefiner(ranks, flo, fhi, make([]bool, len(ranks)))
+		r := forgedRefiner(ranks, flo, fhi)
 		r.AddChunk(xs)
 		var be *BracketError
 		if err := r.Err(); !errors.As(err, &be) {
@@ -153,36 +166,6 @@ func TestRefinerErrOnNarrowBracket(t *testing.T) {
 	}
 }
 
-// TestRefinerMergeMatchesSequential: per-partition refiners merged give the
-// same exact values as one refiner over all chunks.
-func TestRefinerMergeMatchesSequential(t *testing.T) {
-	xs := refTestColumn(30000, 13, "normal")
-	parts := splitParts(xs, 4)
-	q := NewQuantile(256)
-	for _, p := range parts {
-		s := NewQuantile(256)
-		s.AddAll(p)
-		q.Merge(s)
-	}
-	ranks := CutRanks(q.Count(), 32)
-
-	seq := NewRefiner(q, ranks)
-	for _, p := range parts {
-		seq.AddChunk(p)
-	}
-	merged := NewRefiner(q, ranks)
-	for i := len(parts) - 1; i >= 0; i-- { // merge in reverse partition order
-		part := NewRefiner(q, ranks)
-		part.AddChunk(parts[i])
-		merged.Merge(part)
-	}
-	for _, r := range ranks {
-		if seq.Value(r) != merged.Value(r) {
-			t.Fatalf("rank %d: sequential %v vs merged %v", r, seq.Value(r), merged.Value(r))
-		}
-	}
-}
-
 // TestRefinerLosslessSkipsPass: a lossless sketch resolves every bracket
 // without gathering.
 func TestRefinerLosslessSkipsPass(t *testing.T) {
@@ -193,8 +176,10 @@ func TestRefinerLosslessSkipsPass(t *testing.T) {
 		t.Fatal("expected lossless sketch")
 	}
 	ref := NewRefiner(q, CutRanks(q.Count(), 64))
-	if ref.NeedsPass() {
-		t.Fatal("lossless sketch should resolve every bracket immediately")
+	for i, ok := range ref.resolved {
+		if !ok {
+			t.Fatalf("lossless sketch left target %d unresolved", i)
+		}
 	}
 	want := stats.Quantiles(xs, 64)
 	got := ExactCuts(q, ref, 64)
@@ -210,9 +195,7 @@ func TestExactBinnerCutsDropsTrailingMax(t *testing.T) {
 	q := NewQuantile(128)
 	q.AddAll(xs)
 	ref := NewRefiner(q, CutRanks(q.Count(), 64))
-	if ref.NeedsPass() {
-		ref.AddChunk(xs)
-	}
+	ref.AddChunk(xs)
 	cuts := ExactBinnerCuts(q, ref, 64)
 	for _, c := range cuts {
 		if c >= q.Max() {

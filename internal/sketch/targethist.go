@@ -1,43 +1,22 @@
 package sketch
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/stats"
 )
 
-// CriterionHist is the mergeable binned relevance accumulator behind the
-// sharded selection stage's task-aware criterion: per-partition histograms
-// accumulate (value, label) observations over fixed cut points, merge
-// exactly, and fold into the same count-/moment-space criterion the
-// in-memory fit computes. Implementations: LabelHist (binary Information
-// Value), ClassHist (multiclass IV), MomentHist (regression correlation
-// ratio η²).
-type CriterionHist interface {
-	// AddCol observes a column of feature values against parallel labels
-	// (class indices or regression targets, per implementation).
-	AddCol(vals, labels []float64)
-	// MergeHist folds another histogram of the same concrete type and cut
-	// points into the receiver.
-	MergeHist(o CriterionHist) error
-	// Criterion returns the accumulated relevance score.
-	Criterion() float64
-}
-
 // ClassHist is LabelHist generalised to K classes: bin b of class c counts
 // the rows of class c whose value falls in (cuts[b-1], cuts[b]]. NaN values
 // (and out-of-range class labels) are counted separately and excluded from
-// bins. Counts are integers stored in float64, so Merge is exact and exactly
-// order-invariant.
+// bins. No fit uses it: it is the multiclass kernel the repository
+// benchmark's sketch.hist_ns_per_row probe times.
 type ClassHist struct {
-	cuts   []float64
 	k      int
 	counts [][]float64 // class-major: counts[c][b]
 	flat   []float64
 	nan    []float64 // per-class NaN count
 	ix     stats.CutIndexer
-	slab   []int32 // AddColCls scratch: class-major integer counts
 }
 
 // NewClassHist creates a K-class histogram over ascending cut points
@@ -46,7 +25,6 @@ type ClassHist struct {
 func NewClassHist(cuts []float64, k int) *ClassHist {
 	nb := len(cuts) + 1
 	h := &ClassHist{
-		cuts: cuts,
 		k:    k,
 		flat: make([]float64, k*nb),
 		nan:  make([]float64, k),
@@ -57,26 +35,6 @@ func NewClassHist(cuts []float64, k int) *ClassHist {
 	}
 	h.ix.Reset(cuts)
 	return h
-}
-
-// Shadow returns a histogram sharing h's cut points and bucket index
-// (read-only) with fresh counts, so partitions can accumulate concurrently
-// and fold back with Merge — counts are integral, so the fold is exact. A
-// shadow must not outlive h.
-func (h *ClassHist) Shadow() *ClassHist {
-	nb := len(h.cuts) + 1
-	sh := &ClassHist{
-		cuts: h.cuts,
-		k:    h.k,
-		flat: make([]float64, h.k*nb),
-		nan:  make([]float64, h.k),
-	}
-	sh.counts = make([][]float64, h.k)
-	for c := 0; c < h.k; c++ {
-		sh.counts[c] = sh.flat[c*nb : (c+1)*nb]
-	}
-	sh.ix = h.ix
-	return sh
 }
 
 // Add observes one (value, class-index) observation.
@@ -99,83 +57,12 @@ func (h *ClassHist) AddCol(vals, labels []float64) {
 	}
 }
 
-// AddColCls is AddCol with the labels pre-converted to class indices
-// (cls[i] = int32(labels[i]), or -1 when out of [0,k)). The float→int
-// conversion and range check are per-label work that the hot candidate
-// pass would otherwise repeat for every generated column; precomputing
-// them once per chunk leaves only the bin lookup and an integer
-// increment per value. The folded counts are identical to AddCol's.
-func (h *ClassHist) AddColCls(vals []float64, cls []int32) {
-	nb := len(h.cuts) + 1
-	if cap(h.slab) < h.k*nb {
-		h.slab = make([]int32, h.k*nb)
-	}
-	slab := h.slab[:h.k*nb]
-	for i := range slab {
-		slab[i] = 0
-	}
-	for i, v := range vals {
-		c := cls[i]
-		if c < 0 {
-			continue
-		}
-		if math.IsNaN(v) {
-			h.nan[c]++
-			continue
-		}
-		slab[int(c)*nb+h.ix.Find(v)]++
-	}
-	for i, n := range slab {
-		h.flat[i] += float64(n)
-	}
-}
-
-// Merge folds another histogram into h. Cut points and class counts must be
-// identical.
-func (h *ClassHist) Merge(o *ClassHist) error {
-	if o.k != h.k {
-		return fmt.Errorf("sketch: merge class hists with %d vs %d classes", o.k, h.k)
-	}
-	if len(o.cuts) != len(h.cuts) {
-		return fmt.Errorf("sketch: merge class hists with %d vs %d cuts", len(o.cuts), len(h.cuts))
-	}
-	for i := range h.cuts {
-		if h.cuts[i] != o.cuts[i] {
-			return fmt.Errorf("sketch: merge class hists with different cut %d", i)
-		}
-	}
-	for i := range h.flat {
-		h.flat[i] += o.flat[i]
-	}
-	for c := range h.nan {
-		h.nan[c] += o.nan[c]
-	}
-	return nil
-}
-
-// MergeHist implements CriterionHist.
-func (h *ClassHist) MergeHist(o CriterionHist) error {
-	oh, ok := o.(*ClassHist)
-	if !ok {
-		return fmt.Errorf("sketch: merge %T into *ClassHist", o)
-	}
-	return h.Merge(oh)
-}
-
-// Criterion returns the multiclass Information Value of the binned feature,
-// reproducing stats.CritScratch.MulticlassIV exactly given the same cuts.
-func (h *ClassHist) Criterion() float64 {
-	if len(h.cuts) == 0 {
-		return 0
-	}
-	return stats.MulticlassIVFromCounts(h.counts)
-}
-
 // MomentHist accumulates per-bin moments (count, Σy, Σy²) of a continuous
 // target over fixed cut points — the regression counterpart of LabelHist.
-// NaN feature values are counted separately and excluded from bins. Moments
-// are plain sums, so per-partition histograms added together reproduce a
-// single pass that visits the same rows in the same order.
+// NaN feature values are counted separately and excluded from bins. The sums
+// depend on the order the rows arrive in, so a partitioned pass bins its
+// partitions in parallel (BinIDs) and replays the ids in row order
+// (AddBinned).
 type MomentHist struct {
 	cuts  []float64
 	cnt   []float64
@@ -235,9 +122,7 @@ func (h *MomentHist) BinIDs(vals []float64, dst []int32) {
 // AddBinned replays precomputed bin ids against parallel targets in row
 // order — the exact float additions AddCol(vals, targets) would perform, so
 // a partition-parallel binning pass folded through AddBinned in partition
-// order stays bit-identical to a single sequential pass. (Merging per-
-// partition MomentHists instead would regroup the sums and change the
-// lowest-order float bits.)
+// order stays bit-identical to a single sequential pass.
 func (h *MomentHist) AddBinned(ids []int32, targets []float64) {
 	for i, b := range ids {
 		if b < 0 {
@@ -249,34 +134,6 @@ func (h *MomentHist) AddBinned(ids []int32, targets []float64) {
 		h.sum[b] += y
 		h.sumsq[b] += y * y
 	}
-}
-
-// Merge folds another histogram into h. The cut arrays must be identical.
-func (h *MomentHist) Merge(o *MomentHist) error {
-	if len(o.cuts) != len(h.cuts) {
-		return fmt.Errorf("sketch: merge moment hists with %d vs %d cuts", len(o.cuts), len(h.cuts))
-	}
-	for i := range h.cuts {
-		if h.cuts[i] != o.cuts[i] {
-			return fmt.Errorf("sketch: merge moment hists with different cut %d", i)
-		}
-	}
-	for b := range h.cnt {
-		h.cnt[b] += o.cnt[b]
-		h.sum[b] += o.sum[b]
-		h.sumsq[b] += o.sumsq[b]
-	}
-	h.nanN += o.nanN
-	return nil
-}
-
-// MergeHist implements CriterionHist.
-func (h *MomentHist) MergeHist(o CriterionHist) error {
-	oh, ok := o.(*MomentHist)
-	if !ok {
-		return fmt.Errorf("sketch: merge %T into *MomentHist", o)
-	}
-	return h.Merge(oh)
 }
 
 // Criterion returns the correlation ratio η² of the binned target,

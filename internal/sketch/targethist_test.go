@@ -24,9 +24,8 @@ func targetData(n int, seed int64) (vals, classes, targets []float64) {
 	return vals, classes, targets
 }
 
-// TestClassHistMatchesScratch: a ClassHist over the same cuts reproduces
-// the in-memory CritScratch criterion exactly, merged in any partition
-// order.
+// TestClassHistMatchesScratch: a ClassHist over the same cuts holds the
+// counts the in-memory CritScratch criterion is computed from.
 func TestClassHistMatchesScratch(t *testing.T) {
 	vals, classes, _ := targetData(3000, 1)
 	cuts := stats.Quantiles(vals, 10)
@@ -36,33 +35,39 @@ func TestClassHistMatchesScratch(t *testing.T) {
 
 	whole := NewClassHist(cuts, 3)
 	whole.AddCol(vals, classes)
-	if got := whole.Criterion(); got != want {
-		t.Fatalf("single-pass ClassHist: %g, scratch %g", got, want)
+	if got := stats.MulticlassIVFromCounts(whole.counts); got != want {
+		t.Fatalf("ClassHist counts: %g, scratch %g", got, want)
 	}
+}
 
-	// Three partitions merged in both orders.
-	for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}} {
-		parts := make([]*ClassHist, 3)
-		bounds := []int{0, 1000, 2100, 3000}
-		for p := 0; p < 3; p++ {
-			parts[p] = NewClassHist(cuts, 3)
-			parts[p].AddCol(vals[bounds[p]:bounds[p+1]], classes[bounds[p]:bounds[p+1]])
+// TestLabelHistMatchesInformationValue: a LabelHist over the cuts
+// stats.InformationValue bins on holds the counts it is computed from.
+func TestLabelHistMatchesInformationValue(t *testing.T) {
+	vals, classes, _ := targetData(3000, 4)
+	labels := make([]float64, len(classes))
+	for i, c := range classes {
+		if c == 2 || (c == 1 && vals[i] > 0) {
+			labels[i] = 1
 		}
-		merged := NewClassHist(cuts, 3)
-		for _, p := range order {
-			if err := merged.MergeHist(parts[p]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := merged.Criterion(); got != want {
-			t.Fatalf("merge order %v: %g, scratch %g", order, got, want)
-		}
+	}
+	cuts := stats.Quantiles(vals, 10)
+	h := NewLabelHist(cuts)
+	h.AddCol(vals, labels)
+	var np, nn float64
+	for b := range h.pos {
+		np += h.pos[b]
+		nn += h.neg[b]
+	}
+	want := stats.InformationValue(vals, labels, 10)
+	if got := stats.IVFromCounts(h.pos, h.neg, np, nn); got != want {
+		t.Fatalf("LabelHist counts: IV %g, stats.InformationValue %g", got, want)
 	}
 }
 
 // TestMomentHistMatchesScratch: a MomentHist accumulated in row order
-// reproduces the in-memory correlation ratio bit-for-bit; partition merges
-// reproduce it exactly when the partials preserve row order.
+// reproduces the in-memory correlation ratio bit-for-bit, and so does the
+// sharded regression pass's route to it: each partition binned on its own
+// (BinIDs), the ids replayed in row order (AddBinned).
 func TestMomentHistMatchesScratch(t *testing.T) {
 	vals, _, targets := targetData(3000, 2)
 	cuts := stats.Quantiles(vals, 10)
@@ -79,63 +84,38 @@ func TestMomentHistMatchesScratch(t *testing.T) {
 		t.Fatalf("single-pass MomentHist: %g, scratch %g", got, want)
 	}
 
-	merged := NewMomentHist(cuts)
+	replay := NewMomentHist(cuts)
 	bounds := []int{0, 700, 1600, 3000}
 	for p := 0; p < 3; p++ {
-		part := NewMomentHist(cuts)
-		part.AddCol(vals[bounds[p]:bounds[p+1]], targets[bounds[p]:bounds[p+1]])
-		if err := merged.MergeHist(part); err != nil {
-			t.Fatal(err)
-		}
+		lo, hi := bounds[p], bounds[p+1]
+		ids := make([]int32, hi-lo)
+		replay.BinIDs(vals[lo:hi], ids)
+		replay.AddBinned(ids, targets[lo:hi])
 	}
-	if got := merged.Criterion(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("merged MomentHist: %g, scratch %g", got, want)
+	if got := replay.Criterion(); got != want {
+		t.Fatalf("BinIDs + AddBinned MomentHist: %g, scratch %g", got, want)
 	}
 }
 
-// TestClassHistAbsentClass: a partition that never sees one class merges
-// cleanly (zero counts) and the merged criterion equals the single pass.
+// TestClassHistAbsentClass: a class that no row carries counts zero in every
+// bin, and the counts still give the scratch criterion.
 func TestClassHistAbsentClass(t *testing.T) {
 	vals, classes, _ := targetData(2000, 3)
-	// Class 2 only occurs in the first half.
-	for i := 1000; i < 2000; i++ {
+	for i := range classes {
 		if classes[i] == 2 {
 			classes[i] = float64(i % 2)
 		}
 	}
 	cuts := stats.Quantiles(vals, 10)
-	whole := NewClassHist(cuts, 3)
-	whole.AddCol(vals, classes)
-
-	merged := NewClassHist(cuts, 3)
-	for _, b := range [][2]int{{0, 1000}, {1000, 2000}} {
-		part := NewClassHist(cuts, 3)
-		part.AddCol(vals[b[0]:b[1]], classes[b[0]:b[1]])
-		if err := merged.Merge(part); err != nil {
-			t.Fatal(err)
+	h := NewClassHist(cuts, 3)
+	h.AddCol(vals, classes)
+	for b, n := range h.counts[2] {
+		if n != 0 {
+			t.Fatalf("absent class counts %v in bin %d", n, b)
 		}
 	}
-	if got, want := merged.Criterion(), whole.Criterion(); got != want {
-		t.Fatalf("absent-class merge: %g vs %g", got, want)
-	}
-}
-
-func TestTargetHistMergeErrors(t *testing.T) {
-	cuts := []float64{0, 1}
-	other := []float64{0, 2}
-	if err := NewClassHist(cuts, 3).MergeHist(NewClassHist(other, 3)); err == nil {
-		t.Error("ClassHist merged different cuts")
-	}
-	if err := NewClassHist(cuts, 3).MergeHist(NewClassHist(cuts, 4)); err == nil {
-		t.Error("ClassHist merged different class counts")
-	}
-	if err := NewMomentHist(cuts).MergeHist(NewMomentHist(other)); err == nil {
-		t.Error("MomentHist merged different cuts")
-	}
-	if err := NewMomentHist(cuts).MergeHist(NewClassHist(cuts, 2)); err == nil {
-		t.Error("MomentHist merged a ClassHist")
-	}
-	if err := NewLabelHist(cuts).MergeHist(NewMomentHist(cuts)); err == nil {
-		t.Error("LabelHist merged a MomentHist")
+	var s stats.CritScratch
+	if got, want := stats.MulticlassIVFromCounts(h.counts), s.MulticlassIV(vals, classes, 3, 10); got != want {
+		t.Fatalf("absent class: %g vs scratch %g", got, want)
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire serialization for the mergeable sketch families, used by the
-// distributed fit protocol (internal/dist): a worker encodes per-partition
-// partials, the coordinator decodes and merges them in partition order.
+// Wire serialization for the sketch families that cross a wire: Moments and
+// Gram, which the distributed fit protocol (internal/dist) ships — a worker
+// encodes per-partition partials, the coordinator decodes and merges them in
+// partition order — and Quantile, whose codec the repository benchmark's
+// sketch.wire_*_mb_per_s probes time.
 //
 // The encoding is a stable little-endian byte layout (internal/wire) with a
 // one-byte family tag. Decoders never panic on corrupted input: every read is
@@ -24,28 +26,23 @@ import (
 // Every family a partial ships has the same two methods: WireSize, the exact
 // encoded size as a closed formula of the sketch's lengths, and AppendWire,
 // which appends that many bytes — so the sender sizes its frame once and the
-// appends never grow it. On the receiving side the two families a fold
-// recycles, Quantile and Gram, also decode out of an Arena
-// (Arena.DecodeQuantile, Arena.DecodeGram).
+// appends never grow it. On the receiving side the fold recycles Gram
+// partials, which decode out of an Arena (Arena.DecodeGram).
 
 // Wire family tags. Values are part of the format and must never be reused.
-// Tag 5 belonged to a MomentHist codec no fit ever used (the regression passes
-// ship bin ids, because float sums are order-sensitive); it stays reserved and
-// every decoder rejects it.
+// Tags 3, 4, 5 and 7 belonged to the LabelHist, ClassHist, MomentHist and
+// refiner-gather codecs, which no fit sends; they stay reserved and every
+// decoder rejects them.
 const (
-	wireQuantile  byte = 1
-	wireMoments   byte = 2
-	wireLabelHist byte = 3
-	wireClassHist byte = 4
-	wireGram      byte = 6
-	wireRefGather byte = 7
+	wireQuantile byte = 1
+	wireMoments  byte = 2
+	wireGram     byte = 6
 )
 
 // Decode sanity bounds: corrupted lengths fail fast instead of allocating.
 const (
 	maxWireSketchSize = 1 << 26
 	maxWireLevels     = 64
-	maxWireClasses    = 1 << 16
 	maxWireGramK      = 1 << 16
 )
 
@@ -88,32 +85,12 @@ func fillCounted(r *wire.Reader, dst []float64) {
 	r.FillF64s(dst)
 }
 
-// readCuts consumes a histogram's cut array and rejects one no constructor
-// produces: cuts are always non-NaN and ascending (equal neighbours tolerated
-// for safety).
-func readCuts(r *wire.Reader, family string) ([]float64, error) {
-	cuts := r.F64s(nil)
-	if r.Failed() {
-		return nil, errTruncated(family)
-	}
-	for i, c := range cuts {
-		if math.IsNaN(c) {
-			return nil, decErr(family, "NaN cut %d", i)
-		}
-		if i > 0 && c < cuts[i-1] {
-			return nil, decErr(family, "cuts not ascending at %d", i)
-		}
-	}
-	return cuts, nil
-}
-
 // --- Quantile ---
 
 // AppendWire serializes q and returns the extended buffer. The encoded levels
 // and per-level error bounds reproduce q's summary exactly, so Merge on the
 // decoded sketch performs the same point-list pushes as Merge on q.
 func (q *Quantile) AppendWire(b []byte) []byte {
-	q.mustHavePoints()
 	b = wire.AppendU8(b, wireQuantile)
 	b = wire.AppendU32(b, uint32(q.size))
 	b = wire.AppendI64(b, q.count)
@@ -132,30 +109,12 @@ func (q *Quantile) AppendWire(b []byte) []byte {
 	return b
 }
 
-// WireSize returns the exact number of bytes AppendWire appends for q.
-func (q *Quantile) WireSize() int {
-	q.mustHavePoints()
-	n := 1 + 4 + 8 + 8 + 8 + 8 + 4
-	for _, pts := range q.levels {
-		n += 4 + 8 + 16*len(pts)
-	}
-	return n
-}
-
 // AppendQuantile is q.AppendWire(b).
 func AppendQuantile(b []byte, q *Quantile) []byte { return q.AppendWire(b) }
 
-// DecodeQuantile decodes a sketch serialized by AppendWire, returning the
-// sketch and the unconsumed remainder of the buffer.
+// DecodeQuantile decodes a sketch serialized by AppendWire into a fresh
+// sketch, returning it and the unconsumed remainder of the buffer.
 func DecodeQuantile(b []byte) (*Quantile, []byte, error) {
-	return (*Arena)(nil).DecodeQuantile(b)
-}
-
-// DecodeQuantile is the package-level DecodeQuantile drawing the sketch from
-// the arena: a recycled sketch's retired level backings take the decoded
-// points, so a fold that returns each partial with PutQuantile after merging
-// it decodes the next one without allocating.
-func (a *Arena) DecodeQuantile(b []byte) (*Quantile, []byte, error) {
 	const fam = "quantile"
 	r, err := open(b, wireQuantile, fam)
 	if err != nil {
@@ -165,16 +124,14 @@ func (a *Arena) DecodeQuantile(b []byte) (*Quantile, []byte, error) {
 	if r.Failed() || size == 0 || size > maxWireSketchSize {
 		return nil, b, decErr(fam, "bad size %d", size)
 	}
-	q := a.Quantile(int(size))
+	q := NewQuantile(int(size))
 	if err := q.decodeBody(&r); err != nil {
-		a.PutQuantile(q)
 		return nil, b, err
 	}
 	return q, r.Rest(), nil
 }
 
-// decodeBody fills a fresh or reset sketch from everything after the size
-// field, drawing level backings from the sketch's own free list.
+// decodeBody fills a fresh sketch from everything after the size field.
 func (q *Quantile) decodeBody(r *wire.Reader) error {
 	const fam = "quantile"
 	q.count, q.nan = r.I64(), r.I64()
@@ -201,7 +158,7 @@ func (q *Quantile) decodeBody(r *wire.Reader) error {
 		// An emptied level slot is nil, matching push's bookkeeping.
 		var pts []wpoint
 		if npts > 0 {
-			pts = q.takeFree(npts)[:npts]
+			pts = make([]wpoint, npts)
 		}
 		q.levels = append(q.levels, pts)
 		q.errs = append(q.errs, lerr)
@@ -261,110 +218,6 @@ func DecodeMoments(b []byte) (*Moments, []byte, error) {
 	return m, r.Rest(), nil
 }
 
-// --- LabelHist ---
-
-// AppendWire serializes h (cuts included, so the receiver can verify the
-// partial was accumulated over the cut points it expects).
-func (h *LabelHist) AppendWire(b []byte) []byte {
-	b = wire.AppendU8(b, wireLabelHist)
-	b = wire.AppendF64s(b, h.cuts)
-	b = wire.AppendF64s(b, h.pos)
-	b = wire.AppendF64s(b, h.neg)
-	b = wire.AppendF64(b, h.nanPos)
-	b = wire.AppendF64(b, h.nanNeg)
-	return b
-}
-
-// WireSize returns the exact number of bytes AppendWire appends for h.
-func (h *LabelHist) WireSize() int {
-	return 1 + 3*4 + 8*(len(h.cuts)+len(h.pos)+len(h.neg)) + 2*8
-}
-
-// DecodeLabelHist decodes a histogram serialized by AppendWire.
-func DecodeLabelHist(b []byte) (*LabelHist, []byte, error) {
-	const fam = "labelhist"
-	r, err := open(b, wireLabelHist, fam)
-	if err != nil {
-		return nil, b, err
-	}
-	cuts, err := readCuts(&r, fam)
-	if err != nil {
-		return nil, b, err
-	}
-	h := NewLabelHist(cuts)
-	fillCounted(&r, h.pos)
-	fillCounted(&r, h.neg)
-	h.nanPos, h.nanNeg = r.F64(), r.F64()
-	if r.Failed() {
-		return nil, b, decErr(fam, "truncated, or the bins do not number %d cuts + 1", len(cuts))
-	}
-	return h, r.Rest(), nil
-}
-
-// --- ClassHist ---
-
-// AppendWire serializes h.
-func (h *ClassHist) AppendWire(b []byte) []byte {
-	b = wire.AppendU8(b, wireClassHist)
-	b = wire.AppendU32(b, uint32(h.k))
-	b = wire.AppendF64s(b, h.cuts)
-	b = wire.AppendF64s(b, h.flat)
-	b = wire.AppendF64s(b, h.nan)
-	return b
-}
-
-// WireSize returns the exact number of bytes AppendWire appends for h.
-func (h *ClassHist) WireSize() int {
-	return 1 + 4 + 3*4 + 8*(len(h.cuts)+len(h.flat)+len(h.nan))
-}
-
-// DecodeClassHist decodes a histogram serialized by AppendWire.
-func DecodeClassHist(b []byte) (*ClassHist, []byte, error) {
-	const fam = "classhist"
-	r, err := open(b, wireClassHist, fam)
-	if err != nil {
-		return nil, b, err
-	}
-	k := r.U32()
-	if r.Failed() || k == 0 || k > maxWireClasses {
-		return nil, b, decErr(fam, "bad class count %d", k)
-	}
-	cuts, err := readCuts(&r, fam)
-	if err != nil {
-		return nil, b, err
-	}
-	// The counts the class count and the cuts size must all be there before
-	// the histogram is built: k × (cuts + 1) bins and k NaN counts.
-	if want := 2*4 + 8*uint64(k)*(uint64(len(cuts))+2); want > uint64(len(r.Rest())) {
-		return nil, b, decErr(fam, "k=%d over %d cuts wants %d bytes of counts, %d remain", k, len(cuts), want, len(r.Rest()))
-	}
-	h := NewClassHist(cuts, int(k))
-	fillCounted(&r, h.flat)
-	fillCounted(&r, h.nan)
-	if r.Failed() {
-		return nil, b, decErr(fam, "the counts are not %d classes × (%d cuts + 1) and %d NaN counts", k, len(cuts), k)
-	}
-	return h, r.Rest(), nil
-}
-
-// DecodeCountHist decodes the criterion histogram partial of a count-valued
-// task, binary or multiclass, whichever its tag says; any other tag is a
-// *DecodeError.
-func DecodeCountHist(b []byte) (CriterionHist, []byte, error) {
-	if len(b) > 0 && b[0] == wireClassHist {
-		h, rest, err := DecodeClassHist(b)
-		if err != nil {
-			return nil, b, err
-		}
-		return h, rest, nil
-	}
-	h, rest, err := DecodeLabelHist(b)
-	if err != nil {
-		return nil, b, err
-	}
-	return h, rest, nil
-}
-
 // --- Gram ---
 
 // AppendWire serializes g.
@@ -419,133 +272,4 @@ func (a *Arena) DecodeGram(b []byte) (*Gram, []byte, error) {
 		return nil, b, decErr(fam, "a slice does not hold the %d pairs of width %d", pairs, k)
 	}
 	return g, r.Rest(), nil
-}
-
-// --- Refiner gather partials ---
-
-// Brackets exposes a refiner's target ranks and bracket arrays (not copies)
-// so a coordinator can ship them to workers, which rebuild an equivalent
-// gatherer with NewShadowRefiner.
-func (r *Refiner) Brackets() (ranks []int64, lo, hi []float64, resolved []bool) {
-	return r.ranks, r.lo, r.hi, r.resolved
-}
-
-// NewShadowRefiner builds a gather-only refiner from transported brackets —
-// the remote equivalent of Refiner.Shadow. AddChunk accumulates
-// exactly as a local shadow would (the bucket index is rebuilt from the same
-// lo edges, and its answers are defined identically to the binary search),
-// so partials folded with Merge in partition order reproduce the local fold
-// bit-for-bit. The slices are retained; they must not be modified.
-func NewShadowRefiner(ranks []int64, lo, hi []float64, resolved []bool) *Refiner {
-	r := &Refiner{
-		ranks:    ranks,
-		lo:       lo,
-		hi:       hi,
-		resolved: resolved,
-		lowDelta: make([]int64, len(ranks)+1),
-		loEq:     make([]int64, len(ranks)),
-		hiEq:     make([]int64, len(ranks)),
-		mid:      make([][]float64, len(ranks)),
-	}
-	r.idx = newEdgeIndex(r.lo)
-	return r
-}
-
-// AppendWire serializes a refiner's gather accumulators (not its brackets):
-// the per-partition partial a worker sends back.
-func (r *Refiner) AppendWire(b []byte) []byte {
-	b = wire.AppendU8(b, wireRefGather)
-	b = wire.AppendU32(b, uint32(len(r.ranks)))
-	for t := 0; t <= len(r.ranks); t++ {
-		b = wire.AppendI64(b, r.lowDelta[t])
-	}
-	for t := range r.ranks {
-		b = wire.AppendI64(b, r.loEq[t])
-		b = wire.AppendI64(b, r.hiEq[t])
-		b = wire.AppendF64s(b, r.mid[t])
-	}
-	return b
-}
-
-// WireSize returns the exact number of bytes AppendWire appends for r.
-func (r *Refiner) WireSize() int {
-	nt := len(r.ranks)
-	n := 1 + 4 + 8*(nt+1) + nt*(8+8+4)
-	for _, m := range r.mid[:nt] {
-		n += 8 * len(m)
-	}
-	return n
-}
-
-// DecodeRefinerGather decodes a partial serialized by Refiner.AppendWire into
-// a refiner suitable only as a Merge argument: it has accumulators and through
-// them a target count, but no ranks and no brackets.
-func DecodeRefinerGather(b []byte) (*Refiner, []byte, error) {
-	const fam = "refgather"
-	rd, err := open(b, wireRefGather, fam)
-	if err != nil {
-		return nil, b, err
-	}
-	// Every target carries at least its lowDelta, loEq, hiEq and a gather length.
-	nt := rd.Len(8 + 8 + 8 + 4)
-	if rd.Failed() || nt > maxWireSketchSize {
-		return nil, b, decErr(fam, "bad target count %d", nt)
-	}
-	r := &Refiner{
-		lowDelta: make([]int64, nt+1),
-		loEq:     make([]int64, nt),
-		hiEq:     make([]int64, nt),
-		mid:      make([][]float64, nt),
-	}
-	rd.FillI64s(r.lowDelta)
-	for t, d := range r.lowDelta {
-		if d < 0 {
-			return nil, b, decErr(fam, "bad lowDelta %d", t)
-		}
-	}
-	for t := range r.mid {
-		r.loEq[t], r.hiEq[t] = rd.I64(), rd.I64()
-		r.mid[t] = rd.F64s(nil)
-		if rd.Failed() || r.loEq[t] < 0 || r.hiEq[t] < 0 {
-			return nil, b, decErr(fam, "bad target %d", t)
-		}
-	}
-	if rd.Failed() { // no targets: the one lowDelta
-		return nil, b, errTruncated(fam)
-	}
-	return r, rd.Rest(), nil
-}
-
-// MergeWire merges a decoded gather partial into r, validating the target
-// count first — a merge from the wire must not trust the peer's shape (a
-// bare Merge indexes the argument's accumulators by r's target count).
-func (r *Refiner) MergeWire(o *Refiner) error {
-	if len(o.loEq) != len(r.ranks) {
-		return decErr("refgather", "gather partial covers %d targets, want %d", len(o.loEq), len(r.ranks))
-	}
-	r.Merge(o)
-	return nil
-}
-
-// DecodeAny dispatches on the family tag — the single entry point
-// FuzzSketchDecode drives, and a convenient way for protocol code to decode
-// a self-describing sketch payload.
-func DecodeAny(b []byte) (any, []byte, error) {
-	if len(b) == 0 {
-		return nil, b, decErr("any", "empty input")
-	}
-	switch b[0] {
-	case wireQuantile:
-		return DecodeQuantile(b)
-	case wireMoments:
-		return DecodeMoments(b)
-	case wireLabelHist, wireClassHist:
-		return DecodeCountHist(b)
-	case wireGram:
-		return DecodeGram(b)
-	case wireRefGather:
-		return DecodeRefinerGather(b)
-	default:
-		return nil, b, decErr("any", "unknown family tag %d", b[0])
-	}
 }

@@ -487,39 +487,6 @@ func ivFromAssignment(assign []int, numBins int, labels []float64) float64 {
 	return iv
 }
 
-// IVBand classifies an IV per Table I of the paper.
-func IVBand(iv float64) string {
-	switch {
-	case iv < IVUseless:
-		return "useless"
-	case iv < IVWeak:
-		return "weak"
-	case iv < IVMedium:
-		return "medium"
-	case iv < IVStrong:
-		return "strong"
-	default:
-		return "extremely strong"
-	}
-}
-
-// PearsonBand classifies an absolute correlation per Table II.
-func PearsonBand(r float64) string {
-	a := math.Abs(r)
-	switch {
-	case a < PearsonVeryWeak:
-		return "very weak or none"
-	case a < PearsonWeak:
-		return "weak"
-	case a < PearsonModerate:
-		return "moderate"
-	case a < PearsonStrong:
-		return "strong"
-	default:
-		return "extremely strong"
-	}
-}
-
 // KLD computes the Kullback-Leibler divergence sum_i p_i ln(p_i/q_i)
 // (Eq. 15). Terms with p_i == 0 contribute 0; q_i == 0 with p_i > 0 yields
 // +Inf, matching the mathematical definition.

@@ -248,42 +248,6 @@ func TestInformationValueNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestIVBands(t *testing.T) {
-	cases := []struct {
-		iv   float64
-		want string
-	}{
-		{0.01, "useless"},
-		{0.05, "weak"},
-		{0.2, "medium"},
-		{0.4, "strong"},
-		{0.9, "extremely strong"},
-	}
-	for _, c := range cases {
-		if got := IVBand(c.iv); got != c.want {
-			t.Errorf("IVBand(%v) = %q, want %q", c.iv, got, c.want)
-		}
-	}
-}
-
-func TestPearsonBands(t *testing.T) {
-	cases := []struct {
-		r    float64
-		want string
-	}{
-		{0.1, "very weak or none"},
-		{-0.3, "weak"},
-		{0.5, "moderate"},
-		{-0.7, "strong"},
-		{0.95, "extremely strong"},
-	}
-	for _, c := range cases {
-		if got := PearsonBand(c.r); got != c.want {
-			t.Errorf("PearsonBand(%v) = %q, want %q", c.r, got, c.want)
-		}
-	}
-}
-
 func TestKLD(t *testing.T) {
 	p := []float64{0.5, 0.5}
 	if got := KLD(p, p); !almostEqual(got, 0, 1e-12) {
