@@ -56,6 +56,10 @@ type workerConn struct {
 	alive       bool
 	outstanding int // assignments sent but not passDone'd (current pass)
 	assigns     []assignment
+
+	// free wakes the reader once the pass loop has let go of the partial it
+	// last routed, which reads the connection's receive buffer (release).
+	free chan struct{}
 }
 
 // event is one routed worker message (or the worker's permanent failure).
@@ -76,7 +80,7 @@ func NewCoordinator(src SourceSpec, conns ...Conn) *Coordinator {
 		closed:         make(chan struct{}),
 	}
 	for i, conn := range conns {
-		c.workers = append(c.workers, &workerConn{id: i, conn: conn, alive: true})
+		c.workers = append(c.workers, &workerConn{id: i, conn: conn, alive: true, free: make(chan struct{}, 1)})
 	}
 	return c
 }
@@ -195,7 +199,9 @@ func msgType(msg []byte) int {
 // reader is one worker's receive loop: frames decode and route to the
 // shared event channel; transient faults retry in place on the shard
 // schedule; the first permanent failure emits a death event and ends the
-// loop. Exits when the coordinator closes.
+// loop. Exits when the coordinator closes. A partial is routed as views of the
+// message, which is the connection's receive buffer, so the loop does not
+// receive again until the pass loop has released it.
 func (c *Coordinator) reader(w *workerConn) {
 	defer c.wg.Done()
 	attempt := 1
@@ -220,6 +226,7 @@ func (c *Coordinator) reader(w *workerConn) {
 			decoded, err = decodeAck(msg)
 		case msgPartial:
 			m := c.partials.take()
+			m.free = w.free
 			decoded, err = m, decodePartial(msg, m)
 		case msgPassDone:
 			decoded, err = decodePassDone(msg)
@@ -234,6 +241,13 @@ func (c *Coordinator) reader(w *workerConn) {
 		}
 		if !c.emit(event{worker: w.id, msg: decoded}) {
 			return
+		}
+		if _, ok := decoded.(*partialMsg); ok {
+			select {
+			case <-w.free:
+			case <-c.closed:
+				return
+			}
 		}
 	}
 }
@@ -332,6 +346,9 @@ func (c *Coordinator) SetLive(ctx context.Context, epoch int, nodes []shard.Node
 		}
 		a, ok := ev.msg.(*ack)
 		if !ok {
+			if m, isPartial := ev.msg.(*partialMsg); isPartial {
+				c.partials.put(m)
+			}
 			continue // stale pass traffic from an aborted fit; ignore
 		}
 		if !a.OK {
@@ -462,17 +479,25 @@ func (c *Coordinator) liveWorkers() []*workerConn {
 
 // foldPartial advances the fold frontier with one arrived partial:
 // duplicates (below the frontier or already pending) drop, then every
-// consecutively available partition folds in index order. A container goes
-// back to the pool only once fold has returned — a decorated fold still reads
-// the partial's plain fields after the fit's own fold is done with it.
+// consecutively available partition folds in index order. A partial beyond a
+// gap is copied out of its connection's receive buffer before it waits, since
+// the gap's partial may come through that same connection. A container goes
+// back to the pool, and its reader receives again, only once fold has
+// returned — a decorated fold still reads the partial's plain fields after
+// the fit's own fold is done with it.
 func (c *Coordinator) foldPartial(spec *shard.PassSpec, m *partialMsg, st *passState, fold func(*shard.Partial) error) error {
 	idx := m.Partial.Chunk
 	if idx < 0 || (c.chunks > 0 && idx >= c.chunks) {
+		c.partials.put(m)
 		return protoErr("pass %d partial for partition %d outside [0,%d)", spec.Pass, idx, c.chunks)
 	}
 	if _, dup := st.pending[idx]; dup || idx < st.nextFold {
 		c.partials.put(m) // duplicate of a pending or already-folded partition
 		return nil
+	}
+	if idx > st.nextFold {
+		m.keep()
+		m.release()
 	}
 	st.pending[idx] = m
 	for {
@@ -481,12 +506,14 @@ func (c *Coordinator) foldPartial(spec *shard.PassSpec, m *partialMsg, st *passS
 			return nil
 		}
 		delete(st.pending, st.nextFold)
-		if err := fold(&q.Partial); err != nil {
+		err := fold(&q.Partial)
+		rows := q.Partial.Rows
+		c.partials.put(q)
+		if err != nil {
 			return err
 		}
-		st.rows += q.Partial.Rows
+		st.rows += rows
 		st.nextFold++
-		c.partials.put(q)
 	}
 }
 
@@ -516,7 +543,10 @@ func (p *partialPool) take() *partialMsg {
 	return &partialMsg{}
 }
 
+// put ends a received partial's life: its reader is released, and the
+// container kept for the next one.
 func (p *partialPool) put(m *partialMsg) {
+	m.release()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) < maxPooledPartials {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sketch"
 	"repro/internal/stats"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -38,6 +40,24 @@ func distSeedFrames() map[string][]byte {
 			{Sizes: []int32{3}, Vals: []float64{0, 0, 0}, Class: []int32{0, 1, 1}, Spans: []int32{0, 0, 0, 0}},
 			{Spans: []int32{1, 2}}, // a constant column's: no cut bucket, one span
 		}}
+	// Gather partials as a steady stream of them varies: sizes that differ
+	// from column to column, criterion buckets with their classes (three
+	// classes' span counts in the second), and a point mass gathered whole —
+	// one bucket of every value, most of them one value.
+	mixedP := &shard.Partial{Chunk: 5, Start: 1500, Rows: 9,
+		Gathers: []*shard.Gather{
+			{Sizes: []int32{2, 0, 5, 1}, Vals: []float64{-3, -2.5, 0.25, 0.5, 0.5, 0.75, 1, 12},
+				Class: []int32{0, 1, 1, 0, 1}, Spans: []int32{1, 0, 0, 1, 2, 0}},
+			{Sizes: []int32{1, 3}, Vals: []float64{math.Inf(-1), 7, 7.5, 8},
+				Class: []int32{2, 0, 1, 2}, Spans: []int32{1, 1, 0, 0, 0, 0, 2, 1, 0}},
+			{Sizes: []int32{0}, Spans: []int32{4, 5}},
+		}}
+	massP := &shard.Partial{Chunk: 6, Start: 1800, Rows: 10,
+		Gathers: []*shard.Gather{
+			{Sizes: []int32{10}, Vals: []float64{0, 0, 3.5, 0, 0, 0, 0, -1, 0, 0},
+				Class: []int32{0, 1, 1, 0, 0, 1, 0, 0, 1, 0}, Spans: []int32{0, 0, 0, 0}},
+			{Sizes: []int32{2, 1}, Vals: []float64{4, 4.25, 9}, Class: []int32{1, 0}, Spans: []int32{3, 2, 0, 0, 2, 1}},
+		}}
 	return map[string][]byte{
 		"hello":    encodeHello(),
 		"helloAck": encodeHelloAck(),
@@ -46,10 +66,12 @@ func distSeedFrames() map[string][]byte {
 		"passErr":  encodePassErr(&passErr{PassID: 2, Chunk: 3, Attempts: 4, Transient: true, Msg: "read chunk: i/o timeout"}),
 		"partial":  AppendPartial(nil, 3, shard.PassBaseSketch, p),
 		// The two grid passes' partials and the Gram pass's, as v4 frames them.
-		"partial-counts": AppendPartial(nil, 4, shard.PassSketchGen, countP),
-		"partial-gather": AppendPartial(nil, 5, shard.PassRefine, gatherP),
-		"partial-gram":   AppendPartial(nil, 6, shard.PassGramCodes, gramP),
-		"runPass":        encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
+		"partial-counts":       AppendPartial(nil, 4, shard.PassSketchGen, countP),
+		"partial-gather":       AppendPartial(nil, 5, shard.PassRefine, gatherP),
+		"partial-gather-mixed": AppendPartial(nil, 5, shard.PassRefine, mixedP),
+		"partial-gather-mass":  AppendPartial(nil, 5, shard.PassRefine, massP),
+		"partial-gram":         AppendPartial(nil, 6, shard.PassGramCodes, gramP),
+		"runPass":              encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
 		"fitOpen": encodeFitOpen(&fitOpen{
 			Source: SourceSpec{Kind: SourceCSV, Path: "/data/train.csv", Label: "label", ChunkRows: 512},
 			Names:  []string{"f0", "f1", "f2"}, Task: core.MulticlassTask(3),
@@ -122,7 +144,7 @@ func decodeMsg(p []byte) (spec *shard.PassSpec, err error) {
 	case msgPartial:
 		m := &partialMsg{}
 		if err = decodePartial(p, m); err == nil {
-			decodeBlobs(&m.Partial)
+			err = decodeBlobs(&m.Partial)
 		}
 	case msgPassDone:
 		_, err = decodePassDone(p)
@@ -137,8 +159,11 @@ func decodeMsg(p []byte) (spec *shard.PassSpec, err error) {
 // decodeBlobs puts a partial's blobs through Partial.Decode as each pass kind
 // that ships blobs would, with a spec the blob count fits: the fold's typed
 // decoders under fuzz too. Their errors are the fold's to report; only a
-// panic fails the target.
-func decodeBlobs(p *shard.Partial) {
+// panic fails the target — and a gather decode that fails with anything but
+// ErrBlob, the error of a blob that does not parse: the gather pass decodes
+// into memory reused across partitions, and is held to naming what it
+// refused.
+func decodeBlobs(p *shard.Partial) error {
 	n := len(p.Blobs)
 	for _, spec := range []*shard.PassSpec{
 		{Kind: shard.PassBaseSketch},
@@ -147,8 +172,16 @@ func decodeBlobs(p *shard.Partial) {
 		{Kind: shard.PassGramCodes},
 	} {
 		q := *p
-		q.Decode(spec, sketch.NewArena())
+		arena := sketch.NewArena()
+		err := q.Decode(spec, arena)
+		if spec.Kind == shard.PassRefine {
+			q.ReleaseGathers(arena)
+			if err != nil && !errors.Is(err, shard.ErrBlob) {
+				return fmt.Errorf("gather decode: %w, want an ErrBlob", err)
+			}
+		}
 	}
+	return nil
 }
 
 func isProtocolError(err error) bool {
@@ -212,5 +245,93 @@ func TestWriteDistDecodeSeedCorpus(t *testing.T) {
 		if _, err := decodeMsg(readSeed(t, name)); !isProtocolError(err) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("a version-%d hello: %v, want a version-mismatch *ProtocolError", v, err)
 		}
+	}
+}
+
+// rawPartial frames blobs as a partial message of no rows, whatever they hold.
+func rawPartial(blobs ...[]byte) []byte {
+	b := wire.AppendU8(nil, msgPartial)
+	for i := 0; i < 4; i++ {
+		b = wire.AppendI64(b, 0)
+	}
+	b = wire.AppendU32(b, 0) // no labels
+	b = wire.AppendU32(b, uint32(len(blobs)))
+	for _, blob := range blobs {
+		b = wire.AppendBytes(b, blob)
+	}
+	b = wire.AppendU32(b, 0) // no bin ids
+	return wire.AppendU32(b, 0)
+}
+
+// TestGatherDecodeRefusesMalformedBlobs is the gather decode's contract on
+// memory that earlier partitions used: a malformed gather blob — a value run
+// cut short, sizes that add up to more values than follow, bytes after the
+// last span count — is refused with ErrBlob, before anything is taken from
+// the arena, and within the fuzz target's allocation bound; a frame cut
+// inside a blob is a *ProtocolError before any blob is decoded. The arena
+// then decodes the next good partial exactly.
+func TestGatherDecodeRefusesMalformedBlobs(t *testing.T) {
+	good := &shard.Gather{Sizes: []int32{1, 2}, Vals: []float64{1, 2, 3}, Class: []int32{0, 1}, Spans: []int32{1, 1, 0, 2}}
+	blob := good.AppendWire(nil)
+	varints := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = wire.AppendUvarint(b, v)
+		}
+		return b
+	}
+	f64s := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = wire.AppendF64(b, v)
+		}
+		return b
+	}
+	spec := &shard.PassSpec{Kind: shard.PassRefine, Grids: make([]shard.GridSpec, 2)}
+	arena := sketch.NewArena()
+	decodeGood := func() {
+		t.Helper()
+		var m partialMsg
+		if err := decodePartial(rawPartial(blob, blob), &m); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Partial.Decode(spec, arena); err != nil {
+			t.Fatal(err)
+		}
+		if !sameGathers(m.Partial.Gathers, []*shard.Gather{good, good}) {
+			t.Fatalf("a good gather partial decoded as %+v", m.Partial.Gathers)
+		}
+		m.Partial.ReleaseGathers(arena)
+	}
+	decodeGood()
+	for _, tc := range []struct {
+		name string
+		msg  []byte
+	}{
+		{"a truncated value run", rawPartial(blob, append(varints(1, 3), f64s(1, 2)...))},
+		{"sizes past the values", rawPartial(blob, slices.Concat(varints(2, 2, 5), f64s(1, 2, 3, 4), varints(0, 0)))},
+		{"sizes past the values, the classes read as values", rawPartial(blob,
+			slices.Concat(varints(1, 2), f64s(1), varints(8, 0, 1, 0, 1, 0, 1, 0, 1), varints(0)))},
+		{"trailing bytes", rawPartial(blob, append(append([]byte(nil), blob...), 0))},
+		{"a size past MaxInt32", rawPartial(blob, slices.Concat(varints(1, 1<<31), f64s(1), varints(0, 0)))},
+		{"a frame cut inside a blob", rawPartial(blob, blob)[:40]},
+	} {
+		before := totalAlloc()
+		var m partialMsg
+		err := decodePartial(tc.msg, &m)
+		if err == nil {
+			err = m.Partial.Decode(spec, arena)
+		}
+		spent := totalAlloc() - before
+		if !errors.Is(err, shard.ErrBlob) && !isProtocolError(err) {
+			t.Fatalf("%s: %v, want an ErrBlob or a *ProtocolError", tc.name, err)
+		}
+		if m.Partial.Gathers != nil {
+			t.Fatalf("%s: the refused partial carries %d gathers", tc.name, len(m.Partial.Gathers))
+		}
+		if limit := 16*uint64(len(tc.msg)) + 8<<10; !raceEnabled && spent > limit {
+			t.Fatalf("%s: a %d-byte frame made the decode allocate %d bytes (limit %d)", tc.name, len(tc.msg), spent, limit)
+		}
+		decodeGood()
 	}
 }

@@ -271,8 +271,31 @@ func readGenSpec(r *wire.Reader) shard.GenSpec {
 	return shard.GenSpec{Op: r.Str(), Feats: r.Ints()}
 }
 
+// genSpecSize is the length of appendGenSpec's output.
+func genSpecSize(g *shard.GenSpec) int { return 4 + len(g.Op) + 4 + 8*len(g.Feats) }
+
+// runPassSize is the exact length of encodeRunPass's output.
+func runPassSize(m *runPass) int {
+	s := m.Spec
+	n := 1 + 3*8 + 5 + 4 + 8*len(m.Assign.Explicit) + 3*8 + 1 + 4 + 4 + 4 + 4
+	for _, cuts := range s.LiveCuts {
+		n += 4 + 8*len(cuts)
+	}
+	for i := range s.Grids {
+		g := &s.Grids[i]
+		n += 8 + genSpecSize(&g.Gen) + 16 + 4 + 8*len(g.Buckets) + 4 + len(g.IV)
+	}
+	for i := range s.Entries {
+		e := &s.Entries[i]
+		n += 8 + genSpecSize(&e.Gen) + 4 + 8*len(e.Cuts) + 5
+	}
+	return n
+}
+
+// encodeRunPass writes the message into one buffer of its exact size: a gather
+// pass's spec, every column's cut buckets, runs to hundreds of kilobytes.
 func encodeRunPass(m *runPass) []byte {
-	b := wire.AppendU8(nil, msgRunPass)
+	b := wire.AppendU8(make([]byte, 0, runPassSize(m)), msgRunPass)
 	b = wire.AppendI64(b, int64(m.PassID))
 	b = wire.AppendI64(b, int64(m.Assign.Mod))
 	b = wire.AppendI64(b, int64(m.Assign.Residue))
@@ -359,20 +382,54 @@ func decodeRunPass(p []byte) (*runPass, error) {
 
 // partialMsg is one received partial and the memory it lives in: a container
 // the coordinator recycles (partialPool) so that a steady stream of partials
-// decodes into the same backings instead of fresh ones.
+// decodes into the same backings instead of fresh ones. Its blobs and code
+// columns are views of the message it was decoded from, which is the
+// connection's receive buffer: the reader that received it does not receive
+// again until the pass loop lets go of it (release), having folded it or
+// copied it out (keep) to wait beyond a gap.
 type partialMsg struct {
 	PassID  int
 	Partial shard.Partial
-	slab    []byte // backing of Partial.Blobs[i] and Partial.Codes[i]
+	slab    []byte          // a kept partial's copy of its blobs and code columns
+	free    chan<- struct{} // the reader waiting for release; nil when none is
 }
 
-// keep copies a byte string to the end of the slab, which has room for it, and
-// returns the copy (capacity-clipped, so appending to it cannot run into its
-// neighbour).
-func (m *partialMsg) keep(v []byte) []byte {
+// keep copies the blobs and code columns into the slab, so that the partial
+// no longer reads the message it was decoded from.
+func (m *partialMsg) keep() {
+	n := 0
+	for _, b := range m.Partial.Blobs {
+		n += len(b)
+	}
+	for _, c := range m.Partial.Codes {
+		n += len(c)
+	}
+	if m.slab = m.slab[:0]; cap(m.slab) < n {
+		m.slab = make([]byte, 0, n)
+	}
+	for i, b := range m.Partial.Blobs {
+		m.Partial.Blobs[i] = m.stash(b)
+	}
+	for i, c := range m.Partial.Codes {
+		m.Partial.Codes[i] = m.stash(c)
+	}
+}
+
+// stash appends v to the slab, which has room for it, and returns the copy
+// (capacity-clipped, so appending to it cannot run into its neighbour).
+func (m *partialMsg) stash(v []byte) []byte {
 	start := len(m.slab)
 	m.slab = append(m.slab, v...)
 	return m.slab[start:len(m.slab):len(m.slab)]
+}
+
+// release lets the reader that received the partial receive again. Called
+// once per received partial, after the last read of its message.
+func (m *partialMsg) release() {
+	if m.free != nil {
+		m.free <- struct{}{}
+		m.free = nil
+	}
 }
 
 // partialSize is the exact length of the partial message AppendPartial
@@ -392,14 +449,21 @@ func partialSize(kind shard.PassKind, p *shard.Partial) int {
 // dst as a partial message. The message's exact size is known up front, so
 // dst grows at most once, and each blob of the typed payload is rendered
 // straight into place behind its length (filled in from what was written):
-// no byte of a partial is written twice on its way out. A worker passes the previous frame's buffer, so a
-// pass of like-sized partials is framed in one allocation. Exported, with
+// no byte of a partial is written twice on its way out. A worker passes the
+// previous frame's buffer, so a session's partials are framed in a buffer that
+// grows only for a partial larger than all before it. Exported, with
 // DecodePartial, so the seam tests in internal/shard can put a partial
 // through the same bytes a worker sends.
 func AppendPartial(dst []byte, passID int, kind shard.PassKind, p *shard.Partial) []byte {
 	b := dst
 	if need := len(dst) + partialSize(kind, p); cap(dst) < need {
-		b = append(make([]byte, 0, need), dst...)
+		// A reused buffer that proved too small grows with an eighth to spare:
+		// the next partition's partial of a pass is rarely the same size.
+		room := need
+		if dst != nil {
+			room += need / 8
+		}
+		b = append(make([]byte, 0, room), dst...)
 	}
 	b = wire.AppendU8(b, msgPartial)
 	b = wire.AppendI64(b, int64(passID))
@@ -431,36 +495,33 @@ func DecodePartial(msg []byte) (passID int, p *shard.Partial, err error) {
 	if err := decodePartial(msg, m); err != nil {
 		return 0, nil, err
 	}
+	m.keep()
 	return m.PassID, &m.Partial, nil
 }
 
 // decodePartial fills m from a partial message, reusing the backings m kept
-// from the partial it held before. Everything is copied out of p, which is
-// typically a connection's receive buffer and is overwritten by the next
-// frame.
+// from the partial it held before. The labels and bin ids are copied out of
+// p; the blobs and code columns are views of it, valid as long as p is (keep
+// copies them).
 func decodePartial(p []byte, m *partialMsg) error {
 	r := wire.NewReader(p[1:])
 	m.PassID = int(r.I64())
-	// Only the plain backings, the count pass's counts and the Gram pass's
-	// moments (emptied, for Partial.Decode to refill) carry over; the rest of
-	// the typed payload a fold decoded into the previous tenant is dropped.
+	// Only the plain backings, the count pass's counts, the gather pass's
+	// gather headers and the Gram pass's moments (emptied, for Partial.Decode
+	// to refill) carry over; the rest of the typed payload a fold decoded into
+	// the previous tenant is dropped.
 	old := m.Partial
 	m.Partial = shard.Partial{Chunk: int(r.I64()), Start: int(r.I64()), Rows: int(r.I64()),
-		Counts: old.Counts[:0], Moments: old.Moments[:0]}
+		Counts: old.Counts[:0], Gathers: old.Gathers[:0], Moments: old.Moments[:0]}
 	m.Partial.Labels = r.F64s(old.Labels)
-	// Blob and code bytes are a subset of the message, so one slab of its
-	// length holds them all.
-	if m.slab = m.slab[:0]; cap(m.slab) < len(p) {
-		m.slab = make([]byte, 0, len(p))
-	}
 	m.Partial.Blobs = wire.Resize(old.Blobs, r.Len(4))
 	for i := range m.Partial.Blobs {
-		m.Partial.Blobs[i] = m.keep(r.Bytes())
+		m.Partial.Blobs[i] = r.Bytes()
 	}
 	m.Partial.Ints = r.I32s(old.Ints)
 	m.Partial.Codes = wire.Resize(old.Codes, r.Len(4))
 	for i := range m.Partial.Codes {
-		m.Partial.Codes[i] = m.keep(r.Bytes())
+		m.Partial.Codes[i] = r.Bytes()
 	}
 	return done(&r, "partial")
 }

@@ -133,7 +133,12 @@ func TestRunPassRoundTrip(t *testing.T) {
 		{"explicit-empty", assignment{Explicit: []int{}}},
 	} {
 		in := &runPass{PassID: 5, Assign: tc.assign, Spec: fullPassSpec()}
-		out, err := decodeRunPass(encodeRunPass(in))
+		msg := encodeRunPass(in)
+		// Sized once, exactly: the encoder never grows its buffer.
+		if len(msg) != runPassSize(in) || cap(msg) != len(msg) {
+			t.Fatalf("%s: runPassSize %d, message of %d bytes in a buffer of %d", tc.name, runPassSize(in), len(msg), cap(msg))
+		}
+		out, err := decodeRunPass(msg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

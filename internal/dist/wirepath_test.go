@@ -10,6 +10,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -349,66 +350,139 @@ func countPartial(n int) *shard.Partial {
 	return p
 }
 
+// gatherPartial builds a partial shaped like the gather pass's, for chunk:
+// per candidate, two cut buckets holding size values together — the second a
+// criterion bucket, with a class per value, and three spans of binary class
+// counts around it — and, every fourth candidate, a point mass gathered
+// whole instead: one bucket of size copies of one value, all classed. Every
+// value names its chunk, so that a gather read from a previous partition's
+// memory shows.
+func gatherPartial(chunk, n, size int) *shard.Partial {
+	p := &shard.Partial{Chunk: chunk, Start: 1000 * chunk, Rows: 4 * size, Gathers: make([]*shard.Gather, n),
+		Labels: []float64{}, Ints: []int32{}, Codes: [][]uint8{}} // as they decode: empty, not absent
+	for i := range p.Gathers {
+		g := &shard.Gather{Vals: make([]float64, size), Class: make([]int32, size-size/3),
+			Sizes: []int32{int32(size / 3), int32(size - size/3)}, Spans: []int32{3, 1, 4, 1, 5, 9}}
+		if i%4 == 3 {
+			g.Class = make([]int32, size)
+			g.Sizes, g.Spans = []int32{int32(size)}, []int32{2, 7, 1, 8}
+		}
+		for r := range g.Vals {
+			g.Vals[r] = float64(chunk*1_000_000 + i*1000 + r)
+			if i%4 == 3 {
+				g.Vals[r] = float64(chunk)
+			}
+		}
+		for r := range g.Class {
+			g.Class[r] = int32((r + chunk) % 2)
+		}
+		p.Gathers[i] = g
+	}
+	return p
+}
+
+// sameGathers compares two gather lists value for value.
+func sameGathers(a, b []*shard.Gather) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !slices.Equal(a[i].Sizes, b[i].Sizes) || !slices.Equal(a[i].Vals, b[i].Vals) ||
+			!slices.Equal(a[i].Class, b[i].Class) || !slices.Equal(a[i].Spans, b[i].Spans) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSteadyStateAlloc is the guard on the whole path a partial takes: frame
-// (worker) → Send → Recv → decodePartial into a pooled container → Decode
-// into the container's typed slices and a slab from the arena → the slab back
-// to the arena, the container back to the pool. Once every buffer on that path
-// has been sized by two warm-up rounds, a round may allocate only bookkeeping
-// — under 5% of the bytes it moves.
+// (worker) → Send → Recv → decodePartial into a pooled container, as views of
+// the receive buffer → Decode into the container's typed slices and slabs
+// from the arena → the fold's read → the slabs back to the arena, the
+// container back to the pool. It runs for both grid passes: the count pass's
+// counts and the gather pass's values, whose partitions differ a little in
+// size from one to the next (the rounds alternate two). Once every buffer on
+// that path has been sized by two warm-up rounds, a round may allocate only
+// bookkeeping — under 5% of the bytes it moves.
 func TestSteadyStateAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations inflate TotalAlloc")
 	}
-	spec := &shard.PassSpec{Kind: shard.PassSketchGen}
-	p := countPartial(64)
-	coord, worker := Pipe()
-	defer coord.Close()
-	defer worker.Close()
-	var (
-		buf   []byte
-		pool  partialPool
-		arena = sketch.NewArena()
-		sent  = make(chan error, 1)
-	)
-	round := func() {
-		buf = AppendPartial(buf[:0], 1, spec.Kind, p)
-		go func() { sent <- worker.Send(buf) }()
-		msg, err := coord.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := <-sent; err != nil {
-			t.Fatal(err)
-		}
-		m := pool.take()
-		if err := decodePartial(msg, m); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Partial.Decode(spec, arena); err != nil {
-			t.Fatal(err)
-		}
-		if got := len(m.Partial.Counts); got != len(p.Counts) {
-			t.Fatalf("decoded %d grid counts, want %d", got, len(p.Counts))
-		}
-		if !reflect.DeepEqual(m.Partial.Counts[63], p.Counts[63]) {
-			t.Fatal("the grid counts did not survive the wire")
-		}
-		m.Partial.ReleaseCounts(arena) // what the count fold does once it has added them up
-		pool.put(m)
-	}
-	round()
-	round()
-	const rounds = 5
-	before := totalAlloc()
-	for i := 0; i < rounds; i++ {
-		round()
-	}
-	perRound := (totalAlloc() - before) / rounds
-	if len(buf) < 64*stats.NumBuckets {
-		t.Fatalf("frame of %d bytes is not count-pass sized", len(buf))
-	}
-	if limit := uint64(len(buf)) / 20; perRound >= limit {
-		t.Fatalf("a steady-state round allocates %d bytes for a %d-byte frame (limit %d)", perRound, len(buf), limit)
+	for _, tc := range []struct {
+		name  string
+		kind  shard.PassKind
+		parts []*shard.Partial
+		fold  func(t *testing.T, got, want *shard.Partial, arena *sketch.Arena)
+	}{
+		{"count", shard.PassSketchGen, []*shard.Partial{countPartial(64)},
+			func(t *testing.T, got, want *shard.Partial, arena *sketch.Arena) {
+				if len(got.Counts) != len(want.Counts) || !reflect.DeepEqual(got.Counts[63], want.Counts[63]) {
+					t.Fatal("the grid counts did not survive the wire")
+				}
+				got.ReleaseCounts(arena) // what the count fold does once it has added them up
+			}},
+		{"gather", shard.PassRefine, []*shard.Partial{gatherPartial(0, 64, 2000), gatherPartial(1, 64, 2060)},
+			func(t *testing.T, got, want *shard.Partial, arena *sketch.Arena) {
+				if !sameGathers(got.Gathers, want.Gathers) {
+					t.Fatalf("partial %d: the gathers did not survive the wire", want.Chunk)
+				}
+				got.ReleaseGathers(arena) // what the gather fold does once it has filed them
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := &shard.PassSpec{Kind: tc.kind}
+			if tc.kind == shard.PassRefine {
+				spec.Grids = make([]shard.GridSpec, len(tc.parts[0].Gathers))
+			}
+			coord, worker := Pipe()
+			defer coord.Close()
+			defer worker.Close()
+			var (
+				buf   []byte
+				pool  partialPool
+				arena = sketch.NewArena()
+				sent  = make(chan error, 1)
+				moved uint64
+			)
+			round := func(i int) {
+				p := tc.parts[i%len(tc.parts)]
+				buf = AppendPartial(buf[:0], 1, spec.Kind, p)
+				moved += uint64(len(buf))
+				go func() { sent <- worker.Send(buf) }()
+				msg, err := coord.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := <-sent; err != nil {
+					t.Fatal(err)
+				}
+				m := pool.take()
+				if err := decodePartial(msg, m); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Partial.Decode(spec, arena); err != nil {
+					t.Fatal(err)
+				}
+				tc.fold(t, &m.Partial, p, arena)
+				pool.put(m)
+			}
+			round(0)
+			round(1)
+			const rounds = 6
+			moved = 0
+			before := totalAlloc()
+			for i := 0; i < rounds; i++ {
+				round(i)
+			}
+			spent := totalAlloc() - before
+			t.Logf("%d rounds: %d bytes allocated for %d bytes of frames", rounds, spent, moved)
+			if moved < rounds*64*stats.NumBuckets {
+				t.Fatalf("%d rounds moved %d bytes: not pass-sized frames", rounds, moved)
+			}
+			if limit := moved / 20; spent >= limit {
+				t.Fatalf("%d steady-state rounds allocate %d bytes for %d bytes of frames (limit %d)", rounds, spent, moved, limit)
+			}
+		})
 	}
 }
 
@@ -480,30 +554,96 @@ func TestRecvBufferLifecycle(t *testing.T) {
 	}
 }
 
+// scribbleConn holds a coordinator to the letter of Conn's contract: the
+// message a Recv returned is valid until the next Recv, and this connection
+// overwrites it then.
+type scribbleConn struct {
+	Conn
+	last []byte
+}
+
+func (s *scribbleConn) Recv() ([]byte, error) {
+	for i := range s.last {
+		s.last[i] = 0xa5
+	}
+	msg, err := s.Conn.Recv()
+	s.last = msg
+	return msg, err
+}
+
+// TestPartialsLetGoOfTheReceiveBuffer: the coordinator decodes a partial as
+// views of its connection's receive buffer, and its reader must not receive
+// again while anything still reads them — unless the partial was copied out
+// to wait beyond a gap. Distributed fits over connections that scribble over
+// every message at the next Recv, with delays and duplicates injected so that
+// partials arrive out of order, must select what the local fit selects.
+func TestPartialsLetGoOfTheReceiveBuffer(t *testing.T) {
+	const rows, dim, parts = 2000, 8, 8
+	for _, tc := range taskCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			train := taskWorkload(t, rows, dim, tc)
+			cfg := core.DefaultConfig()
+			cfg.Task = tc.task
+			cfg.Seed = 1
+			want, _ := localFingerprints(t, train, cfg, rows/parts)
+			spec := writeSource(t, train, SourceColstore, rows/parts)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			fl := pipeFleet(t, ctx, 3)
+			conns := make([]Conn, len(fl.conns))
+			for i, c := range fl.conns {
+				conns[i] = Chaos(&scribbleConn{Conn: c}, ChaosPlan{Seed: int64(i + 1), DelayRate: 0.5, DupRate: 0.2})
+			}
+			p, _ := distFit(t, ctx, spec, conns, cfg)
+			cancel()
+			fl.wait()
+			if got := fingerprint(p); got != want {
+				t.Fatalf("the fit over scribbled buffers selected\n%s\nwant\n%s", got, want)
+			}
+		})
+	}
+}
+
 // --- reuse safety under chaos ---
 
-// TestChaosFramesSurviveBufferReuse drives distinct partials through a
+// TestChaosFramesSurviveBufferReuse drives distinct partials — base partials
+// and gather partials, of sizes that differ from one to the next — through a
 // connection whose buffer every Recv overwrites, with drops (the frame is held
 // back and redelivered by the retry) and duplicates (redelivered after the
-// original) injected, decoding each arrival into a pooled container the way
-// the coordinator's reader does and keeping it the way the pending map does.
-// Every delivery — first, retried or duplicate — must still read as the
-// partial that was sent once all later frames have gone through the buffer.
+// original) injected. Each arrival is decoded into a pooled container as views
+// of the receive buffer, the way the coordinator's reader decodes it, and then
+// either read at once, as a fold in order reads it before its reader receives
+// again, or copied out and kept, the way a partial parked beyond a gap is.
+// Every delivery — first, retried or duplicate — must read as the partial that
+// was sent; a kept one still once all later frames have gone through the
+// buffer. A gather partial is also decoded the way the fold decodes it, into
+// arena slabs that the previous gather partial released: a reused backing
+// must never show a previous partition's values.
 func TestChaosFramesSurviveBufferReuse(t *testing.T) {
 	const n = 40
 	type sent struct {
+		kind  shard.PassKind
 		p     *shard.Partial
 		blobs [][]byte
 	}
 	var all []sent
 	for i := 0; i < n; i++ {
 		// Sizes differ, so a later frame overwrites an earlier one only in part.
+		if i%2 == 1 {
+			p := gatherPartial(i, 3, 12+29*(i%5))
+			var blobs [][]byte
+			for _, g := range p.Gathers {
+				blobs = append(blobs, g.AppendWire(nil))
+			}
+			all = append(all, sent{shard.PassRefine, p, blobs})
+			continue
+		}
 		col := make([]float64, 20+37*(i%7))
 		for r := range col {
 			col[r] = float64(i*1000 + r)
 		}
 		p, blobs := basePartial(i, col)
-		all = append(all, sent{p, blobs})
+		all = append(all, sent{shard.PassBaseSketch, p, blobs})
 	}
 	coordEnd, worker := Pipe()
 	coord := Chaos(coordEnd, ChaosPlan{Seed: 5, DropRate: 0.25, DupRate: 0.25})
@@ -512,7 +652,7 @@ func TestChaosFramesSurviveBufferReuse(t *testing.T) {
 	go func() {
 		var buf []byte
 		for _, s := range all {
-			buf = AppendPartial(buf[:0], 1, shard.PassBaseSketch, s.p)
+			buf = AppendPartial(buf[:0], 1, s.kind, s.p)
 			if err := worker.Send(buf); err != nil {
 				return
 			}
@@ -521,11 +661,30 @@ func TestChaosFramesSurviveBufferReuse(t *testing.T) {
 	}()
 	var (
 		pool       partialPool
-		held       []*partialMsg
+		arena      = sketch.NewArena()
+		kept       []*partialMsg
 		deliveries = map[int]int{}
 		drops      int
 	)
-	for {
+	check := func(m *partialMsg) {
+		t.Helper()
+		want := all[m.Partial.Chunk]
+		if !samePlain(want.p, &m.Partial) || !reflect.DeepEqual(m.Partial.Blobs, want.blobs) {
+			t.Fatalf("partial %d does not read as sent", m.Partial.Chunk)
+		}
+		if want.kind != shard.PassRefine {
+			return
+		}
+		q := m.Partial // the fold decodes a container's partial in place; this one is read again
+		if err := q.Decode(&shard.PassSpec{Kind: shard.PassRefine, Grids: make([]shard.GridSpec, len(q.Blobs))}, arena); err != nil {
+			t.Fatal(err)
+		}
+		if !sameGathers(q.Gathers, want.p.Gathers) {
+			t.Fatalf("gather partial %d decoded into reused memory does not read as sent", m.Partial.Chunk)
+		}
+		q.ReleaseGathers(arena)
+	}
+	for i := 0; ; i++ {
 		msg, err := coord.Recv()
 		if err != nil {
 			if !frame.IsTransient(err) {
@@ -541,43 +700,62 @@ func TestChaosFramesSurviveBufferReuse(t *testing.T) {
 		if err := decodePartial(msg, m); err != nil {
 			t.Fatal(err)
 		}
-		held = append(held, m)
 		deliveries[m.Partial.Chunk]++
+		if i%3 == 0 {
+			m.keep()
+			kept = append(kept, m)
+			continue
+		}
+		check(m)
+		pool.put(m)
+	}
+	for _, m := range kept {
+		check(m)
 	}
 	dups := 0
-	for _, m := range held {
-		want := all[m.Partial.Chunk]
-		if !samePlain(want.p, &m.Partial) || !reflect.DeepEqual(m.Partial.Blobs, want.blobs) {
-			t.Fatalf("partial %d no longer reads as sent after later frames reused the buffer", m.Partial.Chunk)
-		}
-	}
 	for i := 0; i < n; i++ {
 		if deliveries[i] == 0 {
 			t.Fatalf("partial %d never arrived", i)
 		}
 		dups += deliveries[i] - 1
 	}
-	if drops == 0 || dups == 0 {
-		t.Fatalf("chaos plan injected %d drops and %d duplicates; both paths must run", drops, dups)
+	if drops == 0 || dups == 0 || len(kept) == 0 {
+		t.Fatalf("chaos plan injected %d drops and %d duplicates, and %d partials were kept; every path must run", drops, dups, len(kept))
 	}
 }
 
 // --- the container pool ---
 
-// TestPartialPoolIsASoftCap pins the two properties the coordinator leans
+// TestPartialPoolIsASoftCap pins the three properties the coordinator leans
 // on: take never waits (a reader that could block on a quota deadlocks the
-// fold under reassignment), and what put keeps is bounded.
+// fold under reassignment), what put keeps is bounded, and put ends a
+// received partial's hold on its connection's receive buffer — it wakes the
+// waiting reader exactly once, whether the container is kept or dropped.
 func TestPartialPoolIsASoftCap(t *testing.T) {
 	var pool partialPool
 	var taken []*partialMsg
+	free := make(chan struct{}, 1)
 	for i := 0; i < 3*maxPooledPartials; i++ {
 		taken = append(taken, pool.take())
 	}
 	for _, m := range taken {
+		m.free = free
 		pool.put(m)
+		select {
+		case <-free:
+		default:
+			t.Fatal("put did not release the partial's reader")
+		}
+		if m.free != nil {
+			t.Fatal("a released partial still holds its reader")
+		}
 	}
 	if len(pool.free) != maxPooledPartials {
 		t.Fatalf("pool keeps %d idle containers, want %d", len(pool.free), maxPooledPartials)
+	}
+	pool.put(taken[0]) // already released: nobody to wake
+	if len(free) != 0 {
+		t.Fatal("a second put woke the reader again")
 	}
 	if m := pool.take(); m != taken[maxPooledPartials-1] {
 		t.Fatal("take did not hand back a pooled container")
@@ -610,5 +788,58 @@ func TestDecodeCountGuard(t *testing.T) {
 	}
 	if spent > 4*uint64(len(msg)) {
 		t.Fatalf("a %d-byte frame made decodePartial allocate %d bytes", len(msg), spent)
+	}
+}
+
+// --- the whole fit ---
+
+// fitAllocRatio is the most a distributed fit over a Pipe worker may
+// allocate, as a multiple of the in-process executor's fit on the same rows
+// (TestDistFitAllocWithinLocal). Both read ×1.27 on amd64 with the gathered
+// values' memory reused at every hop; before that reuse, the same test read
+// ×1.49 to ×1.58.
+const fitAllocRatio = 1.35
+
+// TestDistFitAllocWithinLocal pins what the wire path costs in allocation,
+// end to end: a binary fit of 8,000 × 20 rows in four row groups, once
+// through the in-process executor and once through a coordinator and a
+// worker over a Pipe connection, both in this process, so that TotalAlloc
+// counts both sides of the wire. The distributed fit may allocate at most
+// fitAllocRatio times what the local one does. One worker sends the
+// partitions in order, so none waits beyond a gap and is copied out of the
+// receive buffer: the reading does not depend on which worker finishes
+// first.
+func TestDistFitAllocWithinLocal(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations inflate TotalAlloc")
+	}
+	const rows, dim, parts = 8000, 20, 4
+	tc := taskCases()[0]
+	train := taskWorkload(t, rows, dim, tc)
+	spec := writeSource(t, train, SourceColstore, rows/parts)
+	cfg := core.DefaultConfig()
+	cfg.Task = tc.task
+	cfg.Seed = 1
+	before := totalAlloc()
+	local, _, _, err := shard.Fit(context.Background(), openLocal(t, spec), shard.Config{Core: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	localBytes := totalAlloc() - before
+	ctx, cancel := context.WithCancel(context.Background())
+	fl := pipeFleet(t, ctx, 1)
+	before = totalAlloc()
+	dist, _ := distFit(t, ctx, spec, fl.conns, cfg)
+	distBytes := totalAlloc() - before
+	cancel()
+	fl.wait()
+	if fingerprint(dist) != fingerprint(local) {
+		t.Fatalf("the distributed fit selected %s, the local one %s", fingerprint(dist), fingerprint(local))
+	}
+	ratio := float64(distBytes) / float64(localBytes)
+	t.Logf("distributed fit %.1f MB, local fit %.1f MB: ×%.2f", float64(distBytes)/(1<<20), float64(localBytes)/(1<<20), ratio)
+	if ratio > fitAllocRatio {
+		t.Fatalf("a distributed fit allocates ×%.2f the local fit's bytes (%d against %d), over the ×%.2f bound",
+			ratio, distBytes, localBytes, fitAllocRatio)
 	}
 }

@@ -79,6 +79,10 @@ type session struct {
 
 	retries     int64 // written atomically by the retry source
 	sentRetries int64 // retries already reported in a passDone
+
+	// frame is the buffer every partial of the session is framed in, grown
+	// only for a partial larger than all before it.
+	frame []byte
 }
 
 func (s *session) closeSource() {
@@ -179,10 +183,6 @@ func (s *session) handleRunPass(msg []byte) error {
 	}
 	done := passDone{PassID: m.PassID}
 	idx := 0
-	// One frame buffer serves every partial of the pass, reallocated only for
-	// a partial larger than all before it; it ends with the pass, so a gather
-	// pass's megabytes are not held for the rest of the fit.
-	var frame []byte
 	for {
 		if err := s.ctx.Err(); err != nil {
 			return err
@@ -204,8 +204,8 @@ func (s *session) handleRunPass(msg []byte) error {
 		}
 		// The typed payload takes its wire form only here, at the process
 		// edge; once the frame is sent the partial's pooled buffers go back.
-		frame = AppendPartial(frame[:0], m.PassID, m.Spec.Kind, p)
-		err = s.conn.Send(frame)
+		s.frame = AppendPartial(s.frame[:0], m.PassID, m.Spec.Kind, p)
+		err = s.conn.Send(s.frame)
 		done.Chunks++
 		done.Rows += int64(p.Rows)
 		s.ws.Release(p)

@@ -168,8 +168,10 @@ type Partial struct {
 	Gathers []*Gather
 	Gram    *sketch.Gram
 
-	codeSlab  []uint8 // arena backing of Codes
-	countSlab []int32 // arena backing of Counts
+	codeSlab  []uint8   // arena backing of Codes
+	countSlab []int32   // arena backing of Counts
+	gatherInt []int32   // arena backing of decoded Gathers' sizes, classes and spans
+	gatherVal []float64 // arena backing of decoded Gathers' values
 }
 
 // BlobCount is how many blobs the kind's typed payload renders to on the
@@ -232,9 +234,10 @@ func (p *Partial) AppendBlob(b []byte, kind PassKind, i int) []byte {
 // Decode rebuilds the typed payload of a partial that arrived in wire form
 // (Blobs set, an empty typed payload) for the pass spec it answers; a partial handed
 // over by pointer passes through untouched. Blobs stays in place and is not
-// referenced by the typed payload. Gram partials and the grid counts are
-// drawn from the arena: the fold returns them there once merged,
-// so the next partial decodes into the same memory. Counts are not checked
+// referenced by the typed payload. Gram partials, the grid counts and the
+// gathers' slabs are drawn from the arena: the fold returns them there once
+// merged (ReleaseCounts, ReleaseGathers), so the next partial decodes into the
+// same memory. Counts are not checked
 // here beyond what laying the blobs out needs — every fold validates the
 // typed payload's shape, whichever way it arrived.
 func (p *Partial) Decode(spec *PassSpec, arena *sketch.Arena) error {
@@ -286,13 +289,25 @@ func (p *Partial) Decode(spec *PassSpec, arena *sketch.Arena) error {
 			return fmt.Errorf("shard: pass kind %d partial %d has %d blobs, want %d gathers",
 				kind, p.Chunk, len(p.Blobs), len(spec.Grids))
 		}
-		p.Gathers = make([]*Gather, len(p.Blobs))
+		// Measured first, so that the two slabs are taken once, at their size:
+		// a steady stream of gather partials decodes into the same memory.
+		var sl gatherSlabs
 		for i, b := range p.Blobs {
-			g, err := decodeGather(b)
-			if err != nil {
+			if err := sl.read(b, nil); err != nil {
 				return fail(i, err)
 			}
-			p.Gathers[i] = g
+		}
+		p.gatherInt, p.gatherVal = arena.Int32sRoom(sl.ni), arena.FloatsRoom(sl.nv)
+		sl = gatherSlabs{fill: true, ints: p.gatherInt, vals: p.gatherVal}
+		// A recycled container hands back its gathers' headers too.
+		p.Gathers = wire.Resize(p.Gathers, len(p.Blobs))
+		for i, b := range p.Blobs {
+			if p.Gathers[i] == nil {
+				p.Gathers[i] = new(Gather)
+			}
+			if err := sl.read(b, p.Gathers[i]); err != nil {
+				return fail(i, err)
+			}
 		}
 	case PassGramCodes:
 		g, _, err := arena.DecodeGram(p.Blobs[0])
@@ -374,6 +389,11 @@ type WorkerState struct {
 
 	mu   sync.Mutex
 	free []*scratch // idle per-goroutine scratch, kept across chunks and passes
+
+	// gathers[i] is what the gather kernel fills for the pass's column i, kept
+	// across partitions and passes like the scratch: one partial is alive at
+	// a time, and its gathers are folded or sent before the next is computed.
+	gathers []*Gather
 }
 
 // scratch is what one goroutine of a column loop needs to itself.
@@ -772,14 +792,17 @@ func (ws *WorkerState) computeGather(ctx context.Context, spec *PassSpec, c *fra
 			return err
 		}
 	}
-	p.Gathers = make([]*Gather, len(spec.Grids))
+	for len(ws.gathers) < len(spec.Grids) {
+		ws.gathers = append(ws.gathers, new(Gather))
+	}
+	p.Gathers = ws.gathers[:len(spec.Grids):len(spec.Grids)]
 	return ws.forCols(ctx, len(spec.Grids), func(s *scratch, i int) error {
 		g := &spec.Grids[i]
 		vals, err := ws.colOf(g.Base, g.Gen, cols, s.floats(p.Rows))
 		if err != nil {
 			return err
 		}
-		p.Gathers[i] = gatherCol(g, pp.tables[i], vals, cls, taskClasses(ws.task), s)
+		gatherCol(g, pp.tables[i], vals, cls, taskClasses(ws.task), s, p.Gathers[i])
 		return nil
 	})
 }

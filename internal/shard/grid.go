@@ -390,39 +390,66 @@ func (g *Gather) AppendWire(b []byte) []byte {
 	return b
 }
 
-func decodeGather(b []byte) (*Gather, error) {
-	r := wire.NewReader(b)
-	g := &Gather{}
-	varints := func() []int32 {
-		n := r.Uvarint()
-		if n > uint64(len(r.Rest())) { // a varint is at least a byte
+// gatherSlabs parses gather blobs into two slabs: one of int32s (sizes,
+// classes and span counts) and one of values. With fill unset it only
+// measures them — ni and nv count what the slabs must hold — and every count
+// is checked against the bytes left, so what the slabs are sized by is backed
+// by the blobs. With fill set, the slabs hold at least that much, and each
+// gather's slices are carved off them in turn.
+type gatherSlabs struct {
+	fill   bool
+	ints   []int32
+	vals   []float64
+	ni, nv int
+}
+
+// varints reads a count and that many varints, each at most MaxInt32, and
+// returns them (filling) and their sum.
+func (s *gatherSlabs) varints(r *wire.Reader) (out []int32, sum int) {
+	n := r.Uvarint()
+	if n > uint64(len(r.Rest())) { // a varint is at least a byte
+		r.Fail()
+		return nil, 0
+	}
+	if s.fill {
+		out = s.ints[s.ni : s.ni+int(n) : s.ni+int(n)]
+	}
+	s.ni += int(n)
+	for i := 0; i < int(n); i++ {
+		v := r.Uvarint()
+		if v > math.MaxInt32 {
 			r.Fail()
-			return nil
 		}
-		out := make([]int32, n)
-		for i := range out {
-			v := r.Uvarint()
-			if v > math.MaxInt32 {
-				r.Fail()
-			}
+		sum += int(v)
+		if s.fill {
 			out[i] = int32(v)
 		}
-		return out
 	}
-	g.Sizes = varints()
-	total := 0
-	for _, s := range g.Sizes {
-		total += int(s)
-	}
+	return out, sum
+}
+
+// read parses one gather blob, into g when filling.
+func (s *gatherSlabs) read(b []byte, g *Gather) error {
+	r := wire.NewReader(b)
+	sizes, total := s.varints(&r)
+	var vals []float64
 	if total > len(r.Rest())/8 {
 		r.Fail()
 	} else if !r.Failed() {
-		g.Vals = make([]float64, total)
-		r.FillF64s(g.Vals)
+		if s.fill {
+			vals = s.vals[s.nv : s.nv+total : s.nv+total]
+			r.FillF64s(vals)
+		} else {
+			r.Take(8 * total)
+		}
+		s.nv += total
 	}
-	g.Class = varints()
-	g.Spans = varints()
-	return g, blobDone(&r)
+	class, _ := s.varints(&r)
+	spans, _ := s.varints(&r)
+	if s.fill {
+		*g = Gather{Sizes: sizes, Vals: vals, Class: class, Spans: spans}
+	}
+	return blobDone(&r)
 }
 
 // gridState is a column's state between its two grid passes.
@@ -517,9 +544,30 @@ func sampleGather(sorted []float64, ranks []int64, g stats.Grid) int {
 }
 
 // valueRange returns the least and greatest non-NaN value of xs (+Inf and
-// -Inf when there is none). The builtins order -0 below +0, so the two ends
-// have the same bits only when every value has them.
+// -Inf when there is none). The scan is plain comparisons, which a NaN fails
+// both of; the float min and max builtins cost branches on every value for
+// their NaN and signed-zero rules. Only the latter matter here: the builtins
+// order -0 below +0, so that the two ends have the same bits only when every
+// value has them (a constant column). An end at zero is therefore found again
+// by signedRange.
 func valueRange(xs []float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range xs {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	if lo == 0 || hi == 0 {
+		return signedRange(xs)
+	}
+	return lo, hi
+}
+
+// signedRange is valueRange with the builtins, which tell -0 from +0.
+func signedRange(xs []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, v := range xs {
 		if v == v {
@@ -602,8 +650,8 @@ func (ws *WorkerState) classIDs(labels []float64) ([]int32, error) {
 // consecutive values rarely wait on one another's increment. The per-bucket
 // counts then give the cut buckets' sizes and, for a count task, the spans'
 // class counts. The second scan files the cut buckets' values (and, in a
-// criterion cut bucket, their classes).
-func gatherCol(g *GridSpec, t *gridTables, vals []float64, cls []int32, k int, s *scratch) *Gather {
+// criterion cut bucket, their classes). It fills out, reusing its backings.
+func gatherCol(g *GridSpec, t *gridTables, vals []float64, cls []int32, k int, s *scratch, out *Gather) {
 	stride := 1
 	if cls != nil {
 		stride = k
@@ -627,14 +675,17 @@ func gatherCol(g *GridSpec, t *gridTables, vals []float64, cls []int32, k int, s
 		}
 		cnt[b*stride+c]++
 	}
-	out := &Gather{Sizes: make([]int32, len(g.Buckets))}
+	out.Sizes = roomy(out.Sizes, len(g.Buckets))
 	for j, b := range g.Buckets {
+		out.Sizes[j] = 0
 		for _, n := range cnt[b*stride : (b+1)*stride] {
 			out.Sizes[j] += n
 		}
 	}
+	out.Spans = out.Spans[:0]
 	if cls != nil {
-		out.Spans = make([]int32, t.spans*k)
+		out.Spans = roomy(out.Spans, t.spans*k)
+		clear(out.Spans)
 		for b, sp := range t.span {
 			if sp >= 0 {
 				dst := out.Spans[int(sp)*k : (int(sp)+1)*k]
@@ -656,10 +707,8 @@ func gatherCol(g *GridSpec, t *gridTables, vals []float64, cls []int32, k int, s
 			classed += int(n)
 		}
 	}
-	out.Vals = make([]float64, total)
-	if cls != nil {
-		out.Class = make([]int32, classed)
-	}
+	out.Vals = roomy(out.Vals, total)
+	out.Class = roomy(out.Class, classed)
 	for i, b := range rowB {
 		if b < 0 {
 			continue
@@ -675,7 +724,16 @@ func gatherCol(g *GridSpec, t *gridTables, vals []float64, cls []int32, k int, s
 			cpos[sl]++
 		}
 	}
-	return out
+}
+
+// roomy returns s at length n, contents unspecified: in its own backing when
+// that is large enough, else in a new one with an eighth more room, so that
+// the next partition's slightly larger column still fits.
+func roomy[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/8)
+	}
+	return s[:n]
 }
 
 // passGridCounts is the count pass over the columns being cut: the fold adds
@@ -724,6 +782,17 @@ func (f *fitter) passGridCounts(cols []*column) error {
 func (p *Partial) ReleaseCounts(arena *sketch.Arena) {
 	arena.PutInt32s(p.countSlab)
 	p.countSlab = nil
+}
+
+// ReleaseGathers returns the slabs behind a gather partial's gathers to the
+// arena once they are filed, as ReleaseCounts does for counts: a partial that
+// came over the wire was decoded into them. The gathers must not be used
+// afterwards. A partial handed over by pointer holds no slab: its gathers are
+// the worker state's.
+func (p *Partial) ReleaseGathers(arena *sketch.Arena) {
+	arena.PutInt32s(p.gatherInt)
+	arena.PutFloats(p.gatherVal)
+	p.gatherInt, p.gatherVal = nil, nil
 }
 
 // foldCounts merges one chunk's count-pass partial into the column, whose
@@ -837,12 +906,14 @@ func (f *fitter) passGather(cols []*column) error {
 		if len(p.Gathers) != len(cols) {
 			return fmt.Errorf("shard: gather partial %d has %d gathers, want %d", p.Chunk, len(p.Gathers), len(cols))
 		}
-		return f.each(len(cols), func(i int) error {
+		err := f.each(len(cols), func(i int) error {
 			if err := cols[i].foldGather(p.Gathers[i], k, counts); err != nil {
 				return fmt.Errorf("shard: gather partial %d col %d: %w", p.Chunk, i, err)
 			}
 			return nil
 		})
+		p.ReleaseGathers(f.arena)
+		return err
 	})
 	if err != nil {
 		return err

@@ -32,8 +32,8 @@ const maxArenaSlices = 64
 func NewArena() *Arena { return &Arena{} }
 
 // takeSlice pops a pooled slice with capacity for n elements, or allocates
-// one; the contents are unspecified.
-func takeSlice[T any](a *Arena, pool *[][]T, n int) []T {
+// one with capacity c (at least n); the contents are unspecified.
+func takeSlice[T any](a *Arena, pool *[][]T, n, c int) []T {
 	a.mu.Lock()
 	for i, s := range *pool {
 		if cap(s) >= n {
@@ -46,7 +46,7 @@ func takeSlice[T any](a *Arena, pool *[][]T, n int) []T {
 		}
 	}
 	a.mu.Unlock()
-	return make([]T, n)
+	return make([]T, n, c)
 }
 
 // putSlice returns a slice to its pool, up to maxArenaSlices retained.
@@ -64,21 +64,30 @@ func putSlice[T any](a *Arena, pool *[][]T, s []T) {
 // Floats returns a []float64 of length n with unspecified contents — for
 // buffers the caller fully overwrites (transform outputs). Zeroing the big
 // per-chunk scratch columns showed up as measurable memclr time.
-func (a *Arena) Floats(n int) []float64 { return takeSlice(a, &a.floats, n) }
+func (a *Arena) Floats(n int) []float64 { return takeSlice(a, &a.floats, n, n) }
 
 // PutFloats returns a slice taken with Floats.
 func (a *Arena) PutFloats(s []float64) { putSlice(a, &a.floats, s) }
 
 // Int32s returns a []int32 of length n with unspecified contents — for id
 // slabs the caller fully overwrites.
-func (a *Arena) Int32s(n int) []int32 { return takeSlice(a, &a.int32s, n) }
+func (a *Arena) Int32s(n int) []int32 { return takeSlice(a, &a.int32s, n, n) }
+
+// FloatsRoom and Int32sRoom are Floats and Int32s for slabs whose size drifts
+// from one use to the next, such as the values a partition gathers: a fresh
+// slab has an eighth more capacity than n, so that a slightly larger next
+// request still finds it in the pool.
+func (a *Arena) FloatsRoom(n int) []float64 { return takeSlice(a, &a.floats, n, n+n/8) }
+
+// Int32sRoom: see FloatsRoom.
+func (a *Arena) Int32sRoom(n int) []int32 { return takeSlice(a, &a.int32s, n, n+n/8) }
 
 // PutInt32s returns a slice taken with Int32s.
 func (a *Arena) PutInt32s(s []int32) { putSlice(a, &a.int32s, s) }
 
 // Bytes returns a []uint8 of length n with unspecified contents — for the
 // per-chunk code columns a pass fully overwrites.
-func (a *Arena) Bytes(n int) []uint8 { return takeSlice(a, &a.bytes, n) }
+func (a *Arena) Bytes(n int) []uint8 { return takeSlice(a, &a.bytes, n, n) }
 
 // PutBytes returns a slice taken with Bytes.
 func (a *Arena) PutBytes(s []uint8) { putSlice(a, &a.bytes, s) }

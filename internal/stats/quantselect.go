@@ -176,9 +176,19 @@ func (g Grid) Valid() bool {
 // float domain: Go leaves an out-of-range float→int conversion to the
 // implementation, and ±Inf (legal in a raw base column) must land in an end
 // bucket. Subtraction, multiplication by a positive scale, clamping and
-// truncation are each monotone, so v ≤ w implies Bucket(v) ≤ Bucket(w).
+// truncation are each monotone, so v ≤ w implies Bucket(v) ≤ Bucket(w). The
+// clamp is two plain comparisons, not the float min and max builtins, whose
+// NaN and signed-zero rules cost branches on every value and change no
+// bucket: -0 truncates to 0 as +0 does, and a NaN passes either way.
 func (g Grid) Bucket(v float64) int {
-	return int(max(0, min((v-g.Lo)*g.Scale, NumBuckets-1)))
+	x := (v - g.Lo) * g.Scale
+	if x < 0 {
+		x = 0
+	}
+	if x > NumBuckets-1 {
+		x = NumBuckets - 1
+	}
+	return int(x)
 }
 
 // Count adds the non-NaN values of xs to cnt[bucket] (NumBuckets counters),
