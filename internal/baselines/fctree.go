@@ -12,6 +12,29 @@ import (
 	"repro/internal/stats"
 )
 
+// generated is one fitted candidate feature.
+type generated struct {
+	name    string
+	inputs  []string
+	applier operators.Applier
+	values  []float64
+}
+
+// construct fits op on columns a and b and computes the candidate's column
+// with core.Apply: the column its Pipeline node emits for the same rows, so
+// FCTree scores what it will serve.
+func construct(op operators.Operator, cols [][]float64, names []string, a, b int) (*generated, error) {
+	in := [][]float64{cols[a], cols[b]}
+	nm := []string{names[a], names[b]}
+	applier, err := op.Fit(in)
+	if err != nil {
+		return nil, fmt.Errorf("baselines: %s: %w", op.Name(), err)
+	}
+	g := &generated{name: applier.Formula(nm), inputs: nm, applier: applier, values: make([]float64, len(cols[a]))}
+	core.Apply(applier, in, g.values)
+	return g, nil
+}
+
 // FCTreeConfig configures the FCTree baseline (Fan et al. 2010).
 type FCTreeConfig struct {
 	Operators []string

@@ -4,9 +4,11 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/operators"
 )
 
@@ -106,36 +108,36 @@ func TestPure(t *testing.T) {
 func TestRandomPairsEligibilityFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	// Only even-indexed features eligible.
-	pairs := randomPairs(10, 8, rng, func(j int) bool { return j%2 == 0 })
-	for _, p := range pairs {
-		if p.a%2 != 0 || p.b%2 != 0 {
-			t.Fatalf("ineligible feature in pair %v", p)
+	for _, p := range randomPairs([]int{0, 2, 4, 6, 8}, 8, rng) {
+		if p.Features[0]%2 != 0 || p.Features[1]%2 != 0 {
+			t.Fatalf("ineligible feature in pair %v", p.Features)
 		}
 	}
 	// Fewer than 2 eligible features: no pairs.
-	if got := randomPairs(10, 5, rng, func(j int) bool { return j == 3 }); got != nil {
+	if got := randomPairs([]int{3}, 5, rng); got != nil {
 		t.Errorf("pairs from a single-feature pool: %v", got)
 	}
 }
 
-// TestBaselinesScoreWhatTheirPipelineEmits: the column a baseline scores is
-// the column its Pipeline emits for the same rows, bit for bit — through
-// generatePairs (RAND and IMP) and construct (which FCTree builds its
-// candidates with too) as through TFC's evalPair. The product of a and b lies
-// in (1e300, MaxFloat64] on every row but the last, where it overflows.
+// TestBaselinesScoreWhatTheirPipelineEmits: the column a method scores is the
+// column its Pipeline emits for the same rows, bit for bit — through construct
+// (which FCTree builds its candidates with), through TFC's evalPair, and
+// through the loop RAND and IMP fit with, here on a fixed {0,1} pair source.
+// The loop scores a candidate with core.Apply, as construct does; the fit's
+// Pipeline must emit that column. The product of a and b lies in (1e300,
+// MaxFloat64] on every row but the last, where it overflows.
 func TestBaselinesScoreWhatTheirPipelineEmits(t *testing.T) {
 	a := []float64{1e151, 2e152, -3e152, 1e154, 1e200}
 	b := []float64{1e151, 5e152, -4e152, 1.7e154, 1e200}
 	names := []string{"a", "b"}
 	mul := operators.Mul()
-	gens, err := generatePairs([]combo{{0, 1}}, [][]float64{a, b}, names, []operators.Operator{mul})
-	if err != nil || len(gens) != 1 {
-		t.Fatalf("generatePairs: %d candidates, %v", len(gens), err)
+	g, err := construct(mul, [][]float64{a, b}, names, 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	tfc := make([]float64, len(a))
 	evalPair(mul, a, b, tfc)
 
-	g := gens[0]
 	p := &core.Pipeline{OriginalNames: names, Nodes: []core.FeatureNode{{Name: g.name, Inputs: g.inputs, Applier: g.applier}}, Output: []string{g.name}}
 	rows := make([][]float64, len(a))
 	for i := range rows {
@@ -148,10 +150,26 @@ func TestBaselinesScoreWhatTheirPipelineEmits(t *testing.T) {
 	if out[0][0] <= 1e300 {
 		t.Fatalf("the pipeline emits %v for 1e151 * 1e151", out[0][0])
 	}
+
+	train := &frame.Frame{Columns: []frame.Column{{Name: "a", Values: a}, {Name: "b", Values: b}}, Label: []float64{0, 1, 0, 1, 1}}
+	fixed := func(*core.PairRound) ([]core.Combo, error) { return []core.Combo{{Features: []int{0, 1}}}, nil }
+	loop := fit(t, train, fixed, func(c *core.Config) {
+		c.Operators = []string{"mul"}
+		c.PearsonThreshold = 1 // keep the product beside its inputs
+	})
+	if !slices.Contains(loop.Output, g.name) {
+		t.Fatalf("the loop's fit on the pair {a, b} outputs %q, not %q", loop.Output, g.name)
+	}
+	emitted, err := loop.TransformBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(loop.Output, g.name)
+
 	for i, row := range out {
-		for name, scored := range map[string][]float64{"generatePairs": g.values, "TFC": tfc} {
-			if math.Float64bits(scored[i]) != math.Float64bits(row[0]) {
-				t.Errorf("row %d: %s scored %v, the pipeline emits %v", i, name, scored[i], row[0])
+		for name, scored := range map[string]float64{"construct": g.values[i], "TFC": tfc[i], "the loop's pipeline": emitted[i][col]} {
+			if math.Float64bits(scored) != math.Float64bits(row[0]) {
+				t.Errorf("row %d: %s has %v, the pipeline emits %v", i, name, scored, row[0])
 			}
 		}
 	}
@@ -159,10 +177,7 @@ func TestBaselinesScoreWhatTheirPipelineEmits(t *testing.T) {
 
 func TestPrunePipelineKeepsDependencies(t *testing.T) {
 	ds := testDataset(t)
-	p, err := Rand(ds.Train, RandConfig{Selection: coreSelection(), Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := fit(t, ds.Train, RandPairs(9), func(c *core.Config) { c.Iterations = 2 })
 	// After pruning (already applied), every node output must be reachable
 	// from Output or feed another kept node.
 	needed := map[string]bool{}
@@ -178,5 +193,3 @@ func TestPrunePipelineKeepsDependencies(t *testing.T) {
 		}
 	}
 }
-
-func coreSelection() core.SelectionConfig { return core.DefaultSelectionConfig() }

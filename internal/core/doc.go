@@ -14,8 +14,11 @@
 //     kept ones through the operator registry (operators package) into
 //     candidate features, filters them by Information Value, removes the
 //     redundant ones in one greedy descending-IV scan, ranks the rest by
-//     ranker gain and keeps the budget. The loop also owns the clock, the
-//     FitEvent stream (events.go), early stopping and the reports. A
+//     ranker gain and keeps the budget. Mining and scoring are the default
+//     PairSource (pairs.go), the one seam through which the RAND and IMP
+//     baselines choose their combinations instead and share the rest. The
+//     loop also owns the clock, the FitEvent stream (events.go), early
+//     stopping and the reports. A
 //     feature is binned once for as long as it lives (Feature, binned): a
 //     stage whose booster wants another bin count is the only thing that
 //     bins again, and the loop is the only place that says so.
@@ -33,7 +36,7 @@
 //     three-stage filter of Section IV-C over resident columns — an
 //     Information Value screen, the Pearson-correlation dedup (the loop's
 //     scan under a standardised-dot-product test), and a model-importance
-//     ranking — which the RAND and IMP baselines share.
+//     ranking — behind the public safe.Select; no fit calls it.
 //
 //   - The result of a fit is a Pipeline — the learned feature generation
 //     function Ψ, a DAG of FeatureNodes over the original columns. It runs

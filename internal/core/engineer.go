@@ -32,6 +32,10 @@ type Config struct {
 	// Gamma is γ of Algorithm 2: how many top combinations are kept for
 	// generation. Default: 2 × number of original features.
 	Gamma int
+	// Pairs chooses each round's combinations (see PairSource). Nil is
+	// SAFE's source; the RAND and IMP baselines (internal/baselines) set
+	// theirs and share everything after the pairs.
+	Pairs PairSource
 	// IVThreshold is α of Algorithm 3 (default 0.1, Table I).
 	IVThreshold float64
 	// IVBins is β of Algorithm 3 (default 10 equal-frequency bins).
@@ -82,8 +86,9 @@ type Config struct {
 	// Pearson and both boosters run on: 1 runs serial, <= 0 selects
 	// GOMAXPROCS. Fit results are identical for any worker count.
 	Workers int
-	// Seed does not affect a SAFE fit: no stage draws a random number, so a
-	// fit is a function of its data and configuration. It is accepted, and
+	// Seed does not affect a fit: no stage of the loop draws a random
+	// number, so a fit is a function of its data and configuration (a Pairs
+	// source that draws is built with its own seed). It is accepted, and
 	// ignored, so that configurations which set it keep working.
 	Seed int64
 }
@@ -196,11 +201,8 @@ func NormalizeConfig(cfg Config) (Config, error) {
 	if cfg.IVBins <= 1 {
 		cfg.IVBins = 10
 	}
-	if cfg.IVThreshold < 0 {
-		return Config{}, errors.New("core: IVThreshold must be >= 0")
-	}
-	if cfg.PearsonThreshold <= 0 || cfg.PearsonThreshold > 1 {
-		return Config{}, fmt.Errorf("core: PearsonThreshold must be in (0,1], got %g", cfg.PearsonThreshold)
+	if err := checkThresholds(cfg.IVThreshold, cfg.PearsonThreshold); err != nil {
+		return Config{}, err
 	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1
@@ -223,6 +225,18 @@ func NormalizeConfig(cfg Config) (Config, error) {
 		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// checkThresholds refuses an α or a θ no fit or selection can run with: α
+// below 0, θ outside (0,1].
+func checkThresholds(iv, pearson float64) error {
+	if iv < 0 {
+		return errors.New("core: IVThreshold must be >= 0")
+	}
+	if pearson <= 0 || pearson > 1 {
+		return fmt.Errorf("core: PearsonThreshold must be in (0,1], got %g", pearson)
+	}
+	return nil
 }
 
 // Fit learns the feature generation function Ψ from a labelled training

@@ -371,6 +371,17 @@ func TestSelectErrors(t *testing.T) {
 	if _, err := Select([][]float64{{1}}, nil, DefaultSelectionConfig()); err == nil {
 		t.Error("accepted no labels")
 	}
+	// The thresholds New refuses, Select refuses too.
+	for name, set := range map[string]func(*SelectionConfig){
+		"PearsonThreshold > 1": func(c *SelectionConfig) { c.PearsonThreshold = 1.5 },
+		"IVThreshold < 0":      func(c *SelectionConfig) { c.IVThreshold = -0.1 },
+	} {
+		cfg := DefaultSelectionConfig()
+		set(&cfg)
+		if _, err := Select([][]float64{{1, 2}}, []float64{0, 1}, cfg); err == nil || !strings.Contains(err.Error(), "Threshold") {
+			t.Errorf("%s: err = %v, want a threshold error", name, err)
+		}
+	}
 }
 
 func TestPearsonDedupKeepsHigherIV(t *testing.T) {

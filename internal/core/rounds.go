@@ -12,8 +12,9 @@ import (
 )
 
 // This file is Algorithm 1, written once. RunRounds owns everything the
-// paper's loop says — the rounds, the clock, every event, mining, scoring,
-// the enumeration of candidates, the IV filter, the greedy redundancy scan,
+// paper's loop says — the rounds, the clock, every event, the choice of
+// combinations (SAFE's mining and scoring, or another PairSource), the
+// enumeration of candidates, the IV filter, the greedy redundancy scan,
 // ranking, early stopping, the reports and the assembly of Ψ — and nothing
 // about how a column is stored. Whatever depends on the representation is
 // behind WorkingSet: raw columns in memory (stream.go), merged sketches and
@@ -129,6 +130,10 @@ func RunRounds(ctx context.Context, cfg Config, names []string, ws WorkingSet, v
 	if gamma <= 0 {
 		gamma = 2 * m
 	}
+	pairs := cfg.Pairs
+	if pairs == nil {
+		pairs = minedPairs
+	}
 
 	// The clock starts with the event: whatever Open streams before the first
 	// round is part of the fit, for Report.Total and for TimeBudget.
@@ -163,30 +168,28 @@ func RunRounds(ctx context.Context, cfg Config, names []string, ws WorkingSet, v
 		sc := newStageClock(&cfg, &ir, rows)
 		cfg.Emit(FitEvent{Kind: EventIterationStart, Round: ir.Round, Candidates: len(live), Rows: *rows})
 
-		// (1) Mine combination relations (Algorithm 1 lines 3-4).
+		// (1)-(2) Choose the round's combinations: by default, mine them and
+		// keep the top γ by gain ratio (minedPairs).
 		sc.begin(StageMine, len(live))
-		model, minerBins, err := train(ctx, ws, live, labels, liveNames, cfg.Miner, "core: miner")
+		r := &PairRound{
+			Round: round, Live: len(live), Gamma: gamma,
+			ctx: ctx, cfg: &cfg, pool: pool, ws: ws, live: live, names: liveNames, labels: labels,
+			arities: arities, sc: sc, ir: &ir, scanRows: o.ScanRows,
+		}
+		combos, err := pairs(r)
 		if err != nil {
 			return nil, nil, err
 		}
-		combos := mineCombos(model, arities)
-		ir.CombosMined = len(combos)
-		ir.SearchSpaceAll = exhaustiveBinaryCount(len(live), ops)
-		sc.end(len(combos), o.ScanRows)
-
-		// (2) Sort and filter combinations by gain ratio (Algorithm 2). A
-		// combination's cells are a function of the miner's bin codes, which
-		// are resident in every engine: no raw value is read.
-		sc.begin(StageScore, len(combos))
-		if err := ScoreCombos(ctx, combos, minerBins, labels, cfg.Task, pool); err != nil {
-			return nil, nil, err
+		if sc.stage == StageMine { // a source that scores nothing keeps every pair, reading no row
+			r.scoring(len(combos))
+			r.scanned = 0
 		}
-		combos = topCombos(combos, gamma)
+		ir.SearchSpaceAll = exhaustiveBinaryCount(len(live), ops)
 		ir.CombosKept = len(combos)
 		if len(combos) > 0 {
 			ir.BestGainRatio = combos[0].GainRatio
 		}
-		sc.end(len(combos), o.ScanRows)
+		sc.end(len(combos), r.scanned)
 
 		// (3) Generate features (Algorithm 1 lines 6-7).
 		sc.begin(StageGenerate, len(combos))

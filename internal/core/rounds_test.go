@@ -100,3 +100,56 @@ func TestGreedyDedupMatchesReference(t *testing.T) {
 		t.Fatalf("cancelled scan returned %v", err)
 	}
 }
+
+// TestPairSourceReplaysSAFE: the pair-source seam is the whole of stages
+// (1)-(2). A source that returns, round by round, the pairs SAFE's source
+// chose fits the same Ψ — nodes and output, in order — as SAFE itself.
+func TestPairSourceReplaysSAFE(t *testing.T) {
+	ds := testDataset(t)
+	fit := func(pairs PairSource) (*Pipeline, *Report) {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Iterations = 2
+		cfg.Pairs = pairs
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, rep, err := eng.Fit(ds.Train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, rep
+	}
+	var recorded [][]Combo
+	want, wantRep := fit(func(r *PairRound) ([]Combo, error) {
+		combos, err := minedPairs(r)
+		recorded = append(recorded, combos)
+		return combos, err
+	})
+	if safe, _ := fit(nil); string(marshal(t, safe)) != string(marshal(t, want)) {
+		t.Fatal("recording SAFE's source changed its fit")
+	}
+	got, rep := fit(func(r *PairRound) ([]Combo, error) { return recorded[r.Round], nil })
+	if len(rep.Iterations) != 2 || len(recorded) != 2 {
+		t.Fatalf("%d rounds replayed of %d recorded", len(rep.Iterations), len(recorded))
+	}
+	if g, w := string(marshal(t, got)), string(marshal(t, want)); g != w {
+		t.Errorf("replayed pairs fit\n%s\nSAFE fit\n%s", g, w)
+	}
+	for i, ir := range rep.Iterations {
+		if ir.CombosKept != wantRep.Iterations[i].CombosKept || ir.Selected != wantRep.Iterations[i].Selected {
+			t.Errorf("round %d: kept %d, selected %d; SAFE kept %d, selected %d",
+				i+1, ir.CombosKept, ir.Selected, wantRep.Iterations[i].CombosKept, wantRep.Iterations[i].Selected)
+		}
+	}
+}
+
+func marshal(t *testing.T, p *Pipeline) []byte {
+	t.Helper()
+	b, err := p.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}

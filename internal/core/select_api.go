@@ -10,9 +10,10 @@ import (
 )
 
 // SelectionConfig configures the standalone three-stage selection pipeline
-// (Algorithms 3 and 4 plus gain ranking). The RAND and IMP baselines of
-// Section V-A1 "follow the same feature selection process as SAFE", which
-// they do by calling Select with this config.
+// (Algorithms 3 and 4 plus gain ranking) over caller-supplied columns: the
+// kernels a fit's selection runs, behind the public safe.Select. No fit calls
+// it; the RAND and IMP baselines "follow the same feature selection process
+// as SAFE" by running the fit's own loop with their own PairSource.
 type SelectionConfig struct {
 	// Task selects the criterion and ranker objective; the zero value is the
 	// binary task.
@@ -57,8 +58,11 @@ func Select(cols [][]float64, labels []float64, cfg SelectionConfig) ([]int, err
 	if cfg.MinKeepIV <= 0 {
 		cfg.MinKeepIV = 8
 	}
-	if cfg.PearsonThreshold <= 0 {
+	if cfg.PearsonThreshold == 0 {
 		cfg.PearsonThreshold = stats.DefaultPearsonCutoff
+	}
+	if err := checkThresholds(cfg.IVThreshold, cfg.PearsonThreshold); err != nil {
+		return nil, err
 	}
 	if err := cfg.Task.Validate(); err != nil {
 		return nil, err

@@ -112,21 +112,11 @@ func BuildPipeline(method Method, train *frame.Frame, seed int64) (*core.Pipelin
 	case TFC:
 		p, err = baselines.TFC(train, baselines.TFCConfig{Seed: seed})
 	case RAND:
-		p, err = baselines.Rand(train, baselines.RandConfig{
-			Selection: core.DefaultSelectionConfig(), Seed: seed,
-		})
+		p, err = fitLoop(train, baselines.RandPairs(seed))
 	case IMP:
-		p, err = baselines.Imp(train, baselines.ImpConfig{
-			Selection: core.DefaultSelectionConfig(), Seed: seed,
-		})
+		p, err = fitLoop(train, baselines.ImpPairs(seed))
 	case SAFE:
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		var eng *core.Engineer
-		eng, err = core.New(cfg)
-		if err == nil {
-			p, _, err = eng.Fit(train)
-		}
+		p, err = fitLoop(train, nil)
 	default:
 		err = fmt.Errorf("experiments: unknown method %q", method)
 	}
@@ -134,6 +124,19 @@ func BuildPipeline(method Method, train *frame.Frame, seed int64) (*core.Pipelin
 		return nil, 0, fmt.Errorf("experiments: %s: %w", method, err)
 	}
 	return p, time.Since(start), nil
+}
+
+// fitLoop fits Algorithm 1 at the paper's configuration with the given pair
+// source: RAND's, IMP's or, for nil, SAFE's. Every other stage is shared.
+func fitLoop(train *frame.Frame, pairs core.PairSource) (*core.Pipeline, error) {
+	cfg := core.DefaultConfig()
+	cfg.Pairs = pairs
+	eng, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p, _, err := eng.Fit(train)
+	return p, err
 }
 
 func identityPipeline(train *frame.Frame) *core.Pipeline {
