@@ -126,10 +126,20 @@ func TestImpDeterminism(t *testing.T) {
 	}
 }
 
-// TestSelectionBudget: RAND, IMP and SAFE run one selection — the loop's —
-// under one budget: 2M by default, MaxFeatures when set. RAND's source reads
-// no miner, so its mine stage scans no rows; IMP's and SAFE's do.
-func TestSelectionBudget(t *testing.T) {
+// TestRandBudget: a MaxFeatures budget caps what RAND emits.
+func TestRandBudget(t *testing.T) {
+	ds := testDataset(t)
+	p := fit(t, ds.Train, RandPairs(2), func(c *core.Config) { c.MaxFeatures = 6 })
+	if p.NumFeatures() == 0 || p.NumFeatures() > 6 {
+		t.Errorf("RAND emits %d features, budget 6", p.NumFeatures())
+	}
+}
+
+// TestBaselinesShareSelectionSemantics: RAND, IMP and SAFE run one
+// selection — the loop's — under one budget: 2M by default, MaxFeatures when
+// set. RAND's source reads no miner, so its mine stage scans no rows; IMP's
+// and SAFE's do.
+func TestBaselinesShareSelectionSemantics(t *testing.T) {
 	ds := testDataset(t)
 	m := ds.Train.NumCols()
 	for _, tc := range []struct {
