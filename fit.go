@@ -300,9 +300,9 @@ func WithEvents(fn func(FitEvent)) Option {
 
 // WithSharding selects the sharded out-of-core engine for frame and CSV
 // sources, streaming the data in chunkRows-row partitions (chunkRows <= 0
-// picks a source-appropriate default). Chunked sources fit sharded with or
-// without this option; for them WithSharding only overrides nothing — the
-// partitioning is the source's own.
+// picks a source-appropriate default). For chunked and column-file sources
+// the option changes nothing: they fit sharded anyway, in the source's own
+// partitions.
 func WithSharding(chunkRows int) Option {
 	return func(o *planOpts) error {
 		o.sharded = true
@@ -399,7 +399,7 @@ func NewPlan(source Source, opts ...Option) (*Plan, error) {
 		return nil, errors.New("safe: WithRetry tunes the sharded engine; combine it with WithSharding or a chunked source")
 	}
 	if o.valid != nil && o.sharded {
-		return nil, errors.New("safe: validation-tracked fits require the in-memory engine; drop WithSharding/WithValidation")
+		return nil, fmt.Errorf("safe: validation-tracked fits require the in-memory engine, and %s selects the sharded one", shardedBy(source, o))
 	}
 	if len(o.distAddrs) > 0 {
 		switch source.(type) {
@@ -436,6 +436,21 @@ func NewPlan(source Source, opts ...Option) (*Plan, error) {
 	return p, nil
 }
 
+// shardedBy names what put a plan on the sharded engine: its source, when
+// that can only be streamed, or else the option that asked for it.
+func shardedBy(source Source, o planOpts) string {
+	switch source.(type) {
+	case chunkSource:
+		return "FromChunks"
+	case colFileSource:
+		return "FromColumnFile"
+	}
+	if len(o.distAddrs) > 0 {
+		return "WithDistributed"
+	}
+	return "WithSharding"
+}
+
 // Config returns a copy of the plan's effective (normalised) configuration.
 func (p *Plan) Config() Config { return p.cfg }
 
@@ -466,8 +481,8 @@ type Result struct {
 	// Report summarises the fit per iteration, including per-stage
 	// wall-clock timings.
 	Report *Report
-	// Shard reports source consumption (passes, rows streamed, sketch
-	// error bound); nil for in-memory fits.
+	// Shard reports how the sharded engine consumed its source (rows,
+	// partitions, passes, rows streamed, retries); nil for in-memory fits.
 	Shard *ShardStats
 }
 

@@ -39,106 +39,13 @@ func sameSelection(t *testing.T, label string, want, got *safe.Pipeline) {
 	}
 }
 
-// TestFitEquivalenceAcrossEntryPoints is the API pin: however safe.Fit is
-// composed — a whole Config or individual options, a resident frame or a
-// chunked source, in memory or sharded — it selects identical features in
-// identical order, for all three task families.
-func TestFitEquivalenceAcrossEntryPoints(t *testing.T) {
-	ctx := context.Background()
-	for _, tc := range []struct {
-		task      safe.Task
-		rows, dim int
-	}{
-		{safe.BinaryTask(), 12000, 16},
-		{safe.MulticlassTask(3), 6000, 10},
-		{safe.RegressionTask(), 6000, 10},
-	} {
-		t.Run(tc.task.String(), func(t *testing.T) {
-			train := workload(t, tc.rows, tc.dim, tc.task)
-
-			// Reference: the in-memory engine from a whole Config.
-			cfg := safe.DefaultConfig()
-			cfg.Task = tc.task
-			cfg.Seed = 1
-			ref, err := safe.Fit(ctx, safe.FromFrame(train), safe.WithConfig(cfg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := ref.Pipeline
-
-			// Individual options, in-memory engine.
-			res, err := safe.Fit(ctx, safe.FromFrame(train),
-				safe.WithTask(tc.task), safe.WithSeed(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameSelection(t, "Fit(FromFrame)", want, res.Pipeline)
-			if res.Shard != nil {
-				t.Error("in-memory fit reported shard stats")
-			}
-
-			// Sharded engine over 4 partitions.
-			shRes, err := safe.Fit(ctx, safe.FromFrame(train),
-				safe.WithTask(tc.task), safe.WithSeed(1),
-				safe.WithSharding(tc.rows/4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameSelection(t, "Fit(WithSharding)", want, shRes.Pipeline)
-			if shRes.Shard == nil || shRes.Shard.Partitions != 4 {
-				t.Fatalf("shard stats: %+v, want 4 partitions", shRes.Shard)
-			}
-
-			// A chunked source routes to the sharded engine by itself.
-			chRes, err := safe.Fit(ctx, safe.FromChunks(safe.NewFrameChunks(train, tc.rows/4)), safe.WithConfig(cfg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameSelection(t, "Fit(FromChunks)", want, chRes.Pipeline)
-
-			// The same rows as a CSV, named (parsed once, then read from the
-			// spill's mapping) and handed in as chunks (parsed on every pass):
-			// one selection, and the engine cannot tell the two apart.
-			empty := emptyTempDir(t)
-			path := filepath.Join(t.TempDir(), "train.csv")
-			if err := train.WriteCSVFile(path); err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2} {
-				opts := []safe.Option{safe.WithTask(tc.task), safe.WithSeed(1), safe.WithWorkers(workers)}
-				spilled, err := safe.Fit(ctx, safe.FromCSVFile(path, "label"),
-					append(opts, safe.WithSharding(tc.rows/4))...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				chunks, err := safe.OpenCSVChunks(path, "label", tc.rows/4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reparsed, err := safe.Fit(ctx, safe.FromChunks(chunks), opts...)
-				chunks.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameSelection(t, "Fit(FromCSVFile, WithSharding)", want, spilled.Pipeline)
-				sameSelection(t, "Fit(FromChunks(OpenCSVChunks))", want, reparsed.Pipeline)
-				if *spilled.Shard != *reparsed.Shard || spilled.Shard.BlocksSkipped != 0 {
-					t.Fatalf("workers=%d: shard stats differ between the spilled and the re-parsed CSV:\nspilled:   %+v\nre-parsed: %+v",
-						workers, *spilled.Shard, *reparsed.Shard)
-				}
-			}
-			empty()
-		})
-	}
-}
-
 // emptyTempDir points TMPDIR — where a named CSV's sharded fit spills — at
 // an empty directory for the test and returns a check that it is empty again.
-func emptyTempDir(t *testing.T) (empty func()) {
+func emptyTempDir(t *testing.T) (empty func(*testing.T)) {
 	t.Helper()
 	dir := t.TempDir()
 	t.Setenv("TMPDIR", dir)
-	return func() {
+	return func(t *testing.T) {
 		t.Helper()
 		left, err := os.ReadDir(dir)
 		if err != nil {
@@ -147,63 +54,6 @@ func emptyTempDir(t *testing.T) (empty func()) {
 		for _, e := range left {
 			t.Errorf("temp directory still holds %s", e.Name())
 		}
-	}
-}
-
-// TestFitEquivalence100k pins the acceptance workload: on the 100k×50
-// benchmark distribution the in-memory and sharded engines select exactly
-// the same features for the binary task. Skipped under -short and -race like the
-// sharded engine's own 100k pin (the smaller always-on variant above covers
-// the same code).
-func TestFitEquivalence100k(t *testing.T) {
-	if testing.Short() {
-		t.Skip("100k×50 equivalence runs only without -short (see the always-on variant)")
-	}
-	if raceEnabled {
-		t.Skip("100k×50 equivalence is minutes-long under the race detector")
-	}
-	train := workload(t, 100000, 50, safe.BinaryTask())
-	cfg := safe.DefaultConfig()
-	cfg.Seed = 1
-	ref, err := safe.Fit(context.Background(), safe.FromFrame(train), safe.WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Pipeline
-	res, err := safe.Fit(context.Background(), safe.FromFrame(train), safe.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSelection(t, "Fit 100k", want, res.Pipeline)
-	shRes, err := safe.Fit(context.Background(), safe.FromFrame(train),
-		safe.WithSeed(1), safe.WithSharding(25000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSelection(t, "Fit sharded 100k", want, shRes.Pipeline)
-}
-
-// TestFitFromCSVFile: the CSV source fits through both engines and reaches
-// the same selection as the frame it round-trips.
-func TestFitFromCSVFile(t *testing.T) {
-	train := workload(t, 4000, 8, safe.BinaryTask())
-	path := filepath.Join(t.TempDir(), "train.csv")
-	if err := train.WriteCSVFile(path); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	mem, err := safe.Fit(ctx, safe.FromCSVFile(path, "label"), safe.WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := safe.Fit(ctx, safe.FromCSVFile(path, "label"),
-		safe.WithSeed(2), safe.WithSharding(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSelection(t, "csv sharded vs in-memory", mem.Pipeline, sh.Pipeline)
-	if sh.Shard == nil || sh.Shard.Rows != 4000 {
-		t.Fatalf("shard stats: %+v", sh.Shard)
 	}
 }
 
@@ -234,23 +84,33 @@ func TestFitFromColumnFile(t *testing.T) {
 // TestPlanValidation pins the option/source conflict surface.
 func TestPlanValidation(t *testing.T) {
 	train := workload(t, 500, 4, safe.BinaryTask())
+	col := filepath.Join(t.TempDir(), "train.col")
+	if err := colstore.WriteFrame(col, train, colstore.WriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	valid := safe.WithValidation(train)
 	cases := []struct {
 		name string
 		src  safe.Source
 		opts []safe.Option
+		want string // in the error, when set
 	}{
-		{"nil source", nil, nil},
-		{"validation with sharding", safe.FromFrame(train), []safe.Option{safe.WithValidation(train), safe.WithSharding(100)}},
-		{"early stopping without validation", safe.FromFrame(train), []safe.Option{safe.WithEarlyStopping(2, 0.001)}},
-		{"zero iterations", safe.FromFrame(train), []safe.Option{safe.WithIterations(0)}},
-		{"empty operators", safe.FromFrame(train), []safe.Option{safe.WithOperators()}},
-		{"bad selection threshold", safe.FromFrame(train), []safe.Option{safe.WithSelection(0.1, 1.5)}},
-		{"nil frame", safe.FromFrame(nil), nil},
+		{"nil source", nil, nil, ""},
+		{"validation with sharding", safe.FromFrame(train), []safe.Option{valid, safe.WithSharding(100)}, "WithSharding selects"},
+		{"validation with chunks", safe.FromChunks(safe.NewFrameChunks(train, 100)), []safe.Option{valid}, "FromChunks selects"},
+		{"validation with a column file", safe.FromColumnFile(col), []safe.Option{valid}, "FromColumnFile selects"},
+		{"validation with workers", safe.FromCSVFile("train.csv", "label"), []safe.Option{valid, safe.WithDistributed("127.0.0.1:1")}, "WithDistributed selects"},
+		{"early stopping without validation", safe.FromFrame(train), []safe.Option{safe.WithEarlyStopping(2, 0.001)}, ""},
+		{"zero iterations", safe.FromFrame(train), []safe.Option{safe.WithIterations(0)}, ""},
+		{"empty operators", safe.FromFrame(train), []safe.Option{safe.WithOperators()}, ""},
+		{"bad selection threshold", safe.FromFrame(train), []safe.Option{safe.WithSelection(0.1, 1.5)}, ""},
+		{"nil frame", safe.FromFrame(nil), nil, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := safe.Fit(context.Background(), tc.src, tc.opts...); err == nil {
-				t.Error("invalid plan accepted")
+			_, err := safe.Fit(context.Background(), tc.src, tc.opts...)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("got %v, want an error naming %q", err, tc.want)
 			}
 		})
 	}
@@ -580,7 +440,7 @@ func TestFitCSVSpillLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty()
+	empty(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	_, err = named(ctx, safe.WithEvents(func(ev safe.FitEvent) {
@@ -591,7 +451,7 @@ func TestFitCSVSpillLifecycle(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("fit cancelled between passes returned %v, want context.Canceled", err)
 	}
-	empty()
+	empty(t)
 
 	// A pass over 4 chunks is 5 Next calls; the counter sits above the spill,
 	// so it keeps counting once the CSV below is no longer read.
@@ -611,7 +471,7 @@ func TestFitCSVSpillLifecycle(t *testing.T) {
 		if err := spill.Close(); err != nil {
 			t.Fatal(err)
 		}
-		empty()
+		empty(t)
 	}
 	leaks()
 
@@ -629,7 +489,7 @@ func TestFitCSVSpillLifecycle(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 2501: row has 3 fields, want 9") {
 		t.Fatalf("malformed row: got %v, want frame's positioned error", err)
 	}
-	empty()
+	empty(t)
 
 	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
 	reparsed, err := named(context.Background())

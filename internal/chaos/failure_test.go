@@ -1,9 +1,8 @@
-// Differential chaos suite: the same workload is fitted through a clean
-// source and through fault-injected sources across worker counts, and the
-// selected features must be bit-identical whenever the faults are
-// recoverable — while unrecoverable faults must surface as typed,
-// position-aware errors, never a silent wrong answer. This file is the
-// acceptance pin for the chaos harness; run it under -race.
+// Unrecoverable faults must surface from a sharded fit as typed,
+// position-aware errors, never as a silent wrong answer. That recoverable
+// ones leave the selection bit-identical is checked by the fault cells of the
+// selection oracle (TestSelectionOracle, at the repository root). Run under
+// -race.
 package chaos_test
 
 import (
@@ -21,9 +20,8 @@ import (
 	"repro/internal/shard"
 )
 
-// chaosWorkload generates the benchmark-shaped synthetic dataset (the same
-// distribution the shard equality tests pin: Interactions = Dim/3, dataset
-// seed 11).
+// chaosWorkload generates the benchmark-shaped synthetic dataset
+// (Interactions = Dim/3, dataset seed 11).
 func chaosWorkload(t *testing.T, rows, dim int) *frame.Frame {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.Spec{
@@ -35,9 +33,6 @@ func chaosWorkload(t *testing.T, rows, dim int) *frame.Frame {
 	}
 	return ds.Train
 }
-
-// fingerprint is the selection identity a recovered fit must reproduce.
-func fingerprint(p *core.Pipeline) string { return strings.Join(p.Output, "|") }
 
 // leakCheck snapshots the goroutine count after a warmup fit and asserts
 // the process returns to it.
@@ -73,53 +68,6 @@ func warmup(t *testing.T, train *frame.Frame, workers ...int) {
 		if _, _, _, err := shard.Fit(context.Background(), frame.NewFrameChunks(train, 1000), shard.Config{Core: cfg}); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestChaosDifferentialShardedFit is the recovery pin: a seeded plan of
-// transient read faults at distinct chunk ordinals is injected under the
-// coordinator's retry policy, for every worker count, and each recovered
-// fit must select exactly the features the clean fit selects — the faults
-// are invisible to the result, visible only in Stats.Retries.
-func TestChaosDifferentialShardedFit(t *testing.T) {
-	train := chaosWorkload(t, 6000, 9)
-	warmup(t, train, 1, 2, 4, 8)
-	check := leakCheck(t)
-
-	const chunkRows = 500 // 12 partitions per pass
-	cfg := core.DefaultConfig()
-	cfg.Seed = 1
-	cfg.Workers = 1
-	clean, _, _, err := shard.Fit(context.Background(), frame.NewFrameChunks(train, chunkRows), shard.Config{Core: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(clean)
-	if want == "" {
-		t.Fatal("clean fit selected nothing; the differential pin would be vacuous")
-	}
-
-	// 4 transient faults inside the first two passes (ordinals < 24),
-	// failing 1-2 attempts each — all inside the default 4-attempt budget.
-	plan := chaos.TransientPlan(42, 4, 24)
-	for _, workers := range []int{1, 2, 4, 8} {
-		src := chaos.Wrap(frame.NewFrameChunks(train, chunkRows), plan)
-		wcfg := cfg
-		wcfg.Workers = workers
-		got, _, st, err := shard.Fit(context.Background(), src, shard.Config{Core: wcfg, Retry: shard.DefaultRetryPolicy()})
-		if err != nil {
-			t.Fatalf("workers=%d: fit failed despite retry policy: %v", workers, err)
-		}
-		if g := fingerprint(got); g != want {
-			t.Fatalf("workers=%d: recovered fit diverged\n got: %s\nwant: %s", workers, g, want)
-		}
-		if src.Injected() < 3 {
-			t.Fatalf("workers=%d: only %d faults fired; the run barely exercised recovery", workers, src.Injected())
-		}
-		if st.Retries != int64(src.Injected()) {
-			t.Fatalf("workers=%d: %d retries recorded for %d injected faults", workers, st.Retries, src.Injected())
-		}
-		check()
 	}
 }
 

@@ -147,8 +147,8 @@ func keptCombos(t *testing.T, train *frame.Frame, task Task, workers int) []kept
 // candidate stream gives every candidate the same IV, bit for bit, and drops
 // the same candidates in the same order, for all three tasks. (That whole
 // fits then select the same features, with the same formulas in the same
-// order — including the fully serial path — is a row of the one determinism
-// table of both engines, internal/shard's TestShardedFitDeterminismMatrix.)
+// order — including the fully serial path — is the selection oracle's
+// workers axis, TestSelectionOracle at the repository root.)
 // CI runs this under -race.
 func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 	ds := testDataset(t)

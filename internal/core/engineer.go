@@ -70,10 +70,11 @@ type Config struct {
 	MinKeepIV int
 	// Patience enables validation-based early stopping in
 	// FitWithValidation: after Patience consecutive rounds without at least
-	// MinDelta AUC improvement on the validation set, iteration stops and
+	// MinDelta improvement of the validation score (AUC for binary,
+	// accuracy for multiclass, −RMSE for regression), iteration stops and
 	// the best round's selection is kept. 0 disables early stopping.
 	Patience int
-	// MinDelta is the minimum validation-AUC improvement that resets the
+	// MinDelta is the minimum validation-score improvement that resets the
 	// patience counter.
 	MinDelta float64
 	// Events, when non-nil, receives the fit's structured progress stream:
@@ -175,9 +176,10 @@ func New(cfg Config) (*Engineer, error) {
 func (c *Config) Pool() *parallel.Pool { return parallel.Get(c.Workers) }
 
 // NormalizeConfig applies New's defaulting and validation and returns the
-// effective configuration — including the derived miner/ranker seeds and
-// parallelism settings. The sharded fit engine normalises through here so
-// both fit paths run from identical effective configurations.
+// effective configuration — including the miner's and ranker's objectives,
+// which the task owns, and their worker counts, which Workers sets. The
+// sharded fit engine normalises through here so both fit paths run from
+// identical effective configurations.
 func NormalizeConfig(cfg Config) (Config, error) {
 	if err := cfg.Task.Validate(); err != nil {
 		return Config{}, err

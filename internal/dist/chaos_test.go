@@ -38,7 +38,7 @@ func TestDistributedFitChaosTransport(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.Task = tc.task
 			cfg.Seed = 1
-			shardFP, _ := localFingerprints(t, train, cfg, chunkRows)
+			shardFP := localFingerprint(t, train, cfg, chunkRows)
 			spec := writeSource(t, train, SourceColstore, chunkRows)
 
 			ctx, cancel := context.WithCancel(context.Background())
@@ -76,7 +76,7 @@ func TestDistributedFitWorkerKill(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Task = tc.task
 	cfg.Seed = 1
-	shardFP, _ := localFingerprints(t, train, cfg, chunkRows)
+	shardFP := localFingerprint(t, train, cfg, chunkRows)
 	spec := writeSource(t, train, SourceColstore, chunkRows)
 
 	// Kill at several depths: right after the first pass's results (frame 8

@@ -98,7 +98,7 @@ func TestDistributedFitWorkerProcesses(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Task = tc.task
 	cfg.Seed = 1
-	shardFP, _ := localFingerprints(t, train, cfg, chunkRows)
+	shardFP := localFingerprint(t, train, cfg, chunkRows)
 	spec := writeSource(t, train, SourceColstore, chunkRows)
 
 	var cmds []*exec.Cmd

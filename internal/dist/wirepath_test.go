@@ -585,7 +585,7 @@ func TestPartialsLetGoOfTheReceiveBuffer(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.Task = tc.task
 			cfg.Seed = 1
-			want, _ := localFingerprints(t, train, cfg, rows/parts)
+			want := localFingerprint(t, train, cfg, rows/parts)
 			spec := writeSource(t, train, SourceColstore, rows/parts)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

@@ -474,3 +474,89 @@ func TestEqualWidthBinsInfiniteRange(t *testing.T) {
 		}
 	}
 }
+
+// TestCriteriaMetamorphic pins two properties no reference is needed for.
+// Multiplying a column by a power of two is exact in float64 and strictly
+// increasing, so it moves no row across a cut: binary IV, multiclass IV (k=3)
+// and η² are bit-identical for x, 4x and x/8 — on a normal column, a
+// NaN-laced one, a heavy-tailed ratio (the sampled-grid path) and one that is
+// 95% a single value (selection without a grid; at 90% a sample's tails often
+// still hold a dozen other values, and the grid is laid over those). And flipping binary labels,
+// y → 1−y, swaps the good and bad counts of every bin, which IV's symmetric
+// form leaves unchanged up to rounding.
+func TestCriteriaMetamorphic(t *testing.T) {
+	const n, bins = 5000, 10
+	rng := rand.New(rand.NewSource(38))
+	column := func(f func() float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f()
+		}
+		return xs
+	}
+	for _, c := range []struct {
+		name    string
+		xs      []float64
+		gridded bool
+	}{
+		{"normal", column(rng.NormFloat64), true},
+		{"nan-laced", column(func() float64 {
+			if rng.Intn(4) == 0 {
+				return math.NaN()
+			}
+			return rng.NormFloat64()
+		}), true},
+		{"ratio", column(func() float64 { return rng.NormFloat64() / rng.NormFloat64() }), true},
+		{"mostly-one-value", column(func() float64 {
+			if rng.Intn(20) == 0 {
+				return rng.NormFloat64()
+			}
+			return 0
+		}), false},
+	} {
+		// Labels and target follow the column, so every cut matters.
+		binary, classes, target := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i, x := range c.xs {
+			p := 0.5
+			if x == x {
+				p = 1 / (1 + math.Exp(-x))
+			}
+			if rng.Float64() < p {
+				binary[i] = 1
+			}
+			classes[i] = math.Min(math.Floor(3*(p+rng.Float64())/2), 2)
+			target[i] = p + 0.1*rng.NormFloat64()
+		}
+		var s criteriaScratch
+		criteria := func(xs, labels []float64) [3]float64 {
+			return [3]float64{
+				s.iv.InformationValue(xs, labels, bins),
+				s.crit.MulticlassIV(xs, classes, 3, bins),
+				s.crit.CorrelationRatio(xs, target, bins),
+			}
+		}
+		want := criteria(c.xs, binary)
+		if s.iv.q.gridded != c.gridded {
+			t.Fatalf("%s: gridded %v, want %v: the column misses the path it is here for", c.name, s.iv.q.gridded, c.gridded)
+		}
+		if want[0] == 0 || want[1] == 0 || want[2] == 0 {
+			t.Fatalf("%s: a criterion is 0 (%v); the check would be vacuous", c.name, want)
+		}
+		for _, scale := range []float64{4, 1.0 / 8} {
+			scaled := make([]float64, n)
+			for i, x := range c.xs {
+				scaled[i] = x * scale
+			}
+			if got := criteria(scaled, binary); got != want {
+				t.Errorf("%s ×%g: criteria %v, want %v", c.name, scale, got, want)
+			}
+		}
+		flipped := make([]float64, n)
+		for i, y := range binary {
+			flipped[i] = 1 - y
+		}
+		if got := s.iv.InformationValue(c.xs, flipped, bins); math.Abs(got-want[0]) > 1e-12*want[0] {
+			t.Errorf("%s: IV %v with flipped labels, want %v", c.name, got, want[0])
+		}
+	}
+}
