@@ -120,7 +120,8 @@ func TestShardedFitRejectsBadLabels(t *testing.T) {
 // every stage must bin for itself, in both engines, and a second iteration
 // makes round 2's miner rebin what round 1's ranker binned. The two engines
 // must still select the same features, and the ones the engines selected
-// before codes were carried at all (the fingerprint is of the fit at PR 18).
+// before codes were carried at all (the fingerprint was recorded from a fit
+// made before then).
 func TestRebinBranchMatchesAcrossEngines(t *testing.T) {
 	const want = "8b33fe7991132492"
 	train := workload(t, 3000, 9)

@@ -109,14 +109,14 @@ func oracleDatasets() []oracleDataset {
 		return func(t *testing.T) *safe.Frame { return workload(t, rows, dim, task) }
 	}
 	clustered := func(task safe.Task) func(*testing.T) *safe.Frame {
-		return func(*testing.T) *safe.Frame { return clusteredFrame(20000, 6, task) }
+		return func(*testing.T) *safe.Frame { return clusteredFrame(6000, 6, task) }
 	}
-	// Row-clustered colstore files in 100-row groups: 200 partitions.
+	// Row-clustered colstore files in 100-row groups: 60 partitions.
 	groups := []oracleCell{
-		{engine: "sharded", source: "colstore-stream", parts: 200, workers: 1},
-		{engine: "sharded", source: "colstore-mmap", parts: 200, workers: 4},
-		{engine: "sharded", source: "csv-reparsed", parts: 200, workers: 2},
-		{engine: "distributed", source: "colstore-mmap", parts: 200, workers: 2},
+		{engine: "sharded", source: "colstore-stream", parts: 60, workers: 1},
+		{engine: "sharded", source: "colstore-mmap", parts: 60, workers: 4},
+		{engine: "sharded", source: "csv-reparsed", parts: 60, workers: 2},
+		{engine: "distributed", source: "colstore-mmap", parts: 60, workers: 2},
 	}
 	return []oracleDataset{
 		{name: "binary", task: binary, iterations: 1, train: generated(600, 6, binary), cells: allCells()},
@@ -125,7 +125,7 @@ func oracleDatasets() []oracleDataset {
 		// NaNs in source columns at three densities: cuts, IV bins and
 		// moments are over each column's own non-NaN rows.
 		{name: "binary-nan", task: binary, iterations: 1, cells: someCells(), train: func(t *testing.T) *safe.Frame {
-			train := workload(t, 4000, 10, binary)
+			train := workload(t, 2000, 8, binary)
 			for j, stride := range map[int]int{0: 50, 3: 7, 7: 3} {
 				col := train.Columns[j].Values
 				for i := j; i < len(col); i += stride {
@@ -137,9 +137,9 @@ func oracleDatasets() []oracleDataset {
 		// Class 2 only in the first quarter of the rows: three of four
 		// partitions never see it, and the merged class counts hold zeros.
 		{name: "multiclass3-absent", task: mc3, iterations: 1, cells: someCells(), train: func(t *testing.T) *safe.Frame {
-			train := workload(t, 4000, 8, mc3)
+			train := workload(t, 2000, 8, mc3)
 			for i, y := range train.Label {
-				if i < 1000 {
+				if i < len(train.Label)/4 {
 					if i%3 == 0 {
 						train.Label[i] = 2
 					}
@@ -151,7 +151,7 @@ func oracleDatasets() []oracleDataset {
 		}},
 		// Round 2 generates from round 1's features, which every chunked
 		// engine replays per chunk.
-		{name: "binary-iter2", task: binary, iterations: 2, train: generated(4000, 10, binary), cells: someCells()},
+		{name: "binary-iter2", task: binary, iterations: 2, train: generated(2000, 8, binary), cells: someCells()},
 		{name: "binary-clustered", task: binary, iterations: 1, train: clustered(binary), cells: groups},
 		{name: "multiclass3-clustered", task: mc3, iterations: 1, train: clustered(mc3), cells: groups},
 		{name: "regression-clustered", task: reg, iterations: 1, train: clustered(reg), cells: groups},
