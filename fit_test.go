@@ -3,6 +3,7 @@ package safe_test
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -57,27 +58,42 @@ func emptyTempDir(t *testing.T) (empty func(*testing.T)) {
 	}
 }
 
-// TestFitFromColumnFile: the colstore source — inherently sharded, served
-// through the mmap or streaming reader — selects exactly what the in-memory
-// engine selects on the same rows.
-func TestFitFromColumnFile(t *testing.T) {
-	train := workload(t, 4000, 8, safe.BinaryTask())
-	path := filepath.Join(t.TempDir(), "train.col")
-	if err := colstore.WriteFrame(path, train, colstore.WriterOptions{GroupRows: 1000}); err != nil {
-		t.Fatal(err)
+// TestRegressionFitIgnoresTargetOffsetAndScale: the regression criteria
+// tally a target coded on its own mean and spread, so a fit selects the same
+// formulas when the target is shifted by 1e8 — which once turned the raw sums'
+// Σy² − (Σy)²/n into noise and changed the selection — and, scaled by 2^600
+// (once NaN in every criterion), the same features with the same criteria bit
+// for bit.
+func TestRegressionFitIgnoresTargetOffsetAndScale(t *testing.T) {
+	train := workload(t, 3000, 10, safe.RegressionTask())
+	fit := func(f func(y float64) float64) *safe.Result {
+		t.Helper()
+		moved := *train
+		moved.Label = make([]float64, len(train.Label))
+		for i, y := range train.Label {
+			moved.Label[i] = f(y)
+		}
+		res, err := safe.Fit(context.Background(), safe.FromFrame(&moved), safe.WithSeed(2), safe.WithTask(safe.RegressionTask()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	ctx := context.Background()
-	mem, err := safe.Fit(ctx, safe.FromFrame(train), safe.WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
+	want := fit(func(y float64) float64 { return y })
+	shifted := fit(func(y float64) float64 { return y + 1e8 })
+	if got, w := strings.Join(shifted.Pipeline.Formulas(), "|"), strings.Join(want.Pipeline.Formulas(), "|"); got != w {
+		t.Errorf("target + 1e8 selected\n%s\nwant\n%s", got, w)
 	}
-	col, err := safe.Fit(ctx, safe.FromColumnFile(path), safe.WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
+	scaled := fit(func(y float64) float64 { return math.Ldexp(y, 600) })
+	if got, w := fingerprint(scaled.Pipeline), fingerprint(want.Pipeline); got != w {
+		t.Errorf("target · 2^600 selected\n%s\nwant\n%s", got, w)
 	}
-	sameSelection(t, "colstore vs in-memory", mem.Pipeline, col.Pipeline)
-	if col.Shard == nil || col.Shard.Rows != 4000 {
-		t.Fatalf("shard stats: %+v, want sharded fit over 4000 rows", col.Shard)
+	for i, ir := range scaled.Report.Iterations {
+		w := want.Report.Iterations[i]
+		if math.Float64bits(ir.BestGainRatio) != math.Float64bits(w.BestGainRatio) || ir.AfterIV != w.AfterIV {
+			t.Errorf("target · 2^600, round %d: best gain ratio %v and %d IV survivors, want %v and %d",
+				i+1, ir.BestGainRatio, ir.AfterIV, w.BestGainRatio, w.AfterIV)
+		}
 	}
 }
 

@@ -180,7 +180,7 @@ func ScoreCombos(ctx context.Context, combos []Combo, pb *gbdt.Prebinned, labels
 	}
 	// The labels are encoded once for all combinations: thresholding (or
 	// converting) per row per combination costs as much as the scan itself.
-	proto := comboScorer{pb: pb, task: task, targets: labels, width: 1}
+	proto := comboScorer{pb: pb, task: task, rows: len(labels)}
 	switch task.Kind {
 	case TaskMulticlass:
 		proto.width = task.Classes
@@ -191,7 +191,10 @@ func ScoreCombos(ctx context.Context, combos []Combo, pb *gbdt.Prebinned, labels
 				proto.cls[i] = int32(c)
 			}
 		}
-	case TaskRegression: // the targets as they are, one slot a cell
+	case TaskRegression: // the coded targets, one tally a cell
+		proto.width = stats.Tally
+		proto.code = new(stats.TargetCode)
+		proto.code.Encode(labels)
 	default:
 		proto.width = 2
 		proto.bits = make([]uint8, len(labels))
@@ -246,17 +249,19 @@ func fillCellTable(tab *[256]uint32, values, cuts []float64, stride int) {
 // comboScorer is one goroutine's scoring state: the shared, read-only label
 // encodings and matrix, and its own cell tables and count buffers.
 type comboScorer struct {
-	pb      *gbdt.Prebinned
-	task    Task
-	width   int       // count slots per cell: 2 (binary), K (multiclass), 1 (regression)
-	bits    []uint8   // binary: label > 0.5
-	cls     []int32   // multiclass: class id, -1 outside [0, K)
-	targets []float64 // the labels as given (the regression targets)
+	pb    *gbdt.Prebinned
+	task  Task
+	rows  int
+	width int               // count slots per cell: 2 (binary), K (multiclass), stats.Tally (regression)
+	bits  []uint8           // binary: label > 0.5
+	cls   []int32           // multiclass: class id, -1 outside [0, K)
+	code  *stats.TargetCode // regression: the coded targets
 
 	tab  [3][256]uint32
 	zero [256]uint32 // the table of a feature slot the combination does not use
 	ints []int
 	flts []float64
+	i64s []int64
 }
 
 // score returns one combination's gain ratio. Whatever the arity, the scan
@@ -286,7 +291,7 @@ func (s *comboScorer) score(c *Combo) float64 {
 		fillCellTable(&s.tab[i], values[i], s.pb.Cuts[f], stride)
 		col[i], tab[i] = s.pb.Codes[f], &s.tab[i]
 	}
-	n := len(s.targets)
+	n := s.rows
 	c0, c1, c2 := col[0][:n], col[1][:n], col[2][:n]
 	t0, t1, t2 := tab[0], tab[1], tab[2]
 	switch s.task.Kind {
@@ -301,15 +306,15 @@ func (s *comboScorer) score(c *Combo) float64 {
 		}
 		return stats.GainRatioFromClassCounts(cnt, cells, k)
 	case TaskRegression:
-		s.flts = zeroed(s.flts, 3*cells)
-		cnt, sum, sumsq := s.flts[:cells], s.flts[cells:2*cells], s.flts[2*cells:]
-		for r, y := range s.targets {
-			id := t0[c0[r]] + t1[c1[r]] + t2[c2[r]]
-			cnt[id]++
-			sum[id] += y
-			sumsq[id] += y * y
+		s.i64s = zeroed(s.i64s, cells*stats.Tally)
+		q, q2 := s.code.Q, s.code.Q2
+		for r := range q {
+			t := s.i64s[t0[c0[r]]+t1[c1[r]]+t2[c2[r]]:]
+			t[0]++
+			t[1] += q[r]
+			t[2] += q2[r]
 		}
-		return stats.VarGainRatioFromMoments(cnt, sum, sumsq)
+		return s.code.VarGainRatio(s.i64s)
 	default:
 		s.ints = zeroed(s.ints, 4*cells)
 		cnt, pos, tot := s.ints[:2*cells], s.ints[2*cells:3*cells], s.ints[3*cells:]
@@ -324,7 +329,7 @@ func (s *comboScorer) score(c *Combo) float64 {
 }
 
 // zeroed returns buf at length n, all zero, reallocating only to grow.
-func zeroed[T int | float64](buf []T, n int) []T {
+func zeroed[T int | int64 | float64](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}

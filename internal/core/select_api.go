@@ -77,7 +77,7 @@ func Select(cols [][]float64, labels []float64, cfg SelectionConfig) ([]int, err
 	cfg.Ranker.Workers = cfg.Workers
 	pool := parallel.Get(cfg.Workers)
 
-	ivs := computeCriteria(cols, labels, cfg.Task, cfg.IVBins, false, pool, new(scratchList))
+	ivs := computeCriteria(cols, labels, codeTarget(labels, cfg.Task), cfg.Task, cfg.IVBins, false, pool, new(scratchList))
 	keptA := ivFilter(ivs, cfg.IVThreshold, cfg.MinKeepIV)
 	keptB, err := pearsonDedup(context.Background(), cols, ivs, keptA, cfg.PearsonThreshold, pool)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/operators"
 	"repro/internal/parallel"
+	"repro/internal/stats"
 )
 
 // This file is the in-memory WorkingSet: every column is a resident
@@ -59,6 +60,7 @@ type memorySet struct {
 	pool   *parallel.Pool
 	arena  *operators.Arena
 	labels []float64
+	code   *stats.TargetCode // the regression criterion's coded labels
 	// validLabels is non-nil when the fit tracks a validation frame: every
 	// live feature then carries its validation column.
 	validLabels []float64
@@ -82,6 +84,7 @@ func newMemorySet(ctx context.Context, cfg *Config, pool *parallel.Pool, train, 
 		pool:    pool,
 		arena:   operators.NewArena(train.NumRows()),
 		labels:  train.Label,
+		code:    codeTarget(train.Label, cfg.Task),
 		live:    make([]*liveFeature, train.NumCols()),
 		pending: make([]*candEntry, 0, streamChunk),
 	}
@@ -163,7 +166,7 @@ func (m *memorySet) addBase() {
 		cols[i] = lf.train
 	}
 	t0 := time.Now()
-	ivs := computeCriteria(cols, m.labels, m.cfg.Task, m.cfg.IVBins, m.cfg.IVEqualWidth, m.pool, &m.scratches)
+	ivs := computeCriteria(cols, m.labels, m.code, m.cfg.Task, m.cfg.IVBins, m.cfg.IVEqualWidth, m.pool, &m.scratches)
 	m.ivTime += time.Since(t0)
 	for i, lf := range m.live {
 		m.entries = append(m.entries, &candEntry{lf: lf, iv: ivs[i]})
@@ -204,7 +207,7 @@ func (m *memorySet) flush() error {
 			t1 := time.Now()
 			Apply(en.cand.Node.Applier, en.cand.In, en.lf.train)
 			t2 := time.Now()
-			en.iv = sc.criterion(en.lf.train, m.labels, cfg.Task, cfg.IVBins, cfg.IVEqualWidth)
+			en.iv = sc.criterion(en.lf.train, m.labels, m.code, cfg.Task, cfg.IVBins, cfg.IVEqualWidth)
 			apply += t2.Sub(t1)
 			crit += time.Since(t2)
 		}

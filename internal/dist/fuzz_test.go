@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -19,9 +20,9 @@ import (
 )
 
 // distSeedFrames builds one real message of every kind — a partial of each
-// pass kind whose blobs versions 2 to 4 changed among them: the seed corpus
+// pass kind whose blobs versions 2 to 5 changed among them: the seed corpus
 // FuzzDistDecode mutates from, and — checked in — the golden bytes of
-// protocol version 4.
+// protocol version 5.
 func distSeedFrames() map[string][]byte {
 	p, _ := basePartial(1, []float64{3, 1, 4, 1, 5}, []float64{2, 7})
 	counts := make([]int32, stats.NumBuckets)
@@ -36,9 +37,9 @@ func distSeedFrames() map[string][]byte {
 	gramP.Moments[0].AddAll([]float64{0.5, -1, 4})
 	gatherP := &shard.Partial{Chunk: 3, Start: 900, Rows: 3,
 		Gathers: []*shard.Gather{
-			{Sizes: []int32{1, 0, 2}, Vals: []float64{-1, 8.5, 9}, Class: []int32{1, 0, 1}, Spans: []int32{0, 0, 1, 2, 0, 0}},
-			{Sizes: []int32{3}, Vals: []float64{0, 0, 0}, Class: []int32{0, 1, 1}, Spans: []int32{0, 0, 0, 0}},
-			{Spans: []int32{1, 2}}, // a constant column's: no cut bucket, one span
+			{Sizes: []int32{1, 0, 2}, Vals: []float64{-1, 8.5, 9}, Codes: []int64{1, 0, 1}, Spans: []int64{0, 0, 1, 2, 0, 0}},
+			{Sizes: []int32{3}, Vals: []float64{0, 0, 0}, Codes: []int64{0, 1, 1}, Spans: []int64{0, 0, 0, 0}},
+			{Spans: []int64{1, 2}}, // a constant column's: no cut bucket, one span
 		}}
 	// Gather partials as a steady stream of them varies: sizes that differ
 	// from column to column, criterion buckets with their classes (three
@@ -47,16 +48,24 @@ func distSeedFrames() map[string][]byte {
 	mixedP := &shard.Partial{Chunk: 5, Start: 1500, Rows: 9,
 		Gathers: []*shard.Gather{
 			{Sizes: []int32{2, 0, 5, 1}, Vals: []float64{-3, -2.5, 0.25, 0.5, 0.5, 0.75, 1, 12},
-				Class: []int32{0, 1, 1, 0, 1}, Spans: []int32{1, 0, 0, 1, 2, 0}},
+				Codes: []int64{0, 1, 1, 0, 1}, Spans: []int64{1, 0, 0, 1, 2, 0}},
 			{Sizes: []int32{1, 3}, Vals: []float64{math.Inf(-1), 7, 7.5, 8},
-				Class: []int32{2, 0, 1, 2}, Spans: []int32{1, 1, 0, 0, 0, 0, 2, 1, 0}},
-			{Sizes: []int32{0}, Spans: []int32{4, 5}},
+				Codes: []int64{2, 0, 1, 2}, Spans: []int64{1, 1, 0, 0, 0, 0, 2, 1, 0}},
+			{Sizes: []int32{0}, Spans: []int64{4, 5}},
 		}}
 	massP := &shard.Partial{Chunk: 6, Start: 1800, Rows: 10,
 		Gathers: []*shard.Gather{
 			{Sizes: []int32{10}, Vals: []float64{0, 0, 3.5, 0, 0, 0, 0, -1, 0, 0},
-				Class: []int32{0, 1, 1, 0, 0, 1, 0, 0, 1, 0}, Spans: []int32{0, 0, 0, 0}},
-			{Sizes: []int32{2, 1}, Vals: []float64{4, 4.25, 9}, Class: []int32{1, 0}, Spans: []int32{3, 2, 0, 0, 2, 1}},
+				Codes: []int64{0, 1, 1, 0, 0, 1, 0, 0, 1, 0}, Spans: []int64{0, 0, 0, 0}},
+			{Sizes: []int32{2, 1}, Vals: []float64{4, 4.25, 9}, Codes: []int64{1, 0}, Spans: []int64{3, 2, 0, 0, 2, 1}},
+		}}
+	// A regression gather: the members of criterion cut buckets carry their
+	// target codes, negative ones too, and the spans (rows, Σq, Σq2).
+	regP := &shard.Partial{Chunk: 7, Start: 2100, Rows: 8,
+		Gathers: []*shard.Gather{
+			{Sizes: []int32{2, 1}, Vals: []float64{-0.5, -0.25, 3}, Codes: []int64{-1 << 40, 3 << 38},
+				Spans: []int64{3, -5 << 39, 1 << 50, 0, 0, 0, 2, 7 << 36, 1 << 45}},
+			{Sizes: []int32{0}, Spans: []int64{8, -12, 1 << 20, 0, 0, 0}},
 		}}
 	return map[string][]byte{
 		"hello":    encodeHello(),
@@ -65,11 +74,12 @@ func distSeedFrames() map[string][]byte {
 		"passDone": encodePassDone(&passDone{PassID: 9, Chunks: 4, Rows: 2000, Retries: 3}),
 		"passErr":  encodePassErr(&passErr{PassID: 2, Chunk: 3, Attempts: 4, Transient: true, Msg: "read chunk: i/o timeout"}),
 		"partial":  AppendPartial(nil, 3, shard.PassBaseSketch, p),
-		// The two grid passes' partials and the Gram pass's, as v4 frames them.
+		// The two grid passes' partials and the Gram pass's, as v5 frames them.
 		"partial-counts":       AppendPartial(nil, 4, shard.PassSketchGen, countP),
 		"partial-gather":       AppendPartial(nil, 5, shard.PassRefine, gatherP),
 		"partial-gather-mixed": AppendPartial(nil, 5, shard.PassRefine, mixedP),
 		"partial-gather-mass":  AppendPartial(nil, 5, shard.PassRefine, massP),
+		"partial-gather-reg":   AppendPartial(nil, 5, shard.PassRefine, regP),
 		"partial-gram":         AppendPartial(nil, 6, shard.PassGramCodes, gramP),
 		"runPass":              encodeRunPass(&runPass{PassID: 5, Assign: assignment{Explicit: []int{0, 5}}, Spec: fullPassSpec()}),
 		"fitOpen": encodeFitOpen(&fitOpen{
@@ -85,12 +95,13 @@ func distSeedFrames() map[string][]byte {
 // The corpus entries no encoder here can write any more, checked in as the
 // decoders' rejection cases: a binary score pass's runPass as a
 // protocol-version-1 coordinator framed it, two combinations in its
-// combination list; and a version-1, a version-2 and a version-3 hello.
+// combination list; and a hello of each version before 5.
 const (
 	retiredScoreSeed = "runPass-score"
 	helloV1Seed      = "hello-v1"
 	helloV2Seed      = "hello-v2"
 	helloV3Seed      = "hello-v3"
+	helloV4Seed      = "hello-v4"
 )
 
 // corpus is FuzzDistDecode's checked-in seed corpus, the golden bytes of the
@@ -199,7 +210,7 @@ func isProtocolError(err error) bool {
 // it carries. It starts from the checked-in corpus (see corpus).
 func FuzzDistDecode(f *testing.F) {
 	frames := distSeedFrames()
-	for _, name := range []string{retiredScoreSeed, helloV1Seed, helloV2Seed, helloV3Seed} {
+	for _, name := range []string{retiredScoreSeed, helloV1Seed, helloV2Seed, helloV3Seed, helloV4Seed} {
 		frames[name] = readSeed(f, name) // mutate around the rejection cases too
 	}
 	corpus.Seed(f, frames)
@@ -223,12 +234,12 @@ func FuzzDistDecode(f *testing.F) {
 }
 
 // TestWriteDistDecodeSeedCorpus is the corpus's golden test (see
-// wiretest.Corpus.Check): the corpus is the record of protocol version 4, so
+// wiretest.Corpus.Check): the corpus is the record of protocol version 5, so
 // every message's encoder must write its checked-in seed byte for byte —
 // control messages included, which no fingerprint would notice — and the seed
 // must decode, a partial's blobs through the fold's decoders too. The retired
-// score frame must still be refused, and so must a version-1, a version-2 and
-// a version-3 hello, by the version check.
+// score frame must still be refused, and so must a hello of every earlier
+// version, by the version check.
 func TestWriteDistDecodeSeedCorpus(t *testing.T) {
 	corpus.Check(t, distSeedFrames(), func(seed []byte) error {
 		spec, err := decodeMsg(seed)
@@ -240,7 +251,7 @@ func TestWriteDistDecodeSeedCorpus(t *testing.T) {
 	if _, err := decodeMsg(readSeed(t, retiredScoreSeed)); !isProtocolError(err) {
 		t.Fatalf("the retired score frame decoded: %v, want a *ProtocolError", err)
 	}
-	for v, name := range map[int]string{1: helloV1Seed, 2: helloV2Seed, 3: helloV3Seed} {
+	for v, name := range map[int]string{1: helloV1Seed, 2: helloV2Seed, 3: helloV3Seed, 4: helloV4Seed} {
 		want := fmt.Sprintf("version mismatch: peer %d, local %d", v, Version)
 		if _, err := decodeMsg(readSeed(t, name)); !isProtocolError(err) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("a version-%d hello: %v, want a version-mismatch *ProtocolError", v, err)
@@ -259,20 +270,22 @@ func rawPartial(blobs ...[]byte) []byte {
 	for _, blob := range blobs {
 		b = wire.AppendBytes(b, blob)
 	}
-	b = wire.AppendU32(b, 0) // no bin ids
-	return wire.AppendU32(b, 0)
+	return wire.AppendU32(b, 0) // no code columns
 }
 
 // TestGatherDecodeRefusesMalformedBlobs is the gather decode's contract on
 // memory that earlier partitions used: a malformed gather blob — a value run
 // cut short, sizes that add up to more values than follow, bytes after the
-// last span count — is refused with ErrBlob, before anything is taken from
-// the arena, and within the fuzz target's allocation bound; a frame cut
-// inside a blob is a *ProtocolError before any blob is decoded. The arena
-// then decodes the next good partial exactly.
+// last span count, a regression blob's span sums cut short or run long — is
+// refused with ErrBlob, before anything is taken from the arena, and within
+// the fuzz target's allocation bound; a frame cut inside a blob is a
+// *ProtocolError before any blob is decoded. The arena then decodes the next
+// good partial exactly.
 func TestGatherDecodeRefusesMalformedBlobs(t *testing.T) {
-	good := &shard.Gather{Sizes: []int32{1, 2}, Vals: []float64{1, 2, 3}, Class: []int32{0, 1}, Spans: []int32{1, 1, 0, 2}}
+	good := &shard.Gather{Sizes: []int32{1, 2}, Vals: []float64{1, 2, 3}, Codes: []int64{0, 1}, Spans: []int64{1, 1, 0, 2}}
 	blob := good.AppendWire(nil)
+	reg := (&shard.Gather{Sizes: []int32{1}, Vals: []float64{2}, Codes: []int64{-3 << 40},
+		Spans: []int64{4, -1 << 41, 1 << 44, 0, 0, 0}}).AppendWire(nil)
 	varints := func(vs ...uint64) []byte {
 		var b []byte
 		for _, v := range vs {
@@ -314,6 +327,9 @@ func TestGatherDecodeRefusesMalformedBlobs(t *testing.T) {
 			slices.Concat(varints(1, 2), f64s(1), varints(8, 0, 1, 0, 1, 0, 1, 0, 1), varints(0)))},
 		{"trailing bytes", rawPartial(blob, append(append([]byte(nil), blob...), 0))},
 		{"a size past MaxInt32", rawPartial(blob, slices.Concat(varints(1, 1<<31), f64s(1), varints(0, 0)))},
+		{"span sums cut short", rawPartial(blob, reg[:len(reg)-4])},
+		{"span sums past the blob's end", rawPartial(blob, append(append([]byte(nil), reg...), 1))},
+		{"an overlong span sum", rawPartial(blob, slices.Concat(reg[:len(reg)-1], bytes.Repeat([]byte{0x80}, 10), []byte{1}))},
 		{"a frame cut inside a blob", rawPartial(blob, blob)[:40]},
 	} {
 		before := totalAlloc()

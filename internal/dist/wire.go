@@ -27,8 +27,11 @@ import (
 // partial, beside the Gram. Version 4 cuts the source columns on the grid
 // passes too: the base partial carries no quantile sketch, a grid spec names
 // its column (a live index or a recipe), and the sketch size, the refinement
-// specs, and the refiner and criterion-histogram blobs are gone.
-const Version = 4
+// specs, and the refiner and criterion-histogram blobs are gone. Version 5
+// tallies regression on the gather pass: runPass carries the target code, a
+// gather blob every task's member codes and span tallies, and the partial's
+// bin-id list (retired kind 9) is gone.
+const Version = 5
 
 // magic opens every hello frame, so a worker rejects a stray client that
 // happens to speak length-prefixed frames before interpreting anything.
@@ -277,7 +280,7 @@ func genSpecSize(g *shard.GenSpec) int { return 4 + len(g.Op) + 4 + 8*len(g.Feat
 // runPassSize is the exact length of encodeRunPass's output.
 func runPassSize(m *runPass) int {
 	s := m.Spec
-	n := 1 + 3*8 + 5 + 4 + 8*len(m.Assign.Explicit) + 3*8 + 1 + 4 + 4 + 4 + 4
+	n := 1 + 3*8 + 5 + 4 + 8*len(m.Assign.Explicit) + 3*8 + 1 + 4 + 4 + 4 + 4 + 3*8 // … the target code
 	for _, cuts := range s.LiveCuts {
 		n += 4 + 8*len(cuts)
 	}
@@ -321,6 +324,9 @@ func encodeRunPass(m *runPass) []byte {
 		b = wire.AppendInts(b, g.Buckets)
 		b = wire.AppendBools(b, g.IV)
 	}
+	b = wire.AppendF64(b, s.Target.Mean)
+	b = wire.AppendI64(b, int64(s.Target.Scale))
+	b = wire.AppendI64(b, int64(s.Target.Room))
 	b = wire.AppendU32(b, uint32(len(s.Entries)))
 	for i := range s.Entries {
 		e := &s.Entries[i]
@@ -367,6 +373,7 @@ func decodeRunPass(p []byte) (*runPass, error) {
 		g.Buckets = r.Ints()
 		g.IV = r.Bools()
 	}
+	s.Target.Mean, s.Target.Scale, s.Target.Room = r.F64(), int(r.I64()), int(r.I64())
 	s.Entries = make([]shard.EntrySpec, r.Len(24))
 	for i := range s.Entries {
 		s.Entries[i].Base = int(r.I64())
@@ -435,7 +442,7 @@ func (m *partialMsg) release() {
 // partialSize is the exact length of the partial message AppendPartial
 // writes for p.
 func partialSize(kind shard.PassKind, p *shard.Partial) int {
-	n := 1 + 4*8 + (4 + 8*len(p.Labels)) + 4 + (4 + 4*len(p.Ints)) + 4
+	n := 1 + 4*8 + (4 + 8*len(p.Labels)) + 4 + 4
 	for i, nb := 0, p.BlobCount(kind); i < nb; i++ {
 		n += 4 + p.BlobSize(kind, i)
 	}
@@ -478,7 +485,6 @@ func AppendPartial(dst []byte, passID int, kind shard.PassKind, p *shard.Partial
 		b = p.AppendBlob(wire.AppendU32(b, 0), kind, i)
 		wire.PutU32(b[at:], uint32(len(b)-at-4))
 	}
-	b = wire.AppendI32s(b, p.Ints)
 	b = wire.AppendU32(b, uint32(len(p.Codes)))
 	for _, codes := range p.Codes {
 		b = wire.AppendBytes(b, codes)
@@ -500,9 +506,8 @@ func DecodePartial(msg []byte) (passID int, p *shard.Partial, err error) {
 }
 
 // decodePartial fills m from a partial message, reusing the backings m kept
-// from the partial it held before. The labels and bin ids are copied out of
-// p; the blobs and code columns are views of it, valid as long as p is (keep
-// copies them).
+// from the partial it held before. The labels are copied out of p; the blobs
+// and code columns are views of it, valid as long as p is (keep copies them).
 func decodePartial(p []byte, m *partialMsg) error {
 	r := wire.NewReader(p[1:])
 	m.PassID = int(r.I64())
@@ -518,7 +523,6 @@ func decodePartial(p []byte, m *partialMsg) error {
 	for i := range m.Partial.Blobs {
 		m.Partial.Blobs[i] = r.Bytes()
 	}
-	m.Partial.Ints = r.I32s(old.Ints)
 	m.Partial.Codes = wire.Resize(old.Codes, r.Len(4))
 	for i := range m.Partial.Codes {
 		m.Partial.Codes[i] = r.Bytes()

@@ -117,6 +117,7 @@ func fullPassSpec() *shard.PassSpec {
 			// A live column's: no recipe (an empty list decodes as one).
 			{Base: 2, Gen: shard.GenSpec{Feats: []int{}}, Grid: stats.Grid{Lo: 0.5, Scale: 1024}, Buckets: []int{0, 9}, IV: []bool{false, true}},
 		},
+		Target: stats.TargetCode{Mean: -2.75, Scale: 47, Room: 48},
 		Entries: []shard.EntrySpec{
 			{Base: 1, Gen: shard.GenSpec{Op: "add", Feats: []int{0, 2}}, Cuts: []float64{0.25, 0.75}, NeedCodes: true},
 		},
@@ -172,14 +173,13 @@ func TestAssignmentHas(t *testing.T) {
 	}
 }
 
-// basePartial builds a base-sketch partial over cols (Ints and Codes set as
-// well, so one partial covers every field of the message) and the blobs it
-// must decode to.
+// basePartial builds a base-sketch partial over cols (Codes set as well, so
+// one partial covers every field of the message) and the blobs it must
+// decode to.
 func basePartial(chunk int, cols ...[]float64) (*shard.Partial, [][]byte) {
 	p := &shard.Partial{
 		Chunk: chunk, Start: 1000 * chunk, Rows: len(cols[0]),
 		Labels:  make([]float64, len(cols[0])),
-		Ints:    []int32{7, -1, int32(chunk)},
 		Codes:   [][]uint8{{0, 1, 2}, {uint8(chunk)}},
 		Moments: make([]sketch.Moments, len(cols)),
 		Sample:  &shard.RowSample{Rows: []int{1000*chunk + 1}, Vals: make([][]float64, len(cols))},
@@ -199,7 +199,7 @@ func basePartial(chunk int, cols ...[]float64) (*shard.Partial, [][]byte) {
 // samePlain compares what a partial carries on the wire outside its blobs.
 func samePlain(a, b *shard.Partial) bool {
 	return a.Chunk == b.Chunk && a.Start == b.Start && a.Rows == b.Rows &&
-		reflect.DeepEqual(a.Labels, b.Labels) && reflect.DeepEqual(a.Ints, b.Ints) && reflect.DeepEqual(a.Codes, b.Codes)
+		reflect.DeepEqual(a.Labels, b.Labels) && reflect.DeepEqual(a.Codes, b.Codes)
 }
 
 func TestPartialRoundTrip(t *testing.T) {

@@ -33,10 +33,10 @@ func totalAlloc() uint64 {
 // --- byte identity with the v1 encoder ---
 
 // referenceFrame is the partial message as protocol version 1 first encoded
-// it — with version 4's blobs — kept here as the layout's reference: every
-// blob appended from nil by its family's codec, the message appended from nil
-// field by field. It shares no code with AppendPartial or the Blob* methods
-// it checks.
+// it — with version 5's blobs, and without the bin-id list version 5 dropped
+// — kept here as the layout's reference: every blob appended from nil by its
+// family's codec, the message appended from nil field by field. It shares no
+// code with AppendPartial or the Blob* methods it checks.
 func referenceFrame(passID int, kind shard.PassKind, p *shard.Partial) []byte {
 	var blobs [][]byte
 	switch kind {
@@ -72,10 +72,6 @@ func referenceFrame(passID int, kind shard.PassKind, p *shard.Partial) []byte {
 	for _, blob := range blobs {
 		b = le.AppendUint32(b, uint32(len(blob)))
 		b = append(b, blob...)
-	}
-	b = le.AppendUint32(b, uint32(len(p.Ints)))
-	for _, v := range p.Ints {
-		b = le.AppendUint32(b, uint32(v))
 	}
 	b = le.AppendUint32(b, uint32(len(p.Codes)))
 	for _, codes := range p.Codes {
@@ -149,18 +145,18 @@ func (e *identityExec) RunPass(ctx context.Context, spec *shard.PassSpec, fold f
 // TestByteIdentityWithV1 pins that the pre-sized encoder changed where bytes
 // are held and not one of the bytes: for every task family, every partial of
 // every pass kind of a real fit frames exactly as the reference encoder
-// frames it — v1's message around version 4's blobs — and the fit over those
+// frames it — v1's message around version 5's blobs — and the fit over those
 // frames still selects what the local fit selects.
 func TestByteIdentityWithV1(t *testing.T) {
-	// Every kind a fit still streams; the score kinds and the count-task
-	// histogram kind are retired, so none of their frames is sent any more.
+	// Every kind a fit still streams; the score kinds and both histogram kinds
+	// are retired, so none of their frames is sent any more.
 	want := map[string][]shard.PassKind{
 		"binary": {shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
 			shard.PassRefine, shard.PassGramCodes},
 		"multiclass3": {shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
 			shard.PassRefine, shard.PassGramCodes},
 		"regression": {shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
-			shard.PassRefine, shard.PassHistIDs, shard.PassGramCodes},
+			shard.PassRefine, shard.PassGramCodes},
 	}
 	for _, tc := range taskCases() {
 		tc := tc
@@ -352,20 +348,20 @@ func countPartial(n int) *shard.Partial {
 
 // gatherPartial builds a partial shaped like the gather pass's, for chunk:
 // per candidate, two cut buckets holding size values together — the second a
-// criterion bucket, with a class per value, and three spans of binary class
+// criterion bucket, with a class code per value, and three spans of binary class
 // counts around it — and, every fourth candidate, a point mass gathered
 // whole instead: one bucket of size copies of one value, all classed. Every
 // value names its chunk, so that a gather read from a previous partition's
 // memory shows.
 func gatherPartial(chunk, n, size int) *shard.Partial {
 	p := &shard.Partial{Chunk: chunk, Start: 1000 * chunk, Rows: 4 * size, Gathers: make([]*shard.Gather, n),
-		Labels: []float64{}, Ints: []int32{}, Codes: [][]uint8{}} // as they decode: empty, not absent
+		Labels: []float64{}, Codes: [][]uint8{}} // as they decode: empty, not absent
 	for i := range p.Gathers {
-		g := &shard.Gather{Vals: make([]float64, size), Class: make([]int32, size-size/3),
-			Sizes: []int32{int32(size / 3), int32(size - size/3)}, Spans: []int32{3, 1, 4, 1, 5, 9}}
+		g := &shard.Gather{Vals: make([]float64, size), Codes: make([]int64, size-size/3),
+			Sizes: []int32{int32(size / 3), int32(size - size/3)}, Spans: []int64{3, 1, 4, 1, 5, 9}}
 		if i%4 == 3 {
-			g.Class = make([]int32, size)
-			g.Sizes, g.Spans = []int32{int32(size)}, []int32{2, 7, 1, 8}
+			g.Codes = make([]int64, size)
+			g.Sizes, g.Spans = []int32{int32(size)}, []int64{2, 7, 1, 8}
 		}
 		for r := range g.Vals {
 			g.Vals[r] = float64(chunk*1_000_000 + i*1000 + r)
@@ -373,8 +369,8 @@ func gatherPartial(chunk, n, size int) *shard.Partial {
 				g.Vals[r] = float64(chunk)
 			}
 		}
-		for r := range g.Class {
-			g.Class[r] = int32((r + chunk) % 2)
+		for r := range g.Codes {
+			g.Codes[r] = int64((r + chunk) % 2)
 		}
 		p.Gathers[i] = g
 	}
@@ -388,7 +384,7 @@ func sameGathers(a, b []*shard.Gather) bool {
 	}
 	for i := range a {
 		if !slices.Equal(a[i].Sizes, b[i].Sizes) || !slices.Equal(a[i].Vals, b[i].Vals) ||
-			!slices.Equal(a[i].Class, b[i].Class) || !slices.Equal(a[i].Spans, b[i].Spans) {
+			!slices.Equal(a[i].Codes, b[i].Codes) || !slices.Equal(a[i].Spans, b[i].Spans) {
 			return false
 		}
 	}

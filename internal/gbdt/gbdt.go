@@ -333,6 +333,9 @@ func boost(ctx context.Context, b *binner, labels []float64, names []string, cfg
 	gh := make([]gpair, n)
 	pool := cfg.pool()
 	tr := newTrainer(b, cfg, pool, n, m)
+	if cfg.Objective == Squared {
+		tr.shift = gradientShift(labels, bases[0])
+	}
 
 	for t := 0; t < cfg.NumTrees; t++ {
 		if err := ctx.Err(); err != nil {
@@ -342,7 +345,7 @@ func boost(ctx context.Context, b *binner, labels []float64, names []string, cfg
 			softmaxProbs(raw, prob, pool)
 		}
 		for c := range raw {
-			gradients(cfg.Objective, c, raw, prob, labels, gh)
+			gradients(cfg.Objective, c, raw, prob, labels, gh, tr.shift)
 			// Each tree partitions its own copy of the rows in place, in a
 			// per-trainer buffer refilled instead of reallocated.
 			rows := appendIota(tr.rowBuf[:0], n)
@@ -389,18 +392,37 @@ func baseScores(cfg Config, labels []float64) ([]float64, error) {
 	return bases, nil
 }
 
+// gradientShift is the power of two a squared loss's gradients are scaled
+// down by: 0 while the target's spread about the base score lies within
+// 2^±400, where the squared gradient sums of the split gains neither overflow
+// nor underflow, else the spread's exponent. The scale is exact, so such a
+// target splits as if scaled into range; makeLeaf scales each leaf back, and
+// the split gains stay in the scaled units.
+func gradientShift(labels []float64, base float64) int {
+	var spread float64
+	for _, y := range labels {
+		spread = max(spread, math.Abs(y-base))
+	}
+	if _, e := math.Frexp(spread); e < -400 || e > 400 {
+		return max(e, -1022)
+	}
+	return 0
+}
+
 // gpair is one row's gradient and hessian, side by side so one load brings
 // both.
 type gpair struct{ g, h float64 }
 
 // gradients fills gh with the loss derivatives of output group c: squared
-// error on raw[0], cross-entropy on sigmoid(raw[0]) for Logistic, and class
-// c's one-vs-rest cross-entropy on prob[c] for Softmax.
-func gradients(obj Objective, c int, raw, prob [][]float64, labels []float64, gh []gpair) {
+// error on raw[0], scaled by 2^-shift (gradientShift), cross-entropy on
+// sigmoid(raw[0]) for Logistic, and class c's one-vs-rest cross-entropy on
+// prob[c] for Softmax.
+func gradients(obj Objective, c int, raw, prob [][]float64, labels []float64, gh []gpair, shift int) {
 	switch obj {
 	case Squared:
+		scale := math.Ldexp(1, -shift)
 		for i, r := range raw[0] {
-			gh[i] = gpair{r - labels[i], 1}
+			gh[i] = gpair{(r - labels[i]) * scale, 1}
 		}
 	case Logistic:
 		for i, r := range raw[0] {
@@ -553,6 +575,7 @@ type trainer struct {
 	cfg    Config
 	pool   *parallel.Pool
 	n, m   int
+	shift  int // a squared loss's gradient scale, 2^-shift (gradientShift)
 	// stride is the per-feature slot width in a histSet: the largest
 	// numBins[j]+1 (real bins plus the missing bin 0) across features.
 	stride int
@@ -794,7 +817,7 @@ func (tr *trainer) number() *Tree {
 // makeLeaf makes nd a leaf and adds its value to the scores of its rows.
 func (tr *trainer) makeLeaf(nd *growNode) {
 	cfg := tr.cfg
-	nd.value = -cfg.LearningRate * nd.sumG / (nd.sumH + cfg.Lambda)
+	nd.value = math.Ldexp(-cfg.LearningRate*nd.sumG/(nd.sumH+cfg.Lambda), tr.shift)
 	addTo(tr.score, tr.rowBuf[nd.lo:nd.hi], nd.value)
 }
 
@@ -834,7 +857,7 @@ func (tr *trainer) splitNode(i, left int32, depth int) {
 	nd.build, nd.derive = -1, -1
 	rows := tr.rowBuf[nd.lo:nd.hi]
 	best := tr.bestSplit(nd.hist, len(rows), nd.sumG, nd.sumH)
-	if best.feature < 0 || best.gain <= tr.cfg.Gamma {
+	if best.feature < 0 || best.gain <= math.Ldexp(tr.cfg.Gamma, -2*tr.shift) {
 		tr.makeLeaf(nd)
 		return
 	}

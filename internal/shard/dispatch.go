@@ -34,12 +34,13 @@ type PassKind uint8
 // The streaming pass kinds of one fit, in the order the fit first runs them.
 // Kinds 3–5 are retired: they streamed the rows once more to score the mined
 // combinations, which core.ScoreCombos now does on the resident miner codes.
-// Kind 8 is retired too: the binary and multiclass criterion counts ride the
-// gather pass (grid.go). The numbers stay taken (an older peer may still name
-// them) and ComputePartial answers them as unknown kinds. PassBaseSketch,
-// PassSketchGen and PassRefine keep their names and numbers, though no pass
-// sketches or refines any more: they are the base pass and the two grid
-// passes that cut every column.
+// Kinds 8 and 9 are retired too: every task's criterion tallies ride the
+// gather pass (grid.go) — kind 9 shipped a bin id per row and candidate for
+// the regression criterion, whose sums are integers now. The numbers stay
+// taken (an older peer may still name them) and ComputePartial answers them
+// as unknown kinds. PassBaseSketch, PassSketchGen and PassRefine keep their
+// names and numbers, though no pass sketches or refines any more: they are
+// the base pass and the two grid passes that cut every column.
 const (
 	PassBaseSketch     PassKind = 1  // labels + per-source-column moments + row sample
 	PassCodes          PassKind = 2  // resident miner codes per live feature
@@ -47,9 +48,9 @@ const (
 	PassScoreClasses   PassKind = 4  // retired
 	PassScoreMomentIDs PassKind = 5  // retired
 	PassSketchGen      PassKind = 6  // grid counts + range per column
-	PassRefine         PassKind = 7  // cut-bucket gathers (+ classes and span counts for a count task) per column
+	PassRefine         PassKind = 7  // cut-bucket gathers + criterion codes and span tallies per column
 	PassHistCounts     PassKind = 8  // retired
-	PassHistIDs        PassKind = 9  // criterion bin ids (regression)
+	PassHistIDs        PassKind = 9  // retired
 	PassGramCodes      PassKind = 10 // pairwise co-moments + ranker codes
 )
 
@@ -70,9 +71,8 @@ type GenSpec struct {
 	Feats []int
 }
 
-// EntrySpec is one candidate of the histogram/Gram passes: a base entry
-// reads live column Base; a generated entry recomputes Gen. Cuts are the
-// pass's bin edges (criterion cuts or ranker cuts, per kind).
+// EntrySpec is one candidate of the Gram pass: a base entry reads live column
+// Base; a generated entry recomputes Gen. Cuts are its ranker cuts.
 type EntrySpec struct {
 	Base      int // live index, or -1 for generated entries
 	Gen       GenSpec
@@ -87,42 +87,24 @@ type PassSpec struct {
 	Kind  PassKind
 	Epoch int // live-set epoch this pass must run against
 
-	LiveCuts [][]float64 // PassCodes: miner cuts per live feature
-	Grids    []GridSpec  // PassSketchGen, PassRefine: the columns being cut
-	Entries  []EntrySpec // PassHistIDs, PassGramCodes
+	LiveCuts [][]float64      // PassCodes: miner cuts per live feature
+	Grids    []GridSpec       // PassSketchGen, PassRefine: the columns being cut
+	Target   stats.TargetCode // PassRefine, regression: the fit's target code (its parameters)
+	Entries  []EntrySpec      // PassGramCodes
 
 	prepOnce sync.Once
-	prep     *passPrep
+	prep     []*gridTables
 }
 
-// passPrep is what every chunk of one pass shares, derived once from the
-// spec: bucket tables (grid gathers) and the regression criterion's
-// histograms. All of it is read-only to the kernels, so the goroutines of one
-// kernel's column loop share one passPrep.
-type passPrep struct {
-	tables []*gridTables
-	hists  []*sketch.MomentHist
-}
-
-// prepared returns the spec's shared per-pass state, building it on first
-// use. The fitter reads the same object for its merge targets, so the
-// kernels' templates and the folds' always agree.
-func (s *PassSpec) prepared() *passPrep {
+// tables returns the gather pass's bucket tables, one per grid, built on
+// first use. They are read-only to the kernels, so every chunk of the pass and
+// the goroutines of one kernel's column loop share them.
+func (s *PassSpec) tables() []*gridTables {
 	s.prepOnce.Do(func() {
-		pp := &passPrep{}
-		switch s.Kind {
-		case PassRefine:
-			pp.tables = make([]*gridTables, len(s.Grids))
-			for i := range s.Grids {
-				pp.tables[i] = newGridTables(&s.Grids[i])
-			}
-		case PassHistIDs:
-			pp.hists = make([]*sketch.MomentHist, len(s.Entries))
-			for i := range s.Entries {
-				pp.hists[i] = sketch.NewMomentHist(s.Entries[i].Cuts)
-			}
+		s.prep = make([]*gridTables, len(s.Grids))
+		for i := range s.Grids {
+			s.prep[i] = newGridTables(&s.Grids[i])
 		}
-		s.prep = pp
 	})
 	return s.prep
 }
@@ -135,7 +117,6 @@ func (s *PassSpec) prepared() *passPrep {
 //	Codes:          Codes[i] = chunk codes of live feature i.
 //	SketchGen:      Counts[i] of Grids[i].
 //	Refine:         Gathers[i] = cut-bucket gather of Grids[i].
-//	HistIDs:        Ints = bin id per (entry, row).
 //	GramCodes:      Gram = co-moment partial; Codes[i] = chunk ranker codes
 //	                of Entries[i] when its NeedCodes is set (nil otherwise);
 //	                Moments[g] of the g-th generated entry.
@@ -151,16 +132,16 @@ func (s *PassSpec) prepared() *passPrep {
 //	Refine:     Blobs[i] = gather i.
 //	GramCodes:  Blobs[0] = Gram partial; Blobs[1+g] = moments g.
 //
-// Labels, Ints and Codes are plain and travel as they are, so the transport
-// codec never looks inside a payload.
+// Labels and Codes are plain and travel as they are, so the transport codec
+// never looks inside a payload.
 type Partial struct {
 	Chunk  int
 	Start  int
 	Rows   int
 	Labels []float64
 	Blobs  [][]byte
-	Ints   []int32
 	Codes  [][]uint8
+	Ints   []int32 // retired with kind 9: never set nor sent; bench/trace.go still reads it
 
 	Moments []sketch.Moments
 	Sample  *RowSample
@@ -168,10 +149,11 @@ type Partial struct {
 	Gathers []*Gather
 	Gram    *sketch.Gram
 
-	codeSlab  []uint8   // arena backing of Codes
-	countSlab []int32   // arena backing of Counts
-	gatherInt []int32   // arena backing of decoded Gathers' sizes, classes and spans
-	gatherVal []float64 // arena backing of decoded Gathers' values
+	codeSlab   []uint8   // arena backing of Codes
+	countSlab  []int32   // arena backing of Counts
+	gatherSize []int32   // arena backing of decoded Gathers' sizes
+	gatherInt  []int64   // and of their codes and span tallies
+	gatherVal  []float64 // arena backing of decoded Gathers' values
 }
 
 // BlobCount is how many blobs the kind's typed payload renders to on the
@@ -297,8 +279,8 @@ func (p *Partial) Decode(spec *PassSpec, arena *sketch.Arena) error {
 				return fail(i, err)
 			}
 		}
-		p.gatherInt, p.gatherVal = arena.Int32sRoom(sl.ni), arena.FloatsRoom(sl.nv)
-		sl = gatherSlabs{fill: true, ints: p.gatherInt, vals: p.gatherVal}
+		p.gatherSize, p.gatherInt, p.gatherVal = arena.Int32sRoom(sl.ns), arena.Int64sRoom(sl.ni), arena.FloatsRoom(sl.nv)
+		sl = gatherSlabs{fill: true, sizes: p.gatherSize, ints: p.gatherInt, vals: p.gatherVal}
 		// A recycled container hands back its gathers' headers too.
 		p.Gathers = wire.Resize(p.Gathers, len(p.Blobs))
 		for i, b := range p.Blobs {
@@ -385,7 +367,8 @@ type WorkerState struct {
 	// the loops read it without a lock.
 	appliers map[string]operators.Applier
 	opsFor   *PassSpec // the pass whose operators were last resolved
-	cls      []int32   // the chunk's class ids, shared read-only by a loop
+	codes    []int64   // the chunk's target codes, shared read-only by a loop
+	sq       []int64   // and, for regression, their square codes
 
 	mu   sync.Mutex
 	free []*scratch // idle per-goroutine scratch, kept across chunks and passes
@@ -401,7 +384,7 @@ type scratch struct {
 	ix   stats.CutIndexer
 	buf  []float64 // generated-column buffer
 	rowB []int16   // a gather's bucket per row
-	cnt  []int32   // a gather's per-bucket (× class) counts
+	cnt  []int64   // a gather's per-bucket tallies
 	pos  []int     // a gather's write cursors
 }
 
@@ -413,10 +396,10 @@ func (s *scratch) rowBuckets(n int) []int16 {
 	return s.rowB[:n]
 }
 
-// counts returns the scratch's count table at length n, zeroed.
-func (s *scratch) counts(n int) []int32 {
+// counts returns the scratch's tally table at length n, zeroed.
+func (s *scratch) counts(n int) []int64 {
 	if cap(s.cnt) < n {
-		s.cnt = make([]int32, n)
+		s.cnt = make([]int64, n)
 	}
 	clear(s.cnt[:n])
 	return s.cnt[:n]
@@ -614,7 +597,6 @@ func (ws *WorkerState) releaseLive() {
 // Release returns a partial's pooled buffers to the arena. The partial (and
 // anything aliasing its payload) must not be used afterwards.
 func (ws *WorkerState) Release(p *Partial) {
-	ws.arena.PutInt32s(p.Ints)
 	ws.arena.PutInt32s(p.countSlab)
 	ws.arena.PutBytes(p.codeSlab)
 	ws.arena.PutGram(p.Gram)
@@ -650,22 +632,6 @@ func (ws *WorkerState) colOf(base int, gen GenSpec, cols [][]float64, buf []floa
 		return nil, err
 	}
 	return buf, nil
-}
-
-// labelCls returns the chunk's labels as class ids (-1 when out of range).
-func (ws *WorkerState) labelCls(labels []float64, k int) []int32 {
-	if cap(ws.cls) < len(labels) {
-		ws.cls = make([]int32, len(labels))
-	}
-	cls := ws.cls[:len(labels)]
-	for i, y := range labels {
-		if c := int(y); c >= 0 && c < k {
-			cls[i] = int32(c)
-		} else {
-			cls[i] = -1
-		}
-	}
-	return cls
 }
 
 // fillCodes bins one column slice into GBDT codes: 0 for NaN, 1+bin
@@ -724,8 +690,6 @@ func (ws *WorkerState) ComputePartial(ctx context.Context, spec *PassSpec, c *fr
 		err = ws.computeGridCounts(ctx, spec, c, p)
 	case PassRefine:
 		err = ws.computeGather(ctx, spec, c, p)
-	case PassHistIDs:
-		err = ws.computeHist(ctx, spec, c, p)
 	case PassGramCodes:
 		err = ws.computeGramCodes(ctx, spec, c, p)
 	default:
@@ -775,20 +739,20 @@ func (ws *WorkerState) computeCodes(ctx context.Context, spec *PassSpec, c *fram
 }
 
 // computeGather is the gather pass's kernel: every column's cut-bucket
-// gather and, for a count task, the classes and span counts beside it.
+// gather, with the criterion's codes and span tallies beside it.
 func (ws *WorkerState) computeGather(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	counts := ws.task.Kind != core.TaskRegression
 	for i := range spec.Grids {
-		if err := spec.Grids[i].check(true, counts); err != nil {
+		if err := spec.Grids[i].check(true); err != nil {
 			return err
 		}
 	}
-	pp := spec.prepared()
+	tl := newTally(ws.task, &spec.Target)
+	tables := spec.tables()
 	cols := ws.liveCols(c)
-	var cls []int32
-	if counts && len(spec.Grids) > 0 {
+	var codes, sq []int64
+	if len(spec.Grids) > 0 {
 		var err error
-		if cls, err = ws.classIDs(c.Label); err != nil {
+		if codes, sq, err = ws.targetCodes(c.Label, tl); err != nil {
 			return err
 		}
 	}
@@ -802,33 +766,7 @@ func (ws *WorkerState) computeGather(ctx context.Context, spec *PassSpec, c *fra
 		if err != nil {
 			return err
 		}
-		gatherCol(g, pp.tables[i], vals, cls, taskClasses(ws.task), s, p.Gathers[i])
-		return nil
-	})
-}
-
-// computeHist bins every entry for the regression criterion: it emits only
-// bin ids (PassHistIDs), so the fold keeps the float target sums in global row
-// order.
-func (ws *WorkerState) computeHist(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
-	if ws.task.Kind != core.TaskRegression {
-		return fmt.Errorf("shard: pass kind %d does not fit a %s task", spec.Kind, ws.task)
-	}
-	pp := spec.prepared()
-	cols := ws.liveCols(c)
-	rows := p.Rows
-	p.Ints = ws.arena.Int32s(len(spec.Entries) * rows)
-	return ws.forCols(ctx, len(spec.Entries), func(s *scratch, i int) error {
-		e := &spec.Entries[i]
-		var buf []float64
-		if e.Base < 0 {
-			buf = s.floats(rows)
-		}
-		col, err := ws.colOf(e.Base, e.Gen, cols, buf)
-		if err != nil {
-			return err
-		}
-		pp.hists[i].BinIDs(col, p.Ints[i*rows:(i+1)*rows])
+		gatherCol(g, tables[i], vals, codes, sq, tl, s, p.Gathers[i])
 		return nil
 	})
 }

@@ -33,24 +33,21 @@
 //     moments
 //  2. live counts — each source column's counts on the in-memory kernel's
 //     grid, laid over the row sample, + its range
-//  3. live gather — the cut buckets' values (and, for a count task,
-//     classes), which resolve exact cuts and the criterion counts; a live
-//     feature keeps that criterion for the rest of the fit
+//  3. live gather — the cut buckets' values and target codes (classes, or
+//     the coded regression target), which resolve exact cuts and the
+//     criterion tallies; a live feature keeps that criterion for the rest
+//     of the fit
 //  4. live codes  — bin the live features into resident uint8 codes (Bin)
 //
-// and three per iteration for a binary or multiclass task, four for
-// regression,
+// and three per iteration, for every task,
 //
 //  5. candidate counts — passes 2 and 3 again, over each generated column
 //     (Generate)
 //  6. candidate gather — (Criteria)
-//  7. regression criterion — bin ids replayed in row order (Criteria;
-//     regression only)
-//  8. redundancy — pairwise co-moments (Gram) of IV survivors + the
+//  7. redundancy — pairwise co-moments (Gram) of IV survivors + the
 //     generated survivors' moments, the only ones read + codes (Correlated)
 //
-// so seven passes for a one-iteration binary or multiclass fit and eight for
-// regression. grid.go is the count and gather passes: the two scans of
+// so seven passes for a one-iteration fit. grid.go is the count and gather passes: the two scans of
 // stats.QuantileScratch with the pass seam between them, one cut path for
 // every column.
 //

@@ -28,7 +28,7 @@ func SampleKey(row int) uint64 { return sampleKey(row) }
 type GridCut struct {
 	Cuts       map[int][]float64
 	BinnerCuts []float64
-	Counts     []int32
+	Counts     []int64
 	Crit       float64
 }
 

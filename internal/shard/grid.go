@@ -38,12 +38,14 @@ import (
 //     which only the Pearson stage reads, are left to the Gram pass, which
 //     regenerates just the survivors.
 //   - The gather pass (PassRefine) returns the values in those cut buckets
-//     (Gather) — for a count task also the class of each value in a bucket
-//     holding a criterion cut, and the class counts of the runs of buckets
-//     between them. The fitter selects every rank exactly
-//     (stats.SelectInBuckets) and, for a count task, bins the classes
-//     (stats.AppendCuts, stats.BinClassCounts): the cuts and the criterion
-//     counts in-memory fitting gives, bit for bit. A live column keeps the
+//     (Gather), the target code of each value in a bucket holding a
+//     criterion cut, and the tallies of the runs of buckets between them
+//     (tally: class counts for a count task; rows, Σq and Σq2 of the coded
+//     target, stats.TargetCode, for regression). The fitter selects every
+//     rank exactly (stats.SelectInBuckets) and bins the codes
+//     (stats.AppendCuts, stats.BinTallies): the cuts and the criterion
+//     tallies in-memory fitting gives, bit for bit — integers, so the order
+//     the partitions arrive in does not matter. A live column keeps the
 //     criterion it was first counted with: its values, labels and cuts do not
 //     change between rounds.
 //
@@ -64,13 +66,15 @@ var (
 	ErrGridCounts = errors.New("bucket counts do not add up to the partial's rows")
 	// ErrGatherSize: a gather holds more values for a cut bucket than the
 	// count pass found in it, or — once every partition is in — fewer, or
-	// class counts that do not match the buckets they cover.
+	// span tallies that do not match the buckets they cover.
 	ErrGatherSize = errors.New("gather size differs from the counts of its buckets")
 	// ErrGatherBucket: a gathered value lies outside the bucket it is filed
 	// under.
 	ErrGatherBucket = errors.New("gathered value outside its bucket")
-	// ErrClassID: a class id at or above the task's class count.
-	ErrClassID = errors.New("class id outside the task's classes")
+	// ErrClassID: a member's target code outside the task's codes — a class
+	// id at or above the class count, or a regression code beyond the
+	// target code's range.
+	ErrClassID = errors.New("target code outside the task's codes")
 	// ErrBlob: a grid, gather or sample blob that is truncated or malformed.
 	ErrBlob = errors.New("truncated or malformed blob")
 )
@@ -214,8 +218,8 @@ func checkSample(p *Partial, cols int) error {
 // one — live column Base, or, when Base is negative, the generated recipe Gen
 // — and the grid its values are bucketed on: the zero Grid when its sample had
 // no usable range, and then the whole column is bucket 0 of one. In the
-// gather pass, Buckets lists the cut buckets (ascending) and, for a count
-// task, IV marks those that hold a criterion cut.
+// gather pass, Buckets lists the cut buckets (ascending) and IV marks those
+// that hold a criterion cut.
 type GridSpec struct {
 	Base    int
 	Gen     GenSpec
@@ -233,9 +237,9 @@ func (g *GridSpec) buckets() int {
 }
 
 // check holds a spec that may be a peer's to what the kernels index by: a
-// valid grid or none, ascending cut buckets inside it, and one IV mark per
-// cut bucket exactly when the task counts classes.
-func (g *GridSpec) check(gather, counts bool) error {
+// valid grid or none and, in the gather pass, ascending cut buckets inside it
+// with one IV mark each.
+func (g *GridSpec) check(gather bool) error {
 	if g.Grid != (stats.Grid{}) && !g.Grid.Valid() {
 		return fmt.Errorf("shard: grid %+v is not a grid", g.Grid)
 	}
@@ -247,11 +251,7 @@ func (g *GridSpec) check(gather, counts bool) error {
 			return fmt.Errorf("shard: cut bucket %d of %d is not ascending inside the grid", b, g.buckets())
 		}
 	}
-	want := 0
-	if counts {
-		want = len(g.Buckets)
-	}
-	if len(g.IV) != want {
+	if len(g.IV) != len(g.Buckets) {
 		return fmt.Errorf("shard: %d criterion marks for %d cut buckets", len(g.IV), len(g.Buckets))
 	}
 	return nil
@@ -278,9 +278,8 @@ func newGridTables(g *GridSpec) *gridTables {
 	j := 0
 	for b := range t.span {
 		if j < len(g.Buckets) && g.Buckets[j] == b {
-			iv := len(g.IV) > 0 && g.IV[j]
 			j++
-			if iv {
+			if g.IV[j-1] {
 				t.span[b] = -1
 				t.spans++
 				continue
@@ -349,80 +348,87 @@ func decodeGridCounts(b []byte, slab []int32) (GridCounts, error) {
 
 // Gather is one column's gather-pass partial: the chunk's values in the
 // column's cut buckets, bucket by bucket (Sizes[j] of them in cut bucket
-// j). For a count task also the class of every value in a criterion cut
-// bucket (Class, in the same order) and, k per run, the class counts of the
-// runs of buckets between criterion cut buckets (Spans).
+// j); the target code of every value in a criterion cut bucket (Codes, in
+// the same order); and, tally.w counters per run, the tallies of the runs of
+// buckets between criterion cut buckets (Spans).
 type Gather struct {
 	Sizes []int32
 	Vals  []float64
-	Class []int32
-	Spans []int32
+	Codes []int64
+	Spans []int64
 }
 
 // WireSize is the exact length of AppendWire's output.
 func (g *Gather) WireSize() int {
-	n := wire.UvarintSize(uint64(len(g.Sizes))) + 8*len(g.Vals) +
-		wire.UvarintSize(uint64(len(g.Class))) + wire.UvarintSize(uint64(len(g.Spans)))
-	for _, vs := range [][]int32{g.Sizes, g.Class, g.Spans} {
-		for _, v := range vs {
-			n += wire.UvarintSize(uint64(v))
-		}
+	return varintsSize(g.Sizes) + 8*len(g.Vals) + varintsSize(g.Codes) + varintsSize(g.Spans)
+}
+
+func varintsSize[T int32 | int64](vs []T) int {
+	n := wire.UvarintSize(uint64(len(vs)))
+	for _, v := range vs {
+		n += wire.UvarintSize(uint64(v))
 	}
 	return n
 }
 
-// AppendWire appends the sizes (varints), the values (raw bits, as many as
-// the sizes add up to), the classes and the span counts (varints).
+// AppendWire appends the sizes, the values (raw bits, as many as the sizes
+// add up to), the codes and the span tallies: each list a count and its
+// values as the varints of their two's-complement bits (a negative
+// regression code or Σq takes ten bytes).
 func (g *Gather) AppendWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(g.Sizes)))
-	for _, v := range g.Sizes {
-		b = wire.AppendUvarint(b, uint64(v))
-	}
+	b = appendVarints(b, g.Sizes)
 	for _, v := range g.Vals {
 		b = wire.AppendF64(b, v)
 	}
-	for _, vs := range [][]int32{g.Class, g.Spans} {
-		b = wire.AppendUvarint(b, uint64(len(vs)))
-		for _, v := range vs {
-			b = wire.AppendUvarint(b, uint64(v))
-		}
+	b = appendVarints(b, g.Codes)
+	return appendVarints(b, g.Spans)
+}
+
+func appendVarints[T int32 | int64](b []byte, vs []T) []byte {
+	b = wire.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = wire.AppendUvarint(b, uint64(v))
 	}
 	return b
 }
 
-// gatherSlabs parses gather blobs into two slabs: one of int32s (sizes,
-// classes and span counts) and one of values. With fill unset it only
-// measures them — ni and nv count what the slabs must hold — and every count
-// is checked against the bytes left, so what the slabs are sized by is backed
-// by the blobs. With fill set, the slabs hold at least that much, and each
-// gather's slices are carved off them in turn.
+// gatherSlabs parses gather blobs into three slabs: the sizes, the codes and
+// span tallies, and the values. With fill unset it only measures them — ns,
+// ni and nv count what the slabs must hold — and every count is checked
+// against the bytes left, so what the slabs are sized by is backed by the
+// blobs. With fill set, the slabs hold at least that much, and each gather's
+// slices are carved off them in turn.
 type gatherSlabs struct {
-	fill   bool
-	ints   []int32
-	vals   []float64
-	ni, nv int
+	fill       bool
+	sizes      []int32
+	ints       []int64
+	vals       []float64
+	ns, ni, nv int
 }
 
-// varints reads a count and that many varints, each at most MaxInt32, and
-// returns them (filling) and their sum.
-func (s *gatherSlabs) varints(r *wire.Reader) (out []int32, sum int) {
+// varints reads a count and that many varints, carved off slab from *at on
+// when filling, and returns them and, for sizes (each at most MaxInt32),
+// their sum.
+func varints[T int32 | int64](r *wire.Reader, fill bool, slab []T, at *int, sizes bool) (out []T, sum int) {
 	n := r.Uvarint()
 	if n > uint64(len(r.Rest())) { // a varint is at least a byte
 		r.Fail()
 		return nil, 0
 	}
-	if s.fill {
-		out = s.ints[s.ni : s.ni+int(n) : s.ni+int(n)]
+	if fill {
+		out = slab[*at : *at+int(n) : *at+int(n)]
 	}
-	s.ni += int(n)
+	*at += int(n)
 	for i := 0; i < int(n); i++ {
 		v := r.Uvarint()
-		if v > math.MaxInt32 {
-			r.Fail()
+		if sizes {
+			if v > math.MaxInt32 {
+				r.Fail()
+			}
+			sum += int(v)
 		}
-		sum += int(v)
-		if s.fill {
-			out[i] = int32(v)
+		if fill {
+			out[i] = T(v)
 		}
 	}
 	return out, sum
@@ -431,7 +437,7 @@ func (s *gatherSlabs) varints(r *wire.Reader) (out []int32, sum int) {
 // read parses one gather blob, into g when filling.
 func (s *gatherSlabs) read(b []byte, g *Gather) error {
 	r := wire.NewReader(b)
-	sizes, total := s.varints(&r)
+	sizes, total := varints(&r, s.fill, s.sizes, &s.ns, true)
 	var vals []float64
 	if total > len(r.Rest())/8 {
 		r.Fail()
@@ -444,10 +450,10 @@ func (s *gatherSlabs) read(b []byte, g *Gather) error {
 		}
 		s.nv += total
 	}
-	class, _ := s.varints(&r)
-	spans, _ := s.varints(&r)
+	codes, _ := varints(&r, s.fill, s.ints, &s.ni, false)
+	spans, _ := varints(&r, s.fill, s.ints, &s.ni, false)
 	if s.fill {
-		*g = Gather{Sizes: sizes, Vals: vals, Class: class, Spans: spans}
+		*g = Gather{Sizes: sizes, Vals: vals, Codes: codes, Spans: spans}
 	}
 	return blobDone(&r)
 }
@@ -470,14 +476,14 @@ type gridState struct {
 	ivRanks  []int
 
 	// During the gather pass: the cut buckets' members, segment by segment as
-	// needs lays them out, and for a count task the classes of the criterion
-	// cut buckets' members, segment by segment from classAt[j] (-1: not one);
-	// fill counts what each segment holds so far, spans the run counts.
-	gather  []float64
-	class   []int32
-	classAt []int
-	fill    []int
-	spans   []int32
+	// needs lays them out, and the target codes of the criterion cut buckets'
+	// members, segment by segment from codeAt[j] (-1: not one); fill counts
+	// what each segment holds so far, spans the run tallies.
+	gather []float64
+	code   []int64
+	codeAt []int
+	fill   []int
+	spans  []int64
 }
 
 // sampleGen evaluates a generated candidate on the row sample — the one
@@ -581,7 +587,7 @@ func signedRange(xs []float64) (lo, hi float64) {
 // regenerated, its range and its counts on its grid.
 func (ws *WorkerState) computeGridCounts(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {
 	for i := range spec.Grids {
-		if err := spec.Grids[i].check(false, false); err != nil {
+		if err := spec.Grids[i].check(false); err != nil {
 			return err
 		}
 	}
@@ -618,45 +624,141 @@ func (ws *WorkerState) computeGridCounts(ctx context.Context, spec *PassSpec, c 
 	})
 }
 
-// classIDs returns the chunk's labels as the count task's class ids: 0/1
-// thresholded at 0.5 for binary, the class index for multiclass — a label
-// outside the classes is an error (the fit validated them on its first pass).
-func (ws *WorkerState) classIDs(labels []float64) ([]int32, error) {
-	if ws.task.Kind == core.TaskMulticlass {
-		cls := ws.labelCls(labels, ws.task.Classes)
-		for i, c := range cls {
-			if c < 0 {
-				return nil, fmt.Errorf("shard: label %v of row %d is not one of %d classes", labels[i], i, ws.task.Classes)
+// tally is how a task's criterion counts the rows of a bin, a bucket or a
+// run of buckets: w counters each, to which a row adds by its target code. A
+// count task's code is the row's class, which adds one to counter code of k;
+// a regression code is the row's q, which adds (1, q, q2) (stats.TargetCode).
+type tally struct {
+	task core.Task
+	w    int
+	code *stats.TargetCode // regression; nil for a count task
+}
+
+// newTally is the task's tally; a regression one codes rows with code.
+func newTally(task core.Task, code *stats.TargetCode) tally {
+	switch task.Kind {
+	case core.TaskRegression:
+		return tally{task: task, w: stats.Tally, code: code}
+	case core.TaskMulticlass:
+		return tally{task: task, w: task.Classes}
+	}
+	return tally{task: task, w: 2}
+}
+
+// add adds a row of the given code to one bin's counters.
+func (t tally) add(bin []int64, code int64) {
+	if t.code != nil {
+		t.code.Add(bin, code)
+		return
+	}
+	bin[code]++
+}
+
+// rows is how many rows one bin's counters count.
+func (t tally) rows(c []int64) (n int64) {
+	if t.code != nil {
+		return c[0]
+	}
+	for _, v := range c {
+		n += v
+	}
+	return n
+}
+
+// valid reports whether a code that may be a peer's is one of the task's.
+func (t tally) valid(code int64) bool {
+	if t.code != nil {
+		return code >= -t.code.Max() && code <= t.code.Max()
+	}
+	return code >= 0 && code < int64(t.w)
+}
+
+// validSpan reports whether one run's counters, which may be a peer's, can
+// tally at most rows rows: no negative count, and for regression sums that
+// rows codes can reach — so that no sum of them overflows.
+func (t tally) validSpan(c []int64, rows int64) bool {
+	if t.code == nil {
+		return !slices.ContainsFunc(c, func(v int64) bool { return v < 0 })
+	}
+	n, m := c[0], t.code.Max()
+	return n >= 0 && n <= rows && c[1] >= -n*m && c[1] <= n*m && c[2] >= 0 && c[2] <= n*t.code.Square(m)
+}
+
+// criterion is the task's criterion over per-bin counters (bins[b·w:]), in
+// the arithmetic of the in-memory criteria: stats.IVFromCounts for binary,
+// stats.MulticlassIVFromCounts for multiclass, TargetCode.CorrelationRatio
+// for regression.
+func (t tally) criterion(cuts []float64, bins []int64) float64 {
+	if len(cuts) == 0 {
+		return 0
+	}
+	if t.code != nil {
+		return t.code.CorrelationRatio(bins)
+	}
+	nb := len(cuts) + 1
+	if t.task.Kind == core.TaskMulticlass {
+		k := t.w
+		counts := make([][]float64, k)
+		for c := range counts {
+			counts[c] = make([]float64, nb)
+			for b := range counts[c] {
+				counts[c][b] = float64(bins[b*k+c])
 			}
 		}
-		return cls, nil
+		return stats.MulticlassIVFromCounts(counts)
 	}
-	if cap(ws.cls) < len(labels) {
-		ws.cls = make([]int32, len(labels))
+	pos, neg := make([]float64, nb), make([]float64, nb)
+	var np, nn float64
+	for b := range pos {
+		neg[b], pos[b] = float64(bins[2*b]), float64(bins[2*b+1])
+		np += pos[b]
+		nn += neg[b]
 	}
-	cls := ws.cls[:len(labels)]
+	return stats.IVFromCounts(pos, neg, np, nn)
+}
+
+// targetCodes returns the chunk's rows as the criterion's target codes: a
+// count task's class ids — 0/1 thresholded at 0.5 for binary, the class
+// index for multiclass, where a label outside the classes is an error (the
+// fit validated them on its first pass) — or a regression target's codes
+// beside their square codes (sq, nil for a count task).
+func (ws *WorkerState) targetCodes(labels []float64, t tally) (codes, sq []int64, err error) {
+	ws.codes = roomy(ws.codes, len(labels))
+	codes = ws.codes
+	if t.code != nil {
+		ws.sq = roomy(ws.sq, len(labels))
+		sq = ws.sq
+	}
 	for i, y := range labels {
-		cls[i] = 0
-		if y > 0.5 {
-			cls[i] = 1
+		switch {
+		case t.code != nil:
+			codes[i] = t.code.Code(y)
+			sq[i] = t.code.Square(codes[i])
+		case t.task.Kind == core.TaskMulticlass:
+			if !(y > -1 && y < float64(t.w)) {
+				return nil, nil, fmt.Errorf("shard: label %v of row %d is not one of %d classes", y, i, t.w)
+			}
+			codes[i] = int64(y)
+		default:
+			codes[i] = 0
+			if y > 0.5 {
+				codes[i] = 1
+			}
 		}
 	}
-	return cls, nil
+	return codes, sq, nil
 }
 
 // gatherCol is the gather pass's kernel for one candidate column, in two
-// scans of the chunk's column. The first buckets every value and counts it
-// per bucket (and class): counters spread over the whole grid, so that
-// consecutive values rarely wait on one another's increment. The per-bucket
-// counts then give the cut buckets' sizes and, for a count task, the spans'
-// class counts. The second scan files the cut buckets' values (and, in a
-// criterion cut bucket, their classes). It fills out, reusing its backings.
-func gatherCol(g *GridSpec, t *gridTables, vals []float64, cls []int32, k int, s *scratch, out *Gather) {
-	stride := 1
-	if cls != nil {
-		stride = k
-	}
-	cnt := s.counts(len(t.slot) * stride)
+// scans of the chunk's column. The first buckets every value and tallies it
+// per bucket: counters spread over the whole grid, so that consecutive
+// values rarely wait on one another's increment. The per-bucket tallies then
+// give the cut buckets' sizes and the spans' tallies. The second scan files
+// the cut buckets' values (and, in a criterion cut bucket, their codes). It
+// fills out, reusing its backings.
+func gatherCol(g *GridSpec, t *gridTables, vals []float64, codes, sq []int64, tl tally, s *scratch, out *Gather) {
+	w := tl.w
+	cnt := s.counts(len(t.slot) * w)
 	rowB := s.rowBuckets(len(vals))
 	gridded := g.Grid != (stats.Grid{})
 	for i, v := range vals {
@@ -669,46 +771,43 @@ func gatherCol(g *GridSpec, t *gridTables, vals []float64, cls []int32, k int, s
 			b = g.Grid.Bucket(v)
 		}
 		rowB[i] = int16(b)
-		c := 0
-		if cls != nil {
-			c = int(cls[i])
+		if sq == nil {
+			cnt[b*w+int(codes[i])]++
+			continue
 		}
-		cnt[b*stride+c]++
+		c := cnt[b*w : b*w+3]
+		c[0]++
+		c[1] += codes[i]
+		c[2] += sq[i]
 	}
 	out.Sizes = roomy(out.Sizes, len(g.Buckets))
 	for j, b := range g.Buckets {
-		out.Sizes[j] = 0
-		for _, n := range cnt[b*stride : (b+1)*stride] {
-			out.Sizes[j] += n
-		}
+		out.Sizes[j] = int32(tl.rows(cnt[b*w : (b+1)*w]))
 	}
-	out.Spans = out.Spans[:0]
-	if cls != nil {
-		out.Spans = roomy(out.Spans, t.spans*k)
-		clear(out.Spans)
-		for b, sp := range t.span {
-			if sp >= 0 {
-				dst := out.Spans[int(sp)*k : (int(sp)+1)*k]
-				for c, n := range cnt[b*k : (b+1)*k] {
-					dst[c] += n
-				}
+	out.Spans = roomy(out.Spans, t.spans*w)
+	clear(out.Spans)
+	for b, sp := range t.span {
+		if sp >= 0 {
+			dst := out.Spans[int(sp)*w : (int(sp)+1)*w]
+			for c, n := range cnt[b*w : (b+1)*w] {
+				dst[c] += n
 			}
 		}
 	}
 	pos := s.cursor(2 * len(g.Buckets))
 	vpos, cpos := pos[:len(g.Buckets)], pos[len(g.Buckets):]
-	total, classed := 0, 0
+	total, coded := 0, 0
 	for j, n := range out.Sizes {
 		vpos[j] = total
 		total += int(n)
 		cpos[j] = -1
-		if cls != nil && g.IV[j] {
-			cpos[j] = classed
-			classed += int(n)
+		if g.IV[j] {
+			cpos[j] = coded
+			coded += int(n)
 		}
 	}
 	out.Vals = roomy(out.Vals, total)
-	out.Class = roomy(out.Class, classed)
+	out.Codes = roomy(out.Codes, coded)
 	for i, b := range rowB {
 		if b < 0 {
 			continue
@@ -720,7 +819,7 @@ func gatherCol(g *GridSpec, t *gridTables, vals []float64, cls []int32, k int, s
 		out.Vals[vpos[sl]] = vals[i]
 		vpos[sl]++
 		if at := cpos[sl]; at >= 0 {
-			out.Class[at] = cls[i]
+			out.Codes[at] = codes[i]
 			cpos[sl]++
 		}
 	}
@@ -771,7 +870,7 @@ func (f *fitter) passGridCounts(cols []*column) error {
 		return err
 	}
 	return f.each(len(cols), func(i int) error {
-		cols[i].locate(&f.cfg)
+		cols[i].locate(&f.cfg, f.tally.w)
 		return nil
 	})
 }
@@ -790,9 +889,10 @@ func (p *Partial) ReleaseCounts(arena *sketch.Arena) {
 // afterwards. A partial handed over by pointer holds no slab: its gathers are
 // the worker state's.
 func (p *Partial) ReleaseGathers(arena *sketch.Arena) {
-	arena.PutInt32s(p.gatherInt)
+	arena.PutInt32s(p.gatherSize)
+	arena.PutInt64s(p.gatherInt)
 	arena.PutFloats(p.gatherVal)
-	p.gatherInt, p.gatherVal = nil, nil
+	p.gatherSize, p.gatherInt, p.gatherVal = nil, nil, nil
 }
 
 // foldCounts merges one chunk's count-pass partial into the column, whose
@@ -831,8 +931,9 @@ func (c *column) foldCounts(gc *GridCounts, n int64) error {
 
 // locate fills the cut table's shape from the summed counts: the union
 // ranks, the cut buckets that hold them, and the gather pass's bucket list —
-// empty for a constant column, whose every rank is its one value.
-func (c *column) locate(cfg *core.Config) {
+// empty for a constant column, whose every rank is its one value — with the
+// criterion's marks; w is the task's tally width.
+func (c *column) locate(cfg *core.Config, w int) {
 	st := c.grid
 	c.ranks = cutRankUnion(c.n, cfg)
 	st.ranks = make([]int, len(c.ranks))
@@ -853,15 +954,12 @@ func (c *column) locate(cfg *core.Config) {
 	for j, nd := range st.needs {
 		st.spec.Buckets[j] = nd.Bucket
 	}
-	if cfg.Task.Kind == core.TaskRegression {
-		return
-	}
 	for _, r := range sketch.CutRanks(c.n, cfg.IVBins) {
 		st.ivRanks = append(st.ivRanks, int(r))
 	}
 	st.spec.IV = make([]bool, len(st.needs))
-	st.classAt = make([]int, len(st.needs))
-	iv, ivBuckets, classed := 0, 0, 0
+	st.codeAt = make([]int, len(st.needs))
+	iv, ivBuckets, coded := 0, 0, 0
 	for j, nd := range st.needs {
 		for _, r := range ranks[nd.First : nd.First+nd.Count] {
 			if iv < len(st.ivRanks) && st.ivRanks[iv] == r {
@@ -869,29 +967,22 @@ func (c *column) locate(cfg *core.Config) {
 				iv++
 			}
 		}
-		st.classAt[j] = -1
+		st.codeAt[j] = -1
 		if st.spec.IV[j] {
-			st.classAt[j] = classed
-			classed += nd.Size
+			st.codeAt[j] = coded
+			coded += nd.Size
 			ivBuckets++
 		}
 	}
-	st.class = make([]int32, classed)
-	st.spans = make([]int32, (ivBuckets+1)*taskClasses(cfg.Task))
-}
-
-// taskClasses is k of a count task's class ids: 2 for binary.
-func taskClasses(task core.Task) int {
-	if task.Kind == core.TaskMulticlass {
-		return task.Classes
-	}
-	return 2
+	st.code = make([]int64, coded)
+	st.spans = make([]int64, (ivBuckets+1)*w)
 }
 
 // passGather is the gather pass over the columns the count pass located:
 // the fold files every gathered value into its segment, checking it against
-// the counts; then every column's cut table is resolved exactly, and for a
-// count task its criterion counts.
+// the counts; then every column's cut table is resolved exactly, and its
+// criterion tallied. A regression pass carries the fit's target code, with
+// which the kernels code their chunk's labels.
 func (f *fitter) passGather(cols []*column) error {
 	if len(cols) == 0 {
 		return nil
@@ -900,14 +991,16 @@ func (f *fitter) passGather(cols []*column) error {
 	for i, c := range cols {
 		spec.Grids[i] = c.grid.spec
 	}
-	counts := f.cfg.Task.Kind != core.TaskRegression
-	k := taskClasses(f.cfg.Task)
+	if f.tally.code != nil {
+		c := f.tally.code
+		spec.Target = stats.TargetCode{Mean: c.Mean, Scale: c.Scale, Room: c.Room}
+	}
 	err := f.runPass(spec, func(p *Partial) error {
 		if len(p.Gathers) != len(cols) {
 			return fmt.Errorf("shard: gather partial %d has %d gathers, want %d", p.Chunk, len(p.Gathers), len(cols))
 		}
 		err := f.each(len(cols), func(i int) error {
-			if err := cols[i].foldGather(p.Gathers[i], k, counts); err != nil {
+			if err := cols[i].foldGather(p.Gathers[i], f.tally, int64(p.Rows)); err != nil {
 				return fmt.Errorf("shard: gather partial %d col %d: %w", p.Chunk, i, err)
 			}
 			return nil
@@ -919,26 +1012,27 @@ func (f *fitter) passGather(cols []*column) error {
 		return err
 	}
 	return f.each(len(cols), func(i int) error {
-		if err := cols[i].resolve(f.cfg.Task); err != nil {
+		if err := cols[i].resolve(f.tally); err != nil {
 			return fmt.Errorf("shard: gather of %q: %w", cols[i].Name, err)
 		}
 		return nil
 	})
 }
 
-// foldGather files one chunk's gather of the candidate into its segments.
-func (c *column) foldGather(ga *Gather, k int, counts bool) error {
+// foldGather files one chunk's gather of the candidate, over rows rows, into
+// its segments.
+func (c *column) foldGather(ga *Gather, tl tally, rows int64) error {
 	st := c.grid
 	if ga == nil || len(ga.Sizes) != len(st.needs) {
 		return fmt.Errorf("a gather of the wrong number of cut buckets: %w", ErrGatherSize)
 	}
 	gridded := st.spec.Grid != (stats.Grid{})
-	at, classed := 0, 0
+	at, coded := 0, 0
 	for j, sz := range ga.Sizes {
 		nd := st.needs[j]
 		n := int(sz)
-		if n < 0 || st.fill[j]+n > nd.Size || at+n > len(ga.Vals) {
-			return fmt.Errorf("cut bucket %d: %d more values than the %d counted: %w", nd.Bucket, n, nd.Size-st.fill[j], ErrGatherSize)
+		if n < 0 || n > nd.Size-st.fill[j] || at+n > len(ga.Vals) {
+			return fmt.Errorf("cut bucket %d: %d more values than the %d counted: %w", nd.Bucket, sz, nd.Size-st.fill[j], ErrGatherSize)
 		}
 		seg := ga.Vals[at : at+n]
 		for _, v := range seg {
@@ -948,79 +1042,71 @@ func (c *column) foldGather(ga *Gather, k int, counts bool) error {
 		}
 		dst := nd.Start + st.fill[j]
 		copy(st.gather[dst:], seg)
-		if counts && st.spec.IV[j] {
-			if classed+n > len(ga.Class) {
-				return fmt.Errorf("%d classes for more values: %w", len(ga.Class), ErrGatherSize)
+		if st.spec.IV[j] {
+			if coded+n > len(ga.Codes) {
+				return fmt.Errorf("%d codes for more values: %w", len(ga.Codes), ErrGatherSize)
 			}
-			for _, cl := range ga.Class[classed : classed+n] {
-				if cl < 0 || int(cl) >= k {
-					return fmt.Errorf("class %d of %d: %w", cl, k, ErrClassID)
+			for _, code := range ga.Codes[coded : coded+n] {
+				if !tl.valid(code) {
+					return fmt.Errorf("code %d: %w", code, ErrClassID)
 				}
 			}
-			copy(st.class[st.classAt[j]+st.fill[j]:], ga.Class[classed:classed+n])
-			classed += n
+			copy(st.code[st.codeAt[j]+st.fill[j]:], ga.Codes[coded:coded+n])
+			coded += n
 		}
 		st.fill[j] += n
 		at += n
 	}
-	if at != len(ga.Vals) || classed != len(ga.Class) || len(ga.Spans) != len(st.spans) {
-		return fmt.Errorf("%d values, %d classes and %d span counts for %d, %d and %d: %w",
-			len(ga.Vals), len(ga.Class), len(ga.Spans), at, classed, len(st.spans), ErrGatherSize)
+	if at != len(ga.Vals) || coded != len(ga.Codes) || len(ga.Spans) != len(st.spans) {
+		return fmt.Errorf("%d values, %d codes and %d span counters for %d, %d and %d: %w",
+			len(ga.Vals), len(ga.Codes), len(ga.Spans), at, coded, len(st.spans), ErrGatherSize)
 	}
-	for i, v := range ga.Spans {
-		if v < 0 {
-			return fmt.Errorf("span count %d: %w", v, ErrGatherSize)
+	for s := 0; s < len(ga.Spans); s += tl.w {
+		sp := ga.Spans[s : s+tl.w]
+		if !tl.validSpan(sp, rows) {
+			return fmt.Errorf("span tally %v: %w", sp, ErrGatherSize)
 		}
-		st.spans[i] += v
+		for c, v := range sp {
+			st.spans[s+c] += v
+		}
 	}
 	return nil
 }
 
 // resolve is the gather's end: every segment must be full and every span
-// must count the rows of its buckets, then each rank is selected exactly and,
-// for a count task, the criterion counted off the classes.
-func (c *column) resolve(task core.Task) error {
+// must count the rows of its buckets, then each rank is selected exactly and
+// the criterion tallied off the codes.
+func (c *column) resolve(tl tally) error {
 	st := c.grid
 	for j, nd := range st.needs {
 		if st.fill[j] != nd.Size {
 			return fmt.Errorf("cut bucket %d gathered %d of its %d values: %w", nd.Bucket, st.fill[j], nd.Size, ErrGatherSize)
 		}
 	}
-	counts := task.Kind != core.TaskRegression
-	if counts {
-		k := taskClasses(task)
-		want := make([]int64, len(st.spans)/k)
-		s, j := 0, 0
-		for b, n := range st.counts {
-			if j < len(st.needs) && st.needs[j].Bucket == b {
-				iv := st.spec.IV[j]
-				j++
-				if iv {
-					s++
-					continue
-				}
+	want := make([]int64, len(st.spans)/tl.w)
+	s, j := 0, 0
+	for b, n := range st.counts {
+		if j < len(st.needs) && st.needs[j].Bucket == b {
+			iv := st.spec.IV[j]
+			j++
+			if iv {
+				s++
+				continue
 			}
-			want[s] += int64(n)
 		}
-		for s, w := range want {
-			var got int64
-			for _, v := range st.spans[s*k : (s+1)*k] {
-				got += int64(v)
-			}
-			if got != w {
-				return fmt.Errorf("span %d counts %d rows of its buckets' %d: %w", s, got, w, ErrGatherSize)
-			}
+		want[s] += int64(n)
+	}
+	for s, w := range want {
+		if got := tl.rows(st.spans[s*tl.w : (s+1)*tl.w]); got != w {
+			return fmt.Errorf("span %d counts %d rows of its buckets' %d: %w", s, got, w, ErrGatherSize)
 		}
 	}
 	// Selection permutes: the criterion cut buckets' members stay paired with
-	// their classes in a copy, laid out as the classes are.
-	var ivVals []float64
-	if counts {
-		ivVals = make([]float64, len(st.class))
-		for j, nd := range st.needs {
-			if at := st.classAt[j]; at >= 0 {
-				copy(ivVals[at:], st.gather[nd.Start:nd.Start+nd.Size])
-			}
+	// their codes in a copy, laid out as the codes are.
+	ivVals := make([]float64, len(st.code))
+	for j, nd := range st.needs {
+		if at := st.codeAt[j]; at >= 0 {
+			copy(ivVals[at:], st.gather[nd.Start:nd.Start+nd.Size])
 		}
 	}
 	c.at = make([]float64, len(st.local))
@@ -1030,25 +1116,23 @@ func (c *column) resolve(task core.Task) error {
 			c.at[i] = c.max
 		}
 	}
-	if counts {
-		c.ivCuts, c.ivCounts = st.criterion(c.at, ivVals, task)
-		if st.constant && len(st.ivRanks) > 0 {
-			// One cut, the value, with every row in the bin at or below it:
-			// the span counts are the classes of the whole column.
-			c.ivCuts = []float64{c.max}
-			c.ivCounts = append(st.spans, make([]int32, len(st.spans))...)
-		}
-		c.crit = countCriterion(task, c.ivCuts, c.ivCounts)
+	c.ivCuts, c.ivCounts = st.criterion(c.at, ivVals, tl)
+	if st.constant && len(st.ivRanks) > 0 {
+		// One cut, the value, with every row in the bin at or below it: the
+		// span tallies are the whole column's.
+		c.ivCuts = []float64{c.max}
+		c.ivCounts = append(st.spans, make([]int64, len(st.spans))...)
 	}
+	c.crit = tl.criterion(c.ivCuts, c.ivCounts)
 	c.grid = nil
 	return nil
 }
 
-// criterion bins the classes at the criterion's cuts: the criterion ranks'
-// cut buckets, their members (ivVals, laid out as the classes) and classes,
-// and the runs between them are the in-memory kernel's own inputs to
-// AppendCuts and BinClassCounts.
-func (st *gridState) criterion(at, ivVals []float64, task core.Task) (cuts []float64, bins []int32) {
+// criterion bins the codes at the criterion's cuts: the criterion ranks' cut
+// buckets, their members (ivVals, laid out as the codes) and codes, and the
+// runs between them are the in-memory kernel's own inputs to AppendCuts and
+// BinTallies.
+func (st *gridState) criterion(at, ivVals []float64, tl tally) (cuts []float64, bins []int64) {
 	var needs []stats.CutBucket
 	var ivAt []float64
 	iv := 0
@@ -1063,41 +1147,11 @@ func (st *gridState) criterion(at, ivVals []float64, task core.Task) (cuts []flo
 				iv++
 			}
 		}
-		needs = append(needs, stats.CutBucket{Bucket: nd.Bucket, First: first, Count: len(ivAt) - first, Start: st.classAt[j], Size: nd.Size})
+		needs = append(needs, stats.CutBucket{Bucket: nd.Bucket, First: first, Count: len(ivAt) - first, Start: st.codeAt[j], Size: nd.Size})
 	}
 	ends := make([]int, len(needs))
 	cuts = stats.AppendCuts(nil, ends, ivAt, needs)
-	k := taskClasses(task)
-	bins = make([]int32, (len(cuts)+1)*k)
-	stats.BinClassCounts(bins, k, cuts, ends, st.spans, needs, ivVals, st.class)
+	bins = make([]int64, (len(cuts)+1)*tl.w)
+	stats.BinTallies(bins, tl.w, cuts, ends, st.spans, needs, ivVals, func(bin []int64, p int) { tl.add(bin, st.code[p]) })
 	return cuts, bins
-}
-
-// countCriterion is the count task's criterion over per-bin class counts
-// (bins[b·k+c]), in the arithmetic of the in-memory criteria:
-// stats.IVFromCounts for binary, stats.MulticlassIVFromCounts for multiclass.
-func countCriterion(task core.Task, cuts []float64, bins []int32) float64 {
-	if len(cuts) == 0 {
-		return 0
-	}
-	nb := len(cuts) + 1
-	if task.Kind == core.TaskMulticlass {
-		k := task.Classes
-		counts := make([][]float64, k)
-		for c := range counts {
-			counts[c] = make([]float64, nb)
-			for b := range counts[c] {
-				counts[c][b] = float64(bins[b*k+c])
-			}
-		}
-		return stats.MulticlassIVFromCounts(counts)
-	}
-	pos, neg := make([]float64, nb), make([]float64, nb)
-	var np, nn float64
-	for b := range pos {
-		neg[b], pos[b] = float64(bins[2*b]), float64(bins[2*b+1])
-		np += pos[b]
-		nn += neg[b]
-	}
-	return stats.IVFromCounts(pos, neg, np, nn)
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -156,9 +157,9 @@ func distExec(t *testing.T, train *frame.Frame, groupRows int) (exec shard.Execu
 }
 
 // wantGridCut is the in-memory kernel's answer for one column: its cuts at
-// every bin count (stats.QuantileScratch), its binner cuts, and for a count
-// task its criterion's per-bin class counts and criterion (stats.IVScratch,
-// stats.CritScratch).
+// every bin count (stats.QuantileScratch), its binner cuts, and its
+// criterion's per-bin tallies — class counts, or the coded target's rows, Σq
+// and Σq2 — and criterion (stats.IVScratch, stats.CritScratch).
 func wantGridCut(col, labels []float64, task core.Task, cfg core.Config) shard.GridCut {
 	var q stats.QuantileScratch
 	want := shard.GridCut{Cuts: map[int][]float64{}}
@@ -175,15 +176,25 @@ func wantGridCut(col, labels []float64, task core.Task, cfg core.Config) shard.G
 	if n := len(want.BinnerCuts); n > 0 && want.BinnerCuts[n-1] >= hi {
 		want.BinnerCuts = want.BinnerCuts[:n-1]
 	}
+	cuts := want.Cuts[cfg.IVBins]
 	if task.Kind == core.TaskRegression {
+		var code stats.TargetCode
+		code.Encode(labels)
+		want.Counts = make([]int64, (len(cuts)+1)*stats.Tally)
+		for i, v := range col {
+			if v == v {
+				code.Add(want.Counts[stats.SearchCuts(cuts, v)*stats.Tally:], code.Q[i])
+			}
+		}
+		var cs stats.CritScratch
+		want.Crit = cs.CorrelationRatio(col, labels, cfg.IVBins)
 		return want
 	}
 	k := 2
 	if task.Kind == core.TaskMulticlass {
 		k = task.Classes
 	}
-	cuts := want.Cuts[cfg.IVBins]
-	want.Counts = make([]int32, (len(cuts)+1)*k)
+	want.Counts = make([]int64, (len(cuts)+1)*k)
 	for i, v := range col {
 		if v != v {
 			continue
@@ -208,7 +219,7 @@ func wantGridCut(col, labels []float64, task core.Task, cfg core.Config) shard.G
 
 // sameGridCut compares two answers bit for bit: float64 bits of every cut and
 // of the criterion, every count.
-func sameGridCut(got, want shard.GridCut, counts bool) error {
+func sameGridCut(got, want shard.GridCut) error {
 	bits := func(xs []float64) []uint64 {
 		out := make([]uint64, len(xs))
 		for i, x := range xs {
@@ -224,11 +235,8 @@ func sameGridCut(got, want shard.GridCut, counts bool) error {
 	if !reflect.DeepEqual(bits(got.BinnerCuts), bits(want.BinnerCuts)) {
 		return fmt.Errorf("binner cuts:\n got %v\nwant %v", got.BinnerCuts, want.BinnerCuts)
 	}
-	if !counts {
-		return nil
-	}
 	if !reflect.DeepEqual(got.Counts, want.Counts) {
-		return fmt.Errorf("criterion class counts:\n got %v\nwant %v", got.Counts, want.Counts)
+		return fmt.Errorf("criterion tallies:\n got %v\nwant %v", got.Counts, want.Counts)
 	}
 	if math.Float64bits(got.Crit) != math.Float64bits(want.Crit) {
 		return fmt.Errorf("criterion %v, want %v", got.Crit, want.Crit)
@@ -238,8 +246,8 @@ func sameGridCut(got, want shard.GridCut, counts bool) error {
 
 // TestGridCutsAreExact is the differential pin of the grid passes: for every
 // task family, every column's cuts (at the miner's, the criterion's and the
-// ranker's bin counts, and as binner cuts) and, for a count task, its
-// criterion's per-bin class counts and criterion must equal the in-memory
+// ranker's bin counts, and as binner cuts) and its criterion's per-bin
+// tallies and criterion must equal the in-memory
 // kernel's on the materialised column bit for bit — the source columns, which
 // the grid passes cut before the first round, as well as the generated
 // candidates. The columns are the shapes that stress a grid (see gridFrame);
@@ -277,7 +285,6 @@ func TestGridCutsAreExact(t *testing.T) {
 			for j := range wantLive {
 				wantLive[j] = wantGridCut(train.Col(j), train.Label, task, norm)
 			}
-			counts := task.Kind != core.TaskRegression
 			check := func(name string, src frame.ChunkSource, exec shard.Executor, workers int) {
 				t.Helper()
 				cfg := cfg
@@ -287,12 +294,12 @@ func TestGridCutsAreExact(t *testing.T) {
 					t.Fatalf("%s, %d workers: %v", name, workers, err)
 				}
 				for i := range gen {
-					if err := sameGridCut(gen[i], wantGen[i], counts); err != nil {
+					if err := sameGridCut(gen[i], wantGen[i]); err != nil {
 						t.Fatalf("%s, %d workers: candidate %d (%s %v): %v", name, workers, i, gridGens[i].Op, gridGens[i].Feats, err)
 					}
 				}
 				for j := range live {
-					if err := sameGridCut(live[j], wantLive[j], counts); err != nil {
+					if err := sameGridCut(live[j], wantLive[j]); err != nil {
 						t.Fatalf("%s, %d workers: source column %q: %v", name, workers, train.Names()[j], err)
 					}
 				}
@@ -330,6 +337,103 @@ func TestGridCutsAreExact(t *testing.T) {
 				t.Fatalf("the constant columns' gathers hold %d values over %d partials, want 0 over 8", gathered, seen)
 			}
 		})
+	}
+}
+
+// permExec folds every gather pass's partials after the full wire hop in a
+// random order of the partitions — an order the Executor contract does not
+// allow and no executor delivers — and every other pass's in partition order.
+type permExec struct {
+	src frame.ChunkSource
+	rng *rand.Rand
+	ws  *shard.WorkerState
+}
+
+func (e *permExec) Open(_ context.Context, names []string, task core.Task, _ int) error {
+	e.ws = shard.NewWorkerState(names, task)
+	return nil
+}
+
+func (e *permExec) SetLive(_ context.Context, epoch int, nodes []shard.NodeSpec, live []string) error {
+	return e.ws.SetLive(epoch, nodes, live)
+}
+
+func (e *permExec) RunPass(ctx context.Context, spec *shard.PassSpec, fold func(*shard.Partial) error) (shard.PassResult, error) {
+	var res shard.PassResult
+	if err := e.src.Reset(); err != nil {
+		return res, err
+	}
+	var frames [][]byte
+	for {
+		c, err := e.src.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return res, err
+		}
+		p, err := e.ws.ComputePartial(ctx, spec, c)
+		if err != nil {
+			return res, err
+		}
+		frames = append(frames, dist.AppendPartial(nil, spec.Pass, spec.Kind, p))
+		e.ws.Release(p)
+	}
+	if spec.Kind == shard.PassRefine {
+		e.rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
+	}
+	for _, msg := range frames {
+		_, p, err := dist.DecodePartial(msg)
+		if err != nil {
+			return res, err
+		}
+		res.Rows += p.Rows
+		res.Parts++
+		if err := fold(p); err != nil {
+			return res, err
+		}
+	}
+	return res, nil
+}
+
+// TestRegressionCriteriaAreOrderFree is the property the regression
+// criterion rides the gather pass on: its tallies are integer sums of the
+// coded target, so a regression fit's gather partials folded in any order of
+// the partitions, over any partitioning, give every column — source and
+// generated — the same tallies and the same criterion bits as one partition
+// folded alone. The target is offset by 1e9, where float sums of y and y²
+// would carry the order in their low bits. Partitionings are drawn at random,
+// empty partitions included, from 2 to 200 partitions.
+func TestRegressionCriteriaAreOrderFree(t *testing.T) {
+	train := gridFrame(t, core.RegressionTask())
+	for i := range train.Label {
+		train.Label[i] += 1e9
+	}
+	cfg := shard.Config{Core: core.DefaultConfig()}
+	cfg.Core.Task = core.RegressionTask()
+	ctx := context.Background()
+	wantGen, wantLive, err := shard.CutGenerated(ctx, frame.NewFrameChunks(train, gridRows), nil, cfg, gridGens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(39))
+	for trial := 0; trial < 12; trial++ {
+		sizes := make([]int, 2+rng.Intn(199))
+		for r := 0; r < gridRows; r++ {
+			sizes[rng.Intn(len(sizes))]++
+		}
+		exec := &permExec{src: &sizedChunks{f: train, sizes: sizes}, rng: rng}
+		gen, live, err := shard.CutGenerated(ctx, exec.src, exec, cfg, gridGens)
+		if err != nil {
+			t.Fatalf("%d partitions: %v", len(sizes), err)
+		}
+		for i, got := range append(gen, live...) {
+			want := append(wantGen, wantLive...)[i]
+			if !slices.Equal(got.Counts, want.Counts) || math.Float64bits(got.Crit) != math.Float64bits(want.Crit) {
+				t.Fatalf("%d partitions, column %d: tallies %v and η² %v, want %v and %v",
+					len(sizes), i, got.Counts, got.Crit, want.Counts, want.Crit)
+			}
+		}
 	}
 }
 
@@ -411,9 +515,10 @@ func gatherWith(p *shard.Partial, ok func(g *shard.Gather) bool) int {
 // source columns' count pass, a round's count or gather pass, or its Gram
 // pass — by pointer and in wire form, and the fit must stop on the named
 // error, positioned on the partial, instead of cutting or correlating
-// anywhere.
+// anywhere. The rows named "regression: …" corrupt a regression fit's
+// gather, whose codes and span tallies are the coded target's.
 func TestGridFoldsRefusePeerBytes(t *testing.T) {
-	train := gridFrame(t, core.BinaryTask())
+	trains := map[bool]*frame.Frame{false: gridFrame(t, core.BinaryTask()), true: gridFrame(t, core.RegressionTask())}
 	gridded := func(g *shard.Gather) bool { return len(g.Sizes) > 1 } // a whole-column gather has one bucket
 	shortCount := func(p *shard.Partial) int {
 		for i, gc := range p.Counts {
@@ -509,8 +614,22 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 			return i
 		}},
 		{"a class id past the classes", shard.PassRefine, 2, shard.ErrClassID, func(p *shard.Partial) int {
-			i := gatherWith(p, func(g *shard.Gather) bool { return len(g.Class) > 0 })
-			p.Gathers[i].Class[0] = 2
+			i := gatherWith(p, func(g *shard.Gather) bool { return len(g.Codes) > 0 })
+			p.Gathers[i].Codes[0] = 2
+			return i
+		}},
+		{"regression: a code past the target code's range", shard.PassRefine, 2, shard.ErrClassID, func(p *shard.Partial) int {
+			i := gatherWith(p, func(g *shard.Gather) bool { return len(g.Codes) > 0 })
+			p.Gathers[i].Codes[0] = math.MaxInt64 / 2
+			return i
+		}},
+		{"regression: span sums past what their rows can reach", shard.PassRefine, 2, shard.ErrGatherSize, func(p *shard.Partial) int {
+			p.Gathers[0].Spans[1] = 1 << 62
+			return 0
+		}},
+		{"regression: a span tally short of a row", shard.PassRefine, 2, shard.ErrGatherSize, func(p *shard.Partial) int {
+			i := gatherWith(p, func(g *shard.Gather) bool { return g.Spans[0] > 0 })
+			p.Gathers[i].Spans[0]--
 			return i
 		}},
 		{"survivor moments over more rows than the partial's", shard.PassGramCodes, 1, shard.ErrGramMoments,
@@ -523,7 +642,11 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 			moments(func(m *sketch.Moments) { m.M2 = math.NaN() })},
 	} {
 		for _, wire := range []bool{false, true} {
-			exec := &seamExec{src: frame.NewFrameChunks(train, 1000), wire: wire, bad: tc.kind, nth: tc.nth,
+			reg, task := strings.HasPrefix(tc.name, "regression: "), core.BinaryTask()
+			if reg {
+				task = core.RegressionTask()
+			}
+			exec := &seamExec{src: frame.NewFrameChunks(trains[reg], 1000), wire: wire, bad: tc.kind, nth: tc.nth,
 				corrupt: func(p *shard.Partial, wire bool) {
 					if !wire {
 						tc.bad(p)
@@ -549,7 +672,7 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 			if wire && tc.name == "counts without a grid's worth of buckets" {
 				want = shard.ErrBlob
 			}
-			_, _, _, err := gridFit(exec)
+			_, _, _, err := gridFit(exec, task)
 			if !errors.Is(err, want) || !strings.HasPrefix(err.Error(), "shard: ") {
 				t.Errorf("%s, wire=%v: the fit returned %v, want %v", tc.name, wire, err, want)
 			}
@@ -557,17 +680,18 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 	}
 	// A truncated blob of either grid pass fails its decode, named.
 	for kind, nth := range map[shard.PassKind]int{shard.PassSketchGen: 1, shard.PassRefine: 2} {
-		exec := &seamExec{src: frame.NewFrameChunks(train, 1000), wire: true, bad: kind, nth: nth,
+		exec := &seamExec{src: frame.NewFrameChunks(trains[false], 1000), wire: true, bad: kind, nth: nth,
 			corrupt: func(p *shard.Partial, _ bool) { p.Blobs[0] = p.Blobs[0][:len(p.Blobs[0])-3] }}
-		if _, _, _, err := gridFit(exec); !errors.Is(err, shard.ErrBlob) {
+		if _, _, _, err := gridFit(exec, core.BinaryTask()); !errors.Is(err, shard.ErrBlob) {
 			t.Errorf("truncated kind %d blob: the fit returned %v, want %v", kind, err, shard.ErrBlob)
 		}
 	}
 }
 
-// gridFit is a one-round binary fit through a seam executor.
-func gridFit(exec *seamExec) (*core.Pipeline, *core.Report, *shard.Stats, error) {
+// gridFit is a one-round fit of the task through a seam executor.
+func gridFit(exec *seamExec, task core.Task) (*core.Pipeline, *core.Report, *shard.Stats, error) {
 	cfg := core.DefaultConfig()
+	cfg.Task = task
 	cfg.Seed = 1
 	cfg.Miner.NumTrees, cfg.Ranker.NumTrees = 8, 8
 	return shard.Fit(context.Background(), exec.src, shard.Config{Core: cfg, Exec: exec})

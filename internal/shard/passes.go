@@ -204,8 +204,8 @@ func cutRankUnion(n int64, cfg *core.Config) []int64 {
 	return merged
 }
 
-// entrySpec reifies candidate i of the round for the histogram/Gram passes,
-// to be binned at cuts: a live feature by its index, a generated candidate by
+// entrySpec reifies candidate i of the round for the Gram pass, to be binned
+// at cuts: a live feature by its index, a generated candidate by
 // its recipe.
 func (f *fitter) entrySpec(i int, c *core.Candidate, cuts []float64) (EntrySpec, error) {
 	if i < len(f.live) {
@@ -213,50 +213,6 @@ func (f *fitter) entrySpec(i int, c *core.Candidate, cuts []float64) (EntrySpec,
 	}
 	g, err := genSpec(c)
 	return EntrySpec{Base: -1, Gen: g, Cuts: cuts}, err
-}
-
-// passCandidateCounts streams the regression criterion's pass: every
-// candidate's bin ids at its criterion cuts, replayed against the gathered
-// targets in global row order, which keeps the float arithmetic of the moment
-// histograms bit-identical to the in-memory single-pass accumulation.
-func (f *fitter) passCandidateCounts(cands []*core.Candidate) error {
-	spec := &PassSpec{Kind: PassHistIDs, Entries: make([]EntrySpec, len(cands))}
-	cols := make([]*column, len(cands))
-	for i, c := range cands {
-		cols[i] = col(c)
-		cols[i].ivCuts = cols[i].cuts(f.cfg.IVBins)
-		var err error
-		if spec.Entries[i], err = f.entrySpec(i, c, cols[i].ivCuts); err != nil {
-			return err
-		}
-	}
-	// The prepared histograms are the merge targets; the in-process kernels
-	// read these same objects' cuts and bucket index.
-	hists := spec.prepared().hists
-	err := f.runPass(spec, func(p *Partial) error {
-		if len(p.Ints) != len(cols)*p.Rows {
-			return fmt.Errorf("shard: hist-id partial %d has %d ids, want %d", p.Chunk, len(p.Ints), len(cols)*p.Rows)
-		}
-		targets := f.labels[p.Start : p.Start+p.Rows]
-		return f.each(len(cols), func(i int) error {
-			ids := p.Ints[i*p.Rows : (i+1)*p.Rows]
-			bins := int32(len(cols[i].ivCuts) + 1)
-			for _, id := range ids {
-				if id < -1 || id >= bins {
-					return fmt.Errorf("shard: hist-id partial %d cand %d bin id %d outside %d bins", p.Chunk, i, id, bins)
-				}
-			}
-			hists[i].AddBinned(ids, targets)
-			return nil
-		})
-	})
-	if err != nil {
-		return err
-	}
-	for i, h := range hists {
-		cols[i].crit = h.Criterion()
-	}
-	return nil
 }
 
 // ErrGramMoments: a Gram partial's moments of a generated survivor count other

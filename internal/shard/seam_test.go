@@ -77,8 +77,8 @@ func (e *seamExec) SetLive(_ context.Context, epoch int, nodes []shard.NodeSpec,
 // digest sequences mean equal fitter state after every pass.
 func specDigest(s *shard.PassSpec) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d %d %d|%v|%v|%v", s.Pass, s.Kind, s.Epoch,
-		s.LiveCuts, s.Grids, s.Entries)
+	fmt.Fprintf(h, "%d %d %d|%v|%v|%v|%v", s.Pass, s.Kind, s.Epoch,
+		s.LiveCuts, s.Grids, s.Target, s.Entries)
 	return h.Sum64()
 }
 
@@ -107,7 +107,7 @@ func (e *seamExec) RunPass(ctx context.Context, spec *shard.PassSpec, fold func(
 		}
 		if len(e.others) > 0 {
 			// The whole wire form: every blob through BlobCount/AppendBlob plus
-			// the plain Labels, Ints and Codes.
+			// the plain Labels and Codes.
 			e.frame = dist.AppendPartial(e.frame[:0], spec.Pass, spec.Kind, computed)
 			for i, ws := range e.others {
 				q, err := ws.ComputePartial(ctx, spec, c)
@@ -157,7 +157,7 @@ var seamTasks = []struct {
 		shard.PassRefine, shard.PassGramCodes}},
 	{core.RegressionTask(), datagen.TargetRegression, 0, []shard.PassKind{
 		shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen,
-		shard.PassRefine, shard.PassHistIDs, shard.PassGramCodes}},
+		shard.PassRefine, shard.PassGramCodes}},
 }
 
 // seamFit runs one small sharded fit through exec (nil: the in-process
@@ -181,34 +181,30 @@ func seamFit(t *testing.T, task core.Task, train *frame.Frame, iterations, worke
 // lists the pass kinds it applies to; every fold must answer with a typed
 // error — never a panic, never silently wrong statistics.
 var corruptions = []struct {
-	name   string
-	kinds  []shard.PassKind
-	nth    int  // which pass of the kind, from 1 (0: the first)
-	counts bool // a count task's only
-	apply  func(p *shard.Partial, wire bool)
+	name  string
+	kinds []shard.PassKind
+	nth   int // which pass of the kind, from 1 (0: the first)
+	apply func(p *shard.Partial, wire bool)
 }{
-	{"short Ints",
-		[]shard.PassKind{shard.PassHistIDs}, 0, false,
-		func(p *shard.Partial, _ bool) { p.Ints = p.Ints[:len(p.Ints)-1] }},
 	{"missing payload",
-		[]shard.PassKind{shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassGramCodes}, 0, false,
+		[]shard.PassKind{shard.PassBaseSketch, shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassGramCodes}, 0,
 		func(p *shard.Partial, _ bool) {
 			p.Blobs, p.Codes = nil, nil
 			p.Moments, p.Gram, p.Sample, p.Counts, p.Gathers = nil, nil, nil, nil, nil
 		}},
 	{"missing gathers",
-		[]shard.PassKind{shard.PassRefine}, 2, false,
+		[]shard.PassKind{shard.PassRefine}, 2,
 		func(p *shard.Partial, _ bool) {
 			p.Blobs, p.Gathers = nil, nil
 		}},
 	{"rows past n",
-		[]shard.PassKind{shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassHistIDs, shard.PassGramCodes}, 0, false,
+		[]shard.PassKind{shard.PassCodes, shard.PassSketchGen, shard.PassRefine, shard.PassGramCodes}, 0,
 		func(p *shard.Partial, _ bool) { p.Start = 1 << 30 }},
 	{"short code column",
-		[]shard.PassKind{shard.PassCodes}, 0, false,
+		[]shard.PassKind{shard.PassCodes}, 0,
 		func(p *shard.Partial, _ bool) { p.Codes[0] = p.Codes[0][:len(p.Codes[0])-1] }},
 	{"wrong Gram K",
-		[]shard.PassKind{shard.PassGramCodes}, 0, false,
+		[]shard.PassKind{shard.PassGramCodes}, 0,
 		func(p *shard.Partial, wire bool) {
 			if wire {
 				k := len(p.Codes) + 1
@@ -221,7 +217,7 @@ var corruptions = []struct {
 	// scorer's cell tables: a code beyond its column's bins must stop at the
 	// fold that would place it, not panic a pool worker of the trainer.
 	{"code outside its bins",
-		[]shard.PassKind{shard.PassCodes, shard.PassGramCodes}, 0, false,
+		[]shard.PassKind{shard.PassCodes, shard.PassGramCodes}, 0,
 		func(p *shard.Partial, _ bool) {
 			for _, codes := range p.Codes {
 				if len(codes) > 0 { // a gram partial leaves aliased columns nil
@@ -230,14 +226,8 @@ var corruptions = []struct {
 				}
 			}
 		}},
-	{"id out of range",
-		[]shard.PassKind{shard.PassHistIDs}, 0, false,
-		func(p *shard.Partial, _ bool) { p.Ints[0] = 1 << 20 }},
-	{"id below NaN marker",
-		[]shard.PassKind{shard.PassHistIDs}, 0, false,
-		func(p *shard.Partial, _ bool) { p.Ints[0] = -2 }},
 	{"base moments of other rows",
-		[]shard.PassKind{shard.PassBaseSketch}, 0, false,
+		[]shard.PassKind{shard.PassBaseSketch}, 0,
 		func(p *shard.Partial, wire bool) {
 			m := sketch.Moments{}
 			m.AddAll([]float64{1})
@@ -248,7 +238,7 @@ var corruptions = []struct {
 			p.Moments[0] = m
 		}},
 	{"truncated blob",
-		[]shard.PassKind{shard.PassBaseSketch, shard.PassSketchGen, shard.PassRefine, shard.PassGramCodes}, 0, false,
+		[]shard.PassKind{shard.PassBaseSketch, shard.PassSketchGen, shard.PassRefine, shard.PassGramCodes}, 0,
 		func(p *shard.Partial, wire bool) {
 			if wire {
 				p.Blobs[0] = p.Blobs[0][:len(p.Blobs[0])/2]
@@ -268,13 +258,13 @@ func emptyGathers(p *shard.Partial, wire bool) {
 		}
 		p.Blobs = make([][]byte, len(q.Gathers))
 		for i, g := range q.Gathers {
-			empty := &shard.Gather{Sizes: make([]int32, len(g.Sizes)), Spans: make([]int32, len(g.Spans))}
+			empty := &shard.Gather{Sizes: make([]int32, len(g.Sizes)), Spans: make([]int64, len(g.Spans))}
 			p.Blobs[i] = empty.AppendWire(nil)
 		}
 		return
 	}
 	for i, g := range p.Gathers {
-		p.Gathers[i] = &shard.Gather{Sizes: make([]int32, len(g.Sizes)), Spans: make([]int32, len(g.Spans))}
+		p.Gathers[i] = &shard.Gather{Sizes: make([]int32, len(g.Sizes)), Spans: make([]int64, len(g.Spans))}
 	}
 }
 
@@ -368,7 +358,7 @@ func TestSeam(t *testing.T) {
 
 			for _, co := range corruptions {
 				for _, kind := range co.kinds {
-					if !containsKind(tc.kinds, kind) || (co.counts && tc.task.Kind == core.TaskRegression) {
+					if !containsKind(tc.kinds, kind) {
 						continue
 					}
 					for _, wire := range []bool{false, true} {
@@ -401,7 +391,7 @@ func TestSeam(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, kind := range []shard.PassKind{shard.PassScoreBinary, shard.PassScoreClasses, shard.PassScoreMomentIDs, shard.PassHistCounts} {
+			for _, kind := range []shard.PassKind{shard.PassScoreBinary, shard.PassScoreClasses, shard.PassScoreMomentIDs, shard.PassHistCounts, shard.PassHistIDs} {
 				_, err := ws.ComputePartial(context.Background(), &shard.PassSpec{Pass: 3, Kind: kind}, c)
 				if err == nil || !strings.HasPrefix(err.Error(), "shard: unknown pass kind") {
 					t.Errorf("retired kind %d: the kernel answered %v, want an unknown-kind error", kind, err)

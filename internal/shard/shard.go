@@ -14,6 +14,7 @@ import (
 	"repro/internal/operators"
 	"repro/internal/parallel"
 	"repro/internal/sketch"
+	"repro/internal/stats"
 )
 
 // Config configures a sharded fit.
@@ -140,11 +141,11 @@ type column struct {
 
 	// Its criterion, which a live column keeps; and, while the column is
 	// being cut or is a candidate of the current round, the cuts its
-	// criterion was counted at, a count task's per-bin class counts (bin·k +
-	// class), and the grid passes' state.
+	// criterion was counted at, its per-bin tallies (bin·w + counter, see
+	// tally), and the grid passes' state.
 	crit     float64
 	ivCuts   []float64
-	ivCounts []int32
+	ivCounts []int64
 	grid     *gridState
 }
 
@@ -199,6 +200,7 @@ type fitter struct {
 	nonNaN     map[int][]int64 // per partition, each source column's non-NaN rows
 	n          int
 	live       []*column
+	tally      tally // how the criterion counts rows, coding a regression target once
 
 	exec      Executor // runs every pass: Config.Exec, or the in-process executor
 	liveEpoch int      // live-set epoch last pushed through exec.SetLive
@@ -223,8 +225,9 @@ func (f *fitter) each(n int, fn func(i int) error) error {
 // Open implements core.WorkingSet with the four pre-iteration passes: labels,
 // the row sample and the source columns' moments; the source columns' counts
 // on their grids, and their cut buckets' gather, which fill the cut tables
-// exactly and, for a count task, count their criteria; the resident miner
-// codes of the original live set. Events' Rows are the rows runPass streams.
+// exactly and tally their criteria; the resident miner codes of the original
+// live set. Between the first two it codes a regression target, once per fit
+// (stats.TargetCode). Events' Rows are the rows runPass streams.
 func (f *fitter) Open() (core.Opened, error) {
 	if err := f.exec.Open(f.ctx, f.names, f.cfg.Task, 0); err != nil {
 		return core.Opened{}, err
@@ -244,6 +247,12 @@ func (f *fitter) Open() (core.Opened, error) {
 	if err := f.cfg.Task.ValidateLabels(f.labels); err != nil {
 		return core.Opened{}, err
 	}
+	var code *stats.TargetCode
+	if f.cfg.Task.Kind == core.TaskRegression {
+		code = new(stats.TargetCode)
+		code.Encode(f.labels)
+	}
+	f.tally = newTally(f.cfg.Task, code)
 	if err := f.syncLive(nil); err != nil {
 		return core.Opened{}, err
 	}
@@ -319,9 +328,8 @@ func (f *fitter) Generate(cands []*core.Candidate) (time.Duration, error) {
 }
 
 // Criteria implements core.WorkingSet: one gather pass resolves every
-// generated column's cut table exactly and, for a count task, its criterion
-// counts — a live feature keeps the criterion it was first counted with; the
-// regression criterion then bins every candidate in one more pass.
+// generated column's cut table exactly and tallies its criterion — a live
+// feature keeps the criterion it was first counted with.
 func (f *fitter) Criteria(cands []*core.Candidate) ([]float64, error) {
 	gens := make([]*column, len(cands)-len(f.live))
 	for i, c := range cands[len(f.live):] {
@@ -329,11 +337,6 @@ func (f *fitter) Criteria(cands []*core.Candidate) ([]float64, error) {
 	}
 	if err := f.passGather(gens); err != nil {
 		return nil, err
-	}
-	if f.cfg.Task.Kind == core.TaskRegression {
-		if err := f.passCandidateCounts(cands); err != nil {
-			return nil, err
-		}
 	}
 	ivs := make([]float64, len(cands))
 	for i, c := range cands {

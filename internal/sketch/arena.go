@@ -21,6 +21,7 @@ type Arena struct {
 	mu     sync.Mutex
 	floats [][]float64
 	int32s [][]int32
+	int64s [][]int64
 	bytes  [][]uint8
 	grams  []*Gram
 }
@@ -73,17 +74,23 @@ func (a *Arena) PutFloats(s []float64) { putSlice(a, &a.floats, s) }
 // slabs the caller fully overwrites.
 func (a *Arena) Int32s(n int) []int32 { return takeSlice(a, &a.int32s, n, n) }
 
-// FloatsRoom and Int32sRoom are Floats and Int32s for slabs whose size drifts
-// from one use to the next, such as the values a partition gathers: a fresh
-// slab has an eighth more capacity than n, so that a slightly larger next
-// request still finds it in the pool.
+// FloatsRoom, Int32sRoom and Int64sRoom are for slabs whose size drifts from
+// one use to the next, such as the values a partition gathers: a fresh slab
+// has an eighth more capacity than n, so that a slightly larger next request
+// still finds it in the pool. The contents are unspecified.
 func (a *Arena) FloatsRoom(n int) []float64 { return takeSlice(a, &a.floats, n, n+n/8) }
 
 // Int32sRoom: see FloatsRoom.
 func (a *Arena) Int32sRoom(n int) []int32 { return takeSlice(a, &a.int32s, n, n+n/8) }
 
-// PutInt32s returns a slice taken with Int32s.
+// PutInt32s returns a slice taken with Int32s or Int32sRoom.
 func (a *Arena) PutInt32s(s []int32) { putSlice(a, &a.int32s, s) }
+
+// Int64sRoom: see FloatsRoom.
+func (a *Arena) Int64sRoom(n int) []int64 { return takeSlice(a, &a.int64s, n, n+n/8) }
+
+// PutInt64s returns a slice taken with Int64sRoom.
+func (a *Arena) PutInt64s(s []int64) { putSlice(a, &a.int64s, s) }
 
 // Bytes returns a []uint8 of length n with unspecified contents — for the
 // per-chunk code columns a pass fully overwrites.

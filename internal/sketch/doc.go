@@ -11,9 +11,6 @@
 //     jointly non-NaN rows. Sums are plain additions, so Merge is
 //     order-invariant up to floating-point rounding. Dot reproduces the
 //     standardised dot product core's Pearson dedup computes.
-//   - MomentHist: per-bin target moments for regression's correlation ratio,
-//     binned per partition in parallel (BinIDs) and replayed in row order
-//     (AddBinned), so its float sums are those of one sequential pass.
 //   - CutRanks, the nearest-rank targets of a bins-quantile split, and the
 //     Arena the partials' buffers and Grams are pooled in.
 //   - The wire codecs of Moments and Gram, which the distributed fit ships.
@@ -30,8 +27,8 @@
 //   - Refiner: one gather pass (AddChunk) that turns a Quantile's ±ErrorBound
 //     brackets into exact order statistics (Value), with Err reporting a
 //     bracket that missed its order statistic.
-//   - LabelHist and ClassHist: binary and K-class label-count histograms
-//     over fixed cut points (AddCol).
+//   - LabelHist, ClassHist and MomentHist: binary and K-class label-count
+//     and target-moment histograms over fixed cut points (AddCol).
 //
 // The fit cuts every column on the in-memory quantile kernel's grid
 // (internal/shard/grid.go), not on a Quantile summary.

@@ -58,13 +58,11 @@ func (h *ClassHist) AddCol(vals, labels []float64) {
 }
 
 // MomentHist accumulates per-bin moments (count, Σy, Σy²) of a continuous
-// target over fixed cut points — the regression counterpart of LabelHist.
-// NaN feature values are counted separately and excluded from bins. The sums
-// depend on the order the rows arrive in, so a partitioned pass bins its
-// partitions in parallel (BinIDs) and replays the ids in row order
-// (AddBinned).
+// target over fixed cut points — the regression counterpart of LabelHist,
+// kept for the benchmark's ingest probes: no fit path reads it, the
+// regression criterion tallies coded targets (stats.TargetCode). NaN feature
+// values are counted separately and excluded from bins.
 type MomentHist struct {
-	cuts  []float64
 	cnt   []float64
 	sum   []float64
 	sumsq []float64
@@ -77,7 +75,6 @@ type MomentHist struct {
 func NewMomentHist(cuts []float64) *MomentHist {
 	nb := len(cuts) + 1
 	h := &MomentHist{
-		cuts:  cuts,
 		cnt:   make([]float64, nb),
 		sum:   make([]float64, nb),
 		sumsq: make([]float64, nb),
@@ -86,62 +83,16 @@ func NewMomentHist(cuts []float64) *MomentHist {
 	return h
 }
 
-// Add observes one (value, target) observation.
-func (h *MomentHist) Add(v, y float64) {
-	if math.IsNaN(v) {
-		h.nanN++
-		return
-	}
-	b := h.ix.Find(v)
-	h.cnt[b]++
-	h.sum[b] += y
-	h.sumsq[b] += y * y
-}
-
 // AddCol observes a column of values against parallel targets.
 func (h *MomentHist) AddCol(vals, targets []float64) {
 	for i, v := range vals {
-		h.Add(v, targets[i])
-	}
-}
-
-// BinIDs fills dst (len(vals)) with each value's bin index, -1 for NaN,
-// without touching the accumulators. It only reads the cut index, so
-// concurrent BinIDs calls on one histogram are safe — this is how partitions
-// bin in parallel while AddBinned keeps the float sums in row order.
-func (h *MomentHist) BinIDs(vals []float64, dst []int32) {
-	for i, v := range vals {
 		if math.IsNaN(v) {
-			dst[i] = -1
-			continue
-		}
-		dst[i] = int32(h.ix.Find(v))
-	}
-}
-
-// AddBinned replays precomputed bin ids against parallel targets in row
-// order — the exact float additions AddCol(vals, targets) would perform, so
-// a partition-parallel binning pass folded through AddBinned in partition
-// order stays bit-identical to a single sequential pass.
-func (h *MomentHist) AddBinned(ids []int32, targets []float64) {
-	for i, b := range ids {
-		if b < 0 {
 			h.nanN++
 			continue
 		}
-		y := targets[i]
+		b, y := h.ix.Find(v), targets[i]
 		h.cnt[b]++
 		h.sum[b] += y
 		h.sumsq[b] += y * y
 	}
-}
-
-// Criterion returns the correlation ratio η² of the binned target,
-// reproducing stats.CritScratch.CorrelationRatio exactly given the same
-// cuts and row order.
-func (h *MomentHist) Criterion() float64 {
-	if len(h.cuts) == 0 {
-		return 0
-	}
-	return stats.CorrelationRatioFromMoments(h.cnt, h.sum, h.sumsq)
 }

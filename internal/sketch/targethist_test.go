@@ -64,36 +64,34 @@ func TestLabelHistMatchesInformationValue(t *testing.T) {
 	}
 }
 
-// TestMomentHistMatchesScratch: a MomentHist accumulated in row order
-// reproduces the in-memory correlation ratio bit-for-bit, and so does the
-// sharded regression pass's route to it: each partition binned on its own
-// (BinIDs), the ids replayed in row order (AddBinned).
+// TestMomentHistMatchesScratch: a MomentHist over the cuts the in-memory
+// kernel bins on holds each bin's rows and row-order target sums, and counts
+// the NaN rows apart.
 func TestMomentHistMatchesScratch(t *testing.T) {
 	vals, _, targets := targetData(3000, 2)
 	cuts := stats.Quantiles(vals, 10)
-
-	var s stats.CritScratch
-	want := s.CorrelationRatio(vals, targets, 10)
-	if want <= 0.5 {
-		t.Fatalf("test data carries no signal: η² = %g", want)
+	nb := len(cuts) + 1
+	cnt, sum, sumsq := make([]float64, nb), make([]float64, nb), make([]float64, nb)
+	var nan float64
+	for i, v := range vals {
+		if v != v {
+			nan++
+			continue
+		}
+		b := stats.SearchCuts(cuts, v)
+		cnt[b]++
+		sum[b] += targets[i]
+		sumsq[b] += targets[i] * targets[i]
 	}
-
-	whole := NewMomentHist(cuts)
-	whole.AddCol(vals, targets)
-	if got := whole.Criterion(); got != want {
-		t.Fatalf("single-pass MomentHist: %g, scratch %g", got, want)
+	h := NewMomentHist(cuts)
+	h.AddCol(vals, targets)
+	for b := range cnt {
+		if h.cnt[b] != cnt[b] || h.sum[b] != sum[b] || h.sumsq[b] != sumsq[b] {
+			t.Fatalf("bin %d: MomentHist (%g, %g, %g), reference (%g, %g, %g)", b, h.cnt[b], h.sum[b], h.sumsq[b], cnt[b], sum[b], sumsq[b])
+		}
 	}
-
-	replay := NewMomentHist(cuts)
-	bounds := []int{0, 700, 1600, 3000}
-	for p := 0; p < 3; p++ {
-		lo, hi := bounds[p], bounds[p+1]
-		ids := make([]int32, hi-lo)
-		replay.BinIDs(vals[lo:hi], ids)
-		replay.AddBinned(ids, targets[lo:hi])
-	}
-	if got := replay.Criterion(); got != want {
-		t.Fatalf("BinIDs + AddBinned MomentHist: %g, scratch %g", got, want)
+	if h.nanN != nan {
+		t.Fatalf("MomentHist counted %g NaN rows, want %g", h.nanN, nan)
 	}
 }
 

@@ -11,12 +11,12 @@ import "math"
 //     K-class cell counts;
 //   - regression: the correlation ratio η² (one-way ANOVA between-group
 //     share of variance) over binned targets, and a variance-reduction gain
-//     ratio over cell moments.
+//     ratio over cells, both over integer tallies of the coded target
+//     (target.go).
 //
-// Every criterion has a count-/moment-space entry point operating on the
-// exact statistics the mergeable sketches of the sharded engine accumulate,
-// so the in-memory and sharded fit paths score candidates through the same
-// arithmetic.
+// Every criterion has a count-space entry point operating on the exact
+// integer statistics the sharded engine accumulates, so the in-memory and
+// sharded fit paths score candidates through the same arithmetic.
 
 // MulticlassIVFromCounts folds class-major binned label counts
 // (counts[c][b] = rows of class c in bin b) into the multiclass Information
@@ -55,41 +55,6 @@ func MulticlassIVFromCounts(counts [][]float64) float64 {
 		sum += ivFromCounts(counts[c], neg, totals[c], n-totals[c])
 	}
 	return sum / float64(k)
-}
-
-// CorrelationRatioFromMoments folds per-bin target moments (count, sum, sum
-// of squares) into the correlation ratio η² = SS_between / SS_total of a
-// one-way ANOVA over the bins: 0 for no relation (or a constant target), 1
-// when the bin determines the target exactly. The moments are plain sums, so
-// per-partition moments added together reproduce the single-pass value.
-func CorrelationRatioFromMoments(cnt, sum, sumsq []float64) float64 {
-	var n, grand, total float64
-	for b := range cnt {
-		n += cnt[b]
-		grand += sum[b]
-		total += sumsq[b]
-	}
-	if n == 0 {
-		return 0
-	}
-	sst := total - grand*grand/n
-	if sst <= 0 {
-		return 0
-	}
-	var ssb float64
-	for b := range cnt {
-		if cnt[b] > 0 {
-			ssb += sum[b] * sum[b] / cnt[b]
-		}
-	}
-	eta := (ssb - grand*grand/n) / sst
-	if eta < 0 {
-		return 0
-	}
-	if eta > 1 {
-		return 1
-	}
-	return eta
 }
 
 // entropyK returns the Shannon entropy (nats) of class counts summing to n.
@@ -173,64 +138,32 @@ func GainRatioClasses(labels []float64, parts []int, numParts, k int) float64 {
 	return GainRatioFromClassCounts(counts, numParts, k)
 }
 
-// VarGainRatioFromMoments computes the variance-reduction gain ratio of a
-// partition from per-cell target moments: the correlation ratio η² over the
-// cells (the regression analogue of information gain, likewise in [0,1])
-// divided by the partition's split entropy — so multi-way splits pay the
-// same intrinsic-information penalty as in the classification gain ratio.
-func VarGainRatioFromMoments(cnt, sum, sumsq []float64) float64 {
-	var n float64
-	for _, c := range cnt {
-		n += c
-	}
-	if n == 0 {
-		return 0
-	}
-	split := 0.0
-	for _, c := range cnt {
-		if c == 0 {
-			continue
-		}
-		f := c / n
-		split -= f * math.Log(f)
-	}
-	if split <= 0 {
-		return 0
-	}
-	return CorrelationRatioFromMoments(cnt, sum, sumsq) / split
-}
-
 // VarGainRatio computes the variance-reduction gain ratio of a partition of
-// rows against a continuous target: the count-space arithmetic of
-// VarGainRatioFromMoments over per-cell moments accumulated in row order.
-// Rows with part id < 0 are excluded.
+// rows against a continuous target: the target coded (TargetCode), then
+// TargetCode.VarGainRatio over the per-cell tallies. Rows with part id < 0
+// are excluded.
 func VarGainRatio(target []float64, parts []int, numParts int) float64 {
-	cnt := make([]float64, numParts)
-	sum := make([]float64, numParts)
-	sumsq := make([]float64, numParts)
+	var code TargetCode
+	code.Encode(target)
+	cells := make([]int64, numParts*Tally)
 	for i, p := range parts {
-		if p < 0 || p >= numParts {
-			continue
+		if p >= 0 && p < numParts {
+			code.Add(cells[p*Tally:], code.Q[i])
 		}
-		y := target[i]
-		cnt[p]++
-		sum[p] += y
-		sumsq[p] += y * y
 	}
-	return VarGainRatioFromMoments(cnt, sum, sumsq)
+	return code.VarGainRatio(cells)
 }
 
 // CritScratch computes task-aware relevance criteria with reusable buffers,
 // the multiclass/regression counterpart of IVScratch: one instance amortises
-// the quantile working buffers and the count/moment arrays across a column
+// the quantile working buffers and the count/tally arrays across a column
 // sweep. The zero value is ready to use; not safe for concurrent use.
 type CritScratch struct {
 	q      QuantileScratch
 	counts [][]float64 // class-major class counts
 	flat   []float64   // backing storage for counts
-	cnt    []float64
-	sum    []float64
-	sumsq  []float64
+	code   TargetCode  // CorrelationRatio's coded target
+	tally  []int64     // per-bin regression tallies
 }
 
 // MulticlassIV computes the multiclass Information Value of a feature
@@ -258,30 +191,38 @@ func (s *CritScratch) MulticlassIV(feature, labels []float64, k, bins int) float
 }
 
 // CorrelationRatio computes η² of a continuous target against a feature
-// binned equal-frequency into at most bins bins. NaN feature values are
-// excluded; the target is assumed finite (validated at fit entry). The
-// moments are float sums, so they are accumulated in row order (the order
-// the sharded engine's moment histograms reproduce), each row binned through
-// the bucket the Quantiles call recorded for it and the bucket table it leaves
-// behind.
+// binned equal-frequency into at most bins bins: the target coded in the
+// scratch (TargetCode.Encode), then CodedCorrelationRatio. A caller scoring
+// many features against one target codes it once and calls that.
 func (s *CritScratch) CorrelationRatio(feature, target []float64, bins int) float64 {
+	s.code.Encode(target)
+	return s.CodedCorrelationRatio(feature, &s.code, bins)
+}
+
+// CodedCorrelationRatio computes η² of a coded target (built by Encode from
+// the target's rows) against a feature binned equal-frequency into at most
+// bins bins. NaN feature values are excluded. Each row is binned through the
+// bucket the Quantiles call recorded for it and the bucket table it leaves
+// behind, and its codes are added to its bin's tally: integers, so the row
+// order does not matter.
+func (s *CritScratch) CodedCorrelationRatio(feature []float64, code *TargetCode, bins int) float64 {
 	cuts := s.q.Quantiles(feature, bins)
 	numBins := len(cuts) + 1
 	if numBins <= 1 {
 		return 0
 	}
-	cnt, sum, sumsq := s.moments(numBins)
+	s.tally = grown(s.tally, numBins*Tally)
+	clear(s.tally)
 	for i, v := range feature {
 		if v != v {
 			continue
 		}
-		b := s.q.binRow(i, v)
-		y := target[i]
-		cnt[b]++
-		sum[b] += y
-		sumsq[b] += y * y
+		t := s.tally[s.q.binRow(i, v)*Tally:]
+		t[0]++
+		t[1] += code.Q[i]
+		t[2] += code.Q2[i]
 	}
-	return CorrelationRatioFromMoments(cnt, sum, sumsq)
+	return code.CorrelationRatio(s.tally)
 }
 
 // classCounts returns a zeroed class-major count matrix from the scratch.
@@ -301,20 +242,4 @@ func (s *CritScratch) classCounts(k, bins int) [][]float64 {
 		counts[c] = flat[c*bins : (c+1)*bins]
 	}
 	return counts
-}
-
-// moments returns zeroed per-bin moment slices from the scratch.
-func (s *CritScratch) moments(bins int) (cnt, sum, sumsq []float64) {
-	if cap(s.cnt) < bins {
-		s.cnt = make([]float64, bins)
-		s.sum = make([]float64, bins)
-		s.sumsq = make([]float64, bins)
-	}
-	cnt, sum, sumsq = s.cnt[:bins], s.sum[:bins], s.sumsq[:bins]
-	for i := range cnt {
-		cnt[i] = 0
-		sum[i] = 0
-		sumsq[i] = 0
-	}
-	return cnt, sum, sumsq
 }

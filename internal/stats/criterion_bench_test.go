@@ -37,13 +37,15 @@ func BenchmarkCriterion(b *testing.B) {
 	}
 	var iv IVScratch
 	var crit CritScratch
+	var code TargetCode // coded once, as a fit codes its target
+	code.Encode(target)
 	criteria := []struct {
 		name string
 		f    func(col []float64) float64
 	}{
 		{"binary", func(col []float64) float64 { return iv.InformationValue(col, binary, 10) }},
 		{"multiclass:3", func(col []float64) float64 { return crit.MulticlassIV(col, classes, 3, 10) }},
-		{"regression", func(col []float64) float64 { return crit.CorrelationRatio(col, target, 10) }},
+		{"regression", func(col []float64) float64 { return crit.CodedCorrelationRatio(col, &code, 10) }},
 	}
 	for _, kind := range kinds {
 		col := make([]float64, n)

@@ -3,7 +3,9 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -142,22 +144,25 @@ func TestCriterionMergeAdditivity(t *testing.T) {
 		t.Fatalf("class-count merge changed the gain ratio: %g vs %g", got, want)
 	}
 
-	cnt := []float64{10, 20, 30}
-	sum := []float64{1.5, -2.25, 4.75}
-	sumsq := []float64{12.5, 8.25, 20.125}
-	halfCnt := []float64{5, 10, 15}
-	halfSum := []float64{0.75, -1.125, 2.375}
-	halfSq := []float64{6.25, 4.125, 10.0625}
-	mergedCnt := make([]float64, 3)
-	mergedSum := make([]float64, 3)
-	mergedSq := make([]float64, 3)
-	for i := 0; i < 3; i++ {
-		mergedCnt[i] = halfCnt[i] + halfCnt[i]
-		mergedSum[i] = halfSum[i] + halfSum[i]
-		mergedSq[i] = halfSq[i] + halfSq[i]
+	// Regression tallies of the coded target, per partition and in any order
+	// of the partitions, add up to the single-pass tallies.
+	target := make([]float64, 600)
+	for i := range target {
+		target[i] = 1e6 + rng.NormFloat64()
 	}
-	if got, want := CorrelationRatioFromMoments(mergedCnt, mergedSum, mergedSq), CorrelationRatioFromMoments(cnt, sum, sumsq); got != want {
-		t.Fatalf("moment merge changed η²: %g vs %g", got, want)
+	var code TargetCode
+	code.Encode(target)
+	whole, split := make([]int64, cells*Tally), make([]int64, cells*Tally)
+	for i, q := range code.Q {
+		code.Add(whole[(i%cells)*Tally:], q)
+	}
+	for _, part := range [][2]int{{400, 600}, {0, 150}, {150, 400}} {
+		for i := part[0]; i < part[1]; i++ {
+			code.Add(split[(i%cells)*Tally:], code.Q[i])
+		}
+	}
+	if got, want := code.CorrelationRatio(split), code.CorrelationRatio(whole); math.Float64bits(got) != math.Float64bits(want) || want == 0 {
+		t.Fatalf("tally merge changed η²: %g vs %g", got, want)
 	}
 }
 
@@ -182,7 +187,7 @@ func TestVarGainRatioDegenerate(t *testing.T) {
 }
 
 // The reference criteria: sorted-copy cuts, a binary search per row, and
-// counts and moments accumulated in row order — what the criteria computed
+// counts and tallies accumulated in row order — what the criteria computed
 // before the class counts rode the quantile kernel's scans. The kernels must
 // return these values exactly, not approximately.
 
@@ -233,17 +238,15 @@ func referenceCorrelationRatio(feature, target []float64, bins int) float64 {
 	if len(cuts) == 0 {
 		return 0
 	}
-	cnt, sum, sumsq := make([]float64, len(cuts)+1), make([]float64, len(cuts)+1), make([]float64, len(cuts)+1)
+	var code TargetCode
+	code.Encode(target)
+	tally := make([]int64, (len(cuts)+1)*Tally)
 	for i, v := range feature {
-		if math.IsNaN(v) {
-			continue
+		if !math.IsNaN(v) {
+			code.Add(tally[SearchCuts(cuts, v)*Tally:], code.Q[i])
 		}
-		b := SearchCuts(cuts, v)
-		cnt[b]++
-		sum[b] += target[i]
-		sumsq[b] += target[i] * target[i]
 	}
-	return CorrelationRatioFromMoments(cnt, sum, sumsq)
+	return code.CorrelationRatio(tally)
 }
 
 // criteriaScratch holds the scratches one exactness check reuses across
@@ -412,12 +415,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 					t.Fatalf("%s: criterion %v, fresh %v", tag, crits[0], crits[1])
 				}
 			}
-			gotM := [][]float64{crit.cnt, crit.sum, crit.sumsq}
-			wantM := [][]float64{freshCrit.cnt, freshCrit.sum, freshCrit.sumsq}
-			for m := range gotM {
-				if n := len(wantM[m]); n > 0 && !sameFloats(gotM[m][:n], wantM[m]) {
-					t.Fatalf("%s: η² moments %v, fresh %v", tag, gotM[m][:n], wantM[m])
-				}
+			if n := len(freshCrit.tally); n > 0 && !slices.Equal(crit.tally[:n], freshCrit.tally) {
+				t.Fatalf("%s: η² tallies %v, fresh %v", tag, crit.tally[:n], freshCrit.tally)
 			}
 
 			var freshQ QuantileScratch
@@ -484,6 +483,14 @@ func TestEqualWidthBinsInfiniteRange(t *testing.T) {
 // still hold a dozen other values, and the grid is laid over those). And flipping binary labels,
 // y → 1−y, swaps the good and bad counts of every bin, which IV's symmetric
 // form leaves unchanged up to rounding.
+//
+// The regression criteria are held the same way on the target's side: η² and
+// the variance gain ratio (over six quantile cells of the column) are
+// bit-identical under y → 2^k·y, which moves every row's code by nothing, and
+// within 1e-9 under y → y + c for c up to 1e12 (the target is on a 2^-10
+// grid, so that y + c is exact and the shift is the only change); and both
+// agree within 1e-9 with an exact math/big computation centred on the exact
+// mean.
 func TestCriteriaMetamorphic(t *testing.T) {
 	const n, bins = 5000, 10
 	rng := rand.New(rand.NewSource(38))
@@ -525,7 +532,7 @@ func TestCriteriaMetamorphic(t *testing.T) {
 				binary[i] = 1
 			}
 			classes[i] = math.Min(math.Floor(3*(p+rng.Float64())/2), 2)
-			target[i] = p + 0.1*rng.NormFloat64()
+			target[i] = math.Round((p+0.1*rng.NormFloat64())*1024) / 1024
 		}
 		var s criteriaScratch
 		criteria := func(xs, labels []float64) [3]float64 {
@@ -558,5 +565,111 @@ func TestCriteriaMetamorphic(t *testing.T) {
 		if got := s.iv.InformationValue(c.xs, flipped, bins); math.Abs(got-want[0]) > 1e-12*want[0] {
 			t.Errorf("%s: IV %v with flipped labels, want %v", c.name, got, want[0])
 		}
+
+		etaParts, etaCells := quantileCells(c.xs, bins)
+		cells, nc := quantileCells(c.xs, 6)
+		regression := func(y []float64) [2]float64 {
+			return [2]float64{s.crit.CorrelationRatio(c.xs, y, bins), VarGainRatio(y, cells, nc)}
+		}
+		wantReg := regression(target)
+		if wantReg[0] == 0 || wantReg[1] == 0 {
+			t.Fatalf("%s: a regression criterion is 0 (%v); the check would be vacuous", c.name, wantReg)
+		}
+		exact := [2]float64{bigCorrelationRatio(target, etaParts, etaCells), bigCorrelationRatio(target, cells, nc) / splitEntropy(cells, nc)}
+		for i := range exact {
+			if math.Abs(wantReg[i]-exact[i]) > 1e-9 {
+				t.Errorf("%s: regression criterion %d is %v, exact %v", c.name, i, wantReg[i], exact[i])
+			}
+		}
+		for _, k := range []int{-600, -3, 5, 600} {
+			y := make([]float64, n)
+			for i, v := range target {
+				y[i] = math.Ldexp(v, k)
+			}
+			if got := regression(y); got != wantReg {
+				t.Errorf("%s: y·2^%d: η² and gain ratio %v, want %v", c.name, k, got, wantReg)
+			}
+		}
+		for _, shift := range []float64{1e4, 1e8, 1e12, -1e12} {
+			y := make([]float64, n)
+			for i, v := range target {
+				y[i] = v + shift
+			}
+			if got := regression(y); math.Abs(got[0]-wantReg[0]) > 1e-9 || math.Abs(got[1]-wantReg[1]) > 1e-9 {
+				t.Errorf("%s: y%+g: η² and gain ratio %v, want %v", c.name, shift, got, wantReg)
+			}
+		}
 	}
+}
+
+// quantileCells puts each row of xs in its bin at the column's q-quantile
+// cuts (−1 for NaN) and returns how many bins there are.
+func quantileCells(xs []float64, q int) ([]int, int) {
+	cuts := Quantiles(xs, q)
+	parts := make([]int, len(xs))
+	for i, x := range xs {
+		parts[i] = -1
+		if x == x {
+			parts[i] = SearchCuts(cuts, x)
+		}
+	}
+	return parts, len(cuts) + 1
+}
+
+// splitEntropy is the split entropy of the cells' row counts, as the gain
+// ratio divides by it.
+func splitEntropy(parts []int, cells int) float64 {
+	cnt := make([]float64, cells)
+	var n float64
+	for _, p := range parts {
+		if p >= 0 {
+			cnt[p]++
+			n++
+		}
+	}
+	split := 0.0
+	for _, c := range cnt {
+		if c > 0 {
+			split -= c / n * math.Log(c/n)
+		}
+	}
+	return split
+}
+
+// bigCorrelationRatio is η² of the target over the cells, in exact rational
+// arithmetic: SS_between / SS_total, each centred on the exact mean of the
+// rows in a cell (part ≥ 0).
+func bigCorrelationRatio(target []float64, parts []int, cells int) float64 {
+	cnt := make([]int64, cells)
+	sums := make([]*big.Rat, cells)
+	for p := range sums {
+		sums[p] = new(big.Rat)
+	}
+	total, n := new(big.Rat), int64(0)
+	for i, p := range parts {
+		if p >= 0 {
+			y := new(big.Rat).SetFloat64(target[i])
+			sums[p].Add(sums[p], y)
+			total.Add(total, y)
+			cnt[p]++
+			n++
+		}
+	}
+	mean := new(big.Rat).Quo(total, big.NewRat(n, 1))
+	sst, d := new(big.Rat), new(big.Rat)
+	for i, p := range parts {
+		if p >= 0 {
+			d.Sub(new(big.Rat).SetFloat64(target[i]), mean)
+			sst.Add(sst, d.Mul(d, d))
+		}
+	}
+	ssb := new(big.Rat)
+	for p, c := range cnt {
+		if c > 0 {
+			d.Sub(sums[p], new(big.Rat).Mul(mean, big.NewRat(c, 1)))
+			ssb.Add(ssb, d.Quo(d.Mul(d, d), big.NewRat(c, 1)))
+		}
+	}
+	eta, _ := new(big.Rat).Quo(ssb, sst).Float64()
+	return eta
 }

@@ -10,7 +10,8 @@
 //     one-vs-rest IV from per-class binned label counts; reduces to the
 //     binary IV at K=2.
 //   - CritScratch.CorrelationRatio — the regression criterion η²
-//     (one-way ANOVA between-group share of variance) over binned targets.
+//     (one-way ANOVA between-group share of variance) over binned targets,
+//     coded once as centred fixed-point integers (TargetCode).
 //
 // # Partition scores (Algorithm 2's combination ranking, per task)
 //
@@ -19,13 +20,13 @@
 //   - VarGainRatio — the regression variance-reduction ratio (η² over
 //     cells divided by split entropy).
 //
-// Every criterion has a count- or moment-space entry point
-// (IVFromCounts, MulticlassIVFromCounts, CorrelationRatioFromMoments,
-// GainRatioFromCounts, GainRatioFromClassCounts, VarGainRatioFromMoments)
-// operating on exactly the statistics the mergeable sketches of the
-// sharded fit engine accumulate — per-partition statistics summed and
-// folded through these functions reproduce the single-pass value, which is
-// what keeps the sharded selection feature-for-feature identical to the
+// Every criterion has a count-space entry point (IVFromCounts,
+// MulticlassIVFromCounts, GainRatioFromCounts, GainRatioFromClassCounts,
+// and TargetCode's CorrelationRatio and VarGainRatio over integer tallies)
+// operating on exactly the statistics the sharded fit engine accumulates —
+// integers, so per-partition statistics summed in any order and folded
+// through these functions reproduce the single-pass value, which is what
+// keeps the sharded selection feature-for-feature identical to the
 // in-memory one.
 //
 // # The quantile kernel
@@ -44,8 +45,8 @@
 // The binary and multiclass criteria add the row's class to the counting
 // scan's index and read their per-bin label counts off the bucket counts —
 // integers, so the values equal a row-order count bit for bit; the
-// regression criterion keeps a row-order pass (its moments are float sums)
-// and bins each row through its recorded bucket and a bucket-table lookup.
+// regression criterion bins each row through its recorded bucket and a
+// bucket-table lookup and tallies its target codes, integers too.
 // TestScratchReuseMatchesFresh holds a reused scratch to a fresh one's cuts
 // and counts, so that no row reads a bucket recorded for an earlier column.
 // TestCriteriaMatchReference and FuzzCriterionExact hold all of them to a

@@ -288,15 +288,16 @@ func AppendCuts(cuts []float64, ends []int, at []float64, needs []CutBucket) []f
 	return cuts
 }
 
-// BinClassCounts fills bins ((len(cuts)+1)·stride counters, zeroed) with the
-// class counts of the bins the cuts delimit. Span s is the rows of the
-// buckets strictly between cut buckets s−1 and s (spans[s·stride+c] of class
-// c, len(needs)+1 spans): it lies in one bin, the one above every cut of the
-// first s cut buckets. A member of cut bucket j (gather and class at its
-// segment) is placed by comparison with that bucket's own cuts,
-// cuts[ends[j−1]:ends[j]] — a cut in another bucket is below or above every
-// member by monotonicity.
-func BinClassCounts(bins []int32, stride int, cuts []float64, ends []int, spans []int32, needs []CutBucket, gather []float64, class []int32) {
+// BinTallies fills bins ((len(cuts)+1)·stride counters, zeroed) with the
+// tallies of the bins the cuts delimit: a count task's class counts, or a
+// regression target's (TargetCode). Span s is the rows of the buckets
+// strictly between cut buckets s−1 and s (their tally at spans[s·stride:],
+// len(needs)+1 spans): it lies in one bin, the one above every cut of the
+// first s cut buckets. A member of cut bucket j (gather at its segment) is
+// placed by comparison with that bucket's own cuts, cuts[ends[j−1]:ends[j]]
+// — a cut in another bucket is below or above every member by monotonicity
+// — and add(bin, p) adds member p to its bin's counters.
+func BinTallies[T int32 | int64](bins []T, stride int, cuts []float64, ends []int, spans []T, needs []CutBucket, gather []float64, add func(bin []T, p int)) {
 	lo := 0
 	for s := 0; ; s++ {
 		dst := bins[lo*stride:][:stride]
@@ -309,7 +310,7 @@ func BinClassCounts(bins []int32, stride int, cuts []float64, ends []int, spans 
 		nd, hi := needs[s], ends[s]
 		for p := nd.Start; p < nd.Start+nd.Size; p++ {
 			j := lo + SearchCuts(cuts[lo:hi], gather[p])
-			bins[j*stride+int(class[p])]++
+			add(bins[j*stride:][:stride], p)
 		}
 		lo = hi
 	}
@@ -418,7 +419,7 @@ func classIndex(l float64, k int) int {
 // bucket, then summed into the spans between cut buckets — so a labelled
 // call reads xs twice, like an unlabelled one. Between the scans and after
 // them it runs the steps the out-of-core engine runs across its two passes:
-// LocateRanks, SelectInBuckets, AppendCuts, BinClassCounts. Both results
+// LocateRanks, SelectInBuckets, AppendCuts, BinTallies. Both results
 // alias the scratch.
 func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool, q int) ([]float64, []int32) {
 	s.cuts = s.cuts[:0]
@@ -543,7 +544,7 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 		}
 	}
 	s.bins = zeroed(s.bins, (len(s.cuts)+1)*stride)
-	BinClassCounts(s.bins, stride, s.cuts, ends, s.spans, needs, gather, s.class)
+	BinTallies(s.bins, stride, s.cuts, ends, s.spans, needs, gather, func(bin []int32, p int) { bin[s.class[p]]++ })
 	return s.cuts, s.bins
 }
 

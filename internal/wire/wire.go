@@ -26,9 +26,6 @@ func AppendU32(b []byte, v uint32) []byte { return le.AppendUint32(b, v) }
 // AppendU64 appends v in 8 bytes.
 func AppendU64(b []byte, v uint64) []byte { return le.AppendUint64(b, v) }
 
-// AppendI32 appends v in 4 bytes, two's complement.
-func AppendI32(b []byte, v int32) []byte { return AppendU32(b, uint32(v)) }
-
 // AppendI64 appends v in 8 bytes, two's complement.
 func AppendI64(b []byte, v int64) []byte { return AppendU64(b, uint64(v)) }
 
@@ -66,9 +63,6 @@ func AppendF64s(b []byte, vs []float64) []byte { return appendSeq(b, vs, AppendF
 
 // AppendI64s appends a count and each value in 8 bytes.
 func AppendI64s(b []byte, vs []int64) []byte { return appendSeq(b, vs, AppendI64) }
-
-// AppendI32s appends a count and each value in 4 bytes.
-func AppendI32s(b []byte, vs []int32) []byte { return appendSeq(b, vs, AppendI32) }
 
 // AppendInts appends a count and each value in 8 bytes.
 func AppendInts(b []byte, vs []int) []byte {
@@ -263,14 +257,6 @@ func (r *Reader) F64s(dst []float64) []float64 {
 func (r *Reader) I64s() []int64 {
 	out := make([]int64, r.Len(8))
 	fill(out, r.Take(8*len(out)), 8, I64)
-	return out
-}
-
-// I32s consumes a count and that many int32 values, into dst's backing when it
-// is large enough.
-func (r *Reader) I32s(dst []int32) []int32 {
-	out := Resize(dst, r.Len(4))
-	fill(out, r.Take(4*len(out)), 4, func(b []byte) int32 { return int32(le.Uint32(b)) })
 	return out
 }
 

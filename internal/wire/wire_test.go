@@ -14,12 +14,10 @@ func everything(b []byte) []byte {
 	b = AppendU8(b, 0xAB)
 	b = AppendU32(b, 0xDEADBEEF)
 	b = AppendU64(b, 1<<63|5)
-	b = AppendI32(b, -2)
 	b = AppendI64(b, math.MinInt64)
 	b = AppendF64(b, math.Copysign(0, -1))
 	b = AppendF64s(b, []float64{1.5, math.Inf(-1)})
 	b = AppendI64s(b, []int64{-1, 1 << 40})
-	b = AppendI32s(b, []int32{math.MinInt32, 7})
 	b = AppendInts(b, []int{-9, 1 << 33})
 	b = AppendBools(b, []bool{true, false, true})
 	b = AppendBools(b, []bool{true})
@@ -44,9 +42,6 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.U64(); v != 1<<63|5 {
 		t.Fatalf("U64 = %#x", v)
 	}
-	if v := int32(r.U32()); v != -2 {
-		t.Fatalf("I32 = %d", v)
-	}
 	if v := r.I64(); v != math.MinInt64 {
 		t.Fatalf("I64 = %d", v)
 	}
@@ -58,9 +53,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if v := r.I64s(); !reflect.DeepEqual(v, []int64{-1, 1 << 40}) {
 		t.Fatalf("I64s = %v", v)
-	}
-	if v := r.I32s(nil); !reflect.DeepEqual(v, []int32{math.MinInt32, 7}) {
-		t.Fatalf("I32s = %v", v)
 	}
 	if v := r.Ints(); !reflect.DeepEqual(v, []int{-9, 1 << 33}) {
 		t.Fatalf("Ints = %v", v)
@@ -95,13 +87,11 @@ func TestLayout(t *testing.T) {
 	}{
 		{"U32", AppendU32(nil, 0x04030201), []byte{1, 2, 3, 4}},
 		{"U64", AppendU64(nil, 0x0807060504030201), []byte{1, 2, 3, 4, 5, 6, 7, 8}},
-		{"I32", AppendI32(nil, -2), []byte{0xFE, 0xFF, 0xFF, 0xFF}},
 		{"I64", AppendI64(nil, -2), []byte{0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}},
 		{"F64", AppendF64(nil, 1), []byte{0, 0, 0, 0, 0, 0, 0xF0, 0x3F}},
 		{"F64s", AppendF64s(nil, []float64{1}), []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F}},
 		{"F64s-nil", AppendF64s(nil, nil), []byte{0, 0, 0, 0}},
 		{"I64s", AppendI64s(nil, []int64{3}), []byte{1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0}},
-		{"I32s", AppendI32s(nil, []int32{3, -1}), []byte{2, 0, 0, 0, 3, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}},
 		{"Ints", AppendInts(nil, []int{3}), []byte{1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0}},
 		{"Bools", AppendBools(nil, []bool{false, true}), []byte{2, 0, 0, 0, 0, 1}},
 		{"Bytes", AppendBytes(nil, []byte{7}), []byte{1, 0, 0, 0, 7}},
@@ -141,7 +131,7 @@ func TestStickyFailure(t *testing.T) {
 	// Two bytes remain, and a failed reader must not hand them out.
 	if r.U8() != 0 || r.U16() != 0 || r.U64() != 0 || r.I64() != 0 || r.F64() != 0 || r.Flag() ||
 		r.Take(1) != nil || r.Take(0) != nil || r.Len(1) != 0 || r.Bytes() != nil || r.Str() != "" ||
-		len(r.F64s(nil)) != 0 || len(r.I64s()) != 0 || len(r.I32s(nil)) != 0 || len(r.Ints()) != 0 ||
+		len(r.F64s(nil)) != 0 || len(r.I64s()) != 0 || len(r.Ints()) != 0 ||
 		len(r.Bools()) != 0 || len(r.Strs()) != 0 {
 		t.Fatal("a failed reader returned a non-zero value")
 	}
@@ -173,7 +163,6 @@ func TestLenBudget(t *testing.T) {
 	for name, read := range map[string]func(r *Reader) int{
 		"F64s":  func(r *Reader) int { return len(r.F64s(nil)) },
 		"I64s":  func(r *Reader) int { return len(r.I64s()) },
-		"I32s":  func(r *Reader) int { return len(r.I32s(nil)) },
 		"Ints":  func(r *Reader) int { return len(r.Ints()) },
 		"Bools": func(r *Reader) int { return len(r.Bools()) },
 		"Bytes": func(r *Reader) int { return len(r.Bytes()) },
@@ -244,11 +233,6 @@ func TestSliceReuse(t *testing.T) {
 	r = NewReader(enc)
 	if grown := r.F64s(make([]float64, 0, 2)); !reflect.DeepEqual(grown, []float64{1, 2, 3}) {
 		t.Fatalf("F64s into a short backing: %v", grown)
-	}
-	ints := make([]int32, 4)
-	r = NewReader(AppendI32s(nil, []int32{5, 6}))
-	if got := r.I32s(ints); &got[0] != &ints[0] || len(got) != 2 || got[1] != 6 {
-		t.Fatalf("I32s did not decode into the backing it was given: %v", got)
 	}
 	r = NewReader(AppendF64s(AppendInts(nil, nil), nil))
 	if r.Ints() == nil || r.F64s(nil) == nil || r.Failed() {
@@ -329,7 +313,7 @@ func FuzzReader(f *testing.F) {
 			case 7:
 				elems, elemBytes = len(r.I64s()), 8
 			case 8:
-				elems, elemBytes = len(r.I32s(nil)), 4
+				zero = r.Uvarint() == 0
 			case 9:
 				elems, elemBytes = len(r.Ints()), 8
 			case 10:

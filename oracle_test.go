@@ -313,16 +313,10 @@ func (r *oracleRow) chunkRows(c oracleCell) int {
 	return (r.train.NumRows() + c.parts - 1) / max(c.parts, 1)
 }
 
-// passes is what every out-of-core fit takes: base, the source columns'
-// grid counts and gather, codes, then grid counts, gather and Gram a round,
-// and for regression one pass more a round.
-func (r *oracleRow) passes() int {
-	n := 4 + 3*r.iterations
-	if r.task.Kind == safe.TaskRegression {
-		n += r.iterations
-	}
-	return n
-}
+// passes is what every out-of-core fit takes, whatever its task: base, the
+// source columns' grid counts and gather, codes, then grid counts, gather and
+// Gram a round.
+func (r *oracleRow) passes() int { return 4 + 3*r.iterations }
 
 // check runs one cell and holds it to the reference.
 func (r *oracleRow) check(t *testing.T, c oracleCell) {
