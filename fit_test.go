@@ -162,6 +162,49 @@ func (c slowChunks) Next() (*safe.Chunk, error) {
 	return c.ChunkSource.Next()
 }
 
+// otherFitColumns is what an in-memory binary fit of 8,000 × 30 rows
+// allocates beyond its candidate columns, in columns of 8 bytes a row: the
+// miner's and ranker's bin codes and histograms, the criterion scratches,
+// the candidate records. It measured 72; the rest is headroom, less than
+// the IV survivors' column count a second copy of them would add.
+const otherFitColumns = 96
+
+// TestInMemoryFitHoldsEachColumnOnce is the allocation guard of the
+// in-memory engine: a fit holds each candidate column once — a chunk of
+// generated columns in flight, every scored one back in the fit's arena, and
+// each IV survivor rebuilt once into a buffer Pearson standardises in place
+// and the ranker's binning reuses — so its bytes per row stay within
+// max(streamChunk, IV survivors) + otherFitColumns float64 columns. Holding
+// the survivors through generation, or standardising copies of them, adds
+// about one column per survivor and fails it.
+func TestInMemoryFitHoldsEachColumnOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations inflate TotalAlloc")
+	}
+	const rows, dim, streamChunk = 8000, 30, 32
+	train := workload(t, rows, dim, safe.BinaryTask())
+	fit := func() *safe.Result {
+		res, err := safe.Fit(context.Background(), safe.FromFrame(train), safe.WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fit() // warm the shared pool and the operator registry
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	res := fit()
+	runtime.ReadMemStats(&ms)
+	perRow := float64(ms.TotalAlloc-before) / rows
+	keptA := res.Report.Iterations[0].AfterIV
+	limit := 8 * float64(max(streamChunk, keptA)+otherFitColumns)
+	t.Logf("%.0f B/row (%.1f columns) for %d IV survivors; limit %.0f B/row", perRow, perRow/8, keptA, limit)
+	if perRow > limit {
+		t.Fatalf("an in-memory fit allocates %.0f B/row, over the %.0f B/row one copy of its %d IV survivors allows", perRow, limit, keptA)
+	}
+}
+
 // TestFitEvents pins the event-stream protocol: balanced spans in order,
 // monotone rows, report stage timings fed by the same instrumentation, one
 // clock — started at fit-start — behind fit-end's Elapsed and Report.Total,

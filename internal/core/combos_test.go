@@ -208,21 +208,84 @@ func TestTopCombosOrdering(t *testing.T) {
 	}
 }
 
+// refStandardize is the copying form standardizeCol replaced: a fresh
+// (x - mean)/std column with NaNs mapped to 0, or nil for a constant one.
+func refStandardize(col []float64) []float64 {
+	var sum float64
+	n := 0
+	for _, v := range col {
+		if !math.IsNaN(v) {
+			sum += v
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	mean := sum / float64(n)
+	var ss float64
+	for _, v := range col {
+		if !math.IsNaN(v) {
+			d := v - mean
+			ss += d * d
+		}
+	}
+	stdv := math.Sqrt(ss / float64(n))
+	if stdv < 1e-12 {
+		return nil
+	}
+	out := make([]float64, len(col))
+	for i, v := range col {
+		if math.IsNaN(v) {
+			out[i] = 0
+			continue
+		}
+		out[i] = (v - mean) / stdv
+	}
+	return out
+}
+
+// TestStandardizeCol pins the in-place standardisation Algorithm 4's scan
+// runs on: it allocates nothing, reports a constant (or all-NaN) column and
+// leaves it untouched, maps NaN to 0, and writes every value bit for bit as
+// the copying form it replaced (refStandardize) returned it.
 func TestStandardizeCol(t *testing.T) {
-	out := standardizeCol([]float64{1, 2, 3})
-	if out == nil {
-		t.Fatal("nil for a varying column")
+	nan := math.NaN()
+	cols := [][]float64{{1, 2, 3}, {1, nan, 3}, {5, 5, 5}, {nan, nan}, {7, nan, 7}, {}}
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 20; k++ {
+		col := make([]float64, 500)
+		scale, offset := math.Exp(rng.NormFloat64()*8), rng.NormFloat64()*1e6
+		for i := range col {
+			if col[i] = offset + scale*rng.NormFloat64(); rng.Intn(10) == 0 {
+				col[i] = nan
+			}
+		}
+		cols = append(cols, col)
 	}
-	sum := out[0] + out[1] + out[2]
-	if sum > 1e-9 || sum < -1e-9 {
-		t.Errorf("standardized sum = %v, want 0", sum)
+	for c, col := range cols {
+		want := refStandardize(col)
+		got := append([]float64(nil), col...)
+		if ok := standardizeCol(got); ok != (want != nil) {
+			t.Fatalf("column %d: standardizeCol reports %v, the copying form returned %v", c, ok, want)
+		} else if !ok {
+			want = col // left untouched
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("column %d, row %d: %v, want %v", c, i, got[i], want[i])
+			}
+		}
 	}
-	if standardizeCol([]float64{5, 5, 5}) != nil {
-		t.Error("constant column should standardize to nil")
+	withNaN := []float64{1, nan, 3}
+	if !standardizeCol(withNaN) || withNaN[1] != 0 || withNaN[0]+withNaN[2] != 0 {
+		t.Errorf("NaN handling = %v, want the middle element 0 between ±1", withNaN)
 	}
-	// NaNs map to 0 (the mean after standardisation).
-	withNaN := standardizeCol([]float64{1, math.NaN(), 3})
-	if withNaN == nil || withNaN[1] != 0 {
-		t.Errorf("NaN handling = %v, want middle element 0", withNaN)
+	src, buf := cols[len(cols)-1], make([]float64, 500)
+	if allocs := testing.AllocsPerRun(20, func() {
+		copy(buf, src)
+		standardizeCol(buf)
+	}); allocs != 0 {
+		t.Errorf("%v allocations per standardizeCol", allocs)
 	}
 }

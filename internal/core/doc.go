@@ -28,7 +28,10 @@
 //     candidates, their criteria, the redundancy test, carry the selection.
 //     It has two implementations. This package's (stream.go; Engineer.Fit
 //     and its variants construct it) keeps raw []float64 columns resident
-//     and streams candidate generation through a recycling arena;
+//     and streams candidate generation through a recycling arena, holding
+//     each candidate column once: scored columns return to the arena, and
+//     the survivors are rebuilt from their appliers when Pearson and the
+//     ranker need them;
 //     internal/shard's answers the same questions with streaming passes
 //     over a chunked source, and contains no loop of its own.
 //

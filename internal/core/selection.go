@@ -61,9 +61,12 @@ func computeCriteria(cols [][]float64, labels []float64, code *stats.TargetCode,
 }
 
 // pearsonDedup is Algorithm 4 over resident columns: greedyDedup under the
-// test pearsonTest builds.
+// test pearsonTest builds over standardised copies of the candidates'
+// columns. The caller's columns are left as they are.
 func pearsonDedup(ctx context.Context, cols [][]float64, ivs []float64, candidates []int, theta float64, pool *parallel.Pool) ([]int, error) {
-	correlated, err := pearsonTest(ctx, append([][]float64(nil), cols...), candidates, theta, pool)
+	correlated, err := pearsonTest(ctx, len(cols), candidates, theta, pool, func(j int) []float64 {
+		return append([]float64(nil), cols[j]...)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -73,13 +76,16 @@ func pearsonDedup(ctx context.Context, cols [][]float64, ivs []float64, candidat
 // pearsonTest standardises the candidates' columns once up front
 // (column-parallel), so each pairwise correlation is a single dot product
 // (Pearson(x,y) = x̃·ỹ/n), and returns greedyDedup's test over them: the
-// scan of one candidate against the kept set, on the shared pool. It takes
-// cols over: a candidate's entry becomes its standardised column.
-func pearsonTest(ctx context.Context, cols [][]float64, candidates []int, theta float64, pool *parallel.Pool) (func(j int, among []int) bool, error) {
-	std := cols // NaN -> 0 == the mean after standardisation
+// scan of one candidate against the kept set, on the shared pool. column(j)
+// returns candidate j's values (of n) in a buffer the test may standardise
+// in place; it runs on the pool, once per candidate.
+func pearsonTest(ctx context.Context, n int, candidates []int, theta float64, pool *parallel.Pool, column func(j int) []float64) (func(j int, among []int) bool, error) {
+	std := make([][]float64, n) // NaN -> 0 == the mean after standardisation
 	err := pool.ForChunksCtx(ctx, len(candidates), pool.Grain(len(candidates)), func(lo, hi int) {
 		for _, j := range candidates[lo:hi] {
-			std[j] = standardizeCol(cols[j])
+			if col := column(j); standardizeCol(col) {
+				std[j] = col
+			}
 		}
 	})
 	if err != nil {
@@ -92,9 +98,9 @@ func pearsonTest(ctx context.Context, cols [][]float64, candidates []int, theta 
 	}, nil
 }
 
-// standardizeCol returns (x - mean)/std with NaNs mapped to 0, or nil for a
-// constant column.
-func standardizeCol(col []float64) []float64 {
+// standardizeCol replaces col by (x - mean)/std in place, NaNs mapped to 0,
+// and reports true; a constant column is left as it is and reports false.
+func standardizeCol(col []float64) bool {
 	var sum float64
 	n := 0
 	for _, v := range col {
@@ -104,7 +110,7 @@ func standardizeCol(col []float64) []float64 {
 		}
 	}
 	if n == 0 {
-		return nil
+		return false
 	}
 	mean := sum / float64(n)
 	var ss float64
@@ -116,17 +122,16 @@ func standardizeCol(col []float64) []float64 {
 	}
 	stdv := math.Sqrt(ss / float64(n))
 	if stdv < 1e-12 {
-		return nil
+		return false
 	}
-	out := make([]float64, len(col))
 	for i, v := range col {
 		if math.IsNaN(v) {
-			out[i] = 0
+			col[i] = 0
 			continue
 		}
-		out[i] = (v - mean) / stdv
+		col[i] = (v - mean) / stdv
 	}
-	return out
+	return true
 }
 
 // corrAny reports whether standardised column j correlates above theta

@@ -17,33 +17,37 @@ import (
 
 // This file is the in-memory WorkingSet: every column is a resident
 // []float64. Its generate stage streams: candidate features are computed
-// chunk by chunk and IV-scored as soon as a chunk completes, so the
-// candidate set X̂ of Algorithm 1 never fully materialises. Columns of
-// candidates the IV filter rejects go straight back to the arena, turning
-// per-round allocation from O(candidates) into O(selected). The observable
-// results (candidate counts, surviving set, selection) are identical to the
+// chunk by chunk and IV-scored as soon as a chunk completes, and every
+// scored column goes straight back to the arena, so the candidate set X̂ of
+// Algorithm 1 never fully materialises. A candidate's values are a pure
+// function of its fitted applier and inputs, so the stages after the IV
+// filter rebuild the few they need: Pearson (Correlated) computes each IV
+// survivor into an arena column and standardises it in place, and ranking
+// (Bin) turns the Pearson survivors' buffers back into raw values. Each
+// candidate column is held once, and the observable results (candidate
+// counts, surviving set, selection) are identical to the
 // materialise-then-filter formulation.
 
 // liveFeature is the in-memory Column: the loop's record beside the
 // feature's training (and optionally validation) values. A generated
-// feature's train column is owned by the fit arena, which takes it back
-// once the feature provably leaves the working set (train == nil from then).
+// feature's train column is owned by the fit arena: it is nil between its
+// IV score and its rebuild for ranking, and again once the feature leaves
+// the working set.
 type liveFeature struct {
 	Feature
 	train []float64
-	valid []float64 // nil when fitting without a validation frame
+	valid []float64   // nil when fitting without a validation frame
+	std   []float64   // its standardised values, an arena buffer, from Correlated to Bin or Carry
+	in    [][]float64 // a generated feature's applier inputs: what train is rebuilt from
 }
 
 // candEntry is the stream's view of one candidate of a round: a base (live)
-// feature or a generated one. Generated entries whose IV fails the filter
-// have their column recycled (lf.train == nil, dropped == true) but keep
-// their candidate — its fitted applier and inputs — so the rare min-keep
-// fallback can regenerate them.
+// feature or a generated one, whose candidate — its fitted applier and
+// inputs — rebuilds its column whenever a later stage needs it.
 type candEntry struct {
-	lf      *liveFeature
-	cand    *Candidate // nil for base features
-	iv      float64
-	dropped bool
+	lf   *liveFeature
+	cand *Candidate // nil for base features
+	iv   float64
 }
 
 // streamChunk is how many generated candidates buffer between flushes:
@@ -123,11 +127,29 @@ func (m *memorySet) Inputs(feats []int) [][]float64 {
 	return in
 }
 
-// Bin implements WorkingSet with the binner gbdt.Train runs.
+// Bin implements WorkingSet with the binner gbdt.Train runs. A generated
+// candidate without its raw column — a Pearson survivor on its way to the
+// ranker — has it rebuilt first, on the pool, in the buffer that held its
+// standardised values.
 func (m *memorySet) Bin(cols []Column, cfg gbdt.Config) error {
 	raw := make([][]float64, len(cols))
+	var rebuild []*liveFeature
 	for i, c := range cols {
-		raw[i] = c.(*liveFeature).train
+		lf := c.(*liveFeature)
+		if lf.train == nil {
+			m.arena.Put(lf.std) // Get hands the last buffer Put back
+			lf.train, lf.std = m.arena.Get(), nil
+			rebuild = append(rebuild, lf)
+		}
+		raw[i] = lf.train
+	}
+	err := m.pool.ForChunksCtx(m.ctx, len(rebuild), m.pool.Grain(len(rebuild)), func(lo, hi int) {
+		for _, lf := range rebuild[lo:hi] {
+			Apply(lf.Node.Applier, lf.in, lf.train)
+		}
+	})
+	if err != nil {
+		return err
 	}
 	pb, err := gbdt.BinColumns(raw, cfg)
 	if err != nil {
@@ -176,7 +198,7 @@ func (m *memorySet) addBase() {
 // queue gives a generated candidate its column and holds it for the next
 // flush.
 func (m *memorySet) queue(c *Candidate) error {
-	lf := &liveFeature{Feature: Feature{Name: c.Node.Name, Node: c.Node}, train: m.arena.Get()}
+	lf := &liveFeature{Feature: Feature{Name: c.Node.Name, Node: c.Node}, train: m.arena.Get(), in: c.In}
 	c.Column = lf
 	m.pending = append(m.pending, &candEntry{lf: lf, cand: c})
 	if len(m.pending) >= streamChunk {
@@ -187,10 +209,10 @@ func (m *memorySet) queue(c *Candidate) error {
 
 // flush computes, sanitises and scores the pending candidates on the pool —
 // each column by one worker, scored while it is still in that worker's cache
-// — and applies the stream filter: candidates at or below the threshold hand
-// their column back to the arena immediately. A candidate's IV depends on
+// — and hands every column back to the arena. A candidate's IV depends on
 // its column alone, so the entries are the same for any pool size. A
-// cancelled context returns ctx.Err() with the pending columns released.
+// cancelled context returns ctx.Err() with the pending columns released and
+// no entry admitted.
 func (m *memorySet) flush() error {
 	pending := m.pending
 	if len(pending) == 0 {
@@ -215,28 +237,20 @@ func (m *memorySet) flush() error {
 		critNs.Add(int64(crit))
 	})
 	if err != nil {
-		return m.abort(err)
+		return m.release(err)
 	}
 	// The workers' summed criterion and apply times divide the flush's wall
 	// time between the IV and the generate stage.
 	if busy := applyNs.Load() + critNs.Load(); busy > 0 {
 		m.ivTime += time.Duration(float64(time.Since(t0)) * float64(critNs.Load()) / float64(busy))
 	}
-	for _, en := range pending {
-		if en.iv <= cfg.IVThreshold {
-			en.dropped = true
-			m.arena.Put(en.lf.train)
-			en.lf.train = nil
-		}
-		m.entries = append(m.entries, en)
-	}
-	m.pending = m.pending[:0]
-	return nil
+	m.entries = append(m.entries, pending...)
+	return m.release(nil)
 }
 
-// abort hands the pending candidates' columns back to the arena and returns
-// err: the stream stops at its first error.
-func (m *memorySet) abort(err error) error {
+// release hands the pending candidates' columns back to the arena, empties
+// the queue and returns err: the stream stops at its first error.
+func (m *memorySet) release(err error) error {
 	for _, en := range m.pending {
 		m.arena.Put(en.lf.train)
 		en.lf.train = nil
@@ -255,33 +269,36 @@ func (m *memorySet) Criteria([]*Candidate) ([]float64, error) {
 }
 
 // Correlated implements WorkingSet on the kept candidates' standardised
-// columns. Winners of the IV filter's min-keep fallback whose columns the
-// stream recycled are rebuilt from their fitted appliers first.
+// columns, each an arena buffer: a generated candidate is rebuilt into it
+// from its fitted applier, a base one copied, and standardised in place in
+// the same pool task.
 func (m *memorySet) Correlated(_ []*Candidate, kept []int) (func(j int, among []int) bool, error) {
-	cols := make([][]float64, len(m.entries))
 	for _, idx := range kept {
-		en := m.entries[idx]
-		if en.dropped {
-			en.lf.train = m.arena.Get()
-			Apply(en.cand.Node.Applier, en.cand.In, en.lf.train)
-			en.dropped = false
-		}
-		cols[idx] = en.lf.train
+		m.entries[idx].lf.std = m.arena.Get()
 	}
-	return pearsonTest(m.ctx, cols, kept, m.cfg.PearsonThreshold, m.pool)
+	return pearsonTest(m.ctx, len(m.entries), kept, m.cfg.PearsonThreshold, m.pool, func(j int) []float64 {
+		en := m.entries[j]
+		if en.cand == nil {
+			copy(en.lf.std, en.lf.train)
+		} else {
+			Apply(en.cand.Node.Applier, en.cand.In, en.lf.std)
+		}
+		return en.lf.std
+	})
 }
 
 // Carry implements WorkingSet: the selection's generated features get their
 // validation columns (computed here, for the selected few, instead of for
-// every candidate at generation time), and every arena column that is not
-// selected — this round's rejects, and prior rounds' features that just left
-// the working set — is recycled.
+// every candidate at generation time), and every standardised buffer and
+// every arena column that is not selected — this round's rejects, and prior
+// rounds' features that just left the working set — is recycled.
 func (m *memorySet) Carry(_ []*Candidate, selected []int, _ []FeatureNode) error {
 	next := make([]*liveFeature, len(selected))
 	carried := make(map[*liveFeature]bool, len(selected))
 	for i, idx := range selected {
 		en := m.entries[idx]
 		next[i], carried[en.lf] = en.lf, true
+		en.lf.in = nil // live from here on: its raw column stays
 		if m.validLabels == nil || en.cand == nil {
 			continue
 		}
@@ -293,7 +310,10 @@ func (m *memorySet) Carry(_ []*Candidate, selected []int, _ []FeatureNode) error
 		Apply(en.cand.Node.Applier, vin, en.lf.valid)
 	}
 	for _, en := range m.entries {
-		if lf := en.lf; !carried[lf] && lf.Node != nil && lf.train != nil {
+		lf := en.lf
+		m.arena.Put(lf.std)
+		lf.std = nil
+		if !carried[lf] && lf.Node != nil && lf.train != nil {
 			m.arena.Put(lf.train)
 			lf.train = nil
 		}

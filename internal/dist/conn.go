@@ -10,9 +10,9 @@ import (
 )
 
 // maxFramePayload bounds one frame's payload: far above any real partial (the
-// widest, a candidate-sketch partial, is about 16 KB per candidate whatever
-// the partition's rows — ~10 MB for 650 candidates), and the point past which
-// a length prefix is rejected unread.
+// widest, a gather-pass partial, is ~4 MB for a 5,000-row partition of 650
+// candidates; a 20,000 × 50 binary fit's partials come to 23.1 MB), and the
+// point past which a length prefix is rejected unread.
 const maxFramePayload = 1 << 30
 
 // recvStep is how far the receive buffer may grow on a length prefix's word

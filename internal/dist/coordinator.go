@@ -397,7 +397,7 @@ func (c *Coordinator) RunPass(ctx context.Context, spec *shard.PassSpec, fold fu
 	}
 
 	// The containers were sized by this pass's partials; the next pass grows
-	// its own rather than inherit, say, the candidate-sketch pass's ~10 MB each.
+	// its own rather than inherit, say, the gather pass's ~4 MB each.
 	defer c.partials.drop()
 	st := &passState{pending: make(map[int]*partialMsg)}
 	for c.passActive() {

@@ -2,6 +2,7 @@ package safe_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -110,6 +111,42 @@ func TestSelectPublic(t *testing.T) {
 	}
 	if len(sel) > 3 {
 		t.Errorf("selected %d > 3", len(sel))
+	}
+}
+
+// TestSelectLeavesColumnsUntouched: Select standardises its Pearson
+// candidates in place, so it must work on copies — the caller's columns,
+// NaNs and a constant column among them, come back bit for bit.
+func TestSelectLeavesColumnsUntouched(t *testing.T) {
+	ds := quickDataset(t)
+	cols := make([][]float64, ds.Train.NumCols())
+	want := make([][]uint64, len(cols))
+	for j := range cols {
+		cols[j] = append([]float64(nil), ds.Train.Columns[j].Values...)
+		if j == 1 {
+			for i := 0; i < len(cols[j]); i += 7 {
+				cols[j][i] = math.NaN()
+			}
+		}
+		if j == 2 {
+			for i := range cols[j] {
+				cols[j][i] = 4
+			}
+		}
+		want[j] = make([]uint64, len(cols[j]))
+		for i, v := range cols[j] {
+			want[j][i] = math.Float64bits(v)
+		}
+	}
+	if _, err := safe.Select(cols, ds.Train.Label, safe.DefaultSelectionConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for j := range cols {
+		for i, v := range cols[j] {
+			if math.Float64bits(v) != want[j][i] {
+				t.Fatalf("column %d, row %d: Select left %v, the caller passed %v", j, i, v, math.Float64frombits(want[j][i]))
+			}
+		}
 	}
 }
 
