@@ -514,19 +514,7 @@ func (p *Plan) Fit(ctx context.Context) (*Result, error) {
 		return &Result{Pipeline: pipeline, Report: report, Shard: stats}, nil
 	}
 
-	eng, err := core.New(p.cfg)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		pipeline *Pipeline
-		report   *Report
-	)
-	if p.valid != nil {
-		pipeline, report, err = eng.FitWithValidationContext(ctx, src.frame, p.valid)
-	} else {
-		pipeline, report, err = eng.FitContext(ctx, src.frame)
-	}
+	pipeline, report, err := core.Fit(ctx, src.frame, p.valid, p.cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -116,6 +116,7 @@ func TestPlanValidation(t *testing.T) {
 		{"validation with chunks", safe.FromChunks(safe.NewFrameChunks(train, 100)), []safe.Option{valid}, "FromChunks selects"},
 		{"validation with a column file", safe.FromColumnFile(col), []safe.Option{valid}, "FromColumnFile selects"},
 		{"validation with workers", safe.FromCSVFile("train.csv", "label"), []safe.Option{valid, safe.WithDistributed("127.0.0.1:1")}, "WithDistributed selects"},
+		{"nil validation frame", safe.FromFrame(train), []safe.Option{safe.WithValidation(nil)}, "WithValidation requires"},
 		{"early stopping without validation", safe.FromFrame(train), []safe.Option{safe.WithEarlyStopping(2, 0.001)}, ""},
 		{"zero iterations", safe.FromFrame(train), []safe.Option{safe.WithIterations(0)}, ""},
 		{"empty operators", safe.FromFrame(train), []safe.Option{safe.WithOperators()}, ""},

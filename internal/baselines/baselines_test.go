@@ -73,11 +73,7 @@ func fitErr(train *frame.Frame, pairs core.PairSource, set func(*core.Config)) (
 	if set != nil {
 		set(&cfg)
 	}
-	eng, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p, _, err := eng.Fit(train)
+	p, _, err := core.Fit(context.Background(), train, nil, cfg)
 	return p, err
 }
 

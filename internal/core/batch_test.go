@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,11 +18,7 @@ func TestTransformBatchMatchesRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.Fit(ds.Train)
+	p, _, err := Fit(context.Background(), ds.Train, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,6 +47,7 @@ func pairStream(t *testing.T, ctx context.Context, train *frame.Frame, task Task
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Task = task
+	cfg.Workers = workers
 	cfg, err := NormalizeConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func pairStream(t *testing.T, ctx context.Context, train *frame.Frame, task Task
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := newMemorySet(ctx, &cfg, parallel.Get(workers), train, nil)
+	m, err := newMemorySet(ctx, &cfg, train, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func keptCombos(t *testing.T, train *frame.Frame, task Task, workers int) []kept
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := newMemorySet(context.Background(), &cfg, parallel.Get(workers), train, nil)
+	m, err := newMemorySet(context.Background(), &cfg, train, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

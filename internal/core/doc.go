@@ -26,8 +26,8 @@
 //   - WorkingSet (rounds.go) is the seam: what the loop asks of a column
 //     representation — open the data, fit inputs, bin, materialise
 //     candidates, their criteria, the redundancy test, carry the selection.
-//     It has two implementations. This package's (stream.go; Engineer.Fit
-//     and its variants construct it) keeps raw []float64 columns resident
+//     It has two implementations. This package's (stream.go; Fit, the
+//     in-memory engine's one entry point, constructs it) keeps raw []float64 columns resident
 //     and streams candidate generation through a recycling arena, holding
 //     each candidate column once: scored columns return to the arena, and
 //     the survivors are rebuilt from their appliers when Pearson and the
@@ -35,11 +35,13 @@
 //     internal/shard's answers the same questions with streaming passes
 //     over a chunked source, and contains no loop of its own.
 //
-//   - Selection outside a fit (selection.go, select_api.go) is the
-//     three-stage filter of Section IV-C over resident columns — an
-//     Information Value screen, the Pearson-correlation dedup (the loop's
-//     scan under a standardised-dot-product test), and a model-importance
-//     ranking — behind the public safe.Select; no fit calls it.
+//   - Selection outside a fit (select_api.go, behind the public
+//     safe.Select) is one round of the loop over the caller's columns,
+//     under a PairSource that chooses no combination: the three-stage
+//     filter of Section IV-C — the Information Value screen, the
+//     Pearson-correlation dedup and the gain ranking — is the fit's own,
+//     with the criteria and the standardised-dot-product test of
+//     selection.go.
 //
 //   - The result of a fit is a Pipeline — the learned feature generation
 //     function Ψ, a DAG of FeatureNodes over the original columns. It runs

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datagen"
@@ -22,11 +23,7 @@ func TestFitWithValidationReportsAUC(t *testing.T) {
 	ds := validatedDataset(t)
 	cfg := DefaultConfig()
 	cfg.Iterations = 2
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, report, err := eng.FitWithValidation(ds.Train, ds.Valid)
+	_, report, err := Fit(context.Background(), ds.Train, ds.Valid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,23 +36,18 @@ func TestFitWithValidationReportsAUC(t *testing.T) {
 
 func TestFitWithValidationRequiresValid(t *testing.T) {
 	ds := validatedDataset(t)
-	eng, _ := New(DefaultConfig())
-	if _, _, err := eng.FitWithValidation(ds.Train, nil); err == nil {
-		t.Error("accepted nil validation frame")
-	}
 	unlabelled := ds.Valid.Clone()
 	unlabelled.Label = nil
-	if _, _, err := eng.FitWithValidation(ds.Train, unlabelled); err == nil {
+	if _, _, err := Fit(context.Background(), ds.Train, unlabelled, DefaultConfig()); err == nil {
 		t.Error("accepted unlabelled validation frame")
 	}
 }
 
 func TestFitWithValidationSchemaMismatch(t *testing.T) {
 	ds := validatedDataset(t)
-	eng, _ := New(DefaultConfig())
 	badValid := ds.Valid.Clone()
 	badValid.Columns[0].Name = "renamed"
-	if _, _, err := eng.FitWithValidation(ds.Train, badValid); err == nil {
+	if _, _, err := Fit(context.Background(), ds.Train, badValid, DefaultConfig()); err == nil {
 		t.Error("accepted validation frame with mismatched columns")
 	}
 }
@@ -66,11 +58,7 @@ func TestEarlyStoppingHaltsIterations(t *testing.T) {
 	cfg.Iterations = 8
 	cfg.Patience = 1
 	cfg.MinDelta = 0.5 // impossible improvement: must stop after round 2
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, report, err := eng.FitWithValidation(ds.Train, ds.Valid)
+	_, report, err := Fit(context.Background(), ds.Train, ds.Valid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +72,7 @@ func TestEarlyStoppingKeepsBestRound(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Iterations = 3
 	cfg.Patience = 3 // never stops early within 3 rounds
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, report, err := eng.FitWithValidation(ds.Train, ds.Valid)
+	p, report, err := Fit(context.Background(), ds.Train, ds.Valid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +98,7 @@ func TestFitWithValidationPipelineConsistency(t *testing.T) {
 	ds := validatedDataset(t)
 	cfg := DefaultConfig()
 	cfg.Iterations = 2
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.FitWithValidation(ds.Train, ds.Valid)
+	p, _, err := Fit(context.Background(), ds.Train, ds.Valid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

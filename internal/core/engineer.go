@@ -68,8 +68,8 @@ type Config struct {
 	// MinKeepIV is the robustness floor for the IV filter: when fewer
 	// features pass α, the top-MinKeepIV by IV are kept instead.
 	MinKeepIV int
-	// Patience enables validation-based early stopping in
-	// FitWithValidation: after Patience consecutive rounds without at least
+	// Patience enables validation-based early stopping in a fit with a
+	// validation frame: after Patience consecutive rounds without at least
 	// MinDelta improvement of the validation score (AUC for binary,
 	// accuracy for multiclass, −RMSE for regression), iteration stops and
 	// the best round's selection is kept. 0 disables early stopping.
@@ -145,8 +145,9 @@ type IterationReport struct {
 	PearsonTime  time.Duration
 	RankTime     time.Duration
 	// ValidAUC is the validation score of the round's selection, only set by
-	// FitWithValidation: AUC for the binary task, exact-match accuracy for
-	// multiclass, negative RMSE for regression (higher is better for all).
+	// a fit with a validation frame: AUC for the binary task, exact-match
+	// accuracy for multiclass, negative RMSE for regression (higher is better
+	// for all).
 	ValidAUC float64
 }
 
@@ -156,26 +157,11 @@ type Report struct {
 	Total      time.Duration
 }
 
-// Engineer runs SAFE. Construct with New, then call Fit.
-type Engineer struct {
-	cfg  Config
-	pool *parallel.Pool
-}
-
-// New validates the configuration and returns an Engineer.
-func New(cfg Config) (*Engineer, error) {
-	cfg, err := NormalizeConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Engineer{cfg: cfg, pool: cfg.Pool()}, nil
-}
-
 // Pool returns the shared worker pool the configuration selects: Workers
 // wide, inline when Workers is 1.
 func (c *Config) Pool() *parallel.Pool { return parallel.Get(c.Workers) }
 
-// NormalizeConfig applies New's defaulting and validation and returns the
+// NormalizeConfig applies Fit's defaulting and validation and returns the
 // effective configuration — including the miner's and ranker's objectives,
 // which the task owns, and their worker counts, which Workers sets. The
 // sharded fit engine normalises through here so both fit paths run from
@@ -242,45 +228,18 @@ func checkThresholds(iv, pearson float64) error {
 }
 
 // Fit learns the feature generation function Ψ from a labelled training
-// frame (Algorithm 1).
-func (e *Engineer) Fit(train *frame.Frame) (*Pipeline, *Report, error) {
-	return e.fit(context.Background(), train, nil)
-}
-
-// FitContext is Fit with cooperative cancellation: ctx is checked at every
-// stage boundary, between generated candidates, per Pearson scan, and per
-// boosting round inside the miner/ranker, so a cancelled or expired context
-// aborts the fit promptly with ctx.Err(). The shared worker pool drains its
-// in-flight chunks and stays reusable — no goroutines are leaked.
-func (e *Engineer) FitContext(ctx context.Context, train *frame.Frame) (*Pipeline, *Report, error) {
-	return e.fit(ctx, train, nil)
-}
-
-// FitWithValidation learns Ψ using a validation frame for per-round AUC
-// tracking and (when Config.Patience > 0) early stopping: iteration halts
-// after Patience rounds without MinDelta improvement, keeping the best
-// round's selection — the "performance keeps unchanged after some rounds"
-// behaviour of Fig. 4 without paying for the extra rounds.
-func (e *Engineer) FitWithValidation(train, valid *frame.Frame) (*Pipeline, *Report, error) {
-	return e.FitWithValidationContext(context.Background(), train, valid)
-}
-
-// FitWithValidationContext is FitWithValidation with the cancellation
-// contract of FitContext.
-func (e *Engineer) FitWithValidationContext(ctx context.Context, train, valid *frame.Frame) (*Pipeline, *Report, error) {
-	if valid == nil {
-		return nil, nil, errors.New("core: FitWithValidation requires a validation frame")
-	}
-	if err := valid.Validate(); err != nil {
+// frame (Algorithm 1) over its resident columns: the in-memory engine's one
+// entry point. A nil valid is an untracked fit; otherwise each round's
+// selection is scored on valid (IterationReport.ValidAUC), which must be
+// labelled and name every training column, and cfg.Patience stops the
+// rounds early (Fig. 4's plateau) keeping the best one. A cancelled ctx
+// aborts the fit promptly with ctx.Err() — it is checked per stage,
+// candidate, Pearson scan and boosting round — and leaks no goroutine.
+func Fit(ctx context.Context, train, valid *frame.Frame, cfg Config) (*Pipeline, *Report, error) {
+	cfg, err := NormalizeConfig(cfg)
+	if err != nil {
 		return nil, nil, err
 	}
-	if valid.Label == nil {
-		return nil, nil, errors.New("core: validation frame has no label")
-	}
-	return e.fit(ctx, train, valid)
-}
-
-func (e *Engineer) fit(ctx context.Context, train, valid *frame.Frame) (*Pipeline, *Report, error) {
 	if err := train.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -290,16 +249,21 @@ func (e *Engineer) fit(ctx context.Context, train, valid *frame.Frame) (*Pipelin
 	if train.NumCols() == 0 {
 		return nil, nil, errors.New("core: training frame has no features")
 	}
-	cfg := e.cfg
 	if err := cfg.Task.ValidateLabels(train.Label); err != nil {
 		return nil, nil, err
 	}
 	if valid != nil {
+		if err := valid.Validate(); err != nil {
+			return nil, nil, err
+		}
+		if valid.Label == nil {
+			return nil, nil, errors.New("core: validation frame has no label")
+		}
 		if err := cfg.Task.ValidateLabels(valid.Label); err != nil {
 			return nil, nil, err
 		}
 	}
-	m, err := newMemorySet(ctx, &cfg, e.pool, train, valid)
+	m, err := newMemorySet(ctx, &cfg, train, valid)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -46,46 +48,39 @@ func evalGBDT(t *testing.T, train, test *frame.Frame) float64 {
 	return metrics.AUC(model.Predict(testCols), test.Label)
 }
 
-func TestNewValidatesConfig(t *testing.T) {
+func TestFitValidatesConfig(t *testing.T) {
+	train := testDataset(t).Train
 	bad := DefaultConfig()
 	bad.PearsonThreshold = 2
-	if _, err := New(bad); err == nil {
+	if _, _, err := Fit(context.Background(), train, nil, bad); err == nil {
 		t.Error("accepted PearsonThreshold > 1")
 	}
 	bad = DefaultConfig()
 	bad.IVThreshold = -1
-	if _, err := New(bad); err == nil {
+	if _, _, err := Fit(context.Background(), train, nil, bad); err == nil {
 		t.Error("accepted negative IVThreshold")
 	}
 	bad = DefaultConfig()
 	bad.Operators = []string{"no-such-op"}
-	if _, err := New(bad); err == nil {
+	if _, _, err := Fit(context.Background(), train, nil, bad); err == nil {
 		t.Error("accepted unknown operator")
 	}
 }
 
 func TestFitValidatesInput(t *testing.T) {
-	eng, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.Fit(&frame.Frame{}); err == nil {
+	if _, _, err := Fit(context.Background(), &frame.Frame{}, nil, DefaultConfig()); err == nil {
 		t.Error("accepted empty frame")
 	}
 	unlabelled := frame.NewWithShape(10, 2)
 	unlabelled.Label = nil
-	if _, _, err := eng.Fit(unlabelled); err == nil {
+	if _, _, err := Fit(context.Background(), unlabelled, nil, DefaultConfig()); err == nil {
 		t.Error("accepted unlabelled frame")
 	}
 }
 
 func TestSAFEImprovesAUC(t *testing.T) {
 	ds := testDataset(t)
-	eng, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeline, report, err := eng.Fit(ds.Train)
+	pipeline, report, err := Fit(context.Background(), ds.Train, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +108,7 @@ func TestSAFERecoversPlantedInteraction(t *testing.T) {
 	// With planted products/ratios, at least one generated feature should
 	// combine the two constituents of some planted interaction.
 	ds := testDataset(t)
-	eng, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeline, _, err := eng.Fit(ds.Train)
+	pipeline, _, err := Fit(context.Background(), ds.Train, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +155,7 @@ func TestPipelineBudgetRespected(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
 	cfg.MaxFeatures = 10
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeline, _, err := eng.Fit(ds.Train)
+	pipeline, _, err := Fit(context.Background(), ds.Train, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +166,7 @@ func TestPipelineBudgetRespected(t *testing.T) {
 
 func TestTransformRowMatchesBatch(t *testing.T) {
 	ds := testDataset(t)
-	eng, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeline, _, err := eng.Fit(ds.Train)
+	pipeline, _, err := Fit(context.Background(), ds.Train, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +194,7 @@ func TestTransformRowMatchesBatch(t *testing.T) {
 
 func TestTransformRowRejectsWrongWidth(t *testing.T) {
 	ds := testDataset(t)
-	eng, _ := New(DefaultConfig())
-	pipeline, _, err := eng.Fit(ds.Train)
+	pipeline, _, err := Fit(context.Background(), ds.Train, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +207,7 @@ func TestMultipleIterations(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
 	cfg.Iterations = 3
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeline, report, err := eng.Fit(ds.Train)
+	pipeline, report, err := Fit(context.Background(), ds.Train, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +230,8 @@ func TestTimeBudgetStopsIterations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Iterations = 100
 	cfg.TimeBudget = time.Millisecond // expires after the first round check
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	start := time.Now()
-	_, report, err := eng.Fit(ds.Train)
+	_, report, err := Fit(context.Background(), ds.Train, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +245,7 @@ func TestTimeBudgetStopsIterations(t *testing.T) {
 
 func TestReportStagesMonotone(t *testing.T) {
 	ds := testDataset(t)
-	eng, _ := New(DefaultConfig())
-	_, report, err := eng.Fit(ds.Train)
+	_, report, err := Fit(context.Background(), ds.Train, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +271,7 @@ func TestReportStagesMonotone(t *testing.T) {
 func TestDeterministicFit(t *testing.T) {
 	ds := testDataset(t)
 	run := func() []string {
-		eng, err := New(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, _, err := eng.Fit(ds.Train)
+		p, _, err := Fit(context.Background(), ds.Train, nil, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,8 +291,7 @@ func TestDeterministicFit(t *testing.T) {
 
 func TestFormulasInterpretable(t *testing.T) {
 	ds := testDataset(t)
-	eng, _ := New(DefaultConfig())
-	pipeline, _, err := eng.Fit(ds.Train)
+	pipeline, _, err := Fit(context.Background(), ds.Train, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +339,25 @@ func TestSelectErrors(t *testing.T) {
 	if _, err := Select([][]float64{{1}}, nil, DefaultSelectionConfig()); err == nil {
 		t.Error("accepted no labels")
 	}
-	// The thresholds New refuses, Select refuses too.
+	// A column of any other length than the labels is refused, by name,
+	// before any criterion reads it.
+	labels := []float64{0, 1, 0, 1}
+	good := []float64{1, 2, 3, 4}
+	for name, col := range map[string][]float64{
+		"longer":  {1, 2, 3, 4, 5},
+		"shorter": {1, 2, 3},
+		"nil":     nil,
+	} {
+		_, err := Select([][]float64{good, col, good}, labels, DefaultSelectionConfig())
+		if err == nil || !strings.Contains(err.Error(), `column "1"`) {
+			t.Errorf("%s column: err = %v, want an error naming column \"1\"", name, err)
+		}
+		_, err = Select([][]float64{col, good}, labels, DefaultSelectionConfig())
+		if err == nil || !strings.Contains(err.Error(), `column "0"`) {
+			t.Errorf("%s first column: err = %v, want an error naming column \"0\"", name, err)
+		}
+	}
+	// The thresholds Fit refuses, Select refuses too.
 	for name, set := range map[string]func(*SelectionConfig){
 		"PearsonThreshold > 1": func(c *SelectionConfig) { c.PearsonThreshold = 1.5 },
 		"IVThreshold < 0":      func(c *SelectionConfig) { c.IVThreshold = -0.1 },
@@ -380,6 +366,82 @@ func TestSelectErrors(t *testing.T) {
 		set(&cfg)
 		if _, err := Select([][]float64{{1, 2}}, []float64{0, 1}, cfg); err == nil || !strings.Contains(err.Error(), "Threshold") {
 			t.Errorf("%s: err = %v, want a threshold error", name, err)
+		}
+	}
+}
+
+// selectPinColumns returns twelve columns over 600 rows and the labels of
+// task: x0..x4 are independent normals, x5 = 2·x0+1 (exactly collinear with
+// x0), x6 is x1+x2 with every seventh value NaN, and x7..x11 are pure noise.
+func selectPinColumns(task Task) ([][]float64, []float64) {
+	const n = 600
+	rng := rand.New(rand.NewSource(41))
+	cols := make([][]float64, 12)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+	}
+	labels := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < 5; j++ {
+			cols[j][i] = rng.NormFloat64()
+		}
+		cols[5][i] = 2*cols[0][i] + 1
+		cols[6][i] = cols[1][i] + cols[2][i]
+		if i%7 == 0 {
+			cols[6][i] = math.NaN()
+		}
+		for j := 7; j < len(cols); j++ {
+			cols[j][i] = rng.NormFloat64()
+		}
+		score := cols[0][i] + 0.8*cols[1][i]*cols[2][i] - 0.5*cols[3][i] + 0.3*rng.NormFloat64()
+		switch {
+		case task.Kind == TaskRegression:
+			labels[i] = score
+		case task.Kind == TaskMulticlass && score >= 0.5:
+			labels[i] = 2
+		case task.Kind == TaskMulticlass && score >= -0.5, score > 0:
+			labels[i] = 1
+		}
+	}
+	return cols, labels
+}
+
+// TestSelectPinned pins Select's answers, recorded from the standalone
+// criteria → IV filter → Pearson scan → gain ranking sequence Select ran
+// before it became one round of the fit's loop, at MaxFeatures 0 and 3 (its
+// first three) and on one and four workers. MinKeepIV is 4 so that α binds;
+// the collinear x5 never survives the Pearson scan.
+func TestSelectPinned(t *testing.T) {
+	for _, tc := range []struct {
+		task  string
+		alpha float64
+		want  []int
+	}{
+		{"binary", 0.1, []int{0, 6, 3}},
+		{"binary", 0, []int{0, 3, 6, 1, 2, 8, 7, 11, 9, 4, 10}},
+		{"multiclass:3", 0.1, []int{0, 3, 6, 2}},
+		{"multiclass:3", 0, []int{0, 3, 1, 2, 6, 9, 11, 10, 7, 4, 8}},
+		{"regression", 0.1, []int{0, 3, 6}},
+		{"regression", 0, []int{0, 3, 6, 2, 1, 7, 4, 9, 8, 10, 11}},
+	} {
+		task, err := ParseTask(tc.task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols, labels := selectPinColumns(task)
+		for _, maxFeatures := range []int{0, 3} {
+			want := tc.want
+			if maxFeatures > 0 && len(want) > maxFeatures {
+				want = want[:maxFeatures]
+			}
+			for _, workers := range []int{1, 4} {
+				cfg := DefaultSelectionConfig()
+				cfg.Task, cfg.IVThreshold, cfg.MaxFeatures, cfg.Workers, cfg.MinKeepIV = task, tc.alpha, maxFeatures, workers, 4
+				got, err := Select(cols, labels, cfg)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s α=%g max=%d workers=%d: selected %v, %v; want %v", tc.task, tc.alpha, maxFeatures, workers, got, err, want)
+				}
+			}
 		}
 	}
 }
@@ -399,7 +461,14 @@ func TestPearsonDedupKeepsHigherIV(t *testing.T) {
 	}
 	cols := [][]float64{a, b}
 	ivs := []float64{0.5, 0.2}
-	kept, err := pearsonDedup(context.Background(), cols, ivs, []int{0, 1}, 0.8, parallel.Get(1))
+	ctx := context.Background()
+	correlated, err := pearsonTest(ctx, len(cols), []int{0, 1}, 0.8, parallel.Get(1), func(j int) []float64 {
+		return append([]float64(nil), cols[j]...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := greedyDedup(ctx, ivs, []int{0, 1}, correlated)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/frame"
 )
 
-// FitCarried is Engineer.Fit that also hands back what the fit itself held
+// FitCarried is Fit that also hands back what the fit itself held
 // for its final selection: the training column of every output feature, in
 // output order — the columns the last round scored, ranked and carried.
 func FitCarried(cfg Config, train *frame.Frame) (*Pipeline, [][]float64, error) {
@@ -18,16 +18,16 @@ func FitCarried(cfg Config, train *frame.Frame) (*Pipeline, [][]float64, error) 
 // FitObserved is FitCarried that also lists, per round, the formulas the
 // round enumerated.
 func FitObserved(cfg Config, train *frame.Frame) (*Pipeline, [][]float64, [][]string, error) {
-	eng, err := New(cfg)
+	cfg, err := NormalizeConfig(cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	m, err := newMemorySet(context.Background(), &eng.cfg, eng.pool, train, nil)
+	m, err := newMemorySet(context.Background(), &cfg, train, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	log := &enumerationLog{WorkingSet: m}
-	p, _, err := RunRounds(context.Background(), eng.cfg, train.Names(), log, nil)
+	p, _, err := RunRounds(context.Background(), cfg, train.Names(), log, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -22,11 +23,7 @@ func fitPipeline(t *testing.T, ops []string) (*Pipeline, *datagen.Dataset) {
 	if ops != nil {
 		cfg.Operators = ops
 	}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.Fit(ds.Train)
+	p, _, err := Fit(context.Background(), ds.Train, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

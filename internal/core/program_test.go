@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -98,11 +99,7 @@ func fittedSeeds(t testing.TB) map[string][]byte {
 		cfg := DefaultConfig()
 		cfg.Iterations, cfg.Operators = shape.iterations, shape.ops
 		cfg.Miner.NumTrees, cfg.Ranker.NumTrees = 10, 10
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, _, err := eng.Fit(ds.Train)
+		p, _, err := Fit(context.Background(), ds.Train, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

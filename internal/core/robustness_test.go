@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -58,11 +59,7 @@ func TestFitAllConstantColumns(t *testing.T) {
 		"c2": append([]float64(nil), konst...),
 		"c3": randCol(n, 1),
 	}, labels)
-	eng, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.Fit(f)
+	p, _, err := Fit(context.Background(), f, nil, DefaultConfig())
 	if err != nil {
 		t.Fatalf("constant columns broke Fit: %v", err)
 	}
@@ -78,11 +75,7 @@ func TestFitSingleClassLabels(t *testing.T) {
 		"a": randCol(n, 2),
 		"b": randCol(n, 3),
 	}, labels)
-	eng, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.Fit(f)
+	p, _, err := Fit(context.Background(), f, nil, DefaultConfig())
 	if err != nil {
 		t.Fatalf("single-class labels broke Fit: %v", err)
 	}
@@ -114,11 +107,7 @@ func TestFitWithNaNColumns(t *testing.T) {
 		"signal":  sig,
 		"noise":   randCol(n, 6),
 	}, labels)
-	eng, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.Fit(f)
+	p, _, err := Fit(context.Background(), f, nil, DefaultConfig())
 	if err != nil {
 		t.Fatalf("NaN columns broke Fit: %v", err)
 	}
@@ -146,11 +135,7 @@ func TestFitTwoRows(t *testing.T) {
 		"a": {1, 2},
 		"b": {3, 4},
 	}, []float64{0, 1})
-	eng, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.Fit(f); err != nil {
+	if _, _, err := Fit(context.Background(), f, nil, DefaultConfig()); err != nil {
 		t.Fatalf("two-row frame broke Fit: %v", err)
 	}
 }
@@ -171,11 +156,7 @@ func TestFitDuplicateColumns(t *testing.T) {
 		"dup2": append([]float64(nil), base...),
 		"dup3": append([]float64(nil), base...),
 	}, labels)
-	eng, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.Fit(f)
+	p, _, err := Fit(context.Background(), f, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +182,7 @@ func TestFitWithTernaryOperator(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Operators = []string{"mul", "div", "cond"}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, report, err := eng.Fit(ds.Train)
+	p, report, err := Fit(context.Background(), ds.Train, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +204,7 @@ func TestFitWithUnaryOperators(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Operators = []string{"log", "sqrt", "square", "bin_chimerge"}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, report, err := eng.Fit(ds.Train)
+	p, report, err := Fit(context.Background(), ds.Train, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +235,7 @@ func TestFitExtremeValues(t *testing.T) {
 		}
 	}
 	f := makeFrame(map[string][]float64{"big": big, "tiny": tiny}, labels)
-	eng, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.Fit(f)
+	p, _, err := Fit(context.Background(), f, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +284,7 @@ func TestFitInfiniteValuesEqualWidth(t *testing.T) {
 	f := makeFrame(map[string][]float64{"a": a, "b": b, "c": c}, labels)
 	cfg := DefaultConfig()
 	cfg.IVEqualWidth = true
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.Fit(f)
+	p, _, err := Fit(context.Background(), f, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

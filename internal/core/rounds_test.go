@@ -111,11 +111,7 @@ func TestPairSourceReplaysSAFE(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Iterations = 2
 		cfg.Pairs = pairs
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, rep, err := eng.Fit(ds.Train)
+		p, rep, err := Fit(context.Background(), ds.Train, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,17 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"strconv"
 
+	"repro/internal/frame"
 	"repro/internal/gbdt"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
 // SelectionConfig configures the standalone three-stage selection pipeline
-// (Algorithms 3 and 4 plus gain ranking) over caller-supplied columns: the
-// kernels a fit's selection runs, behind the public safe.Select. No fit calls
-// it; the RAND and IMP baselines "follow the same feature selection process
-// as SAFE" by running the fit's own loop with their own PairSource.
+// (Algorithms 3 and 4 plus gain ranking) over caller-supplied columns, behind
+// the public safe.Select. Its fields are the Config fields of the same names.
 type SelectionConfig struct {
 	// Task selects the criterion and ranker objective; the zero value is the
 	// binary task.
@@ -44,7 +43,10 @@ func DefaultSelectionConfig() SelectionConfig {
 
 // Select runs the SAFE selection pipeline over candidate columns and returns
 // the indices of the selected columns in importance order (best first),
-// capped at cfg.MaxFeatures when positive.
+// capped at cfg.MaxFeatures when positive. It is one round of the fit's own
+// loop over the caller's columns, named "0"…"n-1", under a PairSource that
+// chooses no combination: the candidates are the columns themselves, and the
+// IV filter, the Pearson scan and the gain ranking are the fit's.
 func Select(cols [][]float64, labels []float64, cfg SelectionConfig) ([]int, error) {
 	if len(cols) == 0 {
 		return nil, errors.New("core: select: no candidate columns")
@@ -52,49 +54,30 @@ func Select(cols [][]float64, labels []float64, cfg SelectionConfig) ([]int, err
 	if len(labels) == 0 {
 		return nil, errors.New("core: select: no labels")
 	}
-	if cfg.IVBins <= 1 {
-		cfg.IVBins = 10
-	}
-	if cfg.MinKeepIV <= 0 {
-		cfg.MinKeepIV = 8
-	}
 	if cfg.PearsonThreshold == 0 {
 		cfg.PearsonThreshold = stats.DefaultPearsonCutoff
 	}
-	if err := checkThresholds(cfg.IVThreshold, cfg.PearsonThreshold); err != nil {
-		return nil, err
+	train := &frame.Frame{Columns: make([]frame.Column, len(cols)), Label: labels}
+	for j, col := range cols {
+		train.Columns[j] = frame.Column{Name: strconv.Itoa(j), Values: col}
 	}
-	if err := cfg.Task.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Task.ValidateLabels(labels); err != nil {
-		return nil, err
-	}
-	if cfg.Ranker.NumTrees == 0 {
-		cfg.Ranker = PaperBooster()
-	}
-	cfg.Task.applyObjective(&cfg.Ranker)
-	cfg.Ranker.Workers = cfg.Workers
-	pool := parallel.Get(cfg.Workers)
-
-	ivs := computeCriteria(cols, labels, codeTarget(labels, cfg.Task), cfg.Task, cfg.IVBins, false, pool, new(scratchList))
-	keptA := ivFilter(ivs, cfg.IVThreshold, cfg.MinKeepIV)
-	keptB, err := pearsonDedup(context.Background(), cols, ivs, keptA, cfg.PearsonThreshold, pool)
+	p, _, err := Fit(context.Background(), train, nil, Config{
+		Task:             cfg.Task,
+		Pairs:            func(*PairRound) ([]Combo, error) { return nil, nil },
+		IVThreshold:      cfg.IVThreshold,
+		IVBins:           cfg.IVBins,
+		PearsonThreshold: cfg.PearsonThreshold,
+		MaxFeatures:      cfg.MaxFeatures,
+		Ranker:           cfg.Ranker,
+		MinKeepIV:        cfg.MinKeepIV,
+		Workers:          cfg.Workers,
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	keptCols := make([][]float64, len(keptB))
-	for i, j := range keptB {
-		keptCols[i] = cols[j]
-	}
-	ranker, err := gbdt.Train(keptCols, labels, nil, cfg.Ranker)
-	if err != nil {
-		return nil, err
-	}
-	ranked := orderByGain(ranker.GainImportance(), ivs, keptB)
-	if cfg.MaxFeatures > 0 && len(ranked) > cfg.MaxFeatures {
-		ranked = ranked[:cfg.MaxFeatures]
+	ranked := make([]int, len(p.Output))
+	for i, name := range p.Output {
+		ranked[i], _ = strconv.Atoi(name)
 	}
 	return ranked, nil
 }

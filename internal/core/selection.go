@@ -60,19 +60,6 @@ func computeCriteria(cols [][]float64, labels []float64, code *stats.TargetCode,
 	return out
 }
 
-// pearsonDedup is Algorithm 4 over resident columns: greedyDedup under the
-// test pearsonTest builds over standardised copies of the candidates'
-// columns. The caller's columns are left as they are.
-func pearsonDedup(ctx context.Context, cols [][]float64, ivs []float64, candidates []int, theta float64, pool *parallel.Pool) ([]int, error) {
-	correlated, err := pearsonTest(ctx, len(cols), candidates, theta, pool, func(j int) []float64 {
-		return append([]float64(nil), cols[j]...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return greedyDedup(ctx, ivs, candidates, correlated)
-}
-
 // pearsonTest standardises the candidates' columns once up front
 // (column-parallel), so each pairwise correlation is a single dot product
 // (Pearson(x,y) = x̃·ỹ/n), and returns greedyDedup's test over them: the

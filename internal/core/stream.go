@@ -81,11 +81,11 @@ type memorySet struct {
 
 // newMemorySet opens the working set over train's columns; valid, when
 // non-nil, must name every one of them.
-func newMemorySet(ctx context.Context, cfg *Config, pool *parallel.Pool, train, valid *frame.Frame) (*memorySet, error) {
+func newMemorySet(ctx context.Context, cfg *Config, train, valid *frame.Frame) (*memorySet, error) {
 	m := &memorySet{
 		ctx:     ctx,
 		cfg:     cfg,
-		pool:    pool,
+		pool:    cfg.Pool(),
 		arena:   operators.NewArena(train.NumRows()),
 		labels:  train.Label,
 		code:    codeTarget(train.Label, cfg.Task),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -82,11 +83,7 @@ func TestFitConstantRegressionTarget(t *testing.T) {
 	cfg.Seed = 2
 	var prev []string
 	for run := 0; run < 2; run++ {
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, report, err := eng.Fit(train)
+		p, report, err := Fit(context.Background(), train, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +120,7 @@ func TestFitTaskWorkerInvariance(t *testing.T) {
 			cfg.Task = tc.task
 			cfg.Seed = 2
 			cfg.Workers = workers
-			eng, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, _, err := eng.Fit(train)
+			p, _, err := Fit(context.Background(), train, nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,11 +150,7 @@ func TestFitWithValidationRegression(t *testing.T) {
 	cfg.Task = RegressionTask()
 	cfg.Seed = 1
 	cfg.Patience = 2
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, report, err := eng.FitWithValidation(ds.Train, ds.Valid)
+	p, report, err := Fit(context.Background(), ds.Train, ds.Valid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +168,7 @@ func TestPipelineTaskPersistRoundTrip(t *testing.T) {
 	train := taskFrame(t, datagen.TargetMulticlass, 4, 800, 6)
 	cfg := DefaultConfig()
 	cfg.Task = MulticlassTask(4)
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.Fit(train)
+	p, _, err := Fit(context.Background(), train, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -79,11 +80,7 @@ func RunAblation(opts Options, w io.Writer) ([]AblationResult, error) {
 		for _, v := range variants {
 			cfg := v.cfg()
 			cfg.Seed = opts.Seed + 5
-			eng, err := core.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			p, _, err := eng.Fit(ds.Train)
+			p, _, err := core.Fit(context.Background(), ds.Train, nil, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", spec.Name, v.name, err)
 			}

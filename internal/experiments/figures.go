@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -151,11 +152,7 @@ func RunFig4(opts Options, rounds int, w io.Writer) ([]Fig4Series, error) {
 			cfg := core.DefaultConfig()
 			cfg.Iterations = r
 			cfg.Seed = opts.Seed + 17
-			eng, err := core.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			p, _, err := eng.Fit(ds.Train)
+			p, _, err := core.Fit(context.Background(), ds.Train, nil, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -131,11 +132,7 @@ func BuildPipeline(method Method, train *frame.Frame, seed int64) (*core.Pipelin
 func fitLoop(train *frame.Frame, pairs core.PairSource) (*core.Pipeline, error) {
 	cfg := core.DefaultConfig()
 	cfg.Pairs = pairs
-	eng, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p, _, err := eng.Fit(train)
+	p, _, err := core.Fit(context.Background(), train, nil, cfg)
 	return p, err
 }
 

@@ -50,21 +50,22 @@ func (f *Frame) NumRows() int {
 // NumCols returns the number of feature columns.
 func (f *Frame) NumCols() int { return len(f.Columns) }
 
-// Validate checks the structural invariants: all columns equal length and,
-// if a label is present, the label length matches.
+// Validate checks the structural invariants: every column as long as the
+// label when there is one, as the first column otherwise, so a column of
+// another length is the one the error names.
 func (f *Frame) Validate() error {
-	n := f.NumRows()
+	n, want := f.NumRows(), "want"
+	if f.Label != nil {
+		n, want = len(f.Label), "the label has"
+	}
 	for i := range f.Columns {
 		if len(f.Columns[i].Values) != n {
-			return fmt.Errorf("frame: column %q has %d rows, want %d",
-				f.Columns[i].Name, len(f.Columns[i].Values), n)
+			return fmt.Errorf("frame: column %q has %d rows, %s %d",
+				f.Columns[i].Name, len(f.Columns[i].Values), want, n)
 		}
 		if f.Columns[i].Name == "" {
 			return fmt.Errorf("frame: column %d has empty name", i)
 		}
-	}
-	if f.Label != nil && len(f.Label) != n {
-		return fmt.Errorf("frame: label has %d rows, want %d", len(f.Label), n)
 	}
 	seen := make(map[string]bool, len(f.Columns))
 	for i := range f.Columns {

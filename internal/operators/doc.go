@@ -18,8 +18,8 @@
 //     to unseen data. A one-row batch is real-time inference. Formula names
 //     the result.
 //
-//   - Registry maps operator names to constructors. core.Engineer consults
-//     it when expanding candidate features, and custom operators added to a
+//   - Registry maps operator names to constructors. core.Fit consults it
+//     when expanding candidate features, and custom operators added to a
 //     registry participate in generation like the built-ins.
 //
 //   - persist.go round-trips fitted Appliers through JSON (EncodeApplier /

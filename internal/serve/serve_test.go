@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -43,12 +44,7 @@ func buildFixture() {
 			fixErr = err
 			return
 		}
-		eng, err := core.New(core.DefaultConfig())
-		if err != nil {
-			fixErr = err
-			return
-		}
-		p1, _, err := eng.Fit(ds.Train)
+		p1, _, err := core.Fit(context.Background(), ds.Train, nil, core.DefaultConfig())
 		if err != nil {
 			fixErr = err
 			return

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -26,11 +27,7 @@ func taskArtifacts(t *testing.T, task core.Task, target datagen.TargetKind, clas
 	}
 	cfg := core.DefaultConfig()
 	cfg.Task = task
-	eng, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.Fit(ds.Train)
+	p, _, err := core.Fit(context.Background(), ds.Train, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

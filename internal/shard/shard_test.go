@@ -30,11 +30,7 @@ func workload(t *testing.T, rows, dim int) *frame.Frame {
 
 func fitInMemory(t *testing.T, train *frame.Frame, cfg core.Config) *core.Pipeline {
 	t.Helper()
-	eng, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := eng.Fit(train)
+	p, _, err := core.Fit(context.Background(), train, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

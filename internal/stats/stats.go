@@ -222,15 +222,6 @@ func Digitize(xs []float64, cuts []float64) []int {
 	return out
 }
 
-// EqualFrequencyBins assigns each value of xs to one of (at most) bins bins
-// with roughly equal populations, returning the assignment and the actual
-// number of bins produced (fewer when xs has few distinct values).
-func EqualFrequencyBins(xs []float64, bins int) ([]int, int) {
-	cuts := Quantiles(xs, bins)
-	assign := Digitize(xs, cuts)
-	return assign, len(cuts) + 1
-}
-
 // EqualWidthBins assigns values to bins of equal width across [min,max].
 func EqualWidthBins(xs []float64, bins int) ([]int, int) {
 	if bins < 1 {

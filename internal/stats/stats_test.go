@@ -162,6 +162,16 @@ func TestDigitize(t *testing.T) {
 	}
 }
 
+// EqualFrequencyBins is the reference binning the kernels are tested
+// against: it assigns each value of xs to one of (at most) bins bins
+// with roughly equal populations, returning the assignment and the actual
+// number of bins produced (fewer when xs has few distinct values).
+func EqualFrequencyBins(xs []float64, bins int) ([]int, int) {
+	cuts := Quantiles(xs, bins)
+	assign := Digitize(xs, cuts)
+	return assign, len(cuts) + 1
+}
+
 func TestEqualFrequencyBinsBalanced(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 1000)

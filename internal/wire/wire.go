@@ -253,13 +253,6 @@ func (r *Reader) F64s(dst []float64) []float64 {
 	return out
 }
 
-// I64s consumes a count and that many int64 values.
-func (r *Reader) I64s() []int64 {
-	out := make([]int64, r.Len(8))
-	fill(out, r.Take(8*len(out)), 8, I64)
-	return out
-}
-
 // Ints consumes a count and that many 8-byte integers.
 func (r *Reader) Ints() []int {
 	out := make([]int, r.Len(8))

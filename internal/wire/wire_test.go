@@ -8,6 +8,13 @@ import (
 	"testing"
 )
 
+// I64s reads back what AppendI64s wrote: it consumes a count and that many int64 values.
+func (r *Reader) I64s() []int64 {
+	out := make([]int64, r.Len(8))
+	fill(out, r.Take(8*len(out)), 8, I64)
+	return out
+}
+
 // everything appends one value of every kind, in the order TestRoundTrip
 // reads them back.
 func everything(b []byte) []byte {

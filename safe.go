@@ -135,7 +135,10 @@ func LoadPipeline(r io.Reader) (*Pipeline, error) { return core.LoadPipeline(r) 
 func LoadPipelineFile(path string) (*Pipeline, error) { return core.LoadPipelineFile(path) }
 
 // Select runs SAFE's three-stage feature selection over candidate columns,
-// returning selected indices best-first.
+// returning selected indices best-first: one round of the fit's own loop,
+// with the columns as its only candidates, so the IV filter, the Pearson
+// scan and the gain ranking are the ones every fit runs. Every column must
+// be as long as labels.
 func Select(cols [][]float64, labels []float64, cfg SelectionConfig) ([]int, error) {
 	return core.Select(cols, labels, cfg)
 }
