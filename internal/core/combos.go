@@ -148,15 +148,16 @@ const maxPartitionCells = 1024
 // rows (Algorithm 2): the combo's split values partition the rows into
 // prod_i (|V_i|+1) cells, scored with the task's criterion — binary
 // information gain ratio, its K-class generalisation, or the regression
-// variance-reduction ratio. It is the one scorer of both fit engines, and it
-// never looks at a raw value: pb is the bin-code matrix the miner that
-// produced the combinations was trained on, every split value is a node
-// threshold and every threshold one of pb.Cuts, so the cell a row falls into
-// is a function of its codes alone (fillCellTable). One scan of the combo's
-// code columns fills the cell × label count table, and the count-space
-// criteria of internal/stats finish — the same arithmetic, in the same order,
-// as binning each raw value against the split values and calling
-// stats.GainRatio / GainRatioClasses / VarGainRatio, bit for bit
+// variance-reduction ratio (stats.TargetCode.GainRatio). It is the one
+// scorer of both fit engines, and it never looks at a raw value: pb is the
+// bin-code matrix the miner that produced the combinations was trained on,
+// code the fit's target code of the same rows (Task.Code), every split value
+// is a node threshold and every threshold one of pb.Cuts, so the cell a row
+// falls into is a function of its codes alone (fillCellTable). One scan of
+// the combo's code columns fills the cell counters, and the code's gain
+// ratio finishes — the same arithmetic, in the same order, as binning each
+// raw value against the split values and calling stats.GainRatio /
+// GainRatioClasses / VarGainRatio, bit for bit
 // (TestScoreCombosMatchesRowSpace).
 //
 // Scoring is combo-parallel on the pool, each combination by one goroutine in
@@ -166,11 +167,11 @@ const maxPartitionCells = 1024
 // outside its feature's bins. A cancelled context stops further combos from
 // being scored and returns ctx.Err() — partially filled GainRatios must then
 // be discarded by the caller.
-func ScoreCombos(ctx context.Context, combos []Combo, pb *gbdt.Prebinned, labels []float64, task Task, pool *parallel.Pool) error {
+func ScoreCombos(ctx context.Context, combos []Combo, pb *gbdt.Prebinned, code *stats.TargetCode, pool *parallel.Pool) error {
 	if len(combos) == 0 {
 		return nil
 	}
-	if err := pb.Validate(len(labels)); err != nil {
+	if err := pb.Validate(len(code.Q)); err != nil {
 		return fmt.Errorf("core: score combinations: %w", err)
 	}
 	for i := range combos {
@@ -178,34 +179,8 @@ func ScoreCombos(ctx context.Context, combos []Combo, pb *gbdt.Prebinned, labels
 			return fmt.Errorf("core: combination %d: %w", i, err)
 		}
 	}
-	// The labels are encoded once for all combinations: thresholding (or
-	// converting) per row per combination costs as much as the scan itself.
-	proto := comboScorer{pb: pb, task: task, rows: len(labels)}
-	switch task.Kind {
-	case TaskMulticlass:
-		proto.width = task.Classes
-		proto.cls = make([]int32, len(labels))
-		for i, y := range labels {
-			proto.cls[i] = -1
-			if c := int(y); c >= 0 && c < task.Classes {
-				proto.cls[i] = int32(c)
-			}
-		}
-	case TaskRegression: // the coded targets, one tally a cell
-		proto.width = stats.Tally
-		proto.code = new(stats.TargetCode)
-		proto.code.Encode(labels)
-	default:
-		proto.width = 2
-		proto.bits = make([]uint8, len(labels))
-		for i, y := range labels {
-			if y > 0.5 {
-				proto.bits[i] = 1
-			}
-		}
-	}
 	return pool.ForChunksCtx(ctx, len(combos), pool.Grain(len(combos)), func(lo, hi int) {
-		s := proto // each chunk its own tables and counts
+		s := comboScorer{pb: pb, code: code} // each chunk its own tables and counters
 		for i := lo; i < hi; i++ {
 			combos[i].GainRatio = s.score(&combos[i])
 		}
@@ -246,27 +221,21 @@ func fillCellTable(tab *[256]uint32, values, cuts []float64, stride int) {
 	tab[len(cuts)+1] = uint32(len(values) * stride)
 }
 
-// comboScorer is one goroutine's scoring state: the shared, read-only label
-// encodings and matrix, and its own cell tables and count buffers.
+// comboScorer is one goroutine's scoring state: the shared, read-only
+// target code and matrix, and its own cell tables and counters.
 type comboScorer struct {
-	pb    *gbdt.Prebinned
-	task  Task
-	rows  int
-	width int               // count slots per cell: 2 (binary), K (multiclass), stats.Tally (regression)
-	bits  []uint8           // binary: label > 0.5
-	cls   []int32           // multiclass: class id, -1 outside [0, K)
-	code  *stats.TargetCode // regression: the coded targets
+	pb   *gbdt.Prebinned
+	code *stats.TargetCode
 
 	tab  [3][256]uint32
 	zero [256]uint32 // the table of a feature slot the combination does not use
-	ints []int
-	flts []float64
-	i64s []int64
+	cnt  []int64
 }
 
 // score returns one combination's gain ratio. Whatever the arity, the scan
 // reads three (code column, table) pairs — unused slots reread the first
-// column through the all-zero table — so each task has one loop.
+// column through the all-zero table — so there is one loop for class codes
+// and one for regression codes.
 func (s *comboScorer) score(c *Combo) float64 {
 	values := thinValues(c.Values)
 	cells := 1
@@ -276,11 +245,12 @@ func (s *comboScorer) score(c *Combo) float64 {
 	if cells <= 1 {
 		return 0
 	}
-	// Mixed-radix cell ids, first feature most significant, scaled by the slots
-	// a cell holds.
+	// Mixed-radix cell ids, first feature most significant, scaled by the
+	// counters a cell holds.
 	var col [3][]uint8
 	var tab [3]*[256]uint32
-	stride := cells * s.width
+	w := s.code.W
+	stride := cells * w
 	for i := range col {
 		if i >= len(c.Features) {
 			col[i], tab[i] = col[0], &s.zero
@@ -291,47 +261,32 @@ func (s *comboScorer) score(c *Combo) float64 {
 		fillCellTable(&s.tab[i], values[i], s.pb.Cuts[f], stride)
 		col[i], tab[i] = s.pb.Codes[f], &s.tab[i]
 	}
-	n := s.rows
+	q := s.code.Q
+	n := len(q)
 	c0, c1, c2 := col[0][:n], col[1][:n], col[2][:n]
 	t0, t1, t2 := tab[0], tab[1], tab[2]
-	switch s.task.Kind {
-	case TaskMulticlass:
-		k := s.task.Classes
-		s.flts = zeroed(s.flts, cells*k)
-		cnt := s.flts
-		for r, cl := range s.cls {
-			if cl >= 0 {
-				cnt[t0[c0[r]]+t1[c1[r]]+t2[c2[r]]+uint32(cl)]++
-			}
+	s.cnt = zeroed(s.cnt, cells*w)
+	cnt := s.cnt
+	if s.code.Classes > 0 {
+		for r, cl := range q {
+			cnt[t0[c0[r]]+t1[c1[r]]+t2[c2[r]]+uint32(cl)]++
 		}
-		return stats.GainRatioFromClassCounts(cnt, cells, k)
-	case TaskRegression:
-		s.i64s = zeroed(s.i64s, cells*stats.Tally)
-		q, q2 := s.code.Q, s.code.Q2
+	} else {
+		q2 := s.code.Q2[:n]
 		for r := range q {
-			t := s.i64s[t0[c0[r]]+t1[c1[r]]+t2[c2[r]]:]
+			t := cnt[t0[c0[r]]+t1[c1[r]]+t2[c2[r]]:]
 			t[0]++
 			t[1] += q[r]
 			t[2] += q2[r]
 		}
-		return s.code.VarGainRatio(s.i64s)
-	default:
-		s.ints = zeroed(s.ints, 4*cells)
-		cnt, pos, tot := s.ints[:2*cells], s.ints[2*cells:3*cells], s.ints[3*cells:]
-		for r, bit := range s.bits {
-			cnt[t0[c0[r]]+t1[c1[r]]+t2[c2[r]]+uint32(bit)]++
-		}
-		for p := range tot {
-			pos[p], tot[p] = cnt[2*p+1], cnt[2*p]+cnt[2*p+1]
-		}
-		return stats.GainRatioFromCounts(pos, tot)
 	}
+	return s.code.GainRatio(cnt)
 }
 
 // zeroed returns buf at length n, all zero, reallocating only to grow.
-func zeroed[T int | int64 | float64](buf []T, n int) []T {
+func zeroed(buf []int64, n int) []int64 {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]int64, n)
 	}
 	buf = buf[:n]
 	clear(buf)

@@ -154,7 +154,7 @@ func TestScoreCombosXORPairWins(t *testing.T) {
 	model := trainTinyModel(t)
 	pb, labels, _ := tinyMatrix(t)
 	combos := mineCombos(model, []int{2})
-	if err := ScoreCombos(context.Background(), combos, pb, labels, BinaryTask(), parallel.Get(1)); err != nil {
+	if err := ScoreCombos(context.Background(), combos, pb, BinaryTask().Code(labels), parallel.Get(1)); err != nil {
 		t.Fatal(err)
 	}
 	combos = topCombos(combos, 0)
@@ -177,7 +177,7 @@ func TestScoreCombosParallelMatchesSerial(t *testing.T) {
 	a := mineCombos(model, []int{1, 2})
 	b := mineCombos(model, []int{1, 2})
 	for workers, combos := range map[int][]Combo{1: a, 4: b} {
-		if err := ScoreCombos(context.Background(), combos, pb, labels, BinaryTask(), parallel.Get(workers)); err != nil {
+		if err := ScoreCombos(context.Background(), combos, pb, BinaryTask().Code(labels), parallel.Get(workers)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -144,7 +144,7 @@ func keptCombos(t *testing.T, train *frame.Frame, task Task, workers int) []kept
 		t.Fatal(err)
 	}
 	combos := mineCombos(model, []int{2})
-	if err := ScoreCombos(context.Background(), combos, pb, train.Label, task, parallel.Get(workers)); err != nil {
+	if err := ScoreCombos(context.Background(), combos, pb, task.Code(train.Label), parallel.Get(workers)); err != nil {
 		t.Fatal(err)
 	}
 	var out []keptCombo

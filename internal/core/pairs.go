@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/gbdt"
 	"repro/internal/parallel"
+	"repro/internal/stats"
 )
 
 // PairSource chooses a round's combinations: stages (1)-(2) of Algorithm 1,
@@ -29,6 +30,7 @@ type PairRound struct {
 	live    []Column
 	names   []string
 	labels  []float64
+	code    *stats.TargetCode
 	arities []int
 	sc      *stageClock
 	ir      *IterationReport
@@ -74,7 +76,7 @@ func minedPairs(r *PairRound) ([]Combo, error) {
 	}
 	combos := mineCombos(model, r.arities)
 	r.scoring(len(combos))
-	if err := ScoreCombos(r.ctx, combos, minerBins, r.labels, r.cfg.Task, r.pool); err != nil {
+	if err := ScoreCombos(r.ctx, combos, minerBins, r.code, r.pool); err != nil {
 		return nil, err
 	}
 	return topCombos(combos, r.Gamma), nil

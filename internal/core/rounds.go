@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/gbdt"
 	"repro/internal/operators"
+	"repro/internal/stats"
 )
 
 // This file is Algorithm 1, written once. RunRounds owns everything the
@@ -61,6 +62,9 @@ type Candidate struct {
 type Opened struct {
 	Live   []Column // the original columns, in schema order
 	Labels []float64
+	// Code is Labels coded once for the task (Task.Code): what every
+	// criterion and combination score counts.
+	Code *stats.TargetCode
 	// Rows is the fit's rows-processed counter, the Rows of every event, and
 	// ScanRows what the loop credits to it for each full-data stage (mine,
 	// score, generate, pearson, rank): the row count in memory, where such a
@@ -173,7 +177,7 @@ func RunRounds(ctx context.Context, cfg Config, names []string, ws WorkingSet, v
 		sc.begin(StageMine, len(live))
 		r := &PairRound{
 			Round: round, Live: len(live), Gamma: gamma,
-			ctx: ctx, cfg: &cfg, pool: pool, ws: ws, live: live, names: liveNames, labels: labels,
+			ctx: ctx, cfg: &cfg, pool: pool, ws: ws, live: live, names: liveNames, labels: labels, code: o.Code,
 			arities: arities, sc: sc, ir: &ir, scanRows: o.ScanRows,
 		}
 		combos, err := pairs(r)

@@ -207,7 +207,7 @@ func TestScoreCombosMatchesRowSpace(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
 			got := scoreCombosOver(pb)
-			if err := ScoreCombos(context.Background(), got, pb, tc.labels, tc.task, parallel.Get(workers)); err != nil {
+			if err := ScoreCombos(context.Background(), got, pb, tc.task.Code(tc.labels), parallel.Get(workers)); err != nil {
 				t.Fatalf("%s, %d workers: %v", tc.task, workers, err)
 			}
 			for i := range want {
@@ -246,7 +246,7 @@ func TestScoreCombosRejectsWhatItWouldIndexBy(t *testing.T) {
 		{"NaN split value", "not a cut of feature 1", Combo{Features: []int{1}, Values: [][]float64{{math.NaN()}}}},
 		{"split value of a column without cuts", "not a cut of feature 4", Combo{Features: []int{4}, Values: [][]float64{{-2.5}}}},
 	} {
-		err := ScoreCombos(context.Background(), []Combo{tc.combo}, pb, labels, BinaryTask(), parallel.Get(1))
+		err := ScoreCombos(context.Background(), []Combo{tc.combo}, pb, BinaryTask().Code(labels), parallel.Get(1))
 		if err == nil || !strings.HasPrefix(err.Error(), "core: combination 0: ") || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want core: combination 0: … %s …", tc.name, err, tc.want)
 		}
@@ -255,10 +255,10 @@ func TestScoreCombosRejectsWhatItWouldIndexBy(t *testing.T) {
 	bad := &gbdt.Prebinned{Codes: append([][]uint8(nil), pb.Codes...), Cuts: pb.Cuts}
 	bad.Codes[3] = append([]uint8(nil), pb.Codes[3]...)
 	bad.Codes[3][7] = uint8(len(pb.Cuts[3]) + 2) // one past the top bin's code
-	if err := ScoreCombos(context.Background(), good, bad, labels, BinaryTask(), parallel.Get(1)); err == nil || !strings.Contains(err.Error(), "code column 3 holds code") {
+	if err := ScoreCombos(context.Background(), good, bad, BinaryTask().Code(labels), parallel.Get(1)); err == nil || !strings.Contains(err.Error(), "code column 3 holds code") {
 		t.Errorf("code outside its bins: error %v", err)
 	}
-	if err := ScoreCombos(context.Background(), good, pb, labels[:399], BinaryTask(), parallel.Get(1)); err == nil || !strings.Contains(err.Error(), "has 400 rows, want 399") {
+	if err := ScoreCombos(context.Background(), good, pb, BinaryTask().Code(labels[:399]), parallel.Get(1)); err == nil || !strings.Contains(err.Error(), "has 400 rows, want 399") {
 		t.Errorf("labels shorter than the matrix: error %v", err)
 	}
 }
@@ -362,11 +362,12 @@ func BenchmarkScoreCombos(b *testing.B) {
 				labels[i] = float64(rng.Intn(max(task.Classes, 2)))
 			}
 		}
+		code := task.Code(labels) // coded once, as a fit codes its labels
 		b.Run(task.String(), func(b *testing.B) {
 			pool := parallel.Get(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ScoreCombos(context.Background(), combos, pb, labels, task, pool); err != nil {
+				if err := ScoreCombos(context.Background(), combos, pb, code, pool); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,51 +10,34 @@ import (
 )
 
 // criterionScratch is the working state of one goroutine computing
-// relevance criteria: the buffers of whichever criterion the task selects.
+// relevance criteria.
 type criterionScratch struct {
-	iv   stats.IVScratch
 	crit stats.CritScratch
+	iv   stats.IVScratch // the equal-width ablation's
 }
 
-// criterion calculates the task-appropriate relevance criterion of a column
-// against the labels using equal-frequency binning — the Information Value
+// criterion calculates the task's relevance criterion of a column over the
+// fit's target code, using equal-frequency binning — the Information Value
 // of Algorithm 3 for the binary task, its per-class generalisation for
-// multiclass, the correlation ratio η² for regression, over the target coded
-// once per fit (codeTarget).
-func (s *criterionScratch) criterion(col, labels []float64, code *stats.TargetCode, task Task, bins int, equalWidth bool) float64 {
-	switch task.Kind {
-	case TaskMulticlass:
-		return s.crit.MulticlassIV(col, labels, task.Classes, bins)
-	case TaskRegression:
-		return s.crit.CodedCorrelationRatio(col, code, bins)
-	}
+// multiclass, the correlation ratio η² for regression — or, in the binary
+// equal-width ablation, the IV of equal-width bins of the labels.
+func (s *criterionScratch) criterion(col, labels []float64, code *stats.TargetCode, bins int, equalWidth bool) float64 {
 	if equalWidth {
 		return s.iv.InformationValueWidth(col, labels, bins)
 	}
-	return s.iv.InformationValue(col, labels, bins)
-}
-
-// codeTarget codes a regression task's labels for its criterion, once per
-// fit; nil for a count task.
-func codeTarget(labels []float64, task Task) *stats.TargetCode {
-	if task.Kind != TaskRegression {
-		return nil
-	}
-	code := new(stats.TargetCode)
-	code.Encode(labels)
-	return code
+	return s.crit.Criterion(col, code, bins)
 }
 
 // computeCriteria calculates the criterion of every column, column-parallel
 // on the shared pool. Each chunk amortises one scratch from the list across
 // its columns.
-func computeCriteria(cols [][]float64, labels []float64, code *stats.TargetCode, task Task, bins int, equalWidth bool, pool *parallel.Pool, scratches *scratchList) []float64 {
+func computeCriteria(cols [][]float64, labels []float64, code *stats.TargetCode, bins int, equalWidth bool, pool *parallel.Pool, scratches *scratchList) []float64 {
 	out := make([]float64, len(cols))
 	pool.ForChunks(len(cols), pool.Grain(len(cols)), func(lo, hi int) {
 		sc := scratches.get()
 		defer scratches.put(sc)
 		for j := lo; j < hi; j++ {
-			out[j] = sc.criterion(cols[j], labels, code, task, bins, equalWidth)
+			out[j] = sc.criterion(cols[j], labels, code, bins, equalWidth)
 		}
 	})
 	return out

@@ -64,7 +64,7 @@ type memorySet struct {
 	pool   *parallel.Pool
 	arena  *operators.Arena
 	labels []float64
-	code   *stats.TargetCode // the regression criterion's coded labels
+	code   *stats.TargetCode // the labels coded once (Task.Code)
 	// validLabels is non-nil when the fit tracks a validation frame: every
 	// live feature then carries its validation column.
 	validLabels []float64
@@ -88,7 +88,7 @@ func newMemorySet(ctx context.Context, cfg *Config, train, valid *frame.Frame) (
 		pool:    cfg.Pool(),
 		arena:   operators.NewArena(train.NumRows()),
 		labels:  train.Label,
-		code:    codeTarget(train.Label, cfg.Task),
+		code:    cfg.Task.Code(train.Label),
 		live:    make([]*liveFeature, train.NumCols()),
 		pending: make([]*candEntry, 0, streamChunk),
 	}
@@ -115,7 +115,7 @@ func (m *memorySet) Open() (Opened, error) {
 	for i, lf := range m.live {
 		live[i] = lf
 	}
-	return Opened{Live: live, Labels: m.labels, Rows: &m.rows, ScanRows: int64(len(m.labels))}, nil
+	return Opened{Live: live, Labels: m.labels, Code: m.code, Rows: &m.rows, ScanRows: int64(len(m.labels))}, nil
 }
 
 // Inputs implements WorkingSet with the live features' raw columns.
@@ -188,7 +188,7 @@ func (m *memorySet) addBase() {
 		cols[i] = lf.train
 	}
 	t0 := time.Now()
-	ivs := computeCriteria(cols, m.labels, m.code, m.cfg.Task, m.cfg.IVBins, m.cfg.IVEqualWidth, m.pool, &m.scratches)
+	ivs := computeCriteria(cols, m.labels, m.code, m.cfg.IVBins, m.cfg.IVEqualWidth, m.pool, &m.scratches)
 	m.ivTime += time.Since(t0)
 	for i, lf := range m.live {
 		m.entries = append(m.entries, &candEntry{lf: lf, iv: ivs[i]})
@@ -229,7 +229,7 @@ func (m *memorySet) flush() error {
 			t1 := time.Now()
 			Apply(en.cand.Node.Applier, en.cand.In, en.lf.train)
 			t2 := time.Now()
-			en.iv = sc.criterion(en.lf.train, m.labels, m.code, cfg.Task, cfg.IVBins, cfg.IVEqualWidth)
+			en.iv = sc.criterion(en.lf.train, m.labels, m.code, cfg.IVBins, cfg.IVEqualWidth)
 			apply += t2.Sub(t1)
 			crit += time.Since(t2)
 		}

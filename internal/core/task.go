@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/gbdt"
+	"repro/internal/stats"
 )
 
 // TaskKind enumerates the prediction task families SAFE can engineer
@@ -122,6 +123,22 @@ func (t Task) ValidateLabels(labels []float64) error {
 		}
 	}
 	return nil
+}
+
+// Code is the task's target code of labels (stats.TargetCode), which every
+// criterion and combination score of both engines counts: each row's class
+// id (0 or 1 for binary, the class index for multiclass) or a regression
+// target's fixed-point code. A fit builds it once, from validated labels.
+func (t Task) Code(labels []float64) *stats.TargetCode {
+	code := new(stats.TargetCode)
+	switch t.Kind {
+	case TaskBinary:
+		code.Classes, code.Binary = 2, true
+	case TaskMulticlass:
+		code.Classes = t.Classes
+	}
+	code.Encode(labels)
+	return code
 }
 
 // ApplyObjective sets a GBDT configuration's loss to the task's objective —

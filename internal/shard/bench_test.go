@@ -64,7 +64,7 @@ func BenchmarkShardPass(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	tl := newTally(cfg.Task, nil)
+	code := cfg.Task.Code(nil) // a binary code: its width and its valid codes
 	pass := func() {
 		cands := make([]*column, gens)
 		countSpec := &PassSpec{Kind: PassSketchGen, Epoch: 1, Grids: make([]GridSpec, gens)}
@@ -85,7 +85,7 @@ func BenchmarkShardPass(b *testing.B) {
 		}
 		gatherSpec := &PassSpec{Kind: PassRefine, Epoch: 1, Grids: make([]GridSpec, gens)}
 		for i, c := range cands {
-			c.locate(&f.cfg, tl.w)
+			c.locate(&f.cfg, code.W)
 			gatherSpec.Grids[i] = c.grid.spec
 		}
 		for _, c := range chunks {
@@ -93,12 +93,12 @@ func BenchmarkShardPass(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := f.each(gens, func(i int) error { return cands[i].foldGather(p.Gathers[i], tl, int64(p.Rows)) }); err != nil {
+			if err := f.each(gens, func(i int) error { return cands[i].foldGather(p.Gathers[i], code, int64(p.Rows)) }); err != nil {
 				b.Fatal(err)
 			}
 			ws.Release(p)
 		}
-		if err := f.each(gens, func(i int) error { return cands[i].resolve(tl) }); err != nil {
+		if err := f.each(gens, func(i int) error { return cands[i].resolve(code) }); err != nil {
 			b.Fatal(err)
 		}
 	}

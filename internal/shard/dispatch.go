@@ -366,9 +366,8 @@ type WorkerState struct {
 	// appliers is written only between column loops (SetLive, resolveOps), so
 	// the loops read it without a lock.
 	appliers map[string]operators.Applier
-	opsFor   *PassSpec // the pass whose operators were last resolved
-	codes    []int64   // the chunk's target codes, shared read-only by a loop
-	sq       []int64   // and, for regression, their square codes
+	opsFor   *PassSpec         // the pass whose operators were last resolved
+	code     *stats.TargetCode // the task's code of the chunk's labels, shared read-only by a loop
 
 	mu   sync.Mutex
 	free []*scratch // idle per-goroutine scratch, kept across chunks and passes
@@ -437,6 +436,7 @@ func newWorkerState(names []string, task core.Task, reg *operators.Registry, are
 	return &WorkerState{
 		names:    names,
 		task:     task,
+		code:     task.Code(nil),
 		reg:      reg,
 		arena:    arena,
 		pool:     pool,
@@ -746,13 +746,10 @@ func (ws *WorkerState) computeGather(ctx context.Context, spec *PassSpec, c *fra
 			return err
 		}
 	}
-	tl := newTally(ws.task, &spec.Target)
 	tables := spec.tables()
 	cols := ws.liveCols(c)
-	var codes, sq []int64
 	if len(spec.Grids) > 0 {
-		var err error
-		if codes, sq, err = ws.targetCodes(c.Label, tl); err != nil {
+		if err := ws.codeLabels(c.Label, &spec.Target); err != nil {
 			return err
 		}
 	}
@@ -766,9 +763,30 @@ func (ws *WorkerState) computeGather(ctx context.Context, spec *PassSpec, c *fra
 		if err != nil {
 			return err
 		}
-		gatherCol(g, tables[i], vals, codes, sq, tl, s, p.Gathers[i])
+		gatherCol(g, tables[i], vals, ws.code, s, p.Gathers[i])
 		return nil
 	})
+}
+
+// codeLabels codes the chunk's labels as the fit coded its target: the
+// task's code (core.Task.Code) at the fit's regression centring and scale,
+// which the pass carries (target). A label outside the task's classes is an
+// error: the fit validated them on its first pass. A regression code is held
+// to the fit's range where the fold counts it, not here, where the range
+// comes from a peer.
+func (ws *WorkerState) codeLabels(labels []float64, target *stats.TargetCode) error {
+	code := ws.code
+	code.Mean, code.Scale, code.Room = target.Mean, target.Scale, target.Room
+	code.Recode(labels)
+	if code.Classes == 0 {
+		return nil
+	}
+	for i, q := range code.Q {
+		if !code.Valid(q) {
+			return fmt.Errorf("shard: label %v of row %d is not one of %d classes", labels[i], i, code.Classes)
+		}
+	}
+	return nil
 }
 
 func (ws *WorkerState) computeGramCodes(ctx context.Context, spec *PassSpec, c *frame.Chunk, p *Partial) error {

@@ -33,10 +33,12 @@
 //     moments
 //  2. live counts — each source column's counts on the in-memory kernel's
 //     grid, laid over the row sample, + its range
-//  3. live gather — the cut buckets' values and target codes (classes, or
-//     the coded regression target), which resolve exact cuts and the
-//     criterion tallies; a live feature keeps that criterion for the rest
-//     of the fit
+//  3. live gather — the cut buckets' values and target codes, which resolve
+//     exact cuts and the criterion's per-bin counters; a live feature keeps
+//     that criterion for the rest of the fit. Every kernel and fold codes
+//     and counts rows with the fit's one stats.TargetCode (core.Task.Code,
+//     built once on the labels): a row's class id, or its fixed-point
+//     regression code, which adds to its bin's W counters
 //  4. live codes  — bin the live features into resident uint8 codes (Bin)
 //
 // and three per iteration, for every task,

@@ -39,10 +39,11 @@ import (
 //     regenerates just the survivors.
 //   - The gather pass (PassRefine) returns the values in those cut buckets
 //     (Gather), the target code of each value in a bucket holding a
-//     criterion cut, and the tallies of the runs of buckets between them
-//     (tally: class counts for a count task; rows, Σq and Σq2 of the coded
-//     target, stats.TargetCode, for regression). The fitter selects every
-//     rank exactly (stats.SelectInBuckets) and bins the codes
+//     criterion cut, and the counters of the runs of buckets between them.
+//     The fit's stats.TargetCode, which the kernel rebuilds on its chunk's
+//     labels, says what a row adds (class counts for a count task; rows, Σq
+//     and Σq2 for regression) and checks what a peer sends. The fitter
+//     selects every rank exactly (stats.SelectInBuckets) and bins the codes
 //     (stats.AppendCuts, stats.BinTallies): the cuts and the criterion
 //     tallies in-memory fitting gives, bit for bit — integers, so the order
 //     the partitions arrive in does not matter. A live column keeps the
@@ -50,12 +51,11 @@ import (
 //     change between rounds.
 //
 // A column whose sample has no usable range gets the zero Grid: the whole
-// column is one bucket — the in-memory kernel's fallback to selection over
-// the whole column. A constant column gathers nothing: once the count pass
-// has seen its range close to one value, every rank is that value. A column
-// that is mostly one value but not all of it (a point mass that the sample's
-// trimmed range collapses onto) is gathered whole, so its gather pass ships
-// every non-NaN value of it.
+// column is one bucket, as in the in-memory kernel. A constant column
+// gathers nothing: once the count pass has seen its range close to one
+// value, every rank is that value. A column that is mostly one value but not
+// all of it (a point mass that the sample's trimmed range collapses onto) is
+// gathered whole, so its gather pass ships every non-NaN value of it.
 
 // The errors the two grid folds answer peer bytes with, each wrapped in a
 // positioned "shard: … partial N …" error: a wrong count or a wrong gather
@@ -349,8 +349,8 @@ func decodeGridCounts(b []byte, slab []int32) (GridCounts, error) {
 // Gather is one column's gather-pass partial: the chunk's values in the
 // column's cut buckets, bucket by bucket (Sizes[j] of them in cut bucket
 // j); the target code of every value in a criterion cut bucket (Codes, in
-// the same order); and, tally.w counters per run, the tallies of the runs of
-// buckets between criterion cut buckets (Spans).
+// the same order); and, the target code's W counters a run, the tallies of
+// the runs of buckets between criterion cut buckets (Spans).
 type Gather struct {
 	Sizes []int32
 	Vals  []float64
@@ -624,140 +624,15 @@ func (ws *WorkerState) computeGridCounts(ctx context.Context, spec *PassSpec, c 
 	})
 }
 
-// tally is how a task's criterion counts the rows of a bin, a bucket or a
-// run of buckets: w counters each, to which a row adds by its target code. A
-// count task's code is the row's class, which adds one to counter code of k;
-// a regression code is the row's q, which adds (1, q, q2) (stats.TargetCode).
-type tally struct {
-	task core.Task
-	w    int
-	code *stats.TargetCode // regression; nil for a count task
-}
-
-// newTally is the task's tally; a regression one codes rows with code.
-func newTally(task core.Task, code *stats.TargetCode) tally {
-	switch task.Kind {
-	case core.TaskRegression:
-		return tally{task: task, w: stats.Tally, code: code}
-	case core.TaskMulticlass:
-		return tally{task: task, w: task.Classes}
-	}
-	return tally{task: task, w: 2}
-}
-
-// add adds a row of the given code to one bin's counters.
-func (t tally) add(bin []int64, code int64) {
-	if t.code != nil {
-		t.code.Add(bin, code)
-		return
-	}
-	bin[code]++
-}
-
-// rows is how many rows one bin's counters count.
-func (t tally) rows(c []int64) (n int64) {
-	if t.code != nil {
-		return c[0]
-	}
-	for _, v := range c {
-		n += v
-	}
-	return n
-}
-
-// valid reports whether a code that may be a peer's is one of the task's.
-func (t tally) valid(code int64) bool {
-	if t.code != nil {
-		return code >= -t.code.Max() && code <= t.code.Max()
-	}
-	return code >= 0 && code < int64(t.w)
-}
-
-// validSpan reports whether one run's counters, which may be a peer's, can
-// tally at most rows rows: no negative count, and for regression sums that
-// rows codes can reach — so that no sum of them overflows.
-func (t tally) validSpan(c []int64, rows int64) bool {
-	if t.code == nil {
-		return !slices.ContainsFunc(c, func(v int64) bool { return v < 0 })
-	}
-	n, m := c[0], t.code.Max()
-	return n >= 0 && n <= rows && c[1] >= -n*m && c[1] <= n*m && c[2] >= 0 && c[2] <= n*t.code.Square(m)
-}
-
-// criterion is the task's criterion over per-bin counters (bins[b·w:]), in
-// the arithmetic of the in-memory criteria: stats.IVFromCounts for binary,
-// stats.MulticlassIVFromCounts for multiclass, TargetCode.CorrelationRatio
-// for regression.
-func (t tally) criterion(cuts []float64, bins []int64) float64 {
-	if len(cuts) == 0 {
-		return 0
-	}
-	if t.code != nil {
-		return t.code.CorrelationRatio(bins)
-	}
-	nb := len(cuts) + 1
-	if t.task.Kind == core.TaskMulticlass {
-		k := t.w
-		counts := make([][]float64, k)
-		for c := range counts {
-			counts[c] = make([]float64, nb)
-			for b := range counts[c] {
-				counts[c][b] = float64(bins[b*k+c])
-			}
-		}
-		return stats.MulticlassIVFromCounts(counts)
-	}
-	pos, neg := make([]float64, nb), make([]float64, nb)
-	var np, nn float64
-	for b := range pos {
-		neg[b], pos[b] = float64(bins[2*b]), float64(bins[2*b+1])
-		np += pos[b]
-		nn += neg[b]
-	}
-	return stats.IVFromCounts(pos, neg, np, nn)
-}
-
-// targetCodes returns the chunk's rows as the criterion's target codes: a
-// count task's class ids — 0/1 thresholded at 0.5 for binary, the class
-// index for multiclass, where a label outside the classes is an error (the
-// fit validated them on its first pass) — or a regression target's codes
-// beside their square codes (sq, nil for a count task).
-func (ws *WorkerState) targetCodes(labels []float64, t tally) (codes, sq []int64, err error) {
-	ws.codes = roomy(ws.codes, len(labels))
-	codes = ws.codes
-	if t.code != nil {
-		ws.sq = roomy(ws.sq, len(labels))
-		sq = ws.sq
-	}
-	for i, y := range labels {
-		switch {
-		case t.code != nil:
-			codes[i] = t.code.Code(y)
-			sq[i] = t.code.Square(codes[i])
-		case t.task.Kind == core.TaskMulticlass:
-			if !(y > -1 && y < float64(t.w)) {
-				return nil, nil, fmt.Errorf("shard: label %v of row %d is not one of %d classes", y, i, t.w)
-			}
-			codes[i] = int64(y)
-		default:
-			codes[i] = 0
-			if y > 0.5 {
-				codes[i] = 1
-			}
-		}
-	}
-	return codes, sq, nil
-}
-
 // gatherCol is the gather pass's kernel for one candidate column, in two
-// scans of the chunk's column. The first buckets every value and tallies it
-// per bucket: counters spread over the whole grid, so that consecutive
-// values rarely wait on one another's increment. The per-bucket tallies then
-// give the cut buckets' sizes and the spans' tallies. The second scan files
-// the cut buckets' values (and, in a criterion cut bucket, their codes). It
-// fills out, reusing its backings.
-func gatherCol(g *GridSpec, t *gridTables, vals []float64, codes, sq []int64, tl tally, s *scratch, out *Gather) {
-	w := tl.w
+// scans of the chunk's column, whose rows code codes. The first buckets every
+// value and tallies its code per bucket: counters spread over the whole
+// grid, so that consecutive values rarely wait on one another's increment.
+// The per-bucket counters then give the cut buckets' sizes and the spans'
+// tallies. The second scan files the cut buckets' values (and, in a
+// criterion cut bucket, their codes). It fills out, reusing its backings.
+func gatherCol(g *GridSpec, t *gridTables, vals []float64, code *stats.TargetCode, s *scratch, out *Gather) {
+	w := code.W
 	cnt := s.counts(len(t.slot) * w)
 	rowB := s.rowBuckets(len(vals))
 	gridded := g.Grid != (stats.Grid{})
@@ -771,18 +646,11 @@ func gatherCol(g *GridSpec, t *gridTables, vals []float64, codes, sq []int64, tl
 			b = g.Grid.Bucket(v)
 		}
 		rowB[i] = int16(b)
-		if sq == nil {
-			cnt[b*w+int(codes[i])]++
-			continue
-		}
-		c := cnt[b*w : b*w+3]
-		c[0]++
-		c[1] += codes[i]
-		c[2] += sq[i]
+		code.AddRow(cnt[b*w:], i)
 	}
 	out.Sizes = roomy(out.Sizes, len(g.Buckets))
 	for j, b := range g.Buckets {
-		out.Sizes[j] = int32(tl.rows(cnt[b*w : (b+1)*w]))
+		out.Sizes[j] = int32(code.Rows(cnt[b*w : (b+1)*w]))
 	}
 	out.Spans = roomy(out.Spans, t.spans*w)
 	clear(out.Spans)
@@ -819,7 +687,7 @@ func gatherCol(g *GridSpec, t *gridTables, vals []float64, codes, sq []int64, tl
 		out.Vals[vpos[sl]] = vals[i]
 		vpos[sl]++
 		if at := cpos[sl]; at >= 0 {
-			out.Codes[at] = codes[i]
+			out.Codes[at] = code.Q[i]
 			cpos[sl]++
 		}
 	}
@@ -870,7 +738,7 @@ func (f *fitter) passGridCounts(cols []*column) error {
 		return err
 	}
 	return f.each(len(cols), func(i int) error {
-		cols[i].locate(&f.cfg, f.tally.w)
+		cols[i].locate(&f.cfg, f.code.W)
 		return nil
 	})
 }
@@ -932,7 +800,7 @@ func (c *column) foldCounts(gc *GridCounts, n int64) error {
 // locate fills the cut table's shape from the summed counts: the union
 // ranks, the cut buckets that hold them, and the gather pass's bucket list —
 // empty for a constant column, whose every rank is its one value — with the
-// criterion's marks; w is the task's tally width.
+// criterion's marks; w is the counters of the target code's bins.
 func (c *column) locate(cfg *core.Config, w int) {
 	st := c.grid
 	c.ranks = cutRankUnion(c.n, cfg)
@@ -946,7 +814,7 @@ func (c *column) locate(cfg *core.Config, w int) {
 	// Equal bits, not just equal values: a column of -0 and +0 is gathered, so
 	// that its cuts carry the signs selection gives them in memory.
 	if st.constant = c.n > 0 && math.Float64bits(st.min) == math.Float64bits(c.max); !st.constant {
-		st.needs, total = stats.LocateRanks(nil, st.local, st.counts, 1, ranks)
+		st.needs, total = stats.LocateRanks(nil, st.local, st.counts, ranks)
 	}
 	st.gather = make([]float64, total)
 	st.fill = make([]int, len(st.needs))
@@ -981,8 +849,8 @@ func (c *column) locate(cfg *core.Config, w int) {
 // passGather is the gather pass over the columns the count pass located:
 // the fold files every gathered value into its segment, checking it against
 // the counts; then every column's cut table is resolved exactly, and its
-// criterion tallied. A regression pass carries the fit's target code, with
-// which the kernels code their chunk's labels.
+// criterion tallied. The pass carries the fit's target code's regression
+// centring and scale, with which the kernels code their chunk's labels.
 func (f *fitter) passGather(cols []*column) error {
 	if len(cols) == 0 {
 		return nil
@@ -991,16 +859,13 @@ func (f *fitter) passGather(cols []*column) error {
 	for i, c := range cols {
 		spec.Grids[i] = c.grid.spec
 	}
-	if f.tally.code != nil {
-		c := f.tally.code
-		spec.Target = stats.TargetCode{Mean: c.Mean, Scale: c.Scale, Room: c.Room}
-	}
+	spec.Target = stats.TargetCode{Mean: f.code.Mean, Scale: f.code.Scale, Room: f.code.Room}
 	err := f.runPass(spec, func(p *Partial) error {
 		if len(p.Gathers) != len(cols) {
 			return fmt.Errorf("shard: gather partial %d has %d gathers, want %d", p.Chunk, len(p.Gathers), len(cols))
 		}
 		err := f.each(len(cols), func(i int) error {
-			if err := cols[i].foldGather(p.Gathers[i], f.tally, int64(p.Rows)); err != nil {
+			if err := cols[i].foldGather(p.Gathers[i], f.code, int64(p.Rows)); err != nil {
 				return fmt.Errorf("shard: gather partial %d col %d: %w", p.Chunk, i, err)
 			}
 			return nil
@@ -1012,7 +877,7 @@ func (f *fitter) passGather(cols []*column) error {
 		return err
 	}
 	return f.each(len(cols), func(i int) error {
-		if err := cols[i].resolve(f.tally); err != nil {
+		if err := cols[i].resolve(f.code); err != nil {
 			return fmt.Errorf("shard: gather of %q: %w", cols[i].Name, err)
 		}
 		return nil
@@ -1021,7 +886,7 @@ func (f *fitter) passGather(cols []*column) error {
 
 // foldGather files one chunk's gather of the candidate, over rows rows, into
 // its segments.
-func (c *column) foldGather(ga *Gather, tl tally, rows int64) error {
+func (c *column) foldGather(ga *Gather, code *stats.TargetCode, rows int64) error {
 	st := c.grid
 	if ga == nil || len(ga.Sizes) != len(st.needs) {
 		return fmt.Errorf("a gather of the wrong number of cut buckets: %w", ErrGatherSize)
@@ -1046,9 +911,9 @@ func (c *column) foldGather(ga *Gather, tl tally, rows int64) error {
 			if coded+n > len(ga.Codes) {
 				return fmt.Errorf("%d codes for more values: %w", len(ga.Codes), ErrGatherSize)
 			}
-			for _, code := range ga.Codes[coded : coded+n] {
-				if !tl.valid(code) {
-					return fmt.Errorf("code %d: %w", code, ErrClassID)
+			for _, q := range ga.Codes[coded : coded+n] {
+				if !code.Valid(q) {
+					return fmt.Errorf("code %d: %w", q, ErrClassID)
 				}
 			}
 			copy(st.code[st.codeAt[j]+st.fill[j]:], ga.Codes[coded:coded+n])
@@ -1061,9 +926,9 @@ func (c *column) foldGather(ga *Gather, tl tally, rows int64) error {
 		return fmt.Errorf("%d values, %d codes and %d span counters for %d, %d and %d: %w",
 			len(ga.Vals), len(ga.Codes), len(ga.Spans), at, coded, len(st.spans), ErrGatherSize)
 	}
-	for s := 0; s < len(ga.Spans); s += tl.w {
-		sp := ga.Spans[s : s+tl.w]
-		if !tl.validSpan(sp, rows) {
+	for s := 0; s < len(ga.Spans); s += code.W {
+		sp := ga.Spans[s : s+code.W]
+		if !code.ValidSpan(sp, rows) {
 			return fmt.Errorf("span tally %v: %w", sp, ErrGatherSize)
 		}
 		for c, v := range sp {
@@ -1076,14 +941,14 @@ func (c *column) foldGather(ga *Gather, tl tally, rows int64) error {
 // resolve is the gather's end: every segment must be full and every span
 // must count the rows of its buckets, then each rank is selected exactly and
 // the criterion tallied off the codes.
-func (c *column) resolve(tl tally) error {
+func (c *column) resolve(code *stats.TargetCode) error {
 	st := c.grid
 	for j, nd := range st.needs {
 		if st.fill[j] != nd.Size {
 			return fmt.Errorf("cut bucket %d gathered %d of its %d values: %w", nd.Bucket, st.fill[j], nd.Size, ErrGatherSize)
 		}
 	}
-	want := make([]int64, len(st.spans)/tl.w)
+	want := make([]int64, len(st.spans)/code.W)
 	s, j := 0, 0
 	for b, n := range st.counts {
 		if j < len(st.needs) && st.needs[j].Bucket == b {
@@ -1097,7 +962,7 @@ func (c *column) resolve(tl tally) error {
 		want[s] += int64(n)
 	}
 	for s, w := range want {
-		if got := tl.rows(st.spans[s*tl.w : (s+1)*tl.w]); got != w {
+		if got := code.Rows(st.spans[s*code.W : (s+1)*code.W]); got != w {
 			return fmt.Errorf("span %d counts %d rows of its buckets' %d: %w", s, got, w, ErrGatherSize)
 		}
 	}
@@ -1116,14 +981,14 @@ func (c *column) resolve(tl tally) error {
 			c.at[i] = c.max
 		}
 	}
-	c.ivCuts, c.ivCounts = st.criterion(c.at, ivVals, tl)
+	c.ivCuts, c.ivCounts = st.criterion(c.at, ivVals, code)
 	if st.constant && len(st.ivRanks) > 0 {
 		// One cut, the value, with every row in the bin at or below it: the
 		// span tallies are the whole column's.
 		c.ivCuts = []float64{c.max}
 		c.ivCounts = append(st.spans, make([]int64, len(st.spans))...)
 	}
-	c.crit = tl.criterion(c.ivCuts, c.ivCounts)
+	c.crit = code.Criterion(c.ivCounts)
 	c.grid = nil
 	return nil
 }
@@ -1132,7 +997,7 @@ func (c *column) resolve(tl tally) error {
 // buckets, their members (ivVals, laid out as the codes) and codes, and the
 // runs between them are the in-memory kernel's own inputs to AppendCuts and
 // BinTallies.
-func (st *gridState) criterion(at, ivVals []float64, tl tally) (cuts []float64, bins []int64) {
+func (st *gridState) criterion(at, ivVals []float64, code *stats.TargetCode) (cuts []float64, bins []int64) {
 	var needs []stats.CutBucket
 	var ivAt []float64
 	iv := 0
@@ -1151,7 +1016,7 @@ func (st *gridState) criterion(at, ivVals []float64, tl tally) (cuts []float64, 
 	}
 	ends := make([]int, len(needs))
 	cuts = stats.AppendCuts(nil, ends, ivAt, needs)
-	bins = make([]int64, (len(cuts)+1)*tl.w)
-	stats.BinTallies(bins, tl.w, cuts, ends, st.spans, needs, ivVals, func(bin []int64, p int) { tl.add(bin, st.code[p]) })
+	bins = make([]int64, (len(cuts)+1)*code.W)
+	stats.BinTallies(bins, code.W, cuts, ends, st.spans, needs, ivVals, func(bin []int64, p int) { code.Add(bin, st.code[p]) })
 	return cuts, bins
 }

@@ -516,9 +516,22 @@ func gatherWith(p *shard.Partial, ok func(g *shard.Gather) bool) int {
 // pass — by pointer and in wire form, and the fit must stop on the named
 // error, positioned on the partial, instead of cutting or correlating
 // anywhere. The rows named "regression: …" corrupt a regression fit's
-// gather, whose codes and span tallies are the coded target's.
+// gather, whose codes and span tallies are the coded target's, and those
+// named "multiclass:3: …" a three-class fit's.
 func TestGridFoldsRefusePeerBytes(t *testing.T) {
-	trains := map[bool]*frame.Frame{false: gridFrame(t, core.BinaryTask()), true: gridFrame(t, core.RegressionTask())}
+	tasks := []core.Task{core.BinaryTask(), core.RegressionTask(), core.MulticlassTask(3)}
+	trains := map[core.Task]*frame.Frame{}
+	for _, task := range tasks {
+		trains[task] = gridFrame(t, task)
+	}
+	taskOf := func(name string) core.Task {
+		for _, task := range tasks[1:] {
+			if strings.HasPrefix(name, task.String()+": ") {
+				return task
+			}
+		}
+		return core.BinaryTask()
+	}
 	gridded := func(g *shard.Gather) bool { return len(g.Sizes) > 1 } // a whole-column gather has one bucket
 	shortCount := func(p *shard.Partial) int {
 		for i, gc := range p.Counts {
@@ -632,6 +645,16 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 			p.Gathers[i].Spans[0]--
 			return i
 		}},
+		// Class counts, each non-negative, that wrap around int64 to the
+		// span's true rows: the resolve's row check alone would add them up
+		// to what it wants.
+		{"multiclass:3: span class counts that wrap to their rows", shard.PassRefine, 2, shard.ErrGatherSize, func(p *shard.Partial) int {
+			sp := p.Gathers[0].Spans[:3]
+			const third = 6148914691236517315 // just over 2^64/3: the three counts wrap
+			rows := uint64(sp[0] + sp[1] + sp[2])
+			sp[0], sp[1], sp[2] = third, third, int64(rows-2*third)
+			return 0
+		}},
 		{"survivor moments over more rows than the partial's", shard.PassGramCodes, 1, shard.ErrGramMoments,
 			moments(func(m *sketch.Moments) { m.Rows++; m.N++ })},
 		{"survivor moments with a NaN", shard.PassGramCodes, 1, shard.ErrGramMoments,
@@ -642,11 +665,8 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 			moments(func(m *sketch.Moments) { m.M2 = math.NaN() })},
 	} {
 		for _, wire := range []bool{false, true} {
-			reg, task := strings.HasPrefix(tc.name, "regression: "), core.BinaryTask()
-			if reg {
-				task = core.RegressionTask()
-			}
-			exec := &seamExec{src: frame.NewFrameChunks(trains[reg], 1000), wire: wire, bad: tc.kind, nth: tc.nth,
+			task := taskOf(tc.name)
+			exec := &seamExec{src: frame.NewFrameChunks(trains[task], 1000), wire: wire, bad: tc.kind, nth: tc.nth,
 				corrupt: func(p *shard.Partial, wire bool) {
 					if !wire {
 						tc.bad(p)
@@ -680,7 +700,7 @@ func TestGridFoldsRefusePeerBytes(t *testing.T) {
 	}
 	// A truncated blob of either grid pass fails its decode, named.
 	for kind, nth := range map[shard.PassKind]int{shard.PassSketchGen: 1, shard.PassRefine: 2} {
-		exec := &seamExec{src: frame.NewFrameChunks(trains[false], 1000), wire: true, bad: kind, nth: nth,
+		exec := &seamExec{src: frame.NewFrameChunks(trains[core.BinaryTask()], 1000), wire: true, bad: kind, nth: nth,
 			corrupt: func(p *shard.Partial, _ bool) { p.Blobs[0] = p.Blobs[0][:len(p.Blobs[0])-3] }}
 		if _, _, _, err := gridFit(exec, core.BinaryTask()); !errors.Is(err, shard.ErrBlob) {
 			t.Errorf("truncated kind %d blob: the fit returned %v, want %v", kind, err, shard.ErrBlob)

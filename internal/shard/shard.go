@@ -141,8 +141,8 @@ type column struct {
 
 	// Its criterion, which a live column keeps; and, while the column is
 	// being cut or is a candidate of the current round, the cuts its
-	// criterion was counted at, its per-bin tallies (bin·w + counter, see
-	// tally), and the grid passes' state.
+	// criterion was counted at, its per-bin counters (bin·W + counter, see
+	// stats.TargetCode), and the grid passes' state.
 	crit     float64
 	ivCuts   []float64
 	ivCounts []int64
@@ -200,7 +200,7 @@ type fitter struct {
 	nonNaN     map[int][]int64 // per partition, each source column's non-NaN rows
 	n          int
 	live       []*column
-	tally      tally // how the criterion counts rows, coding a regression target once
+	code       *stats.TargetCode // the labels coded once (core.Task.Code)
 
 	exec      Executor // runs every pass: Config.Exec, or the in-process executor
 	liveEpoch int      // live-set epoch last pushed through exec.SetLive
@@ -226,8 +226,8 @@ func (f *fitter) each(n int, fn func(i int) error) error {
 // the row sample and the source columns' moments; the source columns' counts
 // on their grids, and their cut buckets' gather, which fill the cut tables
 // exactly and tally their criteria; the resident miner codes of the original
-// live set. Between the first two it codes a regression target, once per fit
-// (stats.TargetCode). Events' Rows are the rows runPass streams.
+// live set. Between the first two it codes the labels, once per fit
+// (core.Task.Code). Events' Rows are the rows runPass streams.
 func (f *fitter) Open() (core.Opened, error) {
 	if err := f.exec.Open(f.ctx, f.names, f.cfg.Task, 0); err != nil {
 		return core.Opened{}, err
@@ -247,12 +247,7 @@ func (f *fitter) Open() (core.Opened, error) {
 	if err := f.cfg.Task.ValidateLabels(f.labels); err != nil {
 		return core.Opened{}, err
 	}
-	var code *stats.TargetCode
-	if f.cfg.Task.Kind == core.TaskRegression {
-		code = new(stats.TargetCode)
-		code.Encode(f.labels)
-	}
-	f.tally = newTally(f.cfg.Task, code)
+	f.code = f.cfg.Task.Code(f.labels)
 	if err := f.syncLive(nil); err != nil {
 		return core.Opened{}, err
 	}
@@ -269,7 +264,7 @@ func (f *fitter) Open() (core.Opened, error) {
 	if err := f.Bin(live, f.cfg.Miner); err != nil {
 		return core.Opened{}, err
 	}
-	return core.Opened{Live: live, Labels: f.labels, Rows: &f.stats.RowsStreamed}, nil
+	return core.Opened{Live: live, Labels: f.labels, Code: f.code, Rows: &f.stats.RowsStreamed}, nil
 }
 
 // Inputs implements core.WorkingSet: no raw column is resident, and the

@@ -7,9 +7,10 @@ import (
 
 var criterionSink float64
 
-// BenchmarkCriterion times the three relevance criteria on the three
-// arithmetic candidate kinds of a generation round, 20k rows each, in ns per
-// row. The ratio column is the heavy-tailed case (a Cauchy-like quotient of
+// BenchmarkCriterion times CritScratch.Criterion for the three tasks, each
+// over a target code built once as a fit builds it, on the three arithmetic
+// candidate kinds of a generation round, 20k rows each, in ns per row. The
+// ratio column is the heavy-tailed case (a Cauchy-like quotient of
 // two normals) that a probe over a base column cannot see: a finder whose
 // cost depends on the tails reads it several times slower than the sum.
 func BenchmarkCriterion(b *testing.B) {
@@ -35,17 +36,18 @@ func BenchmarkCriterion(b *testing.B) {
 		classes[i] = float64(rng.Intn(3))
 		target[i] = x[i] - y[i] + rng.NormFloat64()
 	}
-	var iv IVScratch
 	var crit CritScratch
-	var code TargetCode // coded once, as a fit codes its target
-	code.Encode(target)
 	criteria := []struct {
-		name string
-		f    func(col []float64) float64
+		name   string
+		code   *TargetCode
+		labels []float64
 	}{
-		{"binary", func(col []float64) float64 { return iv.InformationValue(col, binary, 10) }},
-		{"multiclass:3", func(col []float64) float64 { return crit.MulticlassIV(col, classes, 3, 10) }},
-		{"regression", func(col []float64) float64 { return crit.CodedCorrelationRatio(col, &code, 10) }},
+		{"binary", &TargetCode{Classes: 2, Binary: true}, binary},
+		{"multiclass:3", &TargetCode{Classes: 3}, classes},
+		{"regression", &TargetCode{}, target},
+	}
+	for _, c := range criteria {
+		c.code.Encode(c.labels)
 	}
 	for _, kind := range kinds {
 		col := make([]float64, n)
@@ -56,7 +58,7 @@ func BenchmarkCriterion(b *testing.B) {
 			b.Run(kind.name+"/"+c.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					criterionSink = c.f(col)
+					criterionSink = crit.Criterion(col, c.code, 10)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
 			})

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -128,19 +127,20 @@ func TestCorrelationRatioProperties(t *testing.T) {
 func TestCriterionMergeAdditivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cells, k := 8, 3
-	full := make([]float64, cells*k)
-	partA := make([]float64, cells*k)
-	partB := make([]float64, cells*k)
+	full := make([]int64, cells*k)
+	partA := make([]int64, cells*k)
+	partB := make([]int64, cells*k)
 	for i := range full {
-		a, b := float64(rng.Intn(50)), float64(rng.Intn(50))
+		a, b := int64(rng.Intn(50)), int64(rng.Intn(50))
 		partA[i], partB[i] = a, b
 		full[i] = a + b
 	}
-	merged := make([]float64, cells*k)
+	merged := make([]int64, cells*k)
 	for i := range merged {
 		merged[i] = partA[i] + partB[i]
 	}
-	if got, want := GainRatioFromClassCounts(merged, cells, k), GainRatioFromClassCounts(full, cells, k); got != want {
+	classes := TargetCode{Classes: k, W: k}
+	if got, want := classes.GainRatio(merged), classes.GainRatio(full); got != want {
 		t.Fatalf("class-count merge changed the gain ratio: %g vs %g", got, want)
 	}
 
@@ -356,13 +356,13 @@ func reuseColumns() [][]float64 {
 // QuantileScratch, fed reuseColumns in turn, return every cut, every bin count
 // and every criterion a fresh scratch returns for the same column, bit for
 // bit. The kernel records each row's bucket in the scratch in its first scan
-// and reads it back in its second (and η²'s row loop); a record left by an
-// earlier, longer column must never be read.
+// and reads it back in its second; a record left by an earlier, longer column
+// must never be read.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	var iv IVScratch
 	var crit CritScratch
 	var q QuantileScratch
-	sameInts := func(a, b []int32) bool {
+	sameInts := func(a, b []int64) bool {
 		if len(a) != len(b) {
 			return false
 		}
@@ -391,22 +391,23 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		}
 		for _, bins := range []int{10, 64} {
 			tag := fmt.Sprintf("column %d (n=%d) bins=%d", ci, len(feature), bins)
-			var freshIV IVScratch
-			gotCuts, gotBins := iv.q.cutsAndCounts(feature, labels, binaryClasses, true, bins)
-			wantCuts, wantBins := freshIV.q.cutsAndCounts(feature, labels, binaryClasses, true, bins)
-			if !sameFloats(gotCuts, wantCuts) || !sameInts(gotBins, wantBins) {
-				t.Fatalf("%s: binary cuts %v counts %v, fresh %v %v", tag, gotCuts, gotBins, wantCuts, wantBins)
+			// The kernel's counters for each of the three codes: binary class
+			// counts, multiclass ones and the regression tallies of η².
+			for _, code := range []*TargetCode{{Classes: 2, Binary: true}, {Classes: 3}, {}} {
+				code.Encode(labels)
+				var fresh CritScratch
+				gotCuts, gotBins := crit.q.cutsAndCounts(feature, code, bins)
+				wantCuts, wantBins := fresh.q.cutsAndCounts(feature, code, bins)
+				if !sameFloats(gotCuts, wantCuts) || !sameInts(gotBins, wantBins) {
+					t.Fatalf("%s: %d classes: cuts %v counters %v, fresh %v %v", tag, code.Classes, gotCuts, gotBins, wantCuts, wantBins)
+				}
 			}
+			var freshIV IVScratch
 			if got, want := iv.InformationValue(feature, labels, bins), freshIV.InformationValue(feature, labels, bins); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: IV %v, fresh %v", tag, got, want)
 			}
 
 			var freshCrit CritScratch
-			gotCuts, gotBins = crit.q.cutsAndCounts(feature, labels, 3, false, bins)
-			wantCuts, wantBins = freshCrit.q.cutsAndCounts(feature, labels, 3, false, bins)
-			if !sameFloats(gotCuts, wantCuts) || !sameInts(gotBins, wantBins) {
-				t.Fatalf("%s: multiclass cuts %v counts %v, fresh %v %v", tag, gotCuts, gotBins, wantCuts, wantBins)
-			}
 			for _, crits := range [][2]float64{
 				{crit.MulticlassIV(feature, labels, 3, bins), freshCrit.MulticlassIV(feature, labels, 3, bins)},
 				{crit.CorrelationRatio(feature, labels, bins), freshCrit.CorrelationRatio(feature, labels, bins)},
@@ -415,13 +416,10 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 					t.Fatalf("%s: criterion %v, fresh %v", tag, crits[0], crits[1])
 				}
 			}
-			if n := len(freshCrit.tally); n > 0 && !slices.Equal(crit.tally[:n], freshCrit.tally) {
-				t.Fatalf("%s: η² tallies %v, fresh %v", tag, crit.tally[:n], freshCrit.tally)
-			}
 
 			var freshQ QuantileScratch
-			gotCuts = append([]float64(nil), q.Quantiles(feature, bins)...)
-			if wantCuts = freshQ.Quantiles(feature, bins); !sameFloats(gotCuts, wantCuts) {
+			gotCuts := append([]float64(nil), q.Quantiles(feature, bins)...)
+			if wantCuts := freshQ.Quantiles(feature, bins); !sameFloats(gotCuts, wantCuts) {
 				t.Fatalf("%s: quantiles %v, fresh %v", tag, gotCuts, wantCuts)
 			}
 			for i, v := range feature {
@@ -543,8 +541,8 @@ func TestCriteriaMetamorphic(t *testing.T) {
 			}
 		}
 		want := criteria(c.xs, binary)
-		if s.iv.q.gridded != c.gridded {
-			t.Fatalf("%s: gridded %v, want %v: the column misses the path it is here for", c.name, s.iv.q.gridded, c.gridded)
+		if s.iv.crit.q.gridded != c.gridded {
+			t.Fatalf("%s: gridded %v, want %v: the column misses the path it is here for", c.name, s.iv.crit.q.gridded, c.gridded)
 		}
 		if want[0] == 0 || want[1] == 0 || want[2] == 0 {
 			t.Fatalf("%s: a criterion is 0 (%v); the check would be vacuous", c.name, want)

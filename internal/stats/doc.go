@@ -4,30 +4,32 @@
 //
 // # Relevance criteria (Algorithm 3's filter, per task)
 //
-//   - InformationValue / IVScratch — binary IV with equal-frequency binning
-//     (Eq. 6), Laplace-smoothed.
-//   - CritScratch.MulticlassIV — the K-class generalisation: mean
-//     one-vs-rest IV from per-class binned label counts; reduces to the
-//     binary IV at K=2.
-//   - CritScratch.CorrelationRatio — the regression criterion η²
-//     (one-way ANOVA between-group share of variance) over binned targets,
-//     coded once as centred fixed-point integers (TargetCode).
+// A task's target is coded once (TargetCode): each row's class id, or a
+// regression target's centred fixed-point code, which says what the row
+// adds to the W counters of its bin. TargetCode.Criterion reads per-bin
+// counters back as the task's criterion, and CritScratch.Criterion bins a
+// feature equal-frequency and hands the kernel's counters to it:
+//
+//   - binary — the IV of Eq. 6, Laplace-smoothed (InformationValue and
+//     IVScratch code their labels, then call it);
+//   - multiclass — the mean one-vs-rest IV over the classes; reduces to the
+//     binary IV at K=2 (CritScratch.MulticlassIV codes its labels);
+//   - regression — η², the one-way ANOVA between-group share of variance
+//     (CritScratch.CorrelationRatio codes its target).
 //
 // # Partition scores (Algorithm 2's combination ranking, per task)
 //
-//   - GainRatio / InformationGain — binary information gain ratio.
-//   - GainRatioClasses — the K-class entropy gain ratio.
-//   - VarGainRatio — the regression variance-reduction ratio (η² over
-//     cells divided by split entropy).
+// TargetCode.GainRatio reads per-cell counters as the task's gain ratio:
+// the binary information gain ratio (row space: GainRatio /
+// InformationGain), its K-class generalisation (GainRatioClasses), or the
+// regression variance-reduction ratio, η² over cells divided by split
+// entropy (VarGainRatio).
 //
-// Every criterion has a count-space entry point (IVFromCounts,
-// MulticlassIVFromCounts, GainRatioFromCounts, GainRatioFromClassCounts,
-// and TargetCode's CorrelationRatio and VarGainRatio over integer tallies)
-// operating on exactly the statistics the sharded fit engine accumulates —
-// integers, so per-partition statistics summed in any order and folded
-// through these functions reproduce the single-pass value, which is what
-// keeps the sharded selection feature-for-feature identical to the
-// in-memory one.
+// Every count is an integer, so per-partition counters summed in any order
+// and read back through the same code reproduce the single-pass value,
+// which is what keeps the sharded selection feature-for-feature identical
+// to the in-memory one: both engines count the same codes. IVFromCounts
+// and MulticlassIVFromCounts are the float count-space forms of the two IVs.
 //
 // # The quantile kernel
 //
@@ -38,17 +40,18 @@
 // whose range comes from a 256-value strided sample (the end buckets catch
 // the tails), which records each row's bucket in the scratch, then a gather,
 // by the recorded buckets, of the few buckets a target rank falls into,
-// which multi-rank quickselect resolves exactly. Each value is bucketed once. The bucket index is
-// monotone in the value, so the cuts are the ones a full sort would give for
-// any sample; a column without a usable sampled range (constant, dominated
-// by one value, non-finite) falls back to selection over the whole column.
-// The binary and multiclass criteria add the row's class to the counting
-// scan's index and read their per-bin label counts off the bucket counts —
-// integers, so the values equal a row-order count bit for bit; the
-// regression criterion bins each row through its recorded bucket and a
-// bucket-table lookup and tallies its target codes, integers too.
-// TestScratchReuseMatchesFresh holds a reused scratch to a fresh one's cuts
-// and counts, so that no row reads a bucket recorded for an earlier column.
+// which multi-rank quickselect resolves exactly. Each value is bucketed
+// once. The bucket index is monotone in the value, so the cuts are the ones
+// a full sort would give for any sample; a column without a usable sampled
+// range (constant, dominated by one value, non-finite) is cut on the zero
+// Grid, whose one bucket holds it whole and is gathered and selected like
+// any cut bucket — the out-of-core engine's one bucket too. A criterion
+// adds each row's code to its bucket's counters in the counting scan and
+// reads its per-bin counters off them, the gathered rows placed one by one —
+// integers, so the values equal a row-order count bit for bit, for every
+// task. TestScratchReuseMatchesFresh holds a reused scratch to a fresh one's
+// cuts and counters, so that no row reads a bucket recorded for an earlier
+// column.
 // TestCriteriaMatchReference and FuzzCriterionExact hold all of them to a
 // sort-and-binary-search reference with exact comparison.
 //

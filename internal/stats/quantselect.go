@@ -27,7 +27,10 @@ import (
 // scans (count, gather) whatever its tails, and each value is bucketed once:
 // the counting scan records every row's bucket for the gathering scan — a grid over [min, max] instead
 // collapses a heavy-tailed column (a ratio) into one or two buckets and with
-// it the finder into a quickselect over the whole column.
+// it the finder into a quickselect over the whole column. A column whose
+// sample has no usable range (constant, one-value-dominated, non-finite) is
+// cut on the zero Grid, one bucket that holds it whole: the same two scans,
+// and selection over every non-NaN value.
 
 // selectRanks partially sorts xs in place so that xs[r] holds the r-th
 // smallest element for every r in ranks. ranks must be sorted ascending,
@@ -194,7 +197,7 @@ func (g Grid) Bucket(v float64) int {
 // Count adds the non-NaN values of xs to cnt[bucket] (NumBuckets counters),
 // returning how many — the out-of-core count pass's scan. The in-memory
 // kernel's counting scan (cutsAndCounts) counts the same way and also
-// records each row's bucket.
+// records each row's bucket and tallies its code.
 func (g Grid) Count(cnt []int32, xs []float64) (n int) {
 	cnt = cnt[:NumBuckets]
 	for _, v := range xs {
@@ -207,10 +210,6 @@ func (g Grid) Count(cnt []int32, xs []float64) (n int) {
 	return n
 }
 
-// binaryClasses is k of the binary criterion's count table: negative,
-// positive, and — as for any k — an out-of-range column, here never used.
-const binaryClasses = 2
-
 // CutBucket is one bucket that holds at least one target rank (and so at
 // least one cut): its members are gathered and selected exactly.
 type CutBucket struct {
@@ -221,22 +220,18 @@ type CutBucket struct {
 	Size   int // bucket population
 }
 
-// LocateRanks is the step between the two scans: from per-bucket counts
-// (stride counters per bucket, summed), it finds the bucket that holds each
-// of the ascending, deduplicated ranks, rewrites the rank as an offset into
-// that bucket (local[i], len(ranks) entries), and appends one CutBucket per
-// bucket holding a rank to needs[:0], each given the next segment of a gather
-// buffer; total is the segments' length. Ranks are ascending, so one
-// cumulative scan serves all of them. A rank at or past the counted rows is
-// left unplaced.
-func LocateRanks(needs []CutBucket, local []int, cnt []int32, stride int, ranks []int) (_ []CutBucket, total int) {
+// LocateRanks is the step between the two scans: from the buckets' sizes, it
+// finds the bucket that holds each of the ascending, deduplicated ranks,
+// rewrites the rank as an offset into that bucket (local[i], len(ranks)
+// entries), and appends one CutBucket per bucket holding a rank to needs[:0],
+// each given the next segment of a gather buffer; total is the segments'
+// length. Ranks are ascending, so one cumulative scan serves all of them. A
+// rank at or past the counted rows is left unplaced.
+func LocateRanks(needs []CutBucket, local []int, sizes []int32, ranks []int) (_ []CutBucket, total int) {
 	needs = needs[:0]
 	cum, ri := 0, 0
-	for b := 0; b*stride < len(cnt) && ri < len(ranks); b++ {
-		c := 0
-		for _, v := range cnt[b*stride : (b+1)*stride] {
-			c += int(v)
-		}
+	for b := 0; b < len(sizes) && ri < len(ranks); b++ {
+		c := int(sizes[b])
 		first := ri
 		for ri < len(ranks) && ranks[ri] < cum+c {
 			local[ri] = ranks[ri] - cum
@@ -288,20 +283,20 @@ func AppendCuts(cuts []float64, ends []int, at []float64, needs []CutBucket) []f
 	return cuts
 }
 
-// BinTallies fills bins ((len(cuts)+1)·stride counters, zeroed) with the
-// tallies of the bins the cuts delimit: a count task's class counts, or a
-// regression target's (TargetCode). Span s is the rows of the buckets
-// strictly between cut buckets s−1 and s (their tally at spans[s·stride:],
-// len(needs)+1 spans): it lies in one bin, the one above every cut of the
-// first s cut buckets. A member of cut bucket j (gather at its segment) is
-// placed by comparison with that bucket's own cuts, cuts[ends[j−1]:ends[j]]
-// — a cut in another bucket is below or above every member by monotonicity
-// — and add(bin, p) adds member p to its bin's counters.
-func BinTallies[T int32 | int64](bins []T, stride int, cuts []float64, ends []int, spans []T, needs []CutBucket, gather []float64, add func(bin []T, p int)) {
+// BinTallies fills bins ((len(cuts)+1)·w counters, zeroed) with the
+// counters of the bins the cuts delimit, w a bin (TargetCode). Span s is the
+// rows of the buckets strictly between cut buckets s−1 and s (their counters
+// at spans[s·w:], len(needs)+1 spans): it lies in one bin, the one above
+// every cut of the first s cut buckets. A member of cut bucket j (gather at
+// its segment) is placed by comparison with that bucket's own cuts,
+// cuts[ends[j−1]:ends[j]] — a cut in another bucket is below or above every
+// member by monotonicity — and add(bin, p) adds member p to its bin's
+// counters.
+func BinTallies(bins []int64, w int, cuts []float64, ends []int, spans []int64, needs []CutBucket, gather []float64, add func(bin []int64, p int)) {
 	lo := 0
 	for s := 0; ; s++ {
-		dst := bins[lo*stride:][:stride]
-		for c, v := range spans[s*stride:][:stride] {
+		dst := bins[lo*w:][:w]
+		for c, v := range spans[s*w:][:w] {
 			dst[c] += v
 		}
 		if s == len(needs) {
@@ -310,7 +305,7 @@ func BinTallies[T int32 | int64](bins []T, stride int, cuts []float64, ends []in
 		nd, hi := needs[s], ends[s]
 		for p := nd.Start; p < nd.Start+nd.Size; p++ {
 			j := lo + SearchCuts(cuts[lo:hi], gather[p])
-			add(bins[j*stride:][:stride], p)
+			add(bins[j*w:][:w], p)
 		}
 		lo = hi
 	}
@@ -321,7 +316,6 @@ func BinTallies[T int32 | int64](bins []T, stride int, cuts []float64, ends []in
 // The zero value is ready to use. Not safe for concurrent use; hot paths
 // keep one per worker.
 type QuantileScratch struct {
-	buf    []float64 // the fallback's working copy of the non-NaN values
 	ranks  []int     // the nearest-rank targets, ascending
 	cuts   []float64 // the deduplicated cuts the last call returned
 	sample []float64 // the grid's sample; later the rank values
@@ -330,20 +324,21 @@ type QuantileScratch struct {
 	// are read (by the gathering scan and binRow), so a longer earlier column
 	// leaves nothing that is used.
 	rowB   []int16
-	counts []int32 // NumBuckets × stride counting table
+	counts []int64 // NumBuckets × W counters
+	sizes  []int32 // each bucket's rows
 	needs  []CutBucket
 	slot   []int16   // bucket → index into needs, -1 for a bucket without a cut
 	local  []int     // ranks rewritten as offsets into their bucket
 	pos    []int     // the gather cursors; later each cut bucket's cut count
 	gather []float64 // members of the cut buckets, bucket by bucket
-	class  []int32   // their class indices, in the same order
-	sel    []float64 // selection permutes: it runs on a copy when class pairs with gather
-	spans  []int32   // class counts of the runs of buckets between cut buckets
-	bins   []int32   // per-bin class counts handed to the criteria
+	row    []int32   // their rows, in the same order
+	sel    []float64 // selection permutes: it runs on a copy when row pairs with gather
+	spans  []int64   // counters of the runs of buckets between cut buckets
+	bins   []int64   // per-bin counters handed to the criteria
 
 	// Left behind by the last call for Bin: binLo[b] is the number of cuts in
 	// buckets below b (NumBuckets+1 entries). gridded is false after a call
-	// answered by the fallback, whose Bin is SearchCuts.
+	// that cut the column on the zero Grid, whose Bin is SearchCuts.
 	grid    Grid
 	gridded bool
 	binLo   []int32
@@ -352,7 +347,7 @@ type QuantileScratch struct {
 // Quantiles is Quantiles with buffer reuse: the returned slice aliases the
 // scratch and is only valid until the next call.
 func (s *QuantileScratch) Quantiles(xs []float64, q int) []float64 {
-	cuts, _ := s.cutsAndCounts(xs, nil, 0, false, q)
+	cuts, _ := s.cutsAndCounts(xs, nil, q)
 	return cuts
 }
 
@@ -384,61 +379,33 @@ func (s *QuantileScratch) binIn(b int, v float64) int {
 	return j
 }
 
-// labelClass maps a label to its column of the count table: the binary
-// criterion thresholds at 0.5 (anything else, NaN included, is negative),
-// the multiclass one takes the class index.
-func labelClass(l float64, k int, binary bool) int {
-	if !binary {
-		return classIndex(l, k)
-	}
-	c := 0
-	if l > 0.5 {
-		c = 1
-	}
-	return c
-}
-
-// classIndex truncates a label to its class index, with every label outside
-// [0,k) — NaN included — in the extra column k, so that bucket populations
-// still count the row as Quantiles does. The range test is on the float: an
-// out-of-range float→int conversion is implementation-defined.
-func classIndex(l float64, k int) int {
-	if l > -1 && l < float64(k) {
-		return int(l)
-	}
-	return k
-}
-
-// cutsAndCounts is the kernel behind Quantiles and the two classification
-// criteria. It returns the deduplicated nearest-rank q-quantile cuts of xs
-// (nil when q < 2 or xs has no non-NaN value) and, when labels is non-nil,
-// the class counts of the bins those cuts delimit: counts[bin*(k+1)+c] rows
-// of class c (labelClass) among the non-NaN rows, c = k collecting the
-// out-of-range labels; binary selects the binary criterion's thresholding
-// and requires k = binaryClasses. The counts ride the counting scan — per
-// bucket, then summed into the spans between cut buckets — so a labelled
-// call reads xs twice, like an unlabelled one. Between the scans and after
-// them it runs the steps the out-of-core engine runs across its two passes:
-// LocateRanks, SelectInBuckets, AppendCuts, BinTallies. Both results
-// alias the scratch.
-func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool, q int) ([]float64, []int32) {
+// cutsAndCounts is the kernel behind Quantiles and every criterion. It
+// returns the deduplicated nearest-rank q-quantile cuts of xs (nil when q < 2
+// or xs has no non-NaN value) and, when code is non-nil, the counters of the
+// bins those cuts delimit: bins[b·W:] holds what the non-NaN rows of bin b
+// add (TargetCode.AddRow), xs and the code's rows row for row. The counters
+// ride the counting scan — per bucket, then summed into the spans between
+// cut buckets — so a coded call reads xs twice, like an uncoded one. Between
+// the scans and after them it runs the steps the out-of-core engine runs
+// across its two passes: LocateRanks, SelectInBuckets, AppendCuts,
+// BinTallies. A column without a usable sampled range is cut on the zero
+// Grid, whose one bucket holds it whole, as out of core. Both results alias
+// the scratch.
+func (s *QuantileScratch) cutsAndCounts(xs []float64, code *TargetCode, q int) ([]float64, []int64) {
 	s.cuts = s.cuts[:0]
 	s.gridded = false
 	if q < 2 {
 		return nil, nil
 	}
-	stride := 1
-	if labels != nil {
-		stride = k + 1
+	w := 1
+	if code != nil {
+		w = code.W
 	}
-	g, ok := s.sampleGrid(xs, q)
-	if !ok {
-		return s.cutsAndCountsSelect(xs, labels, k, binary, q)
-	}
+	g, gridded := s.sampleGrid(xs, q)
 
-	// Scan 1: each row's bucket (−1 for NaN), the bucket (× class) counts,
-	// and the non-NaN count the ranks need.
-	s.counts = zeroed(s.counts, NumBuckets*stride)
+	// Scan 1: each row's bucket (−1 for NaN), the bucket counters, and the
+	// non-NaN count the ranks need.
+	s.counts = zeroed(s.counts, NumBuckets*w)
 	cnt := s.counts
 	s.rowB = grown(s.rowB, len(xs))
 	rowB := s.rowB
@@ -448,21 +415,24 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 			rowB[i] = -1
 			continue
 		}
-		b := g.Bucket(v)
-		rowB[i] = int16(b)
-		c := 0
-		if labels != nil {
-			c = labelClass(labels[i], k, binary)
+		b := 0 // the zero Grid's one bucket
+		if gridded {
+			b = g.Bucket(v)
 		}
-		cnt[b*stride+c]++
+		rowB[i] = int16(b)
+		code.AddRow(cnt[b*w:], i)
 		n++
 	}
 	if n == 0 {
 		return nil, nil
 	}
+	s.sizes = grown(s.sizes, NumBuckets)
+	for b := range s.sizes {
+		s.sizes[b] = int32(code.Rows(cnt[b*w : (b+1)*w]))
+	}
 	ranks := s.nearestRanks(n, q)
 	s.local = grown(s.local, len(ranks))
-	needs, total := LocateRanks(s.needs, s.local, cnt, stride, ranks)
+	needs, total := LocateRanks(s.needs, s.local, s.sizes, ranks)
 	s.needs = needs
 	s.slot = grown(s.slot, NumBuckets)
 	slot := s.slot
@@ -473,8 +443,8 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 		slot[nd.Bucket] = int16(j)
 	}
 
-	// Scan 2: file the members of every cut bucket, with their classes, by
-	// the buckets scan 1 recorded.
+	// Scan 2: file the members of every cut bucket, with their rows, by the
+	// buckets scan 1 recorded.
 	s.gather = grown(s.gather, total)
 	gather := s.gather
 	s.pos = grown(s.pos, len(needs))
@@ -482,10 +452,10 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 	for i, nd := range needs {
 		pos[i] = nd.Start
 	}
-	if labels != nil {
-		s.class = grown(s.class, total)
+	if code != nil {
+		s.row = grown(s.row, total)
 	}
-	class := s.class
+	row := s.row
 	for i, b := range rowB {
 		if b < 0 {
 			continue
@@ -493,17 +463,17 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 		if sl := slot[b]; sl >= 0 {
 			p := pos[sl]
 			gather[p] = xs[i]
-			if labels != nil {
-				class[p] = int32(labelClass(labels[i], k, binary))
+			if code != nil {
+				row[p] = int32(i)
 			}
 			pos[sl] = p + 1
 		}
 	}
 
 	// Exact selection inside each cut bucket (typically ~n/NumBuckets values
-	// each), on a copy when the classes must stay paired with the members.
+	// each), on a copy when the rows must stay paired with the members.
 	var sel *[]float64
-	if labels != nil {
+	if code != nil {
 		sel = &s.sel
 	}
 	// The rank values and the per-bucket cut counts take buffers the scans
@@ -523,35 +493,34 @@ func (s *QuantileScratch) cutsAndCounts(xs, labels []float64, k int, binary bool
 	for ; nb <= NumBuckets; nb++ {
 		s.binLo[nb] = int32(len(s.cuts))
 	}
-	s.grid, s.gridded = g, true
-	if labels == nil {
+	s.grid, s.gridded = g, gridded
+	if code == nil {
 		return s.cuts, nil
 	}
 
-	// Per-bin class counts: the buckets between two cut buckets add their
-	// counts to the one bin they lie in; the gathered rows are resolved one by
-	// one.
-	s.spans = zeroed(s.spans, (len(needs)+1)*stride)
+	// Per-bin counters: the buckets between two cut buckets add theirs to the
+	// one bin they lie in; the gathered rows are resolved one by one.
+	s.spans = zeroed(s.spans, (len(needs)+1)*w)
 	si := 0
 	for b := 0; b < NumBuckets; b++ {
 		if si < len(needs) && needs[si].Bucket == b {
 			si++
 			continue
 		}
-		dst := s.spans[si*stride:][:stride]
-		for c, v := range cnt[b*stride:][:stride] {
+		dst := s.spans[si*w:][:w]
+		for c, v := range cnt[b*w:][:w] {
 			dst[c] += v
 		}
 	}
-	s.bins = zeroed(s.bins, (len(s.cuts)+1)*stride)
-	BinTallies(s.bins, stride, s.cuts, ends, s.spans, needs, gather, func(bin []int32, p int) { bin[s.class[p]]++ })
+	s.bins = zeroed(s.bins, (len(s.cuts)+1)*w)
+	BinTallies(s.bins, w, s.cuts, ends, s.spans, needs, gather, func(bin []int64, p int) { code.AddRow(bin, int(row[p])) })
 	return s.cuts, s.bins
 }
 
 // sampleGrid lays the grid over a strided sample of xs: at most SampleSize
 // non-NaN values at a fixed stride (no RNG, so a column always gets the same
-// grid). ok is false when the caller must fall back to selection over the
-// whole column (see SampleGrid).
+// grid). ok is false, and the grid the zero Grid, when the sample has no
+// usable range (see SampleGrid).
 func (s *QuantileScratch) sampleGrid(xs []float64, q int) (Grid, bool) {
 	stride := len(xs) / SampleSize
 	if stride < 1 {
@@ -570,9 +539,9 @@ func (s *QuantileScratch) sampleGrid(xs []float64, q int) (Grid, bool) {
 // SampleGrid lays the grid over the range of a sample of a column's non-NaN
 // values for a q-bin cut, bracketed at the sample's order statistics half a
 // bin in from each end — beyond the outermost cuts, so the catch-all end
-// buckets stay clean, but inside the tails. It permutes sample. ok is false
-// when the range is unusable and the caller must select over the whole
-// column: fewer than two samples, a zero width (a constant or
+// buckets stay clean, but inside the tails. It permutes sample. ok is false,
+// and g the zero Grid, whose one bucket holds the whole column, when the
+// range is unusable: fewer than two samples, a zero width (a constant or
 // one-value-dominated column), a non-finite end or width, or a width so small
 // that the scale overflows. The sample only decides how evenly the buckets
 // fill, never which cuts come out.
@@ -594,41 +563,6 @@ func SampleGrid(sample []float64, q int) (g Grid, ok bool) {
 		return g, false
 	}
 	return Grid{Lo: lo, Scale: scale}, true
-}
-
-// cutsAndCountsSelect is the fallback for a column without a usable sampled
-// range: copy the non-NaN values, run multi-rank quickselect in place, and
-// bin the rows by binary search in row order.
-func (s *QuantileScratch) cutsAndCountsSelect(xs, labels []float64, k int, binary bool, q int) ([]float64, []int32) {
-	s.buf = grown(s.buf, len(xs))
-	clean := s.buf[:0]
-	for _, v := range xs {
-		if v == v { // !IsNaN without the call
-			clean = append(clean, v)
-		}
-	}
-	if len(clean) == 0 {
-		return nil, nil
-	}
-	ranks := s.nearestRanks(len(clean), q)
-	selectRanks(clean, ranks)
-	for _, r := range ranks {
-		if c := clean[r]; len(s.cuts) == 0 || c != s.cuts[len(s.cuts)-1] {
-			s.cuts = append(s.cuts, c)
-		}
-	}
-	if labels == nil {
-		return s.cuts, nil
-	}
-	stride := k + 1
-	s.bins = zeroed(s.bins, (len(s.cuts)+1)*stride)
-	bins := s.bins
-	for i, v := range xs {
-		if v == v {
-			bins[SearchCuts(s.cuts, v)*stride+labelClass(labels[i], k, binary)]++
-		}
-	}
-	return s.cuts, bins
 }
 
 // nearestRanks returns the nearest-rank indices of the q-quantiles of n
@@ -657,7 +591,7 @@ func grown[T any](buf []T, n int) []T {
 }
 
 // zeroed is grown with every counter cleared.
-func zeroed(buf []int32, n int) []int32 {
+func zeroed(buf []int64, n int) []int64 {
 	buf = grown(buf, n)
 	for i := range buf {
 		buf[i] = 0

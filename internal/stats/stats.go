@@ -293,28 +293,14 @@ func InformationValueWidth(feature, labels []float64, bins int) float64 {
 // entire column sweep. The zero value is ready to use; not safe for
 // concurrent use (hot paths keep one per worker).
 type IVScratch struct {
-	q        QuantileScratch
+	crit     CritScratch
 	pos, neg []float64
 }
 
-// InformationValue is InformationValue with buffer reuse. The per-bin label
-// counts come out of the quantile kernel's own two scans (cutsAndCounts);
-// they are integers, so the value is the one a row-order count would give.
+// InformationValue is InformationValue with buffer reuse: the labels coded
+// as a binary target (TargetCode), then CritScratch.Criterion.
 func (s *IVScratch) InformationValue(feature, labels []float64, bins int) float64 {
-	cuts, counts := s.q.cutsAndCounts(feature, labels, binaryClasses, true, bins)
-	numBins := len(cuts) + 1
-	if numBins <= 1 {
-		return 0
-	}
-	pos, neg := s.counts(numBins)
-	var np, nn float64
-	for b := range pos {
-		row := counts[b*(binaryClasses+1):]
-		neg[b], pos[b] = float64(row[0]), float64(row[1])
-		np += pos[b]
-		nn += neg[b]
-	}
-	return ivFromCounts(pos, neg, np, nn)
+	return s.crit.Criterion(feature, s.crit.encode(labels, 2, true), bins)
 }
 
 // InformationValueWidth is InformationValueWidth with buffer reuse.
@@ -381,48 +367,6 @@ func (s *IVScratch) counts(n int) (pos, neg []float64) {
 // exactly the IV a single pass over the concatenated rows yields.
 func IVFromCounts(pos, neg []float64, np, nn float64) float64 {
 	return ivFromCounts(pos, neg, np, nn)
-}
-
-// GainRatioFromCounts computes the information gain ratio of a partition
-// given per-cell positive/negative label counts: the count-space equivalent
-// of GainRatio(labels, parts, numParts) over rows with valid part ids. Cell
-// counts are integers, so per-partition counts merged by addition reproduce
-// the single-pass value bit-for-bit.
-func GainRatioFromCounts(pos, tot []int) float64 {
-	n, allPos := 0, 0
-	for p := range tot {
-		n += tot[p]
-		allPos += pos[p]
-	}
-	if n == 0 {
-		return 0
-	}
-	// Split entropy (the denominator), accumulated in cell order exactly as
-	// SplitEntropy does.
-	split := 0.0
-	for p := range tot {
-		if tot[p] == 0 {
-			continue
-		}
-		f := float64(tot[p]) / float64(n)
-		split -= f * math.Log(f)
-	}
-	if split <= 0 {
-		return 0
-	}
-	base := entropyFromCounts(allPos, n-allPos)
-	cond := 0.0
-	for p := range tot {
-		if tot[p] == 0 {
-			continue
-		}
-		cond += float64(tot[p]) / float64(n) * entropyFromCounts(pos[p], tot[p]-pos[p])
-	}
-	gain := base - cond
-	if gain < 0 {
-		gain = 0
-	}
-	return gain / split
 }
 
 // ivFromCounts folds per-bin positive/negative counts into the IV, with the
