@@ -520,16 +520,8 @@ func newBinner(cols [][]float64, maxBins int, pool *parallel.Pool) *binner {
 			cuts := quantileCuts(cols[j], maxBins, qs)
 			b.cuts[j] = cuts
 			b.numBins[j] = len(cuts) + 1
-			ix.Reset(cuts)
-			codes := make([]uint8, len(cols[j]))
-			for i, v := range cols[j] {
-				if math.IsNaN(v) {
-					codes[i] = 0
-					continue
-				}
-				codes[i] = uint8(1 + ix.Find(v))
-			}
-			b.codes[j] = codes
+			b.codes[j] = make([]uint8, len(cols[j]))
+			ix.FillCodes(b.codes[j], cols[j], cuts)
 		}
 	})
 	return b

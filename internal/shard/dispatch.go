@@ -93,20 +93,20 @@ type PassSpec struct {
 	Entries  []EntrySpec      // PassGramCodes
 
 	prepOnce sync.Once
-	prep     []*gridTables
+	plans    []stats.GatherPlan
 }
 
-// tables returns the gather pass's bucket tables, one per grid, built on
-// first use. They are read-only to the kernels, so every chunk of the pass and
-// the goroutines of one kernel's column loop share them.
-func (s *PassSpec) tables() []*gridTables {
+// tables returns the gather pass's plans, one per grid, laid on first use.
+// They are read-only to the kernels, so every chunk of the pass and the
+// goroutines of one kernel's column loop share them.
+func (s *PassSpec) tables() []stats.GatherPlan {
 	s.prepOnce.Do(func() {
-		s.prep = make([]*gridTables, len(s.Grids))
-		for i := range s.Grids {
-			s.prep[i] = newGridTables(&s.Grids[i])
+		s.plans = make([]stats.GatherPlan, len(s.Grids))
+		for i, g := range s.Grids {
+			s.plans[i].Reset(g.Grid.Buckets(), g.Buckets, g.IV)
 		}
 	})
-	return s.prep
+	return s.plans
 }
 
 // Partial is one chunk's computed contribution to a pass. Which payload
@@ -387,31 +387,6 @@ type scratch struct {
 	pos  []int     // a gather's write cursors
 }
 
-// rowBuckets returns the scratch's per-row bucket buffer at length n.
-func (s *scratch) rowBuckets(n int) []int16 {
-	if cap(s.rowB) < n {
-		s.rowB = make([]int16, n)
-	}
-	return s.rowB[:n]
-}
-
-// counts returns the scratch's tally table at length n, zeroed.
-func (s *scratch) counts(n int) []int64 {
-	if cap(s.cnt) < n {
-		s.cnt = make([]int64, n)
-	}
-	clear(s.cnt[:n])
-	return s.cnt[:n]
-}
-
-// cursor returns the scratch's cursor buffer at length n.
-func (s *scratch) cursor(n int) []int {
-	if cap(s.pos) < n {
-		s.pos = make([]int, n)
-	}
-	return s.pos[:n]
-}
-
 // floats returns the scratch's generated-column buffer at length n, contents
 // unspecified.
 func (s *scratch) floats(n int) []float64 {
@@ -634,19 +609,6 @@ func (ws *WorkerState) colOf(base int, gen GenSpec, cols [][]float64, buf []floa
 	return buf, nil
 }
 
-// fillCodes bins one column slice into GBDT codes: 0 for NaN, 1+bin
-// otherwise — the binner encoding gbdt.TrainBinned expects.
-func fillCodes(dst []uint8, vals, cuts []float64, ix *stats.CutIndexer) {
-	ix.Reset(cuts)
-	for i, v := range vals {
-		if v != v { // NaN
-			dst[i] = 0
-			continue
-		}
-		dst[i] = uint8(1 + ix.Find(v))
-	}
-}
-
 // ComputePartial computes one chunk's contribution to the given pass — the
 // single kernel behind every executor. The chunk's columns (live features,
 // entries, gathers) are spread over the worker's pool: each is computed by
@@ -733,7 +695,7 @@ func (ws *WorkerState) computeCodes(ctx context.Context, spec *PassSpec, c *fram
 	}
 	ws.codeCols(p, len(cols), nil)
 	return ws.forCols(ctx, len(cols), func(s *scratch, i int) error {
-		fillCodes(p.Codes[i], cols[i], spec.LiveCuts[i], &s.ix)
+		s.ix.FillCodes(p.Codes[i], cols[i], spec.LiveCuts[i])
 		return nil
 	})
 }
@@ -763,7 +725,7 @@ func (ws *WorkerState) computeGather(ctx context.Context, spec *PassSpec, c *fra
 		if err != nil {
 			return err
 		}
-		gatherCol(g, tables[i], vals, ws.code, s, p.Gathers[i])
+		gatherCol(g, &tables[i], vals, ws.code, s, p.Gathers[i])
 		return nil
 	})
 }
@@ -824,7 +786,7 @@ func (ws *WorkerState) computeGramCodes(ctx context.Context, spec *PassSpec, c *
 			p.Moments[slot[i]].AddAll(col)
 		}
 		if e.NeedCodes {
-			fillCodes(p.Codes[i], col, e.Cuts, &s.ix)
+			s.ix.FillCodes(p.Codes[i], col, e.Cuts)
 		}
 		return nil
 	})

@@ -49,9 +49,12 @@
 //  7. redundancy — pairwise co-moments (Gram) of IV survivors + the
 //     generated survivors' moments, the only ones read + codes (Correlated)
 //
-// so seven passes for a one-iteration fit. grid.go is the count and gather passes: the two scans of
-// stats.QuantileScratch with the pass seam between them, one cut path for
-// every column.
+// so seven passes for a one-iteration fit. grid.go is the count and gather
+// passes, one cut path for every column: the count pass counts each chunk on
+// the grid (stats.Grid.Count), and the gather pass runs the in-memory
+// kernel's own two scans on each chunk (stats.Grid.BucketRows,
+// stats.GatherPlan.File), whose results the fitter resolves with the same
+// functions stats.QuantileScratch calls.
 //
 // Everything the XGBoost miner and ranker consume is the resident binned
 // matrix (1 byte per value, ~8× smaller than raw float64 columns) plus the

@@ -16,11 +16,14 @@ import (
 	"repro/internal/wire"
 )
 
-// This file cuts every column exactly, out of core, with the in-memory
-// quantile kernel (stats.QuantileScratch) split across the pass seam: its
-// counting scan is one pass and its gather scan another. The source columns
-// go through the two passes once, before the first round; each round's
-// generated candidates go through them again.
+// This file cuts every column exactly, out of core, on the in-memory
+// quantile kernel's grid and with its very functions, split across the pass
+// seam: the count pass counts each bucket (stats.Grid.Count), the fitter
+// locates the cut buckets (stats.LocateRanks), and the gather pass runs the
+// kernel's two scans on every chunk (stats.Grid.BucketRows, then
+// stats.GatherPlan.File). The source columns go through the two passes once,
+// before the first round; each round's generated candidates go through them
+// again.
 //
 //   - The base pass keeps a row sample: the stats.SampleSize rows with the
 //     smallest sampleKey of their global row index, the same rows for any
@@ -228,14 +231,6 @@ type GridSpec struct {
 	IV      []bool
 }
 
-// buckets is how many buckets the spec's grid has.
-func (g *GridSpec) buckets() int {
-	if g.Grid == (stats.Grid{}) {
-		return 1
-	}
-	return stats.NumBuckets
-}
-
 // check holds a spec that may be a peer's to what the kernels index by: a
 // valid grid or none and, in the gather pass, ascending cut buckets inside it
 // with one IV mark each.
@@ -247,48 +242,14 @@ func (g *GridSpec) check(gather bool) error {
 		return nil
 	}
 	for j, b := range g.Buckets {
-		if b < 0 || b >= g.buckets() || (j > 0 && b <= g.Buckets[j-1]) {
-			return fmt.Errorf("shard: cut bucket %d of %d is not ascending inside the grid", b, g.buckets())
+		if b < 0 || b >= g.Grid.Buckets() || (j > 0 && b <= g.Buckets[j-1]) {
+			return fmt.Errorf("shard: cut bucket %d of %d is not ascending inside the grid", b, g.Grid.Buckets())
 		}
 	}
 	if len(g.IV) != len(g.Buckets) {
 		return fmt.Errorf("shard: %d criterion marks for %d cut buckets", len(g.IV), len(g.Buckets))
 	}
 	return nil
-}
-
-// gridTables is what the gather kernel looks a bucket up in, built once per
-// pass from a GridSpec: slot[b] is b's index among the cut buckets (-1: not
-// one), span[b] the run of buckets between criterion cut buckets that b lies
-// in (-1: a criterion cut bucket itself).
-type gridTables struct {
-	slot, span []int16
-	spans      int
-}
-
-func newGridTables(g *GridSpec) *gridTables {
-	nb := g.buckets()
-	t := &gridTables{slot: make([]int16, nb), span: make([]int16, nb)}
-	for b := range t.slot {
-		t.slot[b] = -1
-	}
-	for j, b := range g.Buckets {
-		t.slot[b] = int16(j)
-	}
-	j := 0
-	for b := range t.span {
-		if j < len(g.Buckets) && g.Buckets[j] == b {
-			j++
-			if g.IV[j-1] {
-				t.span[b] = -1
-				t.spans++
-				continue
-			}
-		}
-		t.span[b] = int16(t.spans)
-	}
-	t.spans++
-	return t
 }
 
 // GridCounts is one column's count-pass partial: its non-NaN values' range,
@@ -624,46 +585,25 @@ func (ws *WorkerState) computeGridCounts(ctx context.Context, spec *PassSpec, c 
 	})
 }
 
-// gatherCol is the gather pass's kernel for one candidate column, in two
-// scans of the chunk's column, whose rows code codes. The first buckets every
-// value and tallies its code per bucket: counters spread over the whole
-// grid, so that consecutive values rarely wait on one another's increment.
-// The per-bucket counters then give the cut buckets' sizes and the spans'
-// tallies. The second scan files the cut buckets' values (and, in a
-// criterion cut bucket, their codes). It fills out, reusing its backings.
-func gatherCol(g *GridSpec, t *gridTables, vals []float64, code *stats.TargetCode, s *scratch, out *Gather) {
+// gatherCol is the gather pass's kernel for one candidate column: the grid
+// kernel's two scans (stats.Grid.BucketRows, stats.GatherPlan.File) over the
+// chunk's column, whose rows code codes. Between them, the per-bucket
+// counters of the first give the cut buckets' sizes and the spans' tallies;
+// the second files the cut buckets' values and, in a criterion cut bucket,
+// their codes. It fills out, reusing its backings.
+func gatherCol(g *GridSpec, plan *stats.GatherPlan, vals []float64, code *stats.TargetCode, s *scratch, out *Gather) {
 	w := code.W
-	cnt := s.counts(len(t.slot) * w)
-	rowB := s.rowBuckets(len(vals))
-	gridded := g.Grid != (stats.Grid{})
-	for i, v := range vals {
-		if v != v {
-			rowB[i] = -1
-			continue
-		}
-		b := 0
-		if gridded {
-			b = g.Grid.Bucket(v)
-		}
-		rowB[i] = int16(b)
-		code.AddRow(cnt[b*w:], i)
-	}
+	s.cnt, s.rowB = roomy(s.cnt, g.Grid.Buckets()*w), roomy(s.rowB, len(vals))
+	clear(s.cnt)
+	g.Grid.BucketRows(s.rowB, s.cnt, vals, code)
 	out.Sizes = roomy(out.Sizes, len(g.Buckets))
 	for j, b := range g.Buckets {
-		out.Sizes[j] = int32(code.Rows(cnt[b*w : (b+1)*w]))
+		out.Sizes[j] = int32(code.Rows(s.cnt[b*w : (b+1)*w]))
 	}
-	out.Spans = roomy(out.Spans, t.spans*w)
-	clear(out.Spans)
-	for b, sp := range t.span {
-		if sp >= 0 {
-			dst := out.Spans[int(sp)*w : (int(sp)+1)*w]
-			for c, n := range cnt[b*w : (b+1)*w] {
-				dst[c] += n
-			}
-		}
-	}
-	pos := s.cursor(2 * len(g.Buckets))
-	vpos, cpos := pos[:len(g.Buckets)], pos[len(g.Buckets):]
+	out.Spans = roomy(out.Spans, plan.Spans*w)
+	plan.SpanTallies(out.Spans, s.cnt, w)
+	s.pos = roomy(s.pos, 2*len(g.Buckets))
+	vpos, cpos := s.pos[:len(g.Buckets)], s.pos[len(g.Buckets):]
 	total, coded := 0, 0
 	for j, n := range out.Sizes {
 		vpos[j] = total
@@ -676,21 +616,7 @@ func gatherCol(g *GridSpec, t *gridTables, vals []float64, code *stats.TargetCod
 	}
 	out.Vals = roomy(out.Vals, total)
 	out.Codes = roomy(out.Codes, coded)
-	for i, b := range rowB {
-		if b < 0 {
-			continue
-		}
-		sl := t.slot[b]
-		if sl < 0 {
-			continue
-		}
-		out.Vals[vpos[sl]] = vals[i]
-		vpos[sl]++
-		if at := cpos[sl]; at >= 0 {
-			out.Codes[at] = code.Q[i]
-			cpos[sl]++
-		}
-	}
+	plan.File(out.Vals, out.Codes, vpos, cpos, s.rowB, vals, code.Q)
 }
 
 // roomy returns s at length n, contents unspecified: in its own backing when

@@ -2,8 +2,11 @@ package shard
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/stats"
 )
 
@@ -72,6 +75,89 @@ func TestGridKernelsMatchBuiltinForms(t *testing.T) {
 			if got := g.Bucket(v); got != want {
 				t.Errorf("grid %+v: Bucket(%v) = %d, the builtins give %d", g, v, got, want)
 			}
+		}
+	}
+}
+
+// TestGridKernelAllocatesNothing holds the one grid kernel to no allocation
+// once its scratch is warm, in both engines: stats.CritScratch.Criterion over
+// a binary, a multiclass:3 and a regression code, stats.QuantileScratch's
+// Quantiles, and the gather pass's kernel on a WorkerState's chunk (the
+// chunk's labels coded, then both scans over a source column and a generated
+// one, computed beforehand). The race detector's instrumentation allocates, so it skips under
+// -race; CI runs it by name without.
+func TestGridKernelAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const rows = 5000
+	rng := rand.New(rand.NewSource(43))
+	c := &frame.Chunk{Cols: [][]float64{make([]float64, rows), make([]float64, rows)}, Label: make([]float64, rows)}
+	for i := 0; i < rows; i++ {
+		c.Cols[0][i] = rng.NormFloat64() / rng.NormFloat64()
+		if i%17 == 0 {
+			c.Cols[0][i] = math.NaN()
+		}
+		c.Cols[1][i] = rng.ExpFloat64()
+		c.Label[i] = float64(rng.Intn(3))
+	}
+	tasks := []core.Task{{Kind: core.TaskBinary}, {Kind: core.TaskMulticlass, Classes: 3}, {Kind: core.TaskRegression}}
+	var crit stats.CritScratch
+	var q stats.QuantileScratch
+	for _, task := range tasks {
+		code := task.Code(c.Label)
+		criterion := func() { crit.Criterion(c.Cols[0], code, 10) }
+		criterion()
+		if a := testing.AllocsPerRun(20, criterion); a != 0 {
+			t.Errorf("%v: CritScratch.Criterion: %v allocations a call", task, a)
+		}
+	}
+	quantiles := func() { q.Quantiles(c.Cols[1], 255) }
+	quantiles()
+	if a := testing.AllocsPerRun(20, quantiles); a != 0 {
+		t.Errorf("QuantileScratch.Quantiles: %v allocations a call", a)
+	}
+
+	names := []string{"a", "b"}
+	for _, task := range tasks {
+		ws := NewWorkerStateOn(names, task, 1)
+		if err := ws.SetLive(1, nil, names); err != nil {
+			t.Fatal(err)
+		}
+		gen := GenSpec{Op: "div", Feats: []int{0, 1}}
+		if _, err := ws.applier(gen.Op, 2); err != nil {
+			t.Fatal(err)
+		}
+		grid, _ := stats.SampleGrid(append([]float64(nil), c.Cols[1][:stats.SampleSize]...), 10)
+		spec := &PassSpec{Kind: PassRefine, Epoch: 1, Grids: []GridSpec{
+			{Base: 0, Buckets: []int{0}, IV: []bool{true}},
+			{Base: -1, Gen: gen, Grid: grid, Buckets: []int{0, 40, 700, stats.NumBuckets - 1}, IV: []bool{true, false, true, false}},
+		}}
+		cols := ws.liveCols(c)
+		vals := make([][]float64, len(spec.Grids))
+		for i, g := range spec.Grids {
+			var err error
+			if vals[i], err = ws.colOf(g.Base, g.Gen, cols, make([]float64, rows)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plans := spec.tables()
+		s := ws.takeScratch()
+		out := []*Gather{new(Gather), new(Gather)}
+		gather := func() {
+			if err := ws.codeLabels(c.Label, &spec.Target); err != nil {
+				t.Fatal(err)
+			}
+			for i := range spec.Grids {
+				gatherCol(&spec.Grids[i], &plans[i], vals[i], ws.code, s, out[i])
+			}
+		}
+		gather()
+		if a := testing.AllocsPerRun(20, gather); a != 0 {
+			t.Errorf("%v: the gather kernel: %v allocations a chunk", task, a)
+		}
+		if len(out[0].Vals) == 0 || len(out[1].Codes) == 0 {
+			t.Fatalf("%v: the gather kernel filed nothing (%d values, %d codes); the check would be vacuous", task, len(out[0].Vals), len(out[1].Codes))
 		}
 	}
 }

@@ -259,7 +259,7 @@ type criteriaScratch struct {
 
 // checkCriteriaExact compares every criterion kernel with its reference on
 // one column, bit for bit (NaN compares equal to NaN: fuzzed targets can
-// overflow a moment), and Bin with SearchCuts on every value of the column.
+// overflow a moment).
 // labels serves the binary criterion as is (> 0.5), the multiclass ones as
 // class indices with whatever falls outside [0,k), and η² as the target.
 func checkCriteriaExact(t *testing.T, tag string, s *criteriaScratch, feature, labels []float64, bins int) {
@@ -275,15 +275,6 @@ func checkCriteriaExact(t *testing.T, tag string, s *criteriaScratch, feature, l
 	}
 	if got, want := s.crit.CorrelationRatio(feature, labels, bins), referenceCorrelationRatio(feature, labels, bins); !same(got, want) {
 		t.Fatalf("%s: correlation ratio %v, reference %v", tag, got, want)
-	}
-	cuts := s.q.Quantiles(feature, bins)
-	for i, v := range feature {
-		if v != v {
-			continue
-		}
-		if got, want := s.q.Bin(v), SearchCuts(cuts, v); got != want {
-			t.Fatalf("%s: Bin(feature[%d]=%v) = %d, SearchCuts %d", tag, i, v, got, want)
-		}
 	}
 }
 
@@ -422,14 +413,6 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			if wantCuts := freshQ.Quantiles(feature, bins); !sameFloats(gotCuts, wantCuts) {
 				t.Fatalf("%s: quantiles %v, fresh %v", tag, gotCuts, wantCuts)
 			}
-			for i, v := range feature {
-				if v != v {
-					continue
-				}
-				if got, want := q.binRow(i, v), freshQ.Bin(v); got != want {
-					t.Fatalf("%s: row %d (%v) in bin %d, fresh %d", tag, i, v, got, want)
-				}
-			}
 		}
 	}
 }
@@ -541,8 +524,8 @@ func TestCriteriaMetamorphic(t *testing.T) {
 			}
 		}
 		want := criteria(c.xs, binary)
-		if s.iv.crit.q.gridded != c.gridded {
-			t.Fatalf("%s: gridded %v, want %v: the column misses the path it is here for", c.name, s.iv.crit.q.gridded, c.gridded)
+		if _, gridded := new(QuantileScratch).sampleGrid(c.xs, bins); gridded != c.gridded {
+			t.Fatalf("%s: gridded %v, want %v: the column misses the path it is here for", c.name, gridded, c.gridded)
 		}
 		if want[0] == 0 || want[1] == 0 || want[2] == 0 {
 			t.Fatalf("%s: a criterion is 0 (%v); the check would be vacuous", c.name, want)

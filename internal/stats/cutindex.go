@@ -11,13 +11,15 @@ import "math"
 // that would make the scan long (many cuts per bucket) fall back to binary
 // search at Reset time.
 //
-// Its callers bin values against cuts that came from somewhere else: the
-// sharded engine's label/moment histograms and bin codes (internal/sketch,
-// shard.fillCodes) and the GBDT binner's code fill (gbdt.newBinner). The
-// criteria that cut a column at its own quantiles do not use it — the quantile
-// kernel's bucket grid already knows each row's bin (QuantileScratch,
-// quantselect.go) — and neither does the combination scorer, which reads the
-// binner's codes and searches nothing per row (core.ScoreCombos).
+// Its one product use is FillCodes, the GBDT binner's code fill, which bins
+// values against cuts that came from somewhere else: the binner's own
+// (gbdt.newBinner) and, out of core, the miner's and ranker's cuts a pass
+// carries (internal/shard). The criteria that cut a column at its own
+// quantiles do not use it — the grid kernel's buckets already place each row
+// (QuantileScratch, quantselect.go) — and neither does the combination
+// scorer, which reads the binner's codes and searches nothing per row
+// (core.ScoreCombos). internal/sketch's histograms, which only the benchmark's
+// probes call, use Find as well.
 //
 // The zero value is ready for Reset. Not safe for concurrent use; hot paths
 // keep one per worker next to their other scratch.
@@ -99,4 +101,18 @@ func (ix *CutIndexer) Find(v float64) int {
 		j--
 	}
 	return j
+}
+
+// FillCodes bins vals against cuts into dst (len(vals) codes) as the GBDT
+// binner codes a column: 0 for NaN, else 1 + SearchCuts(cuts, v). It Resets
+// ix to cuts.
+func (ix *CutIndexer) FillCodes(dst []uint8, vals, cuts []float64) {
+	ix.Reset(cuts)
+	for i, v := range vals {
+		if v != v {
+			dst[i] = 0
+			continue
+		}
+		dst[i] = uint8(1 + ix.Find(v))
+	}
 }

@@ -36,29 +36,33 @@
 // Every equal-frequency criterion, the GBDT binner and the discretising
 // operators cut a resident column at exact nearest-rank quantiles through
 // QuantileScratch (quantselect.go). It reads the column twice, whatever the
-// distribution: a counting scan over a grid of 1,024 equal-width buckets
+// distribution, through the grid kernel both engines share: the first scan
+// (Grid.BucketRows) buckets every row on a grid of 1,024 equal-width buckets
 // whose range comes from a 256-value strided sample (the end buckets catch
-// the tails), which records each row's bucket in the scratch, then a gather,
-// by the recorded buckets, of the few buckets a target rank falls into,
-// which multi-rank quickselect resolves exactly. Each value is bucketed
-// once. The bucket index is monotone in the value, so the cuts are the ones
-// a full sort would give for any sample; a column without a usable sampled
-// range (constant, dominated by one value, non-finite) is cut on the zero
-// Grid, whose one bucket holds it whole and is gathered and selected like
-// any cut bucket — the out-of-core engine's one bucket too. A criterion
-// adds each row's code to its bucket's counters in the counting scan and
-// reads its per-bin counters off them, the gathered rows placed one by one —
-// integers, so the values equal a row-order count bit for bit, for every
-// task. TestScratchReuseMatchesFresh holds a reused scratch to a fresh one's
-// cuts and counters, so that no row reads a bucket recorded for an earlier
-// column.
+// the tails), records the bucket and adds the row's code to that bucket's
+// counters; LocateRanks finds the few buckets a target rank falls into; the
+// second scan (GatherPlan.File) files their members, with their codes, by
+// the recorded buckets; multi-rank quickselect resolves them exactly. Each
+// value is bucketed once. The out-of-core gather pass runs the same two
+// scans on each chunk (internal/shard). The bucket index is monotone in the
+// value, so the cuts are the ones a full sort would give for any sample; a
+// column without a usable sampled range (constant, dominated by one value,
+// non-finite) is cut on the zero Grid, whose one bucket holds it whole and is
+// gathered and selected like any cut bucket — the out-of-core engine's one
+// bucket too. A criterion's per-bin counters are its buckets' counters summed
+// over the runs between cut buckets (GatherPlan.SpanTallies), the gathered
+// members' codes added one by one (BinTallies) — integers, so the values
+// equal a row-order count bit for bit, for every task.
+// TestScratchReuseMatchesFresh holds a reused scratch to a fresh one's cuts
+// and counters, so that no row reads a bucket recorded for an earlier column.
 // TestCriteriaMatchReference and FuzzCriterionExact hold all of them to a
 // sort-and-binary-search reference with exact comparison.
 //
 // CutIndexer (cutindex.go) is the other lookup: SearchCuts against a fixed
-// cut array that did not come from the caller's own column — the sharded
-// engine's histograms and bin codes (internal/sketch, internal/shard), the
-// GBDT binner's code fill, and core's combination cells.
+// cut array that did not come from the caller's own column. Its product use
+// is FillCodes, the GBDT binner's code fill (gbdt.newBinner, and the
+// out-of-core passes that code the live features and the Gram pass's
+// entries); the benchmark's sketch probes (internal/sketch) call it too.
 //
 // The package also provides Pearson correlation (Algorithm 4, Eq. 7),
 // equal-frequency/equal-width binning, ChiMerge discretisation, and the

@@ -24,13 +24,15 @@ import (
 // bucket alone, and a row in a cut bucket is compared with the cuts. The
 // sample only decides how evenly the buckets fill; a bad one makes an end
 // bucket's selection larger, never the answer different. A column costs two
-// scans (count, gather) whatever its tails, and each value is bucketed once:
-// the counting scan records every row's bucket for the gathering scan — a grid over [min, max] instead
-// collapses a heavy-tailed column (a ratio) into one or two buckets and with
-// it the finder into a quickselect over the whole column. A column whose
-// sample has no usable range (constant, one-value-dominated, non-finite) is
-// cut on the zero Grid, one bucket that holds it whole: the same two scans,
-// and selection over every non-NaN value.
+// scans whatever its tails, and each value is bucketed once: the first
+// (Grid.BucketRows) records every row's bucket for the second
+// (GatherPlan.File), which files the cut buckets' members. The out-of-core
+// gather pass runs the same two scans on each chunk. A grid over [min, max]
+// instead collapses a heavy-tailed column (a ratio) into one or two buckets
+// and with it the finder into a quickselect over the whole column. A column
+// whose sample has no usable range (constant, one-value-dominated,
+// non-finite) is cut on the zero Grid, one bucket that holds it whole: the
+// same two scans, and selection over every non-NaN value.
 
 // selectRanks partially sorts xs in place so that xs[r] holds the r-th
 // smallest element for every r in ranks. ranks must be sorted ascending,
@@ -194,10 +196,17 @@ func (g Grid) Bucket(v float64) int {
 	return int(x)
 }
 
+// Buckets is how many buckets g has: NumBuckets, or the zero Grid's one.
+func (g Grid) Buckets() int {
+	if g == (Grid{}) {
+		return 1
+	}
+	return NumBuckets
+}
+
 // Count adds the non-NaN values of xs to cnt[bucket] (NumBuckets counters),
-// returning how many — the out-of-core count pass's scan. The in-memory
-// kernel's counting scan (cutsAndCounts) counts the same way and also
-// records each row's bucket and tallies its code.
+// returning how many — the out-of-core count pass's scan, which records
+// nothing per row.
 func (g Grid) Count(cnt []int32, xs []float64) (n int) {
 	cnt = cnt[:NumBuckets]
 	for _, v := range xs {
@@ -208,6 +217,105 @@ func (g Grid) Count(cnt []int32, xs []float64) (n int) {
 		cnt[g.Bucket(v)]++
 	}
 	return n
+}
+
+// BucketRows is the grid kernel's first scan, in both engines (in memory
+// QuantileScratch.cutsAndCounts, out of core the gather pass on each chunk;
+// GatherPlan.File is the second): it records each row's bucket on g in rowB
+// (len(xs) entries; −1 for NaN, and the zero Grid's one bucket is 0) and adds
+// the row's code to that bucket's counters, cnt[b·W:] (zeroed, W a bucket;
+// TargetCode.AddRow, where a nil code counts rows), returning the non-NaN
+// rows. The counters spread over the whole grid, so that consecutive values
+// rarely wait on one another's increment.
+func (g Grid) BucketRows(rowB []int16, cnt []int64, xs []float64, code *TargetCode) (n int) {
+	w := code.width()
+	gridded := g != (Grid{})
+	for i, v := range xs {
+		if v != v {
+			rowB[i] = -1
+			continue
+		}
+		b := 0
+		if gridded {
+			b = g.Bucket(v)
+		}
+		rowB[i] = int16(b)
+		code.AddRow(cnt[b*w:], i)
+		n++
+	}
+	return n
+}
+
+// GatherPlan is what the second scan looks a bucket up in, laid once per
+// column from its cut buckets: slot[b] is bucket b's index among them (−1:
+// not one), span[b] the run of buckets between criterion cut buckets that b
+// lies in (−1: a criterion cut bucket itself). Spans is how many runs there
+// are, one more than the criterion cut buckets. A laid plan is only read, so
+// goroutines may share it.
+type GatherPlan struct {
+	slot, span []int16
+	Spans      int
+}
+
+// Reset lays the plan for a grid of nb buckets whose cut buckets are
+// buckets, ascending and inside the grid, crit[j] marking those that hold a
+// criterion cut (nil: every one), reusing its backings.
+func (p *GatherPlan) Reset(nb int, buckets []int, crit []bool) {
+	p.slot, p.span = grown(p.slot, nb), grown(p.span, nb)
+	p.Spans = 0
+	j := 0
+	for b := range p.slot {
+		p.slot[b], p.span[b] = -1, int16(p.Spans)
+		if j < len(buckets) && buckets[j] == b {
+			p.slot[b] = int16(j)
+			if crit == nil || crit[j] {
+				p.span[b] = -1
+				p.Spans++
+			}
+			j++
+		}
+	}
+	p.Spans++
+}
+
+// SpanTallies sets spans (Spans·w counters) to the sums of the per-bucket
+// counters cnt (w a bucket) over each run of buckets between criterion cut
+// buckets.
+func (p *GatherPlan) SpanTallies(spans, cnt []int64, w int) {
+	clear(spans)
+	for b, sp := range p.span {
+		if sp >= 0 {
+			dst := spans[int(sp)*w:][:w]
+			for c, v := range cnt[b*w:][:w] {
+				dst[c] += v
+			}
+		}
+	}
+}
+
+// File is the second scan: by the buckets BucketRows recorded for xs (rowB),
+// it files each member of cut bucket j at vals[vpos[j]] and, when cpos[j] is
+// not −1, its code q[i] at codes[cpos[j]], advancing the cursors.
+func (p *GatherPlan) File(vals []float64, codes []int64, vpos, cpos []int, rowB []int16, xs []float64, q []int64) {
+	// The table and xs's length are read once: inlined into a caller with
+	// many live slices, the loop otherwise reloads p.slot and checks xs's
+	// bounds on every row, ~5% of the gather kernel.
+	slot, xs := p.slot, xs[:len(rowB)]
+	for i, b := range rowB {
+		if b < 0 {
+			continue
+		}
+		sl := slot[b]
+		if sl < 0 {
+			continue
+		}
+		vals[vpos[sl]] = xs[i]
+		vpos[sl]++
+		if at := cpos[sl]; at >= 0 {
+			codes[at] = q[i]
+			cpos[sl]++
+		}
+	}
 }
 
 // CutBucket is one bucket that holds at least one target rank (and so at
@@ -319,29 +427,22 @@ type QuantileScratch struct {
 	ranks  []int     // the nearest-rank targets, ascending
 	cuts   []float64 // the deduplicated cuts the last call returned
 	sample []float64 // the grid's sample; later the rank values
-	// rowB holds each row's bucket, −1 for NaN, for the column the last call
-	// cut: the counting scan writes every entry below len(xs) and only those
-	// are read (by the gathering scan and binRow), so a longer earlier column
-	// leaves nothing that is used.
-	rowB   []int16
-	counts []int64 // NumBuckets × W counters
-	sizes  []int32 // each bucket's rows
-	needs  []CutBucket
-	slot   []int16   // bucket → index into needs, -1 for a bucket without a cut
-	local  []int     // ranks rewritten as offsets into their bucket
-	pos    []int     // the gather cursors; later each cut bucket's cut count
-	gather []float64 // members of the cut buckets, bucket by bucket
-	row    []int32   // their rows, in the same order
-	sel    []float64 // selection permutes: it runs on a copy when row pairs with gather
-	spans  []int64   // counters of the runs of buckets between cut buckets
-	bins   []int64   // per-bin counters handed to the criteria
-
-	// Left behind by the last call for Bin: binLo[b] is the number of cuts in
-	// buckets below b (NumBuckets+1 entries). gridded is false after a call
-	// that cut the column on the zero Grid, whose Bin is SearchCuts.
-	grid    Grid
-	gridded bool
-	binLo   []int32
+	// rowB holds each row's bucket, −1 for NaN, for the column being cut: the
+	// first scan writes every entry below len(xs) and only those are read, so
+	// a longer earlier column leaves nothing that is used.
+	rowB    []int16
+	counts  []int64 // a bucket's W counters, bucket by bucket
+	sizes   []int32 // each bucket's rows
+	needs   []CutBucket
+	buckets []int // the cut buckets, as the plan takes them
+	plan    GatherPlan
+	local   []int     // ranks rewritten as offsets into their bucket
+	pos     []int     // the filing cursors (members, codes); later each cut bucket's cut count
+	gather  []float64 // members of the cut buckets, bucket by bucket
+	codes   []int64   // their codes, in the same order
+	sel     []float64 // selection permutes: it runs on a copy when codes pair with gather
+	spans   []int64   // counters of the runs of buckets between cut buckets
+	bins    []int64   // per-bin counters handed to the criteria
 }
 
 // Quantiles is Quantiles with buffer reuse: the returned slice aliases the
@@ -351,169 +452,81 @@ func (s *QuantileScratch) Quantiles(xs []float64, q int) []float64 {
 	return cuts
 }
 
-// Bin returns SearchCuts(cuts, v) for the cuts of the last Quantiles call,
-// for a non-NaN v: one table load, and a comparison only when v's bucket
-// holds a cut.
-func (s *QuantileScratch) Bin(v float64) int {
-	if !s.gridded {
-		return SearchCuts(s.cuts, v)
-	}
-	return s.binIn(s.grid.Bucket(v), v)
-}
-
-// binRow is Bin for xs[i] = v, xs being the column the last call cut: with a
-// grid it reads the bucket that call recorded for the row.
-func (s *QuantileScratch) binRow(i int, v float64) int {
-	if !s.gridded {
-		return SearchCuts(s.cuts, v)
-	}
-	return s.binIn(int(s.rowB[i]), v)
-}
-
-// binIn is the bin of a value v in bucket b.
-func (s *QuantileScratch) binIn(b int, v float64) int {
-	j, hi := int(s.binLo[b]), int(s.binLo[b+1])
-	for j < hi && s.cuts[j] < v {
-		j++
-	}
-	return j
-}
-
 // cutsAndCounts is the kernel behind Quantiles and every criterion. It
 // returns the deduplicated nearest-rank q-quantile cuts of xs (nil when q < 2
 // or xs has no non-NaN value) and, when code is non-nil, the counters of the
 // bins those cuts delimit: bins[b·W:] holds what the non-NaN rows of bin b
-// add (TargetCode.AddRow), xs and the code's rows row for row. The counters
-// ride the counting scan — per bucket, then summed into the spans between
-// cut buckets — so a coded call reads xs twice, like an uncoded one. Between
-// the scans and after them it runs the steps the out-of-core engine runs
-// across its two passes: LocateRanks, SelectInBuckets, AppendCuts,
-// BinTallies. A column without a usable sampled range is cut on the zero
-// Grid, whose one bucket holds it whole, as out of core. Both results alias
-// the scratch.
+// add (TargetCode.AddRow), xs and the code's rows row for row. It is the
+// out-of-core gather kernel's composition on one resident column: the two
+// scans (Grid.BucketRows, GatherPlan.File) with LocateRanks between them,
+// then SelectInBuckets, AppendCuts, GatherPlan.SpanTallies and BinTallies.
+// Every cut bucket is a criterion's, so its members carry their codes. A
+// column without a usable sampled range is cut on the zero Grid, whose one
+// bucket holds it whole, as out of core. Both results alias the scratch.
 func (s *QuantileScratch) cutsAndCounts(xs []float64, code *TargetCode, q int) ([]float64, []int64) {
 	s.cuts = s.cuts[:0]
-	s.gridded = false
 	if q < 2 {
 		return nil, nil
 	}
-	w := 1
-	if code != nil {
-		w = code.W
-	}
-	g, gridded := s.sampleGrid(xs, q)
+	w := code.width()
+	g, _ := s.sampleGrid(xs, q)
+	nb := g.Buckets()
 
-	// Scan 1: each row's bucket (−1 for NaN), the bucket counters, and the
-	// non-NaN count the ranks need.
-	s.counts = zeroed(s.counts, NumBuckets*w)
-	cnt := s.counts
+	s.counts = zeroed(s.counts, nb*w)
 	s.rowB = grown(s.rowB, len(xs))
-	rowB := s.rowB
-	var n int
-	for i, v := range xs {
-		if v != v {
-			rowB[i] = -1
-			continue
-		}
-		b := 0 // the zero Grid's one bucket
-		if gridded {
-			b = g.Bucket(v)
-		}
-		rowB[i] = int16(b)
-		code.AddRow(cnt[b*w:], i)
-		n++
-	}
+	n := g.BucketRows(s.rowB, s.counts, xs, code)
 	if n == 0 {
 		return nil, nil
 	}
-	s.sizes = grown(s.sizes, NumBuckets)
+	s.sizes = grown(s.sizes, nb)
 	for b := range s.sizes {
-		s.sizes[b] = int32(code.Rows(cnt[b*w : (b+1)*w]))
+		s.sizes[b] = int32(code.Rows(s.counts[b*w : (b+1)*w]))
 	}
 	ranks := s.nearestRanks(n, q)
 	s.local = grown(s.local, len(ranks))
 	needs, total := LocateRanks(s.needs, s.local, s.sizes, ranks)
 	s.needs = needs
-	s.slot = grown(s.slot, NumBuckets)
-	slot := s.slot
-	for i := range slot {
-		slot[i] = -1
+	s.buckets = s.buckets[:0]
+	for _, nd := range needs {
+		s.buckets = append(s.buckets, nd.Bucket)
+	}
+	s.plan.Reset(nb, s.buckets, nil)
+
+	s.gather = grown(s.gather, total)
+	s.pos = grown(s.pos, 2*len(needs))
+	vpos, cpos := s.pos[:len(needs)], s.pos[len(needs):]
+	var codes, qs []int64
+	if code != nil {
+		s.codes = grown(s.codes, total)
+		codes, qs = s.codes, code.Q
 	}
 	for j, nd := range needs {
-		slot[nd.Bucket] = int16(j)
-	}
-
-	// Scan 2: file the members of every cut bucket, with their rows, by the
-	// buckets scan 1 recorded.
-	s.gather = grown(s.gather, total)
-	gather := s.gather
-	s.pos = grown(s.pos, len(needs))
-	pos := s.pos
-	for i, nd := range needs {
-		pos[i] = nd.Start
-	}
-	if code != nil {
-		s.row = grown(s.row, total)
-	}
-	row := s.row
-	for i, b := range rowB {
-		if b < 0 {
-			continue
-		}
-		if sl := slot[b]; sl >= 0 {
-			p := pos[sl]
-			gather[p] = xs[i]
-			if code != nil {
-				row[p] = int32(i)
-			}
-			pos[sl] = p + 1
+		vpos[j], cpos[j] = nd.Start, -1
+		if code != nil {
+			cpos[j] = nd.Start
 		}
 	}
+	s.plan.File(s.gather, codes, vpos, cpos, s.rowB, xs, qs)
 
 	// Exact selection inside each cut bucket (typically ~n/NumBuckets values
-	// each), on a copy when the rows must stay paired with the members.
+	// each), on a copy when the codes must stay paired with the members. The
+	// rank values and the per-bucket cut counts take buffers the scans are
+	// done with: the sample's (the grid is laid) and the member cursors'.
 	var sel *[]float64
 	if code != nil {
 		sel = &s.sel
 	}
-	// The rank values and the per-bucket cut counts take buffers the scans
-	// are done with: the sample's (the grid is laid) and the gather cursors'.
 	s.sample = grown(s.sample, len(ranks))
-	at, ends := s.sample, pos
-	SelectInBuckets(at, needs, s.local, gather, sel)
+	at, ends := s.sample, vpos
+	SelectInBuckets(at, needs, s.local, s.gather, sel)
 	s.cuts = AppendCuts(s.cuts, ends, at, needs)
-	s.binLo = grown(s.binLo, NumBuckets+1)
-	nb, below := 0, 0
-	for j, nd := range needs {
-		for ; nb <= nd.Bucket; nb++ {
-			s.binLo[nb] = int32(below)
-		}
-		below = ends[j]
-	}
-	for ; nb <= NumBuckets; nb++ {
-		s.binLo[nb] = int32(len(s.cuts))
-	}
-	s.grid, s.gridded = g, gridded
 	if code == nil {
 		return s.cuts, nil
 	}
-
-	// Per-bin counters: the buckets between two cut buckets add theirs to the
-	// one bin they lie in; the gathered rows are resolved one by one.
-	s.spans = zeroed(s.spans, (len(needs)+1)*w)
-	si := 0
-	for b := 0; b < NumBuckets; b++ {
-		if si < len(needs) && needs[si].Bucket == b {
-			si++
-			continue
-		}
-		dst := s.spans[si*w:][:w]
-		for c, v := range cnt[b*w:][:w] {
-			dst[c] += v
-		}
-	}
+	s.spans = grown(s.spans, s.plan.Spans*w)
+	s.plan.SpanTallies(s.spans, s.counts, w)
 	s.bins = zeroed(s.bins, (len(s.cuts)+1)*w)
-	BinTallies(s.bins, w, s.cuts, ends, s.spans, needs, gather, func(bin []int64, p int) { code.AddRow(bin, int(row[p])) })
+	BinTallies(s.bins, w, s.cuts, ends, s.spans, needs, s.gather, func(bin []int64, p int) { code.Add(bin, codes[p]) })
 	return s.cuts, s.bins
 }
 

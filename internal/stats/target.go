@@ -161,6 +161,14 @@ func (t *TargetCode) Add(bin []int64, q int64) {
 	bin[2] += t.Square(q)
 }
 
+// width is the counters a bin has (a nil code's: one).
+func (t *TargetCode) width() int {
+	if t == nil {
+		return 1
+	}
+	return t.W
+}
+
 // Rows is how many rows one bin's counters count (a nil code's: its one
 // counter).
 func (t *TargetCode) Rows(bin []int64) (n int64) {
