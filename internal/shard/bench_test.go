@@ -70,7 +70,8 @@ func BenchmarkShardPass(b *testing.B) {
 		countSpec := &PassSpec{Kind: PassSketchGen, Epoch: 1, Grids: make([]GridSpec, gens)}
 		for i := range cands {
 			spec := GridSpec{Base: -1, Gen: specs[i]}
-			cands[i] = &column{grid: newGridState(spec, sampleGen(specs[i], appliers[i], f.sample.Vals), &f.cfg)}
+			cands[i] = &column{}
+			cands[i].grid = newGridState(spec, sampleGen(specs[i], appliers[i], f.sample.Vals), &f.cfg, &cands[i].cut)
 			countSpec.Grids[i] = cands[i].grid.spec
 		}
 		for _, c := range chunks {
@@ -85,7 +86,7 @@ func BenchmarkShardPass(b *testing.B) {
 		}
 		gatherSpec := &PassSpec{Kind: PassRefine, Epoch: 1, Grids: make([]GridSpec, gens)}
 		for i, c := range cands {
-			c.locate(&f.cfg, code.W)
+			c.locate(&f.cfg, code)
 			gatherSpec.Grids[i] = c.grid.spec
 		}
 		for _, c := range chunks {

@@ -381,10 +381,11 @@ type WorkerState struct {
 // scratch is what one goroutine of a column loop needs to itself.
 type scratch struct {
 	ix   stats.CutIndexer
-	buf  []float64 // generated-column buffer
-	rowB []int16   // a gather's bucket per row
-	cnt  []int64   // a gather's per-bucket tallies
-	pos  []int     // a gather's write cursors
+	in   [3][]float64 // a generated column's inputs
+	buf  []float64    // generated-column buffer
+	rowB []int16      // a gather's bucket per row
+	cnt  []int64      // a gather's per-bucket tallies
+	pos  []int        // a gather's write cursors
 }
 
 // floats returns the scratch's generated-column buffer at length n, contents
@@ -578,34 +579,28 @@ func (ws *WorkerState) Release(p *Partial) {
 	*p = Partial{}
 }
 
-// genCol computes one generated candidate column into dst (len rows) as the
-// program would compute the node. The pass's operators are resolved
-// (resolveOps) before any loop calls it.
-func (ws *WorkerState) genCol(g GenSpec, cols [][]float64, dst []float64) error {
-	var in [3][]float64
-	iv := in[:len(g.Feats)]
-	for k, fi := range g.Feats {
-		if fi < 0 || fi >= len(cols) {
-			return fmt.Errorf("shard: generated input %d outside live set of %d", fi, len(cols))
-		}
-		iv[k] = cols[fi]
-	}
-	core.Apply(ws.appliers[g.Op], iv, dst)
-	return nil
-}
-
 // colOf resolves the column an entry or a grid spec names for the chunk: live
-// column base as it is, or, when base is negative, gen computed into buf.
-func (ws *WorkerState) colOf(base int, gen GenSpec, cols [][]float64, buf []float64) ([]float64, error) {
+// column base as it is or, when base is negative, gen computed into buf as
+// the program would compute the node. The inputs are gathered in the
+// scratch's array, which a local one would not save: it escapes through the
+// applier's interface call. The pass's operators are resolved (resolveOps)
+// before any loop calls it.
+func (ws *WorkerState) colOf(s *scratch, base int, gen GenSpec, cols [][]float64, buf []float64) ([]float64, error) {
 	if base >= 0 {
 		if base >= len(cols) {
 			return nil, fmt.Errorf("shard: base column %d outside live set of %d", base, len(cols))
 		}
 		return cols[base], nil
 	}
-	if err := ws.genCol(gen, cols, buf); err != nil {
-		return nil, err
+	in := s.in[:len(gen.Feats)]
+	for k, fi := range gen.Feats {
+		if fi < 0 || fi >= len(cols) {
+			return nil, fmt.Errorf("shard: generated input %d outside live set of %d", fi, len(cols))
+		}
+		in[k] = cols[fi]
 	}
+	core.Apply(ws.appliers[gen.Op], in, buf)
+	clear(in) // the chunk's columns are not the scratch's to keep
 	return buf, nil
 }
 
@@ -721,7 +716,7 @@ func (ws *WorkerState) computeGather(ctx context.Context, spec *PassSpec, c *fra
 	p.Gathers = ws.gathers[:len(spec.Grids):len(spec.Grids)]
 	return ws.forCols(ctx, len(spec.Grids), func(s *scratch, i int) error {
 		g := &spec.Grids[i]
-		vals, err := ws.colOf(g.Base, g.Gen, cols, s.floats(p.Rows))
+		vals, err := ws.colOf(s, g.Base, g.Gen, cols, s.floats(p.Rows))
 		if err != nil {
 			return err
 		}
@@ -777,7 +772,7 @@ func (ws *WorkerState) computeGramCodes(ctx context.Context, spec *PassSpec, c *
 		if e.Base < 0 {
 			owned[i] = ws.arena.Floats(rows)
 		}
-		col, err := ws.colOf(e.Base, e.Gen, cols, owned[i])
+		col, err := ws.colOf(s, e.Base, e.Gen, cols, owned[i])
 		if err != nil {
 			return err
 		}

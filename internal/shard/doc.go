@@ -53,8 +53,10 @@
 // passes, one cut path for every column: the count pass counts each chunk on
 // the grid (stats.Grid.Count), and the gather pass runs the in-memory
 // kernel's own two scans on each chunk (stats.Grid.BucketRows,
-// stats.GatherPlan.File), whose results the fitter resolves with the same
-// functions stats.QuantileScratch calls.
+// stats.GatherPlan.File). Between and after them, a column's cuts are laid
+// out and resolved by the one type stats.QuantileScratch uses too,
+// stats.CutTable: the fitter lays it from the summed counts, files the
+// gathers into it and resolves it, and reads every cut of the column off it.
 //
 // Everything the XGBoost miner and ranker consume is the resident binned
 // matrix (1 byte per value, ~8× smaller than raw float64 columns) plus the

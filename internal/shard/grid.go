@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/frame"
@@ -18,8 +17,8 @@ import (
 
 // This file cuts every column exactly, out of core, on the in-memory
 // quantile kernel's grid and with its very functions, split across the pass
-// seam: the count pass counts each bucket (stats.Grid.Count), the fitter
-// locates the cut buckets (stats.LocateRanks), and the gather pass runs the
+// seam: the count pass counts each bucket (stats.Grid.Count), the fitter lays
+// the column's cut table (stats.CutTable), and the gather pass runs the
 // kernel's two scans on every chunk (stats.Grid.BucketRows, then
 // stats.GatherPlan.File). The source columns go through the two passes once,
 // before the first round; each round's generated candidates go through them
@@ -36,27 +35,29 @@ import (
 //     source column's counts add up to the chunk's non-NaN rows, as the base
 //     pass reported them; a generated column holds no NaN (core.Apply
 //     sanitises it), so its counts add up to the chunk's rows. The fitter adds
-//     them up and finds the bucket of every rank a cut of the column can ask
-//     for (stats.LocateRanks over cutRankUnion). A generated column's moments,
-//     which only the Pearson stage reads, are left to the Gram pass, which
-//     regenerates just the survivors.
+//     them up and lays the cut table at the miner's, the criterion's and the
+//     ranker's bin counts: the bucket of every rank a cut of the column can
+//     ask for, and which of them hold a criterion rank. A generated column's
+//     moments, which only the Pearson stage reads, are left to the Gram pass,
+//     which regenerates just the survivors.
 //   - The gather pass (PassRefine) returns the values in those cut buckets
 //     (Gather), the target code of each value in a bucket holding a
 //     criterion cut, and the counters of the runs of buckets between them.
 //     The fit's stats.TargetCode, which the kernel rebuilds on its chunk's
 //     labels, says what a row adds (class counts for a count task; rows, Σq
-//     and Σq2 for regression) and checks what a peer sends. The fitter
-//     selects every rank exactly (stats.SelectInBuckets) and bins the codes
-//     (stats.AppendCuts, stats.BinTallies): the cuts and the criterion
-//     tallies in-memory fitting gives, bit for bit — integers, so the order
-//     the partitions arrive in does not matter. A live column keeps the
-//     criterion it was first counted with: its values, labels and cuts do not
-//     change between rounds.
+//     and Σq2 for regression) and checks what a peer sends. The fitter files
+//     the gathers into the cut table and resolves it (CutTable.Resolve):
+//     every rank selected exactly and the codes binned, the cuts and the
+//     criterion tallies in-memory fitting gives, bit for bit — integers, so
+//     the order the partitions arrive in does not matter. Every cut of the
+//     column is read off the resolved table (CutTable.AppendCuts). A live
+//     column keeps the criterion it was first counted with: its values,
+//     labels and cuts do not change between rounds.
 //
 // A column whose sample has no usable range gets the zero Grid: the whole
 // column is one bucket, as in the in-memory kernel. A constant column
 // gathers nothing: once the count pass has seen its range close to one
-// value, every rank is that value. A column that is mostly one value but not
+// value, every rank is that value (CutTable.ResolveConstant). A column that is mostly one value but not
 // all of it (a point mass that the sample's trimmed range collapses onto) is
 // gathered whole, so its gather pass ships every non-NaN value of it.
 
@@ -419,32 +420,17 @@ func (s *gatherSlabs) read(b []byte, g *Gather) error {
 	return blobDone(&r)
 }
 
-// gridState is a column's state between its two grid passes.
+// gridState is a column's state between its two grid passes: its grid spec,
+// and, from the count pass, its summed bucket counts and least value, and
+// whether it is constant — then every rank is its one value and it gathers
+// nothing. During the gather pass, fill counts what each cut bucket's segment
+// of the column's cut table holds so far.
 type gridState struct {
-	spec GridSpec
-
-	// After the count pass: the summed bucket counts, the least value, and
-	// where every rank of cutRankUnion falls — the cut buckets (needs) and
-	// each rank's offset in its bucket (local); none when the column is
-	// constant, and every rank is its one value. ivRanks are the criterion's
-	// ranks.
+	spec     GridSpec
 	counts   []int32
 	min      float64
 	constant bool
-	ranks    []int // cutRankUnion, as ints
-	needs    []stats.CutBucket
-	local    []int
-	ivRanks  []int
-
-	// During the gather pass: the cut buckets' members, segment by segment as
-	// needs lays them out, and the target codes of the criterion cut buckets'
-	// members, segment by segment from codeAt[j] (-1: not one); fill counts
-	// what each segment holds so far, spans the run tallies.
-	gather []float64
-	code   []int64
-	codeAt []int
-	fill   []int
-	spans  []int64
+	fill     []int
 }
 
 // sampleGen evaluates a generated candidate on the row sample — the one
@@ -466,48 +452,36 @@ func sampleGen(g GenSpec, ap operators.Applier, sampleLive [][]float64) []float6
 // sample (vals, which it takes over and permutes). stats.SampleGrid trims the
 // sample for a q-bin cut; the fit cuts at several bin counts, so each of them
 // is tried, and the grid kept is the one whose cut buckets hold the fewest
-// sample values (the first on a tie). A heavy-tailed column, whose trimmed
+// sample values (the first on a tie): the gather of the column's cut table t
+// laid over the sample's counts on it. A heavy-tailed column, whose trimmed
 // range the tails stretch at the finest count, gathers a fraction of what it
 // would; the cuts are exact on any grid.
-func newGridState(spec GridSpec, vals []float64, cfg *core.Config) *gridState {
+func newGridState(spec GridSpec, vals []float64, cfg *core.Config, t *stats.CutTable) *gridState {
 	st := &gridState{spec: spec, counts: make([]int32, 1), min: math.Inf(1)}
-	sorted := slices.DeleteFunc(vals, func(v float64) bool { return v != v })
-	if len(sorted) == 0 {
-		return st
-	}
-	slices.Sort(sorted)
-	ranks := cutRankUnion(int64(len(sorted)), cfg)
-	work := make([]float64, len(sorted))
-	best := len(sorted) + 1
+	sample := slices.DeleteFunc(vals, func(v float64) bool { return v != v })
+	work := make([]float64, len(sample))
+	best := len(sample) + 1
+	var counts []int32
 	for _, q := range []int{cfg.Miner.MaxBins, cfg.IVBins, cfg.Ranker.MaxBins} {
-		grid, ok := stats.SampleGrid(append(work[:0], sorted...), q)
+		grid, ok := stats.SampleGrid(append(work[:0], sample...), q)
 		if !ok {
 			continue
 		}
-		if n := sampleGather(sorted, ranks, grid); n < best {
-			best = n
-			st.spec.Grid, st.counts = grid, make([]int32, stats.NumBuckets)
+		if counts == nil {
+			counts = make([]int32, stats.NumBuckets)
 		}
+		clear(counts)
+		grid.Count(counts, sample)
+		t.Lay(counts, len(sample), nil, cfg.IVBins, cfg.Miner.MaxBins, cfg.Ranker.MaxBins)
+		if n := len(t.Vals); n < best {
+			best, st.spec.Grid = n, grid
+		}
+	}
+	if st.spec.Grid != (stats.Grid{}) {
+		clear(counts)
+		st.counts = counts
 	}
 	return st
-}
-
-// sampleGather is how many values of a sorted sample lie in the buckets of g
-// that hold its order statistics at ranks — the share of the column those
-// cut buckets would gather, as the sample sees it.
-func sampleGather(sorted []float64, ranks []int64, g stats.Grid) int {
-	n, last := 0, -1
-	for _, r := range ranks {
-		b := g.Bucket(sorted[r])
-		if b == last {
-			continue
-		}
-		last = b
-		lo := sort.Search(len(sorted), func(i int) bool { return g.Bucket(sorted[i]) >= b })
-		hi := sort.Search(len(sorted), func(i int) bool { return g.Bucket(sorted[i]) > b })
-		n += hi - lo
-	}
-	return n
 }
 
 // valueRange returns the least and greatest non-NaN value of xs (+Inf and
@@ -571,7 +545,7 @@ func (ws *WorkerState) computeGridCounts(ctx context.Context, spec *PassSpec, c 
 	}
 	return ws.forCols(ctx, n, func(s *scratch, i int) error {
 		g := &spec.Grids[i]
-		vals, err := ws.colOf(g.Base, g.Gen, cols, s.floats(p.Rows))
+		vals, err := ws.colOf(s, g.Base, g.Gen, cols, s.floats(p.Rows))
 		if err != nil {
 			return err
 		}
@@ -664,7 +638,7 @@ func (f *fitter) passGridCounts(cols []*column) error {
 		return err
 	}
 	return f.each(len(cols), func(i int) error {
-		cols[i].locate(&f.cfg, f.code.W)
+		cols[i].locate(&f.cfg, f.code)
 		return nil
 	})
 }
@@ -723,53 +697,21 @@ func (c *column) foldCounts(gc *GridCounts, n int64) error {
 	return nil
 }
 
-// locate fills the cut table's shape from the summed counts: the union
-// ranks, the cut buckets that hold them, and the gather pass's bucket list —
-// empty for a constant column, whose every rank is its one value — with the
-// criterion's marks; w is the counters of the target code's bins.
-func (c *column) locate(cfg *core.Config, w int) {
+// locate lays the column's cut table from the summed counts at the fit's
+// bin counts (the miner's, the criterion's and the ranker's), the criterion
+// coded by code — with no cut bucket for a constant column, whose every rank
+// is its one value — and hands the gather pass its cut buckets and marks.
+func (c *column) locate(cfg *core.Config, code *stats.TargetCode) {
 	st := c.grid
-	c.ranks = cutRankUnion(c.n, cfg)
-	st.ranks = make([]int, len(c.ranks))
-	for i, r := range c.ranks {
-		st.ranks[i] = int(r)
-	}
-	ranks := st.ranks
-	st.local = make([]int, len(ranks))
-	var total int
+	sizes := st.counts
 	// Equal bits, not just equal values: a column of -0 and +0 is gathered, so
 	// that its cuts carry the signs selection gives them in memory.
-	if st.constant = c.n > 0 && math.Float64bits(st.min) == math.Float64bits(c.max); !st.constant {
-		st.needs, total = stats.LocateRanks(nil, st.local, st.counts, ranks)
+	if st.constant = c.n > 0 && math.Float64bits(st.min) == math.Float64bits(c.max); st.constant {
+		sizes = nil
 	}
-	st.gather = make([]float64, total)
-	st.fill = make([]int, len(st.needs))
-	st.spec.Buckets = make([]int, len(st.needs))
-	for j, nd := range st.needs {
-		st.spec.Buckets[j] = nd.Bucket
-	}
-	for _, r := range sketch.CutRanks(c.n, cfg.IVBins) {
-		st.ivRanks = append(st.ivRanks, int(r))
-	}
-	st.spec.IV = make([]bool, len(st.needs))
-	st.codeAt = make([]int, len(st.needs))
-	iv, ivBuckets, coded := 0, 0, 0
-	for j, nd := range st.needs {
-		for _, r := range ranks[nd.First : nd.First+nd.Count] {
-			if iv < len(st.ivRanks) && st.ivRanks[iv] == r {
-				st.spec.IV[j] = true
-				iv++
-			}
-		}
-		st.codeAt[j] = -1
-		if st.spec.IV[j] {
-			st.codeAt[j] = coded
-			coded += nd.Size
-			ivBuckets++
-		}
-	}
-	st.code = make([]int64, coded)
-	st.spans = make([]int64, (ivBuckets+1)*w)
+	c.cut.Lay(sizes, int(c.n), code, cfg.IVBins, cfg.Miner.MaxBins, cfg.Ranker.MaxBins)
+	st.spec.Buckets, st.spec.IV = c.cut.Buckets, c.cut.Crit
+	st.fill = make([]int, len(c.cut.Buckets))
 }
 
 // passGather is the gather pass over the columns the count pass located:
@@ -811,29 +753,29 @@ func (f *fitter) passGather(cols []*column) error {
 }
 
 // foldGather files one chunk's gather of the candidate, over rows rows, into
-// its segments.
+// its cut table.
 func (c *column) foldGather(ga *Gather, code *stats.TargetCode, rows int64) error {
-	st := c.grid
-	if ga == nil || len(ga.Sizes) != len(st.needs) {
+	t, st := &c.cut, c.grid
+	if ga == nil || len(ga.Sizes) != len(t.Buckets) {
 		return fmt.Errorf("a gather of the wrong number of cut buckets: %w", ErrGatherSize)
 	}
 	gridded := st.spec.Grid != (stats.Grid{})
 	at, coded := 0, 0
 	for j, sz := range ga.Sizes {
-		nd := st.needs[j]
+		b := t.Buckets[j]
+		start, size, codeAt := t.Seg(j)
 		n := int(sz)
-		if n < 0 || n > nd.Size-st.fill[j] || at+n > len(ga.Vals) {
-			return fmt.Errorf("cut bucket %d: %d more values than the %d counted: %w", nd.Bucket, sz, nd.Size-st.fill[j], ErrGatherSize)
+		if n < 0 || n > size-st.fill[j] || at+n > len(ga.Vals) {
+			return fmt.Errorf("cut bucket %d: %d more values than the %d counted: %w", b, sz, size-st.fill[j], ErrGatherSize)
 		}
 		seg := ga.Vals[at : at+n]
 		for _, v := range seg {
-			if v != v || (gridded && st.spec.Grid.Bucket(v) != nd.Bucket) {
-				return fmt.Errorf("%v filed under bucket %d: %w", v, nd.Bucket, ErrGatherBucket)
+			if v != v || (gridded && st.spec.Grid.Bucket(v) != b) {
+				return fmt.Errorf("%v filed under bucket %d: %w", v, b, ErrGatherBucket)
 			}
 		}
-		dst := nd.Start + st.fill[j]
-		copy(st.gather[dst:], seg)
-		if st.spec.IV[j] {
+		copy(t.Vals[start+st.fill[j]:], seg)
+		if codeAt >= 0 {
 			if coded+n > len(ga.Codes) {
 				return fmt.Errorf("%d codes for more values: %w", len(ga.Codes), ErrGatherSize)
 			}
@@ -842,15 +784,15 @@ func (c *column) foldGather(ga *Gather, code *stats.TargetCode, rows int64) erro
 					return fmt.Errorf("code %d: %w", q, ErrClassID)
 				}
 			}
-			copy(st.code[st.codeAt[j]+st.fill[j]:], ga.Codes[coded:coded+n])
+			copy(t.Codes[codeAt+st.fill[j]:], ga.Codes[coded:coded+n])
 			coded += n
 		}
 		st.fill[j] += n
 		at += n
 	}
-	if at != len(ga.Vals) || coded != len(ga.Codes) || len(ga.Spans) != len(st.spans) {
+	if at != len(ga.Vals) || coded != len(ga.Codes) || len(ga.Spans) != len(t.Spans) {
 		return fmt.Errorf("%d values, %d codes and %d span counters for %d, %d and %d: %w",
-			len(ga.Vals), len(ga.Codes), len(ga.Spans), at, coded, len(st.spans), ErrGatherSize)
+			len(ga.Vals), len(ga.Codes), len(ga.Spans), at, coded, len(t.Spans), ErrGatherSize)
 	}
 	for s := 0; s < len(ga.Spans); s += code.W {
 		sp := ga.Spans[s : s+code.W]
@@ -858,91 +800,35 @@ func (c *column) foldGather(ga *Gather, code *stats.TargetCode, rows int64) erro
 			return fmt.Errorf("span tally %v: %w", sp, ErrGatherSize)
 		}
 		for c, v := range sp {
-			st.spans[s+c] += v
+			t.Spans[s+c] += v
 		}
 	}
 	return nil
 }
 
 // resolve is the gather's end: every segment must be full and every span
-// must count the rows of its buckets, then each rank is selected exactly and
-// the criterion tallied off the codes.
+// must count the rows the table says it holds; then the table is resolved —
+// each rank selected exactly, the criterion tallied off the codes — and lets
+// go of its gather.
 func (c *column) resolve(code *stats.TargetCode) error {
-	st := c.grid
-	for j, nd := range st.needs {
-		if st.fill[j] != nd.Size {
-			return fmt.Errorf("cut bucket %d gathered %d of its %d values: %w", nd.Bucket, st.fill[j], nd.Size, ErrGatherSize)
+	t, st := &c.cut, c.grid
+	for j, b := range t.Buckets {
+		if _, size, _ := t.Seg(j); st.fill[j] != size {
+			return fmt.Errorf("cut bucket %d gathered %d of its %d values: %w", b, st.fill[j], size, ErrGatherSize)
 		}
 	}
-	want := make([]int64, len(st.spans)/code.W)
-	s, j := 0, 0
-	for b, n := range st.counts {
-		if j < len(st.needs) && st.needs[j].Bucket == b {
-			iv := st.spec.IV[j]
-			j++
-			if iv {
-				s++
-				continue
-			}
-		}
-		want[s] += int64(n)
-	}
-	for s, w := range want {
-		if got := code.Rows(st.spans[s*code.W : (s+1)*code.W]); got != w {
-			return fmt.Errorf("span %d counts %d rows of its buckets' %d: %w", s, got, w, ErrGatherSize)
+	for s, want := range t.SpanRows(nil) {
+		if got := code.Rows(t.Spans[s*code.W : (s+1)*code.W]); got != want {
+			return fmt.Errorf("span %d counts %d rows of its buckets' %d: %w", s, got, want, ErrGatherSize)
 		}
 	}
-	// Selection permutes: the criterion cut buckets' members stay paired with
-	// their codes in a copy, laid out as the codes are.
-	ivVals := make([]float64, len(st.code))
-	for j, nd := range st.needs {
-		if at := st.codeAt[j]; at >= 0 {
-			copy(ivVals[at:], st.gather[nd.Start:nd.Start+nd.Size])
-		}
-	}
-	c.at = make([]float64, len(st.local))
-	stats.SelectInBuckets(c.at, st.needs, st.local, st.gather, nil)
 	if st.constant {
-		for i := range c.at {
-			c.at[i] = c.max
-		}
-	}
-	c.ivCuts, c.ivCounts = st.criterion(c.at, ivVals, code)
-	if st.constant && len(st.ivRanks) > 0 {
-		// One cut, the value, with every row in the bin at or below it: the
-		// span tallies are the whole column's.
-		c.ivCuts = []float64{c.max}
-		c.ivCounts = append(st.spans, make([]int64, len(st.spans))...)
+		c.ivCounts = t.ResolveConstant(c.max, code)
+	} else {
+		c.ivCounts = t.Resolve(code)
 	}
 	c.crit = code.Criterion(c.ivCounts)
+	t.Release()
 	c.grid = nil
 	return nil
-}
-
-// criterion bins the codes at the criterion's cuts: the criterion ranks' cut
-// buckets, their members (ivVals, laid out as the codes) and codes, and the
-// runs between them are the in-memory kernel's own inputs to AppendCuts and
-// BinTallies.
-func (st *gridState) criterion(at, ivVals []float64, code *stats.TargetCode) (cuts []float64, bins []int64) {
-	var needs []stats.CutBucket
-	var ivAt []float64
-	iv := 0
-	for j, nd := range st.needs {
-		if !st.spec.IV[j] {
-			continue
-		}
-		first := len(ivAt)
-		for u := nd.First; u < nd.First+nd.Count; u++ {
-			if iv < len(st.ivRanks) && st.ivRanks[iv] == st.ranks[u] {
-				ivAt = append(ivAt, at[u])
-				iv++
-			}
-		}
-		needs = append(needs, stats.CutBucket{Bucket: nd.Bucket, First: first, Count: len(ivAt) - first, Start: st.codeAt[j], Size: nd.Size})
-	}
-	ends := make([]int, len(needs))
-	cuts = stats.AppendCuts(nil, ends, ivAt, needs)
-	bins = make([]int64, (len(cuts)+1)*code.W)
-	stats.BinTallies(bins, code.W, cuts, ends, st.spans, needs, ivVals, func(bin []int64, p int) { code.Add(bin, st.code[p]) })
-	return cuts, bins
 }

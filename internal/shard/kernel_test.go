@@ -81,11 +81,13 @@ func TestGridKernelsMatchBuiltinForms(t *testing.T) {
 
 // TestGridKernelAllocatesNothing holds the one grid kernel to no allocation
 // once its scratch is warm, in both engines: stats.CritScratch.Criterion over
-// a binary, a multiclass:3 and a regression code, stats.QuantileScratch's
-// Quantiles, and the gather pass's kernel on a WorkerState's chunk (the
-// chunk's labels coded, then both scans over a source column and a generated
-// one, computed beforehand). The race detector's instrumentation allocates, so it skips under
-// -race; CI runs it by name without.
+// a binary, a multiclass:3 and a regression code (the multiclass one also at
+// 64 bins, past any per-bin stack buffer), stats.QuantileScratch's
+// Quantiles, and the gather pass's kernel on a WorkerState's chunk: the
+// chunk's labels coded, then a source column and a generated one, computed
+// inside the call, each through both scans. The race detector's
+// instrumentation allocates, so it skips under -race; CI runs it by name
+// without.
 func TestGridKernelAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -106,10 +108,16 @@ func TestGridKernelAllocatesNothing(t *testing.T) {
 	var q stats.QuantileScratch
 	for _, task := range tasks {
 		code := task.Code(c.Label)
-		criterion := func() { crit.Criterion(c.Cols[0], code, 10) }
-		criterion()
-		if a := testing.AllocsPerRun(20, criterion); a != 0 {
-			t.Errorf("%v: CritScratch.Criterion: %v allocations a call", task, a)
+		bins := []int{10}
+		if task.Kind == core.TaskMulticlass {
+			bins = append(bins, 64)
+		}
+		for _, b := range bins {
+			criterion := func() { crit.Criterion(c.Cols[0], code, b) }
+			criterion()
+			if a := testing.AllocsPerRun(20, criterion); a != 0 {
+				t.Errorf("%v: CritScratch.Criterion at %d bins: %v allocations a call", task, b, a)
+			}
 		}
 	}
 	quantiles := func() { q.Quantiles(c.Cols[1], 255) }
@@ -134,13 +142,6 @@ func TestGridKernelAllocatesNothing(t *testing.T) {
 			{Base: -1, Gen: gen, Grid: grid, Buckets: []int{0, 40, 700, stats.NumBuckets - 1}, IV: []bool{true, false, true, false}},
 		}}
 		cols := ws.liveCols(c)
-		vals := make([][]float64, len(spec.Grids))
-		for i, g := range spec.Grids {
-			var err error
-			if vals[i], err = ws.colOf(g.Base, g.Gen, cols, make([]float64, rows)); err != nil {
-				t.Fatal(err)
-			}
-		}
 		plans := spec.tables()
 		s := ws.takeScratch()
 		out := []*Gather{new(Gather), new(Gather)}
@@ -149,7 +150,12 @@ func TestGridKernelAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range spec.Grids {
-				gatherCol(&spec.Grids[i], &plans[i], vals[i], ws.code, s, out[i])
+				g := &spec.Grids[i]
+				vals, err := ws.colOf(s, g.Base, g.Gen, cols, s.floats(rows))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gatherCol(g, &plans[i], vals, ws.code, s, out[i])
 			}
 		}
 		gather()

@@ -168,42 +168,6 @@ func (f *fitter) passLiveCodes() error {
 	})
 }
 
-// cutRankUnion merges the nearest-rank targets of every bin count the fit
-// will cut a column at (miner bins, IV bins, ranker bins), so one gather per
-// column serves all cut consumers. n is the column's own non-NaN count
-// — the population quantile ranks are defined over — which differs per
-// column when values are missing.
-func cutRankUnion(n int64, cfg *core.Config) []int64 {
-	merged := sketch.CutRanks(n, cfg.Miner.MaxBins)
-	for _, bins := range []int{cfg.IVBins, cfg.Ranker.MaxBins} {
-		extra := sketch.CutRanks(n, bins)
-		out := make([]int64, 0, len(merged)+len(extra))
-		i, j := 0, 0
-		for i < len(merged) || j < len(extra) {
-			switch {
-			case i == len(merged):
-				out = append(out, extra[j])
-				j++
-			case j == len(extra):
-				out = append(out, merged[i])
-				i++
-			case merged[i] < extra[j]:
-				out = append(out, merged[i])
-				i++
-			case merged[i] > extra[j]:
-				out = append(out, extra[j])
-				j++
-			default:
-				out = append(out, merged[i])
-				i++
-				j++
-			}
-		}
-		merged = out
-	}
-	return merged
-}
-
 // entrySpec reifies candidate i of the round for the Gram pass, to be binned
 // at cuts: a live feature by its index, a generated candidate by
 // its recipe.

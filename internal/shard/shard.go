@@ -132,39 +132,26 @@ type column struct {
 	core.Feature
 	mom *sketch.Moments
 
-	// The cut table: the non-NaN count, the maximum, and the exact value at
-	// every rank of cutRankUnion(n) — filled by the grid passes (grid.go).
-	n     int64
-	max   float64
-	ranks []int64
-	at    []float64
+	// The non-NaN count, the maximum, and the cut table: the exact value at
+	// every rank a cut of the column reads, filled by the grid passes
+	// (grid.go).
+	n   int64
+	max float64
+	cut stats.CutTable
 
 	// Its criterion, which a live column keeps; and, while the column is
-	// being cut or is a candidate of the current round, the cuts its
-	// criterion was counted at, its per-bin counters (bin·W + counter, see
-	// stats.TargetCode), and the grid passes' state.
+	// being cut or is a candidate of the current round, its criterion's
+	// per-bin counters (bin·W + counter, see stats.TargetCode) and the grid
+	// passes' state.
 	crit     float64
-	ivCuts   []float64
 	ivCounts []int64
 	grid     *gridState
 }
 
-// cuts reproduces stats.Quantiles(column, bins) exactly off the cut table:
-// the same rank targets, the same deduplication. bins must be one of the bin
-// counts cutRankUnion merged.
+// cuts reproduces stats.Quantiles(column, bins) exactly off the cut table.
+// bins must be one of the bin counts the table was laid at.
 func (c *column) cuts(bins int) []float64 {
-	ranks := sketch.CutRanks(c.n, bins)
-	out := make([]float64, 0, len(ranks))
-	t := 0
-	for _, r := range ranks {
-		for c.ranks[t] != r {
-			t++
-		}
-		if v := c.at[t]; len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
-		}
-	}
-	return out
+	return c.cut.AppendCuts(make([]float64, 0, bins-1), bins)
 }
 
 // binnerCuts is cuts with the trailing cut >= max dropped, mirroring the
@@ -252,7 +239,7 @@ func (f *fitter) Open() (core.Opened, error) {
 		return core.Opened{}, err
 	}
 	for j, lf := range f.live {
-		lf.grid = newGridState(GridSpec{Base: j}, slices.Clone(f.sampleLive[j]), &f.cfg)
+		lf.grid = newGridState(GridSpec{Base: j}, slices.Clone(f.sampleLive[j]), &f.cfg, &lf.cut)
 	}
 	if err := f.passGridCounts(f.live); err != nil {
 		return core.Opened{}, err
@@ -305,12 +292,8 @@ func (f *fitter) Generate(cands []*core.Candidate) (time.Duration, error) {
 		if err != nil {
 			return err
 		}
-		gens[i] = &column{
-			Feature: core.Feature{Name: c.Node.Name, Node: c.Node},
-			mom:     &sketch.Moments{},
-			max:     math.Inf(-1),
-			grid:    newGridState(GridSpec{Base: -1, Gen: g}, sampleGen(g, c.Node.Applier, f.sampleLive), &f.cfg),
-		}
+		gens[i] = &column{Feature: core.Feature{Name: c.Node.Name, Node: c.Node}, mom: &sketch.Moments{}, max: math.Inf(-1)}
+		gens[i].grid = newGridState(GridSpec{Base: -1, Gen: g}, sampleGen(g, c.Node.Applier, f.sampleLive), &f.cfg, &gens[i].cut)
 		c.Column = gens[i]
 		return nil
 	}); err != nil {
@@ -386,7 +369,7 @@ func (f *fitter) Carry(cands []*core.Candidate, selected []int, nodes []core.Fea
 	f.live = make([]*column, len(selected))
 	for i, idx := range selected {
 		c := col(cands[idx])
-		c.ivCuts, c.ivCounts, c.grid = nil, nil, nil
+		c.ivCounts, c.grid = nil, nil
 		f.live[i] = c
 	}
 	return f.syncLive(nodes)

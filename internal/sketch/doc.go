@@ -11,8 +11,7 @@
 //     jointly non-NaN rows. Sums are plain additions, so Merge is
 //     order-invariant up to floating-point rounding. Dot reproduces the
 //     standardised dot product core's Pearson dedup computes.
-//   - CutRanks, the nearest-rank targets of a bins-quantile split, and the
-//     Arena the partials' buffers and Grams are pooled in.
+//   - The Arena the partials' buffers and Grams are pooled in.
 //   - The wire codecs of Moments and Gram, which the distributed fit ships.
 //
 // Benchmark probes only — no fit, CLI or server reaches them, and CI fails
@@ -31,7 +30,10 @@
 //     and target-moment histograms over fixed cut points (AddCol).
 //
 // The fit cuts every column on the in-memory quantile kernel's grid
-// (internal/shard/grid.go), not on a Quantile summary.
+// (internal/shard/grid.go), not on a Quantile summary, and reads its ranks
+// off a stats.CutTable. CutRanks, the nearest-rank targets of a
+// bins-quantile split, is left for the benchmark's probes; CI fails on a
+// call to it in non-test internal/shard.
 //
 // None of the sketches use randomisation: identical input partitions in the
 // same merge order produce identical bytes, which keeps the sharded fit

@@ -40,10 +40,11 @@
 // (Grid.BucketRows) buckets every row on a grid of 1,024 equal-width buckets
 // whose range comes from a 256-value strided sample (the end buckets catch
 // the tails), records the bucket and adds the row's code to that bucket's
-// counters; LocateRanks finds the few buckets a target rank falls into; the
+// counters; the column's cut table (CutTable, cuttable.go) is laid from the
+// buckets' sizes, finding the few buckets a target rank falls into; the
 // second scan (GatherPlan.File) files their members, with their codes, by
-// the recorded buckets; multi-rank quickselect resolves them exactly. Each
-// value is bucketed once. The out-of-core gather pass runs the same two
+// the recorded buckets; the table resolves them exactly by multi-rank
+// quickselect. Each value is bucketed once. The out-of-core gather pass runs the same two
 // scans on each chunk (internal/shard). The bucket index is monotone in the
 // value, so the cuts are the ones a full sort would give for any sample; a
 // column without a usable sampled range (constant, dominated by one value,
@@ -51,8 +52,12 @@
 // gathered and selected like any cut bucket — the out-of-core engine's one
 // bucket too. A criterion's per-bin counters are its buckets' counters summed
 // over the runs between cut buckets (GatherPlan.SpanTallies), the gathered
-// members' codes added one by one (BinTallies) — integers, so the values
-// equal a row-order count bit for bit, for every task.
+// members' codes added one by one (CutTable.Resolve) — integers, so the
+// values equal a row-order count bit for bit, for every task. The
+// out-of-core engine lays one table per column at all the bin counts it
+// cuts at, the criterion's marked, and reads each count's cuts off it
+// (CutTable.AppendCuts); TestCutTableResolvesEveryBinCount holds such a
+// table to Quantiles and to the in-memory counters.
 // TestScratchReuseMatchesFresh holds a reused scratch to a fresh one's cuts
 // and counters, so that no row reads a bucket recorded for an earlier column.
 // TestCriteriaMatchReference and FuzzCriterionExact hold all of them to a

@@ -259,7 +259,7 @@ type GatherPlan struct {
 
 // Reset lays the plan for a grid of nb buckets whose cut buckets are
 // buckets, ascending and inside the grid, crit[j] marking those that hold a
-// criterion cut (nil: every one), reusing its backings.
+// criterion cut (CutTable.Buckets and Crit), reusing its backings.
 func (p *GatherPlan) Reset(nb int, buckets []int, crit []bool) {
 	p.slot, p.span = grown(p.slot, nb), grown(p.span, nb)
 	p.Spans = 0
@@ -268,7 +268,7 @@ func (p *GatherPlan) Reset(nb int, buckets []int, crit []bool) {
 		p.slot[b], p.span[b] = -1, int16(p.Spans)
 		if j < len(buckets) && buckets[j] == b {
 			p.slot[b] = int16(j)
-			if crit == nil || crit[j] {
+			if crit[j] {
 				p.span[b] = -1
 				p.Spans++
 			}
@@ -318,131 +318,22 @@ func (p *GatherPlan) File(vals []float64, codes []int64, vpos, cpos []int, rowB 
 	}
 }
 
-// CutBucket is one bucket that holds at least one target rank (and so at
-// least one cut): its members are gathered and selected exactly.
-type CutBucket struct {
-	Bucket int // the grid bucket
-	First  int // index into ranks of the first rank in this bucket
-	Count  int // how many ranks land in this bucket
-	Start  int // segment start in the gather buffer
-	Size   int // bucket population
-}
-
-// LocateRanks is the step between the two scans: from the buckets' sizes, it
-// finds the bucket that holds each of the ascending, deduplicated ranks,
-// rewrites the rank as an offset into that bucket (local[i], len(ranks)
-// entries), and appends one CutBucket per bucket holding a rank to needs[:0],
-// each given the next segment of a gather buffer; total is the segments'
-// length. Ranks are ascending, so one cumulative scan serves all of them. A
-// rank at or past the counted rows is left unplaced.
-func LocateRanks(needs []CutBucket, local []int, sizes []int32, ranks []int) (_ []CutBucket, total int) {
-	needs = needs[:0]
-	cum, ri := 0, 0
-	for b := 0; b < len(sizes) && ri < len(ranks); b++ {
-		c := int(sizes[b])
-		first := ri
-		for ri < len(ranks) && ranks[ri] < cum+c {
-			local[ri] = ranks[ri] - cum
-			ri++
-		}
-		if ri > first {
-			needs = append(needs, CutBucket{Bucket: b, First: first, Count: ri - first, Start: total, Size: c})
-			total += c
-		}
-		cum += c
-	}
-	return needs, total
-}
-
-// SelectInBuckets resolves every located rank exactly: multi-rank selection
-// over each cut bucket's segment of gather (its members, in any order) leaves
-// at[i] the value of rank i. Selection permutes: the segments are permuted in
-// place, or, when scratch is non-nil, a copy of each in turn in *scratch,
-// which leaves gather as it was.
-func SelectInBuckets(at []float64, needs []CutBucket, local []int, gather []float64, scratch *[]float64) {
-	for _, nd := range needs {
-		seg := gather[nd.Start : nd.Start+nd.Size]
-		if scratch != nil {
-			*scratch = append((*scratch)[:0], seg...)
-			seg = *scratch
-		}
-		loc := local[nd.First : nd.First+nd.Count]
-		selectRanks(seg, loc)
-		for i, r := range loc {
-			at[nd.First+i] = seg[r]
-		}
-	}
-}
-
-// AppendCuts appends the values of ranks, bucket by bucket (at[i] the value
-// of rank i, as SelectInBuckets leaves them), to cuts with repeats dropped,
-// and sets ends[j] to how many cuts the first j+1 cut buckets hold. Equal
-// values share a bucket, so deduplicating against the last cut is the global
-// deduplication.
-func AppendCuts(cuts []float64, ends []int, at []float64, needs []CutBucket) []float64 {
-	for j, nd := range needs {
-		for _, c := range at[nd.First : nd.First+nd.Count] {
-			if len(cuts) == 0 || c != cuts[len(cuts)-1] {
-				cuts = append(cuts, c)
-			}
-		}
-		ends[j] = len(cuts)
-	}
-	return cuts
-}
-
-// BinTallies fills bins ((len(cuts)+1)·w counters, zeroed) with the
-// counters of the bins the cuts delimit, w a bin (TargetCode). Span s is the
-// rows of the buckets strictly between cut buckets s−1 and s (their counters
-// at spans[s·w:], len(needs)+1 spans): it lies in one bin, the one above
-// every cut of the first s cut buckets. A member of cut bucket j (gather at
-// its segment) is placed by comparison with that bucket's own cuts,
-// cuts[ends[j−1]:ends[j]] — a cut in another bucket is below or above every
-// member by monotonicity — and add(bin, p) adds member p to its bin's
-// counters.
-func BinTallies(bins []int64, w int, cuts []float64, ends []int, spans []int64, needs []CutBucket, gather []float64, add func(bin []int64, p int)) {
-	lo := 0
-	for s := 0; ; s++ {
-		dst := bins[lo*w:][:w]
-		for c, v := range spans[s*w:][:w] {
-			dst[c] += v
-		}
-		if s == len(needs) {
-			return
-		}
-		nd, hi := needs[s], ends[s]
-		for p := nd.Start; p < nd.Start+nd.Size; p++ {
-			j := lo + SearchCuts(cuts[lo:hi], gather[p])
-			add(bins[j*w:][:w], p)
-		}
-		lo = hi
-	}
-}
-
 // QuantileScratch reuses working buffers across Quantiles computations so a
 // caller binning hundreds of columns allocates O(1) instead of O(columns).
 // The zero value is ready to use. Not safe for concurrent use; hot paths
 // keep one per worker.
 type QuantileScratch struct {
-	ranks  []int     // the nearest-rank targets, ascending
 	cuts   []float64 // the deduplicated cuts the last call returned
-	sample []float64 // the grid's sample; later the rank values
+	sample []float64 // the grid's sample
 	// rowB holds each row's bucket, −1 for NaN, for the column being cut: the
 	// first scan writes every entry below len(xs) and only those are read, so
 	// a longer earlier column leaves nothing that is used.
-	rowB    []int16
-	counts  []int64 // a bucket's W counters, bucket by bucket
-	sizes   []int32 // each bucket's rows
-	needs   []CutBucket
-	buckets []int // the cut buckets, as the plan takes them
-	plan    GatherPlan
-	local   []int     // ranks rewritten as offsets into their bucket
-	pos     []int     // the filing cursors (members, codes); later each cut bucket's cut count
-	gather  []float64 // members of the cut buckets, bucket by bucket
-	codes   []int64   // their codes, in the same order
-	sel     []float64 // selection permutes: it runs on a copy when codes pair with gather
-	spans   []int64   // counters of the runs of buckets between cut buckets
-	bins    []int64   // per-bin counters handed to the criteria
+	rowB   []int16
+	counts []int64 // a bucket's W counters, bucket by bucket
+	sizes  []int32 // each bucket's rows
+	table  CutTable
+	plan   GatherPlan
+	pos    []int // the filing cursors (members, codes)
 }
 
 // Quantiles is Quantiles with buffer reuse: the returned slice aliases the
@@ -458,9 +349,9 @@ func (s *QuantileScratch) Quantiles(xs []float64, q int) []float64 {
 // bins those cuts delimit: bins[b·W:] holds what the non-NaN rows of bin b
 // add (TargetCode.AddRow), xs and the code's rows row for row. It is the
 // out-of-core gather kernel's composition on one resident column: the two
-// scans (Grid.BucketRows, GatherPlan.File) with LocateRanks between them,
-// then SelectInBuckets, AppendCuts, GatherPlan.SpanTallies and BinTallies.
-// Every cut bucket is a criterion's, so its members carry their codes. A
+// scans (Grid.BucketRows, GatherPlan.File), between them the cut table laid
+// at the one bin count q, then the table resolved. With a code, q is the
+// criterion's count, so every cut bucket carries its members' codes. A
 // column without a usable sampled range is cut on the zero Grid, whose one
 // bucket holds it whole, as out of core. Both results alias the scratch.
 func (s *QuantileScratch) cutsAndCounts(xs []float64, code *TargetCode, q int) ([]float64, []int64) {
@@ -482,52 +373,23 @@ func (s *QuantileScratch) cutsAndCounts(xs []float64, code *TargetCode, q int) (
 	for b := range s.sizes {
 		s.sizes[b] = int32(code.Rows(s.counts[b*w : (b+1)*w]))
 	}
-	ranks := s.nearestRanks(n, q)
-	s.local = grown(s.local, len(ranks))
-	needs, total := LocateRanks(s.needs, s.local, s.sizes, ranks)
-	s.needs = needs
-	s.buckets = s.buckets[:0]
-	for _, nd := range needs {
-		s.buckets = append(s.buckets, nd.Bucket)
+	t := &s.table
+	t.Lay(s.sizes, n, code, q)
+	s.plan.Reset(nb, t.Buckets, t.Crit)
+	s.pos = grown(s.pos, 2*len(t.Buckets))
+	vpos, cpos := s.pos[:len(t.Buckets)], s.pos[len(t.Buckets):]
+	for j := range t.Buckets {
+		vpos[j], _, cpos[j] = t.Seg(j)
 	}
-	s.plan.Reset(nb, s.buckets, nil)
-
-	s.gather = grown(s.gather, total)
-	s.pos = grown(s.pos, 2*len(needs))
-	vpos, cpos := s.pos[:len(needs)], s.pos[len(needs):]
-	var codes, qs []int64
+	var qs []int64
 	if code != nil {
-		s.codes = grown(s.codes, total)
-		codes, qs = s.codes, code.Q
+		qs = code.Q
+		s.plan.SpanTallies(t.Spans, s.counts, w)
 	}
-	for j, nd := range needs {
-		vpos[j], cpos[j] = nd.Start, -1
-		if code != nil {
-			cpos[j] = nd.Start
-		}
-	}
-	s.plan.File(s.gather, codes, vpos, cpos, s.rowB, xs, qs)
-
-	// Exact selection inside each cut bucket (typically ~n/NumBuckets values
-	// each), on a copy when the codes must stay paired with the members. The
-	// rank values and the per-bucket cut counts take buffers the scans are
-	// done with: the sample's (the grid is laid) and the member cursors'.
-	var sel *[]float64
-	if code != nil {
-		sel = &s.sel
-	}
-	s.sample = grown(s.sample, len(ranks))
-	at, ends := s.sample, vpos
-	SelectInBuckets(at, needs, s.local, s.gather, sel)
-	s.cuts = AppendCuts(s.cuts, ends, at, needs)
-	if code == nil {
-		return s.cuts, nil
-	}
-	s.spans = grown(s.spans, s.plan.Spans*w)
-	s.plan.SpanTallies(s.spans, s.counts, w)
-	s.bins = zeroed(s.bins, (len(s.cuts)+1)*w)
-	BinTallies(s.bins, w, s.cuts, ends, s.spans, needs, s.gather, func(bin []int64, p int) { code.Add(bin, codes[p]) })
-	return s.cuts, s.bins
+	s.plan.File(t.Vals, t.Codes, vpos, cpos, s.rowB, xs, qs)
+	bins := t.Resolve(code)
+	s.cuts = t.AppendCuts(s.cuts, q)
+	return s.cuts, bins
 }
 
 // sampleGrid lays the grid over a strided sample of xs: at most SampleSize
@@ -576,22 +438,6 @@ func SampleGrid(sample []float64, q int) (g Grid, ok bool) {
 		return g, false
 	}
 	return Grid{Lo: lo, Scale: scale}, true
-}
-
-// nearestRanks returns the nearest-rank indices of the q-quantiles of n
-// values, deduplicated and clamped exactly as a sorted implementation would.
-func (s *QuantileScratch) nearestRanks(n, q int) []int {
-	s.ranks = s.ranks[:0]
-	for k := 1; k < q; k++ {
-		idx := k * n / q
-		if idx >= n {
-			idx = n - 1
-		}
-		if m := len(s.ranks); m == 0 || s.ranks[m-1] != idx {
-			s.ranks = append(s.ranks, idx)
-		}
-	}
-	return s.ranks
 }
 
 // grown returns buf resliced to n elements, reallocated when its capacity

@@ -222,37 +222,31 @@ func (t *TargetCode) Criterion(bins []int64) float64 {
 		return t.CorrelationRatio(bins)
 	}
 	if t.Binary {
-		return t.oneVsRest(bins, nil, 1)
-	}
-	// The bins' rows over the classes, kept off the heap for a usual bin
-	// count.
-	var stack [32]int64
-	rows := stack[:0]
-	for b := 0; b < len(bins); b += t.W {
-		var n int64
-		for _, v := range bins[b : b+t.Classes] {
-			n += v
-		}
-		rows = append(rows, n)
+		return t.oneVsRest(bins, 1)
 	}
 	var sum float64
 	for c := 0; c < t.Classes; c++ {
-		sum += t.oneVsRest(bins, rows, c)
+		sum += t.oneVsRest(bins, c)
 	}
 	return sum / float64(t.Classes)
 }
 
 // oneVsRest is the Information Value of class c against the other classes,
-// with 0.5 Laplace smoothing (IVFromCounts): rows[b] is bin b's rows over the
-// classes, or nil for a binary code, whose other class is counter 0.
-// Degenerate classes (empty, or covering every row) score 0.
-func (t *TargetCode) oneVsRest(bins, rows []int64, c int) float64 {
+// with 0.5 Laplace smoothing (IVFromCounts). A binary code's other class is
+// counter 0; a multiclass bin's other-class rows are its class counters' sum
+// less class c's, integers, so no per-bin buffer is needed. Degenerate
+// classes (empty, or covering every row) score 0.
+func (t *TargetCode) oneVsRest(bins []int64, c int) float64 {
 	pos := func(b int) float64 { return float64(bins[b*t.W+c]) }
 	neg := func(b int) float64 {
-		if rows == nil {
+		if t.Binary {
 			return float64(bins[b*t.W])
 		}
-		return float64(rows[b] - bins[b*t.W+c])
+		var n int64
+		for _, v := range bins[b*t.W : b*t.W+t.Classes] {
+			n += v
+		}
+		return float64(n - bins[b*t.W+c])
 	}
 	nb := len(bins) / t.W
 	var np, nn float64
