@@ -1,21 +1,25 @@
-// Package clf aggregates the nine evaluation classifiers of Table III —
+// Package clf holds the nine evaluation classifiers of Table III —
 // AdaBoost (AB), Decision Tree (DT), Extremely randomized Trees (ET),
 // k-nearest neighbours (kNN), Logistic Regression (LR), Multi-Layered
 // Perceptron (MLP), Random Forest (RF), linear SVM (SVM) and XGBoost (XGB) —
 // behind one name-indexed constructor, all with fixed default parameters
 // (the paper uses scikit-learn/XGBoost defaults; these are the equivalent
 // defaults of this repository's from-scratch implementations).
+//
+// The evaluators share one scaffold: checkXY validates the training input,
+// a scaler standardises columns for the distance- and gradient-based
+// models, and predictRows turns a model's row scorer into its column-major
+// Predict.
 package clf
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 
-	"repro/internal/ensemble"
 	"repro/internal/gbdt"
-	"repro/internal/knn"
-	"repro/internal/linear"
-	"repro/internal/mlp"
-	"repro/internal/tree"
+	"repro/internal/stats"
 )
 
 // Model scores column-major data with positive-class probabilities.
@@ -36,38 +40,37 @@ func FastNames() []string { return []string{"LR", "RF", "XGB"} }
 func Train(name string, cols [][]float64, labels []float64, seed int64) (Model, error) {
 	switch name {
 	case "AB":
-		cfg := ensemble.DefaultAdaBoostConfig()
-		cfg.Seed = seed
-		return ensemble.TrainAdaBoost(cols, labels, cfg)
+		cfg := defaultAdaBoostConfig()
+		cfg.seed = seed
+		return trainAdaBoost(cols, labels, cfg)
 	case "DT":
-		tc := tree.Config{MaxDepth: 12, Criterion: tree.Gini, Seed: seed}
-		return treeModel{inner: nil}.train(cols, labels, tc)
+		return trainTree(cols, labels, nil, treeConfig{maxDepth: 12, criterion: gini, seed: seed})
 	case "ET":
-		cfg := ensemble.DefaultForestConfig()
+		cfg := DefaultForestConfig()
 		cfg.ExtraTrees = true
 		cfg.Bootstrap = false
 		cfg.Seed = seed
-		return ensemble.TrainForest(cols, labels, cfg)
+		return TrainForest(cols, labels, cfg)
 	case "kNN":
-		cfg := knn.DefaultConfig()
-		cfg.Seed = seed
-		return knn.Train(cols, labels, cfg)
+		cfg := defaultKNNConfig()
+		cfg.seed = seed
+		return trainKNN(cols, labels, cfg)
 	case "LR":
-		cfg := linear.DefaultLogisticConfig()
-		cfg.Seed = seed
-		return linear.TrainLogistic(cols, labels, cfg)
+		cfg := defaultLogisticConfig()
+		cfg.seed = seed
+		return trainLogistic(cols, labels, cfg)
 	case "MLP":
-		cfg := mlp.DefaultConfig()
-		cfg.Seed = seed
-		return mlp.Train(cols, labels, cfg)
+		cfg := defaultMLPConfig()
+		cfg.seed = seed
+		return trainMLP(cols, labels, cfg)
 	case "RF":
-		cfg := ensemble.DefaultForestConfig()
+		cfg := DefaultForestConfig()
 		cfg.Seed = seed
-		return ensemble.TrainForest(cols, labels, cfg)
+		return TrainForest(cols, labels, cfg)
 	case "SVM":
-		cfg := linear.DefaultSVMConfig()
-		cfg.Seed = seed
-		return linear.TrainSVM(cols, labels, cfg)
+		cfg := defaultSVMConfig()
+		cfg.seed = seed
+		return trainSVM(cols, labels, cfg)
 	case "XGB":
 		return gbdt.Train(cols, labels, nil, gbdt.DefaultConfig())
 	default:
@@ -75,16 +78,100 @@ func Train(name string, cols [][]float64, labels []float64, seed int64) (Model, 
 	}
 }
 
-// treeModel adapts tree.Tree to the Model interface via its train helper.
-type treeModel struct{ inner *tree.Tree }
-
-func (tm treeModel) train(cols [][]float64, labels []float64, cfg tree.Config) (Model, error) {
-	tr, err := tree.Train(cols, labels, nil, cfg)
-	if err != nil {
-		return nil, err
+// checkXY refuses training input with no feature, no row, or a column whose
+// length is not the label count; what prefixes the error.
+func checkXY(what string, cols [][]float64, labels []float64) error {
+	if len(cols) == 0 {
+		return errors.New(what + ": no features")
 	}
-	return treeModel{inner: tr}, nil
+	n := len(labels)
+	if n == 0 {
+		return errors.New(what + ": no rows")
+	}
+	for j := range cols {
+		if len(cols[j]) != n {
+			return fmt.Errorf("%s: column %d has %d rows, want %d", what, j, len(cols[j]), n)
+		}
+	}
+	return nil
 }
 
-// Predict implements Model.
-func (tm treeModel) Predict(cols [][]float64) []float64 { return tm.inner.Predict(cols) }
+// scaler standardises columns to zero mean and unit variance with the
+// training columns' stats.MeanStd; a column with no value, or one whose
+// deviation is under 1e-12, is divided by 1.
+type scaler struct {
+	mean []float64
+	std  []float64
+}
+
+func fitScaler(cols [][]float64) scaler {
+	s := scaler{mean: make([]float64, len(cols)), std: make([]float64, len(cols))}
+	for j, col := range cols {
+		mean, std, _ := stats.MeanStd(col)
+		if std < 1e-12 {
+			std = 1
+		}
+		s.mean[j], s.std[j] = mean, std
+	}
+	return s
+}
+
+// value standardises v as a value of column j, a NaN as 0.
+func (s scaler) value(j int, v float64) float64 {
+	if math.IsNaN(v) {
+		return 0
+	}
+	return (v - s.mean[j]) / s.std[j]
+}
+
+// apply writes row's standardised values to dst.
+func (s scaler) apply(row, dst []float64) {
+	for j, v := range row {
+		dst[j] = s.value(j, v)
+	}
+}
+
+// row returns row i of column-major data, standardised.
+func (s scaler) row(cols [][]float64, i int) []float64 {
+	x := make([]float64, len(cols))
+	for j, col := range cols {
+		x[j] = s.value(j, col[i])
+	}
+	return x
+}
+
+// rows returns the standardised row-major copy of column-major data.
+func (s scaler) rows(cols [][]float64) [][]float64 {
+	x := make([][]float64, len(cols[0]))
+	for i := range x {
+		x[i] = s.row(cols, i)
+	}
+	return x
+}
+
+// predictRows scores column-major data one row at a time with f.
+func predictRows(cols [][]float64, f func(row []float64) float64) []float64 {
+	if len(cols) == 0 {
+		return nil
+	}
+	n := len(cols[0])
+	out := make([]float64, n)
+	row := make([]float64, len(cols))
+	for i := 0; i < n; i++ {
+		for j := range cols {
+			row[j] = cols[j][i]
+		}
+		out[i] = f(row)
+	}
+	return out
+}
+
+func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+
+// shuffleInts is a Fisher-Yates shuffle drawing rng.Intn.
+func shuffleInts(xs []int, rng *rand.Rand) {
+	for i := len(xs) - 1; i > 0; i-- {
+		k := rng.Intn(i + 1)
+		xs[i], xs[k] = xs[k], xs[i]
+	}
+}

@@ -1,4 +1,4 @@
-package ensemble
+package clf
 
 import (
 	"math"
@@ -131,17 +131,17 @@ func TestForestSerialMatchesParallel(t *testing.T) {
 
 func TestAdaBoostValidation(t *testing.T) {
 	cols, labels := blobs(50, 7)
-	if _, err := TrainAdaBoost(cols, labels, AdaBoostConfig{NumRounds: 0}); err == nil {
+	if _, err := trainAdaBoost(cols, labels, adaBoostConfig{numRounds: 0}); err == nil {
 		t.Error("accepted zero rounds")
 	}
-	if _, err := TrainAdaBoost(cols, nil, DefaultAdaBoostConfig()); err == nil {
+	if _, err := trainAdaBoost(cols, nil, defaultAdaBoostConfig()); err == nil {
 		t.Error("accepted no rows")
 	}
 }
 
 func TestAdaBoostLearns(t *testing.T) {
 	cols, labels := blobs(1500, 8)
-	ab, err := TrainAdaBoost(cols, labels, DefaultAdaBoostConfig())
+	ab, err := trainAdaBoost(cols, labels, defaultAdaBoostConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestAdaBoostLearns(t *testing.T) {
 
 func TestAdaBoostOutputsProbabilities(t *testing.T) {
 	cols, labels := blobs(300, 9)
-	ab, err := TrainAdaBoost(cols, labels, DefaultAdaBoostConfig())
+	ab, err := trainAdaBoost(cols, labels, defaultAdaBoostConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,11 @@ func TestAdaBoostBeatsSingleStump(t *testing.T) {
 			labels[i] = 1
 		}
 	}
-	one, err := TrainAdaBoost(cols, labels, AdaBoostConfig{NumRounds: 1, MaxDepth: 1})
+	one, err := trainAdaBoost(cols, labels, adaBoostConfig{numRounds: 1, maxDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifty, err := TrainAdaBoost(cols, labels, AdaBoostConfig{NumRounds: 50, MaxDepth: 1})
+	fifty, err := trainAdaBoost(cols, labels, adaBoostConfig{numRounds: 50, maxDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package knn
+package clf
 
 import (
 	"math"
@@ -21,21 +21,21 @@ func clusters(n int, seed int64) ([][]float64, []float64) {
 	return cols, labels
 }
 
-func TestValidation(t *testing.T) {
-	if _, err := Train(nil, []float64{1}, DefaultConfig()); err == nil {
+func TestKNNValidation(t *testing.T) {
+	if _, err := trainKNN(nil, []float64{1}, defaultKNNConfig()); err == nil {
 		t.Error("accepted no features")
 	}
-	if _, err := Train([][]float64{{1}}, nil, DefaultConfig()); err == nil {
+	if _, err := trainKNN([][]float64{{1}}, nil, defaultKNNConfig()); err == nil {
 		t.Error("accepted no labels")
 	}
-	if _, err := Train([][]float64{{1, 2}, {1}}, []float64{0, 1}, DefaultConfig()); err == nil {
+	if _, err := trainKNN([][]float64{{1, 2}, {1}}, []float64{0, 1}, defaultKNNConfig()); err == nil {
 		t.Error("accepted ragged columns")
 	}
 }
 
 func TestLearnsClusters(t *testing.T) {
 	cols, labels := clusters(1000, 1)
-	m, err := Train(cols, labels, DefaultConfig())
+	m, err := trainKNN(cols, labels, defaultKNNConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,21 +50,21 @@ func TestExactNeighbourVote(t *testing.T) {
 	// k=3 must see all three positives.
 	cols := [][]float64{{1, 1.01, 0.99, -1, -1.01}}
 	labels := []float64{1, 1, 1, 0, 0}
-	m, err := Train(cols, labels, Config{K: 3})
+	m, err := trainKNN(cols, labels, knnConfig{k: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := m.PredictRow([]float64{0.9}); p != 1 {
+	if p := m.predictRow([]float64{0.9}); p != 1 {
 		t.Errorf("vote = %v, want 1", p)
 	}
-	if p := m.PredictRow([]float64{-0.9}); p > 0.5 {
+	if p := m.predictRow([]float64{-0.9}); p > 0.5 {
 		t.Errorf("vote near negatives = %v, want <= 0.5", p)
 	}
 }
 
 func TestSubsampleCap(t *testing.T) {
 	cols, labels := clusters(5000, 2)
-	m, err := Train(cols, labels, Config{K: 5, MaxTrain: 500, Seed: 1})
+	m, err := trainKNN(cols, labels, knnConfig{k: 5, maxTrain: 500, seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSubsampleCap(t *testing.T) {
 
 func TestProbabilityGranularity(t *testing.T) {
 	cols, labels := clusters(200, 3)
-	m, err := Train(cols, labels, Config{K: 5})
+	m, err := trainKNN(cols, labels, knnConfig{k: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func TestProbabilityGranularity(t *testing.T) {
 func TestNaNHandling(t *testing.T) {
 	cols, labels := clusters(200, 4)
 	cols[0][0] = math.NaN()
-	m, err := Train(cols, labels, DefaultConfig())
+	m, err := trainKNN(cols, labels, defaultKNNConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := m.PredictRow([]float64{math.NaN(), 0}); math.IsNaN(p) {
+	if p := m.predictRow([]float64{math.NaN(), 0}); math.IsNaN(p) {
 		t.Error("NaN query produced NaN")
 	}
 }

@@ -1,4 +1,4 @@
-package mlp
+package clf
 
 import (
 	"math"
@@ -29,23 +29,23 @@ func circles(n int, seed int64) ([][]float64, []float64) {
 	return cols, labels
 }
 
-func TestValidation(t *testing.T) {
-	if _, err := Train(nil, []float64{1}, DefaultConfig()); err == nil {
+func TestMLPValidation(t *testing.T) {
+	if _, err := trainMLP(nil, []float64{1}, defaultMLPConfig()); err == nil {
 		t.Error("accepted no features")
 	}
-	if _, err := Train([][]float64{{1}}, nil, DefaultConfig()); err == nil {
+	if _, err := trainMLP([][]float64{{1}}, nil, defaultMLPConfig()); err == nil {
 		t.Error("accepted no labels")
 	}
-	if _, err := Train([][]float64{{1, 2}, {1}}, []float64{0, 1}, DefaultConfig()); err == nil {
+	if _, err := trainMLP([][]float64{{1, 2}, {1}}, []float64{0, 1}, defaultMLPConfig()); err == nil {
 		t.Error("accepted ragged columns")
 	}
 }
 
 func TestLearnsNonLinearBoundary(t *testing.T) {
 	cols, labels := circles(2000, 1)
-	cfg := DefaultConfig()
-	cfg.Epochs = 60
-	m, err := Train(cols, labels, cfg)
+	cfg := defaultMLPConfig()
+	cfg.epochs = 60
+	m, err := trainMLP(cols, labels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLearnsNonLinearBoundary(t *testing.T) {
 
 func TestOutputsProbabilities(t *testing.T) {
 	cols, labels := circles(300, 2)
-	m, err := Train(cols, labels, DefaultConfig())
+	m, err := trainMLP(cols, labels, defaultMLPConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestOutputsProbabilities(t *testing.T) {
 
 func TestPredictRowMatchesBatch(t *testing.T) {
 	cols, labels := circles(300, 3)
-	m, err := Train(cols, labels, DefaultConfig())
+	m, err := trainMLP(cols, labels, defaultMLPConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,21 +78,21 @@ func TestPredictRowMatchesBatch(t *testing.T) {
 	row := make([]float64, 2)
 	for i := 0; i < 10; i++ {
 		row[0], row[1] = cols[0][i], cols[1][i]
-		if got := m.PredictRow(row); math.Abs(got-batch[i]) > 1e-12 {
+		if got := m.predictRow(row); math.Abs(got-batch[i]) > 1e-12 {
 			t.Fatalf("row %d mismatch: %v vs %v", i, got, batch[i])
 		}
 	}
 }
 
-func TestDeterminism(t *testing.T) {
+func TestMLPDeterminism(t *testing.T) {
 	cols, labels := circles(300, 4)
-	cfg := DefaultConfig()
-	cfg.Seed = 9
-	m1, err := Train(cols, labels, cfg)
+	cfg := defaultMLPConfig()
+	cfg.seed = 9
+	m1, err := trainMLP(cols, labels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Train(cols, labels, cfg)
+	m2, err := trainMLP(cols, labels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestDeterminism(t *testing.T) {
 func TestNaNInputs(t *testing.T) {
 	cols, labels := circles(300, 5)
 	cols[0][0] = math.NaN()
-	m, err := Train(cols, labels, DefaultConfig())
+	m, err := trainMLP(cols, labels, defaultMLPConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := m.PredictRow([]float64{math.NaN(), 0.3}); math.IsNaN(p) {
+	if p := m.predictRow([]float64{math.NaN(), 0.3}); math.IsNaN(p) {
 		t.Error("NaN input produced NaN prediction")
 	}
 }

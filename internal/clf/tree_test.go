@@ -1,4 +1,4 @@
-package tree
+package clf
 
 import (
 	"math"
@@ -22,25 +22,25 @@ func thresholdData(n int, seed int64) ([][]float64, []float64) {
 	return cols, labels
 }
 
-func TestValidation(t *testing.T) {
+func TestTreeValidation(t *testing.T) {
 	cols, labels := thresholdData(20, 1)
-	if _, err := Train(nil, labels, nil, Config{}); err == nil {
+	if _, err := trainTree(nil, labels, nil, treeConfig{}); err == nil {
 		t.Error("accepted no features")
 	}
-	if _, err := Train(cols, nil, nil, Config{}); err == nil {
+	if _, err := trainTree(cols, nil, nil, treeConfig{}); err == nil {
 		t.Error("accepted no rows")
 	}
-	if _, err := Train(cols, labels, []float64{1}, Config{}); err == nil {
+	if _, err := trainTree(cols, labels, []float64{1}, treeConfig{}); err == nil {
 		t.Error("accepted weight length mismatch")
 	}
-	if _, err := Train([][]float64{{1}, {1, 2}}, []float64{0}, nil, Config{}); err == nil {
+	if _, err := trainTree([][]float64{{1}, {1, 2}}, []float64{0}, nil, treeConfig{}); err == nil {
 		t.Error("accepted ragged columns")
 	}
 }
 
 func TestLearnsThreshold(t *testing.T) {
 	cols, labels := thresholdData(1000, 2)
-	tr, err := Train(cols, labels, nil, Config{MaxDepth: 3})
+	tr, err := trainTree(cols, labels, nil, treeConfig{maxDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,18 +49,18 @@ func TestLearnsThreshold(t *testing.T) {
 		t.Errorf("AUC on a simple threshold = %v, want >= 0.99", auc)
 	}
 	// The root split should be on feature 0 near 5.
-	root := tr.Nodes[0]
-	if root.Feature != 0 {
-		t.Errorf("root split feature = %d, want 0", root.Feature)
+	root := tr.nodes[0]
+	if root.feature != 0 {
+		t.Errorf("root split feature = %d, want 0", root.feature)
 	}
-	if math.Abs(root.Threshold-5) > 0.5 {
-		t.Errorf("root threshold = %v, want near 5", root.Threshold)
+	if math.Abs(root.threshold-5) > 0.5 {
+		t.Errorf("root threshold = %v, want near 5", root.threshold)
 	}
 }
 
 func TestEntropyCriterion(t *testing.T) {
 	cols, labels := thresholdData(500, 3)
-	tr, err := Train(cols, labels, nil, Config{MaxDepth: 3, Criterion: Entropy})
+	tr, err := trainTree(cols, labels, nil, treeConfig{maxDepth: 3, criterion: entropy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,25 +71,25 @@ func TestEntropyCriterion(t *testing.T) {
 
 func TestMaxDepthRespected(t *testing.T) {
 	cols, labels := thresholdData(500, 4)
-	tr, err := Train(cols, labels, nil, Config{MaxDepth: 1})
+	tr, err := trainTree(cols, labels, nil, treeConfig{maxDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Depth-1 tree has at most 3 nodes.
-	if len(tr.Nodes) > 3 {
-		t.Errorf("depth-1 tree has %d nodes", len(tr.Nodes))
+	if len(tr.nodes) > 3 {
+		t.Errorf("depth-1 tree has %d nodes", len(tr.nodes))
 	}
 }
 
 func TestMinSamplesLeaf(t *testing.T) {
 	cols, labels := thresholdData(100, 5)
-	tr, err := Train(cols, labels, nil, Config{MaxDepth: 10, MinSamplesLeaf: 30})
+	tr, err := trainTree(cols, labels, nil, treeConfig{maxDepth: 10, minSamplesLeaf: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range tr.Nodes {
-		if tr.Nodes[i].IsLeaf() && tr.Nodes[i].Count < 30 {
-			t.Errorf("leaf with %d rows violates MinSamplesLeaf=30", tr.Nodes[i].Count)
+	for i := range tr.nodes {
+		if tr.nodes[i].isLeaf() && tr.nodes[i].count < 30 {
+			t.Errorf("leaf with %d rows violates MinSamplesLeaf=30", tr.nodes[i].count)
 		}
 	}
 }
@@ -119,18 +119,18 @@ func TestWeightedTraining(t *testing.T) {
 			}
 		}
 	}
-	tr, err := Train(cols, labels, weights, Config{MaxDepth: 2})
+	tr, err := trainTree(cols, labels, weights, treeConfig{maxDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Nodes[0].Feature != 1 {
-		t.Errorf("root split on feature %d; weighted rows dictate feature 1", tr.Nodes[0].Feature)
+	if tr.nodes[0].feature != 1 {
+		t.Errorf("root split on feature %d; weighted rows dictate feature 1", tr.nodes[0].feature)
 	}
 }
 
 func TestExtraTreesRandomSplits(t *testing.T) {
 	cols, labels := thresholdData(800, 7)
-	tr, err := Train(cols, labels, nil, Config{MaxDepth: 6, RandomSplits: true, Seed: 1})
+	tr, err := trainTree(cols, labels, nil, treeConfig{maxDepth: 6, randomSplits: true, seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestExtraTreesRandomSplits(t *testing.T) {
 
 func TestFeatureImportanceNormalised(t *testing.T) {
 	cols, labels := thresholdData(500, 8)
-	tr, err := Train(cols, labels, nil, Config{MaxDepth: 4})
+	tr, err := trainTree(cols, labels, nil, treeConfig{maxDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := tr.FeatureImportance()
+	imp := tr.featureImportance()
 	sum := 0.0
 	for _, v := range imp {
 		if v < 0 {
@@ -161,43 +161,28 @@ func TestFeatureImportanceNormalised(t *testing.T) {
 	}
 }
 
-func TestSplitFeatures(t *testing.T) {
-	cols, labels := thresholdData(500, 9)
-	tr, err := Train(cols, labels, nil, Config{MaxDepth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feats := tr.SplitFeatures()
-	if len(feats) == 0 {
-		t.Fatal("no split features")
-	}
-	if feats[0] != 0 {
-		t.Errorf("first split feature = %d, want 0", feats[0])
-	}
-}
-
 func TestPureNodeStops(t *testing.T) {
 	cols := [][]float64{{1, 2, 3, 4}}
 	labels := []float64{1, 1, 1, 1}
-	tr, err := Train(cols, labels, nil, Config{MaxDepth: 5})
+	tr, err := trainTree(cols, labels, nil, treeConfig{maxDepth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Nodes) != 1 {
-		t.Errorf("pure data grew %d nodes, want 1", len(tr.Nodes))
+	if len(tr.nodes) != 1 {
+		t.Errorf("pure data grew %d nodes, want 1", len(tr.nodes))
 	}
-	if p := tr.PredictRow([]float64{2}); p != 1 {
+	if p := tr.predictRow([]float64{2}); p != 1 {
 		t.Errorf("pure leaf prob = %v, want 1", p)
 	}
 }
 
 func TestNaNRowsGoLeft(t *testing.T) {
 	cols, labels := thresholdData(300, 10)
-	tr, err := Train(cols, labels, nil, Config{MaxDepth: 3})
+	tr, err := trainTree(cols, labels, nil, treeConfig{maxDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tr.PredictRow([]float64{math.NaN(), math.NaN()})
+	p := tr.predictRow([]float64{math.NaN(), math.NaN()})
 	if math.IsNaN(p) || p < 0 || p > 1 {
 		t.Errorf("NaN prediction = %v, want a probability", p)
 	}

@@ -71,27 +71,8 @@ func pearsonTest(ctx context.Context, n int, candidates []int, theta float64, po
 // standardizeCol replaces col by (x - mean)/std in place, NaNs mapped to 0,
 // and reports true; a constant column is left as it is and reports false.
 func standardizeCol(col []float64) bool {
-	var sum float64
-	n := 0
-	for _, v := range col {
-		if !math.IsNaN(v) {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return false
-	}
-	mean := sum / float64(n)
-	var ss float64
-	for _, v := range col {
-		if !math.IsNaN(v) {
-			d := v - mean
-			ss += d * d
-		}
-	}
-	stdv := math.Sqrt(ss / float64(n))
-	if stdv < 1e-12 {
+	mean, stdv, _ := stats.MeanStd(col)
+	if stdv < 1e-12 { // constant, or no value at all
 		return false
 	}
 	for i, v := range col {

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/frame"
+	"repro/internal/stats"
 )
 
 // InteractionKind enumerates the planted pairwise effects.
@@ -327,17 +328,7 @@ func interact(kind InteractionKind, a, b float64) float64 {
 }
 
 func standardize(xs []float64) {
-	m := 0.0
-	for _, v := range xs {
-		m += v
-	}
-	m /= float64(len(xs))
-	ss := 0.0
-	for _, v := range xs {
-		d := v - m
-		ss += d * d
-	}
-	std := math.Sqrt(ss / float64(len(xs)))
+	m, std, _ := stats.MeanStd(xs)
 	if std < 1e-12 {
 		std = 1
 	}
@@ -346,18 +337,9 @@ func standardize(xs []float64) {
 	}
 }
 
+// colStd is xs's population deviation, or 1 below 1e-12.
 func colStd(xs []float64) float64 {
-	m := 0.0
-	for _, v := range xs {
-		m += v
-	}
-	m /= float64(len(xs))
-	ss := 0.0
-	for _, v := range xs {
-		d := v - m
-		ss += d * d
-	}
-	s := math.Sqrt(ss / float64(len(xs)))
+	_, s, _ := stats.MeanStd(xs)
 	if s < 1e-12 {
 		return 1
 	}

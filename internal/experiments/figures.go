@@ -6,9 +6,9 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/clf"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/ensemble"
 	"repro/internal/frame"
 )
 
@@ -95,9 +95,9 @@ func fig3ForDataset(name string, train *frame.Frame, p *core.Pipeline, seed int6
 		added++
 	}
 
-	cfg := ensemble.DefaultForestConfig()
+	cfg := clf.DefaultForestConfig()
 	cfg.Seed = seed
-	f, err := ensemble.TrainForest(colsOf(combined), combined.Label, cfg)
+	f, err := clf.TrainForest(colsOf(combined), combined.Label, cfg)
 	if err != nil {
 		return nil, err
 	}

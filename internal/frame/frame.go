@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/stats"
 )
 
 // Column is a single named feature column. Values are dense float64; NaN
@@ -248,19 +250,17 @@ type ColumnStats struct {
 	NaNCount            int
 }
 
-// Stats computes summary statistics for column j, ignoring NaNs.
+// Stats computes summary statistics for column j, ignoring NaNs; the mean
+// and deviation are stats.MeanStd's. A column with no value reports NaN
+// for all four.
 func (f *Frame) Stats(j int) ColumnStats {
 	vals := f.Columns[j].Values
 	st := ColumnStats{Min: math.Inf(1), Max: math.Inf(-1)}
-	n := 0
-	sum := 0.0
 	for _, v := range vals {
 		if math.IsNaN(v) {
 			st.NaNCount++
 			continue
 		}
-		n++
-		sum += v
 		if v < st.Min {
 			st.Min = v
 		}
@@ -268,19 +268,11 @@ func (f *Frame) Stats(j int) ColumnStats {
 			st.Max = v
 		}
 	}
+	mean, std, n := stats.MeanStd(vals)
 	if n == 0 {
 		return ColumnStats{Min: math.NaN(), Max: math.NaN(), Mean: math.NaN(), Std: math.NaN(), NaNCount: st.NaNCount}
 	}
-	st.Mean = sum / float64(n)
-	ss := 0.0
-	for _, v := range vals {
-		if math.IsNaN(v) {
-			continue
-		}
-		d := v - st.Mean
-		ss += d * d
-	}
-	st.Std = math.Sqrt(ss / float64(n))
+	st.Mean, st.Std = mean, std
 	return st
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/linear"
 	"repro/internal/stats"
 )
 
@@ -65,14 +64,7 @@ func (*zScoreOp) Fit(cols [][]float64) (Applier, error) {
 	if len(cols) != 1 {
 		return nil, errors.New("operators: zscore wants 1 input")
 	}
-	clean := make([]float64, 0, len(cols[0]))
-	for _, v := range cols[0] {
-		if !math.IsNaN(v) {
-			clean = append(clean, v)
-		}
-	}
-	mean := stats.Mean(clean)
-	std := stats.Std(clean)
+	mean, std, _ := stats.MeanStd(cols[0])
 	if std < 1e-12 {
 		std = 1
 	}
@@ -340,48 +332,6 @@ func (a *groupByApplier) TransformInto(cols [][]float64, dst []float64) {
 }
 func (a *groupByApplier) Formula(names []string) string {
 	return fmt.Sprintf("%s(key=%s, val=%s)", a.name, names[0], names[1])
-}
-
-// ---------- fitted binary operator: ridge regression ----------
-
-// RidgeOp returns the ridge-regression binary operator of Section III
-// (after AutoLearn): the generated feature is the residual of regressing
-// the second input on the first, capturing the part of b not linearly
-// explained by a.
-func RidgeOp(alpha float64) Operator { return &ridgeOp{alpha: alpha} }
-
-type ridgeOp struct{ alpha float64 }
-
-func (*ridgeOp) Name() string { return "ridge" }
-func (*ridgeOp) Arity() Arity { return Binary }
-func (o *ridgeOp) Fit(cols [][]float64) (Applier, error) {
-	if len(cols) != 2 {
-		return nil, errors.New("operators: ridge wants 2 inputs")
-	}
-	model, err := linear.TrainRidge(cols[:1], cols[1], o.alpha)
-	if err != nil {
-		return nil, fmt.Errorf("operators: ridge fit: %w", err)
-	}
-	return &ridgeApplier{model: model}, nil
-}
-
-type ridgeApplier struct{ model *linear.Ridge }
-
-// newRidgeApplier reconstructs a ridge applier from serialised weights.
-func newRidgeApplier(w []float64, b float64) Applier {
-	return &ridgeApplier{model: &linear.Ridge{W: w, B: b}}
-}
-
-func (a *ridgeApplier) TransformInto(cols [][]float64, dst []float64) {
-	var row [1]float64
-	for i := range dst {
-		row[0] = cols[0][i]
-		dst[i] = cols[1][i] - a.model.PredictRow(row[:])
-	}
-}
-func (a *ridgeApplier) Formula(names []string) string {
-	return fmt.Sprintf("ridge_resid(%s ~ %s; w=%.4g, b=%.4g)",
-		names[1], names[0], a.model.W[0], a.model.B)
 }
 
 // groupCuts quantises a grouping key into at most maxGroups groups using

@@ -92,7 +92,7 @@ func EncodeApplier(a Applier) (kind string, data json.RawMessage, err error) {
 		})
 		return "groupby", data, err
 	case *ridgeApplier:
-		data, err = json.Marshal(ridgePayload{W: ap.model.W, B: ap.model.B})
+		data, err = json.Marshal(ridgePayload{W: ap.model.w, B: ap.model.b})
 		return "ridge", data, err
 	case PersistableApplier:
 		data, err = ap.PersistData()

@@ -34,22 +34,34 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// MeanStd returns the mean and the population standard deviation of the
+// non-NaN values of xs, and how many there are; all three are 0 when xs
+// holds no value. It makes two passes — the sum, then the squared
+// deviations from the mean — and allocates nothing. Every column mean and
+// deviation in the product is read from it, so standardised values agree
+// bit for bit wherever they are computed; CI's lint keeps it the only
+// two-pass deviation.
+func MeanStd(xs []float64) (mean, std float64, n int) {
+	var sum float64
+	for _, v := range xs {
+		if !math.IsNaN(v) {
+			sum += v
+			n++
+		}
 	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
+	if n == 0 {
+		return 0, 0, 0
 	}
-	return ss / float64(len(xs))
+	mean = sum / float64(n)
+	var ss float64
+	for _, v := range xs {
+		if !math.IsNaN(v) {
+			d := v - mean
+			ss += d * d
+		}
+	}
+	return mean, math.Sqrt(ss / float64(n)), n
 }
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // entropyFromCounts is the Shannon entropy (nats) of a binary split of
 // pos + neg labels.

@@ -14,14 +14,91 @@ func TestMeanVarianceStd(t *testing.T) {
 	if got := Mean(xs); !almostEqual(got, 2.5, 1e-12) {
 		t.Errorf("Mean = %v, want 2.5", got)
 	}
-	if got := Variance(xs); !almostEqual(got, 1.25, 1e-12) {
-		t.Errorf("Variance = %v, want 1.25", got)
+	mean, std, n := MeanStd(xs)
+	if !almostEqual(mean, 2.5, 1e-12) || n != 4 {
+		t.Errorf("MeanStd mean, n = %v, %d, want 2.5, 4", mean, n)
 	}
-	if got := Std(xs); !almostEqual(got, math.Sqrt(1.25), 1e-12) {
-		t.Errorf("Std = %v, want sqrt(1.25)", got)
+	if !almostEqual(std*std, 1.25, 1e-12) {
+		t.Errorf("MeanStd variance = %v, want 1.25", std*std)
+	}
+	if !almostEqual(std, math.Sqrt(1.25), 1e-12) {
+		t.Errorf("MeanStd std = %v, want sqrt(1.25)", std)
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", got)
+	}
+}
+
+// twoPassReference is the NaN-skipping two-pass mean and population
+// deviation as each standardiser wrote it before they shared MeanStd.
+func twoPassReference(col []float64) (float64, float64, int) {
+	var sum float64
+	n := 0
+	for _, v := range col {
+		if math.IsNaN(v) {
+			continue
+		}
+		sum += v
+		n++
+	}
+	if n == 0 {
+		return 0, 0, 0
+	}
+	mean := sum / float64(n)
+	var ss float64
+	for _, v := range col {
+		if math.IsNaN(v) {
+			continue
+		}
+		d := v - mean
+		ss += d * d
+	}
+	return mean, math.Sqrt(ss / float64(n)), n
+}
+
+func TestMeanStd(t *testing.T) {
+	nan := math.NaN()
+	if mean, std, n := MeanStd([]float64{nan, 1, nan, 3, nan}); mean != 2 || std != 1 || n != 2 {
+		t.Errorf("NaNs not skipped: MeanStd = %v, %v, %d, want 2, 1, 2", mean, std, n)
+	}
+	for _, xs := range [][]float64{nil, {}, {nan}, {nan, nan, nan}} {
+		if mean, std, n := MeanStd(xs); mean != 0 || std != 0 || n != 0 {
+			t.Errorf("MeanStd(%v) = %v, %v, %d, want 0, 0, 0", xs, mean, std, n)
+		}
+	}
+	if mean, std, n := MeanStd([]float64{1e9 + 0.1, nan, 1e9 + 0.1, 1e9 + 0.1}); mean != 1e9+0.1 || std != 0 || n != 3 {
+		t.Errorf("constant column: MeanStd = %v, %v, %d, want %v, 0, 3", mean, std, n, 1e9+0.1)
+	}
+
+	// A seeded sweep, with offsets large enough that a one-pass form
+	// loses the deviation's low bits: the bits must be the two-pass loops'.
+	rng := rand.New(rand.NewSource(45))
+	offsets := []float64{0, 1, -3.5, 1e6, -1e9, 1e12, 3e15}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(300)
+		scale := math.Pow(10, float64(rng.Intn(7)-3))
+		off := offsets[rng.Intn(len(offsets))]
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = off + scale*rng.NormFloat64()
+			if rng.Float64() < 0.1 {
+				xs[i] = nan
+			}
+		}
+		gm, gs, gn := MeanStd(xs)
+		wm, ws, wn := twoPassReference(xs)
+		if math.Float64bits(gm) != math.Float64bits(wm) || math.Float64bits(gs) != math.Float64bits(ws) || gn != wn {
+			t.Fatalf("trial %d (n=%d, offset %g, scale %g): MeanStd = %v, %v, %d, two passes = %v, %v, %d",
+				trial, n, off, scale, gm, gs, gn, wm, ws, wn)
+		}
+	}
+
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = float64(i % 7)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { MeanStd(xs) }); allocs != 0 {
+		t.Errorf("MeanStd allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -31,6 +31,7 @@
 package safe
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/clf"
@@ -231,9 +232,14 @@ func TrainClassifier(name string, train *Frame, seed int64) (*Classifier, error)
 	return &Classifier{model: model, names: train.Names()}, nil
 }
 
-// Predict scores a frame (columns are matched positionally; use the same
-// pipeline output ordering as at training time).
+// Predict scores a frame. Columns are matched by position, so pass them in
+// the order the classifier was trained on (for a pipeline's output, the
+// same pipeline). Predict panics when the frame's column count is not the
+// training frame's.
 func (c *Classifier) Predict(f *Frame) []float64 {
+	if f.NumCols() != len(c.names) {
+		panic(fmt.Sprintf("safe: Classifier.Predict: frame has %d columns, the classifier was trained on %d", f.NumCols(), len(c.names)))
+	}
 	return c.model.Predict(colsOf(f))
 }
 

@@ -2,7 +2,9 @@ package safe_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -84,6 +86,57 @@ func TestTrainClassifierUnknown(t *testing.T) {
 	ds := quickDataset(t)
 	if _, err := safe.TrainClassifier("GPT", ds.Train, 1); err == nil {
 		t.Error("unknown classifier accepted")
+	}
+}
+
+// widthFrame is a labelled frame of width columns over the same seeded
+// rows: column j of every width holds the same values.
+func widthFrame(width int) *safe.Frame {
+	rng := rand.New(rand.NewSource(45))
+	const n = 120
+	f := &safe.Frame{Label: make([]float64, n)}
+	cols := make([][]float64, width)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		f.Label[i] = float64(i % 2)
+		for j := range cols {
+			cols[j][i] = rng.NormFloat64() + f.Label[i]
+		}
+	}
+	for j, c := range cols {
+		f.AddColumn(fmt.Sprintf("x%d", j), c)
+	}
+	return f
+}
+
+// TestClassifierPredictRefusesWrongWidth: a classifier trained on three
+// columns scores a three-column frame and panics, naming both widths, on a
+// narrower or a wider one — every one of the nine, where some used to score
+// the frame silently and others to index past its last column.
+func TestClassifierPredictRefusesWrongWidth(t *testing.T) {
+	train := widthFrame(3)
+	for _, name := range safe.ClassifierNames() {
+		model, err := safe.TrainClassifier(name, train, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := len(model.Predict(train)); got != train.NumRows() {
+			t.Fatalf("%s: %d scores for %d rows", name, got, train.NumRows())
+		}
+		for _, width := range []int{2, 4} {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					want := fmt.Sprintf("frame has %d columns, the classifier was trained on 3", width)
+					if !strings.Contains(msg, want) {
+						t.Errorf("%s on %d columns: panic %q, want one containing %q", name, width, msg, want)
+					}
+				}()
+				model.Predict(widthFrame(width))
+			}()
+		}
 	}
 }
 
