@@ -3,6 +3,7 @@ package safe_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -163,29 +164,34 @@ func (c slowChunks) Next() (*safe.Chunk, error) {
 	return c.ChunkSource.Next()
 }
 
-// otherFitColumns is what an in-memory binary fit of 8,000 × 30 rows
-// allocates beyond its candidate columns, in columns of 8 bytes a row: the
-// miner's and ranker's bin codes and histograms, the criterion scratches,
-// the candidate records. It measured 72; the rest is headroom, less than
-// the IV survivors' column count a second copy of them would add.
-const otherFitColumns = 96
+// otherFitColumns is what a two-round in-memory binary fit of 8,000 × 30
+// rows allocates beyond its candidate columns, in columns of 8 bytes a row:
+// the miners' and rankers' bin codes and histograms, the criterion
+// scratches, the candidate records. It measured 117; the rest is headroom,
+// less than the columns a round's rejected Pearson candidates would add if
+// they were held.
+const otherFitColumns = 144
 
 // TestInMemoryFitHoldsEachColumnOnce is the allocation guard of the
 // in-memory engine: a fit holds each candidate column once — a chunk of
 // generated columns in flight, every scored one back in the fit's arena, and
-// each IV survivor rebuilt once into a buffer Pearson standardises in place
-// and the ranker's binning reuses — so its bytes per row stay within
-// max(streamChunk, IV survivors) + otherFitColumns float64 columns. Holding
-// the survivors through generation, or standardising copies of them, adds
-// about one column per survivor and fails it.
+// each IV survivor rebuilt into a buffer Pearson standardises in place when
+// its greedy scan reaches it, a window at a time, and gives back at once if
+// it is rejected — so over two rounds its bytes per row stay within the
+// round's carried columns plus max(streamChunk, Pearson survivors + one
+// window), at the widest round, plus otherFitColumns float64 columns. Holding
+// every IV survivor's standardised buffer through the scan, as the parent
+// of this bound did, adds about one column per rejected survivor and fails
+// it; so do the survivors held through generation or standardised copies.
 func TestInMemoryFitHoldsEachColumnOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations inflate TotalAlloc")
 	}
-	const rows, dim, streamChunk = 8000, 30, 32
+	const rows, dim, streamChunk, workers = 8000, 30, 32, 2
+	const window = 2 * workers // the Pearson scan's: two columns per pool worker
 	train := workload(t, rows, dim, safe.BinaryTask())
 	fit := func() *safe.Result {
-		res, err := safe.Fit(context.Background(), safe.FromFrame(train), safe.WithSeed(1))
+		res, err := safe.Fit(context.Background(), safe.FromFrame(train), safe.WithSeed(1), safe.WithIterations(2), safe.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,11 +204,87 @@ func TestInMemoryFitHoldsEachColumnOnce(t *testing.T) {
 	res := fit()
 	runtime.ReadMemStats(&ms)
 	perRow := float64(ms.TotalAlloc-before) / rows
-	keptA := res.Report.Iterations[0].AfterIV
-	limit := 8 * float64(max(streamChunk, keptA)+otherFitColumns)
-	t.Logf("%.0f B/row (%.1f columns) for %d IV survivors; limit %.0f B/row", perRow, perRow/8, keptA, limit)
+	if len(res.Report.Iterations) != 2 {
+		t.Fatalf("%d rounds, want 2", len(res.Report.Iterations))
+	}
+	held, carried := 0, 0
+	for _, it := range res.Report.Iterations {
+		held = max(held, carried+max(streamChunk, it.AfterPearson+window))
+		t.Logf("round %d: %d carried, %d IV survivors, %d Pearson survivors", it.Round, carried, it.AfterIV, it.AfterPearson)
+		carried = it.Selected
+	}
+	limit := 8 * float64(held+otherFitColumns)
+	t.Logf("%.0f B/row (%.1f columns) for at most %d candidate columns held; limit %.0f B/row", perRow, perRow/8, held, limit)
 	if perRow > limit {
-		t.Fatalf("an in-memory fit allocates %.0f B/row, over the %.0f B/row one copy of its %d IV survivors allows", perRow, limit, keptA)
+		t.Fatalf("an in-memory fit allocates %.0f B/row, over the %.0f B/row its carried columns, Pearson survivors and one window allow", perRow, limit)
+	}
+}
+
+// liveHeapAllowance bounds what a two-round multiclass:3 in-memory fit of
+// 6,000 × 30 rows keeps live beyond the frame and its candidate columns, in
+// columns of 8 bytes a row: the live features' bin codes, the boosters'
+// gradients, scores and histograms, the criterion scratches and the
+// candidate records. The fit measured 157.5 columns against 162 candidate
+// columns (the carried count includes original columns, which the frame
+// already holds), so the allowance is headroom; it is less than the about
+// 80 columns that holding the rejected Pearson candidates adds.
+const liveHeapAllowance = 32
+
+// TestInMemoryLiveHeapIsCarriedKeptAndOneWindow holds the in-memory
+// engine's live heap to its formula (ROADMAP item 18): sampled as bench/'s
+// heap mode does — HeapAlloc after runtime.GC() at every stage end — the
+// peak stays within the heap before the fit (which holds the frame) plus,
+// at the widest round, the carried columns, the Pearson survivors' buffers,
+// one Pearson window and a stream chunk of 32 columns, plus
+// liveHeapAllowance columns. A fit that keeps a rejected candidate's
+// standardised buffer until the round ends — every IV survivor's — fails it.
+func TestInMemoryLiveHeapIsCarriedKeptAndOneWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a fit with a collection at every stage end; run without -short")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping inflates HeapAlloc")
+	}
+	const rows, dim, streamChunk, workers = 6000, 30, 32, 2
+	const window = 2 * workers
+	train := workload(t, rows, dim, safe.MulticlassTask(3))
+	var peak uint64
+	var peakAt string
+	sample := func(ev safe.FitEvent) {
+		if ev.Kind != safe.EventStageEnd {
+			return
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		if ms.HeapAlloc > peak {
+			peak, peakAt = ms.HeapAlloc, fmt.Sprintf("round %d %v", ev.Round, ev.Stage)
+		}
+	}
+	opts := []safe.Option{safe.WithTask(safe.MulticlassTask(3)), safe.WithSeed(1), safe.WithIterations(2), safe.WithWorkers(workers)}
+	if _, err := safe.Fit(context.Background(), safe.FromFrame(train), opts...); err != nil {
+		t.Fatal(err) // warm the shared pool and the operator registry
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	res, err := safe.Fit(context.Background(), safe.FromFrame(train), append(opts, safe.WithEvents(sample))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, carried := 0, 0
+	for _, it := range res.Report.Iterations {
+		held = max(held, carried+it.AfterPearson+window+streamChunk)
+		t.Logf("round %d: %d carried, %d IV survivors, %d Pearson survivors", it.Round, carried, it.AfterIV, it.AfterPearson)
+		carried = it.Selected
+	}
+	column := float64(8 * rows)
+	grew := float64(peak) - float64(before)
+	limit := column * float64(held+liveHeapAllowance)
+	t.Logf("live heap peaks %.2f MB at %s, %.1f columns over the %.2f MB before the fit; limit %.1f columns", float64(peak)/(1<<20), peakAt, grew/column, float64(before)/(1<<20), limit/column)
+	if grew > limit {
+		t.Fatalf("the live heap grows %.1f columns over the frame at %s, over the %d carried, kept, window and stream columns plus %d allowed", grew/column, peakAt, held, liveHeapAllowance)
 	}
 }
 

@@ -124,10 +124,10 @@ func (s scaler) value(j int, v float64) float64 {
 	return (v - s.mean[j]) / s.std[j]
 }
 
-// apply writes row's standardised values to dst.
-func (s scaler) apply(row, dst []float64) {
+// apply standardises row in place.
+func (s scaler) apply(row []float64) {
 	for j, v := range row {
-		dst[j] = s.value(j, v)
+		row[j] = s.value(j, v)
 	}
 }
 

@@ -125,3 +125,28 @@ func TestPredictionsMatchRecorded(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictAllocatesPerCallNotPerRow holds every evaluator's Predict to a
+// fixed number of allocations per call, whatever the row count: the output
+// and one row buffer (plus, for kNN, one neighbour heap). A model that
+// allocates for each scored row — a standardised copy of the row, a boxed
+// heap entry — makes the 300-row call cost more than the 30-row one.
+func TestPredictAllocatesPerCallNotPerRow(t *testing.T) {
+	cols, labels := goldenFrame(800, 101)
+	test, _ := goldenFrame(300, 202)
+	short := make([][]float64, len(test))
+	for j, col := range test {
+		short[j] = col[:30]
+	}
+	for _, name := range Names() {
+		model, err := Train(name, cols, labels, 5)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		few := testing.AllocsPerRun(3, func() { model.Predict(short) })
+		many := testing.AllocsPerRun(3, func() { model.Predict(test) })
+		if many != few || many > 4 {
+			t.Errorf("%s: Predict allocates %v times for 30 rows and %v for 300, want the same count, at most 4", name, few, many)
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package clf
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // The k-nearest-neighbours evaluator: standardised Euclidean distance and
 // probability output (fraction of positive neighbours). For the dataset
@@ -59,30 +56,54 @@ func trainKNN(cols [][]float64, labels []float64, cfg knnConfig) (*knnModel, err
 	return mod, nil
 }
 
-// distHeap is a bounded max-heap of (distance, label) pairs.
-type distHeap []struct{ d, y float64 }
+// distHeap is a bounded max-heap of (distance, label) pairs. push and
+// fixTop are container/heap's Push and Fix(h, 0) sift operations on the
+// concrete type, so a scored row boxes nothing.
+type distHeap []neighbour
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d > h[j].d } // max-heap
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(struct{ d, y float64 })) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+type neighbour struct{ d, y float64 }
+
+// push appends it and sifts it up.
+func (h *distHeap) push(it neighbour) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(q[j].d > q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+// fixTop sifts a replaced root down.
+func (h distHeap) fixTop() {
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= len(h) {
+			return
+		}
+		if j+1 < len(h) && h[j+1].d > h[j].d {
+			j++ // right child
+		}
+		if !(h[j].d > h[i].d) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // predictRow returns the fraction of positive labels among the k nearest
-// training rows of a raw input row.
-func (mod *knnModel) predictRow(row []float64) float64 {
-	q := make([]float64, len(row))
-	mod.sc.apply(row, q)
-	h := make(distHeap, 0, mod.k+1)
+// training rows of row, which it standardises in place (it is predictRows'
+// buffer); buf is the caller's heap storage, of capacity k.
+func (mod *knnModel) predictRow(row []float64, buf distHeap) float64 {
+	mod.sc.apply(row)
+	h := buf[:0]
 	for i, x := range mod.x {
 		d := 0.0
-		for j, v := range q {
+		for j, v := range row {
 			diff := v - x[j]
 			d += diff * diff
 			if len(h) == mod.k && d > h[0].d {
@@ -90,10 +111,10 @@ func (mod *knnModel) predictRow(row []float64) float64 {
 			}
 		}
 		if len(h) < mod.k {
-			heap.Push(&h, struct{ d, y float64 }{d, mod.y[i]})
+			h.push(neighbour{d, mod.y[i]})
 		} else if d < h[0].d {
-			h[0] = struct{ d, y float64 }{d, mod.y[i]}
-			heap.Fix(&h, 0)
+			h[0] = neighbour{d, mod.y[i]}
+			h.fixTop()
 		}
 	}
 	if len(h) == 0 {
@@ -108,5 +129,8 @@ func (mod *knnModel) predictRow(row []float64) float64 {
 	return pos / float64(len(h))
 }
 
-// Predict scores column-major data.
-func (mod *knnModel) Predict(cols [][]float64) []float64 { return predictRows(cols, mod.predictRow) }
+// Predict scores column-major data with one heap for every row.
+func (mod *knnModel) Predict(cols [][]float64) []float64 {
+	buf := make(distHeap, 0, mod.k)
+	return predictRows(cols, func(row []float64) float64 { return mod.predictRow(row, buf) })
+}

@@ -54,10 +54,10 @@ func TestExactNeighbourVote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := m.predictRow([]float64{0.9}); p != 1 {
+	if p := m.predictRow([]float64{0.9}, make(distHeap, 0, m.k)); p != 1 {
 		t.Errorf("vote = %v, want 1", p)
 	}
-	if p := m.predictRow([]float64{-0.9}); p > 0.5 {
+	if p := m.predictRow([]float64{-0.9}, make(distHeap, 0, m.k)); p > 0.5 {
 		t.Errorf("vote near negatives = %v, want <= 0.5", p)
 	}
 }
@@ -100,7 +100,7 @@ func TestNaNHandling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := m.predictRow([]float64{math.NaN(), 0}); math.IsNaN(p) {
+	if p := m.predictRow([]float64{math.NaN(), 0}, make(distHeap, 0, m.k)); math.IsNaN(p) {
 		t.Error("NaN query produced NaN")
 	}
 }

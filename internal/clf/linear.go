@@ -31,12 +31,12 @@ type linearModel struct {
 	sc scaler
 }
 
-// predictRow returns the positive-class probability for one raw row.
+// predictRow returns the positive-class probability for one raw row, which
+// it standardises in place (it is predictRows' buffer).
 func (lm *linearModel) predictRow(row []float64) float64 {
-	x := make([]float64, len(row))
-	lm.sc.apply(row, x)
+	lm.sc.apply(row)
 	z := lm.b
-	for j, v := range x {
+	for j, v := range row {
 		z += lm.w[j] * v
 	}
 	return sigmoid(z)

@@ -88,7 +88,7 @@ func streamCandidates(t *testing.T, train *frame.Frame, task Task, workers int) 
 	}
 	out := make([]streamedCandidate, len(m.entries))
 	for i, en := range m.entries {
-		out[i] = streamedCandidate{en.lf.Name, math.Float64bits(en.iv)}
+		out[i] = streamedCandidate{en.lf.Name, math.Float64bits(en.lf.crit)}
 		if generated := en.cand != nil; generated != (en.lf.train == nil) {
 			t.Fatalf("%s: generated=%v but column nil=%v after Generate", en.lf.Name, generated, en.lf.train == nil)
 		}

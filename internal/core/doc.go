@@ -30,8 +30,9 @@
 //     in-memory engine's one entry point, constructs it) keeps raw []float64 columns resident
 //     and streams candidate generation through a recycling arena, holding
 //     each candidate column once: scored columns return to the arena, and
-//     the survivors are rebuilt from their appliers when Pearson and the
-//     ranker need them;
+//     the survivors are rebuilt from their appliers when Pearson's greedy
+//     scan reaches them (a window at a time; a rejected one's buffer goes
+//     back at once) and when the ranker needs them;
 //     internal/shard's answers the same questions with streaming passes
 //     over a chunked source, and contains no loop of its own.
 //

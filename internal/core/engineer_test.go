@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +14,9 @@ import (
 	"repro/internal/frame"
 	"repro/internal/gbdt"
 	"repro/internal/metrics"
+	"repro/internal/operators"
 	"repro/internal/parallel"
+	"repro/internal/stats"
 )
 
 // testDataset returns a mid-size dataset with planted interactions.
@@ -459,21 +462,128 @@ func TestPearsonDedupKeepsHigherIV(t *testing.T) {
 			labels[i] = 1
 		}
 	}
-	cols := [][]float64{a, b}
+	cols := []*liveFeature{{train: a}, {train: b}}
 	ivs := []float64{0.5, 0.2}
 	ctx := context.Background()
-	correlated, err := pearsonTest(ctx, len(cols), []int{0, 1}, 0.8, parallel.Get(1), func(j int) []float64 {
-		return append([]float64(nil), cols[j]...)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, err := greedyDedup(ctx, ivs, []int{0, 1}, correlated)
+	arena := operators.NewArena(n)
+	scan := newPearsonScan(cols, ivs, []int{0, 1}, 0.8, parallel.Get(1), arena)
+	kept, err := greedyDedup(ctx, ivs, []int{0, 1}, scan.correlated)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(kept) != 1 || kept[0] != 0 {
 		t.Errorf("kept %v, want [0]", kept)
+	}
+	// The rejected column's buffer is back in the arena; the kept one holds
+	// its standardised values.
+	if cols[1].std != nil || cols[0].std == nil {
+		t.Errorf("after the scan: kept std nil=%v, rejected std nil=%v", cols[0].std == nil, cols[1].std == nil)
+	}
+	if a[1] != 1 || b[1] != 2 {
+		t.Error("the scan standardised a frame column in place")
+	}
+}
+
+// TestPearsonScanMatchesUpFrontStandardising holds the windowed scan to the
+// test it replaced — every candidate standardised up front (the copying
+// refStandardize), then one dot product per pair — on columns with
+// correlated groups, NaNs, constant and all-NaN columns and tied IVs, on 1,
+// 2 and 4 workers, in greedyDedup's order and in the reverse order (where
+// every test standardises on demand). After each test the scan holds at most
+// the kept candidates' buffers and one window: a rejected or constant
+// candidate's buffer is back in the arena before the next test.
+func TestPearsonScanMatchesUpFrontStandardising(t *testing.T) {
+	const n, k, theta = 400, 48, 0.8
+	rng := rand.New(rand.NewSource(46))
+	raw := make([][]float64, k)
+	ivs := make([]float64, k)
+	for j := range raw {
+		raw[j] = make([]float64, n)
+		ivs[j] = float64(rng.Intn(6)) / 5
+	}
+	for i := 0; i < n; i++ {
+		base := [4]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		for j := range raw {
+			switch {
+			case j%11 == 10:
+				raw[j][i] = 3 // constant
+			case j == 21:
+				raw[j][i] = math.NaN()
+			default:
+				raw[j][i] = base[j%4]*float64(1+j%3) + 0.3*rng.NormFloat64()*float64(j%5)
+				if rng.Intn(40) == 0 {
+					raw[j][i] = math.NaN()
+				}
+			}
+		}
+	}
+	var candidates []int
+	for j := range raw {
+		if j%7 != 3 {
+			candidates = append(candidates, j)
+		}
+	}
+	ref := make([][]float64, k)
+	for j, col := range raw {
+		ref[j] = refStandardize(col)
+	}
+	refKeep := func(order []int) []int {
+		var kept []int
+		for _, j := range order {
+			hit := false
+			for _, o := range kept {
+				if ref[j] != nil && ref[o] != nil && math.Abs(stats.Dot(ref[j], ref[o])) > theta*n {
+					hit = true
+					break
+				}
+			}
+			if !hit {
+				kept = append(kept, j)
+			}
+		}
+		sort.Ints(kept)
+		return kept
+	}
+	ivOrder := append([]int(nil), candidates...)
+	sortByIVDesc(ivOrder, ivs)
+	reversed := make([]int, len(ivOrder))
+	for i, j := range ivOrder {
+		reversed[len(ivOrder)-1-i] = j
+	}
+	for _, workers := range []int{1, 2, 4} {
+		pool := parallel.Get(workers)
+		window := 2 * pool.Workers()
+		for name, order := range map[string][]int{"iv-order": ivOrder, "reversed": reversed} {
+			cols := make([]*liveFeature, k)
+			for j := range cols {
+				cols[j] = &liveFeature{train: raw[j]}
+			}
+			scan := newPearsonScan(cols, ivs, candidates, theta, pool, operators.NewArena(n))
+			var kept []int
+			for _, j := range order {
+				if !scan.correlated(j, kept) {
+					kept = append(kept, j)
+				}
+				held := 0
+				for _, lf := range cols {
+					if lf.std != nil {
+						held++
+					}
+				}
+				if held > len(kept)+window {
+					t.Fatalf("w%d %s: %d buffers held after testing %d, over %d kept + a window of %d", workers, name, held, j, len(kept), window)
+				}
+			}
+			sort.Ints(kept)
+			if want := refKeep(order); !reflect.DeepEqual(kept, want) {
+				t.Errorf("w%d %s: kept %v, want %v", workers, name, kept, want)
+			}
+			for _, j := range kept {
+				if (cols[j].std == nil) != (ref[j] == nil) {
+					t.Errorf("w%d %s: kept candidate %d holds std=%v, constant=%v", workers, name, j, cols[j].std != nil, ref[j] == nil)
+				}
+			}
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"context"
 	"math"
 	"sync/atomic"
 
+	"repro/internal/operators"
 	"repro/internal/parallel"
 	"repro/internal/stats"
 )
@@ -43,29 +43,96 @@ func computeCriteria(cols [][]float64, labels []float64, code *stats.TargetCode,
 	return out
 }
 
-// pearsonTest standardises the candidates' columns once up front
-// (column-parallel), so each pairwise correlation is a single dot product
-// (Pearson(x,y) = x̃·ỹ/n), and returns greedyDedup's test over them: the
-// scan of one candidate against the kept set, on the shared pool. column(j)
-// returns candidate j's values (of n) in a buffer the test may standardise
-// in place; it runs on the pool, once per candidate.
-func pearsonTest(ctx context.Context, n int, candidates []int, theta float64, pool *parallel.Pool, column func(j int) []float64) (func(j int, among []int) bool, error) {
-	std := make([][]float64, n) // NaN -> 0 == the mean after standardisation
-	err := pool.ForChunksCtx(ctx, len(candidates), pool.Grain(len(candidates)), func(lo, hi int) {
-		for _, j := range candidates[lo:hi] {
-			if col := column(j); standardizeCol(col) {
-				std[j] = col
-			}
+// pearsonScan is Algorithm 4's test over columns standardised only as the
+// greedy scan reaches them, so a round holds the kept candidates' buffers and
+// one window instead of every IV survivor's. On standardised columns
+// Pearson(x,y) = x̃·ỹ/n, a single dot product. The scan walks the
+// candidates in greedyDedup's order (IV descending): the first test of a
+// candidate no window has reached takes it and the next untaken candidates
+// of that order, up to a window, each into an arena buffer the pool fills
+// and standardises in place, one task per column. A candidate found
+// correlated gives its buffer back before the next test, and so does a
+// constant one, which correlates with nothing (stats.Pearson returns 0;
+// kept, the ranker buries it). The order only decides what a window takes
+// ahead: a candidate tested out of it is standardised alone, on demand, so
+// the answers never depend on it and the scan never holds more than the
+// kept buffers and one window. A kept candidate's buffer stays in its std
+// for Bin or Carry.
+type pearsonScan struct {
+	theta float64
+	pool  *parallel.Pool
+	arena *operators.Arena
+	cols  []*liveFeature // by candidate index
+	order []int          // the candidates in greedyDedup's order
+	next  int            // order[next:] is what no window has passed yet
+	taken []bool         // by candidate index: a window has standardised it
+	win   []*liveFeature // the window being standardised
+	flat  []bool         // win[i] is constant
+}
+
+// newPearsonScan prepares the scan of candidates, whose criteria ivs are
+// indexed like cols. A window is two columns per pool worker: enough for
+// one pool region to keep every worker busy, few enough that what the scan
+// holds ahead of its tests stays a handful of columns.
+func newPearsonScan(cols []*liveFeature, ivs []float64, candidates []int, theta float64, pool *parallel.Pool, arena *operators.Arena) *pearsonScan {
+	order := append([]int(nil), candidates...)
+	sortByIVDesc(order, ivs)
+	window := 2 * pool.Workers()
+	return &pearsonScan{
+		theta: theta, pool: pool, arena: arena, cols: cols, order: order,
+		taken: make([]bool, len(cols)),
+		win:   make([]*liveFeature, 0, window),
+		flat:  make([]bool, window),
+	}
+}
+
+// correlated is greedyDedup's test, called once per candidate: does
+// candidate j correlate above θ, in absolute value, with any of among?
+func (s *pearsonScan) correlated(j int, among []int) bool {
+	if !s.taken[j] {
+		s.take(j)
+	}
+	lf := s.cols[j]
+	if lf.std == nil || !corrAny(lf.std, s.cols, among, s.theta, s.pool) {
+		return false
+	}
+	s.arena.Put(lf.std)
+	lf.std = nil
+	return true
+}
+
+// take standardises candidate j on the pool: with the next untaken
+// candidates of the order, up to a window, when j is the order's next one,
+// alone when a test runs out of the order. A constant column's buffer goes
+// back to the arena at once.
+func (s *pearsonScan) take(j int) {
+	for s.next < len(s.order) && s.taken[s.order[s.next]] {
+		s.next++
+	}
+	inOrder := s.next < len(s.order) && s.order[s.next] == j
+	win := append(s.win[:0], s.cols[j])
+	s.taken[j] = true
+	for ; inOrder && s.next < len(s.order) && len(win) < cap(win); s.next++ {
+		if k := s.order[s.next]; !s.taken[k] {
+			win = append(win, s.cols[k])
+			s.taken[k] = true
+		}
+	}
+	for _, lf := range win {
+		lf.std = s.arena.Get()
+	}
+	s.pool.ForChunks(len(win), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			win[i].values(win[i].std)
+			s.flat[i] = !standardizeCol(win[i].std)
 		}
 	})
-	if err != nil {
-		return nil, err
+	for i, lf := range win {
+		if s.flat[i] {
+			s.arena.Put(lf.std)
+			lf.std = nil
+		}
 	}
-	return func(j int, among []int) bool {
-		// A constant column (std[j] == nil) correlates with nothing by
-		// convention (stats.Pearson returns 0); kept, the ranker buries it.
-		return std[j] != nil && corrAny(std, j, among, theta, pool)
-	}, nil
 }
 
 // standardizeCol replaces col by (x - mean)/std in place, NaNs mapped to 0,
@@ -85,18 +152,18 @@ func standardizeCol(col []float64) bool {
 	return true
 }
 
-// corrAny reports whether standardised column j correlates above theta
-// (absolute) with any column in kept. The scan is chunk-parallel with a
-// shared early-exit flag; the answer (a pure any-of) is independent of
-// which chunk finds a correlate first.
-func corrAny(std [][]float64, j int, kept []int, theta float64, pool *parallel.Pool) bool {
+// corrAny reports whether the standardised column x correlates above theta
+// (absolute) with the standardised column of any candidate in kept; a kept
+// constant one (std nil) correlates with nothing. The scan is
+// chunk-parallel with a shared early-exit flag; the answer (a pure any-of)
+// is independent of which chunk finds a correlate first.
+func corrAny(x []float64, cols []*liveFeature, kept []int, theta float64, pool *parallel.Pool) bool {
 	if len(kept) == 0 {
 		return false
 	}
-	x := std[j]
 	limit := theta * float64(len(x))
 	check := func(k int) bool {
-		y := std[k]
+		y := cols[k].std
 		if y == nil {
 			return false
 		}

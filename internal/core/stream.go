@@ -21,10 +21,12 @@ import (
 // scored column goes straight back to the arena, so the candidate set X̂ of
 // Algorithm 1 never fully materialises. A candidate's values are a pure
 // function of its fitted applier and inputs, so the stages after the IV
-// filter rebuild the few they need: Pearson (Correlated) computes each IV
-// survivor into an arena column and standardises it in place, and ranking
-// (Bin) turns the Pearson survivors' buffers back into raw values. Each
-// candidate column is held once, and the observable results (candidate
+// filter rebuild the few they need: Pearson (Correlated) computes the IV
+// survivors into arena columns a window at a time, in the order its greedy
+// scan tests them, standardises them in place and gives a rejected one's
+// buffer back at once, and ranking (Bin) turns the Pearson survivors'
+// buffers back into raw values. Each candidate column is held once, a
+// rejected one only until its test, and the observable results (candidate
 // counts, surviving set, selection) are identical to the
 // materialise-then-filter formulation.
 
@@ -37,8 +39,23 @@ type liveFeature struct {
 	Feature
 	train []float64
 	valid []float64   // nil when fitting without a validation frame
-	std   []float64   // its standardised values, an arena buffer, from Correlated to Bin or Carry
+	std   []float64   // its standardised values, an arena buffer, from its Pearson test to Bin or Carry
 	in    [][]float64 // a generated feature's applier inputs: what train is rebuilt from
+	// crit is the feature's relevance criterion, set once scored: a pure
+	// function of its column and the fit's target code, so a live feature
+	// keeps the value it was scored with as a candidate.
+	crit   float64
+	scored bool
+}
+
+// values writes the feature's raw values to dst: a copy of its column, or a
+// generated candidate's rebuilt from its fitted applier.
+func (lf *liveFeature) values(dst []float64) {
+	if lf.train != nil {
+		copy(dst, lf.train)
+		return
+	}
+	Apply(lf.Node.Applier, lf.in, dst)
 }
 
 // candEntry is the stream's view of one candidate of a round: a base (live)
@@ -47,7 +64,6 @@ type liveFeature struct {
 type candEntry struct {
 	lf   *liveFeature
 	cand *Candidate // nil for base features
-	iv   float64
 }
 
 // streamChunk is how many generated candidates buffer between flushes:
@@ -179,19 +195,28 @@ func (m *memorySet) Generate(cands []*Candidate) (time.Duration, error) {
 	return m.ivTime, nil
 }
 
-// addBase registers the round's live features as candidates and computes
-// their IVs (they are filtered like any candidate but their columns are
-// frame- or prior-round-owned, so never recycled here).
+// addBase registers the round's live features as candidates (they are
+// filtered like any candidate but their columns are frame- or
+// prior-round-owned, so never recycled here) and computes the IVs of those
+// not scored yet: the original columns, in round 1. A carried feature keeps
+// the IV it was scored with as a candidate.
 func (m *memorySet) addBase() {
-	cols := make([][]float64, len(m.live))
-	for i, lf := range m.live {
-		cols[i] = lf.train
+	var fresh []*liveFeature
+	var cols [][]float64
+	for _, lf := range m.live {
+		m.entries = append(m.entries, &candEntry{lf: lf})
+		if !lf.scored {
+			fresh, cols = append(fresh, lf), append(cols, lf.train)
+		}
+	}
+	if len(fresh) == 0 {
+		return
 	}
 	t0 := time.Now()
 	ivs := computeCriteria(cols, m.labels, m.code, m.cfg.IVBins, m.cfg.IVEqualWidth, m.pool, &m.scratches)
 	m.ivTime += time.Since(t0)
-	for i, lf := range m.live {
-		m.entries = append(m.entries, &candEntry{lf: lf, iv: ivs[i]})
+	for i, lf := range fresh {
+		lf.crit, lf.scored = ivs[i], true
 	}
 }
 
@@ -229,7 +254,8 @@ func (m *memorySet) flush() error {
 			t1 := time.Now()
 			Apply(en.cand.Node.Applier, en.cand.In, en.lf.train)
 			t2 := time.Now()
-			en.iv = sc.criterion(en.lf.train, m.labels, m.code, cfg.IVBins, cfg.IVEqualWidth)
+			en.lf.crit = sc.criterion(en.lf.train, m.labels, m.code, cfg.IVBins, cfg.IVEqualWidth)
+			en.lf.scored = true
 			apply += t2.Sub(t1)
 			crit += time.Since(t2)
 		}
@@ -263,28 +289,22 @@ func (m *memorySet) release(err error) error {
 func (m *memorySet) Criteria([]*Candidate) ([]float64, error) {
 	ivs := make([]float64, len(m.entries))
 	for i, en := range m.entries {
-		ivs[i] = en.iv
+		ivs[i] = en.lf.crit
 	}
 	return ivs, nil
 }
 
-// Correlated implements WorkingSet on the kept candidates' standardised
-// columns, each an arena buffer: a generated candidate is rebuilt into it
-// from its fitted applier, a base one copied, and standardised in place in
-// the same pool task.
+// Correlated implements WorkingSet with a pearsonScan over the kept
+// candidates: each is rebuilt into an arena buffer (a base one copied) and
+// standardised in place when the greedy scan reaches it, and a rejected
+// one's buffer goes back to the arena before the next test.
 func (m *memorySet) Correlated(_ []*Candidate, kept []int) (func(j int, among []int) bool, error) {
-	for _, idx := range kept {
-		m.entries[idx].lf.std = m.arena.Get()
+	cols := make([]*liveFeature, len(m.entries))
+	ivs := make([]float64, len(m.entries))
+	for i, en := range m.entries {
+		cols[i], ivs[i] = en.lf, en.lf.crit
 	}
-	return pearsonTest(m.ctx, len(m.entries), kept, m.cfg.PearsonThreshold, m.pool, func(j int) []float64 {
-		en := m.entries[j]
-		if en.cand == nil {
-			copy(en.lf.std, en.lf.train)
-		} else {
-			Apply(en.cand.Node.Applier, en.cand.In, en.lf.std)
-		}
-		return en.lf.std
-	})
+	return newPearsonScan(cols, ivs, kept, m.cfg.PearsonThreshold, m.pool, m.arena).correlated, nil
 }
 
 // Carry implements WorkingSet: the selection's generated features get their

@@ -14,7 +14,7 @@ import (
 //
 // Sums are plain additions, so Merge is associative and order-invariant up
 // to floating-point rounding. Dot then reproduces the standardised dot
-// product core's pearsonTest computes from full columns: with NaNs
+// product core's pearsonScan computes from full columns: with NaNs
 // standardised to 0 (the mean), only jointly valid rows contribute; its means
 // and deviations come from Moments over the same rows. A NaN-free pair's dot
 // product is stats.Dot, the kernel core's Pearson runs on too.
@@ -173,7 +173,7 @@ func (g *Gram) Merge(o *Gram) {
 // Dot returns the dot product of the standardised columns i and j given
 // their marginal means and standard deviations (from Moments over the same
 // data): Σ over jointly valid rows of (xᵢ−μᵢ)(xⱼ−μⱼ)/(σᵢσⱼ). The caller
-// compares |Dot| against θ·Rows exactly as core's pearsonTest does.
+// compares |Dot| against θ·Rows exactly as core's pearsonScan does.
 func (g *Gram) Dot(i, j int, meanI, stdI, meanJ, stdJ float64) float64 {
 	if stdI == 0 || stdJ == 0 {
 		return 0
